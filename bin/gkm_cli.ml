@@ -51,6 +51,41 @@ let apply_keys_mode mode spec = Gkm.Organization.with_keys_mode mode spec
 let enum_arg ~names ~default ~doc name =
   Arg.(value & opt (enum names) default & info [ name ] ~doc)
 
+let group_size_arg default =
+  Arg.(value & opt int default & info [ "n"; "group-size" ] ~docv:"N" ~doc:"Steady-state group size.")
+
+let k_arg = Arg.(value & opt int 10 & info [ "k"; "s-period" ] ~doc:"S-period in intervals.")
+let ms_arg = Arg.(value & opt float 180.0 & info [ "ms" ] ~doc:"Mean short duration (s).")
+let ml_arg = Arg.(value & opt float 10800.0 & info [ "ml" ] ~doc:"Mean long duration (s).")
+
+let tp_arg ?(default = 60.0) ?(doc = "Rekey interval (s).") () =
+  Arg.(value & opt float default & info [ "tp" ] ~doc)
+
+let horizon_arg ~default doc = Arg.(value & opt float default & info [ "horizon" ] ~doc)
+let l_arg = Arg.(value & opt int 256 & info [ "l"; "departures" ] ~doc:"Batched departures.")
+let ph_arg = Arg.(value & opt float 0.2 & info [ "ph" ] ~doc:"High loss rate.")
+let pl_arg = Arg.(value & opt float 0.02 & info [ "pl" ] ~doc:"Low loss rate.")
+
+let no_deliver_arg =
+  Arg.(value & flag & info [ "no-deliver" ] ~doc:"Skip the WKA-BKR delivery each interval.")
+
+let no_verify_arg = Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip member-side verification.")
+let journal_arg doc = Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
+let duration_arg doc = Arg.(value & opt (some float) None & info [ "duration" ] ~docv:"S" ~doc)
+let host_arg doc = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
+let port_arg doc = Arg.(value & opt int 7600 & info [ "p"; "port" ] ~docv:"PORT" ~doc)
+
+(* An invalid configuration: say why on stderr and exit 2. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
+let or_usage_error ~flag = function Ok v -> v | Error e -> usage_error (flag ^ ": " ^ e)
+
+let org_spec ~degree ~k ~seed sel =
+  or_usage_error ~flag:"--org"
+    (Gkm.Organization.spec_of_string ~degree ~s_period:k ~seed:(seed + 1) sel)
+
 (* Exit-code convention, shared by every sub-command: 0 success, 1
    failed verdict or runtime failure, 2 invalid configuration or
    malformed input, plus cmdliner's own 123-125. *)
@@ -68,10 +103,7 @@ let common_exits =
 let partition_cmd =
   let run n alpha degree k ms ml tp simulate intervals seed csv =
     let p = { Params.n; alpha; d = degree; k; ms; ml; tp } in
-    (try Params.validate p
-     with Invalid_argument e ->
-       prerr_endline e;
-       exit 2);
+    (try Params.validate p with Invalid_argument e -> usage_error e);
     let schemes =
       [
         ("one-keytree", Two_partition.One_keytree, Gkm.Scheme.One_keytree);
@@ -103,10 +135,6 @@ let partition_cmd =
         else Printf.printf "%-14s %14.1f\n" name analytic)
       schemes
   in
-  let k_arg = Arg.(value & opt int 10 & info [ "k"; "s-period" ] ~doc:"S-period in intervals.") in
-  let ms_arg = Arg.(value & opt float 180.0 & info [ "ms" ] ~doc:"Mean short duration (s).") in
-  let ml_arg = Arg.(value & opt float 10800.0 & info [ "ml" ] ~doc:"Mean long duration (s).") in
-  let tp_arg = Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
   let sim_arg = Arg.(value & flag & info [ "simulate" ] ~doc:"Also run the discrete simulation.") in
   let intervals_arg =
     Arg.(value & opt int 40 & info [ "intervals" ] ~doc:"Measured simulation intervals.")
@@ -116,7 +144,7 @@ let partition_cmd =
     Term.(
       const run $ n_arg
       $ alpha_arg "Fraction of short-duration joins."
-      $ degree_arg $ k_arg $ ms_arg $ ml_arg $ tp_arg $ sim_arg $ intervals_arg $ seed_arg
+      $ degree_arg $ k_arg $ ms_arg $ ml_arg $ tp_arg () $ sim_arg $ intervals_arg $ seed_arg
       $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -125,10 +153,7 @@ let partition_cmd =
 let loss_cmd =
   let run n l alpha ph pl degree simulate trials transport seed csv =
     let c = { Loss_homogenized.n; l; d = degree; ph; pl } in
-    (try Loss_homogenized.validate c
-     with Invalid_argument e ->
-       prerr_endline e;
-       exit 2);
+    (try Loss_homogenized.validate c with Invalid_argument e -> usage_error e);
     let orgs =
       [
         ("one-keytree", Some `One);
@@ -184,9 +209,6 @@ let loss_cmd =
         else Printf.printf "%-18s %s\n" name analytic_col)
       orgs
   in
-  let l_arg = Arg.(value & opt int 256 & info [ "l"; "departures" ] ~doc:"Batched departures.") in
-  let ph_arg = Arg.(value & opt float 0.2 & info [ "ph" ] ~doc:"High loss rate.") in
-  let pl_arg = Arg.(value & opt float 0.02 & info [ "pl" ] ~doc:"Low loss rate.") in
   let sim_arg =
     Arg.(value & flag & info [ "simulate" ] ~doc:"Also run the delivery simulation.")
   in
@@ -218,9 +240,7 @@ let trace_generate_cmd =
     match
       Gkm_workload.Membership.of_params ~n_target:n ~alpha ~ms ~ml ~tp
     with
-    | exception Invalid_argument e ->
-        prerr_endline e;
-        exit 2
+    | exception Invalid_argument e -> usage_error e
     | cfg ->
         let events =
           Gkm_workload.Membership.generate cfg
@@ -229,18 +249,14 @@ let trace_generate_cmd =
         in
         print_string (Gkm_workload.Trace.to_csv events)
   in
-  let ms_arg = Arg.(value & opt float 180.0 & info [ "ms" ] ~doc:"Mean short duration (s).") in
-  let ml_arg = Arg.(value & opt float 10800.0 & info [ "ml" ] ~doc:"Mean long duration (s).") in
-  let tp_arg = Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
-  let horizon_arg =
-    Arg.(value & opt float 3600.0 & info [ "horizon" ] ~doc:"Trace length (s).")
-  in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a two-class membership trace as CSV on stdout")
     Term.(
       const run $ n_arg
       $ alpha_arg "Fraction of short-duration joins."
-      $ ms_arg $ ml_arg $ tp_arg $ horizon_arg $ seed_arg)
+      $ ms_arg $ ml_arg $ tp_arg ()
+      $ horizon_arg ~default:3600.0 "Trace length (s)."
+      $ seed_arg)
 
 let trace_fit_cmd =
   let run file tp =
@@ -263,9 +279,7 @@ let trace_fit_cmd =
           s
     in
     match Gkm_workload.Trace.of_csv text with
-    | Error e ->
-        prerr_endline e;
-        exit 2
+    | Error e -> usage_error e
     | Ok events -> (
         let durations = Gkm_workload.Trace.durations events in
         Printf.printf "events:     %d\n" (List.length events);
@@ -273,9 +287,7 @@ let trace_fit_cmd =
         Printf.printf "censored:   %d still present at trace end\n"
           (Gkm_workload.Trace.censored events);
         match Gkm_workload.Fit.em durations with
-        | exception Invalid_argument e ->
-            prerr_endline ("cannot fit: " ^ e);
-            exit 2
+        | exception Invalid_argument e -> usage_error ("cannot fit: " ^ e)
         | m ->
             Printf.printf "EM fit:     alpha=%.3f Ms=%.1fs Ml=%.1fs\n" m.alpha m.ms m.ml;
             let live =
@@ -306,10 +318,9 @@ let trace_fit_cmd =
   let file_arg =
     Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"Trace CSV ('-' for stdin).")
   in
-  let tp_arg = Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
   Cmd.v
     (Cmd.info "fit" ~doc:"Fit the two-exponential mixture to a trace and recommend a scheme")
-    Term.(const run $ file_arg $ tp_arg)
+    Term.(const run $ file_arg $ tp_arg ())
 
 let trace_cmd =
   Cmd.group (Cmd.info "trace" ~doc:"Membership traces") [ trace_generate_cmd; trace_fit_cmd ]
@@ -328,7 +339,6 @@ let ne_cmd =
         (Batch_cost.per_level ~d:degree ~n ~l)
     end
   in
-  let l_arg = Arg.(value & opt int 256 & info [ "l"; "departures" ] ~doc:"Batched departures.") in
   let per_level_arg =
     Arg.(value & flag & info [ "per-level" ] ~doc:"Break the cost down by tree level.")
   in
@@ -342,15 +352,7 @@ let ne_cmd =
 let session_cmd =
   let run org_sel n alpha ms ml tp horizon degree k loss_alpha ph pl no_deliver no_verify
       seed csv keys =
-    let spec =
-      match
-        Gkm.Organization.spec_of_string ~degree ~s_period:k ~seed:(seed + 1) org_sel
-      with
-      | Ok spec -> apply_keys_mode keys spec
-      | Error e ->
-          prerr_endline ("--org: " ^ e);
-          exit 2
-    in
+    let spec = apply_keys_mode keys (org_spec ~degree ~k ~seed org_sel) in
     let cfg =
       {
         Gkm.Session.default_config with
@@ -369,12 +371,7 @@ let session_cmd =
         org = spec;
       }
     in
-    let r =
-      try Gkm.Session.run cfg
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 2
-    in
+    let r = try Gkm.Session.run cfg with Invalid_argument e -> usage_error e in
     let name = Gkm.Organization.spec_name spec in
     if csv then begin
       print_endline
@@ -410,26 +407,8 @@ let session_cmd =
              $(b,loss:T1,T2,..) (loss-homogenized bands), $(b,random:K) (K random trees), \
              $(b,composed)[$(b,:KIND)[$(b,@T1,..)]] (a scheme inside each loss band).")
   in
-  let n_arg =
-    Arg.(value & opt int 400 & info [ "n"; "group-size" ] ~docv:"N" ~doc:"Steady-state group size.")
-  in
-  let ms_arg = Arg.(value & opt float 180.0 & info [ "ms" ] ~doc:"Mean short duration (s).") in
-  let ml_arg = Arg.(value & opt float 10800.0 & info [ "ml" ] ~doc:"Mean long duration (s).") in
-  let tp_arg = Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
-  let horizon_arg =
-    Arg.(value & opt float 3600.0 & info [ "horizon" ] ~doc:"Session length (s).")
-  in
-  let k_arg = Arg.(value & opt int 10 & info [ "k"; "s-period" ] ~doc:"S-period in intervals.") in
   let loss_alpha_arg =
     Arg.(value & opt float 0.25 & info [ "loss-alpha" ] ~doc:"Fraction of high-loss receivers.")
-  in
-  let ph_arg = Arg.(value & opt float 0.2 & info [ "ph" ] ~doc:"High loss rate.") in
-  let pl_arg = Arg.(value & opt float 0.02 & info [ "pl" ] ~doc:"Low loss rate.") in
-  let no_deliver_arg =
-    Arg.(value & flag & info [ "no-deliver" ] ~doc:"Skip the WKA-BKR delivery each interval.")
-  in
-  let no_verify_arg =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip member-side verification.")
   in
   Cmd.v
     (Cmd.info "session"
@@ -437,9 +416,11 @@ let session_cmd =
          "Run a full engine-driven session (churn, batched rekeying, lossy delivery, \
           member verification) under any group organization")
     Term.(
-      const run $ org_arg $ n_arg
+      const run $ org_arg $ group_size_arg 400
       $ alpha_arg "Fraction of short-duration joins."
-      $ ms_arg $ ml_arg $ tp_arg $ horizon_arg $ degree_arg $ k_arg $ loss_alpha_arg
+      $ ms_arg $ ml_arg $ tp_arg ()
+      $ horizon_arg ~default:3600.0 "Session length (s)."
+      $ degree_arg $ k_arg $ loss_alpha_arg
       $ ph_arg $ pl_arg $ no_deliver_arg $ no_verify_arg $ seed_arg $ csv_arg $ keys_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -477,12 +458,7 @@ let metrics_cmd =
           Journal.attach_channel Journal.default oc;
           Some oc
     in
-    let r =
-      try Gkm.Session.run cfg
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 2
-    in
+    let r = try Gkm.Session.run cfg with Invalid_argument e -> usage_error e in
     Journal.set_sink Journal.default None;
     Option.iter close_out oc;
     if not jsonl_only then begin
@@ -498,15 +474,6 @@ let metrics_cmd =
       (fun ev -> print_endline (Journal.to_jsonl_line ev))
       (Journal.events Journal.default)
   in
-  let n_arg =
-    Arg.(value & opt int 400 & info [ "n"; "group-size" ] ~docv:"N" ~doc:"Steady-state group size.")
-  in
-  let ms_arg = Arg.(value & opt float 180.0 & info [ "ms" ] ~doc:"Mean short duration (s).") in
-  let ml_arg = Arg.(value & opt float 10800.0 & info [ "ml" ] ~doc:"Mean long duration (s).") in
-  let tp_arg = Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
-  let horizon_arg =
-    Arg.(value & opt float 3600.0 & info [ "horizon" ] ~doc:"Session length (s).")
-  in
   let scheme_arg =
     enum_arg
       ~names:
@@ -518,23 +485,8 @@ let metrics_cmd =
         ]
       ~default:Gkm.Scheme.Tt ~doc:"Rekeying scheme (one-keytree, qt, tt, pt)." "scheme"
   in
-  let k_arg = Arg.(value & opt int 10 & info [ "k"; "s-period" ] ~doc:"S-period in intervals.") in
-  let no_deliver_arg =
-    Arg.(value & flag & info [ "no-deliver" ] ~doc:"Skip the WKA-BKR delivery each interval.")
-  in
-  let no_verify_arg =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip member-side verification.")
-  in
   let jsonl_only_arg =
     Arg.(value & flag & info [ "jsonl-only" ] ~doc:"Suppress the human-readable table.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Stream the complete event journal to $(docv) as it is recorded (the stdout \
-                dump only retains the in-memory ring).")
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -542,10 +494,15 @@ let metrics_cmd =
          "Run a full session with observability enabled and dump the metrics registry and \
           event journal (human table + JSONL)")
     Term.(
-      const run $ n_arg
+      const run $ group_size_arg 400
       $ alpha_arg "Fraction of short-duration joins."
-      $ ms_arg $ ml_arg $ tp_arg $ horizon_arg $ scheme_arg $ degree_arg $ k_arg
-      $ no_deliver_arg $ no_verify_arg $ seed_arg $ jsonl_only_arg $ journal_arg)
+      $ ms_arg $ ml_arg $ tp_arg ()
+      $ horizon_arg ~default:3600.0 "Session length (s)."
+      $ scheme_arg $ degree_arg $ k_arg $ no_deliver_arg $ no_verify_arg $ seed_arg
+      $ jsonl_only_arg
+      $ journal_arg
+          "Stream the complete event journal to $(docv) as it is recorded (the stdout dump \
+           only retains the in-memory ring).")
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                               *)
@@ -559,22 +516,8 @@ let chaos_cmd =
     "crash@3;loss@120-300:0.3;desync@5:3;corrupt@7;drop@1:5"
   in
   let run plan_str org_sel n tp horizon degree k seed journal_file keys =
-    let plan =
-      match Gkm_fault.Fault.of_string plan_str with
-      | Ok p -> p
-      | Error e ->
-          prerr_endline ("--plan: " ^ e);
-          exit 2
-    in
-    let spec =
-      match
-        Gkm.Organization.spec_of_string ~degree ~s_period:k ~seed:(seed + 1) org_sel
-      with
-      | Ok spec -> apply_keys_mode keys spec
-      | Error e ->
-          prerr_endline ("--org: " ^ e);
-          exit 2
-    in
+    let plan = or_usage_error ~flag:"--plan" (Gkm_fault.Fault.of_string plan_str) in
+    let spec = apply_keys_mode keys (org_spec ~degree ~k ~seed org_sel) in
     let cfg =
       {
         Gkm.Session.default_config with
@@ -607,12 +550,7 @@ let chaos_cmd =
       (r, Buffer.contents buf)
     in
     fresh ();
-    let baseline =
-      try Gkm.Session.run cfg
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 2
-    in
+    let baseline = try Gkm.Session.run cfg with Invalid_argument e -> usage_error e in
     let r1, j1 = faulty () in
     let r2, j2 = faulty () in
     (match journal_file with
@@ -667,21 +605,6 @@ let chaos_cmd =
             "Group organization: $(b,one)|$(b,qt)|$(b,tt)|$(b,pt), $(b,loss:T1,..), \
              $(b,random:K), or $(b,composed)[$(b,:KIND)[$(b,@T1,..)]].")
   in
-  let n_arg =
-    Arg.(value & opt int 60 & info [ "n"; "group-size" ] ~docv:"N" ~doc:"Steady-state group size.")
-  in
-  let tp_arg = Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
-  let horizon_arg =
-    Arg.(value & opt float 600.0 & info [ "horizon" ] ~doc:"Session length (s).")
-  in
-  let k_arg = Arg.(value & opt int 10 & info [ "k"; "s-period" ] ~doc:"S-period in intervals.") in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Write the faulty run's complete JSONL event journal to $(docv).")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -689,8 +612,11 @@ let chaos_cmd =
           byte-identical re-run), checking recovery, determinism and post-recovery DEK \
           convergence; nonzero exit on any failure")
     Term.(
-      const run $ plan_arg $ org_arg $ n_arg $ tp_arg $ horizon_arg $ degree_arg $ k_arg
-      $ seed_arg $ journal_arg $ keys_arg)
+      const run $ plan_arg $ org_arg $ group_size_arg 60 $ tp_arg ()
+      $ horizon_arg ~default:600.0 "Session length (s)."
+      $ degree_arg $ k_arg $ seed_arg
+      $ journal_arg "Write the faulty run's complete JSONL event journal to $(docv)."
+      $ keys_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -728,53 +654,39 @@ let parse_udp_loss s =
         | _ -> Error (Printf.sprintf "%S: bad bursty:P:B numbers" s))
     | _ -> Error (Printf.sprintf "%S: expected a probability or bursty:P:B" s)
 
-let transport_arg =
-  Arg.(
-    value & opt string "tcp"
-    & info [ "transport" ] ~docv:"T"
-        ~doc:
-          "Rekey data plane: $(b,tcp) (unicast, default) or $(b,udp)[:ADDR:PORT] — sealed \
-           rekey generations multicast to the group (default 239.255.77.7:7677) while TCP \
-           remains the control channel. Server and clients must agree.")
+(* Shared by serve and join: the parsed --transport group (None = pure
+   TCP); a malformed selector is a usage error. *)
+let transport_term =
+  let arg =
+    Arg.(
+      value & opt string "tcp"
+      & info [ "transport" ] ~docv:"T"
+          ~doc:
+            "Rekey data plane: $(b,tcp) (unicast, default) or $(b,udp)[:ADDR:PORT] — sealed \
+             rekey generations multicast to the group (default 239.255.77.7:7677) while TCP \
+             remains the control channel. Server and clients must agree.")
+  in
+  Term.(const (fun s -> or_usage_error ~flag:"--transport" (parse_transport s)) $ arg)
 
 let serve_cmd =
   let module Loop = Gkm_netd.Loop in
   let module Server = Gkm_netd.Server in
   let run host port org_sel tp capacity soft hard retx grace resync_budget strikes max_clients
-      degree k ticket_horizon ticket_rewrap domains transport_s udp_loss udp_reorder udp_dup
+      degree k ticket_horizon ticket_rewrap domains group udp_loss udp_reorder udp_dup
       intervals duration journal_file port_file stats_file seed =
     let transport =
-      match parse_transport transport_s with
-      | Error e ->
-          prerr_endline ("--transport: " ^ e);
-          exit 2
-      | Ok None ->
-          if udp_loss <> "" || udp_reorder > 0.0 || udp_dup > 0.0 then begin
-            prerr_endline "--udp-loss/--udp-reorder/--udp-dup apply to --transport udp only";
-            exit 2
-          end;
+      match group with
+      | None ->
+          if udp_loss <> "" || udp_reorder > 0.0 || udp_dup > 0.0 then
+            usage_error "--udp-loss/--udp-reorder/--udp-dup apply to --transport udp only";
           Server.Tcp
-      | Ok (Some group) -> (
-          let loss =
-            match parse_udp_loss udp_loss with
-            | Ok l -> l
-            | Error e ->
-                prerr_endline ("--udp-loss: " ^ e);
-                exit 2
-          in
+      | Some group -> (
+          let loss = or_usage_error ~flag:"--udp-loss" (parse_udp_loss udp_loss) in
           match Gkm_net.Netem.cfg ?loss ~reorder:udp_reorder ~dup:udp_dup () with
           | fault -> Server.udp ~fault group
-          | exception Invalid_argument e ->
-              prerr_endline e;
-              exit 2)
+          | exception Invalid_argument e -> usage_error e)
     in
-    let spec =
-      match Gkm.Organization.spec_of_string ~degree ~s_period:k ~seed:(seed + 1) org_sel with
-      | Ok spec -> spec
-      | Error e ->
-          prerr_endline ("--org: " ^ e);
-          exit 2
-    in
+    let spec = org_spec ~degree ~k ~seed org_sel in
     let oc =
       match journal_file with
       | None -> None
@@ -809,9 +721,7 @@ let serve_cmd =
     let loop = Loop.create () in
     let srv =
       try Server.create ~loop cfg with
-      | Invalid_argument e ->
-          prerr_endline e;
-          exit 2
+      | Invalid_argument e -> usage_error e
       | Unix.Unix_error (err, _, _) ->
           Printf.eprintf "gkm serve: cannot listen on %s:%d: %s\n" host port
             (Unix.error_message err);
@@ -913,22 +823,14 @@ let serve_cmd =
         Gkm_obs.Journal.set_sink Gkm_obs.Journal.default None;
         close_out oc)
   in
-  let host_arg =
-    Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
-  in
-  let port_arg =
-    Arg.(value & opt int 7600 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"TCP port (0 picks one).")
-  in
   let org_arg =
     Arg.(
       value & opt string "tt"
       & info [ "org" ] ~docv:"ORG"
           ~doc:
             "Group organization: $(b,one)|$(b,qt)|$(b,tt)|$(b,pt), $(b,loss:T1,..), \
-             $(b,random:K), or $(b,composed). Composed organizations need wire v2 \
-             clients (v1 hellos are refused).")
+             $(b,random:K), or $(b,composed).")
   in
-  let tp_arg = Arg.(value & opt float 1.0 & info [ "tp" ] ~doc:"Rekey interval (s).") in
   let capacity_arg =
     Arg.(value & opt int 1024 & info [ "capacity" ] ~docv:"B" ~doc:"Rekey packet payload (bytes).")
   in
@@ -968,7 +870,6 @@ let serve_cmd =
   let max_clients_arg =
     Arg.(value & opt int 4096 & info [ "max-clients" ] ~doc:"Connection limit.")
   in
-  let k_arg = Arg.(value & opt int 10 & info [ "k"; "s-period" ] ~doc:"S-period in intervals.") in
   let ticket_horizon_arg =
     Arg.(
       value & opt int 200
@@ -996,19 +897,6 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "intervals" ] ~docv:"N" ~doc:"Stop after $(docv) effective rekeys.")
-  in
-  let duration_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "duration" ] ~docv:"S" ~doc:"Stop after $(docv) seconds.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Enable observability and stream the JSONL event journal to $(docv).")
   in
   let port_file_arg =
     Arg.(
@@ -1058,11 +946,17 @@ let serve_cmd =
           optionally domain-sharded REKEY fan-out or a UDP multicast data plane, \
           NACK/RETX recovery, authenticated RESYNC, two-tier backpressure")
     Term.(
-      const run $ host_arg $ port_arg $ org_arg $ tp_arg $ capacity_arg $ soft_arg $ hard_arg
-      $ retx_arg $ grace_arg $ resync_budget_arg $ strikes_arg $ max_clients_arg $ degree_arg
-      $ k_arg $ ticket_horizon_arg $ ticket_rewrap_arg $ domains_arg $ transport_arg
-      $ udp_loss_arg $ udp_reorder_arg $ udp_dup_arg $ intervals_arg $ duration_arg
-      $ journal_arg $ port_file_arg $ stats_file_arg $ seed_arg)
+      const run $ host_arg "Bind address."
+      $ port_arg "TCP port (0 picks one)."
+      $ org_arg
+      $ tp_arg ~default:1.0 ()
+      $ capacity_arg $ soft_arg $ hard_arg $ retx_arg $ grace_arg $ resync_budget_arg
+      $ strikes_arg $ max_clients_arg $ degree_arg $ k_arg $ ticket_horizon_arg
+      $ ticket_rewrap_arg $ domains_arg $ transport_term $ udp_loss_arg $ udp_reorder_arg
+      $ udp_dup_arg $ intervals_arg
+      $ duration_arg "Stop after $(docv) seconds."
+      $ journal_arg "Enable observability and stream the JSONL event journal to $(docv)."
+      $ port_file_arg $ stats_file_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* join                                                                *)
@@ -1070,23 +964,11 @@ let serve_cmd =
 let join_cmd =
   let module Loop = Gkm_netd.Loop in
   let module Client = Gkm_netd.Client in
-  let run host port count cls loss drop rekeys duration verbose ticket_file ticket_out
-      transport_s seed =
-    let mcast =
-      match parse_transport transport_s with
-      | Ok g -> g
-      | Error e ->
-          prerr_endline ("--transport: " ^ e);
-          exit 2
-    in
-    if count < 1 then begin
-      prerr_endline "--count must be at least 1";
-      exit 2
-    end;
-    if ticket_file <> None && count > 1 then begin
-      prerr_endline "--ticket resumes one member: --count must be 1";
-      exit 2
-    end;
+  let run host port count cls loss drop rekeys duration verbose ticket_file ticket_out mcast
+      seed =
+    if count < 1 then usage_error "--count must be at least 1";
+    if ticket_file <> None && count > 1 then
+      usage_error "--ticket resumes one member: --count must be 1";
     let resume =
       match ticket_file with
       | None -> None
@@ -1175,12 +1057,6 @@ let join_cmd =
       clients;
     if !failed > 0 then exit 1
   in
-  let host_arg =
-    Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Server address.")
-  in
-  let port_arg =
-    Arg.(value & opt int 7600 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server TCP port.")
-  in
   let count_arg =
     Arg.(value & opt int 1 & info [ "count" ] ~docv:"N" ~doc:"Number of clients to run.")
   in
@@ -1206,12 +1082,6 @@ let join_cmd =
       value
       & opt (some int) None
       & info [ "rekeys" ] ~docv:"N" ~doc:"Leave after completing $(docv) rekeys.")
-  in
-  let duration_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "duration" ] ~docv:"S" ~doc:"Leave after $(docv) seconds.")
   in
   let verbose_arg =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every DEK change.")
@@ -1243,9 +1113,10 @@ let join_cmd =
          "Join one or more wire clients to a running $(b,gkm serve) instance and track the \
           group key until $(b,--rekeys)/$(b,--duration) or Ctrl-C")
     Term.(
-      const run $ host_arg $ port_arg $ count_arg $ cls_arg $ loss_arg $ drop_arg
-      $ rekeys_arg $ duration_arg $ verbose_arg $ ticket_arg $ ticket_out_arg
-      $ transport_arg $ seed_arg)
+      const run $ host_arg "Server address." $ port_arg "Server TCP port." $ count_arg
+      $ cls_arg $ loss_arg $ drop_arg $ rekeys_arg
+      $ duration_arg "Leave after $(docv) seconds."
+      $ verbose_arg $ ticket_arg $ ticket_out_arg $ transport_term $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* conform                                                             *)
@@ -1260,29 +1131,20 @@ let conform_cmd =
       (fun part ->
         match int_of_string_opt (String.trim part) with
         | Some v when v > 0 -> v
-        | _ ->
-            Printf.eprintf "%s: '%s' is not a positive integer list\n" flag s;
-            exit 2)
+        | _ -> usage_error (Printf.sprintf "%s: '%s' is not a positive integer list" flag s))
       (String.split_on_char ',' s)
   in
   let str_list s = List.map String.trim (String.split_on_char ',' s) in
   let run fuzz interop soak frames fuzz_seconds corpus_file crashers_out scratch
       domains_str orgs_str org n tp intervals budget jsonl_file seed =
-    if not (fuzz || interop || soak) then begin
-      prerr_endline "gkm conform: pick at least one of --fuzz, --interop, --soak";
-      exit 2
-    end;
+    if not (fuzz || interop || soak) then
+      usage_error "gkm conform: pick at least one of --fuzz, --interop, --soak";
     let failed = ref false in
     (if fuzz then begin
        let corpus =
          match corpus_file with
          | None -> []
-         | Some path -> (
-             match Corpus.load path with
-             | Ok entries -> entries
-             | Error e ->
-                 prerr_endline ("--corpus: " ^ e);
-                 exit 2)
+         | Some path -> or_usage_error ~flag:"--corpus" (Corpus.load path)
        in
        Printf.printf "conform fuzz: %d frames, seed %d, %d corpus entries\n%!" frames
          seed (List.length corpus);
@@ -1335,11 +1197,7 @@ let conform_cmd =
        in
        Printf.printf "conform soak: org=%s N=%d, %d intervals/iter, %.0fs budget\n%!"
          org n intervals budget;
-       let r = try Soak.run ~emit cfg with
-         | Invalid_argument e ->
-             prerr_endline e;
-             exit 2
-       in
+       let r = try Soak.run ~emit cfg with Invalid_argument e -> usage_error e in
        (match oc with Some oc -> close_out oc | None -> ());
        Printf.printf "conform soak: %d iterations in %.1fs: %s\n%!"
          (List.length r.Soak.iterations)
@@ -1421,9 +1279,6 @@ let conform_cmd =
       value & opt int 1_000_000
       & info [ "n"; "group-size" ] ~docv:"N" ~doc:"Soak steady-state group size.")
   in
-  let tp_arg =
-    Arg.(value & opt float 60.0 & info [ "tp" ] ~doc:"Soak rekey interval (simulated s).")
-  in
   let intervals_arg =
     Arg.(
       value & opt int 10
@@ -1451,7 +1306,9 @@ let conform_cmd =
     Term.(
       const run $ fuzz_arg $ interop_arg $ soak_arg $ frames_arg $ fuzz_seconds_arg
       $ corpus_arg $ crashers_arg $ scratch_arg $ domains_arg $ orgs_arg $ org_arg
-      $ n_arg $ tp_arg $ intervals_arg $ budget_arg $ jsonl_arg $ seed_arg)
+      $ n_arg
+      $ tp_arg ~doc:"Soak rekey interval (simulated s)." ()
+      $ intervals_arg $ budget_arg $ jsonl_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 

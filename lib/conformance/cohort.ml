@@ -27,7 +27,6 @@ module Raw = struct
     loop : Loop.t;
     mutable conn : Conn.t option;
     mutable connected : bool;
-    mutable version : int;
     mutable received : Msg.t list;  (* newest first *)
   }
 
@@ -74,12 +73,11 @@ module Raw = struct
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e);
     let c = Conn.create fd in
-    let t = { loop; conn = Some c; connected = false; version = 1; received = [] } in
+    let t = { loop; conn = Some c; connected = false; received = [] } in
     Loop.add_fd loop fd ~readable:(on_readable t) ~writable:(on_writable t)
       ~want_write:(fun () -> (not t.connected) || Conn.want_write c);
     t
 
-  let set_version t v = t.version <- v
   let close t = teardown t
   let closed t = t.conn = None
   let msgs t = List.rev t.received
@@ -91,7 +89,7 @@ module Raw = struct
 
   let send t m =
     match t.conn with
-    | Some c -> Conn.enqueue_frame c (Frame.encode ~version:t.version m)
+    | Some c -> Conn.enqueue_frame c (Frame.encode m)
     | None -> ()
 
   let await t ~timeout pick =
@@ -108,15 +106,9 @@ module Raw = struct
     ignore (check ());
     !found
 
-  let hello t ?(hi = Msg.version) ~timeout () =
-    send t (Msg.Hello { lo = Msg.min_version; hi });
-    match
-      await t ~timeout (function Msg.Hello_ack { version; _ } -> Some version | _ -> None)
-    with
-    | Some v ->
-        t.version <- v;
-        Some v
-    | None -> None
+  let hello t ~timeout =
+    send t (Msg.Hello { lo = Msg.version; hi = Msg.version });
+    await t ~timeout (function Msg.Hello_ack _ -> Some () | _ -> None) <> None
 
   let join t ~timeout =
     send t (Msg.Join { cls = `Long; loss = 0.0 });
@@ -127,8 +119,8 @@ end
 
 (* ---------------- well-behaved cohorts ---------------- *)
 
-let spawn_clients ~loop ~port ~n ?(cls = `Long) ?(loss = 0.0) ?drop
-    ?(hello_hi = Msg.version) ?mcast ?(mcast_fault = Gkm_net.Netem.none) ?(seed = 7) () =
+let spawn_clients ~loop ~port ~n ?(cls = `Long) ?(loss = 0.0) ?drop ?mcast
+    ?(mcast_fault = Gkm_net.Netem.none) ?(seed = 7) () =
   List.init n (fun i ->
       Client.connect ~loop
         {
@@ -137,7 +129,6 @@ let spawn_clients ~loop ~port ~n ?(cls = `Long) ?(loss = 0.0) ?drop
           loss;
           drop;
           seed = seed + i;
-          hello_hi;
           mcast;
           mcast_fault;
         })
@@ -289,20 +280,28 @@ let reorder_dup ~loop ~port ?mcast ?(seed = 4000) ~timeout () =
     end
   end
 
-let v1_refused ~loop ~port ~timeout =
-  let name = "v1-refused" in
-  let r = Raw.connect ~loop ~port in
-  Raw.send r (Msg.Hello { lo = 1; hi = 1 });
-  let got =
-    Raw.await r ~timeout (function Msg.Error_msg { code; detail } -> Some (code, detail) | _ -> None)
+(* One probe per side of the server's version: an older-only range and
+   a newer-only one. Each must draw ERR err_version. *)
+let version_refused ~loop ~port ~timeout =
+  let name = "version-refused" in
+  let probe (lo, hi) =
+    let r = Raw.connect ~loop ~port in
+    Raw.send r (Msg.Hello { lo; hi });
+    let got =
+      Raw.await r ~timeout (function
+        | Msg.Error_msg { code; detail } -> Some (code, detail)
+        | _ -> None)
+    in
+    Raw.close r;
+    match got with
+    | Some (code, _) when code = Msg.err_version -> None
+    | Some (code, d) -> Some (Printf.sprintf "[%d,%d] refused with code %d (%s)" lo hi code d)
+    | None -> Some (Printf.sprintf "[%d,%d]: no refusal before timeout" lo hi)
   in
-  Raw.close r;
-  match got with
-  | Some (code, _) when code = Msg.err_version ->
-      { name; ok = true; detail = "v1 HELLO refused with err_version" }
-  | Some (code, d) ->
-      { name; ok = false; detail = Printf.sprintf "refused with code %d (%s)" code d }
-  | None -> { name; ok = false; detail = "no refusal before timeout" }
+  let ranges = [ (1, Msg.version - 1); (Msg.version + 1, Msg.version + 3) ] in
+  match List.find_map probe ranges with
+  | None -> { name; ok = true; detail = "HELLOs excluding the wire version refused with err_version" }
+  | Some detail -> { name; ok = false; detail }
 
 (* ---------------- hostile cohorts ---------------- *)
 
@@ -312,11 +311,11 @@ let count_resyncs r =
 let nack_flood ~loop ~port ~budget ~timeout =
   let name = "nack-flood" in
   let r = Raw.connect ~loop ~port in
-  match Raw.hello r ~timeout () with
-  | None ->
+  match Raw.hello r ~timeout with
+  | false ->
       Raw.close r;
       { name; ok = false; detail = "no HELLO_ACK" }
-  | Some _ -> (
+  | true -> (
       match Raw.join r ~timeout with
       | None ->
           Raw.close r;
@@ -355,8 +354,8 @@ let evictee_lockout ~loop ~port ~timeout =
   let name = "evictee-lockout" in
   let fail detail = { name; ok = false; detail } in
   let r = Raw.connect ~loop ~port in
-  match Raw.hello r ~timeout () with
-  | Some v when v >= 2 -> (
+  match Raw.hello r ~timeout with
+  | true -> (
       Raw.send r (Msg.Join { cls = `Long; loss = 0.0 });
       match
         Raw.await r ~timeout (function
@@ -389,11 +388,11 @@ let evictee_lockout ~loop ~port ~timeout =
               else begin
                 (* Lockout probe 1: the dead ticket. *)
                 let r2 = Raw.connect ~loop ~port in
-                match Raw.hello r2 ~timeout () with
-                | None ->
+                match Raw.hello r2 ~timeout with
+                | false ->
                     Raw.close r2;
                     fail "no HELLO_ACK on reconnect"
-                | Some _ -> (
+                | true -> (
                     Raw.send r2 (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket });
                     let e1 =
                       Raw.await r2 ~timeout (function
@@ -439,10 +438,7 @@ let evictee_lockout ~loop ~port ~timeout =
                         Raw.close r2;
                         fail "rejoin after leave: no reply")
               end))
-  | Some v ->
-      Raw.close r;
-      fail (Printf.sprintf "server negotiated v%d; tickets need v2" v)
-  | None ->
+  | false ->
       Raw.close r;
       fail "no HELLO_ACK"
 
@@ -450,8 +446,8 @@ let ticket_replay ~loop ~port ~timeout =
   let name = "ticket-replay" in
   let fail detail = { name; ok = false; detail } in
   let a = Raw.connect ~loop ~port in
-  match Raw.hello a ~timeout () with
-  | Some v when v >= 2 -> (
+  match Raw.hello a ~timeout with
+  | true -> (
       match Raw.join a ~timeout with
       | None ->
           Raw.close a;
@@ -474,24 +470,20 @@ let ticket_replay ~loop ~port ~timeout =
                   | _ -> None)
               in
               let b = Raw.connect ~loop ~port in
-              let replay1 =
-                match Raw.hello b ~timeout () with None -> None | Some _ -> rejoin b
-              in
+              let replay1 = if Raw.hello b ~timeout then rejoin b else None in
               (* Bearer semantics: the replay re-binds the member and
                  the previous binding dies. *)
               let a_died = run_until loop ~timeout (fun () -> Raw.closed a) in
               let c = Raw.connect ~loop ~port in
-              let replay2 =
-                match Raw.hello c ~timeout () with None -> None | Some _ -> rejoin c
-              in
+              let replay2 = if Raw.hello c ~timeout then rejoin c else None in
               let b_died = run_until loop ~timeout (fun () -> Raw.closed b) in
               (* A corrupted ticket must be refused softly: same socket
                  stays up and can enter as a brand-new member. *)
               let d = Raw.connect ~loop ~port in
               let soft =
-                match Raw.hello d ~timeout () with
-                | None -> fail "no HELLO_ACK on corrupt-ticket probe"
-                | Some _ -> (
+                match Raw.hello d ~timeout with
+                | false -> fail "no HELLO_ACK on corrupt-ticket probe"
+                | true -> (
                     let bad = Bytes.copy ticket in
                     let i = Bytes.length bad / 2 in
                     Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x41));
@@ -532,9 +524,6 @@ let ticket_replay ~loop ~port ~timeout =
                      (match replay1 with Some m -> string_of_int m | None -> "-")
                      (match replay2 with Some m -> string_of_int m | None -> "-")
                      a_died b_died)))
-  | Some v ->
-      Raw.close a;
-      fail (Printf.sprintf "server negotiated v%d; tickets need v2" v)
-  | None ->
+  | false ->
       Raw.close a;
       fail "no HELLO_ACK"

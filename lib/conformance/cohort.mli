@@ -10,7 +10,8 @@
 
     Two kinds of cohort:
     - well-behaved populations built on the real {!Gkm_netd.Client}
-      runtime (joiners, lossy links, v1-capped speakers);
+      runtime (joiners, lossy links, reordering and duplicating
+      datagram paths);
     - hostile drivers built on {!Raw}, a minimal frame-level client
       that can speak the wire protocol wrongly on purpose (NACK
       flooders, evictees that keep transmitting, ticket replayers). *)
@@ -30,11 +31,7 @@ module Raw : sig
   type t
 
   val connect : loop:Gkm_netd.Loop.t -> port:int -> t
-  (** Loopback connect; frames go out with a v1 header until
-      {!set_version}. *)
-
-  val set_version : t -> int -> unit
-  (** Header version for subsequent {!send}s (after HELLO_ACK). *)
+  (** Loopback connect. *)
 
   val send : t -> Gkm_wire.Msg.t -> unit
   val close : t -> unit
@@ -53,9 +50,9 @@ module Raw : sig
   (** Step the loop until some received message (including ones that
       arrived before the call) satisfies the picker. *)
 
-  val hello : t -> ?hi:int -> timeout:float -> unit -> int option
-  (** Send HELLO and await HELLO_ACK; returns the negotiated version
-      (also installed via {!set_version}). *)
+  val hello : t -> timeout:float -> bool
+  (** Send HELLO for the wire version and await HELLO_ACK; [false] on
+      timeout or a refusal. *)
 
   val join : t -> timeout:float -> (int * Gkm_crypto.Key.t) option
   (** Send JOIN and await JOIN_ACK (spans an admission tick); returns
@@ -71,7 +68,6 @@ val spawn_clients :
   ?cls:Gkm_wire.Msg.cls ->
   ?loss:float ->
   ?drop:Gkm_net.Loss_model.t ->
-  ?hello_hi:int ->
   ?mcast:Gkm_netd.Mcast.group ->
   ?mcast_fault:Gkm_net.Netem.cfg ->
   ?seed:int ->
@@ -125,9 +121,9 @@ val reorder_dup :
     lands). Without [mcast] it degrades to a shimless TCP baseline of
     the same shape. *)
 
-val v1_refused : loop:Gkm_netd.Loop.t -> port:int -> timeout:float -> verdict
-(** A v1-capped speaker against a composed (wide-id) organization:
-    the server must refuse with ERR err_version. *)
+val version_refused : loop:Gkm_netd.Loop.t -> port:int -> timeout:float -> verdict
+(** Speakers whose HELLO range excludes the wire version — one older,
+    one newer: the server must refuse each with ERR err_version. *)
 
 (** {1 Hostile cohorts} *)
 
@@ -138,7 +134,7 @@ val nack_flood : loop:Gkm_netd.Loop.t -> port:int -> budget:int -> timeout:float
     dropped. *)
 
 val evictee_lockout : loop:Gkm_netd.Loop.t -> port:int -> timeout:float -> verdict
-(** Join on v2, capture the ticket, LEAVE — then keep transmitting:
+(** Join, capture the ticket, LEAVE — then keep transmitting:
     REJOIN with the dead ticket (expects err_evicted) and an
     authenticated RESYNC_REQ (expects err_auth). *)
 

@@ -80,18 +80,16 @@ let gen_body rng (rule : Grammar.rule) =
   List.iter (gen_field rng buf) rule.fields;
   Buffer.to_bytes buf
 
-let assemble ~version ~tag body =
+let assemble ~tag body =
   let buf = Buffer.create (8 + Bytes.length body) in
   add_u16 buf Frame.magic;
-  add_u8 buf version;
+  add_u8 buf Msg.version;
   add_u8 buf tag;
   add_i32 buf (Bytes.length body);
   Buffer.add_bytes buf body;
   Buffer.to_bytes buf
 
-let gen_frame rng (rule : Grammar.rule) =
-  let version = rule.min_version + Prng.int rng (Msg.version - rule.min_version + 1) in
-  assemble ~version ~tag:rule.tag (gen_body rng rule)
+let gen_frame rng (rule : Grammar.rule) = assemble ~tag:rule.tag (gen_body rng rule)
 
 (* ---------------- field-level poisoning ----------------
 
@@ -155,8 +153,7 @@ let gen_poisoned rng (rule : Grammar.rule) =
     List.iteri
       (fun i f -> if i = target then poison_field rng buf f else gen_field rng buf f)
       rule.fields;
-    let version = rule.min_version + Prng.int rng (Msg.version - rule.min_version + 1) in
-    assemble ~version ~tag:rule.tag (Buffer.to_bytes buf)
+    assemble ~tag:rule.tag (Buffer.to_bytes buf)
   end
 
 (* ---------------- datagram generation & poisoning ---------------- *)
@@ -294,7 +291,6 @@ let header_fields frame =
     && Char.code (Bytes.get frame 0) = (Frame.magic lsr 8) land 0xff
     && Char.code (Bytes.get frame 1) = Frame.magic land 0xff
   then
-    let version = Char.code (Bytes.get frame 2) in
     let tag = Char.code (Bytes.get frame 3) in
     let len =
       let b i = Char.code (Bytes.get frame (4 + i)) in
@@ -302,7 +298,7 @@ let header_fields frame =
       (* sign-extend the i32 *)
       if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
     in
-    Some (version, tag, len)
+    Some (tag, len)
   else None
 
 let stream_check report ~origin ~chunks frame =
@@ -336,9 +332,9 @@ let stream_check report ~origin ~chunks frame =
 
 let body_check report ~origin frame =
   match header_fields frame with
-  | Some (version, tag, len) when len = Bytes.length frame - 8 -> (
+  | Some (tag, len) when len = Bytes.length frame - 8 -> (
       let body = Bytes.sub frame 8 len in
-      match Msg.decode_body ~version ~tag body with
+      match Msg.decode_body ~tag body with
       | Ok m -> (
           report.accepted <- report.accepted + 1;
           let buf = Buffer.create len in
@@ -454,8 +450,8 @@ let check_dgram_valid report ~origin frame =
 let check_valid report ~origin frame =
   check_frame report ~origin frame;
   match header_fields frame with
-  | Some (version, tag, len) when len = Bytes.length frame - 8 -> (
-      match Msg.decode_body ~version ~tag (Bytes.sub frame 8 len) with
+  | Some (tag, len) when len = Bytes.length frame - 8 -> (
+      match Msg.decode_body ~tag (Bytes.sub frame 8 len) with
       | Ok _ -> ()
       | Error e -> fail report ~stage:"grammar" ~origin ~frame (`Should_accept e)
       | exception _ -> () (* already recorded by check_frame *))

@@ -44,8 +44,7 @@ val check_frame : report -> origin:string -> bytes -> unit
     or fixpoint violation in [report]. *)
 
 val gen_frame : Gkm_crypto.Prng.t -> Gkm_wire.Grammar.rule -> bytes
-(** One structurally-valid frame for [rule], version drawn from
-    [rule.min_version .. Msg.version]. *)
+(** One structurally-valid frame for [rule] at {!Gkm_wire.Msg.version}. *)
 
 val check_valid : report -> origin:string -> bytes -> unit
 (** {!check_frame} plus the assertion that the codec accepts the frame

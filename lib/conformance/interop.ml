@@ -210,7 +210,6 @@ let run_case ?(scratch = ".") (s : server) =
         stop_server pid;
         finish [ verdict "spawn" false "server never wrote its port file" ] []
     | Some port ->
-        let composed = s.org = "composed" in
         let loop = Loop.create () in
         let timeout = 20.0 in
         let joiners =
@@ -223,18 +222,14 @@ let run_case ?(scratch = ".") (s : server) =
                 ~drop:(Loss_model.bernoulli 0.25) ~seed:(s.seed + 200) ()
           | Some _ ->
               (* On the udp data plane the TCP stream no longer carries
-                 rekeys for v2 members, so the lossy link moves to the
+                 rekeys, so the lossy link moves to the
                  datagram receive path; NACK/RETX recovery still rides
                  the clean TCP control channel. *)
               Cohort.spawn_clients ~loop ~port ~n:3 ~loss:0.25 ?mcast:group
                 ~mcast_fault:(Netem.cfg ~loss:(Loss_model.bernoulli 0.25) ())
                 ~seed:(s.seed + 200) ()
         in
-        let v1s =
-          if composed then []
-          else Cohort.spawn_clients ~loop ~port ~n:2 ~hello_hi:1 ~seed:(s.seed + 300) ()
-        in
-        let herd = joiners @ lossy @ v1s in
+        let herd = joiners @ lossy in
         (* Under a lossy data plane a tail-of-quiet-period datagram loss
            is silent until more generations flow, so the convergence
            polls must churn; over tcp the plain await is exact. *)
@@ -249,15 +244,7 @@ let run_case ?(scratch = ".") (s : server) =
         let push v = vs := v :: !vs in
         push (Cohort.await_members ~loop ~timeout ~name:"admission" herd);
         push (converge ~min_rekey:1 ~name:"convergence");
-        (if composed then push (Cohort.v1_refused ~loop ~port ~timeout)
-         else
-           let all_v1 =
-             List.for_all (fun c -> Client.version c = 1 && not (Client.has_ticket c)) v1s
-           in
-           push
-             (verdict "v1-speakers" all_v1
-                (if all_v1 then "v1 cohort negotiated v1, no tickets leaked"
-                 else "a v1-capped client negotiated v2 or holds a ticket")));
+        push (Cohort.version_refused ~loop ~port ~timeout);
         push (Cohort.reorder_dup ~loop ~port ?mcast:group ~seed:(s.seed + 400) ~timeout ());
         push (Cohort.nack_flood ~loop ~port ~budget:s.resync_budget ~timeout);
         push (Cohort.evictee_lockout ~loop ~port ~timeout);

@@ -20,7 +20,6 @@ type config = {
   max_frame : int;
   max_assemblies : int;  (** incomplete rekeys buffered before giving up to RESYNC *)
   resume : bytes option;  (** exported resumption blob to rejoin from *)
-  hello_hi : int;  (** highest wire version offered in HELLO *)
   mcast : Mcast.group option;  (** subscribe to the UDP data plane *)
   mcast_fault : Gkm_net.Netem.cfg;
       (** receive-side datagram faults (loss/reorder/duplication) *)
@@ -37,7 +36,6 @@ let config ~port =
     max_frame = Frame.max_frame_default;
     max_assemblies = 4;
     resume = None;
-    hello_hi = Msg.version;
     mcast = None;
     mcast_fault = Gkm_net.Netem.none;
   }
@@ -70,7 +68,6 @@ type t = {
   loop : Loop.t;
   mutable conn : Conn.t option;
   mutable phase : phase;
-  mutable version : int;  (* negotiated wire version; 1 until HELLO_ACK *)
   mutable member : int;
   mutable individual : Key.t option;
   mutable mstate : Member.t option;
@@ -125,7 +122,6 @@ let member t = t.member
 let is_member t = t.phase = Member
 let epoch t = t.epoch
 let last_rekey t = t.last_rekey
-let version t = t.version
 let has_ticket t = t.ticket <> None
 let dek_trace t = List.rev t.dek_trace
 let last_error t = t.last_error
@@ -142,12 +138,10 @@ let on_dek t f = t.on_dek <- f
 let on_sealed t f = t.on_sealed <- f
 let group_key t = Option.bind t.mstate Member.group_key
 
-let send_v t ~version msg =
+let send t msg =
   match t.conn with
-  | Some c -> Conn.enqueue_frame c (Frame.encode ~version msg)
+  | Some c -> Conn.enqueue_frame c (Frame.encode msg)
   | None -> ()
-
-let send t msg = send_v t ~version:t.version msg
 
 let fire_drains t =
   let ds = t.drains in
@@ -337,7 +331,7 @@ let nack_head_gaps t =
 
 (* A sealed frame from a generation ahead of ours is proof that we
    missed a DEK-changing rekey. Push the recovery machinery the same
-   way a v1 rekey_no gap would: finish NACKing the head assembly's
+   way a rekey_no gap does: finish NACKing the head assembly's
    gaps (including its tail — the run is over), or, with no assembly
    in flight, NACK the next rekey we should have seen; its
    retransmission comes sealed under the generation we do hold. *)
@@ -532,8 +526,7 @@ let handle_msg t (msg : Msg.t) =
       else fail t (Printf.sprintf "server error %d: %s" code detail)
   | _, Error_msg { code; detail } ->
       fail t (Printf.sprintf "server error %d: %s" code detail)
-  | Hello_sent, Hello_ack { version; _ } ->
-      t.version <- version;
+  | Hello_sent, Hello_ack _ ->
       if t.member >= 0 && t.individual <> None then begin
         (* Reconnection: we were a member, prove it and catch up. *)
         t.resyncs <- t.resyncs + 1;
@@ -544,15 +537,7 @@ let handle_msg t (msg : Msg.t) =
         t.phase <- Joining;
         send t (Msg.Join { cls = t.cfg.cls; loss = t.cfg.loss })
       end
-  | Rejoin_wait, Hello_ack { version; _ } ->
-      t.version <- version;
-      if version < 2 then begin
-        (* The server can't speak the ticket protocol after all. *)
-        t.presented <- None;
-        t.resyncs <- t.resyncs + 1;
-        if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
-        request_resync t
-      end
+  | Rejoin_wait, Hello_ack _ -> ()  (* the pipelined REJOIN's answer follows *)
   | Rejoin_wait, Rejoin_ack { member; ct } -> (
       match (t.individual, t.presented) with
       | Some individual, Some issued_epoch -> (
@@ -585,9 +570,6 @@ let handle_msg t (msg : Msg.t) =
       t.on_sealed ~epoch ~seq ~ct;
       handle_sealed t ~epoch ~seq ~ct
   | (Joining | Rejoin_wait), Sealed _ -> ()  (* fan-out racing our (re)admission *)
-  | (Member | Resync_wait), Rekey r -> handle_rekey t r ~retx:false
-  | (Member | Resync_wait), Retx r -> handle_rekey t r ~retx:true
-  | Joining, (Rekey _ | Retx _) -> ()  (* fan-out racing our admission *)
   | Leaving, _ -> ()
   | _, _ -> fail t (Printf.sprintf "unexpected %s" (Msg.tag_name (Msg.tag msg)))
 
@@ -672,18 +654,15 @@ let on_writable t () =
       if t.phase = Connecting then begin
         match Unix.getsockopt_error (Conn.fd c) with
         | None -> (
-            (* HELLO goes out with a v1 header — the negotiation
-               carrier must be readable by any server. *)
-            let hi = max Msg.min_version (min Msg.version t.cfg.hello_hi) in
-            send_v t ~version:1 (Msg.Hello { lo = Msg.min_version; hi });
+            send t (Msg.Hello { lo = Msg.version; hi = Msg.version });
             match t.ticket with
-            | Some (issued_epoch, blob) when t.individual <> None && hi >= 2 ->
+            | Some (issued_epoch, blob) when t.individual <> None ->
                 (* 0-RTT: pipeline REJOIN behind HELLO in the first
                    flight rather than spending a round trip on the
-                   HELLO_ACK. The REJOIN frame itself is v2. *)
+                   HELLO_ACK. *)
                 t.presented <- Some issued_epoch;
                 t.phase <- Rejoin_wait;
-                send_v t ~version:Msg.version
+                send t
                   (Msg.Rejoin
                      { have_epoch = t.epoch; have_state = t.mstate <> None; ticket = blob })
             | _ -> t.phase <- Hello_sent)
@@ -706,7 +685,6 @@ let open_conn t =
       raise e);
   let c = Conn.create ~max_frame:t.cfg.max_frame fd in
   t.conn <- Some c;
-  t.version <- 1;
   t.phase <- Connecting;
   Loop.add_fd t.loop fd ~readable:(on_readable t) ~writable:(on_writable t)
     ~want_write:(fun () -> t.phase = Connecting || Conn.want_write c);
@@ -773,7 +751,6 @@ let connect ~loop cfg =
       loop;
       conn = None;
       phase = Closed;
-      version = 1;
       member = -1;
       individual = None;
       mstate = None;

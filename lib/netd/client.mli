@@ -13,11 +13,11 @@
 
     An optional {!Gkm_net.Loss_model} simulates receive loss on REKEY
     frames (never on retransmissions), so the recovery machinery is
-    genuinely exercised over loopback TCP. On wire v2 the simulated
-    drop applies to the {e inner} REKEY after the record layer opens
-    the sealed frame — the same semantics, one layer down.
+    genuinely exercised over loopback TCP. The simulated drop applies
+    to the {e inner} REKEY after the record layer opens the sealed
+    frame.
 
-    On v2 conversations rekeys arrive as epoch-sealed records
+    Rekeys arrive as epoch-sealed records
     ({!Gkm_record.Record}); the client keeps a replay-protected sink
     on its current DEK generation, buffers frames sealed for a
     generation it hasn't reached (draining them after the rotation
@@ -42,11 +42,6 @@ type config = {
   resume : bytes option;
       (** a blob from {!export_resumption}: start as that member and
           rejoin by ticket instead of joining fresh *)
-  hello_hi : int;
-      (** highest wire version offered in HELLO (default
-          {!Gkm_wire.Msg.version}); cap to 1 to emulate a v1-only
-          speaker — the client then never pipelines REJOIN and the
-          conversation stays plain *)
   mcast : Mcast.group option;
       (** subscribe to this multicast group and accept sealed rekey
           datagrams from it (the server's {!Server.Udp} data plane);
@@ -136,9 +131,6 @@ val resyncs : t -> int
 
 val rejoins : t -> int
 (** Successful ticket rejoins (delta or full). *)
-
-val version : t -> int
-(** Negotiated wire version; 1 until HELLO_ACK. *)
 
 val has_ticket : t -> bool
 

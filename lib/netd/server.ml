@@ -93,8 +93,6 @@ type phase = Pre_hello | Ready | Pending | Member
 type client = {
   conn : Conn.t;
   mutable phase : phase;
-  mutable version : int;  (* negotiated wire version; 1 until HELLO so that
-                             pre-negotiation errors stay readable to old peers *)
   mutable member : int;  (* -1 until Join / Resync_req *)
   mutable admitted_at : int;  (* tick_no at admission/resync; -1 before *)
   mutable strikes : int;  (* consecutive soft-skipped intervals *)
@@ -110,7 +108,7 @@ type hist = {
   h_epoch : int;
   h_root : int;
   h_packets : Packet.t array;
-  h_seal : Record.Seal.t option;
+  h_seal : Record.Seal.t;
       (* the sealer whose keys protected this rekey's fan-out (the DEK
          from before the rekey applied) — retransmissions re-seal with
          fresh sequence numbers from the same generation, which the
@@ -132,7 +130,7 @@ type t = {
   disconnected : (int, int) Hashtbl.t;  (* member -> rekey_no at disconnect *)
   leaving : (int, unit) Hashtbl.t;  (* departure enqueued, key cleanup pending *)
   placed : (int, int) Hashtbl.t;  (* member -> last known leaf node *)
-  history : (int, hist) Hashtbl.t;  (* rekey_no -> packets, for RETX *)
+  history : (int, hist) Hashtbl.t;  (* rekey_no -> sealed packets, for RETX *)
   tick_times : (int, float) Hashtbl.t;  (* rekey_no -> tick start time *)
   ticket_sealer : Record.Ticket.Sealer.t;
   last_ticket : (int, int * bytes) Hashtbl.t;  (* member -> (epoch, path digest) at issue *)
@@ -148,7 +146,7 @@ type t = {
   mutable last_dgram : bytes option;
       (* the latest generation's multicast datagram, verbatim, for
          quiet-tick heartbeats; None when that generation was not
-         multicast (tcp transport, unicast fallback, no v2 members) *)
+         multicast (tcp transport, unicast fallback, no member to serve) *)
   mutable quiet_ticks : int;  (* ticks since the last framed rekey *)
   mutable rejoin_nonce : int64;  (* counter for REJOIN_ACK counter_seal *)
   mutable next_member : int;
@@ -287,12 +285,11 @@ let drop_client t ?(farewell = false) cl ~departed =
        admission time and parked in [disconnected] there *)
   end
 
-(* All frames to a client go out at its negotiated wire version: a v1
-   peer must never see v2 tags or headers. A shard-owned connection
-   gets its doorbell rung — the owning shard's poll may be asleep with
-   no write interest armed for this fd. *)
+(* A shard-owned connection gets its doorbell rung — the owning
+   shard's poll may be asleep with no write interest armed for this
+   fd. *)
 let send t cl msg =
-  Conn.enqueue_frame cl.conn (Frame.encode ~version:cl.version msg);
+  Conn.enqueue_frame cl.conn (Frame.encode msg);
   match (t.pool, cl.shard) with
   | Some pool, Some e -> Shard.kick pool ~shard:(Shard.entry_shard e)
   | _ -> ()
@@ -311,7 +308,7 @@ let promote t cl =
         Loop.remove_fd t.loop (Conn.fd cl.conn);
         let shard = t.next_shard in
         t.next_shard <- (t.next_shard + 1) mod Shard.domains pool;
-        cl.shard <- Some (Shard.attach pool ~shard ~conn:cl.conn ~version:cl.version)
+        cl.shard <- Some (Shard.attach pool ~shard ~conn:cl.conn)
       end
 
 let send_error t cl code detail =
@@ -336,12 +333,10 @@ let send_soft_error t cl code detail =
    protects retransmittable history or the live seal (the DEK — hence
    its traffic key — can survive many rekeys). *)
 let erase_unless_live t ep =
-  let shares = function
-    | Some s -> Record.Seal.epoch s == ep
-    | None -> false
-  in
+  let shares s = Record.Seal.epoch s == ep in
   let live =
-    shares t.seal || Hashtbl.fold (fun _ h acc -> acc || shares h.h_seal) t.history false
+    Option.fold ~none:false ~some:shares t.seal
+    || Hashtbl.fold (fun _ h acc -> acc || shares h.h_seal) t.history false
   in
   if not live then Record.Epoch.erase ep
 
@@ -362,7 +357,7 @@ let member_path t member =
   let module O = (val t.org : Organization.S) in
   O.member_path member
 
-(* Issue (or refresh) a resumption ticket over an established v2
+(* Issue (or refresh) a resumption ticket over an established
    connection. A ticket is reissued whenever the member's entitled
    path changes shape — the digest inside must track the current tree
    for the delta-rejoin test to pass — and every [ticket_rewrap]
@@ -370,7 +365,7 @@ let member_path t member =
    for a client that stayed connected. *)
 let issue_ticket t cl member =
   let module O = (val t.org : Organization.S) in
-  if cl.version >= 2 && O.is_member member && not (Hashtbl.mem t.leaving member) then begin
+  if O.is_member member && not (Hashtbl.mem t.leaving member) then begin
     let path = O.member_path member in
     let digest = Record.Ticket.path_digest (List.map fst path) in
     let stale =
@@ -489,18 +484,15 @@ let handle_nack t cl ~rekey_no ~seqs =
                   packet = h.h_packets.(seq);
                 }
             in
-            match h.h_seal with
-            | Some seal when cl.version >= 2 ->
-                (* Re-seal under the generation that protected the
-                   original fan-out — the nacking client is behind on
-                   this rekey, so that is exactly the key it still
-                   holds — with a fresh sequence number so the replay
-                   window accepts the retransmission. *)
-                let rseq, ct = Record.Seal.seal seal (Msg.encode_inner retx) in
-                send t cl
-                  (Msg.Sealed
-                     { epoch = Record.Epoch.label (Record.Seal.epoch seal); seq = rseq; ct })
-            | _ -> send t cl retx
+            (* Re-seal under the generation that protected the original
+               fan-out — the nacking client is behind on this rekey, so
+               that is exactly the key it still holds — with a fresh
+               sequence number so the replay window accepts the
+               retransmission. *)
+            let rseq, ct = Record.Seal.seal h.h_seal (Msg.encode_inner retx) in
+            send t cl
+              (Msg.Sealed
+                 { epoch = Record.Epoch.label (Record.Seal.epoch h.h_seal); seq = rseq; ct })
           end)
         seqs
   | None ->
@@ -615,20 +607,14 @@ let handle_msg t cl (msg : Msg.t) =
   | _, Ping { token } -> send t cl (Msg.Pong { token })
   | _, Pong _ -> ()
   | Pre_hello, Hello { lo; hi } ->
-      (* Serve the highest version both sides speak. *)
-      let chosen = min hi Msg.version in
-      if chosen < lo || chosen < Msg.min_version then
+      if lo > Msg.version || hi < Msg.version then
         send_error t cl Msg.err_version "unsupported wire version"
-      else if t.wide && chosen < 2 then
-        send_error t cl Msg.err_version
-          "composed organizations need the wide packet codec of wire v2"
       else begin
-        cl.version <- chosen;
         cl.phase <- Ready;
         send t cl
           (Msg.Hello_ack
              {
-               version = chosen;
+               version = Msg.version;
                tp_ms = int_of_float (Float.round (t.cfg.tp *. 1000.0));
                max_frame = t.cfg.max_frame;
                capacity = t.cfg.capacity;
@@ -653,10 +639,7 @@ let handle_msg t cl (msg : Msg.t) =
   | Member, Resync_req { member; epoch; auth } when member = cl.member ->
       handle_resync_req t cl ~member ~epoch ~auth
   | (Ready | Member), Rejoin { have_epoch; have_state; ticket } ->
-      (* The Rejoin tag itself is v2-only, but the negotiated version
-         is what counts — a v1 conversation must stay v1 both ways. *)
-      if cl.version >= 2 then handle_rejoin t cl ~have_epoch ~have_state ~ticket
-      else send_error t cl Msg.err_protocol "REJOIN requires wire v2"
+      handle_rejoin t cl ~have_epoch ~have_state ~ticket
   | Member, Nack { rekey_no; seqs } -> handle_nack t cl ~rekey_no ~seqs
   | (Member | Pending), Leave { member } when member = cl.member ->
       t.stats.leaves <- t.stats.leaves + 1;
@@ -731,7 +714,6 @@ let accept_loop t () =
             {
               conn;
               phase = Pre_hello;
-              version = 1;
               member = -1;
               admitted_at = -1;
               strikes = 0;
@@ -850,16 +832,19 @@ let tick t =
         Hashtbl.replace t.node_changed msg.root_node msg.epoch;
         t.rekey_no <- t.rekey_no + 1;
         Mutex.protect t.times_mu (fun () -> Hashtbl.replace t.tick_times t.rekey_no t0);
-        Hashtbl.replace t.history t.rekey_no
-          { h_epoch = msg.epoch; h_root = msg.root_node; h_packets = packets; h_seal = t.seal };
+        (* Without a seal there is no prior generation, so no member
+           predates this rekey and none can NACK it. *)
+        Option.iter
+          (fun seal ->
+            Hashtbl.replace t.history t.rekey_no
+              { h_epoch = msg.epoch; h_root = msg.root_node; h_packets = packets; h_seal = seal })
+          t.seal;
         (let k = t.rekey_no - t.cfg.retx_window in
          match Hashtbl.find_opt t.history k with
          | None -> ()
          | Some old ->
              Hashtbl.remove t.history k;
-             (match old.h_seal with
-             | Some s -> erase_unless_live t (Record.Seal.epoch s)
-             | None -> ()));
+             erase_unless_live t (Record.Seal.epoch old.h_seal));
         Mutex.protect t.times_mu (fun () ->
             Hashtbl.remove t.tick_times (t.rekey_no - (4 * t.cfg.retx_window)))
       end;
@@ -905,132 +890,119 @@ let tick t =
             | _ -> ())
         (O.placements ());
       if has_frames then begin
-        (* Fan out: encode each frame once per wire version and share
-           the bytes. v1 members get plaintext REKEY; v2 members get
-           the same body sealed under the pre-rekey generation, which
-           every previously-admitted member holds. *)
+        (* Fan out under the pre-rekey generation, which every
+           previously-admitted member holds. Every packet of the
+           generation is sealed exactly once, in seq order, on this
+           domain (lazily: only when someone will receive it) — the
+           sealed records are the ONE payload both transports deliver:
+           the UDP datagram carries the (seq, ct) pairs raw, the TCP
+           path wraps each in a SEALED frame encoded once and shared by
+           every outbox. Either way a member opens identical bytes.
+           Without a prior generation no member predates this rekey
+           and nothing goes out. *)
         let total = Array.length packets in
-        let mk_rekey seq =
-          Msg.Rekey
-            {
-              rekey_no = t.rekey_no;
-              org = org_tag t;
-              epoch = t.epoch;
-              root = t.root;
-              seq;
-              total;
-              packet = packets.(seq);
-            }
+        let generation =
+          lazy
+            (Option.map
+               (fun seal ->
+                 ( Record.Epoch.label (Record.Seal.epoch seal),
+                   Array.init total (fun seq ->
+                       Record.Seal.seal seal
+                         (Msg.encode_inner
+                            (Msg.Rekey
+                               {
+                                 rekey_no = t.rekey_no;
+                                 org = org_tag t;
+                                 epoch = t.epoch;
+                                 root = t.root;
+                                 seq;
+                                 total;
+                                 packet = packets.(seq);
+                               }))) ))
+               t.seal)
         in
-        let encode_v1 () = Array.init total (fun seq -> Frame.encode ~version:1 (mk_rekey seq)) in
-        (* Seal every packet of the generation exactly once, in seq
-           order, on this domain — the sealed records are the ONE
-           payload both transports deliver: the UDP datagram carries
-           the (seq, ct) pairs raw, the TCP path wraps each in a
-           SEALED frame. Either way a member opens identical bytes. *)
-        let seal_generation seal =
-          let lbl = Record.Epoch.label (Record.Seal.epoch seal) in
-          ( lbl,
-            Array.init total (fun seq -> Record.Seal.seal seal (Msg.encode_inner (mk_rekey seq)))
-          )
-        in
-        let sealed_frames lbl pairs =
-          Array.map
-            (fun (rseq, ct) -> Frame.encode ~version:2 (Msg.Sealed { epoch = lbl; seq = rseq; ct }))
-            pairs
+        let frames =
+          lazy
+            (match Lazy.force generation with
+            | None -> [||]
+            | Some (lbl, pairs) ->
+                Array.map
+                  (fun (rseq, ct) -> Frame.encode (Msg.Sealed { epoch = lbl; seq = rseq; ct }))
+                  pairs)
         in
         (* The UDP data plane: one datagram per generation, sent here
-           on the tick domain, replacing the per-member v2 unicast. A
+           on the tick domain, replacing the per-member unicast. A
            generation too large for one datagram (or with more packets
            than the u8 record count) falls back to TCP unicast for
            this interval — the frames reuse the records already sealed
            for the datagram attempt, so the fallback costs no extra
            sealing and no sequence-number gap. *)
-        let v2_prebuilt = ref None in
         let mcast_delivered =
-          match (t.mcast, t.seal) with
-          | Some sender, Some seal ->
-              let any_v2 =
-                Hashtbl.fold
-                  (fun _ cl acc ->
-                    acc || (cl.admitted_at < t.tick_no && cl.version >= 2))
-                  t.member_client false
-              in
-              any_v2
-              && begin
-                   let lbl, pairs = seal_generation seal in
-                   let records = Array.to_list pairs in
-                   let max_dgram =
-                     match t.cfg.transport with Udp u -> u.max_dgram | Tcp -> assert false
-                   in
-                   if
-                     total <= Gkm_wire.Dgram.max_records
-                     && Gkm_wire.Dgram.encoded_size records <= max_dgram
-                   then begin
-                     let before_d = Mcast.sender_datagrams sender in
-                     let before_b = Mcast.sender_bytes sender in
-                     let dgram =
-                       Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = lbl; records }
-                     in
-                     Mcast.send sender dgram;
-                     t.last_dgram <- Some dgram;
-                     let sent_d = Mcast.sender_datagrams sender - before_d in
-                     let sent_b = Mcast.sender_bytes sender - before_b in
-                     t.stats.mcast_datagrams <- t.stats.mcast_datagrams + sent_d;
-                     t.stats.mcast_bytes <- t.stats.mcast_bytes + sent_b;
-                     if Obs.enabled () then Metrics.Counter.add m_mcast sent_d;
-                     journal "netd.mcast"
-                       [
-                         ("rekey_no", Int t.rekey_no);
-                         ("epoch", Int lbl);
-                         ("records", Int total);
-                         ("datagrams", Int sent_d);
-                         ("bytes", Int sent_b);
-                         ("fallback", Bool false);
-                       ];
-                     true
-                   end
-                   else begin
-                     t.stats.mcast_fallback_unicast <- t.stats.mcast_fallback_unicast + 1;
-                     v2_prebuilt := Some (sealed_frames lbl pairs);
-                     journal "netd.mcast"
-                       [
-                         ("rekey_no", Int t.rekey_no);
-                         ("epoch", Int lbl);
-                         ("records", Int total);
-                         ("fallback", Bool true);
-                       ];
-                     false
-                   end
-                 end
+          match t.mcast with
+          | Some sender
+            when Hashtbl.fold
+                   (fun _ cl acc -> acc || cl.admitted_at < t.tick_no)
+                   t.member_client false -> (
+              match Lazy.force generation with
+              | None -> false
+              | Some (lbl, pairs) ->
+                  let records = Array.to_list pairs in
+                  let max_dgram =
+                    match t.cfg.transport with Udp u -> u.max_dgram | Tcp -> assert false
+                  in
+                  if
+                    total <= Gkm_wire.Dgram.max_records
+                    && Gkm_wire.Dgram.encoded_size records <= max_dgram
+                  then begin
+                    let before_d = Mcast.sender_datagrams sender in
+                    let before_b = Mcast.sender_bytes sender in
+                    let dgram = Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = lbl; records } in
+                    Mcast.send sender dgram;
+                    t.last_dgram <- Some dgram;
+                    let sent_d = Mcast.sender_datagrams sender - before_d in
+                    let sent_b = Mcast.sender_bytes sender - before_b in
+                    t.stats.mcast_datagrams <- t.stats.mcast_datagrams + sent_d;
+                    t.stats.mcast_bytes <- t.stats.mcast_bytes + sent_b;
+                    if Obs.enabled () then Metrics.Counter.add m_mcast sent_d;
+                    journal "netd.mcast"
+                      [
+                        ("rekey_no", Int t.rekey_no);
+                        ("epoch", Int lbl);
+                        ("records", Int total);
+                        ("datagrams", Int sent_d);
+                        ("bytes", Int sent_b);
+                        ("fallback", Bool false);
+                      ];
+                    true
+                  end
+                  else begin
+                    t.stats.mcast_fallback_unicast <- t.stats.mcast_fallback_unicast + 1;
+                    journal "netd.mcast"
+                      [
+                        ("rekey_no", Int t.rekey_no);
+                        ("epoch", Int lbl);
+                        ("records", Int total);
+                        ("fallback", Bool true);
+                      ];
+                    false
+                  end)
           | _ -> false
         in
         (* Heartbeats only ever repeat the latest generation's exact
            datagram: if this generation went out another way (unicast
-           fallback, no v2 members) a stale repeat would be noise. *)
+           fallback, no member to serve) a stale repeat would be noise. *)
         t.quiet_ticks <- 0;
         if not mcast_delivered then t.last_dgram <- None;
-        let encode_v2 () =
-          match !v2_prebuilt with
-          | Some frames -> frames
-          | None -> (
-              match t.seal with
-              | None -> [||] (* no prior generation => no member predates this rekey *)
-              | Some seal ->
-                  let lbl, pairs = seal_generation seal in
-                  sealed_frames lbl pairs)
-        in
-        (* A member the datagram already served gets nothing over TCP
-           this interval — not even backpressure accounting, since its
-           outbox is not growing with the group. *)
-        let via_tcp cl = not (mcast_delivered && cl.version >= 2) in
+        (* A datagram that went out served every member: nothing goes
+           over TCP this interval — not even backpressure accounting,
+           since no outbox is growing with the group. *)
         (match t.pool with
+        | _ when mcast_delivered -> ()
         | None ->
-            let v1_frames = lazy (encode_v1 ()) and v2_frames = lazy (encode_v2 ()) in
             let slow = ref [] in
             Hashtbl.iter
               (fun _member cl ->
-                if cl.admitted_at < t.tick_no && via_tcp cl then
+                if cl.admitted_at < t.tick_no then
                   let backlog = Conn.out_bytes cl.conn in
                   if backlog > t.cfg.outbox_hard then slow := cl :: !slow
                   else if backlog > t.cfg.outbox_soft then begin
@@ -1048,42 +1020,34 @@ let tick t =
                   end
                   else begin
                     cl.strikes <- 0;
-                    let frames =
-                      if cl.version >= 2 then Lazy.force v2_frames else Lazy.force v1_frames
-                    in
-                    Array.iter (fun f -> Conn.enqueue_frame cl.conn f) frames
+                    Array.iter (fun f -> Conn.enqueue_frame cl.conn f) (Lazy.force frames)
                   end)
               t.member_client;
             List.iter (fun cl -> evict_slow t cl) !slow
         | Some pool ->
-            (* Sharded fan-out: encode each needed wire variant exactly
-               once, eagerly and in seq order on THIS domain (sealing
-               assigns record sequence numbers, so doing it here in a
-               deterministic order keeps delivery byte-identical to
-               domains = 1), then hand the immutable buffers with each
-               shard's recipient batch to its flusher. Backpressure and
-               strike accounting happen shard-side against the live
-               outbox depth. *)
-            let k = Shard.domains pool in
-            let buckets = Array.make k [] and counts = Array.make k 0 in
-            let any_v1 = ref false and any_v2 = ref false in
+            (* Sharded fan-out: encode the frames exactly once, in seq
+               order on THIS domain (sealing assigns record sequence
+               numbers, so doing it here in a deterministic order keeps
+               delivery byte-identical to domains = 1), then hand the
+               immutable buffers with each shard's recipient batch to
+               its flusher. Backpressure and strike accounting happen
+               shard-side against the live outbox depth. *)
+            let buckets = Array.make (Shard.domains pool) [] in
             Hashtbl.iter
               (fun _member cl ->
-                if cl.admitted_at < t.tick_no && via_tcp cl then
+                if cl.admitted_at < t.tick_no then
                   match cl.shard with
                   | Some e ->
-                      if cl.version >= 2 then any_v2 := true else any_v1 := true;
                       let s = Shard.entry_shard e in
-                      buckets.(s) <- e :: buckets.(s);
-                      counts.(s) <- counts.(s) + 1
+                      buckets.(s) <- e :: buckets.(s)
                   | None -> () (* promotion failed on a dying conn; it is on its way out *))
               t.member_client;
-            let v1 = if !any_v1 then encode_v1 () else [||] in
-            let v2 = if !any_v2 then encode_v2 () else [||] in
-            for s = 0 to k - 1 do
-              if counts.(s) > 0 then
-                Shard.fanout pool ~shard:s ~v1 ~v2 ~recips:(Array.of_list buckets.(s))
-            done);
+            Array.iteri
+              (fun s recips ->
+                if recips <> [] then
+                  Shard.fanout pool ~shard:s ~frames:(Lazy.force frames)
+                    ~recips:(Array.of_list recips))
+              buckets);
         t.stats.rekeys <- t.stats.rekeys + 1;
         t.stats.rekey_packets <- t.stats.rekey_packets + total;
         let fp = match O.group_key () with Some k -> Key.fingerprint k | None -> "" in

@@ -5,7 +5,8 @@
     through the HELLO handshake, batch-admits JOINs at the interval
     tick (JOIN_ACK carries the member's full key path — the wire form
     of the registration unicast), fans every rekey out as a run of
-    REKEY frames whose encoded bytes are shared across all outboxes,
+    sealed REKEY records whose SEALED frames are encoded once and
+    shared across all outboxes,
     answers NACKs from a bounded retransmission history (out-of-window
     NACKs get a full RESYNC instead), and authenticates reconnecting
     members with {!Gkm_wire.Frame.resync_auth}.
@@ -18,10 +19,11 @@
     merely drops keeps its membership for [resync_grace] rekeys, then
     departs.
 
-    Wire version is negotiated per connection at HELLO (highest both
-    sides speak). On v2 conversations every REKEY/RETX goes out
-    sealed by the {!Gkm_record.Record} layer under the pre-rekey DEK
-    generation, members receive AEAD resumption tickets (at
+    The server speaks one wire version ({!Gkm_wire.Msg.version}); a
+    HELLO whose range excludes it is refused with [err_version]. Every
+    REKEY/RETX goes out sealed by the {!Gkm_record.Record} layer under
+    the pre-rekey DEK generation, members receive AEAD resumption
+    tickets (at
     admission, at RESYNC, whenever their entitled path changes shape,
     and every [ticket_rewrap] epochs), and a reconnecting member can
     re-enter in one round trip by presenting its ticket in REJOIN —
@@ -29,18 +31,17 @@
     under a key derived from its individual key. Evicted members are
     locked out: their ids are never reused and their tickets die with
     the membership (soft error; the socket may re-JOIN as a fresh
-    member). Composed organizations are served on v2 only — their
-    band node ids exceed the i32 range of the narrow
-    {!Gkm_transport.Packet} entry codec — and v1 HELLOs to them are
-    rejected (DESIGN.md Sections 12-13).
+    member). Composed organizations — whose band node ids exceed the
+    i32 range of the narrow {!Gkm_transport.Packet} entry codec — get
+    their packets in the wide codec (DESIGN.md Sections 12-13).
 
     With the {!Udp} transport the sealed REKEY fan-out moves to a UDP
     multicast data plane: each generation's sealed records go out as
     ONE {!Gkm_wire.Dgram} datagram on the group — sealed once on the
     tick domain, so the record bytes are identical to what the TCP
     path would have delivered — while TCP remains the unicast control
-    channel (HELLO/JOIN/NACK/RESYNC/REJOIN/tickets) and still carries
-    plaintext REKEY to v1 members. A generation too large for one
+    channel (HELLO/JOIN/NACK/RESYNC/REJOIN/tickets). A generation too
+    large for one
     datagram falls back to TCP unicast for that interval. The send
     path takes an injectable {!Gkm_net.Netem} fault configuration, so
     loss/reorder/duplication hit the live socket (DESIGN.md

@@ -16,7 +16,6 @@ let m_fanouts = Metrics.Counter.v "netd.shard_fanouts"
 type entry = {
   e_fd : int;
   e_conn : Conn.t;
-  e_version : int;
   e_shard : int;
   mutable e_strikes : int; (* consecutive soft-skipped fan-outs *)
   mutable e_dead : bool; (* shard will never touch the fd again *)
@@ -33,7 +32,7 @@ type event =
 type cmd =
   | Attach of entry
   | Detach of { e : entry; farewell : bool }
-  | Fanout of { v1 : bytes array; v2 : bytes array; recips : entry array }
+  | Fanout of { frames : bytes array; recips : entry array }
   | Stop
 
 (* One byte down a pipe wakes a poll(2) sleeper; the atomic flag
@@ -155,7 +154,7 @@ let attach_entry t sh e =
     ~writable:(on_entry_writable t sh e)
     ~want_write:(fun () -> Conn.want_write e.e_conn)
 
-let do_fanout t sh ~v1 ~v2 ~recips =
+let do_fanout t sh ~frames ~recips =
   if Obs.enabled () then Metrics.Counter.incr m_fanouts;
   Array.iter
     (fun e ->
@@ -175,7 +174,6 @@ let do_fanout t sh ~v1 ~v2 ~recips =
         end
         else begin
           e.e_strikes <- 0;
-          let frames = if e.e_version >= 2 then v2 else v1 in
           Array.iter (fun f -> Conn.enqueue_frame e.e_conn f) frames;
           match Conn.flush e.e_conn with
           | `Ok -> account_tx sh e
@@ -205,7 +203,7 @@ let shard_body t sh =
               Loop.remove_fd sh.loop (Conn.fd e.e_conn)
             end;
             emit t (Detached e)
-        | Fanout { v1; v2; recips } -> do_fanout t sh ~v1 ~v2 ~recips
+        | Fanout { frames; recips } -> do_fanout t sh ~frames ~recips
         | Stop -> stopped := true)
       (take_cmds sh)
   in
@@ -255,13 +253,12 @@ let create ~domains ~outbox_soft ~outbox_hard ~stall_strikes =
   Array.iter (fun sh -> sh.domain <- Some (Domain.spawn (fun () -> shard_body t sh))) t.shards;
   t
 
-let attach t ~shard ~conn ~version =
+let attach t ~shard ~conn =
   let sh = t.shards.(shard) in
   let e =
     {
       e_fd = int_of_fd (Conn.fd conn);
       e_conn = conn;
-      e_version = version;
       e_shard = shard;
       e_strikes = 0;
       e_dead = false;
@@ -273,8 +270,8 @@ let attach t ~shard ~conn ~version =
 
 let detach ?(farewell = false) t e = push t t.shards.(e.e_shard) (Detach { e; farewell })
 
-let fanout t ~shard ~v1 ~v2 ~recips =
-  if Array.length recips > 0 then push t t.shards.(shard) (Fanout { v1; v2; recips })
+let fanout t ~shard ~frames ~recips =
+  if Array.length recips > 0 then push t t.shards.(shard) (Fanout { frames; recips })
 
 let kick t ~shard = ring t.shards.(shard).bell
 let event_fd t = t.ev_bell.rd

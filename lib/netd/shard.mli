@@ -64,11 +64,9 @@ val entry_fd : entry -> int
 val entry_conn : entry -> Conn.t
 val entry_shard : entry -> int
 
-val attach : t -> shard:int -> conn:Conn.t -> version:int -> entry
+val attach : t -> shard:int -> conn:Conn.t -> entry
 (** Hand [conn] to a shard. The caller must already have stopped
-    polling the fd. [version] is the negotiated wire version, fixed
-    for the life of the connection — it selects the frame array on
-    fan-out. *)
+    polling the fd. *)
 
 val detach : ?farewell:bool -> t -> entry -> unit
 (** Ask the owning shard to stop polling the entry's fd. Idempotent
@@ -79,11 +77,10 @@ val detach : ?farewell:bool -> t -> entry -> unit
     final error frame enqueued just before [Conn.shutdown], matching
     the farewell a single-domain server writes. *)
 
-val fanout : t -> shard:int -> v1:bytes array -> v2:bytes array -> recips:entry array -> unit
-(** Hand one rekey's encode-once frame buffers to a shard. [v1]/[v2]
+val fanout : t -> shard:int -> frames:bytes array -> recips:entry array -> unit
+(** Hand one rekey's encode-once frame buffers to a shard. [frames]
     are immutable and shared across all shards and recipients; each
-    recipient gets the array matching its wire version, subject to the
-    backpressure tiers. *)
+    recipient gets all of them, subject to the backpressure tiers. *)
 
 val kick : t -> shard:int -> unit
 (** Wake the shard's poll so it notices frames enqueued by the tick

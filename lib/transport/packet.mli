@@ -19,10 +19,10 @@ val encode_entries :
   ?wide:bool -> capacity_bytes:int -> Gkm_lkh.Rekey_msg.entry list -> t list
 (** Pack entries into packets of at most [capacity_bytes] of payload
     (block/index fields are filled by {!blocks_of_packets}). Entries
-    larger than the capacity are rejected. With [~wide:true] (wire v2)
-    node ids are encoded as i64, so composed organizations' banded ids
-    survive; the default narrow codec is bit-identical to wire v1 and
-    rejects out-of-range ids.
+    larger than the capacity are rejected. With [~wide:true] node ids
+    are encoded as i64, so composed organizations' banded ids survive;
+    the default narrow codec (i32 ids, 8 bytes less per entry) rejects
+    out-of-range ids.
     @raise Invalid_argument if [capacity_bytes] is too small for a
     single entry, or a node id overflows the narrow codec. *)
 

@@ -85,8 +85,7 @@ let next d =
           let version = Bytes_io.get_u8 d.buf (at 2) in
           let tag = Bytes_io.get_u8 d.buf (at 3) in
           let body_len = Bytes_io.get_i32 d.buf (at 4) in
-          if version < Msg.min_version || version > Msg.version then
-            fail d (Printf.sprintf "unsupported version %d" version)
+          if version <> Msg.version then fail d (Printf.sprintf "unsupported version %d" version)
           else if body_len < 0 || body_len > d.max_frame then
             fail d (Printf.sprintf "declared frame length %d exceeds bound %d" body_len d.max_frame)
           else if d.len < header_size + body_len then Ok None
@@ -95,7 +94,7 @@ let next d =
             d.start <- d.start + header_size + body_len;
             d.len <- d.len - header_size - body_len;
             if d.len = 0 then d.start <- 0;
-            match Msg.decode_body ~version ~tag body with
+            match Msg.decode_body ~tag body with
             | Ok msg -> Ok (Some msg)
             | Error e -> fail d (Printf.sprintf "%s: %s" (Msg.tag_name tag) e)
           end

@@ -5,7 +5,7 @@
     {v
     offset size field
     0      2    magic 0x474B ("GK")
-    2      1    wire version (1)
+    2      1    wire version ({!Msg.version})
     3      1    message type (Msg.tag)
     4      4    body length L (0 <= L <= max_frame)
     8      L    body (Msg.encode_body)
@@ -13,7 +13,8 @@
 
     The decoder is stream-oriented: {!feed} it whatever the socket
     produced, then {!next} until it reports [Ok None] (more bytes
-    needed). Any malformed input — bad magic, an unsupported version,
+    needed). Any malformed input — bad magic, any version byte other
+    than {!Msg.version},
     a declared length beyond the bound, an undecodable body — kills
     the stream permanently ([Error] from then on): framing errors are
     not recoverable mid-stream, the connection must be dropped. The
@@ -28,7 +29,10 @@ val max_frame_default : int
 (** 1 MiB. *)
 
 val encode : ?version:int -> Msg.t -> bytes
-(** One complete frame (header + body), ready to write. *)
+(** One complete frame (header + body), ready to write. [version] is
+    the header's version byte and defaults to {!Msg.version}, the only
+    one {!next} accepts; passing another forges a foreign header
+    (robustness tests). *)
 
 type decoder
 

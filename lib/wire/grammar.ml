@@ -15,7 +15,7 @@ type field =
   | Version_range of string * string
   | Seq_total of string * string
 
-type rule = { tag : int; name : string; min_version : int; fields : field list }
+type rule = { tag : int; name : string; fields : field list }
 
 (* The REKEY/RETX body (Msg.add_rekey): note that [seq]/[total] are
    encoded before the packet's own block/index fields. *)
@@ -34,8 +34,7 @@ let rekey_fields =
 let catchup_fields =
   [ I32 "member"; I32 "rekey_no"; I32 "epoch"; Node "root"; Path "path" ]
 
-let rule tag fields =
-  { tag; name = Msg.tag_name tag; min_version = (if tag >= 14 then 2 else 1); fields }
+let rule tag fields = { tag; name = Msg.tag_name tag; fields }
 
 let rules =
   [

@@ -37,7 +37,6 @@ type field =
 type rule = {
   tag : int;
   name : string;  (** {!Msg.tag_name} of [tag] *)
-  min_version : int;  (** oldest frame version carrying this tag *)
   fields : field list;  (** body layout, in encoding order *)
 }
 

@@ -3,7 +3,6 @@ module Packet = Gkm_transport.Packet
 open Wire_io
 
 let version = 2
-let min_version = 1
 
 type cls = [ `Short | `Long ]
 
@@ -64,10 +63,6 @@ let tag = function
   | Ticket _ -> 15
   | Rejoin _ -> 16
   | Rejoin_ack _ -> 17
-
-(* Tags 14-17 only exist at wire version 2; the decoder rejects them
-   on v1 frames. *)
-let min_version_of_tag t = if t >= 14 then 2 else 1
 
 let tag_name = function
   | 1 -> "HELLO"
@@ -192,11 +187,8 @@ let encode_body buf = function
       add_i32 buf member;
       add_var32 buf ct
 
-let decode_body ?(version = version) ~tag body =
+let decode_body ~tag body =
   parse body (fun r ->
-      if version < min_version_of_tag tag then
-        corrupt "%s requires wire version %d (frame is v%d)" (tag_name tag)
-          (min_version_of_tag tag) version;
       match tag with
       | 1 ->
           let lo = u8 r in
@@ -282,7 +274,7 @@ let encode_inner msg =
 let decode_inner pt =
   if Bytes.length pt < 1 then Error "empty sealed record"
   else
-    decode_body ~version ~tag:(Char.code (Bytes.get pt 0)) (Bytes.sub pt 1 (Bytes.length pt - 1))
+    decode_body ~tag:(Char.code (Bytes.get pt 0)) (Bytes.sub pt 1 (Bytes.length pt - 1))
 
 (* The REJOIN_ACK ciphertext's plaintext: the rejoiner's catch-up
    state. [full] distinguishes a complete entitled path (client lost

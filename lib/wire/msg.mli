@@ -1,8 +1,11 @@
-(** The rekey-serving protocol surface, wire version 2.
+(** The rekey-serving protocol surface, wire version 2 — the only
+    version.
 
     One constructor per message type. A server tick fans the interval
-    rekey out as a run of [Rekey] frames (one {!Gkm_transport.Packet}
-    each); receivers detect sequence gaps and recover them with
+    rekey out as a run of [Rekey] messages (one {!Gkm_transport.Packet}
+    each), every one sealed by the record layer into a [Sealed] frame;
+    [Rekey] and [Retx] never travel in the clear. Receivers detect
+    sequence gaps and recover them with
     [Nack]/[Retx], or fall back to the [Resync_req]/[Resync] catch-up
     handshake (the wire form of {!Gkm_transport.Resync}) when the
     server no longer holds the missed interval. Joins are
@@ -15,12 +18,11 @@
     lives in {!Frame}. *)
 
 val version : int
-(** Current wire version (2). Version 2 adds the epoch-sealed record
-    layer (SEALED), resumption tickets (TICKET/REJOIN/REJOIN_ACK) and
-    the wide packet-entry codec for i64 node ids. *)
-
-val min_version : int
-(** Oldest version still decodable and negotiable (1). *)
+(** The wire version (2): the epoch-sealed record layer (SEALED),
+    resumption tickets (TICKET/REJOIN/REJOIN_ACK) and the wide
+    packet-entry codec for i64 node ids. Frames carrying any other
+    version byte are rejected, and a HELLO whose range excludes it is
+    refused with [err_version]. *)
 
 type cls = [ `Short | `Long ]
 (** Duration class reported at join (the two-partition placement
@@ -61,22 +63,22 @@ type t =
   | Pong of { token : int64 }
   | Error_msg of { code : int; detail : string }
   | Sealed of { epoch : int; seq : int64; ct : bytes }
-      (** v2: one record-layer frame. [epoch] is an {e unauthenticated}
+      (** One record-layer frame. [epoch] is an {e unauthenticated}
           routing hint naming the key generation; [seq] is the explicit
           record sequence number (bit 63 set = unicast space); [ct] is
           the AEAD output covering an inner [tag || body] plaintext. *)
   | Ticket of { member : int; issued_epoch : int; ticket : bytes }
-      (** v2: a resumption ticket push. [ticket] is opaque to the
+      (** A resumption ticket push. [ticket] is opaque to the
           client (sealed under the server's ticket key);
           [issued_epoch] lets the client derive the resume key for a
           later REJOIN_ACK. *)
   | Rejoin of { have_epoch : int; have_state : bool; ticket : bytes }
-      (** v2: 0-RTT re-entry. [have_epoch] is the last epoch whose keys
+      (** 0-RTT re-entry. [have_epoch] is the last epoch whose keys
           the client still holds; [have_state] is false when the member
           state was lost (cross-process resume) and a full path is
           needed. *)
   | Rejoin_ack of { member : int; ct : bytes }
-      (** v2: [ct] seals a {!resume} body under
+      (** [ct] seals a {!resume} body under
           {!Gkm_record.Record.Ticket.resume_key} — it authenticates the
           server and keeps the delta keys off the wire in the clear. *)
 
@@ -102,11 +104,9 @@ val encode_body : Buffer.t -> t -> unit
 (** Append the body encoding (everything after the frame header).
     @raise Invalid_argument if a field exceeds its encoding range. *)
 
-val decode_body : ?version:int -> tag:int -> bytes -> (t, string) result
-(** Decode one frame body. [version] is the frame-header version
-    (defaults to current): v2-only tags on a v1 frame are rejected.
-    Never raises: arbitrary bytes yield [Error], and allocation is
-    bounded by the body size. *)
+val decode_body : tag:int -> bytes -> (t, string) result
+(** Decode one frame body. Never raises: arbitrary bytes yield
+    [Error], and allocation is bounded by the body size. *)
 
 val pp_kind : Format.formatter -> t -> unit
 

@@ -1,139 +1,6 @@
-module Key = Gkm_crypto.Key
-module Prng = Gkm_crypto.Prng
 open Gkm_lkh
 
 let range a b = List.init (b - a + 1) (fun i -> a + i)
-
-(* ------------------------------------------------------------------ *)
-(* Wire                                                                *)
-
-let sample_msg () =
-  let server = Server.create ~seed:3 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 1 20);
-  ignore (Server.rekey server);
-  Server.enqueue_departure server 7;
-  Server.enqueue_departure server 13;
-  Option.get (Server.rekey server)
-
-let auth_key = Key.fresh (Prng.create 77)
-
-let msg_equal (a : Rekey_msg.t) (b : Rekey_msg.t) =
-  a.epoch = b.epoch && a.root_node = b.root_node
-  && List.length a.entries = List.length b.entries
-  && List.for_all2
-       (fun (x : Rekey_msg.entry) (y : Rekey_msg.entry) ->
-         x.target_node = y.target_node
-         && x.target_version = y.target_version
-         && x.level = y.level
-         && x.wrapped_under = y.wrapped_under
-         && x.receivers = y.receivers
-         && Bytes.equal x.ciphertext y.ciphertext)
-       a.entries b.entries
-
-let test_wire_roundtrip () =
-  let msg = sample_msg () in
-  let encoded = Wire.encode ~auth_key msg in
-  Alcotest.(check int) "size prediction" (Wire.decoded_size msg) (Bytes.length encoded);
-  match Wire.decode ~auth_key encoded with
-  | Ok decoded -> Alcotest.(check bool) "roundtrip" true (msg_equal msg decoded)
-  | Error e -> Alcotest.fail ("decode failed: " ^ e)
-
-let test_wire_negative_ids () =
-  (* Synthetic DEK (-1) and queue-member (-(m+2)) ids must survive. *)
-  let entry =
-    {
-      Rekey_msg.target_node = -1;
-      target_version = 3;
-      level = 0;
-      wrapped_under = -42;
-      receivers = 1;
-      ciphertext = Bytes.make Key.wrapped_size 'x';
-    }
-  in
-  let msg = { Rekey_msg.epoch = 9; root_node = -1; entries = [ entry ] } in
-  match Wire.decode ~auth_key (Wire.encode ~auth_key msg) with
-  | Ok decoded -> Alcotest.(check bool) "negative ids roundtrip" true (msg_equal msg decoded)
-  | Error e -> Alcotest.fail e
-
-let test_wire_tamper_detected () =
-  let msg = sample_msg () in
-  let encoded = Wire.encode ~auth_key msg in
-  for pos = 0 to Bytes.length encoded - 1 do
-    if pos mod 37 = 0 then begin
-      let bad = Bytes.copy encoded in
-      Bytes.set bad pos (Char.chr (Char.code (Bytes.get bad pos) lxor 0x40));
-      match Wire.decode ~auth_key bad with
-      | Ok _ -> Alcotest.failf "tampering at byte %d undetected" pos
-      | Error _ -> ()
-    end
-  done
-
-let test_wire_wrong_key () =
-  let msg = sample_msg () in
-  let encoded = Wire.encode ~auth_key msg in
-  match Wire.decode ~auth_key:(Key.fresh (Prng.create 1234)) encoded with
-  | Ok _ -> Alcotest.fail "wrong auth key accepted"
-  | Error e -> Alcotest.(check bool) "tag mismatch reported" true (e = "authentication tag mismatch")
-
-let test_wire_truncation () =
-  let msg = sample_msg () in
-  let encoded = Wire.encode ~auth_key msg in
-  for len = 0 to min 60 (Bytes.length encoded - 1) do
-    match Wire.decode ~auth_key (Bytes.sub encoded 0 len) with
-    | Ok _ -> Alcotest.failf "truncation to %d bytes accepted" len
-    | Error _ -> ()
-  done
-
-let test_wire_bad_magic () =
-  let msg = sample_msg () in
-  let encoded = Wire.encode ~auth_key msg in
-  Bytes.set encoded 0 'X';
-  match Wire.decode ~auth_key encoded with
-  | Error "bad magic" -> ()
-  | Error e -> Alcotest.failf "unexpected error %S" e
-  | Ok _ -> Alcotest.fail "bad magic accepted"
-
-let gen_entry =
-  QCheck.Gen.(
-    let* target_node = -1000 -- 1000 in
-    let* target_version = 0 -- 10000 in
-    let* level = 0 -- 40 in
-    let* wrapped_under = -1000 -- 1000 in
-    let* receivers = 0 -- 100000 in
-    let* ct = string_size (return 32) in
-    return
-      {
-        Rekey_msg.target_node;
-        target_version;
-        level;
-        wrapped_under;
-        receivers;
-        ciphertext = Bytes.of_string ct;
-      })
-
-let gen_msg =
-  QCheck.Gen.(
-    let* epoch = 0 -- 100000 in
-    let* root_node = -5 -- 100000 in
-    let* entries = list_size (0 -- 30) gen_entry in
-    return { Rekey_msg.epoch; root_node; entries })
-
-let prop_wire_roundtrip =
-  QCheck.Test.make ~name:"wire roundtrip on arbitrary messages" ~count:200
-    (QCheck.make ~print:(fun (m : Rekey_msg.t) -> Printf.sprintf "epoch=%d entries=%d" m.epoch (List.length m.entries)) gen_msg)
-    (fun msg ->
-      match Wire.decode ~auth_key (Wire.encode ~auth_key msg) with
-      | Ok decoded -> msg_equal msg decoded
-      | Error _ -> false)
-
-let prop_wire_garbage_never_raises =
-  QCheck.Test.make ~name:"decode never raises on garbage" ~count:300
-    QCheck.(string_of_size Gen.(0 -- 200))
-    (fun s ->
-      match Wire.decode ~auth_key (Bytes.of_string s) with Ok _ | Error _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* OFT                                                                 *)
 
 let assert_oft_ok t =
   match Oft.check t with Ok () -> () | Error e -> Alcotest.fail ("OFT invariant: " ^ e)
@@ -369,18 +236,8 @@ let prop_oft_churn =
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
-  Alcotest.run "gkm_lkh_wire_oft"
+  Alcotest.run "gkm_lkh_oft"
     [
-      ( "wire",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
-          Alcotest.test_case "negative ids" `Quick test_wire_negative_ids;
-          Alcotest.test_case "tamper detection" `Quick test_wire_tamper_detected;
-          Alcotest.test_case "wrong key" `Quick test_wire_wrong_key;
-          Alcotest.test_case "truncation" `Quick test_wire_truncation;
-          Alcotest.test_case "bad magic" `Quick test_wire_bad_magic;
-        ]
-        @ qsuite [ prop_wire_roundtrip; prop_wire_garbage_never_raises ] );
       ( "oft",
         [
           Alcotest.test_case "joins" `Quick test_oft_joins;

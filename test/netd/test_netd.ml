@@ -59,6 +59,32 @@ let check_trace_list ~server_tbl name trace =
 let check_trace ~server_tbl name (c : Client.t) =
   check_trace_list ~server_tbl name (Client.dek_trace c)
 
+(* A hand-driven peer on a blocking socket: [read_frame] returns its
+   next frame, stepping [loop] (which runs the other end) meanwhile. *)
+let read_frame loop dec fd =
+  let buf = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    if Unix.gettimeofday () > deadline then Alcotest.fail "peer: no frame before timeout";
+    match Frame.next dec with
+    | Ok (Some m) -> m
+    | Ok None ->
+        Loop.step ~max_wait:0.005 loop;
+        (match Unix.select [ fd ] [] [] 0.005 with
+        | [ _ ], _, _ ->
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then Alcotest.fail "peer: eof";
+            Frame.feed dec buf 0 n
+        | _ -> ());
+        go ()
+    | Error e -> Alcotest.fail e
+  in
+  go ()
+
+let write_frame fd m =
+  let b = Frame.encode m in
+  ignore (Unix.write fd b 0 (Bytes.length b))
+
 let test_smoke () =
   let loop = Loop.create () in
   let srv = Server.create ~loop (cfg ()) in
@@ -210,33 +236,11 @@ let slow_eviction_scenario ~domains () =
      whole fan-out without the server's outbox ever backing up *)
   (try Unix.setsockopt_int fd SO_RCVBUF 4096 with Unix.Unix_error _ -> ());
   Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-  let send_msg m =
-    let b = Frame.encode m in
-    ignore (Unix.write fd b 0 (Bytes.length b))
-  in
-  send_msg (Msg.Hello { lo = 1; hi = 1 });
-  (* drive the loop while we wait for the blocking reply *)
-  let dec = Frame.decoder () in
-  let buf = Bytes.create 4096 in
-  let rec read_msg deadline =
-    if Unix.gettimeofday () > deadline then Alcotest.fail "stalled peer: no reply";
-    match Frame.next dec with
-    | Ok (Some m) -> m
-    | Ok None ->
-        Loop.step ~max_wait:0.005 loop;
-        (match Unix.select [ fd ] [] [] 0.005 with
-        | [ _ ], _, _ ->
-            let n = Unix.read fd buf 0 (Bytes.length buf) in
-            if n = 0 then Alcotest.fail "stalled peer: eof";
-            Frame.feed dec buf 0 n
-        | _ -> ());
-        read_msg deadline
-    | Error e -> Alcotest.failf "stalled peer: %s" e
-  in
-  (match read_msg (Unix.gettimeofday () +. 10.0) with
+  write_frame fd (Msg.Hello { lo = Msg.version; hi = Msg.version });
+  (match read_frame loop (Frame.decoder ()) fd with
   | Msg.Hello_ack _ -> ()
   | m -> Alcotest.failf "expected HELLO_ACK, got %s" (Msg.tag_name (Msg.tag m)));
-  send_msg (Msg.Join { cls = `Long; loss = 0.0 });
+  write_frame fd (Msg.Join { cls = `Long; loss = 0.0 });
   (* ...and from here on the peer never reads again. Keep the group
      busy so REKEY bytes pile up behind the dead kernel buffer. *)
   let active = List.init 20 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
@@ -313,7 +317,6 @@ let test_rejoin_0rtt () =
   let peers = List.init 5 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
   run_until loop (fun () -> List.for_all Client.is_member (victim :: peers));
   run_until loop (fun () -> Client.has_ticket victim);
-  Alcotest.(check int) "negotiated v2" 2 (Client.version victim);
   let pre_member = Client.member victim in
   Client.kill victim;
   (* the group moves on while the victim is dark *)
@@ -375,9 +378,9 @@ let test_eviction_lockout () =
   Alcotest.(check int) "fresh join counted" 6 (Server.stats srv).joins;
   Server.stop srv
 
-(* Composed organizations — band node ids beyond i32 — are servable now
-   that wire v2 carries i64 entries; clients negotiate v2 and track the
-   composed DEK end-to-end. *)
+(* Composed organizations — band node ids beyond i32 — are served in
+   the wide (i64) packet codec; clients track the composed DEK
+   end-to-end. *)
 let test_composed_served () =
   let loop = Loop.create () in
   let spec =
@@ -393,7 +396,6 @@ let test_composed_served () =
           { (Client.config ~port) with seed = i; loss = (if i < 2 then 0.2 else 0.0) })
   in
   run_until loop (fun () -> List.for_all Client.is_member clients);
-  List.iter (fun c -> Alcotest.(check int) "negotiated v2" 2 (Client.version c)) clients;
   for i = 0 to 2 do
     let c = Client.connect ~loop { (Client.config ~port) with seed = 800 + i } in
     run_until loop (fun () -> Client.is_member c);
@@ -409,72 +411,64 @@ let test_composed_served () =
     clients;
   Server.stop srv
 
-(* ... but a v1-only client cannot speak to a composed organization:
-   its entries do not fit the narrow packet codec. *)
-let test_composed_v1_rejected () =
-  let loop = Loop.create () in
-  let spec =
-    match Organization.spec_of_string "composed" with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let srv = Server.create ~loop (cfg ~org:spec ()) in
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
-  let b = Frame.encode ~version:1 (Msg.Hello { lo = 1; hi = 1 }) in
-  ignore (Unix.write fd b 0 (Bytes.length b));
-  let dec = Frame.decoder () in
-  let buf = Bytes.create 4096 in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec await () =
-    if Unix.gettimeofday () > deadline then Alcotest.fail "no error reply";
-    match Frame.next dec with
-    | Ok (Some (Msg.Error_msg { code; _ })) ->
-        Alcotest.(check int) "version error code" Msg.err_version code
-    | Ok (Some m) -> Alcotest.failf "expected ERROR, got %s" (Msg.tag_name (Msg.tag m))
-    | Ok None ->
-        Loop.step ~max_wait:0.005 loop;
-        (match Unix.select [ fd ] [] [] 0.005 with
-        | [ _ ], _, _ ->
-            let n = Unix.read fd buf 0 (Bytes.length buf) in
-            if n > 0 then Frame.feed dec buf 0 n
-        | _ -> ());
-        await ()
-    | Error e -> Alcotest.fail e
-  in
-  await ();
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Server.stop srv
-
-let test_version_rejected () =
+(* The server speaks one wire version: a HELLO whose range excludes it,
+   older or newer, is refused with a readable version error. *)
+let hello_refused ~lo ~hi () =
   let loop = Loop.create () in
   let srv = Server.create ~loop (cfg ()) in
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
-  let b = Frame.encode (Msg.Hello { lo = 99; hi = 200 }) in
-  ignore (Unix.write fd b 0 (Bytes.length b));
-  let dec = Frame.decoder () in
-  let buf = Bytes.create 4096 in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec await () =
-    if Unix.gettimeofday () > deadline then Alcotest.fail "no error reply";
-    match Frame.next dec with
-    | Ok (Some (Msg.Error_msg { code; _ })) ->
-        Alcotest.(check int) "version error code" Msg.err_version code
-    | Ok (Some m) -> Alcotest.failf "expected ERROR, got %s" (Msg.tag_name (Msg.tag m))
-    | Ok None ->
-        Loop.step ~max_wait:0.005 loop;
-        (match Unix.select [ fd ] [] [] 0.005 with
-        | [ _ ], _, _ ->
-            let n = Unix.read fd buf 0 (Bytes.length buf) in
-            if n > 0 then Frame.feed dec buf 0 n
-        | _ -> ());
-        await ()
-    | Error e -> Alcotest.fail e
-  in
-  await ();
+  write_frame fd (Msg.Hello { lo; hi });
+  (match read_frame loop (Frame.decoder ()) fd with
+  | Msg.Error_msg { code; _ } -> Alcotest.(check int) "version error code" Msg.err_version code
+  | m -> Alcotest.failf "expected ERROR, got %s" (Msg.tag_name (Msg.tag m)));
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Server.stop srv
+
+let test_old_hello_refused = hello_refused ~lo:1 ~hi:(Msg.version - 1)
+let test_version_rejected = hello_refused ~lo:99 ~hi:200
+
+(* Rekeys only ever travel sealed: a client handed a plaintext REKEY
+   frame by its server drops the connection as a protocol violation
+   rather than applying unauthenticated key material. *)
+let test_plaintext_rekey_refused () =
+  let loop = Loop.create () in
+  let lfd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind lfd (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port = match Unix.getsockname lfd with ADDR_INET (_, p) -> p | _ -> assert false in
+  let c = Client.connect ~loop (Client.config ~port) in
+  let fd, _ = Unix.accept lfd in
+  let dec = Frame.decoder () in
+  (match read_frame loop dec fd with
+  | Msg.Hello _ ->
+      write_frame fd
+        (Msg.Hello_ack { version = Msg.version; tp_ms = 1000; max_frame = 1 lsl 20; capacity = 512 })
+  | m -> Alcotest.failf "expected HELLO, got %s" (Msg.tag_name (Msg.tag m)));
+  let key = Gkm_crypto.Key.fresh (Gkm_crypto.Prng.create 5) in
+  (match read_frame loop dec fd with
+  | Msg.Join _ ->
+      write_frame fd
+        (Msg.Join_ack { member = 1; rekey_no = 0; epoch = 0; root = 7; path = [ (7, key) ] })
+  | m -> Alcotest.failf "expected JOIN, got %s" (Msg.tag_name (Msg.tag m)));
+  run_until loop (fun () -> Client.is_member c);
+  let payload = Bytes.make 2 '\000' in
+  write_frame fd
+    (Msg.Rekey
+       {
+         rekey_no = 1;
+         org = 2;
+         epoch = 1;
+         root = 7;
+         seq = 0;
+         total = 1;
+         packet = { Gkm_transport.Packet.seq = 0; block = 0; index_in_block = 0; payload };
+       });
+  run_until loop (fun () -> Client.phase c = Client.Closed);
+  Alcotest.(check (option string)) "protocol violation" (Some "unexpected REKEY")
+    (Client.last_error c);
+  Alcotest.(check int) "no rekey applied" 0 (Client.last_rekey c);
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ fd; lfd ]
 
 (* The sharded fan-out must be a pure transport change: the same
    deterministic scenario (seeded org, manual ticks, churn gated on
@@ -546,7 +540,6 @@ let lockstep_run ?group ~domains () =
   done;
   let last = Server.rekey_no srv in
   run_until loop (fun () -> Array.for_all (fun c -> Client.last_rekey c = last) clients);
-  Array.iter (fun c -> Alcotest.(check int) "negotiated v2" 2 (Client.version c)) clients;
   let server_tbl = server_trace_tbl srv in
   (* The sole first join produces no framed rekey, so member0's
      admission reports rekey 0 — a DEK the server's trace (which starts
@@ -759,10 +752,9 @@ module Cohort = Gkm_conformance.Cohort
    asserts both the cohort's client-side verdict and the server's
    stats counters — the same pair of checks `gkm conform --interop`
    makes against a spawned server. *)
-let with_hostile_server ?(resync_budget = 3) ?(org = Organization.Scheme_cfg
-    (Scheme.default_config Scheme.Tt)) f =
+let with_hostile_server ?(resync_budget = 3) f =
   let loop = Loop.create () in
-  let srv = Server.create ~loop { (cfg ~org ()) with resync_budget } in
+  let srv = Server.create ~loop { (cfg ()) with resync_budget } in
   let herd = Cohort.spawn_clients ~loop ~port:(Server.port srv) ~n:3 ~seed:50 () in
   run_until loop (fun () -> List.for_all Client.is_member herd);
   f loop srv;
@@ -795,15 +787,11 @@ let test_conform_ticket_replay () =
       Alcotest.(check bool) "2 bearer re-binds" true (st.Server.rejoins_full >= 2);
       Alcotest.(check bool) "corrupt ticket soft-rejected" true (st.Server.ticket_rejects >= 1))
 
-let test_conform_v1_refused () =
-  let org =
-    Organization.Composed_cfg
-      { kind = Scheme.Tt; degree = 4; s_period = 10; seed = 3; thresholds = [ 0.05 ] }
-  in
-  with_hostile_server ~org (fun loop srv ->
-      check_verdict (Cohort.v1_refused ~loop ~port:(Server.port srv) ~timeout:30.0);
+let test_conform_version_refused () =
+  with_hostile_server (fun loop srv ->
+      check_verdict (Cohort.version_refused ~loop ~port:(Server.port srv) ~timeout:30.0);
       let st = Server.stats srv in
-      Alcotest.(check bool) "refusal counted" true (st.Server.protocol_errors >= 1))
+      Alcotest.(check bool) "both refusals counted" true (st.Server.protocol_errors >= 2))
 
 let () =
   Alcotest.run "netd"
@@ -836,8 +824,10 @@ let () =
         ] );
       ( "config",
         [
-          Alcotest.test_case "composed org rejects v1 hello" `Quick test_composed_v1_rejected;
+          Alcotest.test_case "older-version hello refused" `Quick test_old_hello_refused;
           Alcotest.test_case "bad version rejected" `Quick test_version_rejected;
+          Alcotest.test_case "plaintext REKEY refused by client" `Quick
+            test_plaintext_rekey_refused;
         ] );
       ( "hostile",
         [
@@ -847,7 +837,7 @@ let () =
             test_conform_evictee_transmit;
           Alcotest.test_case "ticket replayed from three connections" `Quick
             test_conform_ticket_replay;
-          Alcotest.test_case "v1 speaker refused by composed org" `Quick
-            test_conform_v1_refused;
+          Alcotest.test_case "version-mismatched speakers refused" `Quick
+            test_conform_version_refused;
         ] );
     ]

@@ -223,7 +223,7 @@ let test_packet_lossy_end_to_end () =
     true
     (!holders >= !decoded_everything)
 
-(* The wide (wire-v2) entry codec: i64 node ids, auto-detected at
+(* The wide entry codec: i64 node ids, auto-detected at
    decode by the 0xFFFF sentinel. Composed organizations put band
    strides of 10^9 in node ids — beyond the narrow codec's i32. *)
 let wide_entries =

@@ -24,8 +24,8 @@ let sample_rekey () =
     packet = sample_packet ();
   }
 
-(* One example per v1 constructor — the decoder table and every field
-   codec get exercised. *)
+(* One example per core constructor — the decoder table and every
+   field codec get exercised. *)
 let samples () =
   [
     Msg.Hello { lo = 1; hi = 1 };
@@ -46,8 +46,7 @@ let samples () =
     Msg.Error_msg { code = Msg.err_evicted; detail = "outbox overflow" };
   ]
 
-(* The wire-v2 constructors: sealed records and the ticket/rejoin
-   handshake. Only legal on v2 frames. *)
+(* Sealed records and the ticket/rejoin handshake. *)
 let samples_v2 () =
   [
     Msg.Sealed { epoch = 42; seq = 0x7FFF_FFFF_FFFF_FF01L; ct = Bytes.make 48 '\x5c' };
@@ -86,41 +85,26 @@ let test_roundtrip () =
       | Error e -> Alcotest.failf "%a failed to decode: %s" Msg.pp_kind m e)
     (samples () @ samples_v2 ())
 
-let test_dual_version_roundtrip () =
-  (* Every v1-era message must survive framing under BOTH negotiated
-     versions: a v2 connection still exchanges HELLO/REKEY/... frames,
-     just with the wider field codecs available. *)
+let test_foreign_version_rejected () =
+  (* There is one wire version: every message on a frame whose header
+     claims another one — the retired version 1 or a future 3 — is
+     refused, whatever its tag. *)
   List.iter
     (fun m ->
       List.iter
         (fun version ->
-          match decode_one (Frame.encode ~version m) with
-          | Ok m' ->
-              Alcotest.(check bool)
-                (Format.asprintf "%a round-trips at v%d" Msg.pp_kind m version)
-                true (msg_equal m m')
-          | Error e ->
-              Alcotest.failf "%a failed at v%d: %s" Msg.pp_kind m version e)
-        [ 1; 2 ])
-    (samples ())
-
-let test_v2_tag_on_v1_rejected () =
-  (* The v2-only tags (SEALED/TICKET/REJOIN/REJOIN_ACK) must be
-     refused on a frame whose header claims version 1 — a v1 peer
-     cannot be handed sealed records it has no way to open. *)
-  List.iter
-    (fun m ->
-      (match decode_one (Frame.encode ~version:1 m) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%a accepted on a v1 frame" Msg.pp_kind m);
-      (* Same check via a patched version byte, so the guard is proven
-         to live in the decoder, not in [encode]. *)
-      let frame = Frame.encode m in
-      Bytes.set frame 2 '\x01';
-      match decode_one frame with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%a accepted after version downgrade" Msg.pp_kind m)
-    (samples_v2 ())
+          (match decode_one (Frame.encode ~version m) with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%a accepted on a v%d frame" Msg.pp_kind m version);
+          (* Same check via a patched version byte, so the guard is
+             proven to live in the decoder, not in [encode]. *)
+          let frame = Frame.encode m in
+          Bytes.set frame 2 (Char.chr version);
+          match decode_one frame with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%a accepted with version byte %d" Msg.pp_kind m version)
+        [ Msg.version - 1; Msg.version + 1 ])
+    (samples () @ samples_v2 ())
 
 let test_inner_roundtrip () =
   (* The sealed-record plaintext codec: [u8 tag || body], no frame
@@ -417,18 +401,13 @@ let test_dgram_roundtrip () =
   | exception Invalid_argument _ -> ()
 
 (* The grammar must cover exactly the codec's tag space, with the same
-   names and version floors the decoder enforces. *)
+   names the decoder uses. *)
 let test_grammar_covers_tags () =
   Alcotest.(check int) "rule count" 17 (List.length Grammar.rules);
   for tg = 1 to 17 do
     match Grammar.rule_of_tag tg with
     | None -> Alcotest.failf "grammar missing tag %d (%s)" tg (Msg.tag_name tg)
-    | Some r ->
-        Alcotest.(check string) "tag name" (Msg.tag_name tg) r.Grammar.name;
-        Alcotest.(check int)
-          (Printf.sprintf "min_version of tag %d" tg)
-          (if tg >= 14 then 2 else 1)
-          r.Grammar.min_version
+    | Some r -> Alcotest.(check string) "tag name" (Msg.tag_name tg) r.Grammar.name
   done
 
 (* Every grammar-generated frame must be accepted and re-encode to the
@@ -452,6 +431,208 @@ let test_fuzz_battery () =
   Alcotest.(check bool) "spent the budget" true (r.Fuzzer.generated >= 25_000);
   check_no_failures "fuzz battery" r
 
+(* ------------------------------------------------------------------ *)
+(* The sealed rekey path: how a Rekey_msg actually travels             *)
+
+(* A rekey message goes out as fixed-capacity packets, each in a REKEY
+   body sealed by the record layer under the pre-rekey DEK, each sealed
+   record in a SEALED frame — the server's fan-out, minus the socket.
+   These are the properties an authenticated rekey encoding owes its
+   receivers, pinned on the one codec that carries them. *)
+
+module Rekey_msg = Gkm_lkh.Rekey_msg
+module Record = Gkm_record.Record
+
+let dek = Key.fresh (Prng.create 77)
+
+let seal_rekey ?(dek = dek) (msg : Rekey_msg.t) =
+  let packets =
+    match Packet.encode_entries ~capacity_bytes:1024 msg.entries with
+    | [] ->
+        (* the server's framed zero-entry rekey *)
+        [ { Packet.seq = 0; block = 0; index_in_block = 0; payload = Bytes.make 2 '\000' } ]
+    | ps -> ps
+  in
+  let total = List.length packets in
+  let seal = Record.Seal.create (Record.Epoch.of_dek ~dek ~label:msg.epoch) in
+  List.map
+    (fun (p : Packet.t) ->
+      let seq, ct =
+        Record.Seal.seal seal
+          (Msg.encode_inner
+             (Msg.Rekey
+                {
+                  rekey_no = 1;
+                  org = 2;
+                  epoch = msg.epoch;
+                  root = msg.root_node;
+                  seq = p.seq;
+                  total;
+                  packet = p;
+                }))
+      in
+      Frame.encode (Msg.Sealed { epoch = msg.epoch; seq; ct }))
+    packets
+
+let open_rekey ?(dek = dek) stream =
+  let sink = Record.Sink.create (Record.Epoch.of_dek ~dek ~label:0) in
+  let d = Frame.decoder () in
+  Frame.feed d stream 0 (Bytes.length stream);
+  let rec records acc =
+    match Frame.next d with
+    | Error e -> Error e
+    | Ok None -> Ok (List.rev acc)
+    | Ok (Some (Msg.Sealed { seq; ct; _ })) -> (
+        match Record.Sink.open_ sink ~seq ct with
+        | Error `Auth -> Error "authentication tag mismatch"
+        | Error `Replay -> Error "replayed record"
+        | Ok pt -> (
+            match Msg.decode_inner pt with
+            | Ok (Msg.Rekey r) -> records (r :: acc)
+            | Ok m -> Error (Format.asprintf "sealed %a, not REKEY" Msg.pp_kind m)
+            | Error e -> Error e))
+    | Ok (Some m) -> Error (Format.asprintf "%a outside the record layer" Msg.pp_kind m)
+  in
+  match records [] with
+  | Error e -> Error e
+  | Ok [] -> Error "no rekey records"
+  | Ok (r0 :: _ as rs) when List.length rs = r0.Msg.total ->
+      let rec entries acc = function
+        | [] ->
+            Ok { Rekey_msg.epoch = r0.epoch; root_node = r0.root; entries = List.concat (List.rev acc) }
+        | (r : Msg.rekey) :: rest -> (
+            match Packet.decode_payload r.packet.Packet.payload with
+            | Ok es -> entries (es :: acc) rest
+            | Error e -> Error e)
+      in
+      entries [] rs
+  | Ok _ -> Error "incomplete rekey"
+
+let encode_rekey ?dek msg = Bytes.concat Bytes.empty (seal_rekey ?dek msg)
+
+let sample_msg () =
+  let server = Gkm_lkh.Server.create ~seed:3 () in
+  for m = 1 to 20 do
+    ignore (Gkm_lkh.Server.register server m)
+  done;
+  ignore (Gkm_lkh.Server.rekey server);
+  Gkm_lkh.Server.enqueue_departure server 7;
+  Gkm_lkh.Server.enqueue_departure server 13;
+  Option.get (Gkm_lkh.Server.rekey server)
+
+let test_sealed_roundtrip () =
+  let msg = sample_msg () in
+  Alcotest.(check bool) "sample has entries" true (msg.entries <> []);
+  match open_rekey (encode_rekey msg) with
+  | Ok decoded -> Alcotest.(check bool) "roundtrip" true (decoded = msg)
+  | Error e -> Alcotest.fail ("decode failed: " ^ e)
+
+let test_sealed_negative_ids () =
+  (* Synthetic DEK (-1) and queue-member (-(m+2)) ids must survive. *)
+  let entry =
+    {
+      Rekey_msg.target_node = -1;
+      target_version = 3;
+      level = 0;
+      wrapped_under = -42;
+      receivers = 1;
+      ciphertext = Bytes.make Key.wrapped_size 'x';
+    }
+  in
+  let msg = { Rekey_msg.epoch = 9; root_node = -1; entries = [ entry ] } in
+  match open_rekey (encode_rekey msg) with
+  | Ok decoded -> Alcotest.(check bool) "negative ids roundtrip" true (decoded = msg)
+  | Error e -> Alcotest.fail e
+
+let test_sealed_tamper_detected () =
+  (* Every flipped byte is rejected — except inside a SEALED frame's
+     epoch label, a routing hint outside the authenticated data, where
+     the flip must leave the decoded message unchanged. *)
+  let msg = sample_msg () in
+  let frames = seal_rekey msg in
+  let encoded = Bytes.concat Bytes.empty frames in
+  let starts =
+    List.rev (snd (List.fold_left (fun (at, acc) f -> (at + Bytes.length f, at :: acc)) (0, []) frames))
+  in
+  (* a SEALED body opens with its 4-byte epoch label *)
+  let in_hint pos =
+    List.exists
+      (fun s -> pos - s >= Frame.header_size && pos - s < Frame.header_size + 4)
+      starts
+  in
+  for pos = 0 to Bytes.length encoded - 1 do
+    if pos mod 37 = 0 || in_hint pos then begin
+      let bad = Bytes.copy encoded in
+      Bytes.set bad pos (Char.chr (Char.code (Bytes.get bad pos) lxor 0x40));
+      match open_rekey bad with
+      | Ok m when in_hint pos && m = msg -> ()
+      | Ok _ -> Alcotest.failf "tampering at byte %d undetected" pos
+      | Error _ -> ()
+    end
+  done
+
+let test_sealed_wrong_key () =
+  let encoded = encode_rekey (sample_msg ()) in
+  match open_rekey ~dek:(Key.fresh (Prng.create 1234)) encoded with
+  | Ok _ -> Alcotest.fail "wrong DEK accepted"
+  | Error e -> Alcotest.(check string) "tag mismatch reported" "authentication tag mismatch" e
+
+let test_sealed_truncation () =
+  let encoded = encode_rekey (sample_msg ()) in
+  let n = Bytes.length encoded in
+  List.iter
+    (fun len ->
+      match open_rekey (Bytes.sub encoded 0 len) with
+      | Ok _ -> Alcotest.failf "truncation to %d bytes accepted" len
+      | Error _ -> ())
+    (List.init (min 61 n) Fun.id @ [ n / 2; n - 1 ])
+
+let test_sealed_bad_magic () =
+  let encoded = encode_rekey (sample_msg ()) in
+  Bytes.set encoded 0 'X';
+  match open_rekey encoded with
+  | Error e when String.length e >= 9 && String.sub e 0 9 = "bad magic" -> ()
+  | Error e -> Alcotest.failf "unexpected error %S" e
+  | Ok _ -> Alcotest.fail "bad magic accepted"
+
+let gen_entry =
+  QCheck.Gen.(
+    let* target_node = -1000 -- 1000 in
+    let* target_version = 0 -- 10000 in
+    let* level = 0 -- 40 in
+    let* wrapped_under = -1000 -- 1000 in
+    let* receivers = 0 -- 100000 in
+    let* ct = string_size (return Key.wrapped_size) in
+    return
+      {
+        Rekey_msg.target_node;
+        target_version;
+        level;
+        wrapped_under;
+        receivers;
+        ciphertext = Bytes.of_string ct;
+      })
+
+let gen_msg =
+  QCheck.Gen.(
+    let* epoch = 0 -- 100000 in
+    let* root_node = -5 -- 100000 in
+    let* entries = list_size (0 -- 30) gen_entry in
+    return { Rekey_msg.epoch; root_node; entries })
+
+let prop_sealed_roundtrip =
+  QCheck.Test.make ~name:"wire roundtrip on arbitrary messages" ~count:200
+    (QCheck.make
+       ~print:(fun (m : Rekey_msg.t) ->
+         Printf.sprintf "epoch=%d entries=%d" m.epoch (List.length m.entries))
+       gen_msg)
+    (fun msg -> open_rekey (encode_rekey msg) = Ok msg)
+
+let prop_sealed_garbage_never_raises =
+  QCheck.Test.make ~name:"decode never raises on garbage" ~count:300
+    QCheck.(string_of_size Gen.(0 -- 200))
+    (fun s -> match open_rekey (Bytes.of_string s) with Ok _ | Error _ -> true)
+
 let test_resync_auth () =
   let k = sample_key () in
   let a1 = Frame.resync_auth ~key:k ~member:7 ~epoch:3 in
@@ -470,18 +651,28 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "every message round-trips" `Quick test_roundtrip;
-          Alcotest.test_case "v1 messages round-trip at both versions" `Quick
-            test_dual_version_roundtrip;
           Alcotest.test_case "rekey payload survives the wire" `Quick test_rekey_payload_roundtrip;
           Alcotest.test_case "byte-by-byte reassembly" `Quick test_split_reassembly;
           Alcotest.test_case "sealed inner codec round-trips" `Quick test_inner_roundtrip;
           Alcotest.test_case "rejoin resume body round-trips" `Quick test_resume_roundtrip;
           Alcotest.test_case "resync auth tag" `Quick test_resync_auth;
         ] );
+      ( "wire",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_sealed_roundtrip;
+          Alcotest.test_case "negative ids" `Quick test_sealed_negative_ids;
+          Alcotest.test_case "tamper detection" `Quick test_sealed_tamper_detected;
+          Alcotest.test_case "wrong key" `Quick test_sealed_wrong_key;
+          Alcotest.test_case "truncation" `Quick test_sealed_truncation;
+          Alcotest.test_case "bad magic" `Quick test_sealed_bad_magic;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_sealed_roundtrip; prop_sealed_garbage_never_raises ] );
       ( "robustness",
         [
           Alcotest.test_case "oversized declared length rejected" `Quick test_oversized_rejected;
-          Alcotest.test_case "v2-only tags rejected on v1 frames" `Quick test_v2_tag_on_v1_rejected;
+          Alcotest.test_case "frames of another wire version rejected" `Quick
+            test_foreign_version_rejected;
           Alcotest.test_case "checked-in corpus replays cleanly" `Quick test_regression_corpus;
           Alcotest.test_case "dgram corpus entries verdict correctly" `Quick test_dgram_corpus;
           Alcotest.test_case "dgram codec round-trips with guards" `Quick test_dgram_roundtrip;
