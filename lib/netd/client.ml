@@ -80,7 +80,7 @@ type t = {
          first; drained when the sink rotates *)
   mutable ticket : (int * bytes) option;  (* (issued_epoch, blob) of newest ticket *)
   mutable presented : int option;  (* issued_epoch of the ticket in flight in REJOIN *)
-  mutable dek_trace : (int * string) list;  (* reversed *)
+  dek_trace : Dek_log.t;
   mutable on_dek : rekey_no:int -> fp:string -> unit;
   mutable on_sealed : epoch:int -> seq:int64 -> ct:bytes -> unit;
   mutable last_error : string option;
@@ -123,7 +123,7 @@ let is_member t = t.phase = Member
 let epoch t = t.epoch
 let last_rekey t = t.last_rekey
 let has_ticket t = t.ticket <> None
-let dek_trace t = List.rev t.dek_trace
+let dek_trace t = Dek_log.to_list t.dek_trace
 let last_error t = t.last_error
 let nacks_sent t = t.nacks_sent
 let resyncs t = t.resyncs
@@ -189,7 +189,7 @@ let install t ~member ~rekey_no ~epoch ~root ~path =
       t.pending_sealed <- [];
       t.phase <- Member;
       let fp = match Member.group_key m with Some k -> Key.fingerprint k | None -> "" in
-      t.dek_trace <- (rekey_no, fp) :: t.dek_trace;
+      Dek_log.add t.dek_trace ~rekey_no fp;
       t.on_dek ~rekey_no ~fp
 
 let send_nack t rekey_no seqs =
@@ -241,7 +241,7 @@ let rec pump t =
         t.rekeys_completed <- t.rekeys_completed + 1;
         if Obs.enabled () then Metrics.Counter.incr m_client_rekeys;
         let fp = match Member.group_key m with Some k -> Key.fingerprint k | None -> "" in
-        t.dek_trace <- (head.a_rekey_no, fp) :: t.dek_trace;
+        Dek_log.add t.dek_trace ~rekey_no:head.a_rekey_no fp;
         t.on_dek ~rekey_no:head.a_rekey_no ~fp;
         pump t
       end
@@ -476,7 +476,7 @@ let apply_resume t ~member (r : Msg.resume) =
       t.pending_sealed <- [];
       t.phase <- Member;
       let fp = match Member.group_key m with Some k -> Key.fingerprint k | None -> "" in
-      t.dek_trace <- (r.rekey_no, fp) :: t.dek_trace;
+      Dek_log.add t.dek_trace ~rekey_no:r.rekey_no fp;
       t.on_dek ~rekey_no:r.rekey_no ~fp;
       sync_sink t
   | _ ->
@@ -761,7 +761,7 @@ let connect ~loop cfg =
       pending_sealed = [];
       ticket = None;
       presented = None;
-      dek_trace = [];
+      dek_trace = Dek_log.create ();
       on_dek = (fun ~rekey_no:_ ~fp:_ -> ());
       on_sealed = (fun ~epoch:_ ~seq:_ ~ct:_ -> ());
       last_error = None;

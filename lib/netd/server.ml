@@ -154,7 +154,7 @@ type t = {
   mutable rekey_no : int;  (* dense: only rekeys that produced frames *)
   mutable epoch : int;
   mutable root : int;
-  mutable dek_trace : (int * string) list;  (* reversed *)
+  dek_trace : Dek_log.t;
   stats : stats;
   mutable stopped : bool;
 }
@@ -208,7 +208,7 @@ let stats t =
 let rekey_no t = t.rekey_no
 let epoch t = t.epoch
 let port t = t.port
-let dek_trace t = List.rev t.dek_trace
+let dek_trace t = Dek_log.to_list t.dek_trace
 
 let tick_time t ~rekey_no =
   Mutex.protect t.times_mu (fun () -> Hashtbl.find_opt t.tick_times rekey_no)
@@ -1051,7 +1051,7 @@ let tick t =
         t.stats.rekeys <- t.stats.rekeys + 1;
         t.stats.rekey_packets <- t.stats.rekey_packets + total;
         let fp = match O.group_key () with Some k -> Key.fingerprint k | None -> "" in
-        t.dek_trace <- (t.rekey_no, fp) :: t.dek_trace;
+        Dek_log.add t.dek_trace ~rekey_no:t.rekey_no fp;
         if Obs.enabled () then begin
           Metrics.Counter.incr m_rekeys;
           Metrics.Histogram.observe h_tick (Loop.now t.loop -. t0)
@@ -1226,7 +1226,7 @@ let create ~loop (cfg : config) =
         rekey_no = 0;
         epoch = 0;
         root = 0;
-        dek_trace = [];
+        dek_trace = Dek_log.create ();
         stats =
           {
             accepts = 0;

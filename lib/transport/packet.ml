@@ -4,11 +4,11 @@ module Reed_solomon = Gkm_fec.Reed_solomon
 type t = { seq : int; block : int; index_in_block : int; payload : bytes }
 
 (* Narrow per-entry layout: i32 target, i32 version, u16 level,
-   i32 wrapped, i32 receivers, u16 ct_len, ct. A payload starts with a
-   u16 entry count; the rest is zero padding up to the fixed capacity.
-   Every organization whose ids fit i32 uses it: a 32-byte wrap costs
-   52 bytes here against 60 wide, so a 1 KiB packet holds 19 entries
-   instead of 16.
+   i32 wrapped, i32 receivers, u16 ct_len, ct. A payload is a u16
+   entry count followed by exactly that many entries, no padding: the
+   capacity bounds a payload, it does not size it. Every organization
+   whose ids fit i32 uses it: a 32-byte wrap costs 52 bytes here
+   against 60 wide, so a 1 KiB packet holds 19 entries instead of 16.
 
    Wide layout carries i64 node ids — composed organizations
    allocate ids at 2e9-per-band strides, beyond i32. A wide payload
@@ -66,38 +66,35 @@ let encode_entries ?(wide = false) ~capacity_bytes entries =
                (if fits_i32 e.target_node then e.wrapped_under else e.target_node)))
       entries;
   let packets = ref [] and seq = ref 0 in
-  let flush batch =
-    match batch with
+  let batch = ref [] and used = ref hdr in
+  let flush () =
+    match !batch with
     | [] -> ()
-    | batch ->
-        let payload = Bytes.make capacity_bytes '\000' in
+    | pending ->
+        let payload = Bytes.create !used in
         let pos =
           if wide then begin
             let p = put_u16 payload 0 wide_sentinel in
             let p = put_u8 payload p wide_version in
-            put_u16 payload p (List.length batch)
+            put_u16 payload p (List.length pending)
           end
-          else put_u16 payload 0 (List.length batch)
+          else put_u16 payload 0 (List.length pending)
         in
-        let pos = ref pos in
         let write = if wide then write_entry_wide else write_entry in
-        List.iter (fun e -> pos := write payload !pos e) (List.rev batch);
+        ignore (List.fold_left (fun pos e -> write payload pos e) pos (List.rev pending));
         packets := { seq = !seq; block = 0; index_in_block = 0; payload } :: !packets;
-        incr seq
+        incr seq;
+        batch := [];
+        used := hdr
   in
-  let batch = ref [] and used = ref hdr in
   List.iter
     (fun e ->
       let sz = entry_size_of ~wide e in
-      if !used + sz > capacity_bytes then begin
-        flush !batch;
-        batch := [];
-        used := hdr
-      end;
+      if !used + sz > capacity_bytes then flush ();
       batch := e :: !batch;
       used := !used + sz)
     entries;
-  flush !batch;
+  flush ();
   List.rev !packets
 
 let decode_entries ~wide payload ~pos:start ~count =
@@ -170,20 +167,40 @@ let blocks_of_packets ~block_size packets =
       List.mapi (fun i p -> { p with block = b; index_in_block = i }) block)
     blocks
 
+(* Reed-Solomon needs equal-length shards; payloads are exact-length,
+   so FEC zero-extends them to the block's longest. Trailing zeros are
+   harmless: [decode_payload] reads only the entries its count names. *)
+let extend len b =
+  if Bytes.length b = len then b
+  else begin
+    let out = Bytes.make len '\000' in
+    Bytes.blit b 0 out 0 (Bytes.length b);
+    out
+  end
+
+let longest = List.fold_left (fun acc b -> max acc (Bytes.length b)) 0
+
 let parity_shards block ~nparity =
   match block with
   | [] -> []
   | _ ->
-      let data = Array.of_list (List.map (fun p -> p.payload) block) in
+      let payloads = List.map (fun p -> p.payload) block in
+      let len = longest payloads in
+      let data = Array.of_list (List.map (extend len) payloads) in
       let code = Reed_solomon.create ~k:(Array.length data) in
       Array.to_list (Reed_solomon.encode code ~data ~nparity)
 
 let recover_block ~k ~data ~parity =
   let code = Reed_solomon.create ~k in
+  let len = longest (List.map snd data @ List.map snd parity) in
   let shards =
-    List.map (fun (i, payload) -> (i, payload)) data
-    @ List.map (fun (j, shard) -> (k + j, shard)) parity
+    List.map (fun (i, payload) -> (i, extend len payload)) data
+    @ List.map (fun (j, shard) -> (k + j, extend len shard)) parity
   in
   match Reed_solomon.decode code ~shards with
-  | Some recovered -> Ok (Array.to_list recovered)
+  | Some recovered ->
+      (* received payloads come back verbatim, recovered ones extended *)
+      Ok
+        (Array.to_list
+           (Array.mapi (fun i r -> Option.value ~default:r (List.assoc_opt i data)) recovered))
   | None -> Error "not enough shards to recover the block"

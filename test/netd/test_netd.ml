@@ -14,6 +14,10 @@ module Netem = Gkm_net.Netem
 module Mcast = Gkm_netd.Mcast
 module Msg = Gkm_wire.Msg
 module Frame = Gkm_wire.Frame
+module Dgram = Gkm_wire.Dgram
+module Packet = Gkm_transport.Packet
+module Record = Gkm_record.Record
+module Dek_log = Gkm_netd.Dek_log
 
 let cfg ?(tp = 0.02) ?(org = Organization.Scheme_cfg (Scheme.default_config Scheme.Tt))
     ?(capacity = 512) ?(outbox_soft = 256 * 1024) ?(outbox_hard = 1024 * 1024)
@@ -640,6 +644,101 @@ let test_udp_byte_identical () =
   check_runs_identical ~tag:"tcp/udp@1" (sealed_t, deks_t, sdek_t) (sealed_u1, deks_u1, sdek_u1);
   check_runs_identical ~tag:"tcp/udp@4" (sealed_t, deks_t, sdek_t) (sealed_u4, deks_u4, sdek_u4)
 
+(* A small rekey must be small on the wire: a payload padded to the
+   1 KiB capacity makes a 2-entry rekey's SEALED frame 1094 bytes.
+   Steady churn at the serving default capacity; member0 opens every
+   record it is sent under the DEK it holds, so the sizes checked
+   belong to rekeys known to carry two entries. Returns (entries,
+   datagram bytes, SEALED frame bytes) per single-record rekey, and
+   the server's stats. *)
+let small_rekey_sizes ?group () =
+  let loop = Loop.create () in
+  let srv =
+    Server.create ~loop (cfg ~tp:3600.0 ~capacity:1024 ?transport:(Option.map Server.udp group) ())
+  in
+  let port = Server.port srv in
+  let joined = ref 0 and left = ref 0 in
+  (* One tick per interval, once the interval's JOIN (and LEAVE) have
+     reached the server — the benchmark's steady churn. *)
+  let tick ~join ~leave =
+    let c = Client.connect ~loop { (Client.config ~port) with seed = join; mcast = group } in
+    incr joined;
+    let target = !joined in
+    run_until loop (fun () -> (Server.stats srv).joins = target);
+    Option.iter
+      (fun old ->
+        Client.leave old;
+        incr left;
+        let target = !left in
+        run_until loop (fun () -> (Server.stats srv).leaves = target))
+      leave;
+    Server.tick_now srv;
+    run_until loop (fun () ->
+        Client.is_member c
+        && match leave with Some old -> Client.phase old = Client.Closed | None -> true);
+    c
+  in
+  let sizes = ref [] in
+  let observe c ~epoch ~seq ~ct =
+    match Client.group_key c with
+    | Some dek when epoch = Client.epoch c -> (
+        let sink = Record.Sink.create (Record.Epoch.of_dek ~dek ~label:epoch) in
+        let rekey =
+          match Record.Sink.open_ sink ~seq ct with
+          | Ok pt -> Msg.decode_inner pt
+          | Error _ -> Error "record does not open"
+        in
+        match rekey with
+        | Ok (Msg.Rekey r) when r.total = 1 -> (
+            match Packet.decode_payload r.packet.Packet.payload with
+            | Ok es ->
+                sizes :=
+                  ( List.length es,
+                    Dgram.encoded_size [ (seq, ct) ],
+                    Bytes.length (Frame.encode (Msg.Sealed { epoch; seq; ct })) )
+                  :: !sizes
+            | Error e -> Alcotest.fail e)
+        | _ -> ())
+    | _ -> ()
+  in
+  let member0 = tick ~join:0 ~leave:None in
+  Client.on_sealed member0 (observe member0);
+  let members = [ member0; tick ~join:1 ~leave:None ] in
+  let churner = ref (tick ~join:100 ~leave:None) in
+  for j = 1 to 16 do
+    churner := tick ~join:(100 + j) ~leave:(Some !churner)
+  done;
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) members);
+  let st = Server.stats srv in
+  Server.stop srv;
+  (!sizes, st)
+
+let test_small_rekey_unpadded () =
+  let check tag sizes pick =
+    let two = List.filter (fun (n, _, _) -> n = 2) sizes in
+    Alcotest.(check bool) (tag ^ ": 2-entry rekeys observed") true (two <> []);
+    List.iter
+      (fun s ->
+        let b = pick s in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s of a 2-entry rekey: %d B < 400" tag b)
+          true (b < 400))
+      two
+  in
+  let sizes, _ = small_rekey_sizes () in
+  check "tcp SEALED frame" sizes (fun (_, _, frame) -> frame);
+  if Mcast.available () then begin
+    let sizes, st = small_rekey_sizes ~group:(Mcast.ephemeral_group ~seed:0xA2) () in
+    check "udp datagram" sizes (fun (_, dgram, _) -> dgram);
+    Alcotest.(check bool) "server multicast datagrams" true (st.Server.mcast_datagrams > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "server sent %d B in %d datagrams, each < 400 on average"
+         st.Server.mcast_bytes st.Server.mcast_datagrams)
+      true
+      (st.Server.mcast_bytes < 400 * st.Server.mcast_datagrams)
+  end
+
 (* Injected datagram faults on the live socket path: Bernoulli loss on
    the server's send shim plus a hostile receive shim on one client
    (heavier loss, reordering, duplication). Every member must keep
@@ -793,6 +892,29 @@ let test_conform_version_refused () =
       let st = Server.stats srv in
       Alcotest.(check bool) "both refusals counted" true (st.Server.protocol_errors >= 2))
 
+(* The DEK trace log against the boxed list it replaced: the same
+   (rekey_no, fingerprint) pairs, oldest first, the no-key [""]
+   included, across many buffer growths. *)
+let test_dek_log_roundtrip () =
+  let log = Dek_log.create () in
+  let rng = Random.State.make [| 7 |] in
+  let reference = ref [] in
+  for i = 0 to 12_345 do
+    let rekey_no = if i = 12_345 then 0x7FFF_FFFF else i + Random.State.int rng 3 in
+    let fp =
+      if Random.State.int rng 7 = 0 then ""
+      else Printf.sprintf "%08x" (Random.State.bits rng land 0xFFFF_FFFF)
+    in
+    Dek_log.add log ~rekey_no fp;
+    reference := (rekey_no, fp) :: !reference
+  done;
+  Alcotest.(check (list (pair int string))) "oldest-first list" (List.rev !reference)
+    (Dek_log.to_list log);
+  Alcotest.(check (list (pair int string))) "empty log" [] (Dek_log.to_list (Dek_log.create ()));
+  match Dek_log.add log ~rekey_no:1 "ABCDEF01" with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a fingerprint that would not round-trip was accepted"
+
 let () =
   Alcotest.run "netd"
     [
@@ -821,7 +943,11 @@ let () =
             test_udp_lossy_convergence;
           Alcotest.test_case "quiet-tick heartbeat recovers tail loss" `Quick
             test_udp_heartbeat_tail_loss;
+          Alcotest.test_case "2-entry rekey under 400 bytes on tcp and udp" `Quick
+            test_small_rekey_unpadded;
         ] );
+      ( "dek log",
+        [ Alcotest.test_case "round-trips the list semantics" `Quick test_dek_log_roundtrip ] );
       ( "config",
         [
           Alcotest.test_case "older-version hello refused" `Quick test_old_hello_refused;

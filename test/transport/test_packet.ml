@@ -27,19 +27,22 @@ let entries_equal a b =
 
 let capacity = 256
 
+(* A narrow payload: u16 count, then 20 fixed bytes + ciphertext per entry. *)
+let narrow_size es =
+  List.fold_left (fun acc (e : Rekey_msg.entry) -> acc + 20 + Bytes.length e.ciphertext) 2 es
+
 let test_packet_roundtrip () =
   let entries = sample_entries () in
   let packets = Packet.encode_entries ~capacity_bytes:capacity entries in
   Alcotest.(check bool) "multiple packets" true (List.length packets > 1);
-  List.iter
-    (fun (p : Packet.t) ->
-      Alcotest.(check int) "padded to capacity" capacity (Bytes.length p.payload))
-    packets;
   let decoded =
     List.concat_map
       (fun (p : Packet.t) ->
         match Packet.decode_payload p.payload with
-        | Ok es -> es
+        | Ok es ->
+            Alcotest.(check int) "exact encoded size" (narrow_size es) (Bytes.length p.payload);
+            Alcotest.(check bool) "within capacity" true (Bytes.length p.payload <= capacity);
+            es
         | Error e -> Alcotest.fail e)
       packets
   in
@@ -299,6 +302,62 @@ let prop_packet_roundtrip =
       in
       entries_equal entries decoded)
 
+(* Payloads are exact-length, so a block's last packet is usually
+   short: parity over the zero-extended block must still restore every
+   entry, whichever [<= nparity] shards are lost. *)
+let prop_packet_fec_short_tail =
+  QCheck.Test.make ~name:"FEC restores blocks with a short last packet" ~count:60
+    QCheck.(quad bool (int_range 2 60) (int_range 1 4) (pair (int_range 1 3) small_nat))
+    (fun (wide, n, block_size, (nparity, drop_seed)) ->
+      let entries =
+        let es = sample_entries ~n ~departs:[ 0 ] () in
+        if wide then
+          List.map
+            (fun (e : Rekey_msg.entry) -> { e with target_node = e.target_node + 5_000_000_000 })
+            es
+        else es
+      in
+      let packets = Packet.encode_entries ~wide ~capacity_bytes:capacity entries in
+      let blocks = Packet.blocks_of_packets ~block_size packets in
+      QCheck.assume
+        (match List.rev packets with
+        | last :: _ :: _ -> Bytes.length last.payload < Bytes.length (List.hd packets).payload
+        | _ -> false);
+      let rng = Random.State.make [| drop_seed |] in
+      let decoded =
+        List.concat_map
+          (fun block ->
+            let k = List.length block in
+            let parity = List.mapi (fun j s -> (j, s)) (Packet.parity_shards block ~nparity) in
+            (* lose up to [nparity] of the block's k + nparity shards *)
+            let drops = Random.State.int rng (nparity + 1) in
+            let lost = Array.init (k + nparity) (fun i -> i < drops) in
+            for i = k + nparity - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = lost.(i) in
+              lost.(i) <- lost.(j);
+              lost.(j) <- x
+            done;
+            let data =
+              List.filter_map
+                (fun (p : Packet.t) ->
+                  if lost.(p.index_in_block) then None else Some (p.index_in_block, p.payload))
+                block
+            in
+            let parity = List.filter (fun (j, _) -> not lost.(k + j)) parity in
+            match Packet.recover_block ~k ~data ~parity with
+            | Error e -> QCheck.Test.fail_report e
+            | Ok payloads ->
+                List.concat_map
+                  (fun payload ->
+                    match Packet.decode_payload payload with
+                    | Ok es -> es
+                    | Error e -> QCheck.Test.fail_report e)
+                  payloads)
+          blocks
+      in
+      entries_equal entries decoded)
+
 let () =
   Alcotest.run "gkm_packet"
     [
@@ -316,5 +375,6 @@ let () =
         @ [
             QCheck_alcotest.to_alcotest prop_packet_roundtrip;
             QCheck_alcotest.to_alcotest prop_packet_wide_roundtrip;
+            QCheck_alcotest.to_alcotest prop_packet_fec_short_tail;
           ] );
     ]
