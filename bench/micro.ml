@@ -56,10 +56,18 @@ let substrate_tests =
       (Staged.stage (fun () -> ignore (Gkm_crypto.Sha256.digest payload)));
     Test.make ~name:"aes128-block"
       (Staged.stage (fun () -> ignore (Gkm_crypto.Aes128.encrypt_block aes_key block)));
+    Test.make ~name:"aes128-decrypt-block"
+      (Staged.stage (fun () -> ignore (Gkm_crypto.Aes128.decrypt_block aes_key block)));
+    Test.make ~name:"aes128-expand"
+      (Staged.stage (fun () -> ignore (Gkm_crypto.Aes128.expand block)));
     Test.make ~name:"key-wrap" (Staged.stage (fun () -> ignore (Key.wrap ~kek inner)));
     (let c = Key.cipher kek in
      Test.make ~name:"key-wrap-cached"
        (Staged.stage (fun () -> ignore (Key.wrap_with c inner))));
+    (let c = Key.cipher kek in
+     let wrapped = Key.wrap_with c inner in
+     Test.make ~name:"key-unwrap-cached"
+       (Staged.stage (fun () -> ignore (Key.unwrap_with c wrapped))));
     Test.make ~name:"rs-encode-8+4x800B"
       (Staged.stage (fun () -> ignore (Gkm_fec.Reed_solomon.encode code ~data:shards ~nparity:4)));
     Test.make ~name:"rs-decode-4-erasures"

@@ -5,11 +5,24 @@
     payload encryption in the examples. Validated against the FIPS 197
     and NIST SP 800-38A vectors in the test suite.
 
-    This implementation is table-based and NOT constant-time; it is
-    intended for the simulator and examples, not hostile environments. *)
+    Both directions are table-based. The forward cipher is
+    byte-oriented (S-box lookups, MixColumns over GF(2^8)); the inverse
+    cipher is the FIPS 197 equivalent inverse cipher over four
+    256-entry tables of 32-bit words, 16 lookups per round.
+
+    This implementation is NOT constant-time: every table lookup is
+    indexed by key- and data-dependent bytes, so a co-resident attacker
+    who can observe cache timing may learn key bits. That covers the key
+    server's wraps and, since members unwrap with the inverse tables,
+    every member's unwrap of the keys on its path too. It is intended
+    for the simulator, the examples and the reference service, not for
+    hosts shared with hostile code. *)
 
 type key
-(** An expanded AES-128 key schedule. *)
+(** An expanded AES-128 key schedule, packed: 44 32-bit words for
+    encryption and 44 for decryption (the InvMixColumns'd round keys of
+    the equivalent inverse cipher), ~0.7 KB in all. Both are computed
+    once by {!expand}. *)
 
 val expand : bytes -> key
 (** [expand k] expands the 16-byte key [k].

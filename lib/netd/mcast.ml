@@ -112,7 +112,12 @@ let close_sender t =
 (* ------------------------------------------------------------------ *)
 (* Receive path *)
 
-type sub = { r_fd : Unix.file_descr; r_buf : bytes; mutable r_closed : bool }
+type sub = { r_fd : Unix.file_descr; mutable r_closed : bool }
+
+(* One receive buffer per domain, shared by every subscriber on it:
+   [recv] copies the datagram out before returning, and concurrent
+   domains must not share scratch space. *)
+let scratch_key = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
 let subscribe group =
   match Unix.socket PF_INET SOCK_DGRAM 0 with
@@ -136,7 +141,7 @@ let subscribe group =
         match mcast_join fd group.addr group.iface with
         | "" ->
             Unix.set_nonblock fd;
-            Ok { r_fd = fd; r_buf = Bytes.create 65536; r_closed = false }
+            Ok { r_fd = fd; r_closed = false }
         | err -> cleanup (Printf.sprintf "multicast group join: %s" err)
       with Unix.Unix_error (e, fn, _) ->
         cleanup (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
@@ -146,9 +151,10 @@ let sub_fd t = t.r_fd
 let recv t =
   if t.r_closed then None
   else
-    match Unix.recv t.r_fd t.r_buf 0 (Bytes.length t.r_buf) [] with
+    let buf = Domain.DLS.get scratch_key in
+    match Unix.recv t.r_fd buf 0 (Bytes.length buf) [] with
     | 0 -> None
-    | n -> Some (Bytes.sub t.r_buf 0 n)
+    | n -> Some (Bytes.sub buf 0 n)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNREFUSED), _, _) -> None
 
 let close_sub t =

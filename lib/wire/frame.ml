@@ -31,7 +31,9 @@ let encode ?(version = Msg.version) msg =
   frame
 
 (* Streaming reassembly: bytes arrive in arbitrary chunks; frames are
-   surfaced as soon as complete. The buffer is compacted lazily and
+   surfaced as soon as complete. The buffer starts small (most frames
+   are control messages or small rekeys, and every connection end
+   holds a decoder), doubles on demand, is compacted lazily and
    never grows past [max_frame + header_size] + one read chunk — a
    declared length beyond [max_frame] fails the stream before any
    allocation for the frame happens. *)
@@ -46,7 +48,7 @@ type decoder = {
 
 let decoder ?(max_frame = max_frame_default) () =
   if max_frame < 1 then invalid_arg "Frame.decoder: max_frame must be >= 1";
-  { max_frame; buf = Bytes.create 4096; start = 0; len = 0; dead = None }
+  { max_frame; buf = Bytes.create 256; start = 0; len = 0; dead = None }
 
 let buffered d = d.len
 

@@ -239,6 +239,27 @@ let prop_aes_ctr_involution =
       let data = Bytes.of_string data in
       Bytes.equal (Aes128.ctr_transform key ~nonce (Aes128.ctr_transform key ~nonce data)) data)
 
+(* Equivalence against the byte-oriented cipher (Aes128_reference is a
+   verbatim copy of it): every block and CTR stream byte-identical. *)
+let prop_aes_matches_reference =
+  QCheck.Test.make ~name:"aes byte-identical to reference" ~count:300
+    QCheck.(
+      quad
+        (string_of_size (QCheck.Gen.return 16))
+        (string_of_size (QCheck.Gen.return 16))
+        (string_of_size (QCheck.Gen.return 16))
+        (string_of_size Gen.(0 -- 300)))
+    (fun (k, b, n, data) ->
+      let raw = Bytes.of_string k and block = Bytes.of_string b in
+      let nonce = Bytes.of_string n and data = Bytes.of_string data in
+      let key = Aes128.expand raw and ref_key = Aes128_reference.expand raw in
+      Bytes.equal (Aes128.encrypt_block key block) (Aes128_reference.encrypt_block ref_key block)
+      && Bytes.equal (Aes128.decrypt_block key block)
+           (Aes128_reference.decrypt_block ref_key block)
+      && Bytes.equal
+           (Aes128.ctr_transform key ~nonce data)
+           (Aes128_reference.ctr_transform ref_key ~nonce data))
+
 (* ------------------------------------------------------------------ *)
 (* Key                                                                 *)
 
@@ -551,7 +572,7 @@ let () =
           Alcotest.test_case "SP800-38A CTR" `Quick test_aes_sp800_38a_ctr;
           Alcotest.test_case "size validation" `Quick test_aes_bad_sizes;
         ]
-        @ qsuite [ prop_aes_roundtrip; prop_aes_ctr_involution ] );
+        @ qsuite [ prop_aes_roundtrip; prop_aes_ctr_involution; prop_aes_matches_reference ] );
       ( "key",
         [
           Alcotest.test_case "wrap roundtrip" `Quick test_key_wrap_roundtrip;

@@ -739,6 +739,43 @@ let test_small_rekey_unpadded () =
       (st.Server.mcast_bytes < 400 * st.Server.mcast_datagrams)
   end
 
+(* Subscribers on one domain share one receive buffer. Interleaved
+   receives on two subscribers must each return their own datagram,
+   and a datagram already returned must not change under later
+   receives. Lengths shrink so a view into the shared buffer would
+   show the next datagram's bytes. *)
+let test_mcast_shared_recv_buffer () =
+  require_mcast ();
+  let group = Mcast.ephemeral_group ~seed:0xC3 in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let subs = [ ok (Mcast.subscribe group); ok (Mcast.subscribe group) ] in
+  let sender = ok (Mcast.create_sender group) in
+  let dgrams = List.init 4 (fun i -> Bytes.make (900 - (200 * i)) (Char.chr (0x41 + i))) in
+  List.iter (Mcast.send sender) dgrams;
+  let recv_wait sub =
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    let rec go () =
+      match Mcast.recv sub with
+      | Some d -> d
+      | None ->
+          if Unix.gettimeofday () > deadline then Alcotest.fail "datagram not received";
+          ignore (Unix.select [ Mcast.sub_fd sub ] [] [] 0.05);
+          go ()
+    in
+    go ()
+  in
+  let got = List.map (fun _ -> List.map recv_wait subs) dgrams in
+  List.iteri
+    (fun i (d, per_sub) ->
+      List.iteri
+        (fun s r ->
+          Alcotest.(check string) (Printf.sprintf "datagram %d on subscriber %d" i s)
+            (Bytes.to_string d) (Bytes.to_string r))
+        per_sub)
+    (List.combine dgrams got);
+  Mcast.close_sender sender;
+  List.iter Mcast.close_sub subs
+
 (* Injected datagram faults on the live socket path: Bernoulli loss on
    the server's send shim plus a hostile receive shim on one client
    (heavier loss, reordering, duplication). Every member must keep
@@ -945,6 +982,8 @@ let () =
             test_udp_heartbeat_tail_loss;
           Alcotest.test_case "2-entry rekey under 400 bytes on tcp and udp" `Quick
             test_small_rekey_unpadded;
+          Alcotest.test_case "subscribers share one receive buffer" `Quick
+            test_mcast_shared_recv_buffer;
         ] );
       ( "dek log",
         [ Alcotest.test_case "round-trips the list semantics" `Quick test_dek_log_roundtrip ] );

@@ -207,6 +207,42 @@ let test_split_reassembly () =
   Alcotest.(check int) "all messages surfaced" (List.length msgs) (List.length !got);
   Alcotest.(check bool) "in order and intact" true (List.rev !got = msgs)
 
+(* Bodies from empty to past 64 KiB, so the decoder's buffer grows from
+   its small start through several doublings, and the same stream fed
+   whole and in 1..7-byte chunks must surface the same messages. *)
+let prop_chunked_large_frames =
+  QCheck.Test.make ~name:"0-70 KB frames, whole or chunked" ~count:40
+    QCheck.(pair (list_of_size Gen.(1 -- 3) (int_range 0 70_000)) small_nat)
+    (fun (sizes, seed) ->
+      let rng = Prng.create seed in
+      let msgs =
+        List.mapi
+          (fun i n -> Msg.Sealed { epoch = i; seq = Int64.of_int n; ct = Prng.bytes rng n })
+          sizes
+      in
+      let stream = Bytes.concat Bytes.empty (List.map Frame.encode msgs) in
+      let decode chunk =
+        let d = Frame.decoder () in
+        let got = ref [] in
+        let rec drain () =
+          match Frame.next d with
+          | Ok (Some m) ->
+              got := m :: !got;
+              drain ()
+          | Ok None -> ()
+          | Error e -> QCheck.Test.fail_reportf "stream error: %s" e
+        in
+        let pos = ref 0 in
+        while !pos < Bytes.length stream do
+          let n = min (chunk ()) (Bytes.length stream - !pos) in
+          Frame.feed d stream !pos n;
+          pos := !pos + n;
+          drain ()
+        done;
+        List.rev !got
+      in
+      decode (fun () -> Bytes.length stream) = msgs && decode (fun () -> 1 + Prng.int rng 7) = msgs)
+
 let test_oversized_rejected () =
   let d = Frame.decoder ~max_frame:1024 () in
   let hdr = Bytes.create 8 in
@@ -656,7 +692,8 @@ let () =
           Alcotest.test_case "sealed inner codec round-trips" `Quick test_inner_roundtrip;
           Alcotest.test_case "rejoin resume body round-trips" `Quick test_resume_roundtrip;
           Alcotest.test_case "resync auth tag" `Quick test_resync_auth;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_chunked_large_frames ] );
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_sealed_roundtrip;
