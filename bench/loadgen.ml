@@ -239,7 +239,8 @@ let crew_stop crew =
   Array.iter
     (fun w ->
       Atomic.set w.w_stop true;
-      match w.w_domain with Some d -> Domain.join d | None -> ())
+      (match w.w_domain with Some d -> Domain.join d | None -> ());
+      Loop.close w.w_loop)
     crew.workers
 
 (* ---------------- one measured configuration ---------------- *)
@@ -473,6 +474,7 @@ let run_config ~seed ~n ~domains ~tp ~intervals ~storm_frac ~transport =
       closed = n || now () > deadline);
   crew_stop crew;
   Server.stop srv;
+  Loop.close loop;
   row
 
 let json_of_row r =

@@ -94,9 +94,36 @@ let substrate_tests =
       (Staged.stage (fun () -> ignore (Batch_cost.expected_keys_int ~d:4 ~n:65536 ~l:1684)));
   ]
 
+(* One [Loop.step] over [idle] registered socketpairs that never turn
+   ready plus one whose unread byte keeps it readable. An event loop
+   that costs O(ready) prices both rows the same. *)
+let loop_step_test idle =
+  let module Loop = Gkm_netd.Loop in
+  let allocate () =
+    let loop = Loop.create () in
+    let pairs = List.init (idle + 1) (fun _ -> Unix.socketpair PF_UNIX SOCK_STREAM 0) in
+    List.iter (fun (a, _) -> Loop.add_fd loop a ~readable:ignore ~writable:ignore) pairs;
+    let _, b = List.hd pairs in
+    ignore (Unix.write_substring b "x" 0 1);
+    (loop, pairs)
+  in
+  let free (loop, pairs) =
+    List.iter
+      (fun (a, b) ->
+        Loop.remove_fd loop a;
+        Unix.close a;
+        Unix.close b)
+      pairs;
+    Loop.close loop
+  in
+  Test.make_with_resource ~name:(Printf.sprintf "loop-step-%d-idle" idle) Test.uniq ~allocate
+    ~free
+    (Staged.stage (fun (loop, _) -> Loop.step ~max_wait:0.0 loop))
+
 let run ?(quota = 0.5) () =
   let tests =
-    Test.make_grouped ~name:"gkm" ~fmt:"%s/%s" (figure_tests @ substrate_tests)
+    Test.make_grouped ~name:"gkm" ~fmt:"%s/%s"
+      (figure_tests @ substrate_tests @ [ loop_step_test 10; loop_step_test 1000 ])
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in

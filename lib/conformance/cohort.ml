@@ -61,7 +61,7 @@ module Raw = struct
            | None -> t.connected <- true
            | Some _ -> teardown t);
         match t.conn with
-        | Some _ -> ( match Conn.flush c with `Ok -> () | `Eof -> teardown t)
+        | Some _ -> ( match Conn.write_through t.loop c with `Ok -> () | `Eof -> teardown t)
         | None -> ())
 
   let connect ~loop ~port =
@@ -74,8 +74,8 @@ module Raw = struct
         raise e);
     let c = Conn.create fd in
     let t = { loop; conn = Some c; connected = false; received = [] } in
-    Loop.add_fd loop fd ~readable:(on_readable t) ~writable:(on_writable t)
-      ~want_write:(fun () -> (not t.connected) || Conn.want_write c);
+    Loop.add_fd loop fd ~readable:(on_readable t) ~writable:(on_writable t);
+    Loop.set_write_interest loop fd true (* until the connect completes *);
     t
 
   let close t = teardown t
@@ -89,7 +89,9 @@ module Raw = struct
 
   let send t m =
     match t.conn with
-    | Some c -> Conn.enqueue_frame c (Frame.encode m)
+    | Some c ->
+        Conn.enqueue_frame c (Frame.encode m);
+        if t.connected then ignore (Conn.write_through t.loop c)
     | None -> ()
 
   let await t ~timeout pick =

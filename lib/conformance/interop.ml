@@ -262,6 +262,7 @@ let run_case ?(scratch = ".") (s : server) =
           List.fold_left (fun a c -> a + Client.mcast_datagrams_rx c) 0 herd
         in
         List.iter Client.kill herd;
+        Loop.close loop;
         stop_server pid;
         let stats =
           match read_file stats_file with Some b -> parse_stats_json b | None -> []

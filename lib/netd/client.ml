@@ -138,9 +138,15 @@ let on_dek t f = t.on_dek <- f
 let on_sealed t f = t.on_sealed <- f
 let group_key t = Option.bind t.mstate Member.group_key
 
+(* Write-through once connected; frames queued while the connect is in
+   flight go out with the first writable dispatch. A dead peer is
+   reported by [on_writable] on the loop's next dispatch, never from
+   inside the caller. *)
 let send t msg =
   match t.conn with
-  | Some c -> Conn.enqueue_frame c (Frame.encode msg)
+  | Some c ->
+      Conn.enqueue_frame c (Frame.encode msg);
+      if t.phase <> Connecting then ignore (Conn.write_through t.loop c)
   | None -> ()
 
 let fire_drains t =
@@ -670,7 +676,7 @@ let on_writable t () =
       end;
       (match t.conn with
       | Some c -> (
-          match Conn.flush c with
+          match Conn.write_through t.loop c with
           | `Ok -> ()
           | `Eof -> if t.phase = Leaving then teardown t ~phase:Closed else fail t "connection reset")
       | None -> ())
@@ -686,17 +692,17 @@ let open_conn t =
   let c = Conn.create ~max_frame:t.cfg.max_frame fd in
   t.conn <- Some c;
   t.phase <- Connecting;
-  Loop.add_fd t.loop fd ~readable:(on_readable t) ~writable:(on_writable t)
-    ~want_write:(fun () -> t.phase = Connecting || Conn.want_write c);
+  Loop.add_fd t.loop fd ~readable:(on_readable t) ~writable:(on_writable t);
+  (* Armed until the connect completes; [on_writable]'s first flush
+     disarms it. *)
+  Loop.set_write_interest t.loop fd true;
   match t.cfg.mcast with
   | None -> ()
   | Some group when t.sub = None -> (
       match Mcast.subscribe group with
       | Ok sub ->
           t.sub <- Some sub;
-          Loop.add_fd t.loop (Mcast.sub_fd sub) ~readable:(on_dgram_readable t)
-            ~writable:(fun () -> ())
-            ~want_write:(fun () -> false)
+          Loop.add_fd t.loop (Mcast.sub_fd sub) ~readable:(on_dgram_readable t) ~writable:ignore
       | Error e ->
           (* No silent TCP degradation: a client asked onto the UDP
              data plane that cannot join the group must say so. *)

@@ -91,9 +91,6 @@ let enqueue_frame t buf =
         if Obs.enabled () then Metrics.Counter.incr m_frames_tx
       end)
 
-let send t msg = enqueue_frame t (Frame.encode msg)
-let want_write t = (not t.closed) && t.out_bytes > 0
-
 let flush ?(farewell = false) t =
   Mutex.protect t.mu (fun () ->
       let result = ref `Ok and continue = ref true in
@@ -123,6 +120,21 @@ let flush ?(farewell = false) t =
         end
       done;
       !result)
+
+(* Write interest stays armed while output is stuck behind a full
+   socket, and also after [`Eof]: the writable handler then meets the
+   dead peer on the loop's own dispatch, never inside the caller that
+   queued the frame (which may be iterating the very table a drop
+   would edit). A closed fd is left alone — its number may already
+   belong to another registration. The unlocked flag reads are safe:
+   only the caller's own domain closes an fd it polls, and a stale
+   [closed] at worst arms interest once more, which the next call
+   clears. *)
+let write_through loop t =
+  let r = flush t in
+  if not t.fd_closed then
+    Loop.set_write_interest loop t.fd (r = `Eof || ((not t.closed) && out_bytes t > 0));
+  r
 
 (* Drain the socket into the frame decoder, then surface every
    complete message. Returns [`Eof] on orderly close or reset,

@@ -8,10 +8,17 @@
     queue itself is unbounded here — backpressure policy (soft skip,
     hard evict) belongs to the server, which watches {!out_bytes}.
 
+    Output is write-through: whoever queues a frame writes it at once
+    with {!write_through}, which leaves the loop's write interest
+    armed only while bytes remain queued. There is no [want_write]
+    predicate for the loop to poll.
+
     Threading: the write side ({!enqueue_frame}, {!flush},
-    {!out_bytes}, {!shutdown}, {!close_fd}) is serialized by an
-    internal mutex, so a tick domain may enqueue unicast replies while
-    the shard domain that owns the fd flushes. The read side
+    {!write_through}, {!out_bytes}, {!shutdown}, {!close_fd}) is
+    serialized by an internal mutex, so a tick domain may enqueue
+    unicast replies while the shard domain that owns the fd flushes;
+    the tick domain then tells the shard to flush that entry
+    ({!Shard.flush}) rather than writing itself. The read side
     ({!on_readable}) is single-owner: exactly one domain polls and
     reads a given connection at any time, and ownership handoff must
     happen through a synchronizing channel. *)
@@ -22,9 +29,6 @@ val create : ?max_frame:int -> Unix.file_descr -> t
 (** Takes ownership of [fd] and switches it to non-blocking mode. *)
 
 val fd : t -> Unix.file_descr
-
-val send : t -> Gkm_wire.Msg.t -> unit
-(** Encode and enqueue. Silently dropped once {!closed}. *)
 
 val enqueue_frame : t -> bytes -> unit
 (** Enqueue an already-encoded frame; the buffer may be shared with
@@ -47,7 +51,13 @@ val on_readable :
     or the decoder went corrupt ([`Error], sticky — drop the
     connection). *)
 
-val want_write : t -> bool
+val write_through : Loop.t -> t -> [ `Ok | `Eof ]
+(** {!flush}, then arm write interest for the fd on [loop] exactly
+    while output is left queued (or the peer is gone, so the owner's
+    [writable] handler sees the [`Eof] on the loop's next dispatch).
+    Call it after every enqueue and from the [writable] handler. Only
+    the domain that owns [loop] and polls the fd may call it. *)
+
 val out_bytes : t -> int
 (** Bytes queued but not yet written. *)
 

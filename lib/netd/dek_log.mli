@@ -4,7 +4,9 @@
     the process, so a list of boxed pairs (~72 bytes each) would grow
     the heap with every rekey. Each entry here is a u32 [rekey_no],
     whose top bit flags the no-key fingerprint [""], followed by the
-    fingerprint's 4 raw bytes. *)
+    fingerprint's 4 raw bytes. Entries are stored in fixed 2 KiB
+    chunks of 256 that are appended and never copied, so a log's
+    growth never re-allocates its history. *)
 
 type t
 

@@ -1,50 +1,115 @@
 module Heap = Gkm_sim.Heap
 
-external poll_fds : int array -> int array -> int array -> int -> int = "gkm_netd_poll"
-
-(* On Unix [Unix.file_descr] is the raw fd int; the poll stub works on
-   ints so the loop can key its handler table without boxing. *)
+(* Target descriptors travel as raw ints (on Unix [Unix.file_descr] is
+   the fd number): they index [slots] and need no boxing. *)
+external epoll_create : unit -> Unix.file_descr = "gkm_netd_epoll_create"
+external epoll_ctl : Unix.file_descr -> int -> int -> int -> int -> unit = "gkm_netd_epoll_ctl"
+external epoll_wait : Unix.file_descr -> int array -> int -> int = "gkm_netd_epoll_wait"
 external int_of_fd : Unix.file_descr -> int = "%identity"
 
+let op_add = 0
+let op_mod = 1
+let op_del = 2
+let rd = 1
+let wr = 2
+
+(* [tag] is (registration id lsl 32) lor fd, handed to the kernel with
+   the registration and returned with every event, so an event queued
+   for a descriptor that was removed — even one whose number a new
+   registration already reuses — never reaches the wrong handler. *)
 type handler = {
-  fd : Unix.file_descr;
+  tag : int;  (* 0: free slot *)
   readable : unit -> unit;
   writable : unit -> unit;
-  want_write : unit -> bool;
+  mutable write : bool;  (* EPOLLOUT armed *)
 }
 
+let free = { tag = 0; readable = ignore; writable = ignore; write = false }
+
 type timer = { at : float; seq : int; fire : unit -> unit }
+type counters = { steps : int; dispatched : int; interest_changes : int }
 
 type t = {
-  handlers : (int, handler) Hashtbl.t;
+  epfd : Unix.file_descr;
+  mutable closed : bool;
+  mutable slots : handler array;  (* indexed by fd *)
+  mutable next_id : int;
+  events : int array;  (* (tag, ready) pairs filled by epoll_wait *)
   timers : timer Heap.t;
   mutable timer_seq : int;
   mutable stopped : bool;
+  mutable steps : int;
+  mutable dispatched : int;
+  mutable interest_changes : int;
 }
+
+let close t =
+  if not t.closed then begin
+    t.closed <- true;
+    try Unix.close t.epfd with Unix.Unix_error _ -> ()
+  end
+
+(* Ready descriptors one step dispatches; the rest wait for the next
+   step. *)
+let max_events = 512
 
 let create () =
   (* Writes to reset peers must surface as EPIPE, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  {
-    handlers = Hashtbl.create 64;
-    timers =
-      Heap.create ~cmp:(fun a b ->
-          let c = compare a.at b.at in
-          if c <> 0 then c else compare a.seq b.seq);
-    timer_seq = 0;
-    stopped = false;
-  }
+  let t =
+    {
+      epfd = epoll_create ();
+      closed = false;
+      slots = Array.make 64 free;
+      next_id = 0;
+      events = Array.make (2 * max_events) 0;
+      timers =
+        Heap.create ~cmp:(fun a b ->
+            let c = compare a.at b.at in
+            if c <> 0 then c else compare a.seq b.seq);
+      timer_seq = 0;
+      stopped = false;
+      steps = 0;
+      dispatched = 0;
+      interest_changes = 0;
+    }
+  in
+  Gc.finalise close t;
+  t
 
 let now _t = Unix.gettimeofday ()
 
-let add_fd t fd ~readable ~writable ~want_write =
-  let key = int_of_fd fd in
-  if Hashtbl.mem t.handlers key then invalid_arg "Loop.add_fd: fd already registered";
-  Hashtbl.replace t.handlers key { fd; readable; writable; want_write }
+let lookup t key = if key < Array.length t.slots then t.slots.(key) else free
 
-let remove_fd t fd = Hashtbl.remove t.handlers (int_of_fd fd)
-let has_fd t fd = Hashtbl.mem t.handlers (int_of_fd fd)
+let add_fd t fd ~readable ~writable =
+  if t.closed then invalid_arg "Loop.add_fd: loop closed";
+  let key = int_of_fd fd in
+  if (lookup t key).tag <> 0 then invalid_arg "Loop.add_fd: fd already registered";
+  if key >= Array.length t.slots then begin
+    let slots = Array.make (max (key + 1) (2 * Array.length t.slots)) free in
+    Array.blit t.slots 0 slots 0 (Array.length t.slots);
+    t.slots <- slots
+  end;
+  t.next_id <- (if t.next_id >= 0x3FFF_FFFF then 1 else t.next_id + 1);
+  let tag = (t.next_id lsl 32) lor key in
+  epoll_ctl t.epfd op_add key rd tag;
+  t.slots.(key) <- { tag; readable; writable; write = false }
+
+let remove_fd t fd =
+  let key = int_of_fd fd in
+  if (lookup t key).tag <> 0 then begin
+    t.slots.(key) <- free;
+    if not t.closed then epoll_ctl t.epfd op_del key 0 0
+  end
+
+let set_write_interest t fd on =
+  let h = lookup t (int_of_fd fd) in
+  if h.tag <> 0 && h.write <> on && not t.closed then begin
+    epoll_ctl t.epfd op_mod (int_of_fd fd) (if on then rd lor wr else rd) h.tag;
+    h.write <- on;
+    t.interest_changes <- t.interest_changes + 1
+  end
 
 let at t ~time fire =
   t.timer_seq <- t.timer_seq + 1;
@@ -63,44 +128,44 @@ let fire_due t =
   in
   go ()
 
+let dispatch t n =
+  for i = 0 to n - 1 do
+    let tag = t.events.(2 * i) and ready = t.events.((2 * i) + 1) in
+    let key = tag land 0xFFFF_FFFF in
+    (* A handler may deregister any fd (including itself) — consult
+       the slot before each callback. *)
+    (if ready land rd <> 0 then
+       let h = t.slots.(key) in
+       if h.tag = tag then begin
+         t.dispatched <- t.dispatched + 1;
+         h.readable ()
+       end);
+    if ready land wr <> 0 then begin
+      let h = t.slots.(key) in
+      if h.tag = tag && h.write then begin
+        t.dispatched <- t.dispatched + 1;
+        h.writable ()
+      end
+    end
+  done
+
 let step ?(max_wait = 0.2) t =
+  if t.closed then invalid_arg "Loop.step: loop closed";
+  t.steps <- t.steps + 1;
   fire_due t;
   let wait =
     match Heap.peek t.timers with
     | Some tm -> Float.max 0.0 (Float.min max_wait (tm.at -. now t))
     | None -> max_wait
   in
-  let n = Hashtbl.length t.handlers in
-  if n = 0 then (if wait > 0.0 then Unix.sleepf wait)
-  else begin
-    let fds = Array.make n 0 and events = Array.make n 0 and revents = Array.make n 0 in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun key h ->
-        fds.(!i) <- key;
-        events.(!i) <- (1 lor if h.want_write () then 2 else 0);
-        incr i)
-      t.handlers;
-    let timeout_ms = int_of_float (Float.round (wait *. 1000.0)) in
-    let ready = poll_fds fds events revents timeout_ms in
-    if ready > 0 then
-      for j = 0 to n - 1 do
-        let re = revents.(j) in
-        if re <> 0 then begin
-          (* A handler may deregister any fd (including itself) —
-             consult the table before each dispatch. *)
-          (if re land 1 <> 0 then
-             match Hashtbl.find_opt t.handlers fds.(j) with
-             | Some h -> h.readable ()
-             | None -> ());
-          if re land 2 <> 0 then
-            match Hashtbl.find_opt t.handlers fds.(j) with
-            | Some h -> if h.want_write () then h.writable ()
-            | None -> ()
-        end
-      done
-  end;
+  (* Round up: a timer due in under half a millisecond must not turn
+     into a zero timeout and a busy spin until it is due. *)
+  let timeout_ms = int_of_float (Float.ceil (wait *. 1000.0)) in
+  dispatch t (epoll_wait t.epfd t.events timeout_ms);
   fire_due t
+
+let counters t =
+  { steps = t.steps; dispatched = t.dispatched; interest_changes = t.interest_changes }
 
 let stop t = t.stopped <- true
 

@@ -1,18 +1,19 @@
-/* poll(2) binding for the netd event loop.
+/* epoll(7) binding for the netd event loop.
  *
- * Unix.select is capped at FD_SETSIZE (1024) descriptors, which the
- * load generator exceeds with a thousand loopback clients in one
- * process; poll has no such cap. The interface is deliberately
- * minimal: parallel int arrays for fds, interest and readiness, so
- * the OCaml side owns all bookkeeping.
+ * The loop registers each descriptor once and asks the kernel only
+ * for the ready ones, so a step costs O(ready), not O(registered).
+ * Linux-only by design. Each registration carries an opaque OCaml
+ * int tag, returned verbatim with its readiness, so the OCaml side
+ * owns all bookkeeping (and can tell a stale event for a recycled
+ * descriptor number from a live one).
  */
 
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <stdlib.h>
+#include <stdint.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 
 #include <caml/alloc.h>
@@ -20,67 +21,88 @@
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
 #include <caml/threads.h>
+#include <caml/unixsupport.h>
 
-#define GKM_WANT_READ 1
-#define GKM_WANT_WRITE 2
+#define GKM_READ 1
+#define GKM_WRITE 2
+#define GKM_MAX_EVENTS 1024
 
-/* gkm_netd_poll fds events revents timeout_ms
- *
- * fds, events, revents: int arrays of equal length; events bit 1 =
- * read interest, bit 2 = write interest; revents is filled with the
- * same encoding (error/hangup conditions are reported as both
- * readable and writable so either handler observes the failure).
- * Returns the number of ready descriptors, 0 on timeout or EINTR.
- */
-CAMLprim value gkm_netd_poll(value vfds, value vevents, value vrevents, value vtimeout)
+CAMLprim value gkm_netd_epoll_create(value unit)
 {
-    CAMLparam4(vfds, vevents, vrevents, vtimeout);
-    mlsize_t n = Wosize_val(vfds);
-    int timeout = Int_val(vtimeout);
-    struct pollfd *pfd = NULL;
-    int ret = 0;
+    (void)unit;
+    int fd = epoll_create1(EPOLL_CLOEXEC);
+    if (fd < 0)
+        uerror("epoll_create1", Nothing);
+    return Val_int(fd);
+}
 
-    if (Wosize_val(vevents) != n || Wosize_val(vrevents) != n)
-        caml_invalid_argument("gkm_netd_poll: array length mismatch");
-
-    if (n > 0) {
-        pfd = malloc(n * sizeof *pfd);
-        if (pfd == NULL)
-            caml_raise_out_of_memory();
-        for (mlsize_t i = 0; i < n; i++) {
-            int want = Int_val(Field(vevents, i));
-            pfd[i].fd = Int_val(Field(vfds, i));
-            pfd[i].events = 0;
-            if (want & GKM_WANT_READ)
-                pfd[i].events |= POLLIN;
-            if (want & GKM_WANT_WRITE)
-                pfd[i].events |= POLLOUT;
-            pfd[i].revents = 0;
-        }
+/* gkm_netd_epoll_ctl epfd op fd want tag
+ *
+ * op: 0 = add, 1 = modify, 2 = delete. want: GKM_READ | GKM_WRITE.
+ * A delete of a descriptor the kernel no longer knows (already
+ * closed, never added) is not an error: deregistration is idempotent.
+ */
+CAMLprim value gkm_netd_epoll_ctl(value vepfd, value vop, value vfd, value vwant, value vtag)
+{
+    static const int ops[] = { EPOLL_CTL_ADD, EPOLL_CTL_MOD, EPOLL_CTL_DEL };
+    int op = ops[Int_val(vop)];
+    int want = Int_val(vwant);
+    struct epoll_event ev;
+    memset(&ev, 0, sizeof ev);
+    ev.events = ((want & GKM_READ) ? EPOLLIN : 0) | ((want & GKM_WRITE) ? EPOLLOUT : 0);
+    ev.data.u64 = (uint64_t)Long_val(vtag);
+    if (epoll_ctl(Int_val(vepfd), op, Int_val(vfd), &ev) != 0) {
+        if (op == EPOLL_CTL_DEL && (errno == ENOENT || errno == EBADF))
+            return Val_unit;
+        uerror("epoll_ctl", Nothing);
     }
+    return Val_unit;
+}
 
+/* gkm_netd_epoll_wait epfd out timeout_ms
+ *
+ * Waits (runtime lock released) for at most Wosize(out) / 2 events
+ * and writes each as the pair (tag, ready) into the int array [out];
+ * ready uses the GKM_READ / GKM_WRITE encoding, with hang-up and
+ * error reported as both so either handler observes the failure.
+ * Returns the number of events, 0 on timeout or EINTR.
+ */
+CAMLprim value gkm_netd_epoll_wait(value vepfd, value vout, value vtimeout)
+{
+    CAMLparam3(vepfd, vout, vtimeout);
+    struct epoll_event evs[GKM_MAX_EVENTS];
+    int max = (int)(Wosize_val(vout) / 2);
+    int epfd = Int_val(vepfd), timeout = Int_val(vtimeout);
+    int n, err;
+
+    if (max > GKM_MAX_EVENTS)
+        max = GKM_MAX_EVENTS;
+    if (max < 1)
+        caml_invalid_argument("gkm_netd_epoll_wait: empty event buffer");
     caml_release_runtime_system();
-    ret = poll(pfd, (nfds_t)n, timeout);
+    n = epoll_wait(epfd, evs, max, timeout);
+    err = errno; /* reacquiring the runtime may clobber it */
     caml_acquire_runtime_system();
-
-    if (ret < 0) {
-        free(pfd);
-        if (errno == EINTR)
+    if (n < 0) {
+        if (err == EINTR)
             CAMLreturn(Val_int(0));
-        caml_failwith("gkm_netd_poll: poll failed");
+        errno = err;
+        uerror("epoll_wait", Nothing);
     }
-
-    for (mlsize_t i = 0; i < n; i++) {
-        short re = pfd[i].revents;
-        int out = 0;
-        if (re & (POLLIN | POLLHUP | POLLERR | POLLNVAL))
-            out |= GKM_WANT_READ;
-        if (re & (POLLOUT | POLLHUP | POLLERR | POLLNVAL))
-            out |= GKM_WANT_WRITE;
-        Field(vrevents, i) = Val_int(out);
+    /* [out] is a registered root (a minor collection may have moved
+       it while the lock was released) holding immediates only, so
+       plain stores need no write barrier. */
+    for (int i = 0; i < n; i++) {
+        uint32_t re = evs[i].events;
+        int ready = 0;
+        if (re & (EPOLLIN | EPOLLHUP | EPOLLERR))
+            ready |= GKM_READ;
+        if (re & (EPOLLOUT | EPOLLHUP | EPOLLERR))
+            ready |= GKM_WRITE;
+        Field(vout, 2 * i) = Val_long((intnat)evs[i].data.u64);
+        Field(vout, 2 * i + 1) = Val_int(ready);
     }
-    free(pfd);
-    CAMLreturn(Val_int(ret));
+    CAMLreturn(Val_int(n));
 }
 
 /* IPv4 multicast socket options. The Unix module exposes neither

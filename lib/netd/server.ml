@@ -101,7 +101,7 @@ type client = {
          cfg.resync_budget — a NACK-flood amplification brake *)
   mutable shard : Shard.entry option;
       (* Some once a shard domain owns the fd's I/O (members in
-         sharded mode); None while the tick domain polls it *)
+         sharded mode); None while the tick domain watches it *)
 }
 
 type hist = {
@@ -254,14 +254,14 @@ let drop_client t ?(farewell = false) cl ~departed =
   let key = int_of_fd (Conn.fd cl.conn) in
   (match (t.pool, cl.shard) with
   | Some pool, Some e ->
-      (* Deferred close: the owning shard still polls this fd. Mark
+      (* Deferred close: the owning shard still watches this fd. Mark
          the conn dead (so every caller's [Conn.closed] guard fires
          exactly as in single-domain mode — pending output survives
          the shutdown until close) and ask the shard to let go; byte
          accounting and the actual close(2) happen when its
          [Detached] acknowledgement arrives — closing now would let
          the kernel recycle the descriptor number under the shard's
-         poll set. *)
+         epoll set. *)
       Conn.shutdown cl.conn;
       Shard.detach ~farewell pool e
   | _ ->
@@ -285,17 +285,18 @@ let drop_client t ?(farewell = false) cl ~departed =
        admission time and parked in [disconnected] there *)
   end
 
-(* A shard-owned connection gets its doorbell rung — the owning
-   shard's poll may be asleep with no write interest armed for this
-   fd. *)
+(* Write-through: the frame goes out now. A shard-owned fd is written
+   only by its shard, so the shard is told to flush this one entry. A
+   dead peer surfaces on the loop's next dispatch ([on_conn_writable]),
+   never here — callers may be iterating the client tables. *)
 let send t cl msg =
   Conn.enqueue_frame cl.conn (Frame.encode msg);
   match (t.pool, cl.shard) with
-  | Some pool, Some e -> Shard.kick pool ~shard:(Shard.entry_shard e)
-  | _ -> ()
+  | Some pool, Some e -> Shard.flush pool e
+  | _ -> ignore (Conn.write_through t.loop cl.conn)
 
 (* Hand a freshly bound member's fd to a shard flusher. From here on
-   the tick domain never reads, writes or polls the descriptor: the
+   the tick domain never reads, writes or watches the descriptor: the
    shard decodes inbound traffic and forwards it back as events, and
    outbound frames enqueue through the conn's mutex-guarded write
    side. Round-robin placement keeps the K fd sets balanced; they are
@@ -313,12 +314,11 @@ let promote t cl =
 
 let send_error t cl code detail =
   t.stats.protocol_errors <- t.stats.protocol_errors + 1;
-  send t cl (Msg.Error_msg { code; detail });
-  (* Best-effort farewell flush when the tick domain owns the fd. A
-     shard-owned fd must not be written from here; the farewell flag
+  (* [send] already wrote the frame when the tick domain owns the fd.
+     A shard-owned fd must not be written from here; the farewell flag
      makes the owning shard flush the error frame as part of the
      detach, so both modes deliver the same goodbye. *)
-  if cl.shard = None then ignore (Conn.flush cl.conn);
+  send t cl (Msg.Error_msg { code; detail });
   drop_client t cl ~farewell:true ~departed:false
 
 (* Ticket-path rejections keep the connection open: the client falls
@@ -661,7 +661,7 @@ let on_conn_readable t cl () =
       if not (Conn.closed cl.conn) then drop_client t cl ~departed:false
 
 let on_conn_writable t cl () =
-  match Conn.flush cl.conn with
+  match Conn.write_through t.loop cl.conn with
   | `Ok -> ()
   | `Eof -> drop_client t cl ~departed:false
 
@@ -727,7 +727,6 @@ let accept_loop t () =
             Metrics.Gauge.set m_clients (float_of_int (Hashtbl.length t.clients));
           Loop.add_fd t.loop fd ~readable:(on_conn_readable t cl)
             ~writable:(on_conn_writable t cl)
-            ~want_write:(fun () -> Conn.want_write cl.conn)
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error (EINTR, _, _) -> ()
@@ -1020,7 +1019,8 @@ let tick t =
                   end
                   else begin
                     cl.strikes <- 0;
-                    Array.iter (fun f -> Conn.enqueue_frame cl.conn f) (Lazy.force frames)
+                    Array.iter (fun f -> Conn.enqueue_frame cl.conn f) (Lazy.force frames);
+                    ignore (Conn.write_through t.loop cl.conn)
                   end)
               t.member_client;
             List.iter (fun cl -> evict_slow t cl) !slow
@@ -1261,17 +1261,14 @@ let create ~loop (cfg : config) =
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       raise e
   in
-  Loop.add_fd loop listen_fd ~readable:(accept_loop t)
-    ~writable:(fun () -> ())
-    ~want_write:(fun () -> false);
+  Loop.add_fd loop listen_fd ~readable:(accept_loop t) ~writable:ignore;
   (match t.pool with
   | Some pool ->
       Loop.add_fd loop (Shard.event_fd pool)
         ~readable:(fun () ->
           Shard.on_event_readable pool;
           process_shard_events t pool)
-        ~writable:(fun () -> ())
-        ~want_write:(fun () -> false)
+        ~writable:ignore
   | None -> ());
   arm_tick t;
   journal "netd.listen"

@@ -33,17 +33,18 @@ type cmd =
   | Attach of entry
   | Detach of { e : entry; farewell : bool }
   | Fanout of { frames : bytes array; recips : entry array }
+  | Flush of entry  (* the tick domain queued a unicast frame on this entry *)
   | Stop
 
-(* One byte down a pipe wakes a poll(2) sleeper; the atomic flag
-   coalesces kicks so a burst of commands costs one write. Ordering
+(* One byte down a pipe wakes an epoll_wait sleeper; the atomic flag
+   coalesces rings so a burst of commands costs one write. Ordering
    matters on the receive side: drain the pipe FIRST, clear the flag
    SECOND, scan the queue LAST. While the flag is still set a
    concurrent ring only enqueues (no byte) and the scan picks it up;
-   a ring after the clear writes a byte the next poll will see.
+   a ring after the clear writes a byte the next wait will see.
    Clearing before the drain would let a ring land in the gap: its
    byte gets drained, the flag stays set, and every later ring
-   no-ops against a pipe that never polls readable again. *)
+   no-ops against a pipe that never turns readable again. *)
 type doorbell = { rd : Unix.file_descr; wr : Unix.file_descr; notified : bool Atomic.t }
 
 let doorbell () =
@@ -142,17 +143,22 @@ let on_entry_readable t sh e () =
         if msgs <> [] then emit t (Msgs (e, msgs));
         mark_dead t sh e Io
 
-let on_entry_writable t sh e () =
+(* Write what is queued; write interest stays armed only while some
+   of it is stuck. The writable handler, a fan-out and a [Flush]
+   command all come through here. *)
+let flush_entry t sh e =
   if not e.e_dead then
-    match Conn.flush e.e_conn with
+    match Conn.write_through sh.loop e.e_conn with
     | `Ok -> account_tx sh e
     | `Eof -> mark_dead t sh e Io
 
 let attach_entry t sh e =
   Loop.add_fd sh.loop (Conn.fd e.e_conn)
     ~readable:(on_entry_readable t sh e)
-    ~writable:(on_entry_writable t sh e)
-    ~want_write:(fun () -> Conn.want_write e.e_conn)
+    ~writable:(fun () -> flush_entry t sh e);
+  (* Replies the tick domain wrote before the handoff may still be
+     queued behind a full socket. *)
+  flush_entry t sh e
 
 let do_fanout t sh ~frames ~recips =
   if Obs.enabled () then Metrics.Counter.incr m_fanouts;
@@ -175,9 +181,7 @@ let do_fanout t sh ~frames ~recips =
         else begin
           e.e_strikes <- 0;
           Array.iter (fun f -> Conn.enqueue_frame e.e_conn f) frames;
-          match Conn.flush e.e_conn with
-          | `Ok -> account_tx sh e
-          | `Eof -> mark_dead t sh e Io
+          flush_entry t sh e
         end
       end)
     recips
@@ -204,6 +208,7 @@ let shard_body t sh =
             end;
             emit t (Detached e)
         | Fanout { frames; recips } -> do_fanout t sh ~frames ~recips
+        | Flush e -> flush_entry t sh e
         | Stop -> stopped := true)
       (take_cmds sh)
   in
@@ -214,8 +219,7 @@ let shard_body t sh =
          returns. *)
       drain_fd sh.bell.rd;
       Atomic.set sh.bell.notified false)
-    ~writable:(fun () -> ())
-    ~want_write:(fun () -> false);
+    ~writable:ignore;
   while not !stopped do
     process_cmds ();
     if not !stopped then Loop.step ~max_wait:0.2 sh.loop
@@ -273,7 +277,7 @@ let detach ?(farewell = false) t e = push t t.shards.(e.e_shard) (Detach { e; fa
 let fanout t ~shard ~frames ~recips =
   if Array.length recips > 0 then push t t.shards.(shard) (Fanout { frames; recips })
 
-let kick t ~shard = ring t.shards.(shard).bell
+let flush t e = push t t.shards.(e.e_shard) (Flush e)
 let event_fd t = t.ev_bell.rd
 
 let on_event_readable t =
@@ -301,6 +305,7 @@ let stop t =
     Array.iter
       (fun sh ->
         (match sh.domain with Some d -> Domain.join d | None -> ());
+        Loop.close sh.loop;
         close_db sh.bell)
       t.shards;
     close_db t.ev_bell

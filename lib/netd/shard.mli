@@ -1,7 +1,7 @@
 (** Domain-sharded outbox flushers for the REKEY fan-out.
 
-    A pool spawns K OCaml domains, each running its own poll(2) loop
-    over a disjoint, stable set of member connections. The tick domain
+    A pool spawns K OCaml domains, each running its own epoll
+    {!Loop} over a disjoint, stable set of member connections. The tick domain
     (organization + protocol logic) never performs I/O on an attached
     fd again: it hands encode-once frame buffers to the shards
     ([fanout]) and receives decoded inbound traffic, strike-outs and
@@ -9,19 +9,22 @@
     behind {!event_fd}.
 
     Ownership protocol for a connection:
-    + the tick domain stops polling the fd, then calls {!attach} — the
-      mutex-guarded command queue is the happens-before edge handing
-      the read side to the shard;
-    + the shard polls the fd for reads and pending writes, forwarding
-      decoded messages as [Msgs] events; the tick domain may still
+    + the tick domain removes the fd from its loop, then calls
+      {!attach} — the mutex-guarded command queue is the
+      happens-before edge handing the read side to the shard;
+    + the shard watches the fd for reads, forwarding decoded messages
+      as [Msgs] events, and writes through: a fan-out writes each
+      outbox as it fills it, and write interest is armed only while
+      bytes are stuck behind a full socket. The tick domain may still
       enqueue unicast frames (the conn write side is mutex-guarded)
-      but must {!kick} the shard so a sleeping poll learns about them;
+      but never writes a shard-owned fd: it sends {!flush} naming the
+      entry, and the shard writes exactly that outbox;
     + to drop the connection the tick domain calls [Conn.shutdown]
-      (not [close]!) and then {!detach}; the shard stops polling and
-      answers with [Detached], after which — and only after which —
-      the fd may actually be closed. Closing earlier would let the
-      kernel reuse the descriptor number while the shard still polls
-      it.
+      (not [close]!) and then {!detach}; the shard deregisters the
+      fd and answers with [Detached], after which — and only after
+      which — the fd may actually be closed. Closing earlier would let
+      the kernel reuse the descriptor number while the shard still
+      watches it.
 
     Backpressure lives shard-side: each [fanout] applies the soft-skip
     / hard-evict tiers and stall-strike accounting against the live
@@ -65,11 +68,12 @@ val entry_conn : entry -> Conn.t
 val entry_shard : entry -> int
 
 val attach : t -> shard:int -> conn:Conn.t -> entry
-(** Hand [conn] to a shard. The caller must already have stopped
-    polling the fd. *)
+(** Hand [conn] to a shard. The caller must already have removed the
+    fd from its own loop; output it left queued is written on
+    arrival. *)
 
 val detach : ?farewell:bool -> t -> entry -> unit
-(** Ask the owning shard to stop polling the entry's fd. Idempotent
+(** Ask the owning shard to stop watching the entry's fd. Idempotent
     with respect to shard-initiated death: a [Detached] answer always
     comes, even if a [Dead] event is already in flight.
     [~farewell:true] makes the shard attempt one best-effort flush of
@@ -82,10 +86,10 @@ val fanout : t -> shard:int -> frames:bytes array -> recips:entry array -> unit
     are immutable and shared across all shards and recipients; each
     recipient gets all of them, subject to the backpressure tiers. *)
 
-val kick : t -> shard:int -> unit
-(** Wake the shard's poll so it notices frames enqueued by the tick
-    domain outside a fan-out (unicast replies). Coalesced: ringing an
-    already-rung doorbell is free. *)
+val flush : t -> entry -> unit
+(** Ask the owning shard to write out frames the tick domain enqueued
+    on the entry's conn outside a fan-out (unicast replies). Commands
+    are FIFO per shard, so the frames go out in the order queued. *)
 
 val event_fd : t -> Unix.file_descr
 (** Register this in the tick domain's loop; when readable, call

@@ -931,7 +931,7 @@ let test_conform_version_refused () =
 
 (* The DEK trace log against the boxed list it replaced: the same
    (rekey_no, fingerprint) pairs, oldest first, the no-key [""]
-   included, across many buffer growths. *)
+   included, across many chunk boundaries. *)
 let test_dek_log_roundtrip () =
   let log = Dek_log.create () in
   let rng = Random.State.make [| 7 |] in
@@ -951,6 +951,255 @@ let test_dek_log_roundtrip () =
   match Dek_log.add log ~rekey_no:1 "ABCDEF01" with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "a fingerprint that would not round-trip was accepted"
+
+(* -------- the event loop itself -------- *)
+
+let socketpair () =
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  Unix.set_nonblock b;
+  (a, b)
+
+let poke fd = ignore (Unix.write_substring fd "x" 0 1)
+
+let drain_byte fd =
+  let b = Bytes.create 64 in
+  try ignore (Unix.read fd b 0 64) with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+
+let close_pairs pairs =
+  List.iter
+    (fun (a, b) ->
+      Unix.close a;
+      Unix.close b)
+    pairs
+
+let dispatched loop = (Loop.counters loop).Loop.dispatched
+
+(* A step's cost follows the ready descriptors, not the registered
+   ones: 500 quiet sockets and one readable one make one callback. *)
+let test_loop_idle () =
+  let loop = Loop.create () in
+  let pairs = List.init 500 (fun _ -> socketpair ()) in
+  let hits = Array.make 500 0 in
+  List.iteri
+    (fun i (a, _) ->
+      Loop.add_fd loop a ~readable:(fun () -> hits.(i) <- hits.(i) + 1) ~writable:ignore)
+    pairs;
+  poke (snd (List.nth pairs 321));
+  let d0 = dispatched loop in
+  Loop.step ~max_wait:1.0 loop;
+  Alcotest.(check int) "one dispatch" 1 (dispatched loop - d0);
+  Alcotest.(check int) "the ready fd's handler" 1 hits.(321);
+  Alcotest.(check int) "no other handler" 1 (Array.fold_left ( + ) 0 hits);
+  List.iter (fun (a, _) -> Loop.remove_fd loop a) pairs;
+  close_pairs pairs;
+  Loop.close loop
+
+(* Two descriptors ready in one batch, each handler removing the
+   other: whichever runs first must suppress the other's dispatch. *)
+let test_loop_remove_in_batch () =
+  let loop = Loop.create () in
+  let ((a, pa) as p1) = socketpair () and ((b, pb) as p2) = socketpair () in
+  let ran = ref [] in
+  Loop.add_fd loop a
+    ~readable:(fun () ->
+      ran := "a" :: !ran;
+      drain_byte a;
+      Loop.remove_fd loop b)
+    ~writable:ignore;
+  Loop.add_fd loop b
+    ~readable:(fun () ->
+      ran := "b" :: !ran;
+      drain_byte b;
+      Loop.remove_fd loop a)
+    ~writable:ignore;
+  poke pa;
+  poke pb;
+  (* both bytes are in flight before the wait, so one batch sees both *)
+  Loop.step ~max_wait:1.0 loop;
+  Alcotest.(check int) "exactly one handler ran" 1 (List.length !ran);
+  Loop.step ~max_wait:0.05 loop;
+  Alcotest.(check int) "and the removed one never does" 1 (List.length !ran);
+  close_pairs [ p1; p2 ];
+  Loop.close loop
+
+(* Write interest follows the outbox: armed by a partial write, the
+   outbox drains as the peer reads, then disarmed — after which an idle
+   step dispatches nothing. *)
+let test_loop_partial_write () =
+  let loop = Loop.create () in
+  let a, b = socketpair () in
+  Unix.setsockopt_int a SO_SNDBUF 4096;
+  let c = Gkm_netd.Conn.create a in
+  Loop.add_fd loop a ~readable:ignore ~writable:(fun () ->
+      ignore (Gkm_netd.Conn.write_through loop c));
+  let k0 = (Loop.counters loop).Loop.interest_changes in
+  Gkm_netd.Conn.enqueue_frame c (Bytes.make (256 * 1024) 'z');
+  ignore (Gkm_netd.Conn.write_through loop c);
+  Alcotest.(check bool) "partial write" true (Gkm_netd.Conn.out_bytes c > 0);
+  Alcotest.(check int) "write interest armed" (k0 + 1) (Loop.counters loop).Loop.interest_changes;
+  let buf = Bytes.create 65536 and got = ref 0 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Gkm_netd.Conn.out_bytes c > 0 && Unix.gettimeofday () < deadline do
+    (try got := !got + Unix.read b buf 0 (Bytes.length buf)
+     with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ());
+    Loop.step ~max_wait:0.01 loop
+  done;
+  Alcotest.(check int) "outbox drained" 0 (Gkm_netd.Conn.out_bytes c);
+  Alcotest.(check int) "write interest disarmed" (k0 + 2)
+    (Loop.counters loop).Loop.interest_changes;
+  let d0 = dispatched loop in
+  Loop.step ~max_wait:0.05 loop;
+  Alcotest.(check int) "idle step dispatches nothing" 0 (dispatched loop - d0);
+  Loop.remove_fd loop a;
+  Gkm_netd.Conn.close c;
+  Unix.close b;
+  Loop.close loop
+
+(* A recycled descriptor number is a new registration: its handler
+   runs, the old one never does — also when the reuse happens inside
+   the batch that still carries the old number's event. *)
+let test_loop_fd_reuse () =
+  let loop = Loop.create () in
+  let old_hits = ref 0 and new_hits = ref 0 in
+  let a, pa = socketpair () in
+  Loop.add_fd loop a ~readable:(fun () -> incr old_hits) ~writable:ignore;
+  Loop.remove_fd loop a;
+  Unix.close a;
+  Unix.close pa;
+  let c, pc = socketpair () in
+  Alcotest.(check bool) "fd number reused" true (c = a);
+  Loop.add_fd loop c
+    ~readable:(fun () ->
+      incr new_hits;
+      drain_byte c)
+    ~writable:ignore;
+  poke pc;
+  Loop.step ~max_wait:1.0 loop;
+  Alcotest.(check (pair int int)) "new handler only" (0, 1) (!old_hits, !new_hits);
+  (* In-batch reuse: x and c are both ready; whichever handler runs
+     first retires the other fd and registers a fresh socket on its
+     number, which must not inherit the stale event. *)
+  let x, px = socketpair () in
+  let fresh = ref None and fresh_hits = ref 0 and first = ref true in
+  let retire victim =
+    if !first then begin
+      first := false;
+      Loop.remove_fd loop victim;
+      Unix.close victim;
+      let f, pf = socketpair () in
+      Alcotest.(check bool) "victim's number reused" true (f = victim);
+      Loop.add_fd loop f ~readable:(fun () -> incr fresh_hits) ~writable:ignore;
+      fresh := Some (f, pf)
+    end
+  in
+  Loop.remove_fd loop c;
+  Loop.add_fd loop c ~readable:(fun () -> drain_byte c; retire x) ~writable:ignore;
+  Loop.add_fd loop x ~readable:(fun () -> drain_byte x; retire c) ~writable:ignore;
+  poke pc;
+  poke px;
+  Loop.step ~max_wait:1.0 loop;
+  Alcotest.(check int) "stale event not delivered to the new registration" 0 !fresh_hits;
+  (match !fresh with
+  | Some (f, pf) ->
+      poke pf;
+      Loop.step ~max_wait:1.0 loop;
+      Alcotest.(check int) "the new registration dispatches" 1 !fresh_hits;
+      Loop.remove_fd loop f;
+      close_pairs [ (f, pf) ]
+  | None -> Alcotest.fail "no handler ran");
+  List.iter (Loop.remove_fd loop) [ c; x ];
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ c; pc; x; px ];
+  Loop.close loop
+
+(* More ready descriptors than one wait returns: the rest come with
+   the next step. *)
+let test_loop_overflow () =
+  let loop = Loop.create () in
+  let n = Loop.max_events + (Loop.max_events / 2) in
+  let pairs = List.init n (fun _ -> socketpair ()) in
+  let hits = Array.make n 0 in
+  List.iteri
+    (fun i (a, b) ->
+      Loop.add_fd loop a
+        ~readable:(fun () ->
+          hits.(i) <- hits.(i) + 1;
+          drain_byte a)
+        ~writable:ignore;
+      poke b)
+    pairs;
+  Loop.step ~max_wait:1.0 loop;
+  Alcotest.(check int) "first step fills the buffer" Loop.max_events
+    (Array.fold_left ( + ) 0 hits);
+  Loop.step ~max_wait:1.0 loop;
+  Alcotest.(check (array int)) "every fd once within two steps" (Array.make n 1) hits;
+  List.iter (fun (a, _) -> Loop.remove_fd loop a) pairs;
+  close_pairs pairs;
+  Loop.close loop
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A loop holds one descriptor, released by [close] or, for a loop its
+   owner drops, by the collector. *)
+let test_loop_no_leak () =
+  (* Loops earlier tests dropped must not be finalised mid-count. *)
+  Gc.full_major ();
+  Gc.full_major ();
+  let before = open_fds () in
+  for _ = 1 to 5000 do
+    Loop.close (Loop.create ())
+  done;
+  Alcotest.(check int) "create/close leaves the fd table" before (open_fds ());
+  for _ = 1 to 200 do
+    ignore (Sys.opaque_identity (Loop.create ()))
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "dropped loops are finalised" before (open_fds ())
+
+(* A timer due in under half a millisecond: the wait rounds up to
+   1 ms instead of down to a zero-timeout spin. *)
+let test_loop_timer_rounding () =
+  let loop = Loop.create () in
+  let due = Loop.now loop +. 0.0003 in
+  let fired = ref nan in
+  Loop.at loop ~time:due (fun () -> fired := Loop.now loop);
+  let s0 = (Loop.counters loop).Loop.steps in
+  Loop.run loop ~until:(fun () -> not (Float.is_nan !fired));
+  let steps = (Loop.counters loop).Loop.steps - s0 in
+  Alcotest.(check bool) (Printf.sprintf "at most two waits (%d)" steps) true (steps <= 2);
+  Alcotest.(check bool) "not early" true (!fired >= due);
+  Alcotest.(check bool)
+    (Printf.sprintf "on time (%.2f ms late)" ((!fired -. due) *. 1000.0))
+    true
+    (!fired -. due < 0.05);
+  Loop.close loop
+
+(* Write-through fan-out: frames that fit the socket never touch the
+   interest set. 64 members receive a rekey and the loop makes no
+   write-interest change. *)
+let test_loop_fanout_no_interest () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
+  let port = Server.port srv in
+  let members =
+    List.init 64 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = 600 + i })
+  in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 64);
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member members);
+  let joiner = Client.connect ~loop { (Client.config ~port) with seed = 700 } in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 65);
+  let k0 = (Loop.counters loop).Loop.interest_changes in
+  Server.tick_now srv;
+  let target = Server.rekey_no srv in
+  run_until loop (fun () ->
+      Client.is_member joiner && List.for_all (fun c -> Client.last_rekey c = target) members);
+  Alcotest.(check int) "no write-interest change" 0
+    ((Loop.counters loop).Loop.interest_changes - k0);
+  List.iter Client.kill (joiner :: members);
+  Server.stop srv;
+  Loop.close loop
 
 let () =
   Alcotest.run "netd"
@@ -987,6 +1236,21 @@ let () =
         ] );
       ( "dek log",
         [ Alcotest.test_case "round-trips the list semantics" `Quick test_dek_log_roundtrip ] );
+      ( "loop",
+        [
+          Alcotest.test_case "500 idle fds, one dispatch" `Quick test_loop_idle;
+          Alcotest.test_case "removal suppresses a batched event" `Quick
+            test_loop_remove_in_batch;
+          Alcotest.test_case "partial write arms, drain disarms" `Quick test_loop_partial_write;
+          Alcotest.test_case "reused fd number dispatches afresh" `Quick test_loop_fd_reuse;
+          Alcotest.test_case "overflowing ready set served in two steps" `Quick
+            test_loop_overflow;
+          Alcotest.test_case "create/close leaks no fd" `Quick test_loop_no_leak;
+          Alcotest.test_case "sub-millisecond timer fires without spinning" `Quick
+            test_loop_timer_rounding;
+          Alcotest.test_case "tcp fan-out to 64 makes no interest change" `Quick
+            test_loop_fanout_no_interest;
+        ] );
       ( "config",
         [
           Alcotest.test_case "older-version hello refused" `Quick test_old_hello_refused;
