@@ -54,6 +54,20 @@ let substrate_tests =
   [
     Test.make ~name:"sha256-1KiB"
       (Staged.stage (fun () -> ignore (Gkm_crypto.Sha256.digest payload)));
+    (* 55 bytes pad to exactly one 64-byte block: one compression. *)
+    (let msg = Bytes.sub payload 0 55 in
+     Test.make ~name:"sha256-block"
+       (Staged.stage (fun () -> ignore (Gkm_crypto.Sha256.digest msg))));
+    (let key = Key.to_bytes kek and msg = Bytes.sub payload 0 183 in
+     Test.make ~name:"hmac-183B" (Staged.stage (fun () -> ignore (Gkm_crypto.Hmac.mac ~key msg))));
+    (let module Aead = Gkm_crypto.Aead in
+     let key = Aead.of_bytes (Bytes.sub payload 0 Aead.key_size) in
+     let nonce = block and ad = Bytes.of_string "gkmrec2" in
+     let sealed = Aead.seal key ~nonce ~ad (Bytes.sub payload 0 140) in
+     Test.make ~name:"aead-open-140B"
+       (Staged.stage (fun () -> ignore (Aead.open_ key ~nonce ~ad sealed))));
+    Test.make ~name:"record-epoch-of-dek"
+      (Staged.stage (fun () -> ignore (Gkm_record.Record.Epoch.of_dek ~dek:inner ~label:0)));
     Test.make ~name:"aes128-block"
       (Staged.stage (fun () -> ignore (Gkm_crypto.Aes128.encrypt_block aes_key block)));
     Test.make ~name:"aes128-decrypt-block"

@@ -9,42 +9,43 @@ let of_bytes ?(suite = Pkg.default) raw =
     invalid_arg "Aead.of_bytes: key must be 32 bytes";
   { enc = Pkg.schedule suite (Bytes.sub raw 0 16); mac = Bytes.sub raw 16 16 }
 
-(* MAC input: u16 |ad| || ad || nonce || ct. Length-prefixing [ad]
-   keeps the (ad, nonce || ct) split unambiguous. *)
-let tag_of { mac; _ } ~nonce ~ad ct =
-  let buf = Buffer.create (2 + Bytes.length ad + nonce_size + Bytes.length ct) in
-  Bytes_io.add_u16 buf (Bytes.length ad);
-  Buffer.add_bytes buf ad;
-  Buffer.add_bytes buf nonce;
-  Buffer.add_bytes buf ct;
-  Bytes.sub (Hmac.mac ~key:mac (Buffer.to_bytes buf)) 0 tag_size
+(* MAC input: u16 |ad| || ad || nonce || ct, where ct is the slice
+   [off, off + len) of [b]. Length-prefixing [ad] keeps the
+   (ad, nonce || ct) split unambiguous. Each part is hashed where it
+   lies; the 32-byte HMAC is returned and callers use its first
+   [tag_size] bytes. *)
+let tag_of { mac; _ } ~nonce ~ad b off len =
+  let ad_len = Bytes.create 2 in
+  Bytes.set_uint16_be ad_len 0 (Bytes.length ad);
+  Hmac.mac_parts ~key:mac
+    [ (ad_len, 0, 2); (ad, 0, Bytes.length ad); (nonce, 0, nonce_size); (b, off, len) ]
 
 let seal key ~nonce ~ad plaintext =
   if Bytes.length nonce <> nonce_size then
     invalid_arg "Aead.seal: nonce must be 16 bytes";
   if Bytes.length ad > 0xFFFF then invalid_arg "Aead.seal: ad too long";
   let ct = Pkg.ctr_transform key.enc ~nonce plaintext in
-  Bytes.cat ct (tag_of key ~nonce ~ad ct)
+  let n = Bytes.length ct in
+  let out = Bytes.create (n + tag_size) in
+  Bytes.blit ct 0 out 0 n;
+  Bytes.blit (tag_of key ~nonce ~ad ct 0 n) 0 out n tag_size;
+  out
 
-let bytes_eq_ct a b =
-  (* Both inputs are fixed-size tags here, so length equality leaks
-     nothing; the content comparison must not short-circuit. *)
-  Bytes.length a = Bytes.length b
-  && begin
-       let acc = ref 0 in
-       Bytes.iteri (fun i c -> acc := !acc lor (Char.code c lxor Char.code (Bytes.get b i))) a;
-       !acc = 0
-     end
+(* Does the tag stored at [sealed.[at]] equal the first [tag_size]
+   bytes of [expected]? The comparison must not short-circuit. *)
+let tag_matches sealed ~at expected =
+  let acc = ref 0 in
+  for i = 0 to tag_size - 1 do
+    acc := !acc lor (Bytes.get_uint8 sealed (at + i) lxor Bytes.get_uint8 expected i)
+  done;
+  !acc = 0
 
 let open_ key ~nonce ~ad sealed =
   if Bytes.length nonce <> nonce_size then Error "bad nonce size"
   else if Bytes.length ad > 0xFFFF then Error "ad too long"
   else
-    let n = Bytes.length sealed in
-    if n < tag_size then Error "sealed input shorter than tag"
-    else
-      let ct = Bytes.sub sealed 0 (n - tag_size) in
-      let tag = Bytes.sub sealed (n - tag_size) tag_size in
-      if bytes_eq_ct tag (tag_of key ~nonce ~ad ct) then
-        Ok (Pkg.ctr_transform key.enc ~nonce ct)
-      else Error "auth failure"
+    let n = Bytes.length sealed - tag_size in
+    if n < 0 then Error "sealed input shorter than tag"
+    else if tag_matches sealed ~at:n (tag_of key ~nonce ~ad sealed 0 n) then
+      Ok (Pkg.ctr_transform key.enc ~nonce (Bytes.sub sealed 0 n))
+    else Error "auth failure"

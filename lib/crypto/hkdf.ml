@@ -2,22 +2,25 @@ let hash_len = 32
 
 let extract ~salt ~ikm = Hmac.mac ~key:salt ikm
 
+(* T(i) = HMAC(prk, T(i-1) || info || i), streamed from where each
+   part lies; each block lands straight in the output. *)
 let expand ~prk ~info len =
   if len < 1 || len > 255 * hash_len then
     invalid_arg "Hkdf.expand: length outside [1, 255 * 32]";
-  let out = Buffer.create len in
-  let block = ref Bytes.empty in
-  let counter = ref 1 in
-  while Buffer.length out < len do
-    let msg = Buffer.create (Bytes.length !block + Bytes.length info + 1) in
-    Buffer.add_bytes msg !block;
-    Buffer.add_bytes msg info;
-    Buffer.add_uint8 msg !counter;
-    block := Hmac.mac ~key:prk (Buffer.to_bytes msg);
-    Buffer.add_bytes out !block;
-    incr counter
-  done;
-  Bytes.sub (Buffer.to_bytes out) 0 len
+  let out = Bytes.create len in
+  let counter = Bytes.create 1 in
+  let info_part = (info, 0, Bytes.length info) in
+  let rec fill i prev =
+    let off = (i - 1) * hash_len in
+    if off < len then begin
+      Bytes.set_uint8 counter 0 i;
+      let block = Hmac.mac_parts ~key:prk (prev @ [ info_part; (counter, 0, 1) ]) in
+      Bytes.blit block 0 out off (min hash_len (len - off));
+      fill (i + 1) [ (block, 0, hash_len) ]
+    end
+  in
+  fill 1 [];
+  out
 
 let derive ~salt ~ikm ~info len =
   expand ~prk:(extract ~salt ~ikm) ~info len

@@ -50,8 +50,8 @@ let ctr_transform cipher ~nonce data = Pkg.ctr_transform cipher ~nonce data
 let wrap ~kek k = wrap_with (cipher kek) k
 let unwrap ~kek c = unwrap_with (cipher kek) c
 
-let fingerprint k =
-  let digest = Sha256.digest k in
-  Hex.encode (Bytes.sub digest 0 4)
+let digest k = Sha256.digest k
+let fingerprint_of_digest d = Hex.encode (Bytes.sub d 0 4)
+let fingerprint k = fingerprint_of_digest (digest k)
 
 let pp fmt k = Format.fprintf fmt "key:%s" (fingerprint k)

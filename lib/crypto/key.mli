@@ -96,4 +96,13 @@ val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> string
 (** [fingerprint k] is an 8-hex-digit identifier of the key material
-    (first 4 bytes of its SHA-256). *)
+    (first 4 bytes of its SHA-256), for logs and traces. At 32 bits it
+    is not an identity: distinct keys share one after ~2^16 draws. *)
+
+val digest : t -> bytes
+(** [digest k] is the 32-byte SHA-256 of the key material: the identity
+    of [k] where the key itself must not be retained. *)
+
+val fingerprint_of_digest : bytes -> string
+(** [fingerprint_of_digest (digest k)] is [fingerprint k] without
+    hashing [k] again, for callers that need both. *)

@@ -1,161 +1,152 @@
-(* SHA-256 per FIPS 180-4. All word arithmetic is on int32. *)
+(* SHA-256 per FIPS 180-4. Words are native ints holding 32-bit
+   values, so the rounds never box an int32. Native-int addition
+   wraps modulo 2^63, which keeps the low 32 bits exact: a sum is
+   masked back to 32 bits only where the word is stored or later
+   rotated. *)
 
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-    0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-    0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-    0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-    0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-    0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-    0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-    0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-    0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-    0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-    0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
 type ctx = {
-  h : int32 array; (* 8 chaining words *)
+  h : int array; (* 8 chaining words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int; (* bytes currently in [buf] *)
-  mutable total : int64; (* total message length in bytes *)
-  w : int32 array; (* message schedule scratch *)
+  mutable total : int; (* total message length in bytes *)
+  w : int array; (* message schedule scratch *)
 }
 
 let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-        0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+        0x1f83d9ab; 0x5be0cd19;
       |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0l;
+    total = 0;
+    w = Array.make 64 0;
   }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+let mask = 0xffff_ffff
 
+(* Rotations read a word doubled into [x lor (x lsl 32)]: bits
+   [n, n + 32) of it are the word rotated right by [n], for any
+   [n < 32] — the bit the 63-bit int drops is never one of them. The
+   bits left above bit 31 are garbage until the sum is masked. *)
+let[@inline] doubled x = x lor (x lsl 32)
+
+(* Absorb the 64-byte block at [block.[off]]. *)
 let compress ctx block off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let base = off + (4 * t) in
-    let b i = Int32.of_int (Char.code (Bytes.get block (base + i))) in
-    w.(t) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let s0 =
-      Int32.logxor
-        (Int32.logxor (rotr w.(t - 15) 7) (rotr w.(t - 15) 18))
-        (Int32.shift_right_logical w.(t - 15) 3)
-    in
-    let s1 =
-      Int32.logxor
-        (Int32.logxor (rotr w.(t - 2) 17) (rotr w.(t - 2) 19))
-        (Int32.shift_right_logical w.(t - 2) 10)
-    in
-    w.(t) <- Int32.add (Int32.add w.(t - 16) s0) (Int32.add w.(t - 7) s1)
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let xx = doubled x and yy = doubled y in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let a = ref ctx.h.(0)
-  and b = ref ctx.h.(1)
-  and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3)
-  and e = ref ctx.h.(4)
-  and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6)
-  and hh = ref ctx.h.(7) in
+  let h = ctx.h in
+  let a = ref h.(0)
+  and b = ref h.(1)
+  and c = ref h.(2)
+  and d = ref h.(3)
+  and e = ref h.(4)
+  and f = ref h.(5)
+  and g = ref h.(6)
+  and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = Int32.logxor (Int32.logxor (rotr !e 6) (rotr !e 11)) (rotr !e 25) in
-    let ch = Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g) in
-    let t1 = Int32.add (Int32.add (Int32.add !hh s1) (Int32.add ch k.(t))) w.(t) in
-    let s0 = Int32.logxor (Int32.logxor (rotr !a 2) (rotr !a 13)) (rotr !a 22) in
-    let maj =
-      Int32.logxor
-        (Int32.logxor (Int32.logand !a !b) (Int32.logand !a !c))
-        (Int32.logand !b !c)
-    in
-    let t2 = Int32.add s0 maj in
+    let e' = !e and a' = !a in
+    let ee = doubled e' and aa = doubled a' in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := Int32.add !d t1;
+    f := e';
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := Int32.add t1 t2
+    b := a';
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- Int32.add ctx.h.(0) !a;
-  ctx.h.(1) <- Int32.add ctx.h.(1) !b;
-  ctx.h.(2) <- Int32.add ctx.h.(2) !c;
-  ctx.h.(3) <- Int32.add ctx.h.(3) !d;
-  ctx.h.(4) <- Int32.add ctx.h.(4) !e;
-  ctx.h.(5) <- Int32.add ctx.h.(5) !f;
-  ctx.h.(6) <- Int32.add ctx.h.(6) !g;
-  ctx.h.(7) <- Int32.add ctx.h.(7) !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
-let update ctx b =
-  let len = Bytes.length b in
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
-  let pos = ref 0 in
+let update_sub ctx b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Sha256.update_sub: slice outside the buffer";
+  ctx.total <- ctx.total + len;
+  let pos = ref off and stop = off + len in
   (* Fill a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) len in
-    Bytes.blit b 0 ctx.buf ctx.buf_len take;
+    Bytes.blit b off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
-  while len - !pos >= 64 do
+  (* Whole blocks are compressed where they lie, without a copy. *)
+  while stop - !pos >= 64 do
     compress ctx b !pos;
     pos := !pos + 64
   done;
-  let rest = len - !pos in
+  let rest = stop - !pos in
   if rest > 0 then begin
     Bytes.blit b !pos ctx.buf 0 rest;
     ctx.buf_len <- rest
   end
 
-let update_string ctx s = update ctx (Bytes.of_string s)
+let update ctx b = update_sub ctx b 0 (Bytes.length b)
+
+(* Hashing only reads [s], so viewing it as bytes is safe. *)
+let update_string ctx s = update_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Append 0x80, pad with zeros to 56 mod 64, append 64-bit length. *)
-  let pad_len =
-    let r = (ctx.buf_len + 1 + 8) mod 64 in
-    if r = 0 then 0 else 64 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set tail
-      (1 + pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xffL)))
-  done;
-  (* Bypass [update]'s total accounting: the length is already fixed. *)
-  let total_saved = ctx.total in
-  update ctx tail;
-  ctx.total <- total_saved;
+  (* Append 0x80, pad with zeros to 56 mod 64, append the 64-bit bit
+     length — all inside [buf], spilling into a second block when
+     fewer than 9 bytes are free. *)
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  if ctx.buf_len + 1 > 56 then begin
+    Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (ctx.buf_len + 1) (55 - ctx.buf_len) '\000';
+  Bytes.set_int64_be buf 56 (Int64.shift_left (Int64.of_int ctx.total) 3);
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    let byte shift = Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v shift) 0xffl)) in
-    Bytes.set out (4 * i) (byte 24);
-    Bytes.set out ((4 * i) + 1) (byte 16);
-    Bytes.set out ((4 * i) + 2) (byte 8);
-    Bytes.set out ((4 * i) + 3) (byte 0)
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   out
 
@@ -164,5 +155,9 @@ let digest b =
   update ctx b;
   finalize ctx
 
-let digest_string s = digest (Bytes.of_string s)
+let digest_string s =
+  let ctx = init () in
+  update_string ctx s;
+  finalize ctx
+
 let hex s = Hex.encode (digest_string s)

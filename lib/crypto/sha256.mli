@@ -13,8 +13,15 @@ val init : unit -> ctx
 val update : ctx -> bytes -> unit
 (** [update ctx b] absorbs the bytes [b]. *)
 
+val update_sub : ctx -> bytes -> int -> int -> unit
+(** [update_sub ctx b off len] absorbs the [len] bytes of [b] starting
+    at [off], in place: whole 64-byte blocks are compressed where they
+    lie, and only a partial block is copied into the context.
+    @raise Invalid_argument if the slice is not inside [b]. *)
+
 val update_string : ctx -> string -> unit
-(** [update_string ctx s] absorbs the bytes of [s]. *)
+(** [update_string ctx s] absorbs the bytes of [s], without copying
+    them. *)
 
 val finalize : ctx -> bytes
 (** [finalize ctx] returns the 32-byte digest. The context must not be

@@ -178,10 +178,23 @@ let fail t msg =
   t.last_error <- Some msg;
   teardown t ~phase:Closed
 
-(* Install (or reinstall) the member state from a wire key path. *)
+(* A rekey, install or resume completed at [rekey_no]: log the DEK the
+   member state now holds and tell the owner. Returns that DEK with its
+   digest, hashed here once for both the log and {!sync_sink}. *)
+let note_dek t ~rekey_no m =
+  let dek = Option.map (fun k -> (k, Key.digest k)) (Member.group_key m) in
+  let fp = match dek with Some (_, d) -> Key.fingerprint_of_digest d | None -> "" in
+  Dek_log.add t.dek_trace ~rekey_no fp;
+  t.on_dek ~rekey_no ~fp;
+  dek
+
+(* Install (or reinstall) the member state from a wire key path;
+   returns {!note_dek}'s DEK. *)
 let install t ~member ~rekey_no ~epoch ~root ~path =
   match path with
-  | [] -> fail t "empty key path"
+  | [] ->
+      fail t "empty key path";
+      None
   | (leaf, individual) :: _ ->
       let m = Member.create ~id:member ~leaf_node:leaf ~individual_key:individual in
       Member.install_path m path;
@@ -194,9 +207,7 @@ let install t ~member ~rekey_no ~epoch ~root ~path =
       t.assemblies <- [];
       t.pending_sealed <- [];
       t.phase <- Member;
-      let fp = match Member.group_key m with Some k -> Key.fingerprint k | None -> "" in
-      Dek_log.add t.dek_trace ~rekey_no fp;
-      t.on_dek ~rekey_no ~fp
+      note_dek t ~rekey_no m
 
 let send_nack t rekey_no seqs =
   t.nacks_sent <- t.nacks_sent + 1;
@@ -220,8 +231,10 @@ let request_resync t =
 
 (* Process the head assembly's contiguous prefix; pop completed heads.
    Never touches a later assembly while the head has gaps — its
-   entries may be wrapped under keys the head delivers. *)
-let rec pump t =
+   entries may be wrapped under keys the head delivers. Returns
+   {!note_dek}'s DEK for the last completed rekey, [None] if none
+   completed. *)
+let rec pump ?last t =
   match (t.assemblies, t.mstate) with
   | head :: rest, Some m ->
       let continue = ref true in
@@ -246,12 +259,10 @@ let rec pump t =
         t.assemblies <- rest;
         t.rekeys_completed <- t.rekeys_completed + 1;
         if Obs.enabled () then Metrics.Counter.incr m_client_rekeys;
-        let fp = match Member.group_key m with Some k -> Key.fingerprint k | None -> "" in
-        Dek_log.add t.dek_trace ~rekey_no:head.a_rekey_no fp;
-        t.on_dek ~rekey_no:head.a_rekey_no ~fp;
-        pump t
+        pump ?last:(note_dek t ~rekey_no:head.a_rekey_no m) t
       end
-  | _ -> ()
+      else last
+  | _ -> last
 
 let find_assembly t rekey_no = List.find_opt (fun a -> a.a_rekey_no = rekey_no) t.assemblies
 
@@ -370,22 +381,23 @@ let note_future_frame t =
         send_nack t (t.last_rekey + 1) []
       end
 
-(* Keep the record sink on the generation of our current DEK: relabel
-   in place while the DEK survives (preserving the replay window),
-   rotate — derive, erase the old key, drain buffered frames — when
-   it changed. *)
-let rec sync_sink t =
-  match Option.bind t.mstate Member.group_key with
+(* Keep the record sink on the generation of our current DEK, as
+   {!note_dek} returned it: relabel in place while the DEK survives
+   (preserving the replay window), rotate — derive, erase the old key,
+   drain buffered frames — when it changed. *)
+let rec sync_sink t dek =
+  match dek with
   | None -> ()
-  | Some dek -> (
+  | Some (dek, digest) -> (
       match t.sink with
-      | Some sink when Record.Epoch.same_dek (Record.Sink.epoch sink) dek ->
+      | Some sink when Record.Epoch.same_digest (Record.Sink.epoch sink) digest ->
           Record.Epoch.relabel (Record.Sink.epoch sink) t.epoch
       | prev ->
           (match prev with
           | Some s -> Record.Epoch.erase (Record.Sink.epoch s)
           | None -> ());
-          t.sink <- Some (Record.Sink.create (Record.Epoch.of_dek ~dek ~label:t.epoch));
+          t.sink <-
+            Some (Record.Sink.create (Record.Epoch.of_dek_digest ~dek ~digest ~label:t.epoch));
           drain_pending t)
 
 and drain_pending t =
@@ -454,14 +466,14 @@ and handle_rekey t (r : Msg.rekey) ~retx =
     if dropped then t.frames_dropped <- t.frames_dropped + 1
     else if r.seq < Array.length a.a_packets && a.a_packets.(r.seq) = None then
       a.a_packets.(r.seq) <- Some r.packet;
-    pump t;
+    let dek = pump t in
     nack_head_gaps t;
     if List.length t.assemblies > t.cfg.max_assemblies then begin
       t.resyncs <- t.resyncs + 1;
       if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
       request_resync t
     end
-    else sync_sink t
+    else sync_sink t dek
   end
 
 (* Apply a REJOIN_ACK's sealed resume: merge the delta keys into the
@@ -481,13 +493,10 @@ let apply_resume t ~member (r : Msg.resume) =
       t.assemblies <- [];
       t.pending_sealed <- [];
       t.phase <- Member;
-      let fp = match Member.group_key m with Some k -> Key.fingerprint k | None -> "" in
-      Dek_log.add t.dek_trace ~rekey_no:r.rekey_no fp;
-      t.on_dek ~rekey_no:r.rekey_no ~fp;
-      sync_sink t
+      sync_sink t (note_dek t ~rekey_no:r.rekey_no m)
   | _ ->
-      install t ~member ~rekey_no:r.rekey_no ~epoch:r.epoch ~root:r.root ~path:r.path;
-      if t.phase = Member then sync_sink t
+      let dek = install t ~member ~rekey_no:r.rekey_no ~epoch:r.epoch ~root:r.root ~path:r.path in
+      if t.phase = Member then sync_sink t dek
 
 (* Fresh-join reset: the fallback of last resort when the server
    reports our membership revoked — the old identity is gone for
@@ -563,12 +572,12 @@ let handle_msg t (msg : Msg.t) =
               request_resync t)
       | _ -> fail t "REJOIN_ACK without a presented ticket")
   | Joining, Join_ack { member; rekey_no; epoch; root; path } ->
-      install t ~member ~rekey_no ~epoch ~root ~path;
-      if t.phase = Member then sync_sink t
+      let dek = install t ~member ~rekey_no ~epoch ~root ~path in
+      if t.phase = Member then sync_sink t dek
   | (Resync_wait | Member), Resync { member; rekey_no; epoch; root; path }
     when member = t.member || t.member < 0 ->
-      install t ~member ~rekey_no ~epoch ~root ~path;
-      if t.phase = Member then sync_sink t
+      let dek = install t ~member ~rekey_no ~epoch ~root ~path in
+      if t.phase = Member then sync_sink t dek
   | (Member | Resync_wait | Joining | Rejoin_wait), Ticket { member; issued_epoch; ticket }
     when member = t.member ->
       t.ticket <- Some (issued_epoch, ticket)

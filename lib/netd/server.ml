@@ -789,6 +789,9 @@ let tick t =
         Array.of_list
           (Packet.encode_entries ~wide:t.wide ~capacity_bytes:t.cfg.capacity msg.entries)
       in
+      (* The DEK this rekey left, hashed once for the seal checks and
+         the DEK log below. *)
+      let dek = Option.map (fun k -> (k, Key.digest k)) (O.group_key ()) in
       (* An entry-less rekey that MOVES the DEK (a departure whose
          branch collapse promotes a key the survivors already hold)
          would otherwise be invisible on the wire: connected members
@@ -801,8 +804,8 @@ let tick t =
          already holds — so every generation change is client-visible
          and the seal tracks the live DEK. *)
       let dek_moved =
-        match (t.seal, O.group_key ()) with
-        | Some s, Some dek -> not (Record.Epoch.same_dek (Record.Seal.epoch s) dek)
+        match (t.seal, dek) with
+        | Some s, Some (_, digest) -> not (Record.Epoch.same_digest (Record.Seal.epoch s) digest)
         | _ -> false
       in
       let packets =
@@ -1050,7 +1053,7 @@ let tick t =
               buckets);
         t.stats.rekeys <- t.stats.rekeys + 1;
         t.stats.rekey_packets <- t.stats.rekey_packets + total;
-        let fp = match O.group_key () with Some k -> Key.fingerprint k | None -> "" in
+        let fp = match dek with Some (_, d) -> Key.fingerprint_of_digest d | None -> "" in
         Dek_log.add t.dek_trace ~rekey_no:t.rekey_no fp;
         if Obs.enabled () then begin
           Metrics.Counter.incr m_rekeys;
@@ -1078,14 +1081,14 @@ let tick t =
          object — and its CTR sequence — survives as long as its DEK
          does; same-DEK rolls only relabel, which keeps the
          (key, nonce) stream collision-free. *)
-      (match O.group_key () with
+      (match dek with
       | None -> (
           match t.seal with
           | Some old ->
               t.seal <- None;
               erase_unless_live t (Record.Seal.epoch old)
           | None -> ())
-      | Some dek when has_frames || t.seal = None -> (
+      | Some (dek, digest) when has_frames || t.seal = None -> (
           (* [t.seal = None] with a live DEK is the genesis corner: the
              very first admission lands on a frameless tick (a sole
              join produces no entries), yet that member now predates
@@ -1093,10 +1096,11 @@ let tick t =
              it holds, the next fan-out would have nothing to seal
              under and the member could only NACK its way back in. *)
           match t.seal with
-          | Some s when Record.Epoch.same_dek (Record.Seal.epoch s) dek ->
+          | Some s when Record.Epoch.same_digest (Record.Seal.epoch s) digest ->
               Record.Epoch.relabel (Record.Seal.epoch s) msg.epoch
           | prev ->
-              t.seal <- Some (Record.Seal.create (Record.Epoch.of_dek ~dek ~label:msg.epoch));
+              t.seal <-
+                Some (Record.Seal.create (Record.Epoch.of_dek_digest ~dek ~digest ~label:msg.epoch));
               (match prev with
               | Some old -> erase_unless_live t (Record.Seal.epoch old)
               | None -> ()))

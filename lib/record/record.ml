@@ -17,21 +17,24 @@ module Epoch = struct
   type t = {
     mutable key : Aead.key option;
     mutable label : int;
-    dek_fp : string;
+    dek_digest : bytes;
   }
 
-  let of_dek ~dek ~label =
+  let of_dek_digest ~dek ~digest ~label =
     let raw =
       Pkg.kdf_derive Pkg.default ~salt:record_salt ~ikm:(Key.to_bytes dek)
         ~info:(Hkdf.label_info Labels.traffic []) Aead.key_size
     in
     let key = Aead.of_bytes raw in
     Bytes.fill raw 0 (Bytes.length raw) '\x00';
-    { key = Some key; label; dek_fp = Key.fingerprint dek }
+    { key = Some key; label; dek_digest = digest }
+
+  let of_dek ~dek ~label = of_dek_digest ~dek ~digest:(Key.digest dek) ~label
 
   let label t = t.label
   let relabel t label = t.label <- label
-  let same_dek t dek = String.equal t.dek_fp (Key.fingerprint dek)
+  let same_digest t digest = Bytes.equal t.dek_digest digest
+  let same_dek t dek = same_digest t (Key.digest dek)
   let erase t = t.key <- None
   let erased t = t.key = None
   let key t = t.key

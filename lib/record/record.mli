@@ -24,6 +24,11 @@ module Epoch : sig
       number used for wire routing hints; it does not enter the key
       derivation. *)
 
+  val of_dek_digest : dek:Gkm_crypto.Key.t -> digest:bytes -> label:int -> t
+  (** {!of_dek} for a caller that already holds
+      [digest = Gkm_crypto.Key.digest dek] (to log the DEK's
+      fingerprint, say), so the DEK is hashed once per generation. *)
+
   val label : t -> int
   val relabel : t -> int -> unit
   (** Update the routing label without touching key material — for
@@ -31,8 +36,13 @@ module Epoch : sig
       server never change the DEK while members remain). *)
 
   val same_dek : t -> Gkm_crypto.Key.t -> bool
-  (** Does this package belong to the given DEK? Compares
-      fingerprints; the package does not retain the DEK itself. *)
+  (** Does this package belong to the given DEK? Compares full 32-byte
+      {!Gkm_crypto.Key.digest}s; the package does not retain the DEK
+      itself. (The 8-hex fingerprint is for logs only: two keys of one
+      long-lived group share one.) *)
+
+  val same_digest : t -> bytes -> bool
+  (** [same_digest t (Gkm_crypto.Key.digest dek)] is [same_dek t dek]. *)
 
   val erase : t -> unit
   (** Drop the key material. Subsequent opens fail with [`Auth];

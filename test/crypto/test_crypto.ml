@@ -91,6 +91,71 @@ let prop_sha256_chunking =
       Sha256.update_string ctx (String.sub s cut (String.length s - cut));
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string s))
 
+(* HMAC as RFC 2104 spells it, over the reference hash: the oracle
+   for the streamed [Hmac.mac_parts]. *)
+let reference_hmac ~key msg =
+  let key = if Bytes.length key > 64 then Sha256_reference.digest key else key in
+  let pad byte =
+    Bytes.init 64 (fun i ->
+        Char.chr ((if i < Bytes.length key then Char.code (Bytes.get key i) else 0) lxor byte))
+  in
+  Sha256_reference.digest
+    (Bytes.cat (pad 0x5c) (Sha256_reference.digest (Bytes.cat (pad 0x36) msg)))
+
+(* Absorb [msg] through every update form, cutting it at [cuts]:
+   [update], [update_sub] (inside a larger buffer) and [update_string]
+   in turn, so each form sees partial, whole and multi-block pieces. *)
+let hash_in_pieces msg cuts =
+  let ctx = Sha256.init () in
+  let n = Bytes.length msg in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) @ [ n ] in
+  ignore
+    (List.fold_left
+       (fun (pos, form) cut ->
+         let len = cut - pos in
+         (match form mod 3 with
+         | 0 -> Sha256.update ctx (Bytes.sub msg pos len)
+         | 1 ->
+             let framed = Bytes.cat (Bytes.make 3 'x') (Bytes.cat msg (Bytes.make 5 'y')) in
+             Sha256.update_sub ctx framed (3 + pos) len
+         | _ -> Sha256.update_string ctx (Bytes.sub_string msg pos len));
+         (cut, form + 1))
+       (0, 0) cuts);
+  Sha256.finalize ctx
+
+(* Equivalence against the int32 implementation (Sha256_reference is a
+   verbatim copy of it): digests and HMAC tags byte-identical for
+   messages cut at random points, and keys on both sides of the 64-byte
+   block size. *)
+let prop_sha256_hmac_match_reference =
+  QCheck.Test.make ~name:"sha256/hmac byte-identical to reference" ~count:300
+    QCheck.(
+      triple
+        (string_of_size Gen.(0 -- 300))
+        (list_of_size Gen.(0 -- 6) (int_range 0 300))
+        (string_of_size Gen.(0 -- 100)))
+    (fun (msg, cuts, key) ->
+      let msg = Bytes.of_string msg and key = Bytes.of_string key in
+      let expected = Sha256_reference.digest msg in
+      let n = Bytes.length msg in
+      let cut = if cuts = [] then 0 else List.hd cuts mod (n + 1) in
+      Bytes.equal (hash_in_pieces msg cuts) expected
+      && Bytes.equal (Sha256.digest msg) expected
+      && Bytes.equal (Hmac.mac ~key msg) (reference_hmac ~key msg)
+      && Bytes.equal
+           (Hmac.mac_parts ~key [ (msg, 0, cut); (msg, cut, n - cut) ])
+           (reference_hmac ~key msg))
+
+let test_sha256_update_sub_bounds () =
+  let ctx = Sha256.init () in
+  let b = Bytes.make 10 'a' in
+  List.iter
+    (fun (off, len) ->
+      match Sha256.update_sub ctx b off len with
+      | () -> Alcotest.failf "slice (%d, %d) of 10 bytes accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (0, 11); (5, 6); (11, 0); (3, -1) ]
+
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA-256                                                        *)
 
@@ -553,7 +618,8 @@ let () =
           Alcotest.test_case "one million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental chunking" `Quick test_sha256_incremental_split;
         ]
-        @ qsuite [ prop_sha256_chunking ] );
+        @ qsuite [ prop_sha256_chunking; prop_sha256_hmac_match_reference ]
+        @ [ Alcotest.test_case "update_sub bounds" `Quick test_sha256_update_sub_bounds ] );
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;

@@ -6,6 +6,7 @@
 module Key = Gkm_crypto.Key
 module Prng = Gkm_crypto.Prng
 module Aead = Gkm_crypto.Aead
+module Hex = Gkm_crypto.Hex
 module Record = Gkm_record.Record
 
 let rng = Prng.create 4242
@@ -78,8 +79,95 @@ let test_aead_truncated () =
     | Error _ -> ()
   done
 
+(* Known answers computed with the int32 SHA-256 and the buffered MAC
+   input that preceded the streamed tag: the wire bytes must not move. *)
+let kat_plaintext n = Bytes.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff))
+
+let test_aead_known_answers () =
+  let key = Aead.of_bytes (Bytes.init Aead.key_size Char.chr) in
+  let nonce = Bytes.init Aead.nonce_size (fun i -> Char.chr (0xa0 + i)) in
+  let ad = Bytes.of_string "gkm-kat-ad" in
+  List.iter
+    (fun (n, expected) ->
+      let sealed = Aead.seal key ~nonce ~ad (kat_plaintext n) in
+      Alcotest.(check string) (Printf.sprintf "seal %d bytes" n) expected (Hex.encode sealed);
+      match Aead.open_ key ~nonce ~ad sealed with
+      | Ok pt -> Alcotest.(check bytes) "opens" (kat_plaintext n) pt
+      | Error e -> Alcotest.failf "known answer %d rejected: %s" n e)
+    [
+      (0, "d630d95bd255b04efc4d6464ad90217d");
+      (15, "5d12c0e6e93b254afbe1778763f9f4759d4c750af29e9ebab478a60a1f3dd6");
+      (16, "5d12c0e6e93b254afbe1778763f9f4e30fcb3259a8ad62d10ca140afd694ba9f");
+      (17, "5d12c0e6e93b254afbe1778763f9f4e369e4c509bb90168feb4bd2c1c7c74b86a9");
+      ( 183,
+        "5d12c0e6e93b254afbe1778763f9f4e369b83e541863e435fa530173f222ff0747ae96b385cbb8ea1220e64e\
+         59ffb5294942b35afc27911145f4b524a8dfcbb6753a68a70117b372c9f9896c76d6dfb1d0256e8c405285c5\
+         25c9e212fab3114eb356365c65c25efa42daa6acfef42920c15d36fd7ea62c25001b0395c330823e52b6789b\
+         f59064e8d318b5b6f2c0873693fcf6a02230597bd251fc39dbc0053359ebf7e50f6f5a3402e13bcdbb953d9c\
+         ded15e5323d5c377627fcfa52d97514eb7e34ede332ae6" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Seal / Sink                                                         *)
+
+let test_seal_known_answers () =
+  let dek = Key.of_bytes (Bytes.init Key.size (fun i -> Char.chr (0x10 + i))) in
+  List.iter
+    (fun (space, expected) ->
+      let seal = Record.Seal.create ~space (Record.Epoch.of_dek ~dek ~label:5) in
+      List.iter
+        (fun (want_seq, want_ct) ->
+          let seq, ct = Record.Seal.seal seal (kat_plaintext 40) in
+          Alcotest.(check int64) "sequence" want_seq seq;
+          Alcotest.(check string) (Printf.sprintf "record %Ld" seq) want_ct (Hex.encode ct))
+        expected)
+    [
+      ( `Multicast,
+        [
+          ( 0L,
+            "cde278680b6f3e247f4386299236cc831b567e2cc8bc051f26e778d9e345a4395cfc60742095230bf60b00c05e3b\
+             dcd7bbc3de359a90739c" );
+          ( 1L,
+            "6b26eebc580cb58fb617884973d51489cc6c10045005b3bb954b9c6bae426e818b7027889581bd871f19b5473f39\
+             0b91d0da18c837191094" );
+        ] );
+      ( `Unicast,
+        [
+          ( Int64.min_int,
+            "020eed8ddd66e9bf950bda7da630fead3464a20b176c78635764816f2f23dca01edba208a43fa9dd6a26af0af1a4\
+             4b837682be58da2ffe33" );
+          ( Int64.succ Int64.min_int,
+            "4414329b87dcc8f3c79471ffbfb36c108e4bd278d4af396decedeffa3d8958afc8c428387107777095e74b21a30e\
+             694df730c96586f9cd8f" );
+        ] );
+    ]
+
+(* DEK identity is the full digest, not the 32-bit log fingerprint: a
+   long-lived group draws enough keys for two of them to share one.
+   Under [Prng.create 1] the 87,186th fresh key is the first to repeat
+   an earlier key's fingerprint; a package derived from the earlier
+   key must not claim the later one. *)
+let test_same_dek_fingerprint_collision () =
+  let rng = Prng.create 1 and seen = Hashtbl.create 100_000 in
+  let rec first_collision i =
+    if i > 100_000 then Alcotest.fail "no fingerprint collision in 100k keys"
+    else
+      let k = Key.fresh rng in
+      let fp = Key.fingerprint k in
+      match Hashtbl.find_opt seen fp with
+      | Some earlier -> (i, earlier, k)
+      | None ->
+          Hashtbl.add seen fp k;
+          first_collision (i + 1)
+  in
+  let i, a, b = first_collision 1 in
+  Alcotest.(check int) "colliding draw" 87_186 i;
+  Alcotest.(check string) "shared fingerprint" "0b72482b" (Key.fingerprint b);
+  Alcotest.(check string) "fingerprints equal" (Key.fingerprint a) (Key.fingerprint b);
+  Alcotest.(check bool) "keys differ" false (Key.equal a b);
+  let ep = Record.Epoch.of_dek ~dek:a ~label:0 in
+  Alcotest.(check bool) "same_dek on the colliding key" false (Record.Epoch.same_dek ep b);
+  Alcotest.(check bool) "same_dek on its own key" true (Record.Epoch.same_dek ep a)
 
 let test_seal_sink_identity () =
   let dek = fresh_dek () in
@@ -331,7 +419,8 @@ let () =
     [
       ( "aead",
         [ Alcotest.test_case "truncations rejected" `Quick test_aead_truncated ]
-        @ qsuite [ prop_aead_roundtrip; prop_aead_bitflip; prop_aead_context_binding ] );
+        @ qsuite [ prop_aead_roundtrip; prop_aead_bitflip; prop_aead_context_binding ]
+        @ [ Alcotest.test_case "known answers" `Quick test_aead_known_answers ] );
       ( "record",
         [
           Alcotest.test_case "seal/open identity, dense seqs" `Quick test_seal_sink_identity;
@@ -344,6 +433,9 @@ let () =
           Alcotest.test_case "epoch erase" `Quick test_epoch_erase;
           Alcotest.test_case "label independent of keys" `Quick test_epoch_label_independent;
           Alcotest.test_case "cross-epoch records rejected" `Quick test_cross_epoch_rejected;
+          Alcotest.test_case "seal known answers" `Quick test_seal_known_answers;
+          Alcotest.test_case "same_dek past a fingerprint collision" `Quick
+            test_same_dek_fingerprint_collision;
         ] );
       ( "tickets",
         [
