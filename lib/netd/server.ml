@@ -1,4 +1,5 @@
 module Organization = Gkm.Organization
+module Keytree = Gkm_keytree.Keytree
 module Key = Gkm_crypto.Key
 module Packet = Gkm_transport.Packet
 module Frame = Gkm_wire.Frame
@@ -134,7 +135,18 @@ type t = {
   tick_times : (int, float) Hashtbl.t;  (* rekey_no -> tick start time *)
   ticket_sealer : Record.Ticket.Sealer.t;
   last_ticket : (int, int * bytes) Hashtbl.t;  (* member -> (epoch, path digest) at issue *)
+  ticket_ages : (int * int) Queue.t;
+      (* (issue epoch, member) per ticket, oldest first: the age-based
+         rewrap schedule. A row whose member was reissued in a later
+         epoch (or departed) is stale and dropped when it surfaces. *)
+  off_tree : (int, unit) Hashtbl.t;
+      (* members whose leaf is in no key tree (QT's queue): no entry
+         wraps under their leaf's parent, so every rekey visits them *)
   node_changed : (int, int) Hashtbl.t;  (* node id -> last epoch its key changed *)
+  parent_of : (int, int) Hashtbl.t;  (* tree node -> parent, per the last entry wrapped under it *)
+  mutable tops : (Keytree.t * (int * int list) option) list;
+      (* per tree: its root and the node ids above it, as of the last rekey *)
+  mutable prune_at : int;  (* node_changed + parent_of rows that trigger a prune *)
   wide : bool;  (* packet codec: wide (i64 ids) for composed organizations *)
   mcast : Mcast.sender option;  (* Some iff cfg.transport is Udp *)
   pool : Shard.t option;  (* Some iff cfg.domains >= 2 *)
@@ -209,6 +221,16 @@ let rekey_no t = t.rekey_no
 let epoch t = t.epoch
 let port t = t.port
 let dek_trace t = Dek_log.to_list t.dek_trace
+
+let organization t = t.org
+
+let bound_tickets t =
+  Hashtbl.fold
+    (fun member cl acc ->
+      if Conn.closed cl.conn then acc else (member, Hashtbl.find_opt t.last_ticket member) :: acc)
+    t.member_client []
+
+let node_rows t = Hashtbl.length t.node_changed + Hashtbl.length t.parent_of
 
 let tick_time t ~rekey_no =
   Mutex.protect t.times_mu (fun () -> Hashtbl.find_opt t.tick_times rekey_no)
@@ -357,12 +379,40 @@ let member_path t member =
   let module O = (val t.org : Organization.S) in
   O.member_path member
 
+let in_tree trees node = List.exists (fun tr -> Keytree.node_exists tr node) trees
+
+(* Remember the newest ticket of [member] and schedule its age-based
+   rewrap. One row per member and epoch: a reissue within the epoch
+   keeps the row already queued. Stale rows are compacted away once
+   they outnumber the live ones, so the queue stays O(members). *)
+let note_ticket t member digest path =
+  let module O = (val t.org : Organization.S) in
+  (match Hashtbl.find_opt t.last_ticket member with
+  | Some (e, _) when e = t.epoch -> ()
+  | _ -> Queue.push (t.epoch, member) t.ticket_ages);
+  Hashtbl.replace t.last_ticket member (t.epoch, digest);
+  (match path with
+  | (leaf, _) :: _ when not (in_tree (O.trees ()) leaf) -> Hashtbl.replace t.off_tree member ()
+  | _ -> Hashtbl.remove t.off_tree member);
+  if Queue.length t.ticket_ages > (2 * Hashtbl.length t.last_ticket) + 64 then begin
+    let rows = Queue.create () in
+    Queue.iter
+      (fun ((e, m) as row) ->
+        match Hashtbl.find_opt t.last_ticket m with
+        | Some (e', _) when e' = e -> Queue.push row rows
+        | _ -> ())
+      t.ticket_ages;
+    Queue.clear t.ticket_ages;
+    Queue.transfer rows t.ticket_ages
+  end
+
 (* Issue (or refresh) a resumption ticket over an established
    connection. A ticket is reissued whenever the member's entitled
    path changes shape — the digest inside must track the current tree
    for the delta-rejoin test to pass — and every [ticket_rewrap]
    epochs regardless, which bounds how old a presented ticket can be
-   for a client that stayed connected. *)
+   for a client that stayed connected. Callers may offer any member:
+   the stale predicate below decides. *)
 let issue_ticket t cl member =
   let module O = (val t.org : Organization.S) in
   if O.is_member member && not (Hashtbl.mem t.leaving member) then begin
@@ -388,7 +438,7 @@ let issue_ticket t cl member =
             path_digest = digest;
           }
       in
-      Hashtbl.replace t.last_ticket member (t.epoch, digest);
+      note_ticket t member digest path;
       t.stats.tickets_issued <- t.stats.tickets_issued + 1;
       t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
       if Obs.enabled () then Metrics.Counter.incr m_tickets;
@@ -560,7 +610,7 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
                   path_digest = digest;
                 }
             in
-            Hashtbl.replace t.last_ticket member (t.epoch, digest);
+            note_ticket t member digest path;
             t.stats.tickets_issued <- t.stats.tickets_issued + 1;
             t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length fresh;
             if Obs.enabled () then Metrics.Counter.incr m_tickets;
@@ -778,9 +828,109 @@ let heartbeat t =
       end
   | _ -> ()
 
+(* Whether any bound member predates this tick, i.e. holds the
+   pre-rekey generation a datagram would be sealed under. *)
+let has_prior_member t =
+  let exception Found in
+  try
+    Hashtbl.iter
+      (fun _ cl -> if cl.admitted_at < t.tick_no then raise_notrace Found)
+      t.member_client;
+    false
+  with Found -> true
+
+(* A tree's root and the node ids above it — the organization's DEK
+   nodes — read off the path of its first member. *)
+let top t tr =
+  match Keytree.root_id tr with
+  | None -> None
+  | Some root -> (
+      let exception First of int in
+      match Keytree.iter_members_under tr root (fun m -> raise_notrace (First m)) with
+      | () -> None
+      | exception First m ->
+          let rec above = function
+            | [] -> []
+            | (n, _) :: rest -> if n = root then List.map fst rest else above rest
+          in
+          Some (root, above (member_path t m)))
+
+(* The ticket pass that closes a rekey. It visits only members whose
+   path may have changed shape in [msg] or whose ticket aged out;
+   [issue_ticket]'s stale predicate filters the visits, so the pass
+   issues exactly the tickets a sweep over every connected member
+   would (DESIGN.md Section 13.3). The candidates:
+   - members under a tree node whose parent changed: a re-parented
+     node always hangs under a parent this rekey refreshed, which
+     wraps its key under each child, so the entries name every new
+     parent edge;
+   - every member of a tree whose root, or the chain above its root,
+     changed: a collapse that promotes a child to root, or a DEK
+     dropped when a partition empties, leaves no entry behind;
+   - members whose leaf is in no tree (QT's queue);
+   - members whose ticket reached [ticket_rewrap] epochs.
+   It also prunes the per-node tables of dead tree nodes, whenever
+   their rows double. *)
+let reissue_tickets t (msg : Gkm_lkh.Rekey_msg.t) =
+  let module O = (val t.org : Organization.S) in
+  let visit member =
+    match Hashtbl.find_opt t.member_client member with
+    | Some cl when not (Conn.closed cl.conn) -> issue_ticket t cl member
+    | _ -> ()
+  in
+  let trees = O.trees () in
+  let tops = List.map (fun tr -> (tr, top t tr)) trees in
+  let moved =
+    List.filter_map
+      (fun (tr, now) ->
+        let before = Option.join (List.assq_opt tr t.tops) in
+        if before = now then None else Some tr)
+      tops
+  in
+  t.tops <- tops;
+  List.iter (fun tr -> Keytree.iter_members tr visit) moved;
+  List.iter
+    (fun (e : Gkm_lkh.Rekey_msg.entry) ->
+      let child = e.wrapped_under in
+      let known =
+        match Hashtbl.find_opt t.parent_of child with Some p -> p = e.target_node | None -> false
+      in
+      if child <> e.target_node && not known then
+        match List.find_opt (fun tr -> Keytree.node_exists tr child) trees with
+        | Some tr ->
+            Hashtbl.replace t.parent_of child e.target_node;
+            if not (List.memq tr moved) then Keytree.iter_members_under tr child visit
+        | None -> ())
+    msg.entries;
+  List.iter visit (Hashtbl.fold (fun member () acc -> member :: acc) t.off_tree []);
+  let rec aged () =
+    match Queue.peek_opt t.ticket_ages with
+    | Some (e, member) when t.epoch - e >= t.cfg.ticket_rewrap ->
+        ignore (Queue.pop t.ticket_ages);
+        (match Hashtbl.find_opt t.last_ticket member with
+        | Some (e', _) when e' = e -> visit member
+        | _ -> ());
+        aged ()
+    | _ -> ()
+  in
+  aged ();
+  (* Node ids are never reused, so a tree node no live tree holds is
+     dead for good. Synthetic nodes (the DEK nodes) have negative ids
+     and are few; they stay. *)
+  if Hashtbl.length t.node_changed + Hashtbl.length t.parent_of >= t.prune_at then begin
+    Hashtbl.filter_map_inplace
+      (fun n p -> if in_tree trees n then Some p else None)
+      t.parent_of;
+    Hashtbl.filter_map_inplace
+      (fun n e -> if n < 0 || in_tree trees n then Some e else None)
+      t.node_changed;
+    t.prune_at <- (2 * (Hashtbl.length t.node_changed + Hashtbl.length t.parent_of)) + 256
+  end
+
 let tick t =
   let module O = (val t.org : Organization.S) in
   let t0 = Loop.now t.loop in
+  let tickets0 = t.stats.tickets_issued in
   t.tick_no <- t.tick_no + 1;
   (match O.rekey () with
   | None -> heartbeat t
@@ -941,10 +1091,7 @@ let tick t =
            sealing and no sequence-number gap. *)
         let mcast_delivered =
           match t.mcast with
-          | Some sender
-            when Hashtbl.fold
-                   (fun _ cl acc -> acc || cl.admitted_at < t.tick_no)
-                   t.member_client false -> (
+          | Some sender when has_prior_member t -> (
               match Lazy.force generation with
               | None -> false
               | Some (lbl, pairs) ->
@@ -1054,19 +1201,7 @@ let tick t =
         t.stats.rekeys <- t.stats.rekeys + 1;
         t.stats.rekey_packets <- t.stats.rekey_packets + total;
         let fp = match dek with Some (_, d) -> Key.fingerprint_of_digest d | None -> "" in
-        Dek_log.add t.dek_trace ~rekey_no:t.rekey_no fp;
-        if Obs.enabled () then begin
-          Metrics.Counter.incr m_rekeys;
-          Metrics.Histogram.observe h_tick (Loop.now t.loop -. t0)
-        end;
-        journal "netd.rekey"
-          [
-            ("rekey_no", Int t.rekey_no);
-            ("epoch", Int t.epoch);
-            ("packets", Int total);
-            ("members", Int (O.size ()));
-            ("dek", Str fp);
-          ]
+        Dek_log.add t.dek_trace ~rekey_no:t.rekey_no fp
       end
       else heartbeat t;
       (* Roll the record seal to this rekey's generation — but ONLY
@@ -1105,12 +1240,24 @@ let tick t =
               | Some old -> erase_unless_live t (Record.Seal.epoch old)
               | None -> ()))
       | Some _ -> ());
-      (* Reissue tickets whose digests the tree just outgrew (plus
-         age-based rewraps); [issue_ticket] is a no-op for members
-         whose newest ticket is still accurate and young. *)
-      Hashtbl.iter
-        (fun member cl -> if not (Conn.closed cl.conn) then issue_ticket t cl member)
-        t.member_client);
+      reissue_tickets t msg;
+      (* The rekey's journal record comes last, so it can carry the
+         tick's cost and the tickets it issued. *)
+      if has_frames && Obs.enabled () then begin
+        let dt = Loop.now t.loop -. t0 in
+        Metrics.Counter.incr m_rekeys;
+        Metrics.Histogram.observe h_tick dt;
+        journal "netd.rekey"
+          [
+            ("rekey_no", Int t.rekey_no);
+            ("epoch", Int t.epoch);
+            ("packets", Int (Array.length packets));
+            ("members", Int (O.size ()));
+            ("dek", Str (match dek with Some (_, d) -> Key.fingerprint_of_digest d | None -> ""));
+            ("tick_us", Int (int_of_float (dt *. 1e6)));
+            ("tickets", Int (t.stats.tickets_issued - tickets0));
+          ]
+      end);
   (* Grace sweep: disconnected members that never resynced depart. *)
   let expired =
     Hashtbl.fold
@@ -1136,7 +1283,8 @@ let tick t =
       Hashtbl.remove t.individual m;
       Hashtbl.remove t.placed m;
       Hashtbl.remove t.profile m;
-      Hashtbl.remove t.last_ticket m)
+      Hashtbl.remove t.last_ticket m;
+      Hashtbl.remove t.off_tree m)
     gone
 
 let rec arm_tick t =
@@ -1205,7 +1353,12 @@ let create ~loop (cfg : config) =
         tick_times = Hashtbl.create 64;
         ticket_sealer = Record.Ticket.Sealer.create ~seed:cfg.ticket_seed;
         last_ticket = Hashtbl.create 256;
+        ticket_ages = Queue.create ();
+        off_tree = Hashtbl.create 64;
         node_changed = Hashtbl.create 1024;
+        parent_of = Hashtbl.create 1024;
+        tops = [];
+        prune_at = 256;
         (* Composed organizations stride member bands by 10^9 node ids
            — beyond i32 — so they need the wide packet codec. *)
         wide = org_id = 6;

@@ -196,6 +196,21 @@ val dek_trace : t -> (int * string) list
 (** [(rekey_no, DEK fingerprint)] per produced rekey, oldest first —
     the ground truth the end-to-end tests diff client traces against. *)
 
+val organization : t -> Gkm.Organization.packed
+(** The served organization, for inspection. Mutating it behind the
+    server's back breaks every invariant above. *)
+
+val bound_tickets : t -> (int * (int * bytes) option) list
+(** [(member, Some (issued_epoch, path_digest))] of the newest ticket
+    of every member bound to an open connection ([None]: no ticket) —
+    what a staleness audit checks against the current paths. *)
+
+val node_rows : t -> int
+(** Rows of per-node bookkeeping (last key change and parent per
+    node). Dead nodes are pruned, so this stays within a constant
+    factor of the live tree size rather than growing with every node
+    ever created. *)
+
 val tick_time : t -> rekey_no:int -> float option
 (** Wall-clock time at which the given rekey's tick started (kept for
     a bounded window) — the latency baseline for the load generator. *)

@@ -1201,6 +1201,383 @@ let test_loop_fanout_no_interest () =
   Server.stop srv;
   Loop.close loop
 
+(* ---- Ticket reissue: the rekey's ticket pass against a full sweep ---- *)
+
+module Keytree = Gkm_keytree.Keytree
+module Journal = Gkm_obs.Journal
+module Obs = Gkm_obs.Obs
+
+(* Crash-kill [victim] once it has read everything the server sent it
+   (tickets included), then bring it back by ticket. *)
+let kill_and_rejoin loop srv victim =
+  let drained = ref false in
+  Client.drain victim (fun () -> drained := true);
+  run_until loop (fun () -> !drained);
+  Client.kill victim;
+  run_until loop (fun () ->
+      not (List.mem_assoc (Client.member victim) (Server.bound_tickets srv)));
+  Client.reconnect victim;
+  run_until loop (fun () -> Client.is_member victim)
+
+(* The staleness predicate of the per-tick sweep over every connected
+   member that the ticket pass replaces: no ticket, a digest that no
+   longer matches the member's path, or [rewrap] epochs of age. *)
+let ticket_stale srv ~rewrap member ticket =
+  let module O = (val Server.organization srv : Organization.S) in
+  O.is_member member
+  &&
+  match ticket with
+  | None -> true
+  | Some (issued, digest) ->
+      let now = Record.Ticket.path_digest (List.map fst (O.member_path member)) in
+      (not (Bytes.equal digest now)) || Server.epoch srv - issued >= rewrap
+
+(* One tick under the oracle: the tick must issue exactly the tickets
+   the brute-force sweep would have (each connected member whose
+   pre-tick ticket is stale against the post-tick tree, admissions and
+   migrations included), and leave no connected member stale. *)
+let oracle_tick srv ~rewrap ~label =
+  let before = Hashtbl.create 64 in
+  List.iter (fun (m, tk) -> Hashtbl.replace before m tk) (Server.bound_tickets srv);
+  let issued0 = (Server.stats srv).Server.tickets_issued in
+  Server.tick_now srv;
+  let after = Server.bound_tickets srv in
+  let sweep =
+    List.length
+      (List.filter
+         (fun (m, _) -> ticket_stale srv ~rewrap m (Option.join (Hashtbl.find_opt before m)))
+         after)
+  in
+  Alcotest.(check int)
+    (label ^ ": tickets issued = the sweep's")
+    sweep
+    ((Server.stats srv).Server.tickets_issued - issued0);
+  List.iter
+    (fun (m, tk) ->
+      if ticket_stale srv ~rewrap m tk then
+        Alcotest.failf "%s: connected member %d holds a stale ticket" label m)
+    after
+
+(* Randomized churn — joins, leaves, crash-kills with ticket REJOINs,
+   and (S-period 3) migrations — on one organization, 60 ticks, every
+   tick checked by [oracle_tick]; rewrap 3 makes age-based reissues
+   routine. Ends with every live member on the server's DEK trace. *)
+let oracle_churn selector () =
+  let spec =
+    match Organization.spec_of_string ~s_period:3 selector with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let rewrap = 3 in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
+  let port = Server.port srv in
+  let rng = Random.State.make [| Hashtbl.hash selector |] in
+  let seed = ref 0 in
+  let join () =
+    incr seed;
+    let joins = (Server.stats srv).Server.joins in
+    let c =
+      Client.connect ~loop
+        {
+          (Client.config ~port) with
+          seed = !seed;
+          cls = (if Random.State.bool rng then `Short else `Long);
+          loss = (if Random.State.bool rng then 0.2 else 0.01);
+        }
+    in
+    run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
+    c
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let bound c = List.mem_assoc (Client.member c) (Server.bound_tickets srv) in
+  let live = ref (List.init 8 (fun _ -> join ())) and dark = ref [] in
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member !live);
+  for tick = 1 to 60 do
+    List.iter
+      (fun c ->
+        if Random.State.bool rng then begin
+          Client.reconnect c;
+          run_until loop (fun () -> Client.is_member c);
+          dark := List.filter (fun d -> d != c) !dark;
+          live := c :: !live
+        end)
+      !dark;
+    for _ = 1 to Random.State.int rng 3 do
+      live := join () :: !live
+    done;
+    let members = List.filter Client.is_member !live in
+    if List.length members > 6 && Random.State.bool rng then begin
+      let c = pick members in
+      let leaves = (Server.stats srv).Server.leaves in
+      Client.leave c;
+      run_until loop (fun () -> (Server.stats srv).Server.leaves > leaves);
+      live := List.filter (fun d -> d != c) !live
+    end;
+    let members = List.filter Client.is_member !live in
+    if List.length members > 3 && Random.State.int rng 3 = 0 then begin
+      let c = pick members in
+      Client.kill c;
+      run_until loop (fun () -> not (bound c));
+      live := List.filter (fun d -> d != c) !live;
+      dark := c :: !dark
+    end;
+    oracle_tick srv ~rewrap ~label:(Printf.sprintf "%s tick %d" selector tick);
+    run_until loop (fun () -> List.for_all Client.is_member !live)
+  done;
+  List.iter
+    (fun c ->
+      Client.reconnect c;
+      run_until loop (fun () -> Client.is_member c);
+      live := c :: !live)
+    !dark;
+  let c = join () in
+  oracle_tick srv ~rewrap ~label:(selector ^ " final");
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) (c :: !live));
+  let s = Server.stats srv in
+  Alcotest.(check bool) (selector ^ ": rejoined by ticket") true (s.Server.rejoins_0rtt >= 1);
+  let server_tbl = server_trace_tbl srv in
+  List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "%s member %d" selector i) c) !live;
+  List.iter Client.kill (c :: !live);
+  Server.stop srv;
+  Loop.close loop
+
+let oracle_cases =
+  List.map
+    (fun sel -> Alcotest.test_case (sel ^ ": ticket pass = full sweep") `Quick (oracle_churn sel))
+    [ "one"; "qt"; "tt"; "pt"; "loss:0.05"; "random:2"; "composed"; "composed:qt" ]
+
+(* A connected member whose path is reshaped must hold the reshaped
+   path's ticket, or its next REJOIN falls back to the full path. Two
+   reshapes under TT (S-period 2): a sibling leaf departs, so the
+   collapse re-parents the victim's leaf; then an S->L migration moves
+   a second victim. After each, the victim crash-kills and REJOINs. *)
+let test_reshaped_rejoin () =
+  let spec =
+    Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 2 }
+  in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org:spec ()) in
+  let port = Server.port srv in
+  let module O = (val Server.organization srv : Organization.S) in
+  let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
+  let clients = ref (List.init 7 (fun i -> connect (100 + i))) in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 7);
+  let settle () =
+    run_until loop (fun () -> List.for_all Client.is_member !clients);
+    let last = Server.rekey_no srv in
+    run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) !clients)
+  in
+  let tick () = Server.tick_now srv; settle () in
+  let s_tree, l_tree =
+    match O.trees () with [ s; l ] -> (s, l) | _ -> Alcotest.fail "TT serves two trees"
+  in
+  (* admit, then let the S-period run out: all seven move to L together *)
+  while Keytree.size l_tree < 7 do tick () done;
+  let rejoin = kill_and_rejoin loop srv in
+  (* 1. a victim whose parent holds exactly it and one sibling leaf *)
+  let parent m = fst (List.nth (Keytree.path l_tree m) 1) in
+  let victim, sibling =
+    let pair c =
+      let m = Client.member c in
+      match Keytree.members_under l_tree (parent m) with
+      | [ a; b ] when List.length (Keytree.path l_tree m) > 2 ->
+          let other = if a = m then b else a in
+          Option.map (fun s -> (c, s)) (List.find_opt (fun d -> Client.member d = other) !clients)
+      | _ -> None
+    in
+    match List.find_map pair !clients with
+    | Some p -> p
+    | None -> Alcotest.fail "no two-leaf parent in the L tree"
+  in
+  let old_parent = parent (Client.member victim) in
+  let leaves = (Server.stats srv).Server.leaves in
+  Client.leave sibling;
+  run_until loop (fun () -> (Server.stats srv).Server.leaves > leaves);
+  clients := List.filter (fun c -> c != sibling) !clients;
+  tick ();
+  Alcotest.(check bool) "collapse re-parented the victim" true
+    (parent (Client.member victim) <> old_parent);
+  rejoin victim;
+  (* 2. a fresh joiner sits in S for the S-period, then migrates *)
+  let mover = connect 200 in
+  clients := mover :: !clients;
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 8);
+  tick ();
+  Alcotest.(check bool) "joiner starts in S" true (Keytree.mem s_tree (Client.member mover));
+  let migrations = (Server.stats srv).Server.migrations in
+  while not (Keytree.mem l_tree (Client.member mover)) do tick () done;
+  Alcotest.(check bool) "the migration was pushed" true
+    ((Server.stats srv).Server.migrations > migrations);
+  rejoin mover;
+  (* one more rekey, then both victims must track the server *)
+  let churner = connect 300 in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 9);
+  clients := churner :: !clients;
+  tick ();
+  let s = Server.stats srv in
+  Alcotest.(check bool) "0-RTT rejoins" true (s.Server.rejoins_0rtt >= 2);
+  Alcotest.(check int) "no full-path rejoin" 0 s.Server.rejoins_full;
+  Alcotest.(check int) "victim: no resync" 0 (Client.resyncs victim);
+  Alcotest.(check int) "mover: no resync" 0 (Client.resyncs mover);
+  let server_tbl = server_trace_tbl srv in
+  check_trace ~server_tbl "victim" victim;
+  check_trace ~server_tbl "mover" mover;
+  List.iter Client.kill !clients;
+  Server.stop srv;
+  Loop.close loop
+
+(* A member outside every key tree — a QT queue member, keyed under a
+   synthetic leaf — is reshaped when the composed DEK above its band
+   goes away: the other band empties, no entry names the change, and
+   no tree holds the member. *)
+let test_queue_member_reshaped () =
+  let spec =
+    match Organization.spec_of_string ~s_period:10 "composed:qt" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let rewrap = 64 in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
+  let port = Server.port srv in
+  let module O = (val Server.organization srv : Organization.S) in
+  let queued = Client.connect ~loop { (Client.config ~port) with seed = 1; loss = 0.01 } in
+  let other = Client.connect ~loop { (Client.config ~port) with seed = 2; loss = 0.2 } in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 2);
+  oracle_tick srv ~rewrap ~label:"admission";
+  run_until loop (fun () -> Client.is_member queued && Client.is_member other);
+  let path () = List.map fst (O.member_path (Client.member queued)) in
+  Alcotest.(check int) "queue leaf, band DEK, composed DEK" 3 (List.length (path ()));
+  Client.leave other;
+  run_until loop (fun () -> (Server.stats srv).Server.leaves = 1);
+  oracle_tick srv ~rewrap ~label:"other band empties";
+  Alcotest.(check int) "the composed DEK is gone" 2 (List.length (path ()));
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> Client.last_rekey queued = last);
+  kill_and_rejoin loop srv queued;
+  let s = Server.stats srv in
+  Alcotest.(check int) "0-RTT rejoin" 1 s.Server.rejoins_0rtt;
+  Alcotest.(check int) "no full-path rejoin" 0 s.Server.rejoins_full;
+  Client.kill queued;
+  Server.stop srv;
+  Loop.close loop
+
+(* [netd.rekey] closes the tick: it carries the tick's duration and
+   the tickets the tick issued. Nothing is recorded with observability
+   off. *)
+let test_rekey_journal () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
+  let port = Server.port srv in
+  let clients = ref [] in
+  let churn seed =
+    let joins = (Server.stats srv).Server.joins in
+    clients := Client.connect ~loop { (Client.config ~port) with seed } :: !clients;
+    run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
+    Server.tick_now srv;
+    run_until loop (fun () -> List.for_all Client.is_member !clients)
+  in
+  churn 1;
+  churn 2;
+  let rekeys () =
+    List.filter (fun e -> e.Journal.name = "netd.rekey") (Journal.events Journal.default)
+  in
+  Journal.clear Journal.default;
+  let before = (Server.stats srv).Server.rekeys in
+  churn 3;
+  Alcotest.(check int) "the tick rekeyed" (before + 1) (Server.stats srv).Server.rekeys;
+  Alcotest.(check int) "nothing recorded with observability off" 0 (List.length (rekeys ()));
+  let issued = (Server.stats srv).Server.tickets_issued in
+  Obs.with_enabled true (fun () -> churn 4);
+  (match rekeys () with
+  | [ e ] ->
+      let field k = List.assoc_opt k e.Journal.fields in
+      Alcotest.(check bool) "tickets issued this tick" true
+        (field "tickets" = Some (Journal.Int ((Server.stats srv).Server.tickets_issued - issued)));
+      Alcotest.(check bool) "tick_us present" true
+        (match field "tick_us" with Some (Journal.Int us) -> us >= 0 | _ -> false)
+  | l -> Alcotest.failf "expected one netd.rekey record, got %d" (List.length l));
+  List.iter Client.kill !clients;
+  Server.stop srv;
+  Loop.close loop
+
+(* The per-node tables are pruned: node ids are never reused, so
+   without pruning they would keep a row for every node ever rekeyed.
+   500 churn intervals at ~16 members must leave them within a
+   constant factor of the live tree. *)
+let test_node_rows_bounded () =
+  let loop = Loop.create () in
+  (* members live 8 intervals: S-period 3 keeps both trees and the DEK
+     above them populated *)
+  let org = Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 3 } in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org ()) in
+  let port = Server.port srv in
+  let module O = (val Server.organization srv : Organization.S) in
+  let live_nodes () =
+    List.fold_left
+      (fun acc tr -> if Keytree.size tr = 0 then acc else acc + (Keytree.depth_stats tr).node_count)
+      0 (O.trees ())
+  in
+  let seed = ref 0 in
+  let join () =
+    incr seed;
+    Client.connect ~loop { (Client.config ~port) with seed = !seed }
+  in
+  let members = ref (List.init 16 (fun _ -> join ())) in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 16);
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member !members);
+  let worst = ref 0 and prev = ref 0 and checked = ref false in
+  for _ = 1 to 500 do
+    let joins = (Server.stats srv).Server.joins in
+    let fresh = [ join (); join () ] in
+    run_until loop (fun () -> (Server.stats srv).Server.joins = joins + 2);
+    let leaves = (Server.stats srv).Server.leaves in
+    (match !members with
+    | a :: b :: rest ->
+        Client.leave a;
+        Client.leave b;
+        members := rest @ fresh
+    | _ -> Alcotest.fail "group ran dry");
+    run_until loop (fun () -> (Server.stats srv).Server.leaves = leaves + 2);
+    Server.tick_now srv;
+    run_until loop (fun () -> List.for_all Client.is_member !members);
+    let rows = Server.node_rows srv and live = live_nodes () in
+    worst := max !worst rows;
+    if rows > (4 * live) + 512 then
+      Alcotest.failf "%d per-node rows against %d live tree nodes" rows live;
+    if rows < !prev && not !checked then begin
+      (* This tick pruned. A delta REJOIN right now must still be
+         sent only the leaf key, the one path key no rekey refreshes:
+         pruning kept every live node's last-change epoch, the DEK
+         node's included. *)
+      checked := true;
+      let victim = List.hd !members in
+      let last = Server.rekey_no srv in
+      run_until loop (fun () -> Client.last_rekey victim = last);
+      Journal.clear Journal.default;
+      Obs.with_enabled true (fun () -> kill_and_rejoin loop srv victim);
+      match List.filter (fun e -> e.Journal.name = "netd.rejoin") (Journal.events Journal.default) with
+      | [ e ] ->
+          Alcotest.(check bool) "delta rejoin" true
+            (List.assoc_opt "delta" e.Journal.fields = Some (Journal.Bool true));
+          Alcotest.(check bool) "only the leaf key sent" true
+            (List.assoc_opt "keys" e.Journal.fields = Some (Journal.Int 1))
+      | l -> Alcotest.failf "expected one netd.rejoin record, got %d" (List.length l)
+    end;
+    prev := rows
+  done;
+  Alcotest.(check bool) "a prune was observed" true !checked;
+  (* without pruning every node ever created would keep its row *)
+  Alcotest.(check bool) "nodes created outnumber the bound" true
+    ((Server.stats srv).Server.joins > !worst + 512);
+  List.iter Client.kill !members;
+  Server.stop srv;
+  Loop.close loop
+
 let () =
   Alcotest.run "netd"
     [
@@ -1234,6 +1611,18 @@ let () =
           Alcotest.test_case "subscribers share one receive buffer" `Quick
             test_mcast_shared_recv_buffer;
         ] );
+      ( "tickets",
+        oracle_cases
+        @ [
+            Alcotest.test_case "reshaped path reissued before a 0-RTT rejoin" `Quick
+              test_reshaped_rejoin;
+            Alcotest.test_case "queue member reshaped by a composed DEK drop" `Quick
+              test_queue_member_reshaped;
+            Alcotest.test_case "netd.rekey carries tick_us and tickets" `Quick
+              test_rekey_journal;
+            Alcotest.test_case "per-node rows bounded over 500 churn intervals" `Slow
+              test_node_rows_bounded;
+          ] );
       ( "dek log",
         [ Alcotest.test_case "round-trips the list semantics" `Quick test_dek_log_roundtrip ] );
       ( "loop",
