@@ -4,7 +4,9 @@ module Frame = Gkm_wire.Frame
 module Msg = Gkm_wire.Msg
 module Grammar = Gkm_wire.Grammar
 module Dgram = Gkm_wire.Dgram
-open Gkm_wire.Wire_io
+module Packet = Gkm_transport.Packet
+module Bytes_io = Gkm_crypto.Bytes_io
+open Gkm_crypto.Codec
 
 type failure = {
   f_stage : string;
@@ -286,19 +288,8 @@ let fail report ~stage ~origin ~frame kind =
     report.failures <- { f_stage = stage; f_kind = kind; f_frame = frame; f_origin = origin } :: report.failures
 
 let header_fields frame =
-  if
-    Bytes.length frame >= 8
-    && Char.code (Bytes.get frame 0) = (Frame.magic lsr 8) land 0xff
-    && Char.code (Bytes.get frame 1) = Frame.magic land 0xff
-  then
-    let tag = Char.code (Bytes.get frame 3) in
-    let len =
-      let b i = Char.code (Bytes.get frame (4 + i)) in
-      let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-      (* sign-extend the i32 *)
-      if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
-    in
-    Some (tag, len)
+  if Bytes.length frame >= 8 && Bytes_io.get_u16 frame 0 = Frame.magic then
+    Some (Bytes_io.get_u8 frame 3, Bytes_io.get_i32 frame 4)
   else None
 
 let stream_check report ~origin ~chunks frame =
@@ -330,6 +321,17 @@ let stream_check report ~origin ~chunks frame =
   | () -> ()
   | exception e -> fail report ~stage:"stream" ~origin ~frame (`Raise (Printexc.to_string e))
 
+(* An accepted REKEY/RETX still carries outside bytes: the member
+   hands its payload to the entry codec next, which must not raise
+   either. No fixpoint here — the payload codec ignores trailing bytes
+   (FEC-recovered payloads come back zero-extended). *)
+let packet_check report ~origin frame = function
+  | Msg.Rekey m | Msg.Retx m -> (
+      match Packet.decode_payload m.packet.payload with
+      | Ok _ | Error _ -> ()
+      | exception e -> fail report ~stage:"packet" ~origin ~frame (`Raise (Printexc.to_string e)))
+  | _ -> ()
+
 let body_check report ~origin frame =
   match header_fields frame with
   | Some (tag, len) when len = Bytes.length frame - 8 -> (
@@ -337,6 +339,7 @@ let body_check report ~origin frame =
       match Msg.decode_body ~tag body with
       | Ok m -> (
           report.accepted <- report.accepted + 1;
+          packet_check report ~origin frame m;
           let buf = Buffer.create len in
           match Msg.encode_body buf m with
           | () ->

@@ -8,13 +8,17 @@
     {!Gkm_wire.Frame.decoder} (whole and re-chunked), through
     {!Gkm_wire.Msg.decode_body} when the header is intact, through
     the sealed-record inner codec, and through the multicast
-    {!Gkm_wire.Dgram} codec. Valid datagrams are additionally
+    {!Gkm_wire.Dgram} codec; the payload of every accepted REKEY/RETX
+    body goes on through {!Gkm_transport.Packet.decode_payload} (the
+    [packet] stage, never-raises only: that codec ignores trailing
+    bytes, so it has no fixpoint). Valid datagrams are additionally
     generated and poisoned directly — truncation mid-record,
     epoch/seq/count skew, magic and version poisoning — since the
     datagram path sees raw socket bytes with no streaming layer in
     front.
 
-    Two properties are enforced on every candidate:
+    Two properties are enforced on every candidate (the [packet]
+    stage checks only the first):
     + decode never raises — arbitrary bytes may only yield [Error];
     + encode∘decode is a byte fixpoint — an accepted body re-encodes
       to exactly the bytes that were decoded.

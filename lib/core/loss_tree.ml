@@ -273,8 +273,7 @@ let snap_version = 1
 let snap_version_derived = 2
 
 let snapshot t =
-  let open Gkm_crypto.Bytes_io in
-  let open Gkm_crypto.Snapshot_io in
+  let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snap_magic;
   (match t.keys_mode with
@@ -287,7 +286,7 @@ let snapshot t =
   (match t.cfg.assignment with
   | By_loss thresholds ->
       add_u8 buf 0;
-      add_list buf add_float thresholds
+      add_list buf add_f64 thresholds
   | Random k ->
       add_u8 buf 1;
       add_i32 buf k);
@@ -309,12 +308,7 @@ let snapshot t =
     t.placements;
   add_i32 buf t.cumulative;
   add_i32 buf t.last_cost;
-  Array.iter
-    (fun tree ->
-      let blob = Keytree.snapshot tree in
-      add_i32 buf (Bytes.length blob);
-      Buffer.add_bytes buf blob)
-    t.trees;
+  Array.iter (fun tree -> add_var32 buf (Keytree.snapshot tree)) t.trees;
   add_list buf
     (fun buf (m, band) ->
       add_i32 buf m;
@@ -323,7 +317,7 @@ let snapshot t =
   Buffer.to_bytes buf
 
 let restore blob =
-  let open Gkm_crypto.Snapshot_io in
+  let open Gkm_crypto.Codec in
   parse blob @@ fun r ->
   magic r snap_magic;
   let version = u8 r in
@@ -341,7 +335,7 @@ let restore blob =
   let seed = Int64.to_int (i64 r) in
   let assignment =
     match u8 r with
-    | 0 -> By_loss (list r float)
+    | 0 -> By_loss (list r ~min_item_size:8 f64)
     | 1 -> Random (i32 r)
     | n -> corrupt "bad assignment tag %d" n
   in
@@ -350,15 +344,15 @@ let restore blob =
   let rng = Prng.restore (i64 r) in
   let dek = opt r key in
   let pending_joins =
-    list r (fun r ->
+    list r ~min_item_size:(8 + Key.size) (fun r ->
         let m = i32 r in
         let band = i32 r in
         let k = key r in
         (m, band, k))
   in
-  let pending_departs = list r i32 in
+  let pending_departs = list r ~min_item_size:4 i32 in
   let placements =
-    list r (fun r ->
+    list r ~min_item_size:8 (fun r ->
         let m = i32 r in
         let leaf = i32 r in
         (m, leaf))
@@ -369,19 +363,13 @@ let restore blob =
     match assignment with By_loss th -> List.length th + 1 | Random k -> k
   in
   let read_tree r =
-    let len = i32 r in
-    match Keytree.restore (bytes r len) with
+    match Keytree.restore (var32 r) with
     | Ok tree -> tree
     | Error e -> corrupt "bad tree blob: %s" e
   in
-  (* Explicit left-to-right reads: [Array.init]'s application order is
-     unspecified, which a stateful cursor cannot tolerate. *)
-  let rec read_trees k acc =
-    if k = 0 then List.rev acc else read_trees (k - 1) (read_tree r :: acc)
-  in
-  let trees = Array.of_list (read_trees n_bands []) in
+  let trees = Array.of_list (items r ~min_item_size:4 n_bands read_tree) in
   let band_of = Hashtbl.create 256 in
-  list r (fun r ->
+  list r ~min_item_size:8 (fun r ->
       let m = i32 r in
       let band = i32 r in
       (m, band))

@@ -337,11 +337,10 @@ let comp_kind_of_tag = function
   | 1 -> Scheme.Qt
   | 2 -> Scheme.Tt
   | 3 -> Scheme.Pt
-  | n -> Gkm_crypto.Snapshot_io.corrupt "bad composed kind tag %d" n
+  | n -> Gkm_crypto.Codec.corrupt "bad composed kind tag %d" n
 
 let composed_snapshot t =
-  let open Gkm_crypto.Bytes_io in
-  let open Gkm_crypto.Snapshot_io in
+  let open Gkm_crypto.Codec in
   let buf = Buffer.create 8192 in
   Buffer.add_string buf composed_magic;
   add_u8 buf composed_version;
@@ -349,18 +348,13 @@ let composed_snapshot t =
   add_i32 buf t.c_cfg.degree;
   add_i32 buf t.c_cfg.s_period;
   add_i64 buf (Int64.of_int t.c_cfg.seed);
-  add_list buf add_float t.c_cfg.thresholds;
+  add_list buf add_f64 t.c_cfg.thresholds;
   add_i64 buf (Prng.save t.c_rng);
   add_i32 buf t.c_interval;
   add_opt buf add_key t.c_dek;
   add_i32 buf t.c_cumulative;
   add_i32 buf t.c_last_cost;
-  Array.iter
-    (fun sch ->
-      let blob = Scheme.snapshot sch in
-      add_i32 buf (Bytes.length blob);
-      Buffer.add_bytes buf blob)
-    t.bands;
+  Array.iter (fun sch -> add_var32 buf (Scheme.snapshot sch)) t.bands;
   add_list buf
     (fun buf (m, b) ->
       add_i32 buf m;
@@ -369,7 +363,7 @@ let composed_snapshot t =
   Buffer.to_bytes buf
 
 let composed_restore blob =
-  let open Gkm_crypto.Snapshot_io in
+  let open Gkm_crypto.Codec in
   parse blob @@ fun r ->
   magic r composed_magic;
   let version = u8 r in
@@ -379,7 +373,7 @@ let composed_restore blob =
   let degree = i32 r in
   let s_period = i32 r in
   let seed = Int64.to_int (i64 r) in
-  let thresholds = list r float in
+  let thresholds = list r ~min_item_size:8 f64 in
   let c_rng = Prng.restore (i64 r) in
   let c_interval = i32 r in
   let c_dek = opt r key in
@@ -387,17 +381,13 @@ let composed_restore blob =
   let c_last_cost = i32 r in
   let n_bands = List.length thresholds + 1 in
   let read_band r =
-    let len = i32 r in
-    match Scheme.restore (bytes r len) with
+    match Scheme.restore (var32 r) with
     | Ok sch -> sch
     | Error e -> corrupt "bad band blob: %s" e
   in
-  let rec read_bands k acc =
-    if k = 0 then List.rev acc else read_bands (k - 1) (read_band r :: acc)
-  in
-  let bands = Array.of_list (read_bands n_bands []) in
+  let bands = Array.of_list (items r ~min_item_size:4 n_bands read_band) in
   let band_of = Hashtbl.create 256 in
-  list r (fun r ->
+  list r ~min_item_size:8 (fun r ->
       let m = i32 r in
       let b = i32 r in
       (m, b))

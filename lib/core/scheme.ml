@@ -501,24 +501,20 @@ let kind_of_tag = function
   | 1 -> Qt
   | 2 -> Tt
   | 3 -> Pt
-  | n -> Gkm_crypto.Snapshot_io.corrupt "bad scheme kind tag %d" n
+  | n -> Gkm_crypto.Codec.corrupt "bad scheme kind tag %d" n
 
 let cls_tag = function Short -> 0 | Long -> 1
 
 let cls_of_tag = function
   | 0 -> Short
   | 1 -> Long
-  | n -> Gkm_crypto.Snapshot_io.corrupt "bad member-class tag %d" n
+  | n -> Gkm_crypto.Codec.corrupt "bad member-class tag %d" n
 
-let add_tree buf tree =
-  let blob = Keytree.snapshot tree in
-  Gkm_crypto.Bytes_io.add_i32 buf (Bytes.length blob);
-  Buffer.add_bytes buf blob
+let add_tree buf tree = Gkm_crypto.Codec.add_var32 buf (Keytree.snapshot tree)
 
 let read_tree r =
-  let open Gkm_crypto.Snapshot_io in
-  let len = i32 r in
-  match Keytree.restore (bytes r len) with
+  let open Gkm_crypto.Codec in
+  match Keytree.restore (var32 r) with
   | Ok tree -> tree
   | Error e -> corrupt "bad tree blob: %s" e
 
@@ -531,8 +527,7 @@ let read_tree r =
 let sorted_table tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
 let snapshot t =
-  let open Gkm_crypto.Bytes_io in
-  let open Gkm_crypto.Snapshot_io in
+  let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snap_magic;
   (match t.keys_mode with
@@ -588,7 +583,7 @@ let snapshot t =
   Buffer.to_bytes buf
 
 let restore blob =
-  let open Gkm_crypto.Snapshot_io in
+  let open Gkm_crypto.Codec in
   parse blob @@ fun r ->
   magic r snap_magic;
   let version = u8 r in
@@ -612,15 +607,15 @@ let restore blob =
   let rng = Prng.restore (i64 r) in
   let dek = opt r key in
   let joins =
-    list r (fun r ->
+    list r ~min_item_size:(4 + 1 + Key.size) (fun r ->
         let m = i32 r in
         let cls = cls_of_tag (u8 r) in
         let k = key r in
         (m, cls, k))
   in
-  let departs = list r i32 in
+  let departs = list r ~min_item_size:4 i32 in
   let placements =
-    list r (fun r ->
+    list r ~min_item_size:12 (fun r ->
         let m = i32 r in
         let leaf = Int64.to_int (i64 r) in
         (m, leaf))
@@ -632,7 +627,7 @@ let restore blob =
     | One_keytree -> One (read_tree r)
     | Qt ->
         let entries =
-          list r (fun r ->
+          list r ~min_item_size:(8 + Key.size) (fun r ->
               let m = i32 r in
               let joined = i32 r in
               let qkey = key r in
@@ -645,7 +640,7 @@ let restore blob =
         let s = read_tree r in
         let l = read_tree r in
         let pairs =
-          list r (fun r ->
+          list r ~min_item_size:8 (fun r ->
               let m = i32 r in
               let joined = i32 r in
               (m, joined))

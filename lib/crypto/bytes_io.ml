@@ -1,71 +1,36 @@
+let fits_i32 v = v >= Int32.to_int Int32.min_int && v <= Int32.to_int Int32.max_int
+
 let put_u8 buf pos v =
-  Bytes.set buf pos (Char.chr (v land 0xff));
+  Bytes.set_uint8 buf pos (v land 0xff);
   pos + 1
 
 let put_u16 buf pos v =
   if v < 0 || v > 0xffff then invalid_arg "Bytes_io.put_u16: value exceeds 16 bits";
-  Bytes.set buf pos (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (pos + 1) (Char.chr (v land 0xff));
+  Bytes.set_uint16_be buf pos v;
   pos + 2
 
 let put_i32 buf pos v =
-  if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
-    invalid_arg "Bytes_io.put_i32: value exceeds 32 bits";
-  let v32 = Int32.of_int v in
-  for i = 0 to 3 do
-    let shift = 8 * (3 - i) in
-    Bytes.set buf (pos + i)
-      (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v32 shift) 0xffl)))
-  done;
+  if not (fits_i32 v) then invalid_arg "Bytes_io.put_i32: value exceeds 32 bits";
+  Bytes.set_int32_be buf pos (Int32.of_int v);
   pos + 4
 
 let put_i64 buf pos v =
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set buf (pos + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v shift) 0xffL)))
-  done;
+  Bytes.set_int64_be buf pos v;
   pos + 8
 
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+let add_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
 
 let add_u16 buf v =
   if v < 0 || v > 0xffff then invalid_arg "Bytes_io.add_u16: value exceeds 16 bits";
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+  Buffer.add_uint16_be buf v
 
 let add_i32 buf v =
-  if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
-    invalid_arg "Bytes_io.add_i32: value exceeds 32 bits";
-  let v32 = Int32.of_int v in
-  for i = 0 to 3 do
-    let shift = 8 * (3 - i) in
-    Buffer.add_char buf
-      (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v32 shift) 0xffl)))
-  done
+  if not (fits_i32 v) then invalid_arg "Bytes_io.add_i32: value exceeds 32 bits";
+  Buffer.add_int32_be buf (Int32.of_int v)
 
-let add_i64 buf v =
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v shift) 0xffL)))
-  done
-
-let get_u8 buf pos = Char.code (Bytes.get buf pos)
-let get_u16 buf pos = (get_u8 buf pos lsl 8) lor get_u8 buf (pos + 1)
-
-let get_i32 buf pos =
-  let v = ref 0l in
-  for i = 0 to 3 do
-    v := Int32.logor (Int32.shift_left !v 8) (Int32.of_int (get_u8 buf (pos + i)))
-  done;
-  Int32.to_int !v
-
-let get_i64 buf pos =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 buf (pos + i)))
-  done;
-  !v
-
+let add_i64 = Buffer.add_int64_be
+let get_u8 = Bytes.get_uint8
+let get_u16 = Bytes.get_uint16_be
+let get_i32 buf pos = Int32.to_int (Bytes.get_int32_be buf pos)
+let get_i64 = Bytes.get_int64_be
 let has buf ~pos ~len = pos >= 0 && len >= 0 && pos + len <= Bytes.length buf

@@ -1,8 +1,9 @@
-(** Big-endian scalar readers and writers shared by the wire codecs
-    (rekey messages, packet payloads, key-tree snapshots).
+(** Big-endian scalars at fixed offsets: the stdlib accessors plus the
+    range checks the encoders rely on. For fixed-size fields (frame
+    headers, record nonces); variable formats go through {!Codec}.
 
-    Writers return the cursor after the written field; readers trust
-    the caller to have bounds-checked (use {!has}) and never allocate. *)
+    Writers return the cursor after the written field; readers never
+    allocate and raise [Invalid_argument] out of bounds (use {!has}). *)
 
 val put_u8 : bytes -> int -> int -> int
 val put_u16 : bytes -> int -> int -> int

@@ -1,0 +1,110 @@
+let add_u8 = Bytes_io.add_u8
+let add_u16 = Bytes_io.add_u16
+let add_i32 = Bytes_io.add_i32
+let add_i64 = Bytes_io.add_i64
+let add_f64 buf v = add_i64 buf (Int64.bits_of_float v)
+let add_key buf k = Buffer.add_bytes buf (Key.to_bytes k)
+
+let add_var16 buf b =
+  add_u16 buf (Bytes.length b);
+  Buffer.add_bytes buf b
+
+let add_var32 buf b =
+  add_i32 buf (Bytes.length b);
+  Buffer.add_bytes buf b
+
+let add_string16 buf s =
+  add_u16 buf (String.length s);
+  Buffer.add_string buf s
+
+let add_opt buf add = function
+  | None -> add_u8 buf 0
+  | Some x ->
+      add_u8 buf 1;
+      add buf x
+
+let add_list16 buf add items =
+  let n = List.length items in
+  if n > 0xFFFF then invalid_arg "Codec.add_list16: more than 65535 items";
+  add_u16 buf n;
+  List.iter (add buf) items
+
+let add_list buf add items =
+  add_i32 buf (List.length items);
+  List.iter (add buf) items
+
+type reader = { buf : bytes; mutable pos : int }
+
+exception Corrupt of string
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+let remaining r = Bytes.length r.buf - r.pos
+
+let need r n =
+  if n < 0 then corrupt "negative length %d" n;
+  if remaining r < n then
+    corrupt "truncated at byte %d: need %d bytes, have %d" r.pos n (remaining r)
+
+let u8 r =
+  need r 1;
+  let v = Bytes_io.get_u8 r.buf r.pos in
+  r.pos <- r.pos + 1;
+  v
+
+let u16 r =
+  need r 2;
+  let v = Bytes_io.get_u16 r.buf r.pos in
+  r.pos <- r.pos + 2;
+  v
+
+let i32 r =
+  need r 4;
+  let v = Bytes_io.get_i32 r.buf r.pos in
+  r.pos <- r.pos + 4;
+  v
+
+let i64 r =
+  need r 8;
+  let v = Bytes_io.get_i64 r.buf r.pos in
+  r.pos <- r.pos + 8;
+  v
+
+let f64 r = Int64.float_of_bits (i64 r)
+
+let bytes r n =
+  need r n;
+  let b = Bytes.sub r.buf r.pos n in
+  r.pos <- r.pos + n;
+  b
+
+let key r = Key.of_bytes (bytes r Key.size)
+let var16 r = bytes r (u16 r)
+let var32 r = bytes r (i32 r)
+let string16 r = Bytes.to_string (var16 r)
+
+let magic r tag =
+  let got = Bytes.to_string (bytes r (String.length tag)) in
+  if got <> tag then corrupt "bad magic %S (expected %S)" got tag
+
+let opt r read =
+  match u8 r with 0 -> None | 1 -> Some (read r) | b -> corrupt "bad presence byte %d" b
+
+(* Explicit recursion: the cursor demands left-to-right reads, which
+   [List.init] does not promise. *)
+let items r ~min_item_size n item =
+  if min_item_size < 1 then invalid_arg "Codec.items: min_item_size < 1";
+  if n < 0 then corrupt "negative count %d" n;
+  if n > remaining r / min_item_size then
+    corrupt "%d items cannot fit in %d remaining bytes" n (remaining r);
+  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (item r :: acc) in
+  go n []
+
+let list16 r ~min_item_size item = items r ~min_item_size (u16 r) item
+let list r ~min_item_size item = items r ~min_item_size (i32 r) item
+
+let parse buf decode =
+  let r = { buf; pos = 0 } in
+  match decode r with
+  | v -> if remaining r = 0 then Ok v else Error (Printf.sprintf "%d trailing bytes" (remaining r))
+  | exception Corrupt msg -> Error msg
+  | exception Invalid_argument msg -> Error msg

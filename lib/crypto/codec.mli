@@ -1,0 +1,97 @@
+(** The one byte codec: big-endian writers into a [Buffer.t] and a
+    bounds-checked cursor to read them back.
+
+    Wire messages, multicast datagrams, packet payloads, tickets,
+    resumption blobs and every crash-recovery snapshot (key trees,
+    servers, organizations) are written with the [add_*] family and
+    decoded by a function run under {!parse}. Every cursor read checks
+    availability before touching the buffer, so a decoder fed
+    arbitrary bytes can only return [Error]: it never raises, and it
+    allocates at most what the input's own size can pay for. *)
+
+(** {1 Writers} *)
+
+val add_u8 : Buffer.t -> int -> unit
+val add_u16 : Buffer.t -> int -> unit
+(** @raise Invalid_argument if the value exceeds 16 bits. *)
+
+val add_i32 : Buffer.t -> int -> unit
+(** @raise Invalid_argument if the value exceeds 32 signed bits. *)
+
+val add_i64 : Buffer.t -> int64 -> unit
+
+val add_f64 : Buffer.t -> float -> unit
+(** IEEE-754 bit pattern as i64. *)
+
+val add_key : Buffer.t -> Key.t -> unit
+(** Raw 16-byte key material: seal a snapshot that carries it before
+    persisting, and never put it on the wire in the clear. *)
+
+val add_var16 : Buffer.t -> bytes -> unit
+(** u16 length prefix then the bytes. *)
+
+val add_var32 : Buffer.t -> bytes -> unit
+(** i32 length prefix then the bytes. *)
+
+val add_string16 : Buffer.t -> string -> unit
+
+val add_opt : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
+(** Presence byte (0 or 1) then the payload. *)
+
+val add_list16 : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** u16 count then the items. @raise Invalid_argument above 65535. *)
+
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** i32 count then the items. *)
+
+(** {1 Reader} *)
+
+type reader
+
+exception Corrupt of string
+(** Raised by the cursor reads on truncation, and by {!corrupt} for
+    semantic errors. Caught by {!parse}. *)
+
+val corrupt : ('a, unit, string, 'b) format4 -> 'a
+(** [corrupt fmt ...] raises {!Corrupt} with the formatted message. *)
+
+val remaining : reader -> int
+
+val magic : reader -> string -> unit
+(** Consume and check a fixed tag. *)
+
+val u8 : reader -> int
+val u16 : reader -> int
+val i32 : reader -> int
+(** Sign-extending. *)
+
+val i64 : reader -> int64
+val f64 : reader -> float
+val bytes : reader -> int -> bytes
+val key : reader -> Key.t
+val var16 : reader -> bytes
+val var32 : reader -> bytes
+(** A negative length is {!Corrupt}. *)
+
+val string16 : reader -> string
+
+val opt : reader -> (reader -> 'a) -> 'a option
+(** Any presence byte other than 0 or 1 is {!Corrupt}. *)
+
+val items : reader -> min_item_size:int -> int -> (reader -> 'a) -> 'a list
+(** [items r ~min_item_size n item] reads [n] items, left to right,
+    for formats whose count is not stored just before them. A count
+    that cannot fit in the remaining bytes at [min_item_size] bytes an
+    item (or a negative one) is rejected before any item is read, so
+    a hostile count allocates nothing. *)
+
+val list16 : reader -> min_item_size:int -> (reader -> 'a) -> 'a list
+(** u16 count then {!items}. *)
+
+val list : reader -> min_item_size:int -> (reader -> 'a) -> 'a list
+(** i32 count then {!items}. *)
+
+val parse : bytes -> (reader -> 'a) -> ('a, string) result
+(** Run a decoder over the whole of [bytes]. [Error] on truncation,
+    a {!corrupt}, an [Invalid_argument] from a constructor the decoder
+    calls, or bytes left unread once it returns. Never raises those. *)

@@ -554,7 +554,7 @@ let snapshot_version = 2
 let invalidate_schedules t = Hashtbl.iter (fun _ n -> n.cipher <- None) t.nodes
 
 let snapshot t =
-  let open Gkm_crypto.Bytes_io in
+  let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snapshot_magic;
   (* Wrap-mode blobs keep the exact v2 layout (pinned by the seed
@@ -570,7 +570,7 @@ let snapshot t =
   add_i64 buf (Int64.of_int t.next_id);
   let rec emit n =
     add_i64 buf (Int64.of_int n.id);
-    Buffer.add_bytes buf (Key.to_bytes n.key);
+    add_key buf n.key;
     add_i32 buf n.version;
     add_i32 buf (match n.member with Some m -> m | None -> -1);
     add_u16 buf n.nchildren;
@@ -583,112 +583,73 @@ let snapshot t =
       emit root);
   Buffer.to_bytes buf
 
+let node_size = 8 + Key.size + 4 + 4 + 2
+
 let restore blob =
-  let open Gkm_crypto.Bytes_io in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let len = Bytes.length blob in
-  let version = if len >= 5 then get_u8 blob 4 else -1 in
-  (* v2 = wrap mode, header as always; v3 inserts one mode byte after
-     the version and is otherwise identical. *)
-  let off = if version = 3 then 1 else 0 in
-  if len < 4 + 1 + off + 2 + 8 + 4 + 8 + 1 then fail "snapshot too short"
-  else if Bytes.sub_string blob 0 4 <> snapshot_magic then fail "bad snapshot magic"
-  else if version <> snapshot_version && version <> 3 then fail "unsupported snapshot version"
-  else begin
-    let mode = if version = 3 && get_u8 blob 5 = 1 then Derived else Wrap in
-    let degree = get_u16 blob (5 + off) in
-    if version = 3 && get_u8 blob 5 > 1 then fail "corrupt mode byte"
-    else if degree < 2 then fail "corrupt degree"
-    else begin
-      let rng = Prng.restore (get_i64 blob (7 + off)) in
-      let epoch = get_i32 blob (15 + off) in
-      let next_id = Int64.to_int (get_i64 blob (19 + off)) in
-      let t =
-        {
-          degree;
-          mode;
-          rng;
-          root = None;
-          leaves = Hashtbl.create 64;
-          nodes = Hashtbl.create 64;
-          next_id;
-          epoch;
-        }
-      in
-      let pos = ref (27 + off) in
-      let rec read_node () =
-        if not (has blob ~pos:!pos ~len:(8 + Key.size + 4 + 4 + 2)) then
-          Error "truncated node"
-        else begin
-          let id = Int64.to_int (get_i64 blob !pos) in
-          let key = Key.of_bytes (Bytes.sub blob (!pos + 8) Key.size) in
-          let version = get_i32 blob (!pos + 8 + Key.size) in
-          let member_raw = get_i32 blob (!pos + 12 + Key.size) in
-          let nchildren = get_u16 blob (!pos + 16 + Key.size) in
-          pos := !pos + 18 + Key.size;
-          let member = if member_raw < 0 then None else Some member_raw in
-          if member <> None && nchildren > 0 then Error "leaf with children"
-          else if Hashtbl.mem t.nodes id then Error "duplicate node id"
-          else begin
-            let node =
-              {
-                id;
-                key;
-                version;
-                parent = None;
-                children = [];
-                nchildren = 0;
-                member;
-                size = (match member with Some _ -> 1 | None -> 0);
-                cipher = None;
-              }
-            in
-            Hashtbl.replace t.nodes id node;
-            (match member with Some m -> Hashtbl.replace t.leaves m node | None -> ());
-            let rec read_children k acc =
-              if k = 0 then Ok (List.rev acc)
-              else
-                match read_node () with
-                | Error _ as e -> e
-                | Ok child ->
-                    child.parent <- Some node;
-                    read_children (k - 1) (child :: acc)
-            in
-            match read_children nchildren [] with
-            | Error _ as e -> e
-            | Ok children ->
-                node.children <- children;
-                node.nchildren <- nchildren;
-                node.size <-
-                  (match member with
-                  | Some _ -> 1
-                  | None -> List.fold_left (fun acc c -> acc + c.size) 0 children);
-                Ok node
-          end
-        end
-      in
-      if not (has blob ~pos:!pos ~len:1) then fail "missing root flag"
-      else begin
-        let has_root = get_u8 blob !pos in
-        incr pos;
-        let finish () =
-          if !pos <> len then fail "trailing bytes"
-          else
-            match check t with
-            | Ok () ->
-                invalidate_schedules t;
-                Ok t
-            | Error e -> fail "invalid snapshot: %s" e
-        in
-        match has_root with
-        | 0 -> finish ()
-        | 1 -> (
-            match read_node () with
-            | Error e -> fail "%s" e
-            | Ok root ->
-                t.root <- Some root;
-                finish ())
-        | _ -> fail "corrupt root flag"
-      end
-    end
-  end
+  let open Gkm_crypto.Codec in
+  parse blob @@ fun r ->
+  magic r snapshot_magic;
+  (* v2 = wrap mode; v3 inserts one mode byte after the version and is
+     otherwise identical. *)
+  let mode =
+    match u8 r with
+    | 2 -> Wrap
+    | 3 -> (match u8 r with 0 -> Wrap | 1 -> Derived | _ -> corrupt "corrupt mode byte")
+    | _ -> corrupt "unsupported snapshot version"
+  in
+  let degree = u16 r in
+  if degree < 2 then corrupt "corrupt degree";
+  let rng = Prng.restore (i64 r) in
+  let epoch = i32 r in
+  let next_id = Int64.to_int (i64 r) in
+  let t =
+    {
+      degree;
+      mode;
+      rng;
+      root = None;
+      leaves = Hashtbl.create 64;
+      nodes = Hashtbl.create 64;
+      next_id;
+      epoch;
+    }
+  in
+  let rec read_node r =
+    let id = Int64.to_int (i64 r) in
+    let key = key r in
+    let version = i32 r in
+    let member = match i32 r with m when m < 0 -> None | m -> Some m in
+    let node =
+      {
+        id;
+        key;
+        version;
+        parent = None;
+        children = [];
+        nchildren = 0;
+        member;
+        size = 1;
+        cipher = None;
+      }
+    in
+    if Hashtbl.mem t.nodes id then corrupt "duplicate node id";
+    Hashtbl.replace t.nodes id node;
+    let children = list16 r ~min_item_size:node_size read_node in
+    (match member with
+    | Some m ->
+        if children <> [] then corrupt "leaf with children";
+        Hashtbl.replace t.leaves m node
+    | None ->
+        List.iter (fun c -> c.parent <- Some node) children;
+        node.children <- children;
+        node.nchildren <- List.length children;
+        node.size <- List.fold_left (fun acc c -> acc + c.size) 0 children);
+    node
+  in
+  (match u8 r with
+  | 0 -> ()
+  | 1 -> t.root <- Some (read_node r)
+  | _ -> corrupt "corrupt root flag");
+  (match check t with Ok () -> () | Error e -> corrupt "invalid snapshot: %s" e);
+  invalidate_schedules t;
+  t

@@ -164,109 +164,56 @@ let enc_key_of storage_key = Key.derive storage_key Gkm_crypto.Labels.snapshot_e
 let mac_key_of storage_key = Key.derive storage_key Gkm_crypto.Labels.snapshot_mac
 
 let serialize_state t =
-  let open Gkm_crypto.Bytes_io in
+  let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf state_magic;
   add_u8 buf state_version;
   add_i64 buf (Prng.save t.rng);
   add_i32 buf t.cumulative_cost;
   add_i32 buf t.rekey_count;
-  let joins = List.rev (live_joins t) in
-  add_i32 buf (List.length joins);
-  List.iter
-    (fun (m, key) ->
+  add_list buf
+    (fun buf (m, key) ->
       add_i32 buf m;
-      Buffer.add_bytes buf (Key.to_bytes key))
-    joins;
-  let departures = List.rev t.pending_departures in
-  add_i32 buf (List.length departures);
-  List.iter (fun m -> add_i32 buf m) departures;
-  let tree_blob = Keytree.snapshot t.tree in
-  add_i32 buf (Bytes.length tree_blob);
-  Buffer.add_bytes buf tree_blob;
+      add_key buf key)
+    (List.rev (live_joins t));
+  add_list buf add_i32 (List.rev t.pending_departures);
+  add_var32 buf (Keytree.snapshot t.tree);
   Buffer.to_bytes buf
 
 let deserialize_state blob =
-  let open Gkm_crypto.Bytes_io in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let ( let* ) = Result.bind in
-  let len = Bytes.length blob in
-  if len < 4 + 1 + 8 + 4 + 4 + 4 then fail "server state too short"
-  else if Bytes.sub_string blob 0 4 <> state_magic then fail "bad server-state magic"
-  else if get_u8 blob 4 <> state_version then fail "unsupported server-state version"
-  else begin
-    let rng = Prng.restore (get_i64 blob 5) in
-    let cumulative_cost = get_i32 blob 13 in
-    let rekey_count = get_i32 blob 17 in
-    let pos = ref 21 in
-    let* njoins =
-      if has blob ~pos:!pos ~len:4 then begin
-        let n = get_i32 blob !pos in
-        pos := !pos + 4;
-        if n < 0 then fail "negative join count" else Ok n
-      end
-      else fail "truncated joins"
-    in
-    let rec read_joins k acc =
-      if k = 0 then Ok (List.rev acc)
-      else if not (has blob ~pos:!pos ~len:(4 + Key.size)) then fail "truncated join entry"
-      else begin
-        let m = get_i32 blob !pos in
-        let key = Key.of_bytes (Bytes.sub blob (!pos + 4) Key.size) in
-        pos := !pos + 4 + Key.size;
-        read_joins (k - 1) ((m, key) :: acc)
-      end
-    in
-    let* joins = read_joins njoins [] in
-    let* ndeps =
-      if has blob ~pos:!pos ~len:4 then begin
-        let n = get_i32 blob !pos in
-        pos := !pos + 4;
-        if n < 0 then fail "negative departure count" else Ok n
-      end
-      else fail "truncated departures"
-    in
-    let rec read_deps k acc =
-      if k = 0 then Ok (List.rev acc)
-      else if not (has blob ~pos:!pos ~len:4) then fail "truncated departure entry"
-      else begin
-        let m = get_i32 blob !pos in
-        pos := !pos + 4;
-        read_deps (k - 1) (m :: acc)
-      end
-    in
-    let* departures = read_deps ndeps [] in
-    let* tree_len =
-      if has blob ~pos:!pos ~len:4 then begin
-        let n = get_i32 blob !pos in
-        pos := !pos + 4;
-        if n < 0 || not (has blob ~pos:!pos ~len:n) then fail "truncated tree blob" else Ok n
-      end
-      else fail "missing tree blob"
-    in
-    let tree_blob = Bytes.sub blob !pos tree_len in
-    pos := !pos + tree_len;
-    if !pos <> len then fail "trailing bytes in server state"
-    else
-      let* tree = Keytree.restore tree_blob in
-      let join_tbl = Hashtbl.create 64 in
-      (* Share the key cell between list and table so every restored
-         entry is live under the physical-equality test. *)
-      List.iter (fun (m, key) -> Hashtbl.replace join_tbl m key) joins;
-      let dep_tbl = Hashtbl.create 64 in
-      List.iter (fun m -> Hashtbl.replace dep_tbl m ()) departures;
-      Ok
-        {
-          tree;
-          rng;
-          pending_joins = List.rev joins;
-          join_tbl;
-          pending_departures = List.rev departures;
-          dep_tbl;
-          cumulative_cost;
-          rekey_count;
-        }
-  end
+  let open Gkm_crypto.Codec in
+  parse blob @@ fun r ->
+  magic r state_magic;
+  if u8 r <> state_version then corrupt "unsupported server-state version";
+  let rng = Prng.restore (i64 r) in
+  let cumulative_cost = i32 r in
+  let rekey_count = i32 r in
+  let joins =
+    list r ~min_item_size:(4 + Key.size) (fun r ->
+        let m = i32 r in
+        let key = key r in
+        (m, key))
+  in
+  let departures = list r ~min_item_size:4 i32 in
+  let tree =
+    match Keytree.restore (var32 r) with Ok tree -> tree | Error e -> corrupt "%s" e
+  in
+  let join_tbl = Hashtbl.create 64 in
+  (* Share the key cell between list and table so every restored
+     entry is live under the physical-equality test. *)
+  List.iter (fun (m, key) -> Hashtbl.replace join_tbl m key) joins;
+  let dep_tbl = Hashtbl.create 64 in
+  List.iter (fun m -> Hashtbl.replace dep_tbl m ()) departures;
+  {
+    tree;
+    rng;
+    pending_joins = List.rev joins;
+    join_tbl;
+    pending_departures = List.rev departures;
+    dep_tbl;
+    cumulative_cost;
+    rekey_count;
+  }
 
 let snapshot t ~storage_key =
   (* Draw the nonce before capturing the PRNG so the snapshot and the

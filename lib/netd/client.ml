@@ -1,5 +1,5 @@
 module Key = Gkm_crypto.Key
-module Bytes_io = Gkm_crypto.Bytes_io
+module Codec = Gkm_crypto.Codec
 module Prng = Gkm_crypto.Prng
 module Member = Gkm_lkh.Member
 module Packet = Gkm_transport.Packet
@@ -730,34 +730,24 @@ let export_resumption t =
   | Some key, Some (issued_epoch, blob) when t.member >= 0 ->
       let buf = Buffer.create (32 + Bytes.length blob) in
       Buffer.add_string buf resumption_magic;
-      Bytes_io.add_i32 buf t.member;
-      Bytes_io.add_i32 buf t.epoch;
-      Bytes_io.add_i32 buf issued_epoch;
-      let raw = Key.to_bytes key in
-      Bytes_io.add_u16 buf (Bytes.length raw);
-      Buffer.add_bytes buf raw;
-      Bytes_io.add_u16 buf (Bytes.length blob);
-      Buffer.add_bytes buf blob;
+      Codec.add_i32 buf t.member;
+      Codec.add_i32 buf t.epoch;
+      Codec.add_i32 buf issued_epoch;
+      Codec.add_var16 buf (Key.to_bytes key);
+      Codec.add_var16 buf blob;
       Some (Buffer.to_bytes buf)
   | _ -> None
 
 let parse_resumption b =
-  let len = Bytes.length b in
-  if len < 4 + 12 + 4 then Error "resumption blob too short"
-  else if Bytes.sub_string b 0 4 <> resumption_magic then Error "bad resumption magic"
-  else
-    let member = Bytes_io.get_i32 b 4 in
-    let epoch = Bytes_io.get_i32 b 8 in
-    let issued_epoch = Bytes_io.get_i32 b 12 in
-    let klen = Bytes_io.get_u16 b 16 in
-    if 18 + klen + 2 > len then Error "resumption blob truncated"
-    else
-      let key = Bytes.sub b 18 klen in
-      let tlen = Bytes_io.get_u16 b (18 + klen) in
-      if 20 + klen + tlen > len then Error "resumption blob truncated"
-      else if klen <> Key.size then Error "bad individual key size"
-      else
-        Ok (member, epoch, issued_epoch, Key.of_bytes key, Bytes.sub b (20 + klen) tlen)
+  Codec.parse b @@ fun r ->
+  Codec.magic r resumption_magic;
+  let member = Codec.i32 r in
+  let epoch = Codec.i32 r in
+  let issued_epoch = Codec.i32 r in
+  let key = Codec.var16 r in
+  if Bytes.length key <> Key.size then Codec.corrupt "bad individual key size";
+  let ticket = Codec.var16 r in
+  (member, epoch, issued_epoch, Key.of_bytes key, ticket)
 
 let connect ~loop cfg =
   let t =

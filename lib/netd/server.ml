@@ -180,7 +180,6 @@ let m_retx = Metrics.Counter.v "netd.retx_packets"
 let m_resyncs = Metrics.Counter.v "netd.resyncs"
 let m_migrations = Metrics.Counter.v "netd.migrations"
 let m_evictions = Metrics.Counter.v "netd.evictions"
-let m_soft_skips = Metrics.Counter.v "netd.soft_skips"
 let m_clients = Metrics.Gauge.v "netd.clients"
 let h_tick = Metrics.Histogram.v "netd.tick_s"
 let m_tickets = Metrics.Counter.v "netd.tickets"
@@ -516,7 +515,9 @@ let handle_nack t cl ~rekey_no ~seqs =
   match Hashtbl.find_opt t.history rekey_no with
   | Some h ->
       let total = Array.length h.h_packets in
-      let seqs = match seqs with [] -> List.init total Fun.id | l -> l in
+      (* Deduplicated: one NACK costs at most [total] retransmissions,
+         however often it repeats a seq. *)
+      let seqs = match seqs with [] -> List.init total Fun.id | l -> List.sort_uniq compare l in
       List.iter
         (fun seq ->
           if seq >= 0 && seq < total then begin
@@ -1149,29 +1150,23 @@ let tick t =
         | _ when mcast_delivered -> ()
         | None ->
             let slow = ref [] in
+            let on_skip () = t.stats.soft_skips <- t.stats.soft_skips + 1 in
             Hashtbl.iter
               (fun _member cl ->
-                if cl.admitted_at < t.tick_no then
-                  let backlog = Conn.out_bytes cl.conn in
-                  if backlog > t.cfg.outbox_hard then slow := cl :: !slow
-                  else if backlog > t.cfg.outbox_soft then begin
-                    (* Soft tier: skip this interval's frames; the
-                       client sees a rekey_no gap and recovers via
-                       NACK/RESYNC. A client stuck above the soft mark
-                       for [stall_strikes] consecutive intervals is as
-                       good as dead — evict it (skipping stops backlog
-                       growth, so the hard mark alone would never
-                       trigger). *)
-                    cl.strikes <- cl.strikes + 1;
-                    t.stats.soft_skips <- t.stats.soft_skips + 1;
-                    if Obs.enabled () then Metrics.Counter.incr m_soft_skips;
-                    if cl.strikes >= t.cfg.stall_strikes then slow := cl :: !slow
-                  end
-                  else begin
-                    cl.strikes <- 0;
-                    Array.iter (fun f -> Conn.enqueue_frame cl.conn f) (Lazy.force frames);
-                    ignore (Conn.write_through t.loop cl.conn)
-                  end)
+                if cl.admitted_at < t.tick_no then begin
+                  let verdict, strikes =
+                    Shard.backpressure ~outbox_soft:t.cfg.outbox_soft
+                      ~outbox_hard:t.cfg.outbox_hard ~stall_strikes:t.cfg.stall_strikes ~on_skip
+                      ~backlog:(Conn.out_bytes cl.conn) cl.strikes
+                  in
+                  cl.strikes <- strikes;
+                  match verdict with
+                  | `Evict -> slow := cl :: !slow
+                  | `Skip -> ()
+                  | `Send ->
+                      Array.iter (fun f -> Conn.enqueue_frame cl.conn f) (Lazy.force frames);
+                      ignore (Conn.write_through t.loop cl.conn)
+                end)
               t.member_client;
             List.iter (fun cl -> evict_slow t cl) !slow
         | Some pool ->

@@ -160,29 +160,38 @@ let attach_entry t sh e =
      queued behind a full socket. *)
   flush_entry t sh e
 
+(* Soft tier: skip this rekey's frames; the client sees a rekey_no gap
+   and recovers via NACK/RESYNC. Skipping stops backlog growth, so a
+   stuck client would never cross the hard mark: strike it out after
+   [stall_strikes] consecutive skipped fan-outs instead. *)
+let backpressure ~outbox_soft ~outbox_hard ~stall_strikes ~on_skip ~backlog strikes =
+  if backlog > outbox_hard then (`Evict, strikes)
+  else if backlog > outbox_soft then begin
+    on_skip ();
+    if Obs.enabled () then Metrics.Counter.incr m_soft_skips;
+    let strikes = strikes + 1 in
+    ((if strikes >= stall_strikes then `Evict else `Skip), strikes)
+  end
+  else (`Send, 0)
+
 let do_fanout t sh ~frames ~recips =
   if Obs.enabled () then Metrics.Counter.incr m_fanouts;
+  let on_skip () = Atomic.incr sh.soft_skips in
   Array.iter
     (fun e ->
       if not (e.e_dead || Conn.closed e.e_conn) then begin
-        let backlog = Conn.out_bytes e.e_conn in
-        if backlog > t.outbox_hard then mark_dead t sh e Slow
-        else if backlog > t.outbox_soft then begin
-          (* Soft tier: skip this rekey's frames; the client sees a
-             rekey_no gap and recovers via NACK/RESYNC. Skipping stops
-             backlog growth, so a stuck client would never cross the
-             hard mark — strike it out after [stall_strikes]
-             consecutive skipped fan-outs instead. *)
-          e.e_strikes <- e.e_strikes + 1;
-          Atomic.incr sh.soft_skips;
-          if Obs.enabled () then Metrics.Counter.incr m_soft_skips;
-          if e.e_strikes >= t.stall_strikes then mark_dead t sh e Slow
-        end
-        else begin
-          e.e_strikes <- 0;
-          Array.iter (fun f -> Conn.enqueue_frame e.e_conn f) frames;
-          flush_entry t sh e
-        end
+        let verdict, strikes =
+          backpressure ~outbox_soft:t.outbox_soft ~outbox_hard:t.outbox_hard
+            ~stall_strikes:t.stall_strikes ~on_skip ~backlog:(Conn.out_bytes e.e_conn)
+            e.e_strikes
+        in
+        e.e_strikes <- strikes;
+        match verdict with
+        | `Evict -> mark_dead t sh e Slow
+        | `Skip -> ()
+        | `Send ->
+            Array.iter (fun f -> Conn.enqueue_frame e.e_conn f) frames;
+            flush_entry t sh e
       end)
     recips
 

@@ -86,6 +86,22 @@ val fanout : t -> shard:int -> frames:bytes array -> recips:entry array -> unit
     are immutable and shared across all shards and recipients; each
     recipient gets all of them, subject to the backpressure tiers. *)
 
+val backpressure :
+  outbox_soft:int ->
+  outbox_hard:int ->
+  stall_strikes:int ->
+  on_skip:(unit -> unit) ->
+  backlog:int ->
+  int ->
+  [ `Send | `Skip | `Evict ] * int
+(** The one fan-out backpressure policy, used by {!fanout} and by a
+    single-domain server's inline fan-out. Given a recipient's outbox
+    [backlog] in bytes and its strike count, returns the verdict and
+    the new strike count: send at or below [outbox_soft] (strikes
+    reset); above it skip this rekey (one strike, counted by
+    [on_skip] and [netd.soft_skips]); evict above [outbox_hard] or on
+    the [stall_strikes]-th consecutive skip. *)
+
 val flush : t -> entry -> unit
 (** Ask the owning shard to write out frames the tick domain enqueued
     on the entry's conn outside a fan-out (unicast replies). Commands

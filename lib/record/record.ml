@@ -6,6 +6,7 @@ module Labels = Gkm_crypto.Labels
 module Sha256 = Gkm_crypto.Sha256
 module Prng = Gkm_crypto.Prng
 module Bytes_io = Gkm_crypto.Bytes_io
+module Codec = Gkm_crypto.Codec
 module Metrics = Gkm_obs.Metrics
 
 let record_salt = Bytes.of_string Labels.record_salt
@@ -207,31 +208,28 @@ module Ticket = struct
 
   let encode_contents c =
     let buf = Buffer.create contents_size in
-    Bytes_io.add_i32 buf c.member;
-    Bytes_io.add_u8 buf (match c.cls with `Short -> 0 | `Long -> 1);
-    Bytes_io.add_i64 buf (Int64.bits_of_float c.loss);
-    Bytes_io.add_i32 buf c.issued_epoch;
-    Bytes_io.add_i32 buf c.issued_rekey;
+    Codec.add_i32 buf c.member;
+    Codec.add_u8 buf (match c.cls with `Short -> 0 | `Long -> 1);
+    Codec.add_f64 buf c.loss;
+    Codec.add_i32 buf c.issued_epoch;
+    Codec.add_i32 buf c.issued_rekey;
     Buffer.add_bytes buf c.path_digest;
     Buffer.to_bytes buf
 
   let decode_contents b =
-    if Bytes.length b <> contents_size then Error "ticket contents: bad length"
-    else
-      let member = Bytes_io.get_i32 b 0 in
-      (match Bytes_io.get_u8 b 4 with
-      | 0 -> Ok `Short
-      | 1 -> Ok `Long
-      | _ -> Error "ticket contents: bad class")
-      |> Result.map (fun cls ->
-             {
-               member;
-               cls;
-               loss = Int64.float_of_bits (Bytes_io.get_i64 b 5);
-               issued_epoch = Bytes_io.get_i32 b 13;
-               issued_rekey = Bytes_io.get_i32 b 17;
-               path_digest = Bytes.sub b 21 digest_size;
-             })
+    Codec.parse b @@ fun r ->
+    let member = Codec.i32 r in
+    let cls =
+      match Codec.u8 r with
+      | 0 -> `Short
+      | 1 -> `Long
+      | _ -> Codec.corrupt "ticket contents: bad class"
+    in
+    let loss = Codec.f64 r in
+    let issued_epoch = Codec.i32 r in
+    let issued_rekey = Codec.i32 r in
+    let path_digest = Codec.bytes r digest_size in
+    { member; cls; loss; issued_epoch; issued_rekey; path_digest }
 
   module Sealer = struct
     type t = { key : Aead.key; mutable next_nonce : int64 }

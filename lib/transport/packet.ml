@@ -1,5 +1,6 @@
 module Rekey_msg = Gkm_lkh.Rekey_msg
 module Reed_solomon = Gkm_fec.Reed_solomon
+module Codec = Gkm_crypto.Codec
 
 type t = { seq : int; block : int; index_in_block : int; payload : bytes }
 
@@ -26,29 +27,17 @@ let header_size ~wide = if wide then 5 else 2
 let entry_size_of ~wide (e : Rekey_msg.entry) =
   (if wide then entry_fixed_wide else entry_fixed) + Bytes.length e.ciphertext
 
-open Gkm_crypto.Bytes_io
-
 let fits_i32 v = v >= -0x8000_0000 && v <= 0x7FFF_FFFF
 
-let write_entry buf pos (e : Rekey_msg.entry) =
-  let pos = put_i32 buf pos e.target_node in
-  let pos = put_i32 buf pos e.target_version in
-  let pos = put_u16 buf pos e.level in
-  let pos = put_i32 buf pos e.wrapped_under in
-  let pos = put_i32 buf pos e.receivers in
-  let pos = put_u16 buf pos (Bytes.length e.ciphertext) in
-  Bytes.blit e.ciphertext 0 buf pos (Bytes.length e.ciphertext);
-  pos + Bytes.length e.ciphertext
-
-let write_entry_wide buf pos (e : Rekey_msg.entry) =
-  let pos = put_i64 buf pos (Int64.of_int e.target_node) in
-  let pos = put_i32 buf pos e.target_version in
-  let pos = put_u16 buf pos e.level in
-  let pos = put_i64 buf pos (Int64.of_int e.wrapped_under) in
-  let pos = put_i32 buf pos e.receivers in
-  let pos = put_u16 buf pos (Bytes.length e.ciphertext) in
-  Bytes.blit e.ciphertext 0 buf pos (Bytes.length e.ciphertext);
-  pos + Bytes.length e.ciphertext
+let add_entry ~wide buf (e : Rekey_msg.entry) =
+  let open Codec in
+  let node v = if wide then add_i64 buf (Int64.of_int v) else add_i32 buf v in
+  node e.target_node;
+  add_i32 buf e.target_version;
+  add_u16 buf e.level;
+  node e.wrapped_under;
+  add_i32 buf e.receivers;
+  add_var16 buf e.ciphertext
 
 let encode_entries ?(wide = false) ~capacity_bytes entries =
   let hdr = header_size ~wide in
@@ -71,17 +60,13 @@ let encode_entries ?(wide = false) ~capacity_bytes entries =
     match !batch with
     | [] -> ()
     | pending ->
-        let payload = Bytes.create !used in
-        let pos =
-          if wide then begin
-            let p = put_u16 payload 0 wide_sentinel in
-            let p = put_u8 payload p wide_version in
-            put_u16 payload p (List.length pending)
-          end
-          else put_u16 payload 0 (List.length pending)
-        in
-        let write = if wide then write_entry_wide else write_entry in
-        ignore (List.fold_left (fun pos e -> write payload pos e) pos (List.rev pending));
+        let buf = Buffer.create !used in
+        if wide then begin
+          Codec.add_u16 buf wide_sentinel;
+          Codec.add_u8 buf wide_version
+        end;
+        Codec.add_list16 buf (add_entry ~wide) (List.rev pending);
+        let payload = Buffer.to_bytes buf in
         packets := { seq = !seq; block = 0; index_in_block = 0; payload } :: !packets;
         incr seq;
         batch := [];
@@ -97,61 +82,36 @@ let encode_entries ?(wide = false) ~capacity_bytes entries =
   flush ();
   List.rev !packets
 
-let decode_entries ~wide payload ~pos:start ~count =
-  let len = Bytes.length payload in
-  let fixed = if wide then entry_fixed_wide else entry_fixed in
-  let rec go pos remaining acc =
-    if remaining = 0 then Ok (List.rev acc)
-    else if pos + fixed > len then Error "truncated entry header"
-    else begin
-      let target_node, target_version, level, wrapped_under, receivers, ct_len =
-        if wide then
-          ( Int64.to_int (get_i64 payload pos),
-            get_i32 payload (pos + 8),
-            get_u16 payload (pos + 12),
-            Int64.to_int (get_i64 payload (pos + 14)),
-            get_i32 payload (pos + 22),
-            get_u16 payload (pos + 26) )
-        else
-          ( get_i32 payload pos,
-            get_i32 payload (pos + 4),
-            get_u16 payload (pos + 8),
-            get_i32 payload (pos + 10),
-            get_i32 payload (pos + 14),
-            get_u16 payload (pos + 18) )
-      in
-      let pos = pos + fixed in
-      if pos + ct_len > len then Error "truncated ciphertext"
-      else begin
-        let entry =
-          {
-            Rekey_msg.target_node;
-            target_version;
-            level;
-            wrapped_under;
-            receivers;
-            ciphertext = Bytes.sub payload pos ct_len;
-          }
-        in
-        go (pos + ct_len) (remaining - 1) (entry :: acc)
-      end
-    end
-  in
-  go start count []
+let read_entry ~wide r =
+  let open Codec in
+  let node r = if wide then Int64.to_int (i64 r) else i32 r in
+  let target_node = node r in
+  let target_version = i32 r in
+  let level = u16 r in
+  let wrapped_under = node r in
+  let receivers = i32 r in
+  let ciphertext = var16 r in
+  { Rekey_msg.target_node; target_version; level; wrapped_under; receivers; ciphertext }
 
 let decode_payload payload =
-  let len = Bytes.length payload in
-  if len < 2 then Error "payload shorter than its header"
-  else begin
-    let count = get_u16 payload 0 in
-    if count = wide_sentinel then begin
-      if len < 5 then Error "truncated wide header"
-      else if get_u8 payload 2 <> wide_version then
-        Error (Printf.sprintf "unknown wide codec version %d" (get_u8 payload 2))
-      else decode_entries ~wide:true payload ~pos:5 ~count:(get_u16 payload 3)
+  let open Codec in
+  parse payload @@ fun r ->
+  let count = u16 r in
+  let wide = count = wide_sentinel in
+  let count =
+    if not wide then count
+    else begin
+      let v = u8 r in
+      if v <> wide_version then corrupt "unknown wide codec version %d" v;
+      u16 r
     end
-    else decode_entries ~wide:false payload ~pos:2 ~count
-  end
+  in
+  let min_item_size = if wide then entry_fixed_wide else entry_fixed in
+  let entries = items r ~min_item_size count (read_entry ~wide) in
+  (* The one decoder that tolerates trailing bytes: FEC recovery
+     zero-extends a payload to its block's longest shard. *)
+  ignore (bytes r (remaining r));
+  entries
 
 let blocks_of_packets ~block_size packets =
   if block_size < 1 then invalid_arg "Packet.blocks_of_packets: block_size must be >= 1";

@@ -1,3 +1,5 @@
+module Codec = Gkm_crypto.Codec
+
 type t = { epoch : int; records : (int64 * bytes) list }
 
 let magic = 0x474D (* "GM" *)
@@ -16,35 +18,30 @@ let encode { epoch; records } =
   if n > max_records then
     invalid_arg (Printf.sprintf "Dgram.encode: %d records exceed the u8 count" n);
   let buf = Buffer.create (encoded_size records) in
-  Wire_io.add_u16 buf magic;
-  Wire_io.add_u8 buf version;
-  Wire_io.add_u8 buf n;
-  Wire_io.add_i32 buf epoch;
+  Codec.add_u16 buf magic;
+  Codec.add_u8 buf version;
+  Codec.add_u8 buf n;
+  Codec.add_i32 buf epoch;
   List.iter
     (fun (seq, ct) ->
-      Wire_io.add_i64 buf seq;
-      Wire_io.add_var32 buf ct)
+      Codec.add_i64 buf seq;
+      Codec.add_var32 buf ct)
     records;
   Buffer.to_bytes buf
 
 let decode b =
-  Wire_io.parse b (fun r ->
-      let m = Wire_io.u16 r in
-      if m <> magic then Wire_io.corrupt "dgram magic 0x%04x" m;
-      let v = Wire_io.u8 r in
-      if v <> version then Wire_io.corrupt "dgram version %d" v;
-      let count = Wire_io.u8 r in
-      if count = 0 then Wire_io.corrupt "dgram with zero records";
-      let epoch = Wire_io.i32 r in
-      (* Explicit recursion: the reader is a cursor, so the records
-         must be pulled strictly left to right. *)
-      let rec records k acc =
-        if k = 0 then List.rev acc
-        else begin
-          let seq = Wire_io.i64 r in
-          let ct = Wire_io.var32 r in
-          records (k - 1) ((seq, ct) :: acc)
-        end
+  Codec.parse b (fun r ->
+      let m = Codec.u16 r in
+      if m <> magic then Codec.corrupt "dgram magic 0x%04x" m;
+      let v = Codec.u8 r in
+      if v <> version then Codec.corrupt "dgram version %d" v;
+      let count = Codec.u8 r in
+      if count = 0 then Codec.corrupt "dgram with zero records";
+      let epoch = Codec.i32 r in
+      let records =
+        Codec.items r ~min_item_size:12 count (fun r ->
+            let seq = Codec.i64 r in
+            let ct = Codec.var32 r in
+            (seq, ct))
       in
-      let records = records count [] in
       { epoch; records })

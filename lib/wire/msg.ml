@@ -1,6 +1,6 @@
 module Key = Gkm_crypto.Key
 module Packet = Gkm_transport.Packet
-open Wire_io
+open Gkm_crypto.Codec
 
 let version = 2
 
@@ -187,78 +187,79 @@ let encode_body buf = function
       add_i32 buf member;
       add_var32 buf ct
 
-let decode_body ~tag body =
-  parse body (fun r ->
-      match tag with
-      | 1 ->
-          let lo = u8 r in
-          let hi = u8 r in
-          if lo > hi then corrupt "HELLO with empty version range [%d, %d]" lo hi;
-          Hello { lo; hi }
-      | 2 ->
-          let version = u8 r in
-          let tp_ms = i32 r in
-          let max_frame = i32 r in
-          let capacity = i32 r in
-          Hello_ack { version; tp_ms; max_frame; capacity }
-      | 3 ->
-          let cls = match u8 r with 0 -> `Short | 1 -> `Long | c -> corrupt "JOIN with unknown class %d" c in
-          let loss = f64 r in
-          if not (Float.is_finite loss) || loss < 0.0 || loss > 1.0 then
-            corrupt "JOIN with loss rate outside [0, 1]";
-          Join { cls; loss }
-      | 4 ->
-          let member = i32 r in
-          let rekey_no = i32 r in
-          let epoch = i32 r in
-          let root = node_of_i64 (i64 r) in
-          let path = read_path r in
-          Join_ack { member; rekey_no; epoch; root; path }
-      | 5 -> Rekey (read_rekey r)
-      | 6 ->
-          let rekey_no = i32 r in
-          let seqs = list16 r ~min_item_size:2 u16 in
-          Nack { rekey_no; seqs }
-      | 7 -> Retx (read_rekey r)
-      | 8 ->
-          let member = i32 r in
-          let epoch = i32 r in
-          let auth = var16 r in
-          Resync_req { member; epoch; auth }
-      | 9 ->
-          let member = i32 r in
-          let rekey_no = i32 r in
-          let epoch = i32 r in
-          let root = node_of_i64 (i64 r) in
-          let path = read_path r in
-          Resync { member; rekey_no; epoch; root; path }
-      | 10 -> Leave { member = i32 r }
-      | 11 -> Ping { token = i64 r }
-      | 12 -> Pong { token = i64 r }
-      | 13 ->
-          let code = u8 r in
-          let detail = string16 r in
-          Error_msg { code; detail }
-      | 14 ->
-          let epoch = i32 r in
-          let seq = i64 r in
-          let ct = var32 r in
-          Sealed { epoch; seq; ct }
-      | 15 ->
-          let member = i32 r in
-          let issued_epoch = i32 r in
-          let ticket = var16 r in
-          Ticket { member; issued_epoch; ticket }
-      | 16 ->
-          let have_epoch = i32 r in
-          let have_state = match u8 r with 0 -> false | 1 -> true | b -> corrupt "REJOIN with bad have_state %d" b in
-          let ticket = var16 r in
-          Rejoin { have_epoch; have_state; ticket }
-      | 17 ->
-          let member = i32 r in
-          let ct = var32 r in
-          Rejoin_ack { member; ct }
-      | n -> corrupt "unknown message type %d" n)
+let read_body ~tag r =
+  match tag with
+  | 1 ->
+      let lo = u8 r in
+      let hi = u8 r in
+      if lo > hi then corrupt "HELLO with empty version range [%d, %d]" lo hi;
+      Hello { lo; hi }
+  | 2 ->
+      let version = u8 r in
+      let tp_ms = i32 r in
+      let max_frame = i32 r in
+      let capacity = i32 r in
+      Hello_ack { version; tp_ms; max_frame; capacity }
+  | 3 ->
+      let cls = match u8 r with 0 -> `Short | 1 -> `Long | c -> corrupt "JOIN with unknown class %d" c in
+      let loss = f64 r in
+      if not (Float.is_finite loss) || loss < 0.0 || loss > 1.0 then
+        corrupt "JOIN with loss rate outside [0, 1]";
+      Join { cls; loss }
+  | 4 ->
+      let member = i32 r in
+      let rekey_no = i32 r in
+      let epoch = i32 r in
+      let root = node_of_i64 (i64 r) in
+      let path = read_path r in
+      Join_ack { member; rekey_no; epoch; root; path }
+  | 5 -> Rekey (read_rekey r)
+  | 6 ->
+      let rekey_no = i32 r in
+      let seqs = list16 r ~min_item_size:2 u16 in
+      Nack { rekey_no; seqs }
+  | 7 -> Retx (read_rekey r)
+  | 8 ->
+      let member = i32 r in
+      let epoch = i32 r in
+      let auth = var16 r in
+      Resync_req { member; epoch; auth }
+  | 9 ->
+      let member = i32 r in
+      let rekey_no = i32 r in
+      let epoch = i32 r in
+      let root = node_of_i64 (i64 r) in
+      let path = read_path r in
+      Resync { member; rekey_no; epoch; root; path }
+  | 10 -> Leave { member = i32 r }
+  | 11 -> Ping { token = i64 r }
+  | 12 -> Pong { token = i64 r }
+  | 13 ->
+      let code = u8 r in
+      let detail = string16 r in
+      Error_msg { code; detail }
+  | 14 ->
+      let epoch = i32 r in
+      let seq = i64 r in
+      let ct = var32 r in
+      Sealed { epoch; seq; ct }
+  | 15 ->
+      let member = i32 r in
+      let issued_epoch = i32 r in
+      let ticket = var16 r in
+      Ticket { member; issued_epoch; ticket }
+  | 16 ->
+      let have_epoch = i32 r in
+      let have_state = match u8 r with 0 -> false | 1 -> true | b -> corrupt "REJOIN with bad have_state %d" b in
+      let ticket = var16 r in
+      Rejoin { have_epoch; have_state; ticket }
+  | 17 ->
+      let member = i32 r in
+      let ct = var32 r in
+      Rejoin_ack { member; ct }
+  | n -> corrupt "unknown message type %d" n
+
+let decode_body ~tag body = parse body (read_body ~tag)
 
 let pp_kind fmt m = Format.pp_print_string fmt (tag_name (tag m))
 
@@ -271,10 +272,7 @@ let encode_inner msg =
   encode_body buf msg;
   Buffer.to_bytes buf
 
-let decode_inner pt =
-  if Bytes.length pt < 1 then Error "empty sealed record"
-  else
-    decode_body ~tag:(Char.code (Bytes.get pt 0)) (Bytes.sub pt 1 (Bytes.length pt - 1))
+let decode_inner pt = parse pt (fun r -> read_body ~tag:(u8 r) r)
 
 (* The REJOIN_ACK ciphertext's plaintext: the rejoiner's catch-up
    state. [full] distinguishes a complete entitled path (client lost

@@ -1,0 +1,217 @@
+(* Every decoder of outside bytes returns [Ok] or [Error] and never
+   raises: key-tree, server and organization snapshots, REKEY packet
+   payloads, resumption tickets, and the member's resumption blob
+   (through [Client.connect ~resume]). Each starts from a blob its own
+   encoder produced, then is damaged by random byte flips and cut at
+   every length. *)
+
+module Key = Gkm_crypto.Key
+module Prng = Gkm_crypto.Prng
+module Keytree = Gkm_keytree.Keytree
+module Lkh_server = Gkm_lkh.Server
+module Packet = Gkm_transport.Packet
+module Record = Gkm_record.Record
+module Organization = Gkm.Organization
+module Scheme = Gkm.Scheme
+module Loop = Gkm_netd.Loop
+module Server = Gkm_netd.Server
+module Client = Gkm_netd.Client
+
+let run_until loop cond =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  Loop.run loop ~until:(fun () -> cond () || Unix.gettimeofday () > deadline);
+  if not (cond ()) then Alcotest.fail "run_until: condition not reached before timeout"
+
+let keytree mode =
+  let t = Keytree.create ~mode ~degree:3 (Prng.create 7) in
+  ignore
+    (Keytree.batch_update t ~departed:[]
+       ~joined:(List.init 9 (fun m -> (m, Key.fresh (Prng.create (m + 100))))));
+  ignore (Keytree.batch_update t ~departed:[ 2; 5 ] ~joined:[]);
+  t
+
+let lkh_server () =
+  let s = Lkh_server.create ~degree:3 ~seed:11 () in
+  List.iter (fun m -> ignore (Lkh_server.register s m)) (List.init 8 Fun.id);
+  ignore (Lkh_server.rekey s);
+  ignore (Lkh_server.register s 40);
+  Lkh_server.enqueue_departure s 3;
+  s
+
+let storage_key = Key.fresh (Prng.create 404)
+
+let org_blob selector =
+  let spec =
+    Result.get_ok (Organization.spec_of_string ~degree:3 ~s_period:3 ~seed:5 selector)
+  in
+  let module O = (val Organization.create spec : Organization.S) in
+  List.iter
+    (fun m ->
+      ignore
+        (O.register ~member:m
+           ~cls:(if m mod 2 = 0 then Scheme.Short else Scheme.Long)
+           ~loss:(if m mod 3 = 0 then 0.2 else 0.01)))
+    (List.init 8 Fun.id);
+  ignore (O.rekey ());
+  O.enqueue_departure 4;
+  ignore (O.register ~member:30 ~cls:Scheme.Long ~loss:0.01);
+  (spec, O.snapshot ())
+
+let rekey_entries () =
+  let s = lkh_server () in
+  (Option.get (Lkh_server.rekey s)).entries
+
+let ticket_sealer = Record.Ticket.Sealer.create ~seed:9
+
+let ticket () =
+  Record.Ticket.Sealer.issue ticket_sealer
+    {
+      Record.Ticket.member = 12;
+      cls = `Long;
+      loss = 0.01;
+      issued_epoch = 3;
+      issued_rekey = 4;
+      path_digest = Record.Ticket.path_digest [ 1; 2; 3 ];
+    }
+
+(* A live server and one member holding a ticket: the source of a real
+   resumption blob, and the port [Client.connect ~resume] dials. *)
+let resume_fixture =
+  lazy
+    (let loop = Loop.create () in
+     let srv =
+       Server.create ~loop { Server.default_config with port = 0; tp = 0.01 }
+     in
+     let c = Client.connect ~loop { (Client.config ~port:(Server.port srv)) with seed = 3 } in
+     run_until loop (fun () -> Client.is_member c && Client.has_ticket c);
+     let blob = Option.get (Client.export_resumption c) in
+     (loop, srv, blob))
+
+(* Connect with [blob] as the resumption state and report what the
+   client made of it; the connection is dropped before it says a word. *)
+let resume_with blob =
+  let loop, srv, _ = Lazy.force resume_fixture in
+  let c =
+    Client.connect ~loop { (Client.config ~port:(Server.port srv)) with resume = Some blob }
+  in
+  let err = Client.last_error c in
+  Client.kill c;
+  Loop.step ~max_wait:0.0 loop;
+  err
+
+let accepted = Result.is_ok
+
+let decoders =
+  lazy
+    (let orgs =
+       List.map
+         (fun sel ->
+           let spec, blob = org_blob sel in
+           ("organization " ^ sel, blob, fun b -> accepted (Organization.restore spec b)))
+         [ "one"; "qt"; "tt"; "pt+derived"; "loss:0.05"; "random:2"; "composed" ]
+     in
+     let _, _, resumption = Lazy.force resume_fixture in
+     [
+       ("keytree v2", Keytree.snapshot (keytree Keytree.Wrap), fun b -> accepted (Keytree.restore b));
+       ( "keytree v3",
+         Keytree.snapshot (keytree Keytree.Derived),
+         fun b -> accepted (Keytree.restore b) );
+       ( "lkh restore_state",
+         Lkh_server.serialize_state (lkh_server ()),
+         fun b -> accepted (Lkh_server.restore_state b) );
+       ( "lkh sealed restore",
+         Lkh_server.snapshot (lkh_server ()) ~storage_key,
+         fun b -> accepted (Lkh_server.restore ~storage_key b) );
+       ( "packet narrow",
+         (List.hd (Packet.encode_entries ~capacity_bytes:1024 (rekey_entries ()))).payload,
+         fun b -> accepted (Packet.decode_payload b) );
+       ( "packet wide",
+         (List.hd (Packet.encode_entries ~wide:true ~capacity_bytes:1024 (rekey_entries ())))
+           .payload,
+         fun b -> accepted (Packet.decode_payload b) );
+       ("ticket", ticket (), fun b -> accepted (Record.Ticket.Sealer.open_ ticket_sealer b));
+       ( "resumption blob",
+         resumption,
+         fun b ->
+           match resume_with b with
+           | None -> true
+           | Some e when String.starts_with ~prefix:"resumption ignored: " e -> false
+           | Some e -> failwith ("unexpected last_error " ^ e) );
+     ]
+     @ orgs)
+
+let flip blob flips =
+  let b = Bytes.copy blob in
+  let n = Bytes.length b in
+  if n > 0 then
+    List.iter
+      (fun (pos, x) ->
+        let i = pos mod n in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + (x mod 255)))))
+      flips;
+  b
+
+let prop_decoders_never_raise =
+  QCheck.Test.make ~name:"outside-bytes decoders never raise on flipped, truncated blobs"
+    ~count:25
+    QCheck.(small_list (pair (int_bound 1_000_000) (int_bound 254)))
+    (fun flips ->
+      List.iter
+        (fun (name, blob, decode) ->
+          let damaged = flip blob flips in
+          for len = 0 to Bytes.length damaged do
+            match decode (Bytes.sub damaged 0 len) with
+            | (_ : bool) -> ()
+            | exception e ->
+                QCheck.Test.fail_reportf "%s: %d flips, cut at %d/%d: raised %s" name
+                  (List.length flips) len (Bytes.length damaged) (Printexc.to_string e)
+          done)
+        (Lazy.force decoders);
+      true)
+
+let test_valid_blobs_decode () =
+  List.iter
+    (fun (name, blob, decode) -> Alcotest.(check bool) (name ^ " decodes intact") true (decode blob))
+    (Lazy.force decoders)
+
+(* Trailing bytes are an error for every decoder but the payload
+   codec: one extra byte on a resumption blob is refused, and
+   reported. *)
+let test_resumption_trailing_byte () =
+  let _, _, blob = Lazy.force resume_fixture in
+  Alcotest.(check (option string)) "intact blob accepted" None (resume_with blob);
+  match resume_with (Bytes.cat blob (Bytes.make 1 '\000')) with
+  | Some e ->
+      Alcotest.(check bool) ("refused: " ^ e) true
+        (String.starts_with ~prefix:"resumption ignored: " e)
+  | None -> Alcotest.fail "resumption blob with a trailing byte accepted"
+
+(* ... while a REKEY payload zero-extended by FEC recovery still
+   decodes to the same entries. *)
+let test_payload_zero_extended () =
+  List.iter
+    (fun wide ->
+      List.iter
+        (fun (p : Packet.t) ->
+          let padded = Bytes.cat p.payload (Bytes.make 37 '\000') in
+          let entries b = Result.get_ok (Packet.decode_payload b) in
+          Alcotest.(check bool)
+            (Printf.sprintf "wide=%b seq %d: same entries" wide p.seq)
+            true
+            (entries p.payload = entries padded))
+        (Packet.encode_entries ~wide ~capacity_bytes:256 (rekey_entries ())))
+    [ false; true ]
+
+let () =
+  Alcotest.run "decoders"
+    [
+      ( "codec",
+        [
+          Alcotest.test_case "valid blobs decode" `Quick test_valid_blobs_decode;
+          QCheck_alcotest.to_alcotest prop_decoders_never_raise;
+          Alcotest.test_case "resumption blob with a trailing byte refused" `Quick
+            test_resumption_trailing_byte;
+          Alcotest.test_case "zero-extended payload decodes unchanged" `Quick
+            test_payload_zero_extended;
+        ] );
+    ]

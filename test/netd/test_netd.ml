@@ -929,6 +929,25 @@ let test_conform_version_refused () =
       let st = Server.stats srv in
       Alcotest.(check bool) "both refusals counted" true (st.Server.protocol_errors >= 2))
 
+(* An in-window NACK naming seq 0 two thousand times: the server must
+   retransmit each distinct seq once, not once per repeat, so one NACK
+   costs at most the rekey's packet count. *)
+let test_nack_duplicate_seqs () =
+  with_hostile_server (fun loop srv ->
+      let r = Cohort.Raw.connect ~loop ~port:(Server.port srv) in
+      if not (Cohort.Raw.hello r ~timeout:10.0) then Alcotest.fail "no HELLO_ACK";
+      if Cohort.Raw.join r ~timeout:10.0 = None then Alcotest.fail "no JOIN_ACK";
+      (* the rekey that admitted the raw peer, sealed under the herd's
+         generation and so held for retransmission *)
+      let rekey_no = Server.rekey_no srv in
+      let st0 = Server.stats srv in
+      let nacks0 = st0.Server.nacks and retx0 = st0.Server.retx_packets in
+      Cohort.Raw.send r (Msg.Nack { rekey_no; seqs = List.init 2000 (fun _ -> 0) });
+      run_until loop (fun () -> (Server.stats srv).Server.nacks > nacks0);
+      let retx = (Server.stats srv).Server.retx_packets - retx0 in
+      Alcotest.(check int) "one RETX for the one distinct seq" 1 retx;
+      Cohort.Raw.close r)
+
 (* The DEK trace log against the boxed list it replaced: the same
    (rekey_no, fingerprint) pairs, oldest first, the no-key [""]
    included, across many chunk boundaries. *)
@@ -1651,6 +1670,8 @@ let () =
         [
           Alcotest.test_case "NACK flooder capped by resync budget" `Quick
             test_conform_nack_flood;
+          Alcotest.test_case "NACK repeating a seq costs one RETX" `Quick
+            test_nack_duplicate_seqs;
           Alcotest.test_case "evictee keeps transmitting, stays locked out" `Quick
             test_conform_evictee_transmit;
           Alcotest.test_case "ticket replayed from three connections" `Quick
