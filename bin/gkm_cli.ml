@@ -832,7 +832,12 @@ let serve_cmd =
              $(b,random:K), or $(b,composed).")
   in
   let capacity_arg =
-    Arg.(value & opt int 1024 & info [ "capacity" ] ~docv:"B" ~doc:"Rekey packet payload (bytes).")
+    Arg.(
+      value & opt int 1024
+      & info [ "capacity" ] ~docv:"B"
+          ~doc:
+            (Printf.sprintf "Rekey packet payload (bytes), at least %d."
+               Gkm_transport.Packet.min_capacity_bytes))
   in
   let soft_arg =
     Arg.(

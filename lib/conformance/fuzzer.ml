@@ -49,6 +49,23 @@ let gen_i32 rng =
 let gen_node rng = Int64.to_int (Prng.bits64 rng)
 let gen_key rng = Key.of_bytes (Prng.bytes rng Key.size)
 
+(* Half of the REKEY/RETX payloads are real entry payloads, so the
+   [packet] stage sees accepted ones and their mutations, not only
+   noise its count byte already refuses. *)
+let gen_payload rng =
+  if Prng.bool rng then Prng.bytes rng (gen_len rng)
+  else
+    Packet.encode_payload
+      (List.init (Prng.int rng 6) (fun _ ->
+           {
+             Gkm_lkh.Rekey_msg.target_node = gen_node rng;
+             target_version = gen_i32 rng;
+             level = Prng.int rng 40;
+             wrapped_under = gen_node rng;
+             receivers = gen_i32 rng;
+             ciphertext = Prng.bytes rng (Prng.int rng 48);
+           }))
+
 let gen_field rng buf : Grammar.field -> unit = function
   | U8 _ -> add_u8 buf (Prng.int rng 256)
   | Enum (_, vs) -> add_u8 buf vs.(Prng.int rng (Array.length vs))
@@ -59,6 +76,7 @@ let gen_field rng buf : Grammar.field -> unit = function
   | F64_unit _ -> add_f64 buf (if Prng.int rng 8 = 0 then float_of_int (Prng.int rng 2) else Prng.float rng 1.0)
   | Key _ -> add_key buf (gen_key rng)
   | Var16 _ -> add_var16 buf (Prng.bytes rng (gen_len rng))
+  | Var32 "payload" -> add_var32 buf (gen_payload rng)
   | Var32 _ -> add_var32 buf (Prng.bytes rng (gen_len rng))
   | String16 _ -> add_string16 buf (Bytes.to_string (Prng.bytes rng (gen_len rng)))
   | Path _ ->
@@ -323,12 +341,20 @@ let stream_check report ~origin ~chunks frame =
 
 (* An accepted REKEY/RETX still carries outside bytes: the member
    hands its payload to the entry codec next, which must not raise
-   either. No fixpoint here — the payload codec ignores trailing bytes
-   (FEC-recovered payloads come back zero-extended). *)
+   either. The codec ignores trailing bytes (FEC-recovered payloads
+   come back zero-extended), so its fixpoint is on a prefix: an
+   accepted payload re-encodes to exactly the bytes it consumed, which
+   holds only if every varint it read was canonical. *)
 let packet_check report ~origin frame = function
   | Msg.Rekey m | Msg.Retx m -> (
-      match Packet.decode_payload m.packet.payload with
-      | Ok _ | Error _ -> ()
+      let payload = m.packet.payload in
+      match Packet.decode_payload payload with
+      | Error _ -> ()
+      | Ok entries ->
+          let canonical = Packet.encode_payload entries in
+          let n = Bytes.length canonical in
+          if n > Bytes.length payload || not (Bytes.equal canonical (Bytes.sub payload 0 n)) then
+            fail report ~stage:"packet" ~origin ~frame `Fixpoint
       | exception e -> fail report ~stage:"packet" ~origin ~frame (`Raise (Printexc.to_string e)))
   | _ -> ()
 

@@ -10,18 +10,19 @@
     the sealed-record inner codec, and through the multicast
     {!Gkm_wire.Dgram} codec; the payload of every accepted REKEY/RETX
     body goes on through {!Gkm_transport.Packet.decode_payload} (the
-    [packet] stage, never-raises only: that codec ignores trailing
-    bytes, so it has no fixpoint). Valid datagrams are additionally
+    [packet] stage; half of the generated payloads are real entry
+    payloads). Valid datagrams are additionally
     generated and poisoned directly — truncation mid-record,
     epoch/seq/count skew, magic and version poisoning — since the
     datagram path sees raw socket bytes with no streaming layer in
     front.
 
-    Two properties are enforced on every candidate (the [packet]
-    stage checks only the first):
+    Two properties are enforced on every candidate:
     + decode never raises — arbitrary bytes may only yield [Error];
     + encode∘decode is a byte fixpoint — an accepted body re-encodes
-      to exactly the bytes that were decoded.
+      to exactly the bytes that were decoded (for the [packet] stage,
+      whose codec ignores trailing zero-extension, to the prefix it
+      consumed).
 
     Failures are minimized by greedy chunk deletion and reported as
     {!failure} records; {!run} can persist them to a corpus file for

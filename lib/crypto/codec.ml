@@ -33,6 +33,28 @@ let add_list buf add items =
   add_i32 buf (List.length items);
   List.iter (add buf) items
 
+(* LEB128 over the int's 63 bits, read as unsigned: [lsr] shifts in
+   zeros, so a negative pattern (a zigzag image of a large magnitude)
+   still ends, after at most 9 bytes. *)
+let rec add_bits buf v =
+  if v land lnot 0x7F = 0 then Buffer.add_char buf (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (v land 0x7F lor 0x80));
+    add_bits buf (v lsr 7)
+  end
+
+let rec bits_size v = if v land lnot 0x7F = 0 then 1 else 1 + bits_size (v lsr 7)
+let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
+let unzigzag u = (u lsr 1) lxor -(u land 1)
+
+let add_uvarint buf v =
+  if v < 0 then invalid_arg "Codec.add_uvarint: negative";
+  add_bits buf v
+
+let add_varint buf v = add_bits buf (zigzag v)
+let uvarint_size v = bits_size v
+let varint_size v = bits_size (zigzag v)
+
 type reader = { buf : bytes; mutable pos : int }
 
 exception Corrupt of string
@@ -70,6 +92,28 @@ let i64 r =
   v
 
 let f64 r = Int64.float_of_bits (i64 r)
+
+(* Canonical LEB128 only: at most 9 bytes, which carry exactly 63
+   bits, so a 10th byte is refused; and no zero last byte after the
+   first, which would be an overlong spelling of a shorter value. *)
+let rec bits_from r acc shift =
+  let b = u8 r in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b < 0x80 then begin
+    if b = 0 && shift > 0 then corrupt "overlong varint at byte %d" (r.pos - 1);
+    acc
+  end
+  else if shift = 56 then corrupt "varint longer than 9 bytes at byte %d" r.pos
+  else bits_from r acc (shift + 7)
+
+let bits r = bits_from r 0 0
+
+let uvarint r =
+  let v = bits r in
+  if v < 0 then corrupt "unsigned varint %#x beyond max_int" v;
+  v
+
+let varint r = unzigzag (bits r)
 
 let bytes r n =
   need r n;

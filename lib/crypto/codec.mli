@@ -44,6 +44,23 @@ val add_list16 : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 (** i32 count then the items. *)
 
+val add_uvarint : Buffer.t -> int -> unit
+(** Unsigned LEB128: 7 bits a byte, low group first, high bit set on
+    every byte but the last; 1 byte below 128, at most 9.
+    @raise Invalid_argument on a negative value. *)
+
+val add_varint : Buffer.t -> int -> unit
+(** Any int, zigzag-mapped ([0, -1, 1, -2, ...] to [0, 1, 2, 3, ...])
+    and then written as {!add_uvarint} over all 63 bits, so small
+    magnitudes of either sign are short and [min_int]/[max_int] take
+    9 bytes. *)
+
+val uvarint_size : int -> int
+(** Bytes {!add_uvarint} writes for a non-negative value. *)
+
+val varint_size : int -> int
+(** Bytes {!add_varint} writes for a value. *)
+
 (** {1 Reader} *)
 
 type reader
@@ -67,6 +84,16 @@ val i32 : reader -> int
 
 val i64 : reader -> int64
 val f64 : reader -> float
+
+val uvarint : reader -> int
+(** Reads {!add_uvarint}'s encoding. Only the canonical (shortest)
+    encoding is accepted: a zero last byte after the first, a 10th
+    byte, or a value above [max_int] is {!Corrupt}. *)
+
+val varint : reader -> int
+(** Reads {!add_varint}'s encoding, canonical only as {!uvarint}; every
+    9-byte pattern is some int. *)
+
 val bytes : reader -> int -> bytes
 val key : reader -> Key.t
 val var16 : reader -> bytes

@@ -147,7 +147,6 @@ type t = {
   mutable tops : (Keytree.t * (int * int list) option) list;
       (* per tree: its root and the node ids above it, as of the last rekey *)
   mutable prune_at : int;  (* node_changed + parent_of rows that trigger a prune *)
-  wide : bool;  (* packet codec: wide (i64 ids) for composed organizations *)
   mcast : Mcast.sender option;  (* Some iff cfg.transport is Udp *)
   pool : Shard.t option;  (* Some iff cfg.domains >= 2 *)
   mutable next_shard : int;  (* round-robin member placement over shards *)
@@ -938,7 +937,7 @@ let tick t =
   | Some msg ->
       let packets =
         Array.of_list
-          (Packet.encode_entries ~wide:t.wide ~capacity_bytes:t.cfg.capacity msg.entries)
+          (Packet.encode_entries ~capacity_bytes:t.cfg.capacity msg.entries)
       in
       (* The DEK this rekey left, hashed once for the seal checks and
          the DEK log below. *)
@@ -966,7 +965,7 @@ let tick t =
               Packet.seq = 0;
               block = 0;
               index_in_block = 0;
-              payload = Bytes.make 2 '\000' (* zero-entry payload *);
+              payload = Packet.encode_payload [];
             };
           |]
         else packets
@@ -1293,7 +1292,10 @@ let tick_now t = tick t
 
 let create ~loop (cfg : config) =
   if cfg.tp <= 0.0 then invalid_arg "Netd.Server: tp must be positive";
-  if cfg.capacity < 64 then invalid_arg "Netd.Server: capacity too small";
+  if cfg.capacity < Packet.min_capacity_bytes then
+    invalid_arg
+      (Printf.sprintf "Netd.Server: capacity %d below the %d bytes one entry may need"
+         cfg.capacity Packet.min_capacity_bytes);
   if cfg.outbox_soft > cfg.outbox_hard then
     invalid_arg "Netd.Server: outbox_soft must not exceed outbox_hard";
   if cfg.ticket_horizon < 0 then invalid_arg "Netd.Server: ticket_horizon must be non-negative";
@@ -1354,9 +1356,6 @@ let create ~loop (cfg : config) =
         parent_of = Hashtbl.create 1024;
         tops = [];
         prune_at = 256;
-        (* Composed organizations stride member bands by 10^9 node ids
-           — beyond i32 — so they need the wide packet codec. *)
-        wide = org_id = 6;
         mcast;
         (* domains = 1 is the single-threaded server, inline fan-out
            and all — no pool, no extra domains, today's exact code

@@ -31,9 +31,9 @@
     under a key derived from its individual key. Evicted members are
     locked out: their ids are never reused and their tickets die with
     the membership (soft error; the socket may re-JOIN as a fresh
-    member). Composed organizations — whose band node ids exceed the
-    i32 range of the narrow {!Gkm_transport.Packet} entry codec — get
-    their packets in the wide codec (DESIGN.md Sections 12-13).
+    member). Every organization's entries, composed organizations'
+    banded node ids beyond i32 included, travel in the one varint
+    {!Gkm_transport.Packet} entry codec (DESIGN.md Sections 12-13).
 
     With the {!Udp} transport the sealed REKEY fan-out moves to a UDP
     multicast data plane: each generation's sealed records go out as
@@ -64,7 +64,9 @@ type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
   org : Gkm.Organization.spec;
   tp : float;  (** rekey interval, seconds *)
-  capacity : int;  (** packet payload capacity, bytes *)
+  capacity : int;
+      (** packet payload capacity, bytes; at least
+          {!Gkm_transport.Packet.min_capacity_bytes} *)
   max_frame : int;
   outbox_soft : int;  (** backlog (bytes) beyond which an interval is skipped *)
   outbox_hard : int;  (** backlog (bytes) beyond which the client is evicted *)

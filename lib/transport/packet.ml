@@ -1,113 +1,90 @@
 module Rekey_msg = Gkm_lkh.Rekey_msg
 module Reed_solomon = Gkm_fec.Reed_solomon
 module Codec = Gkm_crypto.Codec
+module Key = Gkm_crypto.Key
 
 type t = { seq : int; block : int; index_in_block : int; payload : bytes }
 
-(* Narrow per-entry layout: i32 target, i32 version, u16 level,
-   i32 wrapped, i32 receivers, u16 ct_len, ct. A payload is a u16
-   entry count followed by exactly that many entries, no padding: the
-   capacity bounds a payload, it does not size it. Every organization
-   whose ids fit i32 uses it: a 32-byte wrap costs 52 bytes here
-   against 60 wide, so a 1 KiB packet holds 19 entries instead of 16.
+(* An entry is zigzag varints for target, version, level, wrapped and
+   receivers, then an unsigned varint ciphertext length and the
+   ciphertext. A payload is an unsigned varint entry count followed by
+   exactly that many entries, no padding: the capacity bounds a
+   payload, it does not size it. Varints keep the small ids of one
+   tree short and still carry composed organizations' 2e9-stride band
+   ids, so one layout serves every organization. *)
 
-   Wide layout carries i64 node ids — composed organizations
-   allocate ids at 2e9-per-band strides, beyond i32. A wide payload
-   announces itself with the sentinel count 0xFFFF (unreachable as a
-   real narrow count: 65535 entries need > 1.3 MB of payload, above
-   the frame bound) followed by u8 codec version and the real u16
-   count; entries are i64 target, i32 version, u16 level, i64 wrapped,
-   i32 receivers, u16 ct_len, ct. *)
-
-let entry_fixed = 20
-let entry_fixed_wide = 28
-let wide_sentinel = 0xFFFF
-let wide_version = 2
-let header_size ~wide = if wide then 5 else 2
-let entry_size_of ~wide (e : Rekey_msg.entry) =
-  (if wide then entry_fixed_wide else entry_fixed) + Bytes.length e.ciphertext
-
-let fits_i32 v = v >= -0x8000_0000 && v <= 0x7FFF_FFFF
-
-let add_entry ~wide buf (e : Rekey_msg.entry) =
+let entry_size_of (e : Rekey_msg.entry) =
   let open Codec in
-  let node v = if wide then add_i64 buf (Int64.of_int v) else add_i32 buf v in
-  node e.target_node;
-  add_i32 buf e.target_version;
-  add_u16 buf e.level;
-  node e.wrapped_under;
-  add_i32 buf e.receivers;
-  add_var16 buf e.ciphertext
+  let ct = Bytes.length e.ciphertext in
+  varint_size e.target_node + varint_size e.target_version + varint_size e.level
+  + varint_size e.wrapped_under + varint_size e.receivers + uvarint_size ct + ct
 
-let encode_entries ?(wide = false) ~capacity_bytes entries =
-  let hdr = header_size ~wide in
-  let biggest = List.fold_left (fun acc e -> max acc (entry_size_of ~wide e)) 0 entries in
-  if capacity_bytes < hdr + biggest then
+(* Five 1-byte varints and an empty ciphertext's 1-byte length. *)
+let min_entry_size = 6
+let min_capacity_bytes =
+  let open Codec in
+  uvarint_size 1 + (5 * varint_size min_int) + uvarint_size Key.wrapped_size + Key.wrapped_size
+
+let add_entry buf (e : Rekey_msg.entry) =
+  let open Codec in
+  add_varint buf e.target_node;
+  add_varint buf e.target_version;
+  add_varint buf e.level;
+  add_varint buf e.wrapped_under;
+  add_varint buf e.receivers;
+  add_uvarint buf (Bytes.length e.ciphertext);
+  Buffer.add_bytes buf e.ciphertext
+
+let encode_payload entries =
+  let buf = Buffer.create 1024 in
+  Codec.add_uvarint buf (List.length entries);
+  List.iter (add_entry buf) entries;
+  Buffer.to_bytes buf
+
+let encode_entries ?wide:_ ~capacity_bytes entries =
+  let biggest = List.fold_left (fun acc e -> max acc (entry_size_of e)) 0 entries in
+  if capacity_bytes < Codec.uvarint_size 1 + biggest then
     invalid_arg
       (Printf.sprintf "Packet.encode_entries: capacity %dB below largest entry (%dB)"
-         capacity_bytes (hdr + biggest));
-  if not wide then
-    List.iter
-      (fun (e : Rekey_msg.entry) ->
-        if not (fits_i32 e.target_node && fits_i32 e.wrapped_under) then
-          invalid_arg
-            (Printf.sprintf "Packet.encode_entries: node id %d needs the wide codec"
-               (if fits_i32 e.target_node then e.wrapped_under else e.target_node)))
-      entries;
+         capacity_bytes (Codec.uvarint_size 1 + biggest));
   let packets = ref [] and seq = ref 0 in
-  let batch = ref [] and used = ref hdr in
+  (* [used] is the batch's entry bytes; its count varint comes on top *)
+  let batch = ref [] and count = ref 0 and used = ref 0 in
   let flush () =
-    match !batch with
-    | [] -> ()
-    | pending ->
-        let buf = Buffer.create !used in
-        if wide then begin
-          Codec.add_u16 buf wide_sentinel;
-          Codec.add_u8 buf wide_version
-        end;
-        Codec.add_list16 buf (add_entry ~wide) (List.rev pending);
-        let payload = Buffer.to_bytes buf in
-        packets := { seq = !seq; block = 0; index_in_block = 0; payload } :: !packets;
-        incr seq;
-        batch := [];
-        used := hdr
+    if !count > 0 then begin
+      let payload = encode_payload (List.rev !batch) in
+      packets := { seq = !seq; block = 0; index_in_block = 0; payload } :: !packets;
+      incr seq;
+      batch := [];
+      count := 0;
+      used := 0
+    end
   in
   List.iter
     (fun e ->
-      let sz = entry_size_of ~wide e in
-      if !used + sz > capacity_bytes then flush ();
+      let sz = entry_size_of e in
+      if Codec.uvarint_size (!count + 1) + !used + sz > capacity_bytes then flush ();
       batch := e :: !batch;
+      incr count;
       used := !used + sz)
     entries;
   flush ();
   List.rev !packets
 
-let read_entry ~wide r =
+let read_entry r =
   let open Codec in
-  let node r = if wide then Int64.to_int (i64 r) else i32 r in
-  let target_node = node r in
-  let target_version = i32 r in
-  let level = u16 r in
-  let wrapped_under = node r in
-  let receivers = i32 r in
-  let ciphertext = var16 r in
+  let target_node = varint r in
+  let target_version = varint r in
+  let level = varint r in
+  let wrapped_under = varint r in
+  let receivers = varint r in
+  let ciphertext = bytes r (uvarint r) in
   { Rekey_msg.target_node; target_version; level; wrapped_under; receivers; ciphertext }
 
 let decode_payload payload =
   let open Codec in
   parse payload @@ fun r ->
-  let count = u16 r in
-  let wide = count = wide_sentinel in
-  let count =
-    if not wide then count
-    else begin
-      let v = u8 r in
-      if v <> wide_version then corrupt "unknown wide codec version %d" v;
-      u16 r
-    end
-  in
-  let min_item_size = if wide then entry_fixed_wide else entry_fixed in
-  let entries = items r ~min_item_size count (read_entry ~wide) in
+  let entries = items r ~min_item_size:min_entry_size (uvarint r) read_entry in
   (* The one decoder that tolerates trailing bytes: FEC recovery
      zero-extends a payload to its block's longest shard. *)
   ignore (bytes r (remaining r));

@@ -18,21 +18,38 @@ type t = {
 val encode_entries :
   ?wide:bool -> capacity_bytes:int -> Gkm_lkh.Rekey_msg.entry list -> t list
 (** Pack entries into packets of at most [capacity_bytes] of payload.
-    Each payload is exactly as long as the entries it carries, so only
-    a rekey's last packet is usually short of the capacity
-    (block/index fields are filled by {!blocks_of_packets}). Entries
-    larger than the capacity are rejected. With [~wide:true] node ids
-    are encoded as i64, so composed organizations' banded ids survive;
-    the default narrow codec (i32 ids, 8 bytes less per entry) rejects
-    out-of-range ids.
+    A payload is an unsigned LEB128 entry count followed by exactly
+    that many entries, each five zigzag varints ([target_node],
+    [target_version], [level], [wrapped_under], [receivers]), an
+    unsigned varint ciphertext length and the ciphertext (see
+    {!Gkm_crypto.Codec.add_varint}). Every int round-trips, so one
+    layout serves every organization. Only a rekey's last packet is
+    usually short of the capacity (block/index fields are filled by
+    {!blocks_of_packets}). [?wide] is accepted and ignored; it remains
+    only for callers written against the retired i64-id layout.
     @raise Invalid_argument if [capacity_bytes] is too small for a
-    single entry, or a node id overflows the narrow codec. *)
+    single entry. *)
+
+val encode_payload : Gkm_lkh.Rekey_msg.entry list -> bytes
+(** One payload holding all of [entries], whatever its length: the
+    canonical bytes {!decode_payload} reads back ([encode_payload []]
+    is the one-byte zero-entry payload). *)
+
+val entry_size_of : Gkm_lkh.Rekey_msg.entry -> int
+(** Encoded bytes of one entry: a payload is the count's
+    {!Gkm_crypto.Codec.uvarint_size} plus the sum of these. *)
+
+val min_capacity_bytes : int
+(** The payload of one entry carrying a 32-byte wrap with every id
+    at its widest (9-byte) varint, plus its count: a capacity of at
+    least this packs any wrap-based rekey. *)
 
 val decode_payload : bytes -> (Gkm_lkh.Rekey_msg.entry list, string) result
 (** Recover the entries of one packet payload (ignoring trailing bytes,
     such as the zeros FEC recovery extends a short payload with).
-    Auto-detects the wide codec by its sentinel header, so receivers
-    need not know which codec the server chose. *)
+    Accepts only canonical varints and never raises: overlong or
+    over-63-bit varints, a count the bytes cannot hold, or truncation
+    give [Error]. *)
 
 val blocks_of_packets : block_size:int -> t list -> t list list
 (** Group packets into FEC blocks of [block_size], renumbering

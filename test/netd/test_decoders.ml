@@ -61,6 +61,14 @@ let rekey_entries () =
   let s = lkh_server () in
   (Option.get (Lkh_server.rekey s)).entries
 
+(* The same entries with ids past i32, as composed organizations' bands
+   give them. *)
+let banded_entries () =
+  List.map
+    (fun (e : Gkm_lkh.Rekey_msg.entry) ->
+      { e with target_node = e.target_node + 5_000_000_000; wrapped_under = -e.wrapped_under })
+    (rekey_entries ())
+
 let ticket_sealer = Record.Ticket.Sealer.create ~seed:9
 
 let ticket () =
@@ -122,12 +130,11 @@ let decoders =
        ( "lkh sealed restore",
          Lkh_server.snapshot (lkh_server ()) ~storage_key,
          fun b -> accepted (Lkh_server.restore ~storage_key b) );
-       ( "packet narrow",
+       ( "packet",
          (List.hd (Packet.encode_entries ~capacity_bytes:1024 (rekey_entries ()))).payload,
          fun b -> accepted (Packet.decode_payload b) );
-       ( "packet wide",
-         (List.hd (Packet.encode_entries ~wide:true ~capacity_bytes:1024 (rekey_entries ())))
-           .payload,
+       ( "packet banded ids",
+         (List.hd (Packet.encode_entries ~capacity_bytes:1024 (banded_entries ()))).payload,
          fun b -> accepted (Packet.decode_payload b) );
        ("ticket", ticket (), fun b -> accepted (Record.Ticket.Sealer.open_ ticket_sealer b));
        ( "resumption blob",
@@ -190,17 +197,17 @@ let test_resumption_trailing_byte () =
    decodes to the same entries. *)
 let test_payload_zero_extended () =
   List.iter
-    (fun wide ->
+    (fun (name, entries) ->
       List.iter
         (fun (p : Packet.t) ->
           let padded = Bytes.cat p.payload (Bytes.make 37 '\000') in
           let entries b = Result.get_ok (Packet.decode_payload b) in
           Alcotest.(check bool)
-            (Printf.sprintf "wide=%b seq %d: same entries" wide p.seq)
+            (Printf.sprintf "%s seq %d: same entries" name p.seq)
             true
             (entries p.payload = entries padded))
-        (Packet.encode_entries ~wide ~capacity_bytes:256 (rekey_entries ())))
-    [ false; true ]
+        (Packet.encode_entries ~capacity_bytes:256 entries))
+    [ ("plain", rekey_entries ()); ("banded", banded_entries ()) ]
 
 let () =
   Alcotest.run "decoders"

@@ -383,7 +383,7 @@ let test_eviction_lockout () =
   Server.stop srv
 
 (* Composed organizations — band node ids beyond i32 — are served in
-   the wide (i64) packet codec; clients track the composed DEK
+   the one varint packet codec; clients track the composed DEK
    end-to-end. *)
 let test_composed_served () =
   let loop = Loop.create () in
@@ -413,6 +413,36 @@ let test_composed_served () =
   List.iteri
     (fun i c -> check_trace ~server_tbl (Printf.sprintf "composed%d" i) c)
     clients;
+  Server.stop srv
+
+(* The smallest capacity the server accepts must pack every rekey it
+   can emit: a composed organization (the widest ids) at exactly the
+   floor serves its members through churn, and one byte below the
+   floor is refused at create rather than raising out of a tick. *)
+let test_capacity_floor () =
+  let loop = Loop.create () in
+  let org = Result.get_ok (Organization.spec_of_string "composed") in
+  let floor = Packet.min_capacity_bytes in
+  (match Server.create ~loop (cfg ~org ~capacity:(floor - 1) ()) with
+  | exception Invalid_argument _ -> ()
+  | srv ->
+      Server.stop srv;
+      Alcotest.failf "capacity %d below the floor accepted" (floor - 1));
+  let srv = Server.create ~loop (cfg ~tp:0.01 ~org ~capacity:floor ()) in
+  let port = Server.port srv in
+  let clients =
+    List.init 3 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i })
+  in
+  run_until loop (fun () -> List.for_all Client.is_member clients);
+  let churner = Client.connect ~loop { (Client.config ~port) with seed = 900 } in
+  run_until loop (fun () -> Client.is_member churner);
+  let target = Server.epoch srv in
+  Client.leave churner;
+  run_until loop (fun () -> Server.epoch srv > target);
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) clients);
+  let server_tbl = server_trace_tbl srv in
+  List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "floor%d" i) c) clients;
   Server.stop srv
 
 (* The server speaks one wire version: a HELLO whose range excludes it,
@@ -1665,6 +1695,8 @@ let () =
           Alcotest.test_case "bad version rejected" `Quick test_version_rejected;
           Alcotest.test_case "plaintext REKEY refused by client" `Quick
             test_plaintext_rekey_refused;
+          Alcotest.test_case "capacity floor serves a composed rekey" `Quick
+            test_capacity_floor;
         ] );
       ( "hostile",
         [

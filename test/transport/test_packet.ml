@@ -27,9 +27,22 @@ let entries_equal a b =
 
 let capacity = 256
 
-(* A narrow payload: u16 count, then 20 fixed bytes + ciphertext per entry. *)
-let narrow_size es =
-  List.fold_left (fun acc (e : Rekey_msg.entry) -> acc + 20 + Bytes.length e.ciphertext) 2 es
+(* The layout, restated independently of the codec: LEB128 groups of
+   7 bits over the 63-bit pattern, zigzag for the signed fields
+   (modular arithmetic maps min_int to all ones, as it should). *)
+let rec leb_width u = if u lsr 7 = 0 then 1 else 1 + leb_width (u lsr 7)
+let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
+
+let entry_width (e : Rekey_msg.entry) =
+  let ct = Bytes.length e.ciphertext in
+  List.fold_left
+    (fun acc v -> acc + leb_width (zigzag v))
+    (leb_width ct + ct)
+    [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ]
+
+(* A payload: varint count, then every entry's varints and ciphertext. *)
+let payload_size es =
+  List.fold_left (fun acc e -> acc + entry_width e) (leb_width (List.length es)) es
 
 let test_packet_roundtrip () =
   let entries = sample_entries () in
@@ -40,7 +53,7 @@ let test_packet_roundtrip () =
       (fun (p : Packet.t) ->
         match Packet.decode_payload p.payload with
         | Ok es ->
-            Alcotest.(check int) "exact encoded size" (narrow_size es) (Bytes.length p.payload);
+            Alcotest.(check int) "exact encoded size" (payload_size es) (Bytes.length p.payload);
             Alcotest.(check bool) "within capacity" true (Bytes.length p.payload <= capacity);
             es
         | Error e -> Alcotest.fail e)
@@ -98,7 +111,7 @@ let test_packet_fec_recovery () =
     blocks
 
 let test_packet_fec_insufficient () =
-  let entries = sample_entries () in
+  let entries = sample_entries ~n:60 ~departs:[ 3; 17; 41 ] () in
   let packets = Packet.encode_entries ~capacity_bytes:256 entries in
   match Packet.blocks_of_packets ~block_size:4 packets with
   | block :: _ when List.length block >= 3 -> (
@@ -226,9 +239,8 @@ let test_packet_lossy_end_to_end () =
     true
     (!holders >= !decoded_everything)
 
-(* The wide entry codec: i64 node ids, auto-detected at
-   decode by the 0xFFFF sentinel. Composed organizations put band
-   strides of 10^9 in node ids — beyond the narrow codec's i32. *)
+(* Composed organizations put band strides of 10^9 in node ids,
+   beyond i32; the varint layout carries them like any other int. *)
 let wide_entries =
   List.init 6 (fun i ->
       {
@@ -264,10 +276,18 @@ let test_packet_wide_roundtrip () =
   in
   Alcotest.(check bool) "narrow payloads unaffected" true (entries_equal entries decoded)
 
-let test_packet_narrow_rejects_wide_ids () =
-  match Packet.encode_entries ~capacity_bytes:capacity wide_entries with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "narrow codec accepted an out-of-range node id"
+let test_packet_big_ids_without_wide () =
+  let payloads = List.map (fun (p : Packet.t) -> p.payload) in
+  let packets = Packet.encode_entries ~capacity_bytes:capacity wide_entries in
+  Alcotest.(check (list bytes))
+    "~wide:true changes nothing" (payloads packets)
+    (payloads (Packet.encode_entries ~wide:true ~capacity_bytes:capacity wide_entries));
+  let decoded =
+    List.concat_map
+      (fun b -> match Packet.decode_payload b with Ok es -> es | Error e -> Alcotest.fail e)
+      (payloads packets)
+  in
+  Alcotest.(check bool) "ids beyond i32 survive" true (entries_equal wide_entries decoded)
 
 let prop_packet_wide_roundtrip =
   QCheck.Test.make ~name:"wide codec roundtrip across batch shapes" ~count:50
@@ -358,6 +378,154 @@ let prop_packet_fec_short_tail =
       in
       entries_equal entries decoded)
 
+(* The varint layout over any int: edge values, both signs, values
+   beyond 2^32, and ciphertexts of 0-300 bytes. *)
+let any_int =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1; 63; -64; 64 ];
+        map (fun k -> (1 lsl k) - 1) (int_range 0 62);
+        map (fun k -> -(1 lsl k)) (int_range 0 62);
+        map (fun v -> (1 lsl 32) + v) (int_bound 1_000_000);
+      ])
+
+let gen_entry =
+  QCheck.Gen.(
+    map
+      (fun ((target_node, target_version, level), (wrapped_under, receivers, ct)) ->
+        {
+          Rekey_msg.target_node;
+          target_version;
+          level;
+          wrapped_under;
+          receivers;
+          ciphertext = Bytes.of_string ct;
+        })
+      (pair (triple any_int any_int any_int)
+         (triple any_int any_int (string_size ~gen:char (int_bound 300)))))
+
+(* Entries, plus a capacity from the tightest legal one up to 2 KiB
+   beyond it. *)
+let arb_batch =
+  QCheck.make
+    ~print:(fun (es, cap) -> Printf.sprintf "%d entries, capacity %d" (List.length es) cap)
+    QCheck.Gen.(
+      list_size (int_range 1 40) gen_entry >>= fun es ->
+      let tightest = 1 + List.fold_left (fun acc e -> max acc (entry_width e)) 0 es in
+      map (fun extra -> (es, tightest + extra)) (int_bound 2048))
+
+let decode_all packets =
+  List.concat_map
+    (fun (p : Packet.t) ->
+      match Packet.decode_payload p.payload with
+      | Ok es -> es
+      | Error e -> QCheck.Test.fail_report e)
+    packets
+
+let prop_any_int_roundtrip =
+  QCheck.Test.make ~name:"varint entries round-trip any int" ~count:300 arb_batch
+    (fun (entries, capacity_bytes) ->
+      entries_equal entries (decode_all (Packet.encode_entries ~capacity_bytes entries)))
+
+let prop_payload_size =
+  QCheck.Test.make ~name:"payload = count varint + entry sizes, within capacity" ~count:300
+    arb_batch (fun (entries, capacity_bytes) ->
+      List.for_all
+        (fun (p : Packet.t) ->
+          let es = Result.get_ok (Packet.decode_payload p.payload) in
+          let n = Bytes.length p.payload in
+          n <= capacity_bytes
+          && n = payload_size es
+          && n
+             = List.fold_left
+                 (fun acc e -> acc + Packet.entry_size_of e)
+                 (Gkm_crypto.Codec.uvarint_size (List.length es))
+                 es)
+        (Packet.encode_entries ~capacity_bytes entries))
+
+let prop_zero_extended =
+  QCheck.Test.make ~name:"zero-extended payloads decode to the same entries" ~count:200
+    (QCheck.pair arb_batch QCheck.(int_range 1 300))
+    (fun ((entries, capacity_bytes), pad) ->
+      List.for_all
+        (fun (p : Packet.t) ->
+          let padded = Bytes.cat p.payload (Bytes.make pad '\000') in
+          match (Packet.decode_payload p.payload, Packet.decode_payload padded) with
+          | Ok a, Ok b -> entries_equal a b
+          | _ -> false)
+        (Packet.encode_entries ~capacity_bytes entries))
+
+(* LEB128 of the 63-bit pattern [u]; with [extra] > 0, an overlong
+   spelling: a continuation bit on the real last byte, then [extra]
+   zero groups. *)
+let rec leb ?(extra = 0) u =
+  let last = u lsr 7 = 0 in
+  if last && extra = 0 then String.make 1 (Char.chr u)
+  else
+    String.make 1 (Char.chr (u land 0x7F lor 0x80))
+    ^ leb ~extra:(if last then extra - 1 else extra) (u lsr 7)
+
+(* A payload spelled by hand, one varint field of it (0 = the count,
+   then six per entry) replaced by [spell]'s bytes. *)
+let hand_payload ?(field = -1) ?(spell = fun u -> leb u) entries =
+  let buf = Buffer.create 256 and i = ref 0 in
+  let put u =
+    Buffer.add_string buf (if !i = field then spell u else leb u);
+    incr i
+  in
+  put (List.length entries);
+  List.iter
+    (fun (e : Rekey_msg.entry) ->
+      List.iter
+        (fun v -> put (zigzag v))
+        [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ];
+      put (Bytes.length e.ciphertext);
+      Buffer.add_bytes buf e.ciphertext)
+    entries;
+  Buffer.to_bytes buf
+
+let refused b =
+  match Packet.decode_payload b with
+  | Ok _ -> false
+  | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let arb_entries_field =
+  QCheck.make
+    ~print:(fun (es, f) -> Printf.sprintf "%d entries, field %d" (List.length es) f)
+    QCheck.Gen.(
+      list_size (int_range 1 8) gen_entry >>= fun es ->
+      map (fun f -> (es, f)) (int_bound (6 * List.length es)))
+
+let prop_hand_spelling =
+  QCheck.Test.make ~name:"decode refuses non-canonical varints, never raises" ~count:300
+    arb_entries_field (fun (entries, field) ->
+      Bytes.equal (hand_payload entries) (Packet.encode_payload entries)
+      && refused (hand_payload ~field ~spell:(leb ~extra:1) entries)
+      && refused (hand_payload ~field ~spell:(leb ~extra:3) entries)
+      (* nine full groups and then a 10th byte *)
+      && refused (hand_payload ~field ~spell:(fun _ -> String.make 9 '\xff' ^ "\x00") entries)
+      && refused (hand_payload ~field ~spell:(fun _ -> String.make 9 '\xff' ^ "\x01") entries))
+
+let prop_hostile_counts =
+  QCheck.Test.make ~name:"decode refuses hostile counts and lengths" ~count:200
+    (QCheck.pair (QCheck.make QCheck.Gen.(list_size (int_range 1 8) gen_entry)) QCheck.small_nat)
+    (fun (entries, extra) ->
+      let n = List.length entries in
+      let count spell = hand_payload ~field:0 ~spell entries in
+      let leb63 = String.make 8 '\xff' ^ "\x7f" (* 2^63 - 1: beyond max_int *) in
+      refused (count (fun _ -> leb (n + 1 + extra)))
+      && refused (count (fun _ -> leb max_int))
+      && refused (count (fun _ -> leb63))
+      (* the first ciphertext length, beyond max_int or the bytes left *)
+      && refused (hand_payload ~field:6 ~spell:(fun _ -> leb63) entries)
+      && refused
+           (hand_payload ~field:6
+              ~spell:(fun u -> leb (u + 1 + extra + (300 * n)))
+              entries))
+
 let () =
   Alcotest.run "gkm_packet"
     [
@@ -370,11 +538,21 @@ let () =
           Alcotest.test_case "FEC insufficient shards" `Quick test_packet_fec_insufficient;
           Alcotest.test_case "lossy end-to-end with real bytes" `Quick test_packet_lossy_end_to_end;
           Alcotest.test_case "wide (i64) roundtrip" `Quick test_packet_wide_roundtrip;
-          Alcotest.test_case "narrow rejects wide ids" `Quick test_packet_narrow_rejects_wide_ids;
+          Alcotest.test_case "ids beyond i32 round-trip without ~wide" `Quick
+            test_packet_big_ids_without_wide;
         ]
         @ [
             QCheck_alcotest.to_alcotest prop_packet_roundtrip;
             QCheck_alcotest.to_alcotest prop_packet_wide_roundtrip;
             QCheck_alcotest.to_alcotest prop_packet_fec_short_tail;
+          ] );
+      ( "varint",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_any_int_roundtrip;
+            prop_payload_size;
+            prop_zero_extended;
+            prop_hand_spelling;
+            prop_hostile_counts;
           ] );
     ]

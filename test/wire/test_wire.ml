@@ -486,7 +486,9 @@ let seal_rekey ?(dek = dek) (msg : Rekey_msg.t) =
     match Packet.encode_entries ~capacity_bytes:1024 msg.entries with
     | [] ->
         (* the server's framed zero-entry rekey *)
-        [ { Packet.seq = 0; block = 0; index_in_block = 0; payload = Bytes.make 2 '\000' } ]
+        [
+          { Packet.seq = 0; block = 0; index_in_block = 0; payload = Packet.encode_payload [] };
+        ]
     | ps -> ps
   in
   let total = List.length packets in
