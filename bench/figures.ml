@@ -273,18 +273,23 @@ let ablation_oft () =
       for m = 1 to n do
         Gkm_lkh.Oft.join oft m
       done;
-      let lkh = Gkm_lkh.Server.create ~seed:1 ~degree:2 () in
+      let lkh =
+        Gkm.Scheme.create
+          { (Gkm.Scheme.default_config Gkm.Scheme.One_keytree) with degree = 2; seed = 1 }
+      in
       for m = 1 to n do
-        ignore (Gkm_lkh.Server.register lkh m)
+        ignore (Gkm.Scheme.register lkh ~member:m ~cls:Gkm.Scheme.Long)
       done;
-      ignore (Gkm_lkh.Server.rekey lkh);
+      ignore (Gkm.Scheme.rekey lkh);
       let victims = List.init 8 (fun i -> 1 + (i * (n / 8))) in
       let oft_cost = ref 0 and lkh_cost = ref 0 in
       List.iter
         (fun m ->
           Gkm_lkh.Oft.leave oft m;
           oft_cost := !oft_cost + Gkm_lkh.Oft.last_broadcast_cost oft;
-          lkh_cost := !lkh_cost + Gkm_lkh.Rekey_msg.size_keys (Gkm_lkh.Server.depart_now lkh m))
+          Gkm.Scheme.enqueue_departure lkh m;
+          ignore (Gkm.Scheme.rekey lkh);
+          lkh_cost := !lkh_cost + Gkm.Scheme.last_cost lkh)
         victims;
       let oft_avg = float_of_int !oft_cost /. 8.0 and lkh_avg = float_of_int !lkh_cost /. 8.0 in
       line "%8d %14.1f %14.1f %10.2f" n lkh_avg oft_avg (oft_avg /. lkh_avg))

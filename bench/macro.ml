@@ -1,8 +1,8 @@
 (* Macro benchmark: the rekey hot path at production group sizes.
 
-   Each run builds an LKH server from the time-0 steady-state
+   Each run builds an organization from the time-0 steady-state
    population of the Section 3.3.1 two-class workload, then drives
-   steady-state churn batches through [Server.rekey] and reports build
+   steady-state churn batches through its [rekey] and reports build
    time, batch-latency quantiles (read from the observability
    histogram buckets), churn throughput and keys-encrypted throughput.
    Results are written as one JSON document (default
@@ -10,14 +10,14 @@
    schema. *)
 
 module Prng = Gkm_crypto.Prng
-module Server = Gkm_lkh.Server
+module Scheme = Gkm.Scheme
+module Organization = Gkm.Organization
 module Membership = Gkm_workload.Membership
 module Metrics = Gkm_obs.Metrics
 module Jsonx = Gkm_obs.Jsonx
 
 type row = {
-  org : string; (* "lkh-server" for the raw-server hot path, else the
-                   Organization display name *)
+  org : string; (* the Organization display name *)
   n : int;
   alpha : float;
   build_s : float;
@@ -31,99 +31,47 @@ type row = {
 
 let now () = Unix.gettimeofday ()
 
-let run_config ~seed ~n ~alpha ~intervals =
-  let cfg = Membership.of_params ~n_target:n ~alpha ~ms:180.0 ~ml:10800.0 ~tp:1.0 in
-  let rng = Prng.create seed in
-  let batches = Membership.intervals cfg ~rng ~n_intervals:(intervals + 1) in
-  let server = Server.create ~degree:4 ~seed:(seed + 1) () in
-  let reg = Metrics.create () in
-  let h_batch = Metrics.Histogram.v ~registry:reg "macro.batch_us" in
-  match batches with
-  | [] -> invalid_arg "Macro.run_config: no intervals"
-  | (joins0, departs0) :: churn ->
-      (* Build phase: admit the steady-state population in one batch.
-         Departures falling inside interval 0 cancel or evict as they
-         would live. *)
-      let t0 = now () in
-      List.iter (fun (m, _) -> ignore (Server.register server m)) joins0;
-      List.iter (fun m -> Server.enqueue_departure server m) departs0;
-      ignore (Server.rekey server);
-      let build_s = now () -. t0 in
-      let churn_ops = ref 0 in
-      let keys0 = Server.cumulative_cost server in
-      let t1 = now () in
-      List.iter
-        (fun (joins, departs) ->
-          let b0 = now () in
-          List.iter (fun (m, _) -> ignore (Server.register server m)) joins;
-          List.iter (fun m -> Server.enqueue_departure server m) departs;
-          ignore (Server.rekey server);
-          Metrics.Histogram.observe h_batch ((now () -. b0) *. 1e6);
-          churn_ops := !churn_ops + List.length joins + List.length departs)
-        churn;
-      let churn_s = now () -. t1 in
-      {
-        org = "lkh-server";
-        n;
-        alpha;
-        build_s;
-        intervals = List.length churn;
-        churn_ops = !churn_ops;
-        churn_s;
-        keys_encrypted = Server.cumulative_cost server - keys0;
-        p50_us = Metrics.Histogram.quantile h_batch 0.5;
-        p99_us = Metrics.Histogram.quantile h_batch 0.99;
-      }
-
-(* Same measurement protocol as [run_config], but through the packed
-   [Gkm.Organization] interface: loss-homogenized and composed
-   organizations exercise multi-tree maintenance and the extra DEK
-   layer under identical churn. Loss rates are a deterministic 25%
-   high-loss mix so no extra PRNG stream perturbs the workload. *)
+(* One churn protocol for every organization. Loss rates are a
+   deterministic 25% high-loss mix so no extra PRNG stream perturbs
+   the workload; the two-partition schemes see each member's class.
+   Every departure in a batch is a member or a joiner of the same
+   interval, so it is enqueued as is. *)
 let run_org_config ~seed ~n ~alpha ~intervals ~spec =
   let cfg = Membership.of_params ~n_target:n ~alpha ~ms:180.0 ~ml:10800.0 ~tp:1.0 in
   let rng = Prng.create seed in
   let batches = Membership.intervals cfg ~rng ~n_intervals:(intervals + 1) in
-  let org = Gkm.Organization.create spec in
-  let module O = (val org) in
+  let module O = (val Organization.create spec) in
   let reg = Metrics.create () in
   let h_batch = Metrics.Histogram.v ~registry:reg "macro.batch_us" in
-  let cls = function
-    | Membership.Short -> Gkm.Scheme.Short
-    | Membership.Long -> Gkm.Scheme.Long
-  in
+  let cls = function Membership.Short -> Scheme.Short | Membership.Long -> Scheme.Long in
   let loss_of m = if m mod 4 = 0 then 0.2 else 0.02 in
-  let admit joins = List.iter (fun (m, c) -> ignore (O.register ~member:m ~cls:(cls c) ~loss:(loss_of m))) joins in
-  let evict joins departs =
-    List.iter
-      (fun m ->
-        if O.is_member m || List.exists (fun (j, _) -> j = m) joins then
-          O.enqueue_departure m)
-      departs
+  let batch (joins, departs) =
+    List.iter (fun (m, c) -> ignore (O.register ~member:m ~cls:(cls c) ~loss:(loss_of m))) joins;
+    List.iter O.enqueue_departure departs;
+    ignore (O.rekey ())
   in
   match batches with
   | [] -> invalid_arg "Macro.run_org_config: no intervals"
-  | (joins0, departs0) :: churn ->
+  | first :: churn ->
+      (* Build phase: admit the steady-state population in one batch.
+         Departures falling inside interval 0 cancel or evict as they
+         would live. *)
       let t0 = now () in
-      admit joins0;
-      evict joins0 departs0;
-      ignore (O.rekey ());
+      batch first;
       let build_s = now () -. t0 in
       let churn_ops = ref 0 in
       let keys0 = O.cumulative_keys () in
       let t1 = now () in
       List.iter
-        (fun (joins, departs) ->
+        (fun ((joins, departs) as b) ->
           let b0 = now () in
-          admit joins;
-          evict joins departs;
-          ignore (O.rekey ());
+          batch b;
           Metrics.Histogram.observe h_batch ((now () -. b0) *. 1e6);
           churn_ops := !churn_ops + List.length joins + List.length departs)
         churn;
       let churn_s = now () -. t1 in
       {
-        org = Gkm.Organization.spec_name spec;
+        org = Organization.spec_name spec;
         n;
         alpha;
         build_s;
@@ -192,7 +140,7 @@ let print_pkg_row r =
 
 (* ------------------------------------------------------------------ *)
 (* Keys-mode bandwidth scenario: departure-heavy steady churn through
-   the raw LKH server in both key-refresh modes, reporting rekey bytes
+   the one-keytree scheme in both key-refresh modes, reporting rekey bytes
    per member per interval. Derived mode replaces most 48-byte wrap
    entries with 20-byte derivation notices, so the wrap/derived byte
    ratio is the bandwidth win the mode buys; the floor file can gate
@@ -213,11 +161,15 @@ type keys_row = {
 
 let run_keys_mode ~seed ~n ~degree ~intervals ~departs ~joins mode =
   let module Rekey_msg = Gkm_lkh.Rekey_msg in
-  let server = Server.create ~degree ~keys_mode:mode ~seed:(seed + 3) () in
+  let server =
+    Scheme.create ~keys_mode:mode
+      { (Scheme.default_config Scheme.One_keytree) with degree; seed = seed + 3 }
+  in
+  let register m = ignore (Scheme.register server ~member:m ~cls:Scheme.Long) in
   for m = 0 to n - 1 do
-    ignore (Server.register server m)
+    register m
   done;
-  ignore (Server.rekey server);
+  ignore (Scheme.rekey server);
   let rng = Prng.create (seed + 4) in
   let members = Array.make (n + (intervals * joins)) 0 in
   for i = 0 to n - 1 do
@@ -234,16 +186,16 @@ let run_keys_mode ~seed ~n ~degree ~intervals ~departs ~joins mode =
       let m = members.(i) in
       members.(i) <- members.(!size - 1);
       decr size;
-      Server.enqueue_departure server m
+      Scheme.enqueue_departure server m
     done;
     for _ = 1 to joins do
       let m = !next_id in
       incr next_id;
-      ignore (Server.register server m);
+      register m;
       members.(!size) <- m;
       incr size
     done;
-    match Server.rekey server with
+    match Scheme.rekey server with
     | Some msg ->
         total_bytes := !total_bytes + Rekey_msg.size_bytes msg;
         total_keys := !total_keys + Rekey_msg.size_keys msg
@@ -315,10 +267,8 @@ let print_row r =
     (float_of_int r.keys_encrypted /. r.churn_s)
     r.p50_us r.p99_us
 
-(* Floor-file syntax: one "org-name ops-per-sec" pair per line
-   (comments and blanks ignored). A bare float is shorthand for the
-   raw-server row ("lkh-server"), which keeps pre-existing single-value
-   floor files working. *)
+(* Floor-file syntax: one "org-name value" pair per line (comments and
+   blanks ignored). *)
 let read_floor path =
   let ic = open_in path in
   Fun.protect
@@ -332,7 +282,8 @@ let read_floor path =
             if line = "" || line.[0] = '#' then go acc
             else
               match String.rindex_opt line ' ' with
-              | None -> go (("lkh-server", float_of_string line) :: acc)
+              | None ->
+                  failwith (Printf.sprintf "%s: %S is not an \"org-name value\" line" path line)
               | Some i ->
                   let name = String.trim (String.sub line 0 i) in
                   let v =
@@ -344,9 +295,8 @@ let read_floor path =
       go [])
 
 (* The regression gate: the floor file records reference churn
-   throughputs (ops/sec) for the N = 10^4 configurations — the raw
-   server hot path plus every organization row with an entry —
-   conservative enough for CI runners. Fail only on a > 2x drop: real
+   throughputs (ops/sec) for the N = 10^4 organization rows with an
+   entry, conservative enough for CI runners. Fail only on a > 2x drop: real
    regressions in the hot path are multiplicative, runner jitter is
    not. *)
 let check_floor ~floors rows =
@@ -377,37 +327,34 @@ let run ?(out = "BENCH_macro.json") ?(quick = false) ?floor_file ?(intervals = 1
     if quick then [ (10_000, [ 0.8 ]) ]
     else [ (10_000, [ 0.2; 0.5; 0.8 ]); (100_000, [ 0.2; 0.5; 0.8 ]); (1_000_000, [ 0.8 ]) ]
   in
-  let rows =
-    List.concat_map
-      (fun (n, alphas) ->
-        List.map
-          (fun alpha ->
-            Printf.printf "macro: N=%d alpha=%.2f (%d intervals)\n%!" n alpha intervals;
-            let r = run_config ~seed ~n ~alpha ~intervals in
-            print_row r;
-            r)
-          alphas)
-      configs
+  (* The one-keytree baseline at every configuration, then the
+     multi-tree organizations at the CI-sized one. *)
+  let one_keytree =
+    Organization.Scheme_cfg { (Scheme.default_config Scheme.One_keytree) with seed = seed + 1 }
   in
-  (* Organization rows: the same churn protocol through the packed
-     Organization interface, at the CI-sized configuration. *)
-  let org_n = 10_000 and org_alpha = 0.8 in
-  let org_rows =
+  let runs =
+    List.concat_map
+      (fun (n, alphas) -> List.map (fun alpha -> (one_keytree, n, alpha)) alphas)
+      configs
+    @ List.map
+        (fun spec -> (spec, 10_000, 0.8))
+        [
+          Organization.Loss_cfg
+            { degree = 4; seed = seed + 1; assignment = Gkm.Loss_tree.By_loss [ 0.05 ] };
+          Organization.Composed_cfg
+            { kind = Scheme.Tt; degree = 4; s_period = 10; seed = seed + 1; thresholds = [ 0.05 ] };
+        ]
+  in
+  let rows =
     List.map
-      (fun spec ->
+      (fun (spec, n, alpha) ->
         Printf.printf "macro: org=%s N=%d alpha=%.2f (%d intervals)\n%!"
-          (Gkm.Organization.spec_name spec) org_n org_alpha intervals;
-        let r = run_org_config ~seed ~n:org_n ~alpha:org_alpha ~intervals ~spec in
+          (Organization.spec_name spec) n alpha intervals;
+        let r = run_org_config ~seed ~n ~alpha ~intervals ~spec in
         print_row r;
         r)
-      [
-        Gkm.Organization.Loss_cfg
-          { degree = 4; seed = seed + 1; assignment = Gkm.Loss_tree.By_loss [ 0.05 ] };
-        Gkm.Organization.Composed_cfg
-          { kind = Gkm.Scheme.Tt; degree = 4; s_period = 10; seed = seed + 1; thresholds = [ 0.05 ] };
-      ]
+      runs
   in
-  let rows = rows @ org_rows in
   (* Per-package crypto primitives. *)
   Printf.printf "macro: crypto packages\n%!";
   let pkg_rows = run_packages ~quick in

@@ -1,14 +1,15 @@
 (* Quickstart: a key server, nine members, one eviction.
 
-   Demonstrates the base LKH machinery: batched admission, the logical
-   key tree, rekey messages, member-side decryption, and
-   forward/backward secrecy. Mirrors the example of Fig. 1 in the
+   Demonstrates the base LKH machinery through the one-keytree scheme
+   (the paper's baseline): batched admission, the logical key tree,
+   rekey messages, member-side decryption, and forward/backward
+   secrecy. Mirrors the example of Fig. 1 in the
    paper (users u1..u9 under a degree-3 tree).
 
    Run with: dune exec examples/quickstart.exe *)
 
 module Key = Gkm_crypto.Key
-module Server = Gkm_lkh.Server
+module Scheme = Gkm.Scheme
 module Member = Gkm_lkh.Member
 module Rekey_msg = Gkm_lkh.Rekey_msg
 
@@ -16,14 +17,16 @@ let section title = Printf.printf "\n== %s ==\n" title
 
 let () =
   section "Admitting u1..u9 as one batch";
-  let server = Server.create ~degree:3 ~seed:2024 () in
+  let server =
+    Scheme.create { (Scheme.default_config Scheme.One_keytree) with degree = 3; seed = 2024 }
+  in
   (* Each registration hands the member its individual key over the
      out-of-band secure channel. *)
   let bootstrap = Hashtbl.create 9 in
   for u = 1 to 9 do
-    Hashtbl.replace bootstrap u (Server.register server u)
+    Hashtbl.replace bootstrap u (Scheme.register server ~member:u ~cls:Scheme.Long)
   done;
-  let msg = Option.get (Server.rekey server) in
+  let msg = Option.get (Scheme.rekey server) in
   Printf.printf "rekey message: %d encrypted keys (epoch %d)\n" (Rekey_msg.size_keys msg)
     msg.epoch;
 
@@ -31,25 +34,26 @@ let () =
      individual key. *)
   let members = Hashtbl.create 9 in
   for u = 1 to 9 do
-    let leaf = fst (List.hd (Server.member_path server u)) in
+    let leaf = fst (List.hd (Scheme.member_path server u)) in
     let m = Member.create ~id:u ~leaf_node:leaf ~individual_key:(Hashtbl.find bootstrap u) in
     let used = Member.process m msg in
     Hashtbl.replace members u m;
     Printf.printf "  u%d decrypted %d entries; holds DEK: %b\n" u used
       (Member.group_key m <> None)
   done;
-  let dek = Option.get (Server.group_key server) in
+  let dek = Option.get (Scheme.group_key server) in
   Printf.printf "group key (DEK) fingerprint: %s\n" (Key.fingerprint dek);
 
   section "The logical key tree";
-  Format.printf "%a" Gkm_keytree.Keytree.pp (Server.tree server);
+  List.iter (Format.printf "%a" Gkm_keytree.Keytree.pp) (Scheme.trees server);
 
   section "u4 departs (forward secrecy)";
   let old_dek = dek in
-  let msg = Server.depart_now server 4 in
+  Scheme.enqueue_departure server 4;
+  let msg = Option.get (Scheme.rekey server) in
   Printf.printf "rekey message: %d encrypted keys\n" (Rekey_msg.size_keys msg);
   Hashtbl.iter (fun _ m -> ignore (Member.process m msg)) members;
-  let new_dek = Option.get (Server.group_key server) in
+  let new_dek = Option.get (Scheme.group_key server) in
   Printf.printf "DEK changed: %b (old %s -> new %s)\n"
     (not (Key.equal old_dek new_dek))
     (Key.fingerprint old_dek) (Key.fingerprint new_dek);
@@ -73,4 +77,4 @@ let () =
 
   section "Cost accounting";
   Printf.printf "total encrypted keys so far: %d across %d rekeyings\n"
-    (Server.cumulative_cost server) (Server.rekey_count server)
+    (Scheme.cumulative_keys server) (Scheme.interval server)

@@ -6,9 +6,9 @@ module Obs = Gkm_obs.Obs
 module Metrics = Gkm_obs.Metrics
 module Span = Gkm_obs.Span
 
-(* Same metric names as Scheme and Gkm_lkh.Server: the rekeying
-   engines are alternative drivers of the same counters. The per-band
-   population gauges are this organization's own. *)
+(* Same metric names as Scheme: the rekeying engines are alternative
+   drivers of the same counters. The per-band population gauges are
+   this organization's own. *)
 let m_rekeys = Metrics.Counter.v "rekey.count"
 let m_keys_encrypted = Metrics.Counter.v "rekey.keys_encrypted"
 let m_batch_joins = Metrics.Histogram.v "rekey.batch_join_size"

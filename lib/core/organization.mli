@@ -130,17 +130,12 @@ val keys_mode_name : Gkm_keytree.Keytree.mode -> string
 (** ["wrap"] or ["derived"] — the [--keys] CLI vocabulary. *)
 
 val create : spec -> packed
-(** Instantiate a fresh organization.
+(** Instantiate a fresh organization. A [Scheme_cfg] or [Loss_cfg]
+    organization delegates directly: its rekey messages, placements
+    and key material are bit-identical to calling {!Scheme} or
+    {!Loss_tree} itself.
     @raise Invalid_argument on an invalid configuration (bad degree,
     unsorted thresholds, negative S-period). *)
-
-val of_scheme : Scheme.t -> packed
-(** Wrap an existing scheme instance. Delegation is direct: the
-    wrapped scheme produces bit-identical rekey messages, placements
-    and key material to calling {!Scheme} itself. *)
-
-val of_loss_tree : Loss_tree.t -> packed
-(** Wrap an existing loss-tree instance (same guarantee). *)
 
 val restore : spec -> bytes -> (packed, string) result
 (** Rebuild an organization from a [snapshot ()] blob. The [spec]

@@ -11,9 +11,8 @@ module Obs = Gkm_obs.Obs
 module Metrics = Gkm_obs.Metrics
 module Span = Gkm_obs.Span
 
-(* Same metric names as Gkm_lkh.Server: the two rekeying engines are
-   alternative drivers of the same counters, and a process only ever
-   runs one of them. *)
+(* Same metric names as Loss_tree: the two organization families are
+   alternative drivers of the same counters. *)
 let m_rekeys = Metrics.Counter.v "rekey.count"
 let m_keys_encrypted = Metrics.Counter.v "rekey.keys_encrypted"
 let m_tree_height = Metrics.Gauge.v "rekey.tree_height"
@@ -60,11 +59,11 @@ type t = {
   mutable s_period : int; (* tunable at runtime; starts at cfg.s_period *)
   mutable interval : int;
   mutable dek : Key.t option; (* Some = synthetic DEK above the trees *)
-  (* Pending queues mirror Gkm_lkh.Server: a reversed list for FIFO
-     emission plus a hash table for O(1) membership. Cancelling a join
-     only drops the table entry; the list entry is stale and skipped
-     at drain (an entry is live iff the table holds the same key cell,
-     by physical equality). *)
+  (* Pending queues: a reversed list for FIFO emission plus a hash
+     table for O(1) membership. Cancelling a join only drops the table
+     entry; the list entry is stale and skipped at drain (an entry is
+     live iff the table holds the same key cell, by physical
+     equality). *)
   mutable pending_joins : (int * member_class * Key.t) list; (* reversed *)
   join_tbl : (int, Key.t) Hashtbl.t; (* live pending joins *)
   mutable pending_departs : int list; (* reversed, no stales *)

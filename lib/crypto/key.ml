@@ -46,7 +46,6 @@ let unwrap_block_with cipher c =
     invalid_arg "Key.unwrap_block: ciphertext must be one block";
   Pkg.decrypt_block cipher c
 
-let ctr_transform cipher ~nonce data = Pkg.ctr_transform cipher ~nonce data
 let wrap ~kek k = wrap_with (cipher kek) k
 let unwrap ~kek c = unwrap_with (cipher kek) c
 

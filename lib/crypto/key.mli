@@ -23,8 +23,7 @@ val fresh : Prng.t -> t
 val derive : t -> string -> t
 (** [derive k label] derives a child key as
     [HMAC-SHA-256(k, label)] truncated to 16 bytes (the default
-    package's PRF). Used by the OFT variant's one-way functions and
-    the sealed-snapshot subkeys. *)
+    package's PRF). *)
 
 val expand_label : t -> string -> int list -> t
 (** [expand_label k label fields] is a 16-byte key PRF-expanded from
@@ -73,10 +72,6 @@ val unwrap_block_with : cipher -> bytes -> t
     why the compact format is only used where a version guard rejects
     stale KEKs first.
     @raise Invalid_argument if [ct] is not exactly one block. *)
-
-val ctr_transform : cipher -> nonce:bytes -> bytes -> bytes
-(** AES-CTR keystream under the expanded key; see
-    {!Aes128.ctr_transform}. *)
 
 val wrap : kek:t -> t -> bytes
 (** [wrap ~kek k] encrypts key [k] under the key-encryption key [kek]:

@@ -31,11 +31,6 @@ let node_roll = v "node-roll" "gkm-node-roll1"
 
 (* -- PRF (raw HMAC) labels -- *)
 
-let snapshot_enc = v "snapshot-enc" "server-snapshot-enc"
-let snapshot_mac = v "snapshot-mac" "server-snapshot-mac"
-(* Sealed server snapshots: enc/MAC subkeys PRF-derived from the
-   operator storage key. *)
-
 let resync = v "resync-auth" "gkm-resync-v1"
 (* RESYNC request authentication: HMAC(individual, label || i32 member
    || i32 epoch). Fields are i32 (wire-pinned), predating the i64

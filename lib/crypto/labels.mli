@@ -20,12 +20,6 @@ val node_roll : string
 (** Derived-key mode: in-place roll of an untainted dirty interior key
     (fields: node id, version). *)
 
-val snapshot_enc : string
-(** Sealed-snapshot encryption subkey (PRF label on the storage key). *)
-
-val snapshot_mac : string
-(** Sealed-snapshot MAC subkey (PRF label on the storage key). *)
-
 val resync : string
 (** RESYNC request authentication (PRF label on the individual key;
     wire-pinned i32 fields). *)

@@ -172,7 +172,7 @@ val snapshot : t -> bytes
     epoch, id allocator, PRNG state). Wrap-mode trees emit the v2
     layout unchanged; derived-mode trees emit v3 (v2 plus a mode
     byte). The blob contains raw key material — callers persisting it
-    must seal it first (see [Gkm_lkh.Server.snapshot]). *)
+    must seal it first (for example with {!Gkm_crypto.Aead}). *)
 
 val restore : bytes -> (t, string) result
 (** Rebuild a tree from {!snapshot} output (v2 or v3). The restored

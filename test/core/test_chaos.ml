@@ -68,6 +68,97 @@ let test_restore_rejects_garbage () =
       | Ok _ -> Alcotest.failf "%s: truncation accepted" s)
     [ "one"; "tt"; "loss:0.05"; "composed" ]
 
+(* A rekey message as one comparable string: header, every entry
+   field and a digest of each ciphertext. *)
+let msg_fingerprint = function
+  | None -> "none"
+  | Some (m : Gkm_lkh.Rekey_msg.t) ->
+      Printf.sprintf "%d/%d:%s" m.epoch m.root_node
+        (String.concat ";"
+           (List.map
+              (fun (e : Gkm_lkh.Rekey_msg.entry) ->
+                Printf.sprintf "%d.%d.%d.%d.%d.%s" e.target_node e.target_version e.level
+                  e.wrapped_under e.receivers
+                  (Digest.to_hex (Digest.bytes e.ciphertext)))
+              m.entries))
+
+let test_snapshot_pure () =
+  (* Taking a snapshot draws nothing: two snapshots are the same bytes,
+     and the snapshotted instance rekeys exactly like a clone restored
+     from it. *)
+  List.iter
+    (fun s ->
+      let spec = spec_of s in
+      let module O = (val Organization.create spec : Organization.S) in
+      List.iter
+        (fun m ->
+          ignore
+            (O.register ~member:m
+               ~cls:(if m mod 3 = 0 then Scheme.Short else Scheme.Long)
+               ~loss:(if m mod 4 = 0 then 0.2 else 0.01)))
+        (List.init 30 (fun i -> i + 1));
+      ignore (O.rekey ());
+      let b1 = O.snapshot () in
+      Alcotest.(check bool) (s ^ ": idempotent") true (Bytes.equal b1 (O.snapshot ()));
+      let module C = (val Result.get_ok (Organization.restore spec b1) : Organization.S) in
+      List.iter
+        (fun (module X : Organization.S) ->
+          ignore (X.register ~member:99 ~cls:Scheme.Long ~loss:0.01))
+        [ (module O); (module C) ];
+      Alcotest.(check string) (s ^ ": same next rekey")
+        (msg_fingerprint (O.rekey ()))
+        (msg_fingerprint (C.rekey ())))
+    [ "one"; "tt"; "loss:0.05"; "composed" ]
+
+(* Apply an op only when the organization would accept it, so
+   arbitrary op lists become valid churn prefixes. [touched] holds the
+   members with a join or departure pending this interval. *)
+let apply_op (module X : Organization.S) touched op =
+  match op with
+  | `Join m ->
+      if (not (X.is_member m)) && not (Hashtbl.mem touched m) then begin
+        ignore (X.register ~member:m ~cls:Scheme.Long ~loss:0.01);
+        Hashtbl.replace touched m ()
+      end
+  | `Depart m ->
+      if X.is_member m && not (Hashtbl.mem touched m) then begin
+        X.enqueue_departure m;
+        Hashtbl.replace touched m ()
+      end
+  | `Rekey ->
+      ignore (X.rekey ());
+      Hashtbl.reset touched
+
+let prop_one_keytree_prefix_roundtrip =
+  QCheck.Test.make ~name:"one-keytree prefix round trip" ~count:40
+    QCheck.(pair small_int (small_list (pair (int_bound 2) (int_bound 30))))
+    (fun (seed, raw_ops) ->
+      let spec =
+        Organization.Scheme_cfg
+          { (Scheme.default_config Scheme.One_keytree) with seed = seed + 1 }
+      in
+      let org = Organization.create spec in
+      let touched = Hashtbl.create 16 in
+      List.iter
+        (fun (k, m) ->
+          apply_op org touched (match k with 0 -> `Join m | 1 -> `Depart m | _ -> `Rekey))
+        raw_ops;
+      let module O = (val org : Organization.S) in
+      match Organization.restore spec (O.snapshot ()) with
+      | Error e -> QCheck.Test.fail_reportf "restore failed: %s" e
+      | Ok org' ->
+          let continue ((module X : Organization.S) as org) touched =
+            List.map
+              (fun m ->
+                apply_op org touched (if X.is_member m then `Depart m else `Join m);
+                let msg = X.rekey () in
+                Hashtbl.reset touched;
+                msg_fingerprint msg)
+              [ 3; 11; 19; 27 ]
+          in
+          let touched' = Hashtbl.copy touched in
+          continue org touched = continue org' touched')
+
 (* ------------------------------------------------------------------ *)
 (* Session-level recovery paths                                        *)
 
@@ -159,6 +250,8 @@ let () =
           Alcotest.test_case "composed+derived round trip" `Quick
             (roundtrip_spec "composed+derived");
           Alcotest.test_case "garbage rejected" `Quick test_restore_rejects_garbage;
+          Alcotest.test_case "snapshot purity" `Quick test_snapshot_pure;
+          QCheck_alcotest.to_alcotest prop_one_keytree_prefix_roundtrip;
         ] );
       ( "session recovery",
         [

@@ -478,6 +478,101 @@ let test_sim_tracks_analytic () =
       (0.5, Scheme.Tt, Gkm_analytic.Two_partition.Tt);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Pinned one-keytree rekey stream                                     *)
+
+(* A seeded churn script through the one-keytree scheme at degrees 2,
+   4 and 8: a bootstrap batch, 40 churn rounds (joins, a join
+   cancelled before its batch, departures), a departure of every
+   member that empties the tree, a rebuild from nothing and 10 more
+   rounds. One SHA-256 covers every field of every rekey entry, the
+   DEK after each rekey, and every member's path. *)
+let one_keytree_stream_digest keys_mode =
+  let module Sha256 = Gkm_crypto.Sha256 in
+  let h = Sha256.init () in
+  let add_int i = Sha256.update_string h (string_of_int i ^ ",") in
+  let add_key k = Sha256.update h (Key.to_bytes k) in
+  List.iter
+    (fun degree ->
+      let s =
+        Scheme.create ~keys_mode
+          { (Scheme.default_config Scheme.One_keytree) with degree; seed = 40 + degree }
+      in
+      let lcg = ref (degree * 7919) in
+      let draw bound =
+        lcg := ((!lcg * 1103515245) + 12345) land 0x3fffffff;
+        (!lcg lsr 8) mod bound
+      in
+      let next = ref 0 in
+      let join () =
+        incr next;
+        ignore (Scheme.register s ~member:!next ~cls:Scheme.Long);
+        !next
+      in
+      let members () =
+        List.sort compare (Gkm_keytree.Keytree.members (List.hd (Scheme.trees s)))
+      in
+      let rekey () =
+        Option.iter
+          (fun (msg : Gkm_lkh.Rekey_msg.t) ->
+            List.iter
+              (fun (e : Gkm_lkh.Rekey_msg.entry) ->
+                List.iter add_int
+                  [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ];
+                Sha256.update h e.ciphertext)
+              msg.entries)
+          (Scheme.rekey s);
+        (match Scheme.group_key s with None -> add_int (-1) | Some k -> add_key k);
+        List.iter
+          (fun m ->
+            add_int m;
+            List.iter
+              (fun (node, k) ->
+                add_int node;
+                add_key k)
+              (Scheme.member_path s m))
+          (members ())
+      in
+      let churn rounds =
+        for _ = 1 to rounds do
+          for _ = 1 to draw 4 do
+            ignore (join ())
+          done;
+          if draw 5 = 0 then Scheme.enqueue_departure s (join ());
+          let ms = Array.of_list (members ()) in
+          let departed = Hashtbl.create 4 in
+          for _ = 1 to min (draw 4) (Array.length ms) do
+            let m = ms.(draw (Array.length ms)) in
+            if not (Hashtbl.mem departed m) then begin
+              Hashtbl.replace departed m ();
+              Scheme.enqueue_departure s m
+            end
+          done;
+          rekey ()
+        done
+      in
+      for _ = 1 to 24 do
+        ignore (join ())
+      done;
+      rekey ();
+      churn 40;
+      List.iter (Scheme.enqueue_departure s) (members ());
+      rekey ();
+      for _ = 1 to 5 do
+        ignore (join ())
+      done;
+      rekey ();
+      churn 10)
+    [ 2; 4; 8 ];
+  Gkm_crypto.Hex.encode (Sha256.finalize h)
+
+(* The expected digests were produced by the same script driving the
+   standalone LKH key server that preceded the one-keytree scheme as
+   the baseline engine, so they pin the baseline's bytes across its
+   removal. *)
+let test_one_keytree_stream_pinned keys_mode expected () =
+  Alcotest.(check string) "stream digest" expected (one_keytree_stream_digest keys_mode)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -505,6 +600,15 @@ let () =
           Alcotest.test_case "cumulative accounting" `Quick test_cumulative_accounting;
         ]
         @ qsuite [ prop_scheme_churn_secure ] );
+      ( "pinned stream",
+        [
+          Alcotest.test_case "wrap bytes pinned" `Quick
+            (test_one_keytree_stream_pinned Gkm_keytree.Keytree.Wrap
+               "dd4c8401ab8e229282ca358e7192020ae31c6e0b623ca2c316275e13d1286442");
+          Alcotest.test_case "derived bytes pinned" `Quick
+            (test_one_keytree_stream_pinned Gkm_keytree.Keytree.Derived
+               "e99cae32499dac2ceb665379dc330f7c732686284fba0dbcbb650442d549254d");
+        ] );
       ( "loss_tree",
         [
           Alcotest.test_case "band assignment" `Quick test_loss_band_assignment;

@@ -1,5 +1,17 @@
 module Key = Gkm_crypto.Key
+module Keytree = Gkm_keytree.Keytree
+module Scheme = Gkm.Scheme
 open Gkm_lkh
+
+(* The LKH key server is the one-keytree scheme: one balanced tree
+   whose root is the DEK. Every registrant is a long-term member (the
+   class only steers the two-partition schemes). *)
+let one_keytree ?(degree = 4) ?keys_mode ~seed () =
+  Scheme.create ?keys_mode { (Scheme.default_config Scheme.One_keytree) with degree; seed }
+
+let register server m = Scheme.register server ~member:m ~cls:Scheme.Long
+let tree server = List.hd (Scheme.trees server)
+let members server = Keytree.members (tree server)
 
 (* A small client-side harness: keeps a Member.t per live member,
    creates joiners from their registration key, and feeds every rekey
@@ -8,7 +20,7 @@ open Gkm_lkh
 
 module Harness = struct
   type t = {
-    server : Server.t;
+    server : Scheme.t;
     members : (int, Member.t) Hashtbl.t;
     evicted : (int, Member.t) Hashtbl.t;
     mutable staged : (int * Key.t) list; (* registered, waiting for batch *)
@@ -16,30 +28,30 @@ module Harness = struct
 
   let create ?(degree = 4) ?keys_mode ~seed () =
     {
-      server = Server.create ~degree ?keys_mode ~seed ();
+      server = one_keytree ~degree ?keys_mode ~seed ();
       members = Hashtbl.create 32;
       evicted = Hashtbl.create 32;
       staged = [];
     }
 
   let register t m =
-    let key = Server.register t.server m in
+    let key = register t.server m in
     t.staged <- (m, key) :: t.staged
 
   let depart t m =
-    Server.enqueue_departure t.server m;
+    Scheme.enqueue_departure t.server m;
     t.staged <- List.filter (fun (j, _) -> j <> m) t.staged
 
   let rekey t =
-    match Server.rekey t.server with
+    match Scheme.rekey t.server with
     | None -> None
     | Some msg ->
         (* Instantiate freshly admitted members: the admission response
            carries their leaf node id. *)
         List.iter
           (fun (m, key) ->
-            if Server.is_member t.server m then begin
-              let leaf_node = fst (List.hd (Server.member_path t.server m)) in
+            if Scheme.is_member t.server m then begin
+              let leaf_node = fst (List.hd (Scheme.member_path t.server m)) in
               Hashtbl.replace t.members m
                 (Member.create ~id:m ~leaf_node ~individual_key:key)
             end)
@@ -48,7 +60,7 @@ module Harness = struct
         (* Move evicted members' state to the evicted table. *)
         Hashtbl.iter
           (fun m member ->
-            if not (Server.is_member t.server m) then begin
+            if not (Scheme.is_member t.server m) then begin
               Hashtbl.remove t.members m;
               Hashtbl.replace t.evicted m member
             end)
@@ -59,7 +71,7 @@ module Harness = struct
         Some msg
 
   let all_members_converged t =
-    match Server.group_key t.server with
+    match Scheme.group_key t.server with
     | None -> Hashtbl.length t.members = 0
     | Some dek ->
         Hashtbl.fold
@@ -68,7 +80,7 @@ module Harness = struct
           t.members true
 
   let no_evicted_member_has_dek t =
-    match Server.group_key t.server with
+    match Scheme.group_key t.server with
     | None -> true
     | Some dek ->
         Hashtbl.fold
@@ -86,7 +98,7 @@ let test_batch_join_bootstrap () =
   let h = Harness.create ~seed:11 () in
   List.iter (Harness.register h) (range 1 9);
   (match Harness.rekey h with None -> Alcotest.fail "expected a rekey message" | Some _ -> ());
-  Alcotest.(check int) "group size" 9 (Server.size h.server);
+  Alcotest.(check int) "group size" 9 (Scheme.size h.server);
   Alcotest.(check bool) "all 9 joiners decrypted the DEK from multicast" true
     (Harness.all_members_converged h)
 
@@ -120,14 +132,14 @@ let test_backward_secrecy () =
   let h = Harness.create ~seed:14 () in
   List.iter (Harness.register h) (range 1 8);
   ignore (Harness.rekey h);
-  let old_dek = Option.get (Server.group_key h.server) in
+  let old_dek = Option.get (Scheme.group_key h.server) in
   Harness.register h 100;
   ignore (Harness.rekey h);
   let joiner = Hashtbl.find h.members 100 in
   (* The joiner holds the new DEK... *)
   Alcotest.(check bool) "joiner has new DEK" true
     (match Member.group_key joiner with
-    | Some k -> Key.equal k (Option.get (Server.group_key h.server))
+    | Some k -> Key.equal k (Option.get (Scheme.group_key h.server))
     | None -> false);
   (* ...and none of its stored keys equals the old DEK. *)
   let leaked = ref false in
@@ -148,7 +160,7 @@ let test_interest_counts_match_receivers () =
   (* Snapshot member states BEFORE the rekey message is processed. *)
   let pre_members = Hashtbl.copy h.members in
   let msg =
-    match Server.rekey h.server with None -> Alcotest.fail "expected msg" | Some m -> m
+    match Scheme.rekey h.server with None -> Alcotest.fail "expected msg" | Some m -> m
   in
   (* Each entry's receiver count must equal the members actually under
      the wrapping key's subtree, and instantaneous key knowledge
@@ -156,13 +168,13 @@ let test_interest_counts_match_receivers () =
      of that interest set: nobody outside the subtree can decrypt. *)
   List.iter
     (fun (e : Rekey_msg.entry) ->
-      let under = Gkm_keytree.Keytree.members_under (Server.tree h.server) e.wrapped_under in
+      let under = Keytree.members_under (tree h.server) e.wrapped_under in
       Alcotest.(check int)
         (Printf.sprintf "entry K%d/K%d receivers" e.target_node e.wrapped_under)
         e.receivers (List.length under);
       Hashtbl.iter
         (fun m member ->
-          if Server.is_member h.server m && Member.interested member e then
+          if Scheme.is_member h.server m && Member.interested member e then
             Alcotest.(check bool)
               (Printf.sprintf "member %d interested in K%d/K%d is under the subtree" m
                  e.target_node e.wrapped_under)
@@ -173,25 +185,29 @@ let test_interest_counts_match_receivers () =
   Hashtbl.iter (fun _ m -> ignore (Member.process m msg)) h.members
 
 let test_individual_rekeying () =
-  let server = Server.create ~seed:16 () in
-  let k1, _ = Server.join_now server 1 in
-  let _k2, msg2 = Server.join_now server 2 in
-  let leaf1 = fst (List.hd (Server.member_path server 1)) in
+  (* One rekey per membership event, as in the original LKH. *)
+  let server = one_keytree ~seed:16 () in
+  let k1 = register server 1 in
+  ignore (Scheme.rekey server);
+  ignore (register server 2);
+  let msg2 = Option.get (Scheme.rekey server) in
+  let leaf1 = fst (List.hd (Scheme.member_path server 1)) in
   let m1 = Member.create ~id:1 ~leaf_node:leaf1 ~individual_key:k1 in
   (* Member 1 joined before member 2; it needs its path as of epoch 1,
      then processes the join of member 2. *)
-  Member.install_path m1 (Server.member_path server 1);
-  Member.set_root m1 (Option.get (Gkm_keytree.Keytree.root_id (Server.tree server)));
+  Member.install_path m1 (Scheme.member_path server 1);
+  Member.set_root m1 (Option.get (Keytree.root_id (tree server)));
   ignore (Member.process m1 msg2);
   Alcotest.(check bool) "m1 has DEK" true
     (match Member.group_key m1 with
-    | Some k -> Key.equal k (Option.get (Server.group_key server))
+    | Some k -> Key.equal k (Option.get (Scheme.group_key server))
     | None -> false);
-  let msg3 = Server.depart_now server 2 in
+  Scheme.enqueue_departure server 2;
+  let msg3 = Option.get (Scheme.rekey server) in
   ignore (Member.process m1 msg3);
   Alcotest.(check bool) "m1 has DEK after eviction of m2" true
     (match Member.group_key m1 with
-    | Some k -> Key.equal k (Option.get (Server.group_key server))
+    | Some k -> Key.equal k (Option.get (Scheme.group_key server))
     | None -> false)
 
 let test_member_resync_after_missed_messages () =
@@ -210,13 +226,13 @@ let test_member_resync_after_missed_messages () =
     Harness.depart h (i - 12);
     ignore (Harness.rekey h)
   done;
-  let dek = Option.get (Server.group_key h.server) in
+  let dek = Option.get (Scheme.group_key h.server) in
   Alcotest.(check bool) "out of sync" false
     (match Member.group_key offline with Some k -> Key.equal k dek | None -> false);
   (* Resync: the server unicasts the member's current path. *)
-  Member.install_path offline (Server.member_path h.server 6);
+  Member.install_path offline (Scheme.member_path h.server 6);
   Member.set_root offline
-    (Option.get (Gkm_keytree.Keytree.root_id (Server.tree h.server)));
+    (Option.get (Keytree.root_id (tree h.server)));
   Alcotest.(check bool) "resynced" true
     (match Member.group_key offline with Some k -> Key.equal k dek | None -> false);
   (* And it keeps up with subsequent multicast rekeyings. *)
@@ -226,94 +242,102 @@ let test_member_resync_after_missed_messages () =
   Alcotest.(check bool) "follows later epochs" true (Harness.all_members_converged h)
 
 let test_server_argument_errors () =
-  let server = Server.create ~seed:17 () in
-  ignore (Server.register server 1);
-  (match Server.register server 1 with
+  let server = one_keytree ~seed:17 () in
+  ignore (register server 1);
+  (match register server 1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "double register accepted");
-  ignore (Server.rekey server);
-  (match Server.register server 1 with
+  ignore (Scheme.rekey server);
+  (match register server 1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "registering a member accepted");
-  (match Server.enqueue_departure server 99 with
+  (match Scheme.enqueue_departure server 99 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "departing a stranger accepted");
-  Server.enqueue_departure server 1;
-  match Server.enqueue_departure server 1 with
+  Scheme.enqueue_departure server 1;
+  match Scheme.enqueue_departure server 1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "double departure accepted"
 
 let test_join_cancelled_by_departure () =
-  let server = Server.create ~seed:18 () in
-  ignore (Server.register server 1);
-  ignore (Server.register server 2);
-  Server.enqueue_departure server 2;
-  ignore (Server.rekey server);
-  Alcotest.(check bool) "1 admitted" true (Server.is_member server 1);
-  Alcotest.(check bool) "2 cancelled" false (Server.is_member server 2)
+  let server = one_keytree ~seed:18 () in
+  ignore (register server 1);
+  ignore (register server 2);
+  Scheme.enqueue_departure server 2;
+  ignore (Scheme.rekey server);
+  Alcotest.(check bool) "1 admitted" true (Scheme.is_member server 1);
+  Alcotest.(check bool) "2 cancelled" false (Scheme.is_member server 2)
 
 let test_cancel_then_rejoin () =
   (* Cancelling an enqueued join must leave no trace: the member can
      re-register in the same batch, gets a *new* individual key, and is
      admitted exactly once with that key. *)
-  let server = Server.create ~seed:27 () in
-  ignore (Server.register server 1);
-  let k_first = Server.register server 2 in
-  Server.enqueue_departure server 2;
-  Alcotest.(check (list int)) "2 no longer pending" [ 1 ] (Server.pending_joins server);
-  let k_second = Server.register server 2 in
+  let server = one_keytree ~seed:27 () in
+  ignore (register server 1);
+  let k_first = register server 2 in
+  Scheme.enqueue_departure server 2;
+  let not_pending m =
+    match Scheme.enqueue_departure server m with
+    | exception Invalid_argument _ -> true
+    | () -> false
+  in
+  Alcotest.(check bool) "2 no longer pending" true (not_pending 2);
+  let k_second = register server 2 in
   Alcotest.(check bool) "rejoin key is fresh" false (Key.equal k_first k_second);
+  ignore (Scheme.rekey server);
   Alcotest.(check (list int))
-    "rejoin queued after 1" [ 1; 2 ] (Server.pending_joins server);
-  ignore (Server.rekey server);
-  Alcotest.(check bool) "2 admitted" true (Server.is_member server 2);
-  Alcotest.(check int) "no duplicate admission" 2 (Server.size server);
+    "1 and the rejoined 2 placed once each" [ 1; 2 ]
+    (List.sort compare (List.map fst (Scheme.placements server)));
+  Alcotest.(check bool) "2 admitted" true (Scheme.is_member server 2);
+  Alcotest.(check int) "no duplicate admission" 2 (Scheme.size server);
   Alcotest.(check bool)
     "tree holds the rejoin key" true
-    (Key.equal (Gkm_keytree.Keytree.leaf_key (Server.tree server) 2) k_second);
+    (Key.equal (Keytree.leaf_key (tree server) 2) k_second);
   (* Cancel-then-rejoin-then-cancel: the stale first entry must not
      resurrect the join. *)
-  let _k3 = Server.register server 3 in
-  Server.enqueue_departure server 3;
-  ignore (Server.register server 3);
-  Server.enqueue_departure server 3;
-  Alcotest.(check (list int)) "3 fully cancelled" [] (Server.pending_joins server);
-  Alcotest.(check bool) "nothing pending" true (Server.rekey server = None);
-  Alcotest.(check bool) "3 never admitted" false (Server.is_member server 3)
+  let _k3 = register server 3 in
+  Scheme.enqueue_departure server 3;
+  ignore (register server 3);
+  Scheme.enqueue_departure server 3;
+  Alcotest.(check bool) "3 fully cancelled" true (not_pending 3);
+  Alcotest.(check bool) "nothing pending" true (Scheme.rekey server = None);
+  Alcotest.(check bool) "3 never admitted" false (Scheme.is_member server 3)
 
 let test_depart_rejects_member_in_both_queues () =
   (* The duplicate check must fire before the cancel path: a second
      enqueue for an already-departing member is an error even if the
      member id somehow also sits in the join queue. *)
-  let server = Server.create ~seed:28 () in
-  ignore (Server.register server 1);
-  ignore (Server.register server 2);
-  ignore (Server.rekey server);
-  Server.enqueue_departure server 1;
-  match Server.enqueue_departure server 1 with
+  let server = one_keytree ~seed:28 () in
+  ignore (register server 1);
+  ignore (register server 2);
+  ignore (Scheme.rekey server);
+  Scheme.enqueue_departure server 1;
+  match Scheme.enqueue_departure server 1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "re-departure of a departing member accepted"
 
 let test_empty_rekey () =
-  let server = Server.create ~seed:19 () in
-  Alcotest.(check bool) "no-op rekey" true (Server.rekey server = None)
+  let server = one_keytree ~seed:19 () in
+  Alcotest.(check bool) "no-op rekey" true (Scheme.rekey server = None)
 
 let test_cost_accounting () =
-  let server = Server.create ~seed:20 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 1 8);
-  let msg = Option.get (Server.rekey server) in
+  let server = one_keytree ~seed:20 () in
+  List.iter (fun m -> ignore (register server m)) (range 1 8);
+  let msg = Option.get (Scheme.rekey server) in
   Alcotest.(check int) "cumulative = message size" (Rekey_msg.size_keys msg)
-    (Server.cumulative_cost server);
-  Alcotest.(check int) "one rekey" 1 (Server.rekey_count server);
+    (Scheme.cumulative_keys server);
+  Alcotest.(check int) "one rekey" 1 (Scheme.interval server);
   Alcotest.(check int) "bytes = 48 per entry (16 header + 32 wrapped key)"
     (48 * Rekey_msg.size_keys msg)
     (Rekey_msg.size_bytes msg)
 
 let test_last_member_departure () =
-  let server = Server.create ~seed:21 () in
-  ignore (Server.join_now server 1);
-  let msg = Server.depart_now server 1 in
-  Alcotest.(check int) "empty group" 0 (Server.size server);
+  let server = one_keytree ~seed:21 () in
+  ignore (register server 1);
+  ignore (Scheme.rekey server);
+  Scheme.enqueue_departure server 1;
+  let msg = Option.get (Scheme.rekey server) in
+  Alcotest.(check int) "empty group" 0 (Scheme.size server);
   Alcotest.(check (list int)) "no entries" []
     (List.map (fun (e : Rekey_msg.entry) -> e.target_node) msg.entries)
 
@@ -351,7 +375,7 @@ let churn_secure_prop ~name ?keys_mode () =
               done
           | 1 ->
               (* departures of a prefix of current members *)
-              let current = Server.members h.server in
+              let current = members h.server in
               let victims = List.filteri (fun i _ -> i <= count) current in
               (* Keep at least one member around. *)
               let victims =
@@ -364,7 +388,7 @@ let churn_secure_prop ~name ?keys_mode () =
               (* mixed *)
               incr next;
               Harness.register h !next;
-              (match Server.members h.server with
+              (match members h.server with
               | m :: _ :: _ -> Harness.depart h m
               | _ -> ()));
           ignore (Harness.rekey h))
@@ -376,13 +400,13 @@ let prop_churn_secure = churn_secure_prop ~name:"churn: members converge, evicte
 let prop_churn_secure_derived =
   churn_secure_prop
     ~name:"derived churn: members converge, evicted locked out"
-    ~keys_mode:Gkm_keytree.Keytree.Derived ()
+    ~keys_mode:Keytree.Derived ()
 
 (* ------------------------------------------------------------------ *)
 (* Derived key-refresh mode, end to end.                               *)
 
-let derived = Gkm_keytree.Keytree.Derived
-let parent_node h m = fst (List.nth (Server.member_path h.Harness.server m) 1)
+let derived = Keytree.Derived
+let parent_node h m = fst (List.nth (Scheme.member_path h.Harness.server m) 1)
 
 let test_derived_bootstrap_and_eviction () =
   let h = Harness.create ~keys_mode:derived ~seed:41 () in
@@ -417,7 +441,7 @@ let test_derived_frozen_view_forward_secrecy () =
   let evicted = Hashtbl.find h.evicted 3 in
   Hashtbl.iter
     (fun m member ->
-      if Server.is_member h.server m then
+      if Scheme.is_member h.server m then
         List.iter
           (fun (node, key) ->
             match Member.key_of member node with
@@ -429,7 +453,7 @@ let test_derived_frozen_view_forward_secrecy () =
                       false (Key.equal frozen live)
                 | None -> ())
             | _ -> ())
-          (Server.member_path h.server m))
+          (Scheme.member_path h.server m))
     h.members
 
 let test_derived_backward_secrecy () =
@@ -438,13 +462,13 @@ let test_derived_backward_secrecy () =
   let h = Harness.create ~keys_mode:derived ~seed:43 () in
   List.iter (Harness.register h) (range 1 8);
   ignore (Harness.rekey h);
-  let old_dek = Option.get (Server.group_key h.server) in
+  let old_dek = Option.get (Scheme.group_key h.server) in
   Harness.register h 100;
   ignore (Harness.rekey h);
   let joiner = Hashtbl.find h.members 100 in
   Alcotest.(check bool) "joiner has new DEK" true
     (match Member.group_key joiner with
-    | Some k -> Key.equal k (Option.get (Server.group_key h.server))
+    | Some k -> Key.equal k (Option.get (Scheme.group_key h.server))
     | None -> false);
   let leaked = ref false in
   for node = 0 to 10_000 do
@@ -463,13 +487,13 @@ let test_derived_stale_kek_rejected_then_resync () =
   List.iter (Harness.register h) (range 1 16);
   ignore (Harness.rekey h);
   let m1 = Hashtbl.find h.members 1 in
-  let dek1 = Option.get (Server.group_key h.server) in
+  let dek1 = Option.get (Scheme.group_key h.server) in
   let p1 = parent_node h 1 in
   let sibling =
-    List.find (fun m -> m <> 1 && parent_node h m = p1) (Server.members h.server)
+    List.find (fun m -> m <> 1 && parent_node h m = p1) (members h.server)
   in
   let stranger =
-    List.find (fun m -> m <> 1 && parent_node h m <> p1) (Server.members h.server)
+    List.find (fun m -> m <> 1 && parent_node h m <> p1) (members h.server)
   in
   (* Offline while the sibling's departure refreshes m1's parent KEK. *)
   Hashtbl.remove h.members 1;
@@ -480,13 +504,13 @@ let test_derived_stale_kek_rejected_then_resync () =
   Harness.depart h stranger;
   let msg = Option.get (Harness.rekey h) in
   ignore (Member.process m1 msg);
-  let dek = Option.get (Server.group_key h.server) in
+  let dek = Option.get (Scheme.group_key h.server) in
   Alcotest.(check bool) "stale member not converged" false
     (match Member.group_key m1 with Some k -> Key.equal k dek | None -> false);
   Alcotest.(check bool) "no garbage installed: still at the old DEK" true
     (match Member.group_key m1 with Some k -> Key.equal k dek1 | None -> false);
-  Member.install_path m1 (Server.member_path h.server 1);
-  Member.set_root m1 (Option.get (Gkm_keytree.Keytree.root_id (Server.tree h.server)));
+  Member.install_path m1 (Scheme.member_path h.server 1);
+  Member.set_root m1 (Option.get (Keytree.root_id (tree h.server)));
   Alcotest.(check bool) "resynced" true
     (match Member.group_key m1 with Some k -> Key.equal k dek | None -> false);
   Hashtbl.replace h.members 1 m1;

@@ -1,4 +1,5 @@
 open Gkm_lkh
+module Scheme = Gkm.Scheme
 
 let range a b = List.init (b - a + 1) (fun i -> a + i)
 
@@ -74,15 +75,18 @@ let test_oft_halves_lkh_binary () =
   let n = 128 in
   let oft = Oft.create ~seed:5 () in
   List.iter (Oft.join oft) (range 1 n);
-  let lkh = Server.create ~seed:5 ~degree:2 () in
-  List.iter (fun m -> ignore (Server.register lkh m)) (range 1 n);
-  ignore (Server.rekey lkh);
+  let lkh =
+    Scheme.create { (Scheme.default_config Scheme.One_keytree) with degree = 2; seed = 5 }
+  in
+  List.iter (fun m -> ignore (Scheme.register lkh ~member:m ~cls:Scheme.Long)) (range 1 n);
+  ignore (Scheme.rekey lkh);
   let oft_total = ref 0 and lkh_total = ref 0 in
   List.iter
     (fun m ->
       Oft.leave oft m;
       oft_total := !oft_total + Oft.last_broadcast_cost oft;
-      let msg = Server.depart_now lkh m in
+      Scheme.enqueue_departure lkh m;
+      let msg = Option.get (Scheme.rekey lkh) in
       lkh_total := !lkh_total + Rekey_msg.size_keys msg)
     [ 3; 40; 77; 100; 15 ];
   Alcotest.(check bool)

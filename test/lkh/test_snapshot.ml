@@ -1,7 +1,6 @@
 module Key = Gkm_crypto.Key
 module Prng = Gkm_crypto.Prng
 module Keytree = Gkm_keytree.Keytree
-open Gkm_lkh
 
 let range a b = List.init (b - a + 1) (fun i -> a + i)
 
@@ -100,157 +99,6 @@ let test_keytree_snapshot_idempotent () =
   Alcotest.(check bool) "stable serialization" true
     (Bytes.equal blob (Keytree.snapshot t'))
 
-(* ------------------------------------------------------------------ *)
-(* Sealed server snapshots                                             *)
-
-let storage_key = Key.fresh (Prng.create 404)
-
-let build_server () =
-  let server = Server.create ~seed:11 ~degree:3 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 1 15);
-  ignore (Server.rekey server);
-  (* Leave a pending batch in flight to exercise its serialization. *)
-  ignore (Server.register server 99);
-  Server.enqueue_departure server 3;
-  server
-
-let msgs_equal (a : Rekey_msg.t) (b : Rekey_msg.t) =
-  a.epoch = b.epoch && a.root_node = b.root_node
-  && List.for_all2
-       (fun (x : Rekey_msg.entry) (y : Rekey_msg.entry) ->
-         x.target_node = y.target_node && Bytes.equal x.ciphertext y.ciphertext)
-       a.entries b.entries
-
-let test_server_snapshot_roundtrip () =
-  let server = build_server () in
-  let blob = Server.snapshot server ~storage_key in
-  match Server.restore ~storage_key blob with
-  | Error e -> Alcotest.fail e
-  | Ok restored ->
-      Alcotest.(check int) "size" (Server.size server) (Server.size restored);
-      Alcotest.(check (list int)) "pending joins" (Server.pending_joins server)
-        (Server.pending_joins restored);
-      Alcotest.(check (list int)) "pending departures" (Server.pending_departures server)
-        (Server.pending_departures restored);
-      Alcotest.(check int) "cumulative cost" (Server.cumulative_cost server)
-        (Server.cumulative_cost restored);
-      (* The decisive property: both servers emit bit-identical rekey
-         messages from here on. *)
-      let m1 = Option.get (Server.rekey server) in
-      let m2 = Option.get (Server.rekey restored) in
-      Alcotest.(check bool) "identical continuation" true (msgs_equal m1 m2);
-      let m1 = Server.depart_now server 7 and m2 = Server.depart_now restored 7 in
-      Alcotest.(check bool) "identical second step" true (msgs_equal m1 m2)
-
-let test_server_snapshot_wrong_key () =
-  let server = build_server () in
-  let blob = Server.snapshot server ~storage_key in
-  match Server.restore ~storage_key:(Key.fresh (Prng.create 1)) blob with
-  | Error e -> Alcotest.(check string) "auth failure" "snapshot authentication failed" e
-  | Ok _ -> Alcotest.fail "wrong storage key accepted"
-
-let test_server_snapshot_tamper () =
-  let server = build_server () in
-  let blob = Server.snapshot server ~storage_key in
-  let bad = Bytes.copy blob in
-  let mid = Bytes.length bad / 2 in
-  Bytes.set bad mid (Char.chr (Char.code (Bytes.get bad mid) lxor 1));
-  match Server.restore ~storage_key bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "tampered snapshot accepted"
-
-let test_server_snapshot_confidential () =
-  (* The sealed blob must not leak raw key material: no member's
-     individual key may appear as a substring. *)
-  let server = Server.create ~seed:12 () in
-  let keys = List.map (fun m -> Server.register server m) (range 1 8) in
-  ignore (Server.rekey server);
-  let blob = Bytes.to_string (Server.snapshot server ~storage_key) in
-  List.iter
-    (fun key ->
-      let raw = Bytes.to_string (Key.to_bytes key) in
-      let leaked =
-        let rec search i =
-          if i + String.length raw > String.length blob then false
-          else if String.sub blob i (String.length raw) = raw then true
-          else search (i + 1)
-        in
-        search 0
-      in
-      Alcotest.(check bool) "individual key not in sealed blob" false leaked)
-    keys
-
-(* ------------------------------------------------------------------ *)
-(* Plain server-state round trip                                       *)
-
-let msg_fingerprint = function
-  | None -> "none"
-  | Some (m : Rekey_msg.t) ->
-      let b = Buffer.create 256 in
-      Buffer.add_string b (Printf.sprintf "%d/%d:" m.epoch m.root_node);
-      List.iter
-        (fun (e : Rekey_msg.entry) ->
-          Buffer.add_string b
-            (Printf.sprintf "%d.%d.%d.%d.%d.%s;" e.target_node e.target_version e.level
-               e.wrapped_under e.receivers
-               (Digest.to_hex (Digest.bytes e.ciphertext))))
-        m.entries;
-      Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* Apply an op only when the server would accept it, so arbitrary op
-   lists become valid churn prefixes. *)
-let apply_op server = function
-  | `Join m ->
-      if (not (Server.is_member server m)) && not (List.mem m (Server.pending_joins server))
-      then ignore (Server.register server m)
-  | `Depart m ->
-      if Server.is_member server m && not (List.mem m (Server.pending_departures server))
-      then Server.enqueue_departure server m
-  | `Rekey -> ignore (Server.rekey server)
-
-let prop_server_state_roundtrip =
-  QCheck.Test.make ~name:"serialize_state/restore_state: identical subsequent rekeys"
-    ~count:40
-    QCheck.(pair small_int (small_list (pair (int_bound 2) (int_bound 30))))
-    (fun (seed, raw_ops) ->
-      let ops =
-        List.map
-          (fun (k, m) -> match k with 0 -> `Join m | 1 -> `Depart m | _ -> `Rekey)
-          raw_ops
-      in
-      let server = Server.create ~seed:(seed + 1) () in
-      List.iter (apply_op server) ops;
-      let blob = Server.serialize_state server in
-      match Server.restore_state blob with
-      | Error e -> QCheck.Test.fail_reportf "restore failed: %s" e
-      | Ok server' ->
-          let continue s =
-            List.map
-              (fun m ->
-                apply_op s (if Server.is_member s m then `Depart m else `Join m);
-                msg_fingerprint (Server.rekey s))
-              [ 3; 11; 19; 27 ]
-          in
-          continue server = continue server')
-
-let test_server_state_pure () =
-  (* serialize_state draws nothing: serializing twice gives identical
-     bytes, and a serialized server rekeys exactly like an untouched
-     clone. *)
-  let server = Server.create ~seed:77 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 1 30);
-  ignore (Server.rekey server);
-  let b1 = Server.serialize_state server in
-  let b2 = Server.serialize_state server in
-  Alcotest.(check bool) "idempotent" true (Bytes.equal b1 b2);
-  let clone = Result.get_ok (Server.restore_state b1) in
-  List.iter
-    (fun s -> ignore (Server.register s 99))
-    [ server; clone ];
-  Alcotest.(check string) "same next rekey"
-    (msg_fingerprint (Server.rekey server))
-    (msg_fingerprint (Server.rekey clone))
-
 let () =
   Alcotest.run "gkm_snapshot"
     [
@@ -264,13 +112,4 @@ let () =
           Alcotest.test_case "idempotent serialization" `Quick test_keytree_snapshot_idempotent;
         ]
         @ [ QCheck_alcotest.to_alcotest prop_keytree_snapshot_roundtrip ] );
-      ( "server",
-        [
-          Alcotest.test_case "sealed roundtrip" `Quick test_server_snapshot_roundtrip;
-          Alcotest.test_case "wrong key" `Quick test_server_snapshot_wrong_key;
-          Alcotest.test_case "tamper" `Quick test_server_snapshot_tamper;
-          Alcotest.test_case "confidentiality" `Quick test_server_snapshot_confidential;
-          Alcotest.test_case "plain state purity" `Quick test_server_state_pure;
-        ]
-        @ [ QCheck_alcotest.to_alcotest prop_server_state_roundtrip ] );
     ]

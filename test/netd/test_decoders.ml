@@ -1,5 +1,5 @@
 (* Every decoder of outside bytes returns [Ok] or [Error] and never
-   raises: key-tree, server and organization snapshots, REKEY packet
+   raises: key-tree and organization snapshots, REKEY packet
    payloads, resumption tickets, and the member's resumption blob
    (through [Client.connect ~resume]). Each starts from a blob its own
    encoder produced, then is damaged by random byte flips and cut at
@@ -8,7 +8,6 @@
 module Key = Gkm_crypto.Key
 module Prng = Gkm_crypto.Prng
 module Keytree = Gkm_keytree.Keytree
-module Lkh_server = Gkm_lkh.Server
 module Packet = Gkm_transport.Packet
 module Record = Gkm_record.Record
 module Organization = Gkm.Organization
@@ -30,16 +29,6 @@ let keytree mode =
   ignore (Keytree.batch_update t ~departed:[ 2; 5 ] ~joined:[]);
   t
 
-let lkh_server () =
-  let s = Lkh_server.create ~degree:3 ~seed:11 () in
-  List.iter (fun m -> ignore (Lkh_server.register s m)) (List.init 8 Fun.id);
-  ignore (Lkh_server.rekey s);
-  ignore (Lkh_server.register s 40);
-  Lkh_server.enqueue_departure s 3;
-  s
-
-let storage_key = Key.fresh (Prng.create 404)
-
 let org_blob selector =
   let spec =
     Result.get_ok (Organization.spec_of_string ~degree:3 ~s_period:3 ~seed:5 selector)
@@ -58,8 +47,13 @@ let org_blob selector =
   (spec, O.snapshot ())
 
 let rekey_entries () =
-  let s = lkh_server () in
-  (Option.get (Lkh_server.rekey s)).entries
+  let s = Scheme.create { (Scheme.default_config Scheme.One_keytree) with degree = 3; seed = 11 } in
+  let register m = ignore (Scheme.register s ~member:m ~cls:Scheme.Long) in
+  List.iter register (List.init 8 Fun.id);
+  ignore (Scheme.rekey s);
+  register 40;
+  Scheme.enqueue_departure s 3;
+  (Option.get (Scheme.rekey s)).entries
 
 (* The same entries with ids past i32, as composed organizations' bands
    give them. *)
@@ -124,12 +118,6 @@ let decoders =
        ( "keytree v3",
          Keytree.snapshot (keytree Keytree.Derived),
          fun b -> accepted (Keytree.restore b) );
-       ( "lkh restore_state",
-         Lkh_server.serialize_state (lkh_server ()),
-         fun b -> accepted (Lkh_server.restore_state b) );
-       ( "lkh sealed restore",
-         Lkh_server.snapshot (lkh_server ()) ~storage_key,
-         fun b -> accepted (Lkh_server.restore ~storage_key b) );
        ( "packet",
          (List.hd (Packet.encode_entries ~capacity_bytes:1024 (rekey_entries ()))).payload,
          fun b -> accepted (Packet.decode_payload b) );

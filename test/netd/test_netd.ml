@@ -652,6 +652,23 @@ let test_sharded_byte_identical () =
     (Array.exists (fun b -> b > 0) (Array.sub tx4 1 4));
   check_runs_identical ~tag:"domains" (sealed1, deks1, sdek1) (sealed4, deks4, sdek4)
 
+(* Observability must be byte-invisible on the socket path: the same
+   lockstep scenario with instrumentation off and on delivers the
+   identical DEK sequences and sealed records, and the instrumented
+   run really did journal its ticks. *)
+let test_obs_byte_invisible () =
+  let module Obs = Gkm_obs.Obs in
+  let module Journal = Gkm_obs.Journal in
+  let sealed0, deks0, sdek0, _ = Obs.with_enabled false (fun () -> lockstep_run ~domains:1 ()) in
+  Journal.clear Journal.default;
+  let sealed1, deks1, sdek1, _ = Obs.with_enabled true (fun () -> lockstep_run ~domains:1 ()) in
+  let rekeys =
+    List.filter (fun e -> e.Journal.name = "netd.rekey") (Journal.events Journal.default)
+  in
+  Journal.clear Journal.default;
+  Alcotest.(check bool) "the instrumented run journaled netd.rekey" true (rekeys <> []);
+  check_runs_identical ~tag:"obs" (sealed0, deks0, sdek0) (sealed1, deks1, sdek1)
+
 (* -------- the UDP multicast data plane -------- *)
 
 let require_mcast () = if not (Mcast.available ()) then Alcotest.skip ()
@@ -1646,6 +1663,7 @@ let () =
           Alcotest.test_case "sharded fan-out byte-identical to single" `Quick
             test_sharded_byte_identical;
           Alcotest.test_case "sharded slow client evicted" `Slow test_sharded_slow_eviction;
+          Alcotest.test_case "observability byte-invisible" `Quick test_obs_byte_invisible;
         ] );
       ( "mcast",
         [

@@ -1,17 +1,22 @@
 module Prng = Gkm_crypto.Prng
 module Key = Gkm_crypto.Key
 module Rekey_msg = Gkm_lkh.Rekey_msg
-module Server = Gkm_lkh.Server
+module Scheme = Gkm.Scheme
 open Gkm_transport
 
 let range a b = List.init (b - a + 1) (fun i -> a + i)
 
+(* The one-keytree LKH server: one balanced tree whose root is the DEK. *)
+let one_keytree ~seed () = Scheme.create { (Scheme.default_config Scheme.One_keytree) with seed }
+
+let register server m = Scheme.register server ~member:m ~cls:Scheme.Long
+
 let sample_entries ?(n = 30) ?(departs = [ 3; 17 ]) () =
-  let server = Server.create ~seed:5 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 0 (n - 1));
-  ignore (Server.rekey server);
-  List.iter (Server.enqueue_departure server) departs;
-  (Option.get (Server.rekey server)).Rekey_msg.entries
+  let server = one_keytree ~seed:5 () in
+  List.iter (fun m -> ignore (register server m)) (range 0 (n - 1));
+  ignore (Scheme.rekey server);
+  List.iter (Scheme.enqueue_departure server) departs;
+  (Option.get (Scheme.rekey server)).Rekey_msg.entries
 
 let entries_equal a b =
   List.length a = List.length b
@@ -135,20 +140,20 @@ let test_packet_lossy_end_to_end () =
   let module Channel = Gkm_net.Channel in
   let module Loss_model = Gkm_net.Loss_model in
   let n = 24 in
-  let server = Server.create ~seed:9 () in
+  let server = one_keytree ~seed:9 () in
   let bootstrap = Hashtbl.create n in
-  List.iter (fun m -> Hashtbl.replace bootstrap m (Server.register server m)) (range 0 (n - 1));
-  let admission = Option.get (Server.rekey server) in
+  List.iter (fun m -> Hashtbl.replace bootstrap m (register server m)) (range 0 (n - 1));
+  let admission = Option.get (Scheme.rekey server) in
   let members = Hashtbl.create n in
   List.iter
     (fun m ->
-      let leaf = fst (List.hd (Server.member_path server m)) in
+      let leaf = fst (List.hd (Scheme.member_path server m)) in
       let mem = Member.create ~id:m ~leaf_node:leaf ~individual_key:(Hashtbl.find bootstrap m) in
       ignore (Member.process mem admission);
       Hashtbl.replace members m mem)
     (range 0 (n - 1));
-  Server.enqueue_departure server 5;
-  let msg = Option.get (Server.rekey server) in
+  Scheme.enqueue_departure server 5;
+  let msg = Option.get (Scheme.rekey server) in
   (* Serialize into packets + blocks + parity. *)
   let packets = Packet.encode_entries ~capacity_bytes:256 msg.entries in
   let blocks = Packet.blocks_of_packets ~block_size:3 packets in
@@ -225,7 +230,7 @@ let test_packet_lossy_end_to_end () =
     (Printf.sprintf "%d/%d members decoded all blocks" !decoded_everything (n - 1))
     true
     (!decoded_everything >= n - 3);
-  let dek = Option.get (Server.group_key server) in
+  let dek = Option.get (Scheme.group_key server) in
   let holders = ref 0 in
   Hashtbl.iter
     (fun id mem ->

@@ -1,29 +1,34 @@
 module Prng = Gkm_crypto.Prng
 module Channel = Gkm_net.Channel
 module Loss_model = Gkm_net.Loss_model
-module Server = Gkm_lkh.Server
+module Scheme = Gkm.Scheme
 module Rekey_msg = Gkm_lkh.Rekey_msg
 open Gkm_transport
 
 let range a b = List.init (b - a + 1) (fun i -> a + i)
 
+(* The one-keytree LKH server: one balanced tree whose root is the DEK. *)
+let one_keytree ~seed () = Scheme.create { (Scheme.default_config Scheme.One_keytree) with seed }
+
+let register server m = Scheme.register server ~member:m ~cls:Scheme.Long
+
 (* Build a group of [n] members on a channel where members < n_high
    are high-loss, run one batch of [departs] departures, and return
    (channel, trees, msg). *)
 let make_group ?(seed = 1) ?(n = 64) ?(n_high = 16) ?(ph = 0.2) ?(pl = 0.0) ~departs () =
-  let server = Server.create ~seed ~degree:4 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 0 (n - 1));
-  ignore (Server.rekey server);
-  List.iter (Server.enqueue_departure server) departs;
-  let msg = Option.get (Server.rekey server) in
+  let server = one_keytree ~seed () in
+  List.iter (fun m -> ignore (register server m)) (range 0 (n - 1));
+  ignore (Scheme.rekey server);
+  List.iter (Scheme.enqueue_departure server) departs;
+  let msg = Option.get (Scheme.rekey server) in
   let rng = Prng.create (seed + 100) in
   let specs =
     List.init n (fun m ->
         (m, if m < n_high then Loss_model.bernoulli ph else Loss_model.bernoulli pl))
   in
-  let survivors = List.filter (fun (m, _) -> Server.is_member server m) specs in
+  let survivors = List.filter (fun (m, _) -> Scheme.is_member server m) specs in
   let channel = Channel.create ~rng survivors in
-  (channel, [ Server.tree server ], msg, server)
+  (channel, Scheme.trees server, msg, server)
 
 (* ------------------------------------------------------------------ *)
 (* Job                                                                 *)
@@ -46,7 +51,7 @@ let test_job_interest_is_path () =
   (* A receiver's interest = entries wrapped under a node on its path. *)
   for r = 0 to Job.n_receivers job - 1 do
     let member = (Channel.receiver channel r).member in
-    let path_ids = List.map fst (Server.member_path server member) in
+    let path_ids = List.map fst (Scheme.member_path server member) in
     List.iter
       (fun e ->
         let entry = Job.entry job e in
@@ -261,23 +266,23 @@ let prop_deterministic_given_seed =
    and terminate rather than spin. *)
 let test_round_limit_reported () =
   let n = 16 in
-  let server = Server.create ~seed:33 () in
-  List.iter (fun m -> ignore (Server.register server m)) (range 0 (n - 1));
-  ignore (Server.rekey server);
-  Server.enqueue_departure server 3;
-  let msg = Option.get (Server.rekey server) in
+  let server = one_keytree ~seed:33 () in
+  List.iter (fun m -> ignore (register server m)) (range 0 (n - 1));
+  ignore (Scheme.rekey server);
+  Scheme.enqueue_departure server 3;
+  let msg = Option.get (Scheme.rekey server) in
   let make_channel () =
     let specs =
       List.init n (fun m ->
           (m, if m = 9 then Loss_model.bernoulli 1.0 else Loss_model.bernoulli 0.0))
     in
-    let survivors = List.filter (fun (m, _) -> Server.is_member server m) specs in
+    let survivors = List.filter (fun (m, _) -> Scheme.is_member server m) specs in
     Channel.create ~rng:(Prng.create 34) survivors
   in
   List.iter
     (fun (name, deliver) ->
       let channel = make_channel () in
-      let job = Job.of_rekey ~channel ~trees:[ Server.tree server ] msg in
+      let job = Job.of_rekey ~channel ~trees:(Scheme.trees server) msg in
       let o : Delivery.outcome = deliver ~channel job in
       Alcotest.(check int) (name ^ ": exactly the black-holed receiver left") 1 o.undelivered;
       Alcotest.(check bool) (name ^ ": bounded rounds") true (o.rounds <= 100))

@@ -549,14 +549,15 @@ let open_rekey ?(dek = dek) stream =
 let encode_rekey ?dek msg = Bytes.concat Bytes.empty (seal_rekey ?dek msg)
 
 let sample_msg () =
-  let server = Gkm_lkh.Server.create ~seed:3 () in
+  let module Scheme = Gkm.Scheme in
+  let server = Scheme.create { (Scheme.default_config Scheme.One_keytree) with seed = 3 } in
   for m = 1 to 20 do
-    ignore (Gkm_lkh.Server.register server m)
+    ignore (Scheme.register server ~member:m ~cls:Scheme.Long)
   done;
-  ignore (Gkm_lkh.Server.rekey server);
-  Gkm_lkh.Server.enqueue_departure server 7;
-  Gkm_lkh.Server.enqueue_departure server 13;
-  Option.get (Gkm_lkh.Server.rekey server)
+  ignore (Scheme.rekey server);
+  Scheme.enqueue_departure server 7;
+  Scheme.enqueue_departure server 13;
+  Option.get (Scheme.rekey server)
 
 let test_sealed_roundtrip () =
   let msg = sample_msg () in
