@@ -339,10 +339,12 @@ let run ?(out = "BENCH_macro.json") ?(quick = false) ?floor_file ?(intervals = 1
     @ List.map
         (fun spec -> (spec, 10_000, 0.8))
         [
-          Organization.Loss_cfg
-            { degree = 4; seed = seed + 1; assignment = Gkm.Loss_tree.By_loss [ 0.05 ] };
           Organization.Composed_cfg
-            { kind = Scheme.Tt; degree = 4; s_period = 10; seed = seed + 1; thresholds = [ 0.05 ] };
+            { kind = Scheme.One_keytree; degree = 4; s_period = 10; seed = seed + 1;
+              assignment = By_loss [ 0.05 ] };
+          Organization.Composed_cfg
+            { kind = Scheme.Tt; degree = 4; s_period = 10; seed = seed + 1;
+              assignment = By_loss [ 0.05 ] };
         ]
   in
   let rows =

@@ -8,7 +8,7 @@
      trace       generate / analyze membership traces (CSV)
      ne          evaluate the Appendix A batched-rekey cost Ne(N, L)
      session     run a full engine-driven session under any group
-                 organization (--org one|qt|tt|pt|loss:..|composed)
+                 organization (--org one|qt|tt|pt|loss:..|random:..|composed)
      metrics     run a full session with observability on and dump the
                  metrics registry (human table + JSONL) and the event
                  journal
@@ -404,8 +404,9 @@ let session_cmd =
       & info [ "org" ] ~docv:"ORG"
           ~doc:
             "Group organization: $(b,one)|$(b,qt)|$(b,tt)|$(b,pt) (two-partition schemes), \
-             $(b,loss:T1,T2,..) (loss-homogenized bands), $(b,random:K) (K random trees), \
-             $(b,composed)[$(b,:KIND)[$(b,@T1,..)]] (a scheme inside each loss band).")
+             $(b,loss:T1,T2,..) (one-keytree bands placed by loss), $(b,random:K) (K \
+             one-keytree bands filled round-robin), $(b,composed)[$(b,:KIND)[$(b,@T1,..)]] \
+             (a scheme inside each loss band).")
   in
   let loss_alpha_arg =
     Arg.(value & opt float 0.25 & info [ "loss-alpha" ] ~doc:"Fraction of high-loss receivers.")

@@ -24,47 +24,53 @@ let alpha = 0.25 (* satellite fraction *)
 let ph = 0.2
 let pl = 0.02
 
-let run_org name assignment =
+let run_org name selector =
   let rng = Prng.create 7 in
   let channel, satellite, fiber =
     Channel.two_class ~rng ~n ~alpha ~high:(Loss_model.bernoulli ph)
       ~low:(Loss_model.bernoulli pl)
   in
-  let org = Loss_tree.create { degree = 4; seed = 11; assignment } in
+  let spec = Result.get_ok (Organization.spec_of_string ~degree:4 ~seed:11 selector) in
+  let module O = (val Organization.create spec) in
   let keys = Hashtbl.create n in
-  List.iter (fun m -> Hashtbl.replace keys m (Loss_tree.register org ~member:m ~loss:ph)) satellite;
-  List.iter (fun m -> Hashtbl.replace keys m (Loss_tree.register org ~member:m ~loss:pl)) fiber;
-  let admission = Option.get (Loss_tree.rekey org) in
+  let register loss m = Hashtbl.replace keys m (O.register ~member:m ~cls:Scheme.Long ~loss) in
+  List.iter (register ph) satellite;
+  List.iter (register pl) fiber;
+  let admission = Option.get (O.rekey ()) in
   (* Instantiate receiver state from the admission message. *)
   let members = Hashtbl.create n in
   List.iter
     (fun (m, leaf) ->
       Hashtbl.replace members m
         (Member.create ~id:m ~leaf_node:leaf ~individual_key:(Hashtbl.find keys m)))
-    (Loss_tree.placements org);
+    (O.placements ());
   Hashtbl.iter (fun _ m -> ignore (Member.process m admission)) members;
   (* Evict a batch and deliver the rekey message over the lossy channel. *)
   let victims = List.init n_evict (fun i -> i * (n / n_evict)) in
-  List.iter (Loss_tree.enqueue_departure org) victims;
-  let msg = Option.get (Loss_tree.rekey org) in
-  let job = Gkm_transport.Job.of_rekey ~channel ~trees:(Loss_tree.trees org) msg in
+  List.iter O.enqueue_departure victims;
+  let msg = Option.get (O.rekey ()) in
+  let job =
+    Gkm_transport.Job.of_rekey ~groups:(O.receiver_groups ()) ~channel ~trees:(O.trees ()) msg
+  in
   let outcome = Gkm_transport.Wka_bkr.deliver ~channel job in
   (* Receivers process the entries they are interested in (the
      transport already accounted for who got which packet; here every
      survivor replays the full message to update its key state). *)
   Hashtbl.iter (fun _ m -> ignore (Member.process m msg)) members;
-  let dek = Option.get (Loss_tree.group_key org) in
+  let dek = Option.get (O.group_key ()) in
   let survivors_ok = ref 0 and evicted_blocked = ref 0 in
   Hashtbl.iter
     (fun id m ->
       let has = match Member.group_key m with Some k -> Key.equal k dek | None -> false in
-      if Loss_tree.is_member org id then begin
+      if O.is_member id then begin
         if has then incr survivors_ok
       end
       else if not has then incr evicted_blocked)
     members;
+  (* A bare scheme reports [| S; L |]; show only populated bands. *)
+  let bands = List.filter (fun b -> b > 0) (Array.to_list (O.band_sizes ())) in
   Printf.printf "%-18s bands=%s keys sent=%5d packets=%3d rounds=%d\n" name
-    (String.concat "+" (Array.to_list (Array.map string_of_int (Loss_tree.band_sizes org))))
+    (String.concat "+" (List.map string_of_int bands))
     outcome.Gkm_transport.Delivery.keys outcome.packets outcome.rounds;
   Printf.printf "%-18s survivors with DEK: %d/%d, evicted locked out: %d/%d\n\n" "" !survivors_ok
     (n - n_evict) !evicted_blocked n_evict;
@@ -74,9 +80,9 @@ let () =
   Printf.printf
     "Satellite feed: %d receivers, %.0f%% at %.0f%%%% loss, evicting %d as one batch\n\n" n
     (100.0 *. alpha) (100.0 *. ph) n_evict;
-  let one = run_org "one-keytree" (Loss_tree.Random 1) in
-  let rand = run_org "two-random" (Loss_tree.Random 2) in
-  let homog = run_org "loss-homogenized" (Loss_tree.By_loss [ 0.05 ]) in
+  let one = run_org "one-keytree" "one" in
+  let rand = run_org "two-random" "random:2" in
+  let homog = run_org "loss-homogenized" "loss:0.05" in
   Printf.printf "Bandwidth vs one-keytree: two-random %+.1f%%, loss-homogenized %+.1f%%\n"
     (100.0 *. ((float_of_int rand /. float_of_int one) -. 1.0))
     (100.0 *. ((float_of_int homog /. float_of_int one) -. 1.0))

@@ -8,11 +8,10 @@
 
     - {!Scheme} — the two-partition rekeying schemes of Section 3
       (one-keytree baseline, QT, TT, and the PT oracle).
-    - {!Loss_tree} — the loss-homogenized multi-tree organization of
-      Section 4, generalized to k loss bands.
-    - {!Organization} — the pluggable organization interface unifying
-      both optimizations (and their composition) behind one packed
-      first-class module.
+    - {!Organization} — the pluggable organization interface: a bare
+      scheme, or one scheme per band under a composed DEK — Section
+      4's loss-homogenized multi-tree (k loss bands) with one-keytree
+      bands, both optimizations stacked with two-partition ones.
     - {!Adaptive} — the Section 3.4 controller: fit Ms/Ml/alpha from
       observed durations and retune the S-period online.
     - {!Session} — a full secure-multicast session under the
@@ -22,7 +21,6 @@
       harness's simulation cross-checks. *)
 
 module Scheme = Scheme
-module Loss_tree = Loss_tree
 module Organization = Organization
 module Adaptive = Adaptive
 module Session = Session

@@ -6,8 +6,6 @@ module Obs = Gkm_obs.Obs
 module Metrics = Gkm_obs.Metrics
 
 module type S = sig
-  val name : string
-
   val register :
     member:int -> cls:Scheme.member_class -> loss:float -> Gkm_crypto.Key.t
 
@@ -23,24 +21,24 @@ module type S = sig
   val interval : unit -> int
   val last_cost : unit -> int
   val cumulative_keys : unit -> int
-  val describe : unit -> (string * string) list
   val member_path : int -> (int * Gkm_crypto.Key.t) list
   val snapshot : unit -> bytes
 end
 
 type packed = (module S)
 
+type assignment = By_loss of float list | Random of int
+
 type composed_config = {
   kind : Scheme.kind;
   degree : int;
   s_period : int;
   seed : int;
-  thresholds : float list;
+  assignment : assignment;
 }
 
 type spec =
   | Scheme_cfg of Scheme.config
-  | Loss_cfg of Loss_tree.config
   | Composed_cfg of composed_config
   | Derived_cfg of spec
 
@@ -52,38 +50,42 @@ let rec base_spec = function Derived_cfg s -> base_spec s | s -> s
 
 let spec_keys_mode = function
   | Derived_cfg _ -> Keytree.Derived
-  | Scheme_cfg _ | Loss_cfg _ | Composed_cfg _ -> Keytree.Wrap
+  | Scheme_cfg _ | Composed_cfg _ -> Keytree.Wrap
 
 let with_keys_mode mode spec =
   match mode with
   | Keytree.Wrap -> base_spec spec
   | Keytree.Derived -> Derived_cfg (base_spec spec)
 
-let keys_mode_name = function
-  | Keytree.Wrap -> "wrap"
-  | Keytree.Derived -> "derived"
-
 let rec spec_name = function
   | Scheme_cfg c -> Scheme.kind_name c.Scheme.kind
-  | Loss_cfg c -> (
-      match c.Loss_tree.assignment with
-      | Loss_tree.By_loss ts ->
-          Printf.sprintf "loss-homogenized(%s)" (thresholds_string ts)
-      | Loss_tree.Random k -> Printf.sprintf "random(%d)" k)
-  | Composed_cfg c ->
-      Printf.sprintf "composed(%s@%s)" (Scheme.kind_name c.kind)
-        (thresholds_string c.thresholds)
+  | Composed_cfg { kind = Scheme.One_keytree; assignment = By_loss ts; _ } ->
+      Printf.sprintf "loss-homogenized(%s)" (thresholds_string ts)
+  | Composed_cfg { kind = Scheme.One_keytree; assignment = Random k; _ } ->
+      Printf.sprintf "random(%d)" k
+  | Composed_cfg { kind; assignment = By_loss ts; _ } ->
+      Printf.sprintf "composed(%s@%s)" (Scheme.kind_name kind) (thresholds_string ts)
+  | Composed_cfg { kind; assignment = Random k; _ } ->
+      Printf.sprintf "composed(%s@random:%d)" (Scheme.kind_name kind) k
   | Derived_cfg s -> spec_name (base_spec s) ^ "+derived"
 
+(* Every packed organization counts one [rekey.count] per group rekey
+   here, not per band: a banded organization rekeys several schemes
+   per interval. *)
+let m_rekeys = Metrics.Counter.v "rekey.count"
+
+let counted msg =
+  if Option.is_some msg && Obs.enabled () then Metrics.Counter.incr m_rekeys;
+  msg
+
 (* ------------------------------------------------------------------ *)
-(* Wrappers: a scheme or loss tree already satisfies S up to naming.  *)
+(* A bare two-partition scheme.                                       *)
 
 let of_scheme sch : packed =
   (module struct
-    let name = Scheme.kind_name (Scheme.config sch).Scheme.kind
     let register ~member ~cls ~loss:_ = Scheme.register sch ~member ~cls
     let enqueue_departure m = Scheme.enqueue_departure sch m
-    let rekey () = Scheme.rekey sch
+    let rekey () = counted (Scheme.rekey sch)
     let group_key () = Scheme.group_key sch
     let trees () = Scheme.trees sch
     let receiver_groups () = []
@@ -96,57 +98,17 @@ let of_scheme sch : packed =
     let cumulative_keys () = Scheme.cumulative_keys sch
     let member_path m = Scheme.member_path sch m
     let snapshot () = Scheme.snapshot sch
-
-    let describe () =
-      let cfg = Scheme.config sch in
-      [
-        ("org", "scheme");
-        ("scheme", Scheme.kind_name cfg.Scheme.kind);
-        ("keys", keys_mode_name (Scheme.keys_mode sch));
-        ("degree", string_of_int cfg.Scheme.degree);
-        ("s_period", string_of_int (Scheme.s_period sch));
-        ("seed", string_of_int cfg.Scheme.seed);
-      ]
-  end)
-
-let of_loss_tree lt : packed =
-  (module struct
-    let name = Printf.sprintf "loss-homogenized(%d bands)" (Loss_tree.n_bands lt)
-
-    let register ~member ~cls:_ ~loss = Loss_tree.register lt ~member ~loss
-    let enqueue_departure m = Loss_tree.enqueue_departure lt m
-    let rekey () = Loss_tree.rekey lt
-    let group_key () = Loss_tree.group_key lt
-    let trees () = Loss_tree.trees lt
-    let receiver_groups () = []
-    let placements () = Loss_tree.placements lt
-    let is_member m = Loss_tree.is_member lt m
-    let size () = Loss_tree.size lt
-    let band_sizes () = Loss_tree.band_sizes lt
-    let interval () = Loss_tree.interval lt
-    let last_cost () = Loss_tree.last_cost lt
-    let cumulative_keys () = Loss_tree.cumulative_keys lt
-    let member_path m = Loss_tree.member_path lt m
-    let snapshot () = Loss_tree.snapshot lt
-
-    let describe () =
-      [
-        ("org", "loss-tree");
-        ("bands", string_of_int (Loss_tree.n_bands lt));
-        ("keys", keys_mode_name (Loss_tree.keys_mode lt));
-      ]
   end)
 
 (* ------------------------------------------------------------------ *)
-(* Composed: a full two-partition scheme inside each loss band.       *)
+(* Composed: one scheme per band under a composed DEK.               *)
 
 let band_dek_id b = -(500_000_000 + b)
 let band_stride = 2_000_000_000
 
-(* Shared with Scheme / Loss_tree: the composed layer is one more
-   driver of the same counter. Only the composed wraps are added here —
-   the per-band tree entries were already counted by each band's
-   [Scheme.rekey]. *)
+(* Shared with Scheme: the composed layer is one more driver of the
+   same counter. Only the composed wraps are added here — the per-band
+   tree entries were already counted by each band's [Scheme.rekey]. *)
 let m_keys_encrypted = Metrics.Counter.v "rekey.keys_encrypted"
 
 type composed = {
@@ -154,26 +116,36 @@ type composed = {
   c_rng : Prng.t; (* composed-DEK stream, independent of the bands' *)
   bands : Scheme.t array;
   band_of : (int, int) Hashtbl.t; (* member (live or pending join) -> band *)
+  band_gauges : Metrics.Gauge.t array Lazy.t; (* forced only when obs is on *)
+  mutable c_departing : int list; (* live members with a departure pending *)
+  mutable c_next_band : int; (* [Random] round-robin cursor *)
   mutable c_interval : int;
   mutable c_dek : Key.t option;
   mutable c_cumulative : int;
   mutable c_last_cost : int;
 }
 
-let check_thresholds ts =
-  if ts = [] then invalid_arg "Organization: composed needs at least one threshold";
-  let rec sorted = function
-    | a :: (b :: _ as tl) -> a < b && sorted tl
-    | _ -> true
-  in
-  if not (sorted ts) then
-    invalid_arg "Organization: thresholds must be strictly ascending"
+let n_bands = function
+  | By_loss ts ->
+      if ts = [] then invalid_arg "Organization: loss bands need at least one threshold";
+      let rec sorted = function
+        | a :: (b :: _ as tl) -> a < b && sorted tl
+        | _ -> true
+      in
+      if not (sorted ts) then
+        invalid_arg "Organization: thresholds must be strictly ascending";
+      List.length ts + 1
+  | Random k ->
+      if k < 1 then invalid_arg "Organization: random placement needs at least one band";
+      k
+
+let band_gauges n =
+  lazy (Array.init n (fun b -> Metrics.Gauge.v (Printf.sprintf "rekey.band_size.%d" b)))
 
 let composed_create ?(keys_mode = Keytree.Wrap) (cfg : composed_config) =
-  check_thresholds cfg.thresholds;
-  let n_bands = List.length cfg.thresholds + 1 in
+  let n = n_bands cfg.assignment in
   let bands =
-    Array.init n_bands (fun b ->
+    Array.init n (fun b ->
         Scheme.create ~s_base:(b * band_stride)
           ~l_base:((b * band_stride) + 1_000_000_000)
           ~dek_id:(band_dek_id b) ~keys_mode
@@ -189,18 +161,31 @@ let composed_create ?(keys_mode = Keytree.Wrap) (cfg : composed_config) =
     c_rng = Prng.create (cfg.seed + 499);
     bands;
     band_of = Hashtbl.create 256;
+    band_gauges = band_gauges n;
+    c_departing = [];
+    c_next_band = 0;
     c_interval = 0;
     c_dek = None;
     c_cumulative = 0;
     c_last_cost = 0;
   }
 
-let composed_band_of_loss cfg loss =
-  let rec find i = function
-    | [] -> i
-    | th :: tl -> if loss <= th then i else find (i + 1) tl
-  in
-  find 0 cfg.thresholds
+(* A member with loss [p] joins the first band whose threshold is
+   [>= p], else the last band. A [Random] placement advances its
+   cursor at registration, so a join cancelled later still used its
+   turn. *)
+let composed_place t ~loss =
+  match t.c_cfg.assignment with
+  | By_loss ts ->
+      let rec find i = function
+        | [] -> i
+        | th :: tl -> if loss <= th then i else find (i + 1) tl
+      in
+      find 0 ts
+  | Random k ->
+      let b = t.c_next_band in
+      t.c_next_band <- (b + 1) mod k;
+      b
 
 let composed_live_bands t =
   Array.to_list (Array.mapi (fun b sch -> (b, sch)) t.bands)
@@ -210,7 +195,7 @@ let composed_register t ~member ~cls ~loss =
   if Hashtbl.mem t.band_of member then
     invalid_arg
       (Printf.sprintf "Organization.register: %d is a member or pending" member);
-  let band = composed_band_of_loss t.c_cfg loss in
+  let band = composed_place t ~loss in
   let key = Scheme.register t.bands.(band) ~member ~cls in
   Hashtbl.replace t.band_of member band;
   key
@@ -223,17 +208,22 @@ let composed_enqueue_departure t m =
   | Some b ->
       Scheme.enqueue_departure t.bands.(b) m;
       (* A departure of a pending joiner cancels the join outright. *)
-      if not (Scheme.is_member t.bands.(b) m) then Hashtbl.remove t.band_of m
+      if Scheme.is_member t.bands.(b) m then t.c_departing <- m :: t.c_departing
+      else Hashtbl.remove t.band_of m
+
+let observe_bands t =
+  if Obs.enabled () then begin
+    let gauges = Lazy.force t.band_gauges in
+    Array.iteri
+      (fun b sch -> Metrics.Gauge.set gauges.(b) (float_of_int (Scheme.size sch)))
+      t.bands
+  end
 
 let composed_rekey t =
   t.c_interval <- t.c_interval + 1;
   let msgs = Array.map Scheme.rekey t.bands in
-  let stale =
-    Hashtbl.fold
-      (fun m b acc -> if Scheme.is_member t.bands.(b) m then acc else m :: acc)
-      t.band_of []
-  in
-  List.iter (Hashtbl.remove t.band_of) stale;
+  List.iter (Hashtbl.remove t.band_of) t.c_departing;
+  t.c_departing <- [];
   if Array.for_all Option.is_none msgs then begin
     t.c_last_cost <- 0;
     None
@@ -243,7 +233,8 @@ let composed_rekey t =
       let cost = List.length entries in
       t.c_cumulative <- t.c_cumulative + cost;
       t.c_last_cost <- cost;
-      Some { Rekey_msg.epoch = t.c_interval; root_node; entries }
+      observe_bands t;
+      counted (Some { Rekey_msg.epoch = t.c_interval; root_node; entries })
     in
     match composed_live_bands t with
     | [] ->
@@ -324,7 +315,10 @@ let composed_member_path t m =
       | None -> path)
 
 let composed_magic = "GKCO"
-let composed_version = 1
+
+(* Snapshots live only inside one session run, so a blob of any other
+   version is rejected rather than read. *)
+let composed_version = 2
 
 let comp_kind_tag = function
   | Scheme.One_keytree -> 0
@@ -348,7 +342,15 @@ let composed_snapshot t =
   add_i32 buf t.c_cfg.degree;
   add_i32 buf t.c_cfg.s_period;
   add_i64 buf (Int64.of_int t.c_cfg.seed);
-  add_list buf add_f64 t.c_cfg.thresholds;
+  (match t.c_cfg.assignment with
+  | By_loss ts ->
+      add_u8 buf 0;
+      add_list buf add_f64 ts
+  | Random k ->
+      add_u8 buf 1;
+      add_i32 buf k);
+  add_i32 buf t.c_next_band;
+  add_list buf add_i32 t.c_departing;
   add_i64 buf (Prng.save t.c_rng);
   add_i32 buf t.c_interval;
   add_opt buf add_key t.c_dek;
@@ -373,30 +375,42 @@ let composed_restore blob =
   let degree = i32 r in
   let s_period = i32 r in
   let seed = Int64.to_int (i64 r) in
-  let thresholds = list r ~min_item_size:8 f64 in
+  let assignment =
+    match u8 r with
+    | 0 -> By_loss (list r ~min_item_size:8 f64)
+    | 1 -> Random (i32 r)
+    | n -> corrupt "bad assignment tag %d" n
+  in
+  let n = n_bands assignment in
+  let c_next_band = i32 r in
+  if c_next_band < 0 || c_next_band >= n then corrupt "bad band cursor %d" c_next_band;
+  let c_departing = list r ~min_item_size:4 i32 in
   let c_rng = Prng.restore (i64 r) in
   let c_interval = i32 r in
   let c_dek = opt r key in
   let c_cumulative = i32 r in
   let c_last_cost = i32 r in
-  let n_bands = List.length thresholds + 1 in
   let read_band r =
     match Scheme.restore (var32 r) with
     | Ok sch -> sch
     | Error e -> corrupt "bad band blob: %s" e
   in
-  let bands = Array.of_list (items r ~min_item_size:4 n_bands read_band) in
+  let bands = Array.of_list (items r ~min_item_size:4 n read_band) in
   let band_of = Hashtbl.create 256 in
   list r ~min_item_size:8 (fun r ->
       let m = i32 r in
       let b = i32 r in
+      if b < 0 || b >= n then corrupt "bad band %d" b;
       (m, b))
   |> List.iter (fun (m, b) -> Hashtbl.replace band_of m b);
   {
-    c_cfg = { kind; degree; s_period; seed; thresholds };
+    c_cfg = { kind; degree; s_period; seed; assignment };
     c_rng;
     bands;
     band_of;
+    band_gauges = band_gauges n;
+    c_departing;
+    c_next_band;
     c_interval;
     c_dek;
     c_cumulative;
@@ -405,7 +419,6 @@ let composed_restore blob =
 
 let of_composed t : packed =
   (module struct
-    let name = spec_name (Composed_cfg t.c_cfg)
     let register ~member ~cls ~loss = composed_register t ~member ~cls ~loss
     let enqueue_departure m = composed_enqueue_departure t m
     let rekey () = composed_rekey t
@@ -431,24 +444,12 @@ let of_composed t : packed =
     let cumulative_keys () = t.c_cumulative
     let member_path m = composed_member_path t m
     let snapshot () = composed_snapshot t
-
-    let describe () =
-      [
-        ("org", "composed");
-        ("scheme", Scheme.kind_name t.c_cfg.kind);
-        ("bands", string_of_int (Array.length t.bands));
-        ("thresholds", thresholds_string t.c_cfg.thresholds);
-        ("degree", string_of_int t.c_cfg.degree);
-        ("s_period", string_of_int t.c_cfg.s_period);
-        ("seed", string_of_int t.c_cfg.seed);
-      ]
   end)
 
 let create spec =
   let keys_mode = spec_keys_mode spec in
   match base_spec spec with
   | Scheme_cfg cfg -> of_scheme (Scheme.create ~keys_mode cfg)
-  | Loss_cfg cfg -> of_loss_tree (Loss_tree.create ~keys_mode cfg)
   | Composed_cfg cfg -> of_composed (composed_create ~keys_mode cfg)
   | Derived_cfg _ -> assert false (* base_spec never returns one *)
 
@@ -457,7 +458,6 @@ let create spec =
 let restore spec blob =
   match base_spec spec with
   | Scheme_cfg _ -> Result.map of_scheme (Scheme.restore blob)
-  | Loss_cfg _ -> Result.map of_loss_tree (Loss_tree.restore blob)
   | Composed_cfg _ -> Result.map of_composed (composed_restore blob)
   | Derived_cfg _ -> assert false (* base_spec never returns one *)
 
@@ -495,58 +495,38 @@ let spec_of_string ?(degree = 4) ?(s_period = 10) ?(seed = 0) s =
   let wrap_mode r = if derived then Result.map (fun sp -> Derived_cfg sp) r else r in
   wrap_mode
   @@
-  let scheme kind = Ok (Scheme_cfg { Scheme.kind; degree; s_period; seed }) in
+  let bands kind assignment =
+    Ok (Composed_cfg { kind; degree; s_period; seed; assignment })
+  in
+  let by_loss kind ts = Result.bind (parse_thresholds ts) (fun ts -> bands kind (By_loss ts)) in
   match kind_of_string s with
-  | Some kind -> scheme kind
+  | Some kind -> Ok (Scheme_cfg { Scheme.kind; degree; s_period; seed })
   | None -> (
-      match after_prefix ~prefix:"loss:" s with
-      | Some ts -> (
-          match parse_thresholds ts with
-          | Ok thresholds ->
-              Ok
-                (Loss_cfg
-                   { Loss_tree.degree; seed; assignment = Loss_tree.By_loss thresholds })
-          | Error e -> Error e)
-      | None -> (
-          match after_prefix ~prefix:"random:" s with
-          | Some k -> (
-              match int_of_string_opt k with
-              | Some k when k >= 1 ->
-                  Ok (Loss_cfg { Loss_tree.degree; seed; assignment = Loss_tree.Random k })
-              | _ -> Error (Printf.sprintf "bad tree count %S" k))
-          | None ->
-              if s = "composed" then
-                Ok
-                  (Composed_cfg
-                     { kind = Scheme.Tt; degree; s_period; seed; thresholds = [ 0.05 ] })
-              else (
-                match after_prefix ~prefix:"composed:" s with
-                | Some rest -> (
-                    let kind_s, ts_s =
-                      match String.index_opt rest '@' with
-                      | Some i ->
-                          ( String.sub rest 0 i,
-                            Some
-                              (String.sub rest (i + 1) (String.length rest - i - 1)) )
-                      | None -> (rest, None)
-                    in
-                    match kind_of_string kind_s with
-                    | None -> Error (Printf.sprintf "unknown scheme %S" kind_s)
-                    | Some kind -> (
-                        match ts_s with
-                        | None ->
-                            Ok
-                              (Composed_cfg
-                                 { kind; degree; s_period; seed; thresholds = [ 0.05 ] })
-                        | Some ts -> (
-                            match parse_thresholds ts with
-                            | Ok thresholds ->
-                                Ok (Composed_cfg { kind; degree; s_period; seed; thresholds })
-                            | Error e -> Error e)))
-                | None ->
-                    Error
-                      (Printf.sprintf
-                         "unknown organization %S (expected one|qt|tt|pt, loss:<t,..>, \
-                          random:<k>, composed[:<kind>[@t,..]], each optionally \
-                          suffixed +derived)"
-                         s))))
+      match
+        ( after_prefix ~prefix:"loss:" s,
+          after_prefix ~prefix:"random:" s,
+          after_prefix ~prefix:"composed:" s )
+      with
+      | Some ts, _, _ -> by_loss Scheme.One_keytree ts
+      | _, Some k, _ -> (
+          match int_of_string_opt k with
+          | Some k when k >= 1 -> bands Scheme.One_keytree (Random k)
+          | _ -> Error (Printf.sprintf "bad tree count %S" k))
+      | _, _, Some rest -> (
+          let kind_s, ts =
+            match String.index_opt rest '@' with
+            | Some i -> (String.sub rest 0 i, String.sub rest (i + 1) (String.length rest - i - 1))
+            | None -> (rest, "0.05")
+          in
+          match kind_of_string kind_s with
+          | None -> Error (Printf.sprintf "unknown scheme %S" kind_s)
+          | Some kind -> by_loss kind ts)
+      | None, None, None ->
+          if s = "composed" then bands Scheme.Tt (By_loss [ 0.05 ])
+          else
+            Error
+              (Printf.sprintf
+                 "unknown organization %S (expected one|qt|tt|pt, loss:<t,..> (one-keytree \
+                  loss bands), random:<k> (k round-robin one-keytree bands), \
+                  composed[:<kind>[@t,..]], each optionally suffixed +derived)"
+                 s))

@@ -2,27 +2,26 @@
 
     The paper implements two unrelated optimizations: the
     two-partition schemes of Section 3 ({!Scheme}) and the
-    loss-homogenized multi-tree of Section 4 ({!Loss_tree}). This
-    module unifies them — and any future member-placement policy —
-    behind a single first-class-module signature, so the full
-    executable stack ({!Session}, {!Sim_driver}, the CLI, the bench
-    harness) is polymorphic in the organization: crypto, WKA-BKR/FEC
-    transport, lossy channels and member-side verification all run
-    unchanged over any packed [(module S)].
+    loss-homogenized multi-tree of Section 4. This module runs both —
+    and any future member-placement policy — behind a single
+    first-class-module signature, so the full executable stack
+    ({!Session}, {!Sim_driver}, the CLI, the bench harness) is
+    polymorphic in the organization: crypto, WKA-BKR/FEC transport,
+    lossy channels and member-side verification all run unchanged over
+    any packed [(module S)].
 
-    On top of the unified interface lives the organization the paper
-    motivates but cannot express: {!Composed_cfg} runs a full
-    two-partition scheme {e inside each loss band}, every band's
-    partitions under a per-band DEK and all band DEKs under one
-    composed group DEK — both optimizations stacked end-to-end. *)
+    There are two organizations. A [Scheme_cfg] is one bare
+    two-partition scheme. A [Composed_cfg] places each member in one of
+    several bands and runs one scheme per band, every band's DEK under
+    one composed group DEK. With one-keytree bands placed by loss it is
+    Section 4's loss-homogenized organization; placed round-robin, the
+    k-random-trees control of Fig. 6; with a two-partition scheme per
+    band, both optimizations stacked end to end. *)
 
 (** The organization interface. A packed module is one stateful
     instance (create it with {!create}); all operations act on that
     instance's hidden state. *)
 module type S = sig
-  val name : string
-  (** Human-readable organization name, for reports. *)
-
   val register :
     member:int -> cls:Scheme.member_class -> loss:float -> Gkm_crypto.Key.t
   (** Enqueue a join for the next interval and return the member's
@@ -69,10 +68,6 @@ module type S = sig
   val last_cost : unit -> int
   val cumulative_keys : unit -> int
 
-  val describe : unit -> (string * string) list
-  (** Snapshot metadata: organization kind and configuration as flat
-      key/value pairs, for journals and bench reports. *)
-
   val member_path : int -> (int * Gkm_crypto.Key.t) list
   (** Catch-up unicast for one member: every (node id, key) it must
       hold, leaf first, the node carrying the group DEK last — what
@@ -93,28 +88,39 @@ type packed = (module S)
     A [spec] is the serializable description of an organization —
     what configuration records, CLI flags and bench tables carry. *)
 
+type assignment =
+  | By_loss of float list
+      (** Ascending loss thresholds; [length + 1] bands. A member
+          reporting loss [p] joins the first band whose threshold is
+          [>= p], else the last band. *)
+  | Random of int
+      (** [k] bands filled round-robin at {!S.register}, regardless of
+          loss. A join that is later cancelled still used its turn. *)
+
 type composed_config = {
-  kind : Scheme.kind;  (** the two-partition scheme run inside each band *)
+  kind : Scheme.kind;  (** the scheme run inside each band *)
   degree : int;
   s_period : int;
   seed : int;
-  thresholds : float list;  (** ascending loss thresholds; bands = length + 1 *)
+  assignment : assignment;  (** how members are placed into bands *)
 }
 
 type spec =
   | Scheme_cfg of Scheme.config  (** Section 3: one of the four two-partition schemes *)
-  | Loss_cfg of Loss_tree.config  (** Section 4: loss-homogenized (or random) multi-tree *)
   | Composed_cfg of composed_config
-      (** a two-partition scheme inside each loss band, stacked under
-          one composed DEK *)
+      (** one scheme per band, stacked under one composed DEK. With
+          [One_keytree] bands this is Section 4's loss-homogenized (or
+          random) multi-tree. *)
   | Derived_cfg of spec
       (** run the wrapped organization with KDF-derived node-key
           refresh ([Keytree.Derived]) instead of classical wraps.
           Idempotent: nested wrappings collapse to one. *)
 
 val spec_name : spec -> string
-(** Short display name, e.g. ["TT-scheme"], ["loss-homogenized(0.05)"],
-    ["composed(TT-scheme@0.05)"]; derived mode appends ["+derived"]. *)
+(** Short display name: ["TT-scheme"] for a bare scheme;
+    ["loss-homogenized(0.05)"] and ["random(2)"] for one-keytree bands
+    placed by loss or round-robin; ["composed(TT-scheme@0.05)"] for
+    any other band scheme. Derived mode appends ["+derived"]. *)
 
 val base_spec : spec -> spec
 (** The spec with any [Derived_cfg] wrappers stripped. *)
@@ -126,22 +132,22 @@ val with_keys_mode : Gkm_keytree.Keytree.mode -> spec -> spec
 (** Force the key-refresh mode of a spec (stripping or adding the
     [Derived_cfg] wrapper as needed). *)
 
-val keys_mode_name : Gkm_keytree.Keytree.mode -> string
-(** ["wrap"] or ["derived"] — the [--keys] CLI vocabulary. *)
-
 val create : spec -> packed
-(** Instantiate a fresh organization. A [Scheme_cfg] or [Loss_cfg]
-    organization delegates directly: its rekey messages, placements
-    and key material are bit-identical to calling {!Scheme} or
-    {!Loss_tree} itself.
+(** Instantiate a fresh organization. A [Scheme_cfg] organization
+    delegates directly: its rekey messages, placements and key
+    material are bit-identical to calling {!Scheme} itself. Every
+    organization counts one [rekey.count] per group rekey; a
+    [Composed_cfg] one also sets one [rekey.band_size.<b>] population
+    gauge per band.
     @raise Invalid_argument on an invalid configuration (bad degree,
-    unsorted thresholds, negative S-period). *)
+    empty or unsorted thresholds, fewer than one random band, negative
+    S-period). *)
 
 val restore : spec -> bytes -> (packed, string) result
 (** Rebuild an organization from a [snapshot ()] blob. The [spec]
     only selects the decoder family (its constructor must match the
     organization that produced the blob); every configuration detail —
-    seeds, thresholds, RNG positions — comes from the blob, so the
+    seeds, the band assignment, RNG positions — comes from the blob, so the
     restored instance continues the exact key stream of the
     snapshotted one. *)
 
@@ -150,9 +156,10 @@ val spec_of_string :
 (** Parse a CLI organization selector (the [--org] flag):
     - ["one"] / ["one-keytree"], ["qt"], ["tt"], ["pt"] — a
       two-partition scheme;
-    - ["loss:T1,T2,..."] — loss-homogenized with the given ascending
-      thresholds, e.g. ["loss:0.05"];
-    - ["random:K"] — K randomly-filled trees (the Fig. 6 control);
+    - ["loss:T1,T2,..."] — one-keytree bands placed by loss at the
+      given ascending thresholds (loss-homogenized), e.g. ["loss:0.05"];
+    - ["random:K"] — K one-keytree bands filled round-robin (the
+      Fig. 6 control);
     - ["composed"] — TT inside each of two bands split at 0.05;
     - ["composed:KIND"] / ["composed:KIND@T1,T2,..."] — explicit
       per-band scheme and thresholds, e.g. ["composed:qt@0.02,0.1"].

@@ -11,9 +11,8 @@ module Obs = Gkm_obs.Obs
 module Metrics = Gkm_obs.Metrics
 module Span = Gkm_obs.Span
 
-(* Same metric names as Loss_tree: the two organization families are
-   alternative drivers of the same counters. *)
-let m_rekeys = Metrics.Counter.v "rekey.count"
+(* [rekey.count] is counted once per group rekey by [Organization]: a
+   banded organization runs several schemes per interval. *)
 let m_keys_encrypted = Metrics.Counter.v "rekey.keys_encrypted"
 let m_tree_height = Metrics.Gauge.v "rekey.tree_height"
 let m_batch_joins = Metrics.Histogram.v "rekey.batch_join_size"
@@ -425,7 +424,6 @@ let rekey t =
       | Class_trees { s; l } -> rekey_pt t s l ~joins ~departs
     in
     if Obs.enabled () then begin
-      Metrics.Counter.incr m_rekeys;
       Metrics.Counter.add m_keys_encrypted t.last_cost;
       Metrics.Gauge.set m_tree_height
         (float_of_int

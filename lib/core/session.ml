@@ -431,7 +431,7 @@ let rekey_tick st ~now =
     Journal.record ~time:now "interval.start"
       [ ("size", Journal.Int (O.size ())) ];
   (* The "rekey.build" span is recorded inside the organization's
-     rekey (Scheme.rekey / Loss_tree.rekey), not here. *)
+     rekey ([Scheme.rekey]), not here. *)
   (match O.rekey () with
   | None ->
       if obs then

@@ -140,18 +140,17 @@ let run_loss_once ~degree ~seed ~burstiness ~n ~l ~alpha ~ph ~pl ~organization ~
   let channel, high, low =
     Channel.two_class ~rng:(Prng.split rng) ~n ~alpha ~high:(model ph) ~low:(model pl)
   in
+  let seed = seed + 31 in
+  let bands ?(kind = Scheme.One_keytree) ?(s_period = 0) assignment =
+    Organization.Composed_cfg { kind; degree; s_period; seed; assignment }
+  in
   let spec =
     match organization with
-    | Org_one ->
-        Organization.Loss_cfg { degree; seed = seed + 31; assignment = Loss_tree.Random 1 }
-    | Org_random k ->
-        Organization.Loss_cfg { degree; seed = seed + 31; assignment = Loss_tree.Random k }
+    | Org_one -> Organization.Scheme_cfg { Scheme.kind = One_keytree; degree; s_period = 0; seed }
+    | Org_random k -> bands (Random k)
     | Org_homogenized threshold | Org_mispartitioned { threshold; _ } ->
-        Organization.Loss_cfg
-          { degree; seed = seed + 31; assignment = Loss_tree.By_loss [ threshold ] }
-    | Org_composed { threshold; kind; s_period } ->
-        Organization.Composed_cfg
-          { kind; degree; s_period; seed = seed + 31; thresholds = [ threshold ] }
+        bands (By_loss [ threshold ])
+    | Org_composed { threshold; kind; s_period } -> bands ~kind ~s_period (By_loss [ threshold ])
   in
   let org = Organization.create spec in
   let module O = (val org) in
@@ -169,8 +168,8 @@ let run_loss_once ~degree ~seed ~burstiness ~n ~l ~alpha ~ph ~pl ~organization ~
   | Org_one | Org_random _ | Org_homogenized _ | Org_composed _ -> ());
   (* A deterministic half/half class mix: organizations that place by
      class (the composed scheme-per-band) get both partitions
-     populated; the loss-tree organizations ignore it, and no RNG is
-     consumed, so their draws are untouched. *)
+     populated; one-keytree bands ignore it, and no RNG is consumed,
+     so their draws are untouched. *)
   for m = 0 to n - 1 do
     let cls = if m mod 2 = 0 then Scheme.Short else Scheme.Long in
     ignore (O.register ~member:m ~cls ~loss:(Hashtbl.find reported m))

@@ -61,7 +61,7 @@ val run_org_churn :
   unit ->
   org_churn_result
 (** The same steady-state churn loop for {e any} organization spec —
-    schemes, loss trees, or the composed organization. Members report
+    bare schemes, loss bands, or any other composed organization. Members report
     a two-point loss mix ([loss_alpha] at [ph], the rest at [pl])
     drawn from a stream independent of the membership workload, so
     the churn sequence is identical across organizations. *)
@@ -69,9 +69,9 @@ val run_org_churn :
 (** {1 Loss-homogenization experiment (Figs. 6-7 cross-check)} *)
 
 type organization =
-  | Org_one  (** one key tree *)
-  | Org_random of int  (** k randomly filled trees *)
-  | Org_homogenized of float  (** two trees split at the threshold *)
+  | Org_one  (** one key tree: the bare one-keytree scheme *)
+  | Org_random of int  (** k one-keytree bands filled round-robin *)
+  | Org_homogenized of float  (** two one-keytree bands split at the threshold *)
   | Org_mispartitioned of { threshold : float; beta : float }
       (** loss-homogenized with a fraction beta of each side misreporting *)
   | Org_composed of { threshold : float; kind : Scheme.kind; s_period : int }

@@ -9,8 +9,6 @@ let of_bytes b =
 let to_bytes k = Bytes.copy k
 let fresh rng = Prng.bytes rng size
 
-let derive k label = Bytes.sub (Pkg.prf Pkg.default ~key:k (Bytes.of_string label)) 0 size
-
 let expand_label k label fields =
   Pkg.kdf_expand Pkg.default ~prk:k ~info:(Hkdf.label_info label fields) size
 

@@ -20,11 +20,6 @@ val to_bytes : t -> bytes
 val fresh : Prng.t -> t
 (** [fresh rng] samples a uniformly random key. *)
 
-val derive : t -> string -> t
-(** [derive k label] derives a child key as
-    [HMAC-SHA-256(k, label)] truncated to 16 bytes (the default
-    package's PRF). *)
-
 val expand_label : t -> string -> int list -> t
 (** [expand_label k label fields] is a 16-byte key PRF-expanded from
     [k] with the {!Hkdf.label_info} encoding of [label] and [fields]

@@ -198,10 +198,8 @@ let org_id_of_spec spec =
       | Gkm.Scheme.Qt -> 1
       | Gkm.Scheme.Tt -> 2
       | Gkm.Scheme.Pt -> 3)
-  | Organization.Loss_cfg c -> (
-      match c.Gkm.Loss_tree.assignment with
-      | Gkm.Loss_tree.By_loss _ -> 4
-      | Gkm.Loss_tree.Random _ -> 5)
+  | Organization.Composed_cfg { kind = Gkm.Scheme.One_keytree; assignment = By_loss _; _ } -> 4
+  | Organization.Composed_cfg { kind = Gkm.Scheme.One_keytree; assignment = Random _; _ } -> 5
   | Organization.Composed_cfg _ -> 6
   | Organization.Derived_cfg _ -> assert false (* base_spec strips these *)
 

@@ -66,7 +66,7 @@ let test_restore_rejects_garbage () =
       match Organization.restore spec (Bytes.sub blob 0 (Bytes.length blob - 1)) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s: truncation accepted" s)
-    [ "one"; "tt"; "loss:0.05"; "composed" ]
+    [ "one"; "tt"; "loss:0.05"; "random:2"; "composed" ]
 
 (* A rekey message as one comparable string: header, every entry
    field and a digest of each ciphertext. *)
@@ -108,7 +108,7 @@ let test_snapshot_pure () =
       Alcotest.(check string) (s ^ ": same next rekey")
         (msg_fingerprint (O.rekey ()))
         (msg_fingerprint (C.rekey ())))
-    [ "one"; "tt"; "loss:0.05"; "composed" ]
+    [ "one"; "tt"; "loss:0.05"; "random:2"; "composed" ]
 
 (* Apply an op only when the organization would accept it, so
    arbitrary op lists become valid churn prefixes. [touched] holds the
@@ -244,6 +244,7 @@ let () =
           Alcotest.test_case "QT-scheme round trip" `Quick (roundtrip_spec "qt");
           Alcotest.test_case "PT-scheme round trip" `Quick (roundtrip_spec "pt");
           Alcotest.test_case "loss-tree round trip" `Quick (roundtrip_spec "loss:0.05");
+          Alcotest.test_case "random round trip" `Quick (roundtrip_spec "random:2");
           Alcotest.test_case "composed round trip" `Quick (roundtrip_spec "composed");
           Alcotest.test_case "TT+derived round trip" `Quick (roundtrip_spec "tt+derived");
           Alcotest.test_case "loss+derived round trip" `Quick (roundtrip_spec "loss:0.05+derived");
@@ -266,6 +267,7 @@ let () =
           Alcotest.test_case "one-keytree" `Slow (test_chaos_sweep "one");
           Alcotest.test_case "TT-scheme" `Slow (test_chaos_sweep "tt");
           Alcotest.test_case "loss-homogenized" `Slow (test_chaos_sweep "loss:0.05");
+          Alcotest.test_case "random" `Slow (test_chaos_sweep "random:2");
           Alcotest.test_case "composed" `Slow (test_chaos_sweep "composed");
           Alcotest.test_case "TT-scheme derived" `Slow (test_chaos_sweep "tt+derived");
           Alcotest.test_case "composed derived" `Slow (test_chaos_sweep "composed+derived");

@@ -235,152 +235,106 @@ let prop_scheme_churn_secure =
         pattern)
 
 (* ------------------------------------------------------------------ *)
-(* Loss_tree                                                           *)
+(* Loss bands: one-keytree bands placed by loss or round-robin         *)
 
-module LHarness = struct
-  type t = {
-    org : Loss_tree.t;
-    members : (int, Member.t) Hashtbl.t;
-    evicted : (int, Member.t) Hashtbl.t;
-    keys : (int, Key.t) Hashtbl.t;
-  }
+module OHarness = Org_harness
 
-  let create cfg =
-    {
-      org = Loss_tree.create cfg;
-      members = Hashtbl.create 64;
-      evicted = Hashtbl.create 64;
-      keys = Hashtbl.create 64;
-    }
+let bands ?(seed = 0) assignment =
+  Organization.Composed_cfg
+    { kind = Scheme.One_keytree; degree = 4; s_period = 0; seed; assignment }
 
-  let register t m loss =
-    Hashtbl.replace t.keys m (Loss_tree.register t.org ~member:m ~loss)
+let two_band ?seed threshold = bands ?seed (By_loss [ threshold ])
 
-  let rekey t =
-    match Loss_tree.rekey t.org with
-    | None -> None
-    | Some msg ->
-        List.iter
-          (fun (m, leaf) ->
-            let key = Hashtbl.find t.keys m in
-            match Hashtbl.find_opt t.members m with
-            | Some member -> Member.install_path member [ (leaf, key) ]
-            | None ->
-                Hashtbl.replace t.members m
-                  (Member.create ~id:m ~leaf_node:leaf ~individual_key:key))
-          (Loss_tree.placements t.org);
-        Hashtbl.iter
-          (fun m member ->
-            if not (Loss_tree.is_member t.org m) then begin
-              Hashtbl.remove t.members m;
-              Hashtbl.replace t.evicted m member
-            end)
-          (Hashtbl.copy t.members);
-        Hashtbl.iter (fun _ member -> ignore (Member.process member msg)) t.members;
-        Hashtbl.iter (fun _ member -> ignore (Member.process member msg)) t.evicted;
-        Some msg
+let band_sizes (h : OHarness.t) =
+  let module O = (val h.org) in
+  O.band_sizes ()
 
-  let converged t =
-    match Loss_tree.group_key t.org with
-    | None -> Hashtbl.length t.members = 0
-    | Some dek ->
-        Hashtbl.fold
-          (fun _ member acc ->
-            acc
-            && match Member.group_key member with Some k -> Key.equal k dek | None -> false)
-          t.members true
-
-  let locked_out t =
-    match Loss_tree.group_key t.org with
-    | None -> true
-    | Some dek ->
-        Hashtbl.fold
-          (fun _ member acc ->
-            acc
-            && match Member.group_key member with Some k -> not (Key.equal k dek) | None -> true)
-          t.evicted true
-end
+let register h m loss = OHarness.register h m ~cls:Scheme.Long ~loss
 
 let test_loss_band_assignment () =
-  let org = Loss_tree.create { degree = 4; seed = 0; assignment = By_loss [ 0.05; 0.15 ] } in
-  Alcotest.(check int) "3 bands" 3 (Loss_tree.n_bands org);
-  Alcotest.(check int) "low" 0 (Loss_tree.band_of_loss org 0.01);
-  Alcotest.(check int) "boundary inclusive" 0 (Loss_tree.band_of_loss org 0.05);
-  Alcotest.(check int) "mid" 1 (Loss_tree.band_of_loss org 0.1);
-  Alcotest.(check int) "high" 2 (Loss_tree.band_of_loss org 0.2)
+  let h = OHarness.create (bands (By_loss [ 0.05; 0.15 ])) in
+  List.iteri (fun m loss -> register h m loss) [ 0.01; 0.05; 0.1; 0.2; 0.3 ];
+  ignore (OHarness.rekey h);
+  (* low and boundary-inclusive 0.05 | mid 0.1 | high 0.2 and 0.3 *)
+  Alcotest.(check (array int)) "3 bands" [| 2; 1; 2 |] (band_sizes h)
 
 let test_loss_tree_end_to_end () =
-  let h = LHarness.create (Loss_tree.two_band ~threshold:0.05 ()) in
-  List.iter (fun m -> LHarness.register h m (if m mod 4 = 0 then 0.2 else 0.01)) (range 1 24);
-  ignore (LHarness.rekey h);
-  Alcotest.(check bool) "converged after admission" true (LHarness.converged h);
-  let sizes = Loss_tree.band_sizes h.org in
+  let h = OHarness.create (two_band 0.05) in
+  List.iter (fun m -> register h m (if m mod 4 = 0 then 0.2 else 0.01)) (range 1 24);
+  ignore (OHarness.rekey h);
+  Alcotest.(check bool) "converged after admission" true (OHarness.converged h);
+  let sizes = band_sizes h in
   Alcotest.(check int) "low band" 18 sizes.(0);
   Alcotest.(check int) "high band" 6 sizes.(1);
   (* Departures from both bands. *)
-  Loss_tree.enqueue_departure h.org 4;
-  Loss_tree.enqueue_departure h.org 5;
-  ignore (LHarness.rekey h);
-  Alcotest.(check bool) "converged after evictions" true (LHarness.converged h);
-  Alcotest.(check bool) "evicted locked out" true (LHarness.locked_out h)
+  OHarness.depart h 4;
+  OHarness.depart h 5;
+  ignore (OHarness.rekey h);
+  Alcotest.(check bool) "converged after evictions" true (OHarness.converged h);
+  Alcotest.(check bool) "evicted locked out" true (OHarness.locked_out h)
 
 let test_loss_tree_single_band_degenerates () =
-  let h = LHarness.create { degree = 4; seed = 0; assignment = Random 1 } in
-  List.iter (fun m -> LHarness.register h m 0.1) (range 1 9);
-  let msg = Option.get (LHarness.rekey h) in
+  let h = OHarness.create (bands (Random 1)) in
+  List.iter (fun m -> register h m 0.1) (range 1 9);
+  let msg = Option.get (OHarness.rekey h) in
   (* Single tree: the root of that tree is the DEK, no synthetic node. *)
-  let tree = List.hd (Loss_tree.trees h.org) in
+  let module O = (val h.org) in
+  let tree = List.hd (O.trees ()) in
   Alcotest.(check (option int)) "root is tree root"
     (Gkm_keytree.Keytree.root_id tree)
     (Some msg.root_node);
-  Alcotest.(check bool) "converged" true (LHarness.converged h)
+  Alcotest.(check bool) "converged" true (OHarness.converged h)
 
 let test_loss_tree_random_round_robin () =
-  let org = Loss_tree.create { degree = 4; seed = 0; assignment = Random 2 } in
-  List.iter (fun m -> ignore (Loss_tree.register org ~member:m ~loss:0.0)) (range 1 10);
-  ignore (Loss_tree.rekey org);
-  let sizes = Loss_tree.band_sizes org in
-  Alcotest.(check int) "even split" 5 sizes.(0);
-  Alcotest.(check int) "even split'" 5 sizes.(1)
+  let h = OHarness.create (bands (Random 2)) in
+  List.iter (fun m -> register h m 0.0) (range 1 10);
+  ignore (OHarness.rekey h);
+  Alcotest.(check (array int)) "even split" [| 5; 5 |] (band_sizes h);
+  (* A cancelled join still used its turn: 11 -> band 0 (cancelled),
+     12 -> band 1. *)
+  List.iter (fun m -> register h m 0.0) [ 11; 12 ];
+  OHarness.depart h 11;
+  ignore (OHarness.rekey h);
+  Alcotest.(check (array int)) "cursor advanced past the cancelled join" [| 5; 6 |]
+    (band_sizes h)
 
 let test_loss_tree_band_transitions () =
   (* Emptying one band must collapse to single-tree state and back. *)
-  let h = LHarness.create (Loss_tree.two_band ~threshold:0.05 ()) in
-  List.iter (fun m -> LHarness.register h m 0.01) (range 1 4);
-  LHarness.register h 100 0.3;
-  ignore (LHarness.rekey h);
-  Alcotest.(check bool) "two bands live" true (LHarness.converged h);
+  let h = OHarness.create (two_band 0.05) in
+  List.iter (fun m -> register h m 0.01) (range 1 4);
+  register h 100 0.3;
+  ignore (OHarness.rekey h);
+  Alcotest.(check bool) "two bands live" true (OHarness.converged h);
   (* The single high-loss member departs: collapse to one tree. *)
-  Loss_tree.enqueue_departure h.org 100;
-  ignore (LHarness.rekey h);
-  Alcotest.(check bool) "collapsed, converged" true (LHarness.converged h);
-  Alcotest.(check bool) "departed locked out" true (LHarness.locked_out h);
+  OHarness.depart h 100;
+  ignore (OHarness.rekey h);
+  Alcotest.(check bool) "collapsed, converged" true (OHarness.converged h);
+  Alcotest.(check bool) "departed locked out" true (OHarness.locked_out h);
   (* A high-loss member joins again: hoist the DEK again. *)
-  LHarness.register h 101 0.4;
-  ignore (LHarness.rekey h);
-  Alcotest.(check bool) "re-hoisted, converged" true (LHarness.converged h)
+  register h 101 0.4;
+  ignore (OHarness.rekey h);
+  Alcotest.(check bool) "re-hoisted, converged" true (OHarness.converged h)
 
 let prop_loss_tree_churn =
   QCheck.Test.make ~name:"loss forest churn stays convergent" ~count:25
     QCheck.(list_of_size Gen.(1 -- 8) (pair (int_range 0 3) bool))
     (fun ops ->
-      let h = LHarness.create (Loss_tree.two_band ~threshold:0.05 ~seed:3 ()) in
+      let h = OHarness.create (two_band ~seed:3 0.05) in
+      let module O = (val h.org) in
       let next = ref 0 in
       List.for_all
         (fun (joins, do_depart) ->
           for _ = 1 to joins do
             let m = !next in
             incr next;
-            LHarness.register h m (if m mod 2 = 0 then 0.2 else 0.01)
+            register h m (if m mod 2 = 0 then 0.2 else 0.01)
           done;
-          (if do_depart && Loss_tree.size h.org > 1 then
-             match
-               List.find_opt (fun m -> Loss_tree.is_member h.org m) (List.init !next Fun.id)
-             with
-             | Some victim -> Loss_tree.enqueue_departure h.org victim
+          (if do_depart && O.size () > 1 then
+             match List.find_opt O.is_member (List.init !next Fun.id) with
+             | Some victim -> OHarness.depart h victim
              | None -> ());
-          ignore (LHarness.rekey h);
-          LHarness.converged h && LHarness.locked_out h)
+          ignore (OHarness.rekey h);
+          OHarness.converged h && OHarness.locked_out h)
         ops)
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,7 @@
 (* The pluggable organization interface: wrapper transparency, CLI
-   selector parsing, the composed (scheme-inside-each-loss-band)
+   selector parsing, the composed (scheme-inside-each-band)
    organization end to end against real member state machines, and the
-   Loss_tree churn invariants it builds on. *)
+   loss-band churn invariants of its one-keytree form (Section 4). *)
 
 open Gkm
 module Key = Gkm_crypto.Key
@@ -9,87 +9,7 @@ module Keytree = Gkm_keytree.Keytree
 module Member = Gkm_lkh.Member
 module Rekey_msg = Gkm_lkh.Rekey_msg
 
-(* A member-side harness generic over any packed organization: replays
-   every rekey message through real member state machines and checks
-   convergence of current members and lockout of evicted ones. *)
-module OHarness = struct
-  type t = {
-    org : Organization.packed;
-    members : (int, Member.t) Hashtbl.t;
-    evicted : (int, Member.t) Hashtbl.t;
-    keys : (int, Key.t) Hashtbl.t;
-  }
-
-  let create spec =
-    {
-      org = Organization.create spec;
-      members = Hashtbl.create 64;
-      evicted = Hashtbl.create 64;
-      keys = Hashtbl.create 64;
-    }
-
-  let register t m ~cls ~loss =
-    let module O = (val t.org) in
-    Hashtbl.replace t.keys m (O.register ~member:m ~cls ~loss)
-
-  let depart t m =
-    let module O = (val t.org) in
-    O.enqueue_departure m
-
-  let rekey t =
-    let module O = (val t.org) in
-    match O.rekey () with
-    | None -> None
-    | Some msg ->
-        List.iter
-          (fun (m, leaf) ->
-            let key = Hashtbl.find t.keys m in
-            match Hashtbl.find_opt t.members m with
-            | Some member -> Member.install_path member [ (leaf, key) ]
-            | None ->
-                Hashtbl.replace t.members m
-                  (Member.create ~id:m ~leaf_node:leaf ~individual_key:key))
-          (O.placements ());
-        Hashtbl.iter
-          (fun m member ->
-            if not (O.is_member m) then begin
-              Hashtbl.remove t.members m;
-              Hashtbl.replace t.evicted m member
-            end)
-          (Hashtbl.copy t.members);
-        Hashtbl.iter (fun _ member -> ignore (Member.process member msg)) t.members;
-        Hashtbl.iter (fun _ member -> ignore (Member.process member msg)) t.evicted;
-        Some msg
-
-  let converged t =
-    let module O = (val t.org) in
-    match O.group_key () with
-    | None -> Hashtbl.length t.members = 0
-    | Some dek ->
-        Hashtbl.fold
-          (fun _ member acc ->
-            acc
-            && match Member.group_key member with Some k -> Key.equal k dek | None -> false)
-          t.members true
-
-  let locked_out t =
-    let module O = (val t.org) in
-    match O.group_key () with
-    | None -> true
-    | Some dek ->
-        Hashtbl.fold
-          (fun _ member acc ->
-            acc
-            &&
-            match Member.group_key member with
-            | Some k -> not (Key.equal k dek)
-            | None -> true)
-          t.evicted true
-
-  let check t label =
-    Alcotest.(check bool) (label ^ ": members converged") true (converged t);
-    Alcotest.(check bool) (label ^ ": evicted locked out") true (locked_out t)
-end
+module OHarness = Org_harness
 
 (* ------------------------------------------------------------------ *)
 (* Selector parsing. *)
@@ -103,20 +23,35 @@ let test_spec_of_string () =
   | Organization.Scheme_cfg { Scheme.kind = Scheme.One_keytree; _ } -> ()
   | _ -> Alcotest.fail "one-keytree selector");
   (match ok "loss:0.02,0.1" with
-  | Organization.Loss_cfg { Loss_tree.assignment = Loss_tree.By_loss [ a; b ]; _ } ->
+  | Organization.Composed_cfg
+      { kind = Scheme.One_keytree; assignment = Organization.By_loss [ a; b ]; _ } ->
       Alcotest.(check (float 1e-9)) "t1" 0.02 a;
       Alcotest.(check (float 1e-9)) "t2" 0.1 b
   | _ -> Alcotest.fail "loss selector");
   (match ok "random:3" with
-  | Organization.Loss_cfg { Loss_tree.assignment = Loss_tree.Random 3; _ } -> ()
+  | Organization.Composed_cfg
+      { kind = Scheme.One_keytree; assignment = Organization.Random 3; _ } -> ()
   | _ -> Alcotest.fail "random selector");
   (match ok "composed" with
-  | Organization.Composed_cfg { kind = Scheme.Tt; thresholds = [ t ]; _ } ->
+  | Organization.Composed_cfg { kind = Scheme.Tt; assignment = Organization.By_loss [ t ]; _ }
+    ->
       Alcotest.(check (float 1e-9)) "default threshold" 0.05 t
   | _ -> Alcotest.fail "composed default");
   (match ok "composed:qt@0.02,0.1" with
-  | Organization.Composed_cfg { kind = Scheme.Qt; thresholds = [ _; _ ]; _ } -> ()
+  | Organization.Composed_cfg { kind = Scheme.Qt; assignment = Organization.By_loss [ _; _ ]; _ }
+    ->
+      ()
   | _ -> Alcotest.fail "composed explicit");
+  List.iter
+    (fun (sel, name) ->
+      Alcotest.(check string) sel name (Organization.spec_name (ok sel)))
+    [
+      ("loss:0.05", "loss-homogenized(0.05)");
+      ("random:2", "random(2)");
+      ("composed:one@0.05", "loss-homogenized(0.05)");
+      ("composed:tt@0.02,0.1", "composed(TT-scheme@0.02,0.1)");
+      ("loss:0.05+derived", "loss-homogenized(0.05)+derived");
+    ];
   (match Organization.spec_of_string ~degree:8 ~s_period:3 ~seed:7 "pt" with
   | Ok (Organization.Scheme_cfg { Scheme.kind = Scheme.Pt; degree = 8; s_period = 3; seed = 7 })
     ->
@@ -194,7 +129,7 @@ let test_of_scheme_transparent () =
 
 let composed_spec ?(kind = Scheme.Tt) ?(thresholds = [ 0.05 ]) () =
   Organization.Composed_cfg
-    { Organization.kind; degree = 3; s_period = 2; seed = 11; thresholds }
+    { Organization.kind; degree = 3; s_period = 2; seed = 11; assignment = By_loss thresholds }
 
 let loss_for m = if m mod 2 = 0 then 0.02 else 0.2
 let cls_for m = if m mod 3 = 0 then Scheme.Short else Scheme.Long
@@ -270,7 +205,7 @@ let test_composed_single_band_degenerates () =
      the bare band scheme — same costs, same keys, no composed DEK
      layer, message rooted at the band's own root. *)
   let cfg = { Organization.kind = Scheme.Tt; degree = 3; s_period = 2; seed = 5;
-              thresholds = [ 0.05 ] } in
+              assignment = By_loss [ 0.05 ] } in
   let packed = Organization.create (Organization.Composed_cfg cfg) in
   let module O = (val packed) in
   let bare =
@@ -327,98 +262,106 @@ let test_composed_rejoin () =
   OHarness.check h "after rejoin"
 
 (* ------------------------------------------------------------------ *)
-(* Loss_tree churn invariants (the substrate the composed organization
-   and Section 4 reporting both rely on). *)
+(* Loss-band churn invariants: one-keytree bands placed by loss, the
+   organization Section 4 reports on. *)
 
-let lt_cfg thresholds = { Loss_tree.degree = 3; seed = 21; assignment = Loss_tree.By_loss thresholds }
+let loss_bands thresholds =
+  Organization.create
+    (Organization.Composed_cfg
+       { kind = Scheme.One_keytree; degree = 3; s_period = 0; seed = 21;
+         assignment = By_loss thresholds })
 
-let lt_members lt =
-  List.concat_map Keytree.members (Loss_tree.trees lt) |> List.sort compare
+(* The band a current member lives in, read off its band-DEK receiver
+   group ([band_dek_id b = -(500_000_000 + b)]). *)
+let band_of_member (module O : Organization.S) m =
+  match List.find_opt (fun (_, ms) -> List.mem m ms) (O.receiver_groups ()) with
+  | Some (node, _) -> -node - 500_000_000
+  | None -> Alcotest.failf "member %d is in no band" m
 
 let test_loss_tree_no_duplicates () =
-  let lt = Loss_tree.create (lt_cfg [ 0.05; 0.15 ]) in
+  let org = loss_bands [ 0.05; 0.15 ] in
+  let module O = (val org) in
   let next = ref 0 in
   for round = 1 to 8 do
     for _ = 1 to 6 do
       let m = !next in
       incr next;
-      ignore (Loss_tree.register lt ~member:m ~loss:(float_of_int (m mod 5) /. 20.0))
+      ignore (O.register ~member:m ~cls:Scheme.Long ~loss:(float_of_int (m mod 5) /. 20.0))
     done;
     List.iter
-      (fun m -> if Loss_tree.is_member lt m then Loss_tree.enqueue_departure lt m)
+      (fun m -> if O.is_member m then O.enqueue_departure m)
       [ (round * 3) mod !next; (round * 11) mod !next ];
-    ignore (Loss_tree.rekey lt);
-    let ms = lt_members lt in
+    ignore (O.rekey ());
+    let ms = List.concat_map Keytree.members (O.trees ()) |> List.sort compare in
     Alcotest.(check int)
       (Printf.sprintf "round %d: no member in two bands" round)
       (List.length (List.sort_uniq compare ms))
       (List.length ms);
-    Alcotest.(check int)
-      (Printf.sprintf "round %d: size agrees" round)
-      (Loss_tree.size lt) (List.length ms);
-    (* band_of_member agrees with physical tree placement *)
+    Alcotest.(check int) (Printf.sprintf "round %d: size agrees" round) (O.size ())
+      (List.length ms);
+    (* One tree per band, in band order: the receiver groups agree
+       with physical tree placement. *)
     List.iteri
       (fun band tree ->
         List.iter
           (fun m ->
             Alcotest.(check int)
               (Printf.sprintf "member %d band" m)
-              band (Loss_tree.band_of_member lt m))
+              band (band_of_member org m))
           (Keytree.members tree))
-      (Loss_tree.trees lt)
+      (O.trees ())
   done
 
 let test_loss_tree_band_stability () =
-  let lt = Loss_tree.create (lt_cfg [ 0.05 ]) in
+  let org = loss_bands [ 0.05 ] in
+  let module O = (val org) in
+  let register m loss = ignore (O.register ~member:m ~cls:Scheme.Long ~loss) in
   for m = 0 to 11 do
-    ignore (Loss_tree.register lt ~member:m ~loss:(loss_for m))
+    register m (loss_for m)
   done;
-  ignore (Loss_tree.rekey lt);
-  let before = List.map (fun m -> (m, Loss_tree.band_of_member lt m)) [ 0; 1; 2; 3 ] in
+  ignore (O.rekey ());
+  let before = List.map (fun m -> (m, band_of_member org m)) [ 0; 1; 2; 3 ] in
   (* Unrelated churn: other members leave and join; survivors must not
      move between bands (Section 4.2: no migration). *)
-  List.iter (fun m -> Loss_tree.enqueue_departure lt m) [ 6; 7; 8 ];
+  List.iter O.enqueue_departure [ 6; 7; 8 ];
   for m = 12 to 17 do
-    ignore (Loss_tree.register lt ~member:m ~loss:(loss_for m))
+    register m (loss_for m)
   done;
-  ignore (Loss_tree.rekey lt);
+  ignore (O.rekey ());
   List.iter
     (fun (m, band) ->
       Alcotest.(check int) (Printf.sprintf "member %d stayed in band" m) band
-        (Loss_tree.band_of_member lt m))
+        (band_of_member org m))
     before;
   (* A departed member that rejoins with a different loss re-enters in
      the band matching the new report. *)
-  Loss_tree.enqueue_departure lt 0;
-  ignore (Loss_tree.rekey lt);
-  ignore (Loss_tree.register lt ~member:0 ~loss:0.2);
-  ignore (Loss_tree.rekey lt);
-  Alcotest.(check int) "rejoin lands in the new band" 1 (Loss_tree.band_of_member lt 0)
+  O.enqueue_departure 0;
+  ignore (O.rekey ());
+  register 0 0.2;
+  ignore (O.rekey ());
+  Alcotest.(check int) "rejoin lands in the new band" 1 (band_of_member org 0)
 
 let test_loss_tree_single_band_degenerate () =
   (* Every member below the threshold: one live tree, so messages must
      look exactly like the one-keytree baseline — rooted at the tree
      root, no level shift, no synthetic DEK wraps. *)
-  let lt = Loss_tree.create (lt_cfg [ 0.5 ]) in
+  let module O = (val loss_bands [ 0.5 ]) in
   let next = ref 0 in
   List.iter
     (fun (joins, departs) ->
       for _ = 1 to joins do
         let m = !next in
         incr next;
-        ignore (Loss_tree.register lt ~member:m ~loss:0.01)
+        ignore (O.register ~member:m ~cls:Scheme.Long ~loss:0.01)
       done;
       List.init departs (fun i -> (i * 5) mod !next)
       |> List.sort_uniq compare
-      |> List.iter (fun m ->
-             if Loss_tree.is_member lt m then Loss_tree.enqueue_departure lt m);
-      match Loss_tree.rekey lt with
+      |> List.iter (fun m -> if O.is_member m then O.enqueue_departure m);
+      match O.rekey () with
       | None -> ()
       | Some msg ->
           let tree =
-            match
-              List.filter (fun tr -> Keytree.size tr > 0) (Loss_tree.trees lt)
-            with
+            match List.filter (fun tr -> Keytree.size tr > 0) (O.trees ()) with
             | [ t ] -> t
             | _ -> Alcotest.fail "expected exactly one live tree"
           in
@@ -430,10 +373,144 @@ let test_loss_tree_single_band_degenerate () =
                (fun (e : Rekey_msg.entry) -> e.target_node <> Scheme.dek_node)
                msg.entries);
           Alcotest.(check bool) "group key is the tree key" true
-            (match (Loss_tree.group_key lt, Keytree.group_key tree) with
+            (match (O.group_key (), Keytree.group_key tree) with
             | Some a, Some b -> Key.equal a b
             | _ -> false))
     churn_script
+
+(* ------------------------------------------------------------------ *)
+(* Section 4 pinned across the move from a dedicated loss-tree engine
+   to one-keytree bands. The values were captured from the dedicated
+   engine; node ids and key bytes differ between the two, so only
+   key-independent results are pinned. Floats are IEEE-754 bit
+   patterns. *)
+
+type session_pin = {
+  intervals : int;
+  rekeys : int;
+  mean_keys : int64;
+  mean_keys_sent : int64;
+  mean_rounds : int64;
+  mean_packets : int64;
+  deadline_misses : int;
+  mean_size : int64;
+  final_size : int;
+  verified : bool;
+  faults_injected : int;
+  restores : int;
+  resyncs : int;
+  rejoins : int;
+  recovered : bool;
+}
+
+let session_pins : (string * session_pin) list =
+  [
+  ( "loss:0.05",
+    { intervals = 20; rekeys = 20; mean_keys = 4632444797959798783L; mean_keys_sent = 4634770484954870579L;
+      mean_rounds = 4614275588213125938L; mean_packets = 4617202927970916761L; deadline_misses = 0;
+      mean_size = 4639643520489173811L; final_size = 161; verified = true; faults_injected = 0;
+      restores = 0; resyncs = 0; rejoins = 0; recovered = true } );
+  ( "loss:0.01,0.1",
+    { intervals = 20; rekeys = 20; mean_keys = 4632444797959798783L; mean_keys_sent = 4634770484954870579L;
+      mean_rounds = 4614275588213125938L; mean_packets = 4617202927970916761L; deadline_misses = 0;
+      mean_size = 4639643520489173811L; final_size = 161; verified = true; faults_injected = 0;
+      restores = 0; resyncs = 0; rejoins = 0; recovered = true } );
+  ( "random:2",
+    { intervals = 20; rekeys = 20; mean_keys = 4632564424824900813L; mean_keys_sent = 4635565651764078183L;
+      mean_rounds = 4614951128157231512L; mean_packets = 4618103647896390859L; deadline_misses = 0;
+      mean_size = 4639643520489173811L; final_size = 161; verified = true; faults_injected = 0;
+      restores = 0; resyncs = 0; rejoins = 0; recovered = true } );
+  ( "loss:0.05+derived",
+    { intervals = 20; rekeys = 20; mean_keys = 4631705926145933311L; mean_keys_sent = 4634492528415368806L;
+      mean_rounds = 4614050408231757415L; mean_packets = 4616977747989548237L; deadline_misses = 0;
+      mean_size = 4639643520489173811L; final_size = 161; verified = true; faults_injected = 0;
+      restores = 0; resyncs = 0; rejoins = 0; recovered = true } );
+  ]
+
+let test_section4_session_pinned () =
+  List.iter
+    (fun (sel, pin) ->
+      let r =
+        Session.run
+          {
+            Session.default_config with
+            n_target = 150;
+            horizon = 1200.0;
+            seed = 5;
+            org = Result.get_ok (Organization.spec_of_string ~seed:3 sel);
+          }
+      in
+      let bits = Int64.bits_of_float in
+      let got : session_pin =
+        {
+          intervals = r.intervals;
+          rekeys = r.rekeys;
+          mean_keys = bits r.mean_keys;
+          mean_keys_sent = bits r.mean_keys_sent;
+          mean_rounds = bits r.mean_rounds;
+          mean_packets = bits r.mean_packets;
+          deadline_misses = r.deadline_misses;
+          mean_size = bits r.mean_size;
+          final_size = r.final_size;
+          verified = r.verified;
+          faults_injected = r.faults_injected;
+          restores = r.restores;
+          resyncs = r.resyncs;
+          rejoins = r.rejoins;
+          recovered = r.recovered;
+        }
+      in
+      Alcotest.(check bool) (sel ^ ": session result pinned") true (got = pin))
+    session_pins
+
+type loss_pin = {
+  mean_keys_sent : int64;
+  mean_bandwidth : int64;
+  mean_packets : int64;
+  mean_rounds : int64;
+  undelivered : int;
+}
+
+let loss_pins : (string * loss_pin) list =
+  [
+  ( "one",
+    { mean_keys_sent = 4646295712438768981L; mean_bandwidth = 4646295712438768981L; mean_packets = 4626228892224105131L;
+      mean_rounds = 4616564918023705941L; undelivered = 0 } );
+  ( "random-2",
+    { mean_keys_sent = 4646166703074443264L; mean_bandwidth = 4646166703074443264L; mean_packets = 4626228892224105131L;
+      mean_rounds = 4616940217992653483L; undelivered = 0 } );
+  ( "homogenized-0.05",
+    { mean_keys_sent = 4645550976562888704L; mean_bandwidth = 4645550976562888704L; mean_packets = 4625665942270683819L;
+      mean_rounds = 4616189618054758400L; undelivered = 0 } );
+  ( "mispartitioned-0.05-0.3",
+    { mean_keys_sent = 4645703442175273643L; mean_bandwidth = 4645703442175273643L; mean_packets = 4625853592255157589L;
+      mean_rounds = 4616564918023705941L; undelivered = 0 } );
+  ]
+
+let test_section4_run_loss_pinned () =
+  List.iter
+    (fun (label, organization) ->
+      let r =
+        Sim_driver.run_loss ~seed:4 ~trials:3 ~n:600 ~l:48 ~alpha:0.3 ~ph:0.2 ~pl:0.02
+          ~organization ~transport:Sim_driver.Wka_bkr_transport ()
+      in
+      let bits = Int64.bits_of_float in
+      let pin = List.assoc label loss_pins in
+      Alcotest.(check bool) (label ^ ": run_loss pinned") true
+        (pin
+        = {
+            mean_keys_sent = bits r.mean_keys_sent;
+            mean_bandwidth = bits r.mean_bandwidth;
+            mean_packets = bits r.mean_packets;
+            mean_rounds = bits r.mean_rounds;
+            undelivered = r.undelivered;
+          }))
+    [
+      ("one", Sim_driver.Org_one);
+      ("random-2", Sim_driver.Org_random 2);
+      ("homogenized-0.05", Sim_driver.Org_homogenized 0.05);
+      ("mispartitioned-0.05-0.3", Sim_driver.Org_mispartitioned { threshold = 0.05; beta = 0.3 });
+    ]
 
 let () =
   Alcotest.run "organization"
@@ -463,5 +540,10 @@ let () =
             test_loss_tree_band_stability;
           Alcotest.test_case "single band degenerates to one-keytree" `Quick
             test_loss_tree_single_band_degenerate;
+        ] );
+      ( "section 4 pin",
+        [
+          Alcotest.test_case "session results" `Quick test_section4_session_pinned;
+          Alcotest.test_case "run_loss under WKA-BKR" `Quick test_section4_run_loss_pinned;
         ] );
     ]

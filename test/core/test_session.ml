@@ -49,10 +49,11 @@ let test_session_derived_modes () =
   in
   let others =
     [
-      Organization.Loss_cfg
-        { Loss_tree.degree = 4; seed = 3; assignment = Loss_tree.By_loss [ 0.05 ] };
       Organization.Composed_cfg
-        { kind = Scheme.Tt; degree = 4; s_period = 5; seed = 3; thresholds = [ 0.05 ] };
+        { kind = Scheme.One_keytree; degree = 4; s_period = 5; seed = 3;
+          assignment = By_loss [ 0.05 ] };
+      Organization.Composed_cfg
+        { kind = Scheme.Tt; degree = 4; s_period = 5; seed = 3; assignment = By_loss [ 0.05 ] };
     ]
   in
   List.iter

@@ -342,13 +342,6 @@ let test_key_wrap_roundtrip () =
   Bytes.set corrupted 3 (Char.chr (Char.code (Bytes.get corrupted 3) lxor 1));
   Alcotest.(check bool) "corrupted ciphertext rejected" true (Key.unwrap ~kek corrupted = None)
 
-let test_key_derive () =
-  let rng = Prng.create 7 in
-  let k = Key.fresh rng in
-  let a = Key.derive k "left" and b = Key.derive k "right" in
-  Alcotest.(check bool) "distinct labels give distinct keys" false (Key.equal a b);
-  Alcotest.(check bool) "derivation is deterministic" true (Key.equal a (Key.derive k "left"))
-
 let test_key_fingerprint () =
   let rng = Prng.create 7 in
   let k = Key.fresh rng in
@@ -642,7 +635,6 @@ let () =
       ( "key",
         [
           Alcotest.test_case "wrap roundtrip" `Quick test_key_wrap_roundtrip;
-          Alcotest.test_case "derive" `Quick test_key_derive;
           Alcotest.test_case "fingerprint" `Quick test_key_fingerprint;
           Alcotest.test_case "cached cipher" `Quick test_key_cached_cipher;
           Alcotest.test_case "wrap format pinned" `Quick test_wrap_format_pinned;

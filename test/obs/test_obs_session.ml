@@ -53,7 +53,21 @@ let test_session_populates_metrics () =
     (Metrics.Histogram.count lat);
   Alcotest.(check bool) "latency positive" true (Metrics.Histogram.min_value lat > 0.0);
   let spans = Metrics.Histogram.v "span.rekey.interval" in
-  Alcotest.(check int) "one span per interval" r.intervals (Metrics.Histogram.count spans)
+  Alcotest.(check int) "one span per interval" r.intervals (Metrics.Histogram.count spans);
+  (* A banded organization rekeys one scheme per band each interval,
+     yet counts one group rekey, and its band gauges add up to the
+     group. *)
+  List.iter
+    (fun sel ->
+      let r =
+        run_with ~obs:true
+          { cfg with org = Result.get_ok (Organization.spec_of_string ~seed:3 sel) }
+      in
+      Alcotest.(check int) (sel ^ ": rekeys counted") r.rekeys (counter "rekey.count");
+      let band b = Metrics.Gauge.value (Metrics.Gauge.v (Printf.sprintf "rekey.band_size.%d" b)) in
+      Alcotest.(check (float 0.0)) (sel ^ ": band gauges sum to the group")
+        (float_of_int r.final_size) (band 0 +. band 1))
+    [ "composed"; "loss:0.05" ]
 
 let test_session_journals_every_interval () =
   let r = run_with ~obs:true cfg in
