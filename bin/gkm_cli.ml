@@ -837,7 +837,9 @@ let serve_cmd =
       value & opt int 1024
       & info [ "capacity" ] ~docv:"B"
           ~doc:
-            (Printf.sprintf "Rekey packet payload (bytes), at least %d."
+            (Printf.sprintf
+               "Rekey packet payload (bytes), at least %d: one entry group holding one \
+                32-byte wrap, with its ids at their widest."
                Gkm_transport.Packet.min_capacity_bytes))
   in
   let soft_arg =

@@ -5,6 +5,7 @@ module Msg = Gkm_wire.Msg
 module Grammar = Gkm_wire.Grammar
 module Dgram = Gkm_wire.Dgram
 module Packet = Gkm_transport.Packet
+module Rekey_msg = Gkm_lkh.Rekey_msg
 module Bytes_io = Gkm_crypto.Bytes_io
 open Gkm_crypto.Codec
 
@@ -49,22 +50,43 @@ let gen_i32 rng =
 let gen_node rng = Int64.to_int (Prng.bits64 rng)
 let gen_key rng = Key.of_bytes (Prng.bytes rng Key.size)
 
+(* Entry ids near zero, at 2e9-stride band ids, at the extremes and
+   anywhere, so the payload codec's deltas reach 9-byte varints. *)
+let gen_id rng =
+  match Prng.int rng 4 with
+  | 0 -> Prng.int rng 64
+  | 1 -> (Prng.int rng 8 * 2_000_000_000) + Prng.int rng 1000
+  | 2 -> if Prng.bool rng then min_int else max_int
+  | _ -> gen_node rng
+
+let ciphertext_sizes =
+  [| Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes |]
+
 (* Half of the REKEY/RETX payloads are real entry payloads, so the
    [packet] stage sees accepted ones and their mutations, not only
-   noise its count byte already refuses. *)
+   noise its count byte already refuses: a few groups of one to three
+   entries, each group of one target, version and kind. *)
 let gen_payload rng =
   if Prng.bool rng then Prng.bytes rng (gen_len rng)
   else
-    Packet.encode_payload
-      (List.init (Prng.int rng 6) (fun _ ->
-           {
-             Gkm_lkh.Rekey_msg.target_node = gen_node rng;
-             target_version = gen_i32 rng;
-             level = Prng.int rng 40;
-             wrapped_under = gen_node rng;
-             receivers = gen_i32 rng;
-             ciphertext = Prng.bytes rng (Prng.int rng 48);
-           }))
+    let group _ =
+      let target_node = gen_id rng in
+      let target_version = gen_i32 rng in
+      let size = ciphertext_sizes.(Prng.int rng 3) in
+      List.init
+        (1 + Prng.int rng 3)
+        (fun _ ->
+          let wrapped_under = gen_id rng in
+          {
+            Rekey_msg.target_node;
+            target_version;
+            level = 0;
+            wrapped_under;
+            receivers = 0;
+            ciphertext = Prng.bytes rng size;
+          })
+    in
+    Packet.encode_payload (List.concat (List.init (Prng.int rng 4) group))
 
 let gen_field rng buf : Grammar.field -> unit = function
   | U8 _ -> add_u8 buf (Prng.int rng 256)

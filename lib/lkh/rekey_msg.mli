@@ -16,9 +16,14 @@
 type entry = {
   target_node : int;  (** node id of the key being distributed *)
   target_version : int;  (** tree epoch of the fresh key *)
-  level : int;  (** depth of the target node; root = 0 *)
+  level : int;
+      (** depth of the target node; root = 0. A sender-side annotation
+          for the transports' scheduling: it is not on the wire, and a
+          decoded entry carries 0. *)
   wrapped_under : int;  (** node id of the wrapping or derivation-input key *)
-  receivers : int;  (** number of members that need this entry *)
+  receivers : int;
+      (** number of members that need this entry. A sender-side
+          annotation, like [level]: not on the wire, 0 when decoded. *)
   ciphertext : bytes;
       (** one of three self-describing payloads, distinguished by
           length: [Key.wrap ~kek:child target] (32 bytes, classical
@@ -78,8 +83,10 @@ val size_keys : t -> int
     slots) but weigh only {!derive_payload_bytes} in {!size_bytes}. *)
 
 val size_bytes : t -> int
-(** Wire-size estimate: per-entry header (three 4-byte ids and a
-    4-byte version) plus ciphertext. *)
+(** A fixed-header size model: per entry, a 16-byte header (three
+    4-byte ids and a 4-byte version) plus the ciphertext. [bench macro]
+    reports it; it is not the wire, whose exact size is that of
+    [Gkm_transport.Packet.encode_payload]. *)
 
 val entry_id : entry -> int * int
 (** [(target_node, wrapped_under)] — unique within a message; used by

@@ -1292,7 +1292,8 @@ let create ~loop (cfg : config) =
   if cfg.tp <= 0.0 then invalid_arg "Netd.Server: tp must be positive";
   if cfg.capacity < Packet.min_capacity_bytes then
     invalid_arg
-      (Printf.sprintf "Netd.Server: capacity %d below the %d bytes one entry may need"
+      (Printf.sprintf
+         "Netd.Server: capacity %d below the %d bytes a one-wrap entry group may need"
          cfg.capacity Packet.min_capacity_bytes);
   if cfg.outbox_soft > cfg.outbox_hard then
     invalid_arg "Netd.Server: outbox_soft must not exceed outbox_hard";

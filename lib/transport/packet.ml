@@ -5,90 +5,172 @@ module Key = Gkm_crypto.Key
 
 type t = { seq : int; block : int; index_in_block : int; payload : bytes }
 
-(* An entry is zigzag varints for target, version, level, wrapped and
-   receivers, then an unsigned varint ciphertext length and the
-   ciphertext. A payload is an unsigned varint entry count followed by
-   exactly that many entries, no padding: the capacity bounds a
-   payload, it does not size it. Varints keep the small ids of one
-   tree short and still carry composed organizations' 2e9-stride band
-   ids, so one layout serves every organization. *)
+(* The layout is {!encode_payload}'s in the interface. Deltas restart
+   in every payload so that a packet decodes alone, and there is no
+   padding: the capacity bounds a payload, it does not size it. *)
 
-let entry_size_of (e : Rekey_msg.entry) =
-  let open Codec in
-  let ct = Bytes.length e.ciphertext in
-  varint_size e.target_node + varint_size e.target_version + varint_size e.level
-  + varint_size e.wrapped_under + varint_size e.receivers + uvarint_size ct + ct
+(* Kind 0 is a classical wrap, 1 a compact wrap, 2 a derivation
+   notice; 3 is unused. *)
+let ciphertext_size =
+  [| Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes |]
 
-(* Five 1-byte varints and an empty ciphertext's 1-byte length. *)
-let min_entry_size = 6
+let kind_of (e : Rekey_msg.entry) =
+  match Bytes.length e.ciphertext with
+  | n when n = Key.wrapped_size -> 0
+  | n when n = Rekey_msg.compact_wrap_bytes -> 1
+  | n when n = Rekey_msg.derive_payload_bytes -> 2
+  | n -> invalid_arg (Printf.sprintf "Packet: a %d-byte ciphertext is no entry kind" n)
+
+(* The group count, then one group of one 32-byte wrap with every
+   delta at its widest. *)
 let min_capacity_bytes =
   let open Codec in
-  uvarint_size 1 + (5 * varint_size min_int) + uvarint_size Key.wrapped_size + Key.wrapped_size
+  uvarint_size 1 + (3 * varint_size min_int) + uvarint_size 4 + Key.wrapped_size
 
-let add_entry buf (e : Rekey_msg.entry) =
-  let open Codec in
-  add_varint buf e.target_node;
-  add_varint buf e.target_version;
-  add_varint buf e.level;
-  add_varint buf e.wrapped_under;
-  add_varint buf e.receivers;
-  add_uvarint buf (Bytes.length e.ciphertext);
-  Buffer.add_bytes buf e.ciphertext
+(* Two one-byte deltas, the count/kind byte, and one entry: a one-byte
+   delta and the shortest ciphertext. *)
+let min_group_size = 4 + Rekey_msg.derive_payload_bytes
+
+(* Maximal runs of one group, each [(kind, first entry, entries)]. *)
+let groups_of entries =
+  List.fold_left
+    (fun acc e ->
+      let k = kind_of e in
+      match acc with
+      | (k', (h : Rekey_msg.entry), es) :: rest
+        when k = k' && h.target_node = e.target_node && h.target_version = e.target_version ->
+          (k, h, e :: es) :: rest
+      | _ -> (k, e, [ e ]) :: acc)
+    [] entries
+  |> List.rev_map (fun (k, h, es) -> (k, h, List.rev es))
 
 let encode_payload entries =
+  let open Codec in
+  let groups = groups_of entries in
   let buf = Buffer.create 1024 in
-  Codec.add_uvarint buf (List.length entries);
-  List.iter (add_entry buf) entries;
+  add_uvarint buf (List.length groups);
+  ignore
+    (List.fold_left
+       (fun (target, version) (kind, (h : Rekey_msg.entry), es) ->
+         add_varint buf (h.target_node - target);
+         add_varint buf (h.target_version - version);
+         add_uvarint buf ((List.length es * 4) + kind);
+         ignore
+           (List.fold_left
+              (fun prev (e : Rekey_msg.entry) ->
+                add_varint buf (e.wrapped_under - prev);
+                Buffer.add_bytes buf e.ciphertext;
+                e.wrapped_under)
+              h.target_node es);
+         (h.target_node, h.target_version))
+       (0, 0) groups);
   Buffer.to_bytes buf
 
+(* The bytes [e] (of kind [k]) adds to a payload of [groups] groups
+   whose entries, newest first, are [batch] and whose last group holds
+   [count]; and whether [e] joins that group. *)
+let growth ~groups ~count batch (e : Rekey_msg.entry) k =
+  let open Codec in
+  let ct = ciphertext_size.(k) in
+  match batch with
+  | (last : Rekey_msg.entry) :: _
+    when kind_of last = k
+         && last.target_node = e.target_node
+         && last.target_version = e.target_version ->
+      ( varint_size (e.wrapped_under - last.wrapped_under)
+        + ct
+        + uvarint_size (((count + 1) * 4) + k)
+        - uvarint_size ((count * 4) + k),
+        true )
+  | _ ->
+      let target, version =
+        match batch with last :: _ -> (last.target_node, last.target_version) | [] -> (0, 0)
+      in
+      ( uvarint_size (groups + 1) - uvarint_size groups
+        + varint_size (e.target_node - target)
+        + varint_size (e.target_version - version)
+        + uvarint_size (4 + k)
+        + varint_size (e.wrapped_under - e.target_node)
+        + ct,
+        false )
+
 let encode_entries ?wide:_ ~capacity_bytes entries =
-  let biggest = List.fold_left (fun acc e -> max acc (entry_size_of e)) 0 entries in
-  if capacity_bytes < Codec.uvarint_size 1 + biggest then
-    invalid_arg
-      (Printf.sprintf "Packet.encode_entries: capacity %dB below largest entry (%dB)"
-         capacity_bytes (Codec.uvarint_size 1 + biggest));
   let packets = ref [] and seq = ref 0 in
-  (* [used] is the batch's entry bytes; its count varint comes on top *)
-  let batch = ref [] and count = ref 0 and used = ref 0 in
+  (* the open packet: entries newest first, exact size, group count
+     and the last group's length *)
+  let batch = ref [] and size = ref 0 and groups = ref 0 and count = ref 0 in
+  let reset () =
+    batch := [];
+    size := Codec.uvarint_size 0;
+    groups := 0;
+    count := 0
+  in
   let flush () =
-    if !count > 0 then begin
+    if !batch <> [] then begin
       let payload = encode_payload (List.rev !batch) in
       packets := { seq = !seq; block = 0; index_in_block = 0; payload } :: !packets;
       incr seq;
-      batch := [];
-      count := 0;
-      used := 0
+      reset ()
     end
   in
+  reset ();
   List.iter
-    (fun e ->
-      let sz = entry_size_of e in
-      if Codec.uvarint_size (!count + 1) + !used + sz > capacity_bytes then flush ();
-      batch := e :: !batch;
-      incr count;
-      used := !used + sz)
+    (fun (e : Rekey_msg.entry) ->
+      let k = kind_of e in
+      let grow () = growth ~groups:!groups ~count:!count !batch e k in
+      let sz, joins =
+        match grow () with
+        | sz, _ when !size + sz > capacity_bytes && !batch <> [] ->
+            flush ();
+            grow ()
+        | g -> g
+      in
+      if !size + sz > capacity_bytes then
+        invalid_arg
+          (Printf.sprintf "Packet.encode_entries: capacity %dB below an entry's %dB"
+             capacity_bytes (!size + sz));
+      if joins then incr count
+      else begin
+        incr groups;
+        count := 1
+      end;
+      size := !size + sz;
+      batch := e :: !batch)
     entries;
   flush ();
   List.rev !packets
 
-let read_entry r =
+(* Canonical only: a group must hold an entry and differ from its
+   predecessor, so [encode_payload] of what this accepts restores the
+   bytes it read. *)
+let read_group r prev =
   let open Codec in
-  let target_node = varint r in
-  let target_version = varint r in
-  let level = varint r in
-  let wrapped_under = varint r in
-  let receivers = varint r in
-  let ciphertext = bytes r (uvarint r) in
-  { Rekey_msg.target_node; target_version; level; wrapped_under; receivers; ciphertext }
+  let pt, pv, pk = !prev in
+  let target_node = pt + varint r in
+  let target_version = pv + varint r in
+  let header = uvarint r in
+  let count = header lsr 2 and kind = header land 3 in
+  if count = 0 then corrupt "empty entry group";
+  if kind = 3 then corrupt "entry kind 3";
+  if target_node = pt && target_version = pv && kind = pk then
+    corrupt "entry group repeats its predecessor";
+  prev := (target_node, target_version, kind);
+  let size = ciphertext_size.(kind) and last = ref target_node in
+  items r ~min_item_size:(1 + size) count (fun r ->
+      let wrapped_under = !last + varint r in
+      last := wrapped_under;
+      let ciphertext = bytes r size in
+      { Rekey_msg.target_node; target_version; level = 0; wrapped_under; receivers = 0; ciphertext })
 
 let decode_payload payload =
   let open Codec in
   parse payload @@ fun r ->
-  let entries = items r ~min_item_size:min_entry_size (uvarint r) read_entry in
+  let prev = ref (0, 0, -1) in
+  let groups = items r ~min_item_size:min_group_size (uvarint r) (fun r -> read_group r prev) in
   (* The one decoder that tolerates trailing bytes: FEC recovery
      zero-extends a payload to its block's longest shard. *)
   ignore (bytes r (remaining r));
-  entries
+  List.concat groups
 
 let blocks_of_packets ~block_size packets =
   if block_size < 1 then invalid_arg "Packet.blocks_of_packets: block_size must be >= 1";
@@ -106,7 +188,7 @@ let blocks_of_packets ~block_size packets =
 
 (* Reed-Solomon needs equal-length shards; payloads are exact-length,
    so FEC zero-extends them to the block's longest. Trailing zeros are
-   harmless: [decode_payload] reads only the entries its count names. *)
+   harmless: [decode_payload] reads only the groups its count names. *)
 let extend len b =
   if Bytes.length b = len then b
   else begin

@@ -17,39 +17,46 @@ type t = {
 
 val encode_entries :
   ?wide:bool -> capacity_bytes:int -> Gkm_lkh.Rekey_msg.entry list -> t list
-(** Pack entries into packets of at most [capacity_bytes] of payload.
-    A payload is an unsigned LEB128 entry count followed by exactly
-    that many entries, each five zigzag varints ([target_node],
-    [target_version], [level], [wrapped_under], [receivers]), an
-    unsigned varint ciphertext length and the ciphertext (see
-    {!Gkm_crypto.Codec.add_varint}). Every int round-trips, so one
-    layout serves every organization. Only a rekey's last packet is
-    usually short of the capacity (block/index fields are filled by
-    {!blocks_of_packets}). [?wide] is accepted and ignored; it remains
-    only for callers written against the retired i64-id layout.
-    @raise Invalid_argument if [capacity_bytes] is too small for a
-    single entry. *)
+(** Pack entries, in order, into packets of at most [capacity_bytes]
+    of payload, each payload as {!encode_payload} writes it. Only a
+    rekey's last packet is usually short of the capacity (block/index
+    fields are filled by {!blocks_of_packets}). [?wide] is accepted
+    and ignored; it remains only for callers written against the
+    retired i64-id layout.
+    @raise Invalid_argument if [capacity_bytes] is too small for an
+    entry, or on a ciphertext of no entry kind. *)
 
 val encode_payload : Gkm_lkh.Rekey_msg.entry list -> bytes
-(** One payload holding all of [entries], whatever its length: the
-    canonical bytes {!decode_payload} reads back ([encode_payload []]
-    is the one-byte zero-entry payload). *)
-
-val entry_size_of : Gkm_lkh.Rekey_msg.entry -> int
-(** Encoded bytes of one entry: a payload is the count's
-    {!Gkm_crypto.Codec.uvarint_size} plus the sum of these. *)
+(** One payload holding all of [entries], whatever its length. A
+    payload is an unsigned LEB128 group count followed by the groups.
+    A group is a maximal run of consecutive entries sharing
+    [target_node], [target_version] and kind, written as the zigzag
+    deltas of its target and version from the previous group's, one
+    unsigned varint [count * 4 + kind], then per entry the zigzag
+    delta of [wrapped_under] (from the target for the first entry,
+    from the previous entry's after) and the ciphertext. Kind 0 is a
+    32-byte classical wrap, 1 a 20-byte compact wrap and 2 a 4-byte
+    derivation notice (see {!Gkm_lkh.Rekey_msg.entry}); the kind
+    implies the ciphertext's length. Deltas start from (0, 0) in
+    every payload, so each decodes alone, and wrap modulo 2^63, so
+    every int round-trips (see {!Gkm_crypto.Codec.add_varint}).
+    [level] and [receivers] are not written. [encode_payload []] is
+    the one-byte zero-group payload.
+    @raise Invalid_argument on a ciphertext of any other length. *)
 
 val min_capacity_bytes : int
-(** The payload of one entry carrying a 32-byte wrap with every id
-    at its widest (9-byte) varint, plus its count: a capacity of at
-    least this packs any wrap-based rekey. *)
+(** The payload of one group holding one 32-byte wrap with every
+    delta at its widest (9-byte) varint, plus the group count (61): a
+    capacity of at least this packs any rekey. *)
 
 val decode_payload : bytes -> (Gkm_lkh.Rekey_msg.entry list, string) result
 (** Recover the entries of one packet payload (ignoring trailing bytes,
-    such as the zeros FEC recovery extends a short payload with).
-    Accepts only canonical varints and never raises: overlong or
-    over-63-bit varints, a count the bytes cannot hold, or truncation
-    give [Error]. *)
+    such as the zeros FEC recovery extends a short payload with), with
+    [level] and [receivers] 0. Accepts only what {!encode_payload}
+    writes, so an accepted payload re-encodes to the bytes it read:
+    overlong or over-63-bit varints, an empty group, kind 3, a group
+    with its predecessor's target, version and kind, a count the bytes
+    cannot hold, or truncation give [Error]. Never raises. *)
 
 val blocks_of_packets : block_size:int -> t list -> t list list
 (** Group packets into FEC blocks of [block_size], renumbering

@@ -2,6 +2,7 @@ module Prng = Gkm_crypto.Prng
 module Key = Gkm_crypto.Key
 module Rekey_msg = Gkm_lkh.Rekey_msg
 module Scheme = Gkm.Scheme
+module Organization = Gkm.Organization
 open Gkm_transport
 
 let range a b = List.init (b - a + 1) (fun i -> a + i)
@@ -18,17 +19,12 @@ let sample_entries ?(n = 30) ?(departs = [ 3; 17 ]) () =
   List.iter (Scheme.enqueue_departure server) departs;
   (Option.get (Scheme.rekey server)).Rekey_msg.entries
 
+(* What a member reads off the wire: [level] and [receivers] stay
+   with the sender. *)
+let wire_view (e : Rekey_msg.entry) = (e.target_node, e.target_version, e.wrapped_under, e.ciphertext)
+
 let entries_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Rekey_msg.entry) (y : Rekey_msg.entry) ->
-         x.target_node = y.target_node
-         && x.target_version = y.target_version
-         && x.level = y.level
-         && x.wrapped_under = y.wrapped_under
-         && x.receivers = y.receivers
-         && Bytes.equal x.ciphertext y.ciphertext)
-       a b
+  List.length a = List.length b && List.for_all2 (fun x y -> wire_view x = wire_view y) a b
 
 let capacity = 256
 
@@ -38,16 +34,65 @@ let capacity = 256
 let rec leb_width u = if u lsr 7 = 0 then 1 else 1 + leb_width (u lsr 7)
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 
-let entry_width (e : Rekey_msg.entry) =
-  let ct = Bytes.length e.ciphertext in
-  List.fold_left
-    (fun acc v -> acc + leb_width (zigzag v))
-    (leb_width ct + ct)
-    [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ]
+let kind_of (e : Rekey_msg.entry) =
+  match Bytes.length e.ciphertext with
+  | 32 -> 0
+  | 20 -> 1
+  | 4 -> 2
+  | n -> Alcotest.failf "no entry kind has a %d-byte ciphertext" n
 
-(* A payload: varint count, then every entry's varints and ciphertext. *)
-let payload_size es =
-  List.fold_left (fun acc e -> acc + entry_width e) (leb_width (List.length es)) es
+(* Maximal runs of consecutive entries sharing target, version and kind. *)
+let runs es =
+  List.fold_left
+    (fun acc (e : Rekey_msg.entry) ->
+      match acc with
+      | ((h : Rekey_msg.entry) :: _ as run) :: rest
+        when h.target_node = e.target_node
+             && h.target_version = e.target_version
+             && kind_of h = kind_of e ->
+          (e :: run) :: rest
+      | _ -> [ e ] :: acc)
+    [] es
+  |> List.rev_map List.rev
+
+(* Walk a payload's varints in order, with the bytes between them:
+   the group count, then per group the target and version deltas and
+   count * 4 + kind, then per entry the wrapped delta and ciphertext. *)
+let fold_layout ~varint ~raw init es =
+  let rs = runs es in
+  let acc = varint init (List.length rs) in
+  fst
+    (List.fold_left
+       (fun (acc, (t, v)) run ->
+         let h : Rekey_msg.entry = List.hd run in
+         let acc = varint acc (zigzag (h.target_node - t)) in
+         let acc = varint acc (zigzag (h.target_version - v)) in
+         let acc = varint acc ((List.length run * 4) + kind_of h) in
+         let acc, _ =
+           List.fold_left
+             (fun (acc, prev) (e : Rekey_msg.entry) ->
+               (raw (varint acc (zigzag (e.wrapped_under - prev))) e.ciphertext, e.wrapped_under))
+             (acc, h.target_node) run
+         in
+         (acc, (h.target_node, h.target_version)))
+       (acc, (0, 0)) rs)
+
+let payload_size =
+  fold_layout ~varint:(fun acc u -> acc + leb_width u) ~raw:(fun acc b -> acc + Bytes.length b) 0
+
+(* The flat layout this one replaced: an entry count, then per entry
+   five zigzag varints (target, version, level, wrapped, receivers), a
+   ciphertext length and the ciphertext. *)
+let flat_payload_size es =
+  List.fold_left
+    (fun acc (e : Rekey_msg.entry) ->
+      let ct = Bytes.length e.ciphertext in
+      List.fold_left
+        (fun acc v -> acc + leb_width (zigzag v))
+        (acc + leb_width ct + ct)
+        [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ])
+    (leb_width (List.length es))
+    es
 
 let test_packet_roundtrip () =
   let entries = sample_entries () in
@@ -66,11 +111,32 @@ let test_packet_roundtrip () =
   in
   Alcotest.(check bool) "all entries recovered in order" true (entries_equal entries decoded)
 
+(* The worst single entry: every delta a 9-byte varint (min_int from
+   0, max_int from 0, 0 from min_int), a 32-byte wrap. *)
+let worst_entry =
+  {
+    Rekey_msg.target_node = min_int;
+    target_version = max_int;
+    level = 0;
+    wrapped_under = 0;
+    receivers = 0;
+    ciphertext = Bytes.make Key.wrapped_size 'w';
+  }
+
 let test_packet_capacity_too_small () =
   let entries = sample_entries () in
-  match Packet.encode_entries ~capacity_bytes:10 entries with
+  (match Packet.encode_entries ~capacity_bytes:10 entries with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "tiny capacity accepted"
+  | _ -> Alcotest.fail "tiny capacity accepted");
+  let floor = Packet.min_capacity_bytes in
+  Alcotest.(check int) "the floor" 61 floor;
+  Alcotest.(check int) "the worst entry fills it" floor (payload_size [ worst_entry ]);
+  let packets = Packet.encode_entries ~capacity_bytes:floor [ worst_entry; worst_entry ] in
+  Alcotest.(check (list int)) "one per packet at the floor" [ floor; floor ]
+    (List.map (fun (p : Packet.t) -> Bytes.length p.payload) packets);
+  match Packet.encode_entries ~capacity_bytes:(floor - 1) [ worst_entry ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "the worst entry packed below the floor"
 
 let test_packet_blocks () =
   let entries = sample_entries () in
@@ -383,8 +449,8 @@ let prop_packet_fec_short_tail =
       in
       entries_equal entries decoded)
 
-(* The varint layout over any int: edge values, both signs, values
-   beyond 2^32, and ciphertexts of 0-300 bytes. *)
+(* The layout over any int: edge values, both signs, values beyond
+   2^32, 2e9-stride band ids, and every entry kind. *)
 let any_int =
   QCheck.Gen.(
     oneof
@@ -394,22 +460,33 @@ let any_int =
         map (fun k -> (1 lsl k) - 1) (int_range 0 62);
         map (fun k -> -(1 lsl k)) (int_range 0 62);
         map (fun v -> (1 lsl 32) + v) (int_bound 1_000_000);
+        map2 (fun b v -> (b * 2_000_000_000) + v) (int_bound 8) (int_bound 1000);
       ])
 
-let gen_entry =
+let gen_ciphertext =
   QCheck.Gen.(
-    map
-      (fun ((target_node, target_version, level), (wrapped_under, receivers, ct)) ->
-        {
-          Rekey_msg.target_node;
-          target_version;
-          level;
-          wrapped_under;
-          receivers;
-          ciphertext = Bytes.of_string ct;
-        })
-      (pair (triple any_int any_int any_int)
-         (triple any_int any_int (string_size ~gen:char (int_bound 300)))))
+    oneofl [ Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes ]
+    >>= fun n -> map Bytes.of_string (string_size ~gen:char (return n)))
+
+(* A run of 1-4 entries of one target, version and kind, wrapped under
+   ids near the target or anywhere; runs that happen to share a key
+   with their predecessor merge on the wire, as they should. *)
+let gen_group =
+  QCheck.Gen.(
+    triple any_int any_int gen_ciphertext >>= fun (target_node, target_version, ct) ->
+    list_size (int_range 1 4)
+      (triple (oneof [ any_int; map (( + ) target_node) (int_range (-40) 40) ]) any_int any_int)
+    >|= List.map (fun (wrapped_under, level, receivers) ->
+            {
+              Rekey_msg.target_node;
+              target_version;
+              level;
+              wrapped_under;
+              receivers;
+              ciphertext = Bytes.copy ct;
+            }))
+
+let gen_entries lo hi = QCheck.Gen.(list_size (int_range lo hi) gen_group >|= List.concat)
 
 (* Entries, plus a capacity from the tightest legal one up to 2 KiB
    beyond it. *)
@@ -417,8 +494,8 @@ let arb_batch =
   QCheck.make
     ~print:(fun (es, cap) -> Printf.sprintf "%d entries, capacity %d" (List.length es) cap)
     QCheck.Gen.(
-      list_size (int_range 1 40) gen_entry >>= fun es ->
-      let tightest = 1 + List.fold_left (fun acc e -> max acc (entry_width e)) 0 es in
+      gen_entries 1 15 >>= fun es ->
+      let tightest = List.fold_left (fun acc e -> max acc (payload_size [ e ])) 0 es in
       map (fun extra -> (es, tightest + extra)) (int_bound 2048))
 
 let decode_all packets =
@@ -435,19 +512,13 @@ let prop_any_int_roundtrip =
       entries_equal entries (decode_all (Packet.encode_entries ~capacity_bytes entries)))
 
 let prop_payload_size =
-  QCheck.Test.make ~name:"payload = count varint + entry sizes, within capacity" ~count:300
+  QCheck.Test.make ~name:"payload = count varint + group sizes, within capacity" ~count:300
     arb_batch (fun (entries, capacity_bytes) ->
       List.for_all
         (fun (p : Packet.t) ->
           let es = Result.get_ok (Packet.decode_payload p.payload) in
           let n = Bytes.length p.payload in
-          n <= capacity_bytes
-          && n = payload_size es
-          && n
-             = List.fold_left
-                 (fun acc e -> acc + Packet.entry_size_of e)
-                 (Gkm_crypto.Codec.uvarint_size (List.length es))
-                 es)
+          n <= capacity_bytes && n = payload_size es)
         (Packet.encode_entries ~capacity_bytes entries))
 
 let prop_zero_extended =
@@ -472,24 +543,23 @@ let rec leb ?(extra = 0) u =
     String.make 1 (Char.chr (u land 0x7F lor 0x80))
     ^ leb ~extra:(if last then extra - 1 else extra) (u lsr 7)
 
-(* A payload spelled by hand, one varint field of it (0 = the count,
-   then six per entry) replaced by [spell]'s bytes. *)
+(* A payload spelled by hand, its varint number [field] (in
+   {!fold_layout}'s order: 0 is the group count, 1-3 the first group's
+   header, 4 its first wrapped delta) replaced by [spell]'s bytes. *)
 let hand_payload ?(field = -1) ?(spell = fun u -> leb u) entries =
-  let buf = Buffer.create 256 and i = ref 0 in
-  let put u =
-    Buffer.add_string buf (if !i = field then spell u else leb u);
-    incr i
-  in
-  put (List.length entries);
-  List.iter
-    (fun (e : Rekey_msg.entry) ->
-      List.iter
-        (fun v -> put (zigzag v))
-        [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ];
-      put (Bytes.length e.ciphertext);
-      Buffer.add_bytes buf e.ciphertext)
-    entries;
+  let buf = Buffer.create 256 in
+  ignore
+    (fold_layout
+       ~varint:(fun i u ->
+         Buffer.add_string buf (if i = field then spell u else leb u);
+         i + 1)
+       ~raw:(fun i b ->
+         Buffer.add_bytes buf b;
+         i)
+       0 entries);
   Buffer.to_bytes buf
+
+let n_fields es = fold_layout ~varint:(fun i _ -> i + 1) ~raw:(fun i _ -> i) 0 es
 
 let refused b =
   match Packet.decode_payload b with
@@ -501,8 +571,7 @@ let arb_entries_field =
   QCheck.make
     ~print:(fun (es, f) -> Printf.sprintf "%d entries, field %d" (List.length es) f)
     QCheck.Gen.(
-      list_size (int_range 1 8) gen_entry >>= fun es ->
-      map (fun f -> (es, f)) (int_bound (6 * List.length es)))
+      gen_entries 1 4 >>= fun es -> map (fun f -> (es, f)) (int_bound (n_fields es - 1)))
 
 let prop_hand_spelling =
   QCheck.Test.make ~name:"decode refuses non-canonical varints, never raises" ~count:300
@@ -516,20 +585,262 @@ let prop_hand_spelling =
 
 let prop_hostile_counts =
   QCheck.Test.make ~name:"decode refuses hostile counts and lengths" ~count:200
-    (QCheck.pair (QCheck.make QCheck.Gen.(list_size (int_range 1 8) gen_entry)) QCheck.small_nat)
+    (QCheck.pair (QCheck.make (gen_entries 1 4)) QCheck.small_nat)
     (fun (entries, extra) ->
       let n = List.length entries in
-      let count spell = hand_payload ~field:0 ~spell entries in
+      let groups spell = hand_payload ~field:0 ~spell entries in
       let leb63 = String.make 8 '\xff' ^ "\x7f" (* 2^63 - 1: beyond max_int *) in
-      refused (count (fun _ -> leb (n + 1 + extra)))
-      && refused (count (fun _ -> leb max_int))
-      && refused (count (fun _ -> leb63))
-      (* the first ciphertext length, beyond max_int or the bytes left *)
-      && refused (hand_payload ~field:6 ~spell:(fun _ -> leb63) entries)
+      refused (groups (fun _ -> leb (List.length (runs entries) + 1 + extra)))
+      && refused (groups (fun _ -> leb max_int))
+      && refused (groups (fun _ -> leb63))
+      (* the first group's count * 4 + kind, beyond max_int or the
+         entries the bytes hold *)
+      && refused (hand_payload ~field:3 ~spell:(fun _ -> leb63) entries)
       && refused
-           (hand_payload ~field:6
-              ~spell:(fun u -> leb (u + 1 + extra + (300 * n)))
-              entries))
+           (hand_payload ~field:3 ~spell:(fun u -> leb (u + (4 * (1 + extra + (300 * n))))) entries))
+
+(* Damaged payloads: whatever the decoder accepts re-encodes to the
+   bytes it consumed, so it accepts one spelling of each entry list. *)
+let prop_fixpoint =
+  QCheck.Test.make ~name:"accepted payloads re-encode to the bytes they consumed" ~count:500
+    QCheck.(
+      pair (make (gen_entries 1 4)) (list_of_size Gen.(int_range 1 4) (pair small_nat (int_bound 255))))
+    (fun (entries, flips) ->
+      let b = Packet.encode_payload entries in
+      List.iter (fun (i, v) -> Bytes.set b (i mod Bytes.length b) (Char.chr v)) flips;
+      match Packet.decode_payload b with
+      | Error _ -> true
+      | Ok es ->
+          let again = Packet.encode_payload es in
+          Bytes.length again <= Bytes.length b
+          && Bytes.equal again (Bytes.sub b 0 (Bytes.length again))
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* Two groups spelled out byte by byte: K5 v2 wrapped under K11 and
+   K12, then the DEK (-1) v3 compact-wrapped under K5. *)
+let test_golden_payload () =
+  let entry target_node target_version wrapped_under ciphertext =
+    { Rekey_msg.target_node; target_version; level = 7; wrapped_under; receivers = 9; ciphertext }
+  in
+  let a = Bytes.make 32 'a' and b = Bytes.make 32 'b' and c = Bytes.make 20 'c' in
+  let entries = [ entry 5 2 11 a; entry 5 2 12 b; entry (-1) 3 5 c ] in
+  let expected =
+    String.concat ""
+      [
+        "\x02" (* two groups *);
+        "\x0a\x04\x08" (* target +5, version +2, 2 entries of kind 0 *);
+        "\x0c" (* K11 = K5 + 6 *);
+        Bytes.to_string a;
+        "\x02" (* K12 = K11 + 1 *);
+        Bytes.to_string b;
+        "\x0b\x02\x05" (* target -6, version +1, 1 entry of kind 1 *);
+        "\x0c" (* K5 = -1 + 6 *);
+        Bytes.to_string c;
+      ]
+  in
+  Alcotest.(check string) "bytes" expected (Bytes.to_string (Packet.encode_payload entries));
+  Alcotest.(check int) "94 bytes, against 103 flat" 94 (String.length expected);
+  Alcotest.(check int) "the flat layout" 103 (flat_payload_size entries);
+  match Packet.decode_payload (Bytes.of_string expected) with
+  | Ok es ->
+      Alcotest.(check bool) "decodes" true (entries_equal entries es);
+      List.iter
+        (fun (e : Rekey_msg.entry) ->
+          Alcotest.(check (pair int int)) "level, receivers" (0, 0) (e.level, e.receivers))
+        es
+  | Error e -> Alcotest.fail e
+
+let test_malformed_groups () =
+  let wrap = String.make 32 'w' in
+  let error what s =
+    match Packet.decode_payload (Bytes.of_string s) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  let accepted what s =
+    match Packet.decode_payload (Bytes.of_string s) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s refused: %s" what e
+  in
+  (* one group: K1 v0, one wrap under K1 *)
+  let group header = "\x02\x00" ^ header ^ "\x00" ^ wrap in
+  accepted "a one-wrap group" ("\x01" ^ group "\x04");
+  error "a zero-count group" ("\x01" ^ group "\x00");
+  error "kind 3" ("\x01" ^ group "\x07");
+  error "kind 3 with no bytes behind it" "\x01\x02\x00\x07";
+  (* a second group with the same target, version and kind *)
+  let again header ct = "\x00\x00" ^ header ^ "\x00" ^ ct in
+  error "a repeated group key" ("\x02" ^ group "\x04" ^ again "\x04" wrap);
+  accepted "the same target and version, another kind"
+    ("\x02" ^ group "\x04" ^ again "\x06" "\x00\x00\x00\x01");
+  error "an overlong target delta" ("\x01\x82\x00\x00\x04\x00" ^ wrap);
+  error "an overlong wrapped delta" ("\x01\x02\x00\x04\x80\x00" ^ wrap);
+  error "an overlong count" ("\x01\x02\x00\x84\x00\x00" ^ wrap);
+  error "a count the bytes cannot pay for" ("\x01" ^ group (leb (1000 * 4)));
+  error "two entries, one paid for" ("\x01" ^ group "\x08");
+  error "more groups than bytes" ("\x7f" ^ group "\x04");
+  error "a cut ciphertext" ("\x01" ^ String.sub (group "\x04") 0 20)
+
+let test_kindless_ciphertext_refused () =
+  match
+    Packet.encode_payload
+      [
+        {
+          Rekey_msg.target_node = 1;
+          target_version = 1;
+          level = 0;
+          wrapped_under = 2;
+          receivers = 1;
+          ciphertext = Bytes.make 31 'x';
+        };
+      ]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a 31-byte ciphertext encoded"
+
+(* Real rekeys of every organization, packed at every capacity from
+   the floor up: each packet decodes alone to its share of the
+   entries, and the packets of a block that lost two to FEC decode
+   from their zero-extended recoveries. *)
+let organization_rekeys selector =
+  let spec = Result.get_ok (Organization.spec_of_string ~degree:3 ~s_period:2 ~seed:7 selector) in
+  let module O = (val Organization.create spec : Organization.S) in
+  let register m =
+    ignore
+      (O.register ~member:m
+         ~cls:(if m mod 2 = 0 then Scheme.Short else Scheme.Long)
+         ~loss:(if m mod 3 = 0 then 0.2 else 0.01))
+  in
+  List.iter register (range 0 39);
+  let first = O.rekey () in
+  let later =
+    List.filter_map
+      (fun i ->
+        O.enqueue_departure (7 * i);
+        register (100 + i);
+        O.rekey ())
+      (range 1 4)
+  in
+  List.map (fun (m : Rekey_msg.t) -> m.entries) (Option.to_list first @ later)
+
+let rec chunks n l =
+  match l with
+  | [] -> []
+  | _ -> List.filteri (fun i _ -> i < n) l :: chunks n (List.filteri (fun i _ -> i >= n) l)
+
+let test_every_organization () =
+  let capacities = [ Packet.min_capacity_bytes; Packet.min_capacity_bytes + 1; 64; 100; 256; 1024 ] in
+  List.iter
+    (fun selector ->
+      let rekeys = organization_rekeys selector in
+      Alcotest.(check bool) (selector ^ ": rekeys with entries") true (List.exists (( <> ) []) rekeys);
+      List.iter
+        (fun entries ->
+          List.iter
+            (fun capacity_bytes ->
+              let what = Printf.sprintf "%s at %d B" selector capacity_bytes in
+              let packets = Packet.encode_entries ~capacity_bytes entries in
+              let alone =
+                List.map
+                  (fun (p : Packet.t) ->
+                    Alcotest.(check bool) (what ^ ": within capacity") true
+                      (Bytes.length p.payload <= capacity_bytes);
+                    match Packet.decode_payload p.payload with
+                    | Ok es ->
+                        Alcotest.(check int) (what ^ ": exact size") (payload_size es)
+                          (Bytes.length p.payload);
+                        es
+                    | Error e -> Alcotest.failf "%s: %s" what e)
+                  packets
+              in
+              Alcotest.(check bool) (what ^ ": packets alone") true
+                (entries_equal entries (List.concat alone));
+              List.iter2
+                (fun block expected ->
+                  let k = List.length block in
+                  let parity = List.mapi (fun j s -> (j, s)) (Packet.parity_shards block ~nparity:2) in
+                  let data =
+                    List.filter_map
+                      (fun (p : Packet.t) ->
+                        if p.index_in_block < 2 then None else Some (p.index_in_block, p.payload))
+                      block
+                  in
+                  match Packet.recover_block ~k ~data ~parity with
+                  | Error e -> Alcotest.failf "%s: %s" what e
+                  | Ok payloads ->
+                      List.iter2
+                        (fun payload es ->
+                          match Packet.decode_payload payload with
+                          | Ok got ->
+                              Alcotest.(check bool) (what ^ ": recovered") true (entries_equal es got)
+                          | Error e -> Alcotest.failf "%s: recovered: %s" what e)
+                        payloads expected)
+                (Packet.blocks_of_packets ~block_size:4 packets)
+                (chunks 4 alone))
+            capacities)
+        rekeys)
+    [
+      "one";
+      "qt";
+      "tt";
+      "composed";
+      "loss:0.05";
+      "random:2";
+      "one+derived";
+      "tt+derived";
+      "composed+derived";
+      "loss:0.05+derived";
+    ]
+
+(* TT at N = 1024: ten churned rekeys, packed at 1 KiB, pinned to the
+   byte. Together they cost at most 0.85x what the flat layout spent
+   (0.83x: ~0.87x for each of the nine churn rekeys, 0.78x for the
+   tenth, which migrates the S-partition). *)
+let test_tt_byte_pin () =
+  let s = Scheme.create { (Scheme.default_config Scheme.Tt) with seed = 1 } in
+  let rng = Prng.create 23 in
+  let live = Hashtbl.create 1100 and next = ref 0 in
+  let join () =
+    let m = !next in
+    incr next;
+    Hashtbl.replace live m ();
+    ignore
+      (Scheme.register s ~member:m ~cls:(if Prng.float rng 1.0 < 0.8 then Scheme.Short else Scheme.Long))
+  in
+  for _ = 1 to 1024 do
+    join ()
+  done;
+  ignore (Scheme.rekey s);
+  let rekey () =
+    let ids = List.sort compare (Hashtbl.fold (fun m () acc -> m :: acc) live []) |> Array.of_list in
+    let departs = List.sort_uniq compare (List.init 24 (fun _ -> ids.(Prng.int rng (Array.length ids)))) in
+    List.iter
+      (fun m ->
+        Hashtbl.remove live m;
+        Scheme.enqueue_departure s m)
+      departs;
+    List.iter (fun _ -> join ()) departs;
+    (Option.get (Scheme.rekey s)).Rekey_msg.entries
+  in
+  let rekeys = List.init 10 (fun _ -> rekey ()) in
+  let packed entries =
+    List.fold_left
+      (fun acc (p : Packet.t) -> acc + Bytes.length p.payload)
+      0
+      (Packet.encode_entries ~capacity_bytes:1024 entries)
+  in
+  Alcotest.(check (list int))
+    "payload bytes per rekey"
+    [ 8455; 7894; 8315; 8439; 9141; 8313; 9135; 8032; 8448; 51995 ]
+    (List.map packed rekeys);
+  let total size = List.fold_left (fun acc es -> acc + size es) 0 rekeys in
+  let grouped = total (fun es -> Bytes.length (Packet.encode_payload es))
+  and flat = total flat_payload_size in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d B <= 0.85 x %d B" grouped flat)
+    true
+    (float_of_int grouped <= 0.85 *. float_of_int flat)
 
 let () =
   Alcotest.run "gkm_packet"
@@ -550,6 +861,10 @@ let () =
             QCheck_alcotest.to_alcotest prop_packet_roundtrip;
             QCheck_alcotest.to_alcotest prop_packet_wide_roundtrip;
             QCheck_alcotest.to_alcotest prop_packet_fec_short_tail;
+          ]
+        @ [
+            Alcotest.test_case "every organization round-trips" `Quick test_every_organization;
+            Alcotest.test_case "TT byte pin" `Quick test_tt_byte_pin;
           ] );
       ( "varint",
         List.map QCheck_alcotest.to_alcotest
@@ -559,5 +874,11 @@ let () =
             prop_zero_extended;
             prop_hand_spelling;
             prop_hostile_counts;
+            prop_fixpoint;
+          ]
+        @ [
+            Alcotest.test_case "golden two-group payload" `Quick test_golden_payload;
+            Alcotest.test_case "malformed groups are errors" `Quick test_malformed_groups;
+            Alcotest.test_case "kindless ciphertext refused" `Quick test_kindless_ciphertext_refused;
           ] );
     ]
