@@ -266,6 +266,7 @@ let composed_rekey t =
         in
         let dek = Key.fresh t.c_rng in
         t.c_dek <- Some dek;
+        let check = Key.check dek in
         let wraps =
           List.filter_map
             (fun (_, sch) ->
@@ -278,7 +279,7 @@ let composed_rekey t =
                       level = 0;
                       wrapped_under = root;
                       receivers = Scheme.size sch;
-                      ciphertext = Key.wrap ~kek:gk dek;
+                      ciphertext = Key.wrap_checked_with (Key.cipher gk) ~check dek;
                     }
               | _ -> None)
             live

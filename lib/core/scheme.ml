@@ -174,14 +174,20 @@ let entries_of_updates t ~shift updates =
   let msg = Rekey_msg.of_updates ~epoch:t.interval ~root_node:0 updates in
   List.map (fun (e : Rekey_msg.entry) -> { e with level = e.level + shift }) msg.entries
 
-let dek_entry t ~under_node ~under_key ~receivers dek_key =
+(* A fresh DEK, installed, with the check that all its wraps share. *)
+let fresh_dek t =
+  let dek = Key.fresh t.rng in
+  t.dek <- Some dek;
+  (dek, Key.check dek)
+
+let dek_entry t ~under_node ~under_key ~receivers (dek, check) =
   {
     Rekey_msg.target_node = t.dek_id;
     target_version = t.interval;
     level = 0;
     wrapped_under = under_node;
     receivers;
-    ciphertext = Key.wrap ~kek:under_key dek_key;
+    ciphertext = Key.wrap_checked_with (Key.cipher under_key) ~check dek;
   }
 
 let record_placements t tree members =
@@ -192,14 +198,14 @@ let record_placements t tree members =
       | [] -> ())
     members
 
-let root_wrap t tree dek_key =
+let root_wrap t tree dek =
   match Keytree.root_id tree with
   | None -> []
   | Some root ->
       [
         dek_entry t ~under_node:root
           ~under_key:(Option.get (Keytree.group_key tree))
-          ~receivers:(Keytree.size tree) dek_key;
+          ~receivers:(Keytree.size tree) dek;
       ]
 
 let finish t ~root_node entries =
@@ -263,8 +269,7 @@ let rekey_qt t queue l ~joins ~departs =
       if departs <> [] then begin
         (* Eviction: fresh DEK to every queue member individually plus
            the L-tree root — the queue's Ns-keys cost (Section 3.2). *)
-        let dek = Key.fresh t.rng in
-        t.dek <- Some dek;
+        let dek = fresh_dek t in
         let queue_wraps =
           Hashtbl.fold
             (fun m entry acc ->
@@ -277,8 +282,7 @@ let rekey_qt t queue l ~joins ~departs =
       else if joins <> [] then begin
         (* Join-only: new DEK under the old group key (one entry) plus
            one entry per fresh queue joiner (paper Section 3.2 phase 1). *)
-        let dek = Key.fresh t.rng in
-        t.dek <- Some dek;
+        let dek = fresh_dek t in
         let old_wrap =
           match old_dek with
           | Some old_key ->
@@ -302,8 +306,7 @@ let rekey_qt t queue l ~joins ~departs =
         match old_dek with
         | Some _ -> []
         | None ->
-            let dek = Key.fresh t.rng in
-            t.dek <- Some dek;
+            let dek = fresh_dek t in
             Hashtbl.fold
               (fun m entry acc ->
                 dek_entry t ~under_node:(synthetic_leaf m) ~under_key:entry.qkey ~receivers:1 dek
@@ -332,8 +335,7 @@ let rekey_forest t s l ~changed ~s_updates ~l_updates =
       let tree_entries = entries_of_updates t ~shift:1 (s_updates @ l_updates) in
       let dek_entries =
         if changed || t.dek = None then begin
-          let dek = Key.fresh t.rng in
-          t.dek <- Some dek;
+          let dek = fresh_dek t in
           root_wrap t s dek @ root_wrap t l dek
         end
         else []

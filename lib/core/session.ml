@@ -328,7 +328,7 @@ let deliver st ~now msg =
   outcome
 
 (* One in-flight corruption: flip one ciphertext bit of an
-   injector-chosen entry. [Key.unwrap]'s integrity check makes the
+   injector-chosen entry. [Key.unwrap]'s key check makes the
    receivers discard the entry, so its receivers miss a key — the
    detectable-corruption model of the wrap format. *)
 let corrupt_msg fi msg =

@@ -15,27 +15,34 @@ let expand_label k label fields =
 let equal = Bytes.equal
 let compare = Bytes.compare
 let wrapped_size = 32
+let check_size = 16
 
-let integrity_block k = Bytes.sub (Sha256.digest k) 0 size
+let check k =
+  let h = Sha256.init () in
+  Sha256.update_string h Labels.key_check;
+  Sha256.update h k;
+  Bytes.sub (Sha256.finalize h) 0 check_size
 
 type cipher = Pkg.sched
 
 let cipher ?(suite = Pkg.default) k = Pkg.schedule suite k
 
-let wrap_with cipher k =
+let wrap_checked_with cipher ~check k =
   let out = Bytes.create wrapped_size in
   Bytes.blit (Pkg.encrypt_block cipher k) 0 out 0 size;
-  (* The second block binds the key to its hash; a wrong KEK yields a
-     mismatched pair with overwhelming probability. *)
-  Bytes.blit (Pkg.encrypt_block cipher (integrity_block k)) 0 out size size;
+  Bytes.blit check 0 out size check_size;
   out
+
+let wrap_with cipher k = wrap_checked_with cipher ~check:(check k) k
 
 let unwrap_with cipher c =
   if Bytes.length c <> wrapped_size then
-    invalid_arg "Key.unwrap: ciphertext must be two blocks";
+    invalid_arg "Key.unwrap: a wrapped key is one block and a check";
+  (* Under a wrong KEK, or with the block or the check damaged, the
+     decrypted key's check differs from the carried one but for a
+     2^-128 chance. *)
   let k = Pkg.decrypt_block cipher (Bytes.sub c 0 size) in
-  let check = Pkg.decrypt_block cipher (Bytes.sub c size size) in
-  if Bytes.equal check (integrity_block k) then Some k else None
+  if Bytes.equal (check k) (Bytes.sub c size check_size) then Some k else None
 
 let wrap_block_with cipher k = Pkg.encrypt_block cipher k
 

@@ -2,7 +2,10 @@
 
     Keys are 16-byte AES-128 keys. Wrapping a key under another key is
     a single AES block encryption — exactly the operation counted by
-    the paper's "number of encrypted keys" rekeying-cost metric. *)
+    the paper's "number of encrypted keys" rekeying-cost metric. The
+    classical wrap appends a {!check} of the wrapped key, which
+    depends on the key alone, so every wrap of one key carries the
+    same check and the wire sends it once per refreshed key. *)
 
 type t
 (** A 16-byte symmetric key. Structural equality compares material. *)
@@ -31,7 +34,16 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val wrapped_size : int
-(** Size in bytes of a wrapped key (32: key block + integrity block). *)
+(** Size in bytes of a classical wrap (32: the encrypted key block,
+    then its {!check}). *)
+
+val check_size : int
+(** Size in bytes of a key check (16). *)
+
+val check : t -> bytes
+(** [check k] is [SHA-256(Labels.key_check || k)[0:16]]: what
+    {!unwrap_with} compares the decrypted key against. It is a one-way
+    function of the key, and readable by anyone who reads the wrap. *)
 
 type cipher = Pkg.sched
 (** A packed expanded key schedule ({!Pkg.sched}). Expanding a KEK is
@@ -48,18 +60,23 @@ val wrap_with : cipher -> t -> bytes
 (** [wrap_with c k] is {!wrap} with a pre-expanded KEK schedule —
     bit-identical output, without the per-call key expansion. *)
 
+val wrap_checked_with : cipher -> check:bytes -> t -> bytes
+(** [wrap_checked_with c ~check:(check k) k] is [wrap_with c k]
+    without hashing [k] again: a server wrapping one refreshed key
+    under each of its children computes the check once. The caller
+    vouches that [check] is [check k]. *)
+
 val unwrap_with : cipher -> bytes -> t option
 (** [unwrap_with c ct] is {!unwrap} with a pre-expanded schedule.
     @raise Invalid_argument if [ct] has the wrong length. *)
 
 val wrap_block_with : cipher -> t -> bytes
 (** [wrap_block_with c k] is the single-block wrapping [E_kek(k)]
-    (16 bytes, no integrity block) — the paper's one-encryption-per-key
-    cost model taken literally. There is no wrong-KEK detection in the
-    ciphertext itself; callers must guard against stale wrapping keys
-    out of band (the derived rekey mode pairs each compact wrap with
-    the wrapping key's version, mirroring the derivation-notice
-    staleness check). *)
+    (16 bytes, no check) — the first half of {!wrap_with}. There is
+    no wrong-KEK detection in the ciphertext itself; callers must
+    guard against stale wrapping keys out of band (the derived rekey
+    mode pairs each compact wrap with the wrapping key's version,
+    mirroring the derivation-notice staleness check). *)
 
 val unwrap_block_with : cipher -> bytes -> t
 (** [unwrap_block_with c ct] inverts {!wrap_block_with}. Always
@@ -69,16 +86,17 @@ val unwrap_block_with : cipher -> bytes -> t
     @raise Invalid_argument if [ct] is not exactly one block. *)
 
 val wrap : kek:t -> t -> bytes
-(** [wrap ~kek k] encrypts key [k] under the key-encryption key [kek]:
-    two AES-128 blocks carrying the key and an integrity check, so
-    that decryption under the wrong KEK is detectable. A receiver
-    holding a stale version of a wrapping key must not silently adopt
-    garbage — exactly what happens to members that migrated between
-    key-tree partitions. *)
+(** [wrap ~kek k] is [E_kek(k) || check k]: one AES-128 block carrying
+    the key, then its {!check}, so that decryption under the wrong KEK
+    is detectable. A receiver holding a stale version of a wrapping
+    key must not silently adopt garbage — exactly what happens to
+    members that migrated between key-tree partitions. *)
 
 val unwrap : kek:t -> bytes -> t option
-(** [unwrap ~kek c] inverts {!wrap}; [None] if [c] was not produced
-    under [kek] (integrity check fails).
+(** [unwrap ~kek c] decrypts [c]'s first block under [kek] and returns
+    the key if its {!check} equals [c]'s last 16 bytes; [None] under a
+    wrong or stale KEK, or if either half was altered, except with
+    probability 2^-128.
     @raise Invalid_argument if [c] has the wrong length. *)
 
 val pp : Format.formatter -> t -> unit

@@ -43,10 +43,15 @@ let resync = v "resync-auth" "gkm-resync-v1"
 let record_salt = v "record-salt" "gkm-record-v2"
 let resume_salt = v "resume-salt" "gkm-resume-v2"
 
-(* -- Hash-prefix labels (SHA-256 domain separation in OFT) -- *)
+(* -- Hash-prefix labels (SHA-256 domain separation) -- *)
 
 let oft_blind = v "oft-blind" "oft-blind"
 let oft_mix = v "oft-mix" "oft-node"
+
+let key_check = v "key-check" "gkm-key-check1"
+(* Classical wraps carry the check SHA-256(label || k)[0:16]; a
+   receiver accepts the key it decrypts from the wrap's single block
+   only if the key's check matches. *)
 
 let all () = List.rev !registered
 

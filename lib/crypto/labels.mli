@@ -36,6 +36,10 @@ val oft_blind : string
 val oft_mix : string
 (** SHA-256 domain prefix for OFT sibling mixing. *)
 
+val key_check : string
+(** SHA-256 domain prefix of a classical wrap's key check
+    ({!Key.check}). *)
+
 val all : unit -> (string * string) list
 (** All registered [(name, label)] pairs, registration order. *)
 

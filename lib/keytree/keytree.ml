@@ -278,8 +278,8 @@ let wrap_of c =
 
 (* Derived-mode wraps carry the wrapping key's version so the member
    side can apply the same staleness guard as derivation notices, in
-   exchange for the compact single-block ciphertext (no integrity
-   block). [c.version] is final here because the bottom-up refresh has
+   exchange for the compact single-block ciphertext (no key
+   check). [c.version] is final here because the bottom-up refresh has
    already run when emission happens. *)
 let compact_wrap_of c = { (wrap_of c) with under_version = Some c.version }
 

@@ -43,11 +43,11 @@ type wrap = {
           not once per wrap — and a caller that never encrypts pays
           nothing *)
   under_version : int option;
-      (** [None] ({!Wrap} mode): classical 32-byte wrap with integrity
-          block. [Some v] ({!Derived} mode): compact 20-byte wrap — the
+      (** [None] ({!Wrap} mode): classical 32-byte wrap, one encrypted
+          block and the key's check. [Some v] ({!Derived} mode): compact 20-byte wrap — the
           wrapping key's version [v] followed by a single encrypted
           block — relying on the receiver-side version guard instead of
-          an integrity check to reject stale wrapping keys. *)
+          a key check to reject stale wrapping keys. *)
   receivers : int;  (** members beneath that child = members needing this wrap *)
 }
 (** One encryption of an updated key under one of its children. *)

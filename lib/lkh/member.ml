@@ -67,10 +67,10 @@ let process_derive t (e : Rekey_msg.entry) kek_slot =
     true
   end
 
-(* A derived-mode compact wrap: one block, no integrity check. The
+(* A derived-mode compact wrap: one block, no key check. The
    same staleness guard as derivation notices stands in for it — a
    stale KEK fails the version comparison instead of the (absent)
-   integrity block, so the single-block decrypt below never runs under
+   key check, so the single-block decrypt below never runs under
    the wrong key generation. *)
 let process_compact t (e : Rekey_msg.entry) kek_slot =
   if kek_slot.version <> 0 && kek_slot.version <> Rekey_msg.compact_src_version e then false
@@ -91,7 +91,7 @@ let process_entry t (e : Rekey_msg.entry) =
       else if Rekey_msg.is_compact_wrap e then process_compact t e kek_slot
       else begin
         (* A stale wrapping key (e.g. after migrating out of a
-           partition) fails the integrity check and is ignored. *)
+           partition) fails the key check and is ignored. *)
         match Key.unwrap_with (slot_cipher kek_slot) e.ciphertext with
         | Some key ->
             Hashtbl.replace t.keys e.target_node (slot key e.target_version);

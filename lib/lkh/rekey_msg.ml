@@ -21,7 +21,8 @@ type t = { epoch : int; root_node : int; entries : entry list }
    what interest resolution needs. Payload lengths keep the three
    entry kinds unambiguous: 4 bytes = notice, 20 bytes = compact wrap
    (derived mode: 4-byte wrapping-key version || one encrypted
-   block), [Key.wrapped_size] = 32 bytes = classical wrap. *)
+   block), [Key.wrapped_size] = 32 bytes = classical wrap (one
+   encrypted block || the key's check). *)
 let derive_payload_bytes = 4
 let compact_wrap_bytes = derive_payload_bytes + Key.size
 
@@ -51,12 +52,16 @@ let of_updates ~epoch ~root_node updates =
               })
             u.derives
         in
+        (* one check per refreshed key, shared by all its wraps *)
+        let check = lazy (Key.check u.key) in
         let wraps =
           List.map
             (fun (w : Keytree.wrap) ->
               let ciphertext =
                 match w.under_version with
-                | None -> Key.wrap_with (Lazy.force w.under_cipher) u.key
+                | None ->
+                    Key.wrap_checked_with (Lazy.force w.under_cipher) ~check:(Lazy.force check)
+                      u.key
                 | Some v ->
                     let ct = Bytes.create compact_wrap_bytes in
                     ignore (Bytes_io.put_i32 ct 0 v);

@@ -27,7 +27,8 @@ type entry = {
   ciphertext : bytes;
       (** one of three self-describing payloads, distinguished by
           length: [Key.wrap ~kek:child target] (32 bytes, classical
-          wrap); the 4-byte big-endian wrapping-key version followed by
+          wrap: the encrypted block, then the target key's
+          [Key.check], which every wrap of that key shares); the 4-byte big-endian wrapping-key version followed by
           a single-block [E_child(target)] (20 bytes, derived-mode
           compact wrap); or the 4-byte big-endian source version alone
           (derivation notice) *)
@@ -40,8 +41,9 @@ type t = {
 }
 
 val of_updates : epoch:int -> root_node:int -> Gkm_keytree.Keytree.update list -> t
-(** Performs the actual encryptions for every wrap of every update,
-    and encodes every derivation notice (notices first within an
+(** Performs the actual encryptions for every wrap of every update
+    (one AES block per wrap, one [Key.check] per classically wrapped
+    update), and encodes every derivation notice (notices first within an
     update, so the deepest-first ordering across updates still means a
     member always processes the input key before its dependents). *)
 
@@ -53,7 +55,7 @@ val derive_payload_bytes : int
 val compact_wrap_bytes : int
 (** Payload size of a derived-mode compact wrap (20): the 4-byte
     wrapping-key version plus one encrypted block. Compact wraps drop
-    the classical integrity block; the receiver rejects stale wrapping
+    the classical key check; the receiver rejects stale wrapping
     keys through the version guard instead (the same check derivation
     notices use), and any residual corruption is caught by the
     session-level group-key verification and repaired by resync. *)

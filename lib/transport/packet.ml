@@ -10,9 +10,11 @@ type t = { seq : int; block : int; index_in_block : int; payload : bytes }
    padding: the capacity bounds a payload, it does not size it. *)
 
 (* Kind 0 is a classical wrap, 1 a compact wrap, 2 a derivation
-   notice; 3 is unused. *)
-let ciphertext_size =
-  [| Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes |]
+   notice; 3 is unused. A kind-0 group carries its entries' shared key
+   check once, so each of its entries is one encrypted block. *)
+let wire_size = [| Key.size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes |]
+
+let check_bytes kind = if kind = 0 then Key.check_size else 0
 
 let kind_of (e : Rekey_msg.entry) =
   match Bytes.length e.ciphertext with
@@ -21,11 +23,21 @@ let kind_of (e : Rekey_msg.entry) =
   | n when n = Rekey_msg.derive_payload_bytes -> 2
   | n -> invalid_arg (Printf.sprintf "Packet: a %d-byte ciphertext is no entry kind" n)
 
-(* The group count, then one group of one 32-byte wrap with every
-   delta at its widest. *)
+(* Whether [e] may share a group with [h], both of kind [k]: the same
+   target and version, and for kind 0 the same check (a classical
+   wrap's last 16 bytes). *)
+let same_group k (h : Rekey_msg.entry) (e : Rekey_msg.entry) =
+  let word b i : int64 = Bytes.get_int64_ne b (Key.size + i) in
+  h.target_node = e.target_node
+  && h.target_version = e.target_version
+  && (k <> 0
+     || (word h.ciphertext 0 = word e.ciphertext 0 && word h.ciphertext 8 = word e.ciphertext 8))
+
+(* The group count, then one group of one classical wrap with every
+   delta at its widest: the header, the check and the block. *)
 let min_capacity_bytes =
   let open Codec in
-  uvarint_size 1 + (3 * varint_size min_int) + uvarint_size 4 + Key.wrapped_size
+  uvarint_size 1 + (3 * varint_size min_int) + uvarint_size 4 + Key.check_size + Key.size
 
 (* Two one-byte deltas, the count/kind byte, and one entry: a one-byte
    delta and the shortest ciphertext. *)
@@ -37,9 +49,7 @@ let groups_of entries =
     (fun acc e ->
       let k = kind_of e in
       match acc with
-      | (k', (h : Rekey_msg.entry), es) :: rest
-        when k = k' && h.target_node = e.target_node && h.target_version = e.target_version ->
-          (k, h, e :: es) :: rest
+      | (k', h, es) :: rest when k = k' && same_group k h e -> (k, h, e :: es) :: rest
       | _ -> (k, e, [ e ]) :: acc)
     [] entries
   |> List.rev_map (fun (k, h, es) -> (k, h, List.rev es))
@@ -55,11 +65,12 @@ let encode_payload entries =
          add_varint buf (h.target_node - target);
          add_varint buf (h.target_version - version);
          add_uvarint buf ((List.length es * 4) + kind);
+         if kind = 0 then Buffer.add_subbytes buf h.ciphertext Key.size Key.check_size;
          ignore
            (List.fold_left
               (fun prev (e : Rekey_msg.entry) ->
                 add_varint buf (e.wrapped_under - prev);
-                Buffer.add_bytes buf e.ciphertext;
+                Buffer.add_subbytes buf e.ciphertext 0 wire_size.(kind);
                 e.wrapped_under)
               h.target_node es);
          (h.target_node, h.target_version))
@@ -71,12 +82,9 @@ let encode_payload entries =
    [count]; and whether [e] joins that group. *)
 let growth ~groups ~count batch (e : Rekey_msg.entry) k =
   let open Codec in
-  let ct = ciphertext_size.(k) in
+  let ct = wire_size.(k) in
   match batch with
-  | (last : Rekey_msg.entry) :: _
-    when kind_of last = k
-         && last.target_node = e.target_node
-         && last.target_version = e.target_version ->
+  | (last : Rekey_msg.entry) :: _ when kind_of last = k && same_group k last e ->
       ( varint_size (e.wrapped_under - last.wrapped_under)
         + ct
         + uvarint_size (((count + 1) * 4) + k)
@@ -90,6 +98,7 @@ let growth ~groups ~count batch (e : Rekey_msg.entry) k =
         + varint_size (e.target_node - target)
         + varint_size (e.target_version - version)
         + uvarint_size (4 + k)
+        + check_bytes k
         + varint_size (e.wrapped_under - e.target_node)
         + ct,
         false )
@@ -145,27 +154,28 @@ let encode_entries ?wide:_ ~capacity_bytes entries =
    bytes it read. *)
 let read_group r prev =
   let open Codec in
-  let pt, pv, pk = !prev in
+  let pt, pv, pk, pc = !prev in
   let target_node = pt + varint r in
   let target_version = pv + varint r in
   let header = uvarint r in
   let count = header lsr 2 and kind = header land 3 in
   if count = 0 then corrupt "empty entry group";
   if kind = 3 then corrupt "entry kind 3";
-  if target_node = pt && target_version = pv && kind = pk then
+  let check = bytes r (check_bytes kind) in
+  if target_node = pt && target_version = pv && kind = pk && Bytes.equal check pc then
     corrupt "entry group repeats its predecessor";
-  prev := (target_node, target_version, kind);
-  let size = ciphertext_size.(kind) and last = ref target_node in
+  prev := (target_node, target_version, kind, check);
+  let size = wire_size.(kind) and last = ref target_node in
   items r ~min_item_size:(1 + size) count (fun r ->
       let wrapped_under = !last + varint r in
       last := wrapped_under;
-      let ciphertext = bytes r size in
+      let ciphertext = Bytes.cat (bytes r size) check in
       { Rekey_msg.target_node; target_version; level = 0; wrapped_under; receivers = 0; ciphertext })
 
 let decode_payload payload =
   let open Codec in
   parse payload @@ fun r ->
-  let prev = ref (0, 0, -1) in
+  let prev = ref (0, 0, -1, Bytes.empty) in
   let groups = items r ~min_item_size:min_group_size (uvarint r) (fun r -> read_group r prev) in
   (* The one decoder that tolerates trailing bytes: FEC recovery
      zero-extends a payload to its block's longest shard. *)

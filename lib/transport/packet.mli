@@ -37,7 +37,10 @@ val encode_payload : Gkm_lkh.Rekey_msg.entry list -> bytes
     from the previous entry's after) and the ciphertext. Kind 0 is a
     32-byte classical wrap, 1 a 20-byte compact wrap and 2 a 4-byte
     derivation notice (see {!Gkm_lkh.Rekey_msg.entry}); the kind
-    implies the ciphertext's length. Deltas start from (0, 0) in
+    implies the ciphertext's length. A kind-0 group's entries also
+    share their last 16 bytes, the wrapped key's {!Gkm_crypto.Key.check}:
+    it is written once, after the count, and each entry then carries
+    only its 16-byte encrypted block. Deltas start from (0, 0) in
     every payload, so each decodes alone, and wrap modulo 2^63, so
     every int round-trips (see {!Gkm_crypto.Codec.add_varint}).
     [level] and [receivers] are not written. [encode_payload []] is
@@ -45,18 +48,21 @@ val encode_payload : Gkm_lkh.Rekey_msg.entry list -> bytes
     @raise Invalid_argument on a ciphertext of any other length. *)
 
 val min_capacity_bytes : int
-(** The payload of one group holding one 32-byte wrap with every
-    delta at its widest (9-byte) varint, plus the group count (61): a
-    capacity of at least this packs any rekey. *)
+(** The payload of one group holding one classical wrap with every
+    delta at its widest (9-byte) varint, plus the group count (61 =
+    1 + 3 x 9 + 1 + 16-byte check + 16-byte block): a capacity of at
+    least this packs any rekey. *)
 
 val decode_payload : bytes -> (Gkm_lkh.Rekey_msg.entry list, string) result
 (** Recover the entries of one packet payload (ignoring trailing bytes,
     such as the zeros FEC recovery extends a short payload with), with
-    [level] and [receivers] 0. Accepts only what {!encode_payload}
+    [level] and [receivers] 0, and each kind-0 entry's block joined
+    again with its group's check. Accepts only what {!encode_payload}
     writes, so an accepted payload re-encodes to the bytes it read:
     overlong or over-63-bit varints, an empty group, kind 3, a group
-    with its predecessor's target, version and kind, a count the bytes
-    cannot hold, or truncation give [Error]. Never raises. *)
+    with its predecessor's target, version, kind and check, a count
+    the bytes cannot hold, or truncation (a cut check included) give
+    [Error]. Never raises. *)
 
 val blocks_of_packets : block_size:int -> t list -> t list list
 (** Group packets into FEC blocks of [block_size], renumbering

@@ -449,17 +449,44 @@ let test_pkg_default_matches_primitives () =
     (Hex.encode (Pkg.kdf_derive Pkg.default ~salt:kb ~ikm:blk ~info:Bytes.empty 32))
 
 let test_wrap_format_pinned () =
-  (* Pin the classical wrap layout: E_kek(k) || E_kek(SHA256(k)[0:16]). *)
-  let kek_b = Hex.decode "000102030405060708090a0b0c0d0e0f" in
-  let k_b = Hex.decode "00112233445566778899aabbccddeeff" in
-  let sched = Aes128.expand kek_b in
-  let expected =
-    Bytes.cat
-      (Aes128.encrypt_block sched k_b)
-      (Aes128.encrypt_block sched (Bytes.sub (Sha256.digest k_b) 0 16))
+  (* Pin the classical wrap layout from independent parts: the block is
+     FIPS-197 Appendix C.1's AES-128 vector, and the check is SHA-256
+     over the label and the key, cut to 16 bytes. *)
+  let kek = Key.of_bytes (Hex.decode "000102030405060708090a0b0c0d0e0f") in
+  let k = Key.of_bytes (Hex.decode "00112233445566778899aabbccddeeff") in
+  let label = "gkm-key-check1" in
+  check_hex "the check's label" label Labels.key_check;
+  let expected_check =
+    Bytes.sub (Sha256.digest (Bytes.cat (Bytes.of_string label) (Key.to_bytes k))) 0 16
   in
-  check_hex "wrap = E(k) || E(sha256(k)[0:16])" (Hex.encode expected)
-    (Hex.encode (Key.wrap ~kek:(Key.of_bytes kek_b) (Key.of_bytes k_b)))
+  check_hex "check = SHA-256(label || k)[0:16]" (Hex.encode expected_check) (Hex.encode (Key.check k));
+  check_hex "wrap = E(k) || check(k)"
+    ("69c4e0d86a7b0430d8cdb78070b4c55a" ^ Hex.encode expected_check)
+    (Hex.encode (Key.wrap ~kek k));
+  check_hex "the check computed once"
+    (Hex.encode (Key.wrap ~kek k))
+    (Hex.encode (Key.wrap_checked_with (Key.cipher kek) ~check:expected_check k))
+
+(* Every way to get a wrap wrong fails closed: a wrong KEK, any single
+   flipped bit of the block or of the check, and another key's check. *)
+let test_key_wrap_rejections () =
+  let rng = Prng.create 43 in
+  let kek = Key.fresh rng and k = Key.fresh rng and other = Key.fresh rng in
+  let c = Key.cipher kek in
+  let wrapped = Key.wrap_with c k in
+  let rejected what ct = Alcotest.(check bool) what true (Key.unwrap_with c ct = None) in
+  Alcotest.(check bool) "a wrong KEK" true (Key.unwrap_with (Key.cipher other) wrapped = None);
+  for bit = 0 to (8 * Key.wrapped_size) - 1 do
+    let ct = Bytes.copy wrapped in
+    Bytes.set ct (bit / 8) (Char.chr (Char.code (Bytes.get ct (bit / 8)) lxor (1 lsl (bit mod 8))));
+    rejected
+      (Printf.sprintf "a flipped %s bit %d" (if bit < 8 * Key.size then "block" else "check") bit)
+      ct
+  done;
+  let copied = Bytes.copy wrapped in
+  Bytes.blit (Key.check other) 0 copied Key.size Key.check_size;
+  rejected "another key's check" copied;
+  Alcotest.(check bool) "the intact wrap" true (Key.unwrap_with c wrapped = Some k)
 
 module Xor_cipher = struct
   type schedule = bytes
@@ -638,6 +665,7 @@ let () =
           Alcotest.test_case "fingerprint" `Quick test_key_fingerprint;
           Alcotest.test_case "cached cipher" `Quick test_key_cached_cipher;
           Alcotest.test_case "wrap format pinned" `Quick test_wrap_format_pinned;
+          Alcotest.test_case "wrap rejections" `Quick test_key_wrap_rejections;
           Alcotest.test_case "block wrap" `Quick test_key_block_wrap;
         ]
         @ qsuite [ prop_key_wrap; prop_key_cached_wrap ] );

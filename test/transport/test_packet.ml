@@ -41,15 +41,21 @@ let kind_of (e : Rekey_msg.entry) =
   | 4 -> 2
   | n -> Alcotest.failf "no entry kind has a %d-byte ciphertext" n
 
-(* Maximal runs of consecutive entries sharing target, version and kind. *)
-let runs es =
+(* A classical wrap's encrypted block and its key check. *)
+let block (e : Rekey_msg.entry) = Bytes.sub e.ciphertext 0 Key.size
+let check (e : Rekey_msg.entry) = Bytes.sub e.ciphertext Key.size Key.check_size
+
+(* Maximal runs of consecutive entries sharing target, version, kind
+   and, with [hoist], a classical wrap's check. *)
+let runs ?(hoist = true) es =
   List.fold_left
     (fun acc (e : Rekey_msg.entry) ->
       match acc with
       | ((h : Rekey_msg.entry) :: _ as run) :: rest
         when h.target_node = e.target_node
              && h.target_version = e.target_version
-             && kind_of h = kind_of e ->
+             && kind_of h = kind_of e
+             && not (hoist && kind_of h = 0 && check h <> check e) ->
           (e :: run) :: rest
       | _ -> [ e ] :: acc)
     [] es
@@ -57,42 +63,39 @@ let runs es =
 
 (* Walk a payload's varints in order, with the bytes between them:
    the group count, then per group the target and version deltas and
-   count * 4 + kind, then per entry the wrapped delta and ciphertext. *)
-let fold_layout ~varint ~raw init es =
-  let rs = runs es in
+   count * 4 + kind (and a kind-0 group's check), then per entry the
+   wrapped delta and ciphertext (a kind-0 entry's block). Without
+   [hoist], the layout before the check was hoisted: groups do not
+   split on checks, and every kind-0 entry carries its whole 32 bytes. *)
+let fold_layout ?(hoist = true) ~varint ~raw init es =
+  let rs = runs ~hoist es in
   let acc = varint init (List.length rs) in
   fst
     (List.fold_left
        (fun (acc, (t, v)) run ->
          let h : Rekey_msg.entry = List.hd run in
+         let hoisted = hoist && kind_of h = 0 in
          let acc = varint acc (zigzag (h.target_node - t)) in
          let acc = varint acc (zigzag (h.target_version - v)) in
          let acc = varint acc ((List.length run * 4) + kind_of h) in
+         let acc = if hoisted then raw acc (check h) else acc in
          let acc, _ =
            List.fold_left
              (fun (acc, prev) (e : Rekey_msg.entry) ->
-               (raw (varint acc (zigzag (e.wrapped_under - prev))) e.ciphertext, e.wrapped_under))
+               ( raw
+                   (varint acc (zigzag (e.wrapped_under - prev)))
+                   (if hoisted then block e else e.ciphertext),
+                 e.wrapped_under ))
              (acc, h.target_node) run
          in
          (acc, (h.target_node, h.target_version)))
        (acc, (0, 0)) rs)
 
-let payload_size =
-  fold_layout ~varint:(fun acc u -> acc + leb_width u) ~raw:(fun acc b -> acc + Bytes.length b) 0
+let payload_size ?hoist =
+  fold_layout ?hoist ~varint:(fun acc u -> acc + leb_width u) ~raw:(fun acc b -> acc + Bytes.length b) 0
 
-(* The flat layout this one replaced: an entry count, then per entry
-   five zigzag varints (target, version, level, wrapped, receivers), a
-   ciphertext length and the ciphertext. *)
-let flat_payload_size es =
-  List.fold_left
-    (fun acc (e : Rekey_msg.entry) ->
-      let ct = Bytes.length e.ciphertext in
-      List.fold_left
-        (fun acc v -> acc + leb_width (zigzag v))
-        (acc + leb_width ct + ct)
-        [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ])
-    (leb_width (List.length es))
-    es
+(* The layout with two-block classical wraps that this one replaced. *)
+let two_block_payload_size = payload_size ~hoist:false
 
 let test_packet_roundtrip () =
   let entries = sample_entries () in
@@ -183,7 +186,7 @@ let test_packet_fec_recovery () =
 
 let test_packet_fec_insufficient () =
   let entries = sample_entries ~n:60 ~departs:[ 3; 17; 41 ] () in
-  let packets = Packet.encode_entries ~capacity_bytes:256 entries in
+  let packets = Packet.encode_entries ~capacity_bytes:128 entries in
   match Packet.blocks_of_packets ~block_size:4 packets with
   | block :: _ when List.length block >= 3 -> (
       let k = List.length block in
@@ -463,28 +466,29 @@ let any_int =
         map2 (fun b v -> (b * 2_000_000_000) + v) (int_bound 8) (int_bound 1000);
       ])
 
-let gen_ciphertext =
-  QCheck.Gen.(
-    oneofl [ Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes ]
-    >>= fun n -> map Bytes.of_string (string_size ~gen:char (return n)))
-
 (* A run of 1-4 entries of one target, version and kind, wrapped under
    ids near the target or anywhere; runs that happen to share a key
-   with their predecessor merge on the wire, as they should. *)
+   with their predecessor merge on the wire, as they should. Half of
+   the classical-wrap runs share one check, as a refreshed key's wraps
+   do; in the others each entry draws its own, and the run splits into
+   groups. *)
 let gen_group =
   QCheck.Gen.(
-    triple any_int any_int gen_ciphertext >>= fun (target_node, target_version, ct) ->
+    quad any_int any_int
+      (oneofl [ Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes ])
+      (opt ~ratio:0.5 (bytes_size (return Key.check_size)))
+    >>= fun (target_node, target_version, size, shared) ->
     list_size (int_range 1 4)
-      (triple (oneof [ any_int; map (( + ) target_node) (int_range (-40) 40) ]) any_int any_int)
-    >|= List.map (fun (wrapped_under, level, receivers) ->
-            {
-              Rekey_msg.target_node;
-              target_version;
-              level;
-              wrapped_under;
-              receivers;
-              ciphertext = Bytes.copy ct;
-            }))
+      (quad
+         (oneof [ any_int; map (( + ) target_node) (int_range (-40) 40) ])
+         any_int any_int
+         (bytes_size (return size)))
+    >|= List.map (fun (wrapped_under, level, receivers, ciphertext) ->
+            (match shared with
+            | Some c when size = Key.wrapped_size ->
+                Bytes.blit c 0 ciphertext Key.size Key.check_size
+            | _ -> ());
+            { Rekey_msg.target_node; target_version; level; wrapped_under; receivers; ciphertext }))
 
 let gen_entries lo hi = QCheck.Gen.(list_size (int_range lo hi) gen_group >|= List.concat)
 
@@ -616,42 +620,70 @@ let prop_fixpoint =
           && Bytes.equal again (Bytes.sub b 0 (Bytes.length again))
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
-(* Two groups spelled out byte by byte: K5 v2 wrapped under K11 and
-   K12, then the DEK (-1) v3 compact-wrapped under K5. *)
-let test_golden_payload () =
-  let entry target_node target_version wrapped_under ciphertext =
-    { Rekey_msg.target_node; target_version; level = 7; wrapped_under; receivers = 9; ciphertext }
-  in
-  let a = Bytes.make 32 'a' and b = Bytes.make 32 'b' and c = Bytes.make 20 'c' in
-  let entries = [ entry 5 2 11 a; entry 5 2 12 b; entry (-1) 3 5 c ] in
-  let expected =
-    String.concat ""
-      [
-        "\x02" (* two groups *);
-        "\x0a\x04\x08" (* target +5, version +2, 2 entries of kind 0 *);
-        "\x0c" (* K11 = K5 + 6 *);
-        Bytes.to_string a;
-        "\x02" (* K12 = K11 + 1 *);
-        Bytes.to_string b;
-        "\x0b\x02\x05" (* target -6, version +1, 1 entry of kind 1 *);
-        "\x0c" (* K5 = -1 + 6 *);
-        Bytes.to_string c;
-      ]
-  in
-  Alcotest.(check string) "bytes" expected (Bytes.to_string (Packet.encode_payload entries));
-  Alcotest.(check int) "94 bytes, against 103 flat" 94 (String.length expected);
-  Alcotest.(check int) "the flat layout" 103 (flat_payload_size entries);
+(* Payloads spelled out byte by byte. *)
+let golden what ~bytes ~two_block entries expected =
+  Alcotest.(check string) (what ^ ": bytes") expected (Bytes.to_string (Packet.encode_payload entries));
+  Alcotest.(check int) (what ^ ": length") bytes (String.length expected);
+  Alcotest.(check int) (what ^ ": with two-block wraps") two_block (two_block_payload_size entries);
   match Packet.decode_payload (Bytes.of_string expected) with
   | Ok es ->
-      Alcotest.(check bool) "decodes" true (entries_equal entries es);
+      Alcotest.(check bool) (what ^ ": decodes") true (entries_equal entries es);
       List.iter
         (fun (e : Rekey_msg.entry) ->
           Alcotest.(check (pair int int)) "level, receivers" (0, 0) (e.level, e.receivers))
         es
   | Error e -> Alcotest.fail e
 
+let golden_entry target_node target_version wrapped_under ciphertext =
+  { Rekey_msg.target_node; target_version; level = 7; wrapped_under; receivers = 9; ciphertext }
+
+(* A classical wrap: block [b], check [c], 16 bytes each. *)
+let golden_wrap b c = Bytes.of_string (String.make 16 b ^ String.make 16 c)
+
+(* Two groups: K5 v2 wrapped under K11 and K12, one check "x..."
+   between them, then the DEK (-1) v3 compact-wrapped under K5. *)
+let test_golden_payload () =
+  let c = Bytes.make 20 'c' in
+  golden "two groups" ~bytes:78 ~two_block:94
+    [
+      golden_entry 5 2 11 (golden_wrap 'a' 'x');
+      golden_entry 5 2 12 (golden_wrap 'b' 'x');
+      golden_entry (-1) 3 5 c;
+    ]
+    (String.concat ""
+       [
+         "\x02" (* two groups *);
+         "\x0a\x04\x08" (* target +5, version +2, 2 entries of kind 0 *);
+         String.make 16 'x' (* their check *);
+         "\x0c" (* K11 = K5 + 6 *);
+         String.make 16 'a';
+         "\x02" (* K12 = K11 + 1 *);
+         String.make 16 'b';
+         "\x0b\x02\x05" (* target -6, version +1, 1 entry of kind 1 *);
+         "\x0c" (* K5 = -1 + 6 *);
+         Bytes.to_string c;
+       ])
+
+(* A run of one target, version and kind whose checks differ is two
+   groups, the second at deltas (0, 0). *)
+let test_checks_split () =
+  golden "differing checks" ~bytes:73 ~two_block:70
+    [ golden_entry 5 2 11 (golden_wrap 'a' 'x'); golden_entry 5 2 12 (golden_wrap 'b' 'y') ]
+    (String.concat ""
+       [
+         "\x02" (* two groups *);
+         "\x0a\x04\x04" (* target +5, version +2, 1 entry of kind 0 *);
+         String.make 16 'x';
+         "\x0c" (* K11 = K5 + 6 *);
+         String.make 16 'a';
+         "\x00\x00\x04" (* the same target and version, 1 entry of kind 0 *);
+         String.make 16 'y';
+         "\x0e" (* K12 = K5 + 7 *);
+         String.make 16 'b';
+       ])
+
 let test_malformed_groups () =
-  let wrap = String.make 32 'w' in
+  let check = String.make 16 'c' and block = String.make 16 'w' in
   let error what s =
     match Packet.decode_payload (Bytes.of_string s) with
     | Error _ -> ()
@@ -663,24 +695,27 @@ let test_malformed_groups () =
     | Ok _ -> ()
     | Error e -> Alcotest.failf "%s refused: %s" what e
   in
-  (* one group: K1 v0, one wrap under K1 *)
-  let group header = "\x02\x00" ^ header ^ "\x00" ^ wrap in
+  (* one group: K1 v0, its check, one wrap under K1 *)
+  let group header = "\x02\x00" ^ header ^ check ^ "\x00" ^ block in
   accepted "a one-wrap group" ("\x01" ^ group "\x04");
   error "a zero-count group" ("\x01" ^ group "\x00");
   error "kind 3" ("\x01" ^ group "\x07");
   error "kind 3 with no bytes behind it" "\x01\x02\x00\x07";
   (* a second group with the same target, version and kind *)
-  let again header ct = "\x00\x00" ^ header ^ "\x00" ^ ct in
-  error "a repeated group key" ("\x02" ^ group "\x04" ^ again "\x04" wrap);
+  let again header ct = "\x00\x00" ^ header ^ ct in
+  error "a repeated group key and check" ("\x02" ^ group "\x04" ^ again "\x04" (check ^ "\x00" ^ block));
+  accepted "the same target, version and kind, another check"
+    ("\x02" ^ group "\x04" ^ again "\x04" (String.make 16 'C' ^ "\x00" ^ block));
   accepted "the same target and version, another kind"
-    ("\x02" ^ group "\x04" ^ again "\x06" "\x00\x00\x00\x01");
-  error "an overlong target delta" ("\x01\x82\x00\x00\x04\x00" ^ wrap);
-  error "an overlong wrapped delta" ("\x01\x02\x00\x04\x80\x00" ^ wrap);
-  error "an overlong count" ("\x01\x02\x00\x84\x00\x00" ^ wrap);
+    ("\x02" ^ group "\x04" ^ again "\x06" "\x00\x00\x00\x00\x01");
+  error "an overlong target delta" ("\x01\x82\x00\x00\x04" ^ check ^ "\x00" ^ block);
+  error "an overlong wrapped delta" ("\x01\x02\x00\x04" ^ check ^ "\x80\x00" ^ block);
+  error "an overlong count" ("\x01\x02\x00\x84\x00" ^ check ^ "\x00" ^ block);
   error "a count the bytes cannot pay for" ("\x01" ^ group (leb (1000 * 4)));
   error "two entries, one paid for" ("\x01" ^ group "\x08");
   error "more groups than bytes" ("\x7f" ^ group "\x04");
-  error "a cut ciphertext" ("\x01" ^ String.sub (group "\x04") 0 20)
+  error "a cut check" ("\x01" ^ String.sub (group "\x04") 0 14);
+  error "a cut ciphertext" ("\x01" ^ String.sub (group "\x04") 0 30)
 
 let test_kindless_ciphertext_refused () =
   match
@@ -794,9 +829,8 @@ let test_every_organization () =
     ]
 
 (* TT at N = 1024: ten churned rekeys, packed at 1 KiB, pinned to the
-   byte. Together they cost at most 0.85x what the flat layout spent
-   (0.83x: ~0.87x for each of the nine churn rekeys, 0.78x for the
-   tenth, which migrates the S-partition). *)
+   byte. Together they cost at most 0.75x what the layout with
+   two-block wraps spent (0.66x: 84,785 B against 127,553 B). *)
 let test_tt_byte_pin () =
   let s = Scheme.create { (Scheme.default_config Scheme.Tt) with seed = 1 } in
   let rng = Prng.create 23 in
@@ -832,15 +866,15 @@ let test_tt_byte_pin () =
   in
   Alcotest.(check (list int))
     "payload bytes per rekey"
-    [ 8455; 7894; 8315; 8439; 9141; 8313; 9135; 8032; 8448; 51995 ]
+    [ 5518; 5158; 5426; 5508; 5966; 5428; 5959; 5246; 5516; 35741 ]
     (List.map packed rekeys);
   let total size = List.fold_left (fun acc es -> acc + size es) 0 rekeys in
-  let grouped = total (fun es -> Bytes.length (Packet.encode_payload es))
-  and flat = total flat_payload_size in
+  let hoisted = total (fun es -> Bytes.length (Packet.encode_payload es))
+  and two_block = total two_block_payload_size in
   Alcotest.(check bool)
-    (Printf.sprintf "%d B <= 0.85 x %d B" grouped flat)
+    (Printf.sprintf "%d B <= 0.75 x %d B" hoisted two_block)
     true
-    (float_of_int grouped <= 0.85 *. float_of_int flat)
+    (float_of_int hoisted <= 0.75 *. float_of_int two_block)
 
 let () =
   Alcotest.run "gkm_packet"
@@ -878,6 +912,7 @@ let () =
           ]
         @ [
             Alcotest.test_case "golden two-group payload" `Quick test_golden_payload;
+            Alcotest.test_case "differing checks split a run" `Quick test_checks_split;
             Alcotest.test_case "malformed groups are errors" `Quick test_malformed_groups;
             Alcotest.test_case "kindless ciphertext refused" `Quick test_kindless_ciphertext_refused;
           ] );
