@@ -86,8 +86,9 @@ let run_org_config ~seed ~n ~alpha ~intervals ~spec =
 (* ------------------------------------------------------------------ *)
 (* Per-package crypto microbench: every registered {!Gkm_crypto.Pkg}
    suite is swept over the three key-management primitives — schedule
-   expansion, a full key wrap (two block encryptions), and a labelled
-   KDF expand (one derivation notice's member-side work). *)
+   expansion, a full key wrap (one block encryption and the key's
+   check), and a labelled KDF expand (the record layer's per-epoch key
+   derivation). *)
 
 type pkg_row = {
   pkg : string;
@@ -137,108 +138,6 @@ let json_of_pkg_row r =
 let print_pkg_row r =
   Printf.printf "  pkg %-24s schedule %9.0f/s  wrap %9.0f/s  kdf-expand %9.0f/s\n%!" r.pkg
     r.schedule_ops r.wrap_ops r.kdf_expand_ops
-
-(* ------------------------------------------------------------------ *)
-(* Keys-mode bandwidth scenario: departure-heavy steady churn through
-   the one-keytree scheme in both key-refresh modes, reporting rekey bytes
-   per member per interval. Derived mode replaces most 48-byte wrap
-   entries with 20-byte derivation notices, so the wrap/derived byte
-   ratio is the bandwidth win the mode buys; the floor file can gate
-   it via a "derived-bytes-ratio" line. *)
-
-type keys_row = {
-  mode : string;
-  km_n : int;
-  km_degree : int;
-  km_intervals : int;
-  departs_per : int;
-  joins_per : int;
-  rekey_keys : int;
-  rekey_bytes : int;
-  bytes_per_member_interval : float;
-  km_churn_s : float;
-}
-
-let run_keys_mode ~seed ~n ~degree ~intervals ~departs ~joins mode =
-  let module Rekey_msg = Gkm_lkh.Rekey_msg in
-  let server =
-    Scheme.create ~keys_mode:mode
-      { (Scheme.default_config Scheme.One_keytree) with degree; seed = seed + 3 }
-  in
-  let register m = ignore (Scheme.register server ~member:m ~cls:Scheme.Long) in
-  for m = 0 to n - 1 do
-    register m
-  done;
-  ignore (Scheme.rekey server);
-  let rng = Prng.create (seed + 4) in
-  let members = Array.make (n + (intervals * joins)) 0 in
-  for i = 0 to n - 1 do
-    members.(i) <- i
-  done;
-  let size = ref n in
-  let next_id = ref n in
-  let total_bytes = ref 0 in
-  let total_keys = ref 0 in
-  let t0 = now () in
-  for _ = 1 to intervals do
-    for _ = 1 to departs do
-      let i = Prng.int rng !size in
-      let m = members.(i) in
-      members.(i) <- members.(!size - 1);
-      decr size;
-      Scheme.enqueue_departure server m
-    done;
-    for _ = 1 to joins do
-      let m = !next_id in
-      incr next_id;
-      register m;
-      members.(!size) <- m;
-      incr size
-    done;
-    match Scheme.rekey server with
-    | Some msg ->
-        total_bytes := !total_bytes + Rekey_msg.size_bytes msg;
-        total_keys := !total_keys + Rekey_msg.size_keys msg
-    | None -> ()
-  done;
-  let churn_s = now () -. t0 in
-  {
-    mode =
-      (match mode with
-      | Gkm_keytree.Keytree.Wrap -> "keys-wrap"
-      | Gkm_keytree.Keytree.Derived -> "keys-derived");
-    km_n = n;
-    km_degree = degree;
-    km_intervals = intervals;
-    departs_per = departs;
-    joins_per = joins;
-    rekey_keys = !total_keys;
-    rekey_bytes = !total_bytes;
-    bytes_per_member_interval =
-      float_of_int !total_bytes /. float_of_int n /. float_of_int intervals;
-    km_churn_s = churn_s;
-  }
-
-let json_of_keys_row r =
-  Jsonx.obj
-    [
-      ("org", Jsonx.str r.mode);
-      ("n", Jsonx.int r.km_n);
-      ("degree", Jsonx.int r.km_degree);
-      ("intervals", Jsonx.int r.km_intervals);
-      ("departs_per_interval", Jsonx.int r.departs_per);
-      ("joins_per_interval", Jsonx.int r.joins_per);
-      ("rekey_keys", Jsonx.int r.rekey_keys);
-      ("rekey_bytes", Jsonx.int r.rekey_bytes);
-      ("bytes_per_member_interval", Jsonx.float r.bytes_per_member_interval);
-      ("churn_s", Jsonx.float r.km_churn_s);
-    ]
-
-let print_keys_row r =
-  Printf.printf
-    "  %-14s N=%-7d d=%d  %d intervals (%d dep + %d join)  %9d keys  %10d B  %.6f B/member/interval\n%!"
-    r.mode r.km_n r.km_degree r.km_intervals r.departs_per r.joins_per r.rekey_keys
-    r.rekey_bytes r.bytes_per_member_interval
 
 let ops_per_sec r = float_of_int r.churn_ops /. r.churn_s
 
@@ -361,41 +260,14 @@ let run ?(out = "BENCH_macro.json") ?(quick = false) ?floor_file ?(intervals = 1
   Printf.printf "macro: crypto packages\n%!";
   let pkg_rows = run_packages ~quick in
   List.iter print_pkg_row pkg_rows;
-  (* Keys-mode bandwidth comparison: departure-heavy churn (3 evictions
-     + 2 joins per interval) over a degree-4 tree, both modes under the
-     identical member sequence. *)
-  let km_n = if quick then 10_000 else 100_000 in
-  let km_intervals = 60 in
-  Printf.printf "macro: keys-mode comparison N=%d degree=4 (%d intervals)\n%!" km_n
-    km_intervals;
-  let keys_rows =
-    List.map
-      (fun mode ->
-        let r =
-          run_keys_mode ~seed ~n:km_n ~degree:4 ~intervals:km_intervals ~departs:3
-            ~joins:2 mode
-        in
-        print_keys_row r;
-        r)
-      [ Gkm_keytree.Keytree.Wrap; Gkm_keytree.Keytree.Derived ]
-  in
-  let derived_ratio =
-    match keys_rows with
-    | [ wrap; derived ] when derived.rekey_bytes > 0 ->
-        float_of_int wrap.rekey_bytes /. float_of_int derived.rekey_bytes
-    | _ -> 0.0
-  in
-  Printf.printf "  derived-bytes-ratio %.2fx (wrap bytes / derived bytes)\n%!" derived_ratio;
   let doc =
     Jsonx.obj
       [
-        ("schema", Jsonx.str "gkm.bench.macro/3");
+        ("schema", Jsonx.str "gkm.bench.macro/4");
         ("quick", Jsonx.bool quick);
         ("seed", Jsonx.int seed);
         ("runs", Jsonx.arr (List.map json_of_row rows));
         ("packages", Jsonx.arr (List.map json_of_pkg_row pkg_rows));
-        ("keys_modes", Jsonx.arr (List.map json_of_keys_row keys_rows));
-        ("derived_bytes_ratio", Jsonx.float derived_ratio);
       ]
   in
   let oc = open_out out in
@@ -405,27 +277,4 @@ let run ?(out = "BENCH_macro.json") ?(quick = false) ?floor_file ?(intervals = 1
   Printf.printf "wrote %s\n%!" out;
   match floor_file with
   | None -> `Ok ()
-  | Some path -> (
-      let floors = read_floor path in
-      let ratio_check =
-        match List.assoc_opt "derived-bytes-ratio" floors with
-        | None -> `Ok ()
-        | Some floor ->
-            (* A bandwidth ratio, not a throughput: deterministic for a
-               given seed/scenario, so gate at the floor itself. *)
-            if derived_ratio < floor then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "macro benchmark regression: derived-bytes-ratio %.2f is below the \
-                     floor %.2f"
-                    derived_ratio floor )
-            else begin
-              Printf.printf "floor check: %-28s %7.2fx >= %.2fx\n%!" "derived-bytes-ratio"
-                derived_ratio floor;
-              `Ok ()
-            end
-      in
-      match (check_floor ~floors rows, ratio_check) with
-      | `Ok (), `Ok () -> `Ok ()
-      | (`Error _ as e), _ | _, (`Error _ as e) -> e)
+  | Some path -> check_floor ~floors:(read_floor path) rows

@@ -36,18 +36,6 @@ let degree_arg = Arg.(value & opt int 4 & info [ "d"; "degree" ] ~docv:"D" ~doc:
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.")
 let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV.")
 
-let keys_arg =
-  Arg.(
-    value
-    & opt (enum [ ("wrap", Gkm_keytree.Keytree.Wrap); ("derived", Gkm_keytree.Keytree.Derived) ]) Gkm_keytree.Keytree.Wrap
-    & info [ "keys" ] ~docv:"MODE"
-        ~doc:
-          "Key-refresh mode: $(b,wrap) (classical LKH key wrapping) or $(b,derived) \
-           (KDF-derived node-key refresh; rekey entries carry 4-byte derivation \
-           notices instead of 32-byte wraps where possible).")
-
-let apply_keys_mode mode spec = Gkm.Organization.with_keys_mode mode spec
-
 let enum_arg ~names ~default ~doc name =
   Arg.(value & opt (enum names) default & info [ name ] ~doc)
 
@@ -351,8 +339,8 @@ let ne_cmd =
 
 let session_cmd =
   let run org_sel n alpha ms ml tp horizon degree k loss_alpha ph pl no_deliver no_verify
-      seed csv keys =
-    let spec = apply_keys_mode keys (org_spec ~degree ~k ~seed org_sel) in
+      seed csv =
+    let spec = org_spec ~degree ~k ~seed org_sel in
     let cfg =
       {
         Gkm.Session.default_config with
@@ -422,7 +410,7 @@ let session_cmd =
       $ ms_arg $ ml_arg $ tp_arg ()
       $ horizon_arg ~default:3600.0 "Session length (s)."
       $ degree_arg $ k_arg $ loss_alpha_arg
-      $ ph_arg $ pl_arg $ no_deliver_arg $ no_verify_arg $ seed_arg $ csv_arg $ keys_arg)
+      $ ph_arg $ pl_arg $ no_deliver_arg $ no_verify_arg $ seed_arg $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
 (* metrics                                                             *)
@@ -516,9 +504,9 @@ let chaos_cmd =
     (* Touches every fault family within a 10-interval session. *)
     "crash@3;loss@120-300:0.3;desync@5:3;corrupt@7;drop@1:5"
   in
-  let run plan_str org_sel n tp horizon degree k seed journal_file keys =
+  let run plan_str org_sel n tp horizon degree k seed journal_file =
     let plan = or_usage_error ~flag:"--plan" (Gkm_fault.Fault.of_string plan_str) in
-    let spec = apply_keys_mode keys (org_spec ~degree ~k ~seed org_sel) in
+    let spec = org_spec ~degree ~k ~seed org_sel in
     let cfg =
       {
         Gkm.Session.default_config with
@@ -616,8 +604,7 @@ let chaos_cmd =
       const run $ plan_arg $ org_arg $ group_size_arg 60 $ tp_arg ()
       $ horizon_arg ~default:600.0 "Session length (s)."
       $ degree_arg $ k_arg $ seed_arg
-      $ journal_arg "Write the faulty run's complete JSONL event journal to $(docv)."
-      $ keys_arg)
+      $ journal_arg "Write the faulty run's complete JSONL event journal to $(docv).")
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)

@@ -59,32 +59,25 @@ let gen_id rng =
   | 2 -> if Prng.bool rng then min_int else max_int
   | _ -> gen_node rng
 
-let ciphertext_sizes =
-  [| Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes |]
-
 (* Half of the REKEY/RETX payloads are real entry payloads, so the
    [packet] stage sees accepted ones and their mutations, not only
-   noise its count byte already refuses: a few groups of one to three
-   entries, each group of one target, version and kind. Half of the
-   classical-wrap groups share one key check, as a refreshed key's
-   wraps do; in the rest each wrap has its own. *)
+   noise its count byte already refuses: a few runs of one to three
+   classical wraps, each run of one target and version. Half of the
+   runs share one key check, as a refreshed key's wraps do; in the
+   rest each wrap has its own. *)
 let gen_payload rng =
   if Prng.bool rng then Prng.bytes rng (gen_len rng)
   else
     let group _ =
       let target_node = gen_id rng in
       let target_version = gen_i32 rng in
-      let size = ciphertext_sizes.(Prng.int rng 3) in
       let check = if Prng.bool rng then Some (Prng.bytes rng Key.check_size) else None in
       List.init
         (1 + Prng.int rng 3)
         (fun _ ->
           let wrapped_under = gen_id rng in
-          let ciphertext = Prng.bytes rng size in
-          (match check with
-          | Some c when size = Key.wrapped_size ->
-              Bytes.blit c 0 ciphertext Key.size Key.check_size
-          | _ -> ());
+          let ciphertext = Prng.bytes rng Key.wrapped_size in
+          Option.iter (fun c -> Bytes.blit c 0 ciphertext Key.size Key.check_size) check;
           { Rekey_msg.target_node; target_version; level = 0; wrapped_under; receivers = 0; ciphertext })
     in
     Packet.encode_payload (List.concat (List.init (Prng.int rng 4) group))

@@ -1,6 +1,5 @@
 module Key = Gkm_crypto.Key
 module Prng = Gkm_crypto.Prng
-module Keytree = Gkm_keytree.Keytree
 module Rekey_msg = Gkm_lkh.Rekey_msg
 module Obs = Gkm_obs.Obs
 module Metrics = Gkm_obs.Metrics
@@ -40,24 +39,10 @@ type composed_config = {
 type spec =
   | Scheme_cfg of Scheme.config
   | Composed_cfg of composed_config
-  | Derived_cfg of spec
 
 let thresholds_string ts = String.concat "," (List.map (Printf.sprintf "%g") ts)
 
-(* [Derived_cfg] is an idempotent modifier: nested wrappings collapse
-   to one. *)
-let rec base_spec = function Derived_cfg s -> base_spec s | s -> s
-
-let spec_keys_mode = function
-  | Derived_cfg _ -> Keytree.Derived
-  | Scheme_cfg _ | Composed_cfg _ -> Keytree.Wrap
-
-let with_keys_mode mode spec =
-  match mode with
-  | Keytree.Wrap -> base_spec spec
-  | Keytree.Derived -> Derived_cfg (base_spec spec)
-
-let rec spec_name = function
+let spec_name = function
   | Scheme_cfg c -> Scheme.kind_name c.Scheme.kind
   | Composed_cfg { kind = Scheme.One_keytree; assignment = By_loss ts; _ } ->
       Printf.sprintf "loss-homogenized(%s)" (thresholds_string ts)
@@ -67,7 +52,6 @@ let rec spec_name = function
       Printf.sprintf "composed(%s@%s)" (Scheme.kind_name kind) (thresholds_string ts)
   | Composed_cfg { kind; assignment = Random k; _ } ->
       Printf.sprintf "composed(%s@random:%d)" (Scheme.kind_name kind) k
-  | Derived_cfg s -> spec_name (base_spec s) ^ "+derived"
 
 (* Every packed organization counts one [rekey.count] per group rekey
    here, not per band: a banded organization rekeys several schemes
@@ -142,13 +126,13 @@ let n_bands = function
 let band_gauges n =
   lazy (Array.init n (fun b -> Metrics.Gauge.v (Printf.sprintf "rekey.band_size.%d" b)))
 
-let composed_create ?(keys_mode = Keytree.Wrap) (cfg : composed_config) =
+let composed_create (cfg : composed_config) =
   let n = n_bands cfg.assignment in
   let bands =
     Array.init n (fun b ->
         Scheme.create ~s_base:(b * band_stride)
           ~l_base:((b * band_stride) + 1_000_000_000)
-          ~dek_id:(band_dek_id b) ~keys_mode
+          ~dek_id:(band_dek_id b)
           {
             Scheme.kind = cfg.kind;
             degree = cfg.degree;
@@ -447,20 +431,16 @@ let of_composed t : packed =
     let snapshot () = composed_snapshot t
   end)
 
-let create spec =
-  let keys_mode = spec_keys_mode spec in
-  match base_spec spec with
-  | Scheme_cfg cfg -> of_scheme (Scheme.create ~keys_mode cfg)
-  | Composed_cfg cfg -> of_composed (composed_create ~keys_mode cfg)
-  | Derived_cfg _ -> assert false (* base_spec never returns one *)
+let create = function
+  | Scheme_cfg cfg -> of_scheme (Scheme.create cfg)
+  | Composed_cfg cfg -> of_composed (composed_create cfg)
 
 (* The spec only selects the decoder family; every configuration
-   detail — the keys mode included — is carried by the blob itself. *)
+   detail is carried by the blob itself. *)
 let restore spec blob =
-  match base_spec spec with
+  match spec with
   | Scheme_cfg _ -> Result.map of_scheme (Scheme.restore blob)
   | Composed_cfg _ -> Result.map of_composed (composed_restore blob)
-  | Derived_cfg _ -> assert false (* base_spec never returns one *)
 
 (* ------------------------------------------------------------------ *)
 (* CLI selector parsing.                                              *)
@@ -489,13 +469,6 @@ let after_prefix ~prefix s =
   else None
 
 let spec_of_string ?(degree = 4) ?(s_period = 10) ?(seed = 0) s =
-  let s, derived =
-    if Filename.check_suffix s "+derived" then (Filename.chop_suffix s "+derived", true)
-    else (s, false)
-  in
-  let wrap_mode r = if derived then Result.map (fun sp -> Derived_cfg sp) r else r in
-  wrap_mode
-  @@
   let bands kind assignment =
     Ok (Composed_cfg { kind; degree; s_period; seed; assignment })
   in
@@ -529,5 +502,5 @@ let spec_of_string ?(degree = 4) ?(s_period = 10) ?(seed = 0) s =
               (Printf.sprintf
                  "unknown organization %S (expected one|qt|tt|pt, loss:<t,..> (one-keytree \
                   loss bands), random:<k> (k round-robin one-keytree bands), \
-                  composed[:<kind>[@t,..]], each optionally suffixed +derived)"
+                  composed[:<kind>[@t,..]])"
                  s))

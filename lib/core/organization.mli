@@ -111,26 +111,12 @@ type spec =
       (** one scheme per band, stacked under one composed DEK. With
           [One_keytree] bands this is Section 4's loss-homogenized (or
           random) multi-tree. *)
-  | Derived_cfg of spec
-      (** run the wrapped organization with KDF-derived node-key
-          refresh ([Keytree.Derived]) instead of classical wraps.
-          Idempotent: nested wrappings collapse to one. *)
 
 val spec_name : spec -> string
 (** Short display name: ["TT-scheme"] for a bare scheme;
     ["loss-homogenized(0.05)"] and ["random(2)"] for one-keytree bands
     placed by loss or round-robin; ["composed(TT-scheme@0.05)"] for
-    any other band scheme. Derived mode appends ["+derived"]. *)
-
-val base_spec : spec -> spec
-(** The spec with any [Derived_cfg] wrappers stripped. *)
-
-val spec_keys_mode : spec -> Gkm_keytree.Keytree.mode
-(** [Derived] iff the spec is wrapped in [Derived_cfg]. *)
-
-val with_keys_mode : Gkm_keytree.Keytree.mode -> spec -> spec
-(** Force the key-refresh mode of a spec (stripping or adding the
-    [Derived_cfg] wrapper as needed). *)
+    any other band scheme. *)
 
 val create : spec -> packed
 (** Instantiate a fresh organization. A [Scheme_cfg] organization
@@ -163,9 +149,6 @@ val spec_of_string :
     - ["composed"] — TT inside each of two bands split at 0.05;
     - ["composed:KIND"] / ["composed:KIND@T1,T2,..."] — explicit
       per-band scheme and thresholds, e.g. ["composed:qt@0.02,0.1"].
-
-    Any selector may carry a ["+derived"] suffix (e.g.
-    ["tt+derived"]) to run in derived key-refresh mode.
 
     [degree], [s_period] and [seed] (defaults 4, 10, 0) fill the
     non-selector configuration fields. *)

@@ -51,7 +51,6 @@ type store =
 
 type t = {
   cfg : config;
-  keys_mode : Keytree.mode;
   rng : Prng.t;
   store : store;
   dek_id : int; (* node id carrying this scheme's DEK (see {!create}) *)
@@ -72,15 +71,12 @@ type t = {
   mutable last_cost : int;
 }
 
-let create ?(s_base = s_id_base) ?(l_base = l_id_base) ?(dek_id = dek_node)
-    ?(keys_mode = Keytree.Wrap) cfg =
+let create ?(s_base = s_id_base) ?(l_base = l_id_base) ?(dek_id = dek_node) cfg =
   if cfg.degree < 2 then invalid_arg "Scheme.create: degree must be >= 2";
   if cfg.s_period < 0 then invalid_arg "Scheme.create: negative S-period";
   if dek_id >= 0 then invalid_arg "Scheme.create: the DEK node id must be negative";
   let rng = Prng.create cfg.seed in
-  let tree base =
-    Keytree.create ~id_base:base ~mode:keys_mode ~degree:cfg.degree (Prng.split rng)
-  in
+  let tree base = Keytree.create ~id_base:base ~degree:cfg.degree (Prng.split rng) in
   let store =
     match cfg.kind with
     | One_keytree -> One (tree s_base)
@@ -90,7 +86,6 @@ let create ?(s_base = s_id_base) ?(l_base = l_id_base) ?(dek_id = dek_node)
   in
   {
     cfg;
-    keys_mode;
     rng;
     store;
     dek_id;
@@ -107,7 +102,6 @@ let create ?(s_base = s_id_base) ?(l_base = l_id_base) ?(dek_id = dek_node)
   }
 
 let config t = t.cfg
-let keys_mode t = t.keys_mode
 let interval t = t.interval
 
 let location t m =
@@ -486,12 +480,7 @@ let member_path t m =
 
 let snap_magic = "GKSC"
 
-(* v1: classical wrap-mode layout, preserved byte-for-byte. v2 inserts
-   one keys-mode byte after the version and is only emitted when the
-   scheme runs in [Derived] mode, so wrap-mode snapshots stay
-   bit-identical across the mode's introduction. *)
 let snap_version = 1
-let snap_version_derived = 2
 
 let kind_tag = function One_keytree -> 0 | Qt -> 1 | Tt -> 2 | Pt -> 3
 
@@ -529,11 +518,7 @@ let snapshot t =
   let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snap_magic;
-  (match t.keys_mode with
-  | Keytree.Wrap -> add_u8 buf snap_version
-  | Keytree.Derived ->
-      add_u8 buf snap_version_derived;
-      add_u8 buf 1);
+  add_u8 buf snap_version;
   add_u8 buf (kind_tag t.cfg.kind);
   add_i32 buf t.cfg.degree;
   add_i32 buf t.cfg.s_period;
@@ -586,16 +571,7 @@ let restore blob =
   parse blob @@ fun r ->
   magic r snap_magic;
   let version = u8 r in
-  if version <> snap_version && version <> snap_version_derived then
-    corrupt "unsupported scheme-snapshot version %d" version;
-  let keys_mode =
-    if version = snap_version then Keytree.Wrap
-    else
-      match u8 r with
-      | 0 -> Keytree.Wrap
-      | 1 -> Keytree.Derived
-      | n -> corrupt "bad keys-mode byte %d" n
-  in
+  if version <> snap_version then corrupt "unsupported scheme-snapshot version %d" version;
   let kind = kind_of_tag (u8 r) in
   let degree = i32 r in
   let cfg_s_period = i32 r in
@@ -659,7 +635,6 @@ let restore blob =
   List.iter (fun m -> Hashtbl.replace dep_tbl m ()) departs;
   {
     cfg = { kind; degree; s_period = cfg_s_period; seed };
-    keys_mode;
     rng;
     store;
     dek_id;

@@ -43,7 +43,6 @@ val create :
   ?s_base:int ->
   ?l_base:int ->
   ?dek_id:int ->
-  ?keys_mode:Gkm_keytree.Keytree.mode ->
   config ->
   t
 (** [create cfg] is a fresh scheme. [s_base] and [l_base] (defaults 0
@@ -52,19 +51,12 @@ val create :
     carries the DEK when the scheme spans several trees — override all
     three with disjoint ranges to run several schemes side by side
     under one composed organization (see [Organization.Composed_cfg]).
-    [keys_mode] (default [Wrap]) selects classical wrap-based
-    rekeying or KDF-derived node-key refresh for the scheme's trees
-    (see {!Gkm_keytree.Keytree.mode}); the synthetic DEK above the
-    trees is always wrapped.
     @raise Invalid_argument on a bad degree, a negative S-period, or a
     non-negative [dek_id]. *)
 
 val config : t -> config
 (** The creation-time configuration; the live S-period may have been
     retuned since (see {!s_period}). *)
-
-val keys_mode : t -> Gkm_keytree.Keytree.mode
-(** The key-refresh mode the scheme's trees run in. *)
 
 val s_period : t -> int
 (** The S-period currently in force. *)

@@ -9,9 +9,6 @@ let of_bytes b =
 let to_bytes k = Bytes.copy k
 let fresh rng = Prng.bytes rng size
 
-let expand_label k label fields =
-  Pkg.kdf_expand Pkg.default ~prk:k ~info:(Hkdf.label_info label fields) size
-
 let equal = Bytes.equal
 let compare = Bytes.compare
 let wrapped_size = 32
@@ -43,13 +40,6 @@ let unwrap_with cipher c =
      2^-128 chance. *)
   let k = Pkg.decrypt_block cipher (Bytes.sub c 0 size) in
   if Bytes.equal (check k) (Bytes.sub c size check_size) then Some k else None
-
-let wrap_block_with cipher k = Pkg.encrypt_block cipher k
-
-let unwrap_block_with cipher c =
-  if Bytes.length c <> size then
-    invalid_arg "Key.unwrap_block: ciphertext must be one block";
-  Pkg.decrypt_block cipher c
 
 let wrap ~kek k = wrap_with (cipher kek) k
 let unwrap ~kek c = unwrap_with (cipher kek) c

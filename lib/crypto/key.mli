@@ -23,13 +23,6 @@ val to_bytes : t -> bytes
 val fresh : Prng.t -> t
 (** [fresh rng] samples a uniformly random key. *)
 
-val expand_label : t -> string -> int list -> t
-(** [expand_label k label fields] is a 16-byte key PRF-expanded from
-    [k] with the {!Hkdf.label_info} encoding of [label] and [fields]
-    through the default package's KDF. The derived-key rekey mode
-    computes every up-derivation and roll this way; labels come from
-    {!Labels}, whose prefix-freedom keeps contexts disjoint. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
@@ -49,12 +42,13 @@ type cipher = Pkg.sched
 (** A packed expanded key schedule ({!Pkg.sched}). Expanding a KEK is
     several times the cost of the block encryptions a wrap performs,
     so the rekey hot path expands each KEK once and reuses the
-    schedule for every wrap, unwrap or CTR stream under that key. *)
+    schedule for every wrap or unwrap under that key; CTR streams under
+    a key take the same schedule through {!Pkg.ctr_transform}. *)
 
 val cipher : ?suite:Pkg.suite -> t -> cipher
 (** [cipher k] expands [k] once under [suite] (default:
     {!Pkg.default}), for use with {!wrap_with}, {!unwrap_with} and
-    {!ctr_transform}. *)
+    {!Pkg.ctr_transform}. *)
 
 val wrap_with : cipher -> t -> bytes
 (** [wrap_with c k] is {!wrap} with a pre-expanded KEK schedule —
@@ -69,21 +63,6 @@ val wrap_checked_with : cipher -> check:bytes -> t -> bytes
 val unwrap_with : cipher -> bytes -> t option
 (** [unwrap_with c ct] is {!unwrap} with a pre-expanded schedule.
     @raise Invalid_argument if [ct] has the wrong length. *)
-
-val wrap_block_with : cipher -> t -> bytes
-(** [wrap_block_with c k] is the single-block wrapping [E_kek(k)]
-    (16 bytes, no check) — the first half of {!wrap_with}. There is
-    no wrong-KEK detection in the ciphertext itself; callers must
-    guard against stale wrapping keys out of band (the derived rekey
-    mode pairs each compact wrap with the wrapping key's version,
-    mirroring the derivation-notice staleness check). *)
-
-val unwrap_block_with : cipher -> bytes -> t
-(** [unwrap_block_with c ct] inverts {!wrap_block_with}. Always
-    "succeeds": a stale or wrong KEK silently yields garbage, which is
-    why the compact format is only used where a version guard rejects
-    stale KEKs first.
-    @raise Invalid_argument if [ct] is not exactly one block. *)
 
 val wrap : kek:t -> t -> bytes
 (** [wrap ~kek k] is [E_kek(k) || check k]: one AES-128 block carrying

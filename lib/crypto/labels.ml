@@ -21,14 +21,6 @@ let traffic = v "record-traffic" "traffic"
 let resume = v "ticket-resume" "rs"
 (* Resumption keys: HKDF(resume_salt, individual, "rs" || epoch). *)
 
-let node_up = v "node-up" "gkm-node-up1"
-(* Derived-key mode: a tainted interior key up-derived from one of its
-   refreshed children, fields [node_id; version]. *)
-
-let node_roll = v "node-roll" "gkm-node-roll1"
-(* Derived-key mode: an untainted dirty interior rolled in place from
-   its own previous key, fields [node_id; version]. *)
-
 (* -- PRF (raw HMAC) labels -- *)
 
 let resync = v "resync-auth" "gkm-resync-v1"

@@ -12,14 +12,6 @@ val traffic : string
 val resume : string
 (** Resumption-ticket keys (HKDF info label, field: issued epoch). *)
 
-val node_up : string
-(** Derived-key mode: up-derivation of a tainted interior key from a
-    refreshed child (fields: node id, version). *)
-
-val node_roll : string
-(** Derived-key mode: in-place roll of an untainted dirty interior key
-    (fields: node id, version). *)
-
 val resync : string
 (** RESYNC request authentication (PRF label on the individual key;
     wire-pinned i32 fields). *)

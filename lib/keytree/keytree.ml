@@ -1,9 +1,7 @@
 module Key = Gkm_crypto.Key
 module Prng = Gkm_crypto.Prng
-module Labels = Gkm_crypto.Labels
 
 type member_id = int
-type mode = Wrap | Derived
 
 type node = {
   id : int;
@@ -19,7 +17,6 @@ type node = {
 
 type t = {
   degree : int;
-  mode : mode;
   rng : Prng.t;
   mutable root : node option;
   leaves : (member_id, node) Hashtbl.t;
@@ -32,15 +29,7 @@ type wrap = {
   under_node : int;
   under_key : Key.t;
   under_cipher : Key.cipher Lazy.t;
-  under_version : int option;
   receivers : int;
-}
-
-type derive = {
-  src_node : int;
-  src_version : int;
-  src_receivers : int;
-  roll : bool;
 }
 
 type update = {
@@ -49,7 +38,6 @@ type update = {
   key : Key.t;
   version : int;
   wraps : wrap list;
-  derives : derive list;
 }
 
 type depth_stats = {
@@ -59,11 +47,10 @@ type depth_stats = {
   node_count : int;
 }
 
-let create ?(id_base = 0) ?(mode = Wrap) ~degree rng =
+let create ?(id_base = 0) ~degree rng =
   if degree < 2 then invalid_arg "Keytree.create: degree must be >= 2";
   {
     degree;
-    mode;
     rng;
     root = None;
     leaves = Hashtbl.create 64;
@@ -73,7 +60,6 @@ let create ?(id_base = 0) ?(mode = Wrap) ~degree rng =
   }
 
 let degree t = t.degree
-let mode t = t.mode
 let size t = match t.root with None -> 0 | Some r -> r.size
 let epoch t = t.epoch
 let mem t m = Hashtbl.mem t.leaves m
@@ -272,115 +258,14 @@ let wrap_of c =
     under_node = c.id;
     under_key = c.key;
     under_cipher = lazy (node_cipher c);
-    under_version = None;
     receivers = c.size;
   }
-
-(* Derived-mode wraps carry the wrapping key's version so the member
-   side can apply the same staleness guard as derivation notices, in
-   exchange for the compact single-block ciphertext (no key
-   check). [c.version] is final here because the bottom-up refresh has
-   already run when emission happens. *)
-let compact_wrap_of c = { (wrap_of c) with under_version = Some c.version }
-
-(* Derived mode: refresh bottom-up so a tainted node can up-derive
-   from a child's *final* key, then emit with the minimal wrap sets.
-
-   - A node is *tainted* when it is an ancestor of a departure splice
-     point: every key a departed member held is tainted, and nothing
-     else is. A tainted node with a refreshed (dirty surviving) child
-     takes [expand_label child.key node_up] — everyone under that
-     child derives it locally — plus wraps under its other children.
-     A tainted node with no refreshed child (the bottom of a
-     departure chain) draws a fresh random and wraps under all
-     children, exactly like classical LKH.
-   - An untainted dirty node lies on a join path only. Instead of a
-     fresh random it *rolls* in place, [expand_label old_key
-     node_roll]: every incumbent already holding the old key derives
-     the new one from a 20-byte notice, and only the children that
-     actually contain joiners (dirty or born this batch) get wraps.
-     Rolls are safe precisely because the node is untainted — no
-     evicted member holds the pre-roll key (their keys are always
-     tainted at eviction), and a joiner only ever sees the post-roll
-     key, which the one-way PRF will not invert.
-   - Nodes born this batch (split interiors) take fresh randoms with
-     full classical wraps.
-
-   Refresh order within a level is ascending id — a fixed order, so
-   the rng draw sequence (and therefore the whole run) stays
-   deterministic. *)
-let refresh_derived t ~dirty ~tainted ~born_from levels =
-  let kinds : (int, derive option) Hashtbl.t = Hashtbl.create 64 in
-  for level = Array.length levels - 1 downto 0 do
-    let ns = List.sort (fun (a : node) b -> compare a.id b.id) levels.(level) in
-    List.iter
-      (fun (n : node) ->
-        let d =
-          if Hashtbl.mem tainted n.id then
-            match List.find_opt (fun c -> Hashtbl.mem dirty c.id) n.children with
-            | Some src ->
-                n.key <- Key.expand_label src.key Labels.node_up [ n.id; t.epoch ];
-                Some
-                  {
-                    src_node = src.id;
-                    src_version = src.version;
-                    src_receivers = src.size;
-                    roll = false;
-                  }
-            | None ->
-                n.key <- Key.fresh t.rng;
-                None
-          else if n.id >= born_from then begin
-            n.key <- Key.fresh t.rng;
-            None
-          end
-          else begin
-            let src_version = n.version in
-            n.key <- Key.expand_label n.key Labels.node_roll [ n.id; t.epoch ];
-            Some { src_node = n.id; src_version; src_receivers = n.size; roll = true }
-          end
-        in
-        n.cipher <- None;
-        n.version <- t.epoch;
-        Hashtbl.replace kinds n.id d)
-      ns
-  done;
-  kinds
-
-let emit_derived ~dirty ~born_from ~kinds levels =
-  let out = ref [] in
-  for level = 0 to Array.length levels - 1 do
-    let ns = List.sort (fun (a : node) b -> compare b.id a.id) levels.(level) in
-    List.iter
-      (fun (n : node) ->
-        let d = Hashtbl.find kinds n.id in
-        let wraps =
-          match d with
-          | None -> List.map compact_wrap_of n.children
-          | Some { roll = false; src_node; _ } ->
-              List.filter_map
-                (fun c -> if c.id = src_node then None else Some (compact_wrap_of c))
-                n.children
-          | Some { roll = true; _ } ->
-              List.filter_map
-                (fun c ->
-                  if Hashtbl.mem dirty c.id || c.id >= born_from then Some (compact_wrap_of c)
-                  else None)
-                n.children
-        in
-        let derives = match d with None -> [] | Some dv -> [ dv ] in
-        out := { node_id = n.id; level; key = n.key; version = n.version; wraps; derives } :: !out)
-      ns
-  done;
-  !out
 
 let batch_update t ~departed ~joined =
   check_batch_args t ~departed ~joined;
   if departed = [] && joined = [] then []
   else begin
     let dirty : (int, node) Hashtbl.t = Hashtbl.create 64 in
-    let tainted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let born_from = t.next_id in
     let rec mark = function
       | None -> ()
       | Some n ->
@@ -389,20 +274,10 @@ let batch_update t ~departed ~joined =
             mark n.parent
           end
     in
-    let rec mark_taint = function
-      | None -> ()
-      | Some n ->
-          if not (Hashtbl.mem tainted n.id) then begin
-            Hashtbl.add tainted n.id ();
-            mark_taint n.parent
-          end
-    in
     List.iter
       (fun m ->
         let leaf = Hashtbl.find t.leaves m in
-        let splice = remove_leaf t leaf in
-        if t.mode = Derived then mark_taint splice;
-        mark splice)
+        mark (remove_leaf t leaf))
       departed;
     List.iter
       (fun (m, key) ->
@@ -412,46 +287,32 @@ let batch_update t ~departed ~joined =
         mark leaf.parent)
       joined;
     t.epoch <- t.epoch + 1;
-    match t.mode with
-    | Wrap -> begin
-        (* Refresh keys of surviving dirty nodes first, then emit wraps
-           so every wrap uses the child's final key for this epoch. *)
-        let survivors =
-          Hashtbl.fold
-            (fun id n acc -> if Hashtbl.mem t.nodes id then n :: acc else acc)
-            dirty []
-        in
-        List.iter
-          (fun (n : node) ->
-            n.key <- Key.fresh t.rng;
-            n.cipher <- None;
-            n.version <- t.epoch)
-          survivors;
-        (* Emit deepest-first (ties broken by ascending id). *)
-        match t.root with
-        | Some root when Hashtbl.mem t.nodes root.id && Hashtbl.mem dirty root.id ->
-            let levels = dirty_by_level ~dirty root in
-            let out = ref [] in
-            for level = 0 to Array.length levels - 1 do
-              let ns = List.sort (fun (a : node) b -> compare b.id a.id) levels.(level) in
-              List.iter
-                (fun (n : node) ->
-                  let wraps = List.map wrap_of n.children in
-                  out :=
-                    { node_id = n.id; level; key = n.key; version = n.version; wraps; derives = [] }
-                    :: !out)
-                ns
-            done;
-            !out
-        | _ -> []
-      end
-    | Derived -> (
-        match t.root with
-        | Some root when Hashtbl.mem t.nodes root.id && Hashtbl.mem dirty root.id ->
-            let levels = dirty_by_level ~dirty root in
-            let kinds = refresh_derived t ~dirty ~tainted ~born_from levels in
-            emit_derived ~dirty ~born_from ~kinds levels
-        | _ -> [])
+    (* Refresh keys of surviving dirty nodes first, then emit wraps so
+       every wrap uses the child's final key for this epoch. *)
+    let survivors =
+      Hashtbl.fold (fun id n acc -> if Hashtbl.mem t.nodes id then n :: acc else acc) dirty []
+    in
+    List.iter
+      (fun (n : node) ->
+        n.key <- Key.fresh t.rng;
+        n.cipher <- None;
+        n.version <- t.epoch)
+      survivors;
+    (* Emit deepest-first (ties broken by ascending id). *)
+    match t.root with
+    | Some root when Hashtbl.mem t.nodes root.id && Hashtbl.mem dirty root.id ->
+        let levels = dirty_by_level ~dirty root in
+        let out = ref [] in
+        for level = 0 to Array.length levels - 1 do
+          let ns = List.sort (fun (a : node) b -> compare b.id a.id) levels.(level) in
+          List.iter
+            (fun (n : node) ->
+              let wraps = List.map wrap_of n.children in
+              out := { node_id = n.id; level; key = n.key; version = n.version; wraps } :: !out)
+            ns
+        done;
+        !out
+    | _ -> []
   end
 
 let rekey_cost updates =
@@ -557,13 +418,7 @@ let snapshot t =
   let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snapshot_magic;
-  (* Wrap-mode blobs keep the exact v2 layout (pinned by the seed
-     oracles); derived mode writes v3 = v2 plus one mode byte. *)
-  (match t.mode with
-  | Wrap -> add_u8 buf snapshot_version
-  | Derived ->
-      add_u8 buf 3;
-      add_u8 buf 1);
+  add_u8 buf snapshot_version;
   add_u16 buf t.degree;
   add_i64 buf (Prng.save t.rng);
   add_i32 buf t.epoch;
@@ -589,14 +444,7 @@ let restore blob =
   let open Gkm_crypto.Codec in
   parse blob @@ fun r ->
   magic r snapshot_magic;
-  (* v2 = wrap mode; v3 inserts one mode byte after the version and is
-     otherwise identical. *)
-  let mode =
-    match u8 r with
-    | 2 -> Wrap
-    | 3 -> (match u8 r with 0 -> Wrap | 1 -> Derived | _ -> corrupt "corrupt mode byte")
-    | _ -> corrupt "unsupported snapshot version"
-  in
+  if u8 r <> snapshot_version then corrupt "unsupported snapshot version";
   let degree = u16 r in
   if degree < 2 then corrupt "corrupt degree";
   let rng = Prng.restore (i64 r) in
@@ -605,7 +453,6 @@ let restore blob =
   let t =
     {
       degree;
-      mode;
       rng;
       root = None;
       leaves = Hashtbl.create 64;

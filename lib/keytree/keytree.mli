@@ -20,19 +20,6 @@ type t
 
 type member_id = int
 
-type mode =
-  | Wrap
-      (** Classical LKH: every refreshed key is a fresh random,
-          distributed as one wrapped ciphertext per child. The default;
-          bit-identical to the seed behaviour. *)
-  | Derived
-      (** KDF-derived per-epoch node keys: tainted keys (ancestors of a
-          departure) are up-derived from a refreshed child, untainted
-          dirty keys (join paths) roll in place with a one-way PRF —
-          members that already hold the input key derive the output
-          locally from a 20-byte notice instead of receiving a 48-byte
-          wrap entry. *)
-
 type wrap = {
   under_node : int;  (** node id of the child key used to encrypt *)
   under_key : Gkm_crypto.Key.t;  (** that child's current key *)
@@ -42,27 +29,9 @@ type wrap = {
           node), so a KEK that survives many epochs is expanded once,
           not once per wrap — and a caller that never encrypts pays
           nothing *)
-  under_version : int option;
-      (** [None] ({!Wrap} mode): classical 32-byte wrap, one encrypted
-          block and the key's check. [Some v] ({!Derived} mode): compact 20-byte wrap — the
-          wrapping key's version [v] followed by a single encrypted
-          block — relying on the receiver-side version guard instead of
-          a key check to reject stale wrapping keys. *)
   receivers : int;  (** members beneath that child = members needing this wrap *)
 }
 (** One encryption of an updated key under one of its children. *)
-
-type derive = {
-  src_node : int;
-      (** the node whose key is the derivation input: a refreshed
-          child for an up-derivation, the node itself for a roll *)
-  src_version : int;  (** version the input key must have *)
-  src_receivers : int;  (** members holding the input key *)
-  roll : bool;  (** true: in-place roll; false: up-derivation *)
-}
-(** A derivation notice ({!Derived} mode only): members holding
-    [src_node]'s key at [src_version] compute the updated key locally
-    via [Key.expand_label] instead of unwrapping a ciphertext. *)
 
 type update = {
   node_id : int;
@@ -70,8 +39,6 @@ type update = {
   key : Gkm_crypto.Key.t;  (** the fresh key *)
   version : int;  (** tree epoch in which the key was refreshed *)
   wraps : wrap list;
-  derives : derive list;
-      (** [] in {!Wrap} mode; at most one notice in {!Derived} mode *)
 }
 (** One refreshed key together with all its wrappings. *)
 
@@ -82,17 +49,14 @@ type depth_stats = {
   node_count : int;  (** total nodes, internal + leaves *)
 }
 
-val create : ?id_base:int -> ?mode:mode -> degree:int -> Gkm_crypto.Prng.t -> t
-(** [create ?id_base ?mode ~degree rng] is an empty tree. Fresh keys
-    are drawn from [rng]. Node ids are allocated from [id_base]
-    (default 0) upward — give each tree of a multi-tree scheme a
-    disjoint id range so rekey-message entries never collide. [mode]
-    (default {!Wrap}) selects how refreshed keys are distributed.
+val create : ?id_base:int -> degree:int -> Gkm_crypto.Prng.t -> t
+(** [create ?id_base ~degree rng] is an empty tree. Fresh keys are
+    drawn from [rng]. Node ids are allocated from [id_base] (default 0)
+    upward — give each tree of a multi-tree scheme a disjoint id range
+    so rekey-message entries never collide.
     @raise Invalid_argument if [degree < 2]. *)
 
 val degree : t -> int
-
-val mode : t -> mode
 
 val size : t -> int
 (** Number of members (leaves). *)
@@ -160,8 +124,7 @@ val batch_update :
 
 val rekey_cost : update list -> int
 (** Total number of wrappings — the paper's "number of encrypted
-    keys" metric. Derivation notices are not encrypted keys and are
-    not counted; compare byte costs with [Rekey_msg.size_bytes]. *)
+    keys" metric. *)
 
 val depth_stats : t -> depth_stats
 (** Leaf-depth statistics, for balance diagnostics.
@@ -169,13 +132,13 @@ val depth_stats : t -> depth_stats
 
 val snapshot : t -> bytes
 (** Serialize the full tree (structure, key material, versions,
-    epoch, id allocator, PRNG state). Wrap-mode trees emit the v2
-    layout unchanged; derived-mode trees emit v3 (v2 plus a mode
-    byte). The blob contains raw key material — callers persisting it
-    must seal it first (for example with {!Gkm_crypto.Aead}). *)
+    epoch, id allocator, PRNG state) in the v2 layout. The blob
+    contains raw key material — callers persisting it must seal it
+    first (for example with {!Gkm_crypto.Aead}). *)
 
 val restore : bytes -> (t, string) result
-(** Rebuild a tree from {!snapshot} output (v2 or v3). The restored
+(** Rebuild a tree from {!snapshot} output; any other layout version
+    is an [Error]. The restored
     tree continues the original's PRNG stream, so subsequent
     operations are bit-identical to the source server's. Validated
     with {!check}, and every cached key schedule is explicitly

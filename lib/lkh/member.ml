@@ -1,5 +1,4 @@
 module Key = Gkm_crypto.Key
-module Labels = Gkm_crypto.Labels
 
 (* One held key. The expanded schedule is cached per slot: a member's
    individual key (and any long-lived subgroup key) serves as the
@@ -49,46 +48,11 @@ let has_version t node version =
 let interested t (e : Rekey_msg.entry) =
   knows t e.wrapped_under && not (has_version t e.target_node e.target_version)
 
-(* A derivation notice: compute the updated key locally from the
-   input key we already hold. The version check is the staleness
-   guard — deriving from the wrong key generation would silently
-   install garbage, so a mismatched slot is skipped exactly like a
-   failed unwrap. Version 0 marks keys installed over the secure
-   unicast channel (install_path during admission or resync): those
-   are current by construction but carry no epoch, so they are
-   accepted; if the unicast state was somehow stale, the session's
-   group-key verification catches the divergence and resyncs. *)
-let process_derive t (e : Rekey_msg.entry) kek_slot =
-  if kek_slot.version <> 0 && kek_slot.version <> Rekey_msg.derive_src_version e then false
-  else begin
-    let label = if e.wrapped_under = e.target_node then Labels.node_roll else Labels.node_up in
-    let key = Key.expand_label kek_slot.key label [ e.target_node; e.target_version ] in
-    Hashtbl.replace t.keys e.target_node (slot key e.target_version);
-    true
-  end
-
-(* A derived-mode compact wrap: one block, no key check. The
-   same staleness guard as derivation notices stands in for it — a
-   stale KEK fails the version comparison instead of the (absent)
-   key check, so the single-block decrypt below never runs under
-   the wrong key generation. *)
-let process_compact t (e : Rekey_msg.entry) kek_slot =
-  if kek_slot.version <> 0 && kek_slot.version <> Rekey_msg.compact_src_version e then false
-  else begin
-    let key =
-      Key.unwrap_block_with (slot_cipher kek_slot) (Rekey_msg.compact_wrapped_key e)
-    in
-    Hashtbl.replace t.keys e.target_node (slot key e.target_version);
-    true
-  end
-
 let process_entry t (e : Rekey_msg.entry) =
   match Hashtbl.find_opt t.keys e.wrapped_under with
   | None -> false
   | Some kek_slot ->
       if has_version t e.target_node e.target_version then false
-      else if Rekey_msg.is_derive e then process_derive t e kek_slot
-      else if Rekey_msg.is_compact_wrap e then process_compact t e kek_slot
       else begin
         (* A stale wrapping key (e.g. after migrating out of a
            partition) fails the key check and is ignored. *)

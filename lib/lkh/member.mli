@@ -30,11 +30,7 @@ val process : t -> Rekey_msg.t -> int
 
 val process_entry : t -> Rekey_msg.entry -> bool
 (** Process a single entry (used by transports delivering packets out
-    of order); [true] if it was decrypted (or, for a derivation
-    notice, locally derived) and stored. A derivation notice is only
-    applied when the held input key's version matches the notice's
-    source version — or when the slot was installed over unicast
-    (version 0), which is current by construction. *)
+    of order); [true] if it was decrypted and stored. *)
 
 val interested : t -> Rekey_msg.entry -> bool
 (** Whether the member holds the wrapping key for this entry and does

@@ -190,8 +190,7 @@ let h_ticket_age = Metrics.Histogram.v "rejoin.ticket_age_epochs"
 let journal name fields =
   if Obs.enabled () then Journal.record ~time:(Unix.gettimeofday ()) name fields
 
-let org_id_of_spec spec =
-  match Organization.base_spec spec with
+let org_id_of_spec = function
   | Organization.Scheme_cfg c -> (
       match c.Gkm.Scheme.kind with
       | Gkm.Scheme.One_keytree -> 0
@@ -201,7 +200,6 @@ let org_id_of_spec spec =
   | Organization.Composed_cfg { kind = Gkm.Scheme.One_keytree; assignment = By_loss _; _ } -> 4
   | Organization.Composed_cfg { kind = Gkm.Scheme.One_keytree; assignment = Random _; _ } -> 5
   | Organization.Composed_cfg _ -> 6
-  | Organization.Derived_cfg _ -> assert false (* base_spec strips these *)
 
 let org_tag t = t.org_id
 
@@ -1301,10 +1299,6 @@ let create ~loop (cfg : config) =
   if cfg.ticket_rewrap < 1 then invalid_arg "Netd.Server: ticket_rewrap must be positive";
   if cfg.domains < 1 || cfg.domains > 64 then
     invalid_arg "Netd.Server: domains must be in [1, 64]";
-  (* Wire clients only speak the wrap-based rekey protocol; derived
-     key-refresh is simulator-only until clients learn the notices. *)
-  if Organization.spec_keys_mode cfg.org = Gkm_keytree.Keytree.Derived then
-    invalid_arg "Netd.Server: derived keys mode is not supported over the wire";
   let org = Organization.create cfg.org in
   let org_id = org_id_of_spec cfg.org in
   let listen_fd = Unix.socket PF_INET SOCK_STREAM 0 in

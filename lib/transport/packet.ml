@@ -9,29 +9,23 @@ type t = { seq : int; block : int; index_in_block : int; payload : bytes }
    in every payload so that a packet decodes alone, and there is no
    padding: the capacity bounds a payload, it does not size it. *)
 
-(* Kind 0 is a classical wrap, 1 a compact wrap, 2 a derivation
-   notice; 3 is unused. A kind-0 group carries its entries' shared key
-   check once, so each of its entries is one encrypted block. *)
-let wire_size = [| Key.size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes |]
+(* A group header's low two bits are the entry kind, and 0, a
+   classical wrap, is the only kind. A group carries its entries'
+   shared key check once, so each of its entries is one encrypted
+   block. *)
+let check_wrap (e : Rekey_msg.entry) =
+  let n = Bytes.length e.ciphertext in
+  if n <> Key.wrapped_size then
+    invalid_arg (Printf.sprintf "Packet: a %d-byte ciphertext is no classical wrap" n)
 
-let check_bytes kind = if kind = 0 then Key.check_size else 0
-
-let kind_of (e : Rekey_msg.entry) =
-  match Bytes.length e.ciphertext with
-  | n when n = Key.wrapped_size -> 0
-  | n when n = Rekey_msg.compact_wrap_bytes -> 1
-  | n when n = Rekey_msg.derive_payload_bytes -> 2
-  | n -> invalid_arg (Printf.sprintf "Packet: a %d-byte ciphertext is no entry kind" n)
-
-(* Whether [e] may share a group with [h], both of kind [k]: the same
-   target and version, and for kind 0 the same check (a classical
-   wrap's last 16 bytes). *)
-let same_group k (h : Rekey_msg.entry) (e : Rekey_msg.entry) =
+(* Whether [e] may share a group with [h]: the same target, version
+   and check (a classical wrap's last 16 bytes). *)
+let same_group (h : Rekey_msg.entry) (e : Rekey_msg.entry) =
   let word b i : int64 = Bytes.get_int64_ne b (Key.size + i) in
   h.target_node = e.target_node
   && h.target_version = e.target_version
-  && (k <> 0
-     || (word h.ciphertext 0 = word e.ciphertext 0 && word h.ciphertext 8 = word e.ciphertext 8))
+  && word h.ciphertext 0 = word e.ciphertext 0
+  && word h.ciphertext 8 = word e.ciphertext 8
 
 (* The group count, then one group of one classical wrap with every
    delta at its widest: the header, the check and the block. *)
@@ -39,20 +33,20 @@ let min_capacity_bytes =
   let open Codec in
   uvarint_size 1 + (3 * varint_size min_int) + uvarint_size 4 + Key.check_size + Key.size
 
-(* Two one-byte deltas, the count/kind byte, and one entry: a one-byte
-   delta and the shortest ciphertext. *)
-let min_group_size = 4 + Rekey_msg.derive_payload_bytes
+(* Two one-byte deltas, the count/kind byte, the check, and one
+   entry: a one-byte delta and a block. *)
+let min_group_size = 3 + Key.check_size + 1 + Key.size
 
-(* Maximal runs of one group, each [(kind, first entry, entries)]. *)
+(* Maximal runs of one group, each [(first entry, entries)]. *)
 let groups_of entries =
   List.fold_left
     (fun acc e ->
-      let k = kind_of e in
+      check_wrap e;
       match acc with
-      | (k', h, es) :: rest when k = k' && same_group k h e -> (k, h, e :: es) :: rest
-      | _ -> (k, e, [ e ]) :: acc)
+      | (h, es) :: rest when same_group h e -> (h, e :: es) :: rest
+      | _ -> (e, [ e ]) :: acc)
     [] entries
-  |> List.rev_map (fun (k, h, es) -> (k, h, List.rev es))
+  |> List.rev_map (fun (h, es) -> (h, List.rev es))
 
 let encode_payload entries =
   let open Codec in
@@ -61,34 +55,33 @@ let encode_payload entries =
   add_uvarint buf (List.length groups);
   ignore
     (List.fold_left
-       (fun (target, version) (kind, (h : Rekey_msg.entry), es) ->
+       (fun (target, version) ((h : Rekey_msg.entry), es) ->
          add_varint buf (h.target_node - target);
          add_varint buf (h.target_version - version);
-         add_uvarint buf ((List.length es * 4) + kind);
-         if kind = 0 then Buffer.add_subbytes buf h.ciphertext Key.size Key.check_size;
+         add_uvarint buf (List.length es * 4);
+         Buffer.add_subbytes buf h.ciphertext Key.size Key.check_size;
          ignore
            (List.fold_left
               (fun prev (e : Rekey_msg.entry) ->
                 add_varint buf (e.wrapped_under - prev);
-                Buffer.add_subbytes buf e.ciphertext 0 wire_size.(kind);
+                Buffer.add_subbytes buf e.ciphertext 0 Key.size;
                 e.wrapped_under)
               h.target_node es);
          (h.target_node, h.target_version))
        (0, 0) groups);
   Buffer.to_bytes buf
 
-(* The bytes [e] (of kind [k]) adds to a payload of [groups] groups
-   whose entries, newest first, are [batch] and whose last group holds
-   [count]; and whether [e] joins that group. *)
-let growth ~groups ~count batch (e : Rekey_msg.entry) k =
+(* The bytes [e] adds to a payload of [groups] groups whose entries,
+   newest first, are [batch] and whose last group holds [count]; and
+   whether [e] joins that group. *)
+let growth ~groups ~count batch (e : Rekey_msg.entry) =
   let open Codec in
-  let ct = wire_size.(k) in
   match batch with
-  | (last : Rekey_msg.entry) :: _ when kind_of last = k && same_group k last e ->
+  | (last : Rekey_msg.entry) :: _ when same_group last e ->
       ( varint_size (e.wrapped_under - last.wrapped_under)
-        + ct
-        + uvarint_size (((count + 1) * 4) + k)
-        - uvarint_size ((count * 4) + k),
+        + Key.size
+        + uvarint_size ((count + 1) * 4)
+        - uvarint_size (count * 4),
         true )
   | _ ->
       let target, version =
@@ -97,10 +90,10 @@ let growth ~groups ~count batch (e : Rekey_msg.entry) k =
       ( uvarint_size (groups + 1) - uvarint_size groups
         + varint_size (e.target_node - target)
         + varint_size (e.target_version - version)
-        + uvarint_size (4 + k)
-        + check_bytes k
+        + uvarint_size 4
+        + Key.check_size
         + varint_size (e.wrapped_under - e.target_node)
-        + ct,
+        + Key.size,
         false )
 
 let encode_entries ?wide:_ ~capacity_bytes entries =
@@ -125,8 +118,8 @@ let encode_entries ?wide:_ ~capacity_bytes entries =
   reset ();
   List.iter
     (fun (e : Rekey_msg.entry) ->
-      let k = kind_of e in
-      let grow () = growth ~groups:!groups ~count:!count !batch e k in
+      check_wrap e;
+      let grow () = growth ~groups:!groups ~count:!count !batch e in
       let sz, joins =
         match grow () with
         | sz, _ when !size + sz > capacity_bytes && !batch <> [] ->
@@ -154,28 +147,28 @@ let encode_entries ?wide:_ ~capacity_bytes entries =
    bytes it read. *)
 let read_group r prev =
   let open Codec in
-  let pt, pv, pk, pc = !prev in
+  let pt, pv, pc = !prev in
   let target_node = pt + varint r in
   let target_version = pv + varint r in
   let header = uvarint r in
   let count = header lsr 2 and kind = header land 3 in
   if count = 0 then corrupt "empty entry group";
-  if kind = 3 then corrupt "entry kind 3";
-  let check = bytes r (check_bytes kind) in
-  if target_node = pt && target_version = pv && kind = pk && Bytes.equal check pc then
+  if kind <> 0 then corrupt "entry kind %d" kind;
+  let check = bytes r Key.check_size in
+  if target_node = pt && target_version = pv && Bytes.equal check pc then
     corrupt "entry group repeats its predecessor";
-  prev := (target_node, target_version, kind, check);
-  let size = wire_size.(kind) and last = ref target_node in
-  items r ~min_item_size:(1 + size) count (fun r ->
+  prev := (target_node, target_version, check);
+  let last = ref target_node in
+  items r ~min_item_size:(1 + Key.size) count (fun r ->
       let wrapped_under = !last + varint r in
       last := wrapped_under;
-      let ciphertext = Bytes.cat (bytes r size) check in
+      let ciphertext = Bytes.cat (bytes r Key.size) check in
       { Rekey_msg.target_node; target_version; level = 0; wrapped_under; receivers = 0; ciphertext })
 
 let decode_payload payload =
   let open Codec in
   parse payload @@ fun r ->
-  let prev = ref (0, 0, -1, Bytes.empty) in
+  let prev = ref (0, 0, Bytes.empty) in
   let groups = items r ~min_item_size:min_group_size (uvarint r) (fun r -> read_group r prev) in
   (* The one decoder that tolerates trailing bytes: FEC recovery
      zero-extends a payload to its block's longest shard. *)

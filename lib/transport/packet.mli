@@ -24,28 +24,26 @@ val encode_entries :
     and ignored; it remains only for callers written against the
     retired i64-id layout.
     @raise Invalid_argument if [capacity_bytes] is too small for an
-    entry, or on a ciphertext of no entry kind. *)
+    entry, or on a ciphertext that is no classical wrap. *)
 
 val encode_payload : Gkm_lkh.Rekey_msg.entry list -> bytes
 (** One payload holding all of [entries], whatever its length. A
     payload is an unsigned LEB128 group count followed by the groups.
-    A group is a maximal run of consecutive entries sharing
-    [target_node], [target_version] and kind, written as the zigzag
-    deltas of its target and version from the previous group's, one
-    unsigned varint [count * 4 + kind], then per entry the zigzag
-    delta of [wrapped_under] (from the target for the first entry,
-    from the previous entry's after) and the ciphertext. Kind 0 is a
-    32-byte classical wrap, 1 a 20-byte compact wrap and 2 a 4-byte
-    derivation notice (see {!Gkm_lkh.Rekey_msg.entry}); the kind
-    implies the ciphertext's length. A kind-0 group's entries also
-    share their last 16 bytes, the wrapped key's {!Gkm_crypto.Key.check}:
-    it is written once, after the count, and each entry then carries
-    only its 16-byte encrypted block. Deltas start from (0, 0) in
+    A group is a maximal run of consecutive classical wraps (see
+    {!Gkm_lkh.Rekey_msg.entry}) sharing [target_node],
+    [target_version] and their last 16 bytes, the wrapped key's
+    {!Gkm_crypto.Key.check}. It is written as the zigzag deltas of
+    its target and version from the previous group's, one unsigned
+    varint [count * 4 + kind] whose kind is always 0, the shared
+    check, then per entry the zigzag delta of [wrapped_under] (from
+    the target for the first entry, from the previous entry's after)
+    and the entry's 16-byte encrypted block. Deltas start from (0, 0) in
     every payload, so each decodes alone, and wrap modulo 2^63, so
     every int round-trips (see {!Gkm_crypto.Codec.add_varint}).
     [level] and [receivers] are not written. [encode_payload []] is
     the one-byte zero-group payload.
-    @raise Invalid_argument on a ciphertext of any other length. *)
+    @raise Invalid_argument on a ciphertext of any length but
+    {!Gkm_crypto.Key.wrapped_size}. *)
 
 val min_capacity_bytes : int
 (** The payload of one group holding one classical wrap with every
@@ -56,11 +54,11 @@ val min_capacity_bytes : int
 val decode_payload : bytes -> (Gkm_lkh.Rekey_msg.entry list, string) result
 (** Recover the entries of one packet payload (ignoring trailing bytes,
     such as the zeros FEC recovery extends a short payload with), with
-    [level] and [receivers] 0, and each kind-0 entry's block joined
-    again with its group's check. Accepts only what {!encode_payload}
+    [level] and [receivers] 0, and each entry's block joined again
+    with its group's check. Accepts only what {!encode_payload}
     writes, so an accepted payload re-encodes to the bytes it read:
-    overlong or over-63-bit varints, an empty group, kind 3, a group
-    with its predecessor's target, version, kind and check, a count
+    overlong or over-63-bit varints, an empty group, a kind other than
+    0, a group with its predecessor's target, version and check, a count
     the bytes cannot hold, or truncation (a cut check included) give
     [Error]. Never raises. *)
 

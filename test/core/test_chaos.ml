@@ -246,10 +246,6 @@ let () =
           Alcotest.test_case "loss-tree round trip" `Quick (roundtrip_spec "loss:0.05");
           Alcotest.test_case "random round trip" `Quick (roundtrip_spec "random:2");
           Alcotest.test_case "composed round trip" `Quick (roundtrip_spec "composed");
-          Alcotest.test_case "TT+derived round trip" `Quick (roundtrip_spec "tt+derived");
-          Alcotest.test_case "loss+derived round trip" `Quick (roundtrip_spec "loss:0.05+derived");
-          Alcotest.test_case "composed+derived round trip" `Quick
-            (roundtrip_spec "composed+derived");
           Alcotest.test_case "garbage rejected" `Quick test_restore_rejects_garbage;
           Alcotest.test_case "snapshot purity" `Quick test_snapshot_pure;
           QCheck_alcotest.to_alcotest prop_one_keytree_prefix_roundtrip;
@@ -269,7 +265,5 @@ let () =
           Alcotest.test_case "loss-homogenized" `Slow (test_chaos_sweep "loss:0.05");
           Alcotest.test_case "random" `Slow (test_chaos_sweep "random:2");
           Alcotest.test_case "composed" `Slow (test_chaos_sweep "composed");
-          Alcotest.test_case "TT-scheme derived" `Slow (test_chaos_sweep "tt+derived");
-          Alcotest.test_case "composed derived" `Slow (test_chaos_sweep "composed+derived");
         ] );
     ]

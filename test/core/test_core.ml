@@ -444,7 +444,7 @@ let test_sim_tracks_analytic () =
    every member's path. A classical wrap's last 16 bytes must be the
    check of its target's key as the member paths hold it; the digest
    comes back with the number of wraps so checked. *)
-let one_keytree_stream_digest keys_mode =
+let one_keytree_stream_digest () =
   let module Sha256 = Gkm_crypto.Sha256 in
   let h = Sha256.init () in
   let add_int i = Sha256.update_string h (string_of_int i ^ ",") in
@@ -453,7 +453,7 @@ let one_keytree_stream_digest keys_mode =
   List.iter
     (fun degree ->
       let s =
-        Scheme.create ~keys_mode
+        Scheme.create
           { (Scheme.default_config Scheme.One_keytree) with degree; seed = 40 + degree }
       in
       let lcg = ref (degree * 7919) in
@@ -482,16 +482,13 @@ let one_keytree_stream_digest keys_mode =
               (fun (e : Gkm_lkh.Rekey_msg.entry) ->
                 List.iter add_int
                   [ e.target_node; e.target_version; e.level; e.wrapped_under; e.receivers ];
-                if Bytes.length e.ciphertext = Key.wrapped_size then begin
-                  Sha256.update h (Bytes.sub e.ciphertext 0 Key.size);
-                  match Hashtbl.find_opt held e.target_node with
-                  | Some k
-                    when Bytes.equal (Key.check k)
-                           (Bytes.sub e.ciphertext Key.size Key.check_size) ->
-                      incr checked
-                  | _ -> Alcotest.failf "K%d v%d: not its key's check" e.target_node e.target_version
-                end
-                else Sha256.update h e.ciphertext)
+                Sha256.update h (Bytes.sub e.ciphertext 0 Key.size);
+                match Hashtbl.find_opt held e.target_node with
+                | Some k
+                  when Bytes.equal (Key.check k) (Bytes.sub e.ciphertext Key.size Key.check_size)
+                  ->
+                    incr checked
+                | _ -> Alcotest.failf "K%d v%d: not its key's check" e.target_node e.target_version)
               msg.entries)
           msg;
         (match Scheme.group_key s with None -> add_int (-1) | Some k -> add_key k);
@@ -545,14 +542,14 @@ let one_keytree_stream_digest keys_mode =
    second encrypted block. The first block, [E_kek(k)], is unchanged,
    so the wrap-mode digest below was computed by this script, hashing
    only that block, at the last commit where the server's digests
-   still held; it keeps the link to the server. Derived mode sends no
-   classical wraps, and its digest is the server's own. *)
-let test_one_keytree_stream_pinned keys_mode expected () =
-  let digest, checked = one_keytree_stream_digest keys_mode in
-  Alcotest.(check string) "stream digest" expected digest;
+   still held; it keeps the link to the server. *)
+let test_one_keytree_stream_pinned () =
+  let digest, checked = one_keytree_stream_digest () in
+  Alcotest.(check string) "stream digest"
+    "fcf0b6bb3f6d29264a22152bec0cb9a49d93737536a6aa577af39a81052718ce" digest;
   Alcotest.(check bool)
     (Printf.sprintf "%d classical wraps carry their key's check" checked)
-    (keys_mode = Gkm_keytree.Keytree.Wrap) (checked > 0)
+    true (checked > 0)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -583,12 +580,7 @@ let () =
         @ qsuite [ prop_scheme_churn_secure ] );
       ( "pinned stream",
         [
-          Alcotest.test_case "wrap bytes pinned" `Quick
-            (test_one_keytree_stream_pinned Gkm_keytree.Keytree.Wrap
-               "fcf0b6bb3f6d29264a22152bec0cb9a49d93737536a6aa577af39a81052718ce");
-          Alcotest.test_case "derived bytes pinned" `Quick
-            (test_one_keytree_stream_pinned Gkm_keytree.Keytree.Derived
-               "e99cae32499dac2ceb665379dc330f7c732686284fba0dbcbb650442d549254d");
+          Alcotest.test_case "wrap bytes pinned" `Quick test_one_keytree_stream_pinned;
         ] );
       ( "loss_tree",
         [

@@ -50,7 +50,6 @@ let test_spec_of_string () =
       ("random:2", "random(2)");
       ("composed:one@0.05", "loss-homogenized(0.05)");
       ("composed:tt@0.02,0.1", "composed(TT-scheme@0.02,0.1)");
-      ("loss:0.05+derived", "loss-homogenized(0.05)+derived");
     ];
   (match Organization.spec_of_string ~degree:8 ~s_period:3 ~seed:7 "pt" with
   | Ok (Organization.Scheme_cfg { Scheme.kind = Scheme.Pt; degree = 8; s_period = 3; seed = 7 })
@@ -418,11 +417,6 @@ let session_pins : (string * session_pin) list =
   ( "random:2",
     { intervals = 20; rekeys = 20; mean_keys = 4632564424824900813L; mean_keys_sent = 4635565651764078183L;
       mean_rounds = 4614951128157231512L; mean_packets = 4618103647896390859L; deadline_misses = 0;
-      mean_size = 4639643520489173811L; final_size = 161; verified = true; faults_injected = 0;
-      restores = 0; resyncs = 0; rejoins = 0; recovered = true } );
-  ( "loss:0.05+derived",
-    { intervals = 20; rekeys = 20; mean_keys = 4631705926145933311L; mean_keys_sent = 4634492528415368806L;
-      mean_rounds = 4614050408231757415L; mean_packets = 4616977747989548237L; deadline_misses = 0;
       mean_size = 4639643520489173811L; final_size = 161; verified = true; faults_injected = 0;
       restores = 0; resyncs = 0; rejoins = 0; recovered = true } );
   ]

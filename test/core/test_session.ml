@@ -36,44 +36,6 @@ let test_session_all_scheme_kinds () =
         true r.verified)
     Scheme.all_kinds
 
-let test_session_derived_modes () =
-  (* Every organization family runs verified in both key-refresh
-     modes: the full member-side verification (convergence + eviction
-     lockout) holds over derivation notices and compact wraps exactly
-     as it does over classical wraps. *)
-  let kinds =
-    List.map
-      (fun kind ->
-        Organization.Scheme_cfg { Scheme.kind; degree = 4; s_period = 5; seed = 3 })
-      Scheme.all_kinds
-  in
-  let others =
-    [
-      Organization.Composed_cfg
-        { kind = Scheme.One_keytree; degree = 4; s_period = 5; seed = 3;
-          assignment = By_loss [ 0.05 ] };
-      Organization.Composed_cfg
-        { kind = Scheme.Tt; degree = 4; s_period = 5; seed = 3; assignment = By_loss [ 0.05 ] };
-    ]
-  in
-  List.iter
-    (fun spec ->
-      let run mode =
-        Session.run
-          {
-            base with
-            org = Organization.with_keys_mode mode spec;
-            horizon = 600.0;
-            seed = 4;
-          }
-      in
-      let w = run Gkm_keytree.Keytree.Wrap in
-      let d = run Gkm_keytree.Keytree.Derived in
-      let name = Organization.spec_name spec in
-      Alcotest.(check bool) (name ^ " wrap verified") true w.verified;
-      Alcotest.(check bool) (name ^ "+derived verified") true d.verified)
-    (kinds @ others)
-
 let test_session_without_delivery () =
   let r = Session.run { base with deliver = false; horizon = 600.0 } in
   Alcotest.(check bool) "verified" true r.verified;
@@ -145,7 +107,6 @@ let () =
         [
           Alcotest.test_case "runs verified" `Quick test_session_runs_verified;
           Alcotest.test_case "all scheme kinds" `Quick test_session_all_scheme_kinds;
-          Alcotest.test_case "derived mode across organizations" `Slow test_session_derived_modes;
           Alcotest.test_case "without delivery" `Quick test_session_without_delivery;
           Alcotest.test_case "deadline misses" `Quick test_session_deadline_misses_under_slow_rtt;
           Alcotest.test_case "partition beats baseline" `Slow test_session_partition_beats_baseline;

@@ -408,16 +408,15 @@ let test_labels_prefix_free () =
     labels
 
 let test_labels_expand_contexts_disjoint () =
-  let k = Key.of_bytes (Bytes.make 16 '\x42') in
-  let a = Key.expand_label k Labels.node_up [ 7; 3 ] in
-  let b = Key.expand_label k Labels.node_roll [ 7; 3 ] in
-  Alcotest.(check bool) "node_up and node_roll derive differently" false (Key.equal a b);
-  Alcotest.(check bool)
-    "field-sensitive" false
-    (Key.equal a (Key.expand_label k Labels.node_up [ 7; 4 ]));
-  Alcotest.(check bool)
-    "deterministic" true
-    (Key.equal a (Key.expand_label k Labels.node_up [ 7; 3 ]))
+  let prk = Bytes.make 32 '\x42' in
+  let expand label fields =
+    Pkg.kdf_expand Pkg.default ~prk ~info:(Hkdf.label_info label fields) 16
+  in
+  let a = expand Labels.resume [ 7 ] in
+  let b = expand Labels.traffic [ 7 ] in
+  Alcotest.(check bool) "resume and traffic expand differently" false (Bytes.equal a b);
+  Alcotest.(check bool) "field-sensitive" false (Bytes.equal a (expand Labels.resume [ 8 ]));
+  Alcotest.(check bool) "deterministic" true (Bytes.equal a (expand Labels.resume [ 7 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Pkg                                                                 *)
@@ -535,21 +534,6 @@ let test_pkg_agility () =
     "cross-package unwrap rejected" true
     (Key.unwrap_with (Key.cipher kek) wrapped = None)
 
-let test_key_block_wrap () =
-  let rng = Prng.create 55 in
-  let kek = Key.fresh rng and k = Key.fresh rng in
-  let c = Key.cipher kek in
-  let ct = Key.wrap_block_with c k in
-  Alcotest.(check int) "one block" Key.size (Bytes.length ct);
-  Alcotest.(check bool) "roundtrip" true (Key.equal k (Key.unwrap_block_with c ct));
-  Alcotest.(check string)
-    "block wrap = first classical wrap block"
-    (Hex.encode (Bytes.sub (Key.wrap_with c k) 0 Key.size))
-    (Hex.encode ct);
-  match Key.unwrap_block_with c (Bytes.create 15) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "short block accepted"
-
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 
@@ -666,7 +650,6 @@ let () =
           Alcotest.test_case "cached cipher" `Quick test_key_cached_cipher;
           Alcotest.test_case "wrap format pinned" `Quick test_wrap_format_pinned;
           Alcotest.test_case "wrap rejections" `Quick test_key_wrap_rejections;
-          Alcotest.test_case "block wrap" `Quick test_key_block_wrap;
         ]
         @ qsuite [ prop_key_wrap; prop_key_cached_wrap ] );
       ( "labels",

@@ -429,183 +429,46 @@ let test_reference_edge_cases () =
   step ~departed:[ 10; 11 ] ~joined:[ (13, key 13) ]
 
 (* ------------------------------------------------------------------ *)
-(* Derived key-refresh mode                                            *)
+(* Cached key schedules                                                *)
 
-let make_derived ?(seed = 1) ?(degree = 4) () =
-  Keytree.create ~mode:Keytree.Derived ~degree (Prng.create seed)
-
-let join_batch t ms =
-  Keytree.batch_update t ~departed:[]
-    ~joined:(List.map (fun m -> (m, Key.fresh (Prng.create (1000 + m)))) ms)
-
-let test_derived_departure_structure () =
-  (* Full degree-4 tree of 16: one departure taints exactly the
-     leaf-to-root path. The bottom tainted node (its children are all
-     clean survivors) draws a fresh random with full wraps; every
-     ancestor up-derives from its refreshed child, wrapping only the
-     other children. All wraps are compact. *)
-  let t = make_derived () in
-  ignore (join_batch t (range 1 16));
-  let updates = Keytree.batch_update t ~departed:[ 6 ] ~joined:[] in
-  Alcotest.(check int) "two interior updates" 2 (List.length updates);
-  let fresh, derived =
-    List.partition (fun (u : Keytree.update) -> u.derives = []) updates
-  in
-  Alcotest.(check int) "one fresh node (splice bottom)" 1 (List.length fresh);
-  Alcotest.(check int) "one up-derived node" 1 (List.length derived);
-  List.iter
-    (fun (u : Keytree.update) ->
-      List.iter
-        (fun (w : Keytree.wrap) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "wrap under K%d is compact" w.under_node)
-            true (w.under_version <> None))
-        u.wraps)
-    updates;
-  (match derived with
-  | [ u ] -> (
-      match u.derives with
-      | [ d ] ->
-          Alcotest.(check bool) "up-derivation, not a roll" false d.roll;
-          Alcotest.(check bool)
-            "source excluded from wraps" true
-            (List.for_all (fun (w : Keytree.wrap) -> w.under_node <> d.src_node) u.wraps);
-          Alcotest.(check int) "d-1 wraps on the derived node" 3 (List.length u.wraps)
-      | _ -> Alcotest.fail "expected exactly one derive")
-  | _ -> ());
-  assert_ok t
-
-let test_derived_join_rolls () =
-  (* A join into a tree with room: every dirty ancestor is untainted,
-     so it rolls in place and wraps only toward the joiner. *)
-  let t = make_derived () in
-  ignore (join_batch t (range 1 15));
-  let updates = join_batch t [ 16 ] in
-  Alcotest.(check bool) "updates non-empty" true (updates <> []);
-  List.iter
-    (fun (u : Keytree.update) ->
-      match u.derives with
-      | [ d ] ->
-          Alcotest.(check bool) (Printf.sprintf "K%d rolls" u.node_id) true d.roll;
-          Alcotest.(check int)
-            (Printf.sprintf "K%d wraps only the join path" u.node_id)
-            1 (List.length u.wraps)
-      | [] -> () (* a node born by a split takes a fresh key *)
-      | _ -> Alcotest.fail "multiple derives on one node")
-    updates;
-  (* The same join on a wrap-mode twin costs strictly more wraps. *)
-  let tw = make ~seed:1 ~degree:4 () in
-  ignore (join_batch tw (range 1 15));
-  let uw = join_batch tw [ 16 ] in
-  Alcotest.(check bool)
-    (Printf.sprintf "derived %d < wrap %d wraps" (Keytree.rekey_cost updates)
-       (Keytree.rekey_cost uw))
-    true
-    (Keytree.rekey_cost updates < Keytree.rekey_cost uw);
-  assert_ok t
-
-let test_derived_wrap_mode_stays_classical () =
-  (* Wrap-mode emissions must never carry the compact marker — that is
-     what keeps the seed oracles bit-identical. *)
-  let t = make () in
-  ignore (join_batch t (range 1 9));
-  let updates = Keytree.batch_update t ~departed:[ 3 ] ~joined:[] in
-  List.iter
-    (fun (u : Keytree.update) ->
-      Alcotest.(check bool) "no derives" true (u.derives = []);
-      List.iter
-        (fun (w : Keytree.wrap) ->
-          Alcotest.(check bool) "classical wrap" true (w.under_version = None))
-        u.wraps)
-    updates
-
-let derived_updates_identical (a : Keytree.update list) (b : Keytree.update list) =
+let updates_identical (a : Keytree.update list) (b : Keytree.update list) =
   List.length a = List.length b
   && List.for_all2
        (fun (u : Keytree.update) (v : Keytree.update) ->
          u.node_id = v.node_id && u.level = v.level && u.version = v.version
-         && Key.equal u.key v.key && u.derives = v.derives
+         && Key.equal u.key v.key
          && List.length u.wraps = List.length v.wraps
          && List.for_all2
               (fun (w : Keytree.wrap) (x : Keytree.wrap) ->
-                w.under_node = x.under_node && w.under_version = x.under_version
-                && w.receivers = x.receivers
+                w.under_node = x.under_node && w.receivers = x.receivers
                 && Key.equal w.under_key x.under_key
                 && Bytes.equal
-                     (Key.wrap_block_with (Lazy.force w.under_cipher) u.key)
-                     (Key.wrap_block_with (Lazy.force x.under_cipher) v.key))
+                     (Key.wrap_with (Lazy.force w.under_cipher) u.key)
+                     (Key.wrap_with (Lazy.force x.under_cipher) v.key))
               u.wraps v.wraps)
        a b
 
-let test_derived_snapshot_roundtrip () =
-  let t = make_derived ~seed:31 () in
-  ignore (join_batch t (range 1 20));
-  ignore (Keytree.batch_update t ~departed:[ 4; 9 ] ~joined:[]);
-  (* Force schedule caches so the snapshot is taken with warm state. *)
+let test_invalidate_schedules_transparent () =
+  (* Dropping every cached schedule must not change emitted bytes —
+     schedules are pure caches of the node keys. The snapshot is taken
+     with warm caches, so a stale schedule surviving restore would also
+     show as a divergent ciphertext. *)
+  let t = make ~seed:47 () in
+  let join ms =
+    Keytree.batch_update t ~departed:[]
+      ~joined:(List.map (fun m -> (m, Key.fresh (Prng.create (1000 + m)))) ms)
+  in
+  ignore (join (range 1 15));
   List.iter
     (fun (u : Keytree.update) ->
       List.iter (fun (w : Keytree.wrap) -> ignore (Lazy.force w.under_cipher)) u.wraps)
-    (join_batch t [ 21 ]);
-  let blob = Keytree.snapshot t in
-  let r =
-    match Keytree.restore blob with
-    | Ok r -> r
-    | Error e -> Alcotest.fail ("restore failed: " ^ e)
-  in
-  Alcotest.(check bool) "mode preserved" true (Keytree.mode r = Keytree.Derived);
-  Alcotest.(check int) "size preserved" (Keytree.size t) (Keytree.size r);
-  Alcotest.(check int) "epoch preserved" (Keytree.epoch t) (Keytree.epoch r);
-  (* The restored tree continues the same key stream and emits
-     byte-identical updates — including wrap ciphertexts, which is the
-     schedule-invalidation regression: a stale cached schedule on any
-     restored node would produce a divergent ciphertext here. *)
-  let u_t = Keytree.batch_update t ~departed:[ 13 ] ~joined:[] in
-  let u_r = Keytree.batch_update r ~departed:[ 13 ] ~joined:[] in
-  Alcotest.(check bool) "post-restore updates identical" true (derived_updates_identical u_t u_r);
-  Alcotest.(check bool)
-    "group keys agree" true
-    (Key.equal (Option.get (Keytree.group_key t)) (Option.get (Keytree.group_key r)));
-  assert_ok r
-
-let test_derived_invalidate_schedules_transparent () =
-  (* Dropping every cached schedule must not change emitted bytes —
-     schedules are pure caches of the node keys. *)
-  let t = make_derived ~seed:47 () in
-  ignore (join_batch t (range 1 16));
-  let blob = Keytree.snapshot t in
-  let twin = Result.get_ok (Keytree.restore blob) in
+    (join [ 16 ]);
+  let twin = Result.get_ok (Keytree.restore (Keytree.snapshot t)) in
   Keytree.invalidate_schedules t;
   let u_t = Keytree.batch_update t ~departed:[ 2; 11 ] ~joined:[] in
   let u_r = Keytree.batch_update twin ~departed:[ 2; 11 ] ~joined:[] in
-  Alcotest.(check bool)
-    "invalidated tree emits identical updates" true
-    (derived_updates_identical u_t u_r)
-
-let prop_derived_invariants =
-  QCheck.Test.make ~name:"derived mode keeps tree invariants under churn" ~count:100
-    (QCheck.make ~print:print_batches gen_batches)
-    (fun batches ->
-      let t = Keytree.create ~mode:Keytree.Derived ~degree:3 (Prng.create 17) in
-      let next = ref 0 in
-      List.for_all
-        (fun (dep_picks, n_joins) ->
-          let members = List.sort compare (Keytree.members t) in
-          let n_mem = List.length members in
-          let departed =
-            List.sort_uniq compare
-              (List.filter_map
-                 (fun p -> if n_mem = 0 then None else Some (List.nth members (p mod n_mem)))
-                 dep_picks)
-          in
-          let joined =
-            List.init n_joins (fun _ ->
-                let m = !next in
-                incr next;
-                (m, Key.fresh (Prng.create (7000 + m))))
-          in
-          ignore (Keytree.batch_update t ~departed ~joined);
-          match Keytree.check t with Ok () -> true | Error _ -> false)
-        batches)
+  Alcotest.(check bool) "invalidated tree emits identical updates" true (updates_identical u_t u_r);
+  assert_ok twin
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -628,6 +491,8 @@ let () =
           Alcotest.test_case "argument errors" `Quick test_errors;
           Alcotest.test_case "empty batch no-op" `Quick test_empty_batch_is_noop;
           Alcotest.test_case "paths reach DEK" `Quick test_path_root_is_group_key;
+          Alcotest.test_case "schedule invalidation transparent" `Quick
+            test_invalidate_schedules_transparent;
         ] );
       ( "costs",
         [
@@ -645,15 +510,4 @@ let () =
       ( "seed-equivalence",
         Alcotest.test_case "empty-tree and splice-root edges" `Quick test_reference_edge_cases
         :: qsuite [ prop_matches_reference ] );
-      ( "derived",
-        [
-          Alcotest.test_case "departure structure" `Quick test_derived_departure_structure;
-          Alcotest.test_case "join rolls in place" `Quick test_derived_join_rolls;
-          Alcotest.test_case "wrap mode stays classical" `Quick
-            test_derived_wrap_mode_stays_classical;
-          Alcotest.test_case "snapshot v3 roundtrip" `Quick test_derived_snapshot_roundtrip;
-          Alcotest.test_case "schedule invalidation transparent" `Quick
-            test_derived_invalidate_schedules_transparent;
-        ]
-        @ qsuite [ prop_derived_invariants ] );
     ]

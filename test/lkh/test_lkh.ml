@@ -6,8 +6,8 @@ open Gkm_lkh
 (* The LKH key server is the one-keytree scheme: one balanced tree
    whose root is the DEK. Every registrant is a long-term member (the
    class only steers the two-partition schemes). *)
-let one_keytree ?(degree = 4) ?keys_mode ~seed () =
-  Scheme.create ?keys_mode { (Scheme.default_config Scheme.One_keytree) with degree; seed }
+let one_keytree ?(degree = 4) ~seed () =
+  Scheme.create { (Scheme.default_config Scheme.One_keytree) with degree; seed }
 
 let register server m = Scheme.register server ~member:m ~cls:Scheme.Long
 let tree server = List.hd (Scheme.trees server)
@@ -26,9 +26,9 @@ module Harness = struct
     mutable staged : (int * Key.t) list; (* registered, waiting for batch *)
   }
 
-  let create ?(degree = 4) ?keys_mode ~seed () =
+  let create ?(degree = 4) ~seed () =
     {
-      server = one_keytree ~degree ?keys_mode ~seed ();
+      server = one_keytree ~degree ~seed ();
       members = Hashtbl.create 32;
       evicted = Hashtbl.create 32;
       staged = [];
@@ -327,9 +327,11 @@ let test_cost_accounting () =
   Alcotest.(check int) "cumulative = message size" (Rekey_msg.size_keys msg)
     (Scheme.cumulative_keys server);
   Alcotest.(check int) "one rekey" 1 (Scheme.interval server);
-  Alcotest.(check int) "bytes = 48 per entry (16 header + 32 wrapped key)"
-    (48 * Rekey_msg.size_keys msg)
-    (Rekey_msg.size_bytes msg)
+  List.iter
+    (fun (e : Rekey_msg.entry) ->
+      Alcotest.(check int) "every entry is one classical wrap" Key.wrapped_size
+        (Bytes.length e.ciphertext))
+    msg.entries
 
 let test_last_member_departure () =
   let server = one_keytree ~seed:21 () in
@@ -351,15 +353,15 @@ let churn_gen =
     let* seed = 0 -- 1000 in
     return (ops, seed))
 
-let churn_secure_prop ~name ?keys_mode () =
-  QCheck.Test.make ~name ~count:60
+let prop_churn_secure =
+  QCheck.Test.make ~name:"churn: members converge, evicted locked out" ~count:60
     (QCheck.make
        ~print:(fun (ops, seed) ->
          Printf.sprintf "seed=%d ops=[%s]" seed
            (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) ops)))
        churn_gen)
     (fun (ops, seed) ->
-      let h = Harness.create ?keys_mode ~seed () in
+      let h = Harness.create ~seed () in
       let next = ref 0 in
       List.iter (Harness.register h) (range 1000 1006);
       next := 0;
@@ -395,153 +397,6 @@ let churn_secure_prop ~name ?keys_mode () =
         ops;
       Harness.all_members_converged h && Harness.no_evicted_member_has_dek h)
 
-let prop_churn_secure = churn_secure_prop ~name:"churn: members converge, evicted locked out" ()
-
-let prop_churn_secure_derived =
-  churn_secure_prop
-    ~name:"derived churn: members converge, evicted locked out"
-    ~keys_mode:Keytree.Derived ()
-
-(* ------------------------------------------------------------------ *)
-(* Derived key-refresh mode, end to end.                               *)
-
-let derived = Keytree.Derived
-let parent_node h m = fst (List.nth (Scheme.member_path h.Harness.server m) 1)
-
-let test_derived_bootstrap_and_eviction () =
-  let h = Harness.create ~keys_mode:derived ~seed:41 () in
-  List.iter (Harness.register h) (range 1 16);
-  ignore (Harness.rekey h);
-  Alcotest.(check bool) "joiners converged" true (Harness.all_members_converged h);
-  Harness.depart h 5;
-  Harness.depart h 12;
-  ignore (Harness.rekey h);
-  Alcotest.(check bool) "survivors converged" true (Harness.all_members_converged h);
-  Alcotest.(check bool) "evicted locked out" true (Harness.no_evicted_member_has_dek h)
-
-let test_derived_frozen_view_forward_secrecy () =
-  (* The frozen evicted view: the evicted member keeps its full key
-     table and processes every subsequent rekey message — including
-     every derivation notice. The version guards and taint rule must
-     leave it unable to derive any post-departure group key. *)
-  let h = Harness.create ~keys_mode:derived ~seed:42 () in
-  List.iter (Harness.register h) (range 1 24);
-  ignore (Harness.rekey h);
-  Harness.depart h 3;
-  ignore (Harness.rekey h);
-  for i = 25 to 30 do
-    Harness.register h i;
-    Harness.depart h (i - 20);
-    ignore (Harness.rekey h)
-  done;
-  Alcotest.(check bool) "survivors converged" true (Harness.all_members_converged h);
-  Alcotest.(check bool) "evicted never re-derives" true (Harness.no_evicted_member_has_dek h);
-  (* Stronger than the DEK check: no key frozen in the evicted view
-     matches any key a current member holds. *)
-  let evicted = Hashtbl.find h.evicted 3 in
-  Hashtbl.iter
-    (fun m member ->
-      if Scheme.is_member h.server m then
-        List.iter
-          (fun (node, key) ->
-            match Member.key_of member node with
-            | Some live when Key.equal live key -> (
-                match Member.key_of evicted node with
-                | Some frozen ->
-                    Alcotest.(check bool)
-                      (Printf.sprintf "evicted key for node %d is stale" node)
-                      false (Key.equal frozen live)
-                | None -> ())
-            | _ -> ())
-          (Scheme.member_path h.server m))
-    h.members
-
-let test_derived_backward_secrecy () =
-  (* Rolls are one-way: a joiner receives post-roll keys and must not
-     be able to recover any pre-join group key from them. *)
-  let h = Harness.create ~keys_mode:derived ~seed:43 () in
-  List.iter (Harness.register h) (range 1 8);
-  ignore (Harness.rekey h);
-  let old_dek = Option.get (Scheme.group_key h.server) in
-  Harness.register h 100;
-  ignore (Harness.rekey h);
-  let joiner = Hashtbl.find h.members 100 in
-  Alcotest.(check bool) "joiner has new DEK" true
-    (match Member.group_key joiner with
-    | Some k -> Key.equal k (Option.get (Scheme.group_key h.server))
-    | None -> false);
-  let leaked = ref false in
-  for node = 0 to 10_000 do
-    match Member.key_of joiner node with
-    | Some k when Key.equal k old_dek -> leaked := true
-    | _ -> ()
-  done;
-  Alcotest.(check bool) "old DEK not held" false !leaked
-
-let test_derived_stale_kek_rejected_then_resync () =
-  (* A compact wrap has no integrity block; the version guard must do
-     its job: a member whose wrapping key went stale while it was
-     offline rejects the wrap instead of installing garbage, then
-     recovers over the unicast resync path. *)
-  let h = Harness.create ~keys_mode:derived ~seed:45 () in
-  List.iter (Harness.register h) (range 1 16);
-  ignore (Harness.rekey h);
-  let m1 = Hashtbl.find h.members 1 in
-  let dek1 = Option.get (Scheme.group_key h.server) in
-  let p1 = parent_node h 1 in
-  let sibling =
-    List.find (fun m -> m <> 1 && parent_node h m = p1) (members h.server)
-  in
-  let stranger =
-    List.find (fun m -> m <> 1 && parent_node h m <> p1) (members h.server)
-  in
-  (* Offline while the sibling's departure refreshes m1's parent KEK. *)
-  Hashtbl.remove h.members 1;
-  Harness.depart h sibling;
-  ignore (Harness.rekey h);
-  (* Back online for an interval whose root update is compact-wrapped
-     under the parent KEK version m1 no longer holds. *)
-  Harness.depart h stranger;
-  let msg = Option.get (Harness.rekey h) in
-  ignore (Member.process m1 msg);
-  let dek = Option.get (Scheme.group_key h.server) in
-  Alcotest.(check bool) "stale member not converged" false
-    (match Member.group_key m1 with Some k -> Key.equal k dek | None -> false);
-  Alcotest.(check bool) "no garbage installed: still at the old DEK" true
-    (match Member.group_key m1 with Some k -> Key.equal k dek1 | None -> false);
-  Member.install_path m1 (Scheme.member_path h.server 1);
-  Member.set_root m1 (Option.get (Keytree.root_id (tree h.server)));
-  Alcotest.(check bool) "resynced" true
-    (match Member.group_key m1 with Some k -> Key.equal k dek | None -> false);
-  Hashtbl.replace h.members 1 m1;
-  Harness.depart h 9;
-  ignore (Harness.rekey h);
-  Alcotest.(check bool) "follows later epochs" true (Harness.all_members_converged h)
-
-let test_derived_departure_bytes_cheaper () =
-  (* The headline saving: departure-heavy churn moves fewer rekey
-     bytes in derived mode than in wrap mode, at identical membership. *)
-  let run keys_mode =
-    let h = Harness.create ?keys_mode ~seed:46 () in
-    List.iter (Harness.register h) (range 1 64);
-    ignore (Harness.rekey h);
-    let total = ref 0 in
-    for i = 1 to 10 do
-      Harness.depart h i;
-      match Harness.rekey h with
-      | Some m -> total := !total + Rekey_msg.size_bytes m
-      | None -> ()
-    done;
-    (!total, Harness.all_members_converged h && Harness.no_evicted_member_has_dek h)
-  in
-  let wrap_bytes, wrap_ok = run None in
-  let derived_bytes, derived_ok = run (Some derived) in
-  Alcotest.(check bool) "wrap run secure" true wrap_ok;
-  Alcotest.(check bool) "derived run secure" true derived_ok;
-  Alcotest.(check bool)
-    (Printf.sprintf "derived %d B < wrap %d B" derived_bytes wrap_bytes)
-    true (derived_bytes < wrap_bytes)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -569,14 +424,5 @@ let () =
           Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
           Alcotest.test_case "last member departs" `Quick test_last_member_departure;
         ] );
-      ( "derived",
-        [
-          Alcotest.test_case "bootstrap and eviction" `Quick test_derived_bootstrap_and_eviction;
-          Alcotest.test_case "frozen evicted view" `Quick test_derived_frozen_view_forward_secrecy;
-          Alcotest.test_case "backward secrecy of rolls" `Quick test_derived_backward_secrecy;
-          Alcotest.test_case "stale KEK rejected, resync recovers" `Quick
-            test_derived_stale_kek_rejected_then_resync;
-          Alcotest.test_case "departure bytes cheaper" `Quick test_derived_departure_bytes_cheaper;
-        ] );
-      ("properties", qsuite [ prop_churn_secure; prop_churn_secure_derived ]);
+      ("properties", qsuite [ prop_churn_secure ]);
     ]

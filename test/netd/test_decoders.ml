@@ -21,8 +21,8 @@ let run_until loop cond =
   Loop.run loop ~until:(fun () -> cond () || Unix.gettimeofday () > deadline);
   if not (cond ()) then Alcotest.fail "run_until: condition not reached before timeout"
 
-let keytree mode =
-  let t = Keytree.create ~mode ~degree:3 (Prng.create 7) in
+let keytree () =
+  let t = Keytree.create ~degree:3 (Prng.create 7) in
   ignore
     (Keytree.batch_update t ~departed:[]
        ~joined:(List.init 9 (fun m -> (m, Key.fresh (Prng.create (m + 100))))));
@@ -110,14 +110,11 @@ let decoders =
          (fun sel ->
            let spec, blob = org_blob sel in
            ("organization " ^ sel, blob, fun b -> accepted (Organization.restore spec b)))
-         [ "one"; "qt"; "tt"; "pt+derived"; "loss:0.05"; "random:2"; "composed" ]
+         [ "one"; "qt"; "tt"; "pt"; "loss:0.05"; "random:2"; "composed" ]
      in
      let _, _, resumption = Lazy.force resume_fixture in
      [
-       ("keytree v2", Keytree.snapshot (keytree Keytree.Wrap), fun b -> accepted (Keytree.restore b));
-       ( "keytree v3",
-         Keytree.snapshot (keytree Keytree.Derived),
-         fun b -> accepted (Keytree.restore b) );
+       ("keytree v2", Keytree.snapshot (keytree ()), fun b -> accepted (Keytree.restore b));
        ( "packet",
          (List.hd (Packet.encode_entries ~capacity_bytes:1024 (rekey_entries ()))).payload,
          fun b -> accepted (Packet.decode_payload b) );
@@ -169,6 +166,37 @@ let test_valid_blobs_decode () =
     (fun (name, blob, decode) -> Alcotest.(check bool) (name ^ " decodes intact") true (decode blob))
     (Lazy.force decoders)
 
+(* [blob] with its version byte (after the 4-byte magic) set to
+   [version] and [extra] inserted behind it: the layout of a retired
+   format that differed from the current one by a header byte. *)
+let with_version blob version extra =
+  let head = Bytes.sub_string blob 0 4 in
+  let tail = Bytes.sub_string blob 5 (Bytes.length blob - 5) in
+  Bytes.of_string (head ^ String.make 1 (Char.chr version) ^ extra ^ tail)
+
+(* A raise escapes and fails the test case. *)
+let refused what = function
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error (_ : string) -> ()
+
+(* The derived key-refresh formats are gone: a GKTR v3 key tree (v2
+   plus a mode byte), a version-2 scheme snapshot (v1 plus a mode
+   byte) and a selector with the derived suffix are refused, not
+   read. *)
+let test_retired_formats_refused () =
+  let tree = Keytree.snapshot (keytree ()) in
+  refused "keytree v3 (derived)" (Keytree.restore (with_version tree 3 "\001"));
+  refused "keytree v3 (wrap)" (Keytree.restore (with_version tree 3 "\000"));
+  let spec, blob = org_blob "tt" in
+  Alcotest.(check bool) "scheme v1 decodes" true (accepted (Organization.restore spec blob));
+  refused "scheme snapshot v2 (derived)" (Scheme.restore (with_version blob 2 "\001"));
+  refused "scheme snapshot v2 (wrap)" (Scheme.restore (with_version blob 2 "\000"));
+  List.iter
+    (fun sel ->
+      let sel = String.concat "+" [ sel; "derived" ] in
+      refused sel (Organization.spec_of_string sel))
+    [ "tt"; "pt"; "loss:0.05" ]
+
 (* Trailing bytes are an error for every decoder but the payload
    codec: one extra byte on a resumption blob is refused, and
    reported. *)
@@ -203,6 +231,8 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "valid blobs decode" `Quick test_valid_blobs_decode;
+          Alcotest.test_case "retired derived-mode formats refused" `Quick
+            test_retired_formats_refused;
           QCheck_alcotest.to_alcotest prop_decoders_never_raise;
           Alcotest.test_case "resumption blob with a trailing byte refused" `Quick
             test_resumption_trailing_byte;

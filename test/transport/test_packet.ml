@@ -34,11 +34,10 @@ let capacity = 256
 let rec leb_width u = if u lsr 7 = 0 then 1 else 1 + leb_width (u lsr 7)
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 
+(* Kind 0, a classical wrap, is the only entry kind. *)
 let kind_of (e : Rekey_msg.entry) =
   match Bytes.length e.ciphertext with
   | 32 -> 0
-  | 20 -> 1
-  | 4 -> 2
   | n -> Alcotest.failf "no entry kind has a %d-byte ciphertext" n
 
 (* A classical wrap's encrypted block and its key check. *)
@@ -453,7 +452,7 @@ let prop_packet_fec_short_tail =
       entries_equal entries decoded)
 
 (* The layout over any int: edge values, both signs, values beyond
-   2^32, 2e9-stride band ids, and every entry kind. *)
+   2^32 and 2e9-stride band ids. *)
 let any_int =
   QCheck.Gen.(
     oneof
@@ -466,28 +465,22 @@ let any_int =
         map2 (fun b v -> (b * 2_000_000_000) + v) (int_bound 8) (int_bound 1000);
       ])
 
-(* A run of 1-4 entries of one target, version and kind, wrapped under
-   ids near the target or anywhere; runs that happen to share a key
-   with their predecessor merge on the wire, as they should. Half of
-   the classical-wrap runs share one check, as a refreshed key's wraps
-   do; in the others each entry draws its own, and the run splits into
-   groups. *)
+(* A run of 1-4 classical wraps of one target and version, wrapped
+   under ids near the target or anywhere; runs that happen to share a
+   key with their predecessor merge on the wire, as they should. Half
+   of the runs share one check, as a refreshed key's wraps do; in the
+   others each entry draws its own, and the run splits into groups. *)
 let gen_group =
   QCheck.Gen.(
-    quad any_int any_int
-      (oneofl [ Key.wrapped_size; Rekey_msg.compact_wrap_bytes; Rekey_msg.derive_payload_bytes ])
-      (opt ~ratio:0.5 (bytes_size (return Key.check_size)))
-    >>= fun (target_node, target_version, size, shared) ->
+    triple any_int any_int (opt ~ratio:0.5 (bytes_size (return Key.check_size)))
+    >>= fun (target_node, target_version, shared) ->
     list_size (int_range 1 4)
       (quad
          (oneof [ any_int; map (( + ) target_node) (int_range (-40) 40) ])
          any_int any_int
-         (bytes_size (return size)))
+         (bytes_size (return Key.wrapped_size)))
     >|= List.map (fun (wrapped_under, level, receivers, ciphertext) ->
-            (match shared with
-            | Some c when size = Key.wrapped_size ->
-                Bytes.blit c 0 ciphertext Key.size Key.check_size
-            | _ -> ());
+            Option.iter (fun c -> Bytes.blit c 0 ciphertext Key.size Key.check_size) shared;
             { Rekey_msg.target_node; target_version; level; wrapped_under; receivers; ciphertext }))
 
 let gen_entries lo hi = QCheck.Gen.(list_size (int_range lo hi) gen_group >|= List.concat)
@@ -641,14 +634,13 @@ let golden_entry target_node target_version wrapped_under ciphertext =
 let golden_wrap b c = Bytes.of_string (String.make 16 b ^ String.make 16 c)
 
 (* Two groups: K5 v2 wrapped under K11 and K12, one check "x..."
-   between them, then the DEK (-1) v3 compact-wrapped under K5. *)
+   between them, then the DEK (-1) v3 wrapped under K5, check "z...". *)
 let test_golden_payload () =
-  let c = Bytes.make 20 'c' in
-  golden "two groups" ~bytes:78 ~two_block:94
+  golden "two groups" ~bytes:90 ~two_block:106
     [
       golden_entry 5 2 11 (golden_wrap 'a' 'x');
       golden_entry 5 2 12 (golden_wrap 'b' 'x');
-      golden_entry (-1) 3 5 c;
+      golden_entry (-1) 3 5 (golden_wrap 'c' 'z');
     ]
     (String.concat ""
        [
@@ -659,9 +651,10 @@ let test_golden_payload () =
          String.make 16 'a';
          "\x02" (* K12 = K11 + 1 *);
          String.make 16 'b';
-         "\x0b\x02\x05" (* target -6, version +1, 1 entry of kind 1 *);
+         "\x0b\x02\x04" (* target -6, version +1, 1 entry of kind 0 *);
+         String.make 16 'z' (* its check *);
          "\x0c" (* K5 = -1 + 6 *);
-         Bytes.to_string c;
+         String.make 16 'c';
        ])
 
 (* A run of one target, version and kind whose checks differ is two
@@ -699,14 +692,21 @@ let test_malformed_groups () =
   let group header = "\x02\x00" ^ header ^ check ^ "\x00" ^ block in
   accepted "a one-wrap group" ("\x01" ^ group "\x04");
   error "a zero-count group" ("\x01" ^ group "\x00");
+  (* kind 0, a classical wrap, is the only entry kind *)
+  error "kind 1" ("\x01" ^ group "\x05");
+  error "kind 1, a 20-byte entry" ("\x01\x02\x00\x05\x00" ^ String.make 20 'w');
+  error "kind 2" ("\x01" ^ group "\x06");
+  error "kind 2, a 4-byte entry" "\x01\x02\x00\x06\x00\x00\x00\x00\x01";
   error "kind 3" ("\x01" ^ group "\x07");
+  error "kind 1 with no bytes behind it" "\x01\x02\x00\x05";
+  error "kind 2 with no bytes behind it" "\x01\x02\x00\x06";
   error "kind 3 with no bytes behind it" "\x01\x02\x00\x07";
   (* a second group with the same target, version and kind *)
   let again header ct = "\x00\x00" ^ header ^ ct in
   error "a repeated group key and check" ("\x02" ^ group "\x04" ^ again "\x04" (check ^ "\x00" ^ block));
   accepted "the same target, version and kind, another check"
     ("\x02" ^ group "\x04" ^ again "\x04" (String.make 16 'C' ^ "\x00" ^ block));
-  accepted "the same target and version, another kind"
+  error "the same target and version, kind 2"
     ("\x02" ^ group "\x04" ^ again "\x06" "\x00\x00\x00\x00\x01");
   error "an overlong target delta" ("\x01\x82\x00\x00\x04" ^ check ^ "\x00" ^ block);
   error "an overlong wrapped delta" ("\x01\x02\x00\x04" ^ check ^ "\x80\x00" ^ block);
@@ -822,10 +822,6 @@ let test_every_organization () =
       "composed";
       "loss:0.05";
       "random:2";
-      "one+derived";
-      "tt+derived";
-      "composed+derived";
-      "loss:0.05+derived";
     ]
 
 (* TT at N = 1024: ten churned rekeys, packed at 1 KiB, pinned to the
