@@ -307,6 +307,10 @@ let version_refused ~loop ~port ~timeout =
 
 (* ---------------- hostile cohorts ---------------- *)
 
+(* The highest rekey number the wire can carry: no server of a test
+   run reaches it, so a NACK for it always misses the history. *)
+let never_issued = 0x7FFF_FFFF
+
 let count_resyncs r =
   List.length (List.filter (function Msg.Resync _ -> true | _ -> false) (Raw.msgs r))
 
@@ -333,7 +337,7 @@ let nack_flood ~loop ~port ~budget ~timeout =
           let replies () = count_resyncs r + List.length (Raw.errors r) in
           let rec volley sent =
             if (not (Raw.closed r)) && sent < budget + 8 then begin
-              Raw.send r (Msg.Nack { rekey_no = -1; seqs = [] });
+              Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] });
               let before = replies () in
               ignore (run_until loop ~timeout (fun () -> Raw.closed r || replies () > before));
               volley (sent + 1)
@@ -380,7 +384,7 @@ let evictee_lockout ~loop ~port ~timeout =
               Raw.send r (Msg.Leave { member });
               (* ... and keep transmitting into the teardown. *)
               for _ = 1 to 4 do
-                Raw.send r (Msg.Nack { rekey_no = -1; seqs = [] })
+                Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] })
               done;
               let went_down = run_until loop ~timeout (fun () -> Raw.closed r) in
               if not went_down then begin

@@ -45,8 +45,7 @@ let gen_i32 rng =
   if Prng.bool rng then interesting_i32.(Prng.int rng (Array.length interesting_i32))
   else Prng.int rng 1_000_000
 
-(* Any value [Int64.to_int] already collapsed round-trips by
-   construction — the codec's node guard rejects everything else. *)
+(* Any int: node ids are zigzag varints over all 63 bits. *)
 let gen_node rng = Int64.to_int (Prng.bits64 rng)
 let gen_key rng = Key.of_bytes (Prng.bytes rng Key.size)
 
@@ -82,34 +81,50 @@ let gen_payload rng =
     in
     Packet.encode_payload (List.concat (List.init (Prng.int rng 4) group))
 
+(* A bounded uvarint at the edges of each varint length (1, 2 and 3
+   bytes), at the bound, or anywhere below it. *)
+let gen_bounded rng max =
+  match Prng.int rng 4 with
+  | 0 -> min max [| 0; 1; 127; 128; 16383; 16384 |].(Prng.int rng 6)
+  | 1 -> max
+  | _ -> Prng.int rng (1 + min max 0x3FFF_FFFF)
+
+(* Record seqs of both spaces: small multicast and unicast ones (the
+   1-2 byte spellings), the extremes, and any 64-bit pattern. *)
+let gen_seq rng =
+  match Prng.int rng 4 with
+  | 0 -> Int64.of_int (Prng.int rng 20_000)
+  | 1 -> Int64.add Int64.min_int (Int64.of_int (Prng.int rng 20_000))
+  | 2 -> [| 0L; -1L; Int64.max_int; Int64.min_int |].(Prng.int rng 4)
+  | _ -> Prng.bits64 rng
+
 let gen_field rng buf : Grammar.field -> unit = function
   | U8 _ -> add_u8 buf (Prng.int rng 256)
   | Enum (_, vs) -> add_u8 buf vs.(Prng.int rng (Array.length vs))
-  | U16 _ -> add_u16 buf (Prng.int rng 65536)
+  | Uvarint (_, max) -> add_uvarint buf (gen_bounded rng max)
+  | Varint _ -> add_varint buf (gen_id rng)
   | I32 _ -> add_i32 buf (gen_i32 rng)
   | I64 _ -> add_i64 buf (Prng.bits64 rng)
-  | Node _ -> add_i64 buf (Int64.of_int (gen_node rng))
+  | Seq64 _ -> add_seq64 buf (gen_seq rng)
   | F64_unit _ -> add_f64 buf (if Prng.int rng 8 = 0 then float_of_int (Prng.int rng 2) else Prng.float rng 1.0)
-  | Key _ -> add_key buf (gen_key rng)
-  | Var16 _ -> add_var16 buf (Prng.bytes rng (gen_len rng))
-  | Var32 "payload" -> add_var32 buf (gen_payload rng)
-  | Var32 _ -> add_var32 buf (Prng.bytes rng (gen_len rng))
-  | String16 _ -> add_string16 buf (Bytes.to_string (Prng.bytes rng (gen_len rng)))
+  | Rest "payload" -> Buffer.add_bytes buf (gen_payload rng)
+  | Rest _ -> Buffer.add_bytes buf (Prng.bytes rng (gen_len rng))
   | Path _ ->
-      add_list16 buf
+      add_vlist buf
         (fun buf (node, k) ->
-          add_i64 buf (Int64.of_int node);
+          add_varint buf node;
           add_key buf k)
-        (List.init (Prng.int rng 5) (fun _ -> (gen_node rng, gen_key rng)))
-  | U16_list _ -> add_list16 buf add_u16 (List.init (Prng.int rng 8) (fun _ -> Prng.int rng 65536))
+        (List.init (Prng.int rng 5) (fun _ -> (gen_id rng, gen_key rng)))
+  | Uvarint_list (_, max) ->
+      add_vlist buf add_uvarint (List.init (Prng.int rng 8) (fun _ -> gen_bounded rng max))
   | Version_range _ ->
       let lo = Prng.int rng 4 in
       add_u8 buf lo;
       add_u8 buf (lo + Prng.int rng 4)
   | Seq_total _ ->
       let total = 1 + Prng.int rng 32 in
-      add_u16 buf (Prng.int rng total);
-      add_u16 buf total
+      add_uvarint buf (Prng.int rng total);
+      add_uvarint buf total
 
 let gen_body rng (rule : Grammar.rule) =
   let buf = Buffer.create 64 in
@@ -133,52 +148,112 @@ let gen_frame rng (rule : Grammar.rule) = assemble ~tag:rule.tag (gen_body rng r
    is emitted broken in a way specific to its kind — the mutation the
    grammar buys over blind bit flips. *)
 
-let poison_field rng buf : Grammar.field -> unit = function
-  | U8 _ | Enum _ -> add_u8 buf (2 + Prng.int rng 254)
-  | U16 _ -> add_u8 buf (Prng.int rng 256) (* truncated mid-scalar *)
-  | I32 _ -> Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 4))
-  | I64 _ | Node _ ->
-      if Prng.bool rng then Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 8))
-      else add_i64 buf 0x4000_0000_0000_0000L (* aliases through Int64.to_int *)
+(* A broken LEB128 spelling: overlong (a value closed by a zero
+   group), 11 bytes (past even a seq64's 10), 10 bytes whose last
+   carries bits beyond the field (a 10-byte varint is a node id past
+   63 bits, the one that once aliased through [Int64.to_int]; a 10th
+   seq64 byte above 1 is past 64 bits), or cut short by the end of its
+   container. Returns false when the container must end here. *)
+let poison_varint rng buf =
+  let cont () = Buffer.add_char buf (Char.chr (0x80 lor Prng.int rng 128)) in
+  match Prng.int rng 4 with
+  | 0 ->
+      let tmp = Buffer.create 10 in
+      add_uvarint tmp (Prng.int rng 100_000);
+      let b = Buffer.to_bytes tmp in
+      let last = Bytes.length b - 1 in
+      Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lor 0x80));
+      Buffer.add_bytes buf b;
+      Buffer.add_char buf '\x00';
+      true
+  | 1 ->
+      for _ = 1 to 10 do
+        cont ()
+      done;
+      Buffer.add_char buf (Char.chr (1 + Prng.int rng 127));
+      true
+  | 2 ->
+      for _ = 1 to 9 do
+        cont ()
+      done;
+      Buffer.add_char buf (Char.chr (2 + Prng.int rng 126));
+      true
+  | _ ->
+      for _ = 0 to Prng.int rng 9 do
+        cont ()
+      done;
+      false
+
+(* Every field valid but one, which is emitted broken in a way
+   specific to its kind. [false] ends the body at the broken field. *)
+let poison_field rng buf : Grammar.field -> bool = function
+  | U8 _ | Enum _ ->
+      add_u8 buf (2 + Prng.int rng 254);
+      true
+  | Uvarint (_, max) ->
+      if Prng.int rng 3 = 0 then begin
+        add_uvarint buf (max + 1 + Prng.int rng 1000);
+        true
+      end
+      else poison_varint rng buf
+  | Varint _ | Seq64 _ -> poison_varint rng buf
+  | I32 _ ->
+      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 4));
+      true
+  | I64 _ ->
+      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 8));
+      true
   | F64_unit _ ->
       add_f64 buf
         (match Prng.int rng 4 with
         | 0 -> Float.nan
         | 1 -> Float.infinity
         | 2 -> 2.0
-        | _ -> -0.5)
-  | Key _ -> Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng Key.size))
-  | Var16 _ | String16 _ ->
-      let declared = 1 + Prng.int rng 0xffff in
-      add_u16 buf declared;
-      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng (min declared 16)))
-  | Var32 _ ->
-      add_i32 buf (if Prng.bool rng then -1 else 0x7fffffff);
-      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 16))
+        | _ -> -0.5);
+      true
+  | Rest _ ->
+      (* any bytes are a valid rest; the frame mutations cover it *)
+      Buffer.add_bytes buf (Prng.bytes rng (gen_len rng));
+      true
   | Path _ ->
       if Prng.bool rng then begin
-        add_u16 buf 0xffff (* count that cannot fit *)
+        add_uvarint buf (0xffff + Prng.int rng 1_000_000) (* count that cannot fit *);
+        true
       end
       else begin
-        add_u16 buf 1;
-        add_i64 buf 0x4000_0000_0000_0000L;
-        add_key buf (gen_key rng)
+        add_uvarint buf 1;
+        let go = poison_varint rng buf in
+        if go then add_key buf (gen_key rng);
+        go
       end
-  | U16_list _ -> add_u16 buf 0xffff
+  | Uvarint_list (_, max) ->
+      if Prng.bool rng then begin
+        add_uvarint buf (0xffff + Prng.int rng 1_000_000);
+        true
+      end
+      else begin
+        add_uvarint buf 1;
+        add_uvarint buf (max + 1 + Prng.int rng 1000);
+        true
+      end
   | Version_range _ ->
       let hi = Prng.int rng 255 in
       add_u8 buf (hi + 1);
-      add_u8 buf hi
+      add_u8 buf hi;
+      true
   | Seq_total _ ->
-      if Prng.bool rng then begin
-        add_u16 buf (Prng.int rng 65536);
-        add_u16 buf 0
-      end
-      else begin
-        let total = 1 + Prng.int rng 32 in
-        add_u16 buf (total + Prng.int rng 8);
-        add_u16 buf total
-      end
+      (match Prng.int rng 3 with
+      | 0 ->
+          add_uvarint buf (Prng.int rng 65536);
+          add_uvarint buf 0
+      | 1 ->
+          let total = 1 + Prng.int rng 32 in
+          add_uvarint buf (total + Prng.int rng 8);
+          add_uvarint buf total
+      | _ ->
+          add_uvarint buf 0;
+          add_uvarint buf (0x10000 + Prng.int rng 1000));
+      true
 
 let gen_poisoned rng (rule : Grammar.rule) =
   let nfields = List.length rule.fields in
@@ -186,9 +261,16 @@ let gen_poisoned rng (rule : Grammar.rule) =
   else begin
     let target = Prng.int rng nfields in
     let buf = Buffer.create 64 in
-    List.iteri
-      (fun i f -> if i = target then poison_field rng buf f else gen_field rng buf f)
-      rule.fields;
+    let rec go i = function
+      | [] -> ()
+      | f :: rest ->
+          if i <> target then begin
+            gen_field rng buf f;
+            go (i + 1) rest
+          end
+          else if poison_field rng buf f then go (i + 1) rest
+    in
+    go 0 rule.fields;
     assemble ~tag:rule.tag (Buffer.to_bytes buf)
   end
 
@@ -199,7 +281,7 @@ let gen_dgram rng =
   Dgram.encode
     {
       Dgram.epoch = gen_i32 rng;
-      records = List.init count (fun _ -> (Prng.bits64 rng, Prng.bytes rng (gen_len rng)));
+      records = List.init count (fun _ -> (gen_seq rng, Prng.bytes rng (gen_len rng)));
     }
 
 (* Header-targeted mutations of a valid datagram: the pathologies a
@@ -209,7 +291,7 @@ let gen_dgram rng =
 let gen_dgram_poisoned rng =
   let d = gen_dgram rng in
   let b = Bytes.copy d in
-  (match Prng.int rng 6 with
+  (match Prng.int rng 7 with
   | 0 ->
       (* truncation, biased toward cutting inside the record list *)
       let keep = Prng.int rng (Bytes.length b) in
@@ -232,13 +314,26 @@ let gen_dgram_poisoned rng =
         Bytes.set b i (Char.chr (Prng.int rng 256))
       done;
       b
-  | _ ->
+  | 5 ->
       (* seq skew / record-body noise past the header *)
       if Bytes.length b > Dgram.header_size then begin
         let i = Dgram.header_size + Prng.int rng (Bytes.length b - Dgram.header_size) in
         Bytes.set b i (Char.chr (Prng.int rng 256))
       end;
-      b)
+      b
+  | _ ->
+      (* a first record whose seq or length is a broken varint *)
+      let buf = Buffer.create (Bytes.length b) in
+      Buffer.add_subbytes buf b 0 Dgram.header_size;
+      if Prng.bool rng then begin
+        if poison_varint rng buf then add_vbytes buf (Prng.bytes rng (gen_len rng))
+      end
+      else begin
+        add_seq64 buf (gen_seq rng);
+        ignore (poison_varint rng buf)
+      end;
+      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 4));
+      Buffer.to_bytes buf)
 
 (* ---------------- frame-level mutations ---------------- *)
 

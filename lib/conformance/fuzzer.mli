@@ -4,8 +4,9 @@
     {!Gkm_wire.Grammar.rules} and then mutated — bit flips, header
     length skews, truncations, splices of two valid frames, version
     skews, and field-level poisonings aimed at one grammar field at a
-    time. Every candidate is pushed through the streaming
-    {!Gkm_wire.Frame.decoder} (whole and re-chunked), through
+    time (for a varint field: an overlong, an 11-byte, a too-wide or a
+    truncated spelling, or a value past its bound). Every candidate is
+    pushed through the streaming {!Gkm_wire.Frame.decoder} (whole and re-chunked), through
     {!Gkm_wire.Msg.decode_body} when the header is intact, through
     the sealed-record inner codec, and through the multicast
     {!Gkm_wire.Dgram} codec; the payload of every accepted REKEY/RETX
@@ -13,9 +14,9 @@
     [packet] stage; half of the generated payloads are real entry
     payloads). Valid datagrams are additionally
     generated and poisoned directly — truncation mid-record,
-    epoch/seq/count skew, magic and version poisoning — since the
-    datagram path sees raw socket bytes with no streaming layer in
-    front.
+    epoch/seq/count skew, magic and version poisoning, a record whose
+    seq or length is a broken varint — since the datagram path sees
+    raw socket bytes with no streaming layer in front.
 
     Two properties are enforced on every candidate:
     + decode never raises — arbitrary bytes may only yield [Error];

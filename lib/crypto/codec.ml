@@ -13,21 +13,11 @@ let add_var32 buf b =
   add_i32 buf (Bytes.length b);
   Buffer.add_bytes buf b
 
-let add_string16 buf s =
-  add_u16 buf (String.length s);
-  Buffer.add_string buf s
-
 let add_opt buf add = function
   | None -> add_u8 buf 0
   | Some x ->
       add_u8 buf 1;
       add buf x
-
-let add_list16 buf add items =
-  let n = List.length items in
-  if n > 0xFFFF then invalid_arg "Codec.add_list16: more than 65535 items";
-  add_u16 buf n;
-  List.iter (add buf) items
 
 let add_list buf add items =
   add_i32 buf (List.length items);
@@ -52,8 +42,42 @@ let add_uvarint buf v =
   add_bits buf v
 
 let add_varint buf v = add_bits buf (zigzag v)
+
+let add_uvarint_max buf ~max v =
+  if v < 0 || v > max then
+    invalid_arg (Printf.sprintf "Codec.add_uvarint_max: %d outside [0, %d]" v max);
+  add_bits buf v
+
+let add_u31 buf v = add_uvarint_max buf ~max:0x7FFF_FFFF v
+
+let add_vbytes buf b =
+  add_bits buf (Bytes.length b);
+  Buffer.add_bytes buf b
+
+let add_vlist buf add items =
+  add_bits buf (List.length items);
+  List.iter (add buf) items
+
+(* Rotating left one bit puts the unicast flag (bit 63) in bit 0, so
+   both sequence spaces count up from 1-byte spellings. *)
+let rotl1 v = Int64.logor (Int64.shift_left v 1) (Int64.shift_right_logical v 63)
+let rotr1 u = Int64.logor (Int64.shift_right_logical u 1) (Int64.shift_left u 63)
+let low7_clear = Int64.lognot 0x7FL
+
+let rec add_bits64 buf u =
+  if Int64.logand u low7_clear = 0L then Buffer.add_char buf (Char.unsafe_chr (Int64.to_int u))
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (Int64.to_int u land 0x7F lor 0x80));
+    add_bits64 buf (Int64.shift_right_logical u 7)
+  end
+
+let rec bits64_size u =
+  if Int64.logand u low7_clear = 0L then 1 else 1 + bits64_size (Int64.shift_right_logical u 7)
+
+let add_seq64 buf v = add_bits64 buf (rotl1 v)
 let uvarint_size v = bits_size v
 let varint_size v = bits_size (zigzag v)
+let seq64_size v = bits64_size (rotl1 v)
 
 type reader = { buf : bytes; mutable pos : int }
 
@@ -115,6 +139,28 @@ let uvarint r =
 
 let varint r = unzigzag (bits r)
 
+let uvarint_max r ~max =
+  let v = uvarint r in
+  if v > max then corrupt "varint %d above %d" v max;
+  v
+
+let u31 r = uvarint_max r ~max:0x7FFF_FFFF
+
+(* The 64-bit twin of [bits_from]: ten bytes carry 70 bits, so the
+   10th may only be 1 (bit 63); anything longer is refused. *)
+let rec bits64_from r acc shift =
+  let b = u8 r in
+  let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7F)) shift) in
+  if b < 0x80 then begin
+    if b = 0 && shift > 0 then corrupt "overlong seq at byte %d" (r.pos - 1);
+    if shift = 63 && b > 1 then corrupt "seq beyond 64 bits at byte %d" (r.pos - 1);
+    acc
+  end
+  else if shift = 63 then corrupt "seq longer than 10 bytes at byte %d" r.pos
+  else bits64_from r acc (shift + 7)
+
+let seq64 r = rotr1 (bits64_from r 0L 0)
+
 let bytes r n =
   need r n;
   let b = Bytes.sub r.buf r.pos n in
@@ -124,7 +170,8 @@ let bytes r n =
 let key r = Key.of_bytes (bytes r Key.size)
 let var16 r = bytes r (u16 r)
 let var32 r = bytes r (i32 r)
-let string16 r = Bytes.to_string (var16 r)
+let vbytes r = bytes r (uvarint r)
+let rest r = bytes r (remaining r)
 
 let magic r tag =
   let got = Bytes.to_string (bytes r (String.length tag)) in
@@ -145,6 +192,7 @@ let items r ~min_item_size n item =
 
 let list16 r ~min_item_size item = items r ~min_item_size (u16 r) item
 let list r ~min_item_size item = items r ~min_item_size (i32 r) item
+let vlist r ~min_item_size item = items r ~min_item_size (uvarint r) item
 
 let parse buf decode =
   let r = { buf; pos = 0 } in

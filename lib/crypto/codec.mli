@@ -33,13 +33,8 @@ val add_var16 : Buffer.t -> bytes -> unit
 val add_var32 : Buffer.t -> bytes -> unit
 (** i32 length prefix then the bytes. *)
 
-val add_string16 : Buffer.t -> string -> unit
-
 val add_opt : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
 (** Presence byte (0 or 1) then the payload. *)
-
-val add_list16 : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
-(** u16 count then the items. @raise Invalid_argument above 65535. *)
 
 val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 (** i32 count then the items. *)
@@ -55,11 +50,37 @@ val add_varint : Buffer.t -> int -> unit
     magnitudes of either sign are short and [min_int]/[max_int] take
     9 bytes. *)
 
+val add_uvarint_max : Buffer.t -> max:int -> int -> unit
+(** {!add_uvarint} of a value in [[0, max]], for a field whose range is
+    narrower than an int. @raise Invalid_argument outside it. *)
+
+val add_u31 : Buffer.t -> int -> unit
+(** {!add_uvarint_max} up to [0x7FFF_FFFF]: member ids, epochs and
+    counters keep the range of the i32 fields they replaced on the
+    wire (snapshots and the client's resumption blob still store them
+    as i32). 1 to 5 bytes. *)
+
+val add_vbytes : Buffer.t -> bytes -> unit
+(** {!add_uvarint} length then the bytes. *)
+
+val add_vlist : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** {!add_uvarint} count then the items. *)
+
+val add_seq64 : Buffer.t -> int64 -> unit
+(** A 64-bit record sequence number, rotated left one bit and written
+    as canonical unsigned LEB128 over all 64 bits. The rotation moves
+    bit 63 (the unicast space) to bit 0, so small sequence numbers of
+    either space take 1 byte below 64 and 2 below 8192; every [int64]
+    takes at most 10 bytes. *)
+
 val uvarint_size : int -> int
 (** Bytes {!add_uvarint} writes for a non-negative value. *)
 
 val varint_size : int -> int
 (** Bytes {!add_varint} writes for a value. *)
+
+val seq64_size : int64 -> int
+(** Bytes {!add_seq64} writes for a value. *)
 
 (** {1 Reader} *)
 
@@ -94,13 +115,29 @@ val varint : reader -> int
 (** Reads {!add_varint}'s encoding, canonical only as {!uvarint}; every
     9-byte pattern is some int. *)
 
+val uvarint_max : reader -> max:int -> int
+(** {!uvarint} whose value above [max] is {!Corrupt}. *)
+
+val u31 : reader -> int
+(** Reads {!add_u31}'s encoding. *)
+
+val seq64 : reader -> int64
+(** Reads {!add_seq64}'s encoding. Canonical only: a zero last byte
+    after the first, a 10th byte other than 1, or an 11th byte is
+    {!Corrupt}, so each [int64] has exactly one spelling. *)
+
 val bytes : reader -> int -> bytes
 val key : reader -> Key.t
 val var16 : reader -> bytes
 val var32 : reader -> bytes
 (** A negative length is {!Corrupt}. *)
 
-val string16 : reader -> string
+val vbytes : reader -> bytes
+(** Reads {!add_vbytes}'s encoding. *)
+
+val rest : reader -> bytes
+(** Everything left: a trailing byte string takes the rest of its
+    container and carries no length. *)
 
 val opt : reader -> (reader -> 'a) -> 'a option
 (** Any presence byte other than 0 or 1 is {!Corrupt}. *)
@@ -114,6 +151,9 @@ val items : reader -> min_item_size:int -> int -> (reader -> 'a) -> 'a list
 
 val list16 : reader -> min_item_size:int -> (reader -> 'a) -> 'a list
 (** u16 count then {!items}. *)
+
+val vlist : reader -> min_item_size:int -> (reader -> 'a) -> 'a list
+(** {!uvarint} count then {!items}. *)
 
 val list : reader -> min_item_size:int -> (reader -> 'a) -> 'a list
 (** i32 count then {!items}. *)

@@ -744,6 +744,9 @@ let parse_resumption b =
   let member = Codec.i32 r in
   let epoch = Codec.i32 r in
   let issued_epoch = Codec.i32 r in
+  (* The wire carries these as non-negative varints: a negative one
+     could only come from a damaged blob. *)
+  if member < 0 || epoch < 0 || issued_epoch < 0 then Codec.corrupt "negative id or epoch";
   let key = Codec.var16 r in
   if Bytes.length key <> Key.size then Codec.corrupt "bad individual key size";
   let ticket = Codec.var16 r in

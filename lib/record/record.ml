@@ -56,22 +56,27 @@ let ad_of_seq seq =
   Bytes_io.add_i64 buf seq;
   Buffer.to_bytes buf
 
-(* Self-delimiting counter-nonce sealing: u64 counter || AEAD output.
-   For one-shot sealed blobs (tickets, rejoin acks) where the sender
-   owns a monotonic counter and the receiver learns the nonce from the
-   blob itself. *)
+(* Self-delimiting counter-nonce sealing: the counter as a seq64
+   varint, then the AEAD output. For one-shot sealed blobs (tickets,
+   rejoin acks) where the sender owns a monotonic counter and the
+   receiver learns the nonce from the blob itself. The counter's
+   encoding is canonical, so a blob has one spelling. *)
 let counter_seal key ~n ~ad pt =
   let sealed = Aead.seal key ~nonce:(nonce_of_seq n) ~ad pt in
-  let out = Bytes.create (8 + Bytes.length sealed) in
-  ignore (Bytes_io.put_i64 out 0 n);
-  Bytes.blit sealed 0 out 8 (Bytes.length sealed);
-  out
+  let buf = Buffer.create (Codec.seq64_size n + Bytes.length sealed) in
+  Codec.add_seq64 buf n;
+  Buffer.add_bytes buf sealed;
+  Buffer.to_bytes buf
 
 let counter_open key ~ad blob =
-  if Bytes.length blob < 8 + Aead.tag_size then Error "sealed blob too short"
-  else
-    let n = Bytes_io.get_i64 blob 0 in
-    Aead.open_ key ~nonce:(nonce_of_seq n) ~ad (Bytes.sub blob 8 (Bytes.length blob - 8))
+  match
+    Codec.parse blob (fun r ->
+        let n = Codec.seq64 r in
+        if Codec.remaining r < Aead.tag_size then Codec.corrupt "sealed blob too short";
+        (n, Codec.rest r))
+  with
+  | Error e -> Error e
+  | Ok (n, sealed) -> Aead.open_ key ~nonce:(nonce_of_seq n) ~ad sealed
 
 type space = [ `Multicast | `Unicast ]
 
@@ -204,21 +209,21 @@ module Ticket = struct
     List.iter (fun id -> Bytes_io.add_i64 buf (Int64.of_int id)) nodes;
     Bytes.sub (Sha256.digest (Buffer.to_bytes buf)) 0 digest_size
 
-  let contents_size = 4 + 1 + 8 + 4 + 4 + digest_size
+  let contents_size = 5 + 1 + 8 + 5 + 5 + digest_size
 
   let encode_contents c =
     let buf = Buffer.create contents_size in
-    Codec.add_i32 buf c.member;
+    Codec.add_u31 buf c.member;
     Codec.add_u8 buf (match c.cls with `Short -> 0 | `Long -> 1);
     Codec.add_f64 buf c.loss;
-    Codec.add_i32 buf c.issued_epoch;
-    Codec.add_i32 buf c.issued_rekey;
+    Codec.add_u31 buf c.issued_epoch;
+    Codec.add_u31 buf c.issued_rekey;
     Buffer.add_bytes buf c.path_digest;
     Buffer.to_bytes buf
 
   let decode_contents b =
     Codec.parse b @@ fun r ->
-    let member = Codec.i32 r in
+    let member = Codec.u31 r in
     let cls =
       match Codec.u8 r with
       | 0 -> `Short
@@ -226,8 +231,8 @@ module Ticket = struct
       | _ -> Codec.corrupt "ticket contents: bad class"
     in
     let loss = Codec.f64 r in
-    let issued_epoch = Codec.i32 r in
-    let issued_rekey = Codec.i32 r in
+    let issued_epoch = Codec.u31 r in
+    let issued_rekey = Codec.u31 r in
     let path_digest = Codec.bytes r digest_size in
     { member; cls; loss; issued_epoch; issued_rekey; path_digest }
 
@@ -238,7 +243,7 @@ module Ticket = struct
       let rng = Prng.create seed in
       { key = Aead.of_bytes (Prng.bytes rng Aead.key_size); next_nonce = 0L }
 
-    (* Ticket blob: u64 nonce counter || sealed contents. The nonce
+    (* Ticket blob: seq64 nonce counter || sealed contents. The nonce
        counter is server-local, so tickets from one server process
        never reuse a (key, nonce) pair. *)
     let issue t contents =

@@ -57,11 +57,13 @@ val resume_ad : bytes
 
 val counter_seal : Gkm_crypto.Aead.key -> n:int64 -> ad:bytes -> bytes -> bytes
 (** [counter_seal key ~n ~ad pt] is the self-delimiting blob
-    [u64 n || ciphertext || tag]. The caller owns [n]'s monotonicity
-    per key. *)
+    [seq64 n || ciphertext || tag], [n] spelled by
+    {!Gkm_crypto.Codec.add_seq64} (1 byte below 64). The caller owns
+    [n]'s monotonicity per key. *)
 
 val counter_open : Gkm_crypto.Aead.key -> ad:bytes -> bytes -> (bytes, string) result
-(** Inverse of {!counter_seal}; never raises on untrusted input. *)
+(** Inverse of {!counter_seal}; never raises on untrusted input, and
+    refuses a non-canonical spelling of [n]. *)
 
 type space = [ `Multicast | `Unicast ]
 (** Two disjoint sequence spaces per epoch: multicast records (shared

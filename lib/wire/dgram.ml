@@ -11,7 +11,11 @@ let header_size = 8
 let max_records = 255
 
 let encoded_size records =
-  List.fold_left (fun acc (_, ct) -> acc + 8 + 4 + Bytes.length ct) header_size records
+  List.fold_left
+    (fun acc (seq, ct) ->
+      let n = Bytes.length ct in
+      acc + Codec.seq64_size seq + Codec.uvarint_size n + n)
+    header_size records
 
 let encode { epoch; records } =
   let n = List.length records in
@@ -24,8 +28,8 @@ let encode { epoch; records } =
   Codec.add_i32 buf epoch;
   List.iter
     (fun (seq, ct) ->
-      Codec.add_i64 buf seq;
-      Codec.add_var32 buf ct)
+      Codec.add_seq64 buf seq;
+      Codec.add_vbytes buf ct)
     records;
   Buffer.to_bytes buf
 
@@ -39,9 +43,10 @@ let decode b =
       if count = 0 then Codec.corrupt "dgram with zero records";
       let epoch = Codec.i32 r in
       let records =
-        Codec.items r ~min_item_size:12 count (fun r ->
-            let seq = Codec.i64 r in
-            let ct = Codec.var32 r in
+        (* a record is at least a 1-byte seq and a 1-byte length *)
+        Codec.items r ~min_item_size:2 count (fun r ->
+            let seq = Codec.seq64 r in
+            let ct = Codec.vbytes r in
             (seq, ct))
       in
       { epoch; records })

@@ -9,10 +9,12 @@
     generation over either transport and open it with the same
     {!Gkm_record.Record.Sink}.
 
-    Layout (big-endian, header {!header_size} = 8 bytes):
+    Layout (header {!header_size} = 8 bytes, big-endian; then the
+    records, each a {!Gkm_crypto.Codec.add_seq64} sequence number and
+    a uvarint length before its bytes):
     {v
       u16 magic (0x474D)  u8 version  u8 count  i32 epoch
-      count x ( i64 seq | i32 ct_len | ct )
+      count x ( seq64 seq | uvarint ct_len | ct )
     v}
 
     Datagrams arrive from an unauthenticated socket: {!decode} never
@@ -37,7 +39,7 @@ val max_records : int
 (** 255 — the count is a u8. *)
 
 val encoded_size : (int64 * bytes) list -> int
-(** Size {!encode} would produce, without building it — the
+(** Exactly the size {!encode} produces, without building it — the
     fits-in-one-datagram check for the TCP fallback decision. *)
 
 val encode : t -> bytes

@@ -17,22 +17,24 @@
 type field =
   | U8 of string  (** free octet *)
   | Enum of string * int array  (** u8 restricted to the listed values *)
-  | U16 of string
-  | I32 of string
-  | I64 of string  (** full-width (PING tokens, record seqs) *)
-  | Node of string
-      (** i64 node id; the decoder rejects values outside the native
-          [int] range — they cannot round-trip through
-          [Int64.to_int] *)
+  | Uvarint of string * int
+      (** canonical unsigned LEB128 no greater than the bound: i32-ranged
+          numbers (ids, epochs, counters) or u16 packet indices *)
+  | Varint of string  (** zigzag LEB128 of any int (node ids) *)
+  | I32 of string  (** fixed width (the SEALED epoch label) *)
+  | I64 of string  (** fixed width (PING/PONG tokens) *)
+  | Seq64 of string
+      (** record sequence number: {!Gkm_crypto.Codec.add_seq64}, 1 to
+          10 bytes, canonical only *)
   | F64_unit of string  (** finite float in [0, 1] *)
-  | Key of string  (** raw {!Gkm_crypto.Key.size}-byte key material *)
-  | Var16 of string  (** u16 length prefix + bytes *)
-  | Var32 of string  (** i32 length prefix + bytes *)
-  | String16 of string
-  | Path of string  (** u16 count + (i64 node, key) items *)
-  | U16_list of string  (** u16 count + u16 items *)
+  | Rest of string
+      (** trailing bytes: the rest of the body, no length; always the
+          last field *)
+  | Path of string  (** uvarint count + (varint node, 16-byte key) items *)
+  | Uvarint_list of string * int  (** uvarint count + bounded uvarint items *)
   | Version_range of string * string  (** u8 [lo] <= u8 [hi] *)
-  | Seq_total of string * string  (** u16 [seq] < u16 [total], [total >= 1] *)
+  | Seq_total of string * string
+      (** u16-ranged uvarints [seq] < [total], [total >= 1] *)
 
 type rule = {
   tag : int;

@@ -84,51 +84,55 @@ let tag_name = function
   | 17 -> "REJOIN_ACK"
   | n -> Printf.sprintf "type-%d" n
 
+(* One rule for every body: numbers are LEB128 varints, fixed-size
+   material (keys, tokens, JOIN's loss, SEALED's epoch label) keeps its
+   width, and a trailing byte string takes the rest of the body with no
+   length. Member ids, epochs and rekey numbers keep the i32 range they
+   had as fixed fields (and still have in snapshots and the client's
+   resumption blob); packet indices keep the u16 range that bounds a
+   member's reassembly array. Node ids are signed (the synthetic DEK id
+   is -1) and any int: a 63-bit varint cannot alias through a wider
+   integer, so a decoded id always re-encodes to the bytes it came
+   from. *)
+let add_idx buf v = add_uvarint_max buf ~max:0xFFFF v
+let idx r = uvarint_max r ~max:0xFFFF
+
 (* Paths are (node id, raw key) pairs: the wire equivalent of the
-   catch-up unicast ([Organization.member_path]). Node ids are i64 —
-   composed organizations allocate ids beyond 2^31. *)
-let add_path buf path = add_list16 buf (fun buf (node, k) ->
-    add_i64 buf (Int64.of_int node);
-    add_key buf k)
+   catch-up unicast ([Organization.member_path]). *)
+let add_path buf path =
+  add_vlist buf
+    (fun buf (node, k) ->
+      add_varint buf node;
+      add_key buf k)
     path
 
-(* Node ids live in native ints everywhere above the codec. An i64
-   outside the 63-bit int range would silently alias through
-   [Int64.to_int] — the re-encoded frame would differ from what was
-   decoded — so the decoder rejects it instead: no honest encoder can
-   produce one. *)
-let node_of_i64 v =
-  let n = Int64.to_int v in
-  if Int64.of_int n <> v then corrupt "node id %Ld outside the native int range" v;
-  n
-
 let read_path r =
-  list16 r ~min_item_size:(8 + Key.size) (fun r ->
-      let node = node_of_i64 (i64 r) in
+  vlist r ~min_item_size:(1 + Key.size) (fun r ->
+      let node = varint r in
       let k = key r in
       (node, k))
 
 let add_rekey buf m =
-  add_i32 buf m.rekey_no;
+  add_u31 buf m.rekey_no;
   add_u8 buf m.org;
-  add_i32 buf m.epoch;
-  add_i64 buf (Int64.of_int m.root);
-  add_u16 buf m.seq;
-  add_u16 buf m.total;
-  add_u16 buf m.packet.Packet.block;
-  add_u16 buf m.packet.Packet.index_in_block;
-  add_var32 buf m.packet.Packet.payload
+  add_u31 buf m.epoch;
+  add_varint buf m.root;
+  add_idx buf m.seq;
+  add_idx buf m.total;
+  add_idx buf m.packet.Packet.block;
+  add_idx buf m.packet.Packet.index_in_block;
+  Buffer.add_bytes buf m.packet.Packet.payload
 
 let read_rekey r =
-  let rekey_no = i32 r in
+  let rekey_no = u31 r in
   let org = u8 r in
-  let epoch = i32 r in
-  let root = node_of_i64 (i64 r) in
-  let seq = u16 r in
-  let total = u16 r in
-  let block = u16 r in
-  let index_in_block = u16 r in
-  let payload = var32 r in
+  let epoch = u31 r in
+  let root = varint r in
+  let seq = idx r in
+  let total = idx r in
+  let block = idx r in
+  let index_in_block = idx r in
+  let payload = rest r in
   if total = 0 then corrupt "REKEY with zero packets";
   if seq >= total then corrupt "REKEY seq %d out of range (total %d)" seq total;
   { rekey_no; org; epoch; root; seq; total; packet = { Packet.seq; block; index_in_block; payload } }
@@ -139,53 +143,48 @@ let encode_body buf = function
       add_u8 buf hi
   | Hello_ack { version; tp_ms; max_frame; capacity } ->
       add_u8 buf version;
-      add_i32 buf tp_ms;
-      add_i32 buf max_frame;
-      add_i32 buf capacity
+      add_u31 buf tp_ms;
+      add_u31 buf max_frame;
+      add_u31 buf capacity
   | Join { cls; loss } ->
       add_u8 buf (match cls with `Short -> 0 | `Long -> 1);
       add_f64 buf loss
-  | Join_ack { member; rekey_no; epoch; root; path } ->
-      add_i32 buf member;
-      add_i32 buf rekey_no;
-      add_i32 buf epoch;
-      add_i64 buf (Int64.of_int root);
+  | Join_ack { member; rekey_no; epoch; root; path }
+  | Resync { member; rekey_no; epoch; root; path } ->
+      add_u31 buf member;
+      add_u31 buf rekey_no;
+      add_u31 buf epoch;
+      add_varint buf root;
       add_path buf path
   | Rekey m | Retx m -> add_rekey buf m
   | Nack { rekey_no; seqs } ->
-      add_i32 buf rekey_no;
-      add_list16 buf add_u16 seqs
+      add_u31 buf rekey_no;
+      add_vlist buf add_idx seqs
   | Resync_req { member; epoch; auth } ->
-      add_i32 buf member;
-      add_i32 buf epoch;
-      add_var16 buf auth
-  | Resync { member; rekey_no; epoch; root; path } ->
-      add_i32 buf member;
-      add_i32 buf rekey_no;
-      add_i32 buf epoch;
-      add_i64 buf (Int64.of_int root);
-      add_path buf path
-  | Leave { member } -> add_i32 buf member
+      add_u31 buf member;
+      add_u31 buf epoch;
+      Buffer.add_bytes buf auth
+  | Leave { member } -> add_u31 buf member
   | Ping { token } -> add_i64 buf token
   | Pong { token } -> add_i64 buf token
   | Error_msg { code; detail } ->
       add_u8 buf code;
-      add_string16 buf detail
+      Buffer.add_string buf detail
   | Sealed { epoch; seq; ct } ->
       add_i32 buf epoch;
-      add_i64 buf seq;
-      add_var32 buf ct
+      add_seq64 buf seq;
+      Buffer.add_bytes buf ct
   | Ticket { member; issued_epoch; ticket } ->
-      add_i32 buf member;
-      add_i32 buf issued_epoch;
-      add_var16 buf ticket
+      add_u31 buf member;
+      add_u31 buf issued_epoch;
+      Buffer.add_bytes buf ticket
   | Rejoin { have_epoch; have_state; ticket } ->
-      add_i32 buf have_epoch;
+      add_u31 buf have_epoch;
       add_u8 buf (if have_state then 1 else 0);
-      add_var16 buf ticket
+      Buffer.add_bytes buf ticket
   | Rejoin_ack { member; ct } ->
-      add_i32 buf member;
-      add_var32 buf ct
+      add_u31 buf member;
+      Buffer.add_bytes buf ct
 
 let read_body ~tag r =
   match tag with
@@ -196,9 +195,9 @@ let read_body ~tag r =
       Hello { lo; hi }
   | 2 ->
       let version = u8 r in
-      let tp_ms = i32 r in
-      let max_frame = i32 r in
-      let capacity = i32 r in
+      let tp_ms = u31 r in
+      let max_frame = u31 r in
+      let capacity = u31 r in
       Hello_ack { version; tp_ms; max_frame; capacity }
   | 3 ->
       let cls = match u8 r with 0 -> `Short | 1 -> `Long | c -> corrupt "JOIN with unknown class %d" c in
@@ -206,56 +205,50 @@ let read_body ~tag r =
       if not (Float.is_finite loss) || loss < 0.0 || loss > 1.0 then
         corrupt "JOIN with loss rate outside [0, 1]";
       Join { cls; loss }
-  | 4 ->
-      let member = i32 r in
-      let rekey_no = i32 r in
-      let epoch = i32 r in
-      let root = node_of_i64 (i64 r) in
+  | 4 | 9 ->
+      let member = u31 r in
+      let rekey_no = u31 r in
+      let epoch = u31 r in
+      let root = varint r in
       let path = read_path r in
-      Join_ack { member; rekey_no; epoch; root; path }
+      if tag = 4 then Join_ack { member; rekey_no; epoch; root; path }
+      else Resync { member; rekey_no; epoch; root; path }
   | 5 -> Rekey (read_rekey r)
   | 6 ->
-      let rekey_no = i32 r in
-      let seqs = list16 r ~min_item_size:2 u16 in
+      let rekey_no = u31 r in
+      let seqs = vlist r ~min_item_size:1 idx in
       Nack { rekey_no; seqs }
   | 7 -> Retx (read_rekey r)
   | 8 ->
-      let member = i32 r in
-      let epoch = i32 r in
-      let auth = var16 r in
+      let member = u31 r in
+      let epoch = u31 r in
+      let auth = rest r in
       Resync_req { member; epoch; auth }
-  | 9 ->
-      let member = i32 r in
-      let rekey_no = i32 r in
-      let epoch = i32 r in
-      let root = node_of_i64 (i64 r) in
-      let path = read_path r in
-      Resync { member; rekey_no; epoch; root; path }
-  | 10 -> Leave { member = i32 r }
+  | 10 -> Leave { member = u31 r }
   | 11 -> Ping { token = i64 r }
   | 12 -> Pong { token = i64 r }
   | 13 ->
       let code = u8 r in
-      let detail = string16 r in
+      let detail = Bytes.to_string (rest r) in
       Error_msg { code; detail }
   | 14 ->
       let epoch = i32 r in
-      let seq = i64 r in
-      let ct = var32 r in
+      let seq = seq64 r in
+      let ct = rest r in
       Sealed { epoch; seq; ct }
   | 15 ->
-      let member = i32 r in
-      let issued_epoch = i32 r in
-      let ticket = var16 r in
+      let member = u31 r in
+      let issued_epoch = u31 r in
+      let ticket = rest r in
       Ticket { member; issued_epoch; ticket }
   | 16 ->
-      let have_epoch = i32 r in
+      let have_epoch = u31 r in
       let have_state = match u8 r with 0 -> false | 1 -> true | b -> corrupt "REJOIN with bad have_state %d" b in
-      let ticket = var16 r in
+      let ticket = rest r in
       Rejoin { have_epoch; have_state; ticket }
   | 17 ->
-      let member = i32 r in
-      let ct = var32 r in
+      let member = u31 r in
+      let ct = rest r in
       Rejoin_ack { member; ct }
   | n -> corrupt "unknown message type %d" n
 
@@ -290,11 +283,11 @@ type resume = {
 let encode_resume rs =
   let buf = Buffer.create 128 in
   add_u8 buf (if rs.full then 1 else 0);
-  add_i32 buf rs.rekey_no;
-  add_i32 buf rs.epoch;
-  add_i64 buf (Int64.of_int rs.root);
+  add_u31 buf rs.rekey_no;
+  add_u31 buf rs.epoch;
+  add_varint buf rs.root;
   add_path buf rs.path;
-  add_var16 buf rs.ticket;
+  Buffer.add_bytes buf rs.ticket;
   Buffer.to_bytes buf
 
 let decode_resume b =
@@ -302,9 +295,9 @@ let decode_resume b =
       let full =
         match u8 r with 0 -> false | 1 -> true | v -> corrupt "resume with bad full flag %d" v
       in
-      let rekey_no = i32 r in
-      let epoch = i32 r in
-      let root = node_of_i64 (i64 r) in
+      let rekey_no = u31 r in
+      let epoch = u31 r in
+      let root = varint r in
       let path = read_path r in
-      let ticket = var16 r in
+      let ticket = rest r in
       { full; rekey_no; epoch; root; path; ticket })

@@ -13,14 +13,18 @@
     that admits the member, carrying its full key path — the wire form
     of the out-of-band registration unicast.
 
-    Frame layout and field tables are documented in DESIGN.md
-    Section 12; framing (header, length prefix, streaming reassembly)
-    lives in {!Frame}. *)
+    Bodies follow one codec rule: ids, epochs, counters and counts are
+    canonical LEB128 varints (node ids zigzag, record seqs
+    {!Gkm_crypto.Codec.add_seq64}); keys, tokens, JOIN's loss and
+    SEALED's epoch label keep their fixed width; a trailing byte string
+    takes the rest of the body with no length prefix. Frame layout and
+    field tables are documented in DESIGN.md Section 12; framing
+    (header, length prefix, streaming reassembly) lives in {!Frame}. *)
 
 val version : int
 (** The wire version (2): the epoch-sealed record layer (SEALED),
-    resumption tickets (TICKET/REJOIN/REJOIN_ACK) and the wide
-    packet-entry codec for i64 node ids. Frames carrying any other
+    resumption tickets (TICKET/REJOIN/REJOIN_ACK) and varint bodies
+    and packet entries. Frames carrying any other
     version byte are rejected, and a HELLO whose range excludes it is
     refused with [err_version]. *)
 
@@ -102,7 +106,9 @@ val tag_name : int -> string
 
 val encode_body : Buffer.t -> t -> unit
 (** Append the body encoding (everything after the frame header).
-    @raise Invalid_argument if a field exceeds its encoding range. *)
+    @raise Invalid_argument if a field exceeds its encoding range:
+    member ids, epochs, rekey numbers and HELLO_ACK's sizes must lie
+    in [[0, 2^31)], packet indices in [[0, 2^16)]. *)
 
 val decode_body : tag:int -> bytes -> (t, string) result
 (** Decode one frame body. Never raises: arbitrary bytes yield

@@ -385,6 +385,22 @@ let test_resume_key_binding () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign individual key opened the blob"
 
+(* The counter leads the blob as a seq64 varint: one byte for a young
+   counter, and one spelling only — the same AEAD output behind an
+   overlong counter is refused. *)
+let test_counter_canonical () =
+  let key = Record.Ticket.resume_key ~individual:(fresh_dek ()) ~issued_epoch:1 in
+  let pt = Bytes.of_string "delta keys" in
+  let blob = Record.counter_seal key ~n:5L ~ad:Record.resume_ad pt in
+  Alcotest.(check int) "1-byte counter" (1 + Bytes.length pt + Aead.tag_size) (Bytes.length blob);
+  Alcotest.(check char) "counter 5, rotated" '\x0a' (Bytes.get blob 0);
+  let overlong =
+    Bytes.cat (Bytes.of_string "\x8a\x00") (Bytes.sub blob 1 (Bytes.length blob - 1))
+  in
+  match Record.counter_open key ~ad:Record.resume_ad overlong with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "overlong counter accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Opener fuzz: garbage must yield Error, never an exception           *)
 
@@ -443,6 +459,7 @@ let () =
           Alcotest.test_case "tampered/foreign tickets rejected" `Quick test_ticket_tamper;
           Alcotest.test_case "path digest" `Quick test_path_digest;
           Alcotest.test_case "resume key binding" `Quick test_resume_key_binding;
+          Alcotest.test_case "counter spelled canonically" `Quick test_counter_canonical;
         ] );
       ( "fuzz",
         [ Alcotest.test_case "10k garbage blobs never raise" `Quick test_fuzz_openers ] );

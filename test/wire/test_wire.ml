@@ -690,6 +690,167 @@ let test_resync_auth () =
   Alcotest.(check bool) "key-sensitive" false
     (Bytes.equal a1 (Frame.resync_auth ~key:(sample_key ()) ~member:7 ~epoch:3))
 
+(* ------------------------------------------------------------------ *)
+(* Varint headers                                                      *)
+
+module Codec = Gkm_crypto.Codec
+module Dgram = Gkm_wire.Dgram
+
+let hex = Gkm_crypto.Hex.encode
+
+let seq64_bytes v =
+  let buf = Buffer.create 10 in
+  Codec.add_seq64 buf v;
+  Buffer.to_bytes buf
+
+let decode_seq64 s = Codec.parse (Bytes.of_string s) Codec.seq64
+
+(* Rotated left one bit: the unicast flag lands in bit 0, so both
+   spaces start at 1-byte spellings; the top multicast seqs and every
+   negative pattern reach the 10-byte ceiling. *)
+let test_seq64_golden () =
+  List.iter
+    (fun (v, want) ->
+      let b = seq64_bytes v in
+      Alcotest.(check string) (Printf.sprintf "seq %Lx" v) want (hex b);
+      Alcotest.(check int) (Printf.sprintf "seq %Lx size" v) (Bytes.length b) (Codec.seq64_size v);
+      match decode_seq64 (Bytes.to_string b) with
+      | Ok v' -> Alcotest.(check int64) (Printf.sprintf "seq %Lx decodes" v) v v'
+      | Error e -> Alcotest.failf "seq %Lx: %s" v e)
+    [
+      (0L, "00");
+      (127L, "fe01");
+      (Int64.min_int, "01");
+      (Int64.add Int64.min_int 1L, "03");
+      (0x7FFF_FFFF_FFFF_FF01L, "82fcffffffffffffff01");
+    ]
+
+let test_seq64_non_canonical () =
+  List.iter
+    (fun (what, s) ->
+      match decode_seq64 s with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%s accepted as %Lx" what v
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    [
+      ("0 closed by a zero group", "\x80\x00");
+      ("127 closed by a zero group", "\xfe\x81\x00");
+      ("ten bytes ending in zero", String.make 9 '\x80' ^ "\x00");
+      ("a 10th byte of 2, bit 64", String.make 9 '\xff' ^ "\x02");
+      ("eleven bytes", String.make 10 '\x80' ^ "\x01");
+      ("a lone continuation byte", "\x80");
+      ("no bytes", "");
+    ]
+
+let prop_seq64_roundtrip =
+  QCheck.Test.make ~name:"every int64 seq round-trips in at most 10 bytes" ~count:1000
+    QCheck.(
+      oneof
+        [
+          int64;
+          map Int64.of_int small_nat;
+          map (fun n -> Int64.add Int64.min_int (Int64.of_int n)) small_nat;
+        ])
+    (fun v ->
+      let b = seq64_bytes v in
+      Bytes.length b <= 10
+      && Bytes.length b = Codec.seq64_size v
+      && decode_seq64 (Bytes.to_string b) = Ok v)
+
+(* The multicast-or-TCP choice sizes a datagram before building it:
+   the size must be exact, for seqs of both spaces and records up to a
+   full 64 KiB. *)
+let prop_dgram_encoded_size =
+  let seq =
+    QCheck.Gen.(
+      oneof
+        [
+          map Int64.of_int (0 -- 20_000);
+          map (fun n -> Int64.add Int64.min_int (Int64.of_int n)) (0 -- 20_000);
+          ui64;
+        ])
+  in
+  let ct_len =
+    QCheck.Gen.(oneof [ 0 -- 300; 0 -- 65_535; oneofl [ 0; 127; 128; 16_383; 16_384; 65_535 ] ])
+  in
+  QCheck.Test.make ~name:"Dgram.encoded_size is the encoded length" ~count:200
+    (QCheck.make
+       ~print:(fun rs ->
+         String.concat "; " (List.map (fun (s, n) -> Printf.sprintf "%Lx/%d" s n) rs))
+       QCheck.Gen.(list_size (1 -- 4) (pair seq ct_len)))
+    (fun spec ->
+      let records = List.map (fun (s, n) -> (s, Bytes.make n 'c')) spec in
+      Dgram.encoded_size records = Bytes.length (Dgram.encode { Dgram.epoch = 7; records }))
+
+(* The tcp-rejoin steady state: a TT group whose churn stays in the S
+   tree, one short-lived member in and one out per interval, so a
+   rekey carries 2 keys. Its SEALED frame, pinned to the byte, is 97 B;
+   the fixed-width record and REKEY headers spent 70 B on the same
+   58-byte payload (128 B). *)
+let test_golden_steady_frame () =
+  let module Scheme = Gkm.Scheme in
+  let s = Scheme.create { (Scheme.default_config Scheme.Tt) with seed = 1 } in
+  for m = 0 to 15 do
+    ignore (Scheme.register s ~member:m ~cls:Scheme.Long)
+  done;
+  ignore (Scheme.rekey s);
+  let last = ref None in
+  for m = 100 to 110 do
+    ignore (Scheme.register s ~member:m ~cls:Scheme.Short);
+    if m > 100 then Scheme.enqueue_departure s (m - 1);
+    last := Scheme.rekey s
+  done;
+  let msg = Option.get !last in
+  Alcotest.(check int) "2-key rekey" 2 (List.length msg.entries);
+  let packet =
+    match Packet.encode_entries ~capacity_bytes:1024 msg.entries with
+    | [ p ] -> p
+    | _ -> Alcotest.fail "one packet expected"
+  in
+  let inner =
+    Msg.encode_inner
+      (Msg.Rekey
+         {
+           rekey_no = 300;
+           org = 2;
+           epoch = msg.epoch;
+           root = msg.root_node;
+           seq = 0;
+           total = 1;
+           packet;
+         })
+  in
+  Alcotest.(check string)
+    "REKEY header: tag, rekey_no 300, org 2, epoch 12, root -1, seq 0 of 1, block 0, index 0"
+    "05ac02020c0100010000"
+    (hex (Bytes.sub inner 0 10));
+  Alcotest.(check int)
+    "then the payload, to the end"
+    (10 + Bytes.length packet.payload)
+    (Bytes.length inner);
+  let dek = Key.of_bytes (Bytes.make 16 'D') in
+  let seal = Record.Seal.create (Record.Epoch.of_dek ~dek ~label:msg.epoch) in
+  let seq, ct = Record.Seal.seal seal inner in
+  let frame = Frame.encode (Msg.Sealed { epoch = msg.epoch; seq; ct }) in
+  Alcotest.(check string) "SEALED frame"
+    (String.concat ""
+       [
+         "474b020e00000059" (* frame header: SEALED, 89-byte body *);
+         "0000000c" (* epoch label 12 *);
+         "00" (* seq 0 *);
+         (* the sealed REKEY and its 16-byte tag, to the end *)
+         "f59015c00f8a9937e76963d6045cfb5678772f244aea82b4071d3bf8ac04f201f8e4497c215388b783";
+         "b7e1146b291ef7dcd130d3618757009d1eb75a9ddbfe56caa3a8aa3f8e751d91713dc0077a4ba70fe80173";
+       ])
+    (hex frame);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d B <= 100" (Bytes.length frame))
+    true
+    (Bytes.length frame <= 100);
+  match open_rekey ~dek frame with
+  | Ok m -> Alcotest.(check bool) "opens to the rekey" true (m = msg_on_wire msg)
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "wire"
     [
@@ -703,6 +864,13 @@ let () =
           Alcotest.test_case "resync auth tag" `Quick test_resync_auth;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_chunked_large_frames ] );
+      ( "varint",
+        [
+          Alcotest.test_case "golden seq64 spellings" `Quick test_seq64_golden;
+          Alcotest.test_case "non-canonical seq64 refused" `Quick test_seq64_non_canonical;
+          Alcotest.test_case "golden 2-key TT SEALED frame" `Quick test_golden_steady_frame;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_seq64_roundtrip; prop_dgram_encoded_size ] );
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_sealed_roundtrip;
