@@ -3,8 +3,9 @@
    Each run builds an organization from the time-0 steady-state
    population of the Section 3.3.1 two-class workload, then drives
    steady-state churn batches through its [rekey] and reports build
-   time, batch-latency quantiles (read from the observability
-   histogram buckets), churn throughput and keys-encrypted throughput.
+   time, exact batch-latency quantiles (type-7 over every churn batch,
+   {!Gkm_sim.Stats.Sample}), churn throughput and keys-encrypted
+   throughput.
    Results are written as one JSON document (default
    BENCH_macro.json); see the README "Benchmarks" section for the
    schema. *)
@@ -13,7 +14,7 @@ module Prng = Gkm_crypto.Prng
 module Scheme = Gkm.Scheme
 module Organization = Gkm.Organization
 module Membership = Gkm_workload.Membership
-module Metrics = Gkm_obs.Metrics
+module Sample = Gkm_sim.Stats.Sample
 module Jsonx = Gkm_obs.Jsonx
 
 type row = {
@@ -41,8 +42,7 @@ let run_org_config ~seed ~n ~alpha ~intervals ~spec =
   let rng = Prng.create seed in
   let batches = Membership.intervals cfg ~rng ~n_intervals:(intervals + 1) in
   let module O = (val Organization.create spec) in
-  let reg = Metrics.create () in
-  let h_batch = Metrics.Histogram.v ~registry:reg "macro.batch_us" in
+  let batch_us = Sample.create () in
   let cls = function Membership.Short -> Scheme.Short | Membership.Long -> Scheme.Long in
   let loss_of m = if m mod 4 = 0 then 0.2 else 0.02 in
   let batch (joins, departs) =
@@ -66,10 +66,11 @@ let run_org_config ~seed ~n ~alpha ~intervals ~spec =
         (fun ((joins, departs) as b) ->
           let b0 = now () in
           batch b;
-          Metrics.Histogram.observe h_batch ((now () -. b0) *. 1e6);
+          Sample.add batch_us ((now () -. b0) *. 1e6);
           churn_ops := !churn_ops + List.length joins + List.length departs)
         churn;
       let churn_s = now () -. t1 in
+      let quantile q = if Sample.count batch_us = 0 then 0.0 else Sample.quantile batch_us q in
       {
         org = Organization.spec_name spec;
         n;
@@ -79,8 +80,8 @@ let run_org_config ~seed ~n ~alpha ~intervals ~spec =
         churn_ops = !churn_ops;
         churn_s;
         keys_encrypted = O.cumulative_keys () - keys0;
-        p50_us = Metrics.Histogram.quantile h_batch 0.5;
-        p99_us = Metrics.Histogram.quantile h_batch 0.99;
+        p50_us = quantile 0.5;
+        p99_us = quantile 0.99;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -263,7 +264,7 @@ let run ?(out = "BENCH_macro.json") ?(quick = false) ?floor_file ?(intervals = 1
   let doc =
     Jsonx.obj
       [
-        ("schema", Jsonx.str "gkm.bench.macro/4");
+        ("schema", Jsonx.str "gkm.bench.macro/5");
         ("quick", Jsonx.bool quick);
         ("seed", Jsonx.int seed);
         ("runs", Jsonx.arr (List.map json_of_row rows));

@@ -9,8 +9,10 @@
                                 the per-phase metrics/journal JSONL
    - `main.exe macro`           rekey hot path at production group
                                 sizes; writes BENCH_macro.json
-   - `main.exe loadgen`         socket server + wire clients over
-                                loopback; writes BENCH_wire.json *)
+
+   Socket-level numbers (a live server and its members over loopback)
+   come from perfbench: `python3 perfbench/run.py --workload
+   udp-steady|tcp-rejoin`. *)
 
 open Cmdliner
 
@@ -123,114 +125,6 @@ let macro_cmd =
          "Benchmark the rekey hot path at N up to 10^6 members and write BENCH_macro.json")
     Term.(ret (const run $ out_arg $ quick_arg $ floor_arg $ intervals_arg $ seed_arg))
 
-let loadgen_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_wire.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the JSON results to $(docv).")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Smoke-test mode: only N=100, fewer intervals (for CI).")
-  in
-  let intervals_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "intervals" ] ~docv:"I" ~doc:"Churned rekey intervals per configuration.")
-  in
-  let tp_arg =
-    Arg.(value & opt float 0.02 & info [ "tp" ] ~doc:"Server rekey interval (s).")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let storm_arg =
-    Arg.(
-      value & flag
-      & info [ "reconnect-storm" ]
-          ~doc:
-            "Each measured interval, crash-kill a fraction of the stable clients and \
-             reconnect them immediately; they recover via 0-RTT ticket REJOIN. Adds \
-             rejoins_0rtt/rejoins_full/ticket_bytes to each row.")
-  in
-  let storm_frac_arg =
-    Arg.(
-      value & opt float 0.008
-      & info [ "reconnect-frac" ] ~docv:"F"
-          ~doc:"Fraction of stable clients killed+reconnected per interval (storm mode).")
-  in
-  let require_no_full_arg =
-    Arg.(
-      value & flag
-      & info [ "require-no-full" ]
-          ~doc:
-            "Exit non-zero if any reconnect fell back to a full-path rejoin or RESYNC — \
-             the CI gate for the no-loss reconnect storm.")
-  in
-  let sizes_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "sizes" ] ~docv:"N,..."
-          ~doc:"Group sizes to drive (default: 100,1000; 100 with $(b,--quick)).")
-  in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1 ]
-      & info [ "domains" ] ~docv:"K,..."
-          ~doc:
-            "Domain counts to sweep. Each K runs the server with K fan-out shard domains \
-             AND spreads the stable clients over K worker-domain event loops; K=1 is the \
-             historical single-threaded harness. One row per (size, K, scenario).")
-  in
-  let require_speedup_arg =
-    Arg.(
-      value & flag
-      & info [ "require-domains-speedup" ]
-          ~doc:
-            "Exit non-zero if, within any (size, scenario), rekey p99 at the highest \
-             domain count exceeds $(b,--speedup-tolerance) times p99 at domains 1 — the \
-             CI gate for the sharded fan-out. Needs a $(b,--domains) sweep containing 1 \
-             and >= 2.")
-  in
-  let speedup_tolerance_arg =
-    Arg.(
-      value & opt float 1.2
-      & info [ "speedup-tolerance" ] ~docv:"X"
-          ~doc:
-            "Slack factor for $(b,--require-domains-speedup): the gate trips only when \
-             sharded p99 > X times the domains-1 p99. Absorbs scheduler noise from \
-             single wall-clock runs on shared CI runners; set to 1.0 for a strict gate.")
-  in
-  let transports_arg =
-    Arg.(
-      value
-      & opt (list string) [ "tcp" ]
-      & info [ "transports" ] ~docv:"T,..."
-          ~doc:
-            "Rekey data planes to sweep: $(b,tcp) (unicast fan-out) and/or $(b,udp) \
-             (multicast data plane on a per-configuration ephemeral group). One row per \
-             (size, K, transport, scenario); udp rows are skipped with a notice when the \
-             kernel refuses loopback multicast joins.")
-  in
-  let run out quick intervals tp seed storm storm_frac require_no_full sizes domains
-      require_domains_speedup speedup_tolerance transports =
-    Loadgen.run ~out ~quick ~seed ~intervals ~tp ~storm ~storm_frac ~require_no_full ?sizes
-      ~domains ~require_domains_speedup ~speedup_tolerance ~transports ()
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Drive the socket rekey server with in-process wire clients over loopback and \
-          write BENCH_wire.json (client rekey latency percentiles, bytes/member/interval, \
-          and — with $(b,--reconnect-storm) — 0-RTT ticket rejoin counters)")
-    Term.(
-      ret
-        (const run $ out_arg $ quick_arg $ intervals_arg $ tp_arg $ seed_arg $ storm_arg
-       $ storm_frac_arg $ require_no_full_arg $ sizes_arg $ domains_arg
-       $ require_speedup_arg $ speedup_tolerance_arg $ transports_arg))
-
 let default_term =
   Term.(
     ret
@@ -246,6 +140,6 @@ let cmd =
        ~doc:
          "Regenerate every table and figure of 'Performance Optimizations for Group Key \
           Management Schemes for Secure Multicast' and benchmark the implementation")
-    [ figures_cmd; micro_cmd; obs_cmd; macro_cmd; loadgen_cmd ]
+    [ figures_cmd; micro_cmd; obs_cmd; macro_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -71,9 +71,3 @@ let group_key t =
   match t.root_node with
   | None -> None
   | Some node -> Option.map (fun s -> s.key) (Hashtbl.find_opt t.keys node)
-
-let known_keys t = Hashtbl.length t.keys
-
-let forget_stale t ~keep =
-  let stale = Hashtbl.fold (fun node _ acc -> if keep node then acc else node :: acc) t.keys [] in
-  List.iter (Hashtbl.remove t.keys) stale

@@ -41,9 +41,3 @@ val knows : t -> int -> bool
 
 val key_of : t -> int -> Gkm_crypto.Key.t option
 val group_key : t -> Gkm_crypto.Key.t option
-val known_keys : t -> int
-(** Number of node keys currently held (diagnostic). *)
-
-val forget_stale : t -> keep:(int -> bool) -> unit
-(** Drop keys whose node ids fail the predicate (housekeeping when the
-    server prunes the tree). *)

@@ -35,8 +35,6 @@ let of_updates ~epoch ~root_node updates =
 
 let size_keys t = List.length t.entries
 
-let entry_id e = (e.target_node, e.wrapped_under)
-
 let pp fmt t =
   Format.fprintf fmt "rekey epoch=%d root=%d entries=%d@." t.epoch t.root_node
     (List.length t.entries);

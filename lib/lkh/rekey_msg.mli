@@ -37,8 +37,4 @@ val size_keys : t -> int
 (** Number of entries — the paper's bandwidth metric, "number of
     encrypted keys". *)
 
-val entry_id : entry -> int * int
-(** [(target_node, wrapped_under)] — unique within a message; used by
-    transports to track which entries a receiver still misses. *)
-
 val pp : Format.formatter -> t -> unit

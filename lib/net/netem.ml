@@ -22,10 +22,6 @@ type 'a t = {
   rng : Prng.t;
   lstate : Loss_model.state option;
   mutable held : 'a option;
-  mutable pushed : int;
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable reordered : int;
 }
 
 let create ~seed c =
@@ -34,23 +30,15 @@ let create ~seed c =
     rng = Prng.create seed;
     lstate = Option.map Loss_model.init_state c.loss;
     held = None;
-    pushed = 0;
-    dropped = 0;
-    duplicated = 0;
-    reordered = 0;
   }
 
 let push t p =
-  t.pushed <- t.pushed + 1;
   let lost =
     match (t.c.loss, t.lstate) with
     | Some m, Some st -> Loss_model.drop m st t.rng
     | _ -> false
   in
-  if lost then begin
-    t.dropped <- t.dropped + 1;
-    []
-  end
+  if lost then []
   else begin
     (* Release order: the packet held from an earlier push goes on the
        wire AFTER the current one — that pair is the reorder. A push
@@ -61,7 +49,6 @@ let push t p =
       | None -> []
       | Some h ->
           t.held <- None;
-          t.reordered <- t.reordered + 1;
           [ h ]
     in
     if released = [] && t.c.reorder > 0.0 && Prng.bernoulli t.rng t.c.reorder then begin
@@ -69,13 +56,7 @@ let push t p =
       []
     end
     else begin
-      let out =
-        if t.c.dup > 0.0 && Prng.bernoulli t.rng t.c.dup then begin
-          t.duplicated <- t.duplicated + 1;
-          [ p; p ]
-        end
-        else [ p ]
-      in
+      let out = if t.c.dup > 0.0 && Prng.bernoulli t.rng t.c.dup then [ p; p ] else [ p ] in
       out @ released
     end
   end
@@ -86,8 +67,3 @@ let flush t =
   | Some h ->
       t.held <- None;
       [ h ]
-
-let pushed t = t.pushed
-let dropped t = t.dropped
-let duplicated t = t.duplicated
-let reordered t = t.reordered

@@ -31,9 +31,9 @@ val is_none : cfg -> bool
 (** No fault can ever fire under this configuration. *)
 
 type 'a t
-(** A shim instance carrying model state, the held-back slot and the
-    fault counters. ['a] is the packet type (buffers on a send path,
-    decoded records on a receive path). *)
+(** A shim instance carrying model state and the held-back slot.
+    ['a] is the packet type (buffers on a send path, decoded records
+    on a receive path). *)
 
 val create : seed:int -> cfg -> 'a t
 
@@ -45,16 +45,4 @@ val push : 'a t -> 'a -> 'a list
 
 val flush : 'a t -> 'a list
 (** Release the held-back packet, if any (delivered late but in
-    order; not counted as a reorder). *)
-
-(** Fault counters since creation. *)
-
-val pushed : 'a t -> int
-
-val dropped : 'a t -> int
-
-val duplicated : 'a t -> int
-
-val reordered : 'a t -> int
-(** Held-back packets that were released {e after} a younger packet
-    (a flush release does not count). *)
+    order). *)

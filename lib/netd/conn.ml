@@ -13,15 +13,14 @@ let m_decode_errors = Metrics.Counter.v "wire.decode_errors"
    frame was fanned out to; only [off] is per-connection. *)
 type out_entry = { buf : bytes; mutable off : int }
 
-(* Threading: the write side (outq, out_bytes, frames_tx, closed,
-   fd_closed) is guarded by [mu] because a sharded server enqueues
-   unicast replies from the tick domain while the owning shard domain
-   flushes. The read side (dec, bytes_rx, frames_rx) is single-owner —
-   whichever domain polls the fd — and handoff between owners goes
-   through a mutex-guarded command queue, which provides the
-   happens-before edge. [bytes_rx]/[bytes_tx] accessors read without
-   the lock: immediate int fields cannot tear, stats tolerate
-   staleness. *)
+(* Threading: the write side (outq, out_bytes, closed, fd_closed) is
+   guarded by [mu] because a sharded server enqueues unicast replies
+   from the tick domain while the owning shard domain flushes. The
+   read side (dec, bytes_rx) is single-owner — whichever domain polls
+   the fd — and handoff between owners goes through a mutex-guarded
+   command queue, which provides the happens-before edge.
+   [bytes_rx]/[bytes_tx] accessors read without the lock: immediate
+   int fields cannot tear, stats tolerate staleness. *)
 type t = {
   fd : Unix.file_descr;
   mu : Mutex.t;
@@ -30,8 +29,6 @@ type t = {
   mutable out_bytes : int;
   mutable bytes_rx : int;
   mutable bytes_tx : int;
-  mutable frames_rx : int;
-  mutable frames_tx : int;
   mutable closed : bool;
   mutable fd_closed : bool;
 }
@@ -50,8 +47,6 @@ let create ?max_frame fd =
     out_bytes = 0;
     bytes_rx = 0;
     bytes_tx = 0;
-    frames_rx = 0;
-    frames_tx = 0;
     closed = false;
     fd_closed = false;
   }
@@ -61,8 +56,6 @@ let out_bytes t = Mutex.protect t.mu (fun () -> t.out_bytes)
 let closed t = t.closed
 let bytes_rx t = t.bytes_rx
 let bytes_tx t = t.bytes_tx
-let frames_rx t = t.frames_rx
-let frames_tx t = t.frames_tx
 
 (* Pending output is kept across [shutdown] — a detaching shard may
    still deliver it as a farewell ([flush ~farewell:true]) — and only
@@ -87,7 +80,6 @@ let enqueue_frame t buf =
       if not t.closed then begin
         Queue.add { buf; off = 0 } t.outq;
         t.out_bytes <- t.out_bytes + Bytes.length buf;
-        t.frames_tx <- t.frames_tx + 1;
         if Obs.enabled () then Metrics.Counter.incr m_frames_tx
       end)
 
@@ -164,7 +156,6 @@ let on_readable t =
   let rec drain () =
     match Frame.next t.dec with
     | Ok (Some m) ->
-        t.frames_rx <- t.frames_rx + 1;
         if Obs.enabled () then Metrics.Counter.incr m_frames_rx;
         msgs := m :: !msgs;
         drain ()

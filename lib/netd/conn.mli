@@ -85,5 +85,3 @@ val closed : t -> bool
 
 val bytes_rx : t -> int
 val bytes_tx : t -> int
-val frames_rx : t -> int
-val frames_tx : t -> int

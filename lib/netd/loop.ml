@@ -174,7 +174,3 @@ let run t ~until =
   while (not t.stopped) && not (until ()) do
     step t
   done
-
-let run_for t duration =
-  let deadline = now t +. duration in
-  run t ~until:(fun () -> now t >= deadline)

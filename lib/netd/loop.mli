@@ -74,6 +74,4 @@ val counters : t -> counters
 val run : t -> until:(unit -> bool) -> unit
 (** Iterate {!step} until [until ()] holds or {!stop} is called. *)
 
-val run_for : t -> float -> unit
-
 val stop : t -> unit

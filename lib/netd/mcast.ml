@@ -95,11 +95,6 @@ let send t d =
 let sender_datagrams t = t.s_datagrams
 let sender_bytes t = t.s_bytes
 
-let sender_faults t =
-  match t.s_shim with
-  | None -> (0, 0, 0)
-  | Some shim -> (Netem.dropped shim, Netem.duplicated shim, Netem.reordered shim)
-
 let close_sender t =
   if not t.s_closed then begin
     (match t.s_shim with

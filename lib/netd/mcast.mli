@@ -60,9 +60,6 @@ val sender_datagrams : sender -> int
 val sender_bytes : sender -> int
 (** Payload bytes actually passed to [sendto]. *)
 
-val sender_faults : sender -> int * int * int
-(** [(dropped, duplicated, reordered)] by the injected shim. *)
-
 val close_sender : sender -> unit
 (** Releases any datagram the shim still holds, then closes. *)
 

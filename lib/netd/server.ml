@@ -132,7 +132,6 @@ type t = {
   leaving : (int, unit) Hashtbl.t;  (* departure enqueued, key cleanup pending *)
   placed : (int, int) Hashtbl.t;  (* member -> last known leaf node *)
   history : (int, hist) Hashtbl.t;  (* rekey_no -> sealed packets, for RETX *)
-  tick_times : (int, float) Hashtbl.t;  (* rekey_no -> tick start time *)
   ticket_sealer : Record.Ticket.Sealer.t;
   last_ticket : (int, int * bytes) Hashtbl.t;  (* member -> (epoch, path digest) at issue *)
   ticket_ages : (int * int) Queue.t;
@@ -150,9 +149,6 @@ type t = {
   mcast : Mcast.sender option;  (* Some iff cfg.transport is Udp *)
   pool : Shard.t option;  (* Some iff cfg.domains >= 2 *)
   mutable next_shard : int;  (* round-robin member placement over shards *)
-  times_mu : Mutex.t;
-      (* guards [tick_times]: an in-process load generator's client
-         worker domains read tick_time while the tick domain writes *)
   mutable seal : Record.Seal.t option;  (* keyed by the previous tick's DEK *)
   mutable last_dgram : bytes option;
       (* the latest generation's multicast datagram, verbatim, for
@@ -226,10 +222,6 @@ let bound_tickets t =
 
 let node_rows t = Hashtbl.length t.node_changed + Hashtbl.length t.parent_of
 
-let tick_time t ~rekey_no =
-  Mutex.protect t.times_mu (fun () -> Hashtbl.find_opt t.tick_times rekey_no)
-
-let n_clients t = Hashtbl.length t.clients
 let domains t = t.cfg.domains
 
 let org_size t =
@@ -979,7 +971,6 @@ let tick t =
       if has_frames then begin
         Hashtbl.replace t.node_changed msg.root_node msg.epoch;
         t.rekey_no <- t.rekey_no + 1;
-        Mutex.protect t.times_mu (fun () -> Hashtbl.replace t.tick_times t.rekey_no t0);
         (* Without a seal there is no prior generation, so no member
            predates this rekey and none can NACK it. *)
         Option.iter
@@ -992,9 +983,7 @@ let tick t =
          | None -> ()
          | Some old ->
              Hashtbl.remove t.history k;
-             erase_unless_live t (Record.Seal.epoch old.h_seal));
-        Mutex.protect t.times_mu (fun () ->
-            Hashtbl.remove t.tick_times (t.rekey_no - (4 * t.cfg.retx_window)))
+             erase_unless_live t (Record.Seal.epoch old.h_seal))
       end;
       (* Admit this interval's joiners: JOIN_ACK carries the full key
          path, the wire form of the registration unicast. *)
@@ -1340,7 +1329,6 @@ let create ~loop (cfg : config) =
         leaving = Hashtbl.create 64;
         placed = Hashtbl.create 256;
         history = Hashtbl.create 16;
-        tick_times = Hashtbl.create 64;
         ticket_sealer = Record.Ticket.Sealer.create ~seed:cfg.ticket_seed;
         last_ticket = Hashtbl.create 256;
         ticket_ages = Queue.create ();
@@ -1360,7 +1348,6 @@ let create ~loop (cfg : config) =
                   ~outbox_hard:cfg.outbox_hard ~stall_strikes:cfg.stall_strikes)
            else None);
         next_shard = 0;
-        times_mu = Mutex.create ();
         seal = None;
         last_dgram = None;
         quiet_ticks = 0;

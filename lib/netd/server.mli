@@ -174,7 +174,6 @@ val port : t -> int
 
 val rekey_no : t -> int
 val epoch : t -> int
-val n_clients : t -> int
 val org_size : t -> int
 
 val stats : t -> stats
@@ -212,7 +211,3 @@ val node_rows : t -> int
     node). Dead nodes are pruned, so this stays within a constant
     factor of the live tree size rather than growing with every node
     ever created. *)
-
-val tick_time : t -> rekey_no:int -> float option
-(** Wall-clock time at which the given rekey's tick started (kept for
-    a bounded window) — the latency baseline for the load generator. *)

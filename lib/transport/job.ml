@@ -62,4 +62,3 @@ let n_receivers t = Array.length t.interest
 let entry t i = t.entries.(i)
 let interest t r = t.interest.(r)
 let interested_receivers t e = t.by_entry.(e)
-let total_interest t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.interest

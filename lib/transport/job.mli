@@ -44,6 +44,3 @@ val interest : t -> int -> int list
 
 val interested_receivers : t -> int -> int list
 (** Receivers (dense indexes) needing entry [e]. *)
-
-val total_interest : t -> int
-(** Sum of interest-set sizes. *)

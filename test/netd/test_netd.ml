@@ -352,6 +352,90 @@ let test_rejoin_0rtt () =
   check_trace ~server_tbl "victim" victim;
   Server.stop srv
 
+(* The reconnect storm: 100 TT members at tp 0.02 s, then 10 churned
+   intervals of one join plus one leave. Each interval also crash-kills
+   one stable member and reconnects it. With no faults every reconnect
+   must be a 0-RTT delta rejoin: no full-path rejoin, no RESYNC, at
+   every fan-out domain count.
+
+   Two gates keep a full rejoin from being legitimate. The victim is
+   drained first (PING/PONG): at domains >= 2 the shard flushers run
+   asynchronously, so the ticket reissued by the last tick may still
+   sit in a shard's queue, and killing then loses it. And each interval
+   waits for the organization to settle: this interval's join and the
+   previous churner's leave both consumed, and the join acknowledged.
+   Otherwise a still-queued leave reshapes the tree during the next
+   kill window, or a leave sent before admission degrades to a crash
+   whose member lingers in the S-partition until a later migration;
+   either way the victim's ticket names a path the tree no longer
+   has. *)
+let storm_scenario ~domains =
+  let n = 100 and intervals = 10 and tp = 0.02 in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp ~domains ()) in
+  let port = Server.port srv in
+  let stable =
+    Array.init n (fun i -> Client.connect ~loop { (Client.config ~port) with seed = 1 + i })
+  in
+  let all_at_rekey () =
+    let r = Server.rekey_no srv in
+    Array.for_all (fun c -> Client.is_member c && Client.last_rekey c >= r) stable
+  in
+  (* No epoch movement for 10 ticks: the join storm's trailing TT
+     migrations have drained. *)
+  let quiesce () =
+    let last = ref (-1) and since = ref (Unix.gettimeofday ()) in
+    run_until loop (fun () ->
+        let e = Server.epoch srv and t = Unix.gettimeofday () in
+        if e <> !last then begin
+          last := e;
+          since := t;
+          false
+        end
+        else t -. !since > 10.0 *. tp)
+  in
+  run_until loop (fun () -> Array.for_all Client.is_member stable);
+  quiesce ();
+  let churner = ref None in
+  for i = 0 to intervals - 1 do
+    run_until loop all_at_rekey;
+    let victim = stable.(i) in
+    let killed = ref false in
+    Client.drain victim (fun () ->
+        Client.kill victim;
+        killed := true);
+    run_until loop (fun () -> !killed);
+    Client.reconnect victim;
+    run_until loop (fun () -> Array.for_all Client.is_member stable);
+    let c = Client.connect ~loop { (Client.config ~port) with seed = 1 + n + i } in
+    Option.iter Client.leave !churner;
+    churner := Some c;
+    let target = Server.epoch srv in
+    run_until loop (fun () ->
+        Server.epoch srv > target && Server.org_size srv = n + 1 && Client.is_member c)
+  done;
+  Option.iter Client.leave !churner;
+  quiesce ();
+  run_until loop all_at_rekey;
+  let tag = Printf.sprintf "domains %d" domains in
+  let s = Server.stats srv in
+  Alcotest.(check int) (tag ^ ": every reconnect a 0-RTT rejoin") intervals s.rejoins_0rtt;
+  Alcotest.(check int) (tag ^ ": no full rejoin") 0 s.rejoins_full;
+  Alcotest.(check int) (tag ^ ": no RESYNC") 0 s.resyncs;
+  let server_tbl = server_trace_tbl srv in
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: member%d never resynced" tag i)
+        0 (Client.resyncs c);
+      check_trace ~server_tbl (Printf.sprintf "%s: member%d" tag i) c)
+    stable;
+  Array.iter Client.kill stable;
+  Server.stop srv;
+  Loop.close loop
+
+let test_reconnect_storm () = List.iter (fun domains -> storm_scenario ~domains) [ 1; 2; 4 ]
+
 (* Eviction lockout: a departed member's ticket is dead. The REJOIN is
    refused with a soft error, and the same process re-enters only as a
    brand-new member with no claim to the old identity's keys. *)
@@ -1657,6 +1741,11 @@ let () =
           Alcotest.test_case "0-RTT ticket rejoin, zero full RESYNCs" `Quick test_rejoin_0rtt;
           Alcotest.test_case "evicted ticket locked out" `Quick test_eviction_lockout;
           Alcotest.test_case "composed org served on v2" `Quick test_composed_served;
+        ] );
+      ( "storm",
+        [
+          Alcotest.test_case "no faults: every reconnect 0-RTT (domains 1, 2, 4)" `Quick
+            test_reconnect_storm;
         ] );
       ( "sharded",
         [
