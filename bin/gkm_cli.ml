@@ -740,8 +740,10 @@ let serve_cmd =
         || (match intervals with Some n -> Server.rekey_no srv >= n | None -> false)
         || match duration with Some d -> Unix.gettimeofday () -. t0 >= d | None -> false);
     let st = Server.stats srv in
-    Printf.printf "gkm serve: done — %d rekeys (%d packets), %d joins, %d leaves, %d members\n"
-      st.rekeys st.rekey_packets st.joins st.leaves (Server.org_size srv);
+    Printf.printf
+      "gkm serve: done — %d rekeys (%d packets, %d wraps left to unicast), %d joins, %d leaves, \
+       %d members\n"
+      st.rekeys st.rekey_packets st.wraps_pruned st.joins st.leaves (Server.org_size srv);
     Printf.printf
       "  recovery: %d nacks, %d retx packets, %d resyncs (+%d migration unicasts); \
        backpressure: %d soft skips, %d slow + %d grace evictions; %d protocol errors\n"
@@ -775,6 +777,7 @@ let serve_cmd =
                ("leaves", J.int st.leaves);
                ("rekeys", J.int st.rekeys);
                ("rekey_packets", J.int st.rekey_packets);
+               ("wraps_pruned", J.int st.wraps_pruned);
                ("nacks", J.int st.nacks);
                ("retx_packets", J.int st.retx_packets);
                ("resyncs", J.int st.resyncs);

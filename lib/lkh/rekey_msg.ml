@@ -35,6 +35,14 @@ let of_updates ~epoch ~root_node updates =
 
 let size_keys t = List.length t.entries
 
+(* One walk per fresh path counts the fresh holders of every node;
+   an entry survives iff some holder of its wrapping key is not fresh. *)
+let for_audience ~fresh entries =
+  let under = Hashtbl.create 64 in
+  let count node = Option.value ~default:0 (Hashtbl.find_opt under node) in
+  List.iter (List.iter (fun (node, _) -> Hashtbl.replace under node (1 + count node))) fresh;
+  List.filter (fun e -> e.receivers > count e.wrapped_under) entries
+
 let pp fmt t =
   Format.fprintf fmt "rekey epoch=%d root=%d entries=%d@." t.epoch t.root_node
     (List.length t.entries);

@@ -37,4 +37,13 @@ val size_keys : t -> int
 (** Number of entries — the paper's bandwidth metric, "number of
     encrypted keys". *)
 
+val for_audience : fresh:(int * Gkm_crypto.Key.t) list list -> entry list -> entry list
+(** [for_audience ~fresh entries] drops the entries that only fresh
+    members could use, keeping the rest in order. [fresh] holds the
+    full key paths (node id, key), leaf first, of the members that are
+    sent their whole path by unicast this rekey. An entry is kept iff
+    its [receivers] exceed the fresh paths through its [wrapped_under]
+    node, so [receivers] must count every holder of the wrapping key:
+    an undercount would drop an entry a member outside [fresh] needs. *)
+
 val pp : Format.formatter -> t -> unit

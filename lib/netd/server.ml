@@ -87,6 +87,7 @@ type stats = {
   mutable mcast_bytes : int;
   mutable mcast_fallback_unicast : int;
   mutable mcast_heartbeats : int;
+  mutable wraps_pruned : int;
 }
 
 type phase = Pre_hello | Ready | Pending | Member
@@ -115,6 +116,17 @@ type hist = {
          fresh sequence numbers from the same generation, which the
          nacking (hence behind) client still holds *)
 }
+
+(* Record sequence numbers must never repeat under one traffic key,
+   and a DEK can come back: TT makes the L root's key the DEK again
+   whenever S empties, and a sole member's leaf key is the DEK again
+   once the member that split it leaves. So a DEK has one sealer for
+   as long as it protects the live seal or retransmittable history,
+   or can return. It can return only while a member still holds it
+   (a departure or a move refreshes every key on the member's old
+   path), so each row names a member that held the DEK when it was
+   minted, and the row goes once that member no longer does. *)
+type dek_seal = { d_seal : Record.Seal.t; d_dek : Key.t; d_holder : int option }
 
 type t = {
   cfg : config;
@@ -150,6 +162,7 @@ type t = {
   pool : Shard.t option;  (* Some iff cfg.domains >= 2 *)
   mutable next_shard : int;  (* round-robin member placement over shards *)
   mutable seal : Record.Seal.t option;  (* keyed by the previous tick's DEK *)
+  seals : (string, dek_seal) Hashtbl.t;  (* DEK digest -> its one sealer *)
   mutable last_dgram : bytes option;
       (* the latest generation's multicast datagram, verbatim, for
          quiet-tick heartbeats; None when that generation was not
@@ -337,17 +350,6 @@ let send_soft_error t cl code detail =
   journal "netd.rejoin_reject" [ ("code", Int code); ("detail", Str detail) ];
   send t cl (Msg.Error_msg { code; detail })
 
-(* Erase a retired record-layer generation's key unless it still
-   protects retransmittable history or the live seal (the DEK — hence
-   its traffic key — can survive many rekeys). *)
-let erase_unless_live t ep =
-  let shares s = Record.Seal.epoch s == ep in
-  let live =
-    Option.fold ~none:false ~some:shares t.seal
-    || Hashtbl.fold (fun _ h acc -> acc || shares h.h_seal) t.history false
-  in
-  if not live then Record.Epoch.erase ep
-
 let depart t member =
   let module O = (val t.org : Organization.S) in
   match O.enqueue_departure member with
@@ -441,7 +443,7 @@ let issue_ticket t cl member =
    otherwise turn a few bytes of NACK into unbounded unicast); the
    counter resets with the connection, so an honest reconnecting
    client is never locked out. *)
-let send_resync t ?(reason = `Recovery) cl member =
+let send_resync t ?(reason = `Recovery) ?path cl member =
   if reason = `Recovery && cl.resyncs_granted >= t.cfg.resync_budget then begin
     t.stats.resyncs_denied <- t.stats.resyncs_denied + 1;
     journal "netd.resync_denied" [ ("member", Int member) ];
@@ -477,7 +479,7 @@ let send_resync t ?(reason = `Recovery) cl member =
          rekey_no = t.rekey_no;
          epoch = t.epoch;
          root = t.root;
-         path = member_path t member;
+         path = (match path with Some p -> p | None -> member_path t member);
        });
   issue_ticket t cl member;
   promote t cl
@@ -915,6 +917,53 @@ let reissue_tickets t (msg : Gkm_lkh.Rekey_msg.t) =
     t.prune_at <- (2 * (Hashtbl.length t.node_changed + Hashtbl.length t.parent_of)) + 256
   end
 
+(* The sealer of [dek]: the one it already has if it is live or has
+   come back, else a fresh one at seq 0. *)
+let seal_for t ~dek ~digest ~label =
+  let module O = (val t.org : Organization.S) in
+  let key = Bytes.to_string digest in
+  match Hashtbl.find_opt t.seals key with
+  | Some row ->
+      Record.Epoch.relabel (Record.Seal.epoch row.d_seal) label;
+      row.d_seal
+  | None ->
+      let holder =
+        let exception Found of int in
+        match Hashtbl.iter (fun m _ -> if O.is_member m then raise_notrace (Found m)) t.placed with
+        | () -> None
+        | exception Found m -> Some m
+      in
+      let seal = Record.Seal.create (Record.Epoch.of_dek_digest ~dek ~digest ~label) in
+      Hashtbl.replace t.seals key { d_seal = seal; d_dek = dek; d_holder = holder };
+      seal
+
+(* Drop every sealer that neither the live seal nor the retransmission
+   history uses and whose DEK no member holds any more, erasing its
+   traffic key. *)
+let retire_seals t =
+  let module O = (val t.org : Organization.S) in
+  let used s =
+    Option.fold ~none:false ~some:(fun live -> live == s) t.seal
+    || Hashtbl.fold (fun _ h acc -> acc || h.h_seal == s) t.history false
+  in
+  let held row =
+    match row.d_holder with
+    | Some m when O.is_member m ->
+        List.exists (fun (_, k) -> Key.equal k row.d_dek) (O.member_path m)
+    | _ -> false
+  in
+  Hashtbl.filter_map_inplace
+    (fun _ row ->
+      if used row.d_seal || held row then Some row
+      else begin
+        Record.Epoch.erase (Record.Seal.epoch row.d_seal);
+        None
+      end)
+    t.seals
+
+let root_pointer =
+  { Packet.seq = 0; block = 0; index_in_block = 0; payload = Packet.encode_payload [] }
+
 let tick t =
   let module O = (val t.org : Organization.S) in
   let t0 = Loop.now t.loop in
@@ -923,9 +972,32 @@ let tick t =
   (match O.rekey () with
   | None -> heartbeat t
   | Some msg ->
+      (* The fresh members are sent their whole key path by unicast
+         this tick: the admitted joiners (JOIN_ACK) and the members
+         the organization moved to a new leaf (RESYNC). [placements]
+         persists until the next effective rekey, so a move is a leaf
+         that differs from the last known one. A wrap only fresh
+         members could open would cross the wire twice, so the
+         generation carries only the entries some other member can
+         use. *)
+      let fresh = Hashtbl.create 8 in
+      let add member =
+        if O.is_member member && not (Hashtbl.mem fresh member) then
+          Hashtbl.replace fresh member (member_path t member)
+      in
+      Hashtbl.iter (fun member _ -> add member) t.pending;
+      List.iter
+        (fun (member, leaf) -> if Hashtbl.find_opt t.placed member <> Some leaf then add member)
+        (O.placements ());
+      let wire_entries =
+        Gkm_lkh.Rekey_msg.for_audience
+          ~fresh:(Hashtbl.fold (fun _ path acc -> path :: acc) fresh [])
+          msg.entries
+      in
+      let n_entries = List.length msg.entries and n_wire = List.length wire_entries in
+      t.stats.wraps_pruned <- t.stats.wraps_pruned + n_entries - n_wire;
       let packets =
-        Array.of_list
-          (Packet.encode_entries ~capacity_bytes:t.cfg.capacity msg.entries)
+        Array.of_list (Packet.encode_entries ~capacity_bytes:t.cfg.capacity wire_entries)
       in
       (* The DEK this rekey left, hashed once for the seal checks and
          the DEK log below. *)
@@ -940,22 +1012,17 @@ let tick t =
          under. Synthesize a framed zero-entry rekey — a pure
          root-pointer update every member can apply from keys it
          already holds — so every generation change is client-visible
-         and the seal tracks the live DEK. *)
+         and the seal tracks the live DEK. The same packet stands in
+         for a rekey whose every entry only fresh members could use
+         (genesis, a mass migration), so framing does not depend on
+         the audience. *)
       let dek_moved =
         match (t.seal, dek) with
         | Some s, Some (_, digest) -> not (Record.Epoch.same_digest (Record.Seal.epoch s) digest)
         | _ -> false
       in
       let packets =
-        if Array.length packets = 0 && dek_moved then
-          [|
-            {
-              Packet.seq = 0;
-              block = 0;
-              index_in_block = 0;
-              payload = Packet.encode_payload [];
-            };
-          |]
+        if Array.length packets = 0 && (n_entries > 0 || dek_moved) then [| root_pointer |]
         else packets
       in
       let has_frames = Array.length packets > 0 in
@@ -978,12 +1045,7 @@ let tick t =
             Hashtbl.replace t.history t.rekey_no
               { h_epoch = msg.epoch; h_root = msg.root_node; h_packets = packets; h_seal = seal })
           t.seal;
-        (let k = t.rekey_no - t.cfg.retx_window in
-         match Hashtbl.find_opt t.history k with
-         | None -> ()
-         | Some old ->
-             Hashtbl.remove t.history k;
-             erase_unless_live t (Record.Seal.epoch old.h_seal))
+        Hashtbl.remove t.history (t.rekey_no - t.cfg.retx_window)
       end;
       (* Admit this interval's joiners: JOIN_ACK carries the full key
          path, the wire form of the registration unicast. *)
@@ -1004,7 +1066,7 @@ let tick t =
                      rekey_no = t.rekey_no;
                      epoch = t.epoch;
                      root = t.root;
-                     path = member_path t member;
+                     path = Hashtbl.find fresh member;
                    });
               issue_ticket t cl member;
               promote t cl
@@ -1014,18 +1076,15 @@ let tick t =
       (* Members the organization moved to a new leaf (S->L migration)
          need their fresh key path: a server-initiated RESYNC, the wire
          form of the migration unicast. Newly admitted members already
-         got theirs in JOIN_ACK; [placements] persists until the next
-         effective rekey, so dedupe against the last known leaf. *)
-      List.iter
-        (fun (member, leaf) ->
-          let prev = Hashtbl.find_opt t.placed member in
-          Hashtbl.replace t.placed member leaf;
-          if prev <> Some leaf then
-            match Hashtbl.find_opt t.member_client member with
-            | Some cl when cl.admitted_at < t.tick_no && O.is_member member ->
-                send_resync t ~reason:`Migration cl member
-            | _ -> ())
-        (O.placements ());
+         got theirs in JOIN_ACK. *)
+      List.iter (fun (member, leaf) -> Hashtbl.replace t.placed member leaf) (O.placements ());
+      Hashtbl.iter
+        (fun member path ->
+          match Hashtbl.find_opt t.member_client member with
+          | Some cl when cl.admitted_at < t.tick_no ->
+              send_resync t ~reason:`Migration ~path cl member
+          | _ -> ())
+        fresh;
       if has_frames then begin
         (* Fan out under the pre-rekey generation, which every
            previously-admitted member holds. Every packet of the
@@ -1191,34 +1250,23 @@ let tick t =
          every client out of the next fan-out. DEK-moving entry-less
          ticks are made visible by the synthesized zero-entry rekey
          above, so after every tick the seal equals the live DEK; a
-         frameless tick here implies the DEK did not move. The Seal
-         object — and its CTR sequence — survives as long as its DEK
-         does; same-DEK rolls only relabel, which keeps the
+         frameless tick here implies the DEK did not move. A DEK's one
+         Seal object — and its CTR sequence — outlives its tenure for
+         as long as the DEK can return ([seal_for], [retire_seals]);
+         same-DEK rolls and returns only relabel, which keeps the
          (key, nonce) stream collision-free. *)
       (match dek with
-      | None -> (
-          match t.seal with
-          | Some old ->
-              t.seal <- None;
-              erase_unless_live t (Record.Seal.epoch old)
-          | None -> ())
-      | Some (dek, digest) when has_frames || t.seal = None -> (
+      | None -> t.seal <- None
+      | Some (dek, digest) when has_frames || t.seal = None ->
           (* [t.seal = None] with a live DEK is the genesis corner: the
              very first admission lands on a frameless tick (a sole
              join produces no entries), yet that member now predates
              the next rekey — without a generation minted for the DEK
              it holds, the next fan-out would have nothing to seal
              under and the member could only NACK its way back in. *)
-          match t.seal with
-          | Some s when Record.Epoch.same_digest (Record.Seal.epoch s) digest ->
-              Record.Epoch.relabel (Record.Seal.epoch s) msg.epoch
-          | prev ->
-              t.seal <-
-                Some (Record.Seal.create (Record.Epoch.of_dek_digest ~dek ~digest ~label:msg.epoch));
-              (match prev with
-              | Some old -> erase_unless_live t (Record.Seal.epoch old)
-              | None -> ()))
+          t.seal <- Some (seal_for t ~dek ~digest ~label:msg.epoch)
       | Some _ -> ());
+      retire_seals t;
       reissue_tickets t msg;
       (* The rekey's journal record comes last, so it can carry the
          tick's cost and the tickets it issued. *)
@@ -1231,6 +1279,8 @@ let tick t =
             ("rekey_no", Int t.rekey_no);
             ("epoch", Int t.epoch);
             ("packets", Int (Array.length packets));
+            ("entries", Int n_entries);
+            ("wire_entries", Int n_wire);
             ("members", Int (O.size ()));
             ("dek", Str (match dek with Some (_, d) -> Key.fingerprint_of_digest d | None -> ""));
             ("tick_us", Int (int_of_float (dt *. 1e6)));
@@ -1349,6 +1399,7 @@ let create ~loop (cfg : config) =
            else None);
         next_shard = 0;
         seal = None;
+        seals = Hashtbl.create 16;
         last_dgram = None;
         quiet_ticks = 0;
         rejoin_nonce = 0L;
@@ -1385,6 +1436,7 @@ let create ~loop (cfg : config) =
             mcast_bytes = 0;
             mcast_fallback_unicast = 0;
             mcast_heartbeats = 0;
+            wraps_pruned = 0;
           };
         stopped = false;
       }

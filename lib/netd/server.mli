@@ -6,10 +6,12 @@
     tick (JOIN_ACK carries the member's full key path — the wire form
     of the registration unicast), fans every rekey out as a run of
     sealed REKEY records whose SEALED frames are encoded once and
-    shared across all outboxes,
-    answers NACKs from a bounded retransmission history (out-of-window
-    NACKs get a full RESYNC instead), and authenticates reconnecting
-    members with {!Gkm_wire.Frame.resync_auth}.
+    shared across all outboxes (the records carry only the entries
+    that a member not sent its whole path by unicast that tick can
+    use: {!Gkm_lkh.Rekey_msg.for_audience}), answers NACKs from a
+    bounded retransmission history (out-of-window NACKs get a full
+    RESYNC instead), and authenticates reconnecting members with
+    {!Gkm_wire.Frame.resync_auth}.
 
     Backpressure has two tiers, both measured on the outbox byte
     backlog at fan-out time: beyond [outbox_soft] the client is
@@ -153,6 +155,10 @@ type stats = {
           (power-of-two backoff since the last framed rekey) — the
           recovery path for a datagram lost off the tail of a quiet
           period, which gap-based NACK recovery cannot see *)
+  mutable wraps_pruned : int;
+      (** rekey entries left out of the fan-out because only members
+          sent their whole path by unicast that tick (JOIN_ACK,
+          migration RESYNC) could use them *)
 }
 
 type t

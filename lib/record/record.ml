@@ -42,9 +42,10 @@ module Epoch = struct
 end
 
 (* Nonce: 16 zero bytes with the sequence number big-endian at offset
-   8; AD: "gkmrec2" || seq. Distinct keys per DEK generation plus a
-   strictly increasing per-generation seq make every (key, nonce) pair
-   unique, which CTR mode requires. *)
+   8; AD: "gkmrec2" || seq. The traffic key depends on the DEK value
+   alone, so every (key, nonce) pair is unique, which CTR mode
+   requires, only if each DEK value has one strictly increasing seq —
+   across the DEK's returns too (one Seal per DEK value). *)
 let nonce_of_seq seq =
   let n = Bytes.make Aead.nonce_size '\x00' in
   ignore (Bytes_io.put_i64 n 8 seq);

@@ -75,8 +75,9 @@ module Seal : sig
 
   val create : ?space:space -> Epoch.t -> t
   (** A fresh sealer starting at the space's first sequence number.
-      Create a new sealer only when the DEK changes — recreating one
-      for the same key would restart the CTR nonce sequence.
+      Create at most one sealer per DEK value and space: a DEK can
+      become the group key again after others, and a second sealer
+      for it would restart the CTR nonce sequence.
       [space] defaults to [`Multicast]. *)
 
   val epoch : t -> Epoch.t

@@ -506,6 +506,100 @@ let test_section4_run_loss_pinned () =
       ("mispartitioned-0.05-0.3", Sim_driver.Org_mispartitioned { threshold = 0.05; beta = 0.3 });
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The fan-out audience. A rekey server sends each fresh member (one
+   admitted this rekey, or moved to a new leaf) its whole key path by
+   unicast, and fans out only [Rekey_msg.for_audience] of the entries.
+   Under random churn — joins of both classes and loss rates, leaves,
+   S-period 3 migrations — every rekey is checked by brute force over
+   every member's path: an entry is dropped iff every holder of its
+   wrapping node is fresh; its [receivers] is that holder count; and
+   every member ends on the group DEK, fresh ones by installing their
+   path, the rest by processing only the kept entries. *)
+
+let audience_oracle selector () =
+  let spec =
+    match Organization.spec_of_string ~s_period:3 selector with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let module O = (val Organization.create spec : Organization.S) in
+  let rng = Random.State.make [| Hashtbl.hash selector |] in
+  let states = Hashtbl.create 64 and ids = ref [] and next = ref 0 in
+  let kept = ref 0 and dropped = ref 0 in
+  for tick = 1 to 150 do
+    let label = Printf.sprintf "%s rekey %d" selector tick in
+    let before = Hashtbl.create 64 in
+    List.iter
+      (fun m -> Hashtbl.replace before m (fst (List.hd (O.member_path m))))
+      (List.filter O.is_member !ids);
+    for _ = 1 to Random.State.int rng 4 do
+      incr next;
+      ignore
+        (O.register ~member:!next
+           ~cls:(if Random.State.bool rng then Scheme.Short else Scheme.Long)
+           ~loss:(if Random.State.bool rng then 0.2 else 0.01));
+      ids := !next :: !ids
+    done;
+    Hashtbl.iter
+      (fun m _ -> if Random.State.int rng 5 = 0 then O.enqueue_departure m)
+      before;
+    match O.rekey () with
+    | None -> ()
+    | Some msg ->
+        ids := List.filter O.is_member !ids;
+        Hashtbl.filter_map_inplace (fun m st -> if O.is_member m then Some st else None) states;
+        let paths = List.map (fun m -> (m, O.member_path m)) !ids in
+        let fresh (m, path) = Hashtbl.find_opt before m <> Some (fst (List.hd path)) in
+        let holders node =
+          List.filter (fun (_, path) -> List.mem_assoc node path) paths
+        in
+        let expect =
+          List.filter
+            (fun (e : Rekey_msg.entry) ->
+              let hs = holders e.wrapped_under in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: receivers of K%d under K%d" label e.target_node
+                   e.wrapped_under)
+                (List.length hs) e.receivers;
+              not (List.for_all fresh hs))
+            msg.entries
+        in
+        let wire =
+          Rekey_msg.for_audience ~fresh:(List.map snd (List.filter fresh paths)) msg.entries
+        in
+        Alcotest.(check bool) (label ^ ": kept = entries a non-fresh member holds") true
+          (List.equal ( == ) wire expect);
+        kept := !kept + List.length wire;
+        dropped := !dropped + List.length msg.entries - List.length wire;
+        List.iter
+          (fun ((m, path) as p) ->
+            if fresh p then begin
+              let leaf, individual = List.hd path in
+              let st = Member.create ~id:m ~leaf_node:leaf ~individual_key:individual in
+              Member.install_path st path;
+              Member.set_root st msg.root_node;
+              Hashtbl.replace states m st
+            end
+            else ignore (Member.process (Hashtbl.find states m) { msg with entries = wire }))
+          paths;
+        let dek = O.group_key () in
+        Hashtbl.iter
+          (fun m st ->
+            if not (Option.equal Key.equal (Member.group_key st) dek) then
+              Alcotest.failf "%s: member %d is off the group DEK" label m)
+          states
+  done;
+  Alcotest.(check bool) (selector ^ ": entries were dropped") true (!dropped > 0);
+  Alcotest.(check bool) (selector ^ ": entries were kept") true (!kept > 0)
+
+let audience_cases =
+  List.map
+    (fun sel ->
+      Alcotest.test_case (sel ^ ": fan-out = entries a non-fresh member holds") `Quick
+        (audience_oracle sel))
+    [ "one"; "qt"; "tt"; "pt"; "loss:0.05"; "random:2"; "composed"; "composed:qt" ]
+
 let () =
   Alcotest.run "organization"
     [
@@ -535,6 +629,7 @@ let () =
           Alcotest.test_case "single band degenerates to one-keytree" `Quick
             test_loss_tree_single_band_degenerate;
         ] );
+      ("fan-out audience", audience_cases);
       ( "section 4 pin",
         [
           Alcotest.test_case "session results" `Quick test_section4_session_pinned;

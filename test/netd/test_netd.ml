@@ -220,6 +220,73 @@ let test_lossy_client () =
   List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "peer%d" i) c) peers;
   Server.stop srv
 
+(* A DEK can come back. Under TT, a tick whose only event is the last
+   S member leaving promotes the L root's key to DEK again. Records
+   sealed under the returning DEK must continue its sequence: a
+   restart at 0 reuses (key, nonce) pairs in CTR mode, and a member
+   that resyncs onto the returning DEK keeps its old replay window,
+   so it would drop the restarted records as replays for good. The
+   observer opens every record under the DEK it holds and keys it by
+   (DEK, seq). *)
+let test_recurring_dek_seq () =
+  let org = Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 1 } in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org ()) in
+  let port = Server.port srv in
+  let seen = Hashtbl.create 64 and opened = ref 0 and reused = ref [] in
+  let observe c ~epoch:_ ~seq ~ct =
+    match Client.group_key c with
+    | Some dek -> (
+        let sink = Record.Sink.create (Record.Epoch.of_dek ~dek ~label:0) in
+        match Record.Sink.open_ sink ~seq ct with
+        | Ok _ ->
+            incr opened;
+            let fp = Gkm_crypto.Key.fingerprint dek in
+            if Hashtbl.mem seen (fp, seq) then reused := (fp, seq) :: !reused;
+            Hashtbl.replace seen (fp, seq) ()
+        | Error _ -> ())
+    | None -> ()
+  in
+  let members = List.init 4 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 4);
+  let live = ref members in
+  let settle () =
+    run_until ~timeout:5.0 loop (fun () -> List.for_all Client.is_member !live);
+    let last = Server.rekey_no srv in
+    run_until ~timeout:5.0 loop (fun () ->
+        List.for_all (fun c -> Client.last_rekey c = last) !live)
+  in
+  (* admit the four into S, then let them move to L *)
+  Server.tick_now srv;
+  settle ();
+  Server.tick_now srv;
+  settle ();
+  let observer = List.hd members in
+  Client.on_sealed observer (observe observer);
+  for j = 1 to 14 do
+    let joins = (Server.stats srv).Server.joins and leaves = (Server.stats srv).Server.leaves in
+    let churner = Client.connect ~loop { (Client.config ~port) with seed = 100 + j } in
+    run_until loop (fun () -> (Server.stats srv).Server.joins = joins + 1);
+    Server.tick_now srv;
+    live := churner :: !live;
+    settle ();
+    Client.leave churner;
+    run_until loop (fun () -> (Server.stats srv).Server.leaves = leaves + 1);
+    Server.tick_now srv;
+    live := List.filter (fun c -> c != churner) !live;
+    settle ()
+  done;
+  let fps = List.map snd (Server.dek_trace srv) in
+  Alcotest.(check bool) "a DEK came back" true
+    (List.length (List.sort_uniq compare fps) < List.length fps);
+  Alcotest.(check bool) "the observer opened the fan-out" true (!opened >= 28);
+  Alcotest.(check (list (pair string int64))) "no (DEK, seq) reused" [] !reused;
+  let server_tbl = server_trace_tbl srv in
+  List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "member%d" i) c) members;
+  List.iter Client.kill members;
+  Server.stop srv;
+  Loop.close loop
+
 (* A client that joins and then never reads again must hit the hard
    backpressure tier and be evicted — departed from the organization,
    not just disconnected. Runs both single-threaded ([domains = 1],
@@ -779,7 +846,7 @@ let test_udp_byte_identical () =
    1 KiB capacity makes a 2-entry rekey's SEALED frame 1094 bytes.
    Steady churn at the serving default capacity; member0 opens every
    record it is sent under the DEK it holds, so the sizes checked
-   belong to rekeys known to carry two entries. Returns (entries,
+   belong to rekeys whose entries are known. Returns (entries,
    datagram bytes, SEALED frame bytes) per single-record rekey, and
    the server's stats. *)
 let small_rekey_sizes ?group () =
@@ -824,7 +891,7 @@ let small_rekey_sizes ?group () =
             match Packet.decode_payload r.packet.Packet.payload with
             | Ok es ->
                 sizes :=
-                  ( List.length es,
+                  ( es,
                     Dgram.encoded_size [ (seq, ct) ],
                     Bytes.length (Frame.encode (Msg.Sealed { epoch; seq; ct })) )
                   :: !sizes
@@ -846,8 +913,8 @@ let small_rekey_sizes ?group () =
   (!sizes, st)
 
 let test_small_rekey_unpadded () =
-  let check tag sizes pick =
-    let two = List.filter (fun (n, _, _) -> n = 2) sizes in
+  let check tag sizes pick ~steady =
+    let two = List.filter (fun (es, _, _) -> List.length es = 2) sizes in
     Alcotest.(check bool) (tag ^ ": 2-entry rekeys observed") true (two <> []);
     List.iter
       (fun s ->
@@ -855,13 +922,26 @@ let test_small_rekey_unpadded () =
         Alcotest.(check bool)
           (Printf.sprintf "%s of a 2-entry rekey: %d B < 400" tag b)
           true (b < 400))
-      two
+      two;
+    (* Once the first two members have moved to L, a rekey carries the
+       DEK under the L root alone: its wrap under the churner's leaf
+       goes by JOIN_ACK only. *)
+    let one =
+      List.filter
+        (fun (es, _, _) ->
+          match es with
+          | [ (e : Gkm_lkh.Rekey_msg.entry) ] -> e.target_node = Scheme.dek_node
+          | _ -> false)
+        sizes
+    in
+    Alcotest.(check bool) (tag ^ ": 1-entry DEK rekeys observed") true (List.length one >= 4);
+    List.iter (fun s -> Alcotest.(check int) (tag ^ " of a 1-entry DEK rekey") steady (pick s)) one
   in
   let sizes, _ = small_rekey_sizes () in
-  check "tcp SEALED frame" sizes (fun (_, _, frame) -> frame);
+  check "tcp SEALED frame" sizes (fun (_, _, frame) -> frame) ~steady:79;
   if Mcast.available () then begin
     let sizes, st = small_rekey_sizes ~group:(Mcast.ephemeral_group ~seed:0xA2) () in
-    check "udp datagram" sizes (fun (_, dgram, _) -> dgram);
+    check "udp datagram" sizes (fun (_, dgram, _) -> dgram) ~steady:76;
     Alcotest.(check bool) "server multicast datagrams" true (st.Server.mcast_datagrams > 0);
     Alcotest.(check bool)
       (Printf.sprintf "server sent %d B in %d datagrams, each < 400 on average"
@@ -1615,9 +1695,11 @@ let test_queue_member_reshaped () =
   Server.stop srv;
   Loop.close loop
 
-(* [netd.rekey] closes the tick: it carries the tick's duration and
-   the tickets the tick issued. Nothing is recorded with observability
-   off. *)
+(* [netd.rekey] closes the tick: it carries the tick's duration, the
+   tickets the tick issued, and the organization's entries against
+   those the fan-out carried — the joiner's own wraps go by JOIN_ACK
+   only, which [wraps_pruned] counts. Nothing is recorded with
+   observability off. *)
 let test_rekey_journal () =
   let loop = Loop.create () in
   let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
@@ -1641,12 +1723,19 @@ let test_rekey_journal () =
   Alcotest.(check int) "the tick rekeyed" (before + 1) (Server.stats srv).Server.rekeys;
   Alcotest.(check int) "nothing recorded with observability off" 0 (List.length (rekeys ()));
   let issued = (Server.stats srv).Server.tickets_issued in
+  let pruned = (Server.stats srv).Server.wraps_pruned in
   Obs.with_enabled true (fun () -> churn 4);
   (match rekeys () with
   | [ e ] ->
       let field k = List.assoc_opt k e.Journal.fields in
       Alcotest.(check bool) "tickets issued this tick" true
         (field "tickets" = Some (Journal.Int ((Server.stats srv).Server.tickets_issued - issued)));
+      (match (field "entries", field "wire_entries") with
+      | Some (Journal.Int entries), Some (Journal.Int wire) ->
+          Alcotest.(check bool) "the joiner's wraps left the fan-out" true (0 < wire && wire < entries);
+          Alcotest.(check int) "wraps_pruned counts them" (entries - wire)
+            ((Server.stats srv).Server.wraps_pruned - pruned)
+      | _ -> Alcotest.fail "entries and wire_entries missing");
       Alcotest.(check bool) "tick_us present" true
         (match field "tick_us" with Some (Journal.Int us) -> us >= 0 | _ -> false)
   | l -> Alcotest.failf "expected one netd.rekey record, got %d" (List.length l));
@@ -1736,6 +1825,8 @@ let () =
           Alcotest.test_case "loopback smoke" `Quick test_smoke;
           Alcotest.test_case "200 clients, 20+ intervals, crash+resync" `Slow test_churn_200;
           Alcotest.test_case "lossy client recovers via NACK/RETX" `Quick test_lossy_client;
+          Alcotest.test_case "a returning DEK continues its record seq" `Quick
+            test_recurring_dek_seq;
           Alcotest.test_case "slow client evicted" `Slow test_slow_client_eviction;
           Alcotest.test_case "grace eviction of silent members" `Quick test_grace_eviction;
           Alcotest.test_case "0-RTT ticket rejoin, zero full RESYNCs" `Quick test_rejoin_0rtt;
