@@ -629,7 +629,9 @@ let () =
           Alcotest.test_case "single band degenerates to one-keytree" `Quick
             test_loss_tree_single_band_degenerate;
         ] );
-      ("fan-out audience", audience_cases);
+      (* Alcotest truncates case names to fit the longest suite name; a
+         suite name over 15 characters would shorten every other case's. *)
+      ("fan-out", audience_cases);
       ( "section 4 pin",
         [
           Alcotest.test_case "session results" `Quick test_section4_session_pinned;
