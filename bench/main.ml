@@ -5,8 +5,6 @@
                                 and the microbenchmarks
    - `main.exe figures [IDS..]` just the named artifacts (see --list)
    - `main.exe micro`           just the Bechamel microbenchmarks
-   - `main.exe obs`             run an instrumented session and dump
-                                the per-phase metrics/journal JSONL
    - `main.exe macro`           rekey hot path at production group
                                 sizes; writes BENCH_macro.json
 
@@ -68,26 +66,6 @@ let quota_arg =
 let micro_term = Term.(const (fun quota -> Micro.run ~quota ()) $ quota_arg)
 let micro_cmd = Cmd.v (Cmd.info "micro" ~doc:"Run the Bechamel microbenchmarks") micro_term
 
-let obs_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the JSONL to $(docv) (default stdout).")
-  in
-  let n_arg =
-    Arg.(value & opt int 400 & info [ "n" ] ~docv:"N" ~doc:"Steady-state group size.")
-  in
-  let horizon_arg =
-    Arg.(value & opt float 1800.0 & info [ "horizon" ] ~doc:"Session length (s).")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let run out n horizon seed = Obs_dump.run ?out ~n ~horizon ~seed () in
-  Cmd.v
-    (Cmd.info "obs"
-       ~doc:"Run an instrumented full-stack session and dump per-phase metrics as JSONL")
-    Term.(const run $ out_arg $ n_arg $ horizon_arg $ seed_arg)
-
 let macro_cmd =
   let out_arg =
     Arg.(
@@ -140,6 +118,6 @@ let cmd =
        ~doc:
          "Regenerate every table and figure of 'Performance Optimizations for Group Key \
           Management Schemes for Secure Multicast' and benchmark the implementation")
-    [ figures_cmd; micro_cmd; obs_cmd; macro_cmd ]
+    [ figures_cmd; micro_cmd; macro_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -804,7 +804,7 @@ let serve_cmd =
         close_out oc);
     (if domains >= 2 then
        let tx = Server.tx_per_domain srv in
-       Printf.printf "  tx by domain: tick %d B; shards %s\n" tx.(0)
+       Printf.printf "  tx by domain: tick %d B; lanes %s\n" tx.(0)
          (String.concat ", "
             (List.tl (Array.to_list (Array.mapi (fun i b -> Printf.sprintf "#%d %d B" i b) tx)))));
     Server.stop srv;
@@ -885,10 +885,10 @@ let serve_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"K"
           ~doc:
-            "REKEY fan-out lanes. 1 is the single-threaded server; from 2 up, $(docv) \
-             shard domains each own a disjoint set of member connections and flush the \
-             encode-once rekey buffers in parallel, with backpressure applied shard-side. \
-             Protocol logic stays on the tick thread either way.")
+            "REKEY fan-out writers. 1 is the single-threaded server; from 2 up, $(docv) \
+             worker domains (lanes) each write the encode-once rekey frames to one slice \
+             of the recipients while the tick thread waits. Backpressure, protocol logic \
+             and every connection stay on the tick thread either way.")
   in
   let intervals_arg =
     Arg.(
@@ -941,7 +941,7 @@ let serve_cmd =
     (Cmd.info "serve" ~exits:common_exits
        ~doc:
          "Serve a live group organization over a TCP socket: batched admissions, \
-          optionally domain-sharded REKEY fan-out or a UDP multicast data plane, \
+          optionally multicore REKEY fan-out or a UDP multicast data plane, \
           NACK/RETX recovery, authenticated RESYNC, two-tier backpressure")
     Term.(
       const run $ host_arg "Bind address."

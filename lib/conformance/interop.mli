@@ -5,8 +5,9 @@
 
     Each {!case} runs one server configuration; {!sweep} crosses the
     organization kinds with the [--domains] fan-out counts, which is
-    exactly the matrix where the sharded server and the single-domain
-    server must be observably identical to every client. *)
+    exactly the matrix where the multi-lane server and the
+    single-domain server must be observably identical to every
+    client. *)
 
 type transport =
   | Tcp

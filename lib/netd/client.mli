@@ -110,7 +110,7 @@ val on_sealed : t -> (epoch:int -> seq:int64 -> ct:bytes -> unit) -> unit
 (** Called for every SEALED record as it arrives off the wire while a
     member, before any open/replay handling, with the raw epoch label,
     record sequence and ciphertext — the byte-level delivery trace the
-    sharded-fan-out identity test diffs across domain counts. *)
+    fan-out identity test diffs across domain counts. *)
 
 val phase : t -> phase
 val is_member : t -> bool

@@ -13,15 +13,11 @@
     armed only while bytes remain queued. There is no [want_write]
     predicate for the loop to poll.
 
-    Threading: the write side ({!enqueue_frame}, {!flush},
-    {!write_through}, {!out_bytes}, {!shutdown}, {!close_fd}) is
-    serialized by an internal mutex, so a tick domain may enqueue
-    unicast replies while the shard domain that owns the fd flushes;
-    the tick domain then tells the shard to flush that entry
-    ({!Shard.flush}) rather than writing itself. The read side
-    ({!on_readable}) is single-owner: exactly one domain polls and
-    reads a given connection at any time, and ownership handoff must
-    happen through a synchronizing channel. *)
+    Threading: a connection has one owner, the domain whose {!Loop}
+    polls its fd; only the owner reads, writes or closes it. A server's
+    fan-out lane may enqueue and {!flush} a conn only while that owner
+    is blocked waiting for the lane to finish, so no two domains ever
+    touch it at once, and the conn needs no lock. *)
 
 type t
 
@@ -34,12 +30,10 @@ val enqueue_frame : t -> bytes -> unit
 (** Enqueue an already-encoded frame; the buffer may be shared with
     other connections and must not be mutated afterwards. *)
 
-val flush : ?farewell:bool -> t -> [ `Ok | `Eof ]
+val flush : t -> [ `Ok | `Eof ]
 (** Write queued bytes until the socket would block or the queue is
-    empty. [`Eof] means the peer is gone (reset / broken pipe).
-    [~farewell:true] flushes even after {!shutdown} (never after
-    {!close_fd}) — the one-shot delivery of a final error frame by
-    the shard that owns the fd. *)
+    empty. [`Eof] means the peer is gone (reset / broken pipe). Arms
+    no write interest: the owner follows up with {!write_through}. *)
 
 val on_readable :
   t ->
@@ -62,21 +56,9 @@ val out_bytes : t -> int
 (** Bytes queued but not yet written. *)
 
 val close : t -> unit
-(** [shutdown] then {!close_fd} (idempotent). Deregistering from the
-    loop is the owner's job. *)
-
-val shutdown : t -> unit
-(** Mark the connection dead — further enqueues and ordinary flushes
-    become no-ops — WITHOUT closing the fd. Used by a sharded server
-    to stop traffic while the owning shard detaches; closing the fd
-    before the shard stops polling it would let the kernel reuse the
-    descriptor under the shard's feet. Pending output is retained
-    until {!close_fd} so the shard can still deliver a farewell via
-    [flush ~farewell:true]. *)
-
-val close_fd : t -> unit
-(** Actually [close(2)] the fd (idempotent). Only safe once no other
-    domain will touch the descriptor again. *)
+(** Drop pending output and [close(2)] the fd (idempotent); later
+    enqueues and flushes are no-ops. Deregistering from the loop is
+    the owner's job. *)
 
 val closed : t -> bool
 

@@ -101,9 +101,6 @@ type client = {
   mutable resyncs_granted : int;
       (* recovery resyncs served on this connection binding; against
          cfg.resync_budget — a NACK-flood amplification brake *)
-  mutable shard : Shard.entry option;
-      (* Some once a shard domain owns the fd's I/O (members in
-         sharded mode); None while the tick domain watches it *)
 }
 
 type hist = {
@@ -116,6 +113,127 @@ type hist = {
          fresh sequence numbers from the same generation, which the
          nacking (hence behind) client still holds *)
 }
+
+(* The fan-out lanes: K persistent worker domains that write one
+   rekey's shared frames into K disjoint, contiguous slices of the
+   recipients while the tick domain waits (fork-join). The tick domain
+   owns every conn; a lane touches its slice only between [run]'s
+   hand-off and join, both taken under [mu], which orders the lane's
+   writes after the tick's and the tick's next use after the lane's. *)
+module Lanes = struct
+  type t = {
+    mu : Mutex.t;
+    cond : Condition.t;  (* broadcast on a new job and on the last lane done *)
+    mutable job : int;  (* jobs handed out so far *)
+    mutable frames : bytes array;
+    mutable recips : Conn.t array;
+    mutable busy : int;  (* lanes still writing the current job *)
+    mutable failed : (exn * Printexc.raw_backtrace) option;  (* a lane's first exception *)
+    mutable stopping : bool;
+    tx : int array;  (* bytes written by each lane; cell i only by lane i *)
+    mutable workers : unit Domain.t array;
+  }
+
+  (* Lane [i] of [k] takes recipients [i*n/k, (i+1)*n/k): slice sizes
+     differ by at most one. *)
+  let write_slice t i =
+    let n = Array.length t.recips and k = Array.length t.tx in
+    for j = i * n / k to ((i + 1) * n / k) - 1 do
+      let c = t.recips.(j) in
+      let before = Conn.bytes_tx c in
+      Array.iter (Conn.enqueue_frame c) t.frames;
+      ignore (Conn.flush c);
+      t.tx.(i) <- t.tx.(i) + Conn.bytes_tx c - before
+    done
+
+  (* Every job ends in [busy - 1], whatever the slice raised, so [run]
+     is never left waiting; the exception travels to the tick domain. *)
+  let body t i =
+    let rec serve seen =
+      Mutex.lock t.mu;
+      while t.job = seen && not t.stopping do
+        Condition.wait t.cond t.mu
+      done;
+      let job = t.job and stopping = t.stopping in
+      Mutex.unlock t.mu;
+      if not stopping then begin
+        let failed =
+          match write_slice t i with
+          | () -> None
+          | exception e -> Some (e, Printexc.get_raw_backtrace ())
+        in
+        Mutex.lock t.mu;
+        if Option.is_none t.failed then t.failed <- failed;
+        t.busy <- t.busy - 1;
+        if t.busy = 0 then Condition.broadcast t.cond;
+        Mutex.unlock t.mu;
+        serve job
+      end
+    in
+    serve 0
+
+  let stop t =
+    Mutex.lock t.mu;
+    t.stopping <- true;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.mu;
+    Array.iter Domain.join t.workers
+
+  let create k =
+    let t =
+      {
+        mu = Mutex.create ();
+        cond = Condition.create ();
+        job = 0;
+        frames = [||];
+        recips = [||];
+        busy = 0;
+        failed = None;
+        stopping = false;
+        tx = Array.make k 0;
+        workers = [||];
+      }
+    in
+    (* Backtrace recording is per domain: a lane inherits the tick
+       domain's setting, so a re-raised lane exception keeps its trace. *)
+    let record = Printexc.backtrace_status () in
+    let rec spawn i acc =
+      if i = k then Array.of_list (List.rev acc)
+      else
+        match
+          Domain.spawn (fun () ->
+              Printexc.record_backtrace record;
+              body t i)
+        with
+        | d -> spawn (i + 1) (d :: acc)
+        | exception e ->
+            t.workers <- Array.of_list acc;
+            stop t;
+            raise e
+    in
+    t.workers <- spawn 0 [];
+    t
+
+  (* Enqueue [frames] on every conn of [recips] and flush them, K
+     lanes in parallel; returns once every lane is done, re-raising a
+     lane's exception here. *)
+  let run t ~frames ~recips =
+    Mutex.lock t.mu;
+    t.frames <- frames;
+    t.recips <- recips;
+    t.busy <- Array.length t.workers;
+    t.job <- t.job + 1;
+    Condition.broadcast t.cond;
+    while t.busy > 0 do
+      Condition.wait t.cond t.mu
+    done;
+    let failed = t.failed in
+    t.failed <- None;
+    t.frames <- [||];
+    t.recips <- [||];
+    Mutex.unlock t.mu;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failed
+end
 
 (* Record sequence numbers must never repeat under one traffic key,
    and a DEK can come back: TT makes the L root's key the DEK again
@@ -159,8 +277,7 @@ type t = {
       (* per tree: its root and the node ids above it, as of the last rekey *)
   mutable prune_at : int;  (* node_changed + parent_of rows that trigger a prune *)
   mcast : Mcast.sender option;  (* Some iff cfg.transport is Udp *)
-  pool : Shard.t option;  (* Some iff cfg.domains >= 2 *)
-  mutable next_shard : int;  (* round-robin member placement over shards *)
+  lanes : Lanes.t option;  (* Some iff cfg.domains >= 2 *)
   mutable seal : Record.Seal.t option;  (* keyed by the previous tick's DEK *)
   seals : (string, dek_seal) Hashtbl.t;  (* DEK digest -> its one sealer *)
   mutable last_dgram : bytes option;
@@ -189,6 +306,7 @@ let m_resyncs = Metrics.Counter.v "netd.resyncs"
 let m_migrations = Metrics.Counter.v "netd.migrations"
 let m_evictions = Metrics.Counter.v "netd.evictions"
 let m_clients = Metrics.Gauge.v "netd.clients"
+let m_soft_skips = Metrics.Counter.v "netd.soft_skips"
 let h_tick = Metrics.Histogram.v "netd.tick_s"
 let m_tickets = Metrics.Counter.v "netd.tickets"
 let m_mcast = Metrics.Counter.v "netd.mcast_datagrams"
@@ -212,13 +330,7 @@ let org_id_of_spec = function
 
 let org_tag t = t.org_id
 
-(* With a shard pool, skip/tx accounting lives in per-shard atomics;
-   fold it into a copy so callers see one coherent record. Without a
-   pool the live record is returned, as always. *)
-let stats t =
-  match t.pool with
-  | None -> t.stats
-  | Some pool -> { t.stats with soft_skips = t.stats.soft_skips + Shard.soft_skips pool }
+let stats t = t.stats
 
 let rekey_no t = t.rekey_no
 let epoch t = t.epoch
@@ -252,45 +364,27 @@ let bytes_tx t =
 let bytes_rx t =
   Hashtbl.fold (fun _ c acc -> acc + Conn.bytes_rx c.conn) t.clients t.stats.bytes_rx_closed
 
-(* Per-domain transmitted bytes: index 0 is the tick domain (listener,
-   pre-admission handshakes, and anything not yet attributed to a
-   shard), indices 1..K the shard flushers — the shard-imbalance view.
-   With domains = 1 there is a single cell. *)
+(* Per-domain transmitted bytes: index 0 is the tick domain (unicast
+   replies, the multicast data plane and whatever a lane left queued),
+   indices 1..K the fan-out lanes. With domains = 1 there is a single
+   cell. *)
 let tx_per_domain t =
-  match t.pool with
+  match t.lanes with
   | None -> [| bytes_tx t |]
-  | Some pool ->
-      let shards = Shard.tx_per_domain pool in
-      let shard_sum = Array.fold_left ( + ) 0 shards in
-      Array.append [| max 0 (bytes_tx t - shard_sum) |] shards
+  | Some { Lanes.tx; _ } -> Array.append [| max 0 (bytes_tx t - Array.fold_left ( + ) 0 tx) |] tx
 
 (* Forget a connection: close it, deregister it, and account for the
    member it was bound to. [departed] distinguishes a member the
    organization is already rid of (leave, eviction) from a mere
    disconnect, which keeps membership alive for [resync_grace]
-   rekeys so the client can come back through RESYNC. [farewell]
-   asks the owning shard (when there is one) to flush pending output
-   once before letting go, so a final error frame reaches the peer. *)
-let drop_client t ?(farewell = false) cl ~departed =
-  let key = int_of_fd (Conn.fd cl.conn) in
-  (match (t.pool, cl.shard) with
-  | Some pool, Some e ->
-      (* Deferred close: the owning shard still watches this fd. Mark
-         the conn dead (so every caller's [Conn.closed] guard fires
-         exactly as in single-domain mode — pending output survives
-         the shutdown until close) and ask the shard to let go; byte
-         accounting and the actual close(2) happen when its
-         [Detached] acknowledgement arrives — closing now would let
-         the kernel recycle the descriptor number under the shard's
-         epoll set. *)
-      Conn.shutdown cl.conn;
-      Shard.detach ~farewell pool e
-  | _ ->
-      t.stats.bytes_tx_closed <- t.stats.bytes_tx_closed + Conn.bytes_tx cl.conn;
-      t.stats.bytes_rx_closed <- t.stats.bytes_rx_closed + Conn.bytes_rx cl.conn;
-      Loop.remove_fd t.loop (Conn.fd cl.conn);
-      Conn.close cl.conn);
-  Hashtbl.remove t.clients key;
+   rekeys so the client can come back through RESYNC. *)
+let drop_client t cl ~departed =
+  journal "netd.drop" [ ("member", Int cl.member); ("departed", Bool departed) ];
+  t.stats.bytes_tx_closed <- t.stats.bytes_tx_closed + Conn.bytes_tx cl.conn;
+  t.stats.bytes_rx_closed <- t.stats.bytes_rx_closed + Conn.bytes_rx cl.conn;
+  Hashtbl.remove t.clients (int_of_fd (Conn.fd cl.conn));
+  Loop.remove_fd t.loop (Conn.fd cl.conn);
+  Conn.close cl.conn;
   if Obs.enabled () then Metrics.Gauge.set m_clients (float_of_int (Hashtbl.length t.clients));
   if cl.member >= 0 then begin
     (match Hashtbl.find_opt t.member_client cl.member with
@@ -306,41 +400,19 @@ let drop_client t ?(farewell = false) cl ~departed =
        admission time and parked in [disconnected] there *)
   end
 
-(* Write-through: the frame goes out now. A shard-owned fd is written
-   only by its shard, so the shard is told to flush this one entry. A
-   dead peer surfaces on the loop's next dispatch ([on_conn_writable]),
-   never here — callers may be iterating the client tables. *)
+(* Write-through: the frame goes out now. A dead peer surfaces on the
+   loop's next dispatch ([on_conn_writable]), never here — callers may
+   be iterating the client tables. *)
 let send t cl msg =
   Conn.enqueue_frame cl.conn (Frame.encode msg);
-  match (t.pool, cl.shard) with
-  | Some pool, Some e -> Shard.flush pool e
-  | _ -> ignore (Conn.write_through t.loop cl.conn)
+  ignore (Conn.write_through t.loop cl.conn)
 
-(* Hand a freshly bound member's fd to a shard flusher. From here on
-   the tick domain never reads, writes or watches the descriptor: the
-   shard decodes inbound traffic and forwards it back as events, and
-   outbound frames enqueue through the conn's mutex-guarded write
-   side. Round-robin placement keeps the K fd sets balanced; they are
-   stable for the life of the connection. *)
-let promote t cl =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-      if cl.shard = None && not (Conn.closed cl.conn) then begin
-        Loop.remove_fd t.loop (Conn.fd cl.conn);
-        let shard = t.next_shard in
-        t.next_shard <- (t.next_shard + 1) mod Shard.domains pool;
-        cl.shard <- Some (Shard.attach pool ~shard ~conn:cl.conn)
-      end
-
+(* [send] writes the error frame before the drop closes the fd: the
+   peer's farewell, best effort. *)
 let send_error t cl code detail =
   t.stats.protocol_errors <- t.stats.protocol_errors + 1;
-  (* [send] already wrote the frame when the tick domain owns the fd.
-     A shard-owned fd must not be written from here; the farewell flag
-     makes the owning shard flush the error frame as part of the
-     detach, so both modes deliver the same goodbye. *)
   send t cl (Msg.Error_msg { code; detail });
-  drop_client t cl ~farewell:true ~departed:false
+  drop_client t cl ~departed:false
 
 (* Ticket-path rejections keep the connection open: the client falls
    back to RESYNC (err_ticket) or a fresh JOIN (err_evicted) on the
@@ -394,6 +466,26 @@ let note_ticket t member digest path =
     Queue.transfer rows t.ticket_ages
   end
 
+(* Seal a ticket issued now that vouches for [member]'s [path]
+   ([digest] is its {!Record.Ticket.path_digest}), and count it. *)
+let mint_ticket t ~member ~cls ~loss path digest =
+  let ticket =
+    Record.Ticket.Sealer.issue t.ticket_sealer
+      {
+        Record.Ticket.member;
+        cls;
+        loss;
+        issued_epoch = t.epoch;
+        issued_rekey = t.rekey_no;
+        path_digest = digest;
+      }
+  in
+  note_ticket t member digest path;
+  t.stats.tickets_issued <- t.stats.tickets_issued + 1;
+  t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
+  if Obs.enabled () then Metrics.Counter.incr m_tickets;
+  ticket
+
 (* Issue (or refresh) a resumption ticket over an established
    connection. A ticket is reissued whenever the member's entitled
    path changes shape — the digest inside must track the current tree
@@ -415,25 +507,23 @@ let issue_ticket t cl member =
       let cls, loss =
         match Hashtbl.find_opt t.profile member with Some p -> p | None -> (`Long, 0.0)
       in
-      let ticket =
-        Record.Ticket.Sealer.issue t.ticket_sealer
-          {
-            Record.Ticket.member;
-            cls;
-            loss;
-            issued_epoch = t.epoch;
-            issued_rekey = t.rekey_no;
-            path_digest = digest;
-          }
-      in
-      note_ticket t member digest path;
-      t.stats.tickets_issued <- t.stats.tickets_issued + 1;
-      t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
-      if Obs.enabled () then Metrics.Counter.incr m_tickets;
+      let ticket = mint_ticket t ~member ~cls ~loss path digest in
       journal "netd.ticket" [ ("member", Int member); ("epoch", Int t.epoch) ];
       send t cl (Msg.Ticket { member; issued_epoch = t.epoch; ticket })
     end
   end
+
+(* Bind [cl] to [member] as its live connection, admitted this tick,
+   replacing any older binding; the member is no longer disconnected. *)
+let bind_member t cl member =
+  cl.member <- member;
+  cl.phase <- Member;
+  cl.admitted_at <- t.tick_no;
+  (match Hashtbl.find_opt t.member_client member with
+  | Some old when old != cl -> drop_client t old ~departed:false
+  | _ -> ());
+  Hashtbl.replace t.member_client member cl;
+  Hashtbl.remove t.disconnected member
 
 (* [reason] separates failure recovery (an authenticated RESYNC_REQ,
    or a NACK that fell out of the retransmission window) from the
@@ -451,14 +541,7 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
   end
   else begin
   if reason = `Recovery then cl.resyncs_granted <- cl.resyncs_granted + 1;
-  cl.member <- member;
-  cl.phase <- Member;
-  cl.admitted_at <- t.tick_no;
-  (match Hashtbl.find_opt t.member_client member with
-  | Some old when old != cl -> drop_client t old ~departed:false
-  | _ -> ());
-  Hashtbl.replace t.member_client member cl;
-  Hashtbl.remove t.disconnected member;
+  bind_member t cl member;
   (match reason with
   | `Recovery ->
       t.stats.resyncs <- t.stats.resyncs + 1;
@@ -481,8 +564,7 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
          root = t.root;
          path = (match path with Some p -> p | None -> member_path t member);
        });
-  issue_ticket t cl member;
-  promote t cl
+  issue_ticket t cl member
   end
 
 (* A member with a queued departure ([t.leaving]) must be refused like
@@ -581,29 +663,11 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
                   path
               else path
             in
-            (* Bind the connection exactly as RESYNC does. *)
-            cl.member <- member;
-            cl.phase <- Member;
-            cl.admitted_at <- t.tick_no;
-            (match Hashtbl.find_opt t.member_client member with
-            | Some old when old != cl -> drop_client t old ~departed:false
-            | _ -> ());
-            Hashtbl.replace t.member_client member cl;
-            Hashtbl.remove t.disconnected member;
+            bind_member t cl member;
             (* The replacement ticket rides inside the sealed reply. *)
             let fresh =
-              Record.Ticket.Sealer.issue t.ticket_sealer
-                {
-                  c with
-                  Record.Ticket.issued_epoch = t.epoch;
-                  issued_rekey = t.rekey_no;
-                  path_digest = digest;
-                }
+              mint_ticket t ~member ~cls:c.Record.Ticket.cls ~loss:c.Record.Ticket.loss path digest
             in
-            note_ticket t member digest path;
-            t.stats.tickets_issued <- t.stats.tickets_issued + 1;
-            t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length fresh;
-            if Obs.enabled () then Metrics.Counter.incr m_tickets;
             let resume =
               {
                 Msg.full = not delta_ok;
@@ -638,8 +702,7 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
                 ("delta", Bool delta_ok);
                 ("keys", Int (List.length sent_path));
               ];
-            send t cl (Msg.Rejoin_ack { member; ct });
-            promote t cl
+            send t cl (Msg.Rejoin_ack { member; ct })
           end)
 
 let handle_msg t cl (msg : Msg.t) =
@@ -705,39 +768,6 @@ let on_conn_writable t cl () =
   | `Ok -> ()
   | `Eof -> drop_client t cl ~departed:false
 
-(* Shard events, processed on the tick domain. Entries carry their
-   conn, and the client table is consulted with an identity check, so
-   an event raced by a drop (or by descriptor-number reuse after one)
-   falls through harmlessly. *)
-let handle_shard_event t ev =
-  let lookup e =
-    match Hashtbl.find_opt t.clients (Shard.entry_fd e) with
-    | Some cl when cl.conn == Shard.entry_conn e -> Some cl
-    | _ -> None
-  in
-  match ev with
-  | Shard.Msgs (e, msgs) -> (
-      match lookup e with
-      | Some cl -> List.iter (fun m -> if not (Conn.closed cl.conn) then handle_msg t cl m) msgs
-      | None -> ())
-  | Shard.Dead (e, reason) -> (
-      match lookup e with
-      | Some cl -> (
-          match reason with
-          | Shard.Io -> drop_client t cl ~departed:false
-          | Shard.Slow -> evict_slow t cl)
-      | None -> ())
-  | Shard.Detached e ->
-      (* The shard has let go: settle the byte accounting deferred at
-         drop time, then actually close the descriptor. *)
-      let conn = Shard.entry_conn e in
-      t.stats.bytes_tx_closed <- t.stats.bytes_tx_closed + Conn.bytes_tx conn;
-      t.stats.bytes_rx_closed <- t.stats.bytes_rx_closed + Conn.bytes_rx conn;
-      Conn.close conn
-
-let process_shard_events t pool =
-  List.iter (handle_shard_event t) (Shard.poll_events pool)
-
 let accept_loop t () =
   let continue = ref true in
   while !continue do
@@ -758,7 +788,6 @@ let accept_loop t () =
               admitted_at = -1;
               strikes = 0;
               resyncs_granted = 0;
-              shard = None;
             }
           in
           Hashtbl.replace t.clients (int_of_fd fd) cl;
@@ -772,6 +801,16 @@ let accept_loop t () =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | exception Unix.Unix_error ((ECONNABORTED | EMFILE | ENFILE), _, _) -> continue := false
   done
+
+(* Put [d] on the group and count the bytes that actually left
+   (after any injected drop, counting injected duplicates); returns
+   the datagrams and bytes sent. *)
+let mcast_send t sender d =
+  let before_d = Mcast.sender_datagrams sender and before_b = Mcast.sender_bytes sender in
+  Mcast.send sender d;
+  let sent_b = Mcast.sender_bytes sender - before_b in
+  t.stats.mcast_bytes <- t.stats.mcast_bytes + sent_b;
+  (Mcast.sender_datagrams sender - before_d, sent_b)
 
 (* One rekey interval: advance the organization, admit pending joins
    with their key paths, resync members whose placement moved, and fan
@@ -800,13 +839,8 @@ let heartbeat t =
       t.quiet_ticks <- t.quiet_ticks + 1;
       let q = t.quiet_ticks in
       if q land (q - 1) = 0 then begin
-        let before_d = Mcast.sender_datagrams sender in
-        let before_b = Mcast.sender_bytes sender in
-        Mcast.send sender d;
-        let sent_d = Mcast.sender_datagrams sender - before_d in
-        let sent_b = Mcast.sender_bytes sender - before_b in
+        let sent_d, sent_b = mcast_send t sender d in
         t.stats.mcast_heartbeats <- t.stats.mcast_heartbeats + sent_d;
-        t.stats.mcast_bytes <- t.stats.mcast_bytes + sent_b;
         if sent_d > 0 then
           journal "netd.mcast"
             [
@@ -961,6 +995,44 @@ let retire_seals t =
       end)
     t.seals
 
+(* The one fan-out backpressure policy, on a recipient's outbox
+   backlog: send at or below [outbox_soft] (strikes reset); above it
+   skip this rekey, and the member recovers the rekey_no gap through
+   NACK/RESYNC; evict above [outbox_hard]. Skipping halts backlog
+   growth, so a permanently stalled reader would never cross the hard
+   mark: the [stall_strikes]-th consecutive skip evicts it too. *)
+let backpressure t cl =
+  let backlog = Conn.out_bytes cl.conn in
+  if backlog > t.cfg.outbox_hard then `Evict
+  else if backlog > t.cfg.outbox_soft then begin
+    t.stats.soft_skips <- t.stats.soft_skips + 1;
+    if Obs.enabled () then Metrics.Counter.incr m_soft_skips;
+    cl.strikes <- cl.strikes + 1;
+    if cl.strikes >= t.cfg.stall_strikes then `Evict else `Skip
+  end
+  else begin
+    cl.strikes <- 0;
+    `Send
+  end
+
+(* Write one rekey's shared [frames] to every conn of [recips]: inline
+   on the tick domain at domains = 1, else split over the lanes. After
+   the join, [Conn.write_through] on this domain's loop flushes what a
+   lane left behind a full socket and arms write interest for it, or
+   for a dead peer, whose drop the loop's next dispatch makes. *)
+let fan_out t frames recips =
+  match t.lanes with
+  | None ->
+      List.iter
+        (fun c ->
+          Array.iter (Conn.enqueue_frame c) frames;
+          ignore (Conn.write_through t.loop c))
+        recips
+  | Some lanes ->
+      let recips = Array.of_list recips in
+      Lanes.run lanes ~frames ~recips;
+      Array.iter (fun c -> ignore (Conn.write_through t.loop c)) recips
+
 let root_pointer =
   { Packet.seq = 0; block = 0; index_in_block = 0; payload = Packet.encode_payload [] }
 
@@ -1056,9 +1128,7 @@ let tick t =
             Hashtbl.remove t.pending member;
             if Conn.closed cl.conn then Hashtbl.replace t.disconnected member t.rekey_no
             else begin
-              cl.phase <- Member;
-              cl.admitted_at <- t.tick_no;
-              Hashtbl.replace t.member_client member cl;
+              bind_member t cl member;
               send t cl
                 (Msg.Join_ack
                    {
@@ -1068,8 +1138,7 @@ let tick t =
                      root = t.root;
                      path = Hashtbl.find fresh member;
                    });
-              issue_ticket t cl member;
-              promote t cl
+              issue_ticket t cl member
             end
           end)
         admitted;
@@ -1147,15 +1216,10 @@ let tick t =
                     total <= Gkm_wire.Dgram.max_records
                     && Gkm_wire.Dgram.encoded_size records <= max_dgram
                   then begin
-                    let before_d = Mcast.sender_datagrams sender in
-                    let before_b = Mcast.sender_bytes sender in
                     let dgram = Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = lbl; records } in
-                    Mcast.send sender dgram;
+                    let sent_d, sent_b = mcast_send t sender dgram in
                     t.last_dgram <- Some dgram;
-                    let sent_d = Mcast.sender_datagrams sender - before_d in
-                    let sent_b = Mcast.sender_bytes sender - before_b in
                     t.stats.mcast_datagrams <- t.stats.mcast_datagrams + sent_d;
-                    t.stats.mcast_bytes <- t.stats.mcast_bytes + sent_b;
                     if Obs.enabled () then Metrics.Counter.add m_mcast sent_d;
                     journal "netd.mcast"
                       [
@@ -1185,57 +1249,23 @@ let tick t =
            datagram: if this generation went out another way (unicast
            fallback, no member to serve) a stale repeat would be noise. *)
         t.quiet_ticks <- 0;
-        if not mcast_delivered then t.last_dgram <- None;
         (* A datagram that went out served every member: nothing goes
            over TCP this interval — not even backpressure accounting,
            since no outbox is growing with the group. *)
-        (match t.pool with
-        | _ when mcast_delivered -> ()
-        | None ->
-            let slow = ref [] in
-            let on_skip () = t.stats.soft_skips <- t.stats.soft_skips + 1 in
-            Hashtbl.iter
-              (fun _member cl ->
-                if cl.admitted_at < t.tick_no then begin
-                  let verdict, strikes =
-                    Shard.backpressure ~outbox_soft:t.cfg.outbox_soft
-                      ~outbox_hard:t.cfg.outbox_hard ~stall_strikes:t.cfg.stall_strikes ~on_skip
-                      ~backlog:(Conn.out_bytes cl.conn) cl.strikes
-                  in
-                  cl.strikes <- strikes;
-                  match verdict with
-                  | `Evict -> slow := cl :: !slow
-                  | `Skip -> ()
-                  | `Send ->
-                      Array.iter (fun f -> Conn.enqueue_frame cl.conn f) (Lazy.force frames);
-                      ignore (Conn.write_through t.loop cl.conn)
-                end)
-              t.member_client;
-            List.iter (fun cl -> evict_slow t cl) !slow
-        | Some pool ->
-            (* Sharded fan-out: encode the frames exactly once, in seq
-               order on THIS domain (sealing assigns record sequence
-               numbers, so doing it here in a deterministic order keeps
-               delivery byte-identical to domains = 1), then hand the
-               immutable buffers with each shard's recipient batch to
-               its flusher. Backpressure and strike accounting happen
-               shard-side against the live outbox depth. *)
-            let buckets = Array.make (Shard.domains pool) [] in
-            Hashtbl.iter
-              (fun _member cl ->
-                if cl.admitted_at < t.tick_no then
-                  match cl.shard with
-                  | Some e ->
-                      let s = Shard.entry_shard e in
-                      buckets.(s) <- e :: buckets.(s)
-                  | None -> () (* promotion failed on a dying conn; it is on its way out *))
-              t.member_client;
-            Array.iteri
-              (fun s recips ->
-                if recips <> [] then
-                  Shard.fanout pool ~shard:s ~frames:(Lazy.force frames)
-                    ~recips:(Array.of_list recips))
-              buckets);
+        if not mcast_delivered then begin
+          t.last_dgram <- None;
+          let slow = ref [] and recips = ref [] in
+          Hashtbl.iter
+            (fun _member cl ->
+              if cl.admitted_at < t.tick_no then
+                match backpressure t cl with
+                | `Evict -> slow := cl :: !slow
+                | `Skip -> ()
+                | `Send -> recips := cl.conn :: !recips)
+            t.member_client;
+          if !recips <> [] then fan_out t (Lazy.force frames) !recips;
+          List.iter (fun cl -> evict_slow t cl) !slow
+        end;
         t.stats.rekeys <- t.stats.rekeys + 1;
         t.stats.rekey_packets <- t.stats.rekey_packets + total;
         let fp = match dek with Some (_, d) -> Key.fingerprint_of_digest d | None -> "" in
@@ -1388,16 +1418,9 @@ let create ~loop (cfg : config) =
         tops = [];
         prune_at = 256;
         mcast;
-        (* domains = 1 is the single-threaded server, inline fan-out
-           and all — no pool, no extra domains, today's exact code
-           path. Flusher domains only exist from 2 up. *)
-        pool =
-          (if cfg.domains >= 2 then
-             Some
-               (Shard.create ~domains:cfg.domains ~outbox_soft:cfg.outbox_soft
-                  ~outbox_hard:cfg.outbox_hard ~stall_strikes:cfg.stall_strikes)
-           else None);
-        next_shard = 0;
+        (* Lanes exist only from domains = 2 up: at 1 the tick domain
+           writes the fan-out inline. *)
+        lanes = (if cfg.domains >= 2 then Some (Lanes.create cfg.domains) else None);
         seal = None;
         seals = Hashtbl.create 16;
         last_dgram = None;
@@ -1445,14 +1468,6 @@ let create ~loop (cfg : config) =
       raise e
   in
   Loop.add_fd loop listen_fd ~readable:(accept_loop t) ~writable:ignore;
-  (match t.pool with
-  | Some pool ->
-      Loop.add_fd loop (Shard.event_fd pool)
-        ~readable:(fun () ->
-          Shard.on_event_readable pool;
-          process_shard_events t pool)
-        ~writable:ignore
-  | None -> ());
   arm_tick t;
   journal "netd.listen"
     [ ("host", Str cfg.host); ("port", Int t.port); ("org", Str (Organization.spec_name cfg.org)) ];
@@ -1466,15 +1481,5 @@ let stop t =
     (match t.mcast with Some s -> Mcast.close_sender s | None -> ());
     let cls = Hashtbl.fold (fun _ cl acc -> cl :: acc) t.clients [] in
     List.iter (fun cl -> drop_client t cl ~departed:false) cls;
-    match t.pool with
-    | None -> ()
-    | Some pool ->
-        (* The drops above queued a Detach per shard-owned client.
-           [Shard.stop] lets each shard process its queue tail (so
-           every Detach is acknowledged), joins the domains, then we
-           drain the final events here — that is where the deferred
-           close(2)s happen. *)
-        Loop.remove_fd t.loop (Shard.event_fd pool);
-        Shard.stop pool;
-        process_shard_events t pool
+    Option.iter Lanes.stop t.lanes
   end

@@ -47,7 +47,13 @@
     datagram falls back to TCP unicast for that interval. The send
     path takes an injectable {!Gkm_net.Netem} fault configuration, so
     loss/reorder/duplication hit the live socket (DESIGN.md
-    Section 17). *)
+    Section 17).
+
+    Threading: one domain, the one that runs the server's {!Loop},
+    owns every connection and runs all organization and protocol
+    logic. With [config.domains >= 2] it also keeps [domains] fan-out
+    lanes, which touch member connections only while it waits for them
+    inside a tick; no fd ever leaves its loop. *)
 
 type transport =
   | Tcp  (** rekeys unicast over every member connection (default) *)
@@ -97,14 +103,13 @@ type config = {
           members; keeps every live ticket well inside the horizon *)
   ticket_seed : int;  (** seed for the server-local ticket sealing key *)
   domains : int;
-      (** REKEY fan-out lanes. 1 (the default) is the single-threaded
-          server: fan-out, flushing and backpressure run inline on the
-          tick domain, exactly the historical code path. From 2 up,
-          [domains] shard domains are spawned; each owns a disjoint,
-          stable set of member fds, flushes encode-once frame buffers
-          into them, and applies the backpressure tiers shard-side
-          (DESIGN.md Section 14). Organization and protocol logic stay
-          on the tick domain either way. *)
+      (** REKEY fan-out writers, in [1, 64]. 1 (the default) is the
+          single-threaded server: the tick domain writes the fan-out
+          inline. From 2 up, [domains] worker domains (lanes) run
+          beside the tick domain: once the tick domain has sealed a
+          rekey's frames and decided backpressure, each lane writes
+          the shared frames to one contiguous slice of the recipients
+          while the tick domain waits (DESIGN.md Section 14). *)
   transport : transport;
       (** {!Tcp} (default) or {!Udp}: where sealed rekey generations
           travel. Control traffic is TCP in both modes. *)
@@ -183,9 +188,8 @@ val epoch : t -> int
 val org_size : t -> int
 
 val stats : t -> stats
-(** With [domains >= 2] this is a copy with the per-shard atomics
-    (soft skips) folded in — read fields immediately rather than
-    caching the record. With [domains = 1] it is the live record. *)
+(** The live record, at every [domains]: its fields move as the
+    server runs. *)
 
 val domains : t -> int
 
@@ -196,8 +200,9 @@ val bytes_rx : t -> int
 
 val tx_per_domain : t -> int array
 (** Transmitted bytes by writer domain: index 0 the tick domain
-    (handshakes and pre-admission traffic), 1..K the shard flushers —
-    the shard-imbalance view. A single cell when [domains = 1]. *)
+    (unicast replies, multicast, and fan-out bytes a lane left queued),
+    1..K the fan-out lanes — the lane-imbalance view. A single cell
+    when [domains = 1]. *)
 
 val dek_trace : t -> (int * string) list
 (** [(rekey_no, DEK fingerprint)] per produced rekey, oldest first —

@@ -289,10 +289,9 @@ let test_recurring_dek_seq () =
 
 (* A client that joins and then never reads again must hit the hard
    backpressure tier and be evicted — departed from the organization,
-   not just disconnected. Runs both single-threaded ([domains = 1],
-   backpressure measured inline at fan-out) and sharded ([domains = 2],
-   backpressure measured by the shard that owns the stalled fd, with
-   the eviction travelling back to the tick domain as an event). *)
+   not just disconnected. Runs both single-threaded ([domains = 1])
+   and with fan-out lanes ([domains = 2]); either way the tick domain
+   measures backpressure before anything is written. *)
 let slow_eviction_scenario ~domains () =
   let loop = Loop.create () in
   let srv =
@@ -426,9 +425,9 @@ let test_rejoin_0rtt () =
    every fan-out domain count.
 
    Two gates keep a full rejoin from being legitimate. The victim is
-   drained first (PING/PONG): at domains >= 2 the shard flushers run
-   asynchronously, so the ticket reissued by the last tick may still
-   sit in a shard's queue, and killing then loses it. And each interval
+   drained first (PING/PONG): the ticket reissued by the last tick may
+   still sit in the server's outbox or the socket buffer, and killing
+   then loses it. And each interval
    waits for the organization to settle: this interval's join and the
    previous churner's leave both consumed, and the join acknowledged.
    Otherwise a still-queued leave reshapes the tree during the next
@@ -655,14 +654,14 @@ let test_plaintext_rekey_refused () =
   Alcotest.(check int) "no rekey applied" 0 (Client.last_rekey c);
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ fd; lfd ]
 
-(* The sharded fan-out must be a pure transport change: the same
+(* The multi-lane fan-out must be a pure transport change: the same
    deterministic scenario (seeded org, manual ticks, churn gated on
    server-observable state so the organization sees the identical
    operation sequence) run under [domains = 1] and [domains = 4] must
    deliver every member the byte-identical stream of sealed records —
    same epochs, same record seqs, same ciphertexts. That holds because
    encoding AND sealing happen on the tick domain in seq order in both
-   modes; the shards only carry finished bytes. *)
+   modes; the lanes only carry finished bytes. *)
 let lockstep_run ?group ~domains () =
   let n = 6 in
   let loop = Loop.create () in
@@ -803,6 +802,92 @@ let test_sharded_byte_identical () =
     (Array.exists (fun b -> b > 0) (Array.sub tx4 1 4));
   check_runs_identical ~tag:"domains" (sealed1, deks1, sdek1) (sealed4, deks4, sdek4)
 
+(* A crash-killed member (no LEAVE, no drain) is still a recipient of
+   the tick that runs before the server reads its EOF, so at
+   domains = 2 a lane writes that rekey to the dead socket. The server
+   must drop the connection exactly once, from its own loop, and park
+   the member in resync grace; the survivors must converge on the
+   server's DEK trace, and the next tick must fan out as usual. *)
+let test_lane_dead_peer () =
+  let module Journal = Gkm_obs.Journal in
+  let module Obs = Gkm_obs.Obs in
+  let org =
+    Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 1000 }
+  in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org ~domains:2 ()) in
+  let port = Server.port srv in
+  let joins = ref 0 in
+  let join seed =
+    let c = Client.connect ~loop { (Client.config ~port) with seed } in
+    incr joins;
+    let target = !joins in
+    run_until loop (fun () -> (Server.stats srv).Server.joins = target);
+    c
+  in
+  let members = List.init 6 (fun i -> join (300 + i)) in
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member members);
+  let victim = List.hd members and survivors = List.tl members in
+  let vm = Client.member victim in
+  let settled live =
+    let last = Server.rekey_no srv in
+    run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) live)
+  in
+  settled members;
+  let lane_tx () = Array.fold_left ( + ) 0 (Array.sub (Server.tx_per_domain srv) 1 2) in
+  Journal.clear Journal.default;
+  Obs.with_enabled true (fun () ->
+      let churner = join 400 in
+      let rekey0 = Server.rekey_no srv and tx0 = lane_tx () in
+      Client.kill victim;
+      Server.tick_now srv;
+      Alcotest.(check int) "the tick framed a rekey" (rekey0 + 1) (Server.rekey_no srv);
+      Alcotest.(check bool) "the lanes carried it" true (lane_tx () > tx0);
+      let live = churner :: survivors in
+      run_until loop (fun () ->
+          List.for_all Client.is_member live
+          && not (List.mem_assoc vm (Server.bound_tickets srv)));
+      settled live;
+      (* The next tick fans out normally. *)
+      let tx1 = lane_tx () in
+      Client.leave churner;
+      run_until loop (fun () -> (Server.stats srv).Server.leaves = 1);
+      Server.tick_now srv;
+      Alcotest.(check int) "the next tick framed a rekey" (rekey0 + 2) (Server.rekey_no srv);
+      Alcotest.(check bool) "the lanes carried the next tick" true (lane_tx () > tx1);
+      settled survivors);
+  let drops =
+    List.filter
+      (fun e ->
+        e.Journal.name = "netd.drop"
+        && List.assoc_opt "member" e.Journal.fields = Some (Journal.Int vm))
+      (Journal.events Journal.default)
+  in
+  Journal.clear Journal.default;
+  Alcotest.(check int) "the dead peer was dropped once" 1 (List.length drops);
+  Alcotest.(check bool) "dropped as a disconnect, not a departure" true
+    (List.assoc_opt "departed" (List.hd drops).Journal.fields = Some (Journal.Bool false));
+  let s = Server.stats srv in
+  Alcotest.(check int) "no slow eviction" 0 s.Server.evictions_slow;
+  Alcotest.(check int) "no grace eviction" 0 s.Server.evictions_grace;
+  Alcotest.(check int) "the victim is still a member" 6 (Server.org_size srv);
+  List.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "survivor%d sent no NACK" i) 0 (Client.nacks_sent c);
+      Alcotest.(check int) (Printf.sprintf "survivor%d never resynced" i) 0 (Client.resyncs c))
+    survivors;
+  let server_tbl = server_trace_tbl srv in
+  List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "survivor%d" i) c) survivors;
+  (* Parked, not departed: the victim comes back as itself (by ticket
+     or RESYNC, whichever it holds), which needs its membership. *)
+  Client.reconnect victim;
+  run_until loop (fun () -> Client.is_member victim);
+  Alcotest.(check int) "the victim came back as itself" vm (Client.member victim);
+  List.iter Client.kill members;
+  Server.stop srv;
+  Loop.close loop
+
 (* Observability must be byte-invisible on the socket path: the same
    lockstep scenario with instrumentation off and on delivers the
    identical DEK sequences and sealed records, and the instrumented
@@ -825,7 +910,7 @@ let test_obs_byte_invisible () =
 let require_mcast () = if not (Mcast.available ()) then Alcotest.skip ()
 
 (* Moving the sealed fan-out to the multicast datagram must be a pure
-   transport change, exactly like sharding: the same lockstep scenario
+   transport change, exactly like the fan-out lanes: the same lockstep scenario
    over tcp and over udp (at domains 1 AND 4) delivers every member
    the byte-identical sealed records — same epoch labels, same record
    seqs, same ciphertexts — because both paths carry the one
@@ -1844,6 +1929,7 @@ let () =
             test_sharded_byte_identical;
           Alcotest.test_case "sharded slow client evicted" `Slow test_sharded_slow_eviction;
           Alcotest.test_case "observability byte-invisible" `Quick test_obs_byte_invisible;
+          Alcotest.test_case "a lane write to a dead peer" `Quick test_lane_dead_peer;
         ] );
       ( "mcast",
         [
