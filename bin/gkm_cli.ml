@@ -788,6 +788,7 @@ let serve_cmd =
                ("evictions_grace", J.int st.evictions_grace);
                ("protocol_errors", J.int st.protocol_errors);
                ("tickets_issued", J.int st.tickets_issued);
+               ("ticket_bytes", J.int st.ticket_bytes);
                ("rejoins_0rtt", J.int st.rejoins_0rtt);
                ("rejoins_full", J.int st.rejoins_full);
                ("ticket_rejects", J.int st.ticket_rejects);

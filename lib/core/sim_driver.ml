@@ -15,10 +15,9 @@ type partition_result = {
   mean_s_size : float;
 }
 
-(* The generic churn loop: drive any packed organization with the
-   two-class workload. [loss_of] supplies the loss rate reported at
-   join time (two-partition schemes ignore it). *)
-let churn_org ~(org : Organization.packed) ~buckets ~warmup ~loss_of =
+(* The churn loop: drive a packed organization with the two-class
+   workload. Members report no loss (two-partition schemes ignore it). *)
+let churn_org ~(org : Organization.packed) ~buckets ~warmup =
   let module O = (val org) in
   let keys = Stats.create () and sizes = Stats.create () in
   let band_stats = ref [||] in
@@ -27,7 +26,7 @@ let churn_org ~(org : Organization.packed) ~buckets ~warmup ~loss_of =
       List.iter
         (fun (m, cls) ->
           let cls = match cls with Membership.Short -> Scheme.Short | Long -> Scheme.Long in
-          ignore (O.register ~member:m ~cls ~loss:(loss_of m)))
+          ignore (O.register ~member:m ~cls ~loss:0.0))
         joins;
       List.iter
         (fun m ->
@@ -60,7 +59,7 @@ let run_partition ?(degree = 4) ?(seed = 1) ~n ~alpha ~ms ~ml ~tp ~s_period ~war
     Organization.create
       (Organization.Scheme_cfg { kind; degree; s_period; seed = seed + 17 })
   in
-  let keys, sizes, band_means = churn_org ~org ~buckets ~warmup ~loss_of:(fun _ -> 0.0) in
+  let keys, sizes, band_means = churn_org ~org ~buckets ~warmup in
   {
     kind;
     intervals;
@@ -68,46 +67,6 @@ let run_partition ?(degree = 4) ?(seed = 1) ~n ~alpha ~ms ~ml ~tp ~s_period ~war
     ci95 = Stats.ci95_halfwidth keys;
     mean_size = Stats.mean sizes;
     mean_s_size = band_means.(0);
-  }
-
-type org_churn_result = {
-  org_name : string;
-  o_intervals : int;
-  o_mean_keys : float;
-  o_ci95 : float;
-  o_mean_size : float;
-  o_band_means : float array;
-}
-
-let run_org_churn ?(seed = 1) ?(loss_alpha = 0.25) ?(ph = 0.2) ?(pl = 0.02) ~n ~alpha ~ms
-    ~ml ~tp ~warmup ~intervals ~spec () =
-  if warmup < 0 || intervals <= 0 then
-    invalid_arg "Sim_driver.run_org_churn: bad interval counts";
-  let cfg = Membership.of_params ~n_target:n ~alpha ~ms ~ml ~tp in
-  let rng = Prng.create seed in
-  let buckets = Membership.intervals cfg ~rng ~n_intervals:(warmup + intervals) in
-  let org = Organization.create spec in
-  (* Loss rates come from an independent stream so that organizations
-     that ignore them (the two-partition schemes) consume exactly the
-     same draws as organizations that don't. *)
-  let lrng = Prng.create (seed + 101) in
-  let loss_cache = Hashtbl.create n in
-  let loss_of m =
-    match Hashtbl.find_opt loss_cache m with
-    | Some p -> p
-    | None ->
-        let p = if Prng.bernoulli lrng loss_alpha then ph else pl in
-        Hashtbl.replace loss_cache m p;
-        p
-  in
-  let keys, sizes, band_means = churn_org ~org ~buckets ~warmup ~loss_of in
-  {
-    org_name = Organization.spec_name spec;
-    o_intervals = intervals;
-    o_mean_keys = Stats.mean keys;
-    o_ci95 = Stats.ci95_halfwidth keys;
-    o_mean_size = Stats.mean sizes;
-    o_band_means = band_means;
   }
 
 type organization =

@@ -34,38 +34,6 @@ val run_partition :
     {!Organization} interface; results are bit-identical to driving
     the scheme directly. *)
 
-(** {1 Generic organization churn} *)
-
-type org_churn_result = {
-  org_name : string;
-  o_intervals : int;
-  o_mean_keys : float;  (** encrypted keys per rekey interval *)
-  o_ci95 : float;
-  o_mean_size : float;
-  o_band_means : float array;  (** mean population per partition/band *)
-}
-
-val run_org_churn :
-  ?seed:int ->
-  ?loss_alpha:float ->
-  ?ph:float ->
-  ?pl:float ->
-  n:int ->
-  alpha:float ->
-  ms:float ->
-  ml:float ->
-  tp:float ->
-  warmup:int ->
-  intervals:int ->
-  spec:Organization.spec ->
-  unit ->
-  org_churn_result
-(** The same steady-state churn loop for {e any} organization spec —
-    bare schemes, loss bands, or any other composed organization. Members report
-    a two-point loss mix ([loss_alpha] at [ph], the rest at [pl])
-    drawn from a stream independent of the membership workload, so
-    the churn sequence is identical across organizations. *)
-
 (** {1 Loss-homogenization experiment (Figs. 6-7 cross-check)} *)
 
 type organization =

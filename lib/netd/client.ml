@@ -7,8 +7,6 @@ module Loss_model = Gkm_net.Loss_model
 module Frame = Gkm_wire.Frame
 module Msg = Gkm_wire.Msg
 module Record = Gkm_record.Record
-module Metrics = Gkm_obs.Metrics
-module Obs = Gkm_obs.Obs
 
 type config = {
   host : string;
@@ -112,11 +110,6 @@ let max_pending_sealed = 1024
    our generation is wrong and falling back to RESYNC. *)
 let max_auth_streak = 32
 
-let m_client_nacks = Metrics.Counter.v "netd.client_nacks"
-let m_client_resyncs = Metrics.Counter.v "netd.client_resyncs"
-let m_client_rekeys = Metrics.Counter.v "netd.client_rekeys"
-let m_client_rejoins = Metrics.Counter.v "netd.client_rejoins"
-
 let phase t = t.phase
 let member t = t.member
 let is_member t = t.phase = Member
@@ -211,12 +204,12 @@ let install t ~member ~rekey_no ~epoch ~root ~path =
 
 let send_nack t rekey_no seqs =
   t.nacks_sent <- t.nacks_sent + 1;
-  if Obs.enabled () then Metrics.Counter.incr m_client_nacks;
   send t (Msg.Nack { rekey_no; seqs })
 
 let request_resync t =
   match t.individual with
   | Some key when t.member >= 0 ->
+      t.resyncs <- t.resyncs + 1;
       t.assemblies <- [];
       t.pending_sealed <- [];
       t.phase <- Resync_wait;
@@ -258,7 +251,6 @@ let rec pump ?last t =
         t.last_rekey <- head.a_rekey_no;
         t.assemblies <- rest;
         t.rekeys_completed <- t.rekeys_completed + 1;
-        if Obs.enabled () then Metrics.Counter.incr m_client_rekeys;
         pump ?last:(note_dek t ~rekey_no:head.a_rekey_no m) t
       end
       else last
@@ -429,19 +421,13 @@ and handle_sealed t ~epoch ~seq ~ct =
           if epoch > Record.Epoch.label (Record.Sink.epoch sink) then begin
             t.pending_sealed <- (epoch, seq, ct) :: t.pending_sealed;
             note_future_frame t;
-            if List.length t.pending_sealed > max_pending_sealed then begin
-              t.resyncs <- t.resyncs + 1;
-              if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
-              request_resync t
-            end
+            if List.length t.pending_sealed > max_pending_sealed then request_resync t
           end
           else begin
             t.auth_dropped <- t.auth_dropped + 1;
             t.auth_streak <- t.auth_streak + 1;
             if t.auth_streak > max_auth_streak then begin
               t.auth_streak <- 0;
-              t.resyncs <- t.resyncs + 1;
-              if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
               request_resync t
             end
           end)
@@ -468,11 +454,7 @@ and handle_rekey t (r : Msg.rekey) ~retx =
       a.a_packets.(r.seq) <- Some r.packet;
     let dek = pump t in
     nack_head_gaps t;
-    if List.length t.assemblies > t.cfg.max_assemblies then begin
-      t.resyncs <- t.resyncs + 1;
-      if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
-      request_resync t
-    end
+    if List.length t.assemblies > t.cfg.max_assemblies then request_resync t
     else sync_sink t dek
   end
 
@@ -481,7 +463,6 @@ and handle_rekey t (r : Msg.rekey) ~retx =
    are caught up to the server's current rekey in one round trip. *)
 let apply_resume t ~member (r : Msg.resume) =
   t.rejoins <- t.rejoins + 1;
-  if Obs.enabled () then Metrics.Counter.incr m_client_rejoins;
   t.ticket <- Some (r.epoch, r.ticket);
   t.presented <- None;
   match t.mstate with
@@ -531,11 +512,7 @@ let handle_msg t (msg : Msg.t) =
       else if code = Msg.err_ticket then begin
         t.ticket <- None;
         t.presented <- None;
-        if t.member >= 0 && t.individual <> None then begin
-          t.resyncs <- t.resyncs + 1;
-          if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
-          request_resync t
-        end
+        if t.member >= 0 && t.individual <> None then request_resync t
         else fresh_join t
       end
       else fail t (Printf.sprintf "server error %d: %s" code detail)
@@ -544,8 +521,6 @@ let handle_msg t (msg : Msg.t) =
   | Hello_sent, Hello_ack _ ->
       if t.member >= 0 && t.individual <> None then begin
         (* Reconnection: we were a member, prove it and catch up. *)
-        t.resyncs <- t.resyncs + 1;
-        if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
         request_resync t
       end
       else begin
@@ -567,8 +542,6 @@ let handle_msg t (msg : Msg.t) =
               t.auth_dropped <- t.auth_dropped + 1;
               t.ticket <- None;
               t.presented <- None;
-              t.resyncs <- t.resyncs + 1;
-              if Obs.enabled () then Metrics.Counter.incr m_client_resyncs;
               request_resync t)
       | _ -> fail t "REJOIN_ACK without a presented ticket")
   | Joining, Join_ack { member; rekey_no; epoch; root; path } ->

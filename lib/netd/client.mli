@@ -128,6 +128,7 @@ val dek_trace : t -> (int * string) list
 val last_error : t -> string option
 val nacks_sent : t -> int
 val resyncs : t -> int
+(** RESYNC_REQs sent (reconnection or recovery). *)
 
 val rejoins : t -> int
 (** Successful ticket rejoins (delta or full). *)

@@ -1,13 +1,5 @@
 module Frame = Gkm_wire.Frame
 module Msg = Gkm_wire.Msg
-module Metrics = Gkm_obs.Metrics
-module Obs = Gkm_obs.Obs
-
-let m_bytes_rx = Metrics.Counter.v "wire.bytes_rx"
-let m_bytes_tx = Metrics.Counter.v "wire.bytes_tx"
-let m_frames_rx = Metrics.Counter.v "wire.frames_rx"
-let m_frames_tx = Metrics.Counter.v "wire.frames_tx"
-let m_decode_errors = Metrics.Counter.v "wire.decode_errors"
 
 (* An outbox entry may share its [buf] with every other connection the
    frame was fanned out to; only [off] is per-connection. *)
@@ -59,8 +51,7 @@ let close t =
 let enqueue_frame t buf =
   if not t.closed then begin
     Queue.add { buf; off = 0 } t.outq;
-    t.out_bytes <- t.out_bytes + Bytes.length buf;
-    if Obs.enabled () then Metrics.Counter.incr m_frames_tx
+    t.out_bytes <- t.out_bytes + Bytes.length buf
   end
 
 let flush t =
@@ -74,7 +65,6 @@ let flush t =
       | n ->
           t.out_bytes <- t.out_bytes - n;
           t.bytes_tx <- t.bytes_tx + n;
-          if Obs.enabled () then Metrics.Counter.add m_bytes_tx n;
           if n = len then ignore (Queue.pop t.outq)
           else begin
             e.off <- e.off + n;
@@ -116,7 +106,6 @@ let on_readable t =
         continue := false
     | n ->
         t.bytes_rx <- t.bytes_rx + n;
-        if Obs.enabled () then Metrics.Counter.add m_bytes_rx n;
         Frame.feed t.dec scratch 0 n
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error (EINTR, _, _) -> ()
@@ -129,13 +118,10 @@ let on_readable t =
   let rec drain () =
     match Frame.next t.dec with
     | Ok (Some m) ->
-        if Obs.enabled () then Metrics.Counter.incr m_frames_rx;
         msgs := m :: !msgs;
         drain ()
     | Ok None ->
         if !eof || !io_err then `Eof (List.rev !msgs) else `Msgs (List.rev !msgs)
-    | Error e ->
-        if Obs.enabled () then Metrics.Counter.incr m_decode_errors;
-        `Error (e, List.rev !msgs)
+    | Error e -> `Error (e, List.rev !msgs)
   in
   drain ()

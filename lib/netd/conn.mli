@@ -62,8 +62,8 @@ val close : t -> unit
 
 val closed : t -> bool
 
-(** Transfer counters (always on; the [wire.*] metrics mirror them when
-    observability is enabled). *)
+(** Transfer counters (always on; {!Server.bytes_tx} and
+    {!Server.bytes_rx} sum them over live and closed connections). *)
 
 val bytes_rx : t -> int
 val bytes_tx : t -> int

@@ -5,7 +5,6 @@ module Packet = Gkm_transport.Packet
 module Frame = Gkm_wire.Frame
 module Msg = Gkm_wire.Msg
 module Record = Gkm_record.Record
-module Metrics = Gkm_obs.Metrics
 module Journal = Gkm_obs.Journal
 module Obs = Gkm_obs.Obs
 
@@ -298,22 +297,6 @@ type t = {
 
 external int_of_fd : Unix.file_descr -> int = "%identity"
 
-let m_rekeys = Metrics.Counter.v "netd.rekeys"
-let m_joins = Metrics.Counter.v "netd.joins"
-let m_nacks = Metrics.Counter.v "netd.nacks"
-let m_retx = Metrics.Counter.v "netd.retx_packets"
-let m_resyncs = Metrics.Counter.v "netd.resyncs"
-let m_migrations = Metrics.Counter.v "netd.migrations"
-let m_evictions = Metrics.Counter.v "netd.evictions"
-let m_clients = Metrics.Gauge.v "netd.clients"
-let m_soft_skips = Metrics.Counter.v "netd.soft_skips"
-let h_tick = Metrics.Histogram.v "netd.tick_s"
-let m_tickets = Metrics.Counter.v "netd.tickets"
-let m_mcast = Metrics.Counter.v "netd.mcast_datagrams"
-let m_rejoin_0rtt = Metrics.Counter.v "rejoin.0rtt"
-let m_rejoin_full = Metrics.Counter.v "rejoin.full_resync"
-let h_ticket_age = Metrics.Histogram.v "rejoin.ticket_age_epochs"
-
 let journal name fields =
   if Obs.enabled () then Journal.record ~time:(Unix.gettimeofday ()) name fields
 
@@ -385,7 +368,6 @@ let drop_client t cl ~departed =
   Hashtbl.remove t.clients (int_of_fd (Conn.fd cl.conn));
   Loop.remove_fd t.loop (Conn.fd cl.conn);
   Conn.close cl.conn;
-  if Obs.enabled () then Metrics.Gauge.set m_clients (float_of_int (Hashtbl.length t.clients));
   if cl.member >= 0 then begin
     (match Hashtbl.find_opt t.member_client cl.member with
     | Some bound when bound == cl -> Hashtbl.remove t.member_client cl.member
@@ -430,7 +412,6 @@ let depart t member =
 
 let evict_slow t cl =
   t.stats.evictions_slow <- t.stats.evictions_slow + 1;
-  if Obs.enabled () then Metrics.Counter.incr m_evictions;
   journal "netd.evict" [ ("member", Int cl.member); ("reason", Str "slow") ];
   if cl.member >= 0 then depart t cl.member;
   drop_client t cl ~departed:true
@@ -483,7 +464,6 @@ let mint_ticket t ~member ~cls ~loss path digest =
   note_ticket t member digest path;
   t.stats.tickets_issued <- t.stats.tickets_issued + 1;
   t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
-  if Obs.enabled () then Metrics.Counter.incr m_tickets;
   ticket
 
 (* Issue (or refresh) a resumption ticket over an established
@@ -543,12 +523,8 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
   if reason = `Recovery then cl.resyncs_granted <- cl.resyncs_granted + 1;
   bind_member t cl member;
   (match reason with
-  | `Recovery ->
-      t.stats.resyncs <- t.stats.resyncs + 1;
-      if Obs.enabled () then Metrics.Counter.incr m_resyncs
-  | `Migration ->
-      t.stats.migrations <- t.stats.migrations + 1;
-      if Obs.enabled () then Metrics.Counter.incr m_migrations);
+  | `Recovery -> t.stats.resyncs <- t.stats.resyncs + 1
+  | `Migration -> t.stats.migrations <- t.stats.migrations + 1);
   journal "netd.resync"
     [
       ("member", Int member);
@@ -582,7 +558,6 @@ let handle_resync_req t cl ~member ~epoch ~auth =
 
 let handle_nack t cl ~rekey_no ~seqs =
   t.stats.nacks <- t.stats.nacks + 1;
-  if Obs.enabled () then Metrics.Counter.incr m_nacks;
   match Hashtbl.find_opt t.history rekey_no with
   | Some h ->
       let total = Array.length h.h_packets in
@@ -593,7 +568,6 @@ let handle_nack t cl ~rekey_no ~seqs =
         (fun seq ->
           if seq >= 0 && seq < total then begin
             t.stats.retx_packets <- t.stats.retx_packets + 1;
-            if Obs.enabled () then Metrics.Counter.incr m_retx;
             let retx =
               Msg.Retx
                 {
@@ -685,22 +659,14 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
             let n = t.rejoin_nonce in
             t.rejoin_nonce <- Int64.succ n;
             let ct = Record.counter_seal rs ~n ~ad:Record.resume_ad (Msg.encode_resume resume) in
-            if delta_ok then begin
-              t.stats.rejoins_0rtt <- t.stats.rejoins_0rtt + 1;
-              if Obs.enabled () then Metrics.Counter.incr m_rejoin_0rtt
-            end
-            else begin
-              t.stats.rejoins_full <- t.stats.rejoins_full + 1;
-              if Obs.enabled () then Metrics.Counter.incr m_rejoin_full
-            end;
-            if Obs.enabled () then
-              Metrics.Histogram.observe h_ticket_age
-                (float_of_int (t.epoch - c.Record.Ticket.issued_epoch));
+            if delta_ok then t.stats.rejoins_0rtt <- t.stats.rejoins_0rtt + 1
+            else t.stats.rejoins_full <- t.stats.rejoins_full + 1;
             journal "netd.rejoin"
               [
                 ("member", Int member);
                 ("delta", Bool delta_ok);
                 ("keys", Int (List.length sent_path));
+                ("ticket_age", Int (t.epoch - c.Record.Ticket.issued_epoch));
               ];
             send t cl (Msg.Rejoin_ack { member; ct })
           end)
@@ -736,7 +702,6 @@ let handle_msg t cl (msg : Msg.t) =
       cl.member <- member;
       cl.phase <- Pending;
       t.stats.joins <- t.stats.joins + 1;
-      if Obs.enabled () then Metrics.Counter.incr m_joins;
       journal "netd.join" [ ("member", Int member) ]
   | Ready, Resync_req { member; epoch; auth } -> handle_resync_req t cl ~member ~epoch ~auth
   | Member, Resync_req { member; epoch; auth } when member = cl.member ->
@@ -792,8 +757,6 @@ let accept_loop t () =
           in
           Hashtbl.replace t.clients (int_of_fd fd) cl;
           t.stats.accepts <- t.stats.accepts + 1;
-          if Obs.enabled () then
-            Metrics.Gauge.set m_clients (float_of_int (Hashtbl.length t.clients));
           Loop.add_fd t.loop fd ~readable:(on_conn_readable t cl)
             ~writable:(on_conn_writable t cl)
         end
@@ -1006,7 +969,6 @@ let backpressure t cl =
   if backlog > t.cfg.outbox_hard then `Evict
   else if backlog > t.cfg.outbox_soft then begin
     t.stats.soft_skips <- t.stats.soft_skips + 1;
-    if Obs.enabled () then Metrics.Counter.incr m_soft_skips;
     cl.strikes <- cl.strikes + 1;
     if cl.strikes >= t.cfg.stall_strikes then `Evict else `Skip
   end
@@ -1220,7 +1182,6 @@ let tick t =
                     let sent_d, sent_b = mcast_send t sender dgram in
                     t.last_dgram <- Some dgram;
                     t.stats.mcast_datagrams <- t.stats.mcast_datagrams + sent_d;
-                    if Obs.enabled () then Metrics.Counter.add m_mcast sent_d;
                     journal "netd.mcast"
                       [
                         ("rekey_no", Int t.rekey_no);
@@ -1302,8 +1263,6 @@ let tick t =
          tick's cost and the tickets it issued. *)
       if has_frames && Obs.enabled () then begin
         let dt = Loop.now t.loop -. t0 in
-        Metrics.Counter.incr m_rekeys;
-        Metrics.Histogram.observe h_tick dt;
         journal "netd.rekey"
           [
             ("rekey_no", Int t.rekey_no);
@@ -1328,7 +1287,6 @@ let tick t =
     (fun member ->
       Hashtbl.remove t.disconnected member;
       t.stats.evictions_grace <- t.stats.evictions_grace + 1;
-      if Obs.enabled () then Metrics.Counter.incr m_evictions;
       journal "netd.evict" [ ("member", Int member); ("reason", Str "grace") ];
       depart t member)
     expired;

@@ -7,7 +7,6 @@ module Sha256 = Gkm_crypto.Sha256
 module Prng = Gkm_crypto.Prng
 module Bytes_io = Gkm_crypto.Bytes_io
 module Codec = Gkm_crypto.Codec
-module Metrics = Gkm_obs.Metrics
 
 let record_salt = Bytes.of_string Labels.record_salt
 let record_ad_label = "gkmrec2"
@@ -155,9 +154,6 @@ module Sink = struct
 
   type t = { epoch : Epoch.t; mcast : window; ucast : window }
 
-  let replay_drop = Metrics.Counter.v "record.replay_drop"
-  let auth_fail = Metrics.Counter.v "record.auth_fail"
-
   let create epoch = { epoch; mcast = fresh_window (); ucast = fresh_window () }
   let epoch t = t.epoch
 
@@ -172,21 +168,14 @@ module Sink = struct
      is the price of that distinction. *)
   let open_ t ~seq sealed =
     match Epoch.key t.epoch with
-    | None ->
-        Metrics.Counter.incr auth_fail;
-        Error `Auth
+    | None -> Error `Auth
     | Some key -> (
         match Aead.open_ key ~nonce:(nonce_of_seq seq) ~ad:(ad_of_seq seq) sealed with
-        | Error _ ->
-            Metrics.Counter.incr auth_fail;
-            Error `Auth
+        | Error _ -> Error `Auth
         | Ok pt ->
             let w = window_of t seq in
             let off = Int64.logand seq Int64.max_int in
-            if not (admissible w off) then begin
-              Metrics.Counter.incr replay_drop;
-              Error `Replay
-            end
+            if not (admissible w off) then Error `Replay
             else begin
               mark w off;
               Ok pt

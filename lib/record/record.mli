@@ -101,15 +101,14 @@ module Sink : sig
 
   val open_ : t -> seq:int64 -> bytes -> (bytes, [ `Auth | `Replay ]) result
   (** Verify and decrypt one record. [`Auth] — the tag failed or the
-      epoch was erased (counted in [record.auth_fail]): not sealed
-      under this generation's keys, so possibly a frame from a
-      generation ahead of this sink. [`Replay] — the tag verified but
-      the sequence number was already accepted or fell behind the
-      window (counted in [record.replay_drop]). Authentication runs
-      {e before} the window check — sequence spaces restart per
-      generation, so a pre-auth window would misread a future
-      generation's low seqs as replays. Never raises on untrusted
-      input; the window only advances on success. *)
+      epoch was erased: not sealed under this generation's keys, so
+      possibly a frame from a generation ahead of this sink.
+      [`Replay] — the tag verified but the sequence number was already
+      accepted or fell behind the window. The sink counts neither; its
+      caller does. Authentication runs {e before} the window check —
+      sequence spaces restart per generation, so a pre-auth window
+      would misread a future generation's low seqs as replays. Never
+      raises on untrusted input; the window only advances on success. *)
 end
 
 module Ticket : sig

@@ -1521,6 +1521,7 @@ let test_loop_fanout_no_interest () =
 module Keytree = Gkm_keytree.Keytree
 module Journal = Gkm_obs.Journal
 module Obs = Gkm_obs.Obs
+module Metrics = Gkm_obs.Metrics
 
 (* Crash-kill [victim] once it has read everything the server sent it
    (tickets included), then bring it back by ticket. *)
@@ -1828,6 +1829,38 @@ let test_rekey_journal () =
   Server.stop srv;
   Loop.close loop
 
+(* The live server counts each event once: in [Server.stats], the
+   [Client] accessors or the journal. A group that joins, churns and
+   rejoins by ticket with observability on must leave no socket-layer
+   name in the metric registry, which belongs to the simulation. *)
+let test_no_socket_metrics () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ()) in
+  let port = Server.port srv in
+  let peers = List.init 4 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
+  Obs.with_enabled true (fun () ->
+      run_until loop (fun () -> List.for_all Client.is_member peers);
+      let c = Client.connect ~loop { (Client.config ~port) with seed = 40 } in
+      run_until loop (fun () -> Client.is_member c);
+      let target = Server.epoch srv in
+      Client.leave c;
+      run_until loop (fun () -> Server.epoch srv > target);
+      let victim = List.hd peers in
+      run_until loop (fun () -> Client.has_ticket victim);
+      kill_and_rejoin loop srv victim);
+  Journal.clear Journal.default;
+  Alcotest.(check bool) "a ticket rejoin ran" true ((Server.stats srv).Server.rejoins_0rtt >= 1);
+  let socket =
+    List.filter
+      (fun n ->
+        List.exists (fun prefix -> String.starts_with ~prefix n) [ "netd."; "wire."; "rejoin."; "record." ])
+      (Metrics.names Metrics.default)
+  in
+  Alcotest.(check (list string)) "no socket-layer metric registered" [] socket;
+  List.iter Client.kill peers;
+  Server.stop srv;
+  Loop.close loop
+
 (* The per-node tables are pruned: node ids are never reused, so
    without pruning they would keep a row for every node ever rekeyed.
    500 churn intervals at ~16 members must leave them within a
@@ -1889,7 +1922,11 @@ let test_node_rows_bounded () =
           Alcotest.(check bool) "delta rejoin" true
             (List.assoc_opt "delta" e.Journal.fields = Some (Journal.Bool true));
           Alcotest.(check bool) "only the leaf key sent" true
-            (List.assoc_opt "keys" e.Journal.fields = Some (Journal.Int 1))
+            (List.assoc_opt "keys" e.Journal.fields = Some (Journal.Int 1));
+          Alcotest.(check bool) "ticket_age present" true
+            (match List.assoc_opt "ticket_age" e.Journal.fields with
+            | Some (Journal.Int age) -> age >= 0
+            | _ -> false)
       | l -> Alcotest.failf "expected one netd.rejoin record, got %d" (List.length l)
     end;
     prev := rows
@@ -1917,6 +1954,7 @@ let () =
           Alcotest.test_case "0-RTT ticket rejoin, zero full RESYNCs" `Quick test_rejoin_0rtt;
           Alcotest.test_case "evicted ticket locked out" `Quick test_eviction_lockout;
           Alcotest.test_case "composed org served on v2" `Quick test_composed_served;
+          Alcotest.test_case "no socket metric registered" `Quick test_no_socket_metrics;
         ] );
       ( "storm",
         [
