@@ -190,15 +190,18 @@ let loss_cmd =
             Gkm.Sim_driver.run_loss ~degree ~seed ~trials ~n ~l ~alpha ~ph ~pl ~organization
               ~transport ()
           in
-          if csv then Printf.printf "%s,%s,%.1f\n" name analytic_csv r.mean_keys_sent
-          else Printf.printf "%-18s %s %12.1f\n" name analytic_col r.mean_keys_sent
+          if csv then Printf.printf "%s,%s,%.1f\n" name analytic_csv r.mean_bandwidth
+          else Printf.printf "%-18s %s %12.1f\n" name analytic_col r.mean_bandwidth
         end
         else if csv then Printf.printf "%s,%s\n" name analytic_csv
         else Printf.printf "%-18s %s\n" name analytic_col)
       orgs
   in
   let sim_arg =
-    Arg.(value & flag & info [ "simulate" ] ~doc:"Also run the delivery simulation.")
+    Arg.(
+      value & flag
+      & info [ "simulate" ]
+          ~doc:"Also run the delivery simulation: key slots multicast, FEC parity included.")
   in
   let trials_arg = Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Simulation trials.") in
   let transport_arg =
@@ -619,29 +622,6 @@ let parse_transport s =
       (Gkm_netd.Mcast.group_of_string (String.sub s 4 (String.length s - 4)))
   else Error (Printf.sprintf "%S: expected tcp or udp[:ADDR:PORT]" s)
 
-(* "P" (Bernoulli) or "bursty:P:B" (Gilbert-Elliott tuned to mean loss
-   P with burstiness B); "" or "0" = no loss model. *)
-let parse_udp_loss s =
-  if s = "" then Ok None
-  else
-    match String.split_on_char ':' s with
-    | [ p ] -> (
-        match float_of_string_opt p with
-        | Some 0.0 -> Ok None
-        | Some p -> (
-            match Gkm_net.Loss_model.bernoulli p with
-            | m -> Ok (Some m)
-            | exception Invalid_argument e -> Error e)
-        | None -> Error (Printf.sprintf "%S: expected a probability or bursty:P:B" s))
-    | [ "bursty"; p; b ] -> (
-        match (float_of_string_opt p, float_of_string_opt b) with
-        | Some mean_loss, Some burstiness -> (
-            match Gkm_net.Loss_model.bursty ~mean_loss ~burstiness with
-            | m -> Ok (Some m)
-            | exception Invalid_argument e -> Error e)
-        | _ -> Error (Printf.sprintf "%S: bad bursty:P:B numbers" s))
-    | _ -> Error (Printf.sprintf "%S: expected a probability or bursty:P:B" s)
-
 (* Shared by serve and join: the parsed --transport group (None = pure
    TCP); a malformed selector is a usage error. *)
 let transport_term =
@@ -660,20 +640,9 @@ let serve_cmd =
   let module Loop = Gkm_netd.Loop in
   let module Server = Gkm_netd.Server in
   let run host port org_sel tp capacity soft hard retx grace resync_budget strikes max_clients
-      degree k ticket_horizon ticket_rewrap domains group udp_loss udp_reorder udp_dup
-      intervals duration journal_file port_file stats_file seed =
-    let transport =
-      match group with
-      | None ->
-          if udp_loss <> "" || udp_reorder > 0.0 || udp_dup > 0.0 then
-            usage_error "--udp-loss/--udp-reorder/--udp-dup apply to --transport udp only";
-          Server.Tcp
-      | Some group -> (
-          let loss = or_usage_error ~flag:"--udp-loss" (parse_udp_loss udp_loss) in
-          match Gkm_net.Netem.cfg ?loss ~reorder:udp_reorder ~dup:udp_dup () with
-          | fault -> Server.udp ~fault group
-          | exception Invalid_argument e -> usage_error e)
-    in
+      degree k ticket_horizon ticket_rewrap domains group intervals duration journal_file
+      port_file stats_file seed =
+    let transport = match group with None -> Server.Tcp | Some group -> Server.udp group in
     let spec = org_spec ~degree ~k ~seed org_sel in
     let oc =
       match journal_file with
@@ -913,31 +882,6 @@ let serve_cmd =
       & info [ "stats-file" ] ~docv:"FILE"
           ~doc:"Write the final server statistics to $(docv) as one JSON object on exit.")
   in
-  let udp_loss_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "udp-loss" ] ~docv:"P"
-          ~doc:
-            "Inject datagram loss on the multicast send path: a probability for Bernoulli \
-             loss, or $(b,bursty:P:B) for a Gilbert-Elliott model with mean loss P and \
-             burstiness B. Requires $(b,--transport udp).")
-  in
-  let udp_reorder_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "udp-reorder" ] ~docv:"P"
-          ~doc:
-            "Probability a multicast datagram is held back until the next survivor \
-             (one-slot reorder). Requires $(b,--transport udp).")
-  in
-  let udp_dup_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "udp-dup" ] ~docv:"P"
-          ~doc:
-            "Probability a multicast datagram is sent twice. Requires \
-             $(b,--transport udp).")
-  in
   Cmd.v
     (Cmd.info "serve" ~exits:common_exits
        ~doc:
@@ -951,8 +895,7 @@ let serve_cmd =
       $ tp_arg ~default:1.0 ()
       $ capacity_arg $ soft_arg $ hard_arg $ retx_arg $ grace_arg $ resync_budget_arg
       $ strikes_arg $ max_clients_arg $ degree_arg $ k_arg $ ticket_horizon_arg
-      $ ticket_rewrap_arg $ domains_arg $ transport_term $ udp_loss_arg $ udp_reorder_arg
-      $ udp_dup_arg $ intervals_arg
+      $ ticket_rewrap_arg $ domains_arg $ transport_term $ intervals_arg
       $ duration_arg "Stop after $(docv) seconds."
       $ journal_arg "Enable observability and stream the JSONL event journal to $(docv)."
       $ port_file_arg $ stats_file_arg $ seed_arg)

@@ -71,13 +71,7 @@ let spawn_server (s : server) ~group ~port_file ~stats_file =
   let transport_args =
     match (s.transport, group) with
     | Tcp, _ | _, None -> []
-    | Udp u, Some g ->
-        [
-          "--transport"; "udp:" ^ Mcast.group_to_string g;
-          "--udp-loss"; Printf.sprintf "%g" u.loss;
-          "--udp-reorder"; Printf.sprintf "%g" u.reorder;
-          "--udp-dup"; Printf.sprintf "%g" u.dup;
-        ]
+    | Udp _, Some g -> [ "--transport"; "udp:" ^ Mcast.group_to_string g ]
   in
   let args =
     Array.of_list
@@ -212,8 +206,14 @@ let run_case ?(scratch = ".") (s : server) =
     | Some port ->
         let loop = Loop.create () in
         let timeout = 20.0 in
+        let mcast_fault =
+          match s.transport with
+          | Tcp -> None
+          | Udp u ->
+              Some (Netem.cfg ~loss:(Loss_model.bernoulli u.loss) ~reorder:u.reorder ~dup:u.dup ())
+        in
         let joiners =
-          Cohort.spawn_clients ~loop ~port ~n:6 ?mcast:group ~seed:(s.seed + 100) ()
+          Cohort.spawn_clients ~loop ~port ~n:6 ?mcast:group ?mcast_fault ~seed:(s.seed + 100) ()
         in
         let lossy =
           match group with
@@ -292,10 +292,10 @@ let sweep ?scratch ?(domains_list = [ 1; 2; 4 ]) ?(orgs = [ "tt"; "composed" ]) 
       orgs
   in
   (* The udp lane re-runs the first org's domains matrix over the
-     multicast data plane with 1% Bernoulli loss plus reordering and
-     duplication injected on the live socket path. Each case probes
-     multicast availability itself and reports a visible skip verdict
-     where the kernel refuses the group join. *)
+     multicast data plane, each joiner's receive path losing 1% of the
+     datagrams (Bernoulli), reordering and duplicating them. Each case
+     probes multicast availability itself and reports a visible skip
+     verdict where the kernel refuses the group join. *)
   let udp_cases =
     match orgs with
     | [] -> []

@@ -13,8 +13,9 @@ type transport =
   | Tcp
   | Udp of { loss : float; reorder : float; dup : float }
       (** spawn with [--transport udp:ADDR:PORT] on a per-case
-          ephemeral group and the given [--udp-loss] (Bernoulli),
-          [--udp-reorder] and [--udp-dup] send-path fault rates *)
+          ephemeral group; each joiner's receive path loses
+          (Bernoulli [loss]), reorders and duplicates datagrams at the
+          given rates through its [mcast_fault] shim *)
 
 type server = {
   exe : string;  (** the gkm binary (usually [Sys.executable_name]) *)
@@ -52,10 +53,10 @@ val sweep :
   case_result list
 (** The acceptance matrix: default [orgs = ["tt"; "composed"]] crossed
     with [domains_list = [1; 2; 4]] over tcp, then the first org's
-    domains matrix again over the udp multicast data plane with 1%
-    Bernoulli loss, reordering and duplication injected on the live
-    socket send path. Udp cases probe multicast availability and
-    degrade to a visible ["udp-skip"] verdict (still [ok]) where the
-    kernel refuses group joins. *)
+    domains matrix again over the udp multicast data plane, with 1%
+    Bernoulli loss, reordering and duplication injected on each
+    joiner's datagram receive path. Udp cases probe multicast
+    availability and degrade to a visible ["udp-skip"] verdict (still
+    [ok]) where the kernel refuses group joins. *)
 
 val pp_case : Format.formatter -> case_result -> unit

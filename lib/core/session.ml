@@ -409,10 +409,6 @@ let resync_pass st ~now =
                          ("latency_s", Journal.Float latency);
                        ]
                    end
-               | Resync.Ticket_synced _ ->
-                   (* [request] never takes the ticket fast path; only
-                      [request_with_ticket] produces this outcome. *)
-                   assert false
              end)
 
 (* One rekey interval. Instrumentation (spans, journal, metrics) is

@@ -16,7 +16,6 @@ type config = {
   drop : Loss_model.t option;  (** simulated loss applied to REKEY frames only *)
   seed : int;
   max_frame : int;
-  max_assemblies : int;  (** incomplete rekeys buffered before giving up to RESYNC *)
   resume : bytes option;  (** exported resumption blob to rejoin from *)
   mcast : Mcast.group option;  (** subscribe to the UDP data plane *)
   mcast_fault : Gkm_net.Netem.cfg;
@@ -32,7 +31,6 @@ let config ~port =
     drop = None;
     seed = 0;
     max_frame = Frame.max_frame_default;
-    max_assemblies = 4;
     resume = None;
     mcast = None;
     mcast_fault = Gkm_net.Netem.none;
@@ -105,6 +103,9 @@ type t = {
 (* Sealed frames buffered for a future generation before we give up
    and resync: a bound on blind catch-up memory, not a tuning knob. *)
 let max_pending_sealed = 1024
+
+(* Incomplete rekeys buffered before giving up to RESYNC. *)
+let max_assemblies = 4
 
 (* Consecutive stale/forged-looking auth failures before concluding
    our generation is wrong and falling back to RESYNC. *)
@@ -454,7 +455,7 @@ and handle_rekey t (r : Msg.rekey) ~retx =
       a.a_packets.(r.seq) <- Some r.packet;
     let dek = pump t in
     nack_head_gaps t;
-    if List.length t.assemblies > t.cfg.max_assemblies then request_resync t
+    if List.length t.assemblies > max_assemblies then request_resync t
     else sync_sink t dek
   end
 

@@ -37,8 +37,6 @@ type config = {
       (** simulated receive loss, applied to REKEY frames only *)
   seed : int;  (** PRNG seed for the drop model *)
   max_frame : int;
-  max_assemblies : int;
-      (** incomplete rekeys buffered before giving up to RESYNC *)
   resume : bytes option;
       (** a blob from {!export_resumption}: start as that member and
           rejoin by ticket instead of joining fresh *)

@@ -1,8 +1,8 @@
 (** Single-threaded epoll(7) event loop. Linux-only.
 
     One loop drives any number of registered descriptors (the netd
-    server, its accepted connections, and — in the load generator and
-    the end-to-end tests — every in-process client as well) plus a
+    server, its accepted connections, and — in the end-to-end tests
+    and the benchmark — every in-process client as well) plus a
     one-shot timer queue. Each descriptor is registered with the
     kernel once; a {!step} waits only for ready descriptors and costs
     nothing per idle one, so a thousand quiet members cost a step no

@@ -1,5 +1,3 @@
-module Netem = Gkm_net.Netem
-
 external mcast_join : Unix.file_descr -> string -> string -> string = "gkm_netd_mcast_join"
 
 external mcast_sender_opts : Unix.file_descr -> string -> int -> bool -> string
@@ -43,63 +41,33 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 (* ------------------------------------------------------------------ *)
 (* Send path *)
 
-type sender = {
-  s_fd : Unix.file_descr;
-  s_dest : Unix.sockaddr;
-  s_shim : bytes Netem.t option;
-  mutable s_datagrams : int;
-  mutable s_bytes : int;
-  mutable s_closed : bool;
-}
+type sender = { s_fd : Unix.file_descr; s_dest : Unix.sockaddr; mutable s_closed : bool }
 
-let create_sender ?fault ?(fault_seed = 1) group =
+let create_sender group =
   match Unix.socket PF_INET SOCK_DGRAM 0 with
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "socket: %s" (Unix.error_message e))
   | fd -> (
       match mcast_sender_opts fd group.iface group.ttl group.loopback with
       | "" ->
-          let shim =
-            match fault with
-            | Some c when not (Netem.is_none c) -> Some (Netem.create ~seed:fault_seed c)
-            | _ -> None
-          in
           Ok
             {
               s_fd = fd;
-              s_dest =
-                Unix.ADDR_INET (Unix.inet_addr_of_string group.addr, group.port);
-              s_shim = shim;
-              s_datagrams = 0;
-              s_bytes = 0;
+              s_dest = Unix.ADDR_INET (Unix.inet_addr_of_string group.addr, group.port);
               s_closed = false;
             }
       | err ->
           close_quietly fd;
           Error (Printf.sprintf "multicast sender options: %s" err))
 
-let put_on_wire t d =
-  if not t.s_closed then begin
-    (match Unix.sendto t.s_fd d 0 (Bytes.length d) [] t.s_dest with
-    | _ -> ()
-    | exception Unix.Unix_error (_, _, _) -> ());
-    t.s_datagrams <- t.s_datagrams + 1;
-    t.s_bytes <- t.s_bytes + Bytes.length d
-  end
-
 let send t d =
-  match t.s_shim with
-  | None -> put_on_wire t d
-  | Some shim -> List.iter (put_on_wire t) (Netem.push shim d)
-
-let sender_datagrams t = t.s_datagrams
-let sender_bytes t = t.s_bytes
+  if not t.s_closed then
+    match Unix.sendto t.s_fd d 0 (Bytes.length d) [] t.s_dest with
+    | _ -> ()
+    | exception Unix.Unix_error (_, _, _) -> ()
 
 let close_sender t =
   if not t.s_closed then begin
-    (match t.s_shim with
-    | Some shim -> List.iter (put_on_wire t) (Netem.flush shim)
-    | None -> ());
     t.s_closed <- true;
     close_quietly t.s_fd
   end

@@ -7,10 +7,9 @@
     channel — this module is transport only, with no knowledge of the
     datagram contents.
 
-    The send path carries an optional {!Gkm_net.Netem} fault shim, so
-    loss, reordering and duplication are injected on the {e real}
-    socket path (every surviving copy is a genuine [sendto]) rather
-    than simulated above it.
+    The send path injects no faults: datagram loss, reordering and
+    duplication are a receiver's business, where the loss model puts
+    them (each client's [Client.config.mcast_fault] shim).
 
     Group joins are refused by some kernels and containers; callers
     must treat {!subscribe} failure as "UDP unavailable here" and
@@ -44,24 +43,14 @@ val ephemeral_group : seed:int -> group
 
 type sender
 
-val create_sender :
-  ?fault:Gkm_net.Netem.cfg -> ?fault_seed:int -> group -> (sender, string) result
+val create_sender : group -> (sender, string) result
 
 val send : sender -> bytes -> unit
-(** Push one datagram through the fault shim and [sendto] every
-    surviving copy. Transient socket errors are swallowed — datagram
-    delivery is best-effort by construction and the NACK path owns
-    recovery. *)
-
-val sender_datagrams : sender -> int
-(** Datagrams actually passed to [sendto] (after drops, including
-    duplicated copies). *)
-
-val sender_bytes : sender -> int
-(** Payload bytes actually passed to [sendto]. *)
+(** [sendto] one datagram to the group. Transient socket errors are
+    swallowed — datagram delivery is best-effort by construction and
+    the NACK path owns recovery. *)
 
 val close_sender : sender -> unit
-(** Releases any datagram the shim still holds, then closes. *)
 
 (** {1 Receive path} *)
 

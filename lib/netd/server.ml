@@ -10,10 +10,9 @@ module Obs = Gkm_obs.Obs
 
 type transport =
   | Tcp
-  | Udp of { group : Mcast.group; fault : Gkm_net.Netem.cfg; max_dgram : int }
+  | Udp of { group : Mcast.group; max_dgram : int }
 
-let udp ?(fault = Gkm_net.Netem.none) ?(max_dgram = 60000) group =
-  Udp { group; fault; max_dgram }
+let udp ?(max_dgram = 60000) group = Udp { group; max_dgram }
 
 type config = {
   host : string;
@@ -765,15 +764,10 @@ let accept_loop t () =
     | exception Unix.Unix_error ((ECONNABORTED | EMFILE | ENFILE), _, _) -> continue := false
   done
 
-(* Put [d] on the group and count the bytes that actually left
-   (after any injected drop, counting injected duplicates); returns
-   the datagrams and bytes sent. *)
+(* Put [d] on the group and count its bytes. *)
 let mcast_send t sender d =
-  let before_d = Mcast.sender_datagrams sender and before_b = Mcast.sender_bytes sender in
   Mcast.send sender d;
-  let sent_b = Mcast.sender_bytes sender - before_b in
-  t.stats.mcast_bytes <- t.stats.mcast_bytes + sent_b;
-  (Mcast.sender_datagrams sender - before_d, sent_b)
+  t.stats.mcast_bytes <- t.stats.mcast_bytes + Bytes.length d
 
 (* One rekey interval: advance the organization, admit pending joins
    with their key paths, resync members whose placement moved, and fan
@@ -802,16 +796,15 @@ let heartbeat t =
       t.quiet_ticks <- t.quiet_ticks + 1;
       let q = t.quiet_ticks in
       if q land (q - 1) = 0 then begin
-        let sent_d, sent_b = mcast_send t sender d in
-        t.stats.mcast_heartbeats <- t.stats.mcast_heartbeats + sent_d;
-        if sent_d > 0 then
-          journal "netd.mcast"
-            [
-              ("rekey_no", Int t.rekey_no);
-              ("heartbeat", Bool true);
-              ("quiet_ticks", Int q);
-              ("bytes", Int sent_b);
-            ]
+        mcast_send t sender d;
+        t.stats.mcast_heartbeats <- t.stats.mcast_heartbeats + 1;
+        journal "netd.mcast"
+          [
+            ("rekey_no", Int t.rekey_no);
+            ("heartbeat", Bool true);
+            ("quiet_ticks", Int q);
+            ("bytes", Int (Bytes.length d));
+          ]
       end
   | _ -> ()
 
@@ -1179,16 +1172,15 @@ let tick t =
                     && Gkm_wire.Dgram.encoded_size records <= max_dgram
                   then begin
                     let dgram = Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = lbl; records } in
-                    let sent_d, sent_b = mcast_send t sender dgram in
+                    mcast_send t sender dgram;
                     t.last_dgram <- Some dgram;
-                    t.stats.mcast_datagrams <- t.stats.mcast_datagrams + sent_d;
+                    t.stats.mcast_datagrams <- t.stats.mcast_datagrams + 1;
                     journal "netd.mcast"
                       [
                         ("rekey_no", Int t.rekey_no);
                         ("epoch", Int lbl);
                         ("records", Int total);
-                        ("datagrams", Int sent_d);
-                        ("bytes", Int sent_b);
+                        ("bytes", Int (Bytes.length dgram));
                         ("fallback", Bool false);
                       ];
                     true
@@ -1344,10 +1336,7 @@ let create ~loop (cfg : config) =
         match cfg.transport with
         | Tcp -> None
         | Udp u -> (
-            match
-              Mcast.create_sender ~fault:u.fault ~fault_seed:(cfg.ticket_seed lxor 0x6D63)
-                u.group
-            with
+            match Mcast.create_sender u.group with
             | Ok s -> Some s
             | Error e -> invalid_arg ("Netd.Server: udp transport: " ^ e))
       in

@@ -44,10 +44,10 @@
     path would have delivered — while TCP remains the unicast control
     channel (HELLO/JOIN/NACK/RESYNC/REJOIN/tickets). A generation too
     large for one
-    datagram falls back to TCP unicast for that interval. The send
-    path takes an injectable {!Gkm_net.Netem} fault configuration, so
-    loss/reorder/duplication hit the live socket (DESIGN.md
-    Section 17).
+    datagram falls back to TCP unicast for that interval. The server
+    injects no faults: datagram loss, reordering and duplication are
+    applied per receiver, by each client's [mcast_fault] shim
+    (DESIGN.md Section 17).
 
     Threading: one domain, the one that runs the server's {!Loop},
     owns every connection and runs all organization and protocol
@@ -57,13 +57,11 @@
 
 type transport =
   | Tcp  (** rekeys unicast over every member connection (default) *)
-  | Udp of { group : Mcast.group; fault : Gkm_net.Netem.cfg; max_dgram : int }
-      (** sealed rekey generations multicast to [group]; [fault] is
-          applied to outgoing datagrams ({!Gkm_net.Netem.none} for a
-          clean lane); generations over [max_dgram] bytes fall back
-          to TCP unicast *)
+  | Udp of { group : Mcast.group; max_dgram : int }
+      (** sealed rekey generations multicast to [group]; generations
+          over [max_dgram] bytes fall back to TCP unicast *)
 
-val udp : ?fault:Gkm_net.Netem.cfg -> ?max_dgram:int -> Mcast.group -> transport
+val udp : ?max_dgram:int -> Mcast.group -> transport
 (** [max_dgram] defaults to 60000 — inside the 64 KiB UDP payload
     ceiling with headroom. *)
 
@@ -149,9 +147,9 @@ type stats = {
   mutable rejoins_full : int;  (** REJOINs answered with the full path *)
   mutable ticket_rejects : int;  (** REJOINs refused (bad/expired/evicted) *)
   mutable mcast_datagrams : int;
-      (** datagrams actually put on the multicast socket (after any
-          injected drop, counting injected duplicates) *)
-  mutable mcast_bytes : int;  (** payload bytes of those datagrams *)
+      (** rekey generations multicast, one datagram each *)
+  mutable mcast_bytes : int;
+      (** payload bytes multicast: those datagrams and the heartbeats *)
   mutable mcast_fallback_unicast : int;
       (** rekey generations that exceeded [max_dgram] and were
           delivered over TCP unicast instead *)

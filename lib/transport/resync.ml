@@ -13,7 +13,6 @@ let default = { max_attempts = 8; rtt = 2.0; base_delay = 1.0; max_delay = 60.0;
 type outcome =
   | Synced of { attempts : int; latency : float }
   | Gave_up of { attempts : int; latency : float }
-  | Ticket_synced of { latency : float }
 
 let request ?(config = default) ~rng ~loss_at () =
   if config.max_attempts < 1 then invalid_arg "Resync.request: need at least one attempt";
@@ -41,24 +40,3 @@ let request ?(config = default) ~rng ~loss_at () =
     end
   in
   attempt 1 0.0
-
-let request_with_ticket ?(config = default) ~rng ~loss_at ~ticket_valid () =
-  if not ticket_valid then request ~config ~rng ~loss_at ()
-  else begin
-    if config.rtt <= 0.0 then invalid_arg "Resync.request_with_ticket: non-positive rtt";
-    (* One REJOIN(ticket) round trip: request and sealed REJOIN_ACK
-       each cross the lossy path once. Same two-draw discipline as one
-       [request] attempt so ticket and non-ticket paths consume the
-       stream identically per exchange. *)
-    let p = Float.max 0.0 (Float.min 1.0 (loss_at 0.0)) in
-    let req_lost = Prng.bernoulli rng p in
-    let rsp_lost = Prng.bernoulli rng p in
-    if (not req_lost) && not rsp_lost then Ticket_synced { latency = config.rtt }
-    else
-      (* The ticket flight failed; fall back to the bounded-retry
-         handshake, its clock starting after the lost round trip. *)
-      match request ~config ~rng ~loss_at:(fun t -> loss_at (t +. config.rtt)) () with
-      | Synced { attempts; latency } -> Synced { attempts; latency = latency +. config.rtt }
-      | Gave_up { attempts; latency } -> Gave_up { attempts; latency = latency +. config.rtt }
-      | Ticket_synced _ -> assert false
-  end

@@ -34,10 +34,6 @@ type outcome =
   | Gave_up of { attempts : int; latency : float }
       (** [latency] is the virtual time from first request to the
           final response (or final timeout). *)
-  | Ticket_synced of { latency : float }
-      (** Recovered via the 0-RTT resumption-ticket fast path: one
-          REJOIN round trip, no retry ladder. Only produced by
-          {!request_with_ticket}. *)
 
 val request :
   ?config:config ->
@@ -48,19 +44,3 @@ val request :
 (** Run one resync exchange to completion in virtual time.
     @raise Invalid_argument on a non-positive attempt budget or rtt,
     a negative delay, or jitter outside [0, 1). *)
-
-val request_with_ticket :
-  ?config:config ->
-  rng:Gkm_crypto.Prng.t ->
-  loss_at:(float -> float) ->
-  ticket_valid:bool ->
-  unit ->
-  outcome
-(** {!request} preceded by the resumption-ticket fast path: when
-    [ticket_valid] (the member holds a ticket within the server's
-    rewrap horizon), a single REJOIN round trip is attempted first and
-    succeeds as [Ticket_synced] in [config.rtt] — the wire path's
-    0-RTT rejoin in the virtual-time model. If the flight is lost, the
-    exchange degrades to the bounded-retry handshake with the elapsed
-    round trip on the clock. With an invalid ticket this is exactly
-    [request] (bit-identical PRNG stream). *)

@@ -7,11 +7,6 @@ let magic = 0x474B (* "GK" *)
 let header_size = 8
 let max_frame_default = 1 lsl 20
 
-let org_names =
-  [ (0, "one-keytree"); (1, "qt"); (2, "tt"); (3, "pt"); (4, "loss"); (5, "random"); (6, "composed") ]
-
-let org_name id = match List.assoc_opt id org_names with Some n -> n | None -> Printf.sprintf "org-%d" id
-
 let resync_auth ~key ~member ~epoch =
   let buf = Buffer.create 32 in
   Buffer.add_string buf Labels.resync;

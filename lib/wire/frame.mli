@@ -53,12 +53,6 @@ val buffered : decoder -> int
 
 (** {1 Protocol helpers} *)
 
-val org_names : (int * string) list
-(** Organization family ids carried in [Rekey.org]:
-    0 one-keytree, 1 qt, 2 tt, 3 pt, 4 loss, 5 random, 6 composed. *)
-
-val org_name : int -> string
-
 val resync_auth : key:Gkm_crypto.Key.t -> member:int -> epoch:int -> bytes
 (** The [Resync_req.auth] tag: HMAC-SHA-256 under the member's
     individual key over ["gkm-resync-v1"], the member id and the

@@ -34,7 +34,9 @@ type cls = [ `Short | `Long ]
 
 type rekey = {
   rekey_no : int;  (** dense rekey sequence number, no holes *)
-  org : int;  (** organization family id ({!Frame.org_id}) *)
+  org : int;
+      (** organization family id: 0 one-keytree, 1 qt, 2 tt, 3 pt,
+          4 loss, 5 random, 6 composed *)
   epoch : int;  (** key-tree epoch of the rekey message *)
   root : int;  (** node id carrying the group DEK *)
   seq : int;  (** packet index within this rekey, [0 .. total-1] *)

@@ -152,7 +152,7 @@ let test_resync_lossless () =
   | Resync.Synced { attempts; latency } ->
       Alcotest.(check int) "one attempt" 1 attempts;
       Alcotest.(check (float 1e-9)) "latency is one rtt" Resync.default.rtt latency
-  | Gave_up _ | Ticket_synced _ -> Alcotest.fail "gave up on a lossless path"
+  | Gave_up _ -> Alcotest.fail "gave up on a lossless path"
 
 let test_resync_gives_up () =
   match Resync.request ~rng:(Prng.create 2) ~loss_at:(fun _ -> 1.0) () with
@@ -160,7 +160,7 @@ let test_resync_gives_up () =
       Alcotest.(check int) "exhausts budget" Resync.default.max_attempts attempts;
       Alcotest.(check bool) "latency covers backoffs" true
         (latency > Resync.default.rtt *. float_of_int Resync.default.max_attempts)
-  | Synced _ | Ticket_synced _ -> Alcotest.fail "synced through total loss"
+  | Synced _ -> Alcotest.fail "synced through total loss"
 
 let test_resync_recovers_after_window () =
   (* Total loss for the first 5 virtual seconds, clean afterwards: the
@@ -172,7 +172,7 @@ let test_resync_recovers_after_window () =
   with
   | Resync.Synced { attempts; _ } ->
       Alcotest.(check bool) "took more than one attempt" true (attempts > 1)
-  | Gave_up _ | Ticket_synced _ -> Alcotest.fail "gave up after the window closed"
+  | Gave_up _ -> Alcotest.fail "gave up after the window closed"
 
 let test_resync_deterministic () =
   let run seed =
@@ -184,37 +184,6 @@ let test_resync_deterministic () =
   let outcomes = List.map run [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   Alcotest.(check bool) "seeds differentiate outcomes" true
     (List.exists (fun o -> o <> List.hd outcomes) outcomes)
-
-let test_resync_ticket_fast_path () =
-  (* Valid ticket on a clean path: one round trip, no retry ladder. *)
-  (match
-     Resync.request_with_ticket ~rng:(Prng.create 1) ~loss_at:(fun _ -> 0.0) ~ticket_valid:true
-       ()
-   with
-  | Resync.Ticket_synced { latency } ->
-      Alcotest.(check (float 1e-9)) "one rtt" Resync.default.rtt latency
-  | Synced _ | Gave_up _ -> Alcotest.fail "valid ticket did not take the fast path");
-  (* Invalid ticket is bit-identical to the plain handshake. *)
-  List.iter
-    (fun seed ->
-      let a =
-        Resync.request_with_ticket ~rng:(Prng.create seed) ~loss_at:(fun _ -> 0.7)
-          ~ticket_valid:false ()
-      in
-      let b = Resync.request ~rng:(Prng.create seed) ~loss_at:(fun _ -> 0.7) () in
-      Alcotest.(check bool) "invalid ticket degenerates to request" true (a = b))
-    [ 1; 2; 3; 4; 5 ];
-  (* Total loss: the lost ticket flight shows up on the clock of the
-     fallback handshake. *)
-  match
-    Resync.request_with_ticket ~rng:(Prng.create 2) ~loss_at:(fun _ -> 1.0) ~ticket_valid:true
-      ()
-  with
-  | Resync.Gave_up { latency; _ } ->
-      Alcotest.(check bool) "fallback pays the extra round trip" true
-        (latency
-        > Resync.default.rtt *. float_of_int (Resync.default.max_attempts + 1))
-  | Synced _ | Ticket_synced _ -> Alcotest.fail "synced through total loss"
 
 let test_resync_validates_config () =
   List.iter
@@ -267,7 +236,6 @@ let () =
           Alcotest.test_case "recovers after fault window" `Quick
             test_resync_recovers_after_window;
           Alcotest.test_case "deterministic" `Quick test_resync_deterministic;
-          Alcotest.test_case "ticket fast path" `Quick test_resync_ticket_fast_path;
           Alcotest.test_case "config validation" `Quick test_resync_validates_config;
         ]
         @ [ QCheck_alcotest.to_alcotest prop_resync_fixed_draws ] );

@@ -752,15 +752,43 @@ let lockstep_run ?group ~domains () =
        clients;
      let st = Server.stats srv in
      Alcotest.(check bool) "server multicast datagrams" true (st.Server.mcast_datagrams > 0);
-     Alcotest.(check int) "no unicast fallback" 0 st.Server.mcast_fallback_unicast
+     Alcotest.(check int) "no unicast fallback" 0 st.Server.mcast_fallback_unicast;
+     (* Each datagram is counted once: the stats agree with the
+        [netd.mcast] journal, which records every generation and
+        heartbeat datagram sent. *)
+     if Gkm_obs.Obs.enabled () then begin
+       let module Journal = Gkm_obs.Journal in
+       let mcast =
+         List.filter (fun e -> e.Journal.name = "netd.mcast") (Journal.events Journal.default)
+       in
+       let field k e = List.assoc_opt k e.Journal.fields in
+       let bytes =
+         List.fold_left
+           (fun a e -> match field "bytes" e with Some (Journal.Int b) -> a + b | _ -> a)
+           0 mcast
+       in
+       let generations =
+         List.filter
+           (fun e -> field "fallback" e = Some (Journal.Bool false) && field "heartbeat" e = None)
+           mcast
+       in
+       Alcotest.(check int) "mcast_bytes = journaled bytes" bytes st.Server.mcast_bytes;
+       Alcotest.(check int) "mcast_datagrams = journaled generations" (List.length generations)
+         st.Server.mcast_datagrams
+     end
    end);
-  (* No recovery traffic may have fired: any NACK or RESYNC means the
-     scenario was not the quiet lockstep the byte-compare assumes. *)
+  (* No recovery traffic may have fired: any NACK, RESYNC or soft skip
+     means the scenario was not the quiet lockstep the byte-compare
+     assumes. *)
   Array.iteri
     (fun i c ->
       Alcotest.(check int) (Printf.sprintf "member%d sent no NACK" i) 0 (Client.nacks_sent c);
       Alcotest.(check int) (Printf.sprintf "member%d never resynced" i) 0 (Client.resyncs c))
     clients;
+  let st = Server.stats srv in
+  Alcotest.(check int) "server: no NACK" 0 st.Server.nacks;
+  Alcotest.(check int) "server: no RESYNC" 0 st.Server.resyncs;
+  Alcotest.(check int) "server: no soft skip" 0 st.Server.soft_skips;
   Server.stop srv;
   (sealed, deks, Server.dek_trace srv, tx)
 
@@ -914,13 +942,19 @@ let require_mcast () = if not (Mcast.available ()) then Alcotest.skip ()
    over tcp and over udp (at domains 1 AND 4) delivers every member
    the byte-identical sealed records — same epoch labels, same record
    seqs, same ciphertexts — because both paths carry the one
-   generation sealed on the tick domain. *)
+   generation sealed on the tick domain. The domains-1 udp run has
+   observability on, so it also checks the datagram counts against
+   the journal. *)
 let test_udp_byte_identical () =
   require_mcast ();
+  let module Journal = Gkm_obs.Journal in
   let sealed_t, deks_t, sdek_t, _ = lockstep_run ~domains:1 () in
+  Journal.clear Journal.default;
   let sealed_u1, deks_u1, sdek_u1, _ =
-    lockstep_run ~group:(Mcast.ephemeral_group ~seed:0xA1) ~domains:1 ()
+    Gkm_obs.Obs.with_enabled true (fun () ->
+        lockstep_run ~group:(Mcast.ephemeral_group ~seed:0xA1) ~domains:1 ())
   in
+  Journal.clear Journal.default;
   let sealed_u4, deks_u4, sdek_u4, _ =
     lockstep_run ~group:(Mcast.ephemeral_group ~seed:0xA4) ~domains:4 ()
   in
@@ -1072,18 +1106,19 @@ let test_mcast_shared_recv_buffer () =
   Mcast.close_sender sender;
   List.iter Mcast.close_sub subs
 
-(* Injected datagram faults on the live socket path: Bernoulli loss on
-   the server's send shim plus a hostile receive shim on one client
-   (heavier loss, reordering, duplication). Every member must keep
-   converging on the server's exact DEK sequence — gaps recovered by
-   NACK over the TCP control channel, duplicates absorbed by the
-   replay window — with RESYNC fallbacks staying bounded. *)
+(* Injected datagram faults on each receiver: light Bernoulli loss,
+   reordering and duplication on every peer's receive shim plus a
+   hostile one on one client (heavier loss, reordering, duplication).
+   Every member must keep converging on the server's exact DEK
+   sequence — gaps recovered by NACK over the TCP control channel,
+   duplicates absorbed by the replay window — with RESYNC fallbacks
+   staying bounded. *)
 let test_udp_lossy_convergence () =
   require_mcast ();
   let group = Mcast.ephemeral_group ~seed:0xBEEF in
   let fault = Netem.cfg ~loss:(Loss_model.bernoulli 0.01) ~reorder:0.2 ~dup:0.2 () in
   let loop = Loop.create () in
-  let srv = Server.create ~loop (cfg ~tp:0.01 ~transport:(Server.udp ~fault group) ()) in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ~transport:(Server.udp group) ()) in
   let port = Server.port srv in
   let lossy =
     Client.connect ~loop
@@ -1096,7 +1131,8 @@ let test_udp_lossy_convergence () =
   in
   let peers =
     List.init 6 (fun i ->
-        Client.connect ~loop { (Client.config ~port) with seed = i; mcast = Some group })
+        Client.connect ~loop
+          { (Client.config ~port) with seed = i; mcast = Some group; mcast_fault = fault })
   in
   run_until loop (fun () -> List.for_all Client.is_member (lossy :: peers));
   for i = 0 to 29 do
