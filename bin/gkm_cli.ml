@@ -164,12 +164,19 @@ let loss_cmd =
     end;
     List.iter
       (fun (name, which) ->
+        (* The analytic column is the chosen transport's model: WKA-BKR
+           replication, or proactive FEC, which has no two-random form;
+           multi-send has none. *)
         let analytic =
-          match which with
-          | Some `One -> Some (Loss_homogenized.one_keytree c ~alpha)
-          | Some `Random -> Some (Loss_homogenized.two_random c ~alpha)
-          | Some `Homog -> Some (Loss_homogenized.loss_homogenized c ~alpha)
-          | None -> None
+          let fec = Proactive_fec.default in
+          match (transport, which) with
+          | Gkm.Sim_driver.Wka_bkr_transport, Some `One ->
+              Some (Loss_homogenized.one_keytree c ~alpha)
+          | Wka_bkr_transport, Some `Random -> Some (Loss_homogenized.two_random c ~alpha)
+          | Wka_bkr_transport, Some `Homog -> Some (Loss_homogenized.loss_homogenized c ~alpha)
+          | Fec_transport _, Some `One -> Some (Proactive_fec.one_keytree fec c ~alpha)
+          | Fec_transport _, Some `Homog -> Some (Proactive_fec.loss_homogenized fec c ~alpha)
+          | Fec_transport _, Some `Random | Multi_send_transport _, _ | _, None -> None
         in
         let analytic_csv = match analytic with Some a -> Printf.sprintf "%.1f" a | None -> "" in
         let analytic_col = match analytic with Some a -> Printf.sprintf "%14.1f" a | None -> Printf.sprintf "%14s" "-" in

@@ -19,10 +19,14 @@
     hosts shared with hostile code. *)
 
 type key
-(** An expanded AES-128 key schedule, packed: 44 32-bit words for
-    encryption and 44 for decryption (the InvMixColumns'd round keys of
-    the equivalent inverse cipher), ~0.7 KB in all. Both are computed
-    once by {!expand}. *)
+(** An expanded AES-128 key schedule. {!expand} computes only the 44
+    forward round-key words, packed in one 176-byte string (29 heap
+    words in all). The inverse schedule (the InvMixColumns'd round keys
+    of the equivalent inverse cipher, 45 more words) is built by the
+    first {!decrypt_block} under the key and kept from then on, so a
+    schedule that only encrypts ({!encrypt_block}, {!ctr_transform})
+    never holds it. A schedule may be shared between domains: the
+    inverse schedule is published atomically. *)
 
 val expand : bytes -> key
 (** [expand k] expands the 16-byte key [k].

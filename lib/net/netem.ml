@@ -22,6 +22,7 @@ type 'a t = {
   rng : Prng.t;
   lstate : Loss_model.state option;
   mutable held : 'a option;
+  mutable duplicates : int;
 }
 
 let create ~seed c =
@@ -30,6 +31,7 @@ let create ~seed c =
     rng = Prng.create seed;
     lstate = Option.map Loss_model.init_state c.loss;
     held = None;
+    duplicates = 0;
   }
 
 let push t p =
@@ -56,10 +58,18 @@ let push t p =
       []
     end
     else begin
-      let out = if t.c.dup > 0.0 && Prng.bernoulli t.rng t.c.dup then [ p; p ] else [ p ] in
+      let out =
+        if t.c.dup > 0.0 && Prng.bernoulli t.rng t.c.dup then begin
+          t.duplicates <- t.duplicates + 1;
+          [ p; p ]
+        end
+        else [ p ]
+      in
       out @ released
     end
   end
+
+let duplicates t = t.duplicates
 
 let flush t =
   match t.held with

@@ -43,6 +43,9 @@ val push : 'a t -> 'a -> 'a list
     [[p]] (or [[p; p]] on a duplication draw) possibly followed by a
     previously held packet — the pair is the visible reorder. *)
 
+val duplicates : 'a t -> int
+(** Packets {!push} has emitted twice so far. *)
+
 val flush : 'a t -> 'a list
 (** Release the held-back packet, if any (delivered late but in
     order). *)

@@ -127,6 +127,7 @@ let replays_dropped t = t.replays_dropped
 let auth_dropped t = t.auth_dropped
 let rekeys_completed t = t.rekeys_completed
 let mcast_datagrams_rx t = t.mcast_rx
+let mcast_duplicates t = Option.fold ~none:0 ~some:Gkm_net.Netem.duplicates t.mcast_shim
 let mcast_decode_errors t = t.mcast_bad
 let on_dek t f = t.on_dek <- f
 let on_sealed t f = t.on_sealed <- f
@@ -374,6 +375,14 @@ let note_future_frame t =
         send_nack t (t.last_rekey + 1) []
       end
 
+(* Simulated receive loss: a draw per REKEY (never a RETX) that
+   [handle_rekey] would act on. *)
+let drops t (msg : Msg.t) =
+  match (msg, t.cfg.drop, t.drop_state) with
+  | Msg.Rekey r, Some model, Some state when t.phase = Member && r.rekey_no > t.last_rekey ->
+      Loss_model.drop model state t.rng
+  | _ -> false
+
 (* Keep the record sink on the generation of our current DEK, as
    {!note_dek} returned it: relabel in place while the DEK survives
    (preserving the replay window), rotate — derive, erase the old key,
@@ -411,12 +420,21 @@ and handle_sealed t ~epoch ~seq ~ct =
          with no successful opens means our generation itself is wrong
          (we resynced into a state the server's seal hasn't reached),
          so fall back to RESYNC rather than drop forever. *)
-      match Record.Sink.open_ sink ~seq ct with
+      match Record.Sink.peek sink ~seq ct with
       | Ok inner -> (
           t.auth_streak <- 0;
           match Msg.decode_inner inner with
-          | Ok m -> handle_inner t m
-          | Error e -> t.last_error <- Some ("bad sealed payload: " ^ e))
+          | Ok m ->
+              (* The simulated loss is drawn before the window marks
+                 the seq, so a later copy of a dropped record (the
+                 quiet-tick heartbeat) opens instead of counting as a
+                 replay. *)
+              let dropped = drops t m in
+              if not dropped then Record.Sink.accept sink ~seq;
+              handle_inner t m ~dropped
+          | Error e ->
+              Record.Sink.accept sink ~seq;
+              t.last_error <- Some ("bad sealed payload: " ^ e))
       | Error `Replay -> t.replays_dropped <- t.replays_dropped + 1
       | Error `Auth ->
           if epoch > Record.Epoch.label (Record.Sink.epoch sink) then begin
@@ -433,21 +451,13 @@ and handle_sealed t ~epoch ~seq ~ct =
             end
           end)
 
-and handle_inner t (msg : Msg.t) =
+and handle_inner t (msg : Msg.t) ~dropped =
   match msg with
-  | Msg.Rekey r -> handle_rekey t r ~retx:false
-  | Msg.Retx r -> handle_rekey t r ~retx:true
+  | Msg.Rekey r | Msg.Retx r -> handle_rekey t r ~dropped
   | _ -> t.last_error <- Some "unexpected sealed message"
 
-and handle_rekey t (r : Msg.rekey) ~retx =
+and handle_rekey t (r : Msg.rekey) ~dropped =
   if t.phase = Member && r.rekey_no > t.last_rekey then begin
-    let dropped =
-      (not retx)
-      &&
-      match (t.cfg.drop, t.drop_state) with
-      | Some model, Some state -> Loss_model.drop model state t.rng
-      | _ -> false
-    in
     let a = ensure_assembly t ~rekey_no:r.rekey_no ~epoch:r.epoch ~root:r.root ~total:r.total in
     let a = refresh_assembly t a ~epoch:r.epoch ~root:r.root ~total:r.total in
     if dropped then t.frames_dropped <- t.frames_dropped + 1

@@ -15,7 +15,9 @@
     frames (never on retransmissions), so the recovery machinery is
     genuinely exercised over loopback TCP. The simulated drop applies
     to the {e inner} REKEY after the record layer opens the sealed
-    frame.
+    frame and before its replay window marks the record, so a later
+    copy of a dropped record (the UDP quiet-tick heartbeat) opens as
+    if it were the first.
 
     Rekeys arrive as epoch-sealed records
     ({!Gkm_record.Record}); the client keeps a replay-protected sink
@@ -140,11 +142,15 @@ val replays_dropped : t -> int
 
 val auth_dropped : t -> int
 (** Sealed frames (and rejoin acks) whose authentication failed and
-    that were not merely ahead of our generation. *)
+    that were not merely ahead of our generation, and datagram records
+    labelled behind it (stale copies, never opened). *)
 
 val mcast_datagrams_rx : t -> int
 (** Multicast datagrams received and decoded off the group socket
     (after the receive-side fault shim, if any). *)
+
+val mcast_duplicates : t -> int
+(** Datagrams the receive-side fault shim ([mcast_fault]) duplicated. *)
 
 val mcast_decode_errors : t -> int
 (** Datagrams that failed {!Gkm_wire.Dgram.decode} — stray traffic on

@@ -166,20 +166,22 @@ module Sink = struct
      and a window consulted pre-auth would swallow a future
      generation's low seqs as replays. The extra MAC on a true replay
      is the price of that distinction. *)
-  let open_ t ~seq sealed =
+  let peek t ~seq sealed =
     match Epoch.key t.epoch with
     | None -> Error `Auth
     | Some key -> (
         match Aead.open_ key ~nonce:(nonce_of_seq seq) ~ad:(ad_of_seq seq) sealed with
         | Error _ -> Error `Auth
         | Ok pt ->
-            let w = window_of t seq in
-            let off = Int64.logand seq Int64.max_int in
-            if not (admissible w off) then Error `Replay
-            else begin
-              mark w off;
-              Ok pt
-            end)
+            if admissible (window_of t seq) (Int64.logand seq Int64.max_int) then Ok pt
+            else Error `Replay)
+
+  let accept t ~seq = mark (window_of t seq) (Int64.logand seq Int64.max_int)
+
+  let open_ t ~seq sealed =
+    let r = peek t ~seq sealed in
+    if Result.is_ok r then accept t ~seq;
+    r
 end
 
 module Ticket = struct

@@ -109,6 +109,17 @@ module Sink : sig
       sequence spaces restart per generation, so a pre-auth window
       would misread a future generation's low seqs as replays. Never
       raises on untrusted input; the window only advances on success. *)
+
+  val peek : t -> seq:int64 -> bytes -> (bytes, [ `Auth | `Replay ]) result
+  (** {!open_} without marking [seq] in the window: the record opens
+      again until {!accept} marks it. For a receiver that decides only
+      after reading a record whether it counts as received (a
+      simulated loss), so that a later copy of a record it declined
+      is not taken for a replay. *)
+
+  val accept : t -> seq:int64 -> unit
+  (** Mark [seq] in the window. Call it only for a [seq] that {!peek}
+      has just returned [Ok] for. *)
 end
 
 module Ticket : sig

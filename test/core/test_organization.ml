@@ -600,6 +600,39 @@ let audience_cases =
         (audience_oracle sel))
     [ "one"; "qt"; "tt"; "pt"; "loss:0.05"; "random:2"; "composed"; "composed:qt" ]
 
+(* ------------------------------------------------------------------ *)
+(* Server memory: a TT organization at N = 4096 after its initial
+   admission and four churned rekeys (64 departures and 64 joins each).
+   Most of its words are the AES schedules cached on tree nodes, each
+   of which only ever encrypts, so none may hold an inverse schedule.
+   The bound is the measured 88 words per member plus ~10%; with both
+   directions cached a member costs 173. *)
+
+let words_per_member_bound = 97
+
+let test_tt_memory_per_member () =
+  let n = 4096 in
+  let cfg = { Scheme.kind = Scheme.Tt; degree = 4; s_period = 10; seed = 3 } in
+  let module O = (val Organization.create (Organization.Scheme_cfg cfg)) in
+  let cls m = if m mod 5 = 0 then Scheme.Short else Scheme.Long in
+  for m = 0 to n - 1 do
+    ignore (O.register ~member:m ~cls:(cls m) ~loss:0.0)
+  done;
+  ignore (O.rekey ());
+  for i = 0 to 3 do
+    for j = 0 to 63 do
+      O.enqueue_departure ((64 * i) + j);
+      let m = n + (64 * i) + j in
+      ignore (O.register ~member:m ~cls:(cls m) ~loss:0.0)
+    done;
+    ignore (O.rekey ())
+  done;
+  Alcotest.(check int) "members" n (O.size ());
+  let words = Obj.reachable_words (Obj.repr (module O : Organization.S)) in
+  let per_member = words / n in
+  if per_member > words_per_member_bound then
+    Alcotest.failf "%d words per member (bound %d)" per_member words_per_member_bound
+
 let () =
   Alcotest.run "organization"
     [
@@ -637,4 +670,5 @@ let () =
           Alcotest.test_case "session results" `Quick test_section4_session_pinned;
           Alcotest.test_case "run_loss under WKA-BKR" `Quick test_section4_run_loss_pinned;
         ] );
+      ("memory", [ Alcotest.test_case "TT words per member" `Quick test_tt_memory_per_member ]);
     ]

@@ -237,31 +237,38 @@ let test_hkdf_label_info () =
 (* ------------------------------------------------------------------ *)
 (* AES-128                                                             *)
 
+(* Each block vector runs on two schedules of its key: one whose first
+   use is an encrypt, and one whose first use is a decrypt, which builds
+   the inverse schedule before the forward one has served a block. *)
+let check_block_vectors name raw cases =
+  let enc k (pt, ct) =
+    check_hex (name ^ " encrypt") ct (Hex.encode (Aes128.encrypt_block k (Hex.decode pt)))
+  in
+  let dec k (pt, ct) =
+    check_hex (name ^ " decrypt") pt (Hex.encode (Aes128.decrypt_block k (Hex.decode ct)))
+  in
+  let k = Aes128.expand (Hex.decode raw) in
+  List.iter (enc k) cases;
+  List.iter (dec k) cases;
+  let k = Aes128.expand (Hex.decode raw) in
+  List.iter (dec k) cases;
+  List.iter (enc k) cases
+
 let test_aes_fips197 () =
-  let key = Aes128.expand (Hex.decode "000102030405060708090a0b0c0d0e0f") in
-  let ct = Aes128.encrypt_block key (Hex.decode "00112233445566778899aabbccddeeff") in
-  check_hex "fips197 appendix C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" (Hex.encode ct);
-  let pt = Aes128.decrypt_block key ct in
-  check_hex "decrypt inverts" "00112233445566778899aabbccddeeff" (Hex.encode pt)
+  check_block_vectors "fips197 appendix C.1" "000102030405060708090a0b0c0d0e0f"
+    [ ("00112233445566778899aabbccddeeff", "69c4e0d86a7b0430d8cdb78070b4c55a") ]
 
 let test_aes_sp800_38a_ecb () =
-  let key = Aes128.expand (Hex.decode "2b7e151628aed2a6abf7158809cf4f3c") in
-  let cases =
+  check_block_vectors "ecb" "2b7e151628aed2a6abf7158809cf4f3c"
     [
       ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97");
       ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf");
       ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688");
       ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4");
     ]
-  in
-  List.iter
-    (fun (pt, ct) ->
-      check_hex "ecb encrypt" ct (Hex.encode (Aes128.encrypt_block key (Hex.decode pt)));
-      check_hex "ecb decrypt" pt (Hex.encode (Aes128.decrypt_block key (Hex.decode ct))))
-    cases
 
 let test_aes_sp800_38a_ctr () =
-  let key = Aes128.expand (Hex.decode "2b7e151628aed2a6abf7158809cf4f3c") in
+  let raw = Hex.decode "2b7e151628aed2a6abf7158809cf4f3c" in
   let nonce = Hex.decode "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
   let pt =
     Hex.decode
@@ -272,7 +279,35 @@ let test_aes_sp800_38a_ctr () =
     "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff\
      5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee"
   in
-  check_hex "ctr stream" expected (Hex.encode (Aes128.ctr_transform key ~nonce pt))
+  check_hex "ctr stream" expected (Hex.encode (Aes128.ctr_transform (Aes128.expand raw) ~nonce pt));
+  let k = Aes128.expand raw in
+  ignore (Aes128.decrypt_block k nonce);
+  check_hex "ctr stream after a decrypt" expected (Hex.encode (Aes128.ctr_transform k ~nonce pt))
+
+(* A schedule holds only the packed forward round keys (a 3-word record,
+   a 24-word 176-byte string and a 2-word atomic cell) until its first
+   decrypt, which adds the 45-word inverse schedule once. The 30 words of
+   a fresh one count the empty array's header, which all schedules
+   share. *)
+let test_aes_schedule_words () =
+  let k = Aes128.expand (Bytes.make 16 'k') and block = Bytes.make 16 'b' in
+  let words () = Obj.reachable_words (Obj.repr k) in
+  let allocated f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check int) "fresh schedule" 30 (words ());
+  ignore (Aes128.encrypt_block k block);
+  ignore (Aes128.ctr_transform k ~nonce:block (Bytes.make 100 'd'));
+  Alcotest.(check int) "encrypt and ctr build no inverse schedule" 30 (words ());
+  let first = allocated (fun () -> Aes128.decrypt_block k block) in
+  Alcotest.(check int) "first decrypt adds the inverse schedule" (29 + 45) (words ());
+  let second = allocated (fun () -> Aes128.decrypt_block k block) in
+  let third = allocated (fun () -> Aes128.decrypt_block k block) in
+  Alcotest.(check int) "later decrypts keep it" (29 + 45) (words ());
+  Alcotest.(check (float 0.)) "later decrypts allocate alike" second third;
+  Alcotest.(check bool) "only the first decrypt builds it" true (first -. second >= 45.)
 
 let test_aes_bad_sizes () =
   (match Aes128.expand (Bytes.create 15) with
@@ -641,6 +676,7 @@ let () =
           Alcotest.test_case "SP800-38A ECB" `Quick test_aes_sp800_38a_ecb;
           Alcotest.test_case "SP800-38A CTR" `Quick test_aes_sp800_38a_ctr;
           Alcotest.test_case "size validation" `Quick test_aes_bad_sizes;
+          Alcotest.test_case "schedule words" `Quick test_aes_schedule_words;
         ]
         @ qsuite [ prop_aes_roundtrip; prop_aes_ctr_involution; prop_aes_matches_reference ] );
       ( "key",

@@ -1134,7 +1134,17 @@ let test_udp_lossy_convergence () =
         Client.connect ~loop
           { (Client.config ~port) with seed = i; mcast = Some group; mcast_fault = fault })
   in
-  run_until loop (fun () -> List.for_all Client.is_member (lossy :: peers));
+  let duplicated =
+    Client.connect ~loop
+      {
+        (Client.config ~port) with
+        seed = 77;
+        mcast = Some group;
+        mcast_fault = Netem.cfg ~dup:0.3 ();
+      }
+  in
+  let all = lossy :: duplicated :: peers in
+  run_until loop (fun () -> List.for_all Client.is_member all);
   for i = 0 to 29 do
     let c =
       Client.connect ~loop { (Client.config ~port) with seed = 500 + i; mcast = Some group }
@@ -1144,8 +1154,7 @@ let test_udp_lossy_convergence () =
     Client.leave c;
     run_until loop (fun () -> Server.epoch srv > target)
   done;
-  run_until loop (fun () ->
-      List.for_all (fun c -> Client.rekeys_completed c >= 15) (lossy :: peers));
+  run_until loop (fun () -> List.for_all (fun c -> Client.rekeys_completed c >= 15) all);
   let st = Server.stats srv in
   Alcotest.(check bool) "datagrams were multicast" true (st.Server.mcast_datagrams > 0);
   Alcotest.(check bool) "mcast bytes counted" true (st.Server.mcast_bytes > 0);
@@ -1154,10 +1163,26 @@ let test_udp_lossy_convergence () =
   Alcotest.(check bool) "recovery traffic flowed" true
     (Client.nacks_sent lossy + Client.resyncs lossy > 0);
   Alcotest.(check bool) "resyncs bounded" true (Client.resyncs lossy <= 5);
-  Alcotest.(check bool) "injected duplicates hit the replay window" true
-    (List.exists (fun c -> Client.replays_dropped c > 0) (lossy :: peers));
+  (* Each record of an injected duplicate is absorbed: by the replay
+     window, or as a stale label once the first copy completed its
+     generation and rolled the sink. Both counters also take other
+     copies (heartbeats, stale or forged frames), so a client absorbs at
+     least as many records as its shim duplicated datagrams — unless it
+     resynced, which discards the frames buffered for a generation
+     ahead of it, duplicates among them. *)
+  List.iteri
+    (fun i c ->
+      let dups = Client.mcast_duplicates c in
+      let absorbed = Client.replays_dropped c + Client.auth_dropped c in
+      if dups = 0 then Alcotest.failf "client %d: no duplicate injected" i;
+      if Client.resyncs c = 0 && absorbed < dups then
+        Alcotest.failf "client %d: %d duplicates, %d records absorbed" i dups absorbed)
+    all;
+  Alcotest.(check int) "duplicates alone cause no NACK" 0 (Client.nacks_sent duplicated);
+  Alcotest.(check int) "duplicates alone cause no resync" 0 (Client.resyncs duplicated);
   let server_tbl = server_trace_tbl srv in
   check_trace ~server_tbl "lossy" lossy;
+  check_trace ~server_tbl "duplicated" duplicated;
   List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "peer%d" i) c) peers;
   Server.stop srv
 
@@ -1209,6 +1234,60 @@ let test_udp_heartbeat_tail_loss () =
   let server_tbl = server_trace_tbl srv in
   check_trace ~server_tbl "lossy" lossy;
   check_trace ~server_tbl "clean" clean;
+  Server.stop srv
+
+(* A rekey lost to the member's own simulated receive loss ([drop]) is
+   repaired like one lost on the wire: the loss is drawn before the
+   record's seq enters the replay window, so the quiet-tick heartbeat's
+   copy of the generation opens. Churn one departure at a time until the
+   member drops the newest generation, then stop: only a heartbeat can
+   repair that tail (one-keytree, so no migration rekey follows). Each
+   generation is one record, and a member that opened it has rotated
+   past its label before a copy returns, so every replay would be a copy
+   of a record the member dropped. *)
+let test_udp_drop_repaired_by_heartbeat () =
+  require_mcast ();
+  let group = Mcast.ephemeral_group ~seed:0xD4 in
+  let loop = Loop.create () in
+  let org = Organization.Scheme_cfg (Scheme.default_config Scheme.One_keytree) in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ~org ~transport:(Server.udp group) ()) in
+  let port = Server.port srv in
+  let lossy =
+    Client.connect ~loop
+      {
+        (Client.config ~port) with
+        seed = 11;
+        mcast = Some group;
+        drop = Some (Loss_model.bernoulli 0.4);
+      }
+  in
+  let seqs = Hashtbl.create 64 in
+  Client.on_sealed lossy (fun ~epoch ~seq ~ct:_ -> Hashtbl.replace seqs (epoch, seq) ());
+  let churners =
+    List.init 20 (fun i ->
+        Client.connect ~loop { (Client.config ~port) with seed = 600 + i; mcast = Some group })
+  in
+  run_until loop (fun () -> List.for_all Client.is_member (lossy :: churners));
+  let rec churn = function
+    | [] -> Alcotest.fail "the member never dropped the newest generation"
+    | c :: rest ->
+        let target = Server.rekey_no srv + 1 and dropped = Client.frames_dropped lossy in
+        Client.leave c;
+        run_until loop (fun () -> Server.rekey_no srv >= target);
+        run_until loop (fun () ->
+            Client.last_rekey lossy >= target || Client.frames_dropped lossy > dropped);
+        if Client.last_rekey lossy < target then target else churn rest
+  in
+  let last = churn churners in
+  run_until loop (fun () -> Client.last_rekey lossy = last);
+  Alcotest.(check int) "no rekey after the dropped one" last (Server.rekey_no srv);
+  Alcotest.(check int) "no replay of a dropped record" 0 (Client.replays_dropped lossy);
+  Alcotest.(check int) "repaired without a NACK" 0 (Client.nacks_sent lossy);
+  Alcotest.(check int) "repaired without a resync" 0 (Client.resyncs lossy);
+  let labels = Hashtbl.fold (fun (epoch, _) () acc -> epoch :: acc) seqs [] in
+  Alcotest.(check int) "one record per generation" (List.length labels)
+    (List.length (List.sort_uniq compare labels));
+  check_trace ~server_tbl:(server_trace_tbl srv) "lossy" lossy;
   Server.stop srv
 
 (* -------- hostile cohorts (the conformance interop lane, in-process) -------- *)
@@ -2013,6 +2092,8 @@ let () =
             test_udp_lossy_convergence;
           Alcotest.test_case "quiet-tick heartbeat recovers tail loss" `Quick
             test_udp_heartbeat_tail_loss;
+          Alcotest.test_case "heartbeat repairs a rekey the member dropped" `Quick
+            test_udp_drop_repaired_by_heartbeat;
           Alcotest.test_case "2-entry rekey under 400 bytes on tcp and udp" `Quick
             test_small_rekey_unpadded;
           Alcotest.test_case "subscribers share one receive buffer" `Quick

@@ -187,6 +187,15 @@ let test_sink_replay () =
   let seal = Record.Seal.create (Record.Epoch.of_dek ~dek ~label:1) in
   let sink = Record.Sink.create (Record.Epoch.of_dek ~dek ~label:1) in
   let records = List.init 10 (fun i -> Record.Seal.seal seal (Bytes.make 8 (Char.chr i))) in
+  (* [peek] marks nothing: a record opens under it any number of times. *)
+  List.iter
+    (fun (seq, ct) ->
+      for _ = 1 to 2 do
+        match Record.Sink.peek sink ~seq ct with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "peeked record rejected"
+      done)
+    records;
   List.iter
     (fun (seq, ct) ->
       match Record.Sink.open_ sink ~seq ct with
@@ -195,11 +204,22 @@ let test_sink_replay () =
     records;
   List.iter
     (fun (seq, ct) ->
-      match Record.Sink.open_ sink ~seq ct with
-      | Error `Replay -> ()
-      | Error `Auth -> Alcotest.fail "replay misclassified as auth failure"
-      | Ok _ -> Alcotest.failf "replayed seq %Ld accepted" seq)
-    records
+      List.iter
+        (fun open_ ->
+          match open_ sink ~seq ct with
+          | Error `Replay -> ()
+          | Error `Auth -> Alcotest.fail "replay misclassified as auth failure"
+          | Ok _ -> Alcotest.failf "replayed seq %Ld accepted" seq)
+        [ Record.Sink.open_; Record.Sink.peek ])
+    records;
+  (* [accept] after a [peek] marks the seq as [open_] would. *)
+  let seq, ct = Record.Seal.seal seal (Bytes.of_string "late") in
+  (match Record.Sink.peek sink ~seq ct with
+  | Ok _ -> Record.Sink.accept sink ~seq
+  | Error _ -> Alcotest.fail "fresh record rejected by peek");
+  match Record.Sink.open_ sink ~seq ct with
+  | Error `Replay -> ()
+  | _ -> Alcotest.fail "an accepted seq opened again"
 
 let test_sink_out_of_order () =
   let dek = fresh_dek () in
