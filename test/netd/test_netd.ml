@@ -2092,12 +2092,12 @@ let () =
             test_udp_lossy_convergence;
           Alcotest.test_case "quiet-tick heartbeat recovers tail loss" `Quick
             test_udp_heartbeat_tail_loss;
-          Alcotest.test_case "heartbeat repairs a rekey the member dropped" `Quick
-            test_udp_drop_repaired_by_heartbeat;
           Alcotest.test_case "2-entry rekey under 400 bytes on tcp and udp" `Quick
             test_small_rekey_unpadded;
           Alcotest.test_case "subscribers share one receive buffer" `Quick
             test_mcast_shared_recv_buffer;
+          Alcotest.test_case "heartbeat repairs a rekey the member dropped" `Quick
+            test_udp_drop_repaired_by_heartbeat;
         ] );
       ( "tickets",
         oracle_cases
