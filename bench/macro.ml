@@ -84,62 +84,6 @@ let run_org_config ~seed ~n ~alpha ~intervals ~spec =
         p99_us = quantile 0.99;
       }
 
-(* ------------------------------------------------------------------ *)
-(* Per-package crypto microbench: every registered {!Gkm_crypto.Pkg}
-   suite is swept over the three key-management primitives — schedule
-   expansion, a full key wrap (one block encryption and the key's
-   check), and a labelled KDF expand (the record layer's per-epoch key
-   derivation). *)
-
-type pkg_row = {
-  pkg : string;
-  schedule_ops : float;
-  wrap_ops : float;
-  kdf_expand_ops : float;
-}
-
-let time_ops iters f =
-  let t0 = now () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  float_of_int iters /. (now () -. t0)
-
-let run_packages ~quick =
-  let module Pkg = Gkm_crypto.Pkg in
-  let module Key = Gkm_crypto.Key in
-  let iters = if quick then 20_000 else 100_000 in
-  List.map
-    (fun suite ->
-      let module S = (val suite : Pkg.SUITE) in
-      let kek_raw = Bytes.init S.Cipher.key_size (fun i -> Char.chr (i * 7 mod 256)) in
-      let target = Key.of_bytes (Bytes.make Key.size '\x5a') in
-      let kek = Key.of_bytes kek_raw in
-      let cipher = Key.cipher ~suite kek in
-      let prk = Bytes.make S.Kdf.hash_len '\x44' in
-      let info = Gkm_crypto.Hkdf.label_info "bench" [ 1; 2 ] in
-      {
-        pkg = S.name;
-        schedule_ops = time_ops iters (fun () -> ignore (Pkg.schedule suite kek_raw));
-        wrap_ops = time_ops iters (fun () -> ignore (Key.wrap_with cipher target));
-        kdf_expand_ops =
-          time_ops iters (fun () -> ignore (Pkg.kdf_expand suite ~prk ~info 16));
-      })
-    (Pkg.all ())
-
-let json_of_pkg_row r =
-  Jsonx.obj
-    [
-      ("package", Jsonx.str r.pkg);
-      ("schedule_ops_per_sec", Jsonx.float r.schedule_ops);
-      ("wrap_ops_per_sec", Jsonx.float r.wrap_ops);
-      ("kdf_expand_ops_per_sec", Jsonx.float r.kdf_expand_ops);
-    ]
-
-let print_pkg_row r =
-  Printf.printf "  pkg %-24s schedule %9.0f/s  wrap %9.0f/s  kdf-expand %9.0f/s\n%!" r.pkg
-    r.schedule_ops r.wrap_ops r.kdf_expand_ops
-
 let ops_per_sec r = float_of_int r.churn_ops /. r.churn_s
 
 let json_of_row r =
@@ -257,18 +201,13 @@ let run ?(out = "BENCH_macro.json") ?(quick = false) ?floor_file ?(intervals = 1
         r)
       runs
   in
-  (* Per-package crypto primitives. *)
-  Printf.printf "macro: crypto packages\n%!";
-  let pkg_rows = run_packages ~quick in
-  List.iter print_pkg_row pkg_rows;
   let doc =
     Jsonx.obj
       [
-        ("schema", Jsonx.str "gkm.bench.macro/5");
+        ("schema", Jsonx.str "gkm.bench.macro/6");
         ("quick", Jsonx.bool quick);
         ("seed", Jsonx.int seed);
         ("runs", Jsonx.arr (List.map json_of_row rows));
-        ("packages", Jsonx.arr (List.map json_of_pkg_row pkg_rows));
       ]
   in
   let oc = open_out out in

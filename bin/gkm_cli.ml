@@ -559,10 +559,7 @@ let chaos_cmd =
         output_string oc j1;
         close_out oc);
     let deterministic = r1 = r2 && j1 = j2 in
-    (* Only the rejoin fallback re-draws organization keys; every
-       other fault recovers onto the fault-free key sequence. *)
-    let convergence_applies = r1.Gkm.Session.rejoins = 0 in
-    let converged = r1.Gkm.Session.dek_trace = baseline.Gkm.Session.dek_trace in
+    let v = Gkm_conformance.Soak.verdict ~baseline r1 in
     Printf.printf "Chaos run under %s: plan %s (seed %d)\n"
       (Gkm.Organization.spec_name spec)
       (Gkm_fault.Fault.to_string plan)
@@ -575,16 +572,13 @@ let chaos_cmd =
     Printf.printf "  recovered        %b\n" r1.Gkm.Session.recovered;
     Printf.printf "  deterministic    %b (re-run byte-identical, %d journal bytes)\n"
       deterministic (String.length j1);
-    if convergence_applies then
-      Printf.printf "  dek convergence  %b (vs fault-free baseline)\n" converged
-    else
-      Printf.printf "  dek convergence  skipped (%d rejoins re-draw keys)\n"
-        r1.Gkm.Session.rejoins;
-    let ok =
-      baseline.Gkm.Session.verified && r1.Gkm.Session.verified
-      && r1.Gkm.Session.recovered && deterministic
-      && ((not convergence_applies) || converged)
-    in
+    (match v.converged with
+    | Some converged ->
+        Printf.printf "  dek convergence  %b (vs fault-free baseline)\n" converged
+    | None ->
+        Printf.printf "  dek convergence  skipped (%d rejoins re-draw keys)\n"
+          r1.Gkm.Session.rejoins);
+    let ok = baseline.Gkm.Session.verified && v.ok && deterministic in
     if not ok then exit 1
   in
   let plan_arg =

@@ -94,6 +94,19 @@ let jsonl_of_iteration it =
       | Some c -> [ ("converged", Jsonx.bool c) ])
     @ [ ("ok", Jsonx.bool it.ok) ])
 
+type verdict = { converged : bool option; ok : bool }
+
+(* Only the rejoin fallback re-draws organization keys; every other
+   fault recovers onto the fault-free key sequence. *)
+let verdict ~baseline (r : Gkm.Session.result) =
+  let converged =
+    if r.rejoins = 0 then Some (r.dek_trace = baseline.Gkm.Session.dek_trace) else None
+  in
+  {
+    converged;
+    ok = r.verified && r.recovered && Option.value converged ~default:true;
+  }
+
 let run ?(emit = fun _ -> ()) cfg =
   let scfg = session_config cfg in
   let t0 = Unix.gettimeofday () in
@@ -115,15 +128,7 @@ let run ?(emit = fun _ -> ()) cfg =
     let it0 = Unix.gettimeofday () in
     let r = Gkm.Session.run ~faults:plan scfg in
     let seconds = Unix.gettimeofday () -. it0 in
-    let converged =
-      if r.Gkm.Session.rejoins = 0 then
-        Some (r.Gkm.Session.dek_trace = baseline.Gkm.Session.dek_trace)
-      else None
-    in
-    let ok =
-      r.Gkm.Session.verified && r.Gkm.Session.recovered
-      && match converged with Some c -> c | None -> true
-    in
+    let { converged; ok } = verdict ~baseline r in
     let it =
       {
         iter = !i;

@@ -42,6 +42,18 @@ type iteration = {
 
 type report = { iterations : iteration list; elapsed : float; ok : bool }
 
+type verdict = {
+  converged : bool option;
+      (** the DEK trace equals the baseline's; [None] when rejoins
+          re-drew keys and the check does not apply *)
+  ok : bool;  (** verified, recovered and, where it applies, converged *)
+}
+
+val verdict : baseline:Gkm.Session.result -> Gkm.Session.result -> verdict
+(** [verdict ~baseline r] judges the faulted run [r] against the
+    fault-free run [baseline] of the same configuration: the check
+    shared by every soak iteration and [gkm chaos]. *)
+
 val plan_for : int -> string
 (** The rotating fault-plan pool: a deterministic plan string for
     iteration [i], cycling through every fault family. *)

@@ -1,13 +1,13 @@
-type key = { enc : Pkg.sched; mac : bytes }
+type key = { enc : Pkg.Cipher.schedule; mac : bytes }
 
 let key_size = 32
 let nonce_size = 16
 let tag_size = 16
 
-let of_bytes ?(suite = Pkg.default) raw =
+let of_bytes raw =
   if Bytes.length raw <> key_size then
     invalid_arg "Aead.of_bytes: key must be 32 bytes";
-  { enc = Pkg.schedule suite (Bytes.sub raw 0 16); mac = Bytes.sub raw 16 16 }
+  { enc = Pkg.Cipher.expand (Bytes.sub raw 0 16); mac = Bytes.sub raw 16 16 }
 
 (* MAC input: u16 |ad| || ad || nonce || ct, where ct is the slice
    [off, off + len) of [b]. Length-prefixing [ad] keeps the
@@ -24,7 +24,7 @@ let seal key ~nonce ~ad plaintext =
   if Bytes.length nonce <> nonce_size then
     invalid_arg "Aead.seal: nonce must be 16 bytes";
   if Bytes.length ad > 0xFFFF then invalid_arg "Aead.seal: ad too long";
-  let ct = Pkg.ctr_transform key.enc ~nonce plaintext in
+  let ct = Pkg.Cipher.ctr_transform key.enc ~nonce plaintext in
   let n = Bytes.length ct in
   let out = Bytes.create (n + tag_size) in
   Bytes.blit ct 0 out 0 n;
@@ -47,5 +47,5 @@ let open_ key ~nonce ~ad sealed =
     let n = Bytes.length sealed - tag_size in
     if n < 0 then Error "sealed input shorter than tag"
     else if tag_matches sealed ~at:n (tag_of key ~nonce ~ad sealed 0 n) then
-      Ok (Pkg.ctr_transform key.enc ~nonce (Bytes.sub sealed 0 n))
+      Ok (Pkg.Cipher.ctr_transform key.enc ~nonce (Bytes.sub sealed 0 n))
     else Error "auth failure"

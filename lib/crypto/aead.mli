@@ -1,5 +1,6 @@
-(** Encrypt-then-MAC AEAD from the in-tree primitives: AES-128-CTR for
-    confidentiality, HMAC-SHA-256 truncated to 16 bytes for integrity.
+(** Encrypt-then-MAC AEAD from the in-tree primitives: {!Pkg.Cipher}
+    (AES-128) in CTR mode for confidentiality, HMAC-SHA-256 truncated
+    to 16 bytes for integrity.
 
     A sealed blob is [ciphertext || tag] where the tag covers the
     length-prefixed associated data, the nonce, and the ciphertext.
@@ -10,7 +11,8 @@
     every nonce and never reusing a key across epochs. *)
 
 type key
-(** An AEAD key: an expanded AES-128 key plus an independent MAC key. *)
+(** An AEAD key: an expanded {!Pkg.Cipher} schedule plus an
+    independent MAC key. *)
 
 val key_size : int
 (** Raw key material size: 32 (16 encryption || 16 MAC). *)
@@ -21,11 +23,10 @@ val nonce_size : int
 val tag_size : int
 (** 16 — HMAC-SHA-256 truncated to 128 bits. *)
 
-val of_bytes : ?suite:Pkg.suite -> bytes -> key
+val of_bytes : bytes -> key
 (** [of_bytes raw] splits 32 bytes of key material into the encryption
-    and MAC halves, expanding the encryption half under [suite]
-    (default {!Pkg.default}). @raise Invalid_argument on any other
-    length. *)
+    and MAC halves, expanding the encryption half under {!Pkg.Cipher}.
+    @raise Invalid_argument on any other length. *)
 
 val seal : key -> nonce:bytes -> ad:bytes -> bytes -> bytes
 (** [seal key ~nonce ~ad plaintext] is [ciphertext || tag], exactly

@@ -20,13 +20,13 @@ let check k =
   Sha256.update h k;
   Bytes.sub (Sha256.finalize h) 0 check_size
 
-type cipher = Pkg.sched
+type cipher = Pkg.Cipher.schedule
 
-let cipher ?(suite = Pkg.default) k = Pkg.schedule suite k
+let cipher = Pkg.Cipher.expand
 
 let wrap_checked_with cipher ~check k =
   let out = Bytes.create wrapped_size in
-  Bytes.blit (Pkg.encrypt_block cipher k) 0 out 0 size;
+  Bytes.blit (Pkg.Cipher.encrypt_block cipher k) 0 out 0 size;
   Bytes.blit check 0 out size check_size;
   out
 
@@ -38,7 +38,7 @@ let unwrap_with cipher c =
   (* Under a wrong KEK, or with the block or the check damaged, the
      decrypted key's check differs from the carried one but for a
      2^-128 chance. *)
-  let k = Pkg.decrypt_block cipher (Bytes.sub c 0 size) in
+  let k = Pkg.Cipher.decrypt_block cipher (Bytes.sub c 0 size) in
   if Bytes.equal (check k) (Bytes.sub c size check_size) then Some k else None
 
 let wrap ~kek k = wrap_with (cipher kek) k

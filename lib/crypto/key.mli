@@ -38,17 +38,16 @@ val check : t -> bytes
     {!unwrap_with} compares the decrypted key against. It is a one-way
     function of the key, and readable by anyone who reads the wrap. *)
 
-type cipher = Pkg.sched
-(** A packed expanded key schedule ({!Pkg.sched}). Expanding a KEK is
-    several times the cost of the block encryptions a wrap performs,
-    so the rekey hot path expands each KEK once and reuses the
-    schedule for every wrap or unwrap under that key; CTR streams under
-    a key take the same schedule through {!Pkg.ctr_transform}. *)
+type cipher = Pkg.Cipher.schedule
+(** An expanded key schedule. Expanding a KEK is several times the
+    cost of the block encryptions a wrap performs, so the rekey hot
+    path expands each KEK once and reuses the schedule for every wrap
+    or unwrap under that key; CTR streams under a key take the same
+    schedule through {!Pkg.Cipher.ctr_transform}. *)
 
-val cipher : ?suite:Pkg.suite -> t -> cipher
-(** [cipher k] expands [k] once under [suite] (default:
-    {!Pkg.default}), for use with {!wrap_with}, {!unwrap_with} and
-    {!Pkg.ctr_transform}. *)
+val cipher : t -> cipher
+(** [cipher k] expands [k] once under {!Pkg.Cipher}, for use with
+    {!wrap_with}, {!unwrap_with} and {!Pkg.Cipher.ctr_transform}. *)
 
 val wrap_with : cipher -> t -> bytes
 (** [wrap_with c k] is {!wrap} with a pre-expanded KEK schedule —

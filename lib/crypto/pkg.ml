@@ -1,9 +1,6 @@
 module type CIPHER = sig
   type schedule
 
-  val name : string
-  val key_size : int
-  val block_size : int
   val expand : bytes -> schedule
   val encrypt_block : schedule -> bytes -> bytes
   val decrypt_block : schedule -> bytes -> bytes
@@ -11,80 +8,24 @@ module type CIPHER = sig
 end
 
 module type KDF = sig
-  val name : string
-  val hash_len : int
   val prf : key:bytes -> bytes -> bytes
   val extract : salt:bytes -> ikm:bytes -> bytes
   val expand : prk:bytes -> info:bytes -> int -> bytes
   val derive : salt:bytes -> ikm:bytes -> info:bytes -> int -> bytes
 end
 
-module type SUITE = sig
-  val name : string
-
-  module Cipher : CIPHER
-  module Kdf : KDF
-end
-
-type suite = (module SUITE)
-
-(* A packed expanded key schedule: the schedule value together with
-   the cipher package that produced it, so consumers can cache the
-   expensive expansion once and keep using block operations without
-   knowing which package is underneath. *)
-type sched = Sched : (module CIPHER with type schedule = 's) * 's -> sched
-
-module Aes128_cipher : CIPHER with type schedule = Aes128.key = struct
+module Cipher : CIPHER = struct
   type schedule = Aes128.key
 
-  let name = "aes128"
-  let key_size = 16
-  let block_size = 16
   let expand = Aes128.expand
   let encrypt_block = Aes128.encrypt_block
   let decrypt_block = Aes128.decrypt_block
   let ctr_transform = Aes128.ctr_transform
 end
 
-module Hkdf_sha256 : KDF = struct
-  let name = "hkdf-sha256"
-  let hash_len = Hkdf.hash_len
+module Kdf : KDF = struct
   let prf ~key msg = Hmac.mac ~key msg
   let extract = Hkdf.extract
   let expand = Hkdf.expand
   let derive = Hkdf.derive
 end
-
-module Default : SUITE = struct
-  let name = "aes128-hkdf-sha256"
-
-  module Cipher = Aes128_cipher
-  module Kdf = Hkdf_sha256
-end
-
-let default : suite = (module Default)
-let name (module S : SUITE) = S.name
-
-let registry : (string, suite) Hashtbl.t = Hashtbl.create 4
-
-let register ((module S : SUITE) as s) =
-  if Hashtbl.mem registry S.name then
-    invalid_arg ("Pkg.register: duplicate suite " ^ S.name);
-  Hashtbl.replace registry S.name s
-
-let () = register default
-let find n = Hashtbl.find_opt registry n
-
-let all () =
-  Hashtbl.fold (fun _ s acc -> s :: acc) registry []
-  |> List.sort (fun (module A : SUITE) (module B : SUITE) -> String.compare A.name B.name)
-
-let schedule (module S : SUITE) raw = Sched ((module S.Cipher), S.Cipher.expand raw)
-let encrypt_block (Sched ((module C), s)) block = C.encrypt_block s block
-let decrypt_block (Sched ((module C), s)) block = C.decrypt_block s block
-let ctr_transform (Sched ((module C), s)) ~nonce data = C.ctr_transform s ~nonce data
-let sched_cipher_name (Sched ((module C), _)) = C.name
-let prf (module S : SUITE) ~key msg = S.Kdf.prf ~key msg
-let kdf_extract (module S : SUITE) ~salt ~ikm = S.Kdf.extract ~salt ~ikm
-let kdf_expand (module S : SUITE) ~prk ~info len = S.Kdf.expand ~prk ~info len
-let kdf_derive (module S : SUITE) ~salt ~ikm ~info len = S.Kdf.derive ~salt ~ikm ~info len

@@ -1,83 +1,45 @@
-(** Agile crypto packages: first-class cipher/KDF module pairs.
+(** The crypto binding every key consumer is written against.
 
-    A {!suite} bundles a block cipher (with an expand-once key
-    schedule) and a KDF behind package signatures, so every key
-    consumer — key wrapping, node-key derivation, record sealing,
-    snapshot encryption — is written against the signature rather
-    than a concrete primitive. The default instance is the in-tree
-    pure-OCaml AES-128 + HKDF-SHA-256 and is bit-identical to the
-    pre-package code paths; alternative packages (hardware-backed,
-    batched) register themselves into the same registry and become
-    selectable without touching callers. *)
+    Key wrapping, node-key caches, record sealing and resync
+    authentication use {!Cipher} and {!Kdf} and never name a concrete
+    primitive. Both are fixed at build time: {!Cipher} is the in-tree
+    pure-OCaml AES-128 and {!Kdf} is HKDF/HMAC-SHA-256. Replacing one
+    (say, with a constant-time or hardware AES) means binding another
+    module of the same signature here; no caller changes, and the type
+    checker holds the replacement to the signature. *)
 
 module type CIPHER = sig
   type schedule
   (** An expanded key schedule. Expansion costs several times a block
       operation; consumers cache one schedule per key. *)
 
-  val name : string
-  val key_size : int
-  val block_size : int
   val expand : bytes -> schedule
+  (** [expand k] expands a 16-byte key.
+      @raise Invalid_argument on any other length. *)
+
   val encrypt_block : schedule -> bytes -> bytes
+  (** One 16-byte block. @raise Invalid_argument on any other length. *)
+
   val decrypt_block : schedule -> bytes -> bytes
+  (** The inverse of [encrypt_block]. *)
+
   val ctr_transform : schedule -> nonce:bytes -> bytes -> bytes
+  (** CTR mode from the 16-byte initial counter block [nonce],
+      incremented big-endian; an involution. *)
 end
 
 module type KDF = sig
-  val name : string
-  val hash_len : int
-
   val prf : key:bytes -> bytes -> bytes
-  (** Raw keyed PRF (HMAC in the default package); the primitive under
-      short label derivations and authentication tags. *)
+  (** Raw keyed PRF (HMAC); the primitive under short label
+      derivations and authentication tags. *)
 
   val extract : salt:bytes -> ikm:bytes -> bytes
   val expand : prk:bytes -> info:bytes -> int -> bytes
   val derive : salt:bytes -> ikm:bytes -> info:bytes -> int -> bytes
 end
 
-module type SUITE = sig
-  val name : string
+module Cipher : CIPHER
+(** AES-128 ({!Aes128}). *)
 
-  module Cipher : CIPHER
-  module Kdf : KDF
-end
-
-type suite = (module SUITE)
-
-type sched
-(** A packed expanded schedule: carries its cipher package, so block
-    operations dispatch to the right implementation. *)
-
-module Aes128_cipher : CIPHER with type schedule = Aes128.key
-module Hkdf_sha256 : KDF
-
-module Default : SUITE
-(** AES-128 + HKDF-SHA-256, the registered default. *)
-
-val default : suite
-val name : suite -> string
-
-val register : suite -> unit
-(** Add a package to the registry (e.g. a test double or a
-    hardware-backed cipher). @raise Invalid_argument on a duplicate
-    name. *)
-
-val find : string -> suite option
-val all : unit -> suite list
-(** All registered suites, sorted by name — the set the per-package
-    microbench sweeps. *)
-
-val schedule : suite -> bytes -> sched
-val encrypt_block : sched -> bytes -> bytes
-val decrypt_block : sched -> bytes -> bytes
-val ctr_transform : sched -> nonce:bytes -> bytes -> bytes
-
-val sched_cipher_name : sched -> string
-(** Name of the cipher package that produced a schedule. *)
-
-val prf : suite -> key:bytes -> bytes -> bytes
-val kdf_extract : suite -> salt:bytes -> ikm:bytes -> bytes
-val kdf_expand : suite -> prk:bytes -> info:bytes -> int -> bytes
-val kdf_derive : suite -> salt:bytes -> ikm:bytes -> info:bytes -> int -> bytes
+module Kdf : KDF
+(** HKDF-SHA-256 ({!Hkdf}), with HMAC-SHA-256 ({!Hmac}) as [prf]. *)

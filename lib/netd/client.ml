@@ -74,6 +74,7 @@ type t = {
   mutable pending_sealed : (int * int64 * bytes) list;
       (* sealed frames from a generation we haven't reached, newest
          first; drained when the sink rotates *)
+  mutable pending_discarded : int;
   mutable ticket : (int * bytes) option;  (* (issued_epoch, blob) of newest ticket *)
   mutable presented : int option;  (* issued_epoch of the ticket in flight in REJOIN *)
   dek_trace : Dek_log.t;
@@ -125,6 +126,7 @@ let rejoins t = t.rejoins
 let frames_dropped t = t.frames_dropped
 let replays_dropped t = t.replays_dropped
 let auth_dropped t = t.auth_dropped
+let pending_discarded t = t.pending_discarded
 let rekeys_completed t = t.rekeys_completed
 let mcast_datagrams_rx t = t.mcast_rx
 let mcast_duplicates t = Option.fold ~none:0 ~some:Gkm_net.Netem.duplicates t.mcast_shim
@@ -183,6 +185,12 @@ let note_dek t ~rekey_no m =
   t.on_dek ~rekey_no ~fp;
   dek
 
+(* A reinstall or resync leaves the buffered future-generation frames
+   unopened: the new state is caught up past them or asks again. *)
+let discard_pending t =
+  t.pending_discarded <- t.pending_discarded + List.length t.pending_sealed;
+  t.pending_sealed <- []
+
 (* Install (or reinstall) the member state from a wire key path;
    returns {!note_dek}'s DEK. *)
 let install t ~member ~rekey_no ~epoch ~root ~path =
@@ -200,7 +208,7 @@ let install t ~member ~rekey_no ~epoch ~root ~path =
       t.epoch <- epoch;
       t.last_rekey <- rekey_no;
       t.assemblies <- [];
-      t.pending_sealed <- [];
+      discard_pending t;
       t.phase <- Member;
       note_dek t ~rekey_no m
 
@@ -213,7 +221,7 @@ let request_resync t =
   | Some key when t.member >= 0 ->
       t.resyncs <- t.resyncs + 1;
       t.assemblies <- [];
-      t.pending_sealed <- [];
+      discard_pending t;
       t.phase <- Resync_wait;
       send t
         (Msg.Resync_req
@@ -483,7 +491,7 @@ let apply_resume t ~member (r : Msg.resume) =
       t.epoch <- r.epoch;
       t.last_rekey <- r.rekey_no;
       t.assemblies <- [];
-      t.pending_sealed <- [];
+      discard_pending t;
       t.phase <- Member;
       sync_sink t (note_dek t ~rekey_no:r.rekey_no m)
   | _ ->
@@ -500,7 +508,7 @@ let fresh_join t =
   t.epoch <- 0;
   t.last_rekey <- 0;
   t.assemblies <- [];
-  t.pending_sealed <- [];
+  discard_pending t;
   t.sink <- None;
   t.ticket <- None;
   t.presented <- None;
@@ -751,6 +759,7 @@ let connect ~loop cfg =
       assemblies = [];
       sink = None;
       pending_sealed = [];
+      pending_discarded = 0;
       ticket = None;
       presented = None;
       dek_trace = Dek_log.create ();

@@ -145,6 +145,11 @@ val auth_dropped : t -> int
     that were not merely ahead of our generation, and datagram records
     labelled behind it (stale copies, never opened). *)
 
+val pending_discarded : t -> int
+(** Sealed frames buffered for a generation ahead of ours and then
+    discarded unopened, because a rejoin, resync or fresh join
+    reinstalled the member state. *)
+
 val mcast_datagrams_rx : t -> int
 (** Multicast datagrams received and decoded off the group socket
     (after the receive-side fault shim, if any). *)

@@ -22,7 +22,7 @@ module Epoch = struct
 
   let of_dek_digest ~dek ~digest ~label =
     let raw =
-      Pkg.kdf_derive Pkg.default ~salt:record_salt ~ikm:(Key.to_bytes dek)
+      Pkg.Kdf.derive ~salt:record_salt ~ikm:(Key.to_bytes dek)
         ~info:(Hkdf.label_info Labels.traffic []) Aead.key_size
     in
     let key = Aead.of_bytes raw in
@@ -251,8 +251,7 @@ module Ticket = struct
 
   let resume_key ~individual ~issued_epoch =
     Aead.of_bytes
-      (Pkg.kdf_derive Pkg.default
-         ~salt:(Bytes.of_string Labels.resume_salt)
+      (Pkg.Kdf.derive ~salt:(Bytes.of_string Labels.resume_salt)
          ~ikm:(Key.to_bytes individual)
          ~info:(Hkdf.label_info Labels.resume [ issued_epoch ])
          Aead.key_size)

@@ -12,7 +12,7 @@ let resync_auth ~key ~member ~epoch =
   Buffer.add_string buf Labels.resync;
   Bytes_io.add_i32 buf member;
   Bytes_io.add_i32 buf epoch;
-  Pkg.prf Pkg.default ~key:(Key.to_bytes key) (Buffer.to_bytes buf)
+  Pkg.Kdf.prf ~key:(Key.to_bytes key) (Buffer.to_bytes buf)
 
 let encode ?(version = Msg.version) msg =
   let buf = Buffer.create 64 in

@@ -605,10 +605,10 @@ let audience_cases =
    admission and four churned rekeys (64 departures and 64 joins each).
    Most of its words are the AES schedules cached on tree nodes, each
    of which only ever encrypts, so none may hold an inverse schedule.
-   The bound is the measured 88 words per member plus ~10%; with both
-   directions cached a member costs 173. *)
+   The bound is the measured 84 words per member plus ~10%; caching
+   the inverse schedules too would add ~85. *)
 
-let words_per_member_bound = 97
+let words_per_member_bound = 92
 
 let test_tt_memory_per_member () =
   let n = 4096 in

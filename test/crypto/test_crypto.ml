@@ -445,7 +445,7 @@ let test_labels_prefix_free () =
 let test_labels_expand_contexts_disjoint () =
   let prk = Bytes.make 32 '\x42' in
   let expand label fields =
-    Pkg.kdf_expand Pkg.default ~prk ~info:(Hkdf.label_info label fields) 16
+    Pkg.Kdf.expand ~prk ~info:(Hkdf.label_info label fields) 16
   in
   let a = expand Labels.resume [ 7 ] in
   let b = expand Labels.traffic [ 7 ] in
@@ -456,31 +456,35 @@ let test_labels_expand_contexts_disjoint () =
 (* ------------------------------------------------------------------ *)
 (* Pkg                                                                 *)
 
-let test_pkg_registry () =
-  Alcotest.(check string) "default name" "aes128-hkdf-sha256" (Pkg.name Pkg.default);
-  Alcotest.(check bool) "default registered" true (Pkg.find "aes128-hkdf-sha256" <> None);
-  Alcotest.(check bool) "unknown absent" true (Pkg.find "no-such-package" = None);
-  let names = List.map Pkg.name (Pkg.all ()) in
-  Alcotest.(check bool) "all () sorted by name" true (names = List.sort compare names);
-  Alcotest.(check bool) "all () contains default" true (List.mem "aes128-hkdf-sha256" names)
-
 let test_pkg_default_matches_primitives () =
-  (* The packaged entry points must be bit-identical to the in-tree
-     primitives they wrap — this is what keeps the seed oracles green. *)
+  (* The bound cipher and KDF must be bit-identical to the in-tree
+     primitives they name: this is what keeps the seed oracles green. *)
   let kb = Hex.decode "2b7e151628aed2a6abf7158809cf4f3c" in
   let blk = Hex.decode "6bc1bee22e409f96e93d7e117393172a" in
-  let s = Pkg.schedule Pkg.default kb in
-  Alcotest.(check string) "sched cipher name" "aes128" (Pkg.sched_cipher_name s);
+  let nonce = Hex.decode "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
+  let s = Pkg.Cipher.expand kb in
   check_hex "encrypt_block = Aes128"
     (Hex.encode (Aes128.encrypt_block (Aes128.expand kb) blk))
-    (Hex.encode (Pkg.encrypt_block s blk));
-  check_hex "decrypt inverts" (Hex.encode blk) (Hex.encode (Pkg.decrypt_block s (Pkg.encrypt_block s blk)));
+    (Hex.encode (Pkg.Cipher.encrypt_block s blk));
+  check_hex "decrypt inverts" (Hex.encode blk)
+    (Hex.encode (Pkg.Cipher.decrypt_block s (Pkg.Cipher.encrypt_block s blk)));
+  check_hex "ctr_transform = Aes128"
+    (Hex.encode (Aes128.ctr_transform (Aes128.expand kb) ~nonce blk))
+    (Hex.encode (Pkg.Cipher.ctr_transform s ~nonce blk));
   check_hex "prf = HMAC-SHA-256"
     (Hex.encode (Hmac.mac ~key:kb blk))
-    (Hex.encode (Pkg.prf Pkg.default ~key:kb blk));
-  check_hex "kdf_derive = HKDF"
+    (Hex.encode (Pkg.Kdf.prf ~key:kb blk));
+  check_hex "derive = HKDF"
     (Hex.encode (Hkdf.derive ~salt:kb ~ikm:blk ~info:Bytes.empty 32))
-    (Hex.encode (Pkg.kdf_derive Pkg.default ~salt:kb ~ikm:blk ~info:Bytes.empty 32))
+    (Hex.encode (Pkg.Kdf.derive ~salt:kb ~ikm:blk ~info:Bytes.empty 32))
+
+(* A cached KEK schedule is the cipher's own schedule, with no box
+   around it: the keytree and every member hold one per key. *)
+let test_pkg_schedule_unboxed () =
+  let k = Key.fresh (Prng.create 7) in
+  Alcotest.(check int) "reachable words"
+    (Obj.reachable_words (Obj.repr (Aes128.expand (Key.to_bytes k))))
+    (Obj.reachable_words (Obj.repr (Key.cipher k)))
 
 let test_wrap_format_pinned () =
   (* Pin the classical wrap layout from independent parts: the block is
@@ -521,53 +525,6 @@ let test_key_wrap_rejections () =
   Bytes.blit (Key.check other) 0 copied Key.size Key.check_size;
   rejected "another key's check" copied;
   Alcotest.(check bool) "the intact wrap" true (Key.unwrap_with c wrapped = Some k)
-
-module Xor_cipher = struct
-  type schedule = bytes
-
-  let name = "toy-xor"
-  let key_size = 16
-  let block_size = 16
-  let expand k = if Bytes.length k <> 16 then invalid_arg "toy-xor key" else Bytes.copy k
-
-  let encrypt_block s b =
-    if Bytes.length b <> 16 then invalid_arg "toy-xor block";
-    Bytes.init 16 (fun i -> Char.chr (Char.code (Bytes.get s i) lxor Char.code (Bytes.get b i)))
-
-  let decrypt_block = encrypt_block
-
-  let ctr_transform s ~nonce data =
-    ignore nonce;
-    Bytes.init (Bytes.length data) (fun i ->
-        Char.chr (Char.code (Bytes.get data i) lxor Char.code (Bytes.get s (i mod 16))))
-end
-
-module Toy_suite = struct
-  let name = "toy-xor-hkdf"
-
-  module Cipher = Xor_cipher
-  module Kdf = Pkg.Hkdf_sha256
-end
-
-let test_pkg_agility () =
-  (* A whole alternative package registers and drives the generic key
-     consumers without any of them changing. *)
-  Pkg.register (module Toy_suite);
-  (match Pkg.register (module Toy_suite) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate registration accepted");
-  let suite = Option.get (Pkg.find "toy-xor-hkdf") in
-  let rng = Prng.create 99 in
-  let kek = Key.fresh rng and k = Key.fresh rng in
-  let c = Key.cipher ~suite kek in
-  let wrapped = Key.wrap_with c k in
-  Alcotest.(check bool) "toy wrap differs from default" false
-    (Bytes.equal wrapped (Key.wrap ~kek k));
-  Alcotest.(check bool) "toy roundtrip" true
-    (match Key.unwrap_with c wrapped with Some k' -> Key.equal k' k | None -> false);
-  Alcotest.(check bool)
-    "cross-package unwrap rejected" true
-    (Key.unwrap_with (Key.cipher kek) wrapped = None)
 
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
@@ -695,9 +652,8 @@ let () =
         ] );
       ( "pkg",
         [
-          Alcotest.test_case "registry" `Quick test_pkg_registry;
           Alcotest.test_case "default matches primitives" `Quick test_pkg_default_matches_primitives;
-          Alcotest.test_case "package agility" `Quick test_pkg_agility;
+          Alcotest.test_case "schedule unboxed" `Quick test_pkg_schedule_unboxed;
         ] );
       ( "prng",
         [
