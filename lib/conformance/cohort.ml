@@ -115,7 +115,8 @@ module Raw = struct
   let join t ~timeout =
     send t (Msg.Join { cls = `Long; loss = 0.0 });
     await t ~timeout (function
-      | Msg.Join_ack { member; path = (_, k) :: _; _ } -> Some (member, k)
+      | Msg.Join_ack { member; epoch; path = (_, k) :: _; ticket; _ } ->
+          Some (member, epoch, k, ticket)
       | _ -> None)
 end
 
@@ -362,88 +363,77 @@ let evictee_lockout ~loop ~port ~timeout =
   let r = Raw.connect ~loop ~port in
   match Raw.hello r ~timeout with
   | true -> (
-      Raw.send r (Msg.Join { cls = `Long; loss = 0.0 });
-      match
-        Raw.await r ~timeout (function
-          | Msg.Join_ack { member; epoch; path = (_, k) :: _; _ } -> Some (member, epoch, k)
-          | _ -> None)
-      with
+      match Raw.join r ~timeout with
       | None ->
           Raw.close r;
           fail "no JOIN_ACK"
-      | Some (member, epoch, key) -> (
-          match
-            Raw.await r ~timeout (function
-              | Msg.Ticket { member = m; ticket; _ } when m = member -> Some ticket
-              | _ -> None)
-          with
-          | None ->
-              Raw.close r;
-              fail "no ticket issued"
-          | Some ticket ->
-              Raw.send r (Msg.Leave { member });
-              (* ... and keep transmitting into the teardown. *)
-              for _ = 1 to 4 do
-                Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] })
-              done;
-              let went_down = run_until loop ~timeout (fun () -> Raw.closed r) in
-              if not went_down then begin
-                Raw.close r;
-                fail "server kept the leaver's connection"
-              end
-              else begin
-                (* Lockout probe 1: the dead ticket. *)
-                let r2 = Raw.connect ~loop ~port in
-                match Raw.hello r2 ~timeout with
-                | false ->
-                    Raw.close r2;
-                    fail "no HELLO_ACK on reconnect"
-                | true -> (
-                    Raw.send r2 (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket });
-                    let e1 =
-                      Raw.await r2 ~timeout (function
-                        | Msg.Error_msg { code; _ } -> Some code
-                        | _ -> None)
+      | Some (_, _, _, ticket) when Bytes.length ticket = 0 ->
+          Raw.close r;
+          fail "no ticket issued"
+      | Some (member, epoch, key, ticket) ->
+          Raw.send r (Msg.Leave { member });
+          (* ... and keep transmitting into the teardown. *)
+          for _ = 1 to 4 do
+            Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] })
+          done;
+          let went_down = run_until loop ~timeout (fun () -> Raw.closed r) in
+          if not went_down then begin
+            Raw.close r;
+            fail "server kept the leaver's connection"
+          end
+          else begin
+            (* Lockout probe 1: the dead ticket. *)
+            let r2 = Raw.connect ~loop ~port in
+            match Raw.hello r2 ~timeout with
+            | false ->
+                Raw.close r2;
+                fail "no HELLO_ACK on reconnect"
+            | true -> (
+                Raw.send r2 (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket });
+                let e1 =
+                  Raw.await r2 ~timeout (function
+                    | Msg.Error_msg { code; _ } -> Some code
+                    | _ -> None)
+                in
+                match e1 with
+                | Some code when code = Msg.err_evicted ->
+                    (* Lockout probe 2: a correctly authenticated
+                       RESYNC_REQ — the member is gone, so even a
+                       valid HMAC must be refused. *)
+                    Raw.send r2
+                      (Msg.Resync_req
+                         { member; epoch; auth = Frame.resync_auth ~key ~member ~epoch });
+                    let e2 =
+                      Raw.await r2 ~timeout (fun m ->
+                          match m with
+                          | Msg.Error_msg { code; _ } when code <> Msg.err_evicted ->
+                              Some code
+                          | _ -> None)
                     in
-                    match e1 with
-                    | Some code when code = Msg.err_evicted ->
-                        (* Lockout probe 2: a correctly authenticated
-                           RESYNC_REQ — the member is gone, so even a
-                           valid HMAC must be refused. *)
-                        Raw.send r2
-                          (Msg.Resync_req
-                             { member; epoch; auth = Frame.resync_auth ~key ~member ~epoch });
-                        let e2 =
-                          Raw.await r2 ~timeout (fun m ->
-                              match m with
-                              | Msg.Error_msg { code; _ } when code <> Msg.err_evicted ->
-                                  Some code
-                              | _ -> None)
-                        in
-                        Raw.close r2;
-                        if e2 = Some Msg.err_auth then
-                          {
-                            name;
-                            ok = true;
-                            detail = "ticket and authenticated resync both locked out";
-                          }
-                        else
-                          fail
-                            (Printf.sprintf
-                               "resync after leave: expected err_auth, got %s (closed=%b) [%s]"
-                               (match e2 with Some c -> string_of_int c | None -> "nothing")
-                               (Raw.closed r2)
-                               (String.concat ","
-                                  (List.map
-                                     (fun m -> Format.asprintf "%a" Msg.pp_kind m)
-                                     (Raw.msgs r2))))
-                    | Some code ->
-                        Raw.close r2;
-                        fail (Printf.sprintf "rejoin after leave: expected err_evicted, got %d" code)
-                    | None ->
-                        Raw.close r2;
-                        fail "rejoin after leave: no reply")
-              end))
+                    Raw.close r2;
+                    if e2 = Some Msg.err_auth then
+                      {
+                        name;
+                        ok = true;
+                        detail = "ticket and authenticated resync both locked out";
+                      }
+                    else
+                      fail
+                        (Printf.sprintf
+                           "resync after leave: expected err_auth, got %s (closed=%b) [%s]"
+                           (match e2 with Some c -> string_of_int c | None -> "nothing")
+                           (Raw.closed r2)
+                           (String.concat ","
+                              (List.map
+                                 (fun m -> Format.asprintf "%a" Msg.pp_kind m)
+                                 (Raw.msgs r2))))
+                | Some code ->
+                    Raw.close r2;
+                    fail (Printf.sprintf "rejoin after leave: expected err_evicted, got %d" code)
+                | None ->
+                    Raw.close r2;
+                    fail "rejoin after leave: no reply")
+          end)
   | false ->
       Raw.close r;
       fail "no HELLO_ACK"
@@ -458,78 +448,71 @@ let ticket_replay ~loop ~port ~timeout =
       | None ->
           Raw.close a;
           fail "no JOIN_ACK"
-      | Some (member, _key) -> (
-          match
-            Raw.await a ~timeout (function
-              | Msg.Ticket { member = m; issued_epoch; ticket } when m = member ->
-                  Some (issued_epoch, ticket)
+      | Some (_, _, _, ticket) when Bytes.length ticket = 0 ->
+          Raw.close a;
+          fail "no ticket issued"
+      | Some (member, issued_epoch, _, ticket) ->
+          let rejoin conn =
+            Raw.send conn (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket });
+            Raw.await conn ~timeout (function
+              | Msg.Rejoin_ack { member = m; _ } -> Some m
               | _ -> None)
-          with
-          | None ->
-              Raw.close a;
-              fail "no ticket issued"
-          | Some (issued_epoch, ticket) ->
-              let rejoin conn =
-                Raw.send conn (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket });
-                Raw.await conn ~timeout (function
-                  | Msg.Rejoin_ack { member = m; _ } -> Some m
-                  | _ -> None)
-              in
-              let b = Raw.connect ~loop ~port in
-              let replay1 = if Raw.hello b ~timeout then rejoin b else None in
-              (* Bearer semantics: the replay re-binds the member and
-                 the previous binding dies. *)
-              let a_died = run_until loop ~timeout (fun () -> Raw.closed a) in
-              let c = Raw.connect ~loop ~port in
-              let replay2 = if Raw.hello c ~timeout then rejoin c else None in
-              let b_died = run_until loop ~timeout (fun () -> Raw.closed b) in
-              (* A corrupted ticket must be refused softly: same socket
-                 stays up and can enter as a brand-new member. *)
-              let d = Raw.connect ~loop ~port in
-              let soft =
-                match Raw.hello d ~timeout with
-                | false -> fail "no HELLO_ACK on corrupt-ticket probe"
-                | true -> (
-                    let bad = Bytes.copy ticket in
-                    let i = Bytes.length bad / 2 in
-                    Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x41));
-                    Raw.send d (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket = bad });
-                    match
-                      Raw.await d ~timeout (function
-                        | Msg.Error_msg { code; _ } -> Some code
-                        | _ -> None)
-                    with
-                    | Some code when code = Msg.err_ticket && not (Raw.closed d) -> (
-                        match Raw.join d ~timeout with
-                        | Some (fresh, _) when fresh <> member ->
-                            { name; ok = true; detail = "" }
-                        | Some (fresh, _) ->
-                            fail (Printf.sprintf "fresh join reused member id %d" fresh)
-                        | None -> fail "no JOIN_ACK after soft ticket rejection")
-                    | Some code ->
-                        fail (Printf.sprintf "corrupt ticket: expected err_ticket, got %d" code)
-                    | None -> fail "corrupt ticket: no reply")
-              in
-              List.iter Raw.close [ a; b; c; d ];
-              let ok =
-                replay1 = Some member && replay2 = Some member && a_died && b_died && soft.ok
-              in
-              if ok then
-                {
-                  name;
-                  ok = true;
-                  detail =
-                    Printf.sprintf
-                      "2 replays re-bound member %d (old conns dropped); corrupt ticket soft-refused"
-                      member;
-                }
-              else if not soft.ok then soft
-              else
-                fail
-                  (Printf.sprintf "replay1=%s replay2=%s a_died=%b b_died=%b"
-                     (match replay1 with Some m -> string_of_int m | None -> "-")
-                     (match replay2 with Some m -> string_of_int m | None -> "-")
-                     a_died b_died)))
+          in
+          let b = Raw.connect ~loop ~port in
+          let replay1 = if Raw.hello b ~timeout then rejoin b else None in
+          (* Bearer semantics: the replay re-binds the member and
+             the previous binding dies. *)
+          let a_died = run_until loop ~timeout (fun () -> Raw.closed a) in
+          let c = Raw.connect ~loop ~port in
+          let replay2 = if Raw.hello c ~timeout then rejoin c else None in
+          let b_died = run_until loop ~timeout (fun () -> Raw.closed b) in
+          (* A corrupted ticket must be refused softly: same socket
+             stays up and can enter as a brand-new member. *)
+          let d = Raw.connect ~loop ~port in
+          let soft =
+            match Raw.hello d ~timeout with
+            | false -> fail "no HELLO_ACK on corrupt-ticket probe"
+            | true -> (
+                let bad = Bytes.copy ticket in
+                let i = Bytes.length bad / 2 in
+                Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x41));
+                Raw.send d (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket = bad });
+                match
+                  Raw.await d ~timeout (function
+                    | Msg.Error_msg { code; _ } -> Some code
+                    | _ -> None)
+                with
+                | Some code when code = Msg.err_ticket && not (Raw.closed d) -> (
+                    match Raw.join d ~timeout with
+                    | Some (fresh, _, _, _) when fresh <> member ->
+                        { name; ok = true; detail = "" }
+                    | Some (fresh, _, _, _) ->
+                        fail (Printf.sprintf "fresh join reused member id %d" fresh)
+                    | None -> fail "no JOIN_ACK after soft ticket rejection")
+                | Some code ->
+                    fail (Printf.sprintf "corrupt ticket: expected err_ticket, got %d" code)
+                | None -> fail "corrupt ticket: no reply")
+          in
+          List.iter Raw.close [ a; b; c; d ];
+          let ok =
+            replay1 = Some member && replay2 = Some member && a_died && b_died && soft.ok
+          in
+          if ok then
+            {
+              name;
+              ok = true;
+              detail =
+                Printf.sprintf
+                  "2 replays re-bound member %d (old conns dropped); corrupt ticket soft-refused"
+                  member;
+            }
+          else if not soft.ok then soft
+          else
+            fail
+              (Printf.sprintf "replay1=%s replay2=%s a_died=%b b_died=%b"
+                 (match replay1 with Some m -> string_of_int m | None -> "-")
+                 (match replay2 with Some m -> string_of_int m | None -> "-")
+                 a_died b_died))
   | false ->
       Raw.close a;
       fail "no HELLO_ACK"

@@ -54,9 +54,10 @@ module Raw : sig
   (** Send HELLO for the wire version and await HELLO_ACK; [false] on
       timeout or a refusal. *)
 
-  val join : t -> timeout:float -> (int * Gkm_crypto.Key.t) option
+  val join : t -> timeout:float -> (int * int * Gkm_crypto.Key.t * bytes) option
   (** Send JOIN and await JOIN_ACK (spans an admission tick); returns
-      the member id and individual key (the path head). *)
+      the member id, the epoch, the individual key (the path head) and
+      the ticket the reply carries (issued at that epoch). *)
 end
 
 (** {1 Well-behaved cohorts} *)

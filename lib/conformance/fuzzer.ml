@@ -103,7 +103,6 @@ let gen_field rng buf : Grammar.field -> unit = function
   | Enum (_, vs) -> add_u8 buf vs.(Prng.int rng (Array.length vs))
   | Uvarint (_, max) -> add_uvarint buf (gen_bounded rng max)
   | Varint _ -> add_varint buf (gen_id rng)
-  | I32 _ -> add_i32 buf (gen_i32 rng)
   | I64 _ -> add_i64 buf (Prng.bits64 rng)
   | Seq64 _ -> add_seq64 buf (gen_seq rng)
   | F64_unit _ -> add_f64 buf (if Prng.int rng 8 = 0 then float_of_int (Prng.int rng 2) else Prng.float rng 1.0)
@@ -136,7 +135,7 @@ let assemble ~tag body =
   add_u16 buf Frame.magic;
   add_u8 buf Msg.version;
   add_u8 buf tag;
-  add_i32 buf (Bytes.length body);
+  add_uvarint buf (Bytes.length body);
   Buffer.add_bytes buf body;
   Buffer.to_bytes buf
 
@@ -197,9 +196,6 @@ let poison_field rng buf : Grammar.field -> bool = function
       end
       else poison_varint rng buf
   | Varint _ | Seq64 _ -> poison_varint rng buf
-  | I32 _ ->
-      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 4));
-      true
   | I64 _ ->
       Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 8));
       true
@@ -276,21 +272,24 @@ let gen_poisoned rng (rule : Grammar.rule) =
 
 (* ---------------- datagram generation & poisoning ---------------- *)
 
-let gen_dgram rng =
+let gen_dgram_value rng =
   let count = 1 + Prng.int rng 5 in
-  Dgram.encode
-    {
-      Dgram.epoch = gen_i32 rng;
-      records = List.init count (fun _ -> (gen_seq rng, Prng.bytes rng (gen_len rng)));
-    }
+  {
+    Dgram.epoch = gen_bounded rng 0x7FFF_FFFF;
+    records = List.init count (fun _ -> (gen_seq rng, Prng.bytes rng (gen_len rng)));
+  }
+
+let gen_dgram rng = Dgram.encode (gen_dgram_value rng)
 
 (* Header-targeted mutations of a valid datagram: the pathologies a
    multicast receiver actually faces — truncation mid-record, a skewed
    epoch or record count, a poisoned magic/version — rather than blind
    bit noise (the frame mutations above already provide that). *)
 let gen_dgram_poisoned rng =
-  let d = gen_dgram rng in
-  let b = Bytes.copy d in
+  let v = gen_dgram_value rng in
+  let b = Dgram.encode v in
+  (* the 4 fixed bytes and the epoch label *)
+  let header = 4 + uvarint_size v.epoch in
   (match Prng.int rng 7 with
   | 0 ->
       (* truncation, biased toward cutting inside the record list *)
@@ -309,22 +308,24 @@ let gen_dgram_poisoned rng =
       Bytes.set b 3 (Char.chr (if Prng.bool rng then 0 else 255));
       b
   | 4 ->
-      (* epoch skew: arbitrary i32, sign bit included *)
-      for i = 4 to 7 do
-        Bytes.set b i (Char.chr (Prng.int rng 256))
-      done;
-      b
+      (* epoch skew: past the u31 range, or a broken varint *)
+      let buf = Buffer.create (Bytes.length b + 10) in
+      Buffer.add_subbytes buf b 0 4;
+      if Prng.bool rng then add_uvarint buf (0x8000_0000 + Prng.int rng 1000)
+      else ignore (poison_varint rng buf);
+      Buffer.add_subbytes buf b header (Bytes.length b - header);
+      Buffer.to_bytes buf
   | 5 ->
       (* seq skew / record-body noise past the header *)
-      if Bytes.length b > Dgram.header_size then begin
-        let i = Dgram.header_size + Prng.int rng (Bytes.length b - Dgram.header_size) in
+      if Bytes.length b > header then begin
+        let i = header + Prng.int rng (Bytes.length b - header) in
         Bytes.set b i (Char.chr (Prng.int rng 256))
       end;
       b
   | _ ->
       (* a first record whose seq or length is a broken varint *)
       let buf = Buffer.create (Bytes.length b) in
-      Buffer.add_subbytes buf b 0 Dgram.header_size;
+      Buffer.add_subbytes buf b 0 header;
       if Prng.bool rng then begin
         if poison_varint rng buf then add_vbytes buf (Prng.bytes rng (gen_len rng))
       end
@@ -337,11 +338,22 @@ let gen_dgram_poisoned rng =
 
 (* ---------------- frame-level mutations ---------------- *)
 
-let patch_i32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
+(* A frame's magic, tag, declared body length and the bytes after its
+   header, when the header's length varint parses at all. *)
+let header frame =
+  parse frame (fun r ->
+      let m = u16 r in
+      ignore (u8 r);
+      let tag = u8 r in
+      let len = uvarint r in
+      (m, tag, len, rest r))
+
+(* The tag and body of a frame whose header is intact: the magic, and
+   a declared length that matches the bytes left. *)
+let split frame =
+  match header frame with
+  | Ok (m, tag, len, body) when m = Frame.magic && len = Bytes.length body -> Some (tag, body)
+  | _ -> None
 
 let mutations :
     (string * (Prng.t -> bytes -> bytes -> bytes)) list =
@@ -368,21 +380,21 @@ let mutations :
       fun rng a _ -> Bytes.cat a (Prng.bytes rng (1 + Prng.int rng 32)) );
     ( "lenskew",
       fun rng a _ ->
-        let b = Bytes.copy a in
-        if Bytes.length b >= 8 then begin
-          let actual = Bytes.length b - 8 in
-          let v =
-            match Prng.int rng 6 with
-            | 0 -> -1
-            | 1 -> 0
-            | 2 -> actual + 1
-            | 3 -> max 0 (actual - 1)
-            | 4 -> 0x7fffffff
-            | _ -> Prng.int rng 0x100000
-          in
-          patch_i32 b 4 v
-        end;
-        b );
+        match header a with
+        | Error _ -> a
+        | Ok (_, _, _, body) ->
+            let actual = Bytes.length body in
+            let buf = Buffer.create (Bytes.length a + 10) in
+            Buffer.add_subbytes buf a 0 4;
+            (match Prng.int rng 7 with
+            | 0 -> add_uvarint buf 0
+            | 1 -> add_uvarint buf (actual + 1)
+            | 2 -> add_uvarint buf (max 0 (actual - 1))
+            | 3 -> add_uvarint buf 0x7fffffff
+            | 4 -> add_uvarint buf (Prng.int rng 0x100000)
+            | _ -> ignore (poison_varint rng buf));
+            Buffer.add_bytes buf body;
+            Buffer.to_bytes buf );
     ( "tagswap",
       fun rng a _ ->
         let b = Bytes.copy a in
@@ -416,13 +428,9 @@ let fail report ~stage ~origin ~frame kind =
   if not (List.exists same report.failures) then
     report.failures <- { f_stage = stage; f_kind = kind; f_frame = frame; f_origin = origin } :: report.failures
 
-let header_fields frame =
-  if Bytes.length frame >= 8 && Bytes_io.get_u16 frame 0 = Frame.magic then
-    Some (Bytes_io.get_u8 frame 3, Bytes_io.get_i32 frame 4)
-  else None
-
 let stream_check report ~origin ~chunks frame =
   let d = Frame.decoder () in
+  let surfaced = Buffer.create (Bytes.length frame) in
   match
     List.iter (fun (off, len) -> Frame.feed d frame off len) chunks;
     let rec drain n =
@@ -442,8 +450,15 @@ let stream_check report ~origin ~chunks frame =
                 if not (Bytes.equal (Buffer.to_bytes buf2) body) then
                   fail report ~stage:"stream" ~origin ~frame `Fixpoint
             | Error e -> fail report ~stage:"stream" ~origin ~frame (`Should_accept e));
+            Buffer.add_bytes surfaced (Frame.encode m);
             drain (n + 1)
-        | Ok None | Error _ -> ()
+        | Ok None ->
+            (* A stream consumed to the last byte has one spelling: its
+               messages re-frame to exactly the bytes fed, headers
+               included. *)
+            if Frame.buffered d = 0 && not (Bytes.equal (Buffer.to_bytes surfaced) frame) then
+              fail report ~stage:"stream" ~origin ~frame `Fixpoint
+        | Error _ -> ()
     in
     drain 0
   with
@@ -470,14 +485,13 @@ let packet_check report ~origin frame = function
   | _ -> ()
 
 let body_check report ~origin frame =
-  match header_fields frame with
-  | Some (tag, len) when len = Bytes.length frame - 8 -> (
-      let body = Bytes.sub frame 8 len in
+  match split frame with
+  | Some (tag, body) -> (
       match Msg.decode_body ~tag body with
       | Ok m -> (
           report.accepted <- report.accepted + 1;
           packet_check report ~origin frame m;
-          let buf = Buffer.create len in
+          let buf = Buffer.create (Bytes.length body) in
           match Msg.encode_body buf m with
           | () ->
               if not (Bytes.equal (Buffer.to_bytes buf) body) then
@@ -486,18 +500,20 @@ let body_check report ~origin frame =
               fail report ~stage:"body" ~origin ~frame (`Raise ("re-encode: " ^ Printexc.to_string e)))
       | Error _ -> report.rejected <- report.rejected + 1
       | exception e -> fail report ~stage:"body" ~origin ~frame (`Raise (Printexc.to_string e)))
-  | _ -> report.rejected <- report.rejected + 1
+  | None -> report.rejected <- report.rejected + 1
 
+(* Whatever follows a parseable header, read as a sealed record's
+   plaintext. *)
 let inner_check report ~origin frame =
-  if Bytes.length frame > 8 then begin
-    let body = Bytes.sub frame 8 (Bytes.length frame - 8) in
-    match Msg.decode_inner body with
-    | Ok m ->
-        if not (Bytes.equal (Msg.encode_inner m) body) then
-          fail report ~stage:"inner" ~origin ~frame `Fixpoint
-    | Error _ -> ()
-    | exception e -> fail report ~stage:"inner" ~origin ~frame (`Raise (Printexc.to_string e))
-  end
+  match header frame with
+  | Ok (_, _, _, body) when Bytes.length body > 0 -> (
+      match Msg.decode_inner body with
+      | Ok m ->
+          if not (Bytes.equal (Msg.encode_inner m) body) then
+            fail report ~stage:"inner" ~origin ~frame `Fixpoint
+      | Error _ -> ()
+      | exception e -> fail report ~stage:"inner" ~origin ~frame (`Raise (Printexc.to_string e)))
+  | _ -> ()
 
 (* The multicast datagram codec sees raw off-the-wire bytes with no
    streaming layer in front, so it gets the same two properties
@@ -589,13 +605,13 @@ let check_dgram_valid report ~origin frame =
    the grammar and the codec have drifted apart. *)
 let check_valid report ~origin frame =
   check_frame report ~origin frame;
-  match header_fields frame with
-  | Some (tag, len) when len = Bytes.length frame - 8 -> (
-      match Msg.decode_body ~tag (Bytes.sub frame 8 len) with
+  match split frame with
+  | Some (tag, body) -> (
+      match Msg.decode_body ~tag body with
       | Ok _ -> ()
       | Error e -> fail report ~stage:"grammar" ~origin ~frame (`Should_accept e)
       | exception _ -> () (* already recorded by check_frame *))
-  | _ -> fail report ~stage:"grammar" ~origin ~frame (`Should_accept "header not intact")
+  | None -> fail report ~stage:"grammar" ~origin ~frame (`Should_accept "header not intact")
 
 let replay_corpus report entries =
   List.iter

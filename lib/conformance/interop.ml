@@ -164,7 +164,8 @@ let mcast_verdicts ~rx_total stats =
          (get "mcast_fallback_unicast"));
     verdict "mcast-crosscheck"
       (rx_total >= 1 && get "mcast_datagrams" >= 1
-      && get "mcast_bytes" >= get "mcast_datagrams" * Gkm_wire.Dgram.header_size)
+      && get "mcast_bytes"
+         >= get "mcast_datagrams" * Gkm_wire.Dgram.encoded_size { epoch = 0; records = [] })
       (Printf.sprintf "herd heard %d datagrams of the %d (%d B) the server multicast"
          rx_total (get "mcast_datagrams") (get "mcast_bytes"));
   ]

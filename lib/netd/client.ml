@@ -38,7 +38,6 @@ let config ~port =
 
 type phase =
   | Connecting
-  | Hello_sent
   | Rejoin_wait
   | Joining
   | Resync_wait
@@ -498,6 +497,15 @@ let apply_resume t ~member (r : Msg.resume) =
       let dek = install t ~member ~rekey_no:r.rekey_no ~epoch:r.epoch ~root:r.root ~path:r.path in
       if t.phase = Member then sync_sink t dek
 
+let send_join t =
+  t.phase <- Joining;
+  send t (Msg.Join { cls = t.cfg.cls; loss = t.cfg.loss })
+
+(* A JOIN_ACK or RESYNC carries a fresh ticket, issued at the reply's
+   epoch, whenever one was due; an empty one leaves ours in place. *)
+let take_ticket t ~epoch ticket =
+  if Bytes.length ticket > 0 then t.ticket <- Some (epoch, ticket)
+
 (* Fresh-join reset: the fallback of last resort when the server
    reports our membership revoked — the old identity is gone for
    good, so start over as a brand-new member on the same socket. *)
@@ -512,8 +520,7 @@ let fresh_join t =
   t.sink <- None;
   t.ticket <- None;
   t.presented <- None;
-  t.phase <- Joining;
-  send t (Msg.Join { cls = t.cfg.cls; loss = t.cfg.loss })
+  send_join t
 
 let handle_msg t (msg : Msg.t) =
   match (t.phase, msg) with
@@ -537,16 +544,9 @@ let handle_msg t (msg : Msg.t) =
       else fail t (Printf.sprintf "server error %d: %s" code detail)
   | _, Error_msg { code; detail } ->
       fail t (Printf.sprintf "server error %d: %s" code detail)
-  | Hello_sent, Hello_ack _ ->
-      if t.member >= 0 && t.individual <> None then begin
-        (* Reconnection: we were a member, prove it and catch up. *)
-        request_resync t
-      end
-      else begin
-        t.phase <- Joining;
-        send t (Msg.Join { cls = t.cfg.cls; loss = t.cfg.loss })
-      end
-  | Rejoin_wait, Hello_ack _ -> ()  (* the pipelined REJOIN's answer follows *)
+  | (Joining | Resync_wait | Rejoin_wait), Hello_ack { version } ->
+      (* the pipelined request's answer follows *)
+      if version <> Msg.version then fail t (Printf.sprintf "server chose version %d" version)
   | Rejoin_wait, Rejoin_ack { member; ct } -> (
       match (t.individual, t.presented) with
       | Some individual, Some issued_epoch -> (
@@ -563,11 +563,10 @@ let handle_msg t (msg : Msg.t) =
               t.presented <- None;
               request_resync t)
       | _ -> fail t "REJOIN_ACK without a presented ticket")
-  | Joining, Join_ack { member; rekey_no; epoch; root; path } ->
-      let dek = install t ~member ~rekey_no ~epoch ~root ~path in
-      if t.phase = Member then sync_sink t dek
-  | (Resync_wait | Member), Resync { member; rekey_no; epoch; root; path }
+  | Joining, Join_ack { member; rekey_no; epoch; root; path; ticket }
+  | (Resync_wait | Member), Resync { member; rekey_no; epoch; root; path; ticket }
     when member = t.member || t.member < 0 ->
+      take_ticket t ~epoch ticket;
       let dek = install t ~member ~rekey_no ~epoch ~root ~path in
       if t.phase = Member then sync_sink t dek
   | (Member | Resync_wait | Joining | Rejoin_wait), Ticket { member; issued_epoch; ticket }
@@ -661,18 +660,19 @@ let on_writable t () =
       if t.phase = Connecting then begin
         match Unix.getsockopt_error (Conn.fd c) with
         | None -> (
+            (* The first request rides behind HELLO in the same flight
+               rather than spending a round trip on the HELLO_ACK:
+               0-RTT REJOIN with a ticket, RESYNC_REQ for a member
+               without one, JOIN otherwise. *)
             send t (Msg.Hello { lo = Msg.version; hi = Msg.version });
             match t.ticket with
             | Some (issued_epoch, blob) when t.individual <> None ->
-                (* 0-RTT: pipeline REJOIN behind HELLO in the first
-                   flight rather than spending a round trip on the
-                   HELLO_ACK. *)
                 t.presented <- Some issued_epoch;
                 t.phase <- Rejoin_wait;
                 send t
                   (Msg.Rejoin
                      { have_epoch = t.epoch; have_state = t.mstate <> None; ticket = blob })
-            | _ -> t.phase <- Hello_sent)
+            | _ -> if t.member >= 0 && t.individual <> None then request_resync t else send_join t)
         | Some err -> fail t ("connect: " ^ Unix.error_message err)
       end;
       (match t.conn with

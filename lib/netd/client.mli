@@ -24,11 +24,13 @@
     on its current DEK generation, buffers frames sealed for a
     generation it hasn't reached (draining them after the rotation
     they announce), and holds the AEAD resumption ticket the server
-    issues. After {!kill}/{!reconnect} the ticket is presented in a
-    REJOIN pipelined behind HELLO in the first flight — one round
-    trip to full membership, delta keys only if the member state
-    survived. The fallback ladder on rejection: RESYNC (expired
-    ticket), fresh JOIN as a new member (evicted). *)
+    issues (inside JOIN_ACK or RESYNC, and reissued by TICKET). Every
+    connection sends its first request in the same flight as HELLO:
+    JOIN for a new member; after {!kill}/{!reconnect}, the ticket in
+    a REJOIN — one round trip to full membership, delta keys only if
+    the member state survived — or, without a ticket, an
+    authenticated RESYNC_REQ. The fallback ladder on rejection:
+    RESYNC (expired ticket), fresh JOIN as a new member (evicted). *)
 
 type config = {
   host : string;
@@ -58,9 +60,8 @@ val config : port:int -> config
 
 type phase =
   | Connecting
-  | Hello_sent
   | Rejoin_wait  (** REJOIN pipelined behind HELLO, awaiting the sealed ack *)
-  | Joining
+  | Joining  (** JOIN sent, awaiting the admitting tick's JOIN_ACK *)
   | Resync_wait
   | Member
   | Leaving
@@ -68,8 +69,9 @@ type phase =
 type t
 
 val connect : loop:Loop.t -> config -> t
-(** Open a non-blocking connection and start the HELLO/JOIN handshake;
-    progress happens as the loop runs. *)
+(** Open a non-blocking connection and send HELLO and JOIN (or the
+    [resume] blob's REJOIN) in one flight; progress happens as the loop
+    runs. *)
 
 val kill : t -> unit
 (** Drop the connection abruptly (no LEAVE) — simulates a crash. The
@@ -89,8 +91,8 @@ val drain : ?timeout:float -> t -> (unit -> unit) -> unit
 val reconnect : t -> unit
 (** Open a fresh connection. Holding a ticket, the client pipelines
     REJOIN behind HELLO (0-RTT, see {!phase} [Rejoin_wait]); otherwise
-    it authenticates with {!Gkm_wire.Frame.resync_auth} and resumes
-    via RESYNC after HELLO_ACK. *)
+    it pipelines a RESYNC_REQ authenticated with
+    {!Gkm_wire.Frame.resync_auth} and resumes via RESYNC. *)
 
 val export_resumption : t -> bytes option
 (** The member's portable resumption state — id, epoch, individual

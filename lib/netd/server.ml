@@ -465,14 +465,15 @@ let mint_ticket t ~member ~cls ~loss path digest =
   t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
   ticket
 
-(* Issue (or refresh) a resumption ticket over an established
-   connection. A ticket is reissued whenever the member's entitled
+(* The resumption ticket [member] is due, if any, minted at the
+   current epoch. A ticket is reissued whenever the member's entitled
    path changes shape — the digest inside must track the current tree
    for the delta-rejoin test to pass — and every [ticket_rewrap]
    epochs regardless, which bounds how old a presented ticket can be
    for a client that stayed connected. Callers may offer any member:
-   the stale predicate below decides. *)
-let issue_ticket t cl member =
+   the stale predicate below decides. A JOIN_ACK or RESYNC carries the
+   result in its ticket field; the tick's reissues send it as TICKET. *)
+let due_ticket t member =
   let module O = (val t.org : Organization.S) in
   if O.is_member member && not (Hashtbl.mem t.leaving member) then begin
     let path = O.member_path member in
@@ -488,9 +489,13 @@ let issue_ticket t cl member =
       in
       let ticket = mint_ticket t ~member ~cls ~loss path digest in
       journal "netd.ticket" [ ("member", Int member); ("epoch", Int t.epoch) ];
-      send t cl (Msg.Ticket { member; issued_epoch = t.epoch; ticket })
+      Some ticket
     end
+    else None
   end
+  else None
+
+let reply_ticket t member = Option.value (due_ticket t member) ~default:Bytes.empty
 
 (* Bind [cl] to [member] as its live connection, admitted this tick,
    replacing any older binding; the member is no longer disconnected. *)
@@ -538,12 +543,12 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
          epoch = t.epoch;
          root = t.root;
          path = (match path with Some p -> p | None -> member_path t member);
-       });
-  issue_ticket t cl member
+         ticket = reply_ticket t member;
+       })
   end
 
 (* A member with a queued departure ([t.leaving]) must be refused like
-   one already evicted — issue_ticket and handle_rejoin already treat
+   one already evicted — due_ticket and handle_rejoin already treat
    leavers that way, and granting here would resurrect the binding for
    the remainder of the interval. *)
 let handle_resync_req t cl ~member ~epoch ~auth =
@@ -679,14 +684,7 @@ let handle_msg t cl (msg : Msg.t) =
         send_error t cl Msg.err_version "unsupported wire version"
       else begin
         cl.phase <- Ready;
-        send t cl
-          (Msg.Hello_ack
-             {
-               version = Msg.version;
-               tp_ms = int_of_float (Float.round (t.cfg.tp *. 1000.0));
-               max_frame = t.cfg.max_frame;
-               capacity = t.cfg.capacity;
-             })
+        send t cl (Msg.Hello_ack { version = Msg.version })
       end
   | Pre_hello, _ -> send_error t cl Msg.err_protocol "expected HELLO"
   | Ready, Join { cls; loss } ->
@@ -837,7 +835,7 @@ let top t tr =
 
 (* The ticket pass that closes a rekey. It visits only members whose
    path may have changed shape in [msg] or whose ticket aged out;
-   [issue_ticket]'s stale predicate filters the visits, so the pass
+   [due_ticket]'s stale predicate filters the visits, so the pass
    issues exactly the tickets a sweep over every connected member
    would (DESIGN.md Section 13.3). The candidates:
    - members under a tree node whose parent changed: a re-parented
@@ -855,7 +853,10 @@ let reissue_tickets t (msg : Gkm_lkh.Rekey_msg.t) =
   let module O = (val t.org : Organization.S) in
   let visit member =
     match Hashtbl.find_opt t.member_client member with
-    | Some cl when not (Conn.closed cl.conn) -> issue_ticket t cl member
+    | Some cl when not (Conn.closed cl.conn) ->
+        Option.iter
+          (fun ticket -> send t cl (Msg.Ticket { member; issued_epoch = t.epoch; ticket }))
+          (due_ticket t member)
     | _ -> ()
   in
   let trees = O.trees () in
@@ -1075,7 +1076,8 @@ let tick t =
         Hashtbl.remove t.history (t.rekey_no - t.cfg.retx_window)
       end;
       (* Admit this interval's joiners: JOIN_ACK carries the full key
-         path, the wire form of the registration unicast. *)
+         path, the wire form of the registration unicast, and the
+         member's first ticket. *)
       let admitted = Hashtbl.fold (fun m cl acc -> (m, cl) :: acc) t.pending [] in
       List.iter
         (fun (member, cl) ->
@@ -1092,8 +1094,8 @@ let tick t =
                      epoch = t.epoch;
                      root = t.root;
                      path = Hashtbl.find fresh member;
-                   });
-              issue_ticket t cl member
+                     ticket = reply_ticket t member;
+                   })
             end
           end)
         admitted;
@@ -1167,11 +1169,12 @@ let tick t =
                   let max_dgram =
                     match t.cfg.transport with Udp u -> u.max_dgram | Tcp -> assert false
                   in
+                  let d = { Gkm_wire.Dgram.epoch = lbl; records } in
                   if
                     total <= Gkm_wire.Dgram.max_records
-                    && Gkm_wire.Dgram.encoded_size records <= max_dgram
+                    && Gkm_wire.Dgram.encoded_size d <= max_dgram
                   then begin
-                    let dgram = Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = lbl; records } in
+                    let dgram = Gkm_wire.Dgram.encode d in
                     mcast_send t sender dgram;
                     t.last_dgram <- Some dgram;
                     t.stats.mcast_datagrams <- t.stats.mcast_datagrams + 1;

@@ -25,8 +25,8 @@
     HELLO whose range excludes it is refused with [err_version]. Every
     REKEY/RETX goes out sealed by the {!Gkm_record.Record} layer under
     the pre-rekey DEK generation, members receive AEAD resumption
-    tickets (at
-    admission, at RESYNC, whenever their entitled path changes shape,
+    tickets (inside the admitting JOIN_ACK and every RESYNC that finds
+    one due, and as TICKET whenever their entitled path changes shape
     and every [ticket_rewrap] epochs), and a reconnecting member can
     re-enter in one round trip by presenting its ticket in REJOIN —
     receiving only the path keys that changed since it left, sealed

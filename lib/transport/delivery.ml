@@ -124,7 +124,7 @@ module State = struct
 
   let undelivered_receivers t = t.active
 
-  let expected_replications t ~e =
+  let expected_replications ?(bound = Float.infinity) t ~e =
     if Array.length t.loss = 0 then
       invalid_arg "Delivery.State.expected_replications: created without ~loss_of";
     if t.remaining.(e) = 0 then 0.0
@@ -147,7 +147,7 @@ module State = struct
             counts;
           let term = -.expm1 !log_prod in
           total := !total +. term;
-          if term < 1e-9 || !m > 100_000 then go := false;
+          if term < 1e-9 || !m > 100_000 || !total >= bound then go := false;
           incr m
         done;
         !total

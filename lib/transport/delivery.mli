@@ -44,12 +44,16 @@ module State : sig
   val all_done : t -> bool
   val undelivered_receivers : t -> int
 
-  val expected_replications : t -> e:int -> float
+  val expected_replications : ?bound:float -> t -> e:int -> float
   (** Formula (14) over entry [e]'s *still-missing* receivers, read
       from the incrementally maintained loss-class counts. Equals
       [expected_replications_of ~loss_of ~receivers:(remaining_receivers t ~e)]
       (bit-identical when at most two distinct non-zero loss rates are
       in play, as in the simulator's high/low channel model).
+      The series stops once its running total reaches [bound]
+      (default: no bound): a value below [bound] is exact, and one at
+      or above it is some value no less than [bound]. A receiver at
+      loss 1 makes every term 1, so only a bound ends the sum early.
       @raise Invalid_argument if the state was created without
       [~loss_of]. *)
 end

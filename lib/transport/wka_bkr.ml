@@ -47,7 +47,11 @@ let deliver ?(config = default) ~channel job =
         (fun e acc ->
           if Delivery.State.remaining state ~e = 0 then acc
           else begin
-            let em = Delivery.State.expected_replications state ~e in
+            (* Any E[M] from [weight_cap + 0.5] up rounds to the cap. *)
+            let em =
+              Delivery.State.expected_replications state ~e
+                ~bound:(float_of_int config.weight_cap +. 0.5)
+            in
             let w = max 1 (min config.weight_cap (int_of_float (Float.round em))) in
             (e, w) :: acc
           end)

@@ -6,26 +6,28 @@ let magic = 0x474D (* "GM" *)
 
 let version = 1
 
-let header_size = 8
-
 let max_records = 255
 
-let encoded_size records =
+(* magic, version and count; the epoch label's uvarint follows *)
+let fixed_size = 4
+
+let encoded_size { epoch; records } =
   List.fold_left
     (fun acc (seq, ct) ->
       let n = Bytes.length ct in
       acc + Codec.seq64_size seq + Codec.uvarint_size n + n)
-    header_size records
+    (fixed_size + Codec.uvarint_size epoch)
+    records
 
-let encode { epoch; records } =
+let encode ({ epoch; records } as d) =
   let n = List.length records in
   if n > max_records then
     invalid_arg (Printf.sprintf "Dgram.encode: %d records exceed the u8 count" n);
-  let buf = Buffer.create (encoded_size records) in
+  let buf = Buffer.create (encoded_size d) in
   Codec.add_u16 buf magic;
   Codec.add_u8 buf version;
   Codec.add_u8 buf n;
-  Codec.add_i32 buf epoch;
+  Codec.add_u31 buf epoch;
   List.iter
     (fun (seq, ct) ->
       Codec.add_seq64 buf seq;
@@ -41,7 +43,7 @@ let decode b =
       if v <> version then Codec.corrupt "dgram version %d" v;
       let count = Codec.u8 r in
       if count = 0 then Codec.corrupt "dgram with zero records";
-      let epoch = Codec.i32 r in
+      let epoch = Codec.u31 r in
       let records =
         (* a record is at least a 1-byte seq and a 1-byte length *)
         Codec.items r ~min_item_size:2 count (fun r ->

@@ -9,11 +9,12 @@
     generation over either transport and open it with the same
     {!Gkm_record.Record.Sink}.
 
-    Layout (header {!header_size} = 8 bytes, big-endian; then the
-    records, each a {!Gkm_crypto.Codec.add_seq64} sequence number and
-    a uvarint length before its bytes):
+    Layout (a 4-byte fixed header, big-endian, and the epoch label as
+    a {!Gkm_crypto.Codec.add_u31} varint; then the records, each a
+    {!Gkm_crypto.Codec.add_seq64} sequence number and a uvarint length
+    before its bytes):
     {v
-      u16 magic (0x474D)  u8 version  u8 count  i32 epoch
+      u16 magic (0x474D)  u8 version  u8 count  u31 epoch
       count x ( seq64 seq | uvarint ct_len | ct )
     v}
 
@@ -33,18 +34,17 @@ val magic : int
 
 val version : int
 
-val header_size : int
-
 val max_records : int
 (** 255 — the count is a u8. *)
 
-val encoded_size : (int64 * bytes) list -> int
+val encoded_size : t -> int
 (** Exactly the size {!encode} produces, without building it — the
     fits-in-one-datagram check for the TCP fallback decision. *)
 
 val encode : t -> bytes
-(** @raise Invalid_argument on more than {!max_records} records. *)
+(** @raise Invalid_argument on more than {!max_records} records, or an
+    epoch outside [[0, 2^31)]. *)
 
 val decode : bytes -> (t, string) result
-(** Never raises; rejects bad magic/version, a zero record count,
-    truncation and trailing bytes. *)
+(** Never raises; rejects bad magic/version, a zero record count, an
+    overlong or out-of-range varint, truncation and trailing bytes. *)

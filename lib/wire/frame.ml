@@ -1,10 +1,14 @@
 module Bytes_io = Gkm_crypto.Bytes_io
+module Codec = Gkm_crypto.Codec
 module Key = Gkm_crypto.Key
 module Pkg = Gkm_crypto.Pkg
 module Labels = Gkm_crypto.Labels
 
 let magic = 0x474B (* "GK" *)
-let header_size = 8
+
+(* magic, version and tag; the body length's uvarint follows *)
+let fixed_size = 4
+
 let max_frame_default = 1 lsl 20
 
 let resync_auth ~key ~member ~epoch =
@@ -15,23 +19,27 @@ let resync_auth ~key ~member ~epoch =
   Pkg.Kdf.prf ~key:(Key.to_bytes key) (Buffer.to_bytes buf)
 
 let encode ?(version = Msg.version) msg =
-  let buf = Buffer.create 64 in
-  Bytes_io.add_u16 buf magic;
-  Bytes_io.add_u8 buf version;
-  Bytes_io.add_u8 buf (Msg.tag msg);
-  Bytes_io.add_i32 buf 0 (* body length, patched below *);
-  Msg.encode_body buf msg;
-  let frame = Buffer.to_bytes buf in
-  ignore (Bytes_io.put_i32 frame 4 (Bytes.length frame - header_size));
+  let body = Buffer.create 64 in
+  Msg.encode_body body msg;
+  let n = Buffer.length body in
+  let hdr = Buffer.create 8 in
+  Codec.add_u16 hdr magic;
+  Codec.add_u8 hdr version;
+  Codec.add_u8 hdr (Msg.tag msg);
+  Codec.add_uvarint hdr n;
+  let h = Buffer.length hdr in
+  let frame = Bytes.create (h + n) in
+  Buffer.blit hdr 0 frame 0 h;
+  Buffer.blit body 0 frame h n;
   frame
 
 (* Streaming reassembly: bytes arrive in arbitrary chunks; frames are
    surfaced as soon as complete. The buffer starts small (most frames
    are control messages or small rekeys, and every connection end
    holds a decoder), doubles on demand, is compacted lazily and
-   never grows past [max_frame + header_size] + one read chunk — a
-   declared length beyond [max_frame] fails the stream before any
-   allocation for the frame happens. *)
+   never grows past a maximal frame + one read chunk — a declared
+   length beyond [max_frame] fails the stream before any allocation
+   for the frame happens. *)
 
 type decoder = {
   max_frame : int;
@@ -69,31 +77,55 @@ let fail d msg =
   d.dead <- Some msg;
   Error msg
 
+(* The body length at [at]: [`Len (l, header)] once its last byte is
+   in, [`More] before. A canonical uvarint no greater than [max_frame]
+   is at most [uvarint_size max_frame] bytes, so a longer run, an
+   overlong spelling (a zero last byte after the first) or a value
+   past the bound — already visible in the bytes read so far, since
+   later groups only add — is an error. *)
+let body_length d =
+  let limit = Codec.uvarint_size d.max_frame in
+  let rec go i acc =
+    if i >= limit then `Bad "frame length varint too long"
+    else if d.len < fixed_size + i + 1 then `More
+    else begin
+      let b = Bytes_io.get_u8 d.buf (d.start + fixed_size + i) in
+      let acc = acc lor ((b land 0x7F) lsl (7 * i)) in
+      if acc < 0 || acc > d.max_frame then
+        `Bad (Printf.sprintf "declared frame length exceeds bound %d" d.max_frame)
+      else if b land 0x80 <> 0 then go (i + 1) acc
+      else if b = 0 && i > 0 then `Bad "overlong frame length"
+      else `Len (acc, fixed_size + i + 1)
+    end
+  in
+  go 0 0
+
 let next d =
   match d.dead with
   | Some msg -> Error msg
   | None ->
-      if d.len < header_size then Ok None
+      if d.len < fixed_size then Ok None
       else begin
         let at k = d.start + k in
         let m = Bytes_io.get_u16 d.buf (at 0) in
+        let version = Bytes_io.get_u8 d.buf (at 2) in
+        let tag = Bytes_io.get_u8 d.buf (at 3) in
         if m <> magic then fail d (Printf.sprintf "bad magic 0x%04X" m)
-        else begin
-          let version = Bytes_io.get_u8 d.buf (at 2) in
-          let tag = Bytes_io.get_u8 d.buf (at 3) in
-          let body_len = Bytes_io.get_i32 d.buf (at 4) in
-          if version <> Msg.version then fail d (Printf.sprintf "unsupported version %d" version)
-          else if body_len < 0 || body_len > d.max_frame then
-            fail d (Printf.sprintf "declared frame length %d exceeds bound %d" body_len d.max_frame)
-          else if d.len < header_size + body_len then Ok None
-          else begin
-            let body = Bytes.sub d.buf (at header_size) body_len in
-            d.start <- d.start + header_size + body_len;
-            d.len <- d.len - header_size - body_len;
-            if d.len = 0 then d.start <- 0;
-            match Msg.decode_body ~tag body with
-            | Ok msg -> Ok (Some msg)
-            | Error e -> fail d (Printf.sprintf "%s: %s" (Msg.tag_name tag) e)
-          end
-        end
+        else if version <> Msg.version then
+          fail d (Printf.sprintf "unsupported version %d" version)
+        else
+          match body_length d with
+          | `More -> Ok None
+          | `Bad e -> fail d e
+          | `Len (body_len, header) ->
+              if d.len < header + body_len then Ok None
+              else begin
+                let body = Bytes.sub d.buf (at header) body_len in
+                d.start <- d.start + header + body_len;
+                d.len <- d.len - header - body_len;
+                if d.len = 0 then d.start <- 0;
+                match Msg.decode_body ~tag body with
+                | Ok msg -> Ok (Some msg)
+                | Error e -> fail d (Printf.sprintf "%s: %s" (Msg.tag_name tag) e)
+              end
       end

@@ -7,23 +7,24 @@
     0      2    magic 0x474B ("GK")
     2      1    wire version ({!Msg.version})
     3      1    message type (Msg.tag)
-    4      4    body length L (0 <= L <= max_frame)
-    8      L    body (Msg.encode_body)
+    4      n    body length L, canonical uvarint (0 <= L <= max_frame)
+    4+n    L    body (Msg.encode_body)
     v}
 
-    The decoder is stream-oriented: {!feed} it whatever the socket
-    produced, then {!next} until it reports [Ok None] (more bytes
-    needed). Any malformed input — bad magic, any version byte other
-    than {!Msg.version},
-    a declared length beyond the bound, an undecodable body — kills
-    the stream permanently ([Error] from then on): framing errors are
-    not recoverable mid-stream, the connection must be dropped. The
-    declared-length check happens before any frame allocation, so a
-    hostile peer cannot make the decoder allocate beyond
+    The length takes one byte below 128 and three at the 1 MiB
+    default bound. The decoder is stream-oriented: {!feed} it whatever
+    the socket produced, then {!next} until it reports [Ok None] (more
+    bytes needed). Any malformed input — bad magic, any version byte
+    other than {!Msg.version}, a declared length beyond the bound or
+    spelled overlong, an undecodable body — kills the stream
+    permanently ([Error] from then on): framing errors are not
+    recoverable mid-stream, the connection must be dropped. The
+    declared-length check happens before any frame allocation, and a
+    length whose bytes so far already exceed the bound fails at once,
+    so a hostile peer cannot make the decoder allocate beyond
     [max_frame]. *)
 
 val magic : int
-val header_size : int
 
 val max_frame_default : int
 (** 1 MiB. *)

@@ -3,7 +3,6 @@ type field =
   | Enum of string * int array
   | Uvarint of string * int
   | Varint of string
-  | I32 of string
   | I64 of string
   | Seq64 of string
   | F64_unit of string
@@ -34,14 +33,15 @@ let rekey_fields =
     Rest "payload";
   ]
 
-let catchup_fields = [ num "member"; num "rekey_no"; num "epoch"; Varint "root"; Path "path" ]
+let catchup_fields =
+  [ num "member"; num "rekey_no"; num "epoch"; Varint "root"; Path "path"; Rest "ticket" ]
 
 let rule tag fields = { tag; name = Msg.tag_name tag; fields }
 
 let rules =
   [
     rule 1 [ Version_range ("lo", "hi") ];
-    rule 2 [ U8 "version"; num "tp_ms"; num "max_frame"; num "capacity" ];
+    rule 2 [ U8 "version" ];
     rule 3 [ Enum ("cls", [| 0; 1 |]); F64_unit "loss" ];
     rule 4 catchup_fields;
     rule 5 rekey_fields;
@@ -53,7 +53,7 @@ let rules =
     rule 11 [ I64 "token" ];
     rule 12 [ I64 "token" ];
     rule 13 [ U8 "code"; Rest "detail" ];
-    rule 14 [ I32 "epoch"; Seq64 "seq"; Rest "ct" ];
+    rule 14 [ num "epoch"; Seq64 "seq"; Rest "ct" ];
     rule 15 [ num "member"; num "issued_epoch"; Rest "ticket" ];
     rule 16 [ num "have_epoch"; Enum ("have_state", [| 0; 1 |]); Rest "ticket" ];
     rule 17 [ num "member"; Rest "ct" ];
@@ -66,7 +66,6 @@ let field_label = function
   | Enum (n, _)
   | Uvarint (n, _)
   | Varint n
-  | I32 n
   | I64 n
   | Seq64 n
   | F64_unit n

@@ -21,7 +21,6 @@ type field =
       (** canonical unsigned LEB128 no greater than the bound: i32-ranged
           numbers (ids, epochs, counters) or u16 packet indices *)
   | Varint of string  (** zigzag LEB128 of any int (node ids) *)
-  | I32 of string  (** fixed width (the SEALED epoch label) *)
   | I64 of string  (** fixed width (PING/PONG tokens) *)
   | Seq64 of string
       (** record sequence number: {!Gkm_crypto.Codec.add_seq64}, 1 to

@@ -20,14 +20,28 @@ type path = (int * Key.t) list
 
 type t =
   | Hello of { lo : int; hi : int }
-  | Hello_ack of { version : int; tp_ms : int; max_frame : int; capacity : int }
+  | Hello_ack of { version : int }
   | Join of { cls : cls; loss : float }
-  | Join_ack of { member : int; rekey_no : int; epoch : int; root : int; path : path }
+  | Join_ack of {
+      member : int;
+      rekey_no : int;
+      epoch : int;
+      root : int;
+      path : path;
+      ticket : bytes;
+    }
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
   | Retx of rekey
   | Resync_req of { member : int; epoch : int; auth : bytes }
-  | Resync of { member : int; rekey_no : int; epoch : int; root : int; path : path }
+  | Resync of {
+      member : int;
+      rekey_no : int;
+      epoch : int;
+      root : int;
+      path : path;
+      ticket : bytes;
+    }
   | Leave of { member : int }
   | Ping of { token : int64 }
   | Pong of { token : int64 }
@@ -84,10 +98,10 @@ let tag_name = function
   | 17 -> "REJOIN_ACK"
   | n -> Printf.sprintf "type-%d" n
 
-(* One rule for every body: numbers are LEB128 varints, fixed-size
-   material (keys, tokens, JOIN's loss, SEALED's epoch label) keeps its
-   width, and a trailing byte string takes the rest of the body with no
-   length. Member ids, epochs and rekey numbers keep the i32 range they
+(* One rule for every body: numbers are LEB128 varints (SEALED's
+   epoch label too), fixed-size material (keys, tokens, JOIN's loss)
+   keeps its width, and a trailing byte string takes the rest of the
+   body with no length. Member ids, epochs and rekey numbers keep the i32 range they
    had as fixed fields (and still have in snapshots and the client's
    resumption blob); packet indices keep the u16 range that bounds a
    member's reassembly array. Node ids are signed (the synthetic DEK id
@@ -141,21 +155,18 @@ let encode_body buf = function
   | Hello { lo; hi } ->
       add_u8 buf lo;
       add_u8 buf hi
-  | Hello_ack { version; tp_ms; max_frame; capacity } ->
-      add_u8 buf version;
-      add_u31 buf tp_ms;
-      add_u31 buf max_frame;
-      add_u31 buf capacity
+  | Hello_ack { version } -> add_u8 buf version
   | Join { cls; loss } ->
       add_u8 buf (match cls with `Short -> 0 | `Long -> 1);
       add_f64 buf loss
-  | Join_ack { member; rekey_no; epoch; root; path }
-  | Resync { member; rekey_no; epoch; root; path } ->
+  | Join_ack { member; rekey_no; epoch; root; path; ticket }
+  | Resync { member; rekey_no; epoch; root; path; ticket } ->
       add_u31 buf member;
       add_u31 buf rekey_no;
       add_u31 buf epoch;
       add_varint buf root;
-      add_path buf path
+      add_path buf path;
+      Buffer.add_bytes buf ticket
   | Rekey m | Retx m -> add_rekey buf m
   | Nack { rekey_no; seqs } ->
       add_u31 buf rekey_no;
@@ -171,7 +182,7 @@ let encode_body buf = function
       add_u8 buf code;
       Buffer.add_string buf detail
   | Sealed { epoch; seq; ct } ->
-      add_i32 buf epoch;
+      add_u31 buf epoch;
       add_seq64 buf seq;
       Buffer.add_bytes buf ct
   | Ticket { member; issued_epoch; ticket } ->
@@ -193,12 +204,7 @@ let read_body ~tag r =
       let hi = u8 r in
       if lo > hi then corrupt "HELLO with empty version range [%d, %d]" lo hi;
       Hello { lo; hi }
-  | 2 ->
-      let version = u8 r in
-      let tp_ms = u31 r in
-      let max_frame = u31 r in
-      let capacity = u31 r in
-      Hello_ack { version; tp_ms; max_frame; capacity }
+  | 2 -> Hello_ack { version = u8 r }
   | 3 ->
       let cls = match u8 r with 0 -> `Short | 1 -> `Long | c -> corrupt "JOIN with unknown class %d" c in
       let loss = f64 r in
@@ -211,8 +217,9 @@ let read_body ~tag r =
       let epoch = u31 r in
       let root = varint r in
       let path = read_path r in
-      if tag = 4 then Join_ack { member; rekey_no; epoch; root; path }
-      else Resync { member; rekey_no; epoch; root; path }
+      let ticket = rest r in
+      if tag = 4 then Join_ack { member; rekey_no; epoch; root; path; ticket }
+      else Resync { member; rekey_no; epoch; root; path; ticket }
   | 5 -> Rekey (read_rekey r)
   | 6 ->
       let rekey_no = u31 r in
@@ -232,7 +239,7 @@ let read_body ~tag r =
       let detail = Bytes.to_string (rest r) in
       Error_msg { code; detail }
   | 14 ->
-      let epoch = i32 r in
+      let epoch = u31 r in
       let seq = seq64 r in
       let ct = rest r in
       Sealed { epoch; seq; ct }

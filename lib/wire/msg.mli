@@ -11,12 +11,14 @@
     server no longer holds the missed interval. Joins are
     batch-admitted: [Join] is answered by [Join_ack] only at the tick
     that admits the member, carrying its full key path — the wire form
-    of the out-of-band registration unicast.
+    of the out-of-band registration unicast — and its first resumption
+    ticket. A client sends its first request in the same flight as
+    [Hello], without waiting for [Hello_ack].
 
-    Bodies follow one codec rule: ids, epochs, counters and counts are
-    canonical LEB128 varints (node ids zigzag, record seqs
-    {!Gkm_crypto.Codec.add_seq64}); keys, tokens, JOIN's loss and
-    SEALED's epoch label keep their fixed width; a trailing byte string
+    Bodies follow one codec rule: ids, epochs (SEALED's epoch label
+    included), counters and counts are canonical LEB128 varints (node
+    ids zigzag, record seqs {!Gkm_crypto.Codec.add_seq64}); keys, tokens
+    and JOIN's loss keep their fixed width; a trailing byte string
     takes the rest of the body with no length prefix. Frame layout and
     field tables are documented in DESIGN.md Section 12; framing
     (header, length prefix, streaming reassembly) lives in {!Frame}. *)
@@ -51,11 +53,18 @@ type path = (int * Gkm_crypto.Key.t) list
 
 type t =
   | Hello of { lo : int; hi : int }  (** client: supported version range *)
-  | Hello_ack of { version : int; tp_ms : int; max_frame : int; capacity : int }
-      (** server: chosen version, rekey interval, frame bound, packet
-          payload capacity *)
+  | Hello_ack of { version : int }  (** server: the chosen version *)
   | Join of { cls : cls; loss : float }
-  | Join_ack of { member : int; rekey_no : int; epoch : int; root : int; path : path }
+  | Join_ack of {
+      member : int;
+      rekey_no : int;
+      epoch : int;
+      root : int;
+      path : path;
+      ticket : bytes;
+          (** the member's resumption ticket, issued at [epoch] (see
+              [Ticket]); empty when none is due *)
+    }
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
       (** missing packet seqs; an empty list means the whole rekey *)
@@ -63,7 +72,14 @@ type t =
   | Resync_req of { member : int; epoch : int; auth : bytes }
       (** [auth] is HMAC-SHA-256 under the member's individual key;
           see {!Frame.resync_auth} *)
-  | Resync of { member : int; rekey_no : int; epoch : int; root : int; path : path }
+  | Resync of {
+      member : int;
+      rekey_no : int;
+      epoch : int;
+      root : int;
+      path : path;
+      ticket : bytes;  (** as in [Join_ack] *)
+    }
   | Leave of { member : int }
   | Ping of { token : int64 }
   | Pong of { token : int64 }
@@ -74,10 +90,12 @@ type t =
           record sequence number (bit 63 set = unicast space); [ct] is
           the AEAD output covering an inner [tag || body] plaintext. *)
   | Ticket of { member : int; issued_epoch : int; ticket : bytes }
-      (** A resumption ticket push. [ticket] is opaque to the
+      (** A resumption ticket reissued to a connected member (its path
+          changed shape, or its ticket aged). [ticket] is opaque to the
           client (sealed under the server's ticket key);
           [issued_epoch] lets the client derive the resume key for a
-          later REJOIN_ACK. *)
+          later REJOIN_ACK. A member's first ticket rides in its
+          [Join_ack] or [Resync] instead. *)
   | Rejoin of { have_epoch : int; have_state : bool; ticket : bytes }
       (** 0-RTT re-entry. [have_epoch] is the last epoch whose keys
           the client still holds; [have_state] is false when the member
@@ -109,8 +127,8 @@ val tag_name : int -> string
 val encode_body : Buffer.t -> t -> unit
 (** Append the body encoding (everything after the frame header).
     @raise Invalid_argument if a field exceeds its encoding range:
-    member ids, epochs, rekey numbers and HELLO_ACK's sizes must lie
-    in [[0, 2^31)], packet indices in [[0, 2^16)]. *)
+    member ids, epochs and rekey numbers must lie in [[0, 2^31)],
+    packet indices in [[0, 2^16)]. *)
 
 val decode_body : tag:int -> bytes -> (t, string) result
 (** Decode one frame body. Never raises: arbitrary bytes yield

@@ -376,6 +376,38 @@ let test_grace_eviction () =
   List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "peer%d" i) c) peers;
   Server.stop srv
 
+(* The admitting JOIN_ACK carries the member's first ticket: a fresh
+   member already holds one when its first DEK lands, so a crash right
+   after admission comes back by 0-RTT REJOIN — no full rejoin, no
+   RESYNC. *)
+let test_ticket_in_admission () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ()) in
+  let port = Server.port srv in
+  let peers =
+    List.init 3 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i })
+  in
+  run_until loop (fun () -> List.for_all Client.is_member peers);
+  let victim = Client.connect ~loop { (Client.config ~port) with seed = 7 } in
+  let at_first_dek = ref None in
+  Client.on_dek victim (fun ~rekey_no:_ ~fp:_ ->
+      if !at_first_dek = None then
+        at_first_dek := Some (Client.export_resumption victim <> None));
+  run_until loop (fun () -> Client.is_member victim);
+  Alcotest.(check (option bool)) "ticket held when the first DEK lands" (Some true) !at_first_dek;
+  let pre_member = Client.member victim in
+  Client.kill victim;
+  Client.reconnect victim;
+  run_until loop (fun () -> Client.is_member victim);
+  let s = Server.stats srv in
+  Alcotest.(check int) "same member identity" pre_member (Client.member victim);
+  Alcotest.(check int) "one ticket rejoin" 1 (Client.rejoins victim);
+  Alcotest.(check int) "a 0-RTT delta rejoin" 1 s.rejoins_0rtt;
+  Alcotest.(check int) "zero full rejoins" 0 s.rejoins_full;
+  Alcotest.(check int) "zero RESYNCs sent" 0 (Client.resyncs victim);
+  Alcotest.(check int) "zero RESYNCs served" 0 s.resyncs;
+  Server.stop srv
+
 (* Mid-interval kill in a quiet group: the reconnect must complete via
    the 0-RTT ticket path — delta keys, one round trip, ZERO full
    RESYNCs — and the victim must end on the server's DEK sequence. *)
@@ -626,14 +658,21 @@ let test_plaintext_rekey_refused () =
   let dec = Frame.decoder () in
   (match read_frame loop dec fd with
   | Msg.Hello _ ->
-      write_frame fd
-        (Msg.Hello_ack { version = Msg.version; tp_ms = 1000; max_frame = 1 lsl 20; capacity = 512 })
+      write_frame fd (Msg.Hello_ack { version = Msg.version })
   | m -> Alcotest.failf "expected HELLO, got %s" (Msg.tag_name (Msg.tag m)));
   let key = Gkm_crypto.Key.fresh (Gkm_crypto.Prng.create 5) in
   (match read_frame loop dec fd with
   | Msg.Join _ ->
       write_frame fd
-        (Msg.Join_ack { member = 1; rekey_no = 0; epoch = 0; root = 7; path = [ (7, key) ] })
+        (Msg.Join_ack
+           {
+             member = 1;
+             rekey_no = 0;
+             epoch = 0;
+             root = 7;
+             path = [ (7, key) ];
+             ticket = Bytes.empty;
+           })
   | m -> Alcotest.failf "expected JOIN, got %s" (Msg.tag_name (Msg.tag m)));
   run_until loop (fun () -> Client.is_member c);
   let payload = Bytes.make 2 '\000' in
@@ -1011,7 +1050,7 @@ let small_rekey_sizes ?group () =
             | Ok es ->
                 sizes :=
                   ( es,
-                    Dgram.encoded_size [ (seq, ct) ],
+                    Dgram.encoded_size { epoch; records = [ (seq, ct) ] },
                     Bytes.length (Frame.encode (Msg.Sealed { epoch; seq; ct })) )
                   :: !sizes
             | Error e -> Alcotest.fail e)
@@ -1057,10 +1096,10 @@ let test_small_rekey_unpadded () =
     List.iter (fun s -> Alcotest.(check int) (tag ^ " of a 1-entry DEK rekey") steady (pick s)) one
   in
   let sizes, _ = small_rekey_sizes () in
-  check "tcp SEALED frame" sizes (fun (_, _, frame) -> frame) ~steady:79;
+  check "tcp SEALED frame" sizes (fun (_, _, frame) -> frame) ~steady:73;
   if Mcast.available () then begin
     let sizes, st = small_rekey_sizes ~group:(Mcast.ephemeral_group ~seed:0xA2) () in
-    check "udp datagram" sizes (fun (_, dgram, _) -> dgram) ~steady:76;
+    check "udp datagram" sizes (fun (_, dgram, _) -> dgram) ~steady:73;
     Alcotest.(check bool) "server multicast datagrams" true (st.Server.mcast_datagrams > 0);
     Alcotest.(check bool)
       (Printf.sprintf "server sent %d B in %d datagrams, each < 400 on average"
@@ -2073,6 +2112,7 @@ let () =
           Alcotest.test_case "evicted ticket locked out" `Quick test_eviction_lockout;
           Alcotest.test_case "composed org served on v2" `Quick test_composed_served;
           Alcotest.test_case "no socket metric registered" `Quick test_no_socket_metrics;
+          Alcotest.test_case "admission reply carries the ticket" `Quick test_ticket_in_admission;
         ] );
       ( "storm",
         [

@@ -339,6 +339,56 @@ let prop_wka_matches_reference =
       in
       o_new = o_ref)
 
+(* A receiver at loss 1 makes every term of E[M]'s series 1, so only a
+   bound ends the sum before its 100,000-term guard. WKA-BKR passes
+   [weight_cap + 0.5]: the bounded value stops within one term of it,
+   and the delivery is the unbounded seed reference's, weight for
+   weight. *)
+let test_wka_black_hole_bounded () =
+  let config = { Wka_bkr.default with max_rounds = 5 } in
+  let bound = float_of_int config.weight_cap +. 0.5 in
+  let run deliver =
+    let channel, trees, msg, _ = make_group ~n:32 ~n_high:1 ~ph:1.0 ~pl:0.1 ~departs:[ 5 ] () in
+    let job = Job.of_rekey ~channel ~trees msg in
+    (channel, job, (deliver ~channel job : Delivery.outcome))
+  in
+  let channel, job, o_new = run (fun ~channel job -> Wka_bkr.deliver ~config ~channel job) in
+  let _, _, o_ref = run (fun ~channel job -> Wka_bkr_reference.deliver ~config ~channel job) in
+  Alcotest.(check int) "the black-holed receiver is left" 1 o_new.undelivered;
+  Alcotest.(check bool) "outcome identical to the unbounded reference" true (o_new = o_ref);
+  let loss_of r = Loss_model.mean_loss (Channel.receiver channel r).model in
+  let state = Delivery.State.create ~loss_of job in
+  let blocked = Job.interest job 0 in
+  Alcotest.(check bool) "receiver 0 is black-holed" true (loss_of 0 = 1.0 && blocked <> []);
+  List.iter
+    (fun e ->
+      let em = Delivery.State.expected_replications ~bound state ~e in
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d stops at the bound (%g)" e em)
+        true
+        (em >= bound && em < bound +. 1.0))
+    blocked
+
+(* Below the bound the bounded series is the unbounded one, bit for
+   bit; at or above it, it is still at least the bound. *)
+let prop_bounded_em =
+  QCheck.Test.make ~name:"bounded E[M] equals unbounded below the bound" ~count:100
+    QCheck.(
+      quad (int_range 0 1000) (int_range 8 48) (float_range 0.05 0.95) (float_range 1.0 20.0))
+    (fun (seed, n, ph, bound) ->
+      let channel, trees, msg, _ =
+        make_group ~seed ~n ~n_high:(n / 4) ~ph ~pl:0.02 ~departs:[ 1; n / 2 ] ()
+      in
+      let job = Job.of_rekey ~channel ~trees msg in
+      let loss_of r = Loss_model.mean_loss (Channel.receiver channel r).model in
+      let state = Delivery.State.create ~loss_of job in
+      List.for_all
+        (fun e ->
+          let exact = Delivery.State.expected_replications state ~e in
+          let bounded = Delivery.State.expected_replications ~bound state ~e in
+          if exact < bound then Float.equal bounded exact else bounded >= bound)
+        (Delivery.State.pending_entries state))
+
 let test_empty_job_is_free () =
   (* A rekey with no interested receivers on the channel costs nothing. *)
   let channel =
@@ -379,7 +429,12 @@ let () =
           Alcotest.test_case "config validation" `Quick test_wka_config_validation;
           Alcotest.test_case "matches seed reference" `Quick test_wka_matches_reference;
         ]
-        @ qsuite [ prop_wka_matches_reference ] );
+        @ qsuite [ prop_wka_matches_reference ]
+        @ [
+            Alcotest.test_case "loss-1 receiver: bounded E[M], same weights" `Quick
+              test_wka_black_hole_bounded;
+          ]
+        @ qsuite [ prop_bounded_em ] );
       ( "multi_send",
         [
           Alcotest.test_case "fixed replication" `Quick test_multi_send_replicates;

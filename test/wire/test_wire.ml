@@ -29,17 +29,32 @@ let sample_rekey () =
 let samples () =
   [
     Msg.Hello { lo = 1; hi = 1 };
-    Msg.Hello_ack { version = 1; tp_ms = 60_000; max_frame = 1 lsl 20; capacity = 1024 };
+    Msg.Hello_ack { version = 1 };
     Msg.Join { cls = `Short; loss = 0.2 };
     Msg.Join { cls = `Long; loss = 0.0 };
     Msg.Join_ack
-      { member = 12; rekey_no = 4; epoch = 9; root = -500_000_001; path = sample_path 5 };
+      {
+        member = 12;
+        rekey_no = 4;
+        epoch = 9;
+        root = -500_000_001;
+        path = sample_path 5;
+        ticket = Bytes.make 61 '\x7e';
+      };
     Msg.Rekey (sample_rekey ());
     Msg.Nack { rekey_no = 17; seqs = [ 0; 4; 8 ] };
     Msg.Nack { rekey_no = 18; seqs = [] };
     Msg.Retx (sample_rekey ());
     Msg.Resync_req { member = 12; epoch = 41; auth = Bytes.make 32 '\x11' };
-    Msg.Resync { member = 12; rekey_no = 19; epoch = 44; root = 7; path = sample_path 3 };
+    Msg.Resync
+      {
+        member = 12;
+        rekey_no = 19;
+        epoch = 44;
+        root = 7;
+        path = sample_path 3;
+        ticket = Bytes.empty;
+      };
     Msg.Leave { member = 12 };
     Msg.Ping { token = 0x1234_5678_9ABC_DEFL };
     Msg.Pong { token = Int64.minus_one };
@@ -249,14 +264,17 @@ let prop_chunked_large_frames =
       in
       decode (fun () -> Bytes.length stream) = msgs && decode (fun () -> 1 + Prng.int rng 7) = msgs)
 
+(* A frame header: magic, version, tag, then [len] as the raw bytes of
+   its body length. *)
+let raw_header len =
+  Bytes.cat (Bytes.of_string (Printf.sprintf "\x47\x4b%c\x05" (Char.chr Msg.version))) len
+
 let test_oversized_rejected () =
   let d = Frame.decoder ~max_frame:1024 () in
-  let hdr = Bytes.create 8 in
-  ignore (Gkm_crypto.Bytes_io.put_u16 hdr 0 Frame.magic);
-  ignore (Gkm_crypto.Bytes_io.put_u8 hdr 2 Msg.version);
-  ignore (Gkm_crypto.Bytes_io.put_u8 hdr 3 5);
-  ignore (Gkm_crypto.Bytes_io.put_i32 hdr 4 (100 * 1024 * 1024));
-  Frame.feed d hdr 0 8;
+  let buf = Buffer.create 4 in
+  Gkm_crypto.Codec.add_uvarint buf (100 * 1024 * 1024);
+  let hdr = raw_header (Buffer.to_bytes buf) in
+  Frame.feed d hdr 0 (Bytes.length hdr);
   (match Frame.next d with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "100 MiB declared length accepted");
@@ -264,6 +282,39 @@ let test_oversized_rejected () =
   match Frame.next d with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stream revived after framing error"
+
+(* The body length is a canonical uvarint no greater than the bound:
+   a run of bytes that already exceeds it fails at once, before the
+   varint (let alone the body) is complete; an overlong spelling fails;
+   a varint cut by the end of the bytes so far waits for more. *)
+let test_length_varint () =
+  let verdict ?(max_frame = 1024) len =
+    let d = Frame.decoder ~max_frame () in
+    let hdr = raw_header (Bytes.of_string len) in
+    Frame.feed d hdr 0 (Bytes.length hdr);
+    Frame.next d
+  in
+  List.iter
+    (fun (what, max_frame, len) ->
+      match verdict ~max_frame len with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("1025 past a 1024 bound", 1024, "\x81\x08");
+      ("a first byte past a 100 bound, more to come", 100, "\xff");
+      ("0 spelled overlong", 1024, "\x80\x00");
+      ("1 spelled overlong", 1024, "\x81\x80\x00");
+      ("a run of zero groups past the bound's width", 1024, "\x80\x80\x80");
+    ];
+  (match verdict "\x80" with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "a length cut after its first byte must wait for more");
+  (match verdict ~max_frame:Frame.max_frame_default "\x80\x80\x40" with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "a 3-byte length at the bound must wait for its body");
+  match verdict ~max_frame:Frame.max_frame_default "\x81\x80\x40" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "one byte past 1 MiB accepted"
 
 let test_bad_magic_and_version () =
   let frame = Frame.encode (Msg.Ping { token = 1L }) in
@@ -596,15 +647,22 @@ let test_sealed_tamper_detected () =
   let msg = sample_msg () in
   let frames = seal_rekey msg in
   let encoded = Bytes.concat Bytes.empty frames in
-  let starts =
-    List.rev (snd (List.fold_left (fun (at, acc) f -> (at + Bytes.length f, at :: acc)) (0, []) frames))
+  (* the bytes of the varint at [off] *)
+  let varint_len b off =
+    let rec go i = if Char.code (Bytes.get b (off + i)) land 0x80 = 0 then i + 1 else go (i + 1) in
+    go 0
   in
-  (* a SEALED body opens with its 4-byte epoch label *)
-  let in_hint pos =
-    List.exists
-      (fun s -> pos - s >= Frame.header_size && pos - s < Frame.header_size + 4)
-      starts
+  (* a SEALED body opens with its epoch label, after the 4 fixed
+     header bytes and the body length *)
+  let hints =
+    snd
+      (List.fold_left
+         (fun (at, acc) f ->
+           let label = 4 + varint_len f 4 in
+           (at + Bytes.length f, (at + label, at + label + varint_len f label) :: acc))
+         (0, []) frames)
   in
+  let in_hint pos = List.exists (fun (lo, hi) -> pos >= lo && pos < hi) hints in
   for pos = 0 to Bytes.length encoded - 1 do
     if pos mod 37 = 0 || in_hint pos then begin
       let bad = Bytes.copy encoded in
@@ -780,13 +838,15 @@ let prop_dgram_encoded_size =
        QCheck.Gen.(list_size (1 -- 4) (pair seq ct_len)))
     (fun spec ->
       let records = List.map (fun (s, n) -> (s, Bytes.make n 'c')) spec in
-      Dgram.encoded_size records = Bytes.length (Dgram.encode { Dgram.epoch = 7; records }))
+      let d = { Dgram.epoch = 7; records } in
+      Dgram.encoded_size d = Bytes.length (Dgram.encode d))
 
 (* The tcp-rejoin steady state: a TT group whose churn stays in the S
    tree, one short-lived member in and one out per interval, so a
-   rekey carries 2 keys. Its SEALED frame, pinned to the byte, is 97 B;
+   rekey carries 2 keys. Its SEALED frame, pinned to the byte, is 91 B;
    the fixed-width record and REKEY headers spent 70 B on the same
-   58-byte payload (128 B). *)
+   58-byte payload (128 B), and a fixed 4-byte frame length and epoch
+   label 6 B more (97 B). *)
 let test_golden_steady_frame () =
   let module Scheme = Gkm.Scheme in
   let s = Scheme.create { (Scheme.default_config Scheme.Tt) with seed = 1 } in
@@ -835,8 +895,8 @@ let test_golden_steady_frame () =
   Alcotest.(check string) "SEALED frame"
     (String.concat ""
        [
-         "474b020e00000059" (* frame header: SEALED, 89-byte body *);
-         "0000000c" (* epoch label 12 *);
+         "474b020e56" (* frame header: SEALED, 86-byte body *);
+         "0c" (* epoch label 12 *);
          "00" (* seq 0 *);
          (* the sealed REKEY and its 16-byte tag, to the end *)
          "f59015c00f8a9937e76963d6045cfb5678772f244aea82b4071d3bf8ac04f201f8e4497c215388b783";
@@ -897,5 +957,6 @@ let () =
           Alcotest.test_case "bad magic / version rejected" `Quick test_bad_magic_and_version;
           Alcotest.test_case "5k random byte frames never raise" `Quick test_fuzz_random;
           Alcotest.test_case "5k mutated/truncated frames never raise" `Quick test_fuzz_mutated;
+          Alcotest.test_case "body length is a canonical bounded varint" `Quick test_length_varint;
         ] );
     ]
