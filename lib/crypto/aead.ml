@@ -1,4 +1,4 @@
-type key = { enc : Pkg.Cipher.schedule; mac : bytes }
+type key = { enc : Pkg.Cipher.schedule; mac : Hmac.key }
 
 let key_size = 32
 let nonce_size = 16
@@ -7,7 +7,7 @@ let tag_size = 16
 let of_bytes raw =
   if Bytes.length raw <> key_size then
     invalid_arg "Aead.of_bytes: key must be 32 bytes";
-  { enc = Pkg.Cipher.expand (Bytes.sub raw 0 16); mac = Bytes.sub raw 16 16 }
+  { enc = Pkg.Cipher.expand (Bytes.sub raw 0 16); mac = Hmac.prepare (Bytes.sub raw 16 16) }
 
 (* MAC input: u16 |ad| || ad || nonce || ct, where ct is the slice
    [off, off + len) of [b]. Length-prefixing [ad] keeps the
@@ -17,7 +17,7 @@ let of_bytes raw =
 let tag_of { mac; _ } ~nonce ~ad b off len =
   let ad_len = Bytes.create 2 in
   Bytes.set_uint16_be ad_len 0 (Bytes.length ad);
-  Hmac.mac_parts ~key:mac
+  Hmac.apply mac
     [ (ad_len, 0, 2); (ad, 0, Bytes.length ad); (nonce, 0, nonce_size); (b, off, len) ]
 
 let seal key ~nonce ~ad plaintext =

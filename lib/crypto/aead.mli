@@ -6,13 +6,17 @@
     length-prefixed associated data, the nonce, and the ciphertext.
     The caller owns nonce uniqueness: sealing two different plaintexts
     under the same key and nonce destroys confidentiality (CTR keystream
-    reuse), exactly as with any stream-cipher AEAD. The record layer
-    guarantees this by putting a strictly increasing sequence number in
-    every nonce and never reusing a key across epochs. *)
+    reuse), exactly as with any stream-cipher AEAD, and so does any
+    overlap of two messages' counter blocks: CTR counts one block at a
+    time up from the nonce. The record layer guarantees neither
+    happens by putting a strictly increasing sequence number in the
+    nonce's high 8 bytes, leaving the low 8 to count blocks, and by
+    never reusing a key across epochs. *)
 
 type key
 (** An AEAD key: an expanded {!Pkg.Cipher} schedule plus an
-    independent MAC key. *)
+    independent MAC key, held prepared ({!Hmac.prepare}) so that a
+    seal or an open pays no pad compressions. *)
 
 val key_size : int
 (** Raw key material size: 32 (16 encryption || 16 MAC). *)
@@ -25,7 +29,8 @@ val tag_size : int
 
 val of_bytes : bytes -> key
 (** [of_bytes raw] splits 32 bytes of key material into the encryption
-    and MAC halves, expanding the encryption half under {!Pkg.Cipher}.
+    and MAC halves, expanding the encryption half under {!Pkg.Cipher}
+    and preparing the MAC half. [raw] is not retained.
     @raise Invalid_argument on any other length. *)
 
 val seal : key -> nonce:bytes -> ad:bytes -> bytes -> bytes

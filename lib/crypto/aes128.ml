@@ -242,6 +242,9 @@ let incr_counter block =
   in
   go 15
 
+(* Whole blocks are XORed with the keystream eight bytes at a time
+   (the int64s stay unboxed); only a final partial block goes byte by
+   byte. *)
 let ctr_transform k ~nonce data =
   if Bytes.length nonce <> 16 then invalid_arg "Aes128.ctr_transform: nonce must be 16 bytes";
   let counter = Bytes.copy nonce in
@@ -249,15 +252,19 @@ let ctr_transform k ~nonce data =
   let out = Bytes.create n in
   let pos = ref 0 in
   while !pos < n do
+    let p = !pos in
     let keystream = encrypt_block k counter in
-    let chunk = min 16 (n - !pos) in
-    for i = 0 to chunk - 1 do
-      Bytes.set out (!pos + i)
-        (Char.chr
-           (Char.code (Bytes.get data (!pos + i))
-           lxor Char.code (Bytes.get keystream i)))
-    done;
+    if n - p >= 16 then begin
+      Bytes.set_int64_ne out p
+        (Int64.logxor (Bytes.get_int64_ne data p) (Bytes.get_int64_ne keystream 0));
+      Bytes.set_int64_ne out (p + 8)
+        (Int64.logxor (Bytes.get_int64_ne data (p + 8)) (Bytes.get_int64_ne keystream 8))
+    end
+    else
+      for i = 0 to n - p - 1 do
+        Bytes.set_uint8 out (p + i) (Bytes.get_uint8 data (p + i) lxor Bytes.get_uint8 keystream i)
+      done;
     incr_counter counter;
-    pos := !pos + 16
+    pos := p + 16
   done;
   out

@@ -9,16 +9,19 @@
 val hash_len : int
 (** Output size of the underlying PRF (32). *)
 
-val extract : salt:bytes -> ikm:bytes -> bytes
+val extract : salt:Hmac.key -> ikm:bytes -> bytes
 (** [extract ~salt ~ikm] is the 32-byte pseudorandom key
-    [HMAC(salt, ikm)]. *)
+    [HMAC(salt, ikm)]. The salt comes prepared ({!Hmac.prepare}): a
+    caller with a constant salt prepares it once, and each extract
+    then costs the [ikm]'s compressions plus one. *)
 
 val expand : prk:bytes -> info:bytes -> int -> bytes
 (** [expand ~prk ~info len] is [len] bytes of output keyed by [prk]
-    and bound to the context [info].
+    and bound to the context [info]. [prk] is prepared once for all
+    the output blocks.
     @raise Invalid_argument if [len] is outside [1, 255 * 32]. *)
 
-val derive : salt:bytes -> ikm:bytes -> info:bytes -> int -> bytes
+val derive : salt:Hmac.key -> ikm:bytes -> info:bytes -> int -> bytes
 (** [extract] then [expand] in one call. *)
 
 val label_info : string -> int list -> bytes

@@ -8,10 +8,11 @@ module type CIPHER = sig
 end
 
 module type KDF = sig
+  type salt
+
+  val salt : bytes -> salt
   val prf : key:bytes -> bytes -> bytes
-  val extract : salt:bytes -> ikm:bytes -> bytes
-  val expand : prk:bytes -> info:bytes -> int -> bytes
-  val derive : salt:bytes -> ikm:bytes -> info:bytes -> int -> bytes
+  val derive : salt:salt -> ikm:bytes -> info:bytes -> int -> bytes
 end
 
 module Cipher : CIPHER = struct
@@ -24,8 +25,9 @@ module Cipher : CIPHER = struct
 end
 
 module Kdf : KDF = struct
+  type salt = Hmac.key
+
+  let salt = Hmac.prepare
   let prf ~key msg = Hmac.mac ~key msg
-  let extract = Hkdf.extract
-  let expand = Hkdf.expand
   let derive = Hkdf.derive
 end

@@ -29,13 +29,19 @@ module type CIPHER = sig
 end
 
 module type KDF = sig
+  type salt
+  (** A salt prepared for extraction. A caller with a constant salt
+      prepares it once, at module initialisation. *)
+
+  val salt : bytes -> salt
+
   val prf : key:bytes -> bytes -> bytes
   (** Raw keyed PRF (HMAC); the primitive under short label
       derivations and authentication tags. *)
 
-  val extract : salt:bytes -> ikm:bytes -> bytes
-  val expand : prk:bytes -> info:bytes -> int -> bytes
-  val derive : salt:bytes -> ikm:bytes -> info:bytes -> int -> bytes
+  val derive : salt:salt -> ikm:bytes -> info:bytes -> int -> bytes
+  (** Extract-then-expand: [len] bytes bound to [salt], [ikm] and the
+      context [info]. *)
 end
 
 module Cipher : CIPHER

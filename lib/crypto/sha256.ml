@@ -24,21 +24,35 @@ type ctx = {
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int; (* bytes currently in [buf] *)
   mutable total : int; (* total message length in bytes *)
-  w : int array; (* message schedule scratch *)
 }
 
-let init () =
+(* The 64-word message schedule lives only inside one [compress], so
+   each domain keeps one and every context borrows it, as the socket
+   layer's receive buffers are kept. A domain runs one compression at
+   a time: the codebase starts no systhreads. *)
+let schedule_key = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+(* A chaining state on a block boundary; never mutated once built, so
+   any number of contexts, on any domains, may start from it. *)
+type midstate = { words : int array; len : int }
+
+let midstate ctx =
+  if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: not on a block boundary";
+  { words = Array.copy ctx.h; len = ctx.total }
+
+let resume m = { h = Array.copy m.words; buf = Bytes.create 64; buf_len = 0; total = m.len }
+
+let iv =
   {
-    h =
+    words =
       [|
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
         0x1f83d9ab; 0x5be0cd19;
       |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
+    len = 0;
   }
+
+let init () = resume iv
 
 let mask = 0xffff_ffff
 
@@ -50,7 +64,7 @@ let[@inline] doubled x = x lor (x lsl 32)
 
 (* Absorb the 64-byte block at [block.[off]]. *)
 let compress ctx block off =
-  let w = ctx.w in
+  let w = Domain.DLS.get schedule_key in
   for t = 0 to 15 do
     Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask)
   done;

@@ -8,7 +8,23 @@ type ctx
 (** Incremental hashing context. *)
 
 val init : unit -> ctx
-(** [init ()] is a fresh hashing context. *)
+(** [init ()] is a fresh hashing context. A context holds its chaining
+    words and a partial block only; the message schedule is scratch
+    kept once per domain. *)
+
+type midstate
+(** The chaining state of a context that has absorbed whole blocks
+    only. Immutable: it is the fixed starting point that HMAC's
+    prepared keys ({!Hmac.prepare}) keep, one per pad. *)
+
+val midstate : ctx -> midstate
+(** [midstate ctx] is a copy of [ctx]'s state; [ctx] stays usable.
+    @raise Invalid_argument unless [ctx] has absorbed a multiple of 64
+    bytes. *)
+
+val resume : midstate -> ctx
+(** [resume m] is a fresh context that continues from [m], as if it
+    had absorbed the same bytes. *)
 
 val update : ctx -> bytes -> unit
 (** [update ctx b] absorbs the bytes [b]. *)

@@ -115,8 +115,10 @@ let recv t =
   if t.r_closed then None
   else
     let buf = Domain.DLS.get scratch_key in
+    (* A datagram socket has no end of stream: 0 bytes is an empty
+       datagram, which the caller must see (and count as undecodable)
+       rather than take for a dry socket. *)
     match Unix.recv t.r_fd buf 0 (Bytes.length buf) [] with
-    | 0 -> None
     | n -> Some (Bytes.sub buf 0 n)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNREFUSED), _, _) -> None
 

@@ -64,9 +64,9 @@ val sub_fd : sub -> Unix.file_descr
 (** For event-loop registration; read with {!recv}, never directly. *)
 
 val recv : sub -> bytes option
-(** One datagram, or [None] when the socket would block. The datagram
-    is a fresh copy: subscribers on one domain share a single 64 KiB
-    receive buffer. *)
+(** One datagram, possibly empty, or [None] when the socket would
+    block. The datagram is a fresh copy: subscribers on one domain
+    share a single 64 KiB receive buffer. *)
 
 val close_sub : sub -> unit
 

@@ -8,7 +8,11 @@ module Prng = Gkm_crypto.Prng
 module Bytes_io = Gkm_crypto.Bytes_io
 module Codec = Gkm_crypto.Codec
 
-let record_salt = Bytes.of_string Labels.record_salt
+(* Both salts are constants, prepared once: an extract under either
+   then costs the DEK's or individual key's compressions alone. *)
+let record_salt = Pkg.Kdf.salt (Bytes.of_string Labels.record_salt)
+let resume_salt = Pkg.Kdf.salt (Bytes.of_string Labels.resume_salt)
+let traffic_info = Hkdf.label_info Labels.traffic []
 let record_ad_label = "gkmrec2"
 let ticket_ad = Bytes.of_string "gkmtkt2"
 let resume_ad = Bytes.of_string "gkmrsm2"
@@ -22,8 +26,7 @@ module Epoch = struct
 
   let of_dek_digest ~dek ~digest ~label =
     let raw =
-      Pkg.Kdf.derive ~salt:record_salt ~ikm:(Key.to_bytes dek)
-        ~info:(Hkdf.label_info Labels.traffic []) Aead.key_size
+      Pkg.Kdf.derive ~salt:record_salt ~ikm:(Key.to_bytes dek) ~info:traffic_info Aead.key_size
     in
     let key = Aead.of_bytes raw in
     Bytes.fill raw 0 (Bytes.length raw) '\x00';
@@ -40,21 +43,25 @@ module Epoch = struct
   let key t = t.key
 end
 
-(* Nonce: 16 zero bytes with the sequence number big-endian at offset
-   8; AD: "gkmrec2" || seq. The traffic key depends on the DEK value
-   alone, so every (key, nonce) pair is unique, which CTR mode
-   requires, only if each DEK value has one strictly increasing seq —
-   across the DEK's returns too (one Seal per DEK value). *)
+(* Nonce: the sequence number big-endian, then 8 zero bytes that CTR
+   counts a record's blocks in; AD: "gkmrec2" || seq. The traffic key
+   depends on the DEK value alone. No two records under one key share
+   a counter block, which CTR mode requires, only if each DEK value
+   has one strictly increasing seq per space — across the DEK's
+   returns too (one Seal per DEK value) — and no record reaches 2^64
+   blocks. *)
 let nonce_of_seq seq =
-  let n = Bytes.make Aead.nonce_size '\x00' in
-  ignore (Bytes_io.put_i64 n 8 seq);
+  let n = Bytes.create Aead.nonce_size in
+  Bytes.set_int64_be n 0 seq;
+  Bytes.set_int64_be n 8 0L;
   n
 
 let ad_of_seq seq =
-  let buf = Buffer.create 15 in
-  Buffer.add_string buf record_ad_label;
-  Bytes_io.add_i64 buf seq;
-  Buffer.to_bytes buf
+  let n = String.length record_ad_label in
+  let ad = Bytes.create (n + 8) in
+  Bytes.blit_string record_ad_label 0 ad 0 n;
+  Bytes.set_int64_be ad n seq;
+  ad
 
 (* Self-delimiting counter-nonce sealing: the counter as a seq64
    varint, then the AEAD output. For one-shot sealed blobs (tickets,
@@ -251,8 +258,7 @@ module Ticket = struct
 
   let resume_key ~individual ~issued_epoch =
     Aead.of_bytes
-      (Pkg.Kdf.derive ~salt:(Bytes.of_string Labels.resume_salt)
-         ~ikm:(Key.to_bytes individual)
+      (Pkg.Kdf.derive ~salt:resume_salt ~ikm:(Key.to_bytes individual)
          ~info:(Hkdf.label_info Labels.resume [ issued_epoch ])
          Aead.key_size)
 end

@@ -45,8 +45,9 @@ module Epoch : sig
   (** [same_digest t (Gkm_crypto.Key.digest dek)] is [same_dek t dek]. *)
 
   val erase : t -> unit
-  (** Drop the key material. Subsequent opens fail with [`Auth];
-      subsequent seals raise. *)
+  (** Drop the key material: the AES schedule and the prepared MAC
+      state, which is as good as the MAC key. Subsequent opens fail
+      with [`Auth]; subsequent seals raise. *)
 
   val erased : t -> bool
   val key : t -> Gkm_crypto.Aead.key option

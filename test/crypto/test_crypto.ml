@@ -92,7 +92,7 @@ let prop_sha256_chunking =
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string s))
 
 (* HMAC as RFC 2104 spells it, over the reference hash: the oracle
-   for the streamed [Hmac.mac_parts]. *)
+   for the streamed [Hmac.apply]. *)
 let reference_hmac ~key msg =
   let key = if Bytes.length key > 64 then Sha256_reference.digest key else key in
   let pad byte =
@@ -126,7 +126,10 @@ let hash_in_pieces msg cuts =
 (* Equivalence against the int32 implementation (Sha256_reference is a
    verbatim copy of it): digests and HMAC tags byte-identical for
    messages cut at random points, and keys on both sides of the 64-byte
-   block size. *)
+   block size. One prepared key MACs the message, then each of its
+   prefixes interleaved with the whole message again, and a midstate
+   resumes twice: a tag or digest must not depend on what was hashed
+   before it. *)
 let prop_sha256_hmac_match_reference =
   QCheck.Test.make ~name:"sha256/hmac byte-identical to reference" ~count:300
     QCheck.(
@@ -139,12 +142,40 @@ let prop_sha256_hmac_match_reference =
       let expected = Sha256_reference.digest msg in
       let n = Bytes.length msg in
       let cut = if cuts = [] then 0 else List.hd cuts mod (n + 1) in
+      let prepared = Hmac.prepare key in
+      let tag m = Hmac.apply prepared [ (m, 0, Bytes.length m) ] in
+      let blocks = n / 64 * 64 in
+      let mid =
+        let ctx = Sha256.init () in
+        Sha256.update_sub ctx msg 0 blocks;
+        Sha256.midstate ctx
+      in
+      let resumed () =
+        let ctx = Sha256.resume mid in
+        Sha256.update_sub ctx msg blocks (n - blocks);
+        Sha256.finalize ctx
+      in
       Bytes.equal (hash_in_pieces msg cuts) expected
       && Bytes.equal (Sha256.digest msg) expected
+      && Bytes.equal (resumed ()) expected
+      && Bytes.equal (resumed ()) expected
       && Bytes.equal (Hmac.mac ~key msg) (reference_hmac ~key msg)
       && Bytes.equal
-           (Hmac.mac_parts ~key [ (msg, 0, cut); (msg, cut, n - cut) ])
-           (reference_hmac ~key msg))
+           (Hmac.apply prepared [ (msg, 0, cut); (msg, cut, n - cut) ])
+           (reference_hmac ~key msg)
+      && List.for_all
+           (fun c ->
+             let prefix = Bytes.sub msg 0 (c mod (n + 1)) in
+             Bytes.equal (tag prefix) (reference_hmac ~key prefix)
+             && Bytes.equal (tag msg) (reference_hmac ~key msg))
+           cuts)
+
+let test_sha256_midstate_boundary () =
+  let ctx = Sha256.init () in
+  Sha256.update_string ctx "abc";
+  match Sha256.midstate ctx with
+  | _ -> Alcotest.fail "midstate inside a block accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_sha256_update_sub_bounds () =
   let ctx = Sha256.init () in
@@ -159,25 +190,70 @@ let test_sha256_update_sub_bounds () =
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA-256                                                        *)
 
+(* RFC 4231 cases 1-4, 6 and 7 (6 and 7 hash a 131-byte key first).
+   Each key is prepared once and MACs every case's message in turn,
+   twice over, in whole and in two parts. Its own message must give the
+   RFC's tag each time and every other message the reference tag, so a
+   prepared key keeps no state from one message to the next. *)
 let test_hmac_rfc4231 () =
-  (* Test case 1 *)
-  check_hex "tc1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hex.encode (Hmac.mac ~key:(Bytes.make 20 '\x0b') (Bytes.of_string "Hi There")));
-  (* Test case 2 *)
-  check_hex "tc2"
+  let cases =
+    [
+      ( Bytes.make 20 '\x0b',
+        Bytes.of_string "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( Bytes.of_string "Jefe",
+        Bytes.of_string "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( Bytes.make 20 '\xaa',
+        Bytes.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( Bytes.init 25 (fun i -> Char.chr (i + 1)),
+        Bytes.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( Bytes.make 131 '\xaa',
+        Bytes.of_string "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( Bytes.make 131 '\xaa',
+        Bytes.of_string
+          "This is a test using a larger than block-size key and a larger than block-size \
+           data. The key needs to be hashed before being used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ]
+  in
+  List.iteri
+    (fun i (key, msg, expected) ->
+      let prepared = Hmac.prepare key in
+      for round = 1 to 2 do
+        List.iteri
+          (fun j (_, other, _) ->
+            let n = Bytes.length other in
+            let want = if i = j then expected else Hex.encode (reference_hmac ~key other) in
+            let what = Printf.sprintf "key %d, message %d, round %d" (i + 1) (j + 1) round in
+            check_hex what want (Hex.encode (Hmac.apply prepared [ (other, 0, n) ]));
+            check_hex (what ^ ", in two parts") want
+              (Hex.encode (Hmac.apply prepared [ (other, 0, n / 2); (other, n / 2, n - (n / 2)) ])))
+          cases
+      done;
+      check_hex (Printf.sprintf "key %d raw" (i + 1)) expected (Hex.encode (Hmac.mac ~key msg)))
+    cases;
+  check_hex "mac_string"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hex.encode (Hmac.mac_string ~key:"Jefe" "what do ya want for nothing?"));
-  (* Test case 3 *)
-  check_hex "tc3"
-    "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Hex.encode (Hmac.mac ~key:(Bytes.make 20 '\xaa') (Bytes.make 50 '\xdd')));
-  (* Test case 6: key longer than block size *)
-  check_hex "tc6"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hex.encode
-       (Hmac.mac ~key:(Bytes.make 131 '\xaa')
-          (Bytes.of_string "Test Using Larger Than Block-Size Key - Hash Key First")))
+    (Hex.encode (Hmac.mac_string ~key:"Jefe" "what do ya want for nothing?"))
+
+(* A prepared key is shared, not copied, between domains: two domains
+   MAC the same messages under one and get the same tags as this one. *)
+let test_hmac_prepared_across_domains () =
+  let prepared = Hmac.prepare (Bytes.of_string "shared prepared key") in
+  let tags () =
+    List.init 600 (fun n ->
+        let m = Bytes.make n (Char.chr (n land 0xff)) in
+        Hmac.apply prepared [ (m, 0, n) ])
+  in
+  let a = Domain.spawn tags and b = Domain.spawn tags in
+  let a = Domain.join a and b = Domain.join b in
+  let here = tags () in
+  Alcotest.(check (list bytes)) "domain 1 = domain 2" a b;
+  Alcotest.(check (list bytes)) "domains = this domain" here a
 
 let test_hmac_verify () =
   let key = Bytes.of_string "0123456789abcdef" in
@@ -194,30 +270,53 @@ let test_hmac_verify () =
 (* ------------------------------------------------------------------ *)
 (* HKDF (RFC 5869, SHA-256)                                            *)
 
+(* RFC 5869 cases 1-3 (case 2's inputs are longer than a block,
+   case 3's salt and info empty). Each salt is prepared once and
+   extracts every case's IKM in turn, twice over; its own case must
+   give the RFC's PRK and OKM each time. *)
 let test_hkdf_rfc5869 () =
-  (* Test case 1 *)
-  let ikm = Bytes.make 22 '\x0b' in
-  let salt = Hex.decode "000102030405060708090a0b0c" in
-  let info = Hex.decode "f0f1f2f3f4f5f6f7f8f9" in
-  check_hex "tc1 prk" "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
-    (Hex.encode (Hkdf.extract ~salt ~ikm));
-  check_hex "tc1 okm"
-    "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
-    (Hex.encode (Hkdf.derive ~salt ~ikm ~info 42));
-  (* Test case 2: inputs longer than the hash block *)
   let seq a b = Bytes.init (b - a + 1) (fun i -> Char.chr (a + i)) in
-  let ikm = seq 0x00 0x4f and salt = seq 0x60 0xaf and info = seq 0xb0 0xff in
-  check_hex "tc2 okm"
-    "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71cc30c58179ec3e87c14c01d5c1f3434f1d87"
-    (Hex.encode (Hkdf.derive ~salt ~ikm ~info 82));
-  (* Test case 3: zero-length salt and info *)
-  let ikm = Bytes.make 22 '\x0b' in
-  check_hex "tc3 okm"
-    "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
-    (Hex.encode (Hkdf.derive ~salt:Bytes.empty ~ikm ~info:Bytes.empty 42))
+  let cases =
+    [
+      ( Hex.decode "000102030405060708090a0b0c",
+        Bytes.make 22 '\x0b',
+        Hex.decode "f0f1f2f3f4f5f6f7f8f9",
+        "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5",
+        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+      );
+      ( seq 0x60 0xaf,
+        seq 0x00 0x4f,
+        seq 0xb0 0xff,
+        "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244",
+        "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71cc30c58179ec3e87c14c01d5c1f3434f1d87"
+      );
+      ( Bytes.empty,
+        Bytes.make 22 '\x0b',
+        Bytes.empty,
+        "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04",
+        "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8" );
+    ]
+  in
+  List.iteri
+    (fun i (salt, _, _, _, _) ->
+      let salt = Hmac.prepare salt in
+      for round = 1 to 2 do
+        List.iteri
+          (fun j (_, ikm, info, prk, okm) ->
+            let prk' = Hex.encode (Hkdf.extract ~salt ~ikm) in
+            let okm' = Hex.encode (Hkdf.derive ~salt ~ikm ~info (String.length okm / 2)) in
+            let what = Printf.sprintf "salt %d, ikm %d, round %d" (i + 1) (j + 1) round in
+            if i = j then begin
+              check_hex (what ^ " prk") prk prk';
+              check_hex (what ^ " okm") okm okm'
+            end
+            else Alcotest.(check bool) (what ^ ": another salt's prk") false (prk = prk'))
+          cases
+      done)
+    cases
 
 let test_hkdf_expand_bounds () =
-  let prk = Hkdf.extract ~salt:Bytes.empty ~ikm:(Bytes.of_string "ikm") in
+  let prk = Hkdf.extract ~salt:(Hmac.prepare Bytes.empty) ~ikm:(Bytes.of_string "ikm") in
   Alcotest.(check int) "max length" (255 * Hkdf.hash_len)
     (Bytes.length (Hkdf.expand ~prk ~info:Bytes.empty (255 * Hkdf.hash_len)));
   (match Hkdf.expand ~prk ~info:Bytes.empty 0 with
@@ -445,7 +544,7 @@ let test_labels_prefix_free () =
 let test_labels_expand_contexts_disjoint () =
   let prk = Bytes.make 32 '\x42' in
   let expand label fields =
-    Pkg.Kdf.expand ~prk ~info:(Hkdf.label_info label fields) 16
+    Hkdf.expand ~prk ~info:(Hkdf.label_info label fields) 16
   in
   let a = expand Labels.resume [ 7 ] in
   let b = expand Labels.traffic [ 7 ] in
@@ -475,8 +574,8 @@ let test_pkg_default_matches_primitives () =
     (Hex.encode (Hmac.mac ~key:kb blk))
     (Hex.encode (Pkg.Kdf.prf ~key:kb blk));
   check_hex "derive = HKDF"
-    (Hex.encode (Hkdf.derive ~salt:kb ~ikm:blk ~info:Bytes.empty 32))
-    (Hex.encode (Pkg.Kdf.derive ~salt:kb ~ikm:blk ~info:Bytes.empty 32))
+    (Hex.encode (Hkdf.derive ~salt:(Hmac.prepare kb) ~ikm:blk ~info:Bytes.empty 32))
+    (Hex.encode (Pkg.Kdf.derive ~salt:(Pkg.Kdf.salt kb) ~ikm:blk ~info:Bytes.empty 32))
 
 (* A cached KEK schedule is the cipher's own schedule, with no box
    around it: the keytree and every member hold one per key. *)
@@ -615,10 +714,16 @@ let () =
           Alcotest.test_case "incremental chunking" `Quick test_sha256_incremental_split;
         ]
         @ qsuite [ prop_sha256_chunking; prop_sha256_hmac_match_reference ]
-        @ [ Alcotest.test_case "update_sub bounds" `Quick test_sha256_update_sub_bounds ] );
+        @ [
+            Alcotest.test_case "update_sub bounds" `Quick test_sha256_update_sub_bounds;
+            Alcotest.test_case "midstate on a block boundary" `Quick
+              test_sha256_midstate_boundary;
+          ] );
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
+          Alcotest.test_case "prepared key across domains" `Quick
+            test_hmac_prepared_across_domains;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
         ] );
       ( "hkdf",

@@ -1145,6 +1145,33 @@ let test_mcast_shared_recv_buffer () =
   Mcast.close_sender sender;
   List.iter Mcast.close_sub subs
 
+(* A datagram socket has no end of stream: an empty datagram sent to
+   the group ahead of a rekey is one undecodable datagram, not a dry
+   socket. The member counts it and still installs the rekey's DEK,
+   with no NACK. *)
+let test_udp_empty_datagram () =
+  require_mcast ();
+  let group = Mcast.ephemeral_group ~seed:0xE0 in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ~transport:(Server.udp group) ()) in
+  let port = Server.port srv in
+  let join seed = Client.connect ~loop { (Client.config ~port) with seed; mcast = Some group } in
+  let member = join 21 and churner = join 22 in
+  run_until loop (fun () -> Client.is_member member && Client.is_member churner);
+  let sender =
+    match Mcast.create_sender group with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  Mcast.send sender Bytes.empty;
+  let target = Server.rekey_no srv + 1 in
+  Client.leave churner;
+  run_until loop (fun () -> Client.last_rekey member >= target);
+  Alcotest.(check int) "the empty datagram counted" 1 (Client.mcast_decode_errors member);
+  Alcotest.(check int) "no NACK" 0 (Client.nacks_sent member);
+  Alcotest.(check int) "no resync" 0 (Client.resyncs member);
+  check_trace ~server_tbl:(server_trace_tbl srv) "member" member;
+  Mcast.close_sender sender;
+  Server.stop srv
+
 (* Injected datagram faults on each receiver: light Bernoulli loss,
    reordering and duplication on every peer's receive shim plus a
    hostile one on one client (heavier loss, reordering, duplication).
@@ -2141,6 +2168,8 @@ let () =
             test_mcast_shared_recv_buffer;
           Alcotest.test_case "heartbeat repairs a rekey the member dropped" `Quick
             test_udp_drop_repaired_by_heartbeat;
+          Alcotest.test_case "an empty datagram is counted, not a dry socket" `Quick
+            test_udp_empty_datagram;
         ] );
       ( "tickets",
         oracle_cases

@@ -110,6 +110,10 @@ let test_aead_known_answers () =
 (* ------------------------------------------------------------------ *)
 (* Seal / Sink                                                         *)
 
+(* The nonce is seq || 0^64 and the AD "gkmrec2" || seq; the values
+   were checked against an independent HKDF, HMAC and AES-CTR. Seq 0's
+   record is what it was under the earlier 0^64 || seq nonce; every
+   other seq's keystream moved with the nonce layout. *)
 let test_seal_known_answers () =
   let dek = Key.of_bytes (Bytes.init Key.size (fun i -> Char.chr (0x10 + i))) in
   List.iter
@@ -128,19 +132,56 @@ let test_seal_known_answers () =
             "cde278680b6f3e247f4386299236cc831b567e2cc8bc051f26e778d9e345a4395cfc60742095230bf60b00c05e3b\
              dcd7bbc3de359a90739c" );
           ( 1L,
-            "6b26eebc580cb58fb617884973d51489cc6c10045005b3bb954b9c6bae426e818b7027889581bd871f19b5473f39\
-             0b91d0da18c837191094" );
+            "ef4341a591cec2e485901b0984b857ab1efb88fc110f640087fbcb9d1f7fdfa07bb03863a4fb406443522b25b069\
+             92f09091487081feb57b" );
         ] );
       ( `Unicast,
         [
           ( Int64.min_int,
-            "020eed8ddd66e9bf950bda7da630fead3464a20b176c78635764816f2f23dca01edba208a43fa9dd6a26af0af1a4\
-             4b837682be58da2ffe33" );
+            "bb49b705cece57912feab5303999a4bea4c6a83fa8904d802111c99c5ce064d26722cdf02fbe0fcb77684fa0112d\
+             4ec1b5e56b84701f5378" );
           ( Int64.succ Int64.min_int,
-            "4414329b87dcc8f3c79471ffbfb36c108e4bd278d4af396decedeffa3d8958afc8c428387107777095e74b21a30e\
-             694df730c96586f9cd8f" );
+            "51a310ca115f2d4855c5839ec5810af8abedd54ec278ad6ba10bd743cfc8370d83816d1cb0bbe84786f7adcccf3e\
+             4d5b0f40c5268e05f45f" );
         ] );
     ]
+
+(* CTR mode needs every counter block under one key to be distinct.
+   Four-block records of zeros (so each ciphertext is the keystream)
+   are sealed at consecutive seqs in both spaces of one epoch, and
+   counter-sealed blobs at consecutive counters under one key: no
+   16-byte keystream block may appear twice. A nonce whose low bytes
+   hold the seq would hand record s's block j the keystream of record
+   s + j's block 0. *)
+let test_keystream_never_repeats () =
+  let zeros = Bytes.make 64 '\x00' in
+  let check_distinct what streams =
+    let seen = Hashtbl.create 64 in
+    List.iter
+      (fun (name, ks) ->
+        for j = 0 to (Bytes.length ks / 16) - 1 do
+          let block = Bytes.sub_string ks (16 * j) 16 in
+          let here = Printf.sprintf "%s block %d" name j in
+          match Hashtbl.find_opt seen block with
+          | Some first -> Alcotest.failf "%s: %s repeats the keystream of %s" what here first
+          | None -> Hashtbl.add seen block here
+        done)
+      streams
+  in
+  let ep = epoch () in
+  let records space =
+    let seal = Record.Seal.create ~space ep in
+    List.init 8 (fun _ ->
+        let seq, ct = Record.Seal.seal seal zeros in
+        (Printf.sprintf "record %Ld" seq, Bytes.sub ct 0 64))
+  in
+  check_distinct "records" (records `Multicast @ records `Unicast);
+  let key = sample_aead_key 7 in
+  check_distinct "counter-sealed blobs"
+    (List.init 8 (fun i ->
+         let n = Int64.of_int i in
+         let blob = Record.counter_seal key ~n ~ad:Record.resume_ad zeros in
+         (Printf.sprintf "blob %Ld" n, Bytes.sub blob (Gkm_crypto.Codec.seq64_size n) 64)))
 
 (* DEK identity is the full digest, not the 32-bit log fingerprint: a
    long-lived group draws enough keys for two of them to share one.
@@ -470,6 +511,7 @@ let () =
           Alcotest.test_case "label independent of keys" `Quick test_epoch_label_independent;
           Alcotest.test_case "cross-epoch records rejected" `Quick test_cross_epoch_rejected;
           Alcotest.test_case "seal known answers" `Quick test_seal_known_answers;
+          Alcotest.test_case "no keystream block repeats" `Quick test_keystream_never_repeats;
           Alcotest.test_case "same_dek past a fingerprint collision" `Quick
             test_same_dek_fingerprint_collision;
         ] );
