@@ -122,3 +122,8 @@ let loss_homogenized cfg (lc : Loss_homogenized.config) ~alpha =
 let reduction cfg lc ~alpha =
   let base = one_keytree cfg lc ~alpha in
   if base = 0.0 then 0.0 else 1.0 -. (loss_homogenized cfg lc ~alpha /. base)
+
+module Private = struct
+  let block_cost = block_cost
+  let optimal_block_cost = optimal_block_cost
+end

@@ -27,22 +27,22 @@ type config = {
 val default : config
 (** c = 25 keys/packet, k = 16 packets/block, a0 search up to 32. *)
 
-val block_cost :
-  config -> receivers:float -> composition:Wka_bkr.composition -> a0:int -> float
-(** Expected packets multicast to deliver one block to all receivers,
-    with [a0] proactive parities in the first round. *)
-
-val optimal_block_cost :
-  config -> receivers:float -> composition:Wka_bkr.composition -> int * float
-(** Minimizing [(a0, expected packets)]. *)
-
-val scheme_cost :
-  config -> keys:float -> receivers:float -> composition:Wka_bkr.composition -> float
-(** Expected bandwidth in key-equivalents ([packets * c]) to deliver a
-    [keys]-key payload. *)
-
 val one_keytree : config -> Loss_homogenized.config -> alpha:float -> float
 val loss_homogenized : config -> Loss_homogenized.config -> alpha:float -> float
 
 val reduction : config -> Loss_homogenized.config -> alpha:float -> float
 (** [1 - loss_homogenized / one_keytree]. *)
+
+module Private : sig
+  (** The per-block costs a test checks; the shipped entry points fold
+      them into {!one_keytree} and {!loss_homogenized}. *)
+
+  val block_cost :
+    config -> receivers:float -> composition:Wka_bkr.composition -> a0:int -> float
+  (** Expected packets multicast to deliver one block to all receivers,
+      with [a0] proactive parities in the first round. *)
+
+  val optimal_block_cost :
+    config -> receivers:float -> composition:Wka_bkr.composition -> int * float
+  (** Minimizing [(a0, expected packets)]. *)
+end

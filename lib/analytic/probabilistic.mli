@@ -22,13 +22,5 @@ val optimal_depths : Params.t -> float * float
 (** [(ds, dl)] minimizing the expected cost; both >= 1 when both
     classes are non-empty, and tight on the Kraft constraint. *)
 
-val cost : Params.t -> float
-(** Expected encrypted keys per rekey interval at the optimal depths
-    (individual rekeying: each departure refreshes its whole path,
-    one encryption per child per refreshed key). *)
-
-val balanced_cost : Params.t -> float
-(** Same regime with everyone at the balanced depth [log_d N]. *)
-
 val reduction : Params.t -> float
 (** [1 - cost / balanced_cost]. *)

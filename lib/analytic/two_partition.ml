@@ -6,7 +6,6 @@ let scheme_name = function
   | Tt -> "TT-scheme"
   | Pt -> "PT-scheme"
 
-let all_schemes = [ One_keytree; Qt; Tt; Pt ]
 
 type derived = {
   j : float;

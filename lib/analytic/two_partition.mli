@@ -15,8 +15,6 @@
 type scheme = One_keytree | Qt | Tt | Pt
 
 val scheme_name : scheme -> string
-val all_schemes : scheme list
-
 type derived = {
   j : float;  (** joins (= departures) per rekey interval *)
   ncs : float;  (** steady-state members of class Cs *)

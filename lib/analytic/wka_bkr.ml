@@ -119,3 +119,7 @@ let forest_cost ~d trees =
         in
         per_tree +. dek_cost
       end
+
+module Private = struct
+  let expected_replications = expected_replications
+end

@@ -25,27 +25,27 @@ val two_class : alpha:float -> ph:float -> pl:float -> composition
 val validate_composition : composition -> unit
 (** @raise Invalid_argument on bad fractions or loss rates. *)
 
-val expected_replications : receivers:float -> composition -> float
-(** [E[M]] for one encryption needed by [receivers] receivers drawn
-    from [composition] (formula 14, evaluated with real-valued class
-    counts [fraction * receivers]). Returns 0 when [receivers <= 0]. *)
-
 type tree = {
   size : int;  (** members in this key tree *)
   departures : int;  (** batched departures from this tree *)
   composition : composition;
 }
 
-val tree_cost : d:int -> tree -> float
-(** Expected WKA-BKR bandwidth (encrypted-key transmissions) for one
-    batched rekeying of a single key tree (formula 15, evaluated on an
-    exactly balanced split so non-power-of-d sizes are handled). *)
-
 val forest_cost : d:int -> tree list -> float
 (** Multiple key trees joined under the group key: each tree is a
     subtree of the root DEK node. The DEK is refreshed whenever any
     tree sees a departure and must be re-encrypted under each tree
     root (delivered to that tree's full membership). A single
-    non-empty tree degenerates to {!tree_cost} — the root of the only
+    non-empty tree is costed alone (formula 15) — the root of the only
     tree IS the DEK, matching the paper's one-keytree baseline. Empty
     trees are skipped. *)
+
+module Private : sig
+  (** Formula 14 on its own, which {!forest_cost} sums over every
+      wrap; the tests check it against closed forms. *)
+
+  val expected_replications : receivers:float -> composition -> float
+  (** [E[M]] for one encryption needed by [receivers] receivers drawn
+      from [composition] (formula 14, evaluated with real-valued class
+      counts [fraction * receivers]). Returns 0 when [receivers <= 0]. *)
+end

@@ -516,3 +516,7 @@ let ticket_replay ~loop ~port ~timeout =
   | false ->
       Raw.close a;
       fail "no HELLO_ACK"
+
+module Private = struct
+  module Raw = Raw
+end

@@ -12,53 +12,13 @@
     - well-behaved populations built on the real {!Gkm_netd.Client}
       runtime (joiners, lossy links, reordering and duplicating
       datagram paths);
-    - hostile drivers built on {!Raw}, a minimal frame-level client
-      that can speak the wire protocol wrongly on purpose (NACK
-      flooders, evictees that keep transmitting, ticket replayers). *)
+    - hostile drivers built on a minimal frame-level client that can
+      speak the wire protocol wrongly on purpose (NACK flooders,
+      evictees that keep transmitting, ticket replayers). *)
 
 type verdict = { name : string; ok : bool; detail : string }
 
 val pp_verdict : Format.formatter -> verdict -> unit
-
-val run_until : Gkm_netd.Loop.t -> timeout:float -> (unit -> bool) -> bool
-(** Step the loop until the predicate holds ([true]) or the wall-clock
-    timeout expires ([false]). *)
-
-(** Minimal frame-level client: a non-blocking socket, the streaming
-    decoder, and a log of everything received. No protocol state
-    machine — the cohort script is the state machine. *)
-module Raw : sig
-  type t
-
-  val connect : loop:Gkm_netd.Loop.t -> port:int -> t
-  (** Loopback connect. *)
-
-  val send : t -> Gkm_wire.Msg.t -> unit
-  val close : t -> unit
-
-  val closed : t -> bool
-  (** The peer hung up (or the decoder went corrupt) and the fd is
-      released. *)
-
-  val msgs : t -> Gkm_wire.Msg.t list
-  (** Everything received, oldest first. *)
-
-  val errors : t -> (int * string) list
-  (** The [Error_msg] frames received, oldest first. *)
-
-  val await : t -> timeout:float -> (Gkm_wire.Msg.t -> 'a option) -> 'a option
-  (** Step the loop until some received message (including ones that
-      arrived before the call) satisfies the picker. *)
-
-  val hello : t -> timeout:float -> bool
-  (** Send HELLO for the wire version and await HELLO_ACK; [false] on
-      timeout or a refusal. *)
-
-  val join : t -> timeout:float -> (int * int * Gkm_crypto.Key.t * bytes) option
-  (** Send JOIN and await JOIN_ACK (spans an admission tick); returns
-      the member id, the epoch, the individual key (the path head) and
-      the ticket the reply carries (issued at that epoch). *)
-end
 
 (** {1 Well-behaved cohorts} *)
 
@@ -145,3 +105,28 @@ val ticket_replay : loop:Gkm_netd.Loop.t -> port:int -> timeout:float -> verdict
     bearer tokens), then present a corrupted ticket (expects a soft
     err_ticket with the connection surviving) and join fresh on that
     same socket (expects a brand-new member id). *)
+
+module Private : sig
+  (** Minimal frame-level client: a non-blocking socket, the streaming
+      decoder, and a log of everything received. No protocol state
+      machine — the cohort script is the state machine. The hostile
+      drivers above are built on it; tests drive it directly. *)
+  module Raw : sig
+    type t
+
+    val connect : loop:Gkm_netd.Loop.t -> port:int -> t
+    (** Loopback connect. *)
+
+    val send : t -> Gkm_wire.Msg.t -> unit
+    val close : t -> unit
+
+    val hello : t -> timeout:float -> bool
+    (** Send HELLO for the wire version and await HELLO_ACK; [false] on
+        timeout or a refusal. *)
+
+    val join : t -> timeout:float -> (int * int * Gkm_crypto.Key.t * bytes) option
+    (** Send JOIN and await JOIN_ACK (spans an admission tick); returns
+        the member id, the epoch, the individual key (the path head) and
+        the ticket the reply carries (issued at that epoch). *)
+  end
+end

@@ -8,12 +8,7 @@
     budget — a crasher found once can never regress silently. *)
 
 val hex_of_bytes : bytes -> string
-val bytes_of_hex : string -> (bytes, string) result
-
 type entry = { label : string; frame : bytes }
-
-val parse_line : string -> (entry option, string) result
-(** [Ok None] for blank/comment lines. *)
 
 val load : string -> (entry list, string) result
 (** Read a corpus file. [Error] on an unreadable file or a malformed

@@ -6,7 +6,6 @@ module Grammar = Gkm_wire.Grammar
 module Dgram = Gkm_wire.Dgram
 module Packet = Gkm_transport.Packet
 module Rekey_msg = Gkm_lkh.Rekey_msg
-module Bytes_io = Gkm_crypto.Bytes_io
 open Gkm_crypto.Codec
 
 type failure = {

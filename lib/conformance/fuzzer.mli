@@ -45,20 +45,6 @@ type report = {
   mutable elapsed_s : float;
 }
 
-val check_frame : report -> origin:string -> bytes -> unit
-(** Run one candidate through every decode path, recording any raise
-    or fixpoint violation in [report]. *)
-
-val gen_frame : Gkm_crypto.Prng.t -> Gkm_wire.Grammar.rule -> bytes
-(** One structurally-valid frame for [rule] at {!Gkm_wire.Msg.version}. *)
-
-val check_valid : report -> origin:string -> bytes -> unit
-(** {!check_frame} plus the assertion that the codec accepts the frame
-    — a rejection is recorded as [`Should_accept], meaning the grammar
-    and the codec have drifted apart. *)
-
-val replay_corpus : report -> Corpus.entry list -> unit
-
 val run :
   ?seed:int ->
   ?frames:int ->

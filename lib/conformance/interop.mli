@@ -3,7 +3,7 @@
     {!Cohort}s against it over real sockets, then collect the server's
     [--stats-file] JSON and assert the server-side counters.
 
-    Each {!case} runs one server configuration; {!sweep} crosses the
+    Each case runs one server configuration; {!sweep} crosses the
     organization kinds with the [--domains] fan-out counts, which is
     exactly the matrix where the multi-lane server and the
     single-domain server must be observably identical to every
@@ -33,15 +33,6 @@ type case_result = {
   stats : (string * int) list;  (** parsed [--stats-file] counters *)
   ok : bool;
 }
-
-val parse_stats_json : string -> (string * int) list
-(** Permissive scan for ["key": int] pairs — the only JSON reader in
-    the tree, matched to {!Gkm_obs.Jsonx} output. *)
-
-val run_case : ?scratch:string -> server -> case_result
-(** Spawn the server (ephemeral port via [--port-file]), run the full
-    cohort battery, SIGINT the server, collect stats. [scratch] is the
-    directory for the port/stats files (default ["."]). *)
 
 val sweep :
   ?scratch:string ->

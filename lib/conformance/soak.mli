@@ -54,13 +54,6 @@ val verdict : baseline:Gkm.Session.result -> Gkm.Session.result -> verdict
     fault-free run [baseline] of the same configuration: the check
     shared by every soak iteration and [gkm chaos]. *)
 
-val plan_for : int -> string
-(** The rotating fault-plan pool: a deterministic plan string for
-    iteration [i], cycling through every fault family. *)
-
-val jsonl_of_iteration : iteration -> string
-(** One JSON object (no trailing newline) for the verdict stream. *)
-
 val run : ?emit:(string -> unit) -> config -> report
 (** [run ?emit cfg] soaks until the budget expires. [emit] receives
     each iteration's JSONL line as it completes (default: discard).

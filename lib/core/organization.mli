@@ -158,10 +158,7 @@ val spec_of_string :
     Each band [b] of a composed organization runs its scheme with
     S-tree ids from [b * 2_000_000_000], L-tree ids from
     [b * 2_000_000_000 + 1_000_000_000], and its per-band DEK bound to
-    the synthetic id {!band_dek_id}[ b]. The composed group DEK lives
-    at [Scheme.dek_node]. *)
-
-val band_dek_id : int -> int
-(** The synthetic node id of band [b]'s DEK: [-(500_000_000 + b)].
-    Never collides with [Scheme.dek_node], tree node ids, or
-    [Scheme.synthetic_leaf] ids of realistic member ids. *)
+    the synthetic id [-(500_000_000 + b)], which never collides with
+    [Scheme.dek_node], tree node ids, or the synthetic leaf ids of
+    realistic member ids. The composed group DEK lives at
+    [Scheme.dek_node]. *)

@@ -75,10 +75,6 @@ val size : t -> int
 
 val is_member : t -> int -> bool
 
-val location : t -> int -> [ `Queue | `S_tree | `L_tree | `Absent ]
-(** Where a member currently lives. [`L_tree] covers the single tree
-    of the one-keytree scheme. *)
-
 val s_size : t -> int
 val l_size : t -> int
 
@@ -110,7 +106,8 @@ val trees : t -> Gkm_keytree.Keytree.t list
 val placements : t -> (int * int) list
 (** [(member, leaf node id)] for every member placed into a tree by
     the last {!rekey} — the admission/migration notification a real
-    server unicasts. Queue admissions use {!synthetic_leaf}. *)
+    server unicasts. A queue admission's leaf id is the synthetic
+    [-(member + 2)]. *)
 
 val cumulative_keys : t -> int
 (** Total encrypted keys across all rekey messages. *)
@@ -121,11 +118,6 @@ val last_cost : t -> int
 val dek_node : int
 (** Synthetic node id carrying the DEK when the scheme spans several
     trees. *)
-
-val synthetic_leaf : int -> int
-(** The synthetic node id binding a queue member's individual key in
-    rekey-message entries. Injective, negative, never collides with
-    tree node ids or {!dek_node}. *)
 
 val member_path : t -> int -> (int * Gkm_crypto.Key.t) list
 (** The catch-up unicast for one member: every (node id, key) the

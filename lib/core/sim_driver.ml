@@ -183,62 +183,3 @@ let run_loss ?(degree = 4) ?(seed = 1) ?(trials = 5) ?burstiness ~n ~l ~alpha ~p
     mean_rounds = Stats.mean rounds;
     undelivered = !undelivered;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Chaos sweep: crash at every interval, assert DEK convergence.      *)
-
-type chaos_point = {
-  crash_interval : int;
-  converged : bool;
-  c_verified : bool;
-  c_recovered : bool;
-  c_restores : int;
-}
-
-type chaos_result = {
-  c_org : string;
-  baseline_verified : bool;
-  points : chaos_point list;
-  all_converged : bool;
-}
-
-let chaos_default_config =
-  {
-    Session.default_config with
-    n_target = 60;
-    horizon = 600.0;
-    tp = 60.0;
-    ms = 120.0;
-    ml = 1800.0;
-  }
-
-let run_chaos ?(config = chaos_default_config) ?spec () =
-  let config =
-    match spec with None -> config | Some org -> { config with Session.org }
-  in
-  let baseline = Session.run config in
-  let intervals = baseline.Session.intervals in
-  let points =
-    List.init intervals (fun i ->
-        let k = i + 1 in
-        let r = Session.run ~faults:[ Gkm_fault.Fault.Crash { interval = k } ] config in
-        {
-          crash_interval = k;
-          (* Crash recovery is lossless: the whole trace must match,
-             not just a post-recovery suffix. *)
-          converged = r.Session.dek_trace = baseline.Session.dek_trace;
-          c_verified = r.Session.verified;
-          c_recovered = r.Session.recovered;
-          c_restores = r.Session.restores;
-        })
-  in
-  {
-    c_org = Organization.spec_name config.Session.org;
-    baseline_verified = baseline.Session.verified;
-    points;
-    all_converged =
-      baseline.Session.verified
-      && List.for_all
-           (fun p -> p.converged && p.c_verified && p.c_recovered && p.c_restores = 1)
-           points;
-  }

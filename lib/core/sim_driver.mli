@@ -80,29 +80,3 @@ val run_loss :
     (default 5). [burstiness] switches every receiver from Bernoulli
     to a Gilbert-Elliott channel with the same mean loss (the A2
     ablation of DESIGN.md). *)
-
-(** {1 Chaos sweep (crash-recovery validation)} *)
-
-type chaos_point = {
-  crash_interval : int;
-  converged : bool;  (** DEK trace identical to the fault-free run's *)
-  c_verified : bool;
-  c_recovered : bool;
-  c_restores : int;
-}
-
-type chaos_result = {
-  c_org : string;
-  baseline_verified : bool;
-  points : chaos_point list;  (** one per crash interval swept *)
-  all_converged : bool;
-}
-
-val run_chaos : ?config:Session.config -> ?spec:Organization.spec -> unit -> chaos_result
-(** Crash-at-every-interval sweep: run the fault-free baseline once,
-    then re-run the identical session with [crash@k] for every rekey
-    interval [k] in the horizon, asserting that each crashed run
-    restores from its snapshot + write-ahead log and reproduces the
-    {e exact} fault-free DEK sequence. [config] defaults to a small
-    session (N=60, 10 intervals) suitable for tests; [spec] overrides
-    its organization. *)

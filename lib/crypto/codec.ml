@@ -1,7 +1,15 @@
-let add_u8 = Bytes_io.add_u8
-let add_u16 = Bytes_io.add_u16
-let add_i32 = Bytes_io.add_i32
-let add_i64 = Bytes_io.add_i64
+let add_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
+
+let add_u16 buf v =
+  if v < 0 || v > 0xffff then invalid_arg "Codec.add_u16: value exceeds 16 bits";
+  Buffer.add_uint16_be buf v
+
+let add_i32 buf v =
+  if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
+    invalid_arg "Codec.add_i32: value exceeds 32 bits";
+  Buffer.add_int32_be buf (Int32.of_int v)
+
+let add_i64 = Buffer.add_int64_be
 let add_f64 buf v = add_i64 buf (Int64.bits_of_float v)
 let add_key buf k = Buffer.add_bytes buf (Key.to_bytes k)
 
@@ -93,25 +101,25 @@ let need r n =
 
 let u8 r =
   need r 1;
-  let v = Bytes_io.get_u8 r.buf r.pos in
+  let v = Bytes.get_uint8 r.buf r.pos in
   r.pos <- r.pos + 1;
   v
 
 let u16 r =
   need r 2;
-  let v = Bytes_io.get_u16 r.buf r.pos in
+  let v = Bytes.get_uint16_be r.buf r.pos in
   r.pos <- r.pos + 2;
   v
 
 let i32 r =
   need r 4;
-  let v = Bytes_io.get_i32 r.buf r.pos in
+  let v = Int32.to_int (Bytes.get_int32_be r.buf r.pos) in
   r.pos <- r.pos + 4;
   v
 
 let i64 r =
   need r 8;
-  let v = Bytes_io.get_i64 r.buf r.pos in
+  let v = Bytes.get_int64_be r.buf r.pos in
   r.pos <- r.pos + 8;
   v
 

@@ -10,8 +10,6 @@ let encode b =
   done;
   Bytes.unsafe_to_string out
 
-let encode_string s = encode (Bytes.of_string s)
-
 let nibble c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'

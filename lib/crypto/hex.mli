@@ -3,9 +3,6 @@
 val encode : bytes -> string
 (** [encode b] is the lowercase hexadecimal representation of [b]. *)
 
-val encode_string : string -> string
-(** [encode_string s] is {!encode} applied to the bytes of [s]. *)
-
 val decode : string -> bytes
 (** [decode s] parses a hexadecimal string (upper or lower case) back
     into bytes.

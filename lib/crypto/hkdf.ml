@@ -30,5 +30,5 @@ let derive ~salt ~ikm ~info len =
 let label_info label fields =
   let buf = Buffer.create 32 in
   Buffer.add_string buf label;
-  List.iter (fun v -> Bytes_io.add_i64 buf (Int64.of_int v)) fields;
+  List.iter (fun v -> Buffer.add_int64_be buf (Int64.of_int v)) fields;
   Buffer.to_bytes buf

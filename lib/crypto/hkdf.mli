@@ -2,27 +2,16 @@
     {!Hmac}, i.e. HMAC-SHA-256).
 
     The record layer derives its per-epoch traffic keys from the group
-    DEK with [extract] + [expand]; resumption-ticket sealing keys come
-    from the member's individual key the same way. Matched against the
-    RFC 5869 test vectors in the crypto test suite. *)
-
-val hash_len : int
-(** Output size of the underlying PRF (32). *)
-
-val extract : salt:Hmac.key -> ikm:bytes -> bytes
-(** [extract ~salt ~ikm] is the 32-byte pseudorandom key
-    [HMAC(salt, ikm)]. The salt comes prepared ({!Hmac.prepare}): a
-    caller with a constant salt prepares it once, and each extract
-    then costs the [ikm]'s compressions plus one. *)
-
-val expand : prk:bytes -> info:bytes -> int -> bytes
-(** [expand ~prk ~info len] is [len] bytes of output keyed by [prk]
-    and bound to the context [info]. [prk] is prepared once for all
-    the output blocks.
-    @raise Invalid_argument if [len] is outside [1, 255 * 32]. *)
+    DEK with {!derive}; resumption-ticket sealing keys come from the
+    member's individual key the same way. Matched against the RFC 5869
+    test vectors in the crypto test suite. *)
 
 val derive : salt:Hmac.key -> ikm:bytes -> info:bytes -> int -> bytes
-(** [extract] then [expand] in one call. *)
+(** [derive ~salt ~ikm ~info len] extracts the 32-byte pseudorandom key
+    [HMAC(salt, ikm)] and expands it to [len] bytes bound to the
+    context [info]. The salt comes prepared ({!Hmac.prepare}): a caller
+    with a constant salt prepares it once.
+    @raise Invalid_argument if [len] is outside [1, 255 * 32]. *)
 
 val label_info : string -> int list -> bytes
 (** [label_info label fields] is a canonical [info] encoding: the

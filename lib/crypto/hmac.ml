@@ -30,15 +30,3 @@ let apply key parts =
   Sha256.finalize outer
 
 let mac ~key msg = apply (prepare key) [ (msg, 0, Bytes.length msg) ]
-let mac_string ~key msg = mac ~key:(Bytes.of_string key) (Bytes.of_string msg)
-
-let verify ~key msg ~tag =
-  let expected = mac ~key msg in
-  if Bytes.length tag <> Bytes.length expected then false
-  else begin
-    let diff = ref 0 in
-    for i = 0 to Bytes.length tag - 1 do
-      diff := !diff lor (Char.code (Bytes.get tag i) lxor Char.code (Bytes.get expected i))
-    done;
-    !diff = 0
-  end

@@ -20,10 +20,3 @@ val apply : key -> (bytes * int * int) list -> bytes
 
 val mac : key:bytes -> bytes -> bytes
 (** [mac ~key msg] is [apply (prepare key) [msg]]. *)
-
-val mac_string : key:string -> string -> bytes
-(** [mac_string ~key msg] is {!mac} on string inputs. *)
-
-val verify : key:bytes -> bytes -> tag:bytes -> bool
-(** [verify ~key msg ~tag] checks [tag] in constant time with respect
-    to the tag contents. *)

@@ -10,7 +10,6 @@ let to_bytes k = Bytes.copy k
 let fresh rng = Prng.bytes rng size
 
 let equal = Bytes.equal
-let compare = Bytes.compare
 let wrapped_size = 32
 let check_size = 16
 
@@ -42,7 +41,6 @@ let unwrap_with cipher c =
   if Bytes.equal (check k) (Bytes.sub c size check_size) then Some k else None
 
 let wrap ~kek k = wrap_with (cipher kek) k
-let unwrap ~kek c = unwrap_with (cipher kek) c
 
 let digest k = Sha256.digest k
 let fingerprint_of_digest d = Hex.encode (Bytes.sub d 0 4)

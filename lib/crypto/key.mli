@@ -24,7 +24,6 @@ val fresh : Prng.t -> t
 (** [fresh rng] samples a uniformly random key. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val wrapped_size : int
 (** Size in bytes of a classical wrap (32: the encrypted key block,
@@ -60,7 +59,10 @@ val wrap_checked_with : cipher -> check:bytes -> t -> bytes
     vouches that [check] is [check k]. *)
 
 val unwrap_with : cipher -> bytes -> t option
-(** [unwrap_with c ct] is {!unwrap} with a pre-expanded schedule.
+(** [unwrap_with c ct] decrypts [ct]'s first block under [c] and
+    returns the key if its {!check} equals [ct]'s last 16 bytes; [None]
+    under a wrong or stale KEK, or if either half was altered, except
+    with probability 2^-128.
     @raise Invalid_argument if [ct] has the wrong length. *)
 
 val wrap : kek:t -> t -> bytes
@@ -69,13 +71,6 @@ val wrap : kek:t -> t -> bytes
     is detectable. A receiver holding a stale version of a wrapping
     key must not silently adopt garbage — exactly what happens to
     members that migrated between key-tree partitions. *)
-
-val unwrap : kek:t -> bytes -> t option
-(** [unwrap ~kek c] decrypts [c]'s first block under [kek] and returns
-    the key if its {!check} equals [c]'s last 16 bytes; [None] under a
-    wrong or stale KEK, or if either half was altered, except with
-    probability 2^-128.
-    @raise Invalid_argument if [c] has the wrong length. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints a short hex prefix of the key, for logs and examples. *)

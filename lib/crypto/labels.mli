@@ -31,10 +31,3 @@ val oft_mix : string
 val key_check : string
 (** SHA-256 domain prefix of a classical wrap's key check
     ({!Key.check}). *)
-
-val all : unit -> (string * string) list
-(** All registered [(name, label)] pairs, registration order. *)
-
-val check : unit -> unit
-(** Re-verify prefix-freedom of the registry.
-    @raise Invalid_argument naming the offending pair. *)

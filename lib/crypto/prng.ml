@@ -17,7 +17,6 @@ let bits64 t =
   mix64 t.state
 
 let split t = { state = bits64 t }
-let copy t = { state = t.state }
 let save t = t.state
 let restore state = { state }
 
@@ -45,12 +44,6 @@ let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Prng.exponential: mean must be positive";
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
-
-let pareto t ~shape ~scale =
-  if shape <= 0.0 then invalid_arg "Prng.pareto: shape must be positive";
-  if scale <= 0.0 then invalid_arg "Prng.pareto: scale must be positive";
-  let u = 1.0 -. float t 1.0 in
-  scale /. (u ** (1.0 /. shape))
 
 let bytes t n =
   let out = Bytes.create n in

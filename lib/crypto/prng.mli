@@ -14,9 +14,6 @@ val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
     the subsequent outputs of [t]. Advances [t]. *)
 
-val copy : t -> t
-(** [copy t] is a generator that will produce the same stream as [t]. *)
-
 val save : t -> int64
 (** [save t] is the full internal state, for persistence. *)
 
@@ -41,11 +38,6 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] samples an exponential with the given mean.
     @raise Invalid_argument if [mean <= 0]. *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** [pareto t ~shape ~scale] samples a Pareto (Type I) variate — the
-    continuous analogue of Zipf-distributed membership durations.
-    @raise Invalid_argument if [shape <= 0] or [scale <= 0]. *)
 
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] pseudo-random bytes. *)

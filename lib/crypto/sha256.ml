@@ -168,10 +168,3 @@ let digest b =
   let ctx = init () in
   update ctx b;
   finalize ctx
-
-let digest_string s =
-  let ctx = init () in
-  update_string ctx s;
-  finalize ctx
-
-let hex s = Hex.encode (digest_string s)

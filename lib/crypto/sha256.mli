@@ -45,9 +45,3 @@ val finalize : ctx -> bytes
 
 val digest : bytes -> bytes
 (** [digest b] is the 32-byte SHA-256 digest of [b]. *)
-
-val digest_string : string -> bytes
-(** [digest_string s] is the 32-byte SHA-256 digest of [s]. *)
-
-val hex : string -> string
-(** [hex s] is the digest of [s] in lowercase hexadecimal. *)

@@ -67,7 +67,6 @@ let fault_to_string = function
   | Desync { interval; member } -> Printf.sprintf "desync@%d:%d" interval member
 
 let to_string plan = String.concat ";" (List.map fault_to_string plan)
-let pp fmt plan = Format.pp_print_string fmt (to_string plan)
 
 let parse_target s =
   if s = "*" then Ok All
@@ -165,7 +164,6 @@ module Injector = struct
     (match validate plan with Ok () -> () | Error e -> invalid_arg ("Fault.Injector: " ^ e));
     { plan; i_rng = Prng.create seed; injected = 0 }
 
-  let plan t = t.plan
   let rng t = t.i_rng
   let injected t = t.injected
 

@@ -45,10 +45,6 @@ type fault =
 
 type plan = fault list
 
-val validate : plan -> (unit, string) result
-(** Check intervals are >= 1, windows are non-empty, rates are in
-    [0, 1], and delays are >= 1. *)
-
 val to_string : plan -> string
 (** Compact selector syntax, the inverse of {!of_string}. *)
 
@@ -62,16 +58,13 @@ val of_string : string -> (plan, string) result
     Times are sim seconds, [K] a 1-based rekey interval, [M] member
     ids. An empty string is the empty plan. *)
 
-val pp : Format.formatter -> plan -> unit
-
 (** The stateful side: one injector drives one session run. *)
 module Injector : sig
   type t
 
   val create : ?seed:int -> plan -> t
-  (** @raise Invalid_argument if {!validate} rejects the plan. *)
-
-  val plan : t -> plan
+  (** @raise Invalid_argument if the plan has an interval or a delay
+      below 1, an empty window, or a rate outside [0, 1]. *)
 
   val rng : t -> Gkm_crypto.Prng.t
   (** The injector's own PRNG stream (backoff jitter, corruption

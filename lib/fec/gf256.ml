@@ -24,21 +24,6 @@ let sub = add
 
 let mul a b = if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
 
-let inv a =
-  if a = 0 then raise Division_by_zero;
-  exp_table.(255 - log_table.(a))
-
 let div a b =
   if b = 0 then raise Division_by_zero;
   if a = 0 then 0 else exp_table.(log_table.(a) + 255 - log_table.(b))
-
-let pow a n =
-  if n = 0 then 1
-  else if a = 0 then 0
-  else exp_table.(log_table.(a) * n mod 255)
-
-let exp i = exp_table.(((i mod 255) + 255) mod 255)
-
-let log a =
-  if a = 0 then invalid_arg "Gf256.log: log of zero";
-  log_table.(a)

@@ -16,15 +16,3 @@ val mul : int -> int -> int
 
 val div : int -> int -> int
 (** Field division. @raise Division_by_zero if the divisor is 0. *)
-
-val inv : int -> int
-(** Multiplicative inverse. @raise Division_by_zero on 0. *)
-
-val pow : int -> int -> int
-(** [pow a n] is [a]{^ n} for [n >= 0]. [pow 0 0 = 1]. *)
-
-val exp : int -> int
-(** [exp i] is [generator]{^ i} (index taken mod 255). *)
-
-val log : int -> int
-(** Discrete log base the generator. @raise Invalid_argument on 0. *)

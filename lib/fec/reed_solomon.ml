@@ -4,7 +4,6 @@ let create ~k =
   if k < 1 || k > 255 then invalid_arg "Reed_solomon.create: k must be in [1, 255]";
   { k }
 
-let k c = c.k
 let max_parity c = 256 - c.k
 
 let check_data c data =

@@ -17,9 +17,6 @@ val create : k:int -> code
 (** [create ~k] prepares a code with [k] data shards.
     @raise Invalid_argument unless [1 <= k <= 255]. *)
 
-val k : code -> int
-(** Number of data shards. *)
-
 val max_parity : code -> int
 (** Largest parity index + 1 this code can produce (= 256 - k). *)
 

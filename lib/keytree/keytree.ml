@@ -40,13 +40,6 @@ type update = {
   wraps : wrap list;
 }
 
-type depth_stats = {
-  min_depth : int;
-  max_depth : int;
-  mean_depth : float;
-  node_count : int;
-}
-
 let create ?(id_base = 0) ~degree rng =
   if degree < 2 then invalid_arg "Keytree.create: degree must be >= 2";
   {
@@ -59,9 +52,7 @@ let create ?(id_base = 0) ~degree rng =
     epoch = 0;
   }
 
-let degree t = t.degree
 let size t = match t.root with None -> 0 | Some r -> r.size
-let epoch t = t.epoch
 let mem t m = Hashtbl.mem t.leaves m
 let members t = Hashtbl.fold (fun m _ acc -> m :: acc) t.leaves []
 let iter_members t f = Hashtbl.iter (fun m _ -> f m) t.leaves
@@ -94,11 +85,6 @@ let find_node t id =
   | None -> raise Not_found
 
 let node_exists t id = Hashtbl.mem t.nodes id
-let subtree_size t id = (find_node t id).size
-
-let rec depth n = match n.parent with None -> 0 | Some p -> 1 + depth p
-
-let node_level t id = depth (find_node t id)
 
 let leaf_key t m =
   match Hashtbl.find_opt t.leaves m with Some leaf -> leaf.key | None -> raise Not_found
@@ -112,14 +98,6 @@ let path t m =
         match n.parent with None -> List.rev acc | Some p -> up p acc
       in
       up leaf []
-
-let members_under t id =
-  let rec collect n acc =
-    match n.member with
-    | Some m -> m :: acc
-    | None -> List.fold_left (fun acc c -> collect c acc) acc n.children
-  in
-  collect (find_node t id) []
 
 let iter_members_under t id f =
   let rec go n =
@@ -315,39 +293,12 @@ let batch_update t ~departed ~joined =
     | _ -> []
   end
 
-let rekey_cost updates =
-  List.fold_left (fun acc u -> acc + List.length u.wraps) 0 updates
-
 let height t =
   match t.root with
   | None -> 0
   | Some root ->
       let rec go n = if is_leaf n then 0 else 1 + List.fold_left (fun m c -> max m (go c)) 0 n.children in
       go root
-
-let depth_stats t =
-  match t.root with
-  | None -> invalid_arg "Keytree.depth_stats: empty tree"
-  | Some root ->
-      let min_d = ref max_int and max_d = ref 0 and sum_d = ref 0 and leaves = ref 0 in
-      let count = ref 0 in
-      let rec go d n =
-        incr count;
-        if is_leaf n then begin
-          if d < !min_d then min_d := d;
-          if d > !max_d then max_d := d;
-          sum_d := !sum_d + d;
-          incr leaves
-        end
-        else List.iter (go (d + 1)) n.children
-      in
-      go 0 root;
-      {
-        min_depth = !min_d;
-        max_depth = !max_d;
-        mean_depth = float_of_int !sum_d /. float_of_int !leaves;
-        node_count = !count;
-      }
 
 let check t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -500,3 +451,7 @@ let restore blob =
   (match check t with Ok () -> () | Error e -> corrupt "invalid snapshot: %s" e);
   invalidate_schedules t;
   t
+
+module Private = struct
+  let check = check
+end

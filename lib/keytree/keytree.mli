@@ -42,13 +42,6 @@ type update = {
 }
 (** One refreshed key together with all its wrappings. *)
 
-type depth_stats = {
-  min_depth : int;
-  max_depth : int;
-  mean_depth : float;
-  node_count : int;  (** total nodes, internal + leaves *)
-}
-
 val create : ?id_base:int -> degree:int -> Gkm_crypto.Prng.t -> t
 (** [create ?id_base ~degree rng] is an empty tree. Fresh keys are
     drawn from [rng]. Node ids are allocated from [id_base] (default 0)
@@ -56,17 +49,12 @@ val create : ?id_base:int -> degree:int -> Gkm_crypto.Prng.t -> t
     so rekey-message entries never collide.
     @raise Invalid_argument if [degree < 2]. *)
 
-val degree : t -> int
-
 val size : t -> int
 (** Number of members (leaves). *)
 
 val height : t -> int
 (** Length of the longest root-to-leaf path in edges; 0 for an empty
     or single-member tree. *)
-
-val epoch : t -> int
-(** Number of batch updates performed so far. *)
 
 val members : t -> member_id list
 
@@ -92,19 +80,9 @@ val path : t -> member_id -> (int * Gkm_crypto.Key.t) list
 
 val node_exists : t -> int -> bool
 
-val subtree_size : t -> int -> int
-(** Members under the given node. @raise Not_found on unknown id. *)
-
-val node_level : t -> int -> int
-(** Depth of the given node. @raise Not_found on unknown id. *)
-
-val members_under : t -> int -> member_id list
-(** Members in the subtree rooted at the given node.
-    @raise Not_found on unknown id. *)
-
 val iter_members_under : t -> int -> (member_id -> unit) -> unit
-(** Allocation-free variant of {!members_under}: applies the callback
-    to each member in depth-first subtree order.
+(** [iter_members_under t node f] applies [f] to each member in the
+    subtree rooted at [node], in depth-first order, allocating nothing.
     @raise Not_found on unknown id. *)
 
 val batch_update :
@@ -122,14 +100,6 @@ val batch_update :
     of existing members raise [Invalid_argument]. An empty batch
     returns []. *)
 
-val rekey_cost : update list -> int
-(** Total number of wrappings — the paper's "number of encrypted
-    keys" metric. *)
-
-val depth_stats : t -> depth_stats
-(** Leaf-depth statistics, for balance diagnostics.
-    @raise Invalid_argument on an empty tree. *)
-
 val snapshot : t -> bytes
 (** Serialize the full tree (structure, key material, versions,
     epoch, id allocator, PRNG state) in the v2 layout. The blob
@@ -141,20 +111,16 @@ val restore : bytes -> (t, string) result
     is an [Error]. The restored
     tree continues the original's PRNG stream, so subsequent
     operations are bit-identical to the source server's. Validated
-    with {!check}, and every cached key schedule is explicitly
-    invalidated (see {!invalidate_schedules}) before the tree is
-    returned. *)
-
-val invalidate_schedules : t -> unit
-(** Drop every cached expanded key schedule. Schedules are lazily
-    re-expanded from the nodes' current keys on next use; restore
-    paths call this so a rebuilt tree can never wrap under a stale
-    pre-crash schedule. *)
-
-val check : t -> (unit, string) result
-(** Structural invariant checker (sizes consistent, parent/child links
-    coherent, member index exact, no undersized interior nodes). Used
-    by the property tests. *)
+    with {!Private.check}, and every cached key schedule is dropped
+    before the tree is returned, so a rebuilt tree can never wrap
+    under a stale pre-crash schedule. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the tree shape (small trees only; used by examples). *)
+
+module Private : sig
+  val check : t -> (unit, string) result
+  (** Structural invariant checker (sizes consistent, parent/child links
+      coherent, member index exact, no undersized interior nodes): the
+      oracle of the property tests. *)
+end

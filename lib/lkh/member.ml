@@ -71,3 +71,8 @@ let group_key t =
   match t.root_node with
   | None -> None
   | Some node -> Option.map (fun s -> s.key) (Hashtbl.find_opt t.keys node)
+
+module Private = struct
+  let interested = interested
+  let key_of = key_of
+end

@@ -32,12 +32,14 @@ val process_entry : t -> Rekey_msg.entry -> bool
 (** Process a single entry (used by transports delivering packets out
     of order); [true] if it was decrypted and stored. *)
 
-val interested : t -> Rekey_msg.entry -> bool
-(** Whether the member holds the wrapping key for this entry and does
-    not yet hold the (same-version) target. *)
-
-val knows : t -> int -> bool
-(** Whether the member currently holds a key for the given node id. *)
-
-val key_of : t -> int -> Gkm_crypto.Key.t option
 val group_key : t -> Gkm_crypto.Key.t option
+
+module Private : sig
+  (** What a member holds, for the secrecy tests: no shipped path asks. *)
+
+  val interested : t -> Rekey_msg.entry -> bool
+  (** Whether the member holds the wrapping key for this entry and does
+      not yet hold the (same-version) target. *)
+
+  val key_of : t -> int -> Gkm_crypto.Key.t option
+end

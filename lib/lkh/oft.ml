@@ -50,7 +50,6 @@ type t = {
   mutable next_id : int;
   mutable last_broadcast : int;
   mutable last_unicast : int;
-  mutable cumulative_broadcast : int;
 }
 
 let create ?(seed = 0) () =
@@ -64,7 +63,6 @@ let create ?(seed = 0) () =
     next_id = 0;
     last_broadcast = 0;
     last_unicast = 0;
-    cumulative_broadcast = 0;
   }
 
 let size t = match t.root with None -> 0 | Some r -> r.size
@@ -73,7 +71,6 @@ let members t = Hashtbl.fold (fun m _ acc -> m :: acc) t.leaves []
 let root_secret t = match t.root with None -> None | Some r -> Some (Bytes.copy r.secret)
 let last_broadcast_cost t = t.last_broadcast
 let last_unicast_cost t = t.last_unicast
-let cumulative_broadcast t = t.cumulative_broadcast
 
 let fresh_node t ~secret ~member =
   let n =
@@ -335,8 +332,7 @@ let batch t ~departed ~joined =
             end)
           (collect_members scope []))
     !scopes;
-  List.iter (bootstrap_joiner t) joiner_leaves;
-  t.cumulative_broadcast <- t.cumulative_broadcast + t.last_broadcast
+  List.iter (bootstrap_joiner t) joiner_leaves
 
 let join t m =
   if is_member t m then invalid_arg (Printf.sprintf "Oft.join: %d is a member" m);

@@ -23,7 +23,6 @@ type t
 val create : ?seed:int -> unit -> t
 
 val size : t -> int
-val is_member : t -> int -> bool
 val members : t -> int list
 
 val join : t -> int -> unit
@@ -53,8 +52,6 @@ val last_broadcast_cost : t -> int
 val last_unicast_cost : t -> int
 (** Values delivered point-to-point by the last operation (joiner
     bootstrap, fresh sibling secret). *)
-
-val cumulative_broadcast : t -> int
 
 type view
 (** What one member holds: its leaf secret, its path shape and the

@@ -42,12 +42,3 @@ let for_audience ~fresh entries =
   let count node = Option.value ~default:0 (Hashtbl.find_opt under node) in
   List.iter (List.iter (fun (node, _) -> Hashtbl.replace under node (1 + count node))) fresh;
   List.filter (fun e -> e.receivers > count e.wrapped_under) entries
-
-let pp fmt t =
-  Format.fprintf fmt "rekey epoch=%d root=%d entries=%d@." t.epoch t.root_node
-    (List.length t.entries);
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  K%d (v%d, level %d) wrapped under K%d -> %d receivers@."
-        e.target_node e.target_version e.level e.wrapped_under e.receivers)
-    t.entries

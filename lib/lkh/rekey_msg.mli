@@ -45,5 +45,3 @@ val for_audience : fresh:(int * Gkm_crypto.Key.t) list list -> entry list -> ent
     its [receivers] exceed the fresh paths through its [wrapped_under]
     node, so [receivers] must count every holder of the wrapping key:
     an undercount would drop an entry a member outside [fresh] needs. *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,12 +2,7 @@ module Prng = Gkm_crypto.Prng
 
 type receiver = { member : int; model : Loss_model.t; state : Loss_model.state }
 
-type t = {
-  rng : Prng.t;
-  receivers : receiver array;
-  by_member : (int, int) Hashtbl.t;
-  mutable packets : int;
-}
+type t = { rng : Prng.t; receivers : receiver array; by_member : (int, int) Hashtbl.t }
 
 let create ~rng specs =
   let receivers =
@@ -23,7 +18,7 @@ let create ~rng specs =
         invalid_arg (Printf.sprintf "Channel.create: duplicate member %d" r.member);
       Hashtbl.add by_member r.member i)
     receivers;
-  { rng; receivers; by_member; packets = 0 }
+  { rng; receivers; by_member }
 
 let size t = Array.length t.receivers
 let receiver t i = t.receivers.(i)
@@ -31,23 +26,13 @@ let receiver t i = t.receivers.(i)
 let index_of_member t m =
   match Hashtbl.find_opt t.by_member m with Some i -> i | None -> raise Not_found
 
-let mean_loss_of_member t m = Loss_model.mean_loss t.receivers.(index_of_member t m).model
-
 let multicast_into t mask =
   if Array.length mask <> Array.length t.receivers then
     invalid_arg "Channel.multicast_into: mask length does not match population";
-  t.packets <- t.packets + 1;
   for i = 0 to Array.length t.receivers - 1 do
     let r = Array.unsafe_get t.receivers i in
     Array.unsafe_set mask i (not (Loss_model.drop r.model r.state t.rng))
   done
-
-let multicast t =
-  let mask = Array.make (Array.length t.receivers) false in
-  multicast_into t mask;
-  mask
-
-let packets_sent t = t.packets
 
 let two_class ~rng ~n ~alpha ~high ~low =
   if n < 0 then invalid_arg "Channel.two_class: negative population";

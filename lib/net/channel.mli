@@ -25,23 +25,12 @@ val receiver : t -> int -> receiver
 val index_of_member : t -> int -> int
 (** Dense index of a member id. @raise Not_found. *)
 
-val mean_loss_of_member : t -> int -> float
-
-val multicast : t -> bool array
-(** Send one packet: returns the delivery mask by dense index ([true] =
-    received). The returned array is freshly allocated. *)
-
 val multicast_into : t -> bool array -> unit
-(** [multicast_into t mask] is {!multicast} writing into the caller's
-    buffer — the transports' per-packet inner loops reuse one mask for
-    the whole delivery instead of allocating [size t] booleans per
-    packet. Draws the same per-receiver loss samples in the same
-    order as {!multicast}, so the two are interchangeable
-    bit-for-bit.
+(** [multicast_into t mask] sends one packet and writes its delivery
+    mask by dense index ([true] = received) into the caller's buffer:
+    the transports' per-packet inner loops reuse one mask for the
+    whole delivery instead of allocating [size t] booleans per packet.
     @raise Invalid_argument if [mask] length differs from [size t]. *)
-
-val packets_sent : t -> int
-(** Total multicasts so far. *)
 
 (** Population builders used by the experiments. *)
 

@@ -12,13 +12,6 @@ let bernoulli p =
   check_prob "rate" p;
   Bernoulli p
 
-let gilbert_elliott ~p_gb ~p_bg ~loss_good ~loss_bad =
-  check_prob "p_gb" p_gb;
-  check_prob "p_bg" p_bg;
-  check_prob "loss_good" loss_good;
-  check_prob "loss_bad" loss_bad;
-  Gilbert_elliott { p_gb; p_bg; loss_good; loss_bad }
-
 let bursty ~mean_loss ~burstiness =
   check_prob "mean_loss" mean_loss;
   if burstiness <= 0.0 || burstiness >= 1.0 then
@@ -47,8 +40,6 @@ type state = { mutable in_bad : bool }
 let init_state = function
   | Bernoulli _ -> { in_bad = false }
   | Gilbert_elliott _ -> { in_bad = false }
-
-let reset _model state = state.in_bad <- false
 
 let drop model state rng =
   match model with

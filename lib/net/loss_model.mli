@@ -18,10 +18,6 @@ type t =
 val bernoulli : float -> t
 (** @raise Invalid_argument unless the rate is in [0, 1]. *)
 
-val gilbert_elliott :
-  p_gb:float -> p_bg:float -> loss_good:float -> loss_bad:float -> t
-(** @raise Invalid_argument on out-of-range probabilities. *)
-
 val bursty : mean_loss:float -> burstiness:float -> t
 (** [bursty ~mean_loss ~burstiness] is a Gilbert-Elliott model tuned to
     the given stationary loss rate; [burstiness] in (0, 1) scales the
@@ -36,8 +32,6 @@ type state
 (** Mutable per-receiver channel state. *)
 
 val init_state : t -> state
-val reset : t -> state -> unit
-
 val drop : t -> state -> Gkm_crypto.Prng.t -> bool
 (** [drop model state rng] samples whether the next packet is lost,
     advancing [state]. *)

@@ -116,7 +116,6 @@ let member t = t.member
 let is_member t = t.phase = Member
 let epoch t = t.epoch
 let last_rekey t = t.last_rekey
-let has_ticket t = t.ticket <> None
 let dek_trace t = Dek_log.to_list t.dek_trace
 let last_error t = t.last_error
 let nacks_sent t = t.nacks_sent
@@ -835,3 +834,11 @@ let leave t =
       t.phase <- Leaving;
       send t (Msg.Leave { member })
   | _ -> kill t
+
+module Private = struct
+  let epoch = epoch
+  let frames_dropped = frames_dropped
+  let pending_discarded = pending_discarded
+  let mcast_duplicates = mcast_duplicates
+  let mcast_decode_errors = mcast_decode_errors
+end

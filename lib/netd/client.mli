@@ -119,7 +119,6 @@ val is_member : t -> bool
 val member : t -> int
 (** Member id; [-1] before JOIN_ACK. *)
 
-val epoch : t -> int
 val last_rekey : t -> int
 val group_key : t -> Gkm_crypto.Key.t option
 
@@ -135,10 +134,6 @@ val resyncs : t -> int
 val rejoins : t -> int
 (** Successful ticket rejoins (delta or full). *)
 
-val has_ticket : t -> bool
-
-val frames_dropped : t -> int
-
 val replays_dropped : t -> int
 (** Sealed frames rejected by the replay window. *)
 
@@ -147,20 +142,28 @@ val auth_dropped : t -> int
     that were not merely ahead of our generation, and datagram records
     labelled behind it (stale copies, never opened). *)
 
-val pending_discarded : t -> int
-(** Sealed frames buffered for a generation ahead of ours and then
-    discarded unopened, because a rejoin, resync or fresh join
-    reinstalled the member state. *)
-
 val mcast_datagrams_rx : t -> int
 (** Multicast datagrams received and decoded off the group socket
     (after the receive-side fault shim, if any). *)
 
-val mcast_duplicates : t -> int
-(** Datagrams the receive-side fault shim ([mcast_fault]) duplicated. *)
-
-val mcast_decode_errors : t -> int
-(** Datagrams that failed {!Gkm_wire.Dgram.decode} — stray traffic on
-    the group or injected corruption; never fatal. *)
-
 val rekeys_completed : t -> int
+
+module Private : sig
+  (** Client state the tests assert on; no shipped path reads it. *)
+
+  val epoch : t -> int
+
+  val frames_dropped : t -> int
+
+  val pending_discarded : t -> int
+  (** Sealed frames buffered for a generation ahead of ours and then
+      discarded unopened, because a rejoin, resync or fresh join
+      reinstalled the member state. *)
+
+  val mcast_duplicates : t -> int
+  (** Datagrams the receive-side fault shim ([mcast_fault]) duplicated. *)
+
+  val mcast_decode_errors : t -> int
+  (** Datagrams that failed {!Gkm_wire.Dgram.decode} — stray traffic on
+      the group or injected corruption; never fatal. *)
+end

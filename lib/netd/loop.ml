@@ -37,7 +37,6 @@ type t = {
   events : int array;  (* (tag, ready) pairs filled by epoll_wait *)
   timers : timer Heap.t;
   mutable timer_seq : int;
-  mutable stopped : bool;
   mutable steps : int;
   mutable dispatched : int;
   mutable interest_changes : int;
@@ -69,7 +68,6 @@ let create () =
             let c = compare a.at b.at in
             if c <> 0 then c else compare a.seq b.seq);
       timer_seq = 0;
-      stopped = false;
       steps = 0;
       dispatched = 0;
       interest_changes = 0;
@@ -167,10 +165,12 @@ let step ?(max_wait = 0.2) t =
 let counters t =
   { steps = t.steps; dispatched = t.dispatched; interest_changes = t.interest_changes }
 
-let stop t = t.stopped <- true
-
 let run t ~until =
-  t.stopped <- false;
-  while (not t.stopped) && not (until ()) do
+  while not (until ()) do
     step t
   done
+
+module Private = struct
+  let max_events = max_events
+  let counters = counters
+end

@@ -28,10 +28,6 @@ val create : unit -> t
 (** A loop that is never {!close}d releases its epoll descriptor when
     it is garbage collected. *)
 
-val max_events : int
-(** Ready descriptors one {!step} dispatches at most; any others are
-    served by the following steps. *)
-
 val close : t -> unit
 (** Release the epoll descriptor (idempotent). Registered descriptors
     are not closed. The loop cannot step afterwards. *)
@@ -51,10 +47,6 @@ val set_write_interest : t -> Unix.file_descr -> bool -> unit
 (** Arm ([true]) or disarm write interest. Free when the interest is
     already in that state; no-op for an unregistered descriptor. *)
 
-val at : t -> time:float -> (unit -> unit) -> unit
-(** One-shot timer at an absolute time; periodic behaviour is the
-    callback re-arming itself. *)
-
 val after : t -> delay:float -> (unit -> unit) -> unit
 
 val step : ?max_wait:float -> t -> unit
@@ -68,10 +60,17 @@ type counters = {
   interest_changes : int;  (** write interest armed or disarmed *)
 }
 
-val counters : t -> counters
-(** Running totals since {!create}. *)
-
 val run : t -> until:(unit -> bool) -> unit
-(** Iterate {!step} until [until ()] holds or {!stop} is called. *)
+(** Iterate {!step} until [until ()] holds. *)
 
-val stop : t -> unit
+module Private : sig
+  (** Loop internals the tests assert on: the O(ready) dispatch bound
+      and its running totals. *)
+
+  val max_events : int
+  (** Ready descriptors one {!step} dispatches at most; any others are
+      served by the following steps. *)
+
+  val counters : t -> counters
+  (** Running totals since {!create}. *)
+end

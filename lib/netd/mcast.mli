@@ -24,13 +24,11 @@ type group = {
   loopback : bool;  (** deliver to subscribers on the sending host *)
 }
 
-val default_group : group
-(** 239.255.77.7:7677 on 127.0.0.1, TTL 1, loopback on — the
-    link-local lane every loopback deployment shares. *)
-
 val group_of_string : string -> (group, string) result
-(** ["ADDR:PORT"] over {!default_group}'s interface and TTL; [""] is
-    {!default_group} itself. *)
+(** ["ADDR:PORT"] over the default group's interface and TTL; [""] is
+    the default group itself: 239.255.77.7:7677 on 127.0.0.1, TTL 1,
+    loopback on — the link-local lane every loopback deployment
+    shares. *)
 
 val group_to_string : group -> string
 

@@ -329,8 +329,6 @@ let bound_tickets t =
 
 let node_rows t = Hashtbl.length t.node_changed + Hashtbl.length t.parent_of
 
-let domains t = t.cfg.domains
-
 let org_size t =
   let module O = (val t.org : Organization.S) in
   O.size ()
@@ -1433,3 +1431,10 @@ let stop t =
     List.iter (fun cl -> drop_client t cl ~departed:false) cls;
     Option.iter Lanes.stop t.lanes
   end
+
+module Private = struct
+  let epoch = epoch
+  let organization = organization
+  let bound_tickets = bound_tickets
+  let node_rows = node_rows
+end

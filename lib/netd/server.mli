@@ -182,14 +182,11 @@ val port : t -> int
 (** The bound port (useful with [port = 0]). *)
 
 val rekey_no : t -> int
-val epoch : t -> int
 val org_size : t -> int
 
 val stats : t -> stats
 (** The live record, at every [domains]: its fields move as the
     server runs. *)
-
-val domains : t -> int
 
 val bytes_tx : t -> int
 (** Total bytes written to clients, live and closed. *)
@@ -206,17 +203,23 @@ val dek_trace : t -> (int * string) list
 (** [(rekey_no, DEK fingerprint)] per produced rekey, oldest first —
     the ground truth the end-to-end tests diff client traces against. *)
 
-val organization : t -> Gkm.Organization.packed
-(** The served organization, for inspection. Mutating it behind the
-    server's back breaks every invariant above. *)
+module Private : sig
+  (** Server state the tests assert on; no shipped path reads it. *)
 
-val bound_tickets : t -> (int * (int * bytes) option) list
-(** [(member, Some (issued_epoch, path_digest))] of the newest ticket
-    of every member bound to an open connection ([None]: no ticket) —
-    what a staleness audit checks against the current paths. *)
+  val epoch : t -> int
 
-val node_rows : t -> int
-(** Rows of per-node bookkeeping (last key change and parent per
-    node). Dead nodes are pruned, so this stays within a constant
-    factor of the live tree size rather than growing with every node
-    ever created. *)
+  val organization : t -> Gkm.Organization.packed
+  (** The served organization, for inspection. Mutating it behind the
+      server's back breaks every invariant above. *)
+
+  val bound_tickets : t -> (int * (int * bytes) option) list
+  (** [(member, Some (issued_epoch, path_digest))] of the newest ticket
+      of every member bound to an open connection ([None]: no ticket) —
+      what a staleness audit checks against the current paths. *)
+
+  val node_rows : t -> int
+  (** Rows of per-node bookkeeping (last key change and parent per
+      node). Dead nodes are pruned, so this stays within a constant
+      factor of the live tree size rather than growing with every node
+      ever created. *)
+end

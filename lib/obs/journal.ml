@@ -9,11 +9,9 @@ type t = {
   mutable sink : (string -> unit) option;
 }
 
-let create ?(capacity = 4096) () =
-  if capacity < 1 then invalid_arg "Journal.create: capacity must be >= 1";
+let default =
+  let capacity = 4096 in
   { capacity; ring = Array.make capacity None; total = 0; sink = None }
-
-let default = create ()
 
 let value_json = function
   | Bool b -> Jsonx.bool b
@@ -27,15 +25,13 @@ let to_jsonl_line ev =
     :: ("event", Jsonx.str ev.name)
     :: List.map (fun (k, v) -> (k, value_json v)) ev.fields)
 
-let record ?(journal = default) ~time name fields =
+let record ~time name fields =
   let ev = { time; name; fields } in
-  journal.ring.(journal.total mod journal.capacity) <- Some ev;
-  journal.total <- journal.total + 1;
-  match journal.sink with None -> () | Some f -> f (to_jsonl_line ev)
+  default.ring.(default.total mod default.capacity) <- Some ev;
+  default.total <- default.total + 1;
+  match default.sink with None -> () | Some f -> f (to_jsonl_line ev)
 
 let length t = min t.total t.capacity
-let recorded t = t.total
-let dropped t = t.total - length t
 
 let events t =
   let n = length t in
@@ -57,17 +53,3 @@ let attach_channel t oc =
        (fun line ->
          output_string oc line;
          output_char oc '\n'))
-
-let pp_event fmt ev =
-  Format.fprintf fmt "[%g] %s" ev.time ev.name;
-  List.iter
-    (fun (k, v) ->
-      let s =
-        match v with
-        | Bool b -> string_of_bool b
-        | Int i -> string_of_int i
-        | Float f -> Printf.sprintf "%g" f
-        | Str s -> s
-      in
-      Format.fprintf fmt " %s=%s" k s)
-    ev.fields

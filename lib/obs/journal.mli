@@ -2,11 +2,10 @@
 
     Instrumented sites record named events with typed fields and an
     explicit timestamp (sim time in discrete-event runs). The journal
-    keeps the most recent [capacity] events in memory — older events
-    are evicted, with {!dropped} counting the loss — and optionally
-    mirrors every event, at record time, to a sink (one JSONL line per
-    event), so a file sink sees the complete stream even when the ring
-    has wrapped. *)
+    keeps the most recent 4096 events in memory — older events are
+    evicted — and optionally mirrors every event, at record time, to a
+    sink (one JSONL line per event), so a file sink sees the complete
+    stream even when the ring has wrapped. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
@@ -14,27 +13,14 @@ type event = { time : float; name : string; fields : (string * value) list }
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Ring capacity defaults to 4096 events.
-    @raise Invalid_argument if [capacity < 1]. *)
-
 val default : t
 (** The process-wide journal the built-in instrumentation records
     into. *)
 
-val record : ?journal:t -> time:float -> string -> (string * value) list -> unit
-(** Append an event (to {!default} unless [?journal] is given).
+val record : time:float -> string -> (string * value) list -> unit
+(** Append an event to {!default}.
     Unconditional — instrumentation sites gate on {!Obs.enabled}
     themselves so the hot path pays one branch, not a call. *)
-
-val length : t -> int
-(** Events currently retained (<= capacity). *)
-
-val recorded : t -> int
-(** Events ever recorded. *)
-
-val dropped : t -> int
-(** [recorded - length]: events evicted by the ring. *)
 
 val events : t -> event list
 (** Retained events, oldest first. *)
@@ -54,5 +40,3 @@ val to_jsonl_line : event -> string
 (** [{"time":t,"event":name,<fields...>}] — field names are emitted
     at the top level, so they must not collide with ["time"] or
     ["event"]. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -4,10 +4,6 @@
     Every function returns a fragment that is valid JSON on its own,
     so lines are built by plain concatenation. *)
 
-val escape : string -> string
-(** Backslash-escape a string body per RFC 8259 (quotes, backslash,
-    control characters). The result is NOT quoted. *)
-
 val str : string -> string
 (** Quoted JSON string. *)
 

@@ -52,10 +52,6 @@ let reset r =
 
 let reset_all () = reset default
 
-let names r =
-  Mutex.protect r.mu (fun () ->
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) r.tbl []))
-
 let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
 
 let find_or_create ?(registry = default) name ~kind ~make ~extract =
@@ -85,7 +81,6 @@ module Counter = struct
 
   let incr t = Atomic.incr t
   let add t n = ignore (Atomic.fetch_and_add t n)
-  let value t = Atomic.get t
 end
 
 module Gauge = struct
@@ -99,13 +94,10 @@ module Gauge = struct
       ~extract:(function Gauge g -> Some g | _ -> None)
 
   let set t x = Atomic.set t x
-  let value t = Atomic.get t
 end
 
 module Histogram = struct
   type t = hist
-
-  let n_buckets = n_buckets
 
   let index_of v =
     (* NaN compares false, landing it in bucket 0 with the underflow. *)
@@ -179,12 +171,6 @@ module Histogram = struct
         dst.h_sum <- dst.h_sum +. ss;
         if smin < dst.h_min then dst.h_min <- smin;
         if smax > dst.h_max then dst.h_max <- smax)
-
-  let merge a b =
-    let h = fresh_hist () in
-    merge_hist_into ~src:a ~dst:h;
-    merge_hist_into ~src:b ~dst:h;
-    h
 
   let buckets t =
     Mutex.protect t.h_mu (fun () ->
@@ -275,3 +261,7 @@ let pp_table fmt r =
   let w1 = List.fold_left (fun w (n, _, _) -> max w (String.length n)) 6 rows in
   Format.fprintf fmt "%-*s %-9s %s@\n" w1 "metric" "type" "value";
   List.iter (fun (n, k, v) -> Format.fprintf fmt "%-*s %-9s %s@\n" w1 n k v) rows
+
+module Private = struct
+  let create = create
+end

@@ -19,24 +19,21 @@
     are quiescent if cross-metric consistency matters.
 
     Histograms use fixed log2 buckets: bucket [i] counts observations
-    [v] with [2^(min_exp+i-1) < v <= 2^(min_exp+i)] (see
-    {!Histogram.upper_bound}), spanning [2^-32 .. 2^31] with underflow
-    clamped into bucket 0 and overflow into the last bucket. Fixed
-    buckets keep recording O(1) with no rebalancing, make histograms
-    of the same name mergeable across registries by element-wise
-    addition, and give stable bucket boundaries across runs — the
-    properties a JSONL trajectory format needs. Exact [count], [sum],
-    [min] and [max] are tracked alongside, so means are exact and only
-    quantiles are bucket-quantized (upper-bound estimates). *)
+    [v] with [2^(min_exp+i-1) < v <= 2^(min_exp+i)] (the ["le"] of
+    {!to_jsonl}), spanning [2^-32 .. 2^31] with underflow clamped into
+    bucket 0 and overflow into the last bucket. Fixed buckets keep
+    recording O(1) with no rebalancing, make histograms of the same
+    name mergeable across registries by element-wise addition
+    ({!merge_into}), and give stable bucket boundaries across runs —
+    the properties a JSONL trajectory format needs. Exact [count],
+    [sum], [min] and [max] are tracked alongside, so means are exact
+    and only quantiles are bucket-quantized (upper-bound estimates). *)
 
 type registry
 
 val default : registry
 (** The process-wide registry all instrumentation records into unless
     told otherwise. *)
-
-val create : unit -> registry
-(** A fresh, empty registry (isolated — for tests and merging). *)
 
 val reset : registry -> unit
 (** Zero every accumulator, keeping registrations (names and types). *)
@@ -48,9 +45,6 @@ val reset_all : unit -> unit
     untouched, so metric handles cached in top-level bindings stay
     valid. *)
 
-val names : registry -> string list
-(** Registered metric names, sorted. *)
-
 module Counter : sig
   type t
 
@@ -61,7 +55,6 @@ module Counter : sig
 
   val incr : t -> unit
   val add : t -> int -> unit
-  val value : t -> int
 end
 
 module Gauge : sig
@@ -72,9 +65,6 @@ module Gauge : sig
       @raise Invalid_argument on a kind clash. *)
 
   val set : t -> float -> unit
-
-  val value : t -> float
-  (** Last value set; [nan] if never set. *)
 end
 
 module Histogram : sig
@@ -85,38 +75,12 @@ module Histogram : sig
       @raise Invalid_argument on a kind clash. *)
 
   val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
-
-  val min_value : t -> float
-  (** [nan] if empty; likewise {!max_value}. *)
-
-  val max_value : t -> float
-
-  val mean : t -> float
-  (** [nan] if empty. *)
 
   val quantile : t -> float -> float
   (** [quantile h q] for [q] in [0, 1]: the upper bound of the first
       bucket reaching cumulative fraction [q] — an upper-bound
       estimate, clamped to the exact observed maximum. [nan] if empty.
       @raise Invalid_argument if [q] outside [0, 1]. *)
-
-  val merge : t -> t -> t
-  (** Element-wise combination into a fresh unregistered histogram. *)
-
-  val buckets : t -> (float * int) list
-  (** Non-empty buckets as [(upper_bound, count)], ascending;
-      the overflow bucket reports [infinity]. *)
-
-  val n_buckets : int
-
-  val index_of : float -> int
-  (** The bucket an observation lands in (exposed for tests). *)
-
-  val upper_bound : int -> float
-  (** Inclusive upper bound of bucket [i]; [infinity] for the last.
-      @raise Invalid_argument if [i] is out of range. *)
 end
 
 val merge_into : src:registry -> dst:registry -> unit
@@ -136,3 +100,9 @@ val to_jsonl : registry -> string list
 
 val pp_table : Format.formatter -> registry -> unit
 (** Human-readable aligned table, sorted by name. *)
+
+module Private : sig
+  val create : unit -> registry
+  (** A fresh, empty registry, so a test's metrics neither see nor
+      leak into {!default}. *)
+end

@@ -1,8 +1,3 @@
 let flag = ref false
 let enabled () = !flag
 let set_enabled b = flag := b
-
-let with_enabled b f =
-  let saved = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := saved) f

@@ -16,7 +16,3 @@ val enabled : unit -> bool
 (** Current state of the switch (a single [bool ref] read). *)
 
 val set_enabled : bool -> unit
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** [with_enabled b f] runs [f] with the switch forced to [b] and
-    restores the previous state afterwards, also on exception. *)

@@ -1,28 +1,9 @@
-type clock = unit -> float
-
-let default_clock () = Sys.time ()
-let clock = ref default_clock
-let set_clock c = clock := c
-let reset_clock () = clock := default_clock
-let now () = !clock ()
-
-let with_clock c f =
-  let saved = !clock in
-  clock := c;
-  Fun.protect ~finally:(fun () -> clock := saved) f
-
-let stack = ref []
-let current () = !stack
-
 let with_span ?registry name f =
   if not (Obs.enabled ()) then f ()
   else begin
     let h = Metrics.Histogram.v ?registry ("span." ^ name) in
-    let t0 = now () in
-    stack := name :: !stack;
+    let t0 = Sys.time () in
     Fun.protect
-      ~finally:(fun () ->
-        (match !stack with _ :: tl -> stack := tl | [] -> ());
-        Metrics.Histogram.observe h (Float.max 0.0 (now () -. t0)))
+      ~finally:(fun () -> Metrics.Histogram.observe h (Float.max 0.0 (Sys.time () -. t0)))
       f
   end

@@ -1,45 +1,22 @@
-(** Lightweight span tracing with a pluggable clock.
+(** Lightweight span tracing.
 
     [with_span "rekey.build" f] times [f] and records the duration
     into the histogram ["span.rekey.build"] of the target registry
-    (the histogram's count doubles as the call counter). Spans nest —
-    {!current} exposes the live stack, innermost first — but nesting
-    is purely informational: each span name gets its own duration
-    histogram, and a parent's duration includes its children's.
+    (the histogram's count doubles as the call counter). Spans nest,
+    but nesting is purely informational: each span name gets its own
+    duration histogram, and a parent's duration includes its
+    children's.
 
-    The clock is pluggable because the repository runs in two time
-    domains. For real (process) runs the default clock is
-    [Sys.time] — portable monotonic CPU seconds, which is exactly the
-    "where does the compute go" breakdown wanted from spans around
-    tree updates, key wrapping and delivery. For discrete-event runs,
-    install the engine's simulated clock ([Gkm_sim.Engine.clock]):
-    a sim-time span then measures *simulated* elapsed time, which is 0
-    unless the spanned code pumps the event loop — useful for spans
-    that enclose [Engine.run], meaningless for leaf compute. See
-    DESIGN.md ("Observability") for the full discussion.
+    The clock is [Sys.time] — portable monotonic CPU seconds, which is
+    exactly the "where does the compute go" breakdown wanted from spans
+    around tree updates, key wrapping and delivery. In discrete-event
+    runs a span therefore measures the CPU the simulation spent, not
+    simulated time. See DESIGN.md ("Observability").
 
     When {!Obs.enabled} is false, [with_span name f] is exactly
     [f ()]. *)
-
-type clock = unit -> float
-
-val set_clock : clock -> unit
-val reset_clock : unit -> unit
-(** Back to the default [Sys.time] clock. *)
-
-val now : unit -> float
-(** Read the current clock (also used by journal-writing call sites
-    that have no better time source). *)
-
-val with_clock : clock -> (unit -> 'a) -> 'a
-(** Install a clock for the duration of [f], restoring the previous
-    clock afterwards, also on exception. *)
 
 val with_span : ?registry:Metrics.registry -> string -> (unit -> 'a) -> 'a
 (** Run [f] inside a named span. The duration (clamped to >= 0) is
     observed into histogram ["span." ^ name] — also when [f] raises.
     A no-op wrapper when observability is disabled. *)
-
-val current : unit -> string list
-(** Names of the open spans, innermost first ([[]] outside any span,
-    and always [[]] when observability is disabled). *)

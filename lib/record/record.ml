@@ -5,7 +5,6 @@ module Pkg = Gkm_crypto.Pkg
 module Labels = Gkm_crypto.Labels
 module Sha256 = Gkm_crypto.Sha256
 module Prng = Gkm_crypto.Prng
-module Bytes_io = Gkm_crypto.Bytes_io
 module Codec = Gkm_crypto.Codec
 
 (* Both salts are constants, prepared once: an extract under either
@@ -39,7 +38,6 @@ module Epoch = struct
   let same_digest t digest = Bytes.equal t.dek_digest digest
   let same_dek t dek = same_digest t (Key.digest dek)
   let erase t = t.key <- None
-  let erased t = t.key = None
   let key t = t.key
 end
 
@@ -205,7 +203,7 @@ module Ticket = struct
 
   let path_digest nodes =
     let buf = Buffer.create (8 * List.length nodes) in
-    List.iter (fun id -> Bytes_io.add_i64 buf (Int64.of_int id)) nodes;
+    List.iter (fun id -> Codec.add_i64 buf (Int64.of_int id)) nodes;
     Bytes.sub (Sha256.digest (Buffer.to_bytes buf)) 0 digest_size
 
   let contents_size = 5 + 1 + 8 + 5 + 5 + digest_size

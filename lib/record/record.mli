@@ -48,9 +48,6 @@ module Epoch : sig
   (** Drop the key material: the AES schedule and the prepared MAC
       state, which is as good as the MAC key. Subsequent opens fail
       with [`Auth]; subsequent seals raise. *)
-
-  val erased : t -> bool
-  val key : t -> Gkm_crypto.Aead.key option
 end
 
 val resume_ad : bytes
@@ -91,12 +88,10 @@ end
 module Sink : sig
   type t
 
-  val window_bits : int
-  (** Replay window width (1024). *)
-
   val create : Epoch.t -> t
-  (** A fresh sink with empty windows for both sequence spaces.
-      Create one per key generation, alongside the epoch. *)
+  (** A fresh sink with empty 1024-record replay windows for both
+      sequence spaces. Create one per key generation, alongside the
+      epoch. *)
 
   val epoch : t -> Epoch.t
 
@@ -133,14 +128,12 @@ module Ticket : sig
     path_digest : bytes;  (** {!path_digest} of the member's entitled key-tree path. *)
   }
 
-  val digest_size : int
-  (** 16 — SHA-256 truncated. *)
-
   val path_digest : int list -> bytes
-  (** Digest of a key-tree path given as node ids (leaf-first, DEK node
-      last, as [member_path] returns them). The server compares the
-      digest in a presented ticket against the member's {e current}
-      path to decide whether delta keys suffice. *)
+  (** 16-byte digest (SHA-256 truncated) of a key-tree path given as
+      node ids (leaf-first, DEK node last, as [member_path] returns
+      them). The server compares the digest in a presented ticket
+      against the member's {e current} path to decide whether delta
+      keys suffice. *)
 
   module Sealer : sig
     type t

@@ -13,7 +13,6 @@ let compare_event a b =
 
 let create () = { clock = 0.0; next_seq = 0; queue = Heap.create ~cmp:compare_event }
 let now t = t.clock
-let clock t () = t.clock
 
 let schedule t ~at action =
   if at < t.clock then
@@ -24,8 +23,6 @@ let schedule t ~at action =
 let schedule_after t ~delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule t ~at:(t.clock +. delay) action
-
-let pending t = Heap.length t.queue
 
 let step t =
   match Heap.pop t.queue with
@@ -50,5 +47,3 @@ let run ?until t =
     ignore (step t)
   done;
   match until with Some limit when limit > t.clock -> t.clock <- limit | _ -> ()
-
-let stop t = Heap.clear t.queue

@@ -13,11 +13,6 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time. *)
 
-val clock : t -> unit -> float
-(** [clock t] as a thunk — the engine's simulated clock in the shape
-    {!Gkm_obs.Span.set_clock} expects, so spans can be timed in sim
-    time instead of process time. *)
-
 val schedule : t -> at:float -> (t -> unit) -> unit
 (** [schedule t ~at f] runs [f] when the clock reaches [at].
 
@@ -28,17 +23,7 @@ val schedule_after : t -> delay:float -> (t -> unit) -> unit
 
     @raise Invalid_argument if [delay < 0]. *)
 
-val pending : t -> int
-(** Number of events waiting to fire. *)
-
-val step : t -> bool
-(** [step t] executes the next event. Returns [false] when the queue
-    is empty. *)
-
 val run : ?until:float -> t -> unit
 (** [run ?until t] executes events until the queue is empty or the
     next event is strictly after [until]. The clock is advanced to
     [until] (when given) even if the queue drains earlier. *)
-
-val stop : t -> unit
-(** [stop t] discards all pending events; [run] returns promptly. *)

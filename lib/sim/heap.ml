@@ -6,7 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 let length h = h.size
-let is_empty h = h.size = 0
 
 let grow h x =
   let cap = Array.length h.data in
@@ -60,11 +59,3 @@ let pop h =
     end;
     Some top
   end
-
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
-let to_sorted_list h =
-  let rec drain acc = match pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  drain []

@@ -8,8 +8,6 @@ val create : cmp:('a -> 'a -> int) -> 'a t
 (** [create ~cmp] is an empty heap ordered by [cmp]. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 (** [push h x] inserts [x]. O(log n). *)
 
@@ -18,9 +16,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. O(log n). *)
-
-val clear : 'a t -> unit
-
-val to_sorted_list : 'a t -> 'a list
-(** [to_sorted_list h] drains the heap in ascending order
-    (destructive; mainly for tests). *)

@@ -44,5 +44,4 @@ let choose_ratio ~total ~excluded ~draws =
   else if draws > total -. excluded then 0.0
   else exp (ln_choose (total -. excluded) draws -. ln_choose total draws)
 
-let log2 x = log x /. log 2.0
 let logd ~d x = log x /. log (float_of_int d)

@@ -4,13 +4,6 @@
     sizes up to 2{^18} and continuous relaxations of member counts, so
     everything here works on floats via the log-gamma function. *)
 
-val lgamma : float -> float
-(** [lgamma x] is ln(Gamma(x)) for [x > 0] (Lanczos approximation,
-    accurate to ~1e-13 relative). *)
-
-val ln_factorial : float -> float
-(** [ln_factorial n] is ln(n!) = lgamma(n + 1). *)
-
 val ln_choose : float -> float -> float
 (** [ln_choose n k] is ln(C(n, k)) with the conventions
     [ln_choose n 0 = 0] and [neg_infinity] when [k > n] or [k < 0].
@@ -24,6 +17,5 @@ val choose_ratio : total:float -> excluded:float -> draws:float -> float
     0 when [draws > total - excluded]. This is the complement of
     formula (11) in the paper. *)
 
-val log2 : float -> float
 val logd : d:int -> float -> float
 (** [logd ~d x] is log base [d] of [x]. *)

@@ -2,60 +2,23 @@ type t = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float; (* sum of squared deviations *)
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
 }
 
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; sum = 0.0; min_v = infinity; max_v = neg_infinity }
+let create () = { n = 0; mean = 0.0; m2 = 0.0 }
 
 let add t x =
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
 let count t = t.n
-let total t = t.sum
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)
-let min_value t = if t.n = 0 then nan else t.min_v
-let max_value t = if t.n = 0 then nan else t.max_v
 
 let ci95_halfwidth t =
   if t.n < 2 then nan else 1.96 *. stddev t /. sqrt (float_of_int t.n)
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
-    {
-      n;
-      mean;
-      m2;
-      sum = a.sum +. b.sum;
-      min_v = min a.min_v b.min_v;
-      max_v = max a.max_v b.max_v;
-    }
-  end
-
-let pp fmt t =
-  if t.n = 0 then Format.fprintf fmt "(empty)"
-  else
-    Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t)
-      (if t.n < 2 then 0.0 else stddev t)
-      t.min_v t.max_v
 
 module Sample = struct
   type t = { mutable data : float array; mutable n : int; mutable sorted : bool }
@@ -93,6 +56,4 @@ module Sample = struct
       let frac = pos -. float_of_int lo in
       (t.data.(lo) *. (1.0 -. frac)) +. (t.data.(hi) *. frac)
     end
-
-  let median t = quantile t 0.5
 end

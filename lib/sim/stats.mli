@@ -1,30 +1,17 @@
 (** Streaming statistics accumulators for simulation metrics. *)
 
 type t
-(** Accumulates count, mean, variance (Welford), min and max. *)
+(** Accumulates count, mean and variance (Welford). *)
 
 val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 (** Mean of the observations; [nan] if empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [nan] if fewer than 2 observations. *)
-
-val stddev : t -> float
-val min_value : t -> float
-val max_value : t -> float
 
 val ci95_halfwidth : t -> float
 (** Half-width of a normal-approximation 95% confidence interval for
     the mean; [nan] if fewer than 2 observations. *)
-
-val merge : t -> t -> t
-(** [merge a b] combines two accumulators (parallel Welford). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Reservoir of raw observations for quantile queries. *)
 module Sample : sig
@@ -38,6 +25,4 @@ module Sample : sig
   (** [quantile s q] for [q] in [0, 1], linear interpolation between
       order statistics.
       @raise Invalid_argument if empty or [q] outside [0, 1]. *)
-
-  val median : t -> float
 end

@@ -7,10 +7,6 @@ type outcome = {
   undelivered : int;
 }
 
-let pp_outcome fmt o =
-  Format.fprintf fmt "rounds=%d packets=%d keys=%d bandwidth=%d nacks=%d undelivered=%d"
-    o.rounds o.packets o.keys o.bandwidth_keys o.nacks o.undelivered
-
 module State = struct
   type t = {
     job : Job.t;
@@ -110,9 +106,6 @@ module State = struct
 
   let remaining t ~e = t.remaining.(e)
 
-  let remaining_receivers t ~e =
-    List.filter (fun r -> needs t ~r ~e) (Job.interested_receivers t.job e)
-
   let pending_entries t =
     let acc = ref [] in
     for e = Array.length t.remaining - 1 downto 0 do
@@ -207,3 +200,7 @@ let expected_replications_of ~loss_of ~receivers =
         done;
         !total
       end
+
+module Private = struct
+  let expected_replications_of = expected_replications_of
+end

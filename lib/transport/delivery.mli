@@ -16,8 +16,6 @@ type outcome = {
                           round limit was hit; 0 on success *)
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** Mutable tracking of which receiver still needs which entry. *)
 module State : sig
   type t
@@ -37,7 +35,6 @@ module State : sig
   val remaining : t -> e:int -> int
   (** Receivers still needing entry [e]. *)
 
-  val remaining_receivers : t -> e:int -> int list
   val pending_entries : t -> int list
   (** Entries some receiver still needs, ascending. *)
 
@@ -47,7 +44,7 @@ module State : sig
   val expected_replications : ?bound:float -> t -> e:int -> float
   (** Formula (14) over entry [e]'s *still-missing* receivers, read
       from the incrementally maintained loss-class counts. Equals
-      [expected_replications_of ~loss_of ~receivers:(remaining_receivers t ~e)]
+      {!Private.expected_replications_of} over those receivers
       (bit-identical when at most two distinct non-zero loss rates are
       in play, as in the simulator's high/low channel model).
       The series stops once its running total reaches [bound]
@@ -65,8 +62,13 @@ val pack : capacity:int -> (int * int) list -> int list list
     @raise Invalid_argument if [capacity < 1] or a count is
     negative. *)
 
-val expected_replications_of :
-  loss_of:(int -> float) -> receivers:int list -> float
-(** Formula (14) of the paper evaluated over a concrete receiver set:
-    expected transmissions until every listed receiver holds the key,
-    given each receiver's mean loss rate. 0 for an empty set. *)
+module Private : sig
+  (** The oracle the transport tests check {!State.expected_replications}
+      and the seed-revision reference against. *)
+
+  val expected_replications_of :
+    loss_of:(int -> float) -> receivers:int list -> float
+  (** Formula (14) of the paper evaluated over a concrete receiver set:
+      expected transmissions until every listed receiver holds the key,
+      given each receiver's mean loss rate. 0 for an empty set. *)
+end

@@ -5,7 +5,6 @@ module Rekey_msg = Gkm_lkh.Rekey_msg
 type t = {
   entries : Rekey_msg.entry array;
   interest : int list array; (* receiver index -> entry indexes *)
-  by_entry : int list array; (* entry index -> receiver indexes *)
 }
 
 let create ~channel ~entries ~interest =
@@ -16,11 +15,7 @@ let create ~channel ~entries ~interest =
     (List.iter (fun e ->
          if e < 0 || e >= n then invalid_arg "Job.create: entry index out of range"))
     interest;
-  let by_entry = Array.make n [] in
-  Array.iteri
-    (fun r es -> List.iter (fun e -> by_entry.(e) <- r :: by_entry.(e)) es)
-    interest;
-  { entries; interest; by_entry }
+  { entries; interest }
 
 let of_rekey ?(groups = []) ~channel ~trees (msg : Rekey_msg.t) =
   let entries = Array.of_list msg.entries in
@@ -61,4 +56,7 @@ let n_entries t = Array.length t.entries
 let n_receivers t = Array.length t.interest
 let entry t i = t.entries.(i)
 let interest t r = t.interest.(r)
-let interested_receivers t e = t.by_entry.(e)
+
+module Private = struct
+  let create = create
+end

@@ -8,16 +8,6 @@
 
 type t
 
-val create :
-  channel:Gkm_net.Channel.t ->
-  entries:Gkm_lkh.Rekey_msg.entry array ->
-  interest:int list array ->
-  t
-(** Raw constructor: [interest.(i)] lists entry indexes receiver [i]
-    (dense channel index) needs.
-    @raise Invalid_argument on length mismatch or out-of-range entry
-    indexes. *)
-
 val of_rekey :
   ?groups:(int * int list) list ->
   channel:Gkm_net.Channel.t ->
@@ -42,5 +32,17 @@ val entry : t -> int -> Gkm_lkh.Rekey_msg.entry
 val interest : t -> int -> int list
 (** Entry indexes receiver [i] needs. *)
 
-val interested_receivers : t -> int -> int list
-(** Receivers (dense indexes) needing entry [e]. *)
+module Private : sig
+  (** A job with hand-written interest sets, for transport tests that
+      need shapes no key tree produces. *)
+
+  val create :
+    channel:Gkm_net.Channel.t ->
+    entries:Gkm_lkh.Rekey_msg.entry array ->
+    interest:int list array ->
+    t
+  (** Raw constructor: [interest.(i)] lists entry indexes receiver [i]
+      (dense channel index) needs.
+      @raise Invalid_argument on length mismatch or out-of-range entry
+      indexes. *)
+end

@@ -16,10 +16,8 @@ type config = {
   weight_cap : int;  (** upper bound on per-key replication per round *)
 }
 
-val default : config
-(** 25 keys/packet, 100 rounds, replication capped at 16. *)
-
 val deliver :
   ?config:config -> channel:Gkm_net.Channel.t -> Job.t -> Delivery.outcome
-(** Run the protocol until every receiver holds all entries it needs
+(** Run the protocol (by default 25 keys/packet, 100 rounds, replication
+    capped at 16) until every receiver holds all entries it needs
     (or [max_rounds] is hit — see [outcome.undelivered]). *)

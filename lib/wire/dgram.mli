@@ -27,13 +27,6 @@
 type t = { epoch : int; records : (int64 * bytes) list }
 (** [records] are [(seq, ct)] sealed records, ascending [seq]. *)
 
-val magic : int
-(** 0x474D, "GM" — distinct from the stream {!Frame.magic} so a
-    datagram accidentally fed to the TCP decoder (or vice versa) dies
-    on the first two bytes. *)
-
-val version : int
-
 val max_records : int
 (** 255 — the count is a u8. *)
 

@@ -1,4 +1,3 @@
-module Bytes_io = Gkm_crypto.Bytes_io
 module Codec = Gkm_crypto.Codec
 module Key = Gkm_crypto.Key
 module Pkg = Gkm_crypto.Pkg
@@ -14,8 +13,8 @@ let max_frame_default = 1 lsl 20
 let resync_auth ~key ~member ~epoch =
   let buf = Buffer.create 32 in
   Buffer.add_string buf Labels.resync;
-  Bytes_io.add_i32 buf member;
-  Bytes_io.add_i32 buf epoch;
+  Codec.add_i32 buf member;
+  Codec.add_i32 buf epoch;
   Pkg.Kdf.prf ~key:(Key.to_bytes key) (Buffer.to_bytes buf)
 
 let encode ?(version = Msg.version) msg =
@@ -89,7 +88,7 @@ let body_length d =
     if i >= limit then `Bad "frame length varint too long"
     else if d.len < fixed_size + i + 1 then `More
     else begin
-      let b = Bytes_io.get_u8 d.buf (d.start + fixed_size + i) in
+      let b = Bytes.get_uint8 d.buf (d.start + fixed_size + i) in
       let acc = acc lor ((b land 0x7F) lsl (7 * i)) in
       if acc < 0 || acc > d.max_frame then
         `Bad (Printf.sprintf "declared frame length exceeds bound %d" d.max_frame)
@@ -107,9 +106,9 @@ let next d =
       if d.len < fixed_size then Ok None
       else begin
         let at k = d.start + k in
-        let m = Bytes_io.get_u16 d.buf (at 0) in
-        let version = Bytes_io.get_u8 d.buf (at 2) in
-        let tag = Bytes_io.get_u8 d.buf (at 3) in
+        let m = Bytes.get_uint16_be d.buf (at 0) in
+        let version = Bytes.get_uint8 d.buf (at 2) in
+        let tag = Bytes.get_uint8 d.buf (at 3) in
         if m <> magic then fail d (Printf.sprintf "bad magic 0x%04X" m)
         else if version <> Msg.version then
           fail d (Printf.sprintf "unsupported version %d" version)

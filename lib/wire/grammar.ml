@@ -58,19 +58,3 @@ let rules =
     rule 16 [ num "have_epoch"; Enum ("have_state", [| 0; 1 |]); Rest "ticket" ];
     rule 17 [ num "member"; Rest "ct" ];
   ]
-
-let rule_of_tag t = List.find_opt (fun r -> r.tag = t) rules
-
-let field_label = function
-  | U8 n
-  | Enum (n, _)
-  | Uvarint (n, _)
-  | Varint n
-  | I64 n
-  | Seq64 n
-  | F64_unit n
-  | Rest n
-  | Path n
-  | Uvarint_list (n, _) ->
-      n
-  | Version_range (a, b) | Seq_total (a, b) -> a ^ "/" ^ b

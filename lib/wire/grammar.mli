@@ -43,8 +43,3 @@ type rule = {
 
 val rules : rule list
 (** Every message type, ascending tag. *)
-
-val rule_of_tag : int -> rule option
-
-val field_label : field -> string
-(** Display name: the field's name, or ["a/b"] for paired kinds. *)

@@ -56,7 +56,8 @@ let err_version = 1
 let err_protocol = 2
 let err_evicted = 3
 let err_auth = 4
-let err_unsupported = 5
+
+(* 5 is reserved: never assign it. *)
 let err_ticket = 6
 
 let tag = function

@@ -106,13 +106,15 @@ type t =
           {!Gkm_record.Record.Ticket.resume_key} — it authenticates the
           server and keeps the delta keys off the wire in the clear. *)
 
-(** [Error_msg] codes. *)
+(** [Error_msg] codes. A client treats a code it does not know as a
+    generic error. *)
 
 val err_version : int
 val err_protocol : int
 val err_evicted : int
 val err_auth : int
-val err_unsupported : int
+
+(* 5 is reserved: never assign it. *)
 
 val err_ticket : int
 (** Ticket rejected (expired past the rewrap horizon, or undecodable).

@@ -48,12 +48,3 @@ let em ?(iterations = 200) ?(tol = 1e-9) durations =
     end
   in
   normalize (iterate init 0)
-
-let log_likelihood m durations =
-  List.fold_left
-    (fun acc x ->
-      let p = (m.alpha *. density m.ms x) +. ((1.0 -. m.alpha) *. density m.ml x) in
-      acc +. log (max 1e-300 p))
-    0.0 durations
-
-let classify m x = if responsibility m x >= 0.5 then `Short else `Long

@@ -15,9 +15,3 @@ val em : ?iterations:int -> ?tol:float -> float list -> mixture
     expectation-maximization. Requires at least 2 positive
     observations; components are returned with [ms <= ml].
     @raise Invalid_argument on empty/invalid input. *)
-
-val log_likelihood : mixture -> float list -> float
-(** Mixture log-likelihood of the observations. *)
-
-val classify : mixture -> float -> [ `Short | `Long ]
-(** Maximum-responsibility class of one duration. *)

@@ -77,21 +77,3 @@ let censored events =
       | `Depart -> Hashtbl.remove open_members e.member)
     events;
   Hashtbl.length open_members
-
-let bucket ~tp events =
-  if tp <= 0.0 then invalid_arg "Trace.bucket: interval must be positive";
-  match events with
-  | [] -> []
-  | _ ->
-      let last = List.fold_left (fun acc (e : Membership.event) -> max acc e.time) 0.0 events in
-      let n = 1 + int_of_float (last /. tp) in
-      let buckets = Array.make n ([], []) in
-      List.iter
-        (fun (e : Membership.event) ->
-          let idx = min (n - 1) (int_of_float (e.time /. tp)) in
-          let joins, departs = buckets.(idx) in
-          match e.kind with
-          | `Join -> buckets.(idx) <- ((e.member, e.cls) :: joins, departs)
-          | `Depart -> buckets.(idx) <- (joins, e.member :: departs))
-        events;
-      Array.to_list (Array.map (fun (j, d) -> (List.rev j, List.rev d)) buckets)

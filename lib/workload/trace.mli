@@ -18,9 +18,3 @@ val durations : Membership.event list -> float list
 
 val censored : Membership.event list -> int
 (** Members that joined but never departed within the trace. *)
-
-val bucket : tp:float -> Membership.event list -> ((int * Membership.cls) list * int list) list
-(** Batch the trace into rekey intervals of length [tp] (same
-    convention as {!Membership.intervals}): for each interval, the
-    joins (with class) and departures inside it. The number of buckets
-    covers the last event. @raise Invalid_argument if [tp <= 0]. *)

@@ -137,7 +137,7 @@ let test_pt_always_best () =
             (Printf.sprintf "PT <= %s at alpha=%.1f" (Two_partition.scheme_name scheme) alpha)
             true
             (pt <= Two_partition.cost p scheme +. 1e-6))
-        Two_partition.all_schemes)
+        [ Two_partition.One_keytree; Qt; Tt; Pt ])
     [ 0.0; 0.2; 0.4; 0.6; 0.8; 0.9 ];
   List.iter
     (fun alpha ->
@@ -189,23 +189,23 @@ let prop_costs_positive =
         (fun s ->
           let c = Two_partition.cost p s in
           Float.is_finite c && c >= 0.0)
-        Two_partition.all_schemes)
+        [ Two_partition.One_keytree; Qt; Tt; Pt ])
 
 (* ------------------------------------------------------------------ *)
 (* Wka_bkr (Appendix B)                                                *)
 
 let test_em_lossless () =
   Alcotest.(check (float 1e-9)) "no loss: one transmission" 1.0
-    (Wka_bkr.expected_replications ~receivers:1000.0 (Wka_bkr.uniform 0.0))
+    (Wka_bkr.Private.expected_replications ~receivers:1000.0 (Wka_bkr.uniform 0.0))
 
 let test_em_single_receiver () =
   (* E[M] for one receiver = 1 / (1 - p) (geometric). *)
   let p = 0.2 in
   Alcotest.(check (float 1e-6)) "geometric mean" (1.0 /. (1.0 -. p))
-    (Wka_bkr.expected_replications ~receivers:1.0 (Wka_bkr.uniform p))
+    (Wka_bkr.Private.expected_replications ~receivers:1.0 (Wka_bkr.uniform p))
 
 let test_em_grows_with_receivers () =
-  let em r = Wka_bkr.expected_replications ~receivers:r (Wka_bkr.uniform 0.2) in
+  let em r = Wka_bkr.Private.expected_replications ~receivers:r (Wka_bkr.uniform 0.2) in
   Alcotest.(check bool) "more receivers, more replications" true
     (em 1.0 < em 10.0 && em 10.0 < em 1000.0)
 
@@ -217,35 +217,39 @@ let test_em_closed_form_two_receivers () =
   let p = 0.3 in
   let expected = 1.0 +. (2.0 *. p /. (1.0 -. p)) -. (p *. p /. (1.0 -. (p *. p))) in
   Alcotest.(check (float 1e-6)) "closed form" expected
-    (Wka_bkr.expected_replications ~receivers:2.0 (Wka_bkr.uniform p))
+    (Wka_bkr.Private.expected_replications ~receivers:2.0 (Wka_bkr.uniform p))
 
 let test_tree_cost_zero_cases () =
   let comp = Wka_bkr.uniform 0.1 in
   Alcotest.(check (float 0.0)) "no departures" 0.0
-    (Wka_bkr.tree_cost ~d:4 { size = 100; departures = 0; composition = comp });
+    (Wka_bkr.forest_cost ~d:4 [ { size = 100; departures = 0; composition = comp } ]);
   Alcotest.(check (float 0.0)) "empty tree" 0.0
-    (Wka_bkr.tree_cost ~d:4 { size = 0; departures = 5; composition = comp })
+    (Wka_bkr.forest_cost ~d:4 [ { size = 0; departures = 5; composition = comp } ])
 
 let test_tree_cost_lossless_equals_ne () =
   (* With zero loss, WKA-BKR sends each key exactly once: E[V] = Ne. *)
   let n = 1024 and l = 16 and d = 4 in
-  let ev = Wka_bkr.tree_cost ~d { size = n; departures = l; composition = Wka_bkr.uniform 0.0 } in
+  let ev =
+    Wka_bkr.forest_cost ~d [ { size = n; departures = l; composition = Wka_bkr.uniform 0.0 } ]
+  in
   let ne = Batch_cost.expected_keys_int ~d ~n ~l in
   Alcotest.(check (float 1e-6)) "E[V] = Ne at p=0" ne ev
 
 let test_forest_single_tree_is_tree () =
   let t = { Wka_bkr.size = 512; departures = 8; composition = Wka_bkr.uniform 0.05 } in
-  Alcotest.(check (float 1e-9)) "singleton forest" (Wka_bkr.tree_cost ~d:4 t)
-    (Wka_bkr.forest_cost ~d:4 [ t ]);
-  Alcotest.(check (float 1e-9)) "empty trees skipped" (Wka_bkr.tree_cost ~d:4 t)
-    (Wka_bkr.forest_cost ~d:4
-       [ t; { size = 0; departures = 0; composition = Wka_bkr.uniform 0.0 } ])
+  let empty = { Wka_bkr.size = 0; departures = 0; composition = Wka_bkr.uniform 0.0 } in
+  let alone = Wka_bkr.forest_cost ~d:4 [ t ] in
+  Alcotest.(check bool) "singleton forest costs" true (alone > 0.0);
+  Alcotest.(check (float 1e-9)) "empty trees skipped" alone
+    (Wka_bkr.forest_cost ~d:4 [ t; empty ]);
+  Alcotest.(check (float 1e-9)) "empty trees skipped, either side" alone
+    (Wka_bkr.forest_cost ~d:4 [ empty; t ])
 
 let test_composition_validation () =
-  (match Wka_bkr.expected_replications ~receivers:1.0 [ (0.5, 0.1) ] with
+  (match Wka_bkr.Private.expected_replications ~receivers:1.0 [ (0.5, 0.1) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "fractions not summing to 1 accepted");
-  match Wka_bkr.expected_replications ~receivers:1.0 [ (1.0, 1.0) ] with
+  match Wka_bkr.Private.expected_replications ~receivers:1.0 [ (1.0, 1.0) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "loss rate 1 accepted"
 
@@ -345,13 +349,13 @@ let fc = Proactive_fec.default
 let test_fec_block_lossless () =
   (* No loss: a block costs exactly k packets with a0 = 0. *)
   let c =
-    Proactive_fec.block_cost fc ~receivers:1000.0 ~composition:(Wka_bkr.uniform 0.0) ~a0:0
+    Proactive_fec.Private.block_cost fc ~receivers:1000.0 ~composition:(Wka_bkr.uniform 0.0) ~a0:0
   in
   Alcotest.(check (float 1e-9)) "k packets" (float_of_int fc.block_size) c
 
 let test_fec_optimal_proactivity_positive_under_loss () =
   let a0, _ =
-    Proactive_fec.optimal_block_cost fc ~receivers:10000.0 ~composition:(Wka_bkr.uniform 0.2)
+    Proactive_fec.Private.optimal_block_cost fc ~receivers:10000.0 ~composition:(Wka_bkr.uniform 0.2)
   in
   Alcotest.(check bool) (Printf.sprintf "a0=%d > 0" a0) true (a0 > 0)
 
@@ -379,8 +383,8 @@ let prop_fec_block_cost_decreasing_in_a0_initially =
     QCheck.(float_range 0.01 0.3)
     (fun p ->
       let comp = Wka_bkr.uniform p in
-      let _, best = Proactive_fec.optimal_block_cost fc ~receivers:5000.0 ~composition:comp in
-      let naive = Proactive_fec.block_cost fc ~receivers:5000.0 ~composition:comp ~a0:0 in
+      let _, best = Proactive_fec.Private.optimal_block_cost fc ~receivers:5000.0 ~composition:comp in
+      let naive = Proactive_fec.Private.block_cost fc ~receivers:5000.0 ~composition:comp ~a0:0 in
       best <= naive +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
@@ -423,9 +427,10 @@ let prop_prob_cost_bounded =
   QCheck.Test.make ~name:"probabilistic cost within [0, balanced]" ~count:60
     QCheck.(pair (float_range 0.05 0.95) (int_range 1000 100000))
     (fun (alpha, n) ->
-      let p = { Params.default with alpha; n } in
-      let c = Probabilistic.cost p and b = Probabilistic.balanced_cost p in
-      Float.is_finite c && c >= 0.0 && c <= b +. 1e-6)
+      (* [reduction] is [1 - cost / balanced]: it lies in [0, 1] exactly
+         when the cost does in [0, balanced]. *)
+      let r = Probabilistic.reduction { Params.default with alpha; n } in
+      Float.is_finite r && r >= -1e-6 && r <= 1.0)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

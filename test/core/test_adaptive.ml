@@ -98,11 +98,12 @@ let test_set_s_period_live () =
   let scheme = Scheme.create { kind = Scheme.Qt; degree = 3; s_period = 100; seed = 8 } in
   ignore (Scheme.register scheme ~member:1 ~cls:Scheme.Short);
   ignore (Scheme.rekey scheme);
-  Alcotest.(check bool) "member waits in queue" true (Scheme.location scheme 1 = `Queue);
+  let sizes () = (Scheme.s_size scheme, Scheme.l_size scheme) in
+  Alcotest.(check (pair int int)) "member waits in queue" (1, 0) (sizes ());
   (* Lower the S-period to 1: the next interval must migrate. *)
   Scheme.set_s_period scheme 1;
   ignore (Scheme.rekey scheme);
-  Alcotest.(check bool) "migrated after retuning" true (Scheme.location scheme 1 = `L_tree);
+  Alcotest.(check (pair int int)) "migrated after retuning" (0, 1) (sizes ());
   match Scheme.set_s_period scheme (-1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative S-period accepted"

@@ -220,19 +220,36 @@ let test_empty_plan_is_fault_free () =
 (* ------------------------------------------------------------------ *)
 (* Crash-at-every-interval sweep                                       *)
 
+(* Crash at every rekey interval of a small session (N=60, 10
+   intervals): each crashed run restores once from its snapshot and
+   write-ahead log, and reproduces the {e exact} fault-free DEK
+   sequence — crash recovery is lossless, so the whole trace must
+   match, not just a post-recovery suffix. *)
 let test_chaos_sweep org_str () =
-  let spec = spec_of org_str in
-  let r = Sim_driver.run_chaos ~spec () in
-  Alcotest.(check bool) "baseline verified" true r.baseline_verified;
-  Alcotest.(check bool) "swept at least one interval" true (r.points <> []);
-  List.iter
-    (fun (p : Sim_driver.chaos_point) ->
-      Alcotest.(check int)
-        (Printf.sprintf "exactly one restore at interval %d" p.crash_interval)
-        1 p.c_restores)
-    r.points;
-  Alcotest.(check bool) "every crash point converges to the fault-free DEK sequence" true
-    r.all_converged
+  let config =
+    {
+      Session.default_config with
+      n_target = 60;
+      horizon = 600.0;
+      tp = 60.0;
+      ms = 120.0;
+      ml = 1800.0;
+      org = spec_of org_str;
+    }
+  in
+  let baseline = Session.run config in
+  Alcotest.(check bool) "baseline verified" true baseline.verified;
+  Alcotest.(check bool) "swept at least one interval" true (baseline.intervals > 0);
+  for k = 1 to baseline.intervals do
+    let r = Session.run ~faults:[ Fault.Crash { interval = k } ] config in
+    Alcotest.(check int) (Printf.sprintf "exactly one restore at interval %d" k) 1 r.restores;
+    Alcotest.(check bool) (Printf.sprintf "verified with a crash at interval %d" k) true r.verified;
+    Alcotest.(check bool) (Printf.sprintf "recovered from a crash at interval %d" k) true r.recovered;
+    Alcotest.(check bool)
+      (Printf.sprintf "a crash at interval %d converges to the fault-free DEK sequence" k)
+      true
+      (r.dek_trace = baseline.dek_trace)
+  done
 
 let () =
   Alcotest.run "gkm_chaos"

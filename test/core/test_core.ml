@@ -121,21 +121,13 @@ let test_qt_migration_path () =
   Harness.register h 1 Scheme.Long;
   Harness.register h 2 Scheme.Long;
   ignore (Harness.rekey h);
-  Alcotest.(check string) "starts in queue" "queue"
-    (match Scheme.location h.scheme 1 with
-    | `Queue -> "queue"
-    | `L_tree -> "l"
-    | `S_tree -> "s"
-    | `Absent -> "absent");
-  (* After the S-period elapses the member must migrate to L. *)
+  Alcotest.(check (pair int int)) "both start in the queue" (2, 0)
+    (Scheme.s_size h.scheme, Scheme.l_size h.scheme);
+  (* After the S-period elapses the members must migrate to L. *)
   ignore (Harness.rekey h);
   ignore (Harness.rekey h);
-  Alcotest.(check string) "migrated to L" "l"
-    (match Scheme.location h.scheme 1 with
-    | `Queue -> "queue"
-    | `L_tree -> "l"
-    | `S_tree -> "s"
-    | `Absent -> "absent");
+  Alcotest.(check (pair int int)) "migrated to L" (0, 2)
+    (Scheme.s_size h.scheme, Scheme.l_size h.scheme);
   check_harness h "after migration";
   (* The migrated member departs: forward secrecy still holds. *)
   Harness.depart h 1;
@@ -155,16 +147,18 @@ let test_tt_migration_path () =
 
 let test_pt_oracle_placement () =
   let h = Harness.create (cfg Pt ~s_period:5) in
+  let sizes () = (Scheme.s_size h.scheme, Scheme.l_size h.scheme) in
   Harness.register h 1 Scheme.Short;
+  ignore (Harness.rekey h);
+  Alcotest.(check (pair int int)) "short in S" (1, 0) (sizes ());
   Harness.register h 2 Scheme.Long;
   ignore (Harness.rekey h);
-  Alcotest.(check bool) "short in S" true (Scheme.location h.scheme 1 = `S_tree);
-  Alcotest.(check bool) "long in L" true (Scheme.location h.scheme 2 = `L_tree);
+  Alcotest.(check (pair int int)) "long in L" (1, 1) (sizes ());
   (* PT never migrates. *)
   for _ = 1 to 8 do
     ignore (Harness.rekey h)
   done;
-  Alcotest.(check bool) "short stays in S" true (Scheme.location h.scheme 1 = `S_tree);
+  Alcotest.(check (pair int int)) "short stays in S" (1, 1) (sizes ());
   check_harness h "PT"
 
 let test_qt_eviction_cost_is_queue_size () =

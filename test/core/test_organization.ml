@@ -208,7 +208,9 @@ let test_composed_single_band_degenerates () =
   let packed = Organization.create (Organization.Composed_cfg cfg) in
   let module O = (val packed) in
   let bare =
-    Scheme.create ~s_base:0 ~l_base:1_000_000_000 ~dek_id:(Organization.band_dek_id 0)
+    (* Band 0's layout: S-tree ids from 0, L-tree ids from 10^9, its DEK
+       at -(500_000_000 + 0). *)
+    Scheme.create ~s_base:0 ~l_base:1_000_000_000 ~dek_id:(-500_000_000)
       { Scheme.kind = Scheme.Tt; degree = 3; s_period = 2; seed = 5 + 7919 }
   in
   let next = ref 0 in

@@ -350,37 +350,32 @@ let snapshot_magic = "GKTR"
 let snapshot_version = 2
 
 let snapshot t =
-  let open Gkm_crypto.Bytes_io in
+  let open Gkm_crypto.Codec in
   let buf = Buffer.create 4096 in
-  let scratch n f =
-    let b = Bytes.create n in
-    let wrote = f b 0 in
-    assert (wrote = n);
-    Buffer.add_bytes buf b
-  in
   Buffer.add_string buf snapshot_magic;
-  scratch 1 (fun b p -> put_u8 b p snapshot_version);
-  scratch 2 (fun b p -> put_u16 b p t.degree);
-  scratch 8 (fun b p -> put_i64 b p (Prng.save t.rng));
-  scratch 4 (fun b p -> put_i32 b p t.epoch);
-  scratch 8 (fun b p -> put_i64 b p (Int64.of_int t.next_id));
+  add_u8 buf snapshot_version;
+  add_u16 buf t.degree;
+  add_i64 buf (Prng.save t.rng);
+  add_i32 buf t.epoch;
+  add_i64 buf (Int64.of_int t.next_id);
   let rec emit n =
-    scratch 8 (fun b p -> put_i64 b p (Int64.of_int n.id));
+    add_i64 buf (Int64.of_int n.id);
     Buffer.add_bytes buf (Key.to_bytes n.key);
-    scratch 4 (fun b p -> put_i32 b p n.version);
-    scratch 4 (fun b p -> put_i32 b p (match n.member with Some m -> m | None -> -1));
-    scratch 2 (fun b p -> put_u16 b p (List.length n.children));
+    add_i32 buf n.version;
+    add_i32 buf (match n.member with Some m -> m | None -> -1);
+    add_u16 buf (List.length n.children);
     List.iter emit n.children
   in
   (match t.root with
-  | None -> scratch 1 (fun b p -> put_u8 b p 0)
+  | None -> add_u8 buf 0
   | Some root ->
-      scratch 1 (fun b p -> put_u8 b p 1);
+      add_u8 buf 1;
       emit root);
   Buffer.to_bytes buf
 
 let restore blob =
-  let open Gkm_crypto.Bytes_io in
+  let get_u8 = Bytes.get_uint8 and get_u16 = Bytes.get_uint16_be in
+  let get_i32 b pos = Int32.to_int (Bytes.get_int32_be b pos) and get_i64 = Bytes.get_int64_be in
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let len = Bytes.length blob in
   if len < 4 + 1 + 2 + 8 + 4 + 8 + 1 then fail "snapshot too short"
@@ -406,7 +401,7 @@ let restore blob =
       in
       let pos = ref 27 in
       let rec read_node () =
-        if not (has blob ~pos:!pos ~len:(8 + Key.size + 4 + 4 + 2)) then
+        if len - !pos < 8 + Key.size + 4 + 4 + 2 then
           Error "truncated node"
         else begin
           let id = Int64.to_int (get_i64 blob !pos) in
@@ -453,7 +448,7 @@ let restore blob =
           end
         end
       in
-      if not (has blob ~pos:!pos ~len:1) then fail "missing root flag"
+      if len - !pos < 1 then fail "missing root flag"
       else begin
         let has_root = get_u8 blob !pos in
         incr pos;

@@ -12,7 +12,7 @@ let join_many t ms = List.iter (join t) ms
 let range a b = List.init (b - a + 1) (fun i -> a + i)
 
 let assert_ok t =
-  match Keytree.check t with
+  match Keytree.Private.check t with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("invariant violated: " ^ msg)
 
@@ -92,6 +92,15 @@ let test_updates_deepest_first () =
   | [] -> Alcotest.fail "expected updates");
   assert_ok t
 
+let members_under t node =
+  let acc = ref [] in
+  Keytree.iter_members_under t node (fun m -> acc := m :: !acc);
+  List.rev !acc
+
+(* The paper's "number of encrypted keys": every wrap of every update. *)
+let rekey_cost updates =
+  List.fold_left (fun acc (u : Keytree.update) -> acc + List.length u.wraps) 0 updates
+
 let test_wrap_receiver_counts () =
   let t = make ~degree:2 () in
   join_many t (range 1 8);
@@ -101,10 +110,8 @@ let test_wrap_receiver_counts () =
       List.iter
         (fun (w : Keytree.wrap) ->
           Alcotest.(check int)
-            "receivers = subtree size" (Keytree.subtree_size t w.under_node) w.receivers;
-          Alcotest.(check int)
-            "members_under agrees"
-            (List.length (Keytree.members_under t w.under_node))
+            "receivers = members under the node"
+            (List.length (members_under t w.under_node))
             w.receivers)
         u.wraps)
     updates;
@@ -116,7 +123,7 @@ let test_single_departure_cost_logarithmic () =
   let t = make ~degree:4 () in
   join_many t (range 1 256);
   let updates = Keytree.batch_update t ~departed:[ 100 ] ~joined:[] in
-  let cost = Keytree.rekey_cost updates in
+  let cost = rekey_cost updates in
   (* log_4 256 = 4 levels -> about 16 wraps; allow slack for local
      imbalance from the splice. *)
   Alcotest.(check bool) (Printf.sprintf "cost %d in [8, 24]" cost) true (cost >= 8 && cost <= 24)
@@ -126,10 +133,10 @@ let test_batch_shares_path_overlap () =
      single departure (shared path to the root is refreshed once). *)
   let t1 = make ~seed:5 ~degree:2 () in
   join_many t1 (range 1 64);
-  let single = Keytree.rekey_cost (Keytree.batch_update t1 ~departed:[ 1 ] ~joined:[]) in
+  let single = rekey_cost (Keytree.batch_update t1 ~departed:[ 1 ] ~joined:[]) in
   let t2 = make ~seed:5 ~degree:2 () in
   join_many t2 (range 1 64);
-  let double = Keytree.rekey_cost (Keytree.batch_update t2 ~departed:[ 1; 2 ] ~joined:[]) in
+  let double = rekey_cost (Keytree.batch_update t2 ~departed:[ 1; 2 ] ~joined:[]) in
   Alcotest.(check bool)
     (Printf.sprintf "batch %d < 2 x single %d" double single)
     true
@@ -138,13 +145,12 @@ let test_batch_shares_path_overlap () =
 let test_balance_sequential_inserts () =
   let t = make ~degree:4 () in
   join_many t (range 1 64);
-  let stats = Keytree.depth_stats t in
+  let depths = List.map (fun m -> List.length (Keytree.path t m) - 1) (Keytree.members t) in
+  let max_depth = List.fold_left max 0 depths and min_depth = List.fold_left min max_int depths in
   (* 64 = 4^3: a perfectly balanced tree has depth 3; allow one extra
      level of slack for the greedy insertion. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "max depth %d <= 4" stats.max_depth)
-    true (stats.max_depth <= 4);
-  Alcotest.(check bool) "min depth >= 2" true (stats.min_depth >= 2);
+  Alcotest.(check bool) (Printf.sprintf "max depth %d <= 4" max_depth) true (max_depth <= 4);
+  Alcotest.(check bool) "min depth >= 2" true (min_depth >= 2);
   assert_ok t
 
 let test_removal_to_empty () =
@@ -165,7 +171,7 @@ let test_simultaneous_join_and_leave () =
   Alcotest.(check int) "size constant" 10 (Keytree.size t);
   Alcotest.(check bool) "11 in" true (Keytree.mem t 11);
   Alcotest.(check bool) "7 out" false (Keytree.mem t 7);
-  Alcotest.(check bool) "cost positive" true (Keytree.rekey_cost updates > 0);
+  Alcotest.(check bool) "cost positive" true (rekey_cost updates > 0);
   assert_ok t
 
 let test_rejoin_after_leave () =
@@ -208,10 +214,11 @@ let test_errors () =
 let test_empty_batch_is_noop () =
   let t = make () in
   join_many t (range 1 4);
-  let e = Keytree.epoch t in
+  let before = Keytree.snapshot t in
   let updates = Keytree.batch_update t ~departed:[] ~joined:[] in
   Alcotest.(check bool) "no updates" true (updates = []);
-  Alcotest.(check int) "epoch unchanged" e (Keytree.epoch t)
+  (* The snapshot serializes the epoch with the rest of the tree. *)
+  Alcotest.(check bool) "tree and epoch unchanged" true (Bytes.equal before (Keytree.snapshot t))
 
 let test_path_root_is_group_key () =
   let t = make () in
@@ -264,7 +271,7 @@ let prop_invariants_hold =
     (QCheck.make ~print:(fun l -> String.concat "," (List.map string_of_int l)) gen_ops)
     (fun seeds ->
       let t, model = apply_ops seeds in
-      (match Keytree.check t with Ok () -> true | Error _ -> false)
+      (match Keytree.Private.check t with Ok () -> true | Error _ -> false)
       && Keytree.size t = Hashtbl.length model
       && Hashtbl.fold (fun m () acc -> acc && Keytree.mem t m) model true)
 
@@ -290,7 +297,7 @@ let prop_members_under_root_is_everyone =
       match Keytree.root_id t with
       | None -> true
       | Some rid ->
-          List.sort compare (Keytree.members_under t rid)
+          List.sort compare (members_under t rid)
           = List.sort compare (Keytree.members t))
 
 let prop_departure_refreshes_whole_path =
@@ -351,9 +358,8 @@ let updates_equal (a : Keytree.update list) (b : Ref.update list) =
        a b
 
 let trees_agree live refr =
-  (match Keytree.check live with Ok () -> true | Error _ -> false)
+  (match Keytree.Private.check live with Ok () -> true | Error _ -> false)
   && Keytree.size live = Ref.size refr
-  && Keytree.epoch live = Ref.epoch refr
   && (match (Keytree.group_key live, Ref.group_key refr) with
      | None, None -> true
      | Some a, Some b -> Key.equal a b
@@ -450,9 +456,9 @@ let updates_identical (a : Keytree.update list) (b : Keytree.update list) =
 
 let test_invalidate_schedules_transparent () =
   (* Dropping every cached schedule must not change emitted bytes —
-     schedules are pure caches of the node keys. The snapshot is taken
-     with warm caches, so a stale schedule surviving restore would also
-     show as a divergent ciphertext. *)
+     schedules are pure caches of the node keys. [restore] drops them
+     all; the snapshot is taken with warm caches, so a stale schedule
+     surviving restore would show as a divergent ciphertext. *)
   let t = make ~seed:47 () in
   let join ms =
     Keytree.batch_update t ~departed:[]
@@ -464,7 +470,6 @@ let test_invalidate_schedules_transparent () =
       List.iter (fun (w : Keytree.wrap) -> ignore (Lazy.force w.under_cipher)) u.wraps)
     (join [ 16 ]);
   let twin = Result.get_ok (Keytree.restore (Keytree.snapshot t)) in
-  Keytree.invalidate_schedules t;
   let u_t = Keytree.batch_update t ~departed:[ 2; 11 ] ~joined:[] in
   let u_r = Keytree.batch_update twin ~departed:[ 2; 11 ] ~joined:[] in
   Alcotest.(check bool) "invalidated tree emits identical updates" true (updates_identical u_t u_r);

@@ -13,6 +13,11 @@ let register server m = Scheme.register server ~member:m ~cls:Scheme.Long
 let tree server = List.hd (Scheme.trees server)
 let members server = Keytree.members (tree server)
 
+let members_under t node =
+  let acc = ref [] in
+  Keytree.iter_members_under t node (fun m -> acc := m :: !acc);
+  List.rev !acc
+
 (* A small client-side harness: keeps a Member.t per live member,
    creates joiners from their registration key, and feeds every rekey
    message to everyone (including evicted members, who should learn
@@ -144,7 +149,7 @@ let test_backward_secrecy () =
   (* ...and none of its stored keys equals the old DEK. *)
   let leaked = ref false in
   for node = 0 to 10_000 do
-    match Member.key_of joiner node with
+    match Member.Private.key_of joiner node with
     | Some k when Key.equal k old_dek -> leaked := true
     | _ -> ()
   done;
@@ -168,13 +173,13 @@ let test_interest_counts_match_receivers () =
      of that interest set: nobody outside the subtree can decrypt. *)
   List.iter
     (fun (e : Rekey_msg.entry) ->
-      let under = Keytree.members_under (tree h.server) e.wrapped_under in
+      let under = members_under (tree h.server) e.wrapped_under in
       Alcotest.(check int)
         (Printf.sprintf "entry K%d/K%d receivers" e.target_node e.wrapped_under)
         e.receivers (List.length under);
       Hashtbl.iter
         (fun m member ->
-          if Scheme.is_member h.server m && Member.interested member e then
+          if Scheme.is_member h.server m && Member.Private.interested member e then
             Alcotest.(check bool)
               (Printf.sprintf "member %d interested in K%d/K%d is under the subtree" m
                  e.target_node e.wrapped_under)

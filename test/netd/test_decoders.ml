@@ -85,7 +85,7 @@ let resume_fixture =
        Server.create ~loop { Server.default_config with port = 0; tp = 0.01 }
      in
      let c = Client.connect ~loop { (Client.config ~port:(Server.port srv)) with seed = 3 } in
-     run_until loop (fun () -> Client.is_member c && Client.has_ticket c);
+     run_until loop (fun () -> Client.is_member c && Client.export_resumption c <> None);
      let blob = Option.get (Client.export_resumption c) in
      (loop, srv, blob))
 

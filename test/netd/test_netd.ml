@@ -19,6 +19,11 @@ module Packet = Gkm_transport.Packet
 module Record = Gkm_record.Record
 module Dek_log = Gkm_netd.Dek_log
 
+let with_obs b f =
+  let saved = Gkm_obs.Obs.enabled () in
+  Gkm_obs.Obs.set_enabled b;
+  Fun.protect ~finally:(fun () -> Gkm_obs.Obs.set_enabled saved) f
+
 let cfg ?(tp = 0.02) ?(org = Organization.Scheme_cfg (Scheme.default_config Scheme.Tt))
     ?(capacity = 512) ?(outbox_soft = 256 * 1024) ?(outbox_hard = 1024 * 1024)
     ?(resync_grace = 50) ?sndbuf ?(domains = 1) ?(transport = Server.Tcp) () =
@@ -103,9 +108,9 @@ let test_smoke () =
     if n > 0 then begin
       let c = Client.connect ~loop (Client.config ~port:(Server.port srv)) in
       run_until loop (fun () -> Client.is_member c);
-      let target = Server.epoch srv in
+      let target = Server.Private.epoch srv in
       Client.leave c;
-      run_until loop (fun () -> Server.epoch srv > target);
+      run_until loop (fun () -> Server.Private.epoch srv > target);
       churn (n - 1)
     end
   in
@@ -148,8 +153,8 @@ let test_churn_200 () =
        Client.reconnect victim;
        recovered := true
      end);
-    let target = Server.epoch srv in
-    run_until loop (fun () -> Server.epoch srv > target);
+    let target = Server.Private.epoch srv in
+    run_until loop (fun () -> Server.Private.epoch srv > target);
     incr intervals
   done;
   Alcotest.(check bool) "kill/reconnect exercised" true (!killed && !recovered);
@@ -159,7 +164,7 @@ let test_churn_200 () =
      before sampling the rekey_no the survivors must catch up to *)
   let last_epoch = ref (-1) and since = ref (Unix.gettimeofday ()) in
   run_until ~timeout:60.0 loop (fun () ->
-      let e = Server.epoch srv in
+      let e = Server.Private.epoch srv in
       let now = Unix.gettimeofday () in
       if e <> !last_epoch then begin
         last_epoch := e;
@@ -206,13 +211,13 @@ let test_lossy_client () =
   for i = 0 to 19 do
     let c = Client.connect ~loop { (Client.config ~port) with seed = 500 + i } in
     run_until loop (fun () -> Client.is_member c);
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target)
   done;
   run_until loop (fun () -> Client.rekeys_completed lossy >= 15);
   Alcotest.(check bool) "the loss model actually dropped frames" true
-    (Client.frames_dropped lossy > 0);
+    (Client.Private.frames_dropped lossy > 0);
   Alcotest.(check bool) "recovery traffic flowed" true
     (Client.nacks_sent lossy > 0 || Client.resyncs lossy > 0);
   let server_tbl = server_trace_tbl srv in
@@ -366,9 +371,9 @@ let test_grace_eviction () =
   for _ = 1 to 6 do
     let c = Client.connect ~loop (Client.config ~port) in
     run_until loop (fun () -> Client.is_member c);
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target)
   done;
   run_until loop (fun () -> (Server.stats srv).evictions_grace >= 1);
   run_until loop (fun () -> Server.org_size srv = 4);
@@ -418,16 +423,16 @@ let test_rejoin_0rtt () =
   let victim = Client.connect ~loop { (Client.config ~port) with seed = 7 } in
   let peers = List.init 5 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
   run_until loop (fun () -> List.for_all Client.is_member (victim :: peers));
-  run_until loop (fun () -> Client.has_ticket victim);
+  run_until loop (fun () -> Client.export_resumption victim <> None);
   let pre_member = Client.member victim in
   Client.kill victim;
   (* the group moves on while the victim is dark *)
   for i = 0 to 2 do
     let c = Client.connect ~loop { (Client.config ~port) with seed = 600 + i } in
     run_until loop (fun () -> Client.is_member c);
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target)
   done;
   Client.reconnect victim;
   run_until loop (fun () -> Client.is_member victim);
@@ -440,9 +445,9 @@ let test_rejoin_0rtt () =
   (* ... and the rejoined client keeps tracking rekeys *)
   let c = Client.connect ~loop { (Client.config ~port) with seed = 700 } in
   run_until loop (fun () -> Client.is_member c);
-  let target = Server.epoch srv in
+  let target = Server.Private.epoch srv in
   Client.leave c;
-  run_until loop (fun () -> Server.epoch srv > target);
+  run_until loop (fun () -> Server.Private.epoch srv > target);
   let last = Server.rekey_no srv in
   run_until loop (fun () ->
       List.for_all (fun c -> Client.last_rekey c = last) (victim :: peers));
@@ -484,7 +489,7 @@ let storm_scenario ~domains =
   let quiesce () =
     let last = ref (-1) and since = ref (Unix.gettimeofday ()) in
     run_until loop (fun () ->
-        let e = Server.epoch srv and t = Unix.gettimeofday () in
+        let e = Server.Private.epoch srv and t = Unix.gettimeofday () in
         if e <> !last then begin
           last := e;
           since := t;
@@ -508,9 +513,9 @@ let storm_scenario ~domains =
     let c = Client.connect ~loop { (Client.config ~port) with seed = 1 + n + i } in
     Option.iter Client.leave !churner;
     churner := Some c;
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     run_until loop (fun () ->
-        Server.epoch srv > target && Server.org_size srv = n + 1 && Client.is_member c)
+        Server.Private.epoch srv > target && Server.org_size srv = n + 1 && Client.is_member c)
   done;
   Option.iter Client.leave !churner;
   quiesce ();
@@ -544,7 +549,7 @@ let test_eviction_lockout () =
   let doomed = Client.connect ~loop { (Client.config ~port) with seed = 1 } in
   let peers = List.init 4 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = 10 + i }) in
   run_until loop (fun () -> List.for_all Client.is_member (doomed :: peers));
-  run_until loop (fun () -> Client.has_ticket doomed);
+  run_until loop (fun () -> Client.export_resumption doomed <> None);
   let old_member = Client.member doomed in
   let blob =
     match Client.export_resumption doomed with
@@ -585,9 +590,9 @@ let test_composed_served () =
   for i = 0 to 2 do
     let c = Client.connect ~loop { (Client.config ~port) with seed = 800 + i } in
     run_until loop (fun () -> Client.is_member c);
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target)
   done;
   let last = Server.rekey_no srv in
   run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) clients);
@@ -618,9 +623,9 @@ let test_capacity_floor () =
   run_until loop (fun () -> List.for_all Client.is_member clients);
   let churner = Client.connect ~loop { (Client.config ~port) with seed = 900 } in
   run_until loop (fun () -> Client.is_member churner);
-  let target = Server.epoch srv in
+  let target = Server.Private.epoch srv in
   Client.leave churner;
-  run_until loop (fun () -> Server.epoch srv > target);
+  run_until loop (fun () -> Server.Private.epoch srv > target);
   let last = Server.rekey_no srv in
   run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) clients);
   let server_tbl = server_trace_tbl srv in
@@ -643,6 +648,25 @@ let hello_refused ~lo ~hi () =
 
 let test_old_hello_refused = hello_refused ~lo:1 ~hi:(Msg.version - 1)
 let test_version_rejected = hello_refused ~lo:99 ~hi:200
+
+(* An ERROR whose code the client does not know (here the reserved 5)
+   ends the connection as a generic server error, reported verbatim. *)
+let test_unassigned_error_code () =
+  let loop = Loop.create () in
+  let lfd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind lfd (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port = match Unix.getsockname lfd with ADDR_INET (_, p) -> p | _ -> assert false in
+  let c = Client.connect ~loop (Client.config ~port) in
+  let fd, _ = Unix.accept lfd in
+  (match read_frame loop (Frame.decoder ()) fd with
+  | Msg.Hello _ -> write_frame fd (Msg.Error_msg { code = 5; detail = "unassigned" })
+  | m -> Alcotest.failf "expected HELLO, got %s" (Msg.tag_name (Msg.tag m)));
+  run_until loop (fun () -> Client.phase c = Client.Closed);
+  Alcotest.(check (option string)) "generic error" (Some "server error 5: unassigned")
+    (Client.last_error c);
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ fd; lfd ];
+  Loop.close loop
 
 (* Rekeys only ever travel sealed: a client handed a plaintext REKEY
    frame by its server drops the connection as a protocol violation
@@ -751,7 +775,7 @@ let lockstep_run ?group ~domains () =
         Client.on_sealed c (fun ~epoch ~seq ~ct ->
             traces.(i) <- (epoch, seq, Bytes.copy ct) :: traces.(i));
         admit c;
-        admit_epoch.(i) <- Client.epoch c;
+        admit_epoch.(i) <- Client.Private.epoch c;
         c)
   in
   (* Churn: three join+leave cycles, each gated the same way, so every
@@ -877,7 +901,6 @@ let test_sharded_byte_identical () =
    server's DEK trace, and the next tick must fan out as usual. *)
 let test_lane_dead_peer () =
   let module Journal = Gkm_obs.Journal in
-  let module Obs = Gkm_obs.Obs in
   let org =
     Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 1000 }
   in
@@ -904,7 +927,7 @@ let test_lane_dead_peer () =
   settled members;
   let lane_tx () = Array.fold_left ( + ) 0 (Array.sub (Server.tx_per_domain srv) 1 2) in
   Journal.clear Journal.default;
-  Obs.with_enabled true (fun () ->
+  with_obs true (fun () ->
       let churner = join 400 in
       let rekey0 = Server.rekey_no srv and tx0 = lane_tx () in
       Client.kill victim;
@@ -914,7 +937,7 @@ let test_lane_dead_peer () =
       let live = churner :: survivors in
       run_until loop (fun () ->
           List.for_all Client.is_member live
-          && not (List.mem_assoc vm (Server.bound_tickets srv)));
+          && not (List.mem_assoc vm (Server.Private.bound_tickets srv)));
       settled live;
       (* The next tick fans out normally. *)
       let tx1 = lane_tx () in
@@ -960,11 +983,10 @@ let test_lane_dead_peer () =
    identical DEK sequences and sealed records, and the instrumented
    run really did journal its ticks. *)
 let test_obs_byte_invisible () =
-  let module Obs = Gkm_obs.Obs in
   let module Journal = Gkm_obs.Journal in
-  let sealed0, deks0, sdek0, _ = Obs.with_enabled false (fun () -> lockstep_run ~domains:1 ()) in
+  let sealed0, deks0, sdek0, _ = with_obs false (fun () -> lockstep_run ~domains:1 ()) in
   Journal.clear Journal.default;
-  let sealed1, deks1, sdek1, _ = Obs.with_enabled true (fun () -> lockstep_run ~domains:1 ()) in
+  let sealed1, deks1, sdek1, _ = with_obs true (fun () -> lockstep_run ~domains:1 ()) in
   let rekeys =
     List.filter (fun e -> e.Journal.name = "netd.rekey") (Journal.events Journal.default)
   in
@@ -990,7 +1012,7 @@ let test_udp_byte_identical () =
   let sealed_t, deks_t, sdek_t, _ = lockstep_run ~domains:1 () in
   Journal.clear Journal.default;
   let sealed_u1, deks_u1, sdek_u1, _ =
-    Gkm_obs.Obs.with_enabled true (fun () ->
+    with_obs true (fun () ->
         lockstep_run ~group:(Mcast.ephemeral_group ~seed:0xA1) ~domains:1 ())
   in
   Journal.clear Journal.default;
@@ -1037,7 +1059,7 @@ let small_rekey_sizes ?group () =
   let sizes = ref [] in
   let observe c ~epoch ~seq ~ct =
     match Client.group_key c with
-    | Some dek when epoch = Client.epoch c -> (
+    | Some dek when epoch = Client.Private.epoch c -> (
         let sink = Record.Sink.create (Record.Epoch.of_dek ~dek ~label:epoch) in
         let rekey =
           match Record.Sink.open_ sink ~seq ct with
@@ -1165,7 +1187,7 @@ let test_udp_empty_datagram () =
   let target = Server.rekey_no srv + 1 in
   Client.leave churner;
   run_until loop (fun () -> Client.last_rekey member >= target);
-  Alcotest.(check int) "the empty datagram counted" 1 (Client.mcast_decode_errors member);
+  Alcotest.(check int) "the empty datagram counted" 1 (Client.Private.mcast_decode_errors member);
   Alcotest.(check int) "no NACK" 0 (Client.nacks_sent member);
   Alcotest.(check int) "no resync" 0 (Client.resyncs member);
   check_trace ~server_tbl:(server_trace_tbl srv) "member" member;
@@ -1216,9 +1238,9 @@ let test_udp_lossy_convergence () =
       Client.connect ~loop { (Client.config ~port) with seed = 500 + i; mcast = Some group }
     in
     run_until loop (fun () -> Client.is_member c);
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target)
   done;
   run_until loop (fun () -> List.for_all (fun c -> Client.rekeys_completed c >= 15) all);
   let st = Server.stats srv in
@@ -1238,9 +1260,9 @@ let test_udp_lossy_convergence () =
      datagrams. *)
   List.iteri
     (fun i c ->
-      let dups = Client.mcast_duplicates c in
+      let dups = Client.Private.mcast_duplicates c in
       let absorbed =
-        Client.replays_dropped c + Client.auth_dropped c + Client.pending_discarded c
+        Client.replays_dropped c + Client.auth_dropped c + Client.Private.pending_discarded c
       in
       if dups = 0 then Alcotest.failf "client %d: no duplicate injected" i;
       if absorbed < dups then
@@ -1287,9 +1309,9 @@ let test_udp_heartbeat_tail_loss () =
       Client.connect ~loop { (Client.config ~port) with seed = 300 + i; mcast = Some group }
     in
     run_until loop (fun () -> Client.is_member c);
-    let target = Server.epoch srv in
+    let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target)
   done;
   let last = Server.rekey_no srv in
   (* No churn from here on: convergence may come only from heartbeats
@@ -1340,11 +1362,11 @@ let test_udp_drop_repaired_by_heartbeat () =
   let rec churn = function
     | [] -> Alcotest.fail "the member never dropped the newest generation"
     | c :: rest ->
-        let target = Server.rekey_no srv + 1 and dropped = Client.frames_dropped lossy in
+        let target = Server.rekey_no srv + 1 and dropped = Client.Private.frames_dropped lossy in
         Client.leave c;
         run_until loop (fun () -> Server.rekey_no srv >= target);
         run_until loop (fun () ->
-            Client.last_rekey lossy >= target || Client.frames_dropped lossy > dropped);
+            Client.last_rekey lossy >= target || Client.Private.frames_dropped lossy > dropped);
         if Client.last_rekey lossy < target then target else churn rest
   in
   let last = churn churners in
@@ -1414,19 +1436,19 @@ let test_conform_version_refused () =
    costs at most the rekey's packet count. *)
 let test_nack_duplicate_seqs () =
   with_hostile_server (fun loop srv ->
-      let r = Cohort.Raw.connect ~loop ~port:(Server.port srv) in
-      if not (Cohort.Raw.hello r ~timeout:10.0) then Alcotest.fail "no HELLO_ACK";
-      if Cohort.Raw.join r ~timeout:10.0 = None then Alcotest.fail "no JOIN_ACK";
+      let r = Cohort.Private.Raw.connect ~loop ~port:(Server.port srv) in
+      if not (Cohort.Private.Raw.hello r ~timeout:10.0) then Alcotest.fail "no HELLO_ACK";
+      if Cohort.Private.Raw.join r ~timeout:10.0 = None then Alcotest.fail "no JOIN_ACK";
       (* the rekey that admitted the raw peer, sealed under the herd's
          generation and so held for retransmission *)
       let rekey_no = Server.rekey_no srv in
       let st0 = Server.stats srv in
       let nacks0 = st0.Server.nacks and retx0 = st0.Server.retx_packets in
-      Cohort.Raw.send r (Msg.Nack { rekey_no; seqs = List.init 2000 (fun _ -> 0) });
+      Cohort.Private.Raw.send r (Msg.Nack { rekey_no; seqs = List.init 2000 (fun _ -> 0) });
       run_until loop (fun () -> (Server.stats srv).Server.nacks > nacks0);
       let retx = (Server.stats srv).Server.retx_packets - retx0 in
       Alcotest.(check int) "one RETX for the one distinct seq" 1 retx;
-      Cohort.Raw.close r)
+      Cohort.Private.Raw.close r)
 
 (* The DEK trace log against the boxed list it replaced: the same
    (rekey_no, fingerprint) pairs, oldest first, the no-key [""]
@@ -1472,7 +1494,7 @@ let close_pairs pairs =
       Unix.close b)
     pairs
 
-let dispatched loop = (Loop.counters loop).Loop.dispatched
+let dispatched loop = (Loop.Private.counters loop).Loop.dispatched
 
 (* A step's cost follows the ready descriptors, not the registered
    ones: 500 quiet sockets and one readable one make one callback. *)
@@ -1532,11 +1554,11 @@ let test_loop_partial_write () =
   let c = Gkm_netd.Conn.create a in
   Loop.add_fd loop a ~readable:ignore ~writable:(fun () ->
       ignore (Gkm_netd.Conn.write_through loop c));
-  let k0 = (Loop.counters loop).Loop.interest_changes in
+  let k0 = (Loop.Private.counters loop).Loop.interest_changes in
   Gkm_netd.Conn.enqueue_frame c (Bytes.make (256 * 1024) 'z');
   ignore (Gkm_netd.Conn.write_through loop c);
   Alcotest.(check bool) "partial write" true (Gkm_netd.Conn.out_bytes c > 0);
-  Alcotest.(check int) "write interest armed" (k0 + 1) (Loop.counters loop).Loop.interest_changes;
+  Alcotest.(check int) "write interest armed" (k0 + 1) (Loop.Private.counters loop).Loop.interest_changes;
   let buf = Bytes.create 65536 and got = ref 0 in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while Gkm_netd.Conn.out_bytes c > 0 && Unix.gettimeofday () < deadline do
@@ -1546,7 +1568,7 @@ let test_loop_partial_write () =
   done;
   Alcotest.(check int) "outbox drained" 0 (Gkm_netd.Conn.out_bytes c);
   Alcotest.(check int) "write interest disarmed" (k0 + 2)
-    (Loop.counters loop).Loop.interest_changes;
+    (Loop.Private.counters loop).Loop.interest_changes;
   let d0 = dispatched loop in
   Loop.step ~max_wait:0.05 loop;
   Alcotest.(check int) "idle step dispatches nothing" 0 (dispatched loop - d0);
@@ -1615,7 +1637,7 @@ let test_loop_fd_reuse () =
    the next step. *)
 let test_loop_overflow () =
   let loop = Loop.create () in
-  let n = Loop.max_events + (Loop.max_events / 2) in
+  let n = Loop.Private.max_events + (Loop.Private.max_events / 2) in
   let pairs = List.init n (fun _ -> socketpair ()) in
   let hits = Array.make n 0 in
   List.iteri
@@ -1628,7 +1650,7 @@ let test_loop_overflow () =
       poke b)
     pairs;
   Loop.step ~max_wait:1.0 loop;
-  Alcotest.(check int) "first step fills the buffer" Loop.max_events
+  Alcotest.(check int) "first step fills the buffer" Loop.Private.max_events
     (Array.fold_left ( + ) 0 hits);
   Loop.step ~max_wait:1.0 loop;
   Alcotest.(check (array int)) "every fd once within two steps" (Array.make n 1) hits;
@@ -1662,10 +1684,10 @@ let test_loop_timer_rounding () =
   let loop = Loop.create () in
   let due = Loop.now loop +. 0.0003 in
   let fired = ref nan in
-  Loop.at loop ~time:due (fun () -> fired := Loop.now loop);
-  let s0 = (Loop.counters loop).Loop.steps in
+  Loop.after loop ~delay:0.0003 (fun () -> fired := Loop.now loop);
+  let s0 = (Loop.Private.counters loop).Loop.steps in
   Loop.run loop ~until:(fun () -> not (Float.is_nan !fired));
-  let steps = (Loop.counters loop).Loop.steps - s0 in
+  let steps = (Loop.Private.counters loop).Loop.steps - s0 in
   Alcotest.(check bool) (Printf.sprintf "at most two waits (%d)" steps) true (steps <= 2);
   Alcotest.(check bool) "not early" true (!fired >= due);
   Alcotest.(check bool)
@@ -1689,13 +1711,13 @@ let test_loop_fanout_no_interest () =
   run_until loop (fun () -> List.for_all Client.is_member members);
   let joiner = Client.connect ~loop { (Client.config ~port) with seed = 700 } in
   run_until loop (fun () -> (Server.stats srv).Server.joins = 65);
-  let k0 = (Loop.counters loop).Loop.interest_changes in
+  let k0 = (Loop.Private.counters loop).Loop.interest_changes in
   Server.tick_now srv;
   let target = Server.rekey_no srv in
   run_until loop (fun () ->
       Client.is_member joiner && List.for_all (fun c -> Client.last_rekey c = target) members);
   Alcotest.(check int) "no write-interest change" 0
-    ((Loop.counters loop).Loop.interest_changes - k0);
+    ((Loop.Private.counters loop).Loop.interest_changes - k0);
   List.iter Client.kill (joiner :: members);
   Server.stop srv;
   Loop.close loop
@@ -1704,8 +1726,12 @@ let test_loop_fanout_no_interest () =
 
 module Keytree = Gkm_keytree.Keytree
 module Journal = Gkm_obs.Journal
-module Obs = Gkm_obs.Obs
 module Metrics = Gkm_obs.Metrics
+
+let members_under t node =
+  let acc = ref [] in
+  Keytree.iter_members_under t node (fun m -> acc := m :: !acc);
+  List.rev !acc
 
 (* Crash-kill [victim] once it has read everything the server sent it
    (tickets included), then bring it back by ticket. *)
@@ -1715,7 +1741,7 @@ let kill_and_rejoin loop srv victim =
   run_until loop (fun () -> !drained);
   Client.kill victim;
   run_until loop (fun () ->
-      not (List.mem_assoc (Client.member victim) (Server.bound_tickets srv)));
+      not (List.mem_assoc (Client.member victim) (Server.Private.bound_tickets srv)));
   Client.reconnect victim;
   run_until loop (fun () -> Client.is_member victim)
 
@@ -1723,14 +1749,14 @@ let kill_and_rejoin loop srv victim =
    member that the ticket pass replaces: no ticket, a digest that no
    longer matches the member's path, or [rewrap] epochs of age. *)
 let ticket_stale srv ~rewrap member ticket =
-  let module O = (val Server.organization srv : Organization.S) in
+  let module O = (val Server.Private.organization srv : Organization.S) in
   O.is_member member
   &&
   match ticket with
   | None -> true
   | Some (issued, digest) ->
       let now = Record.Ticket.path_digest (List.map fst (O.member_path member)) in
-      (not (Bytes.equal digest now)) || Server.epoch srv - issued >= rewrap
+      (not (Bytes.equal digest now)) || Server.Private.epoch srv - issued >= rewrap
 
 (* One tick under the oracle: the tick must issue exactly the tickets
    the brute-force sweep would have (each connected member whose
@@ -1738,10 +1764,10 @@ let ticket_stale srv ~rewrap member ticket =
    migrations included), and leave no connected member stale. *)
 let oracle_tick srv ~rewrap ~label =
   let before = Hashtbl.create 64 in
-  List.iter (fun (m, tk) -> Hashtbl.replace before m tk) (Server.bound_tickets srv);
+  List.iter (fun (m, tk) -> Hashtbl.replace before m tk) (Server.Private.bound_tickets srv);
   let issued0 = (Server.stats srv).Server.tickets_issued in
   Server.tick_now srv;
-  let after = Server.bound_tickets srv in
+  let after = Server.Private.bound_tickets srv in
   let sweep =
     List.length
       (List.filter
@@ -1790,7 +1816,7 @@ let oracle_churn selector () =
     c
   in
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
-  let bound c = List.mem_assoc (Client.member c) (Server.bound_tickets srv) in
+  let bound c = List.mem_assoc (Client.member c) (Server.Private.bound_tickets srv) in
   let live = ref (List.init 8 (fun _ -> join ())) and dark = ref [] in
   Server.tick_now srv;
   run_until loop (fun () -> List.for_all Client.is_member !live);
@@ -1861,7 +1887,7 @@ let test_reshaped_rejoin () =
   let loop = Loop.create () in
   let srv = Server.create ~loop (cfg ~tp:3600.0 ~org:spec ()) in
   let port = Server.port srv in
-  let module O = (val Server.organization srv : Organization.S) in
+  let module O = (val Server.Private.organization srv : Organization.S) in
   let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
   let clients = ref (List.init 7 (fun i -> connect (100 + i))) in
   run_until loop (fun () -> (Server.stats srv).Server.joins = 7);
@@ -1882,7 +1908,7 @@ let test_reshaped_rejoin () =
   let victim, sibling =
     let pair c =
       let m = Client.member c in
-      match Keytree.members_under l_tree (parent m) with
+      match members_under l_tree (parent m) with
       | [ a; b ] when List.length (Keytree.path l_tree m) > 2 ->
           let other = if a = m then b else a in
           Option.map (fun s -> (c, s)) (List.find_opt (fun d -> Client.member d = other) !clients)
@@ -1943,7 +1969,7 @@ let test_queue_member_reshaped () =
   let loop = Loop.create () in
   let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
   let port = Server.port srv in
-  let module O = (val Server.organization srv : Organization.S) in
+  let module O = (val Server.Private.organization srv : Organization.S) in
   let queued = Client.connect ~loop { (Client.config ~port) with seed = 1; loss = 0.01 } in
   let other = Client.connect ~loop { (Client.config ~port) with seed = 2; loss = 0.2 } in
   run_until loop (fun () -> (Server.stats srv).Server.joins = 2);
@@ -1994,7 +2020,7 @@ let test_rekey_journal () =
   Alcotest.(check int) "nothing recorded with observability off" 0 (List.length (rekeys ()));
   let issued = (Server.stats srv).Server.tickets_issued in
   let pruned = (Server.stats srv).Server.wraps_pruned in
-  Obs.with_enabled true (fun () -> churn 4);
+  with_obs true (fun () -> churn 4);
   (match rekeys () with
   | [ e ] ->
       let field k = List.assoc_opt k e.Journal.fields in
@@ -2022,15 +2048,15 @@ let test_no_socket_metrics () =
   let srv = Server.create ~loop (cfg ~tp:0.01 ()) in
   let port = Server.port srv in
   let peers = List.init 4 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
-  Obs.with_enabled true (fun () ->
+  with_obs true (fun () ->
       run_until loop (fun () -> List.for_all Client.is_member peers);
       let c = Client.connect ~loop { (Client.config ~port) with seed = 40 } in
       run_until loop (fun () -> Client.is_member c);
-      let target = Server.epoch srv in
+      let target = Server.Private.epoch srv in
       Client.leave c;
-      run_until loop (fun () -> Server.epoch srv > target);
+      run_until loop (fun () -> Server.Private.epoch srv > target);
       let victim = List.hd peers in
-      run_until loop (fun () -> Client.has_ticket victim);
+      run_until loop (fun () -> Client.export_resumption victim <> None);
       kill_and_rejoin loop srv victim);
   Journal.clear Journal.default;
   Alcotest.(check bool) "a ticket rejoin ran" true ((Server.stats srv).Server.rejoins_0rtt >= 1);
@@ -2038,9 +2064,11 @@ let test_no_socket_metrics () =
     List.filter
       (fun n ->
         List.exists (fun prefix -> String.starts_with ~prefix n) [ "netd."; "wire."; "rejoin."; "record." ])
-      (Metrics.names Metrics.default)
+      (List.map
+         (fun l -> Scanf.sscanf l {|{"type":%S,"name":%S|} (fun _ name -> name))
+         (Metrics.to_jsonl Metrics.default))
   in
-  Alcotest.(check (list string)) "no socket-layer metric registered" [] socket;
+  Alcotest.(check (list string)) "no socket-layer metric exported" [] socket;
   List.iter Client.kill peers;
   Server.stop srv;
   Loop.close loop
@@ -2056,10 +2084,15 @@ let test_node_rows_bounded () =
   let org = Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 3 } in
   let srv = Server.create ~loop (cfg ~tp:3600.0 ~org ()) in
   let port = Server.port srv in
-  let module O = (val Server.organization srv : Organization.S) in
+  let module O = (val Server.Private.organization srv : Organization.S) in
+  (* Every live node lies on some member's path. *)
   let live_nodes () =
     List.fold_left
-      (fun acc tr -> if Keytree.size tr = 0 then acc else acc + (Keytree.depth_stats tr).node_count)
+      (fun acc tr ->
+        let nodes = Hashtbl.create 64 in
+        Keytree.iter_members tr (fun m ->
+            List.iter (fun (id, _) -> Hashtbl.replace nodes id ()) (Keytree.path tr m));
+        acc + Hashtbl.length nodes)
       0 (O.trees ())
   in
   let seed = ref 0 in
@@ -2086,7 +2119,7 @@ let test_node_rows_bounded () =
     run_until loop (fun () -> (Server.stats srv).Server.leaves = leaves + 2);
     Server.tick_now srv;
     run_until loop (fun () -> List.for_all Client.is_member !members);
-    let rows = Server.node_rows srv and live = live_nodes () in
+    let rows = Server.Private.node_rows srv and live = live_nodes () in
     worst := max !worst rows;
     if rows > (4 * live) + 512 then
       Alcotest.failf "%d per-node rows against %d live tree nodes" rows live;
@@ -2100,7 +2133,7 @@ let test_node_rows_bounded () =
       let last = Server.rekey_no srv in
       run_until loop (fun () -> Client.last_rekey victim = last);
       Journal.clear Journal.default;
-      Obs.with_enabled true (fun () -> kill_and_rejoin loop srv victim);
+      with_obs true (fun () -> kill_and_rejoin loop srv victim);
       match List.filter (fun e -> e.Journal.name = "netd.rejoin") (Journal.events Journal.default) with
       | [ e ] ->
           Alcotest.(check bool) "delta rejoin" true
@@ -2206,6 +2239,8 @@ let () =
           Alcotest.test_case "bad version rejected" `Quick test_version_rejected;
           Alcotest.test_case "plaintext REKEY refused by client" `Quick
             test_plaintext_rekey_refused;
+          Alcotest.test_case "an unassigned ERROR code is a generic error" `Quick
+            test_unassigned_error_code;
           Alcotest.test_case "capacity floor serves a composed rekey" `Quick
             test_capacity_floor;
         ] );

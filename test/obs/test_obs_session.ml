@@ -21,9 +21,10 @@ let scheme_org kind =
 let run_with ~obs cfg =
   Metrics.reset Metrics.default;
   Journal.clear Journal.default;
-  Obs.with_enabled obs (fun () -> Session.run cfg)
+  Exported.with_obs obs (fun () -> Session.run cfg)
 
-let counter name = Metrics.Counter.value (Metrics.Counter.v name)
+let counter = Exported.counter ~registry:Metrics.default
+let field name key = Exported.field Metrics.default name key
 
 let test_instrumentation_is_invisible () =
   let off = run_with ~obs:false cfg in
@@ -48,12 +49,10 @@ let test_session_populates_metrics () =
   Alcotest.(check bool) "delivery rounds counted" true (counter "wka_bkr.rounds" > 0);
   Alcotest.(check bool) "engine events counted" true (counter "sim.events_dispatched" > 0);
   Alcotest.(check int) "intervals counted" r.intervals (counter "session.intervals");
-  let lat = Metrics.Histogram.v "session.rekey_latency_s" in
   Alcotest.(check int) "one latency sample per rekeying" r.rekeys
-    (Metrics.Histogram.count lat);
-  Alcotest.(check bool) "latency positive" true (Metrics.Histogram.min_value lat > 0.0);
-  let spans = Metrics.Histogram.v "span.rekey.interval" in
-  Alcotest.(check int) "one span per interval" r.intervals (Metrics.Histogram.count spans);
+    (Exported.count "session.rekey_latency_s");
+  Alcotest.(check bool) "latency positive" true (field "session.rekey_latency_s" "min" > 0.0);
+  Alcotest.(check int) "one span per interval" r.intervals (Exported.count "span.rekey.interval");
   (* A banded organization rekeys one scheme per band each interval,
      yet counts one group rekey, and its band gauges add up to the
      group. *)
@@ -64,7 +63,7 @@ let test_session_populates_metrics () =
           { cfg with org = Result.get_ok (Organization.spec_of_string ~seed:3 sel) }
       in
       Alcotest.(check int) (sel ^ ": rekeys counted") r.rekeys (counter "rekey.count");
-      let band b = Metrics.Gauge.value (Metrics.Gauge.v (Printf.sprintf "rekey.band_size.%d" b)) in
+      let band b = field (Printf.sprintf "rekey.band_size.%d" b) "value" in
       Alcotest.(check (float 0.0)) (sel ^ ": band gauges sum to the group")
         (float_of_int r.final_size) (band 0 +. band 1))
     [ "composed"; "loss:0.05" ]
@@ -106,7 +105,7 @@ let test_session_journals_every_interval () =
 let test_disabled_run_records_nothing () =
   let _ = run_with ~obs:false cfg in
   Alcotest.(check int) "no keys counted" 0 (counter "rekey.keys_encrypted");
-  Alcotest.(check int) "no journal events" 0 (Journal.length Journal.default)
+  Alcotest.(check int) "no journal events" 0 (List.length (Journal.events Journal.default))
 
 let () =
   Alcotest.run "gkm_obs_session"

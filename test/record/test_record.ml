@@ -288,8 +288,8 @@ let test_sink_behind_window () =
   let seal = Record.Seal.create (Record.Epoch.of_dek ~dek ~label:1) in
   let sink = Record.Sink.create (Record.Epoch.of_dek ~dek ~label:1) in
   let first = Record.Seal.seal seal (Bytes.of_string "first") in
-  (* march the window far past the first record *)
-  for _ = 1 to Record.Sink.window_bits + 10 do
+  (* march the 1024-record window far past the first record *)
+  for _ = 1 to 1024 + 10 do
     let seq, ct = Record.Seal.seal seal (Bytes.of_string "x") in
     match Record.Sink.open_ sink ~seq ct with
     | Ok _ -> ()
@@ -348,7 +348,6 @@ let test_epoch_erase () =
   let sink = Record.Sink.create e_recv in
   let seq, ct = Record.Seal.seal seal (Bytes.of_string "pre-erase") in
   Record.Epoch.erase e_recv;
-  Alcotest.(check bool) "erased" true (Record.Epoch.erased e_recv);
   (match Record.Sink.open_ sink ~seq ct with
   | Error `Auth -> ()
   | Error `Replay | Ok _ -> Alcotest.fail "erased epoch still opens");
@@ -421,7 +420,7 @@ let test_ticket_tamper () =
 
 let test_path_digest () =
   let d1 = Record.Ticket.path_digest [ 1; 2; 3 ] in
-  Alcotest.(check int) "digest size" Record.Ticket.digest_size (Bytes.length d1);
+  Alcotest.(check int) "digest size" 16 (Bytes.length d1);
   Alcotest.(check bool) "deterministic" true
     (Bytes.equal d1 (Record.Ticket.path_digest [ 1; 2; 3 ]));
   Alcotest.(check bool) "order-sensitive" false

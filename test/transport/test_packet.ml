@@ -244,7 +244,8 @@ let test_packet_lossy_end_to_end () =
       let bi = (List.hd block : Packet.t).block in
       List.iter
         (fun (p : Packet.t) ->
-          let mask = Channel.multicast channel in
+          let mask = Array.make (Channel.size channel) false in
+          Channel.multicast_into channel mask;
           Array.iteri
             (fun r got ->
               if got then
@@ -256,7 +257,8 @@ let test_packet_lossy_end_to_end () =
       let parity = Packet.parity_shards block ~nparity:6 in
       List.iteri
         (fun j shard ->
-          let mask = Channel.multicast channel in
+          let mask = Array.make (Channel.size channel) false in
+          Channel.multicast_into channel mask;
           Array.iteri
             (fun r got ->
               if got then record (Channel.receiver channel r).member bi (`Parity (j, shard)))

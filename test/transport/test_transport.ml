@@ -33,6 +33,10 @@ let make_group ?(seed = 1) ?(n = 64) ?(n_high = 16) ?(ph = 0.2) ?(pl = 0.0) ~dep
 (* ------------------------------------------------------------------ *)
 (* Job                                                                 *)
 
+(* Receivers (dense indexes) needing entry [e]. *)
+let interested_receivers job e =
+  List.filter (fun r -> List.mem e (Job.interest job r)) (List.init (Job.n_receivers job) Fun.id)
+
 let test_job_interest_matches_receivers () =
   let channel, trees, msg, _ = make_group ~departs:[ 3; 40 ] () in
   let job = Job.of_rekey ~channel ~trees msg in
@@ -42,7 +46,7 @@ let test_job_interest_matches_receivers () =
     Alcotest.(check int)
       (Printf.sprintf "entry %d interest = receivers field" e)
       entry.receivers
-      (List.length (Job.interested_receivers job e))
+      (List.length (interested_receivers job e))
   done
 
 let test_job_interest_is_path () =
@@ -66,11 +70,11 @@ let test_job_rejects_bad_interest () =
   let channel, _, msg, _ = make_group ~departs:[ 1 ] () in
   let entries = Array.of_list msg.entries in
   (match
-     Job.create ~channel ~entries ~interest:(Array.make (Channel.size channel) [ 9999 ])
+     Job.Private.create ~channel ~entries ~interest:(Array.make (Channel.size channel) [ 9999 ])
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range entry accepted");
-  match Job.create ~channel ~entries ~interest:[| [] |] with
+  match Job.Private.create ~channel ~entries ~interest:[| [] |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong interest length accepted"
 
@@ -101,21 +105,21 @@ let prop_pack_preserves_copies =
       flat = expected && List.for_all (fun p -> List.length p <= capacity && p <> []) packets)
 
 (* ------------------------------------------------------------------ *)
-(* Delivery.expected_replications_of                                   *)
+(* Delivery.Private.expected_replications_of                                   *)
 
 let test_expected_replications_matches_analytic () =
   let loss_of _ = 0.2 in
-  let mine = Delivery.expected_replications_of ~loss_of ~receivers:(range 0 99) in
+  let mine = Delivery.Private.expected_replications_of ~loss_of ~receivers:(range 0 99) in
   let theirs =
-    Gkm_analytic.Wka_bkr.expected_replications ~receivers:100.0 (Gkm_analytic.Wka_bkr.uniform 0.2)
+    Gkm_analytic.Wka_bkr.Private.expected_replications ~receivers:100.0 (Gkm_analytic.Wka_bkr.uniform 0.2)
   in
   Alcotest.(check (float 1e-6)) "formula 14 agreement" theirs mine
 
 let test_expected_replications_empty () =
   Alcotest.(check (float 0.0)) "no receivers" 0.0
-    (Delivery.expected_replications_of ~loss_of:(fun _ -> 0.5) ~receivers:[]);
+    (Delivery.Private.expected_replications_of ~loss_of:(fun _ -> 0.5) ~receivers:[]);
   Alcotest.(check (float 0.0)) "lossless receivers" 1.0
-    (Delivery.expected_replications_of ~loss_of:(fun _ -> 0.0) ~receivers:[ 1; 2 ])
+    (Delivery.Private.expected_replications_of ~loss_of:(fun _ -> 0.0) ~receivers:[ 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* WKA-BKR                                                             *)
@@ -155,7 +159,7 @@ let test_wka_config_validation () =
   let channel, trees, msg, _ = make_group ~departs:[ 1 ] () in
   let job = Job.of_rekey ~channel ~trees msg in
   match
-    Wka_bkr.deliver ~config:{ Wka_bkr.default with keys_per_packet = 0 } ~channel job
+    Wka_bkr.deliver ~config:{ Wka_bkr.keys_per_packet = 0; max_rounds = 100; weight_cap = 16 } ~channel job
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad config accepted"
@@ -289,7 +293,7 @@ let test_round_limit_reported () =
     [
       ( "wka-bkr",
         fun ~channel job ->
-          Wka_bkr.deliver ~config:{ Wka_bkr.default with max_rounds = 20 } ~channel job );
+          Wka_bkr.deliver ~config:{ Wka_bkr.keys_per_packet = 25; max_rounds = 20; weight_cap = 16 } ~channel job );
       ( "multi-send",
         fun ~channel job ->
           Multi_send.deliver ~config:{ Multi_send.default with max_rounds = 20 } ~channel job );
@@ -345,7 +349,7 @@ let prop_wka_matches_reference =
    and the delivery is the unbounded seed reference's, weight for
    weight. *)
 let test_wka_black_hole_bounded () =
-  let config = { Wka_bkr.default with max_rounds = 5 } in
+  let config = { Wka_bkr.keys_per_packet = 25; max_rounds = 5; weight_cap = 16 } in
   let bound = float_of_int config.weight_cap +. 0.5 in
   let run deliver =
     let channel, trees, msg, _ = make_group ~n:32 ~n_high:1 ~ph:1.0 ~pl:0.1 ~departs:[ 5 ] () in
@@ -394,7 +398,7 @@ let test_empty_job_is_free () =
   let channel =
     Channel.create ~rng:(Prng.create 35) [ (999, Loss_model.bernoulli 0.1) ]
   in
-  let job = Job.create ~channel ~entries:[||] ~interest:[| [] |] in
+  let job = Job.Private.create ~channel ~entries:[||] ~interest:[| [] |] in
   List.iter
     (fun (name, deliver) ->
       let o : Delivery.outcome = deliver ~channel job in

@@ -42,7 +42,7 @@ module State = struct
     end
 
   let remaining_receivers t ~e =
-    List.filter (fun r -> needs t ~r ~e) (Job.interested_receivers t.job e)
+    List.filter (fun r -> needs t ~r ~e) (List.init (Job.n_receivers t.job) Fun.id)
 
   let pending_entries t =
     let acc = ref [] in
@@ -57,7 +57,9 @@ module State = struct
     Array.fold_left (fun acc h -> if Hashtbl.length h > 0 then acc + 1 else acc) 0 t.need
 end
 
-let deliver ?(config = Wka_bkr.default) ~channel job =
+let deliver
+    ?(config = { Wka_bkr.keys_per_packet = 25; max_rounds = 100; weight_cap = 16 }) ~channel job
+    =
   let state = State.create job in
   let loss_of r = Loss_model.mean_loss (Channel.receiver channel r).model in
   let rounds = ref 0 and packets = ref 0 and keys = ref 0 in
@@ -72,7 +74,7 @@ let deliver ?(config = Wka_bkr.default) ~channel job =
       List.map
         (fun e ->
           let receivers = State.remaining_receivers state ~e in
-          let em = Delivery.expected_replications_of ~loss_of ~receivers in
+          let em = Delivery.Private.expected_replications_of ~loss_of ~receivers in
           let w = max 1 (min config.Wka_bkr.weight_cap (int_of_float (Float.round em))) in
           (e, w))
         pending
@@ -89,7 +91,8 @@ let deliver ?(config = Wka_bkr.default) ~channel job =
       (fun packet ->
         incr packets;
         keys := !keys + List.length packet;
-        let mask = Channel.multicast channel in
+        let mask = Array.make (Channel.size channel) false in
+        Channel.multicast_into channel mask;
         Array.iteri
           (fun r got -> if got then List.iter (fun e -> State.receive state ~r ~e) packet)
           mask)

@@ -54,15 +54,32 @@ let test_durations_and_censoring () =
   Alcotest.(check (list (float 1e-9))) "durations" [ 5.0 ] (Trace.durations events);
   Alcotest.(check int) "censored" 2 (Trace.censored events)
 
+(* A trace batched into rekey intervals of length [tp]: for each
+   interval, the joins (with class) and departures inside it; the
+   buckets cover the last event. *)
+let bucket ~tp events =
+  let last = List.fold_left (fun acc (e : Membership.event) -> max acc e.time) 0.0 events in
+  let n = 1 + int_of_float (last /. tp) in
+  let buckets = Array.make n ([], []) in
+  List.iter
+    (fun (e : Membership.event) ->
+      let idx = min (n - 1) (int_of_float (e.time /. tp)) in
+      let joins, departs = buckets.(idx) in
+      match e.kind with
+      | `Join -> buckets.(idx) <- ((e.member, e.cls) :: joins, departs)
+      | `Depart -> buckets.(idx) <- (joins, e.member :: departs))
+    events;
+  Array.to_list buckets
+
 let test_bucket_matches_membership_intervals () =
-  (* Trace.bucket over a generated trace must agree with the generator's
-     own bucketing. *)
+  (* The generator's own bucketing must agree with its event trace
+     bucketed by time. *)
   let rng = Prng.create 2 in
   let n = 10 in
   let direct = Membership.intervals cfg ~rng ~n_intervals:n in
   let rng = Prng.create 2 in
   let events = Membership.generate cfg ~rng ~horizon:(float_of_int n *. cfg.tp) in
-  let from_trace = Trace.bucket ~tp:cfg.tp events in
+  let from_trace = bucket ~tp:cfg.tp events in
   (* Same totals interval by interval (the trace may have one extra
      trailing bucket when the last event lands exactly on the horizon). *)
   List.iteri

@@ -2,50 +2,6 @@ module Prng = Gkm_crypto.Prng
 open Gkm_workload
 
 (* ------------------------------------------------------------------ *)
-(* Duration                                                            *)
-
-let sample_mean dist n seed =
-  let rng = Prng.create seed in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    sum := !sum +. Duration.sample dist rng
-  done;
-  !sum /. float_of_int n
-
-let test_duration_exponential () =
-  let d = Duration.exponential 100.0 in
-  Alcotest.(check (float 1e-9)) "mean" 100.0 (Duration.mean d);
-  let emp = sample_mean d 100_000 1 in
-  Alcotest.(check bool) (Printf.sprintf "empirical %.1f" emp) true (abs_float (emp -. 100.0) < 2.0);
-  Alcotest.(check (float 1e-9)) "survival at 0" 1.0 (Duration.survival d 0.0);
-  Alcotest.(check (float 1e-12)) "survival at mean" (exp (-1.0)) (Duration.survival d 100.0)
-
-let test_duration_pareto () =
-  let d = Duration.pareto ~shape:2.0 ~scale:10.0 in
-  Alcotest.(check (float 1e-9)) "mean" 20.0 (Duration.mean d);
-  Alcotest.(check bool) "infinite mean when shape <= 1" true
-    (Duration.mean (Duration.pareto ~shape:1.0 ~scale:5.0) = infinity);
-  let emp = sample_mean d 200_000 2 in
-  Alcotest.(check bool) (Printf.sprintf "empirical %.2f" emp) true (abs_float (emp -. 20.0) < 1.0);
-  Alcotest.(check (float 1e-9)) "survival below scale" 1.0 (Duration.survival d 5.0);
-  Alcotest.(check (float 1e-9)) "survival at 2x scale" 0.25 (Duration.survival d 20.0)
-
-let test_duration_fixed () =
-  let d = Duration.fixed 7.0 in
-  Alcotest.(check (float 0.0)) "sample" 7.0 (Duration.sample d (Prng.create 3));
-  Alcotest.(check (float 0.0)) "mean" 7.0 (Duration.mean d);
-  Alcotest.(check (float 0.0)) "survival before" 1.0 (Duration.survival d 6.9);
-  Alcotest.(check (float 0.0)) "survival after" 0.0 (Duration.survival d 7.0)
-
-let test_duration_validation () =
-  (match Duration.exponential 0.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero mean accepted");
-  match Duration.pareto ~shape:(-1.0) ~scale:1.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative shape accepted"
-
-(* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
 
 let cfg = Membership.of_params ~n_target:500 ~alpha:0.8 ~ms:180.0 ~ml:10800.0 ~tp:60.0
@@ -193,17 +149,19 @@ let test_fit_orders_components () =
   let m = Fit.em durations in
   Alcotest.(check bool) "ms <= ml" true (m.ms <= m.ml)
 
-let test_fit_classify () =
-  let m = { Fit.alpha = 0.5; ms = 10.0; ml = 10_000.0 } in
-  Alcotest.(check bool) "short duration classified short" true (Fit.classify m 1.0 = `Short);
-  Alcotest.(check bool) "long duration classified long" true (Fit.classify m 9_000.0 = `Long)
+(* The mixture log-likelihood EM climbs. *)
+let log_likelihood (m : Fit.mixture) durations =
+  let density mean x = exp (-.x /. mean) /. mean in
+  List.fold_left
+    (fun acc x -> acc +. log (max 1e-300 ((m.alpha *. density m.ms x) +. ((1.0 -. m.alpha) *. density m.ml x))))
+    0.0 durations
 
 let test_fit_likelihood_improves () =
   let durations = synth_durations ~n:3_000 ~alpha:0.7 ~ms:100.0 ~ml:5000.0 ~seed:11 in
   let fitted = Fit.em durations in
   let bad = { Fit.alpha = 0.5; ms = 1000.0; ml = 1001.0 } in
   Alcotest.(check bool) "fitted beats a bad model" true
-    (Fit.log_likelihood fitted durations > Fit.log_likelihood bad durations)
+    (log_likelihood fitted durations > log_likelihood bad durations)
 
 let test_fit_validation () =
   (match Fit.em [] with
@@ -218,13 +176,6 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "gkm_workload"
     [
-      ( "duration",
-        [
-          Alcotest.test_case "exponential" `Quick test_duration_exponential;
-          Alcotest.test_case "pareto" `Quick test_duration_pareto;
-          Alcotest.test_case "fixed" `Quick test_duration_fixed;
-          Alcotest.test_case "validation" `Quick test_duration_validation;
-        ] );
       ( "membership",
         [
           Alcotest.test_case "steady-state size" `Quick test_membership_steady_state_size;
@@ -238,7 +189,6 @@ let () =
         [
           Alcotest.test_case "recovers mixture" `Quick test_fit_recovers_mixture;
           Alcotest.test_case "orders components" `Quick test_fit_orders_components;
-          Alcotest.test_case "classify" `Quick test_fit_classify;
           Alcotest.test_case "likelihood improves" `Quick test_fit_likelihood_improves;
           Alcotest.test_case "validation" `Quick test_fit_validation;
         ] );
