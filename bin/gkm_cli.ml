@@ -640,9 +640,8 @@ let transport_term =
 let serve_cmd =
   let module Loop = Gkm_netd.Loop in
   let module Server = Gkm_netd.Server in
-  let run host port org_sel tp capacity soft hard retx grace resync_budget strikes max_clients
-      degree k ticket_horizon ticket_rewrap domains group intervals duration journal_file
-      port_file stats_file seed =
+  let run host port org_sel tp resync_budget max_clients degree k domains group intervals
+      duration journal_file port_file stats_file seed =
     let transport = match group with None -> Server.Tcp | Some group -> Server.udp group in
     let spec = org_spec ~degree ~k ~seed org_sel in
     let oc =
@@ -661,16 +660,8 @@ let serve_cmd =
         port;
         org = spec;
         tp;
-        capacity;
-        outbox_soft = soft;
-        outbox_hard = hard;
-        retx_window = retx;
-        resync_grace = grace;
         resync_budget;
-        stall_strikes = strikes;
         max_clients;
-        ticket_horizon;
-        ticket_rewrap;
         ticket_seed = seed + 2;
         domains;
         transport;
@@ -699,7 +690,7 @@ let serve_cmd =
       (if domains >= 2 then Printf.sprintf ", %d fan-out domains" domains else "")
       (match transport with
       | Server.Tcp -> ""
-      | Server.Udp { group; _ } ->
+      | Server.Udp group ->
           Printf.sprintf ", UDP data plane on %s" (Gkm_netd.Mcast.group_to_string group));
     let stop_flag = ref false in
     (try Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop_flag := true))
@@ -793,36 +784,6 @@ let serve_cmd =
             "Group organization: $(b,one)|$(b,qt)|$(b,tt)|$(b,pt), $(b,loss:T1,..), \
              $(b,random:K), or $(b,composed).")
   in
-  let capacity_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "capacity" ] ~docv:"B"
-          ~doc:
-            (Printf.sprintf
-               "Rekey packet payload (bytes), at least %d: one entry group holding one \
-                32-byte wrap, with its ids at their widest."
-               Gkm_transport.Packet.min_capacity_bytes))
-  in
-  let soft_arg =
-    Arg.(
-      value
-      & opt int (256 * 1024)
-      & info [ "outbox-soft" ] ~docv:"B" ~doc:"Backlog beyond which an interval is skipped.")
-  in
-  let hard_arg =
-    Arg.(
-      value
-      & opt int (1024 * 1024)
-      & info [ "outbox-hard" ] ~docv:"B" ~doc:"Backlog beyond which the client is evicted.")
-  in
-  let retx_arg =
-    Arg.(value & opt int 8 & info [ "retx-window" ] ~doc:"Rekeys kept for retransmission.")
-  in
-  let grace_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "resync-grace" ] ~doc:"Rekeys a disconnected member stays registered.")
-  in
   let resync_budget_arg =
     Arg.(
       value & opt int 64
@@ -831,25 +792,8 @@ let serve_cmd =
             "Recovery resyncs served per connection before the client is dropped with a \
              protocol error (NACK-flood amplification brake).")
   in
-  let strikes_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "stall-strikes" ] ~doc:"Consecutive skipped intervals before eviction.")
-  in
   let max_clients_arg =
     Arg.(value & opt int 4096 & info [ "max-clients" ] ~doc:"Connection limit.")
-  in
-  let ticket_horizon_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "ticket-horizon" ] ~docv:"E"
-          ~doc:"Max epochs between a ticket's issue and its REJOIN before it is refused.")
-  in
-  let ticket_rewrap_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "ticket-rewrap" ] ~docv:"E"
-          ~doc:"Epochs between age-based ticket reissues to connected members.")
   in
   let domains_arg =
     Arg.(
@@ -894,9 +838,8 @@ let serve_cmd =
       $ port_arg "TCP port (0 picks one)."
       $ org_arg
       $ tp_arg ~default:1.0 ()
-      $ capacity_arg $ soft_arg $ hard_arg $ retx_arg $ grace_arg $ resync_budget_arg
-      $ strikes_arg $ max_clients_arg $ degree_arg $ k_arg $ ticket_horizon_arg
-      $ ticket_rewrap_arg $ domains_arg $ transport_term $ intervals_arg
+      $ resync_budget_arg $ max_clients_arg $ degree_arg $ k_arg $ domains_arg
+      $ transport_term $ intervals_arg
       $ duration_arg "Stop after $(docv) seconds."
       $ journal_arg "Enable observability and stream the JSONL event journal to $(docv)."
       $ port_file_arg $ stats_file_arg $ seed_arg)

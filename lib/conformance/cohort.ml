@@ -122,13 +122,12 @@ end
 
 (* ---------------- well-behaved cohorts ---------------- *)
 
-let spawn_clients ~loop ~port ~n ?(cls = `Long) ?(loss = 0.0) ?drop ?mcast
-    ?(mcast_fault = Gkm_net.Netem.none) ?(seed = 7) () =
+let spawn_clients ~loop ~port ~n ?(loss = 0.0) ?drop ?mcast ?(mcast_fault = Gkm_net.Netem.none)
+    ?(seed = 7) () =
   List.init n (fun i ->
       Client.connect ~loop
         {
           (Client.config ~port) with
-          cls;
           loss;
           drop;
           seed = seed + i;

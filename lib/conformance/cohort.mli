@@ -26,7 +26,6 @@ val spawn_clients :
   loop:Gkm_netd.Loop.t ->
   port:int ->
   n:int ->
-  ?cls:Gkm_wire.Msg.cls ->
   ?loss:float ->
   ?drop:Gkm_net.Loss_model.t ->
   ?mcast:Gkm_netd.Mcast.group ->
@@ -34,8 +33,9 @@ val spawn_clients :
   ?seed:int ->
   unit ->
   Gkm_netd.Client.t list
-(** [mcast] subscribes every spawned client to the server's UDP data
-    plane; [mcast_fault] is a receive-side {!Gkm_net.Netem} shim on
+(** The clients join in the long-duration class, the
+    {!Gkm_netd.Client.config} default. [mcast] subscribes every spawned
+    client to the server's UDP data plane; [mcast_fault] is a receive-side {!Gkm_net.Netem} shim on
     that subscription (defaults to no faults). *)
 
 val await_members : loop:Gkm_netd.Loop.t -> timeout:float -> name:string -> Gkm_netd.Client.t list -> verdict

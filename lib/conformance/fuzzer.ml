@@ -88,8 +88,9 @@ let gen_bounded rng max =
   | 1 -> max
   | _ -> Prng.int rng (1 + min max 0x3FFF_FFFF)
 
-(* Record seqs of both spaces: small multicast and unicast ones (the
-   1-2 byte spellings), the extremes, and any 64-bit pattern. *)
+(* Record seqs: small ones with bit 63 clear or set (the 1-2 byte
+   spellings), the extremes, and any 64-bit pattern. The wire carries
+   any int64; only a record sink refuses a negative one. *)
 let gen_seq rng =
   match Prng.int rng 4 with
   | 0 -> Int64.of_int (Prng.int rng 20_000)

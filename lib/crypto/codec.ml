@@ -66,8 +66,9 @@ let add_vlist buf add items =
   add_bits buf (List.length items);
   List.iter (add buf) items
 
-(* Rotating left one bit puts the unicast flag (bit 63) in bit 0, so
-   both sequence spaces count up from 1-byte spellings. *)
+(* Rotating left one bit puts bit 63 in bit 0, so small seqs take
+   1-byte spellings with bit 63 set or clear. No sealer sets bit 63,
+   but the spelling stays: changing it moves every record's bytes. *)
 let rotl1 v = Int64.logor (Int64.shift_left v 1) (Int64.shift_right_logical v 63)
 let rotr1 u = Int64.logor (Int64.shift_right_logical u 1) (Int64.shift_left u 63)
 let low7_clear = Int64.lognot 0x7FL

@@ -15,7 +15,6 @@ type config = {
   loss : float;
   drop : Loss_model.t option;  (** simulated loss applied to REKEY frames only *)
   seed : int;
-  max_frame : int;
   resume : bytes option;  (** exported resumption blob to rejoin from *)
   mcast : Mcast.group option;  (** subscribe to the UDP data plane *)
   mcast_fault : Gkm_net.Netem.cfg;
@@ -30,7 +29,6 @@ let config ~port =
     loss = 0.0;
     drop = None;
     seed = 0;
-    max_frame = Frame.max_frame_default;
     resume = None;
     mcast = None;
     mcast_fault = Gkm_net.Netem.none;
@@ -689,7 +687,7 @@ let open_conn t =
   | e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e);
-  let c = Conn.create ~max_frame:t.cfg.max_frame fd in
+  let c = Conn.create fd in
   t.conn <- Some c;
   t.phase <- Connecting;
   Loop.add_fd t.loop fd ~readable:(on_readable t) ~writable:(on_writable t);

@@ -40,7 +40,6 @@ type config = {
   drop : Gkm_net.Loss_model.t option;
       (** simulated receive loss, applied to REKEY frames only *)
   seed : int;  (** PRNG seed for the drop model *)
-  max_frame : int;
   resume : bytes option;
       (** a blob from {!export_resumption}: start as that member and
           rejoin by ticket instead of joining fresh *)

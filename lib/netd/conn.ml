@@ -22,11 +22,11 @@ type t = {
    domains must not share scratch space. *)
 let scratch_key = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
-let create ?max_frame fd =
+let create fd =
   Unix.set_nonblock fd;
   {
     fd;
-    dec = Frame.decoder ?max_frame ();
+    dec = Frame.decoder ();
     outq = Queue.create ();
     out_bytes = 0;
     bytes_rx = 0;

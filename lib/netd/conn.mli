@@ -21,8 +21,9 @@
 
 type t
 
-val create : ?max_frame:int -> Unix.file_descr -> t
-(** Takes ownership of [fd] and switches it to non-blocking mode. *)
+val create : Unix.file_descr -> t
+(** Takes ownership of [fd] and switches it to non-blocking mode. Its
+    frame decoder refuses a frame body over 1 MiB. *)
 
 val fd : t -> Unix.file_descr
 

@@ -8,11 +8,32 @@ module Record = Gkm_record.Record
 module Journal = Gkm_obs.Journal
 module Obs = Gkm_obs.Obs
 
-type transport =
-  | Tcp
-  | Udp of { group : Mcast.group; max_dgram : int }
+type transport = Tcp | Udp of Mcast.group
 
-let udp ?(max_dgram = 60000) group = Udp { group; max_dgram }
+let udp group = Udp group
+
+(* The largest rekey datagram the server multicasts: inside the 64 KiB
+   UDP payload ceiling with headroom for the IP and UDP headers. A
+   bound set by the transport, not a tuning knob; a larger generation
+   goes out over TCP for its interval. *)
+let max_dgram = 60000
+
+(* Rekeys kept for retransmission. A NACK for an older one is answered
+   with a full RESYNC, one key path, so the window only has to cover a
+   member that misses a few rekeys in a row. *)
+let retx_window = 8
+
+(* Consecutive soft-skipped intervals before a stalled reader is
+   evicted: a skip stops its backlog growing, so [outbox_hard] alone
+   never catches a reader that stopped for good. *)
+let stall_strikes = 8
+
+(* Epochs between a ticket's issue and its REJOIN past which the
+   ticket is refused (soft err_ticket: the member falls back to an
+   authenticated RESYNC). Connected members get a fresh ticket every
+   [ticket_rewrap] epochs (64 by default, at most this), so only a
+   member dark for longer than this ever meets it. *)
+let ticket_horizon = 200
 
 type config = {
   host : string;
@@ -20,16 +41,12 @@ type config = {
   org : Organization.spec;
   tp : float;
   capacity : int;
-  max_frame : int;
   outbox_soft : int;
   outbox_hard : int;
-  retx_window : int;
   resync_grace : int;
   resync_budget : int;
-  stall_strikes : int;
   max_clients : int;
   sndbuf : int option;
-  ticket_horizon : int;
   ticket_rewrap : int;
   ticket_seed : int;
   domains : int;
@@ -43,16 +60,12 @@ let default_config =
     org = Organization.Scheme_cfg (Gkm.Scheme.default_config Gkm.Scheme.Tt);
     tp = 1.0;
     capacity = 1024;
-    max_frame = Frame.max_frame_default;
     outbox_soft = 256 * 1024;
     outbox_hard = 1024 * 1024;
-    retx_window = 8;
     resync_grace = 50;
     resync_budget = 64;
-    stall_strikes = 8;
     max_clients = 4096;
     sndbuf = None;
-    ticket_horizon = 200;
     ticket_rewrap = 64;
     ticket_seed = 0xC0FFEE;
     domains = 1;
@@ -618,7 +631,7 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
              new member with no claim to the old one's keys. *)
           send_soft_error t cl Msg.err_evicted "membership revoked"
       | Some individual ->
-          if t.epoch - c.Record.Ticket.issued_epoch > t.cfg.ticket_horizon then
+          if t.epoch - c.Record.Ticket.issued_epoch > ticket_horizon then
             send_soft_error t cl Msg.err_ticket "ticket beyond rewrap horizon"
           else begin
             let path = O.member_path member in
@@ -739,7 +752,7 @@ let accept_loop t () =
           (match t.cfg.sndbuf with
           | Some n -> ( try Unix.setsockopt_int fd SO_SNDBUF n with Unix.Unix_error _ -> ())
           | None -> ());
-          let conn = Conn.create ~max_frame:t.cfg.max_frame fd in
+          let conn = Conn.create fd in
           let cl =
             {
               conn;
@@ -962,7 +975,7 @@ let backpressure t cl =
   else if backlog > t.cfg.outbox_soft then begin
     t.stats.soft_skips <- t.stats.soft_skips + 1;
     cl.strikes <- cl.strikes + 1;
-    if cl.strikes >= t.cfg.stall_strikes then `Evict else `Skip
+    if cl.strikes >= stall_strikes then `Evict else `Skip
   end
   else begin
     cl.strikes <- 0;
@@ -1071,7 +1084,7 @@ let tick t =
             Hashtbl.replace t.history t.rekey_no
               { h_epoch = msg.epoch; h_root = msg.root_node; h_packets = packets; h_seal = seal })
           t.seal;
-        Hashtbl.remove t.history (t.rekey_no - t.cfg.retx_window)
+        Hashtbl.remove t.history (t.rekey_no - retx_window)
       end;
       (* Admit this interval's joiners: JOIN_ACK carries the full key
          path, the wire form of the registration unicast, and the
@@ -1164,9 +1177,6 @@ let tick t =
               | None -> false
               | Some (lbl, pairs) ->
                   let records = Array.to_list pairs in
-                  let max_dgram =
-                    match t.cfg.transport with Udp u -> u.max_dgram | Tcp -> assert false
-                  in
                   let d = { Gkm_wire.Dgram.epoch = lbl; records } in
                   if
                     total <= Gkm_wire.Dgram.max_records
@@ -1315,8 +1325,8 @@ let create ~loop (cfg : config) =
          cfg.capacity Packet.min_capacity_bytes);
   if cfg.outbox_soft > cfg.outbox_hard then
     invalid_arg "Netd.Server: outbox_soft must not exceed outbox_hard";
-  if cfg.ticket_horizon < 0 then invalid_arg "Netd.Server: ticket_horizon must be non-negative";
-  if cfg.ticket_rewrap < 1 then invalid_arg "Netd.Server: ticket_rewrap must be positive";
+  if cfg.ticket_rewrap < 1 || cfg.ticket_rewrap > ticket_horizon then
+    invalid_arg (Printf.sprintf "Netd.Server: ticket_rewrap must be in [1, %d]" ticket_horizon);
   if cfg.domains < 1 || cfg.domains > 64 then
     invalid_arg "Netd.Server: domains must be in [1, 64]";
   let org = Organization.create cfg.org in
@@ -1336,8 +1346,8 @@ let create ~loop (cfg : config) =
       let mcast =
         match cfg.transport with
         | Tcp -> None
-        | Udp u -> (
-            match Mcast.create_sender u.group with
+        | Udp group -> (
+            match Mcast.create_sender group with
             | Ok s -> Some s
             | Error e -> invalid_arg ("Netd.Server: udp transport: " ^ e))
       in

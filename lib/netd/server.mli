@@ -9,15 +9,16 @@
     shared across all outboxes (the records carry only the entries
     that a member not sent its whole path by unicast that tick can
     use: {!Gkm_lkh.Rekey_msg.for_audience}), answers NACKs from a
-    bounded retransmission history (out-of-window NACKs get a full
-    RESYNC instead), and authenticates reconnecting members with
-    {!Gkm_wire.Frame.resync_auth}.
+    retransmission history of the last 8 rekeys (out-of-window NACKs
+    get a full RESYNC instead), and authenticates reconnecting members
+    with {!Gkm_wire.Frame.resync_auth}.
 
     Backpressure has two tiers, both measured on the outbox byte
     backlog at fan-out time: beyond [outbox_soft] the client is
     skipped for the interval (it recovers the rekey_no gap via
-    NACK/RESYNC); beyond [outbox_hard] it is evicted — departed from
-    the organization and disconnected. A member whose connection
+    NACK/RESYNC); beyond [outbox_hard], or on its eighth skip in a
+    row, it is evicted — departed from the organization and
+    disconnected. A member whose connection
     merely drops keeps its membership for [resync_grace] rekeys, then
     departs.
 
@@ -57,13 +58,12 @@
 
 type transport =
   | Tcp  (** rekeys unicast over every member connection (default) *)
-  | Udp of { group : Mcast.group; max_dgram : int }
-      (** sealed rekey generations multicast to [group]; generations
-          over [max_dgram] bytes fall back to TCP unicast *)
+  | Udp of Mcast.group
+      (** sealed rekey generations multicast to the group; a generation
+          whose datagram would pass 60,000 bytes (inside the 64 KiB UDP
+          payload ceiling) falls back to TCP unicast *)
 
-val udp : ?max_dgram:int -> Mcast.group -> transport
-(** [max_dgram] defaults to 60000 — inside the 64 KiB UDP payload
-    ceiling with headroom. *)
+val udp : Mcast.group -> transport
 
 type config = {
   host : string;
@@ -73,10 +73,8 @@ type config = {
   capacity : int;
       (** packet payload capacity, bytes; at least
           {!Gkm_transport.Packet.min_capacity_bytes} *)
-  max_frame : int;
   outbox_soft : int;  (** backlog (bytes) beyond which an interval is skipped *)
   outbox_hard : int;  (** backlog (bytes) beyond which the client is evicted *)
-  retx_window : int;  (** rekeys kept for retransmission *)
   resync_grace : int;  (** rekeys a disconnected member stays registered *)
   resync_budget : int;
       (** recovery resyncs served per connection binding before the
@@ -85,20 +83,15 @@ type config = {
           grant would let a NACK flood amplify a few bytes into
           arbitrary transmit work; the counter resets with the
           connection, so honest reconnects are never locked out. *)
-  stall_strikes : int;
-      (** consecutive soft-skipped intervals before a stuck client is
-          evicted (skipping halts backlog growth, so the hard mark
-          alone cannot catch a permanently stalled reader) *)
   max_clients : int;
   sndbuf : int option;
       (** SO_SNDBUF for accepted sockets — small values let tests fill
           the kernel buffer and exercise the backpressure tiers *)
-  ticket_horizon : int;
-      (** max epochs between a ticket's issue and its presentation in
-          REJOIN before the server refuses it (soft err_ticket) *)
   ticket_rewrap : int;
       (** epochs between age-based ticket reissues to connected
-          members; keeps every live ticket well inside the horizon *)
+          members, in [1, 200]: keeps every live ticket inside the
+          200-epoch horizon past which a REJOIN is refused (soft
+          err_ticket) *)
   ticket_seed : int;  (** seed for the server-local ticket sealing key *)
   domains : int;
       (** REKEY fan-out writers, in [1, 64]. 1 (the default) is the
@@ -151,8 +144,8 @@ type stats = {
   mutable mcast_bytes : int;
       (** payload bytes multicast: those datagrams and the heartbeats *)
   mutable mcast_fallback_unicast : int;
-      (** rekey generations that exceeded [max_dgram] and were
-          delivered over TCP unicast instead *)
+      (** rekey generations too large for one datagram, delivered
+          over TCP unicast instead *)
   mutable mcast_heartbeats : int;
       (** quiet-tick re-multicasts of the latest generation's datagram
           (power-of-two backoff since the last framed rekey) — the

@@ -45,9 +45,8 @@ end
    counts a record's blocks in; AD: "gkmrec2" || seq. The traffic key
    depends on the DEK value alone. No two records under one key share
    a counter block, which CTR mode requires, only if each DEK value
-   has one strictly increasing seq per space — across the DEK's
-   returns too (one Seal per DEK value) — and no record reaches 2^64
-   blocks. *)
+   has one strictly increasing seq — across the DEK's returns too (one
+   Seal per DEK value) — and no record reaches 2^64 blocks. *)
 let nonce_of_seq seq =
   let n = Bytes.create Aead.nonce_size in
   Bytes.set_int64_be n 0 seq;
@@ -83,16 +82,10 @@ let counter_open key ~ad blob =
   | Error e -> Error e
   | Ok (n, sealed) -> Aead.open_ key ~nonce:(nonce_of_seq n) ~ad sealed
 
-type space = [ `Multicast | `Unicast ]
-
-(* Unicast sequences live in their own space: bit 63 set. The window
-   below keys off the same bit, so the two spaces never collide. *)
-let space_base = function `Multicast -> 0L | `Unicast -> Int64.min_int
-
 module Seal = struct
   type t = { epoch : Epoch.t; mutable next : int64 }
 
-  let create ?(space = `Multicast) epoch = { epoch; next = space_base space }
+  let create epoch = { epoch; next = 0L }
   let epoch t = t.epoch
 
   let seal t plaintext =
@@ -113,75 +106,71 @@ module Sink = struct
      bit [s land (window_bits-1)] records whether [s] was seen for any
      [s] in (top - window_bits, top]. Bits are only marked after the
      tag verifies, so a dropped-then-retransmitted frame still opens. *)
-  type window = { mutable top : int64; bits : Bytes.t }
+  type t = { epoch : Epoch.t; mutable top : int64; bits : Bytes.t }
 
-  let fresh_window () = { top = -1L; bits = Bytes.make window_bytes '\x00' }
+  let create epoch = { epoch; top = -1L; bits = Bytes.make window_bytes '\x00' }
+  let epoch t = t.epoch
 
   let bit_idx off = Int64.to_int (Int64.logand off (Int64.of_int (window_bits - 1)))
 
-  let get_bit w off =
+  let get_bit t off =
     let i = bit_idx off in
-    Char.code (Bytes.get w.bits (i / 8)) land (1 lsl (i mod 8)) <> 0
+    Char.code (Bytes.get t.bits (i / 8)) land (1 lsl (i mod 8)) <> 0
 
-  let set_bit w off =
+  let set_bit t off =
     let i = bit_idx off in
-    Bytes.set w.bits (i / 8)
-      (Char.chr (Char.code (Bytes.get w.bits (i / 8)) lor (1 lsl (i mod 8))))
+    Bytes.set t.bits (i / 8)
+      (Char.chr (Char.code (Bytes.get t.bits (i / 8)) lor (1 lsl (i mod 8))))
 
-  let clear_bit w off =
+  let clear_bit t off =
     let i = bit_idx off in
-    Bytes.set w.bits (i / 8)
-      (Char.chr (Char.code (Bytes.get w.bits (i / 8)) land lnot (1 lsl (i mod 8))))
+    Bytes.set t.bits (i / 8)
+      (Char.chr (Char.code (Bytes.get t.bits (i / 8)) land lnot (1 lsl (i mod 8))))
 
   (* Would [off] be accepted? (No state change.) *)
-  let admissible w off =
-    if Int64.compare off w.top > 0 then true
+  let admissible t off =
+    if Int64.compare off t.top > 0 then true
     else
-      let delta = Int64.sub w.top off in
+      let delta = Int64.sub t.top off in
       if Int64.compare delta (Int64.of_int window_bits) >= 0 then false
-      else not (get_bit w off)
+      else not (get_bit t off)
 
-  let mark w off =
-    if Int64.compare off w.top > 0 then begin
+  let mark t off =
+    if Int64.compare off t.top > 0 then begin
       (* Advance: clear the bits whose slots now refer to the skipped
          sequence numbers in (top, off). *)
-      let adv = Int64.sub off w.top in
+      let adv = Int64.sub off t.top in
       if Int64.compare adv (Int64.of_int window_bits) >= 0 then
-        Bytes.fill w.bits 0 window_bytes '\x00'
+        Bytes.fill t.bits 0 window_bytes '\x00'
       else
         for i = 1 to Int64.to_int adv - 1 do
-          clear_bit w (Int64.add w.top (Int64.of_int i))
+          clear_bit t (Int64.add t.top (Int64.of_int i))
         done;
-      w.top <- off;
-      set_bit w off
+      t.top <- off;
+      set_bit t off
     end
-    else set_bit w off
+    else set_bit t off
 
-  type t = { epoch : Epoch.t; mcast : window; ucast : window }
-
-  let create epoch = { epoch; mcast = fresh_window (); ucast = fresh_window () }
-  let epoch t = t.epoch
-
-  let window_of t seq = if Int64.compare seq 0L < 0 then t.ucast else t.mcast
-
-  (* Authenticate FIRST, then consult the window. A frame sealed for
+  (* A negative seq is refused before any MAC work: no sealer counts
+     that far, so it can only be forged wire input. Otherwise
+     authenticate FIRST, then consult the window. A frame sealed for
      a different generation must come back [`Auth] — not [`Replay] —
      so the caller can tell "not my keys (maybe ahead of me)" from
-     "genuinely seen before": sequence spaces restart per generation,
+     "genuinely seen before": sequence numbers restart per generation,
      and a window consulted pre-auth would swallow a future
      generation's low seqs as replays. The extra MAC on a true replay
      is the price of that distinction. *)
   let peek t ~seq sealed =
-    match Epoch.key t.epoch with
-    | None -> Error `Auth
-    | Some key -> (
-        match Aead.open_ key ~nonce:(nonce_of_seq seq) ~ad:(ad_of_seq seq) sealed with
-        | Error _ -> Error `Auth
-        | Ok pt ->
-            if admissible (window_of t seq) (Int64.logand seq Int64.max_int) then Ok pt
-            else Error `Replay)
+    if Int64.compare seq 0L < 0 then Error `Auth
+    else
+      match Epoch.key t.epoch with
+      | None -> Error `Auth
+      | Some key -> (
+          match Aead.open_ key ~nonce:(nonce_of_seq seq) ~ad:(ad_of_seq seq) sealed with
+          | Error _ -> Error `Auth
+          | Ok pt -> if admissible t seq then Ok pt else Error `Replay)
 
-  let accept t ~seq = mark (window_of t seq) (Int64.logand seq Int64.max_int)
+  let accept t ~seq = mark t seq
 
   let open_ t ~seq sealed =
     let r = peek t ~seq sealed in

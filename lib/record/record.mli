@@ -63,20 +63,14 @@ val counter_open : Gkm_crypto.Aead.key -> ad:bytes -> bytes -> (bytes, string) r
 (** Inverse of {!counter_seal}; never raises on untrusted input, and
     refuses a non-canonical spelling of [n]. *)
 
-type space = [ `Multicast | `Unicast ]
-(** Two disjoint sequence spaces per epoch: multicast records (shared
-    fan-out bytes, one counter per key generation) and unicast records
-    (bit 63 set, one counter per connection). *)
-
 module Seal : sig
   type t
 
-  val create : ?space:space -> Epoch.t -> t
-  (** A fresh sealer starting at the space's first sequence number.
-      Create at most one sealer per DEK value and space: a DEK can
-      become the group key again after others, and a second sealer
-      for it would restart the CTR nonce sequence.
-      [space] defaults to [`Multicast]. *)
+  val create : Epoch.t -> t
+  (** A fresh sealer, whose first record takes sequence number 0.
+      Create at most one sealer per DEK value: a DEK can become the
+      group key again after others, and a second sealer for it would
+      restart the CTR nonce sequence. *)
 
   val epoch : t -> Epoch.t
 
@@ -89,22 +83,23 @@ module Sink : sig
   type t
 
   val create : Epoch.t -> t
-  (** A fresh sink with empty 1024-record replay windows for both
-      sequence spaces. Create one per key generation, alongside the
-      epoch. *)
+  (** A fresh sink with an empty 1024-record replay window. Create one
+      per key generation, alongside the epoch. *)
 
   val epoch : t -> Epoch.t
 
   val open_ : t -> seq:int64 -> bytes -> (bytes, [ `Auth | `Replay ]) result
   (** Verify and decrypt one record. [`Auth] — the tag failed or the
       epoch was erased: not sealed under this generation's keys, so
-      possibly a frame from a generation ahead of this sink.
-      [`Replay] — the tag verified but the sequence number was already
-      accepted or fell behind the window. The sink counts neither; its
-      caller does. Authentication runs {e before} the window check —
-      sequence spaces restart per generation, so a pre-auth window
-      would misread a future generation's low seqs as replays. Never
-      raises on untrusted input; the window only advances on success. *)
+      possibly a frame from a generation ahead of this sink. A
+      negative [seq] is [`Auth] before any MAC work, since no sealer
+      produces one. [`Replay] — the tag verified but the sequence
+      number was already accepted or fell behind the window. The sink
+      counts neither; its caller does. Authentication runs {e before}
+      the window check — sequence numbers restart per generation, so a
+      pre-auth window would misread a future generation's low seqs as
+      replays. Never raises on untrusted input; the window only
+      advances on success. *)
 
   val peek : t -> seq:int64 -> bytes -> (bytes, [ `Auth | `Replay ]) result
   (** {!open_} without marking [seq] in the window: the record opens

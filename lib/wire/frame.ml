@@ -8,6 +8,10 @@ let magic = 0x474B (* "GK" *)
 (* magic, version and tag; the body length's uvarint follows *)
 let fixed_size = 4
 
+(* The body bound of every live connection: far above the largest
+   message the protocol sends (one sealed rekey packet, a full key
+   path), and low enough that a hostile length cannot make a decoder
+   allocate much. *)
 let max_frame_default = 1 lsl 20
 
 let resync_auth ~key ~member ~epoch =

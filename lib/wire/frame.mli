@@ -26,9 +26,6 @@
 
 val magic : int
 
-val max_frame_default : int
-(** 1 MiB. *)
-
 val encode : ?version:int -> Msg.t -> bytes
 (** One complete frame (header + body), ready to write. [version] is
     the header's version byte and defaults to {!Msg.version}, the only
@@ -38,7 +35,8 @@ val encode : ?version:int -> Msg.t -> bytes
 type decoder
 
 val decoder : ?max_frame:int -> unit -> decoder
-(** @raise Invalid_argument if [max_frame < 1]. *)
+(** [max_frame] bounds a frame body and defaults to 1 MiB.
+    @raise Invalid_argument if [max_frame < 1]. *)
 
 val feed : decoder -> bytes -> int -> int -> unit
 (** [feed d src off len] appends a received chunk.

@@ -87,7 +87,8 @@ type t =
   | Sealed of { epoch : int; seq : int64; ct : bytes }
       (** One record-layer frame. [epoch] is an {e unauthenticated}
           routing hint naming the key generation; [seq] is the explicit
-          record sequence number (bit 63 set = unicast space); [ct] is
+          record sequence number (any [int64] on the wire; no sealer
+          produces a negative one, and a sink refuses it); [ct] is
           the AEAD output covering an inner [tag || body] plaintext. *)
   | Ticket of { member : int; issued_epoch : int; ticket : bytes }
       (** A resumption ticket reissued to a connected member (its path

@@ -9,7 +9,13 @@ let responsibility m x =
 
 let normalize m = if m.ms <= m.ml then m else { alpha = 1.0 -. m.alpha; ms = m.ml; ml = m.ms }
 
-let em ?(iterations = 200) ?(tol = 1e-9) durations =
+(* EM stops after this many steps, or sooner once one step moves the
+   fit by less than [tol] (summed over alpha and the means' relative
+   changes). Both are convergence guards, not tuning knobs. *)
+let iterations = 200
+let tol = 1e-9
+
+let em durations =
   let xs = List.filter (fun x -> x > 0.0 && Float.is_finite x) durations in
   let n = List.length xs in
   if n < 2 then invalid_arg "Fit.em: need at least 2 positive durations";

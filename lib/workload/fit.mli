@@ -10,8 +10,9 @@ type mixture = {
   ml : float;  (** long mean (>= ms) *)
 }
 
-val em : ?iterations:int -> ?tol:float -> float list -> mixture
+val em : float list -> mixture
 (** [em durations] fits a two-component exponential mixture by
-    expectation-maximization. Requires at least 2 positive
+    expectation-maximization, for at most 200 steps or until a step
+    moves the fit by less than 1e-9. Requires at least 2 positive
     observations; components are returned with [ms <= ml].
     @raise Invalid_argument on empty/invalid input. *)

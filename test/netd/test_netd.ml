@@ -569,6 +569,62 @@ let test_eviction_lockout () =
   Alcotest.(check int) "fresh join counted" 6 (Server.stats srv).joins;
   Server.stop srv
 
+(* The ticket horizon: a REJOIN presenting a ticket issued more than
+   200 epochs ago is refused, and the client falls back to an
+   authenticated RESYNC. Member A stays connected throughout (its own
+   ticket is rewrapped every 64 epochs) while churn from other members
+   moves the epoch past the horizon of a blob A exported early on; a
+   second client then starts from that blob. *)
+let test_ticket_horizon () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
+  let port = Server.port srv in
+  let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
+  let a = connect 1 in
+  let peers = List.init 3 (fun i -> connect (10 + i)) in
+  let stats () = Server.stats srv in
+  run_until loop (fun () -> (stats ()).joins = 4);
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member (a :: peers));
+  let blob =
+    match Client.export_resumption a with
+    | Some b -> b
+    | None -> Alcotest.fail "no resumption state after admission"
+  in
+  let exported_at = Server.Private.epoch srv in
+  let seed = ref 100 in
+  while Server.Private.epoch srv <= exported_at + 200 do
+    incr seed;
+    let joins = (stats ()).joins and leaves = (stats ()).leaves in
+    let c = connect !seed in
+    run_until loop (fun () -> (stats ()).joins > joins);
+    Server.tick_now srv;
+    run_until loop (fun () -> Client.is_member c);
+    Client.leave c;
+    run_until loop (fun () -> (stats ()).leaves > leaves);
+    Server.tick_now srv
+  done;
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> Client.last_rekey a = last);
+  Alcotest.(check int) "A's own tickets stayed inside the horizon" 0 (stats ()).ticket_rejects;
+  let b = Client.connect ~loop { (Client.config ~port) with seed = 2; resume = Some blob } in
+  run_until loop (fun () -> Client.is_member b);
+  let s = stats () in
+  Alcotest.(check int) "one ticket refused" 1 s.ticket_rejects;
+  Alcotest.(check int) "no 0-RTT rejoin" 0 s.rejoins_0rtt;
+  Alcotest.(check int) "no full rejoin" 0 s.rejoins_full;
+  Alcotest.(check int) "fell back to one RESYNC" 1 (Client.resyncs b);
+  Alcotest.(check int) "server answered it" 1 s.resyncs;
+  Alcotest.(check int) "as member A" (Client.member a) (Client.member b);
+  let server_fp = List.assoc last (Server.dek_trace srv) in
+  Alcotest.(check (option string))
+    "installed the server's DEK" (Some server_fp)
+    (Option.map Gkm_crypto.Key.fingerprint (Client.group_key b));
+  check_trace ~server_tbl:(server_trace_tbl srv) "B" b;
+  List.iter Client.kill (a :: b :: peers);
+  Server.stop srv;
+  Loop.close loop
+
 (* Composed organizations — band node ids beyond i32 — are served in
    the one varint packet codec; clients track the composed DEK
    end-to-end. *)
@@ -2170,6 +2226,8 @@ let () =
           Alcotest.test_case "grace eviction of silent members" `Quick test_grace_eviction;
           Alcotest.test_case "0-RTT ticket rejoin, zero full RESYNCs" `Quick test_rejoin_0rtt;
           Alcotest.test_case "evicted ticket locked out" `Quick test_eviction_lockout;
+          Alcotest.test_case "ticket past the horizon falls back to RESYNC" `Quick
+            test_ticket_horizon;
           Alcotest.test_case "composed org served on v2" `Quick test_composed_served;
           Alcotest.test_case "no socket metric registered" `Quick test_no_socket_metrics;
           Alcotest.test_case "admission reply carries the ticket" `Quick test_ticket_in_admission;

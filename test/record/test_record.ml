@@ -116,39 +116,24 @@ let test_aead_known_answers () =
    other seq's keystream moved with the nonce layout. *)
 let test_seal_known_answers () =
   let dek = Key.of_bytes (Bytes.init Key.size (fun i -> Char.chr (0x10 + i))) in
+  let seal = Record.Seal.create (Record.Epoch.of_dek ~dek ~label:5) in
   List.iter
-    (fun (space, expected) ->
-      let seal = Record.Seal.create ~space (Record.Epoch.of_dek ~dek ~label:5) in
-      List.iter
-        (fun (want_seq, want_ct) ->
-          let seq, ct = Record.Seal.seal seal (kat_plaintext 40) in
-          Alcotest.(check int64) "sequence" want_seq seq;
-          Alcotest.(check string) (Printf.sprintf "record %Ld" seq) want_ct (Hex.encode ct))
-        expected)
+    (fun (want_seq, want_ct) ->
+      let seq, ct = Record.Seal.seal seal (kat_plaintext 40) in
+      Alcotest.(check int64) "sequence" want_seq seq;
+      Alcotest.(check string) (Printf.sprintf "record %Ld" seq) want_ct (Hex.encode ct))
     [
-      ( `Multicast,
-        [
-          ( 0L,
-            "cde278680b6f3e247f4386299236cc831b567e2cc8bc051f26e778d9e345a4395cfc60742095230bf60b00c05e3b\
-             dcd7bbc3de359a90739c" );
-          ( 1L,
-            "ef4341a591cec2e485901b0984b857ab1efb88fc110f640087fbcb9d1f7fdfa07bb03863a4fb406443522b25b069\
-             92f09091487081feb57b" );
-        ] );
-      ( `Unicast,
-        [
-          ( Int64.min_int,
-            "bb49b705cece57912feab5303999a4bea4c6a83fa8904d802111c99c5ce064d26722cdf02fbe0fcb77684fa0112d\
-             4ec1b5e56b84701f5378" );
-          ( Int64.succ Int64.min_int,
-            "51a310ca115f2d4855c5839ec5810af8abedd54ec278ad6ba10bd743cfc8370d83816d1cb0bbe84786f7adcccf3e\
-             4d5b0f40c5268e05f45f" );
-        ] );
+      ( 0L,
+        "cde278680b6f3e247f4386299236cc831b567e2cc8bc051f26e778d9e345a4395cfc60742095230bf60b00c05e3b\
+         dcd7bbc3de359a90739c" );
+      ( 1L,
+        "ef4341a591cec2e485901b0984b857ab1efb88fc110f640087fbcb9d1f7fdfa07bb03863a4fb406443522b25b069\
+         92f09091487081feb57b" );
     ]
 
 (* CTR mode needs every counter block under one key to be distinct.
    Four-block records of zeros (so each ciphertext is the keystream)
-   are sealed at consecutive seqs in both spaces of one epoch, and
+   are sealed at consecutive seqs of one epoch, and
    counter-sealed blobs at consecutive counters under one key: no
    16-byte keystream block may appear twice. A nonce whose low bytes
    hold the seq would hand record s's block j the keystream of record
@@ -169,13 +154,11 @@ let test_keystream_never_repeats () =
       streams
   in
   let ep = epoch () in
-  let records space =
-    let seal = Record.Seal.create ~space ep in
-    List.init 8 (fun _ ->
-        let seq, ct = Record.Seal.seal seal zeros in
-        (Printf.sprintf "record %Ld" seq, Bytes.sub ct 0 64))
-  in
-  check_distinct "records" (records `Multicast @ records `Unicast);
+  let seal = Record.Seal.create ep in
+  check_distinct "records"
+    (List.init 8 (fun _ ->
+         let seq, ct = Record.Seal.seal seal zeros in
+         (Printf.sprintf "record %Ld" seq, Bytes.sub ct 0 64)));
   let key = sample_aead_key 7 in
   check_distinct "counter-sealed blobs"
     (List.init 8 (fun i ->
@@ -324,21 +307,30 @@ let test_sink_bitflip_rejected () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "genuine record rejected after tampered deliveries"
 
-let test_spaces_disjoint () =
-  let dek = fresh_dek () in
-  let ep () = Record.Epoch.of_dek ~dek ~label:1 in
-  let mseal = Record.Seal.create (ep ()) in
-  let useal = Record.Seal.create ~space:`Unicast (ep ()) in
-  let sink = Record.Sink.create (ep ()) in
-  let mseq, mct = Record.Seal.seal mseal (Bytes.of_string "multicast") in
-  let useq, uct = Record.Seal.seal useal (Bytes.of_string "unicast") in
-  Alcotest.(check bool) "unicast bit 63 set" true (Int64.compare useq 0L < 0);
-  (match Record.Sink.open_ sink ~seq:mseq mct with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "multicast record rejected");
-  match Record.Sink.open_ sink ~seq:useq uct with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "unicast record rejected (windows must be disjoint)"
+(* No sealer produces a negative seq, so the sink refuses one before
+   any MAC work, even a record that is authentic under its keys: the
+   record below was sealed at seq -2^63 under the known-answer DEK by
+   the sealer of an earlier bit-63 unicast space. *)
+let test_negative_seq_refused () =
+  let dek = Key.of_bytes (Bytes.init Key.size (fun i -> Char.chr (0x10 + i))) in
+  let ep = Record.Epoch.of_dek ~dek ~label:5 in
+  let sink = Record.Sink.create ep in
+  let authentic =
+    Hex.decode
+      "bb49b705cece57912feab5303999a4bea4c6a83fa8904d802111c99c5ce064d26722cdf02fbe0fcb77684fa0112d\
+       4ec1b5e56b84701f5378"
+  in
+  List.iter
+    (fun (seq, ct) ->
+      match Record.Sink.open_ sink ~seq ct with
+      | Error `Auth -> ()
+      | Error `Replay -> Alcotest.failf "seq %Ld misclassified as replay" seq
+      | Ok _ -> Alcotest.failf "seq %Ld accepted" seq)
+    [ (Int64.min_int, authentic); (-1L, authentic); (Int64.min_int, Bytes.make 56 '\x00') ];
+  let seq, ct = Record.Seal.seal (Record.Seal.create ep) (kat_plaintext 40) in
+  match Record.Sink.open_ sink ~seq ct with
+  | Ok pt -> Alcotest.(check bytes) "seq 0 still opens" (kat_plaintext 40) pt
+  | Error _ -> Alcotest.fail "seq 0 rejected after the refusals"
 
 let test_epoch_erase () =
   let dek = fresh_dek () in
@@ -505,7 +497,7 @@ let () =
           Alcotest.test_case "behind-window rejected" `Quick test_sink_behind_window;
           Alcotest.test_case "bit flips rejected, window unpoisoned" `Quick
             test_sink_bitflip_rejected;
-          Alcotest.test_case "multicast/unicast spaces disjoint" `Quick test_spaces_disjoint;
+          Alcotest.test_case "negative seq refused before MAC" `Quick test_negative_seq_refused;
           Alcotest.test_case "epoch erase" `Quick test_epoch_erase;
           Alcotest.test_case "label independent of keys" `Quick test_epoch_label_independent;
           Alcotest.test_case "cross-epoch records rejected" `Quick test_cross_epoch_rejected;

@@ -16,6 +16,18 @@ in a submodule (`module Ticket : sig ... end`) is reached as
 module the same interface gives that signature; a signature with no
 such module (a first-class module type) is not scanned.
 
+Two libraries may each have a module of one name (`Gkm_analytic.Wka_bkr`
+and `Gkm_transport.Wka_bkr`). A reference is resolved to its library
+through the library's wrapper (`Gkm_transport.Wka_bkr.deliver`), an
+alias to it, the referring file's own library, or a library the file
+opens; a module name only one library has needs none of these. Such
+values are reported as `Gkm_transport.Wka_bkr.deliver`.
+
+An optional argument `?l` of an exported value must be passed somewhere
+as `~l` or `?l`: in a file outside the defining module that reaches the
+value, tests included. One that nothing passes has one value in use and
+should be a constant.
+
 A submodule named `Private` is the test-only surface of its module: the
 oracles and observables a test needs that no shipped path reads. Its
 values may be called from test/ alone, but they must be called from
@@ -31,10 +43,12 @@ Usage (from the repository root):
 
     python3 tools/dead_exports.py            # exit 1 on any finding
     python3 tools/dead_exports.py --all      # list every uncalled value,
-                                             # allowlisted or not
+                                             # allowlisted or not, and every
+                                             # optional argument never passed
 """
 
 import argparse
+import collections
 import os
 import re
 import sys
@@ -138,12 +152,25 @@ def module_of_path(path):
     return base[:1].upper() + base[1:]
 
 
+ITEM = re.compile(r"\b(?:val|type|module|end|exception|include|external|class)\b")
+
+
+def optional_labels(text, start):
+    """The optional labels in the type of the `val` at [start]; the type
+    runs to the next signature item."""
+    colon = text.find(":", start)
+    m = ITEM.search(text, colon + 1)
+    decl = text[colon + 1 : m.start() if m else len(text)]
+    return re.findall(r"\?\s*(%s)\s*:" % LIDENT, decl)
+
+
 def interface_values(path):
-    """(qualified name, line) of every value an .mli exports."""
+    """(qualified name, line, optional labels) of every value an .mli
+    exports."""
     text = strip(open(path).read())
     top = module_of_path(path)
     tokens = [
-        (m.group(0), text.count("\n", 0, m.start()) + 1)
+        (m.group(0), text.count("\n", 0, m.start()) + 1, m.start())
         for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_']*|\(|\)|:|=", text)
     ]
     # Block stack: ("mod", name) for `module X : sig`, ("mty", name) for
@@ -154,8 +181,8 @@ def interface_values(path):
     found = []
     k = 0
     while k < len(tokens):
-        tok, line = tokens[k]
-        nxt = [t for t, _ in tokens[k + 1 : k + 6]]
+        tok, line, at = tokens[k]
+        nxt = [t for t, _, _ in tokens[k + 1 : k + 6]]
         if tok == "module" and nxt[:1] == ["type"] and nxt[2:4] == ["=", "sig"]:
             stack.append(("mty", nxt[1]))
             sigs[nxt[1]] = []
@@ -179,18 +206,43 @@ def interface_values(path):
                 name = ""  # operators are not scanned
             if re.fullmatch(LIDENT, name):
                 kinds = [kind for kind, _ in stack]
+                labels = optional_labels(text, at)
                 if "mty" in kinds:
                     sigs[[n for kd, n in stack if kd == "mty"][-1]].append(
-                        (name, line)
+                        (name, line, labels)
                     )
                 elif "other" not in kinds:
                     mods = [n for _, n in stack]
-                    found.append((".".join([top] + mods + [name]), line))
+                    found.append((".".join([top] + mods + [name]), line, labels))
         k += 1
     for mod, mty, enclosing in bindings:
-        for name, line in sigs.get(mty, []):
-            found.append((".".join([top] + enclosing + [mod, name]), line))
+        for name, line, labels in sigs.get(mty, []):
+            found.append((".".join([top] + enclosing + [mod, name]), line, labels))
     return found
+
+
+def libraries(root):
+    """{library wrapper module: (directory, {its modules})} for every
+    library under lib/."""
+    libs = {}
+    for dirpath, dirnames, files in os.walk(os.path.join(root, "lib")):
+        dirnames[:] = [x for x in dirnames if x != "_build"]
+        if "dune" not in files:
+            continue
+        m = re.search(r"\(name\s+([a-z_][a-z0-9_]*)\)", open(os.path.join(dirpath, "dune")).read())
+        if not m:
+            continue
+        mods = {module_of_path(f) for f in files if f.endswith((".ml", ".mli"))}
+        libs[module_of_path(m.group(1))] = (os.path.normpath(dirpath), mods)
+    return libs
+
+
+def library_of_dir(libs, path):
+    d = os.path.normpath(os.path.dirname(path))
+    for lib, (ldir, _) in libs.items():
+        if d == ldir:
+            return lib
+    return None
 
 
 def caller_files(root, dirs):
@@ -202,73 +254,102 @@ def caller_files(root, dirs):
                     yield os.path.join(dirpath, f)
 
 
-def references(path):
-    """What a caller file reaches: (module, name) pairs written
-    qualified, and the bare names it may reach through an open."""
+def references(path, libs):
+    """What a caller file reaches: (library, module, name) triples
+    written qualified, the (library, module) pairs it opens, the bare
+    names it may reach through an open, and the labels it passes. The
+    library is None where the reference cannot be tied to one."""
     text = strip(open(path).read())
+    own = library_of_dir(libs, path)
     alias = {}
     for m in re.finditer(
-        r"\bmodule\s+(%s)\s*=\s*((?:%s\s*\.\s*)*)(%s)\b(?!\s*\()"
+        r"\bmodule\s+(%s)\s*=\s*((?:%s\s*\.\s*)*%s)\b(?!\s*[.(])"
         % (UIDENT, UIDENT, UIDENT),
         text,
     ):
-        alias[m.group(1)] = m.group(3)
+        alias[m.group(1)] = re.split(r"\s*\.\s*", m.group(2))
+    opened_libs = set()
+    for m in re.finditer(r"\b(?:open!?|include)\s+(%s)\b(?!\s*\.)" % UIDENT, text):
+        if m.group(1) in libs:
+            opened_libs.add(m.group(1))
 
-    def resolve(mod):
+    def resolve(parts):
+        """(library or None, owning module) of a module path."""
         seen = set()
-        while mod in alias and mod not in seen:
-            seen.add(mod)
-            mod = alias[mod]
-        return mod
+        while parts[0] in alias and parts[0] not in seen:
+            seen.add(parts[0])
+            parts = alias[parts[0]] + parts[1:]
+        if parts[0] in libs:
+            return (parts[0] if len(parts) > 1 else None), parts[-1]
+        having = [lib for lib, (_, mods) in libs.items() if parts[0] in mods]
+        if own in having:
+            return own, parts[-1]
+        for pool in ([lib for lib in having if lib in opened_libs], having):
+            if len(pool) == 1:
+                return pool[0], parts[-1]
+        return None, parts[-1]
 
     qualified = set()
-    for m in re.finditer(r"\b(%s)\s*\.\s*(%s)" % (UIDENT, LIDENT), text):
-        qualified.add((m.group(1), m.group(2)))
-        qualified.add((resolve(m.group(1)), m.group(2)))
+    for m in re.finditer(r"\b((?:%s\s*\.\s*)+)(%s)" % (UIDENT, LIDENT), text):
+        parts = re.split(r"\s*\.\s*", m.group(1).rstrip(" \t\n."))
+        lib, owner = resolve(parts)
+        qualified.add((lib, owner, m.group(2)))
     opened = set()
     for m in re.finditer(
         r"\b(?:open!?|include)\s+((?:%s\s*\.\s*)*%s)" % (UIDENT, UIDENT), text
     ):
-        last = re.split(r"\s*\.\s*", m.group(1))[-1]
-        opened.add(last)
-        opened.add(resolve(last))
-    for m in re.finditer(r"\b(%s)\s*\.\s*[\(\[\{]" % UIDENT, text):
-        opened.add(m.group(1))
-        opened.add(resolve(m.group(1)))
+        opened.add(resolve(re.split(r"\s*\.\s*", m.group(1))))
+    for m in re.finditer(r"\b((?:%s\s*\.\s*)*%s)\s*\.\s*[\(\[\{]" % (UIDENT, UIDENT), text):
+        opened.add(resolve(re.split(r"\s*\.\s*", m.group(1))))
     bare = set(re.findall(IDENT, text))
-    return qualified, opened, bare
+    labels = set(re.findall(r"[~?](%s)" % LIDENT, text))
+    return qualified, opened, bare, labels
+
+
+def reaches(refs, lib, owner, name):
+    """Does a file with these references reach [owner.name] of [lib]?"""
+    qualified, opened, bare, _ = refs
+    if any(lb in (None, lib) and o == owner and n == name for lb, o, n in qualified):
+        return True
+    return name in bare and any(lb in (None, lib) and o == owner for lb, o in opened)
 
 
 def scan(root):
+    """The dead exports, as (name, mli, line), and the optional
+    arguments of live ones that nothing passes, as (name, label, mli,
+    line)."""
+    libs = libraries(root)
     interfaces = []
     for dirpath, dirnames, files in os.walk(os.path.join(root, "lib")):
         dirnames[:] = [x for x in dirnames if x != "_build"]
         for f in sorted(files):
             if f.endswith(".mli"):
                 interfaces.append(os.path.join(dirpath, f))
-    callers = {p: references(p) for p in caller_files(root, CALLER_DIRS)}
-    tests = {p: references(p) for p in caller_files(root, TEST_DIRS)}
-    dead = []
+    callers = {p: references(p, libs) for p in caller_files(root, CALLER_DIRS)}
+    tests = {p: references(p, libs) for p in caller_files(root, TEST_DIRS)}
+    everyone = dict(callers, **tests)
+    homes = collections.Counter(m for _, mods in libs.values() for m in mods)
+    dead, unpassed = [], []
     for mli in sorted(interfaces):
         own = mli[:-1]
-        for qname, line in interface_values(mli):
+        lib = library_of_dir(libs, mli)
+        for qname, line, labels in interface_values(mli):
             parts = qname.split(".")
-            name, owner = parts[-1], parts[-2]
-            called = False
-            reach = callers
-            if "Private" in parts[:-1]:
-                reach = dict(callers, **tests)
-            for path, (qualified, opened, bare) in reach.items():
-                if path == own:
-                    continue
-                if (owner, name) in qualified or (
-                    owner in opened and name in bare
-                ):
-                    called = True
-                    break
-            if not called:
-                dead.append((qname, os.path.relpath(mli, root), line))
-    return dead
+            shown = "%s.%s" % (lib, qname) if homes[parts[0]] > 1 else qname
+            where = os.path.relpath(mli, root)
+            users = [
+                p
+                for p, refs in everyone.items()
+                if p != own and reaches(refs, lib, parts[-2], parts[-1])
+            ]
+            shipped = [p for p in users if p in callers]
+            if not (users if "Private" in parts[:-1] else shipped):
+                dead.append((shown, where, line))
+                continue
+            for label in labels:
+                if not any(label in everyone[p][3] for p in users):
+                    unpassed.append((shown, label, where, line))
+    return dead, unpassed
 
 
 def read_allowlist(root):
@@ -312,13 +393,23 @@ def main():
     ap.add_argument("--root", default=".")
     ap.add_argument("--all", action="store_true")
     args = ap.parse_args()
-    dead = scan(args.root)
+    dead, unpassed = scan(args.root)
     if args.all:
         for qname, mli, line in dead:
             print("%s:%d: %s" % (mli, line, qname))
-        print("%d exported values with no caller" % len(dead))
+        for qname, label, mli, line in unpassed:
+            print("%s:%d: %s ?%s" % (mli, line, qname, label))
+        print(
+            "%d exported values with no caller, %d optional arguments never "
+            "passed" % (len(dead), len(unpassed))
+        )
         return 0
     allowed, errors = read_allowlist(args.root)
+    for qname, label, mli, line in unpassed:
+        errors.append(
+            "%s:%d: %s ?%s is never passed outside its module, tests "
+            "included; make it a constant" % (mli, line, qname, label)
+        )
     dead_names = {q for q, _, _ in dead}
     for qname, mli, line in dead:
         if "Private" in qname.split("."):
