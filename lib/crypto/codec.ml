@@ -66,11 +66,6 @@ let add_vlist buf add items =
   add_bits buf (List.length items);
   List.iter (add buf) items
 
-(* Rotating left one bit puts bit 63 in bit 0, so small seqs take
-   1-byte spellings with bit 63 set or clear. No sealer sets bit 63,
-   but the spelling stays: changing it moves every record's bytes. *)
-let rotl1 v = Int64.logor (Int64.shift_left v 1) (Int64.shift_right_logical v 63)
-let rotr1 u = Int64.logor (Int64.shift_right_logical u 1) (Int64.shift_left u 63)
 let low7_clear = Int64.lognot 0x7FL
 
 let rec add_bits64 buf u =
@@ -83,10 +78,10 @@ let rec add_bits64 buf u =
 let rec bits64_size u =
   if Int64.logand u low7_clear = 0L then 1 else 1 + bits64_size (Int64.shift_right_logical u 7)
 
-let add_seq64 buf v = add_bits64 buf (rotl1 v)
+let add_seq64 = add_bits64
 let uvarint_size v = bits_size v
 let varint_size v = bits_size (zigzag v)
-let seq64_size v = bits64_size (rotl1 v)
+let seq64_size = bits64_size
 
 type reader = { buf : bytes; mutable pos : int }
 
@@ -168,7 +163,7 @@ let rec bits64_from r acc shift =
   else if shift = 63 then corrupt "seq longer than 10 bytes at byte %d" r.pos
   else bits64_from r acc (shift + 7)
 
-let seq64 r = rotr1 (bits64_from r 0L 0)
+let seq64 r = bits64_from r 0L 0
 
 let bytes r n =
   need r n;

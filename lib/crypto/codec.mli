@@ -67,11 +67,9 @@ val add_vlist : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 (** {!add_uvarint} count then the items. *)
 
 val add_seq64 : Buffer.t -> int64 -> unit
-(** A 64-bit record sequence number, rotated left one bit and written
-    as canonical unsigned LEB128 over all 64 bits. The rotation moves
-    bit 63 to bit 0, so a small sequence number takes 1 byte below 64
-    and 2 below 8192 whether or not bit 63 is set; every [int64] takes
-    at most 10 bytes. *)
+(** A 64-bit record sequence number as canonical unsigned LEB128 over
+    all 64 bits: 1 byte below 128, 2 below 16384; every [int64] takes
+    at most 10 bytes (a negative one, which no sealer produces, all 10). *)
 
 val uvarint_size : int -> int
 (** Bytes {!add_uvarint} writes for a non-negative value. *)

@@ -473,12 +473,18 @@ and handle_rekey t (r : Msg.rekey) ~dropped =
     else sync_sink t dek
   end
 
+(* A JOIN_ACK, RESYNC or REJOIN_ACK carries a fresh ticket, issued at
+   the reply's epoch, whenever one was due; an empty one leaves ours in
+   place (after a REJOIN, the ticket just presented). *)
+let take_ticket t ~epoch ticket =
+  if Bytes.length ticket > 0 then t.ticket <- Some (epoch, ticket)
+
 (* Apply a REJOIN_ACK's sealed resume: merge the delta keys into the
    surviving member state, or (re)install the full path. Either way we
    are caught up to the server's current rekey in one round trip. *)
 let apply_resume t ~member (r : Msg.resume) =
   t.rejoins <- t.rejoins + 1;
-  t.ticket <- Some (r.epoch, r.ticket);
+  take_ticket t ~epoch:r.epoch r.ticket;
   t.presented <- None;
   match t.mstate with
   | Some m when not r.full ->
@@ -497,11 +503,6 @@ let apply_resume t ~member (r : Msg.resume) =
 let send_join t =
   t.phase <- Joining;
   send t (Msg.Join { cls = t.cfg.cls; loss = t.cfg.loss })
-
-(* A JOIN_ACK or RESYNC carries a fresh ticket, issued at the reply's
-   epoch, whenever one was due; an empty one leaves ours in place. *)
-let take_ticket t ~epoch ticket =
-  if Bytes.length ticket > 0 then t.ticket <- Some (epoch, ticket)
 
 (* Fresh-join reset: the fallback of last resort when the server
    reports our membership revoked — the old identity is gone for

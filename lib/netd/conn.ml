@@ -1,22 +1,33 @@
 module Frame = Gkm_wire.Frame
 module Msg = Gkm_wire.Msg
 
-(* An outbox entry may share its [buf] with every other connection the
-   frame was fanned out to; only [off] is per-connection. *)
-type out_entry = { buf : bytes; mutable off : int }
-
 (* One owner at a time touches a conn: the domain whose loop polls the
    fd, or a fan-out lane while that owner waits on the lane join (the
    join's mutex is the happens-before edge both ways). *)
 type t = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
-  outq : out_entry Queue.t;
+  mutable ring : bytes array;
+      (* queued frames, oldest at [head]: a frame may be shared with
+         every other connection it was fanned out to, so only [off], the
+         bytes of the oldest already written, is per-connection *)
+  mutable head : int;
+  mutable queued : int;
+  mutable off : int;
   mutable out_bytes : int;
   mutable bytes_rx : int;
   mutable bytes_tx : int;
   mutable closed : bool;
 }
+
+(* [writev fd ring head n off] is writev(2) of the [n] queued frames
+   from ring slot [head] on, skipping [off] bytes of the first. No
+   user-space copy: the kernel gathers straight from the frames, so a
+   flush costs one syscall whatever the frame count up to [max_iov]
+   (the stub's iovec array). Raises [Unix.Unix_error]. *)
+external writev : Unix.file_descr -> bytes array -> int -> int -> int -> int = "gkm_netd_writev"
+
+let max_iov = 64
 
 (* One read buffer per domain, not per process: loops on different
    domains must not share scratch space. *)
@@ -27,7 +38,10 @@ let create fd =
   {
     fd;
     dec = Frame.decoder ();
-    outq = Queue.create ();
+    ring = Array.make 4 Bytes.empty;
+    head = 0;
+    queued = 0;
+    off = 0;
     out_bytes = 0;
     bytes_rx = 0;
     bytes_tx = 0;
@@ -43,40 +57,60 @@ let bytes_tx t = t.bytes_tx
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Queue.clear t.outq;
+    t.ring <- [||];
+    t.queued <- 0;
     t.out_bytes <- 0;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
 let enqueue_frame t buf =
   if not t.closed then begin
-    Queue.add { buf; off = 0 } t.outq;
+    let cap = Array.length t.ring in
+    if t.queued = cap then begin
+      let ring = Array.make (2 * cap) Bytes.empty in
+      for i = 0 to cap - 1 do
+        ring.(i) <- t.ring.((t.head + i) mod cap)
+      done;
+      t.ring <- ring;
+      t.head <- 0
+    end;
+    t.ring.((t.head + t.queued) mod Array.length t.ring) <- buf;
+    t.queued <- t.queued + 1;
     t.out_bytes <- t.out_bytes + Bytes.length buf
   end
+
+(* Retire the [n] bytes a write took off the front of the queue,
+   releasing every frame it finished. *)
+let advance t n =
+  t.out_bytes <- t.out_bytes - n;
+  t.bytes_tx <- t.bytes_tx + n;
+  let n = ref (n + t.off) in
+  while t.queued > 0 && !n >= Bytes.length t.ring.(t.head) do
+    n := !n - Bytes.length t.ring.(t.head);
+    t.ring.(t.head) <- Bytes.empty;
+    t.head <- (t.head + 1) mod Array.length t.ring;
+    t.queued <- t.queued - 1
+  done;
+  t.off <- !n
 
 let flush t =
   let result = ref `Ok and continue = ref true in
   while !continue do
-    if t.closed || Queue.is_empty t.outq then continue := false
-    else begin
-      let e = Queue.peek t.outq in
-      let len = Bytes.length e.buf - e.off in
-      match Unix.write t.fd e.buf e.off len with
+    if t.closed || t.queued = 0 then continue := false
+    else
+      let batch = min t.queued max_iov in
+      match writev t.fd t.ring t.head batch t.off with
       | n ->
-          t.out_bytes <- t.out_bytes - n;
-          t.bytes_tx <- t.bytes_tx + n;
-          if n = len then ignore (Queue.pop t.outq)
-          else begin
-            e.off <- e.off + n;
-            continue := false
-          end
+          let before = t.queued in
+          advance t n;
+          (* A short write means the socket is full. *)
+          continue := before - t.queued = batch
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | exception
           Unix.Unix_error ((EPIPE | ECONNRESET | ECONNREFUSED | ENOTCONN | EBADF), _, _) ->
           result := `Eof;
           continue := false
-    end
   done;
   !result
 

@@ -11,7 +11,9 @@
     Output is write-through: whoever queues a frame writes it at once
     with {!write_through}, which leaves the loop's write interest
     armed only while bytes remain queued. There is no [want_write]
-    predicate for the loop to poll.
+    predicate for the loop to poll. A caller that queues several
+    frames before writing (a protocol flight) sends them with one
+    gathered [writev(2)], straight from the frame buffers.
 
     Threading: a connection has one owner, the domain whose {!Loop}
     polls its fd; only the owner reads, writes or closes it. A server's
@@ -33,8 +35,10 @@ val enqueue_frame : t -> bytes -> unit
 
 val flush : t -> [ `Ok | `Eof ]
 (** Write queued bytes until the socket would block or the queue is
-    empty. [`Eof] means the peer is gone (reset / broken pipe). Arms
-    no write interest: the owner follows up with {!write_through}. *)
+    empty, one [writev(2)] per 64 queued frames, so a short flight
+    leaves in one syscall. [`Eof] means the peer is gone (reset /
+    broken pipe). Arms no write interest: the owner follows up with
+    {!write_through}. *)
 
 val on_readable :
   t ->

@@ -1,4 +1,5 @@
-/* epoll(7) binding for the netd event loop.
+/* epoll(7) binding for the netd event loop, and the gathered write
+ * that sends a connection's queued frames in one syscall.
  *
  * The loop registers each descriptor once and asks the kernel only
  * for the ready ones, so a step costs O(ready), not O(registered).
@@ -15,6 +16,7 @@
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <caml/alloc.h>
 #include <caml/fail.h>
@@ -163,4 +165,36 @@ CAMLprim value gkm_netd_mcast_sender_opts(value vfd, value viface, value vttl, v
     if (setsockopt(fd, IPPROTO_IP, IP_MULTICAST_LOOP, &loop, sizeof loop) != 0)
         CAMLreturn(caml_copy_string(strerror(errno)));
     CAMLreturn(caml_copy_string(""));
+}
+
+/* gkm_netd_writev fd ring head n off
+ *
+ * One writev(2) of [n] (at most GKM_MAX_IOV) frames of the bytes
+ * array [ring], taken from slot [head] on, wrapping at the end, and
+ * skipping [off] bytes of the first. The frames are written from the
+ * OCaml heap in place: the call neither allocates nor releases the
+ * runtime lock, so no collection can move them meanwhile, and on a
+ * non-blocking socket it never waits. Returns the bytes written.
+ */
+#define GKM_MAX_IOV 64
+
+CAMLprim value gkm_netd_writev(value vfd, value vring, value vhead, value vn, value voff)
+{
+    struct iovec iov[GKM_MAX_IOV];
+    mlsize_t cap = Wosize_val(vring);
+    intnat head = Long_val(vhead), n = Long_val(vn), off = Long_val(voff);
+    ssize_t w;
+
+    if (n < 1 || n > GKM_MAX_IOV || (mlsize_t)n > cap)
+        caml_invalid_argument("gkm_netd_writev: frame count");
+    for (intnat i = 0; i < n; i++) {
+        value b = Field(vring, (head + i) % cap);
+        size_t skip = i == 0 ? (size_t)off : 0;
+        iov[i].iov_base = (char *)Bytes_val(b) + skip;
+        iov[i].iov_len = caml_string_length(b) - skip;
+    }
+    w = writev(Int_val(vfd), iov, (int)n);
+    if (w < 0)
+        uerror("writev", Nothing);
+    return Val_long(w);
 }

@@ -112,6 +112,9 @@ type client = {
   mutable resyncs_granted : int;
       (* recovery resyncs served on this connection binding; against
          cfg.resync_budget — a NACK-flood amplification brake *)
+  mutable held : bool;
+      (* replies queue unwritten while one read's messages are handled,
+         so each flight the peer sent is answered in one write *)
 }
 
 type hist = {
@@ -373,6 +376,9 @@ let tx_per_domain t =
    rekeys so the client can come back through RESYNC. *)
 let drop_client t cl ~departed =
   journal "netd.drop" [ ("member", Int cl.member); ("departed", Bool departed) ];
+  (* What is queued, a held reply or an ERROR farewell, goes out
+     before the close, best effort. *)
+  ignore (Conn.flush cl.conn);
   t.stats.bytes_tx_closed <- t.stats.bytes_tx_closed + Conn.bytes_tx cl.conn;
   t.stats.bytes_rx_closed <- t.stats.bytes_rx_closed + Conn.bytes_rx cl.conn;
   Hashtbl.remove t.clients (int_of_fd (Conn.fd cl.conn));
@@ -392,14 +398,15 @@ let drop_client t cl ~departed =
        admission time and parked in [disconnected] there *)
   end
 
-(* Write-through: the frame goes out now. A dead peer surfaces on the
-   loop's next dispatch ([on_conn_writable]), never here — callers may
-   be iterating the client tables. *)
+(* Write-through: the frame goes out now, or with the rest of the
+   flight once the read that [held] the conn is handled. A dead peer
+   surfaces on the loop's next dispatch ([on_conn_writable]), never
+   here — callers may be iterating the client tables. *)
 let send t cl msg =
   Conn.enqueue_frame cl.conn (Frame.encode msg);
-  ignore (Conn.write_through t.loop cl.conn)
+  if not cl.held then ignore (Conn.write_through t.loop cl.conn)
 
-(* [send] writes the error frame before the drop closes the fd: the
+(* The drop flushes the error frame before it closes the fd: the
    peer's farewell, best effort. *)
 let send_error t cl code detail =
   t.stats.protocol_errors <- t.stats.protocol_errors + 1;
@@ -476,14 +483,19 @@ let mint_ticket t ~member ~cls ~loss path digest =
   t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
   ticket
 
+(* Whether a ticket issued at epoch [e] for a path digest [d] is past
+   use for a member whose path now digests to [digest]: the path
+   changed shape — the digest inside must track the current tree for
+   the delta-rejoin test to pass — or [ticket_rewrap] epochs went by,
+   which bounds how old a presented ticket can be for a client that
+   stayed connected. *)
+let stale t (e, d) digest = (not (Bytes.equal d digest)) || t.epoch - e >= t.cfg.ticket_rewrap
+
 (* The resumption ticket [member] is due, if any, minted at the
-   current epoch. A ticket is reissued whenever the member's entitled
-   path changes shape — the digest inside must track the current tree
-   for the delta-rejoin test to pass — and every [ticket_rewrap]
-   epochs regardless, which bounds how old a presented ticket can be
-   for a client that stayed connected. Callers may offer any member:
-   the stale predicate below decides. A JOIN_ACK or RESYNC carries the
-   result in its ticket field; the tick's reissues send it as TICKET. *)
+   current epoch: when it has none, or its newest is [stale]. Callers
+   may offer any member: the predicate decides. A JOIN_ACK or RESYNC
+   carries the result in its ticket field; the tick's reissues send it
+   as TICKET. *)
 let due_ticket t member =
   let module O = (val t.org : Organization.S) in
   if O.is_member member && not (Hashtbl.mem t.leaving member) then begin
@@ -491,7 +503,7 @@ let due_ticket t member =
     let digest = Record.Ticket.path_digest (List.map fst path) in
     let stale =
       match Hashtbl.find_opt t.last_ticket member with
-      | Some (e, d) -> (not (Bytes.equal d digest)) || t.epoch - e >= t.cfg.ticket_rewrap
+      | Some row -> stale t row digest
       | None -> true
     in
     if stale then begin
@@ -615,7 +627,12 @@ let handle_nack t cl ~rekey_no ~seqs =
 (* 0-RTT rejoin: a presented ticket re-binds the connection to its
    member in one round trip. The reply is sealed under a key derived
    from the member's individual key, so only the true member can read
-   the delta keys — and only the true server could have produced it. *)
+   the delta keys — and only the true server could have produced it.
+   A presented ticket that is still the member's newest and not
+   [stale] is the one [due_ticket] would keep: the reply's ticket
+   field stays empty and the client keeps presenting it. Any other
+   (reshaped path, rewrap age, or older than a TICKET the client
+   missed) is replaced inside the sealed reply. *)
 let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
   let module O = (val t.org : Organization.S) in
   match Record.Ticket.Sealer.open_ t.ticket_sealer ticket with
@@ -653,9 +670,18 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
               else path
             in
             bind_member t cl member;
-            (* The replacement ticket rides inside the sealed reply. *)
+            let current =
+              match Hashtbl.find_opt t.last_ticket member with
+              | Some row ->
+                  row = (c.Record.Ticket.issued_epoch, c.Record.Ticket.path_digest)
+                  && not (stale t row digest)
+              | None -> false
+            in
             let fresh =
-              mint_ticket t ~member ~cls:c.Record.Ticket.cls ~loss:c.Record.Ticket.loss path digest
+              if current then Bytes.empty
+              else
+                mint_ticket t ~member ~cls:c.Record.Ticket.cls ~loss:c.Record.Ticket.loss path
+                  digest
             in
             let resume =
               {
@@ -726,14 +752,20 @@ let handle_msg t cl (msg : Msg.t) =
       send_error t cl Msg.err_protocol
         (Printf.sprintf "unexpected %s" (Msg.tag_name (Msg.tag msg)))
 
+(* Every reply to one read's messages leaves in one write, after the
+   last is handled (HELLO_ACK + REJOIN_ACK for a 0-RTT flight). *)
 let on_conn_readable t cl () =
+  let handle msgs =
+    cl.held <- true;
+    List.iter (fun m -> if not (Conn.closed cl.conn) then handle_msg t cl m) msgs;
+    cl.held <- false
+  in
   match Conn.on_readable cl.conn with
-  | `Msgs msgs -> List.iter (fun m -> if not (Conn.closed cl.conn) then handle_msg t cl m) msgs
-  | `Eof msgs ->
-      List.iter (fun m -> if not (Conn.closed cl.conn) then handle_msg t cl m) msgs;
-      if not (Conn.closed cl.conn) then drop_client t cl ~departed:false
-  | `Error (_, msgs) ->
-      List.iter (fun m -> if not (Conn.closed cl.conn) then handle_msg t cl m) msgs;
+  | `Msgs msgs ->
+      handle msgs;
+      if not (Conn.closed cl.conn) then ignore (Conn.write_through t.loop cl.conn)
+  | `Eof msgs | `Error (_, msgs) ->
+      handle msgs;
       if not (Conn.closed cl.conn) then drop_client t cl ~departed:false
 
 let on_conn_writable t cl () =
@@ -761,6 +793,7 @@ let accept_loop t () =
               admitted_at = -1;
               strikes = 0;
               resyncs_granted = 0;
+              held = false;
             }
           in
           Hashtbl.replace t.clients (int_of_fd fd) cl;

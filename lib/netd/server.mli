@@ -31,7 +31,9 @@
     and every [ticket_rewrap] epochs), and a reconnecting member can
     re-enter in one round trip by presenting its ticket in REJOIN —
     receiving only the path keys that changed since it left, sealed
-    under a key derived from its individual key. Evicted members are
+    under a key derived from its individual key, and a replacement
+    ticket only when the presented one is not its current one. The
+    replies to one read's messages leave in one write. Evicted members are
     locked out: their ids are never reused and their tickets die with
     the membership (soft error; the socket may re-JOIN as a fresh
     member). Every organization's entries, composed organizations'

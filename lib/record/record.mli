@@ -56,7 +56,7 @@ val resume_ad : bytes
 val counter_seal : Gkm_crypto.Aead.key -> n:int64 -> ad:bytes -> bytes -> bytes
 (** [counter_seal key ~n ~ad pt] is the self-delimiting blob
     [seq64 n || ciphertext || tag], [n] spelled by
-    {!Gkm_crypto.Codec.add_seq64} (1 byte below 64). The caller owns
+    {!Gkm_crypto.Codec.add_seq64} (1 byte below 128). The caller owns
     [n]'s monotonicity per key. *)
 
 val counter_open : Gkm_crypto.Aead.key -> ad:bytes -> bytes -> (bytes, string) result

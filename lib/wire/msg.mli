@@ -155,7 +155,9 @@ type resume = {
   epoch : int;
   root : int;
   path : path;
-  ticket : bytes;  (** fresh ticket replacing the presented one *)
+  ticket : bytes;
+      (** fresh ticket replacing the presented one, issued at [epoch];
+          empty when the presented ticket is still current *)
 }
 
 val encode_resume : resume -> bytes

@@ -705,6 +705,39 @@ let hello_refused ~lo ~hi () =
 let test_old_hello_refused = hello_refused ~lo:1 ~hi:(Msg.version - 1)
 let test_version_rejected = hello_refused ~lo:99 ~hi:200
 
+(* The server answers one read's messages in one flight, in order,
+   and a farewell ERROR queued in that flight still reaches the peer
+   before the drop closes the socket. *)
+let test_held_farewell () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ()) in
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  let flight =
+    Bytes.concat Bytes.empty
+      (List.map Frame.encode
+         [
+           Msg.Hello { lo = Msg.version; hi = Msg.version };
+           Msg.Ping { token = 9L };
+           Msg.Nack { rekey_no = 1; seqs = [] };
+         ])
+  in
+  ignore (Unix.write fd flight 0 (Bytes.length flight));
+  let dec = Frame.decoder () in
+  (match read_frame loop dec fd with
+  | Msg.Hello_ack _ -> ()
+  | m -> Alcotest.failf "expected HELLO_ACK, got %s" (Msg.tag_name (Msg.tag m)));
+  (match read_frame loop dec fd with
+  | Msg.Pong { token = 9L } -> ()
+  | m -> Alcotest.failf "expected PONG, got %s" (Msg.tag_name (Msg.tag m)));
+  (match read_frame loop dec fd with
+  | Msg.Error_msg { code; _ } -> Alcotest.(check int) "protocol error" Msg.err_protocol code
+  | m -> Alcotest.failf "expected ERROR, got %s" (Msg.tag_name (Msg.tag m)));
+  Alcotest.(check int) "then the close" 0 (Unix.read fd (Bytes.create 16) 0 16);
+  Unix.close fd;
+  Server.stop srv;
+  Loop.close loop
+
 (* An ERROR whose code the client does not know (here the reserved 5)
    ends the connection as a generic server error, reported verbatim. *)
 let test_unassigned_error_code () =
@@ -1633,6 +1666,53 @@ let test_loop_partial_write () =
   Unix.close b;
   Loop.close loop
 
+(* Frames queued before a flush leave in order, one write(2) per 64:
+   on a SOCK_SEQPACKET pair each write is one record, so the records
+   the peer reads count the syscalls. 100 frames, the ring wrapped and
+   grown by a first flight, make two records. *)
+let test_conn_gathered_flush () =
+  let a, b = Unix.socketpair PF_UNIX SOCK_SEQPACKET 0 in
+  let c = Gkm_netd.Conn.create a in
+  let buf = Bytes.create 65536 in
+  let records want =
+    let dec = Frame.decoder () in
+    let rec frames acc =
+      match Frame.next dec with
+      | Ok (Some m) -> frames (m :: acc)
+      | Ok None -> List.rev acc
+      | Error e -> Alcotest.fail e
+    in
+    List.map
+      (fun _ ->
+        let n = Unix.read b buf 0 (Bytes.length buf) in
+        Frame.feed dec buf 0 n;
+        frames [])
+      (List.init want Fun.id)
+  in
+  let send msgs =
+    List.iter (fun m -> Gkm_netd.Conn.enqueue_frame c (Frame.encode m)) msgs;
+    Alcotest.(check bool) "flushed" true (Gkm_netd.Conn.flush c = `Ok);
+    Alcotest.(check int) "nothing left queued" 0 (Gkm_netd.Conn.out_bytes c)
+  in
+  let flight =
+    [ Msg.Hello_ack { version = Msg.version }; Msg.Pong { token = 1L }; Msg.Pong { token = 2L } ]
+  in
+  send flight;
+  Alcotest.(check bool) "a flight is one record, in order" true (records 1 = [ flight ]);
+  let many = List.init 100 (fun i -> Msg.Pong { token = Int64.of_int i }) in
+  send many;
+  (match records 2 with
+  | [ first; second ] ->
+      Alcotest.(check int) "64 frames in the first write" 64 (List.length first);
+      Alcotest.(check bool) "in order" true (first @ second = many)
+  | _ -> assert false);
+  Unix.set_nonblock b;
+  (match Unix.read b buf 0 (Bytes.length buf) with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | _ -> Alcotest.fail "a third write");
+  Gkm_netd.Conn.close c;
+  Unix.close b
+
 (* A recycled descriptor number is a new registration: its handler
    runs, the old one never does — also when the reuse happens inside
    the batch that still carries the old number's event. *)
@@ -1789,6 +1869,10 @@ let members_under t node =
   Keytree.iter_members_under t node (fun m -> acc := m :: !acc);
   List.rev !acc
 
+(* Until the server has dropped [member]'s connection. *)
+let await_unbound loop srv member =
+  run_until loop (fun () -> not (List.mem_assoc member (Server.Private.bound_tickets srv)))
+
 (* Crash-kill [victim] once it has read everything the server sent it
    (tickets included), then bring it back by ticket. *)
 let kill_and_rejoin loop srv victim =
@@ -1796,8 +1880,7 @@ let kill_and_rejoin loop srv victim =
   Client.drain victim (fun () -> drained := true);
   run_until loop (fun () -> !drained);
   Client.kill victim;
-  run_until loop (fun () ->
-      not (List.mem_assoc (Client.member victim) (Server.Private.bound_tickets srv)));
+  await_unbound loop srv (Client.member victim);
   Client.reconnect victim;
   run_until loop (fun () -> Client.is_member victim)
 
@@ -2047,6 +2130,190 @@ let test_queue_member_reshaped () =
   Server.stop srv;
   Loop.close loop
 
+(* ---- Which REJOIN_ACK carries a ticket ---- *)
+
+module Codec = Gkm_crypto.Codec
+
+(* The member, epoch, ticket issue epoch, individual key and ticket of
+   a resumption blob ("GKTK" || i32 member || i32 epoch || i32 issued
+   epoch || var16 key || var16 ticket). *)
+let parse_resumption blob =
+  match
+    Codec.parse blob (fun r ->
+        Codec.magic r "GKTK";
+        let member = Codec.i32 r in
+        let epoch = Codec.i32 r in
+        let issued_epoch = Codec.i32 r in
+        let individual = Gkm_crypto.Key.of_bytes (Codec.var16 r) in
+        (member, epoch, issued_epoch, individual, Codec.var16 r))
+  with
+  | Ok v -> v
+  | Error e -> Alcotest.fail e
+
+let export c =
+  match Client.export_resumption c with
+  | Some b -> b
+  | None -> Alcotest.fail "no resumption state"
+
+(* A hand-driven 0-RTT flight: HELLO + REJOIN presenting a ticket (as
+   [parse_resumption] returns it), in one write. Returns the opened
+   resume body; the peer is closed and its binding dropped first. *)
+let raw_rejoin loop srv (member, epoch, issued_epoch, individual, ticket) =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  let flight =
+    Bytes.cat
+      (Frame.encode (Msg.Hello { lo = Msg.version; hi = Msg.version }))
+      (Frame.encode (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket }))
+  in
+  ignore (Unix.write fd flight 0 (Bytes.length flight));
+  let dec = Frame.decoder () in
+  (match read_frame loop dec fd with
+  | Msg.Hello_ack _ -> ()
+  | m -> Alcotest.failf "expected HELLO_ACK, got %s" (Msg.tag_name (Msg.tag m)));
+  let resume =
+    match read_frame loop dec fd with
+    | Msg.Rejoin_ack { member = m; ct } -> (
+        Alcotest.(check int) "REJOIN_ACK names the member" member m;
+        let rs = Record.Ticket.resume_key ~individual ~issued_epoch in
+        match Result.bind (Record.counter_open rs ~ad:Record.resume_ad ct) Msg.decode_resume with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e)
+    | m -> Alcotest.failf "expected REJOIN_ACK, got %s" (Msg.tag_name (Msg.tag m))
+  in
+  Unix.close fd;
+  await_unbound loop srv member;
+  resume
+
+(* A two-member one-keytree group: a churner joins into a free slot
+   of the root and leaves again, so the epoch moves without touching
+   the others' paths. *)
+let one_keytree_pair ~rewrap =
+  let spec = Organization.Scheme_cfg (Scheme.default_config Scheme.One_keytree) in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
+  let port = Server.port srv in
+  let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
+  let victim = connect 1 and peer = connect 2 in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 2);
+  Server.tick_now srv;
+  run_until loop (fun () -> Client.is_member victim && Client.is_member peer);
+  let module O = (val Server.Private.organization srv : Organization.S) in
+  let digest () =
+    Record.Ticket.path_digest (List.map fst (O.member_path (Client.member victim)))
+  in
+  let seed = ref 100 in
+  let churn () =
+    incr seed;
+    let joins = (Server.stats srv).Server.joins and leaves = (Server.stats srv).Server.leaves in
+    let c = connect !seed in
+    run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
+    Server.tick_now srv;
+    run_until loop (fun () -> Client.is_member c);
+    Client.leave c;
+    run_until loop (fun () -> (Server.stats srv).Server.leaves > leaves);
+    Server.tick_now srv
+  in
+  (loop, srv, victim, peer, digest, churn)
+
+let issued srv = (Server.stats srv).Server.tickets_issued
+
+(* A REJOIN presenting the member's current ticket is answered without
+   one: nothing is minted, the client keeps presenting the same blob,
+   and every return is a 0-RTT delta. *)
+let test_current_ticket_kept () =
+  let loop, srv, victim, peer, _, _ = one_keytree_pair ~rewrap:64 in
+  let blob = export victim and minted = issued srv in
+  for round = 1 to 2 do
+    kill_and_rejoin loop srv victim;
+    let s = Server.stats srv in
+    Alcotest.(check int) (Printf.sprintf "rejoin %d: 0-RTT delta" round) round s.rejoins_0rtt;
+    Alcotest.(check int) (Printf.sprintf "rejoin %d: no full rejoin" round) 0 s.rejoins_full;
+    Alcotest.(check int) (Printf.sprintf "rejoin %d: no ticket minted" round) minted (issued srv);
+    Alcotest.(check bool) (Printf.sprintf "rejoin %d: same ticket kept" round) true
+      (Bytes.equal blob (export victim))
+  done;
+  Client.kill victim;
+  await_unbound loop srv (Client.member victim);
+  let r = raw_rejoin loop srv (parse_resumption blob) in
+  Alcotest.(check bool) "a delta" false r.Msg.full;
+  Alcotest.(check int) "the ticket field is empty" 0 (Bytes.length r.Msg.ticket);
+  Alcotest.(check int) "still nothing minted" minted (issued srv);
+  Client.reconnect victim;
+  run_until loop (fun () -> Client.is_member victim);
+  Alcotest.(check int) "every return a 0-RTT delta" 4 (Server.stats srv).Server.rejoins_0rtt;
+  List.iter Client.kill [ victim; peer ];
+  Server.stop srv;
+  Loop.close loop
+
+(* A presented ticket that is not the server's current one for its
+   member is replaced inside the REJOIN_ACK, the member's path unchanged
+   throughout: one [ticket_rewrap] (3) epochs old though still the
+   server's newest (the member was dark when it aged), or young but
+   older than a ticket minted since. *)
+let test_stale_ticket_replaced () =
+  let loop, srv, victim, peer, digest, churn = one_keytree_pair ~rewrap:3 in
+  let d0 = digest () in
+  let ((member, _, _, individual, _) as aged) = parse_resumption (export victim) in
+  Client.kill victim;
+  await_unbound loop srv member;
+  (* tickets the REJOIN itself minted, with its reply *)
+  let rejoin presented =
+    let n = issued srv in
+    let r = raw_rejoin loop srv presented in
+    Alcotest.(check bool) "still a delta" false r.Msg.full;
+    (r, issued srv - n)
+  in
+  churn ();
+  churn ();
+  let r, minted = rejoin aged in
+  Alcotest.(check bool) "aged: replaced" true (Bytes.length r.Msg.ticket > 0);
+  Alcotest.(check int) "aged: one minted" 1 minted;
+  let issued_young = r.Msg.epoch in
+  let young = (member, issued_young, issued_young, individual, r.Msg.ticket) in
+  let r, minted = rejoin young in
+  Alcotest.(check int) "its replacement is current" 0 (Bytes.length r.Msg.ticket);
+  Alcotest.(check int) "current: none minted" 0 minted;
+  churn ();
+  Alcotest.(check bool) "young: under the rewrap age" true
+    (Server.Private.epoch srv - issued_young < 3);
+  let _, minted = rejoin aged in
+  Alcotest.(check int) "the aged ticket again: one minted" 1 minted;
+  let r, minted = rejoin young in
+  Alcotest.(check bool) "superseded: replaced" true (Bytes.length r.Msg.ticket > 0);
+  Alcotest.(check int) "superseded: one minted" 1 minted;
+  Alcotest.(check bool) "no reshape" true (Bytes.equal d0 (digest ()));
+  Alcotest.(check int) "no full rejoin" 0 (Server.stats srv).Server.rejoins_full;
+  List.iter Client.kill [ victim; peer ];
+  Server.stop srv;
+  Loop.close loop
+
+(* A member dark while its path changes shape presents a ticket whose
+   digest no longer matches: the whole path comes back, with a fresh
+   ticket for the new shape. *)
+let test_reshaped_ticket_replaced () =
+  let loop, srv, victim, peer, digest, _ = one_keytree_pair ~rewrap:64 in
+  let d0 = digest () and blob = export victim in
+  Client.kill victim;
+  await_unbound loop srv (Client.member victim);
+  let joined = ref [] and port = Server.port srv in
+  while Bytes.equal d0 (digest ()) && List.length !joined < 16 do
+    let joins = (Server.stats srv).Server.joins in
+    let seed = 300 + List.length !joined in
+    joined := Client.connect ~loop { (Client.config ~port) with seed } :: !joined;
+    run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
+    Server.tick_now srv
+  done;
+  Alcotest.(check bool) "joins reshaped the victim's path" false (Bytes.equal d0 (digest ()));
+  let minted = issued srv in
+  let r = raw_rejoin loop srv (parse_resumption blob) in
+  Alcotest.(check bool) "the whole path" true r.Msg.full;
+  Alcotest.(check bool) "a fresh ticket" true (Bytes.length r.Msg.ticket > 0);
+  Alcotest.(check int) "one minted" (minted + 1) (issued srv);
+  List.iter Client.kill (victim :: peer :: !joined);
+  Server.stop srv;
+  Loop.close loop
+
 (* [netd.rekey] closes the tick: it carries the tick's duration, the
    tickets the tick issued, and the organization's entries against
    those the fan-out carried — the joiner's own wraps go by JOIN_ACK
@@ -2267,6 +2534,12 @@ let () =
         @ [
             Alcotest.test_case "reshaped path reissued before a 0-RTT rejoin" `Quick
               test_reshaped_rejoin;
+            Alcotest.test_case "a current ticket is kept across rejoins" `Quick
+              test_current_ticket_kept;
+            Alcotest.test_case "an aged or superseded ticket is replaced" `Quick
+              test_stale_ticket_replaced;
+            Alcotest.test_case "a reshaped path's ticket is replaced" `Quick
+              test_reshaped_ticket_replaced;
             Alcotest.test_case "queue member reshaped by a composed DEK drop" `Quick
               test_queue_member_reshaped;
             Alcotest.test_case "netd.rekey carries tick_us and tickets" `Quick
@@ -2282,6 +2555,7 @@ let () =
           Alcotest.test_case "removal suppresses a batched event" `Quick
             test_loop_remove_in_batch;
           Alcotest.test_case "partial write arms, drain disarms" `Quick test_loop_partial_write;
+          Alcotest.test_case "a queued flight leaves in one write" `Quick test_conn_gathered_flush;
           Alcotest.test_case "reused fd number dispatches afresh" `Quick test_loop_fd_reuse;
           Alcotest.test_case "overflowing ready set served in two steps" `Quick
             test_loop_overflow;
@@ -2297,6 +2571,8 @@ let () =
           Alcotest.test_case "bad version rejected" `Quick test_version_rejected;
           Alcotest.test_case "plaintext REKEY refused by client" `Quick
             test_plaintext_rekey_refused;
+          Alcotest.test_case "one flight of replies, farewell before the close" `Quick
+            test_held_farewell;
           Alcotest.test_case "an unassigned ERROR code is a generic error" `Quick
             test_unassigned_error_code;
           Alcotest.test_case "capacity floor serves a composed rekey" `Quick

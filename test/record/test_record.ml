@@ -445,9 +445,9 @@ let test_counter_canonical () =
   let pt = Bytes.of_string "delta keys" in
   let blob = Record.counter_seal key ~n:5L ~ad:Record.resume_ad pt in
   Alcotest.(check int) "1-byte counter" (1 + Bytes.length pt + Aead.tag_size) (Bytes.length blob);
-  Alcotest.(check char) "counter 5, rotated" '\x0a' (Bytes.get blob 0);
+  Alcotest.(check char) "counter 5" '\x05' (Bytes.get blob 0);
   let overlong =
-    Bytes.cat (Bytes.of_string "\x8a\x00") (Bytes.sub blob 1 (Bytes.length blob - 1))
+    Bytes.cat (Bytes.of_string "\x85\x00") (Bytes.sub blob 1 (Bytes.length blob - 1))
   in
   match Record.counter_open key ~ad:Record.resume_ad overlong with
   | Error _ -> ()

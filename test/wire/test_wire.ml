@@ -763,9 +763,8 @@ let seq64_bytes v =
 
 let decode_seq64 s = Codec.parse (Bytes.of_string s) Codec.seq64
 
-(* Rotated left one bit: the unicast flag lands in bit 0, so both
-   spaces start at 1-byte spellings; the top multicast seqs and every
-   negative pattern reach the 10-byte ceiling. *)
+(* Plain unsigned LEB128 over the 64 bits: 1 byte below 128, and
+   every negative pattern reaches the 10-byte ceiling. *)
 let test_seq64_golden () =
   List.iter
     (fun (v, want) ->
@@ -777,10 +776,12 @@ let test_seq64_golden () =
       | Error e -> Alcotest.failf "seq %Lx: %s" v e)
     [
       (0L, "00");
-      (127L, "fe01");
-      (Int64.min_int, "01");
-      (Int64.add Int64.min_int 1L, "03");
-      (0x7FFF_FFFF_FFFF_FF01L, "82fcffffffffffffff01");
+      (127L, "7f");
+      (128L, "8001");
+      (16383L, "ff7f");
+      (Int64.min_int, "80808080808080808001");
+      (Int64.add Int64.min_int 1L, "81808080808080808001");
+      (0x7FFF_FFFF_FFFF_FF01L, "81feffffffffffff7f");
     ]
 
 let test_seq64_non_canonical () =
@@ -792,7 +793,7 @@ let test_seq64_non_canonical () =
       | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
     [
       ("0 closed by a zero group", "\x80\x00");
-      ("127 closed by a zero group", "\xfe\x81\x00");
+      ("127 closed by a zero group", "\xff\x00");
       ("ten bytes ending in zero", String.make 9 '\x80' ^ "\x00");
       ("a 10th byte of 2, bit 64", String.make 9 '\xff' ^ "\x02");
       ("eleven bytes", String.make 10 '\x80' ^ "\x01");
