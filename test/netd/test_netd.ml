@@ -2534,18 +2534,18 @@ let () =
         @ [
             Alcotest.test_case "reshaped path reissued before a 0-RTT rejoin" `Quick
               test_reshaped_rejoin;
-            Alcotest.test_case "a current ticket is kept across rejoins" `Quick
-              test_current_ticket_kept;
-            Alcotest.test_case "an aged or superseded ticket is replaced" `Quick
-              test_stale_ticket_replaced;
-            Alcotest.test_case "a reshaped path's ticket is replaced" `Quick
-              test_reshaped_ticket_replaced;
             Alcotest.test_case "queue member reshaped by a composed DEK drop" `Quick
               test_queue_member_reshaped;
             Alcotest.test_case "netd.rekey carries tick_us and tickets" `Quick
               test_rekey_journal;
             Alcotest.test_case "per-node rows bounded over 500 churn intervals" `Slow
               test_node_rows_bounded;
+            Alcotest.test_case "a current ticket is kept across rejoins" `Quick
+              test_current_ticket_kept;
+            Alcotest.test_case "an aged or superseded ticket is replaced" `Quick
+              test_stale_ticket_replaced;
+            Alcotest.test_case "a reshaped path's ticket is replaced" `Quick
+              test_reshaped_ticket_replaced;
           ] );
       ( "dek log",
         [ Alcotest.test_case "round-trips the list semantics" `Quick test_dek_log_roundtrip ] );
@@ -2555,7 +2555,6 @@ let () =
           Alcotest.test_case "removal suppresses a batched event" `Quick
             test_loop_remove_in_batch;
           Alcotest.test_case "partial write arms, drain disarms" `Quick test_loop_partial_write;
-          Alcotest.test_case "a queued flight leaves in one write" `Quick test_conn_gathered_flush;
           Alcotest.test_case "reused fd number dispatches afresh" `Quick test_loop_fd_reuse;
           Alcotest.test_case "overflowing ready set served in two steps" `Quick
             test_loop_overflow;
@@ -2564,6 +2563,7 @@ let () =
             test_loop_timer_rounding;
           Alcotest.test_case "tcp fan-out to 64 makes no interest change" `Quick
             test_loop_fanout_no_interest;
+          Alcotest.test_case "a queued flight leaves in one write" `Quick test_conn_gathered_flush;
         ] );
       ( "config",
         [
