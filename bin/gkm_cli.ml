@@ -899,9 +899,10 @@ let join_cmd =
              clients
         || match duration with Some d -> Unix.gettimeofday () -. t0 >= d | None -> false);
     (* With --ticket-out the member means to come back: save the
-       resumption state and drop the connection without LEAVE (the
-       server keeps the membership for resync_grace rekeys), so the
-       saved ticket stays valid for a later `gkm join --ticket`. *)
+       resumption state and drop the connection without LEAVE. The
+       ticket never goes stale; it stays valid for a later
+       `gkm join --ticket` as long as the membership does, which the
+       server keeps for resync_grace rekeys. *)
     (match (ticket_out, clients) with
     | Some path, c :: _ -> (
         match Client.export_resumption c with
@@ -989,9 +990,11 @@ let join_cmd =
       & info [ "ticket-out" ] ~docv:"FILE"
           ~doc:
             "On exit, write client 0's resumption state (member id, individual key and \
-             current ticket) to $(docv) and disconnect WITHOUT leaving, so a later \
-             $(b,gkm join --ticket) $(docv) can resume the membership. The file holds \
-             the secret individual key — protect it accordingly.")
+             ticket) to $(docv) and disconnect WITHOUT leaving, so a later \
+             $(b,gkm join --ticket) $(docv) can resume the membership. The ticket never \
+             goes stale; the server keeps a disconnected membership for 50 rekeys, after \
+             which the saved state is refused as evicted. The file holds the secret \
+             individual key — protect it accordingly.")
   in
   Cmd.v
     (Cmd.info "join" ~exits:common_exits

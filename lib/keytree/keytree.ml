@@ -55,7 +55,6 @@ let create ?(id_base = 0) ~degree rng =
 let size t = match t.root with None -> 0 | Some r -> r.size
 let mem t m = Hashtbl.mem t.leaves m
 let members t = Hashtbl.fold (fun m _ acc -> m :: acc) t.leaves []
-let iter_members t f = Hashtbl.iter (fun m _ -> f m) t.leaves
 let root_id t = match t.root with None -> None | Some r -> Some r.id
 let group_key t = match t.root with None -> None | Some r -> Some r.key
 let is_leaf n = n.member <> None

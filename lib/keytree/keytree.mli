@@ -58,11 +58,6 @@ val height : t -> int
 
 val members : t -> member_id list
 
-val iter_members : t -> (member_id -> unit) -> unit
-(** [iter_members t f] applies [f] to every member without building the
-    intermediate list that {!members} allocates. Iteration order is
-    unspecified. *)
-
 val mem : t -> member_id -> bool
 
 val root_id : t -> int option

@@ -473,9 +473,10 @@ and handle_rekey t (r : Msg.rekey) ~dropped =
     else sync_sink t dek
   end
 
-(* A JOIN_ACK, RESYNC or REJOIN_ACK carries a fresh ticket, issued at
-   the reply's epoch, whenever one was due; an empty one leaves ours in
-   place (after a REJOIN, the ticket just presented). *)
+(* A JOIN_ACK, or a recovery RESYNC, carries a fresh ticket issued at
+   the reply's epoch; an empty one (a migration RESYNC) leaves ours in
+   place. A ticket never goes stale, and a REJOIN_ACK never replaces
+   the one presented. *)
 let take_ticket t ~epoch ticket =
   if Bytes.length ticket > 0 then t.ticket <- Some (epoch, ticket)
 
@@ -484,7 +485,6 @@ let take_ticket t ~epoch ticket =
    are caught up to the server's current rekey in one round trip. *)
 let apply_resume t ~member (r : Msg.resume) =
   t.rejoins <- t.rejoins + 1;
-  take_ticket t ~epoch:r.epoch r.ticket;
   t.presented <- None;
   match t.mstate with
   | Some m when not r.full ->
@@ -567,9 +567,6 @@ let handle_msg t (msg : Msg.t) =
       take_ticket t ~epoch ticket;
       let dek = install t ~member ~rekey_no ~epoch ~root ~path in
       if t.phase = Member then sync_sink t dek
-  | (Member | Resync_wait | Joining | Rejoin_wait), Ticket { member; issued_epoch; ticket }
-    when member = t.member ->
-      t.ticket <- Some (issued_epoch, ticket)
   | (Member | Resync_wait), Sealed { epoch; seq; ct } ->
       t.on_sealed ~epoch ~seq ~ct;
       handle_sealed t ~epoch ~seq ~ct
@@ -801,8 +798,8 @@ let kill t = teardown t ~phase:Closed
 
 (* PING/PONG barrier. The server answers PING at any phase; its write
    queue to us is FIFO, so receiving the PONG proves everything the
-   server enqueued for this client before it processed the PING —
-   tickets included — has been received. *)
+   server enqueued for this client before it processed the PING has
+   been received. *)
 let drain ?(timeout = 5.0) t k =
   match t.conn with
   | None -> k ()
@@ -836,6 +833,7 @@ let leave t =
 
 module Private = struct
   let epoch = epoch
+  let key_of t node = Option.bind t.mstate (fun m -> Member.Private.key_of m node)
   let frames_dropped = frames_dropped
   let pending_discarded = pending_discarded
   let mcast_duplicates = mcast_duplicates

@@ -24,13 +24,14 @@
     on its current DEK generation, buffers frames sealed for a
     generation it hasn't reached (draining them after the rotation
     they announce), and holds the AEAD resumption ticket the server
-    issues (inside JOIN_ACK or RESYNC, and reissued by TICKET). Every
+    issues (inside JOIN_ACK, or a recovery RESYNC). Every
     connection sends its first request in the same flight as HELLO:
     JOIN for a new member; after {!kill}/{!reconnect}, the ticket in
     a REJOIN — one round trip to full membership, delta keys only if
     the member state survived — or, without a ticket, an
     authenticated RESYNC_REQ. The fallback ladder on rejection:
-    RESYNC (expired ticket), fresh JOIN as a new member (evicted). *)
+    RESYNC (a ticket the server cannot open), fresh JOIN as a new
+    member (evicted). *)
 
 type config = {
   host : string;
@@ -82,7 +83,7 @@ val drain : ?timeout:float -> t -> (unit -> unit) -> unit
     matching PONG arrives. The server answers PING at any phase and
     its per-connection write queue is FIFO, so the PONG proves every
     frame the server enqueued for this client before processing the
-    PING — resumption tickets included — has been received. The
+    PING has been received. The
     continuation fires exactly once: on the PONG, on connection
     teardown, or after [timeout] seconds (default 5), whichever comes
     first. *)
@@ -151,6 +152,10 @@ module Private : sig
   (** Client state the tests assert on; no shipped path reads it. *)
 
   val epoch : t -> int
+
+  val key_of : t -> int -> Gkm_crypto.Key.t option
+  (** The key the member state holds for a node id; [None] without
+      member state or for a node it does not hold. *)
 
   val frames_dropped : t -> int
 

@@ -28,13 +28,6 @@ let retx_window = 8
    never catches a reader that stopped for good. *)
 let stall_strikes = 8
 
-(* Epochs between a ticket's issue and its REJOIN past which the
-   ticket is refused (soft err_ticket: the member falls back to an
-   authenticated RESYNC). Connected members get a fresh ticket every
-   [ticket_rewrap] epochs (64 by default, at most this), so only a
-   member dark for longer than this ever meets it. *)
-let ticket_horizon = 200
-
 type config = {
   host : string;
   port : int;
@@ -47,7 +40,6 @@ type config = {
   resync_budget : int;
   max_clients : int;
   sndbuf : int option;
-  ticket_rewrap : int;
   ticket_seed : int;
   domains : int;
   transport : transport;
@@ -66,7 +58,6 @@ let default_config =
     resync_budget = 64;
     max_clients = 4096;
     sndbuf = None;
-    ticket_rewrap = 64;
     ticket_seed = 0xC0FFEE;
     domains = 1;
     transport = Tcp;
@@ -270,26 +261,15 @@ type t = {
   clients : (int, client) Hashtbl.t;  (* raw fd -> client *)
   member_client : (int, client) Hashtbl.t;  (* member -> live bound client *)
   individual : (int, Key.t) Hashtbl.t;
-  profile : (int, Msg.cls * float) Hashtbl.t;  (* member -> join parameters *)
   pending : (int, client) Hashtbl.t;  (* member -> client awaiting admission *)
   disconnected : (int, int) Hashtbl.t;  (* member -> rekey_no at disconnect *)
   leaving : (int, unit) Hashtbl.t;  (* departure enqueued, key cleanup pending *)
-  placed : (int, int) Hashtbl.t;  (* member -> last known leaf node *)
+  placed : (int, int * int) Hashtbl.t;
+      (* member -> (last known leaf node, epoch it was placed there) *)
   history : (int, hist) Hashtbl.t;  (* rekey_no -> sealed packets, for RETX *)
   ticket_sealer : Record.Ticket.Sealer.t;
-  last_ticket : (int, int * bytes) Hashtbl.t;  (* member -> (epoch, path digest) at issue *)
-  ticket_ages : (int * int) Queue.t;
-      (* (issue epoch, member) per ticket, oldest first: the age-based
-         rewrap schedule. A row whose member was reissued in a later
-         epoch (or departed) is stale and dropped when it surfaces. *)
-  off_tree : (int, unit) Hashtbl.t;
-      (* members whose leaf is in no key tree (QT's queue): no entry
-         wraps under their leaf's parent, so every rekey visits them *)
   node_changed : (int, int) Hashtbl.t;  (* node id -> last epoch its key changed *)
-  parent_of : (int, int) Hashtbl.t;  (* tree node -> parent, per the last entry wrapped under it *)
-  mutable tops : (Keytree.t * (int * int list) option) list;
-      (* per tree: its root and the node ids above it, as of the last rekey *)
-  mutable prune_at : int;  (* node_changed + parent_of rows that trigger a prune *)
+  mutable prune_at : int;  (* node_changed rows that trigger a prune *)
   mcast : Mcast.sender option;  (* Some iff cfg.transport is Udp *)
   lanes : Lanes.t option;  (* Some iff cfg.domains >= 2 *)
   mutable seal : Record.Seal.t option;  (* keyed by the previous tick's DEK *)
@@ -337,13 +317,12 @@ let dek_trace t = Dek_log.to_list t.dek_trace
 
 let organization t = t.org
 
-let bound_tickets t =
+let bound_members t =
   Hashtbl.fold
-    (fun member cl acc ->
-      if Conn.closed cl.conn then acc else (member, Hashtbl.find_opt t.last_ticket member) :: acc)
+    (fun member cl acc -> if Conn.closed cl.conn then acc else member :: acc)
     t.member_client []
 
-let node_rows t = Hashtbl.length t.node_changed + Hashtbl.length t.parent_of
+let node_rows t = Hashtbl.length t.node_changed
 
 let org_size t =
   let module O = (val t.org : Organization.S) in
@@ -439,86 +418,26 @@ let member_path t member =
 
 let in_tree trees node = List.exists (fun tr -> Keytree.node_exists tr node) trees
 
-(* Remember the newest ticket of [member] and schedule its age-based
-   rewrap. One row per member and epoch: a reissue within the epoch
-   keeps the row already queued. Stale rows are compacted away once
-   they outnumber the live ones, so the queue stays O(members). *)
-let note_ticket t member digest path =
-  let module O = (val t.org : Organization.S) in
-  (match Hashtbl.find_opt t.last_ticket member with
-  | Some (e, _) when e = t.epoch -> ()
-  | _ -> Queue.push (t.epoch, member) t.ticket_ages);
-  Hashtbl.replace t.last_ticket member (t.epoch, digest);
-  (match path with
-  | (leaf, _) :: _ when not (in_tree (O.trees ()) leaf) -> Hashtbl.replace t.off_tree member ()
-  | _ -> Hashtbl.remove t.off_tree member);
-  if Queue.length t.ticket_ages > (2 * Hashtbl.length t.last_ticket) + 64 then begin
-    let rows = Queue.create () in
-    Queue.iter
-      (fun ((e, m) as row) ->
-        match Hashtbl.find_opt t.last_ticket m with
-        | Some (e', _) when e' = e -> Queue.push row rows
-        | _ -> ())
-      t.ticket_ages;
-    Queue.clear t.ticket_ages;
-    Queue.transfer rows t.ticket_ages
-  end
-
-(* Seal a ticket issued now that vouches for [member]'s [path]
-   ([digest] is its {!Record.Ticket.path_digest}), and count it. *)
-let mint_ticket t ~member ~cls ~loss path digest =
+(* Seal a ticket for [member], issued now, and count it. A ticket only
+   names its member: the server reads back [member] and
+   [issued_epoch], so it never goes stale and nothing reissues it.
+   The fields it does not read hold constants. *)
+let mint_ticket t member =
   let ticket =
     Record.Ticket.Sealer.issue t.ticket_sealer
       {
         Record.Ticket.member;
-        cls;
-        loss;
+        cls = `Long;
+        loss = 0.0;
         issued_epoch = t.epoch;
         issued_rekey = t.rekey_no;
-        path_digest = digest;
+        path_digest = Bytes.make 16 '\000';
       }
   in
-  note_ticket t member digest path;
   t.stats.tickets_issued <- t.stats.tickets_issued + 1;
   t.stats.ticket_bytes <- t.stats.ticket_bytes + Bytes.length ticket;
+  journal "netd.ticket" [ ("member", Int member); ("epoch", Int t.epoch) ];
   ticket
-
-(* Whether a ticket issued at epoch [e] for a path digest [d] is past
-   use for a member whose path now digests to [digest]: the path
-   changed shape — the digest inside must track the current tree for
-   the delta-rejoin test to pass — or [ticket_rewrap] epochs went by,
-   which bounds how old a presented ticket can be for a client that
-   stayed connected. *)
-let stale t (e, d) digest = (not (Bytes.equal d digest)) || t.epoch - e >= t.cfg.ticket_rewrap
-
-(* The resumption ticket [member] is due, if any, minted at the
-   current epoch: when it has none, or its newest is [stale]. Callers
-   may offer any member: the predicate decides. A JOIN_ACK or RESYNC
-   carries the result in its ticket field; the tick's reissues send it
-   as TICKET. *)
-let due_ticket t member =
-  let module O = (val t.org : Organization.S) in
-  if O.is_member member && not (Hashtbl.mem t.leaving member) then begin
-    let path = O.member_path member in
-    let digest = Record.Ticket.path_digest (List.map fst path) in
-    let stale =
-      match Hashtbl.find_opt t.last_ticket member with
-      | Some row -> stale t row digest
-      | None -> true
-    in
-    if stale then begin
-      let cls, loss =
-        match Hashtbl.find_opt t.profile member with Some p -> p | None -> (`Long, 0.0)
-      in
-      let ticket = mint_ticket t ~member ~cls ~loss path digest in
-      journal "netd.ticket" [ ("member", Int member); ("epoch", Int t.epoch) ];
-      Some ticket
-    end
-    else None
-  end
-  else None
-
-let reply_ticket t member = Option.value (due_ticket t member) ~default:Bytes.empty
 
 (* Bind [cl] to [member] as its live connection, admitted this tick,
    replacing any older binding; the member is no longer disconnected. *)
@@ -539,7 +458,9 @@ let bind_member t cl member =
    (a full key path each — a flood of out-of-window NACKs would
    otherwise turn a few bytes of NACK into unbounded unicast); the
    counter resets with the connection, so an honest reconnecting
-   client is never locked out. *)
+   client is never locked out. A recovery RESYNC carries a fresh
+   ticket, since the client may have dropped a refused one; a migrated
+   member keeps the ticket it holds. *)
 let send_resync t ?(reason = `Recovery) ?path cl member =
   if reason = `Recovery && cl.resyncs_granted >= t.cfg.resync_budget then begin
     t.stats.resyncs_denied <- t.stats.resyncs_denied + 1;
@@ -566,14 +487,14 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
          epoch = t.epoch;
          root = t.root;
          path = (match path with Some p -> p | None -> member_path t member);
-         ticket = reply_ticket t member;
+         ticket = (match reason with `Recovery -> mint_ticket t member | `Migration -> Bytes.empty);
        })
   end
 
 (* A member with a queued departure ([t.leaving]) must be refused like
-   one already evicted — due_ticket and handle_rejoin already treat
-   leavers that way, and granting here would resurrect the binding for
-   the remainder of the interval. *)
+   one already evicted — handle_rejoin already treats leavers that
+   way, and granting here would resurrect the binding for the
+   remainder of the interval. *)
 let handle_resync_req t cl ~member ~epoch ~auth =
   let module O = (val t.org : Organization.S) in
   match Hashtbl.find_opt t.individual member with
@@ -628,11 +549,8 @@ let handle_nack t cl ~rekey_no ~seqs =
    member in one round trip. The reply is sealed under a key derived
    from the member's individual key, so only the true member can read
    the delta keys — and only the true server could have produced it.
-   A presented ticket that is still the member's newest and not
-   [stale] is the one [due_ticket] would keep: the reply's ticket
-   field stays empty and the client keeps presenting it. Any other
-   (reshaped path, rewrap age, or older than a TICKET the client
-   missed) is replaced inside the sealed reply. *)
+   The client keeps presenting the ticket it holds: the reply never
+   carries a new one. *)
 let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
   let module O = (val t.org : Organization.S) in
   match Record.Ticket.Sealer.open_ t.ticket_sealer ticket with
@@ -648,69 +566,57 @@ let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
              new member with no claim to the old one's keys. *)
           send_soft_error t cl Msg.err_evicted "membership revoked"
       | Some individual ->
-          if t.epoch - c.Record.Ticket.issued_epoch > ticket_horizon then
-            send_soft_error t cl Msg.err_ticket "ticket beyond rewrap horizon"
-          else begin
-            let path = O.member_path member in
-            let digest = Record.Ticket.path_digest (List.map fst path) in
-            (* Delta keys are sound only if the member's entitled path
-               kept its shape since the ticket vouched for it: every
-               change to a surviving node flows through rekey entries,
-               which [node_changed] tracks, but a reshaped path can
-               need keys that last changed before the client left. *)
-            let delta_ok = have_state && Bytes.equal digest c.Record.Ticket.path_digest in
-            let sent_path =
-              if delta_ok then
-                List.filter
-                  (fun (node, _) ->
-                    match Hashtbl.find_opt t.node_changed node with
-                    | Some e -> e > have_epoch
-                    | None -> true)
-                  path
-              else path
-            in
-            bind_member t cl member;
-            let current =
-              match Hashtbl.find_opt t.last_ticket member with
-              | Some row ->
-                  row = (c.Record.Ticket.issued_epoch, c.Record.Ticket.path_digest)
-                  && not (stale t row digest)
-              | None -> false
-            in
-            let fresh =
-              if current then Bytes.empty
-              else
-                mint_ticket t ~member ~cls:c.Record.Ticket.cls ~loss:c.Record.Ticket.loss path
-                  digest
-            in
-            let resume =
-              {
-                Msg.full = not delta_ok;
-                rekey_no = t.rekey_no;
-                epoch = t.epoch;
-                root = t.root;
-                path = sent_path;
-                ticket = fresh;
-              }
-            in
-            let rs =
-              Record.Ticket.resume_key ~individual
-                ~issued_epoch:c.Record.Ticket.issued_epoch
-            in
-            let n = t.rejoin_nonce in
-            t.rejoin_nonce <- Int64.succ n;
-            let ct = Record.counter_seal rs ~n ~ad:Record.resume_ad (Msg.encode_resume resume) in
-            if delta_ok then t.stats.rejoins_0rtt <- t.stats.rejoins_0rtt + 1
-            else t.stats.rejoins_full <- t.stats.rejoins_full + 1;
-            journal "netd.rejoin"
-              [
-                ("member", Int member);
-                ("delta", Bool delta_ok);
-                ("keys", Int (List.length sent_path));
-                ("ticket_age", Int (t.epoch - c.Record.Ticket.issued_epoch));
-              ];
-            send t cl (Msg.Rejoin_ack { member; ct })
-          end)
+          let path = O.member_path member in
+          (* Delta keys suffice while the member's leaf stayed put
+             since [have_epoch]: a node joins a fixed leaf's path only
+             by a split or a re-parent, and both refresh its key, so
+             [node_changed] names every key the client lacks
+             (DESIGN.md Section 13.3). A moved leaf gets the full
+             path. *)
+          let delta_ok =
+            have_state
+            &&
+            match Hashtbl.find_opt t.placed member with
+            | Some (_, moved) -> moved <= have_epoch
+            | None -> false
+          in
+          let sent_path =
+            if delta_ok then
+              List.filter
+                (fun (node, _) ->
+                  match Hashtbl.find_opt t.node_changed node with
+                  | Some e -> e > have_epoch
+                  | None -> true)
+                path
+            else path
+          in
+          bind_member t cl member;
+          let resume =
+            {
+              Msg.full = not delta_ok;
+              rekey_no = t.rekey_no;
+              epoch = t.epoch;
+              root = t.root;
+              path = sent_path;
+              ticket = Bytes.empty;
+            }
+          in
+          let rs =
+            Record.Ticket.resume_key ~individual ~issued_epoch:c.Record.Ticket.issued_epoch
+          in
+          let n = t.rejoin_nonce in
+          t.rejoin_nonce <- Int64.succ n;
+          let ct = Record.counter_seal rs ~n ~ad:Record.resume_ad (Msg.encode_resume resume) in
+          if delta_ok then t.stats.rejoins_0rtt <- t.stats.rejoins_0rtt + 1
+          else t.stats.rejoins_full <- t.stats.rejoins_full + 1;
+          journal "netd.rejoin"
+            [
+              ("member", Int member);
+              ("delta", Bool delta_ok);
+              ("keys", Int (List.length sent_path));
+              ("ticket_age", Int (t.epoch - c.Record.Ticket.issued_epoch));
+            ];
+          send t cl (Msg.Rejoin_ack { member; ct }))
 
 let handle_msg t cl (msg : Msg.t) =
   match (cl.phase, msg) with
@@ -728,7 +634,6 @@ let handle_msg t cl (msg : Msg.t) =
       let module O = (val t.org : Organization.S) in
       let member = t.next_member in
       t.next_member <- t.next_member + 1;
-      Hashtbl.replace t.profile member (cls, loss);
       let cls = match cls with `Short -> Gkm.Scheme.Short | `Long -> Gkm.Scheme.Long in
       let key = O.register ~member ~cls ~loss in
       Hashtbl.replace t.individual member key;
@@ -861,95 +766,19 @@ let has_prior_member t =
     false
   with Found -> true
 
-(* A tree's root and the node ids above it — the organization's DEK
-   nodes — read off the path of its first member. *)
-let top t tr =
-  match Keytree.root_id tr with
-  | None -> None
-  | Some root -> (
-      let exception First of int in
-      match Keytree.iter_members_under tr root (fun m -> raise_notrace (First m)) with
-      | () -> None
-      | exception First m ->
-          let rec above = function
-            | [] -> []
-            | (n, _) :: rest -> if n = root then List.map fst rest else above rest
-          in
-          Some (root, above (member_path t m)))
-
-(* The ticket pass that closes a rekey. It visits only members whose
-   path may have changed shape in [msg] or whose ticket aged out;
-   [due_ticket]'s stale predicate filters the visits, so the pass
-   issues exactly the tickets a sweep over every connected member
-   would (DESIGN.md Section 13.3). The candidates:
-   - members under a tree node whose parent changed: a re-parented
-     node always hangs under a parent this rekey refreshed, which
-     wraps its key under each child, so the entries name every new
-     parent edge;
-   - every member of a tree whose root, or the chain above its root,
-     changed: a collapse that promotes a child to root, or a DEK
-     dropped when a partition empties, leaves no entry behind;
-   - members whose leaf is in no tree (QT's queue);
-   - members whose ticket reached [ticket_rewrap] epochs.
-   It also prunes the per-node tables of dead tree nodes, whenever
-   their rows double. *)
-let reissue_tickets t (msg : Gkm_lkh.Rekey_msg.t) =
+(* Node ids are never reused, so a tree node no live tree holds is
+   dead for good, and [node_changed] would otherwise keep a row for
+   every node ever rekeyed. Whenever the rows double, those of dead
+   tree nodes go. Synthetic nodes (the DEK nodes) have negative ids and
+   are few; they stay. *)
+let prune_nodes t =
   let module O = (val t.org : Organization.S) in
-  let visit member =
-    match Hashtbl.find_opt t.member_client member with
-    | Some cl when not (Conn.closed cl.conn) ->
-        Option.iter
-          (fun ticket -> send t cl (Msg.Ticket { member; issued_epoch = t.epoch; ticket }))
-          (due_ticket t member)
-    | _ -> ()
-  in
-  let trees = O.trees () in
-  let tops = List.map (fun tr -> (tr, top t tr)) trees in
-  let moved =
-    List.filter_map
-      (fun (tr, now) ->
-        let before = Option.join (List.assq_opt tr t.tops) in
-        if before = now then None else Some tr)
-      tops
-  in
-  t.tops <- tops;
-  List.iter (fun tr -> Keytree.iter_members tr visit) moved;
-  List.iter
-    (fun (e : Gkm_lkh.Rekey_msg.entry) ->
-      let child = e.wrapped_under in
-      let known =
-        match Hashtbl.find_opt t.parent_of child with Some p -> p = e.target_node | None -> false
-      in
-      if child <> e.target_node && not known then
-        match List.find_opt (fun tr -> Keytree.node_exists tr child) trees with
-        | Some tr ->
-            Hashtbl.replace t.parent_of child e.target_node;
-            if not (List.memq tr moved) then Keytree.iter_members_under tr child visit
-        | None -> ())
-    msg.entries;
-  List.iter visit (Hashtbl.fold (fun member () acc -> member :: acc) t.off_tree []);
-  let rec aged () =
-    match Queue.peek_opt t.ticket_ages with
-    | Some (e, member) when t.epoch - e >= t.cfg.ticket_rewrap ->
-        ignore (Queue.pop t.ticket_ages);
-        (match Hashtbl.find_opt t.last_ticket member with
-        | Some (e', _) when e' = e -> visit member
-        | _ -> ());
-        aged ()
-    | _ -> ()
-  in
-  aged ();
-  (* Node ids are never reused, so a tree node no live tree holds is
-     dead for good. Synthetic nodes (the DEK nodes) have negative ids
-     and are few; they stay. *)
-  if Hashtbl.length t.node_changed + Hashtbl.length t.parent_of >= t.prune_at then begin
-    Hashtbl.filter_map_inplace
-      (fun n p -> if in_tree trees n then Some p else None)
-      t.parent_of;
+  if Hashtbl.length t.node_changed >= t.prune_at then begin
+    let trees = O.trees () in
     Hashtbl.filter_map_inplace
       (fun n e -> if n < 0 || in_tree trees n then Some e else None)
       t.node_changed;
-    t.prune_at <- (2 * (Hashtbl.length t.node_changed + Hashtbl.length t.parent_of)) + 256
+    t.prune_at <- (2 * Hashtbl.length t.node_changed) + 256
   end
 
 (* The sealer of [dek]: the one it already has if it is live or has
@@ -1059,7 +888,10 @@ let tick t =
       in
       Hashtbl.iter (fun member _ -> add member) t.pending;
       List.iter
-        (fun (member, leaf) -> if Hashtbl.find_opt t.placed member <> Some leaf then add member)
+        (fun (member, leaf) ->
+          match Hashtbl.find_opt t.placed member with
+          | Some (l, _) when l = leaf -> ()
+          | _ -> add member)
         (O.placements ());
       let wire_entries =
         Gkm_lkh.Rekey_msg.for_audience
@@ -1138,7 +970,7 @@ let tick t =
                      epoch = t.epoch;
                      root = t.root;
                      path = Hashtbl.find fresh member;
-                     ticket = reply_ticket t member;
+                     ticket = mint_ticket t member;
                    })
             end
           end)
@@ -1147,7 +979,12 @@ let tick t =
          need their fresh key path: a server-initiated RESYNC, the wire
          form of the migration unicast. Newly admitted members already
          got theirs in JOIN_ACK. *)
-      List.iter (fun (member, leaf) -> Hashtbl.replace t.placed member leaf) (O.placements ());
+      List.iter
+        (fun (member, leaf) ->
+          match Hashtbl.find_opt t.placed member with
+          | Some (l, _) when l = leaf -> ()
+          | _ -> Hashtbl.replace t.placed member (leaf, t.epoch))
+        (O.placements ());
       Hashtbl.iter
         (fun member path ->
           match Hashtbl.find_opt t.member_client member with
@@ -1294,7 +1131,7 @@ let tick t =
           t.seal <- Some (seal_for t ~dek ~digest ~label:msg.epoch)
       | Some _ -> ());
       retire_seals t;
-      reissue_tickets t msg;
+      prune_nodes t;
       (* The rekey's journal record comes last, so it can carry the
          tick's cost and the tickets it issued. *)
       if has_frames && Obs.enabled () then begin
@@ -1334,10 +1171,7 @@ let tick t =
     (fun m ->
       Hashtbl.remove t.leaving m;
       Hashtbl.remove t.individual m;
-      Hashtbl.remove t.placed m;
-      Hashtbl.remove t.profile m;
-      Hashtbl.remove t.last_ticket m;
-      Hashtbl.remove t.off_tree m)
+      Hashtbl.remove t.placed m)
     gone
 
 let rec arm_tick t =
@@ -1358,8 +1192,6 @@ let create ~loop (cfg : config) =
          cfg.capacity Packet.min_capacity_bytes);
   if cfg.outbox_soft > cfg.outbox_hard then
     invalid_arg "Netd.Server: outbox_soft must not exceed outbox_hard";
-  if cfg.ticket_rewrap < 1 || cfg.ticket_rewrap > ticket_horizon then
-    invalid_arg (Printf.sprintf "Netd.Server: ticket_rewrap must be in [1, %d]" ticket_horizon);
   if cfg.domains < 1 || cfg.domains > 64 then
     invalid_arg "Netd.Server: domains must be in [1, 64]";
   let org = Organization.create cfg.org in
@@ -1394,19 +1226,13 @@ let create ~loop (cfg : config) =
         clients = Hashtbl.create 256;
         member_client = Hashtbl.create 256;
         individual = Hashtbl.create 256;
-        profile = Hashtbl.create 256;
         pending = Hashtbl.create 64;
         disconnected = Hashtbl.create 64;
         leaving = Hashtbl.create 64;
         placed = Hashtbl.create 256;
         history = Hashtbl.create 16;
         ticket_sealer = Record.Ticket.Sealer.create ~seed:cfg.ticket_seed;
-        last_ticket = Hashtbl.create 256;
-        ticket_ages = Queue.create ();
-        off_tree = Hashtbl.create 64;
         node_changed = Hashtbl.create 1024;
-        parent_of = Hashtbl.create 1024;
-        tops = [];
         prune_at = 256;
         mcast;
         (* Lanes exist only from domains = 2 up: at 1 the tick domain
@@ -1478,6 +1304,6 @@ let stop t =
 module Private = struct
   let epoch = epoch
   let organization = organization
-  let bound_tickets = bound_tickets
+  let bound_members = bound_members
   let node_rows = node_rows
 end

@@ -25,14 +25,13 @@
     The server speaks one wire version ({!Gkm_wire.Msg.version}); a
     HELLO whose range excludes it is refused with [err_version]. Every
     REKEY/RETX goes out sealed by the {!Gkm_record.Record} layer under
-    the pre-rekey DEK generation, members receive AEAD resumption
-    tickets (inside the admitting JOIN_ACK and every RESYNC that finds
-    one due, and as TICKET whenever their entitled path changes shape
-    and every [ticket_rewrap] epochs), and a reconnecting member can
-    re-enter in one round trip by presenting its ticket in REJOIN —
-    receiving only the path keys that changed since it left, sealed
-    under a key derived from its individual key, and a replacement
-    ticket only when the presented one is not its current one. The
+    the pre-rekey DEK generation, members receive an AEAD resumption
+    ticket (inside the admitting JOIN_ACK, and every recovery RESYNC)
+    that names them and never goes stale, and a reconnecting member
+    can re-enter in one round trip by presenting it in REJOIN —
+    receiving, while its leaf has not moved since the epoch it still
+    holds, only the path keys that changed since then, else its whole
+    path, sealed under a key derived from its individual key. The
     replies to one read's messages leave in one write. Evicted members are
     locked out: their ids are never reused and their tickets die with
     the membership (soft error; the socket may re-JOIN as a fresh
@@ -89,11 +88,6 @@ type config = {
   sndbuf : int option;
       (** SO_SNDBUF for accepted sockets — small values let tests fill
           the kernel buffer and exercise the backpressure tiers *)
-  ticket_rewrap : int;
-      (** epochs between age-based ticket reissues to connected
-          members, in [1, 200]: keeps every live ticket inside the
-          200-epoch horizon past which a REJOIN is refused (soft
-          err_ticket) *)
   ticket_seed : int;  (** seed for the server-local ticket sealing key *)
   domains : int;
       (** REKEY fan-out writers, in [1, 64]. 1 (the default) is the
@@ -140,7 +134,7 @@ type stats = {
   mutable ticket_bytes : int;  (** total bytes of issued ticket blobs *)
   mutable rejoins_0rtt : int;  (** REJOINs answered with delta keys only *)
   mutable rejoins_full : int;  (** REJOINs answered with the full path *)
-  mutable ticket_rejects : int;  (** REJOINs refused (bad/expired/evicted) *)
+  mutable ticket_rejects : int;  (** REJOINs refused (unopenable ticket, or evicted) *)
   mutable mcast_datagrams : int;
       (** rekey generations multicast, one datagram each *)
   mutable mcast_bytes : int;
@@ -207,14 +201,12 @@ module Private : sig
   (** The served organization, for inspection. Mutating it behind the
       server's back breaks every invariant above. *)
 
-  val bound_tickets : t -> (int * (int * bytes) option) list
-  (** [(member, Some (issued_epoch, path_digest))] of the newest ticket
-      of every member bound to an open connection ([None]: no ticket) —
-      what a staleness audit checks against the current paths. *)
+  val bound_members : t -> int list
+  (** Every member bound to an open connection. *)
 
   val node_rows : t -> int
-  (** Rows of per-node bookkeeping (last key change and parent per
-      node). Dead nodes are pruned, so this stays within a constant
+  (** Rows of per-node bookkeeping (the epoch of each node's last key
+      change). Dead nodes are pruned, so this stays within a constant
       factor of the live tree size rather than growing with every node
       ever created. *)
 end

@@ -120,15 +120,22 @@ module Ticket : sig
     loss : float;
     issued_epoch : int;
     issued_rekey : int;
-    path_digest : bytes;  (** {!path_digest} of the member's entitled key-tree path. *)
+    path_digest : bytes;  (** 16 bytes; see {!path_digest}. *)
   }
+  (** What a ticket seals. The live server reads back only [member]
+      and [issued_epoch] (the resume key's input): a ticket names its
+      member and never goes stale. The server no longer reads [cls],
+      [loss], [issued_rekey] or [path_digest], and no longer computes
+      the digest: it mints tickets with constant [cls] and [loss] and
+      a zero [path_digest]. The fields stay in the codec while
+      [perfbench]'s copy of the rejoin still builds them. *)
 
   val path_digest : int list -> bytes
   (** 16-byte digest (SHA-256 truncated) of a key-tree path given as
       node ids (leaf-first, DEK node last, as [member_path] returns
-      them). The server compares the digest in a presented ticket
-      against the member's {e current} path to decide whether delta
-      keys suffice. *)
+      them). The live server neither computes nor compares it: whether
+      delta keys suffice is decided from its own state (DESIGN.md
+      Section 13.3). *)
 
   module Sealer : sig
     type t

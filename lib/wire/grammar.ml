@@ -54,7 +54,6 @@ let rules =
     rule 12 [ I64 "token" ];
     rule 13 [ U8 "code"; Rest "detail" ];
     rule 14 [ num "epoch"; Seq64 "seq"; Rest "ct" ];
-    rule 15 [ num "member"; num "issued_epoch"; Rest "ticket" ];
     rule 16 [ num "have_epoch"; Enum ("have_state", [| 0; 1 |]); Rest "ticket" ];
     rule 17 [ num "member"; Rest "ct" ];
   ]

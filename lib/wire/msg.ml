@@ -47,7 +47,6 @@ type t =
   | Pong of { token : int64 }
   | Error_msg of { code : int; detail : string }
   | Sealed of { epoch : int; seq : int64; ct : bytes }
-  | Ticket of { member : int; issued_epoch : int; ticket : bytes }
   | Rejoin of { have_epoch : int; have_state : bool; ticket : bytes }
   | Rejoin_ack of { member : int; ct : bytes }
 
@@ -75,7 +74,7 @@ let tag = function
   | Pong _ -> 12
   | Error_msg _ -> 13
   | Sealed _ -> 14
-  | Ticket _ -> 15
+  (* 15 is reserved (the retired TICKET): never assign it. *)
   | Rejoin _ -> 16
   | Rejoin_ack _ -> 17
 
@@ -94,7 +93,6 @@ let tag_name = function
   | 12 -> "PONG"
   | 13 -> "ERROR"
   | 14 -> "SEALED"
-  | 15 -> "TICKET"
   | 16 -> "REJOIN"
   | 17 -> "REJOIN_ACK"
   | n -> Printf.sprintf "type-%d" n
@@ -186,10 +184,6 @@ let encode_body buf = function
       add_u31 buf epoch;
       add_seq64 buf seq;
       Buffer.add_bytes buf ct
-  | Ticket { member; issued_epoch; ticket } ->
-      add_u31 buf member;
-      add_u31 buf issued_epoch;
-      Buffer.add_bytes buf ticket
   | Rejoin { have_epoch; have_state; ticket } ->
       add_u31 buf have_epoch;
       add_u8 buf (if have_state then 1 else 0);
@@ -244,11 +238,6 @@ let read_body ~tag r =
       let seq = seq64 r in
       let ct = rest r in
       Sealed { epoch; seq; ct }
-  | 15 ->
-      let member = u31 r in
-      let issued_epoch = u31 r in
-      let ticket = rest r in
-      Ticket { member; issued_epoch; ticket }
   | 16 ->
       let have_epoch = u31 r in
       let have_state = match u8 r with 0 -> false | 1 -> true | b -> corrupt "REJOIN with bad have_state %d" b in

@@ -25,8 +25,8 @@
 
 val version : int
 (** The wire version (2): the epoch-sealed record layer (SEALED),
-    resumption tickets (TICKET/REJOIN/REJOIN_ACK) and varint bodies
-    and packet entries. Frames carrying any other
+    resumption tickets (REJOIN/REJOIN_ACK) and varint bodies and
+    packet entries. Frames carrying any other
     version byte are rejected, and a HELLO whose range excludes it is
     refused with [err_version]. *)
 
@@ -62,8 +62,9 @@ type t =
       root : int;
       path : path;
       ticket : bytes;
-          (** the member's resumption ticket, issued at [epoch] (see
-              [Ticket]); empty when none is due *)
+          (** the member's resumption ticket, issued at [epoch]. It
+              names the member and never goes stale; the client
+              presents it in every later [Rejoin]. *)
     }
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
@@ -78,7 +79,10 @@ type t =
       epoch : int;
       root : int;
       path : path;
-      ticket : bytes;  (** as in [Join_ack] *)
+      ticket : bytes;
+          (** as in [Join_ack] for a recovery resync; empty for a
+              server-initiated migration, whose member keeps its
+              ticket *)
     }
   | Leave of { member : int }
   | Ping of { token : int64 }
@@ -90,18 +94,16 @@ type t =
           record sequence number (any [int64] on the wire; no sealer
           produces a negative one, and a sink refuses it); [ct] is
           the AEAD output covering an inner [tag || body] plaintext. *)
-  | Ticket of { member : int; issued_epoch : int; ticket : bytes }
-      (** A resumption ticket reissued to a connected member (its path
-          changed shape, or its ticket aged). [ticket] is opaque to the
-          client (sealed under the server's ticket key);
-          [issued_epoch] lets the client derive the resume key for a
-          later REJOIN_ACK. A member's first ticket rides in its
-          [Join_ack] or [Resync] instead. *)
+  (* Tag 15 is reserved (the retired TICKET, which reissued tickets
+     to connected members): a frame carrying it is refused as an
+     unknown type. *)
   | Rejoin of { have_epoch : int; have_state : bool; ticket : bytes }
       (** 0-RTT re-entry. [have_epoch] is the last epoch whose keys
           the client still holds; [have_state] is false when the member
           state was lost (cross-process resume) and a full path is
-          needed. *)
+          needed. [ticket] is opaque to the client (sealed under the
+          server's ticket key); the [issued_epoch] the client stored
+          with it derives the REJOIN_ACK key. *)
   | Rejoin_ack of { member : int; ct : bytes }
       (** [ct] seals a {!resume} body under
           {!Gkm_record.Record.Ticket.resume_key} — it authenticates the
@@ -118,8 +120,10 @@ val err_auth : int
 (* 5 is reserved: never assign it. *)
 
 val err_ticket : int
-(** Ticket rejected (expired past the rewrap horizon, or undecodable).
-    Soft: the connection stays up so the client can fall back. *)
+(** Ticket rejected: it does not open under the server's ticket key
+    (corrupt, or sealed by another server). Tickets do not expire.
+    Soft: the connection stays up so the client can fall back to
+    RESYNC. *)
 
 val tag : t -> int
 (** Wire type byte of a message. *)
@@ -156,8 +160,10 @@ type resume = {
   root : int;
   path : path;
   ticket : bytes;
-      (** fresh ticket replacing the presented one, issued at [epoch];
-          empty when the presented ticket is still current *)
+      (** always empty: a ticket never goes stale, so the server never
+          replaces the presented one, and the client ignores this
+          field. It stays on the wire while [perfbench]'s copy of
+          the rejoin still builds it. *)
 }
 
 val encode_resume : resume -> bytes

@@ -461,17 +461,16 @@ let test_rejoin_0rtt () =
    must be a 0-RTT delta rejoin: no full-path rejoin, no RESYNC, at
    every fan-out domain count.
 
-   Two gates keep a full rejoin from being legitimate. The victim is
-   drained first (PING/PONG): the ticket reissued by the last tick may
-   still sit in the server's outbox or the socket buffer, and killing
-   then loses it. And each interval
-   waits for the organization to settle: this interval's join and the
-   previous churner's leave both consumed, and the join acknowledged.
-   Otherwise a still-queued leave reshapes the tree during the next
-   kill window, or a leave sent before admission degrades to a crash
-   whose member lingers in the S-partition until a later migration;
-   either way the victim's ticket names a path the tree no longer
-   has. *)
+   Two gates keep a full rejoin from being legitimate; only a leaf
+   that moved since the victim's last epoch makes one. The victim is
+   drained first (PING/PONG), so it has read everything the server
+   sent it, a migration RESYNC included, before the kill. And each
+   interval waits for the organization to settle: this interval's
+   join and the previous churner's leave both consumed, and the join
+   acknowledged. Otherwise a leave sent before admission degrades to
+   a crash whose member lingers in the S-partition until a later
+   migration, and the churn the test counts is not the churn that
+   ran. *)
 let storm_scenario ~domains =
   let n = 100 and intervals = 10 and tp = 0.02 in
   let loop = Loop.create () in
@@ -568,62 +567,6 @@ let test_eviction_lockout () =
   Alcotest.(check bool) "re-entered as a fresh member" true (Client.member ghost <> old_member);
   Alcotest.(check int) "fresh join counted" 6 (Server.stats srv).joins;
   Server.stop srv
-
-(* The ticket horizon: a REJOIN presenting a ticket issued more than
-   200 epochs ago is refused, and the client falls back to an
-   authenticated RESYNC. Member A stays connected throughout (its own
-   ticket is rewrapped every 64 epochs) while churn from other members
-   moves the epoch past the horizon of a blob A exported early on; a
-   second client then starts from that blob. *)
-let test_ticket_horizon () =
-  let loop = Loop.create () in
-  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
-  let port = Server.port srv in
-  let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
-  let a = connect 1 in
-  let peers = List.init 3 (fun i -> connect (10 + i)) in
-  let stats () = Server.stats srv in
-  run_until loop (fun () -> (stats ()).joins = 4);
-  Server.tick_now srv;
-  run_until loop (fun () -> List.for_all Client.is_member (a :: peers));
-  let blob =
-    match Client.export_resumption a with
-    | Some b -> b
-    | None -> Alcotest.fail "no resumption state after admission"
-  in
-  let exported_at = Server.Private.epoch srv in
-  let seed = ref 100 in
-  while Server.Private.epoch srv <= exported_at + 200 do
-    incr seed;
-    let joins = (stats ()).joins and leaves = (stats ()).leaves in
-    let c = connect !seed in
-    run_until loop (fun () -> (stats ()).joins > joins);
-    Server.tick_now srv;
-    run_until loop (fun () -> Client.is_member c);
-    Client.leave c;
-    run_until loop (fun () -> (stats ()).leaves > leaves);
-    Server.tick_now srv
-  done;
-  let last = Server.rekey_no srv in
-  run_until loop (fun () -> Client.last_rekey a = last);
-  Alcotest.(check int) "A's own tickets stayed inside the horizon" 0 (stats ()).ticket_rejects;
-  let b = Client.connect ~loop { (Client.config ~port) with seed = 2; resume = Some blob } in
-  run_until loop (fun () -> Client.is_member b);
-  let s = stats () in
-  Alcotest.(check int) "one ticket refused" 1 s.ticket_rejects;
-  Alcotest.(check int) "no 0-RTT rejoin" 0 s.rejoins_0rtt;
-  Alcotest.(check int) "no full rejoin" 0 s.rejoins_full;
-  Alcotest.(check int) "fell back to one RESYNC" 1 (Client.resyncs b);
-  Alcotest.(check int) "server answered it" 1 s.resyncs;
-  Alcotest.(check int) "as member A" (Client.member a) (Client.member b);
-  let server_fp = List.assoc last (Server.dek_trace srv) in
-  Alcotest.(check (option string))
-    "installed the server's DEK" (Some server_fp)
-    (Option.map Gkm_crypto.Key.fingerprint (Client.group_key b));
-  check_trace ~server_tbl:(server_trace_tbl srv) "B" b;
-  List.iter Client.kill (a :: b :: peers);
-  Server.stop srv;
-  Loop.close loop
 
 (* Composed organizations — band node ids beyond i32 — are served in
    the one varint packet codec; clients track the composed DEK
@@ -1026,7 +969,7 @@ let test_lane_dead_peer () =
       let live = churner :: survivors in
       run_until loop (fun () ->
           List.for_all Client.is_member live
-          && not (List.mem_assoc vm (Server.Private.bound_tickets srv)));
+          && not (List.mem vm (Server.Private.bound_members srv)));
       settled live;
       (* The next tick fans out normally. *)
       let tx1 = lane_tx () in
@@ -1858,7 +1801,7 @@ let test_loop_fanout_no_interest () =
   Server.stop srv;
   Loop.close loop
 
-(* ---- Ticket reissue: the rekey's ticket pass against a full sweep ---- *)
+(* ---- Tickets: what a tick mints, and what a rejoin restores ---- *)
 
 module Keytree = Gkm_keytree.Keytree
 module Journal = Gkm_obs.Journal
@@ -1871,10 +1814,22 @@ let members_under t node =
 
 (* Until the server has dropped [member]'s connection. *)
 let await_unbound loop srv member =
-  run_until loop (fun () -> not (List.mem_assoc member (Server.Private.bound_tickets srv)))
+  run_until loop (fun () -> not (List.mem member (Server.Private.bound_members srv)))
 
-(* Crash-kill [victim] once it has read everything the server sent it
-   (tickets included), then bring it back by ticket. *)
+(* [c] holds the server's key for every node of its member's current
+   path, the group key included. *)
+let check_path srv ~label c =
+  let module O = (val Server.Private.organization srv : Organization.S) in
+  List.iter
+    (fun (node, key) ->
+      match Client.Private.key_of c node with
+      | Some k when Gkm_crypto.Key.equal k key -> ()
+      | Some _ -> Alcotest.failf "%s: member %d holds a stale key for node %d" label (Client.member c) node
+      | None -> Alcotest.failf "%s: member %d lacks the key of node %d" label (Client.member c) node)
+    (O.member_path (Client.member c))
+
+(* Crash-kill [victim] once it has read everything the server sent it,
+   then bring it back by ticket. *)
 let kill_and_rejoin loop srv victim =
   let drained = ref false in
   Client.drain victim (fun () -> drained := true);
@@ -1884,64 +1839,30 @@ let kill_and_rejoin loop srv victim =
   Client.reconnect victim;
   run_until loop (fun () -> Client.is_member victim)
 
-(* The staleness predicate of the per-tick sweep over every connected
-   member that the ticket pass replaces: no ticket, a digest that no
-   longer matches the member's path, or [rewrap] epochs of age. *)
-let ticket_stale srv ~rewrap member ticket =
-  let module O = (val Server.Private.organization srv : Organization.S) in
-  O.is_member member
-  &&
-  match ticket with
-  | None -> true
-  | Some (issued, digest) ->
-      let now = Record.Ticket.path_digest (List.map fst (O.member_path member)) in
-      (not (Bytes.equal digest now)) || Server.Private.epoch srv - issued >= rewrap
-
-(* One tick under the oracle: the tick must issue exactly the tickets
-   the brute-force sweep would have (each connected member whose
-   pre-tick ticket is stale against the post-tick tree, admissions and
-   migrations included), and leave no connected member stale. *)
-let oracle_tick srv ~rewrap ~label =
-  let before = Hashtbl.create 64 in
-  List.iter (fun (m, tk) -> Hashtbl.replace before m tk) (Server.Private.bound_tickets srv);
-  let issued0 = (Server.stats srv).Server.tickets_issued in
-  Server.tick_now srv;
-  let after = Server.Private.bound_tickets srv in
-  let sweep =
-    List.length
-      (List.filter
-         (fun (m, _) -> ticket_stale srv ~rewrap m (Option.join (Hashtbl.find_opt before m)))
-         after)
-  in
-  Alcotest.(check int)
-    (label ^ ": tickets issued = the sweep's")
-    sweep
-    ((Server.stats srv).Server.tickets_issued - issued0);
-  List.iter
-    (fun (m, tk) ->
-      if ticket_stale srv ~rewrap m tk then
-        Alcotest.failf "%s: connected member %d holds a stale ticket" label m)
-    after
-
-(* Randomized churn — joins, leaves, crash-kills with ticket REJOINs,
-   and (S-period 3) migrations — on one organization, 60 ticks, every
-   tick checked by [oracle_tick]; rewrap 3 makes age-based reissues
-   routine. Ends with every live member on the server's DEK trace. *)
+(* Randomized churn — joins, leaves, crash-kills and (S-period 3)
+   migrations, so paths reshape and leaves move while members are
+   dark — on one organization, 60 ticks. A ticket never goes stale, so
+   a sweep over every connected member would mint one for each member
+   admitted, and nothing else: each tick must mint exactly that, and
+   leave every connected member holding a ticket. Every dark member
+   that returns by ticket must then hold the server's key for each
+   node of its current path. The run ends with every live member on
+   the server's DEK trace, with no NACK and no RESYNC. *)
 let oracle_churn selector () =
   let spec =
     match Organization.spec_of_string ~s_period:3 selector with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let rewrap = 3 in
   let loop = Loop.create () in
-  let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org:spec ()) in
   let port = Server.port srv in
+  let stats () = Server.stats srv in
   let rng = Random.State.make [| Hashtbl.hash selector |] in
   let seed = ref 0 in
   let join () =
     incr seed;
-    let joins = (Server.stats srv).Server.joins in
+    let joins = (stats ()).Server.joins in
     let c =
       Client.connect ~loop
         {
@@ -1951,33 +1872,50 @@ let oracle_churn selector () =
           loss = (if Random.State.bool rng then 0.2 else 0.01);
         }
     in
-    run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
+    run_until loop (fun () -> (stats ()).Server.joins > joins);
     c
   in
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
-  let bound c = List.mem_assoc (Client.member c) (Server.Private.bound_tickets srv) in
-  let live = ref (List.init 8 (fun _ -> join ())) and dark = ref [] in
-  Server.tick_now srv;
-  run_until loop (fun () -> List.for_all Client.is_member !live);
-  for tick = 1 to 60 do
+  let bound c = List.mem (Client.member c) (Server.Private.bound_members srv) in
+  let live = ref [] and dark = ref [] in
+  let rejoin ~label c =
+    Client.reconnect c;
+    run_until loop (fun () -> Client.is_member c);
+    check_path srv ~label c;
+    dark := List.filter (fun d -> d != c) !dark;
+    live := c :: !live
+  in
+  let admitted = ref 0 in
+  let tick label =
+    let issued0 = (stats ()).Server.tickets_issued in
+    let joins = (stats ()).Server.joins in
+    Server.tick_now srv;
+    Alcotest.(check int)
+      (label ^ ": tickets minted = the sweep's (one per admission)")
+      (joins - !admitted)
+      ((stats ()).Server.tickets_issued - issued0);
+    admitted := joins;
+    run_until loop (fun () -> List.for_all Client.is_member !live);
     List.iter
       (fun c ->
-        if Random.State.bool rng then begin
-          Client.reconnect c;
-          run_until loop (fun () -> Client.is_member c);
-          dark := List.filter (fun d -> d != c) !dark;
-          live := c :: !live
-        end)
-      !dark;
+        if Client.export_resumption c = None then
+          Alcotest.failf "%s: connected member %d holds no ticket" label (Client.member c))
+      !live
+  in
+  live := List.init 8 (fun _ -> join ());
+  tick (selector ^ " admission");
+  for n = 1 to 60 do
+    let label = Printf.sprintf "%s tick %d" selector n in
+    List.iter (fun c -> if Random.State.bool rng then rejoin ~label c) !dark;
     for _ = 1 to Random.State.int rng 3 do
       live := join () :: !live
     done;
     let members = List.filter Client.is_member !live in
     if List.length members > 6 && Random.State.bool rng then begin
       let c = pick members in
-      let leaves = (Server.stats srv).Server.leaves in
+      let leaves = (stats ()).Server.leaves in
       Client.leave c;
-      run_until loop (fun () -> (Server.stats srv).Server.leaves > leaves);
+      run_until loop (fun () -> (stats ()).Server.leaves > leaves);
       live := List.filter (fun d -> d != c) !live
     end;
     let members = List.filter Client.is_member !live in
@@ -1988,24 +1926,26 @@ let oracle_churn selector () =
       live := List.filter (fun d -> d != c) !live;
       dark := c :: !dark
     end;
-    oracle_tick srv ~rewrap ~label:(Printf.sprintf "%s tick %d" selector tick);
-    run_until loop (fun () -> List.for_all Client.is_member !live)
+    tick label
   done;
-  List.iter
-    (fun c ->
-      Client.reconnect c;
-      run_until loop (fun () -> Client.is_member c);
-      live := c :: !live)
-    !dark;
+  List.iter (rejoin ~label:(selector ^ " final")) !dark;
   let c = join () in
-  oracle_tick srv ~rewrap ~label:(selector ^ " final");
+  live := c :: !live;
+  tick (selector ^ " final");
   let last = Server.rekey_no srv in
-  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) (c :: !live));
-  let s = Server.stats srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) !live);
+  let s = stats () in
   Alcotest.(check bool) (selector ^ ": rejoined by ticket") true (s.Server.rejoins_0rtt >= 1);
+  Alcotest.(check int) (selector ^ ": no NACK") 0 s.Server.nacks;
+  Alcotest.(check int) (selector ^ ": no RESYNC") 0 s.Server.resyncs;
   let server_tbl = server_trace_tbl srv in
-  List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "%s member %d" selector i) c) !live;
-  List.iter Client.kill (c :: !live);
+  List.iteri
+    (fun i c ->
+      let label = Printf.sprintf "%s member %d" selector i in
+      Alcotest.(check int) (label ^ " never resynced") 0 (Client.resyncs c);
+      check_trace ~server_tbl label c)
+    !live;
+  List.iter Client.kill !live;
   Server.stop srv;
   Loop.close loop
 
@@ -2014,11 +1954,11 @@ let oracle_cases =
     (fun sel -> Alcotest.test_case (sel ^ ": ticket pass = full sweep") `Quick (oracle_churn sel))
     [ "one"; "qt"; "tt"; "pt"; "loss:0.05"; "random:2"; "composed"; "composed:qt" ]
 
-(* A connected member whose path is reshaped must hold the reshaped
-   path's ticket, or its next REJOIN falls back to the full path. Two
-   reshapes under TT (S-period 2): a sibling leaf departs, so the
-   collapse re-parents the victim's leaf; then an S->L migration moves
-   a second victim. After each, the victim crash-kills and REJOINs. *)
+(* A connected member whose path is reshaped keeps its ticket and
+   still comes back by delta. Two reshapes under TT (S-period 2): a
+   sibling leaf departs, so the collapse re-parents the victim's leaf;
+   then an S->L migration moves a second victim, whose RESYNC carries
+   its new path. After each, the victim crash-kills and REJOINs. *)
 let test_reshaped_rejoin () =
   let spec =
     Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 2 }
@@ -2041,7 +1981,10 @@ let test_reshaped_rejoin () =
   in
   (* admit, then let the S-period run out: all seven move to L together *)
   while Keytree.size l_tree < 7 do tick () done;
-  let rejoin = kill_and_rejoin loop srv in
+  let rejoin label c =
+    kill_and_rejoin loop srv c;
+    check_path srv ~label c
+  in
   (* 1. a victim whose parent holds exactly it and one sibling leaf *)
   let parent m = fst (List.nth (Keytree.path l_tree m) 1) in
   let victim, sibling =
@@ -2065,7 +2008,7 @@ let test_reshaped_rejoin () =
   tick ();
   Alcotest.(check bool) "collapse re-parented the victim" true
     (parent (Client.member victim) <> old_parent);
-  rejoin victim;
+  rejoin "victim" victim;
   (* 2. a fresh joiner sits in S for the S-period, then migrates *)
   let mover = connect 200 in
   clients := mover :: !clients;
@@ -2076,7 +2019,7 @@ let test_reshaped_rejoin () =
   while not (Keytree.mem l_tree (Client.member mover)) do tick () done;
   Alcotest.(check bool) "the migration was pushed" true
     ((Server.stats srv).Server.migrations > migrations);
-  rejoin mover;
+  rejoin "mover" mover;
   (* one more rekey, then both victims must track the server *)
   let churner = connect 300 in
   run_until loop (fun () -> (Server.stats srv).Server.joins = 9);
@@ -2097,32 +2040,33 @@ let test_reshaped_rejoin () =
 (* A member outside every key tree — a QT queue member, keyed under a
    synthetic leaf — is reshaped when the composed DEK above its band
    goes away: the other band empties, no entry names the change, and
-   no tree holds the member. *)
+   no tree holds the member. Its leaf stays put, so it comes back by
+   delta. *)
 let test_queue_member_reshaped () =
   let spec =
     match Organization.spec_of_string ~s_period:10 "composed:qt" with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let rewrap = 64 in
   let loop = Loop.create () in
-  let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org:spec ()) in
   let port = Server.port srv in
   let module O = (val Server.Private.organization srv : Organization.S) in
   let queued = Client.connect ~loop { (Client.config ~port) with seed = 1; loss = 0.01 } in
   let other = Client.connect ~loop { (Client.config ~port) with seed = 2; loss = 0.2 } in
   run_until loop (fun () -> (Server.stats srv).Server.joins = 2);
-  oracle_tick srv ~rewrap ~label:"admission";
+  Server.tick_now srv;
   run_until loop (fun () -> Client.is_member queued && Client.is_member other);
   let path () = List.map fst (O.member_path (Client.member queued)) in
   Alcotest.(check int) "queue leaf, band DEK, composed DEK" 3 (List.length (path ()));
   Client.leave other;
   run_until loop (fun () -> (Server.stats srv).Server.leaves = 1);
-  oracle_tick srv ~rewrap ~label:"other band empties";
+  Server.tick_now srv;
   Alcotest.(check int) "the composed DEK is gone" 2 (List.length (path ()));
   let last = Server.rekey_no srv in
   run_until loop (fun () -> Client.last_rekey queued = last);
   kill_and_rejoin loop srv queued;
+  check_path srv ~label:"queued" queued;
   let s = Server.stats srv in
   Alcotest.(check int) "0-RTT rejoin" 1 s.Server.rejoins_0rtt;
   Alcotest.(check int) "no full-path rejoin" 0 s.Server.rejoins_full;
@@ -2130,7 +2074,7 @@ let test_queue_member_reshaped () =
   Server.stop srv;
   Loop.close loop
 
-(* ---- Which REJOIN_ACK carries a ticket ---- *)
+(* ---- What a REJOIN_ACK carries ---- *)
 
 module Codec = Gkm_crypto.Codec
 
@@ -2188,10 +2132,10 @@ let raw_rejoin loop srv (member, epoch, issued_epoch, individual, ticket) =
 (* A two-member one-keytree group: a churner joins into a free slot
    of the root and leaves again, so the epoch moves without touching
    the others' paths. *)
-let one_keytree_pair ~rewrap =
+let one_keytree_pair () =
   let spec = Organization.Scheme_cfg (Scheme.default_config Scheme.One_keytree) in
   let loop = Loop.create () in
-  let srv = Server.create ~loop { (cfg ~tp:3600.0 ~org:spec ()) with ticket_rewrap = rewrap } in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org:spec ()) in
   let port = Server.port srv in
   let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
   let victim = connect 1 and peer = connect 2 in
@@ -2199,9 +2143,7 @@ let one_keytree_pair ~rewrap =
   Server.tick_now srv;
   run_until loop (fun () -> Client.is_member victim && Client.is_member peer);
   let module O = (val Server.Private.organization srv : Organization.S) in
-  let digest () =
-    Record.Ticket.path_digest (List.map fst (O.member_path (Client.member victim)))
-  in
+  let nodes () = List.map fst (O.member_path (Client.member victim)) in
   let seed = ref 100 in
   let churn () =
     incr seed;
@@ -2214,15 +2156,26 @@ let one_keytree_pair ~rewrap =
     run_until loop (fun () -> (Server.stats srv).Server.leaves > leaves);
     Server.tick_now srv
   in
-  (loop, srv, victim, peer, digest, churn)
+  (loop, srv, victim, peer, nodes, churn)
 
 let issued srv = (Server.stats srv).Server.tickets_issued
 
-(* A REJOIN presenting the member's current ticket is answered without
-   one: nothing is minted, the client keeps presenting the same blob,
-   and every return is a 0-RTT delta. *)
+(* Every key of a delta is the server's current key for its node. *)
+let check_delta srv member (r : Msg.resume) =
+  let module O = (val Server.Private.organization srv : Organization.S) in
+  let path = O.member_path member in
+  List.iter
+    (fun (node, key) ->
+      match List.assoc_opt node path with
+      | Some k when Gkm_crypto.Key.equal k key -> ()
+      | _ -> Alcotest.failf "delta key for node %d is not the server's" node)
+    r.Msg.path
+
+(* A REJOIN presenting the member's ticket is answered without one:
+   nothing is minted, the client keeps presenting the same blob, and
+   every return is a 0-RTT delta. *)
 let test_current_ticket_kept () =
-  let loop, srv, victim, peer, _, _ = one_keytree_pair ~rewrap:64 in
+  let loop, srv, victim, peer, _, _ = one_keytree_pair () in
   let blob = export victim and minted = issued srv in
   for round = 1 to 2 do
     kill_and_rejoin loop srv victim;
@@ -2246,71 +2199,259 @@ let test_current_ticket_kept () =
   Server.stop srv;
   Loop.close loop
 
-(* A presented ticket that is not the server's current one for its
-   member is replaced inside the REJOIN_ACK, the member's path unchanged
-   throughout: one [ticket_rewrap] (3) epochs old though still the
-   server's newest (the member was dark when it aged), or young but
-   older than a ticket minted since. *)
-let test_stale_ticket_replaced () =
-  let loop, srv, victim, peer, digest, churn = one_keytree_pair ~rewrap:3 in
-  let d0 = digest () in
-  let ((member, _, _, individual, _) as aged) = parse_resumption (export victim) in
+(* A ticket does not age: the admission ticket, presented after the
+   epoch has moved on with the member dark, and again later from the
+   state it held then, is answered with a delta of the current keys
+   and no ticket, and nothing is minted. *)
+let test_old_ticket_delta () =
+  let loop, srv, victim, peer, nodes, churn = one_keytree_pair () in
+  let n0 = nodes () in
+  let ((member, _, issued_epoch, _, _) as old) = parse_resumption (export victim) in
   Client.kill victim;
   await_unbound loop srv member;
-  (* tickets the REJOIN itself minted, with its reply *)
-  let rejoin presented =
-    let n = issued srv in
-    let r = raw_rejoin loop srv presented in
-    Alcotest.(check bool) "still a delta" false r.Msg.full;
-    (r, issued srv - n)
-  in
-  churn ();
-  churn ();
-  let r, minted = rejoin aged in
-  Alcotest.(check bool) "aged: replaced" true (Bytes.length r.Msg.ticket > 0);
-  Alcotest.(check int) "aged: one minted" 1 minted;
-  let issued_young = r.Msg.epoch in
-  let young = (member, issued_young, issued_young, individual, r.Msg.ticket) in
-  let r, minted = rejoin young in
-  Alcotest.(check int) "its replacement is current" 0 (Bytes.length r.Msg.ticket);
-  Alcotest.(check int) "current: none minted" 0 minted;
-  churn ();
-  Alcotest.(check bool) "young: under the rewrap age" true
-    (Server.Private.epoch srv - issued_young < 3);
-  let _, minted = rejoin aged in
-  Alcotest.(check int) "the aged ticket again: one minted" 1 minted;
-  let r, minted = rejoin young in
-  Alcotest.(check bool) "superseded: replaced" true (Bytes.length r.Msg.ticket > 0);
-  Alcotest.(check int) "superseded: one minted" 1 minted;
-  Alcotest.(check bool) "no reshape" true (Bytes.equal d0 (digest ()));
-  Alcotest.(check int) "no full rejoin" 0 (Server.stats srv).Server.rejoins_full;
+  let minted0 = issued srv in
+  for round = 1 to 2 do
+    for _ = 1 to 3 do churn () done;
+    let minted = issued srv in
+    let r = raw_rejoin loop srv old in
+    let tag = Printf.sprintf "rejoin %d" round in
+    Alcotest.(check bool) (tag ^ ": a delta") false r.Msg.full;
+    Alcotest.(check int) (tag ^ ": no ticket in the reply") 0 (Bytes.length r.Msg.ticket);
+    Alcotest.(check int) (tag ^ ": nothing minted") minted (issued srv);
+    Alcotest.(check bool) (tag ^ ": the group key moved") true (r.Msg.path <> []);
+    check_delta srv member r
+  done;
+  Alcotest.(check bool) "the ticket is old" true (Server.Private.epoch srv - issued_epoch >= 6);
+  Alcotest.(check bool) "no reshape" true (n0 = nodes ());
+  Client.reconnect victim;
+  run_until loop (fun () -> Client.is_member victim);
+  check_path srv ~label:"victim" victim;
+  let s = Server.stats srv in
+  Alcotest.(check int) "every return a 0-RTT delta" 3 s.Server.rejoins_0rtt;
+  Alcotest.(check int) "no full rejoin" 0 s.Server.rejoins_full;
+  Alcotest.(check int) "tickets only for the six churners" (minted0 + 6) (issued srv);
   List.iter Client.kill [ victim; peer ];
   Server.stop srv;
   Loop.close loop
 
-(* A member dark while its path changes shape presents a ticket whose
-   digest no longer matches: the whole path comes back, with a fresh
-   ticket for the new shape. *)
-let test_reshaped_ticket_replaced () =
-  let loop, srv, victim, peer, digest, _ = one_keytree_pair ~rewrap:64 in
-  let d0 = digest () and blob = export victim in
+(* A member dark while joins reshape its path keeps its leaf: every
+   node that joined its path since came with a fresh key, so the delta
+   carries it, and the rejoined member holds its whole current path
+   and tracks the server. *)
+let test_reshaped_dark_delta () =
+  let loop, srv, victim, peer, nodes, _ = one_keytree_pair () in
+  let n0 = nodes () and blob = export victim in
+  let member = Client.member victim in
   Client.kill victim;
-  await_unbound loop srv (Client.member victim);
+  await_unbound loop srv member;
   let joined = ref [] and port = Server.port srv in
-  while Bytes.equal d0 (digest ()) && List.length !joined < 16 do
+  while n0 = nodes () && List.length !joined < 16 do
     let joins = (Server.stats srv).Server.joins in
     let seed = 300 + List.length !joined in
     joined := Client.connect ~loop { (Client.config ~port) with seed } :: !joined;
     run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
     Server.tick_now srv
   done;
-  Alcotest.(check bool) "joins reshaped the victim's path" false (Bytes.equal d0 (digest ()));
+  Alcotest.(check bool) "joins reshaped the victim's path" true (n0 <> nodes ());
+  Alcotest.(check int) "the same leaf" (List.hd n0) (List.hd (nodes ()));
   let minted = issued srv in
   let r = raw_rejoin loop srv (parse_resumption blob) in
-  Alcotest.(check bool) "the whole path" true r.Msg.full;
-  Alcotest.(check bool) "a fresh ticket" true (Bytes.length r.Msg.ticket > 0);
-  Alcotest.(check int) "one minted" (minted + 1) (issued srv);
-  List.iter Client.kill (victim :: peer :: !joined);
+  Alcotest.(check bool) "a delta" false r.Msg.full;
+  Alcotest.(check int) "no ticket in the reply" 0 (Bytes.length r.Msg.ticket);
+  Alcotest.(check int) "nothing minted" minted (issued srv);
+  check_delta srv member r;
+  List.iter
+    (fun node ->
+      if not (List.mem node n0 || List.mem_assoc node r.Msg.path) then
+        Alcotest.failf "node %d joined the path but is not in the delta" node)
+    (nodes ());
+  Client.reconnect victim;
+  run_until loop (fun () -> Client.is_member victim);
+  check_path srv ~label:"victim" victim;
+  let churner = Client.connect ~loop { (Client.config ~port) with seed = 400 } in
+  let joins = (Server.stats srv).Server.joins in
+  run_until loop (fun () -> (Server.stats srv).Server.joins > joins);
+  Server.tick_now srv;
+  let live = victim :: peer :: churner :: !joined in
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) live);
+  let s = Server.stats srv in
+  Alcotest.(check int) "no full rejoin" 0 s.Server.rejoins_full;
+  Alcotest.(check int) "no NACK" 0 s.Server.nacks;
+  Alcotest.(check int) "no RESYNC" 0 s.Server.resyncs;
+  check_trace ~server_tbl:(server_trace_tbl srv) "victim" victim;
+  List.iter Client.kill live;
+  Server.stop srv;
+  Loop.close loop
+
+(* A member crash-killed in S and migrated to L while dark has a new
+   leaf: its REJOIN gets the full path, and it tracks the server
+   afterwards, with no RESYNC and no NACK. *)
+let test_moved_dark_full () =
+  let spec =
+    Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 2 }
+  in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org:spec ()) in
+  let port = Server.port srv in
+  let module O = (val Server.Private.organization srv : Organization.S) in
+  let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
+  let clients = ref (List.init 5 (fun i -> connect (100 + i))) in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 5);
+  let settle () =
+    run_until loop (fun () -> List.for_all Client.is_member !clients);
+    let last = Server.rekey_no srv in
+    run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) !clients)
+  in
+  let tick () = Server.tick_now srv; settle () in
+  let s_tree, l_tree =
+    match O.trees () with [ s; l ] -> (s, l) | _ -> Alcotest.fail "TT serves two trees"
+  in
+  while Keytree.size l_tree < 5 do tick () done;
+  let mover = connect 200 in
+  clients := mover :: !clients;
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 6);
+  tick ();
+  let member = Client.member mover in
+  Alcotest.(check bool) "joiner starts in S" true (Keytree.mem s_tree member);
+  let drained = ref false in
+  Client.drain mover (fun () -> drained := true);
+  run_until loop (fun () -> !drained);
+  Client.kill mover;
+  await_unbound loop srv member;
+  clients := List.filter (fun c -> c != mover) !clients;
+  let migrations = (Server.stats srv).Server.migrations in
+  while not (Keytree.mem l_tree member) do tick () done;
+  Alcotest.(check int) "no migration RESYNC to a dark member" migrations
+    (Server.stats srv).Server.migrations;
+  Client.reconnect mover;
+  clients := mover :: !clients;
+  run_until loop (fun () -> Client.is_member mover);
+  let s = Server.stats srv in
+  Alcotest.(check int) "one full-path rejoin" 1 s.Server.rejoins_full;
+  Alcotest.(check int) "no delta rejoin" 0 s.Server.rejoins_0rtt;
+  check_path srv ~label:"mover" mover;
+  let churner = connect 300 in
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 7);
+  clients := churner :: !clients;
+  tick ();
+  let s = Server.stats srv in
+  Alcotest.(check int) "no NACK" 0 s.Server.nacks;
+  Alcotest.(check int) "no RESYNC" 0 s.Server.resyncs;
+  Alcotest.(check int) "mover: no resync" 0 (Client.resyncs mover);
+  check_trace ~server_tbl:(server_trace_tbl srv) "mover" mover;
+  List.iter Client.kill !clients;
+  Server.stop srv;
+  Loop.close loop
+
+(* A ticket has no horizon. Member A stays connected while churn moves
+   the epoch more than 200 past its admission ticket (the only one it
+   is ever given); crash-killed then, it comes back by 0-RTT delta
+   with that ticket: nothing refused, nothing minted, no RESYNC. *)
+let test_old_ticket_rejoin () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
+  let port = Server.port srv in
+  let connect seed = Client.connect ~loop { (Client.config ~port) with seed } in
+  let a = connect 1 in
+  let peers = List.init 3 (fun i -> connect (10 + i)) in
+  let stats () = Server.stats srv in
+  run_until loop (fun () -> (stats ()).joins = 4);
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member (a :: peers));
+  let _, _, issued_epoch, _, ticket = parse_resumption (export a) in
+  let seed = ref 100 in
+  while Server.Private.epoch srv <= issued_epoch + 200 do
+    incr seed;
+    let joins = (stats ()).joins and leaves = (stats ()).leaves in
+    let c = connect !seed in
+    run_until loop (fun () -> (stats ()).joins > joins);
+    Server.tick_now srv;
+    run_until loop (fun () -> Client.is_member c);
+    Client.leave c;
+    run_until loop (fun () -> (stats ()).leaves > leaves);
+    Server.tick_now srv
+  done;
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> Client.last_rekey a = last);
+  let minted = issued srv in
+  kill_and_rejoin loop srv a;
+  let _, _, issued_epoch', _, ticket' = parse_resumption (export a) in
+  Alcotest.(check bool) "A still holds its admission ticket" true
+    (issued_epoch' = issued_epoch && Bytes.equal ticket ticket');
+  Alcotest.(check bool) "older than 200 epochs" true
+    (Server.Private.epoch srv - issued_epoch > 200);
+  let s = stats () in
+  Alcotest.(check int) "nothing refused" 0 s.ticket_rejects;
+  Alcotest.(check int) "one 0-RTT rejoin" 1 s.rejoins_0rtt;
+  Alcotest.(check int) "no full rejoin" 0 s.rejoins_full;
+  Alcotest.(check int) "no RESYNC" 0 s.resyncs;
+  Alcotest.(check int) "nothing minted" minted (issued srv);
+  check_path srv ~label:"A" a;
+  check_trace ~server_tbl:(server_trace_tbl srv) "A" a;
+  List.iter Client.kill (a :: peers);
+  Server.stop srv;
+  Loop.close loop
+
+(* A ticket the server cannot open — here one sealed under another
+   server's ticket key — is refused softly (err_ticket), and the client
+   falls back to one authenticated RESYNC. That RESYNC carries a ticket
+   of this server, by which the member's next return is a 0-RTT
+   delta. *)
+let test_foreign_ticket_resync () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
+  let port = Server.port srv in
+  let connect ?resume seed = Client.connect ~loop { (Client.config ~port) with seed; resume } in
+  let a = connect 1 in
+  let peers = List.init 3 (fun i -> connect (10 + i)) in
+  let stats () = Server.stats srv in
+  run_until loop (fun () -> (stats ()).joins = 4);
+  Server.tick_now srv;
+  run_until loop (fun () -> List.for_all Client.is_member (a :: peers));
+  let member, epoch, issued_epoch, individual, _ = parse_resumption (export a) in
+  let foreign =
+    Record.Ticket.Sealer.issue
+      (Record.Ticket.Sealer.create ~seed:(Server.default_config.ticket_seed + 1))
+      {
+        Record.Ticket.member;
+        cls = `Long;
+        loss = 0.0;
+        issued_epoch;
+        issued_rekey = 0;
+        path_digest = Bytes.make 16 '\000';
+      }
+  in
+  let blob =
+    let buf = Buffer.create 128 in
+    Buffer.add_string buf "GKTK";
+    Codec.add_i32 buf member;
+    Codec.add_i32 buf epoch;
+    Codec.add_i32 buf issued_epoch;
+    Codec.add_var16 buf (Gkm_crypto.Key.to_bytes individual);
+    Codec.add_var16 buf foreign;
+    Buffer.to_bytes buf
+  in
+  Client.kill a;
+  await_unbound loop srv member;
+  let minted = issued srv in
+  let b = connect ~resume:blob 2 in
+  run_until loop (fun () -> Client.is_member b);
+  let s = stats () in
+  Alcotest.(check int) "one ticket refused" 1 s.ticket_rejects;
+  Alcotest.(check int) "no rejoin" 0 (s.rejoins_0rtt + s.rejoins_full);
+  Alcotest.(check int) "fell back to one RESYNC" 1 (Client.resyncs b);
+  Alcotest.(check int) "server answered it" 1 s.resyncs;
+  Alcotest.(check int) "as member A" member (Client.member b);
+  Alcotest.(check int) "the RESYNC carried a ticket" (minted + 1) (issued srv);
+  check_path srv ~label:"B" b;
+  kill_and_rejoin loop srv b;
+  let s = stats () in
+  Alcotest.(check int) "its next return a 0-RTT delta" 1 s.rejoins_0rtt;
+  Alcotest.(check int) "no full rejoin" 0 s.rejoins_full;
+  check_path srv ~label:"B rejoined" b;
+  check_trace ~server_tbl:(server_trace_tbl srv) "B" b;
+  List.iter Client.kill (b :: peers);
   Server.stop srv;
   Loop.close loop
 
@@ -2413,8 +2554,9 @@ let test_node_rows_bounded () =
     List.fold_left
       (fun acc tr ->
         let nodes = Hashtbl.create 64 in
-        Keytree.iter_members tr (fun m ->
-            List.iter (fun (id, _) -> Hashtbl.replace nodes id ()) (Keytree.path tr m));
+        List.iter
+          (fun m -> List.iter (fun (id, _) -> Hashtbl.replace nodes id ()) (Keytree.path tr m))
+          (Keytree.members tr);
         acc + Hashtbl.length nodes)
       0 (O.trees ())
   in
@@ -2493,11 +2635,13 @@ let () =
           Alcotest.test_case "grace eviction of silent members" `Quick test_grace_eviction;
           Alcotest.test_case "0-RTT ticket rejoin, zero full RESYNCs" `Quick test_rejoin_0rtt;
           Alcotest.test_case "evicted ticket locked out" `Quick test_eviction_lockout;
-          Alcotest.test_case "ticket past the horizon falls back to RESYNC" `Quick
-            test_ticket_horizon;
+          Alcotest.test_case "a ticket of any age rejoins 0-RTT" `Quick
+            test_old_ticket_rejoin;
           Alcotest.test_case "composed org served on v2" `Quick test_composed_served;
           Alcotest.test_case "no socket metric registered" `Quick test_no_socket_metrics;
           Alcotest.test_case "admission reply carries the ticket" `Quick test_ticket_in_admission;
+          Alcotest.test_case "a foreign ticket falls back to RESYNC" `Quick
+            test_foreign_ticket_resync;
         ] );
       ( "storm",
         [
@@ -2542,10 +2686,12 @@ let () =
               test_node_rows_bounded;
             Alcotest.test_case "a current ticket is kept across rejoins" `Quick
               test_current_ticket_kept;
-            Alcotest.test_case "an aged or superseded ticket is replaced" `Quick
-              test_stale_ticket_replaced;
-            Alcotest.test_case "a reshaped path's ticket is replaced" `Quick
-              test_reshaped_ticket_replaced;
+            Alcotest.test_case "an old ticket rejoins by delta, no mint" `Quick
+              test_old_ticket_delta;
+            Alcotest.test_case "path reshaped while dark: delta rejoin" `Quick
+              test_reshaped_dark_delta;
+            Alcotest.test_case "a member moved while dark gets the full path" `Quick
+              test_moved_dark_full;
           ] );
       ( "dek log",
         [ Alcotest.test_case "round-trips the list semantics" `Quick test_dek_log_roundtrip ] );

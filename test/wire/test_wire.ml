@@ -64,12 +64,11 @@ let samples () =
     Msg.Error_msg { code = 5; detail = "unassigned" };
   ]
 
-(* Sealed records and the ticket/rejoin handshake. *)
+(* Sealed records and the rejoin handshake. *)
 let samples_v2 () =
   [
     Msg.Sealed { epoch = 42; seq = 0x7FFF_FFFF_FFFF_FF01L; ct = Bytes.make 48 '\x5c' };
     Msg.Sealed { epoch = 0; seq = Int64.min_int; ct = Bytes.empty };
-    Msg.Ticket { member = 12; issued_epoch = 41; ticket = Bytes.make 61 '\x7e' };
     Msg.Rejoin { have_epoch = 40; have_state = true; ticket = Bytes.make 61 '\x7e' };
     Msg.Rejoin { have_epoch = 0; have_state = false; ticket = Bytes.make 1 '\x00' };
     Msg.Rejoin_ack { member = 12; ct = Bytes.make 200 '\x33' };
@@ -320,6 +319,19 @@ let test_length_varint () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "one byte past 1 MiB accepted"
 
+(* Tag 15 (the retired TICKET) is reserved: a frame carrying it, even
+   with the body TICKET had (member, issued epoch, blob — the layout
+   RESYNC_REQ shares), is refused as an unknown type. *)
+let test_retired_tag_refused () =
+  let frame = Frame.encode (Msg.Resync_req { member = 12; epoch = 41; auth = Bytes.make 61 '\x7e' }) in
+  Bytes.set frame 3 '\x0f';
+  (match decode_one frame with
+  | Error e ->
+      Alcotest.(check bool) ("refused as an unknown type: " ^ e) true
+        (String.ends_with ~suffix:"unknown message type 15" e)
+  | Ok m -> Alcotest.failf "tag 15 decoded as %a" Msg.pp_kind m);
+  Alcotest.(check string) "no name of its own" "type-15" (Msg.tag_name 15)
+
 let test_bad_magic_and_version () =
   let frame = Frame.encode (Msg.Ping { token = 1L }) in
   let bad_magic = Bytes.copy frame in
@@ -498,12 +510,14 @@ let test_dgram_roundtrip () =
   | exception Invalid_argument _ -> ()
 
 (* The grammar must cover exactly the codec's tag space, with the same
-   names the decoder uses. *)
+   names the decoder uses: tags 1 to 17 but the reserved 15. *)
 let test_grammar_covers_tags () =
-  Alcotest.(check int) "rule count" 17 (List.length Grammar.rules);
+  Alcotest.(check int) "rule count" 16 (List.length Grammar.rules);
   for tg = 1 to 17 do
     match List.find_opt (fun (r : Grammar.rule) -> r.tag = tg) Grammar.rules with
+    | None when tg = 15 -> ()
     | None -> Alcotest.failf "grammar missing tag %d (%s)" tg (Msg.tag_name tg)
+    | Some r when tg = 15 -> Alcotest.failf "grammar has a rule for the reserved tag (%s)" r.Grammar.name
     | Some r -> Alcotest.(check string) "tag name" (Msg.tag_name tg) r.Grammar.name
   done
 
@@ -959,5 +973,6 @@ let () =
           Alcotest.test_case "5k random byte frames never raise" `Quick test_fuzz_random;
           Alcotest.test_case "5k mutated/truncated frames never raise" `Quick test_fuzz_mutated;
           Alcotest.test_case "body length is a canonical bounded varint" `Quick test_length_varint;
+          Alcotest.test_case "retired tag 15 refused as unknown" `Quick test_retired_tag_refused;
         ] );
     ]
