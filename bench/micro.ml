@@ -31,6 +31,92 @@ let figure_tests =
            ignore (Proactive_fec.reduction Proactive_fec.default lc ~alpha:0.1)));
   ]
 
+(* A member's receive of a set-up rekey of the live benchmark's group
+   (TT, 256 members, one join and one leave an interval): before the
+   members' first S->L migration each such rekey is one record of 17
+   entries sent to every member. Whole: the member opens the record,
+   decodes every entry and hands each to its state. Selective: one
+   MAC, then only the REKEY fields, the payload's metadata and the
+   key material of the entries the member selects. Both start from a
+   fresh copy of the same member state, so the difference is the
+   decryption the selective open skips. *)
+let warmup_open_tests ~dek =
+  let module Record = Gkm_record.Record in
+  let module Msg = Gkm_wire.Msg in
+  let module Packet = Gkm_transport.Packet in
+  let module Member = Gkm_lkh.Member in
+  let module Scheme = Gkm.Scheme in
+  let s = Scheme.create { (Scheme.default_config Scheme.Tt) with seed = 1 } in
+  for m = 0 to 255 do
+    ignore (Scheme.register s ~member:m ~cls:Scheme.Long)
+  done;
+  ignore (Scheme.rekey s);
+  let rec warmup_rekey churner =
+    ignore (Scheme.register s ~member:churner ~cls:Scheme.Long);
+    if churner > 256 then Scheme.enqueue_departure s (churner - 1);
+    let path = Scheme.member_path s 7 and root = Option.get (Scheme.root_node s) in
+    let fan_out (msg : Gkm_lkh.Rekey_msg.t) =
+      (* as the server sends it: less what only the joiner could use *)
+      Gkm_lkh.Rekey_msg.for_audience ~fresh:[ Scheme.member_path s churner ] msg.entries
+    in
+    match Option.map fan_out (Scheme.rekey s) with
+    | Some entries when List.length entries = 17 -> (path, root, entries)
+    | _ when churner < 256 + Scheme.s_period s -> warmup_rekey (churner + 1)
+    | _ -> failwith "micro: no 17-entry set-up rekey"
+  in
+  let path, root, entries = warmup_rekey 256 in
+  let packet =
+    match Packet.encode_entries ~capacity_bytes:1024 entries with
+    | [ p ] -> p
+    | _ -> failwith "micro: the set-up rekey spans packets"
+  in
+  let inner =
+    Msg.encode_inner (Msg.Rekey { rekey_no = 2; org = 2; epoch = 1; root; seq = 0; total = 1; packet })
+  in
+  let epoch = Record.Epoch.of_dek ~dek ~label:0 in
+  let seq, ct = Record.Seal.seal (Record.Seal.create epoch) inner in
+  let member () =
+    let m = Member.create ~id:7 ~leaf_node:(fst (List.hd path)) ~individual_key:(snd (List.hd path)) in
+    Member.install_path m path;
+    Member.set_root m root;
+    m
+  in
+  let whole () =
+    let m = member () in
+    match Record.Sink.open_ (Record.Sink.create epoch) ~seq ct with
+    | Ok pt -> (
+        match Msg.decode_inner pt with
+        | Ok (Msg.Rekey r) ->
+            List.iter
+              (fun e -> ignore (Member.process_entry m e))
+              (Result.get_ok (Packet.decode_payload r.packet.payload));
+            m
+        | _ -> failwith "micro: not a REKEY")
+    | Error _ -> failwith "micro: the record failed to open"
+  in
+  let selective () =
+    let m = member () and sink = Record.Sink.create epoch in
+    match Record.Sink.peek sink ~seq ct with
+    | Ok record -> (
+        Record.Sink.accept sink ~seq;
+        match Msg.decode_inner_head record with
+        | Ok (Msg.Rekey _, off) ->
+            Result.get_ok
+              (Gkm_crypto.Aead.parse record ~off (fun r ->
+                   Packet.read_payload r ~select:(Member.interested m) (fun e ->
+                       ignore (Member.process_entry m e))));
+            m
+        | _ -> failwith "micro: not a REKEY")
+    | Error _ -> failwith "micro: the record failed to open"
+  in
+  let dek_of m = Option.map Key.to_bytes (Member.group_key m) in
+  if dek_of (whole ()) <> dek_of (selective ()) || dek_of (whole ()) = dek_of (member ()) then
+    failwith "micro: the two opens must reach the same new DEK";
+  [
+    Test.make ~name:"record-open-17key-whole" (Staged.stage (fun () -> ignore (whole ())));
+    Test.make ~name:"record-open-17key-selective" (Staged.stage (fun () -> ignore (selective ())));
+  ]
+
 let substrate_tests =
   let rng = Prng.create 1 in
   let payload = Prng.bytes rng 1024 in
@@ -74,15 +160,18 @@ let substrate_tests =
     Test.make ~name:"record-epoch-of-dek"
       (Staged.stage (fun () -> ignore (Gkm_record.Record.Epoch.of_dek ~dek:inner ~label:0)));
     (* A member's receive of a 1-key rekey: a 55-byte inner REKEY
-       message, sealed, opened through the sink. Every open after the
-       first is a replay, which pays the whole open too: the sink
-       authenticates before it consults the window. *)
+       message, sealed, opened through a fresh sink, so that every
+       open is a first one: the MAC, then every block decrypted. (A
+       replay is refused after the MAC, before any decrypt.) *)
     (let module Record = Gkm_record.Record in
      let epoch = Record.Epoch.of_dek ~dek:inner ~label:0 in
      let seq, ct = Record.Seal.seal (Record.Seal.create epoch) (Bytes.sub payload 0 55) in
-     let sink = Record.Sink.create epoch in
      Test.make ~name:"record-open-1key"
-       (Staged.stage (fun () -> ignore (Record.Sink.open_ sink ~seq ct))));
+       (Staged.stage (fun () -> ignore (Record.Sink.open_ (Record.Sink.create epoch) ~seq ct))));
+  ]
+  @ warmup_open_tests ~dek:inner
+  @ [
+
     (* A 0-RTT rejoin's crypto at the server and the member: open the
        presented ticket, derive the resume key, and seal and open the
        REJOIN_ACK carrying an 8-key path. The presented ticket is

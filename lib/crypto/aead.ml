@@ -40,12 +40,74 @@ let tag_matches sealed ~at expected =
   done;
   !acc = 0
 
-let open_ key ~nonce ~ad sealed =
+(* A verified record decrypted on demand: counter block [i] covers
+   plaintext bytes [16i, 16i + 16); bit [i] of [done_] says whether
+   [plain] holds them yet. [sealed] and [nonce] are the caller's, kept
+   unchanged. *)
+type opened = {
+  enc : Pkg.Cipher.schedule;
+  nonce : bytes;
+  sealed : bytes;
+  plain : bytes;
+  done_ : Bytes.t;
+  mutable decrypted : int;
+}
+
+let verify key ~nonce ~ad sealed =
   if Bytes.length nonce <> nonce_size then Error "bad nonce size"
   else if Bytes.length ad > 0xFFFF then Error "ad too long"
   else
     let n = Bytes.length sealed - tag_size in
     if n < 0 then Error "sealed input shorter than tag"
     else if tag_matches sealed ~at:n (tag_of key ~nonce ~ad sealed 0 n) then
-      Ok (Pkg.Cipher.ctr_transform key.enc ~nonce (Bytes.sub sealed 0 n))
+      Ok
+        {
+          enc = key.enc;
+          nonce;
+          sealed;
+          plain = Bytes.create n;
+          done_ = Bytes.make ((n + 127) / 128) '\000';
+          decrypted = 0;
+        }
     else Error "auth failure"
+
+let length o = Bytes.length o.plain
+let blocks o = (length o + 15) / 16
+let blocks_decrypted o = o.decrypted
+
+let is_done o i = Bytes.get_uint8 o.done_ (i lsr 3) land (1 lsl (i land 7)) <> 0
+
+let mark o i =
+  Bytes.set_uint8 o.done_ (i lsr 3) (Bytes.get_uint8 o.done_ (i lsr 3) lor (1 lsl (i land 7)))
+
+(* Mark the run of not yet decrypted blocks from [i] to at most [last]
+   and return the block after it. *)
+let rec run_end o i last =
+  if i > last || is_done o i then i
+  else begin
+    mark o i;
+    run_end o (i + 1) last
+  end
+
+(* Decrypt blocks [i, last] that no earlier read decrypted, each run of
+   them in one CTR call. *)
+let rec reveal_blocks o i last =
+  if i <= last then
+    if is_done o i then reveal_blocks o (i + 1) last
+    else begin
+      let j = run_end o i last in
+      Pkg.Cipher.ctr_blocks o.enc ~nonce:o.nonce ~len:(length o) ~first:i ~count:(j - i) o.sealed
+        o.plain;
+      o.decrypted <- o.decrypted + (j - i);
+      reveal_blocks o j last
+    end
+
+let reveal o off len = if len > 0 then reveal_blocks o (off / 16) ((off + len - 1) / 16)
+
+let plaintext o =
+  reveal o 0 (length o);
+  o.plain
+
+let parse o ~off decode = Codec.parse_from o.plain ~off ~reveal:(reveal o) decode
+
+let open_ key ~nonce ~ad sealed = Result.map plaintext (verify key ~nonce ~ad sealed)

@@ -41,6 +41,42 @@ val seal : key -> nonce:bytes -> ad:bytes -> bytes -> bytes
 
 val open_ : key -> nonce:bytes -> ad:bytes -> bytes -> (bytes, string) result
 (** [open_ key ~nonce ~ad sealed] verifies the tag in constant time and
-    returns the plaintext. Any tampering — with the ciphertext, the
-    tag, the nonce, or the associated data — yields [Error]. Never
-    raises on untrusted input. *)
+    returns the plaintext: {!verify}, then {!plaintext}. Any tampering
+    — with the ciphertext, the tag, the nonce, or the associated data
+    — yields [Error]. Never raises on untrusted input. *)
+
+(** {1 Opening by range}
+
+    A receiver that uses only part of a sealed blob opens it in two
+    steps: one MAC over the whole blob, checked before any byte is
+    used; then CTR decryption of just the byte ranges it reads, each
+    counter block at most once. Block [i] covers plaintext bytes
+    [[16i, 16i + 16)] and decrypts under the nonce plus [i], exactly
+    as the whole open counts. *)
+
+type opened
+(** A blob whose tag verified, decrypted on demand. It keeps the
+    [nonce] and [sealed] bytes it was verified from: the caller must
+    not change them while it is in use. *)
+
+val verify : key -> nonce:bytes -> ad:bytes -> bytes -> (opened, string) result
+(** [verify key ~nonce ~ad sealed] checks the tag as {!open_} does and
+    decrypts nothing. Never raises on untrusted input. *)
+
+val blocks : opened -> int
+(** Counter blocks the plaintext spans: the blob's length less
+    {!tag_size}, over 16, rounded up. *)
+
+val blocks_decrypted : opened -> int
+(** Counter blocks decrypted so far; 0 right after {!verify}. *)
+
+val parse : opened -> off:int -> (Codec.reader -> 'a) -> ('a, string) result
+(** [parse o ~off decode] runs [decode] over plaintext bytes
+    [[off, length)] as {!Codec.parse_from}: each read decrypts the
+    counter blocks it touches that no earlier read of [o] decrypted,
+    and {!Codec.skip} decrypts none.
+    @raise Invalid_argument if [off] lies outside the plaintext. *)
+
+val plaintext : opened -> bytes
+(** The whole plaintext, its remaining blocks decrypted now. The bytes
+    are [o]'s own: later calls return them again. *)

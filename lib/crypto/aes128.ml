@@ -232,6 +232,18 @@ let decrypt_block k block =
   set_word out 12 (inv_last rk 43 a3 a2 a1 a0);
   out
 
+(* Counter block [i]: the nonce plus [i], big-endian modulo 2^128 —
+   the block [incr_counter] reaches after [i] steps from the nonce. The
+   low word's unsigned wrap carries into the high one. *)
+let counter_at nonce i =
+  let c = Bytes.copy nonce in
+  let lo = Bytes.get_int64_be nonce 8 in
+  let lo' = Int64.add lo (Int64.of_int i) in
+  Bytes.set_int64_be c 8 lo';
+  if Int64.unsigned_compare lo' lo < 0 then
+    Bytes.set_int64_be c 0 (Int64.succ (Bytes.get_int64_be nonce 0));
+  c
+
 let incr_counter block =
   let rec go i =
     if i < 0 then ()
@@ -245,26 +257,31 @@ let incr_counter block =
 (* Whole blocks are XORed with the keystream eight bytes at a time
    (the int64s stay unboxed); only a final partial block goes byte by
    byte. *)
-let ctr_transform k ~nonce data =
-  if Bytes.length nonce <> 16 then invalid_arg "Aes128.ctr_transform: nonce must be 16 bytes";
-  let counter = Bytes.copy nonce in
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  let pos = ref 0 in
-  while !pos < n do
-    let p = !pos in
+let ctr_blocks k ~nonce ~len ~first ~count src dst =
+  if Bytes.length nonce <> 16 then invalid_arg "Aes128.ctr_blocks: nonce must be 16 bytes";
+  if first < 0 || count < 0 || count > ((len + 15) / 16) - first || len > Bytes.length src
+     || len > Bytes.length dst
+  then invalid_arg "Aes128.ctr_blocks: blocks outside the data";
+  let counter = counter_at nonce first in
+  for i = first to first + count - 1 do
+    let p = 16 * i in
     let keystream = encrypt_block k counter in
-    if n - p >= 16 then begin
-      Bytes.set_int64_ne out p
-        (Int64.logxor (Bytes.get_int64_ne data p) (Bytes.get_int64_ne keystream 0));
-      Bytes.set_int64_ne out (p + 8)
-        (Int64.logxor (Bytes.get_int64_ne data (p + 8)) (Bytes.get_int64_ne keystream 8))
+    if len - p >= 16 then begin
+      Bytes.set_int64_ne dst p
+        (Int64.logxor (Bytes.get_int64_ne src p) (Bytes.get_int64_ne keystream 0));
+      Bytes.set_int64_ne dst (p + 8)
+        (Int64.logxor (Bytes.get_int64_ne src (p + 8)) (Bytes.get_int64_ne keystream 8))
     end
     else
-      for i = 0 to n - p - 1 do
-        Bytes.set_uint8 out (p + i) (Bytes.get_uint8 data (p + i) lxor Bytes.get_uint8 keystream i)
+      for j = 0 to len - p - 1 do
+        Bytes.set_uint8 dst (p + j) (Bytes.get_uint8 src (p + j) lxor Bytes.get_uint8 keystream j)
       done;
-    incr_counter counter;
-    pos := p + 16
-  done;
+    incr_counter counter
+  done
+
+let ctr_transform k ~nonce data =
+  if Bytes.length nonce <> 16 then invalid_arg "Aes128.ctr_transform: nonce must be 16 bytes";
+  let n = Bytes.length data in
+  let out = Bytes.create n in
+  ctr_blocks k ~nonce ~len:n ~first:0 ~count:((n + 15) / 16) data out;
   out

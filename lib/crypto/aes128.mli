@@ -47,5 +47,19 @@ val ctr_transform : key -> nonce:bytes -> bytes -> bytes
 (** [ctr_transform k ~nonce data] encrypts or decrypts [data] (the
     operation is an involution) in CTR mode. [nonce] must be 16 bytes
     and is used as the initial counter block, incremented big-endian.
+    It is {!ctr_blocks} over every block of [data].
 
     @raise Invalid_argument if [nonce] is not 16 bytes. *)
+
+val ctr_blocks :
+  key -> nonce:bytes -> len:int -> first:int -> count:int -> bytes -> bytes -> unit
+(** [ctr_blocks k ~nonce ~len ~first ~count src dst] is blocks
+    [[first, first + count)] of CTR mode over data of [len] bytes:
+    block [i] XORs the keystream of counter block [i] (the nonce plus
+    [i], big-endian modulo 2^128, as {!ctr_transform} counts) over
+    bytes [[16i, min (16i + 16) len)] of [src] and writes them to the
+    same bytes of [dst], which may be [src]. A caller that needs only
+    some of the data decrypts only its blocks.
+
+    @raise Invalid_argument if [nonce] is not 16 bytes, a block lies
+    outside the [len] bytes, or [len] exceeds [src] or [dst]. *)

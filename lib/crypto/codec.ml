@@ -83,17 +83,35 @@ let uvarint_size v = bits_size v
 let varint_size v = bits_size (zigzag v)
 let seq64_size = bits64_size
 
-type reader = { buf : bytes; mutable pos : int }
+(* [reveal off len], when present, is called before any read of bytes
+   [off, off + len) of [buf]: the buffer of a record decrypted on demand
+   holds plaintext only where a read has asked for it. *)
+type reader = { buf : bytes; mutable pos : int; reveal : (int -> int -> unit) option }
 
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let remaining r = Bytes.length r.buf - r.pos
+let pos r = r.pos
 
-let need r n =
+let available r n =
   if n < 0 then corrupt "negative length %d" n;
   if remaining r < n then
     corrupt "truncated at byte %d: need %d bytes, have %d" r.pos n (remaining r)
+
+let need r n =
+  available r n;
+  match r.reveal with Some reveal -> reveal r.pos n | None -> ()
+
+let skip r n =
+  available r n;
+  r.pos <- r.pos + n
+
+let bytes_at r off n =
+  if off < 0 || n < 0 || off > Bytes.length r.buf - n then
+    corrupt "bytes [%d, +%d) outside a %d-byte input" off n (Bytes.length r.buf);
+  (match r.reveal with Some reveal -> reveal off n | None -> ());
+  Bytes.sub r.buf off n
 
 let u8 r =
   need r 1;
@@ -198,9 +216,14 @@ let list16 r ~min_item_size item = items r ~min_item_size (u16 r) item
 let list r ~min_item_size item = items r ~min_item_size (i32 r) item
 let vlist r ~min_item_size item = items r ~min_item_size (uvarint r) item
 
-let parse buf decode =
-  let r = { buf; pos = 0 } in
+let run r decode =
   match decode r with
   | v -> if remaining r = 0 then Ok v else Error (Printf.sprintf "%d trailing bytes" (remaining r))
   | exception Corrupt msg -> Error msg
   | exception Invalid_argument msg -> Error msg
+
+let parse buf decode = run { buf; pos = 0; reveal = None } decode
+
+let parse_from buf ~off ~reveal decode =
+  if off < 0 || off > Bytes.length buf then invalid_arg "Codec.parse_from: offset outside the input";
+  run { buf; pos = off; reveal = Some reveal } decode

@@ -93,6 +93,19 @@ val corrupt : ('a, unit, string, 'b) format4 -> 'a
 
 val remaining : reader -> int
 
+val pos : reader -> int
+(** The offset in the input of the next byte the cursor reads. *)
+
+val skip : reader -> int -> unit
+(** [skip r n] moves past [n] bytes without reading them, so a cursor
+    over a record decrypted on demand ({!parse_from}) decrypts none of
+    them. Truncation is {!Corrupt}. *)
+
+val bytes_at : reader -> int -> int -> bytes
+(** [bytes_at r off n] is bytes [[off, off + n)] of the input, wherever
+    the cursor stands, which it does not move; a range outside the
+    input is {!Corrupt}. *)
+
 val magic : reader -> string -> unit
 (** Consume and check a fixed tag. *)
 
@@ -160,3 +173,11 @@ val parse : bytes -> (reader -> 'a) -> ('a, string) result
 (** Run a decoder over the whole of [bytes]. [Error] on truncation,
     a {!corrupt}, an [Invalid_argument] from a constructor the decoder
     calls, or bytes left unread once it returns. Never raises those. *)
+
+val parse_from :
+  bytes -> off:int -> reveal:(int -> int -> unit) -> (reader -> 'a) -> ('a, string) result
+(** {!parse} of bytes [[off, length)] of a buffer that holds valid
+    bytes only where [reveal] has made them so: every read of bytes
+    [[o, o + n)] first calls [reveal o n] ({!skip} calls nothing). The
+    cursor's offsets ({!pos}, {!bytes_at}) count from the buffer's
+    start. @raise Invalid_argument if [off] lies outside the buffer. *)

@@ -5,6 +5,8 @@ module type CIPHER = sig
   val encrypt_block : schedule -> bytes -> bytes
   val decrypt_block : schedule -> bytes -> bytes
   val ctr_transform : schedule -> nonce:bytes -> bytes -> bytes
+  val ctr_blocks :
+    schedule -> nonce:bytes -> len:int -> first:int -> count:int -> bytes -> bytes -> unit
 end
 
 module type KDF = sig
@@ -22,6 +24,7 @@ module Cipher : CIPHER = struct
   let encrypt_block = Aes128.encrypt_block
   let decrypt_block = Aes128.decrypt_block
   let ctr_transform = Aes128.ctr_transform
+  let ctr_blocks = Aes128.ctr_blocks
 end
 
 module Kdf : KDF = struct

@@ -26,6 +26,12 @@ module type CIPHER = sig
   val ctr_transform : schedule -> nonce:bytes -> bytes -> bytes
   (** CTR mode from the 16-byte initial counter block [nonce],
       incremented big-endian; an involution. *)
+
+  val ctr_blocks :
+    schedule -> nonce:bytes -> len:int -> first:int -> count:int -> bytes -> bytes -> unit
+  (** [ctr_blocks s ~nonce ~len ~first ~count src dst]: blocks
+      [[first, first + count)] alone of [ctr_transform] over [len]
+      bytes, from [src] into [dst]. *)
 end
 
 module type KDF = sig

@@ -73,6 +73,5 @@ let group_key t =
   | Some node -> Option.map (fun s -> s.key) (Hashtbl.find_opt t.keys node)
 
 module Private = struct
-  let interested = interested
   let key_of = key_of
 end

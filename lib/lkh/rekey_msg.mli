@@ -4,7 +4,11 @@
 
     Each entry is a single wrapping E_{K_child}(K_node). A member is
     interested in exactly the entries whose wrapping key it holds —
-    the "sparseness property" the reliable rekey transports exploit. *)
+    the "sparseness property" the reliable rekey transports exploit.
+    A receiver exploits it too: {!Member.interested} reads only an
+    entry's target, version and wrapping node, which a packet payload
+    carries ahead of the key material ({!Gkm_transport.Packet}), so a
+    member decrypts the key material of only the entries it uses. *)
 
 type entry = {
   target_node : int;  (** node id of the key being distributed *)

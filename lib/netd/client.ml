@@ -1,4 +1,5 @@
 module Key = Gkm_crypto.Key
+module Aead = Gkm_crypto.Aead
 module Codec = Gkm_crypto.Codec
 module Prng = Gkm_crypto.Prng
 module Member = Gkm_lkh.Member
@@ -45,13 +46,15 @@ type phase =
 
 (* One in-flight rekey being reassembled. Entries are deepest-first
    (dependency order), so processing the contiguous packet prefix is
-   always safe; [next] is the first unprocessed seq. *)
+   always safe; [next] is the first unprocessed seq. A packet is kept
+   as its verified record and the offset of its payload there: only
+   the key material the member then selects is ever decrypted. *)
 type assembly = {
   a_rekey_no : int;
   a_epoch : int;
   a_root : int;
   a_total : int;
-  a_packets : Packet.t option array;
+  a_packets : (Aead.opened * int) option array;
   mutable a_next : int;
   mutable a_nacked : bool;
 }
@@ -88,6 +91,10 @@ type t = {
       (* consecutive non-future auth failures since the last
          successful open — the signal our own generation is wrong *)
   mutable rekeys_completed : int;
+  mutable blocks_decrypted : int;
+  mutable blocks_held : int;
+      (* counter blocks decrypted of, and held by, the REKEY records
+         whose payloads the member state consumed *)
   mutable drains : (int64 * (unit -> unit)) list;
       (* outstanding PING barriers, token -> continuation *)
   mutable sub : Mcast.sub option;  (* UDP group subscription, Some while connected *)
@@ -124,6 +131,8 @@ let replays_dropped t = t.replays_dropped
 let auth_dropped t = t.auth_dropped
 let pending_discarded t = t.pending_discarded
 let rekeys_completed t = t.rekeys_completed
+let blocks_decrypted t = t.blocks_decrypted
+let blocks_held t = t.blocks_held
 let mcast_datagrams_rx t = t.mcast_rx
 let mcast_duplicates t = Option.fold ~none:0 ~some:Gkm_net.Netem.duplicates t.mcast_shim
 let mcast_decode_errors t = t.mcast_bad
@@ -240,10 +249,15 @@ let rec pump ?last t =
       while !continue && head.a_next < head.a_total do
         match head.a_packets.(head.a_next) with
         | None -> continue := false
-        | Some packet -> (
-            match Packet.decode_payload packet.Packet.payload with
-            | Ok entries ->
-                List.iter (fun e -> ignore (Member.process_entry m e)) entries;
+        | Some (record, off) -> (
+            match
+              Aead.parse record ~off (fun r ->
+                  Packet.read_payload r ~select:(Member.interested m) (fun e ->
+                      ignore (Member.process_entry m e)))
+            with
+            | Ok () ->
+                t.blocks_decrypted <- t.blocks_decrypted + Aead.blocks_decrypted record;
+                t.blocks_held <- t.blocks_held + Aead.blocks record;
                 head.a_next <- head.a_next + 1
             | Error e ->
                 continue := false;
@@ -425,17 +439,19 @@ and handle_sealed t ~epoch ~seq ~ct =
          (we resynced into a state the server's seal hasn't reached),
          so fall back to RESYNC rather than drop forever. *)
       match Record.Sink.peek sink ~seq ct with
-      | Ok inner -> (
+      | Ok record -> (
           t.auth_streak <- 0;
-          match Msg.decode_inner inner with
-          | Ok m ->
+          (* Only the tag and a REKEY's fields are decrypted here; its
+             payload waits in the assembly for [pump]. *)
+          match Msg.decode_inner_head record with
+          | Ok (m, off) ->
               (* The simulated loss is drawn before the window marks
                  the seq, so a later copy of a dropped record (the
                  quiet-tick heartbeat) opens instead of counting as a
                  replay. *)
               let dropped = drops t m in
               if not dropped then Record.Sink.accept sink ~seq;
-              handle_inner t m ~dropped
+              handle_inner t m ~payload:(record, off) ~dropped
           | Error e ->
               Record.Sink.accept sink ~seq;
               t.last_error <- Some ("bad sealed payload: " ^ e))
@@ -455,18 +471,18 @@ and handle_sealed t ~epoch ~seq ~ct =
             end
           end)
 
-and handle_inner t (msg : Msg.t) ~dropped =
+and handle_inner t (msg : Msg.t) ~payload ~dropped =
   match msg with
-  | Msg.Rekey r | Msg.Retx r -> handle_rekey t r ~dropped
+  | Msg.Rekey r | Msg.Retx r -> handle_rekey t r ~payload ~dropped
   | _ -> t.last_error <- Some "unexpected sealed message"
 
-and handle_rekey t (r : Msg.rekey) ~dropped =
+and handle_rekey t (r : Msg.rekey) ~payload ~dropped =
   if t.phase = Member && r.rekey_no > t.last_rekey then begin
     let a = ensure_assembly t ~rekey_no:r.rekey_no ~epoch:r.epoch ~root:r.root ~total:r.total in
     let a = refresh_assembly t a ~epoch:r.epoch ~root:r.root ~total:r.total in
     if dropped then t.frames_dropped <- t.frames_dropped + 1
     else if r.seq < Array.length a.a_packets && a.a_packets.(r.seq) = None then
-      a.a_packets.(r.seq) <- Some r.packet;
+      a.a_packets.(r.seq) <- Some payload;
     let dek = pump t in
     nack_head_gaps t;
     if List.length t.assemblies > max_assemblies then request_resync t
@@ -769,6 +785,8 @@ let connect ~loop cfg =
       auth_dropped = 0;
       auth_streak = 0;
       rekeys_completed = 0;
+      blocks_decrypted = 0;
+      blocks_held = 0;
       drains = [];
       sub = None;
       mcast_rx = 0;
@@ -835,6 +853,8 @@ module Private = struct
   let epoch = epoch
   let key_of t node = Option.bind t.mstate (fun m -> Member.Private.key_of m node)
   let frames_dropped = frames_dropped
+  let blocks_decrypted = blocks_decrypted
+  let blocks_held = blocks_held
   let pending_discarded = pending_discarded
   let mcast_duplicates = mcast_duplicates
   let mcast_decode_errors = mcast_decode_errors

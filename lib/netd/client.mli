@@ -23,7 +23,15 @@
     ({!Gkm_record.Record}); the client keeps a replay-protected sink
     on its current DEK generation, buffers frames sealed for a
     generation it hasn't reached (draining them after the rotation
-    they announce), and holds the AEAD resumption ticket the server
+    they announce). It opens a record by range: one MAC over the
+    whole record ({!Gkm_record.Record.Sink.peek}), then it decrypts
+    the REKEY fields ({!Gkm_wire.Msg.decode_inner_head}) and keeps
+    the verified record in the reassembly; when the packet's turn
+    comes it decrypts the payload's metadata, asks
+    {!Gkm_lkh.Member.interested} of each entry in order, and decrypts
+    the check and block of only the entries it hands to
+    {!Gkm_lkh.Member.process_entry}. The client also holds the AEAD
+    resumption ticket the server
     issues (inside JOIN_ACK, or a recovery RESYNC). Every
     connection sends its first request in the same flight as HELLO:
     JOIN for a new member; after {!kill}/{!reconnect}, the ticket in
@@ -158,6 +166,15 @@ module Private : sig
       member state or for a node it does not hold. *)
 
   val frames_dropped : t -> int
+
+  val blocks_decrypted : t -> int
+  (** Counter blocks decrypted of the REKEY records whose payloads the
+      member state consumed: each record's tag and rekey fields, its
+      payload's metadata, and the key material of the entries the
+      member selected. *)
+
+  val blocks_held : t -> int
+  (** Counter blocks those same records held in all. *)
 
   val pending_discarded : t -> int
   (** Sealed frames buffered for a generation ahead of ours and then

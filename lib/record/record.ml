@@ -166,16 +166,16 @@ module Sink = struct
       match Epoch.key t.epoch with
       | None -> Error `Auth
       | Some key -> (
-          match Aead.open_ key ~nonce:(nonce_of_seq seq) ~ad:(ad_of_seq seq) sealed with
+          match Aead.verify key ~nonce:(nonce_of_seq seq) ~ad:(ad_of_seq seq) sealed with
           | Error _ -> Error `Auth
-          | Ok pt -> if admissible t seq then Ok pt else Error `Replay)
+          | Ok o -> if admissible t seq then Ok o else Error `Replay)
 
   let accept t ~seq = mark t seq
 
   let open_ t ~seq sealed =
     let r = peek t ~seq sealed in
     if Result.is_ok r then accept t ~seq;
-    r
+    Result.map Aead.plaintext r
 end
 
 module Ticket = struct

@@ -89,7 +89,8 @@ module Sink : sig
   val epoch : t -> Epoch.t
 
   val open_ : t -> seq:int64 -> bytes -> (bytes, [ `Auth | `Replay ]) result
-  (** Verify and decrypt one record. [`Auth] — the tag failed or the
+  (** Verify and decrypt one record: {!peek}, {!accept}, then
+      {!Gkm_crypto.Aead.plaintext}. [`Auth] — the tag failed or the
       epoch was erased: not sealed under this generation's keys, so
       possibly a frame from a generation ahead of this sink. A
       negative [seq] is [`Auth] before any MAC work, since no sealer
@@ -101,12 +102,15 @@ module Sink : sig
       replays. Never raises on untrusted input; the window only
       advances on success. *)
 
-  val peek : t -> seq:int64 -> bytes -> (bytes, [ `Auth | `Replay ]) result
-  (** {!open_} without marking [seq] in the window: the record opens
-      again until {!accept} marks it. For a receiver that decides only
-      after reading a record whether it counts as received (a
-      simulated loss), so that a later copy of a record it declined
-      is not taken for a replay. *)
+  val peek :
+    t -> seq:int64 -> bytes -> (Gkm_crypto.Aead.opened, [ `Auth | `Replay ]) result
+  (** The first step of {!open_}: one MAC over the whole record and the
+      window check, with nothing decrypted and [seq] not marked. The
+      receiver then decrypts only the byte ranges it reads
+      ({!Gkm_crypto.Aead.parse}), and the record opens again until
+      {!accept} marks it: a receiver that decides only after reading a
+      record whether it counts as received (a simulated loss) leaves a
+      later copy of a record it declined free of the replay check. *)
 
   val accept : t -> seq:int64 -> unit
   (** Mark [seq] in the window. Call it only for a [seq] that {!peek}

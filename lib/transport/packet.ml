@@ -33,8 +33,8 @@ let min_capacity_bytes =
   let open Codec in
   uvarint_size 1 + (3 * varint_size min_int) + uvarint_size 4 + Key.check_size + Key.size
 
-(* Two one-byte deltas, the count/kind byte, the check, and one
-   entry: a one-byte delta and a block. *)
+(* Two one-byte deltas, the count/kind byte and one entry's one-byte
+   delta; then the check and that entry's block. *)
 let min_group_size = 3 + Key.check_size + 1 + Key.size
 
 (* Maximal runs of one group, each [(first entry, entries)]. *)
@@ -59,16 +59,19 @@ let encode_payload entries =
          add_varint buf (h.target_node - target);
          add_varint buf (h.target_version - version);
          add_uvarint buf (List.length es * 4);
-         Buffer.add_subbytes buf h.ciphertext Key.size Key.check_size;
          ignore
            (List.fold_left
               (fun prev (e : Rekey_msg.entry) ->
                 add_varint buf (e.wrapped_under - prev);
-                Buffer.add_subbytes buf e.ciphertext 0 Key.size;
                 e.wrapped_under)
               h.target_node es);
          (h.target_node, h.target_version))
        (0, 0) groups);
+  List.iter
+    (fun ((h : Rekey_msg.entry), es) ->
+      Buffer.add_subbytes buf h.ciphertext Key.size Key.check_size;
+      List.iter (fun (e : Rekey_msg.entry) -> Buffer.add_subbytes buf e.ciphertext 0 Key.size) es)
+    groups;
   Buffer.to_bytes buf
 
 (* The bytes [e] adds to a payload of [groups] groups whose entries,
@@ -142,38 +145,88 @@ let encode_entries ?wide:_ ~capacity_bytes entries =
   flush ();
   List.rev !packets
 
+(* One group's metadata: its target, version and the node each of its
+   entries is wrapped under. *)
+type group = { target : int; version : int; unders : int array }
+
 (* Canonical only: a group must hold an entry and differ from its
    predecessor, so [encode_payload] of what this accepts restores the
-   bytes it read. *)
-let read_group r prev =
+   bytes it read. [material] counts the key-material bytes the groups
+   read so far announce, all of which follow the metadata. *)
+let read_group r prev material =
   let open Codec in
-  let pt, pv, pc = !prev in
-  let target_node = pt + varint r in
-  let target_version = pv + varint r in
+  let pt, pv = !prev in
+  let target = pt + varint r in
+  let version = pv + varint r in
   let header = uvarint r in
   let count = header lsr 2 and kind = header land 3 in
   if count = 0 then corrupt "empty entry group";
   if kind <> 0 then corrupt "entry kind %d" kind;
-  let check = bytes r Key.check_size in
-  if target_node = pt && target_version = pv && Bytes.equal check pc then
-    corrupt "entry group repeats its predecessor";
-  prev := (target_node, target_version, check);
-  let last = ref target_node in
-  items r ~min_item_size:(1 + Key.size) count (fun r ->
-      let wrapped_under = !last + varint r in
-      last := wrapped_under;
-      let ciphertext = Bytes.cat (bytes r Key.size) check in
-      { Rekey_msg.target_node; target_version; level = 0; wrapped_under; receivers = 0; ciphertext })
+  (* each entry takes a delta byte and a block, the group a check *)
+  if count > (remaining r - !material - Key.check_size) / (1 + Key.size) then
+    corrupt "a group of %d entries cannot fit in %d remaining bytes" count (remaining r);
+  material := !material + Key.check_size + (count * Key.size);
+  prev := (target, version);
+  let last = ref target in
+  let unders =
+    Array.init count (fun _ ->
+        last := !last + varint r;
+        !last)
+  in
+  { target; version; unders }
 
-let decode_payload payload =
+let read_payload r ~select f =
   let open Codec in
-  parse payload @@ fun r ->
-  let prev = ref (0, 0, Bytes.empty) in
-  let groups = items r ~min_item_size:min_group_size (uvarint r) (fun r -> read_group r prev) in
+  let prev = ref (0, 0) and material = ref 0 in
+  let groups =
+    Array.of_list (items r ~min_item_size:min_group_size (uvarint r) (fun r -> read_group r prev material))
+  in
+  if remaining r < !material then
+    corrupt "%d bytes of key material announced, %d remain" !material (remaining r);
+  (* [checks.(g)]: the offset of group [g]'s check, its blocks after
+     it. Only a group with its predecessor's target and version needs
+     both checks read before any entry is selected. *)
+  let checks = Array.make (Array.length groups) (pos r) in
+  for g = 1 to Array.length groups - 1 do
+    let p = groups.(g - 1) in
+    checks.(g) <- checks.(g - 1) + Key.check_size + (Array.length p.unders * Key.size);
+    if
+      groups.(g).target = p.target
+      && groups.(g).version = p.version
+      && Bytes.equal
+           (bytes_at r checks.(g - 1) Key.check_size)
+           (bytes_at r checks.(g) Key.check_size)
+    then corrupt "entry group repeats its predecessor"
+  done;
+  Array.iteri
+    (fun g { target; version; unders } ->
+      let check = lazy (bytes_at r checks.(g) Key.check_size) in
+      Array.iteri
+        (fun j wrapped_under ->
+          let e =
+            {
+              Rekey_msg.target_node = target;
+              target_version = version;
+              level = 0;
+              wrapped_under;
+              receivers = 0;
+              ciphertext = Bytes.empty;
+            }
+          in
+          if select e then
+            let block = bytes_at r (checks.(g) + Key.check_size + (j * Key.size)) Key.size in
+            f { e with ciphertext = Bytes.cat block (Lazy.force check) })
+        unders)
+    groups;
   (* The one decoder that tolerates trailing bytes: FEC recovery
      zero-extends a payload to its block's longest shard. *)
-  ignore (bytes r (remaining r));
-  List.concat groups
+  skip r (remaining r)
+
+let decode_payload payload =
+  Codec.parse payload @@ fun r ->
+  let entries = ref [] in
+  read_payload r ~select:(fun _ -> true) (fun e -> entries := e :: !entries);
+  List.rev !entries
 
 let blocks_of_packets ~block_size packets =
   if block_size < 1 then invalid_arg "Packet.blocks_of_packets: block_size must be >= 1";

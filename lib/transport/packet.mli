@@ -28,20 +28,25 @@ val encode_entries :
 
 val encode_payload : Gkm_lkh.Rekey_msg.entry list -> bytes
 (** One payload holding all of [entries], whatever its length. A
-    payload is an unsigned LEB128 group count followed by the groups.
-    A group is a maximal run of consecutive classical wraps (see
+    group is a maximal run of consecutive classical wraps (see
     {!Gkm_lkh.Rekey_msg.entry}) sharing [target_node],
     [target_version] and their last 16 bytes, the wrapped key's
-    {!Gkm_crypto.Key.check}. It is written as the zigzag deltas of
-    its target and version from the previous group's, one unsigned
-    varint [count * 4 + kind] whose kind is always 0, the shared
-    check, then per entry the zigzag delta of [wrapped_under] (from
-    the target for the first entry, from the previous entry's after)
-    and the entry's 16-byte encrypted block. Deltas start from (0, 0) in
-    every payload, so each decodes alone, and wrap modulo 2^63, so
-    every int round-trips (see {!Gkm_crypto.Codec.add_varint}).
-    [level] and [receivers] are not written. [encode_payload []] is
-    the one-byte zero-group payload.
+    {!Gkm_crypto.Key.check}. A payload is an unsigned LEB128 group
+    count, then every group's metadata, then every group's key
+    material, both in group order, so that a member reads what it
+    needs to choose its entries from the payload's front and decrypts
+    only the key material it chooses.
+
+    A group's metadata is the zigzag deltas of its target and version
+    from the previous group's, one unsigned varint [count * 4 + kind]
+    whose kind is always 0, then per entry the zigzag delta of
+    [wrapped_under] (from the target for the first entry, from the
+    previous entry's after). Its key material is the shared 16-byte
+    check, then each entry's 16-byte encrypted block. Deltas start
+    from (0, 0) in every payload, so each decodes alone, and wrap
+    modulo 2^63, so every int round-trips (see
+    {!Gkm_crypto.Codec.add_varint}). [level] and [receivers] are not
+    written. [encode_payload []] is the one-byte zero-group payload.
     @raise Invalid_argument on a ciphertext of any length but
     {!Gkm_crypto.Key.wrapped_size}. *)
 
@@ -55,12 +60,31 @@ val decode_payload : bytes -> (Gkm_lkh.Rekey_msg.entry list, string) result
 (** Recover the entries of one packet payload (ignoring trailing bytes,
     such as the zeros FEC recovery extends a short payload with), with
     [level] and [receivers] 0, and each entry's block joined again
-    with its group's check. Accepts only what {!encode_payload}
-    writes, so an accepted payload re-encodes to the bytes it read:
-    overlong or over-63-bit varints, an empty group, a kind other than
-    0, a group with its predecessor's target, version and check, a count
-    the bytes cannot hold, or truncation (a cut check included) give
-    [Error]. Never raises. *)
+    with its group's check: {!read_payload} selecting every entry.
+    Accepts only what {!encode_payload} writes, so an accepted payload
+    re-encodes to the bytes it read: overlong or over-63-bit varints,
+    an empty group, a kind other than 0, a group with its
+    predecessor's target, version and check, a count the bytes cannot
+    hold, or truncation (of the key material included) give [Error].
+    Never raises. *)
+
+val read_payload :
+  Gkm_crypto.Codec.reader ->
+  select:(Gkm_lkh.Rekey_msg.entry -> bool) ->
+  (Gkm_lkh.Rekey_msg.entry -> unit) ->
+  unit
+(** [read_payload r ~select f] is the payload decoder, over a cursor
+    at a payload's first byte whose payload runs to the input's end.
+    It reads the count and every group's metadata and checks the whole
+    layout, the way {!decode_payload} does. Then, for each entry in
+    order, it asks [select] of the entry with an empty [ciphertext],
+    and only when [select] answers [true] reads that entry's block and
+    its group's check and passes [f] the whole entry. Key material no
+    entry selects is never read: over a record decrypted on demand
+    ({!Gkm_crypto.Aead.parse}) it stays encrypted. [select] sees each
+    entry after [f] has seen the ones before it, so it may depend on
+    what [f] did with them. A payload {!decode_payload} refuses raises
+    {!Gkm_crypto.Codec.Corrupt} before [select] is first called. *)
 
 val blocks_of_packets : block_size:int -> t list -> t list list
 (** Group packets into FEC blocks of [block_size], renumbering

@@ -136,7 +136,9 @@ let add_rekey buf m =
   add_idx buf m.packet.Packet.index_in_block;
   Buffer.add_bytes buf m.packet.Packet.payload
 
-let read_rekey r =
+(* A REKEY or RETX body; [payload r] reads its packet payload, the
+   rest of the body. *)
+let read_rekey_with r payload =
   let rekey_no = u31 r in
   let org = u8 r in
   let epoch = u31 r in
@@ -145,10 +147,12 @@ let read_rekey r =
   let total = idx r in
   let block = idx r in
   let index_in_block = idx r in
-  let payload = rest r in
   if total = 0 then corrupt "REKEY with zero packets";
   if seq >= total then corrupt "REKEY seq %d out of range (total %d)" seq total;
+  let payload = payload r in
   { rekey_no; org; epoch; root; seq; total; packet = { Packet.seq; block; index_in_block; payload } }
+
+let read_rekey r = read_rekey_with r rest
 
 let encode_body buf = function
   | Hello { lo; hi } ->
@@ -263,6 +267,18 @@ let encode_inner msg =
   Buffer.to_bytes buf
 
 let decode_inner pt = parse pt (fun r -> read_body ~tag:(u8 r) r)
+
+let decode_inner_head o =
+  Gkm_crypto.Aead.parse o ~off:0 (fun r ->
+      match u8 r with
+      | (5 | 7) as tag ->
+          let m = read_rekey_with r (fun _ -> Bytes.empty) in
+          let off = pos r in
+          skip r (remaining r);
+          ((if tag = 5 then Rekey m else Retx m), off)
+      | tag ->
+          let m = read_body ~tag r in
+          (m, pos r))
 
 (* The REJOIN_ACK ciphertext's plaintext: the rejoiner's catch-up
    state. [full] distinguishes a complete entitled path (client lost

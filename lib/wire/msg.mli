@@ -151,6 +151,15 @@ val encode_inner : t -> bytes
 val decode_inner : bytes -> (t, string) result
 (** Inverse of {!encode_inner}; never raises. *)
 
+val decode_inner_head : Gkm_crypto.Aead.opened -> (t * int, string) result
+(** {!decode_inner} of a record opened by range, reading a REKEY or
+    RETX only up to its packet payload: the message with an empty
+    payload, and the offset in the plaintext at which the payload
+    starts ({!Gkm_transport.Packet.read_payload} reads it from there).
+    Only the counter blocks under the tag and the rekey fields are
+    decrypted. Any other message decodes whole, its offset the
+    plaintext's length. Never raises. *)
+
 (** {1 REJOIN_ACK resume body} *)
 
 type resume = {

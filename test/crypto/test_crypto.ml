@@ -674,6 +674,112 @@ let prop_prng_shuffle_permutation =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Aead: opening by range                                              *)
+
+let aead_key = Aead.of_bytes (Bytes.init Aead.key_size (fun i -> Char.chr (i * 7)))
+let aead_ad = Bytes.of_string "range"
+
+(* Bytes [[off, off + len)] of the plaintext, read alone by a parse
+   that skips the rest. *)
+let read_range o off len =
+  Result.get_ok
+    (Aead.parse o ~off (fun r ->
+         let b = Codec.bytes r len in
+         Codec.skip r (Codec.remaining r);
+         b))
+
+(* A sealed plaintext of 0..200 bytes and ranges in it, each an offset
+   and a length that may cross blocks or end in the final partial
+   block. *)
+let arb_ranges =
+  QCheck.make
+    ~print:(fun (nonce, pt, ranges) ->
+      Printf.sprintf "nonce %s, %d bytes, ranges %s" (Hex.encode (Bytes.of_string nonce))
+        (String.length pt)
+        (String.concat " " (List.map (fun (o, l) -> Printf.sprintf "[%d,+%d)" o l) ranges)))
+    QCheck.Gen.(
+      triple (string_size (return 16)) (string_size (0 -- 200)) (list_size (1 -- 8) (pair nat nat))
+      >|= fun (nonce, pt, raw) ->
+      let n = String.length pt in
+      ( nonce,
+        pt,
+        List.map
+          (fun (a, b) ->
+            let off = a mod (n + 1) in
+            (off, b mod (n - off + 1)))
+          raw ))
+
+let prop_range_equals_slice =
+  QCheck.Test.make ~name:"a range decrypt is the whole open's slice" ~count:300 arb_ranges
+    (fun (nonce, pt, ranges) ->
+      let nonce = Bytes.of_string nonce and pt = Bytes.of_string pt in
+      let sealed = Aead.seal aead_key ~nonce ~ad:aead_ad pt in
+      let whole = Result.get_ok (Aead.open_ aead_key ~nonce ~ad:aead_ad sealed) in
+      let o = Result.get_ok (Aead.verify aead_key ~nonce ~ad:aead_ad sealed) in
+      let touched = Hashtbl.create 16 in
+      List.for_all
+        (fun (off, len) ->
+          for i = off / 16 to (off + len - 1) / 16 do
+            if len > 0 then Hashtbl.replace touched i ()
+          done;
+          Bytes.equal (read_range o off len) (Bytes.sub whole off len)
+          (* each counter block decrypted once, when first read *)
+          && Aead.blocks_decrypted o = Hashtbl.length touched)
+        ranges
+      && Bytes.equal whole pt
+      && Bytes.equal (Aead.plaintext o) pt
+      && Aead.blocks_decrypted o = Aead.blocks o)
+
+(* Every byte of a sealed blob is under the MAC, and [verify] is the
+   step that decrypts nothing: a flip anywhere fails there, and an
+   intact blob leaves it with no block decrypted. *)
+let test_aead_flip_fails_before_decrypt () =
+  let nonce = Bytes.make 16 '\x42' in
+  let pt = Bytes.init 70 (fun i -> Char.chr i) in
+  let sealed = Aead.seal aead_key ~nonce ~ad:aead_ad pt in
+  (match Aead.verify aead_key ~nonce ~ad:aead_ad sealed with
+  | Ok o ->
+      Alcotest.(check int) "no block decrypted by the MAC check" 0 (Aead.blocks_decrypted o);
+      Alcotest.(check int) "blocks" 5 (Aead.blocks o)
+  | Error e -> Alcotest.fail e);
+  for i = 0 to Bytes.length sealed - 1 do
+    let bad = Bytes.copy sealed in
+    Bytes.set_uint8 bad i (Bytes.get_uint8 bad i lxor 0x01);
+    match Aead.verify aead_key ~nonce ~ad:aead_ad bad with
+    | Ok _ -> Alcotest.failf "byte %d flipped, still verified" i
+    | Error _ -> ()
+  done
+
+(* CTR counts the nonce as one 128-bit big-endian number: a block
+   index carries across the 64-bit halves and wraps at 2^128, one
+   block at a time or all at once, as the reference's byte-wise
+   increment does. *)
+let test_ctr_block_counting () =
+  let raw = Bytes.init 16 (fun i -> Char.chr (i + 1)) in
+  let key = Aes128.expand raw and ref_key = Aes128_reference.expand raw in
+  let data = Bytes.init 100 (fun i -> Char.chr (i * 3 land 0xff)) in
+  List.iter
+    (fun nonce_hex ->
+      let nonce = Hex.decode nonce_hex in
+      let expected = Aes128_reference.ctr_transform ref_key ~nonce data in
+      check_hex ("ctr_transform from " ^ nonce_hex) (Hex.encode expected)
+        (Hex.encode (Aes128.ctr_transform key ~nonce data));
+      let out = Bytes.make 100 '\000' in
+      List.iter
+        (fun (first, count) -> Aes128.ctr_blocks key ~nonce ~len:100 ~first ~count data out)
+        [ (6, 1); (2, 2); (0, 1); (4, 2); (1, 1) ];
+      check_hex ("ctr_blocks from " ^ nonce_hex) (Hex.encode expected) (Hex.encode out))
+    [
+      "00000000000000000000000000000000";
+      "0000000000000000fffffffffffffffd";
+      "00000000000000fffffffffffffffffe";
+      "fffffffffffffffffffffffffffffffe";
+    ];
+  match Aes128.ctr_blocks key ~nonce:(Bytes.make 16 '\000') ~len:100 ~first:6 ~count:2 data data with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a block past the data accepted"
+
 let () =
   Alcotest.run "gkm_crypto"
     [
@@ -745,4 +851,11 @@ let () =
           Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli_rate;
         ]
         @ qsuite [ prop_prng_int_range; prop_prng_shuffle_permutation ] );
+      ( "aead by range",
+        qsuite [ prop_range_equals_slice ]
+        @ [
+            Alcotest.test_case "a flipped byte fails before any decrypt" `Quick
+              test_aead_flip_fails_before_decrypt;
+            Alcotest.test_case "ctr blocks count as the reference" `Quick test_ctr_block_counting;
+          ] );
     ]

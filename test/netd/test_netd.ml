@@ -208,14 +208,27 @@ let test_lossy_client () =
   in
   let peers = List.init 10 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
   run_until loop (fun () -> List.for_all Client.is_member (lossy :: peers));
-  for i = 0 to 19 do
-    let c = Client.connect ~loop { (Client.config ~port) with seed = 500 + i } in
+  (* Churn until the lossy client has completed 15 rekeys. A fixed
+     number of pairs would not do: a RESYNC skips rekeys without
+     completing them, and once the group stops rekeying nothing
+     reveals a dropped final rekey over TCP, so no NACK would fetch
+     it. Each pair drives one more rekey through the drop model. *)
+  let goal = 15 and cap = 200 in
+  let pairs = ref 0 in
+  while Client.rekeys_completed lossy < goal && !pairs < cap do
+    let c = Client.connect ~loop { (Client.config ~port) with seed = 500 + !pairs } in
     run_until loop (fun () -> Client.is_member c);
     let target = Server.Private.epoch srv in
     Client.leave c;
-    run_until loop (fun () -> Server.Private.epoch srv > target)
+    run_until loop (fun () -> Server.Private.epoch srv > target);
+    incr pairs
   done;
-  run_until loop (fun () -> Client.rekeys_completed lossy >= 15);
+  if Client.rekeys_completed lossy < goal then
+    Alcotest.failf "the lossy client completed %d rekeys (of %d) in %d join/leave pairs"
+      (Client.rekeys_completed lossy) goal cap;
+  (* the last rekey reaches the peers too before their traces are read *)
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) peers);
   Alcotest.(check bool) "the loss model actually dropped frames" true
     (Client.Private.frames_dropped lossy > 0);
   Alcotest.(check bool) "recovery traffic flowed" true
@@ -2621,6 +2634,50 @@ let test_node_rows_bounded () =
   Server.stop srv;
   Loop.close loop
 
+(* A leaf member of a one-tree group opens a multi-entry rekey by
+   range: one MAC over each record, then only the REKEY fields, the
+   payload's metadata and the key material of the entries the member
+   selects. Sixteen members fill a degree-4 tree; a leave refreshes
+   the leaver's parent (wrapped under its three other children) and
+   the root (under its four children), seven entries whose key
+   material alone is nine blocks. A member uses one or two of them. *)
+let test_selective_open () =
+  let org = Organization.Scheme_cfg (Scheme.default_config Scheme.One_keytree) in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~org ()) in
+  let port = Server.port srv in
+  let clients = List.init 16 (fun i -> Client.connect ~loop { (Client.config ~port) with seed = i }) in
+  run_until loop (fun () -> List.for_all Client.is_member clients);
+  let settled = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c >= settled) clients);
+  let leaver = List.hd clients and stayers = List.tl clients in
+  let counts c = (Client.Private.blocks_decrypted c, Client.Private.blocks_held c) in
+  let before = List.map counts stayers in
+  let target = Server.Private.epoch srv in
+  Client.leave leaver;
+  run_until loop (fun () -> Server.Private.epoch srv > target);
+  let last = Server.rekey_no srv in
+  run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) stayers);
+  let server_tbl = server_trace_tbl srv in
+  let server_dek = Hashtbl.find server_tbl last in
+  List.iteri
+    (fun i (c, (d0, h0)) ->
+      let d1, h1 = counts c in
+      let decrypted = d1 - d0 and held = h1 - h0 in
+      Alcotest.(check bool) (Printf.sprintf "member %d: a multi-entry rekey (%d blocks)" i held) true
+        (held >= 9);
+      Alcotest.(check bool)
+        (Printf.sprintf "member %d: %d of %d blocks decrypted" i decrypted held)
+        true
+        (decrypted > 0 && decrypted < held);
+      check_trace ~server_tbl (Printf.sprintf "member %d" i) c;
+      Alcotest.(check string)
+        (Printf.sprintf "member %d: the server's DEK" i)
+        server_dek
+        (snd (List.nth (Client.dek_trace c) (List.length (Client.dek_trace c) - 1))))
+    (List.combine stayers before);
+  Server.stop srv
+
 let () =
   Alcotest.run "netd"
     [
@@ -2642,6 +2699,7 @@ let () =
           Alcotest.test_case "admission reply carries the ticket" `Quick test_ticket_in_admission;
           Alcotest.test_case "a foreign ticket falls back to RESYNC" `Quick
             test_foreign_ticket_resync;
+          Alcotest.test_case "a leaf decrypts only what it uses" `Quick test_selective_open;
         ] );
       ( "storm",
         [

@@ -61,34 +61,37 @@ let runs ?(hoist = true) es =
   |> List.rev_map List.rev
 
 (* Walk a payload's varints in order, with the bytes between them:
-   the group count, then per group the target and version deltas and
-   count * 4 + kind (and a kind-0 group's check), then per entry the
-   wrapped delta and ciphertext (a kind-0 entry's block). Without
+   the group count, then per group the target and version deltas,
+   count * 4 + kind and per entry the wrapped delta; then per group
+   the key material, the check and each entry's block. Without
    [hoist], the layout before the check was hoisted: groups do not
-   split on checks, and every kind-0 entry carries its whole 32 bytes. *)
+   split on checks, and every kind-0 entry carries its whole 32 bytes
+   right after its wrapped delta. *)
 let fold_layout ?(hoist = true) ~varint ~raw init es =
   let rs = runs ~hoist es in
   let acc = varint init (List.length rs) in
-  fst
-    (List.fold_left
-       (fun (acc, (t, v)) run ->
-         let h : Rekey_msg.entry = List.hd run in
-         let hoisted = hoist && kind_of h = 0 in
-         let acc = varint acc (zigzag (h.target_node - t)) in
-         let acc = varint acc (zigzag (h.target_version - v)) in
-         let acc = varint acc ((List.length run * 4) + kind_of h) in
-         let acc = if hoisted then raw acc (check h) else acc in
-         let acc, _ =
-           List.fold_left
-             (fun (acc, prev) (e : Rekey_msg.entry) ->
-               ( raw
-                   (varint acc (zigzag (e.wrapped_under - prev)))
-                   (if hoisted then block e else e.ciphertext),
-                 e.wrapped_under ))
-             (acc, h.target_node) run
-         in
-         (acc, (h.target_node, h.target_version)))
-       (acc, (0, 0)) rs)
+  let acc, _ =
+    List.fold_left
+      (fun (acc, (t, v)) run ->
+        let h : Rekey_msg.entry = List.hd run in
+        let acc = varint acc (zigzag (h.target_node - t)) in
+        let acc = varint acc (zigzag (h.target_version - v)) in
+        let acc = varint acc ((List.length run * 4) + kind_of h) in
+        let acc, _ =
+          List.fold_left
+            (fun (acc, prev) (e : Rekey_msg.entry) ->
+              let acc = varint acc (zigzag (e.wrapped_under - prev)) in
+              ((if hoist then acc else raw acc e.ciphertext), e.wrapped_under))
+            (acc, h.target_node) run
+        in
+        (acc, (h.target_node, h.target_version)))
+      (acc, (0, 0)) rs
+  in
+  if hoist then
+    List.fold_left
+      (fun acc run -> List.fold_left (fun acc e -> raw acc (block e)) (raw acc (check (List.hd run))) run)
+      acc rs
+  else acc
 
 let payload_size ?hoist =
   fold_layout ?hoist ~varint:(fun acc u -> acc + leb_width u) ~raw:(fun acc b -> acc + Bytes.length b) 0
@@ -648,14 +651,14 @@ let test_golden_payload () =
        [
          "\x02" (* two groups *);
          "\x0a\x04\x08" (* target +5, version +2, 2 entries of kind 0 *);
-         String.make 16 'x' (* their check *);
          "\x0c" (* K11 = K5 + 6 *);
-         String.make 16 'a';
          "\x02" (* K12 = K11 + 1 *);
-         String.make 16 'b';
          "\x0b\x02\x04" (* target -6, version +1, 1 entry of kind 0 *);
-         String.make 16 'z' (* its check *);
          "\x0c" (* K5 = -1 + 6 *);
+         String.make 16 'x' (* the first group's check *);
+         String.make 16 'a';
+         String.make 16 'b';
+         String.make 16 'z' (* the second group's check *);
          String.make 16 'c';
        ])
 
@@ -668,12 +671,12 @@ let test_checks_split () =
        [
          "\x02" (* two groups *);
          "\x0a\x04\x04" (* target +5, version +2, 1 entry of kind 0 *);
-         String.make 16 'x';
          "\x0c" (* K11 = K5 + 6 *);
-         String.make 16 'a';
          "\x00\x00\x04" (* the same target and version, 1 entry of kind 0 *);
-         String.make 16 'y';
          "\x0e" (* K12 = K5 + 7 *);
+         String.make 16 'x';
+         String.make 16 'a';
+         String.make 16 'y';
          String.make 16 'b';
        ])
 
@@ -690,34 +693,37 @@ let test_malformed_groups () =
     | Ok _ -> ()
     | Error e -> Alcotest.failf "%s refused: %s" what e
   in
-  (* one group: K1 v0, its check, one wrap under K1 *)
-  let group header = "\x02\x00" ^ header ^ check ^ "\x00" ^ block in
-  accepted "a one-wrap group" ("\x01" ^ group "\x04");
-  error "a zero-count group" ("\x01" ^ group "\x00");
+  (* one group: K1 v0, one wrap under K1; then its check and block *)
+  let group header = "\x02\x00" ^ header ^ "\x00" in
+  let material = check ^ block in
+  accepted "a one-wrap group" ("\x01" ^ group "\x04" ^ material);
+  error "a zero-count group" ("\x01" ^ group "\x00" ^ material);
   (* kind 0, a classical wrap, is the only entry kind *)
-  error "kind 1" ("\x01" ^ group "\x05");
+  error "kind 1" ("\x01" ^ group "\x05" ^ material);
   error "kind 1, a 20-byte entry" ("\x01\x02\x00\x05\x00" ^ String.make 20 'w');
-  error "kind 2" ("\x01" ^ group "\x06");
+  error "kind 2" ("\x01" ^ group "\x06" ^ material);
   error "kind 2, a 4-byte entry" "\x01\x02\x00\x06\x00\x00\x00\x00\x01";
-  error "kind 3" ("\x01" ^ group "\x07");
+  error "kind 3" ("\x01" ^ group "\x07" ^ material);
   error "kind 1 with no bytes behind it" "\x01\x02\x00\x05";
   error "kind 2 with no bytes behind it" "\x01\x02\x00\x06";
   error "kind 3 with no bytes behind it" "\x01\x02\x00\x07";
   (* a second group with the same target, version and kind *)
-  let again header ct = "\x00\x00" ^ header ^ ct in
-  error "a repeated group key and check" ("\x02" ^ group "\x04" ^ again "\x04" (check ^ "\x00" ^ block));
+  let again header = "\x00\x00" ^ header ^ "\x00" in
+  error "a repeated group key and check"
+    ("\x02" ^ group "\x04" ^ again "\x04" ^ material ^ check ^ block);
   accepted "the same target, version and kind, another check"
-    ("\x02" ^ group "\x04" ^ again "\x04" (String.make 16 'C' ^ "\x00" ^ block));
+    ("\x02" ^ group "\x04" ^ again "\x04" ^ material ^ String.make 16 'C' ^ block);
   error "the same target and version, kind 2"
-    ("\x02" ^ group "\x04" ^ again "\x06" "\x00\x00\x00\x00\x01");
-  error "an overlong target delta" ("\x01\x82\x00\x00\x04" ^ check ^ "\x00" ^ block);
-  error "an overlong wrapped delta" ("\x01\x02\x00\x04" ^ check ^ "\x80\x00" ^ block);
-  error "an overlong count" ("\x01\x02\x00\x84\x00" ^ check ^ "\x00" ^ block);
-  error "a count the bytes cannot pay for" ("\x01" ^ group (leb (1000 * 4)));
-  error "two entries, one paid for" ("\x01" ^ group "\x08");
-  error "more groups than bytes" ("\x7f" ^ group "\x04");
-  error "a cut check" ("\x01" ^ String.sub (group "\x04") 0 14);
-  error "a cut ciphertext" ("\x01" ^ String.sub (group "\x04") 0 30)
+    ("\x02" ^ group "\x04" ^ again "\x06" ^ material ^ "\x00\x00\x00\x01");
+  error "an overlong target delta" ("\x01\x82\x00\x00\x04\x00" ^ material);
+  error "an overlong wrapped delta" ("\x01\x02\x00\x04\x80\x00" ^ material);
+  error "an overlong count" ("\x01\x02\x00\x84\x00\x00" ^ material);
+  error "a count the bytes cannot pay for" ("\x01" ^ group (leb (1000 * 4)) ^ material);
+  error "two entries, one paid for" ("\x01\x02\x00\x08\x00\x00" ^ material);
+  error "more groups than bytes" ("\x7f" ^ group "\x04" ^ material);
+  error "a cut check" ("\x01" ^ group "\x04" ^ String.sub check 0 10);
+  error "a cut ciphertext" ("\x01" ^ group "\x04" ^ check ^ String.sub block 0 10);
+  error "no key material at all" ("\x01" ^ group "\x04")
 
 let test_kindless_ciphertext_refused () =
   match
@@ -874,6 +880,82 @@ let test_tt_byte_pin () =
     true
     (float_of_int hoisted <= 0.75 *. float_of_int two_block)
 
+(* The selective read against the whole one. Nodes 0..7 each have a
+   key per version 0..2; an entry wraps some node's key at a version
+   under another node's version-0 key, or, now and then, under a key
+   no member holds, so that its check fails. A member starts holding
+   a random subset of the version-0 keys. One copy processes every
+   entry of the decoded payload; another sees only the entries
+   [read_payload] hands over when [Member.interested] selects them,
+   decrypted from a sealed record by range. Both must end holding the
+   same keys, and the record must decrypt no more blocks than it has. *)
+module Member = Gkm_lkh.Member
+module Aead = Gkm_crypto.Aead
+
+let node_key = Array.init 8 (fun n -> Array.init 3 (fun v -> Key.of_bytes (Bytes.make 16 (Char.chr ((n * 3) + v + 1)))))
+let stray_key = Key.of_bytes (Bytes.make 16 '\xee')
+
+let gen_selective =
+  QCheck.Gen.(
+    let entry =
+      map
+        (fun (target, version, under, stray) ->
+          let kek = if stray = 0 then stray_key else node_key.(under).(0) in
+          {
+            Rekey_msg.target_node = target;
+            target_version = version;
+            level = 0;
+            wrapped_under = under;
+            receivers = 0;
+            ciphertext = Key.wrap ~kek node_key.(target).(version);
+          })
+        (quad (int_bound 7) (int_bound 2) (int_bound 7) (int_bound 5))
+    in
+    pair (list_size (int_range 0 24) entry) (pair (int_bound 7) (list_size (int_bound 8) (int_bound 7))))
+
+let arb_selective =
+  QCheck.make
+    ~print:(fun (es, (leaf, held)) ->
+      Printf.sprintf "%d entries %s; leaf %d holds %s" (List.length es)
+        (String.concat " "
+           (List.map
+              (fun (e : Rekey_msg.entry) ->
+                Printf.sprintf "K%d.v%d/K%d" e.target_node e.target_version e.wrapped_under)
+              es))
+        leaf
+        (String.concat "," (List.map string_of_int held)))
+    gen_selective
+
+let member_of (leaf, held) =
+  let m = Member.create ~id:0 ~leaf_node:leaf ~individual_key:node_key.(leaf).(0) in
+  Member.install_path m (List.map (fun n -> (n, node_key.(n).(0))) held);
+  m
+
+let prop_selective_equals_full =
+  QCheck.Test.make ~name:"selective reads leave the keys a full read leaves" ~count:500 arb_selective
+    (fun (entries, state) ->
+      let payload = Packet.encode_payload entries in
+      let full = member_of state and selective = member_of state in
+      List.iter
+        (fun e -> ignore (Member.process_entry full e))
+        (Result.get_ok (Packet.decode_payload payload));
+      let aead = Aead.of_bytes (Bytes.make Aead.key_size 'k') in
+      let nonce = Bytes.make Aead.nonce_size '\000' and ad = Bytes.empty in
+      let o = Result.get_ok (Aead.verify aead ~nonce ~ad (Aead.seal aead ~nonce ~ad payload)) in
+      let fed = ref 0 in
+      (match
+         Aead.parse o ~off:0 (fun r ->
+             Packet.read_payload r ~select:(Member.interested selective) (fun e ->
+                 incr fed;
+                 ignore (Member.process_entry selective e)))
+       with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_report e);
+      let holds m = List.init 8 (fun n -> Option.map Key.to_bytes (Member.Private.key_of m n)) in
+      holds full = holds selective
+      && !fed <= List.length entries
+      && Aead.blocks_decrypted o <= Aead.blocks o)
+
 let () =
   Alcotest.run "gkm_packet"
     [
@@ -914,4 +996,5 @@ let () =
             Alcotest.test_case "malformed groups are errors" `Quick test_malformed_groups;
             Alcotest.test_case "kindless ciphertext refused" `Quick test_kindless_ciphertext_refused;
           ] );
+      ("selective", [ QCheck_alcotest.to_alcotest prop_selective_equals_full ]);
     ]

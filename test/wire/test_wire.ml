@@ -914,8 +914,8 @@ let test_golden_steady_frame () =
          "0c" (* epoch label 12 *);
          "00" (* seq 0 *);
          (* the sealed REKEY and its 16-byte tag, to the end *)
-         "f59015c00f8a9937e76963d6045cfb5678772f244aea82b4071d3bf8ac04f201f8e4497c215388b783";
-         "b7e1146b291ef7dcd130d3618757009d1eb75a9ddbfe56caa3a8aa3f8e751d91713dc0077a4ba70fe80173";
+         "f59015c00f8a9937e76963d6045c2fa233d8bb64e09952c7d2b71f6a907a582d1dd11984ebaede36caef";
+         "276a99e73595c72482ac618757009d1eb75a9ddbfe56caa3a8aaa3e8070d2d7a1c580ff699ff925bf2c1";
        ])
     (hex frame);
   Alcotest.(check bool)
