@@ -851,7 +851,7 @@ let () =
           Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli_rate;
         ]
         @ qsuite [ prop_prng_int_range; prop_prng_shuffle_permutation ] );
-      ( "aead by range",
+      ( "range",
         qsuite [ prop_range_equals_slice ]
         @ [
             Alcotest.test_case "a flipped byte fails before any decrypt" `Quick

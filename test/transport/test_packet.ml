@@ -996,5 +996,5 @@ let () =
             Alcotest.test_case "malformed groups are errors" `Quick test_malformed_groups;
             Alcotest.test_case "kindless ciphertext refused" `Quick test_kindless_ciphertext_refused;
           ] );
-      ("selective", [ QCheck_alcotest.to_alcotest prop_selective_equals_full ]);
+      ("select", [ QCheck_alcotest.to_alcotest prop_selective_equals_full ]);
     ]
