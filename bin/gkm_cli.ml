@@ -832,7 +832,8 @@ let serve_cmd =
        ~doc:
          "Serve a live group organization over a TCP socket: batched admissions, \
           optionally multicore REKEY fan-out or a UDP multicast data plane, \
-          NACK/RETX recovery, authenticated RESYNC, two-tier backpressure")
+          NACK recovery from the original sealed frames, authenticated RESYNC, two-tier \
+          backpressure")
     Term.(
       const run $ host_arg "Bind address."
       $ port_arg "TCP port (0 picks one)."
@@ -961,8 +962,9 @@ let join_cmd =
     Arg.(
       value & opt float 0.0
       & info [ "drop" ] ~docv:"P"
-          ~doc:"Simulate Bernoulli($(docv)) receive loss on REKEY frames to exercise \
-                NACK/RETX recovery.")
+          ~doc:"Simulate Bernoulli($(docv)) receive loss on REKEY records to exercise \
+                NACK recovery; a record is drawn until its rekey is NACKed, so the \
+                NACK's answer always arrives.")
   in
   let rekeys_arg =
     Arg.(

@@ -128,5 +128,9 @@ module Private : sig
     (** Send JOIN and await JOIN_ACK (spans an admission tick); returns
         the member id, the epoch, the individual key (the path head) and
         the ticket the reply carries (issued at that epoch). *)
+
+    val await : t -> timeout:float -> (Gkm_wire.Msg.t -> 'a option) -> 'a option
+    (** Run the loop until [pick] takes a received message, oldest
+        first; [None] on timeout or once the connection closed. *)
   end
 end

@@ -57,7 +57,7 @@ let gen_id rng =
   | 2 -> if Prng.bool rng then min_int else max_int
   | _ -> gen_node rng
 
-(* Half of the REKEY/RETX payloads are real entry payloads, so the
+(* Half of the REKEY payloads are real entry payloads, so the
    [packet] stage sees accepted ones and their mutations, not only
    noise its count byte already refuses: a few runs of one to three
    classical wraps, each run of one target and version. Half of the
@@ -465,14 +465,14 @@ let stream_check report ~origin ~chunks frame =
   | () -> ()
   | exception e -> fail report ~stage:"stream" ~origin ~frame (`Raise (Printexc.to_string e))
 
-(* An accepted REKEY/RETX still carries outside bytes: the member
+(* An accepted REKEY still carries outside bytes: the member
    hands its payload to the entry codec next, which must not raise
    either. The codec ignores trailing bytes (FEC-recovered payloads
    come back zero-extended), so its fixpoint is on a prefix: an
    accepted payload re-encodes to exactly the bytes it consumed, which
    holds only if every varint it read was canonical. *)
 let packet_check report ~origin frame = function
-  | Msg.Rekey m | Msg.Retx m -> (
+  | Msg.Rekey m -> (
       let payload = m.packet.payload in
       match Packet.decode_payload payload with
       | Error _ -> ()

@@ -9,7 +9,7 @@
     pushed through the streaming {!Gkm_wire.Frame.decoder} (whole and re-chunked), through
     {!Gkm_wire.Msg.decode_body} when the header is intact, through
     the sealed-record inner codec, and through the multicast
-    {!Gkm_wire.Dgram} codec; the payload of every accepted REKEY/RETX
+    {!Gkm_wire.Dgram} codec; the payload of every accepted REKEY
     body goes on through {!Gkm_transport.Packet.decode_payload} (the
     [packet] stage; half of the generated payloads are real entry
     payloads). Valid datagrams are additionally

@@ -224,7 +224,7 @@ let run_case ?(scratch = ".") (s : server) =
           | Some _ ->
               (* On the udp data plane the TCP stream no longer carries
                  rekeys, so the lossy link moves to the
-                 datagram receive path; NACK/RETX recovery still rides
+                 datagram receive path; NACK recovery still rides
                  the clean TCP control channel. *)
               Cohort.spawn_clients ~loop ~port ~n:3 ~loss:0.25 ?mcast:group
                 ~mcast_fault:(Netem.cfg ~loss:(Loss_model.bernoulli 0.25) ())

@@ -107,11 +107,16 @@ let skip r n =
   available r n;
   r.pos <- r.pos + n
 
-let bytes_at r off n =
+let blit_at r off dst dst_off n =
   if off < 0 || n < 0 || off > Bytes.length r.buf - n then
     corrupt "bytes [%d, +%d) outside a %d-byte input" off n (Bytes.length r.buf);
   (match r.reveal with Some reveal -> reveal off n | None -> ());
-  Bytes.sub r.buf off n
+  Bytes.blit r.buf off dst dst_off n
+
+let bytes_at r off n =
+  let b = Bytes.create n in
+  blit_at r off b 0 n;
+  b
 
 let u8 r =
   need r 1;

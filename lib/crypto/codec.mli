@@ -106,6 +106,10 @@ val bytes_at : reader -> int -> int -> bytes
     the cursor stands, which it does not move; a range outside the
     input is {!Corrupt}. *)
 
+val blit_at : reader -> int -> bytes -> int -> int -> unit
+(** [blit_at r off dst dst_off n] copies what [bytes_at r off n] would
+    return into [dst] at [dst_off], without allocating. *)
+
 val magic : reader -> string -> unit
 (** Consume and check a fixed tag. *)
 

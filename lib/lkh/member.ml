@@ -45,8 +45,7 @@ let has_version t node version =
   | Some s -> s.version >= version
   | None -> false
 
-let interested t (e : Rekey_msg.entry) =
-  knows t e.wrapped_under && not (has_version t e.target_node e.target_version)
+let interested t ~target ~version ~under = knows t under && not (has_version t target version)
 
 let process_entry t (e : Rekey_msg.entry) =
   match Hashtbl.find_opt t.keys e.wrapped_under with

@@ -32,12 +32,12 @@ val process_entry : t -> Rekey_msg.entry -> bool
 (** Process a single entry (used by transports delivering packets out
     of order); [true] if it was decrypted and stored. *)
 
-val interested : t -> Rekey_msg.entry -> bool
-(** Whether the member holds the wrapping key for this entry and does
-    not yet hold the (same-version) target. It reads neither the
-    entry's [ciphertext] nor its sender-side annotations, so a
-    receiver asks it before decrypting the entry's key material:
-    {!process_entry} of an entry it refuses is a no-op [false]. *)
+val interested : t -> target:int -> version:int -> under:int -> bool
+(** Whether the member holds the wrapping key [under] of an entry and
+    does not yet hold its target node [target] at [version]. It takes
+    an entry's metadata only, so a receiver asks it before decrypting
+    the entry's key material: {!process_entry} of an entry it refuses
+    is a no-op [false]. *)
 
 val group_key : t -> Gkm_crypto.Key.t option
 

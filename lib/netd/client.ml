@@ -264,7 +264,8 @@ let rec pump ?last t =
                 t.last_error <- Some ("bad rekey payload: " ^ e))
       done;
       (* a_total = 0 is a placeholder for a wholly-missed rekey; it
-         completes only after RETX refreshes it with the real run *)
+         completes only after the NACK's answer refreshes it with the
+         real run *)
       if head.a_total > 0 && head.a_next >= head.a_total then begin
         Member.set_root m head.a_root;
         t.epoch <- head.a_epoch;
@@ -278,67 +279,62 @@ let rec pump ?last t =
 
 let find_assembly t rekey_no = List.find_opt (fun a -> a.a_rekey_no = rekey_no) t.assemblies
 
+let assembly ~rekey_no ~epoch ~root ~total ~nacked =
+  {
+    a_rekey_no = rekey_no;
+    a_epoch = epoch;
+    a_root = root;
+    a_total = total;
+    a_packets = Array.make total None;
+    a_next = 0;
+    a_nacked = nacked;
+  }
+
+(* Track a wholly-missed rekey (server soft skip, or every frame
+   dropped) as a placeholder assembly, NACKed whole. *)
+let add_missed t rekey_no =
+  t.assemblies <-
+    t.assemblies @ [ assembly ~rekey_no ~epoch:0 ~root:0 ~total:0 ~nacked:true ];
+  send_nack t rekey_no []
+
 (* Create assemblies for [rekey_no] and any wholly-missed rekeys
-   between it and what we already track; a missed rekey (server soft
-   skip, or every frame dropped) is NACKed whole. *)
+   between it and what we already track. *)
 let ensure_assembly t ~rekey_no ~epoch ~root ~total =
   let known_max =
     List.fold_left (fun acc a -> max acc a.a_rekey_no) t.last_rekey t.assemblies
   in
   for missed = known_max + 1 to rekey_no - 1 do
-    t.assemblies <-
-      t.assemblies
-      @ [
-          {
-            a_rekey_no = missed;
-            a_epoch = 0;
-            a_root = 0;
-            a_total = 0;
-            a_packets = [||];
-            a_next = 0;
-            a_nacked = true;
-          };
-        ];
-    send_nack t missed []
+    add_missed t missed
   done;
   match find_assembly t rekey_no with
   | Some a -> a
   | None ->
-      let a =
-        {
-          a_rekey_no = rekey_no;
-          a_epoch = epoch;
-          a_root = root;
-          a_total = total;
-          a_packets = Array.make total None;
-          a_next = 0;
-          a_nacked = false;
-        }
-      in
+      let a = assembly ~rekey_no ~epoch ~root ~total ~nacked:false in
       t.assemblies <-
         List.sort (fun x y -> compare x.a_rekey_no y.a_rekey_no) (a :: t.assemblies);
       a
 
-(* A whole-rekey NACK's retransmissions arrive with the real
-   epoch/root/total the placeholder assembly lacks — rebuild it. *)
+(* A whole-rekey NACK's answer arrives with the real epoch/root/total
+   the placeholder assembly lacks — rebuild it. *)
 let refresh_assembly t a ~epoch ~root ~total =
   if a.a_total = 0 && total > 0 then begin
-    let fresh =
-      {
-        a_rekey_no = a.a_rekey_no;
-        a_epoch = epoch;
-        a_root = root;
-        a_total = total;
-        a_packets = Array.make total None;
-        a_next = 0;
-        a_nacked = a.a_nacked;
-      }
-    in
+    let fresh = assembly ~rekey_no:a.a_rekey_no ~epoch ~root ~total ~nacked:a.a_nacked in
     t.assemblies <-
       List.map (fun x -> if x.a_rekey_no = a.a_rekey_no then fresh else x) t.assemblies;
     fresh
   end
   else a
+
+(* NACK [a]'s missing seqs from [a_next] up to [bound], if any. *)
+let nack_gaps t a ~bound =
+  let gaps = ref [] in
+  for i = bound downto a.a_next do
+    if a.a_packets.(i) = None then gaps := i :: !gaps
+  done;
+  if !gaps <> [] then begin
+    a.a_nacked <- true;
+    send_nack t a.a_rekey_no !gaps
+  end
 
 (* NACK the head's known gaps: indices below the highest received seq
    (or all gaps once a later rekey proves the run is over). *)
@@ -347,15 +343,7 @@ let nack_head_gaps t =
   | head :: rest when head.a_total > 0 && not head.a_nacked ->
       let high = ref (-1) in
       Array.iteri (fun i p -> if p <> None then high := i) head.a_packets;
-      let bound = if rest <> [] then head.a_total - 1 else !high in
-      let gaps = ref [] in
-      for i = bound downto head.a_next do
-        if head.a_packets.(i) = None then gaps := i :: !gaps
-      done;
-      if !gaps <> [] then begin
-        head.a_nacked <- true;
-        send_nack t head.a_rekey_no !gaps
-      end
+      nack_gaps t head ~bound:(if rest <> [] then head.a_total - 1 else !high)
   | _ -> ()
 
 (* A sealed frame from a generation ahead of ours is proof that we
@@ -368,36 +356,21 @@ let note_future_frame t =
   match t.assemblies with
   | head :: _ when head.a_total > 0 ->
       if not head.a_nacked then begin
-        let gaps = ref [] in
-        for i = head.a_total - 1 downto head.a_next do
-          if head.a_packets.(i) = None then gaps := i :: !gaps
-        done;
-        head.a_nacked <- true;
-        if !gaps <> [] then send_nack t head.a_rekey_no !gaps
+        nack_gaps t head ~bound:(head.a_total - 1);
+        head.a_nacked <- true
       end
   | _ :: _ -> ()  (* placeholder head, already NACKed whole *)
-  | [] ->
-      if t.phase = Member then begin
-        t.assemblies <-
-          [
-            {
-              a_rekey_no = t.last_rekey + 1;
-              a_epoch = 0;
-              a_root = 0;
-              a_total = 0;
-              a_packets = [||];
-              a_next = 0;
-              a_nacked = true;
-            };
-          ];
-        send_nack t (t.last_rekey + 1) []
-      end
+  | [] -> if t.phase = Member then add_missed t (t.last_rekey + 1)
 
-(* Simulated receive loss: a draw per REKEY (never a RETX) that
-   [handle_rekey] would act on. *)
+(* Simulated receive loss: a draw per REKEY record that [handle_rekey]
+   would act on, until its rekey is NACKed. The answer is the same
+   records again, and it is never drawn: a NACK is answered once. *)
 let drops t (msg : Msg.t) =
   match (msg, t.cfg.drop, t.drop_state) with
-  | Msg.Rekey r, Some model, Some state when t.phase = Member && r.rekey_no > t.last_rekey ->
+  | Msg.Rekey r, Some model, Some state
+    when t.phase = Member
+         && r.rekey_no > t.last_rekey
+         && not (List.exists (fun a -> a.a_rekey_no = r.rekey_no && a.a_nacked) t.assemblies) ->
       Loss_model.drop model state t.rng
   | _ -> false
 
@@ -427,6 +400,13 @@ and drain_pending t =
 
 and handle_sealed t ~epoch ~seq ~ct =
   match t.sink with
+  | _ when t.phase = Resync_wait ->
+      (* Nothing is kept while the RESYNC reply is awaited, so nothing
+         is opened. The window marks only what the member keeps: were
+         this record marked, a reply under the same DEK that leaves
+         the member behind it would see the NACK's answer — the same
+         record again — refused as a replay. *)
+      t.pending_discarded <- t.pending_discarded + 1
   | None -> ()  (* no generation installed yet: fan-out racing our admission *)
   | Some sink -> (
       (* The sink authenticates before its replay window, so [`Auth]
@@ -473,7 +453,7 @@ and handle_sealed t ~epoch ~seq ~ct =
 
 and handle_inner t (msg : Msg.t) ~payload ~dropped =
   match msg with
-  | Msg.Rekey r | Msg.Retx r -> handle_rekey t r ~payload ~dropped
+  | Msg.Rekey r -> handle_rekey t r ~payload ~dropped
   | _ -> t.last_error <- Some "unexpected sealed message"
 
 and handle_rekey t (r : Msg.rekey) ~payload ~dropped =
@@ -856,6 +836,8 @@ module Private = struct
   let blocks_decrypted = blocks_decrypted
   let blocks_held = blocks_held
   let pending_discarded = pending_discarded
+  let request_resync = request_resync
+  let deliver = handle_msg
   let mcast_duplicates = mcast_duplicates
   let mcast_decode_errors = mcast_decode_errors
 end

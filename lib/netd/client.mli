@@ -12,12 +12,15 @@
     reinstalls its full key path.
 
     An optional {!Gkm_net.Loss_model} simulates receive loss on REKEY
-    frames (never on retransmissions), so the recovery machinery is
-    genuinely exercised over loopback TCP. The simulated drop applies
-    to the {e inner} REKEY after the record layer opens the sealed
-    frame and before its replay window marks the record, so a later
-    copy of a dropped record (the UDP quiet-tick heartbeat) opens as
-    if it were the first.
+    records until their rekey is NACKed (never on the NACK's answer),
+    so the recovery machinery is genuinely exercised over loopback
+    TCP. The simulated drop applies to the {e inner} REKEY after the
+    record layer opens the sealed frame and before its replay window
+    marks the record, so a later copy of a dropped record (the NACK's
+    answer, the UDP quiet-tick heartbeat) opens as if it were the
+    first. For the same reason a client awaiting its RESYNC reply
+    discards sealed records unopened: the window marks only the
+    records the member keeps.
 
     Rekeys arrive as epoch-sealed records
     ({!Gkm_record.Record}); the client keeps a replay-protected sink
@@ -47,7 +50,8 @@ type config = {
   cls : Gkm_wire.Msg.cls;
   loss : float;  (** loss rate reported at join (placement signal) *)
   drop : Gkm_net.Loss_model.t option;
-      (** simulated receive loss, applied to REKEY frames only *)
+      (** simulated receive loss, applied to REKEY records whose rekey
+          is not yet NACKed *)
   seed : int;  (** PRNG seed for the drop model *)
   resume : bytes option;
       (** a blob from {!export_resumption}: start as that member and
@@ -118,7 +122,7 @@ val on_dek : t -> (rekey_no:int -> fp:string -> unit) -> unit
 
 val on_sealed : t -> (epoch:int -> seq:int64 -> ct:bytes -> unit) -> unit
 (** Called for every SEALED record as it arrives off the wire while a
-    member, before any open/replay handling, with the raw epoch label,
+    member or awaiting a RESYNC reply, before any open/replay handling, with the raw epoch label,
     record sequence and ciphertext — the byte-level delivery trace the
     fan-out identity test diffs across domain counts. *)
 
@@ -177,9 +181,17 @@ module Private : sig
   (** Counter blocks those same records held in all. *)
 
   val pending_discarded : t -> int
-  (** Sealed frames buffered for a generation ahead of ours and then
-      discarded unopened, because a rejoin, resync or fresh join
-      reinstalled the member state. *)
+  (** Sealed frames discarded unopened: those that arrived while a
+      RESYNC reply was awaited, and those buffered for a generation
+      ahead of ours when a rejoin, resync or fresh join reinstalled
+      the member state. *)
+
+  val request_resync : t -> unit
+  (** Send an authenticated RESYNC_REQ now and await the reply, as the
+      client does when its recovery gives up. *)
+
+  val deliver : t -> Gkm_wire.Msg.t -> unit
+  (** Handle a message as if it had just arrived on the connection. *)
 
   val mcast_duplicates : t -> int
   (** Datagrams the receive-side fault shim ([mcast_fault]) duplicated. *)

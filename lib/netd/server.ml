@@ -108,17 +108,6 @@ type client = {
          so each flight the peer sent is answered in one write *)
 }
 
-type hist = {
-  h_epoch : int;
-  h_root : int;
-  h_packets : Packet.t array;
-  h_seal : Record.Seal.t;
-      (* the sealer whose keys protected this rekey's fan-out (the DEK
-         from before the rekey applied) — retransmissions re-seal with
-         fresh sequence numbers from the same generation, which the
-         nacking (hence behind) client still holds *)
-}
-
 (* The fan-out lanes: K persistent worker domains that write one
    rekey's shared frames into K disjoint, contiguous slices of the
    recipients while the tick domain waits (fork-join). The tick domain
@@ -244,11 +233,11 @@ end
    and a DEK can come back: TT makes the L root's key the DEK again
    whenever S empties, and a sole member's leaf key is the DEK again
    once the member that split it leaves. So a DEK has one sealer for
-   as long as it protects the live seal or retransmittable history,
-   or can return. It can return only while a member still holds it
-   (a departure or a move refreshes every key on the member's old
-   path), so each row names a member that held the DEK when it was
-   minted, and the row goes once that member no longer does. *)
+   as long as it protects the live seal or can return. It can return
+   only while a member still holds it (a departure or a move refreshes
+   every key on the member's old path), so each row names a member
+   that held the DEK when it was minted, and the row goes once that
+   member no longer does. *)
 type dek_seal = { d_seal : Record.Seal.t; d_dek : Key.t; d_holder : int option }
 
 type t = {
@@ -266,7 +255,8 @@ type t = {
   leaving : (int, unit) Hashtbl.t;  (* departure enqueued, key cleanup pending *)
   placed : (int, int * int) Hashtbl.t;
       (* member -> (last known leaf node, epoch it was placed there) *)
-  history : (int, hist) Hashtbl.t;  (* rekey_no -> sealed packets, for RETX *)
+  history : (int, bytes array) Hashtbl.t;
+      (* rekey_no -> its fan-out's SEALED frames, resent verbatim on NACK *)
   ticket_sealer : Record.Ticket.Sealer.t;
   node_changed : (int, int) Hashtbl.t;  (* node id -> last epoch its key changed *)
   mutable prune_at : int;  (* node_changed rows that trigger a prune *)
@@ -381,9 +371,11 @@ let drop_client t cl ~departed =
    flight once the read that [held] the conn is handled. A dead peer
    surfaces on the loop's next dispatch ([on_conn_writable]), never
    here — callers may be iterating the client tables. *)
-let send t cl msg =
-  Conn.enqueue_frame cl.conn (Frame.encode msg);
+let send_frame t cl frame =
+  Conn.enqueue_frame cl.conn frame;
   if not cl.held then ignore (Conn.write_through t.loop cl.conn)
+
+let send t cl msg = send_frame t cl (Frame.encode msg)
 
 (* The drop flushes the error frame before it closes the fd: the
    peer's farewell, best effort. *)
@@ -507,36 +499,19 @@ let handle_resync_req t cl ~member ~epoch ~auth =
 let handle_nack t cl ~rekey_no ~seqs =
   t.stats.nacks <- t.stats.nacks + 1;
   match Hashtbl.find_opt t.history rekey_no with
-  | Some h ->
-      let total = Array.length h.h_packets in
-      (* Deduplicated: one NACK costs at most [total] retransmissions,
+  | Some frames ->
+      let total = Array.length frames in
+      (* The original SEALED frames, byte for byte: the nacking client
+         is behind on this rekey, so it still holds the generation they
+         were sealed under, and its sink never marked a record it did
+         not keep. Deduplicated: one NACK costs at most [total] frames,
          however often it repeats a seq. *)
       let seqs = match seqs with [] -> List.init total Fun.id | l -> List.sort_uniq compare l in
       List.iter
         (fun seq ->
           if seq >= 0 && seq < total then begin
             t.stats.retx_packets <- t.stats.retx_packets + 1;
-            let retx =
-              Msg.Retx
-                {
-                  rekey_no;
-                  org = org_tag t;
-                  epoch = h.h_epoch;
-                  root = h.h_root;
-                  seq;
-                  total;
-                  packet = h.h_packets.(seq);
-                }
-            in
-            (* Re-seal under the generation that protected the original
-               fan-out — the nacking client is behind on this rekey, so
-               that is exactly the key it still holds — with a fresh
-               sequence number so the replay window accepts the
-               retransmission. *)
-            let rseq, ct = Record.Seal.seal h.h_seal (Msg.encode_inner retx) in
-            send t cl
-              (Msg.Sealed
-                 { epoch = Record.Epoch.label (Record.Seal.epoch h.h_seal); seq = rseq; ct })
+            send_frame t cl frames.(seq)
           end)
         seqs
   | None ->
@@ -801,15 +776,12 @@ let seal_for t ~dek ~digest ~label =
       Hashtbl.replace t.seals key { d_seal = seal; d_dek = dek; d_holder = holder };
       seal
 
-(* Drop every sealer that neither the live seal nor the retransmission
-   history uses and whose DEK no member holds any more, erasing its
-   traffic key. *)
+(* Drop every sealer that is not the live seal and whose DEK no member
+   holds any more, erasing its traffic key. History keeps sealed
+   frames, not sealers, so no retransmission needs one. *)
 let retire_seals t =
   let module O = (val t.org : Organization.S) in
-  let used s =
-    Option.fold ~none:false ~some:(fun live -> live == s) t.seal
-    || Hashtbl.fold (fun _ h acc -> acc || h.h_seal == s) t.history false
-  in
+  let used s = Option.fold ~none:false ~some:(fun live -> live == s) t.seal in
   let held row =
     match row.d_holder with
     | Some m when O.is_member m ->
@@ -941,15 +913,7 @@ let tick t =
         msg.entries;
       if has_frames then begin
         Hashtbl.replace t.node_changed msg.root_node msg.epoch;
-        t.rekey_no <- t.rekey_no + 1;
-        (* Without a seal there is no prior generation, so no member
-           predates this rekey and none can NACK it. *)
-        Option.iter
-          (fun seal ->
-            Hashtbl.replace t.history t.rekey_no
-              { h_epoch = msg.epoch; h_root = msg.root_node; h_packets = packets; h_seal = seal })
-          t.seal;
-        Hashtbl.remove t.history (t.rekey_no - retx_window)
+        t.rekey_no <- t.rekey_no + 1
       end;
       (* Admit this interval's joiners: JOIN_ACK carries the full key
          path, the wire form of the registration unicast, and the
@@ -996,43 +960,47 @@ let tick t =
         (* Fan out under the pre-rekey generation, which every
            previously-admitted member holds. Every packet of the
            generation is sealed exactly once, in seq order, on this
-           domain (lazily: only when someone will receive it) — the
-           sealed records are the ONE payload both transports deliver:
-           the UDP datagram carries the (seq, ct) pairs raw, the TCP
-           path wraps each in a SEALED frame encoded once and shared by
-           every outbox. Either way a member opens identical bytes.
-           Without a prior generation no member predates this rekey
-           and nothing goes out. *)
+           domain, here at its tick — the sealed records are the ONE
+           payload every path delivers: the UDP datagram carries the
+           (seq, ct) pairs raw, and the quiet-tick heartbeat repeats
+           that datagram; the TCP fan-out, the datagram's unicast
+           fallback and a NACK's answer send the SEALED frames encoded
+           once here and kept in [history]. Either way a member opens
+           identical bytes. Without a prior generation no member
+           predates this rekey, none can NACK it, and nothing goes out. *)
         let total = Array.length packets in
         let generation =
-          lazy
-            (Option.map
-               (fun seal ->
-                 ( Record.Epoch.label (Record.Seal.epoch seal),
-                   Array.init total (fun seq ->
-                       Record.Seal.seal seal
-                         (Msg.encode_inner
-                            (Msg.Rekey
-                               {
-                                 rekey_no = t.rekey_no;
-                                 org = org_tag t;
-                                 epoch = t.epoch;
-                                 root = t.root;
-                                 seq;
-                                 total;
-                                 packet = packets.(seq);
-                               }))) ))
-               t.seal)
+          Option.map
+            (fun seal ->
+              ( Record.Epoch.label (Record.Seal.epoch seal),
+                Array.init total (fun seq ->
+                    Record.Seal.seal seal
+                      (Msg.encode_inner
+                         (Msg.Rekey
+                            {
+                              rekey_no = t.rekey_no;
+                              org = org_tag t;
+                              epoch = t.epoch;
+                              root = t.root;
+                              seq;
+                              total;
+                              packet = packets.(seq);
+                            }))) ))
+            t.seal
         in
         let frames =
-          lazy
-            (match Lazy.force generation with
-            | None -> [||]
-            | Some (lbl, pairs) ->
+          match generation with
+          | None -> [||]
+          | Some (lbl, pairs) ->
+              let frames =
                 Array.map
                   (fun (rseq, ct) -> Frame.encode (Msg.Sealed { epoch = lbl; seq = rseq; ct }))
-                  pairs)
+                  pairs
+              in
+              Hashtbl.replace t.history t.rekey_no frames;
+              frames
         in
+        Hashtbl.remove t.history (t.rekey_no - retx_window);
         (* The UDP data plane: one datagram per generation, sent here
            on the tick domain, replacing the per-member unicast. A
            generation too large for one datagram (or with more packets
@@ -1043,7 +1011,7 @@ let tick t =
         let mcast_delivered =
           match t.mcast with
           | Some sender when has_prior_member t -> (
-              match Lazy.force generation with
+              match generation with
               | None -> false
               | Some (lbl, pairs) ->
                   let records = Array.to_list pairs in
@@ -1097,7 +1065,7 @@ let tick t =
                 | `Skip -> ()
                 | `Send -> recips := cl.conn :: !recips)
             t.member_client;
-          if !recips <> [] then fan_out t (Lazy.force frames) !recips;
+          if !recips <> [] then fan_out t frames !recips;
           List.iter (fun cl -> evict_slow t cl) !slow
         end;
         t.stats.rekeys <- t.stats.rekeys + 1;

@@ -24,8 +24,9 @@
 
     The server speaks one wire version ({!Gkm_wire.Msg.version}); a
     HELLO whose range excludes it is refused with [err_version]. Every
-    REKEY/RETX goes out sealed by the {!Gkm_record.Record} layer under
-    the pre-rekey DEK generation, members receive an AEAD resumption
+    REKEY is sealed once, by the {!Gkm_record.Record} layer under the
+    pre-rekey DEK generation, and a NACK's answer resends its fan-out's
+    SEALED frames byte for byte. Members receive an AEAD resumption
     ticket (inside the admitting JOIN_ACK, and every recovery RESYNC)
     that names them and never goes stale, and a reconnecting member
     can re-enter in one round trip by presenting it in REJOIN —
@@ -112,7 +113,7 @@ type stats = {
   mutable rekeys : int;
   mutable rekey_packets : int;
   mutable nacks : int;
-  mutable retx_packets : int;
+  mutable retx_packets : int;  (** fan-out frames resent in answer to NACKs *)
   mutable resyncs : int;
       (** recovery resyncs only: authenticated RESYNC_REQ answers and
           NACKs that fell out of the retransmission window — NOT the

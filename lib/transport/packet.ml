@@ -200,22 +200,23 @@ let read_payload r ~select f =
   done;
   Array.iteri
     (fun g { target; version; unders } ->
-      let check = lazy (bytes_at r checks.(g) Key.check_size) in
       Array.iteri
-        (fun j wrapped_under ->
-          let e =
-            {
-              Rekey_msg.target_node = target;
-              target_version = version;
-              level = 0;
-              wrapped_under;
-              receivers = 0;
-              ciphertext = Bytes.empty;
-            }
-          in
-          if select e then
-            let block = bytes_at r (checks.(g) + Key.check_size + (j * Key.size)) Key.size in
-            f { e with ciphertext = Bytes.cat block (Lazy.force check) })
+        (fun j under ->
+          if select ~target ~version ~under then begin
+            (* block || check, built in place: one allocation per entry *)
+            let ciphertext = Bytes.create Key.wrapped_size in
+            blit_at r (checks.(g) + Key.check_size + (j * Key.size)) ciphertext 0 Key.size;
+            blit_at r checks.(g) ciphertext Key.size Key.check_size;
+            f
+              {
+                Rekey_msg.target_node = target;
+                target_version = version;
+                level = 0;
+                wrapped_under = under;
+                receivers = 0;
+                ciphertext;
+              }
+          end)
         unders)
     groups;
   (* The one decoder that tolerates trailing bytes: FEC recovery
@@ -225,7 +226,8 @@ let read_payload r ~select f =
 let decode_payload payload =
   Codec.parse payload @@ fun r ->
   let entries = ref [] in
-  read_payload r ~select:(fun _ -> true) (fun e -> entries := e :: !entries);
+  read_payload r ~select:(fun ~target:_ ~version:_ ~under:_ -> true) (fun e ->
+      entries := e :: !entries);
   List.rev !entries
 
 let blocks_of_packets ~block_size packets =

@@ -70,16 +70,17 @@ val decode_payload : bytes -> (Gkm_lkh.Rekey_msg.entry list, string) result
 
 val read_payload :
   Gkm_crypto.Codec.reader ->
-  select:(Gkm_lkh.Rekey_msg.entry -> bool) ->
+  select:(target:int -> version:int -> under:int -> bool) ->
   (Gkm_lkh.Rekey_msg.entry -> unit) ->
   unit
 (** [read_payload r ~select f] is the payload decoder, over a cursor
     at a payload's first byte whose payload runs to the input's end.
     It reads the count and every group's metadata and checks the whole
     layout, the way {!decode_payload} does. Then, for each entry in
-    order, it asks [select] of the entry with an empty [ciphertext],
-    and only when [select] answers [true] reads that entry's block and
-    its group's check and passes [f] the whole entry. Key material no
+    order, it asks [select] of the entry's metadata (its target node
+    and version, and the node it is wrapped under), and only when
+    [select] answers [true] reads that entry's block and its group's
+    check and passes [f] the whole entry, built once. Key material no
     entry selects is never read: over a record decrypted on demand
     ({!Gkm_crypto.Aead.parse}) it stays encrypted. [select] sees each
     entry after [f] has seen the ones before it, so it may depend on

@@ -19,7 +19,7 @@ type rule = { tag : int; name : string; fields : field list }
 let num n = Uvarint (n, 0x7FFF_FFFF)
 let idx n = Uvarint (n, 0xFFFF)
 
-(* The REKEY/RETX body (Msg.add_rekey): note that [seq]/[total] are
+(* The REKEY body (Msg.add_rekey): note that [seq]/[total] are
    encoded before the packet's own block/index fields. *)
 let rekey_fields =
   [
@@ -46,7 +46,6 @@ let rules =
     rule 4 catchup_fields;
     rule 5 rekey_fields;
     rule 6 [ num "rekey_no"; Uvarint_list ("seqs", 0xFFFF) ];
-    rule 7 rekey_fields;
     rule 8 [ num "member"; num "epoch"; Rest "auth" ];
     rule 9 catchup_fields;
     rule 10 [ num "member" ];

@@ -32,7 +32,6 @@ type t =
     }
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
-  | Retx of rekey
   | Resync_req of { member : int; epoch : int; auth : bytes }
   | Resync of {
       member : int;
@@ -66,7 +65,7 @@ let tag = function
   | Join_ack _ -> 4
   | Rekey _ -> 5
   | Nack _ -> 6
-  | Retx _ -> 7
+  (* 7 is reserved (the retired RETX): never assign it. *)
   | Resync_req _ -> 8
   | Resync _ -> 9
   | Leave _ -> 10
@@ -85,7 +84,6 @@ let tag_name = function
   | 4 -> "JOIN_ACK"
   | 5 -> "REKEY"
   | 6 -> "NACK"
-  | 7 -> "RETX"
   | 8 -> "RESYNC_REQ"
   | 9 -> "RESYNC"
   | 10 -> "LEAVE"
@@ -136,8 +134,8 @@ let add_rekey buf m =
   add_idx buf m.packet.Packet.index_in_block;
   Buffer.add_bytes buf m.packet.Packet.payload
 
-(* A REKEY or RETX body; [payload r] reads its packet payload, the
-   rest of the body. *)
+(* A REKEY body; [payload r] reads its packet payload, the rest of the
+   body. *)
 let read_rekey_with r payload =
   let rekey_no = u31 r in
   let org = u8 r in
@@ -151,8 +149,6 @@ let read_rekey_with r payload =
   if seq >= total then corrupt "REKEY seq %d out of range (total %d)" seq total;
   let payload = payload r in
   { rekey_no; org; epoch; root; seq; total; packet = { Packet.seq; block; index_in_block; payload } }
-
-let read_rekey r = read_rekey_with r rest
 
 let encode_body buf = function
   | Hello { lo; hi } ->
@@ -170,7 +166,7 @@ let encode_body buf = function
       add_varint buf root;
       add_path buf path;
       Buffer.add_bytes buf ticket
-  | Rekey m | Retx m -> add_rekey buf m
+  | Rekey m -> add_rekey buf m
   | Nack { rekey_no; seqs } ->
       add_u31 buf rekey_no;
       add_vlist buf add_idx seqs
@@ -219,12 +215,11 @@ let read_body ~tag r =
       let ticket = rest r in
       if tag = 4 then Join_ack { member; rekey_no; epoch; root; path; ticket }
       else Resync { member; rekey_no; epoch; root; path; ticket }
-  | 5 -> Rekey (read_rekey r)
+  | 5 -> Rekey (read_rekey_with r rest)
   | 6 ->
       let rekey_no = u31 r in
       let seqs = vlist r ~min_item_size:1 idx in
       Nack { rekey_no; seqs }
-  | 7 -> Retx (read_rekey r)
   | 8 ->
       let member = u31 r in
       let epoch = u31 r in
@@ -271,11 +266,11 @@ let decode_inner pt = parse pt (fun r -> read_body ~tag:(u8 r) r)
 let decode_inner_head o =
   Gkm_crypto.Aead.parse o ~off:0 (fun r ->
       match u8 r with
-      | (5 | 7) as tag ->
+      | 5 ->
           let m = read_rekey_with r (fun _ -> Bytes.empty) in
           let off = pos r in
           skip r (remaining r);
-          ((if tag = 5 then Rekey m else Retx m), off)
+          (Rekey m, off)
       | tag ->
           let m = read_body ~tag r in
           (m, pos r))

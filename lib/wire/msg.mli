@@ -4,11 +4,12 @@
     One constructor per message type. A server tick fans the interval
     rekey out as a run of [Rekey] messages (one {!Gkm_transport.Packet}
     each), every one sealed by the record layer into a [Sealed] frame;
-    [Rekey] and [Retx] never travel in the clear. Receivers detect
-    sequence gaps and recover them with
-    [Nack]/[Retx], or fall back to the [Resync_req]/[Resync] catch-up
-    handshake (the wire form of {!Gkm_transport.Resync}) when the
-    server no longer holds the missed interval. Joins are
+    [Rekey] never travels in the clear. Receivers detect sequence gaps
+    and [Nack] them; the server answers by resending the very [Sealed]
+    frames of the original fan-out, or falls back to the
+    [Resync_req]/[Resync] catch-up handshake (the wire form of
+    {!Gkm_transport.Resync}) when it no longer holds the missed
+    interval. Joins are
     batch-admitted: [Join] is answered by [Join_ack] only at the tick
     that admits the member, carrying its full key path — the wire form
     of the out-of-band registration unicast — and its first resumption
@@ -69,7 +70,8 @@ type t =
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
       (** missing packet seqs; an empty list means the whole rekey *)
-  | Retx of rekey  (** retransmission (same body as [Rekey]) *)
+  (* Tag 7 is reserved (the retired RETX): a frame carrying it is
+     refused as an unknown type. *)
   | Resync_req of { member : int; epoch : int; auth : bytes }
       (** [auth] is HMAC-SHA-256 under the member's individual key;
           see {!Frame.resync_auth} *)
@@ -152,8 +154,8 @@ val decode_inner : bytes -> (t, string) result
 (** Inverse of {!encode_inner}; never raises. *)
 
 val decode_inner_head : Gkm_crypto.Aead.opened -> (t * int, string) result
-(** {!decode_inner} of a record opened by range, reading a REKEY or
-    RETX only up to its packet payload: the message with an empty
+(** {!decode_inner} of a record opened by range, reading a REKEY only
+    up to its packet payload: the message with an empty
     payload, and the offset in the plaintext at which the payload
     starts ({!Gkm_transport.Packet.read_payload} reads it from there).
     Only the counter blocks under the tag and the rekey fields are

@@ -179,7 +179,11 @@ let test_interest_counts_match_receivers () =
         e.receivers (List.length under);
       Hashtbl.iter
         (fun m member ->
-          if Scheme.is_member h.server m && Member.interested member e then
+          if
+            Scheme.is_member h.server m
+            && Member.interested member ~target:e.target_node ~version:e.target_version
+                 ~under:e.wrapped_under
+          then
             Alcotest.(check bool)
               (Printf.sprintf "member %d interested in K%d/K%d is under the subtree" m
                  e.target_node e.wrapped_under)

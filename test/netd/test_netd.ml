@@ -192,7 +192,7 @@ let test_churn_200 () =
   Server.stop srv
 
 (* Simulated receive loss on REKEY frames: the client must fall back on
-   NACK/RETX (and possibly RESYNC) yet still track the exact DEK
+   NACK (and possibly RESYNC) yet still track the exact DEK
    sequence for every rekey it completes. *)
 let test_lossy_client () =
   let loop = Loop.create () in
@@ -1440,7 +1440,7 @@ let with_hostile_server ?(resync_budget = 3) f =
   let srv = Server.create ~loop { (cfg ()) with resync_budget } in
   let herd = Cohort.spawn_clients ~loop ~port:(Server.port srv) ~n:3 ~seed:50 () in
   run_until loop (fun () -> List.for_all Client.is_member herd);
-  f loop srv;
+  f loop srv herd;
   List.iter Client.kill herd;
   Server.stop srv
 
@@ -1448,7 +1448,7 @@ let check_verdict (v : Cohort.verdict) =
   Alcotest.(check bool) (v.name ^ ": " ^ v.detail) true v.ok
 
 let test_conform_nack_flood () =
-  with_hostile_server ~resync_budget:3 (fun loop srv ->
+  with_hostile_server ~resync_budget:3 (fun loop srv _herd ->
       check_verdict (Cohort.nack_flood ~loop ~port:(Server.port srv) ~budget:3 ~timeout:30.0);
       let st = Server.stats srv in
       Alcotest.(check bool) "resyncs_denied >= 1" true (st.Server.resyncs_denied >= 1);
@@ -1456,7 +1456,7 @@ let test_conform_nack_flood () =
       Alcotest.(check bool) "flood cost a protocol error" true (st.Server.protocol_errors >= 1))
 
 let test_conform_evictee_transmit () =
-  with_hostile_server (fun loop srv ->
+  with_hostile_server (fun loop srv _herd ->
       check_verdict (Cohort.evictee_lockout ~loop ~port:(Server.port srv) ~timeout:30.0);
       let st = Server.stats srv in
       Alcotest.(check bool) "dead ticket rejected" true (st.Server.ticket_rejects >= 1);
@@ -1464,35 +1464,52 @@ let test_conform_evictee_transmit () =
         (st.Server.protocol_errors >= 1))
 
 let test_conform_ticket_replay () =
-  with_hostile_server (fun loop srv ->
+  with_hostile_server (fun loop srv _herd ->
       check_verdict (Cohort.ticket_replay ~loop ~port:(Server.port srv) ~timeout:30.0);
       let st = Server.stats srv in
       Alcotest.(check bool) "2 bearer re-binds" true (st.Server.rejoins_full >= 2);
       Alcotest.(check bool) "corrupt ticket soft-rejected" true (st.Server.ticket_rejects >= 1))
 
 let test_conform_version_refused () =
-  with_hostile_server (fun loop srv ->
+  with_hostile_server (fun loop srv _herd ->
       check_verdict (Cohort.version_refused ~loop ~port:(Server.port srv) ~timeout:30.0);
       let st = Server.stats srv in
       Alcotest.(check bool) "both refusals counted" true (st.Server.protocol_errors >= 2))
 
 (* An in-window NACK naming seq 0 two thousand times: the server must
-   retransmit each distinct seq once, not once per repeat, so one NACK
-   costs at most the rekey's packet count. *)
+   resend each distinct seq once, not once per repeat, so one NACK
+   costs at most the rekey's packet count. What it resends is the
+   fan-out's own SEALED frame, byte for byte: same epoch label, same
+   record seq, same ciphertext as a herd member received. *)
 let test_nack_duplicate_seqs () =
-  with_hostile_server (fun loop srv ->
+  with_hostile_server (fun loop srv herd ->
+      let seen = ref [] in
+      Client.on_sealed (List.hd herd) (fun ~epoch ~seq ~ct -> seen := (epoch, seq, ct) :: !seen);
       let r = Cohort.Private.Raw.connect ~loop ~port:(Server.port srv) in
       if not (Cohort.Private.Raw.hello r ~timeout:10.0) then Alcotest.fail "no HELLO_ACK";
       if Cohort.Private.Raw.join r ~timeout:10.0 = None then Alcotest.fail "no JOIN_ACK";
       (* the rekey that admitted the raw peer, sealed under the herd's
-         generation and so held for retransmission *)
+         generation and so held for retransmission; the raw peer itself
+         got none of its fan-out *)
       let rekey_no = Server.rekey_no srv in
+      run_until loop (fun () -> Client.last_rekey (List.hd herd) >= rekey_no);
+      let fanout = !seen in
       let st0 = Server.stats srv in
       let nacks0 = st0.Server.nacks and retx0 = st0.Server.retx_packets in
       Cohort.Private.Raw.send r (Msg.Nack { rekey_no; seqs = List.init 2000 (fun _ -> 0) });
       run_until loop (fun () -> (Server.stats srv).Server.nacks > nacks0);
       let retx = (Server.stats srv).Server.retx_packets - retx0 in
-      Alcotest.(check int) "one RETX for the one distinct seq" 1 retx;
+      Alcotest.(check int) "one frame for the one distinct seq" 1 retx;
+      let resent =
+        Cohort.Private.Raw.await r ~timeout:10.0 (function
+          | Msg.Sealed { epoch; seq; ct } ->
+              if List.exists (fun (e, s, c) -> e = epoch && s = seq && Bytes.equal c ct) fanout
+              then Some ()
+              else None
+          | _ -> None)
+      in
+      Alcotest.(check bool) "the answer is a SEALED frame of the fan-out, byte for byte" true
+        (resent <> None);
       Cohort.Private.Raw.close r)
 
 (* The DEK trace log against the boxed list it replaced: the same
@@ -2678,6 +2695,70 @@ let test_selective_open () =
     (List.combine stayers before);
   Server.stop srv
 
+(* A member awaiting its RESYNC reply keeps no record, so it opens
+   none: had it opened the next rekey's record, its window would hold
+   that seq marked when the reply (same DEK) leaves the member one
+   rekey behind, and the NACK's answer — the very same record — would
+   be refused as a replay. [c] runs on a loop of its own, so that
+   record reaches it (handed over as [o] received it) while its RESYNC
+   reply still waits unread. Its drop model loses every record whose
+   rekey it has not NACKed, so it can complete that rekey only from
+   the NACK's answer. *)
+let test_resync_wait_opens_nothing () =
+  let org = Organization.Scheme_cfg (Scheme.default_config Scheme.One_keytree) in
+  let loop = Loop.create () and lc = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ~org ()) in
+  let port = Server.port srv in
+  let run_both cond =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Loop.step ~max_wait:0.001 loop;
+      Loop.step ~max_wait:0.001 lc
+    done;
+    if not (cond ()) then Alcotest.fail "run_both: condition not reached before timeout"
+  in
+  let joins n = (Server.stats srv).Server.joins = n in
+  let o = Client.connect ~loop { (Client.config ~port) with seed = 1 } in
+  let c =
+    Client.connect ~loop:lc
+      { (Client.config ~port) with seed = 2; drop = Some (Loss_model.bernoulli 1.0) }
+  in
+  run_both (fun () -> joins 2);
+  Server.tick_now srv;
+  let n = Server.rekey_no srv in
+  run_both (fun () -> Client.last_rekey o = n && Client.last_rekey c = n && Client.is_member c);
+  let j = Client.connect ~loop { (Client.config ~port) with seed = 3 } in
+  run_until loop (fun () -> joins 3);
+  (* [c] asks to be resynced; the server answers at rekey [n] *)
+  Client.Private.request_resync c;
+  run_until loop (fun () -> (Server.stats srv).Server.resyncs = 1);
+  (* rekey n+1, sealed under the DEK [c] holds and will hold again *)
+  let records = ref [] in
+  Client.on_sealed o (fun ~epoch ~seq ~ct -> records := Msg.Sealed { epoch; seq; ct } :: !records);
+  Server.tick_now srv;
+  run_until loop (fun () -> Client.last_rekey o = n + 1);
+  Alcotest.(check bool) "c still awaits its RESYNC reply" true (Client.phase c = Client.Resync_wait);
+  let discarded = Client.Private.pending_discarded c in
+  List.iter (Client.Private.deliver c) (List.rev !records);
+  Alcotest.(check int) "discarded unopened" (List.length !records)
+    (Client.Private.pending_discarded c - discarded);
+  (* [c] reads the reply, then loses the fan-out's copy of rekey n+1 *)
+  run_both (fun () ->
+      Client.is_member c && Client.Private.frames_dropped c + Client.replays_dropped c > 0);
+  Alcotest.(check int) "c resumed at rekey n" n (Client.last_rekey c);
+  (* rekey n+2's record, under a DEK [c] lacks, makes it NACK n+1 *)
+  Client.leave j;
+  run_until loop (fun () -> (Server.stats srv).Server.leaves = 1);
+  Server.tick_now srv;
+  run_both (fun () -> Client.last_rekey c >= n + 1);
+  Alcotest.(check bool) "rekey n+1 completed from the NACK's answer" true
+    (Client.nacks_sent c >= 1 && (Server.stats srv).Server.retx_packets >= 1);
+  Alcotest.(check int) "no replay refused" 0 (Client.replays_dropped c);
+  Alcotest.(check int) "no second RESYNC" 1 (Client.resyncs c);
+  List.iter Client.kill [ c; o; j ];
+  Server.stop srv;
+  Loop.close lc
+
 let () =
   Alcotest.run "netd"
     [
@@ -2700,6 +2781,8 @@ let () =
           Alcotest.test_case "a foreign ticket falls back to RESYNC" `Quick
             test_foreign_ticket_resync;
           Alcotest.test_case "a leaf decrypts only what it uses" `Quick test_selective_open;
+          Alcotest.test_case "awaiting RESYNC, a record stays unopened" `Quick
+            test_resync_wait_opens_nothing;
         ] );
       ( "storm",
         [
@@ -2786,7 +2869,7 @@ let () =
         [
           Alcotest.test_case "NACK flooder capped by resync budget" `Quick
             test_conform_nack_flood;
-          Alcotest.test_case "NACK repeating a seq costs one RETX" `Quick
+          Alcotest.test_case "NACK answer: each fan-out frame once" `Quick
             test_nack_duplicate_seqs;
           Alcotest.test_case "evictee keeps transmitting, stays locked out" `Quick
             test_conform_evictee_transmit;

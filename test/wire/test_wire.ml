@@ -44,7 +44,6 @@ let samples () =
     Msg.Rekey (sample_rekey ());
     Msg.Nack { rekey_no = 17; seqs = [ 0; 4; 8 ] };
     Msg.Nack { rekey_no = 18; seqs = [] };
-    Msg.Retx (sample_rekey ());
     Msg.Resync_req { member = 12; epoch = 41; auth = Bytes.make 32 '\x11' };
     Msg.Resync
       {
@@ -319,18 +318,23 @@ let test_length_varint () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "one byte past 1 MiB accepted"
 
-(* Tag 15 (the retired TICKET) is reserved: a frame carrying it, even
-   with the body TICKET had (member, issued epoch, blob — the layout
-   RESYNC_REQ shares), is refused as an unknown type. *)
+(* Tags 7 (the retired RETX) and 15 (the retired TICKET) are reserved:
+   a frame carrying one, even with the body it had (RETX: a REKEY body;
+   TICKET: member, issued epoch, blob — the layout RESYNC_REQ shares),
+   is refused as an unknown type. *)
 let test_retired_tag_refused () =
-  let frame = Frame.encode (Msg.Resync_req { member = 12; epoch = 41; auth = Bytes.make 61 '\x7e' }) in
-  Bytes.set frame 3 '\x0f';
-  (match decode_one frame with
-  | Error e ->
-      Alcotest.(check bool) ("refused as an unknown type: " ^ e) true
-        (String.ends_with ~suffix:"unknown message type 15" e)
-  | Ok m -> Alcotest.failf "tag 15 decoded as %a" Msg.pp_kind m);
-  Alcotest.(check string) "no name of its own" "type-15" (Msg.tag_name 15)
+  let refused tag msg =
+    let frame = Frame.encode msg in
+    Bytes.set frame 3 (Char.chr tag);
+    (match decode_one frame with
+    | Error e ->
+        Alcotest.(check bool) ("refused as an unknown type: " ^ e) true
+          (String.ends_with ~suffix:(Printf.sprintf "unknown message type %d" tag) e)
+    | Ok m -> Alcotest.failf "tag %d decoded as %a" tag Msg.pp_kind m);
+    Alcotest.(check string) "no name of its own" (Printf.sprintf "type-%d" tag) (Msg.tag_name tag)
+  in
+  refused 7 (Msg.Rekey (sample_rekey ()));
+  refused 15 (Msg.Resync_req { member = 12; epoch = 41; auth = Bytes.make 61 '\x7e' })
 
 let test_bad_magic_and_version () =
   let frame = Frame.encode (Msg.Ping { token = 1L }) in
@@ -510,14 +514,15 @@ let test_dgram_roundtrip () =
   | exception Invalid_argument _ -> ()
 
 (* The grammar must cover exactly the codec's tag space, with the same
-   names the decoder uses: tags 1 to 17 but the reserved 15. *)
+   names the decoder uses: tags 1 to 17 but the reserved 7 and 15. *)
 let test_grammar_covers_tags () =
-  Alcotest.(check int) "rule count" 16 (List.length Grammar.rules);
+  let reserved tg = tg = 7 || tg = 15 in
+  Alcotest.(check int) "rule count" 15 (List.length Grammar.rules);
   for tg = 1 to 17 do
     match List.find_opt (fun (r : Grammar.rule) -> r.tag = tg) Grammar.rules with
-    | None when tg = 15 -> ()
+    | None when reserved tg -> ()
     | None -> Alcotest.failf "grammar missing tag %d (%s)" tg (Msg.tag_name tg)
-    | Some r when tg = 15 -> Alcotest.failf "grammar has a rule for the reserved tag (%s)" r.Grammar.name
+    | Some r when reserved tg -> Alcotest.failf "grammar has a rule for the reserved tag (%s)" r.Grammar.name
     | Some r -> Alcotest.(check string) "tag name" (Msg.tag_name tg) r.Grammar.name
   done
 
