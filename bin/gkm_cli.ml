@@ -706,9 +706,9 @@ let serve_cmd =
        %d members\n"
       st.rekeys st.rekey_packets st.wraps_pruned st.joins st.leaves (Server.org_size srv);
     Printf.printf
-      "  recovery: %d nacks, %d retx packets, %d resyncs (+%d migration unicasts); \
+      "  recovery: %d nacks, %d nack frames, %d resyncs (+%d migration unicasts); \
        backpressure: %d soft skips, %d slow + %d grace evictions; %d protocol errors\n"
-      st.nacks st.retx_packets st.resyncs st.migrations st.soft_skips st.evictions_slow
+      st.nacks st.nack_frames st.resyncs st.migrations st.soft_skips st.evictions_slow
       st.evictions_grace st.protocol_errors;
     Printf.printf "  tickets: %d issued (%d B); rejoins: %d 0-RTT + %d full, %d rejected\n"
       st.tickets_issued st.ticket_bytes st.rejoins_0rtt st.rejoins_full st.ticket_rejects;
@@ -740,7 +740,7 @@ let serve_cmd =
                ("rekey_packets", J.int st.rekey_packets);
                ("wraps_pruned", J.int st.wraps_pruned);
                ("nacks", J.int st.nacks);
-               ("retx_packets", J.int st.retx_packets);
+               ("nack_frames", J.int st.nack_frames);
                ("resyncs", J.int st.resyncs);
                ("resyncs_denied", J.int st.resyncs_denied);
                ("migrations", J.int st.migrations);

@@ -3,7 +3,6 @@ module Key = Gkm_crypto.Key
 module Frame = Gkm_wire.Frame
 module Msg = Gkm_wire.Msg
 module Grammar = Gkm_wire.Grammar
-module Dgram = Gkm_wire.Dgram
 module Packet = Gkm_transport.Packet
 module Rekey_msg = Gkm_lkh.Rekey_msg
 open Gkm_crypto.Codec
@@ -272,69 +271,29 @@ let gen_poisoned rng (rule : Grammar.rule) =
 
 (* ---------------- datagram generation & poisoning ---------------- *)
 
-let gen_dgram_value rng =
-  let count = 1 + Prng.int rng 5 in
-  {
-    Dgram.epoch = gen_bounded rng 0x7FFF_FFFF;
-    records = List.init count (fun _ -> (gen_seq rng, Prng.bytes rng (gen_len rng)));
-  }
+let sealed_rule = List.find (fun (r : Grammar.rule) -> r.name = "SEALED") Grammar.rules
 
-let gen_dgram rng = Dgram.encode (gen_dgram_value rng)
+let concat frames = Bytes.concat Bytes.empty (Array.to_list frames)
 
-(* Header-targeted mutations of a valid datagram: the pathologies a
-   multicast receiver actually faces — truncation mid-record, a skewed
-   epoch or record count, a poisoned magic/version — rather than blind
-   bit noise (the frame mutations above already provide that). *)
+(* A multicast datagram as the server sends a generation: 1-5 SEALED
+   frames back to back. *)
+let gen_dgram_frames rng = Array.init (1 + Prng.int rng 5) (fun _ -> gen_frame rng sealed_rule)
+
+let gen_dgram rng = concat (gen_dgram_frames rng)
+
+(* One frame of a valid datagram broken the ways a group receiver
+   meets: a poisoned field, another message in its place (refused
+   whole), or a frame cut short (the rest then starts mid-frame). *)
 let gen_dgram_poisoned rng =
-  let v = gen_dgram_value rng in
-  let b = Dgram.encode v in
-  (* the 4 fixed bytes and the epoch label *)
-  let header = 4 + uvarint_size v.epoch in
-  (match Prng.int rng 7 with
-  | 0 ->
-      (* truncation, biased toward cutting inside the record list *)
-      let keep = Prng.int rng (Bytes.length b) in
-      Bytes.sub b 0 keep
-  | 1 ->
-      (* magic poisoning *)
-      Bytes.set b (Prng.int rng 2) (Char.chr (Prng.int rng 256));
-      b
-  | 2 ->
-      (* version skew *)
-      Bytes.set b 2 (Char.chr [| 0; 2; 3; 255 |].(Prng.int rng 4));
-      b
-  | 3 ->
-      (* count skew: zero, or more records than the bytes carry *)
-      Bytes.set b 3 (Char.chr (if Prng.bool rng then 0 else 255));
-      b
-  | 4 ->
-      (* epoch skew: past the u31 range, or a broken varint *)
-      let buf = Buffer.create (Bytes.length b + 10) in
-      Buffer.add_subbytes buf b 0 4;
-      if Prng.bool rng then add_uvarint buf (0x8000_0000 + Prng.int rng 1000)
-      else ignore (poison_varint rng buf);
-      Buffer.add_subbytes buf b header (Bytes.length b - header);
-      Buffer.to_bytes buf
-  | 5 ->
-      (* seq skew / record-body noise past the header *)
-      if Bytes.length b > header then begin
-        let i = header + Prng.int rng (Bytes.length b - header) in
-        Bytes.set b i (Char.chr (Prng.int rng 256))
-      end;
-      b
-  | _ ->
-      (* a first record whose seq or length is a broken varint *)
-      let buf = Buffer.create (Bytes.length b) in
-      Buffer.add_subbytes buf b 0 header;
-      if Prng.bool rng then begin
-        if poison_varint rng buf then add_vbytes buf (Prng.bytes rng (gen_len rng))
-      end
-      else begin
-        add_seq64 buf (gen_seq rng);
-        ignore (poison_varint rng buf)
-      end;
-      Buffer.add_bytes buf (Prng.bytes rng (Prng.int rng 4));
-      Buffer.to_bytes buf)
+  let frames = gen_dgram_frames rng in
+  let i = Prng.int rng (Array.length frames) in
+  let f = frames.(i) in
+  frames.(i) <-
+    (match Prng.int rng 3 with
+    | 0 -> gen_poisoned rng sealed_rule
+    | 1 -> gen_frame rng (List.nth Grammar.rules (Prng.int rng (List.length Grammar.rules)))
+    | _ -> Bytes.sub f 0 (Prng.int rng (Bytes.length f)));
+  concat frames
 
 (* ---------------- frame-level mutations ---------------- *)
 
@@ -515,14 +474,17 @@ let inner_check report ~origin frame =
       | exception e -> fail report ~stage:"inner" ~origin ~frame (`Raise (Printexc.to_string e)))
   | _ -> ()
 
-(* The multicast datagram codec sees raw off-the-wire bytes with no
-   streaming layer in front, so it gets the same two properties
+(* A multicast datagram is raw off-the-wire bytes with no streaming
+   layer in front, so its decoder gets the same two properties
    enforced directly: decode never raises, and an accepted datagram
-   re-encodes byte-identically. *)
+   re-encodes, frame by frame, to exactly its bytes. *)
 let dgram_check report ~origin frame =
-  match Dgram.decode frame with
-  | Ok d ->
-      if not (Bytes.equal (Dgram.encode d) frame) then
+  match Frame.decode_datagram frame with
+  | Ok records ->
+      let frames =
+        List.map (fun (epoch, seq, ct) -> Frame.encode (Msg.Sealed { epoch; seq; ct })) records
+      in
+      if not (Bytes.equal (Bytes.concat Bytes.empty frames) frame) then
         fail report ~stage:"dgram" ~origin ~frame `Fixpoint
   | Error _ -> ()
   | exception e -> fail report ~stage:"dgram" ~origin ~frame (`Raise (Printexc.to_string e))
@@ -580,26 +542,15 @@ let check_frame report ~origin frame =
     (fun f -> fail report ~stage:f.f_stage ~origin:f.f_origin ~frame:(minimize f.f_frame) f.f_kind)
     tmp.failures
 
-let check_dgram report ~origin frame =
-  report.generated <- report.generated + 1;
-  (match Dgram.decode frame with
-  | Ok _ -> report.accepted <- report.accepted + 1
-  | Error _ -> report.rejected <- report.rejected + 1
-  | exception _ -> ());
-  let tmp = empty () in
-  dgram_check tmp ~origin frame;
-  List.iter
-    (fun f -> fail report ~stage:f.f_stage ~origin:f.f_origin ~frame:(minimize f.f_frame) f.f_kind)
-    tmp.failures
-
-(* A freshly-encoded datagram must decode: a rejection means encode
-   and decode have drifted apart. *)
+(* A datagram of freshly generated SEALED frames must decode: a
+   rejection means the datagram decoder and the frame codec have
+   drifted apart. *)
 let check_dgram_valid report ~origin frame =
-  check_dgram report ~origin frame;
-  match Dgram.decode frame with
+  check_frame report ~origin frame;
+  match Frame.decode_datagram frame with
   | Ok _ -> ()
   | Error e -> fail report ~stage:"dgram" ~origin ~frame (`Should_accept e)
-  | exception _ -> () (* already recorded by check_dgram *)
+  | exception _ -> () (* already recorded by check_frame *)
 
 (* A grammar-generated frame must be accepted: a rejection here means
    the grammar and the codec have drifted apart. *)
@@ -642,7 +593,7 @@ let run ?(seed = 1) ?(frames = 1_000_000) ?max_seconds ?(corpus = []) ?crashers_
     check_valid report ~origin:("valid:" ^ ra.name) fa;
     check_frame report ~origin:("poison:" ^ ra.name) (gen_poisoned rng ra);
     check_dgram_valid report ~origin:"valid:dgram" (gen_dgram rng);
-    check_dgram report ~origin:"poison:dgram" (gen_dgram_poisoned rng);
+    check_frame report ~origin:"poison:dgram" (gen_dgram_poisoned rng);
     List.iter
       (fun (mname, m) ->
         if report.generated < frames then

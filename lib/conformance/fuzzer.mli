@@ -8,15 +8,15 @@
     truncated spelling, or a value past its bound). Every candidate is
     pushed through the streaming {!Gkm_wire.Frame.decoder} (whole and re-chunked), through
     {!Gkm_wire.Msg.decode_body} when the header is intact, through
-    the sealed-record inner codec, and through the multicast
-    {!Gkm_wire.Dgram} codec; the payload of every accepted REKEY
-    body goes on through {!Gkm_transport.Packet.decode_payload} (the
-    [packet] stage; half of the generated payloads are real entry
-    payloads). Valid datagrams are additionally
-    generated and poisoned directly — truncation mid-record,
-    epoch/seq/count skew, magic and version poisoning, a record whose
-    seq or length is a broken varint — since the datagram path sees
-    raw socket bytes with no streaming layer in front.
+    the sealed-record inner codec, and through
+    {!Gkm_wire.Frame.decode_datagram}; the payload of every accepted
+    REKEY body goes on through {!Gkm_transport.Packet.decode_payload}
+    (the [packet] stage; half of the generated payloads are real
+    entry payloads). Multicast datagrams (1-5 grammar-generated
+    SEALED frames back to back) are additionally generated whole and
+    with one frame poisoned, swapped for another message or cut
+    short, since the datagram path sees raw socket bytes with no
+    streaming layer in front.
 
     Two properties are enforced on every candidate:
     + decode never raises — arbitrary bytes may only yield [Error];

@@ -165,7 +165,10 @@ let mcast_verdicts ~rx_total stats =
     verdict "mcast-crosscheck"
       (rx_total >= 1 && get "mcast_datagrams" >= 1
       && get "mcast_bytes"
-         >= get "mcast_datagrams" * Gkm_wire.Dgram.encoded_size { epoch = 0; records = [] })
+         >= get "mcast_datagrams"
+            * Bytes.length
+                (Gkm_wire.Frame.encode
+                   (Gkm_wire.Msg.Sealed { epoch = 0; seq = 0L; ct = Bytes.empty })))
       (Printf.sprintf "herd heard %d datagrams of the %d (%d B) the server multicast"
          rx_total (get "mcast_datagrams") (get "mcast_bytes"));
   ]

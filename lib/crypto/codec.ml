@@ -58,10 +58,6 @@ let add_uvarint_max buf ~max v =
 
 let add_u31 buf v = add_uvarint_max buf ~max:0x7FFF_FFFF v
 
-let add_vbytes buf b =
-  add_bits buf (Bytes.length b);
-  Buffer.add_bytes buf b
-
 let add_vlist buf add items =
   add_bits buf (List.length items);
   List.iter (add buf) items
@@ -197,7 +193,6 @@ let bytes r n =
 let key r = Key.of_bytes (bytes r Key.size)
 let var16 r = bytes r (u16 r)
 let var32 r = bytes r (i32 r)
-let vbytes r = bytes r (uvarint r)
 let rest r = bytes r (remaining r)
 
 let magic r tag =

@@ -60,9 +60,6 @@ val add_u31 : Buffer.t -> int -> unit
     wire (snapshots and the client's resumption blob still store them
     as i32). 1 to 5 bytes. *)
 
-val add_vbytes : Buffer.t -> bytes -> unit
-(** {!add_uvarint} length then the bytes. *)
-
 val add_vlist : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 (** {!add_uvarint} count then the items. *)
 
@@ -146,9 +143,6 @@ val key : reader -> Key.t
 val var16 : reader -> bytes
 val var32 : reader -> bytes
 (** A negative length is {!Corrupt}. *)
-
-val vbytes : reader -> bytes
-(** Reads {!add_vbytes}'s encoding. *)
 
 val rest : reader -> bytes
 (** Everything left: a trailing byte string takes the rest of its

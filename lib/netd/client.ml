@@ -99,7 +99,7 @@ type t = {
       (* outstanding PING barriers, token -> continuation *)
   mutable sub : Mcast.sub option;  (* UDP group subscription, Some while connected *)
   mutable mcast_rx : int;  (* datagrams received and decoded *)
-  mutable mcast_bad : int;  (* datagrams that failed Dgram.decode *)
+  mutable mcast_bad : int;  (* datagrams that failed Frame.decode_datagram *)
   mcast_shim : bytes Gkm_net.Netem.t option;  (* receive-side fault injection *)
   drop_state : Loss_model.state option;
   rng : Prng.t;
@@ -585,16 +585,16 @@ let on_readable t () =
           List.iter (fun m -> if t.conn <> None then handle_msg t m) msgs;
           if t.conn <> None then fail t ("wire error: " ^ e))
 
-(* The UDP data plane: each datagram is one rekey generation's sealed
-   records. Everything after decode is the exact TCP SEALED path —
-   same phase gating, same replay windows (which also absorb
-   duplicated datagrams), same buffering and NACK-over-TCP recovery
-   for anything lost — so the transports stay behaviourally and
-   byte-identical above the socket. *)
+(* The UDP data plane: each datagram is one rekey generation's SEALED
+   frames. Everything after decode is the exact TCP SEALED path — same
+   phase gating, same replay windows (which also absorb duplicated
+   datagrams), same buffering and NACK-over-TCP recovery for anything
+   lost — so the transports stay behaviourally and byte-identical above
+   the socket. *)
 let handle_datagram t d =
-  match Gkm_wire.Dgram.decode d with
+  match Gkm_wire.Frame.decode_datagram d with
   | Error _ -> t.mcast_bad <- t.mcast_bad + 1
-  | Ok { Gkm_wire.Dgram.epoch; records } ->
+  | Ok records ->
       t.mcast_rx <- t.mcast_rx + 1;
       (match t.phase with
       | Member | Resync_wait ->
@@ -614,7 +614,7 @@ let handle_datagram t d =
             | None -> false
           in
           List.iter
-            (fun (seq, ct) ->
+            (fun (epoch, seq, ct) ->
               t.on_sealed ~epoch ~seq ~ct;
               if stale epoch then t.auth_dropped <- t.auth_dropped + 1
               else handle_sealed t ~epoch ~seq ~ct)

@@ -197,6 +197,8 @@ module Private : sig
   (** Datagrams the receive-side fault shim ([mcast_fault]) duplicated. *)
 
   val mcast_decode_errors : t -> int
-  (** Datagrams that failed {!Gkm_wire.Dgram.decode} — stray traffic on
-      the group or injected corruption; never fatal. *)
+  (** Datagrams that failed {!Gkm_wire.Frame.decode_datagram} — stray
+      or forged traffic on the group, or injected corruption; never
+      fatal. A datagram holding any message but [Sealed] counts here
+      whole. *)
 end

@@ -1,11 +1,12 @@
 (** UDP multicast sockets for the REKEY data plane.
 
     One {!sender} lives on the server's tick domain and puts each
-    rekey generation's sealed datagram on the group exactly once; each
-    client holds a {!sub} joined to the same group and feeds received
-    datagrams to its record sink. TCP stays the unicast control
-    channel — this module is transport only, with no knowledge of the
-    datagram contents.
+    rekey generation's datagram, its SEALED frames back to back, on
+    the group exactly once; each client holds a {!sub} joined to the
+    same group and feeds received datagrams to its record sink. TCP
+    stays the unicast control channel — this module is transport
+    only, with no knowledge of the datagram contents (the client reads
+    them with {!Gkm_wire.Frame.decode_datagram}).
 
     The send path injects no faults: datagram loss, reordering and
     duplication are a receiver's business, where the loss model puts

@@ -18,10 +18,10 @@ let udp group = Udp group
    goes out over TCP for its interval. *)
 let max_dgram = 60000
 
-(* Rekeys kept for retransmission. A NACK for an older one is answered
-   with a full RESYNC, one key path, so the window only has to cover a
-   member that misses a few rekeys in a row. *)
-let retx_window = 8
+(* Rekeys whose frames are kept to answer NACKs. A NACK for an older
+   one is answered with a full RESYNC, one key path, so the window only
+   has to cover a member that misses a few rekeys in a row. *)
+let history_window = 8
 
 (* Consecutive soft-skipped intervals before a stalled reader is
    evicted: a skip stops its backlog growing, so [outbox_hard] alone
@@ -70,7 +70,7 @@ type stats = {
   mutable rekeys : int;
   mutable rekey_packets : int;
   mutable nacks : int;
-  mutable retx_packets : int;
+  mutable nack_frames : int;
   mutable resyncs : int;
   mutable resyncs_denied : int;
   mutable migrations : int;
@@ -444,7 +444,7 @@ let bind_member t cl member =
   Hashtbl.remove t.disconnected member
 
 (* [reason] separates failure recovery (an authenticated RESYNC_REQ,
-   or a NACK that fell out of the retransmission window) from the
+   or a NACK that fell out of the history window) from the
    routine S->L migration unicast — same wire message, very different
    health signal. Recovery resyncs are budgeted per connection binding
    (a full key path each — a flood of out-of-window NACKs would
@@ -510,12 +510,12 @@ let handle_nack t cl ~rekey_no ~seqs =
       List.iter
         (fun seq ->
           if seq >= 0 && seq < total then begin
-            t.stats.retx_packets <- t.stats.retx_packets + 1;
+            t.stats.nack_frames <- t.stats.nack_frames + 1;
             send_frame t cl frames.(seq)
           end)
         seqs
   | None ->
-      (* Out of the retransmission window: catch the member up wholesale.
+      (* Out of the history window: catch the member up wholesale.
          The connection is already bound, no fresh authentication needed. *)
       if cl.member >= 0 then send_resync t cl cl.member
       else send_error t cl Msg.err_protocol "NACK before membership"
@@ -960,91 +960,64 @@ let tick t =
         (* Fan out under the pre-rekey generation, which every
            previously-admitted member holds. Every packet of the
            generation is sealed exactly once, in seq order, on this
-           domain, here at its tick — the sealed records are the ONE
-           payload every path delivers: the UDP datagram carries the
-           (seq, ct) pairs raw, and the quiet-tick heartbeat repeats
-           that datagram; the TCP fan-out, the datagram's unicast
-           fallback and a NACK's answer send the SEALED frames encoded
-           once here and kept in [history]. Either way a member opens
-           identical bytes. Without a prior generation no member
-           predates this rekey, none can NACK it, and nothing goes out. *)
+           domain, here at its tick, and framed once into the SEALED
+           frames kept in [history]: the ONE payload every path
+           delivers. The UDP datagram is those frames back to back and
+           the quiet-tick heartbeat repeats it; the TCP fan-out, the
+           datagram's unicast fallback and a NACK's answer send them
+           one by one. Either way a member opens identical bytes.
+           Without a prior generation no member predates this rekey,
+           none can NACK it, and nothing goes out. *)
         let total = Array.length packets in
-        let generation =
-          Option.map
-            (fun seal ->
-              ( Record.Epoch.label (Record.Seal.epoch seal),
-                Array.init total (fun seq ->
-                    Record.Seal.seal seal
-                      (Msg.encode_inner
-                         (Msg.Rekey
-                            {
-                              rekey_no = t.rekey_no;
-                              org = org_tag t;
-                              epoch = t.epoch;
-                              root = t.root;
-                              seq;
-                              total;
-                              packet = packets.(seq);
-                            }))) ))
-            t.seal
-        in
         let frames =
-          match generation with
+          match t.seal with
           | None -> [||]
-          | Some (lbl, pairs) ->
+          | Some seal ->
+              let epoch = Record.Epoch.label (Record.Seal.epoch seal) in
               let frames =
-                Array.map
-                  (fun (rseq, ct) -> Frame.encode (Msg.Sealed { epoch = lbl; seq = rseq; ct }))
-                  pairs
+                Array.init total (fun seq ->
+                    let rseq, ct =
+                      Record.Seal.seal seal
+                        (Msg.encode_inner
+                           (Msg.Rekey
+                              {
+                                rekey_no = t.rekey_no;
+                                org = org_tag t;
+                                epoch = t.epoch;
+                                root = t.root;
+                                seq;
+                                total;
+                                packet = packets.(seq);
+                              }))
+                    in
+                    Frame.encode (Msg.Sealed { epoch; seq = rseq; ct }))
               in
               Hashtbl.replace t.history t.rekey_no frames;
               frames
         in
-        Hashtbl.remove t.history (t.rekey_no - retx_window);
+        Hashtbl.remove t.history (t.rekey_no - history_window);
         (* The UDP data plane: one datagram per generation, sent here
            on the tick domain, replacing the per-member unicast. A
-           generation too large for one datagram (or with more packets
-           than the u8 record count) falls back to TCP unicast for
-           this interval — the frames reuse the records already sealed
-           for the datagram attempt, so the fallback costs no extra
-           sealing and no sequence-number gap. *)
+           generation too large for one datagram falls back to TCP
+           unicast for this interval, sending the same frames. *)
         let mcast_delivered =
           match t.mcast with
-          | Some sender when has_prior_member t -> (
-              match generation with
-              | None -> false
-              | Some (lbl, pairs) ->
-                  let records = Array.to_list pairs in
-                  let d = { Gkm_wire.Dgram.epoch = lbl; records } in
-                  if
-                    total <= Gkm_wire.Dgram.max_records
-                    && Gkm_wire.Dgram.encoded_size d <= max_dgram
-                  then begin
-                    let dgram = Gkm_wire.Dgram.encode d in
-                    mcast_send t sender dgram;
-                    t.last_dgram <- Some dgram;
-                    t.stats.mcast_datagrams <- t.stats.mcast_datagrams + 1;
-                    journal "netd.mcast"
-                      [
-                        ("rekey_no", Int t.rekey_no);
-                        ("epoch", Int lbl);
-                        ("records", Int total);
-                        ("bytes", Int (Bytes.length dgram));
-                        ("fallback", Bool false);
-                      ];
-                    true
-                  end
-                  else begin
-                    t.stats.mcast_fallback_unicast <- t.stats.mcast_fallback_unicast + 1;
-                    journal "netd.mcast"
-                      [
-                        ("rekey_no", Int t.rekey_no);
-                        ("epoch", Int lbl);
-                        ("records", Int total);
-                        ("fallback", Bool true);
-                      ];
-                    false
-                  end)
+          | Some sender when Array.length frames > 0 && has_prior_member t ->
+              let bytes = Array.fold_left (fun n f -> n + Bytes.length f) 0 frames in
+              let fits = bytes <= max_dgram in
+              if fits then begin
+                let dgram = Bytes.concat Bytes.empty (Array.to_list frames) in
+                mcast_send t sender dgram;
+                t.last_dgram <- Some dgram;
+                t.stats.mcast_datagrams <- t.stats.mcast_datagrams + 1
+              end
+              else t.stats.mcast_fallback_unicast <- t.stats.mcast_fallback_unicast + 1;
+              journal "netd.mcast"
+                (("rekey_no", Journal.Int t.rekey_no)
+                :: ("records", Journal.Int total)
+                :: ("fallback", Journal.Bool (not fits))
+                :: (if fits then [ ("bytes", Journal.Int bytes) ] else []));
+              fits
           | _ -> false
         in
         (* Heartbeats only ever repeat the latest generation's exact
@@ -1225,7 +1198,7 @@ let create ~loop (cfg : config) =
             rekeys = 0;
             rekey_packets = 0;
             nacks = 0;
-            retx_packets = 0;
+            nack_frames = 0;
             resyncs = 0;
             resyncs_denied = 0;
             migrations = 0;

@@ -41,13 +41,13 @@
     {!Gkm_transport.Packet} entry codec (DESIGN.md Sections 12-13).
 
     With the {!Udp} transport the sealed REKEY fan-out moves to a UDP
-    multicast data plane: each generation's sealed records go out as
-    ONE {!Gkm_wire.Dgram} datagram on the group — sealed once on the
-    tick domain, so the record bytes are identical to what the TCP
-    path would have delivered — while TCP remains the unicast control
-    channel (HELLO/JOIN/NACK/RESYNC/REJOIN/tickets). A generation too
-    large for one
-    datagram falls back to TCP unicast for that interval. The server
+    multicast data plane: each generation goes out as ONE datagram on
+    the group, the very SEALED frames the TCP path would have written,
+    back to back (sealed and framed once on the tick domain; see
+    {!Gkm_wire.Frame.decode_datagram}), while TCP remains the unicast
+    control channel (HELLO/JOIN/NACK/RESYNC/REJOIN/tickets). A
+    generation whose frames exceed one datagram (60,000 B) falls back
+    to TCP unicast for that interval. The server
     injects no faults: datagram loss, reordering and duplication are
     applied per receiver, by each client's [mcast_fault] shim
     (DESIGN.md Section 17).
@@ -113,10 +113,10 @@ type stats = {
   mutable rekeys : int;
   mutable rekey_packets : int;
   mutable nacks : int;
-  mutable retx_packets : int;  (** fan-out frames resent in answer to NACKs *)
+  mutable nack_frames : int;  (** fan-out frames resent in answer to NACKs *)
   mutable resyncs : int;
       (** recovery resyncs only: authenticated RESYNC_REQ answers and
-          NACKs that fell out of the retransmission window — NOT the
+          NACKs that fell out of the history window — NOT the
           server-initiated migration unicasts (see {!field-migrations}) *)
   mutable resyncs_denied : int;
       (** recovery resyncs refused because a connection exhausted

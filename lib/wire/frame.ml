@@ -132,3 +132,24 @@ let next d =
                 | Error e -> fail d (Printf.sprintf "%s: %s" (Msg.tag_name tag) e)
               end
       end
+
+(* A multicast datagram is whole SEALED frames back to back, the bytes
+   the TCP fan-out writes for the same records, read by the same
+   decoder. Any other message is refused with the datagram: the group
+   is open to off-path senders, and only a sealed record authenticates
+   itself. *)
+let decode_datagram dgram =
+  let n = Bytes.length dgram in
+  if n = 0 then Error "empty datagram"
+  else begin
+    let d = decoder ~max_frame:n () in
+    feed d dgram 0 n;
+    let rec go acc =
+      match next d with
+      | Ok (Some (Msg.Sealed { epoch; seq; ct })) -> go ((epoch, seq, ct) :: acc)
+      | Ok (Some m) -> Error (Msg.tag_name (Msg.tag m) ^ " in a datagram")
+      | Ok None -> if d.len = 0 then Ok (List.rev acc) else Error "datagram ends mid-frame"
+      | Error e -> Error e
+    in
+    go []
+  end

@@ -50,6 +50,14 @@ val next : decoder -> (Msg.t option, string) result
 val buffered : decoder -> int
 (** Bytes currently awaiting a complete frame. *)
 
+val decode_datagram : bytes -> ((int * int64 * bytes) list, string) result
+(** The [(epoch, seq, ct)] records of a multicast datagram: one or more
+    complete [Sealed] frames, nothing between or after them, so a
+    generation goes out as the frames the TCP fan-out writes for it.
+    [Error] on an empty datagram, a trailing partial frame, any message
+    other than [Sealed] (the whole datagram is refused) and anything
+    {!next} refuses. Never raises. *)
+
 (** {1 Protocol helpers} *)
 
 val resync_auth : key:Gkm_crypto.Key.t -> member:int -> epoch:int -> bytes

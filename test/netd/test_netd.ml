@@ -14,7 +14,6 @@ module Netem = Gkm_net.Netem
 module Mcast = Gkm_netd.Mcast
 module Msg = Gkm_wire.Msg
 module Frame = Gkm_wire.Frame
-module Dgram = Gkm_wire.Dgram
 module Packet = Gkm_transport.Packet
 module Record = Gkm_record.Record
 module Dek_log = Gkm_netd.Dek_log
@@ -770,7 +769,7 @@ let test_plaintext_rekey_refused () =
    same epochs, same record seqs, same ciphertexts. That holds because
    encoding AND sealing happen on the tick domain in seq order in both
    modes; the lanes only carry finished bytes. *)
-let lockstep_run ?group ~domains () =
+let lockstep_run ?group ?capacity ~domains () =
   let n = 6 in
   let loop = Loop.create () in
   (* s_period beyond the run: a TT migration excludes the moved member
@@ -783,7 +782,7 @@ let lockstep_run ?group ~domains () =
   in
   let srv =
     Server.create ~loop
-      (cfg ~tp:3600.0 ~org ~domains ?transport:(Option.map Server.udp group) ())
+      (cfg ~tp:3600.0 ~org ?capacity ~domains ?transport:(Option.map Server.udp group) ())
   in
   let port = Server.port srv in
   let joined = ref 0 and left = ref 0 in
@@ -1065,7 +1064,52 @@ let test_udp_byte_identical () =
     lockstep_run ~group:(Mcast.ephemeral_group ~seed:0xA4) ~domains:4 ()
   in
   check_runs_identical ~tag:"tcp/udp@1" (sealed_t, deks_t, sdek_t) (sealed_u1, deks_u1, sdek_u1);
-  check_runs_identical ~tag:"tcp/udp@4" (sealed_t, deks_t, sdek_t) (sealed_u4, deks_u4, sdek_u4)
+  check_runs_identical ~tag:"tcp/udp@4" (sealed_t, deks_t, sdek_t) (sealed_u4, deks_u4, sdek_u4);
+  (* At the smallest capacity a packet holds one entry group, so some
+     generations carry several records. A raw subscriber on the group
+     sees every datagram: each must be, byte for byte, the SEALED
+     frames the tcp run's member0 (a member before every generation)
+     received for that rekey. *)
+  let capacity = Packet.min_capacity_bytes in
+  let sealed_t, deks_t, sdek_t, _ = lockstep_run ~capacity ~domains:1 () in
+  let group = Mcast.ephemeral_group ~seed:0xA5 in
+  let raw = match Mcast.subscribe group with Ok s -> s | Error e -> Alcotest.fail e in
+  let sealed_u, deks_u, sdek_u, _ = lockstep_run ~group ~capacity ~domains:1 () in
+  check_runs_identical ~tag:"tcp/udp small packets" (sealed_t, deks_t, sdek_t)
+    (sealed_u, deks_u, sdek_u);
+  (* A quiet tick's heartbeat repeats the datagram before it. *)
+  let rec datagrams acc =
+    match (Mcast.recv raw, acc) with
+    | None, _ -> List.rev acc
+    | Some d, prev :: _ when Bytes.equal d prev -> datagrams acc
+    | Some d, _ -> datagrams (d :: acc)
+  in
+  let dgrams = datagrams [] in
+  Mcast.close_sub raw;
+  let frames =
+    ref
+      (List.map
+         (fun (epoch, seq, ct) -> Frame.encode (Msg.Sealed { epoch; seq; ct }))
+         sealed_t.(0))
+  in
+  let multi = ref 0 in
+  List.iteri
+    (fun k d ->
+      let n =
+        match Frame.decode_datagram d with
+        | Ok records -> List.length records
+        | Error e -> Alcotest.failf "datagram %d: %s" k e
+      in
+      if n >= 2 then incr multi;
+      let mine = List.filteri (fun i _ -> i < n) !frames in
+      frames := List.filteri (fun i _ -> i >= n) !frames;
+      Alcotest.(check bytes)
+        (Printf.sprintf "datagram %d is member0's %d tcp frame(s)" k n)
+        (Bytes.concat Bytes.empty mine) d)
+    dgrams;
+  Alcotest.(check int) "every tcp frame of member0 went in a datagram" 0 (List.length !frames);
+  Alcotest.(check int) "generations multicast" 11 (List.length dgrams);
+  Alcotest.(check int) "generations of >= 2 records" 9 !multi
 
 (* A small rekey must be small on the wire: a payload padded to the
    1 KiB capacity makes a 2-entry rekey's SEALED frame 1094 bytes.
@@ -1073,8 +1117,14 @@ let test_udp_byte_identical () =
    record it is sent under the DEK it holds, so the sizes checked
    belong to rekeys whose entries are known. Returns (entries,
    datagram bytes, SEALED frame bytes) per single-record rekey, and
-   the server's stats. *)
+   the server's stats. The datagram bytes are measured on a raw
+   subscriber to the group (0 over tcp). *)
 let small_rekey_sizes ?group () =
+  let raw =
+    Option.map
+      (fun g -> match Mcast.subscribe g with Ok s -> s | Error e -> Alcotest.fail e)
+      group
+  in
   let loop = Loop.create () in
   let srv =
     Server.create ~loop (cfg ~tp:3600.0 ~capacity:1024 ?transport:(Option.map Server.udp group) ())
@@ -1116,9 +1166,7 @@ let small_rekey_sizes ?group () =
             match Packet.decode_payload r.packet.Packet.payload with
             | Ok es ->
                 sizes :=
-                  ( es,
-                    Dgram.encoded_size { epoch; records = [ (seq, ct) ] },
-                    Bytes.length (Frame.encode (Msg.Sealed { epoch; seq; ct })) )
+                  (es, (epoch, seq), Bytes.length (Frame.encode (Msg.Sealed { epoch; seq; ct })))
                   :: !sizes
             | Error e -> Alcotest.fail e)
         | _ -> ())
@@ -1135,7 +1183,30 @@ let small_rekey_sizes ?group () =
   run_until loop (fun () -> List.for_all (fun c -> Client.last_rekey c = last) members);
   let st = Server.stats srv in
   Server.stop srv;
-  (!sizes, st)
+  (* Each datagram's length, by its first record. *)
+  let dgram_len = Hashtbl.create 32 in
+  Option.iter
+    (fun sub ->
+      let rec drain () =
+        match Mcast.recv sub with
+        | None -> ()
+        | Some d ->
+            (match Frame.decode_datagram d with
+            | Ok ((epoch, seq, _) :: _) -> Hashtbl.replace dgram_len (epoch, seq) (Bytes.length d)
+            | _ -> Alcotest.fail "undecodable datagram on the group");
+            drain ()
+      in
+      drain ();
+      Mcast.close_sub sub)
+    raw;
+  let measured key =
+    if Option.is_none raw then 0
+    else
+      match Hashtbl.find_opt dgram_len key with
+      | Some n -> n
+      | None -> Alcotest.fail "a record member0 opened came in no captured datagram"
+  in
+  (List.map (fun (es, key, frame) -> (es, measured key, frame)) !sizes, st)
 
 let test_small_rekey_unpadded () =
   let check tag sizes pick ~steady =
@@ -1214,25 +1285,71 @@ let test_mcast_shared_recv_buffer () =
 
 (* A datagram socket has no end of stream: an empty datagram sent to
    the group ahead of a rekey is one undecodable datagram, not a dry
-   socket. The member counts it and still installs the rekey's DEK,
-   with no NACK. *)
+   socket. Nor is the group a control channel: an off-path sender's
+   ERROR, a RESYNC naming the member with a key path, a SEALED frame
+   trailed by a truncated one and a datagram in the retired GM
+   envelope are each refused whole. The member counts every one,
+   keeps its phase, keys and DEK trace, and still installs the
+   rekey's DEK, with no NACK and no RESYNC. *)
 let test_udp_empty_datagram () =
   require_mcast ();
   let group = Mcast.ephemeral_group ~seed:0xE0 in
   let loop = Loop.create () in
-  let srv = Server.create ~loop (cfg ~tp:0.01 ~transport:(Server.udp group) ()) in
+  (* No TT migration may move the member's keys while it is watched. *)
+  let org =
+    Organization.Scheme_cfg { (Scheme.default_config Scheme.Tt) with s_period = 1000 }
+  in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ~org ~transport:(Server.udp group) ()) in
   let port = Server.port srv in
   let join seed = Client.connect ~loop { (Client.config ~port) with seed; mcast = Some group } in
   let member = join 21 and churner = join 22 in
-  run_until loop (fun () -> Client.is_member member && Client.is_member churner);
+  run_until loop (fun () ->
+      Client.is_member member && Client.is_member churner
+      && Client.last_rekey member = Server.rekey_no srv);
   let sender =
     match Mcast.create_sender group with Ok s -> s | Error e -> Alcotest.fail e
   in
-  Mcast.send sender Bytes.empty;
+  let forged_key = Gkm_crypto.Key.of_bytes (Bytes.make Gkm_crypto.Key.size 'f') in
+  let forged_nodes = [ 12_345; Scheme.dek_node ] in
+  let sealed =
+    Frame.encode
+      (Msg.Sealed
+         { epoch = Client.Private.epoch member; seq = 0L; ct = Bytes.make 40 'x' })
+  in
+  let forged =
+    [
+      Bytes.empty;
+      Frame.encode (Msg.Error_msg { code = Msg.err_evicted; detail = "forged" });
+      Frame.encode
+        (Msg.Resync
+           {
+             member = Client.member member;
+             rekey_no = Client.last_rekey member + 1;
+             epoch = Client.Private.epoch member + 1;
+             root = Scheme.dek_node;
+             path = List.map (fun n -> (n, forged_key)) forged_nodes;
+             ticket = Bytes.empty;
+           });
+      Bytes.cat sealed (Bytes.sub sealed 0 (Bytes.length sealed - 1));
+      Gkm_crypto.Hex.decode "474d0101050202aabb";
+    ]
+  in
+  let state () =
+    ( Client.phase member,
+      Client.Private.epoch member,
+      Client.group_key member,
+      List.map (Client.Private.key_of member) forged_nodes,
+      Client.dek_trace member )
+  in
+  let before = state () in
+  List.iter (Mcast.send sender) forged;
+  run_until loop (fun () -> Client.Private.mcast_decode_errors member = List.length forged);
+  Alcotest.(check bool) "phase, keys and DEK trace unchanged" true (state () = before);
   let target = Server.rekey_no srv + 1 in
   Client.leave churner;
   run_until loop (fun () -> Client.last_rekey member >= target);
-  Alcotest.(check int) "the empty datagram counted" 1 (Client.Private.mcast_decode_errors member);
+  Alcotest.(check int) "every forged datagram counted" (List.length forged)
+    (Client.Private.mcast_decode_errors member);
   Alcotest.(check int) "no NACK" 0 (Client.nacks_sent member);
   Alcotest.(check int) "no resync" 0 (Client.resyncs member);
   check_trace ~server_tbl:(server_trace_tbl srv) "member" member;
@@ -1495,11 +1612,11 @@ let test_nack_duplicate_seqs () =
       run_until loop (fun () -> Client.last_rekey (List.hd herd) >= rekey_no);
       let fanout = !seen in
       let st0 = Server.stats srv in
-      let nacks0 = st0.Server.nacks and retx0 = st0.Server.retx_packets in
+      let nacks0 = st0.Server.nacks and frames0 = st0.Server.nack_frames in
       Cohort.Private.Raw.send r (Msg.Nack { rekey_no; seqs = List.init 2000 (fun _ -> 0) });
       run_until loop (fun () -> (Server.stats srv).Server.nacks > nacks0);
-      let retx = (Server.stats srv).Server.retx_packets - retx0 in
-      Alcotest.(check int) "one frame for the one distinct seq" 1 retx;
+      let frames = (Server.stats srv).Server.nack_frames - frames0 in
+      Alcotest.(check int) "one frame for the one distinct seq" 1 frames;
       let resent =
         Cohort.Private.Raw.await r ~timeout:10.0 (function
           | Msg.Sealed { epoch; seq; ct } ->
@@ -2752,7 +2869,7 @@ let test_resync_wait_opens_nothing () =
   Server.tick_now srv;
   run_both (fun () -> Client.last_rekey c >= n + 1);
   Alcotest.(check bool) "rekey n+1 completed from the NACK's answer" true
-    (Client.nacks_sent c >= 1 && (Server.stats srv).Server.retx_packets >= 1);
+    (Client.nacks_sent c >= 1 && (Server.stats srv).Server.nack_frames >= 1);
   Alcotest.(check int) "no replay refused" 0 (Client.replays_dropped c);
   Alcotest.(check int) "no second RESYNC" 1 (Client.resyncs c);
   List.iter Client.kill [ c; o; j ];

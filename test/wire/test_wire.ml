@@ -434,6 +434,9 @@ let check_no_failures what (r : Fuzzer.report) =
       Alcotest.failf "%s: %d failures, first: %s" what (List.length r.Fuzzer.failures)
         (pp_failure f)
 
+let has_prefix ~prefix s =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
 let test_regression_corpus () =
   let entries = load_corpus () in
   Alcotest.(check bool) "corpus has entries" true (List.length entries >= 15);
@@ -445,7 +448,7 @@ let test_regression_corpus () =
      regression even if it round-trips. *)
   List.iter
     (fun (e : Corpus.entry) ->
-      if String.length e.label >= 7 && String.sub e.label 0 7 = "reject:" then
+      if has_prefix ~prefix:"reject:" e.label then
         match decode_one e.frame with
         | Error _ -> ()
         | Ok m ->
@@ -455,9 +458,17 @@ let test_regression_corpus () =
             Alcotest.failf "corpus entry %S raised: %s" e.label (Printexc.to_string ex))
     entries
 
+(* A datagram's records re-encoded as the SEALED frames they came in. *)
+let dgram_of_records records =
+  Bytes.concat Bytes.empty
+    (List.map (fun (epoch, seq, ct) -> Frame.encode (Msg.Sealed { epoch; seq; ct })) records)
+
 (* Corpus entries labelled "dgram" target the multicast datagram
-   codec: "reject:" ones must produce a clean Dgram error, the rest
-   must decode and re-encode byte-identically. *)
+   decoder: "reject:" and "reject-dgram:" ones must produce a clean
+   [Frame.decode_datagram] error, the rest must decode and re-encode
+   byte-identically. ("reject-dgram:" marks a datagram whose first
+   frame alone is valid, which the "reject:" rule above would refuse
+   to pass.) *)
 let test_dgram_corpus () =
   let is_sub ~needle hay =
     let n = String.length needle and h = String.length hay in
@@ -470,48 +481,54 @@ let test_dgram_corpus () =
   Alcotest.(check bool) "corpus has dgram entries" true (List.length entries >= 8);
   List.iter
     (fun (e : Corpus.entry) ->
-      let reject = String.length e.label >= 7 && String.sub e.label 0 7 = "reject:" in
-      match Gkm_wire.Dgram.decode e.frame with
+      let reject =
+        has_prefix ~prefix:"reject:" e.label || has_prefix ~prefix:"reject-dgram:" e.label
+      in
+      match Frame.decode_datagram e.frame with
       | Error _ when reject -> ()
       | Error err -> Alcotest.failf "dgram entry %S rejected: %s" e.label err
       | Ok _ when reject -> Alcotest.failf "dgram entry %S accepted" e.label
-      | Ok d ->
+      | Ok records ->
           Alcotest.(check bool)
             (Printf.sprintf "dgram entry %S re-encodes identically" e.label)
             true
-            (Bytes.equal (Gkm_wire.Dgram.encode d) e.frame)
+            (Bytes.equal (dgram_of_records records) e.frame)
       | exception ex ->
           Alcotest.failf "dgram entry %S raised: %s" e.label (Printexc.to_string ex))
     entries
 
-(* The datagram codec itself: encode∘decode fixpoint on structured
-   values, plus the header guards a multicast receiver relies on. *)
+(* The datagram decoder itself: SEALED frames back to back round-trip,
+   with no record cap below the datagram size; an empty datagram, a
+   trailing partial frame and any other message are refused whole. *)
 let test_dgram_roundtrip () =
   let drng = Prng.create 99 in
+  let random_records n =
+    List.init n (fun _ ->
+        (Prng.int drng 1_000_000, Prng.bits64 drng, Prng.bytes drng (Prng.int drng 300)))
+  in
   for _ = 1 to 200 do
-    let d =
-      {
-        Gkm_wire.Dgram.epoch = Prng.int drng 1_000_000;
-        records =
-          List.init
-            (1 + Prng.int drng 8)
-            (fun _ -> (Prng.bits64 drng, Prng.bytes drng (Prng.int drng 300)));
-      }
-    in
-    match Gkm_wire.Dgram.decode (Gkm_wire.Dgram.encode d) with
-    | Ok d' -> Alcotest.(check bool) "dgram round-trips" true (d = d')
+    let records = random_records (1 + Prng.int drng 8) in
+    match Frame.decode_datagram (dgram_of_records records) with
+    | Ok records' -> Alcotest.(check bool) "dgram round-trips" true (records = records')
     | Error e -> Alcotest.failf "dgram round-trip rejected: %s" e
   done;
-  (match Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = 1; records = [] } with
-  | b -> (
-      match Gkm_wire.Dgram.decode b with
+  (match Frame.decode_datagram (dgram_of_records (random_records 300)) with
+  | Ok rs -> Alcotest.(check int) "300 records in one datagram" 300 (List.length rs)
+  | Error e -> Alcotest.failf "300-record datagram rejected: %s" e);
+  let sealed = dgram_of_records (random_records 1) in
+  let error = Frame.encode (Msg.Error_msg { code = Msg.err_auth; detail = "forged" }) in
+  List.iter
+    (fun (what, d) ->
+      match Frame.decode_datagram d with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "zero-record datagram accepted")
-  | exception Invalid_argument _ -> ());
-  let too_many = List.init 256 (fun i -> (Int64.of_int i, Bytes.empty)) in
-  match Gkm_wire.Dgram.encode { Gkm_wire.Dgram.epoch = 1; records = too_many } with
-  | _ -> Alcotest.fail "256-record datagram encoded past the u8 count"
-  | exception Invalid_argument _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("an empty datagram", Bytes.empty);
+      ("a trailing partial frame", Bytes.cat sealed (Bytes.sub sealed 0 5));
+      ("a lone ERROR frame", error);
+      ("an ERROR frame after a SEALED one", Bytes.cat sealed error);
+      ("a SEALED frame after an ERROR one", Bytes.cat error sealed);
+    ]
 
 (* The grammar must cover exactly the codec's tag space, with the same
    names the decoder uses: tags 1 to 17 but the reserved 7 and 15. *)
@@ -771,7 +788,6 @@ let test_resync_auth () =
 (* Varint headers                                                      *)
 
 module Codec = Gkm_crypto.Codec
-module Dgram = Gkm_wire.Dgram
 
 let hex = Gkm_crypto.Hex.encode
 
@@ -834,32 +850,6 @@ let prop_seq64_roundtrip =
       Bytes.length b <= 10
       && Bytes.length b = Codec.seq64_size v
       && decode_seq64 (Bytes.to_string b) = Ok v)
-
-(* The multicast-or-TCP choice sizes a datagram before building it:
-   the size must be exact, for seqs of both spaces and records up to a
-   full 64 KiB. *)
-let prop_dgram_encoded_size =
-  let seq =
-    QCheck.Gen.(
-      oneof
-        [
-          map Int64.of_int (0 -- 20_000);
-          map (fun n -> Int64.add Int64.min_int (Int64.of_int n)) (0 -- 20_000);
-          ui64;
-        ])
-  in
-  let ct_len =
-    QCheck.Gen.(oneof [ 0 -- 300; 0 -- 65_535; oneofl [ 0; 127; 128; 16_383; 16_384; 65_535 ] ])
-  in
-  QCheck.Test.make ~name:"Dgram.encoded_size is the encoded length" ~count:200
-    (QCheck.make
-       ~print:(fun rs ->
-         String.concat "; " (List.map (fun (s, n) -> Printf.sprintf "%Lx/%d" s n) rs))
-       QCheck.Gen.(list_size (1 -- 4) (pair seq ct_len)))
-    (fun spec ->
-      let records = List.map (fun (s, n) -> (s, Bytes.make n 'c')) spec in
-      let d = { Dgram.epoch = 7; records } in
-      Dgram.encoded_size d = Bytes.length (Dgram.encode d))
 
 (* The tcp-rejoin steady state: a TT group whose churn stays in the S
    tree, one short-lived member in and one out per interval, so a
@@ -950,7 +940,7 @@ let () =
           Alcotest.test_case "non-canonical seq64 refused" `Quick test_seq64_non_canonical;
           Alcotest.test_case "golden 2-key TT SEALED frame" `Quick test_golden_steady_frame;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_seq64_roundtrip; prop_dgram_encoded_size ] );
+        @ List.map QCheck_alcotest.to_alcotest [ prop_seq64_roundtrip ] );
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_sealed_roundtrip;
