@@ -1,12 +1,14 @@
-(** Append-only [(rekey_no, DEK fingerprint)] log, 8 bytes per entry.
+(** Append-only [(rekey_no, DEK fingerprint)] log, 4 bytes per entry.
 
     Server and clients record one entry per rekey for the lifetime of
     the process, so a list of boxed pairs (~72 bytes each) would grow
-    the heap with every rekey. Each entry here is a u32 [rekey_no],
-    whose top bit flags the no-key fingerprint [""], followed by the
-    fingerprint's 4 raw bytes. Entries are stored in fixed 2 KiB
-    chunks of 256 that are appended and never copied, so a log's
-    growth never re-allocates its history. *)
+    the heap with every rekey. Each entry here is the fingerprint's 4
+    raw bytes; its [rekey_no] is the previous entry's plus one. The
+    first entry, a jump in the numbering and the no-key fingerprint
+    [""] also keep a boxed mark with their number, so a log that
+    follows rekey after rekey grows by 4 bytes a rekey. Entries are
+    stored in fixed 2 KiB chunks of 512 that are appended and never
+    copied, so a log's growth never re-allocates its history. *)
 
 type t
 

@@ -1631,19 +1631,27 @@ let test_nack_duplicate_seqs () =
 
 (* The DEK trace log against the boxed list it replaced: the same
    (rekey_no, fingerprint) pairs, oldest first, the no-key [""]
-   included, across many chunk boundaries. *)
+   included, across many chunk boundaries. Most numbers follow the
+   previous one, as a member's do, with jumps and repeats between, and
+   one run counts past 2^31 - 1, where the log folds to 0. *)
 let test_dek_log_roundtrip () =
   let log = Dek_log.create () in
   let rng = Random.State.make [| 7 |] in
-  let reference = ref [] in
+  let reference = ref [] and prev = ref 0 in
   for i = 0 to 12_345 do
-    let rekey_no = if i = 12_345 then 0x7FFF_FFFF else i + Random.State.int rng 3 in
+    let rekey_no =
+      if i = 12_345 then 0x7FFF_FFFF
+      else if i = 6_000 then 0x7FFF_FFF0
+      else if (i > 6_000 && i < 6_100) || Random.State.int rng 10 < 8 then !prev + 1
+      else i + Random.State.int rng 3
+    in
+    prev := rekey_no;
     let fp =
       if Random.State.int rng 7 = 0 then ""
       else Printf.sprintf "%08x" (Random.State.bits rng land 0xFFFF_FFFF)
     in
     Dek_log.add log ~rekey_no fp;
-    reference := (rekey_no, fp) :: !reference
+    reference := (rekey_no land 0x7FFF_FFFF, fp) :: !reference
   done;
   Alcotest.(check (list (pair int string))) "oldest-first list" (List.rev !reference)
     (Dek_log.to_list log);
