@@ -48,7 +48,7 @@ module Raw = struct
             t.received <- List.rev_append ms t.received;
             teardown t
         | `Error (e, ms) ->
-            Printf.eprintf "[raw] decode error: %s\n%!" e;
+            Printf.eprintf "[raw] decode error: %s\n%!" (Frame.error_message e);
             t.received <- List.rev_append ms t.received;
             teardown t)
 
@@ -87,12 +87,14 @@ module Raw = struct
       (function Msg.Error_msg { code; detail } -> Some (code, detail) | _ -> None)
       (msgs t)
 
-  let send t m =
+  let send_frame t frame =
     match t.conn with
     | Some c ->
-        Conn.enqueue_frame c (Frame.encode m);
+        Conn.enqueue_frame c frame;
         if t.connected then ignore (Conn.write_through t.loop c)
     | None -> ()
+
+  let send t m = send_frame t (Frame.encode m)
 
   let await t ~timeout pick =
     let found = ref None in
@@ -108,14 +110,10 @@ module Raw = struct
     ignore (check ());
     !found
 
-  let hello t ~timeout =
-    send t (Msg.Hello { lo = Msg.version; hi = Msg.version });
-    await t ~timeout (function Msg.Hello_ack _ -> Some () | _ -> None) <> None
-
   let join t ~timeout =
     send t (Msg.Join { cls = `Long; loss = 0.0 });
     await t ~timeout (function
-      | Msg.Join_ack { member; epoch; path = (_, k) :: _; ticket; _ } ->
+      | Msg.Resync { member; epoch; path = (_, k) :: _; ticket; _ } ->
           Some (member, epoch, k, ticket)
       | _ -> None)
 end
@@ -282,27 +280,30 @@ let reorder_dup ~loop ~port ?mcast ?(seed = 4000) ~timeout () =
     end
   end
 
-(* One probe per side of the server's version: an older-only range and
-   a newer-only one. Each must draw ERR err_version. *)
+(* One probe per side of the server's version: a JOIN whose frame
+   header says the version before it, and one that says the version
+   after. Each must draw ERR err_version, and then the close. *)
 let version_refused ~loop ~port ~timeout =
   let name = "version-refused" in
-  let probe (lo, hi) =
+  let probe version =
     let r = Raw.connect ~loop ~port in
-    Raw.send r (Msg.Hello { lo; hi });
+    Raw.send_frame r (Frame.encode ~version (Msg.Join { cls = `Long; loss = 0.0 }));
     let got =
       Raw.await r ~timeout (function
         | Msg.Error_msg { code; detail } -> Some (code, detail)
         | _ -> None)
     in
+    let closed = run_until loop ~timeout (fun () -> Raw.closed r) in
     Raw.close r;
     match got with
-    | Some (code, _) when code = Msg.err_version -> None
-    | Some (code, d) -> Some (Printf.sprintf "[%d,%d] refused with code %d (%s)" lo hi code d)
-    | None -> Some (Printf.sprintf "[%d,%d]: no refusal before timeout" lo hi)
+    | Some (code, _) when code = Msg.err_version && closed -> None
+    | Some (code, _) when code = Msg.err_version ->
+        Some (Printf.sprintf "v%d: no close after the refusal" version)
+    | Some (code, d) -> Some (Printf.sprintf "v%d refused with code %d (%s)" version code d)
+    | None -> Some (Printf.sprintf "v%d: no refusal before timeout" version)
   in
-  let ranges = [ (1, Msg.version - 1); (Msg.version + 1, Msg.version + 3) ] in
-  match List.find_map probe ranges with
-  | None -> { name; ok = true; detail = "HELLOs excluding the wire version refused with err_version" }
+  match List.find_map probe [ Msg.version - 1; Msg.version + 1 ] with
+  | None -> { name; ok = true; detail = "frames of another wire version refused with err_version" }
   | Some detail -> { name; ok = false; detail }
 
 (* ---------------- hostile cohorts ---------------- *)
@@ -317,204 +318,159 @@ let count_resyncs r =
 let nack_flood ~loop ~port ~budget ~timeout =
   let name = "nack-flood" in
   let r = Raw.connect ~loop ~port in
-  match Raw.hello r ~timeout with
-  | false ->
+  match Raw.join r ~timeout with
+  | None ->
       Raw.close r;
-      { name; ok = false; detail = "no HELLO_ACK" }
-  | true -> (
-      match Raw.join r ~timeout with
-      | None ->
-          Raw.close r;
-          { name; ok = false; detail = "no JOIN_ACK" }
-      | Some _ ->
-          (* Every NACK for a rekey that never existed misses the
-             retransmission history and asks for a full recovery
-             resync — the amplification the budget must cap. Volley in
-             lockstep (one NACK, await its RESYNC or ERROR) so no NACK
-             is in flight when the denial closes the socket — a burst
-             would race the close into an RST that discards the very
-             farewell we are asserting. *)
-          let replies () = count_resyncs r + List.length (Raw.errors r) in
-          let rec volley sent =
-            if (not (Raw.closed r)) && sent < budget + 8 then begin
-              Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] });
-              let before = replies () in
-              ignore (run_until loop ~timeout (fun () -> Raw.closed r || replies () > before));
-              volley (sent + 1)
-            end
-          in
-          volley 0;
-          let dropped = run_until loop ~timeout (fun () -> Raw.closed r) in
-          let resyncs = count_resyncs r in
-          let denial =
-            List.exists (fun (code, _) -> code = Msg.err_protocol) (Raw.errors r)
-          in
-          Raw.close r;
-          let detail =
-            Printf.sprintf "%d resyncs granted (budget %d), denial=%b, dropped=%b" resyncs
-              budget denial dropped
-          in
-          { name; ok = dropped && denial && resyncs <= budget && resyncs > 0; detail })
+      { name; ok = false; detail = "no admission" }
+  | Some _ ->
+      (* Every NACK for a rekey that never existed misses the
+         retransmission history and asks for a full recovery resync —
+         the amplification the budget must cap. Volley in lockstep (one
+         NACK, await its RESYNC or ERROR) so no NACK is in flight when
+         the denial closes the socket — a burst would race the close
+         into an RST that discards the very farewell we are asserting.
+         The admitting RESYNC is not one of them. *)
+      let granted () = count_resyncs r - 1 in
+      let replies () = granted () + List.length (Raw.errors r) in
+      let rec volley sent =
+        if (not (Raw.closed r)) && sent < budget + 8 then begin
+          Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] });
+          let before = replies () in
+          ignore (run_until loop ~timeout (fun () -> Raw.closed r || replies () > before));
+          volley (sent + 1)
+        end
+      in
+      volley 0;
+      let dropped = run_until loop ~timeout (fun () -> Raw.closed r) in
+      let resyncs = granted () in
+      let denial = List.exists (fun (code, _) -> code = Msg.err_protocol) (Raw.errors r) in
+      Raw.close r;
+      let detail =
+        Printf.sprintf "%d resyncs granted (budget %d), denial=%b, dropped=%b" resyncs budget
+          denial dropped
+      in
+      { name; ok = dropped && denial && resyncs <= budget && resyncs > 0; detail }
 
 let evictee_lockout ~loop ~port ~timeout =
   let name = "evictee-lockout" in
   let fail detail = { name; ok = false; detail } in
   let r = Raw.connect ~loop ~port in
-  match Raw.hello r ~timeout with
-  | true -> (
-      match Raw.join r ~timeout with
-      | None ->
-          Raw.close r;
-          fail "no JOIN_ACK"
-      | Some (_, _, _, ticket) when Bytes.length ticket = 0 ->
-          Raw.close r;
-          fail "no ticket issued"
-      | Some (member, epoch, key, ticket) ->
-          Raw.send r (Msg.Leave { member });
-          (* ... and keep transmitting into the teardown. *)
-          for _ = 1 to 4 do
-            Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] })
-          done;
-          let went_down = run_until loop ~timeout (fun () -> Raw.closed r) in
-          if not went_down then begin
-            Raw.close r;
-            fail "server kept the leaver's connection"
-          end
-          else begin
-            (* Lockout probe 1: the dead ticket. *)
-            let r2 = Raw.connect ~loop ~port in
-            match Raw.hello r2 ~timeout with
-            | false ->
-                Raw.close r2;
-                fail "no HELLO_ACK on reconnect"
-            | true -> (
-                Raw.send r2 (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket });
-                let e1 =
-                  Raw.await r2 ~timeout (function
-                    | Msg.Error_msg { code; _ } -> Some code
-                    | _ -> None)
-                in
-                match e1 with
-                | Some code when code = Msg.err_evicted ->
-                    (* Lockout probe 2: a correctly authenticated
-                       RESYNC_REQ — the member is gone, so even a
-                       valid HMAC must be refused. *)
-                    Raw.send r2
-                      (Msg.Resync_req
-                         { member; epoch; auth = Frame.resync_auth ~key ~member ~epoch });
-                    let e2 =
-                      Raw.await r2 ~timeout (fun m ->
-                          match m with
-                          | Msg.Error_msg { code; _ } when code <> Msg.err_evicted ->
-                              Some code
-                          | _ -> None)
-                    in
-                    Raw.close r2;
-                    if e2 = Some Msg.err_auth then
-                      {
-                        name;
-                        ok = true;
-                        detail = "ticket and authenticated resync both locked out";
-                      }
-                    else
-                      fail
-                        (Printf.sprintf
-                           "resync after leave: expected err_auth, got %s (closed=%b) [%s]"
-                           (match e2 with Some c -> string_of_int c | None -> "nothing")
-                           (Raw.closed r2)
-                           (String.concat ","
-                              (List.map
-                                 (fun m -> Format.asprintf "%a" Msg.pp_kind m)
-                                 (Raw.msgs r2))))
-                | Some code ->
-                    Raw.close r2;
-                    fail (Printf.sprintf "rejoin after leave: expected err_evicted, got %d" code)
-                | None ->
-                    Raw.close r2;
-                    fail "rejoin after leave: no reply")
-          end)
-  | false ->
+  match Raw.join r ~timeout with
+  | None ->
       Raw.close r;
-      fail "no HELLO_ACK"
+      fail "no admission"
+  | Some (_, _, _, ticket) when Bytes.length ticket = 0 ->
+      Raw.close r;
+      fail "no ticket issued"
+  | Some (member, epoch, key, ticket) -> (
+      Raw.send r (Msg.Leave { member });
+      (* ... and keep transmitting into the teardown. *)
+      for _ = 1 to 4 do
+        Raw.send r (Msg.Nack { rekey_no = never_issued; seqs = [] })
+      done;
+      let went_down = run_until loop ~timeout (fun () -> Raw.closed r) in
+      if not went_down then begin
+        Raw.close r;
+        fail "server kept the leaver's connection"
+      end
+      else
+        (* Lockout probe 1: the dead ticket. *)
+        let r2 = Raw.connect ~loop ~port in
+        Raw.send r2 (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket });
+        let e1 =
+          Raw.await r2 ~timeout (function Msg.Error_msg { code; _ } -> Some code | _ -> None)
+        in
+        match e1 with
+        | Some code when code = Msg.err_evicted ->
+            (* Lockout probe 2: a correctly authenticated RESYNC_REQ —
+               the member is gone, so even a valid HMAC must be
+               refused. *)
+            Raw.send r2
+              (Msg.Resync_req { member; epoch; auth = Frame.resync_auth ~key ~member ~epoch });
+            let e2 =
+              Raw.await r2 ~timeout (fun m ->
+                  match m with
+                  | Msg.Error_msg { code; _ } when code <> Msg.err_evicted -> Some code
+                  | _ -> None)
+            in
+            Raw.close r2;
+            if e2 = Some Msg.err_auth then
+              { name; ok = true; detail = "ticket and authenticated resync both locked out" }
+            else
+              fail
+                (Printf.sprintf "resync after leave: expected err_auth, got %s (closed=%b) [%s]"
+                   (match e2 with Some c -> string_of_int c | None -> "nothing")
+                   (Raw.closed r2)
+                   (String.concat ","
+                      (List.map (fun m -> Format.asprintf "%a" Msg.pp_kind m) (Raw.msgs r2))))
+        | Some code ->
+            Raw.close r2;
+            fail (Printf.sprintf "rejoin after leave: expected err_evicted, got %d" code)
+        | None ->
+            Raw.close r2;
+            fail "rejoin after leave: no reply")
 
 let ticket_replay ~loop ~port ~timeout =
   let name = "ticket-replay" in
   let fail detail = { name; ok = false; detail } in
   let a = Raw.connect ~loop ~port in
-  match Raw.hello a ~timeout with
-  | true -> (
-      match Raw.join a ~timeout with
-      | None ->
-          Raw.close a;
-          fail "no JOIN_ACK"
-      | Some (_, _, _, ticket) when Bytes.length ticket = 0 ->
-          Raw.close a;
-          fail "no ticket issued"
-      | Some (member, issued_epoch, _, ticket) ->
-          let rejoin conn =
-            Raw.send conn (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket });
-            Raw.await conn ~timeout (function
-              | Msg.Rejoin_ack { member = m; _ } -> Some m
-              | _ -> None)
-          in
-          let b = Raw.connect ~loop ~port in
-          let replay1 = if Raw.hello b ~timeout then rejoin b else None in
-          (* Bearer semantics: the replay re-binds the member and
-             the previous binding dies. *)
-          let a_died = run_until loop ~timeout (fun () -> Raw.closed a) in
-          let c = Raw.connect ~loop ~port in
-          let replay2 = if Raw.hello c ~timeout then rejoin c else None in
-          let b_died = run_until loop ~timeout (fun () -> Raw.closed b) in
-          (* A corrupted ticket must be refused softly: same socket
-             stays up and can enter as a brand-new member. *)
-          let d = Raw.connect ~loop ~port in
-          let soft =
-            match Raw.hello d ~timeout with
-            | false -> fail "no HELLO_ACK on corrupt-ticket probe"
-            | true -> (
-                let bad = Bytes.copy ticket in
-                let i = Bytes.length bad / 2 in
-                Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x41));
-                Raw.send d (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket = bad });
-                match
-                  Raw.await d ~timeout (function
-                    | Msg.Error_msg { code; _ } -> Some code
-                    | _ -> None)
-                with
-                | Some code when code = Msg.err_ticket && not (Raw.closed d) -> (
-                    match Raw.join d ~timeout with
-                    | Some (fresh, _, _, _) when fresh <> member ->
-                        { name; ok = true; detail = "" }
-                    | Some (fresh, _, _, _) ->
-                        fail (Printf.sprintf "fresh join reused member id %d" fresh)
-                    | None -> fail "no JOIN_ACK after soft ticket rejection")
-                | Some code ->
-                    fail (Printf.sprintf "corrupt ticket: expected err_ticket, got %d" code)
-                | None -> fail "corrupt ticket: no reply")
-          in
-          List.iter Raw.close [ a; b; c; d ];
-          let ok =
-            replay1 = Some member && replay2 = Some member && a_died && b_died && soft.ok
-          in
-          if ok then
-            {
-              name;
-              ok = true;
-              detail =
-                Printf.sprintf
-                  "2 replays re-bound member %d (old conns dropped); corrupt ticket soft-refused"
-                  member;
-            }
-          else if not soft.ok then soft
-          else
-            fail
-              (Printf.sprintf "replay1=%s replay2=%s a_died=%b b_died=%b"
-                 (match replay1 with Some m -> string_of_int m | None -> "-")
-                 (match replay2 with Some m -> string_of_int m | None -> "-")
-                 a_died b_died))
-  | false ->
+  match Raw.join a ~timeout with
+  | None ->
       Raw.close a;
-      fail "no HELLO_ACK"
+      fail "no admission"
+  | Some (_, _, _, ticket) when Bytes.length ticket = 0 ->
+      Raw.close a;
+      fail "no ticket issued"
+  | Some (member, issued_epoch, _, ticket) ->
+      let rejoin conn =
+        Raw.send conn (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket });
+        Raw.await conn ~timeout (function Msg.Rejoin_ack { member = m; _ } -> Some m | _ -> None)
+      in
+      let b = Raw.connect ~loop ~port in
+      let replay1 = rejoin b in
+      (* Bearer semantics: the replay re-binds the member and the
+         previous binding dies. *)
+      let a_died = run_until loop ~timeout (fun () -> Raw.closed a) in
+      let c = Raw.connect ~loop ~port in
+      let replay2 = rejoin c in
+      let b_died = run_until loop ~timeout (fun () -> Raw.closed b) in
+      (* A corrupted ticket must be refused softly: same socket stays
+         up and can enter as a brand-new member. *)
+      let d = Raw.connect ~loop ~port in
+      let soft =
+        let bad = Bytes.copy ticket in
+        let i = Bytes.length bad / 2 in
+        Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x41));
+        Raw.send d (Msg.Rejoin { have_epoch = issued_epoch; have_state = false; ticket = bad });
+        match
+          Raw.await d ~timeout (function Msg.Error_msg { code; _ } -> Some code | _ -> None)
+        with
+        | Some code when code = Msg.err_ticket && not (Raw.closed d) -> (
+            match Raw.join d ~timeout with
+            | Some (fresh, _, _, _) when fresh <> member -> { name; ok = true; detail = "" }
+            | Some (fresh, _, _, _) -> fail (Printf.sprintf "fresh join reused member id %d" fresh)
+            | None -> fail "no admission after soft ticket rejection")
+        | Some code -> fail (Printf.sprintf "corrupt ticket: expected err_ticket, got %d" code)
+        | None -> fail "corrupt ticket: no reply"
+      in
+      List.iter Raw.close [ a; b; c; d ];
+      let ok = replay1 = Some member && replay2 = Some member && a_died && b_died && soft.ok in
+      if ok then
+        {
+          name;
+          ok = true;
+          detail =
+            Printf.sprintf
+              "2 replays re-bound member %d (old conns dropped); corrupt ticket soft-refused"
+              member;
+        }
+      else if not soft.ok then soft
+      else
+        fail
+          (Printf.sprintf "replay1=%s replay2=%s a_died=%b b_died=%b"
+             (match replay1 with Some m -> string_of_int m | None -> "-")
+             (match replay2 with Some m -> string_of_int m | None -> "-")
+             a_died b_died)
 
 module Private = struct
   module Raw = Raw

@@ -83,8 +83,10 @@ val reorder_dup :
     the same shape. *)
 
 val version_refused : loop:Gkm_netd.Loop.t -> port:int -> timeout:float -> verdict
-(** Speakers whose HELLO range excludes the wire version — one older,
-    one newer: the server must refuse each with ERR err_version. *)
+(** Speakers of another wire version — a JOIN whose frame header says
+    the version before {!Gkm_wire.Msg.version}, and one that says the
+    version after: the server must refuse each with ERR err_version,
+    and then close the connection. *)
 
 (** {1 Hostile cohorts} *)
 
@@ -120,14 +122,11 @@ module Private : sig
     val send : t -> Gkm_wire.Msg.t -> unit
     val close : t -> unit
 
-    val hello : t -> timeout:float -> bool
-    (** Send HELLO for the wire version and await HELLO_ACK; [false] on
-        timeout or a refusal. *)
-
     val join : t -> timeout:float -> (int * int * Gkm_crypto.Key.t * bytes) option
-    (** Send JOIN and await JOIN_ACK (spans an admission tick); returns
-        the member id, the epoch, the individual key (the path head) and
-        the ticket the reply carries (issued at that epoch). *)
+    (** Send JOIN and await the admitting RESYNC (spans an admission
+        tick); returns the member id, the epoch, the individual key (the
+        path head) and the ticket the reply carries (issued at that
+        epoch). *)
 
     val await : t -> timeout:float -> (Gkm_wire.Msg.t -> 'a option) -> 'a option
     (** Run the loop until [pick] takes a received message, oldest

@@ -115,10 +115,6 @@ let gen_field rng buf : Grammar.field -> unit = function
         (List.init (Prng.int rng 5) (fun _ -> (gen_id rng, gen_key rng)))
   | Uvarint_list (_, max) ->
       add_vlist buf add_uvarint (List.init (Prng.int rng 8) (fun _ -> gen_bounded rng max))
-  | Version_range _ ->
-      let lo = Prng.int rng 4 in
-      add_u8 buf lo;
-      add_u8 buf (lo + Prng.int rng 4)
   | Seq_total _ ->
       let total = 1 + Prng.int rng 32 in
       add_uvarint buf (Prng.int rng total);
@@ -231,11 +227,6 @@ let poison_field rng buf : Grammar.field -> bool = function
         add_uvarint buf (max + 1 + Prng.int rng 1000);
         true
       end
-  | Version_range _ ->
-      let hi = Prng.int rng 255 in
-      add_u8 buf (hi + 1);
-      add_u8 buf hi;
-      true
   | Seq_total _ ->
       (match Prng.int rng 3 with
       | 0 ->

@@ -469,7 +469,7 @@ and handle_rekey t (r : Msg.rekey) ~payload ~dropped =
     else sync_sink t dek
   end
 
-(* A JOIN_ACK, or a recovery RESYNC, carries a fresh ticket issued at
+(* An admitting or recovery RESYNC carries a fresh ticket issued at
    the reply's epoch; an empty one (a migration RESYNC) leaves ours in
    place. A ticket never goes stale, and a REJOIN_ACK never replaces
    the one presented. *)
@@ -538,9 +538,6 @@ let handle_msg t (msg : Msg.t) =
       else fail t (Printf.sprintf "server error %d: %s" code detail)
   | _, Error_msg { code; detail } ->
       fail t (Printf.sprintf "server error %d: %s" code detail)
-  | (Joining | Resync_wait | Rejoin_wait), Hello_ack { version } ->
-      (* the pipelined request's answer follows *)
-      if version <> Msg.version then fail t (Printf.sprintf "server chose version %d" version)
   | Rejoin_wait, Rejoin_ack { member; ct } -> (
       match (t.individual, t.presented) with
       | Some individual, Some issued_epoch -> (
@@ -557,8 +554,7 @@ let handle_msg t (msg : Msg.t) =
               t.presented <- None;
               request_resync t)
       | _ -> fail t "REJOIN_ACK without a presented ticket")
-  | Joining, Join_ack { member; rekey_no; epoch; root; path; ticket }
-  | (Resync_wait | Member), Resync { member; rekey_no; epoch; root; path; ticket }
+  | (Joining | Resync_wait | Member), Resync { member; rekey_no; epoch; root; path; ticket }
     when member = t.member || t.member < 0 ->
       take_ticket t ~epoch ticket;
       let dek = install t ~member ~rekey_no ~epoch ~root ~path in
@@ -583,7 +579,7 @@ let on_readable t () =
             else fail t "connection closed by server"
       | `Error (e, msgs) ->
           List.iter (fun m -> if t.conn <> None then handle_msg t m) msgs;
-          if t.conn <> None then fail t ("wire error: " ^ e))
+          if t.conn <> None then fail t ("wire error: " ^ Frame.error_message e))
 
 (* The UDP data plane: each datagram is one rekey generation's SEALED
    frames. Everything after decode is the exact TCP SEALED path — same
@@ -651,11 +647,9 @@ let on_writable t () =
       if t.phase = Connecting then begin
         match Unix.getsockopt_error (Conn.fd c) with
         | None -> (
-            (* The first request rides behind HELLO in the same flight
-               rather than spending a round trip on the HELLO_ACK:
-               0-RTT REJOIN with a ticket, RESYNC_REQ for a member
-               without one, JOIN otherwise. *)
-            send t (Msg.Hello { lo = Msg.version; hi = Msg.version });
+            (* The first frame is the request itself: 0-RTT REJOIN with
+               a ticket, RESYNC_REQ for a member without one, JOIN
+               otherwise. *)
             match t.ticket with
             | Some (issued_epoch, blob) when t.individual <> None ->
                 t.presented <- Some issued_epoch;

@@ -34,13 +34,12 @@
     {!Gkm_lkh.Member.interested} of each entry in order, and decrypts
     the check and block of only the entries it hands to
     {!Gkm_lkh.Member.process_entry}. The client also holds the AEAD
-    resumption ticket the server
-    issues (inside JOIN_ACK, or a recovery RESYNC). Every
-    connection sends its first request in the same flight as HELLO:
-    JOIN for a new member; after {!kill}/{!reconnect}, the ticket in
-    a REJOIN — one round trip to full membership, delta keys only if
-    the member state survived — or, without a ticket, an
-    authenticated RESYNC_REQ. The fallback ladder on rejection:
+    resumption ticket the server issues (inside the admitting RESYNC,
+    or a recovery one). A connection's first frame is its request:
+    JOIN for a new member; after {!kill}/{!reconnect}, the ticket in a
+    REJOIN — one round trip to full membership, delta keys only if the
+    member state survived — or, without a ticket, an authenticated
+    RESYNC_REQ. The fallback ladder on rejection:
     RESYNC (a ticket the server cannot open), fresh JOIN as a new
     member (evicted). *)
 
@@ -72,8 +71,8 @@ val config : port:int -> config
 
 type phase =
   | Connecting
-  | Rejoin_wait  (** REJOIN pipelined behind HELLO, awaiting the sealed ack *)
-  | Joining  (** JOIN sent, awaiting the admitting tick's JOIN_ACK *)
+  | Rejoin_wait  (** REJOIN sent, awaiting the sealed ack *)
+  | Joining  (** JOIN sent, awaiting the admitting tick's RESYNC *)
   | Resync_wait
   | Member
   | Leaving
@@ -81,8 +80,8 @@ type phase =
 type t
 
 val connect : loop:Loop.t -> config -> t
-(** Open a non-blocking connection and send HELLO and JOIN (or the
-    [resume] blob's REJOIN) in one flight; progress happens as the loop
+(** Open a non-blocking connection and send JOIN (or the [resume]
+    blob's REJOIN) as its first frame; progress happens as the loop
     runs. *)
 
 val kill : t -> unit
@@ -101,10 +100,10 @@ val drain : ?timeout:float -> t -> (unit -> unit) -> unit
     first. *)
 
 val reconnect : t -> unit
-(** Open a fresh connection. Holding a ticket, the client pipelines
-    REJOIN behind HELLO (0-RTT, see {!phase} [Rejoin_wait]); otherwise
-    it pipelines a RESYNC_REQ authenticated with
-    {!Gkm_wire.Frame.resync_auth} and resumes via RESYNC. *)
+(** Open a fresh connection. Holding a ticket, the client's first
+    frame is REJOIN (0-RTT, see {!phase} [Rejoin_wait]); otherwise it
+    is a RESYNC_REQ authenticated with {!Gkm_wire.Frame.resync_auth},
+    and the client resumes via RESYNC. *)
 
 val export_resumption : t -> bytes option
 (** The member's portable resumption state — id, epoch, individual
@@ -129,7 +128,7 @@ val on_sealed : t -> (epoch:int -> seq:int64 -> ct:bytes -> unit) -> unit
 val phase : t -> phase
 val is_member : t -> bool
 val member : t -> int
-(** Member id; [-1] before JOIN_ACK. *)
+(** Member id; [-1] before the admitting RESYNC. *)
 
 val last_rekey : t -> int
 val group_key : t -> Gkm_crypto.Key.t option

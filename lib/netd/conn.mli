@@ -44,10 +44,10 @@ val on_readable :
   t ->
   [ `Msgs of Gkm_wire.Msg.t list
   | `Eof of Gkm_wire.Msg.t list
-  | `Error of string * Gkm_wire.Msg.t list ]
+  | `Error of Gkm_wire.Frame.error * Gkm_wire.Msg.t list ]
 (** Drain the socket and decode. Complete messages are returned in
     arrival order even when the read also hit end-of-stream ([`Eof])
-    or the decoder went corrupt ([`Error], sticky — drop the
+    or the decoder refused the stream ([`Error], sticky — drop the
     connection). *)
 
 val write_through : Loop.t -> t -> [ `Ok | `Eof ]

@@ -92,7 +92,7 @@ type stats = {
   mutable wraps_pruned : int;
 }
 
-type phase = Pre_hello | Ready | Pending | Member
+type phase = Ready | Pending | Member
 
 type client = {
   conn : Conn.t;
@@ -249,7 +249,6 @@ type t = {
   port : int;
   clients : (int, client) Hashtbl.t;  (* raw fd -> client *)
   member_client : (int, client) Hashtbl.t;  (* member -> live bound client *)
-  individual : (int, Key.t) Hashtbl.t;
   pending : (int, client) Hashtbl.t;  (* member -> client awaiting admission *)
   disconnected : (int, int) Hashtbl.t;  (* member -> rekey_no at disconnect *)
   leaving : (int, unit) Hashtbl.t;  (* departure enqueued, key cleanup pending *)
@@ -396,7 +395,7 @@ let depart t member =
   let module O = (val t.org : Organization.S) in
   match O.enqueue_departure member with
   | () -> Hashtbl.replace t.leaving member ()
-  | exception Invalid_argument _ -> Hashtbl.remove t.individual member
+  | exception Invalid_argument _ -> ()
 
 let evict_slow t cl =
   t.stats.evictions_slow <- t.stats.evictions_slow + 1;
@@ -443,16 +442,19 @@ let bind_member t cl member =
   Hashtbl.replace t.member_client member cl;
   Hashtbl.remove t.disconnected member
 
-(* [reason] separates failure recovery (an authenticated RESYNC_REQ,
-   or a NACK that fell out of the history window) from the
-   routine S->L migration unicast — same wire message, very different
-   health signal. Recovery resyncs are budgeted per connection binding
-   (a full key path each — a flood of out-of-window NACKs would
-   otherwise turn a few bytes of NACK into unbounded unicast); the
-   counter resets with the connection, so an honest reconnecting
-   client is never locked out. A recovery RESYNC carries a fresh
-   ticket, since the client may have dropped a refused one; a migrated
-   member keeps the ticket it holds. *)
+(* RESYNC is the one key-path unicast; [reason] says why it goes out.
+   An admission is the registration unicast, counted as a join when
+   the JOIN arrived. Failure recovery (an authenticated RESYNC_REQ, or
+   a NACK that fell out of the history window) and the routine S->L
+   migration are the same wire message with very different health
+   signals. Recovery resyncs are budgeted per connection binding (a
+   full key path each — a flood of out-of-window NACKs would otherwise
+   turn a few bytes of NACK into unbounded unicast); the counter
+   resets with the connection, so an honest reconnecting client is
+   never locked out. An admission carries the member's first ticket
+   and a recovery RESYNC a fresh one, since the client may have
+   dropped a refused one; a migrated member keeps the ticket it
+   holds. *)
 let send_resync t ?(reason = `Recovery) ?path cl member =
   if reason = `Recovery && cl.resyncs_granted >= t.cfg.resync_budget then begin
     t.stats.resyncs_denied <- t.stats.resyncs_denied + 1;
@@ -460,17 +462,20 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
     send_error t cl Msg.err_protocol "recovery resync budget exhausted"
   end
   else begin
-  if reason = `Recovery then cl.resyncs_granted <- cl.resyncs_granted + 1;
   bind_member t cl member;
+  let counted what =
+    journal "netd.resync"
+      [ ("member", Int member); ("rekey_no", Int t.rekey_no); ("reason", Str what) ]
+  in
   (match reason with
-  | `Recovery -> t.stats.resyncs <- t.stats.resyncs + 1
-  | `Migration -> t.stats.migrations <- t.stats.migrations + 1);
-  journal "netd.resync"
-    [
-      ("member", Int member);
-      ("rekey_no", Int t.rekey_no);
-      ("reason", Str (match reason with `Recovery -> "recovery" | `Migration -> "migration"));
-    ];
+  | `Admission -> ()
+  | `Recovery ->
+      cl.resyncs_granted <- cl.resyncs_granted + 1;
+      t.stats.resyncs <- t.stats.resyncs + 1;
+      counted "recovery"
+  | `Migration ->
+      t.stats.migrations <- t.stats.migrations + 1;
+      counted "migration");
   send t cl
     (Msg.Resync
        {
@@ -479,20 +484,26 @@ let send_resync t ?(reason = `Recovery) ?path cl member =
          epoch = t.epoch;
          root = t.root;
          path = (match path with Some p -> p | None -> member_path t member);
-         ticket = (match reason with `Recovery -> mint_ticket t member | `Migration -> Bytes.empty);
+         ticket = (match reason with `Migration -> Bytes.empty | _ -> mint_ticket t member);
        })
   end
 
-(* A member with a queued departure ([t.leaving]) must be refused like
-   one already evicted — handle_rejoin already treats leavers that
-   way, and granting here would resurrect the binding for the
-   remainder of the interval. *)
-let handle_resync_req t cl ~member ~epoch ~auth =
+(* The member's key path while it is a member with no departure queued
+   ([t.leaving]): a leaver is refused like one already evicted, since
+   granting it would resurrect the binding for the remainder of the
+   interval. The head of the path is the member's individual key: the
+   organization carries it onto the new leaf when it migrates the
+   member. *)
+let live_path t member =
   let module O = (val t.org : Organization.S) in
-  match Hashtbl.find_opt t.individual member with
-  | Some key when O.is_member member && not (Hashtbl.mem t.leaving member) ->
+  if O.is_member member && not (Hashtbl.mem t.leaving member) then Some (O.member_path member)
+  else None
+
+let handle_resync_req t cl ~member ~epoch ~auth =
+  match live_path t member with
+  | Some ((_, key) :: _ as path) ->
       let expect = Frame.resync_auth ~key ~member ~epoch in
-      if Bytes.equal expect auth then send_resync t cl member
+      if Bytes.equal expect auth then send_resync t ~path cl member
       else send_error t cl Msg.err_auth "resync authentication failed"
   | _ -> send_error t cl Msg.err_auth "unknown or departed member"
 
@@ -527,21 +538,18 @@ let handle_nack t cl ~rekey_no ~seqs =
    The client keeps presenting the ticket it holds: the reply never
    carries a new one. *)
 let handle_rejoin t cl ~have_epoch ~have_state ~ticket =
-  let module O = (val t.org : Organization.S) in
   match Record.Ticket.Sealer.open_ t.ticket_sealer ticket with
   | Error e -> send_soft_error t cl Msg.err_ticket e
   | Ok c -> (
       let member = c.Record.Ticket.member in
-      match Hashtbl.find_opt t.individual member with
-      | None -> send_soft_error t cl Msg.err_evicted "membership revoked"
-      | Some _ when (not (O.is_member member)) || Hashtbl.mem t.leaving member ->
+      match live_path t member with
+      | None | Some [] ->
           (* Eviction lockout: member ids are never reused, so a
              departed member's ticket is dead forever. Soft error —
              the same connection may re-enter with a fresh JOIN, as a
              new member with no claim to the old one's keys. *)
           send_soft_error t cl Msg.err_evicted "membership revoked"
-      | Some individual ->
-          let path = O.member_path member in
+      | Some ((_, individual) :: _ as path) ->
           (* Delta keys suffice while the member's leaf stayed put
              since [have_epoch]: a node joins a fixed leaf's path only
              by a split or a re-parent, and both refresh its key, so
@@ -597,21 +605,12 @@ let handle_msg t cl (msg : Msg.t) =
   match (cl.phase, msg) with
   | _, Ping { token } -> send t cl (Msg.Pong { token })
   | _, Pong _ -> ()
-  | Pre_hello, Hello { lo; hi } ->
-      if lo > Msg.version || hi < Msg.version then
-        send_error t cl Msg.err_version "unsupported wire version"
-      else begin
-        cl.phase <- Ready;
-        send t cl (Msg.Hello_ack { version = Msg.version })
-      end
-  | Pre_hello, _ -> send_error t cl Msg.err_protocol "expected HELLO"
   | Ready, Join { cls; loss } ->
       let module O = (val t.org : Organization.S) in
       let member = t.next_member in
       t.next_member <- t.next_member + 1;
       let cls = match cls with `Short -> Gkm.Scheme.Short | `Long -> Gkm.Scheme.Long in
-      let key = O.register ~member ~cls ~loss in
-      Hashtbl.replace t.individual member key;
+      ignore (O.register ~member ~cls ~loss);
       Hashtbl.replace t.pending member cl;
       cl.member <- member;
       cl.phase <- Pending;
@@ -633,7 +632,8 @@ let handle_msg t cl (msg : Msg.t) =
         (Printf.sprintf "unexpected %s" (Msg.tag_name (Msg.tag msg)))
 
 (* Every reply to one read's messages leaves in one write, after the
-   last is handled (HELLO_ACK + REJOIN_ACK for a 0-RTT flight). *)
+   last is handled. A frame of another wire version draws
+   [err_version], and then the close. *)
 let on_conn_readable t cl () =
   let handle msgs =
     cl.held <- true;
@@ -644,9 +644,13 @@ let on_conn_readable t cl () =
   | `Msgs msgs ->
       handle msgs;
       if not (Conn.closed cl.conn) then ignore (Conn.write_through t.loop cl.conn)
-  | `Eof msgs | `Error (_, msgs) ->
+  | `Eof msgs | `Error (Frame.Corrupt _, msgs) ->
       handle msgs;
       if not (Conn.closed cl.conn) then drop_client t cl ~departed:false
+  | `Error (Frame.Version _, msgs) ->
+      handle msgs;
+      if not (Conn.closed cl.conn) then
+        send_error t cl Msg.err_version "unsupported wire version"
 
 let on_conn_writable t cl () =
   match Conn.write_through t.loop cl.conn with
@@ -668,7 +672,7 @@ let accept_loop t () =
           let cl =
             {
               conn;
-              phase = Pre_hello;
+              phase = Ready;
               member = -1;
               admitted_at = -1;
               strikes = 0;
@@ -846,8 +850,8 @@ let tick t =
   | None -> heartbeat t
   | Some msg ->
       (* The fresh members are sent their whole key path by unicast
-         this tick: the admitted joiners (JOIN_ACK) and the members
-         the organization moved to a new leaf (RESYNC). [placements]
+         this tick, by RESYNC: the admitted joiners and the members
+         the organization moved to a new leaf. [placements]
          persists until the next effective rekey, so a move is a leaf
          that differs from the last known one. A wrap only fresh
          members could open would cross the wire twice, so the
@@ -915,7 +919,7 @@ let tick t =
         Hashtbl.replace t.node_changed msg.root_node msg.epoch;
         t.rekey_no <- t.rekey_no + 1
       end;
-      (* Admit this interval's joiners: JOIN_ACK carries the full key
+      (* Admit this interval's joiners: a RESYNC carries the full key
          path, the wire form of the registration unicast, and the
          member's first ticket. *)
       let admitted = Hashtbl.fold (fun m cl acc -> (m, cl) :: acc) t.pending [] in
@@ -924,25 +928,13 @@ let tick t =
           if O.is_member member then begin
             Hashtbl.remove t.pending member;
             if Conn.closed cl.conn then Hashtbl.replace t.disconnected member t.rekey_no
-            else begin
-              bind_member t cl member;
-              send t cl
-                (Msg.Join_ack
-                   {
-                     member;
-                     rekey_no = t.rekey_no;
-                     epoch = t.epoch;
-                     root = t.root;
-                     path = Hashtbl.find fresh member;
-                     ticket = mint_ticket t member;
-                   })
-            end
+            else send_resync t ~reason:`Admission ~path:(Hashtbl.find fresh member) cl member
           end)
         admitted;
       (* Members the organization moved to a new leaf (S->L migration)
          need their fresh key path: a server-initiated RESYNC, the wire
          form of the migration unicast. Newly admitted members already
-         got theirs in JOIN_ACK. *)
+         got theirs in their admission. *)
       List.iter
         (fun (member, leaf) ->
           match Hashtbl.find_opt t.placed member with
@@ -1111,7 +1103,6 @@ let tick t =
   List.iter
     (fun m ->
       Hashtbl.remove t.leaving m;
-      Hashtbl.remove t.individual m;
       Hashtbl.remove t.placed m)
     gone
 
@@ -1166,7 +1157,6 @@ let create ~loop (cfg : config) =
         port;
         clients = Hashtbl.create 256;
         member_client = Hashtbl.create 256;
-        individual = Hashtbl.create 256;
         pending = Hashtbl.create 64;
         disconnected = Hashtbl.create 64;
         leaving = Hashtbl.create 64;

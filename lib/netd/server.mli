@@ -1,10 +1,10 @@
 (** The rekey server: a real {!Gkm.Organization} behind a TCP loopback
     socket, driven by a {!Loop}.
 
-    The server accepts framed connections ({!Conn}), walks each
-    through the HELLO handshake, batch-admits JOINs at the interval
-    tick (JOIN_ACK carries the member's full key path — the wire form
-    of the registration unicast), fans every rekey out as a run of
+    The server accepts framed connections ({!Conn}), whose first frame
+    is the request itself, batch-admits JOINs at the interval tick (a
+    RESYNC carries the member's full key path — the wire form of the
+    registration unicast), fans every rekey out as a run of
     sealed REKEY records whose SEALED frames are encoded once and
     shared across all outboxes (the records carry only the entries
     that a member not sent its whole path by unicast that tick can
@@ -23,11 +23,12 @@
     departs.
 
     The server speaks one wire version ({!Gkm_wire.Msg.version}); a
-    HELLO whose range excludes it is refused with [err_version]. Every
+    frame whose header says another version is answered with
+    [err_version], and then the connection closes. Every
     REKEY is sealed once, by the {!Gkm_record.Record} layer under the
     pre-rekey DEK generation, and a NACK's answer resends its fan-out's
     SEALED frames byte for byte. Members receive an AEAD resumption
-    ticket (inside the admitting JOIN_ACK, and every recovery RESYNC)
+    ticket (inside the admitting RESYNC, and every recovery RESYNC)
     that names them and never goes stale, and a reconnecting member
     can re-enter in one round trip by presenting it in REJOIN —
     receiving, while its leaf has not moved since the epoch it still
@@ -45,7 +46,7 @@
     the group, the very SEALED frames the TCP path would have written,
     back to back (sealed and framed once on the tick domain; see
     {!Gkm_wire.Frame.decode_datagram}), while TCP remains the unicast
-    control channel (HELLO/JOIN/NACK/RESYNC/REJOIN/tickets). A
+    control channel (JOIN/NACK/RESYNC/REJOIN/tickets). A
     generation whose frames exceed one datagram (60,000 B) falls back
     to TCP unicast for that interval. The server
     injects no faults: datagram loss, reordering and duplication are
@@ -108,7 +109,7 @@ val default_config : config
 
 type stats = {
   mutable accepts : int;
-  mutable joins : int;
+  mutable joins : int;  (** JOINs registered; the next tick admits each by RESYNC *)
   mutable leaves : int;
   mutable rekeys : int;
   mutable rekey_packets : int;
@@ -116,8 +117,9 @@ type stats = {
   mutable nack_frames : int;  (** fan-out frames resent in answer to NACKs *)
   mutable resyncs : int;
       (** recovery resyncs only: authenticated RESYNC_REQ answers and
-          NACKs that fell out of the history window — NOT the
-          server-initiated migration unicasts (see {!field-migrations}) *)
+          NACKs that fell out of the history window — NOT admissions
+          or the server-initiated migration unicasts (see
+          {!field-migrations}) *)
   mutable resyncs_denied : int;
       (** recovery resyncs refused because a connection exhausted
           [config.resync_budget]; each costs the offender its
@@ -150,7 +152,7 @@ type stats = {
           period, which gap-based NACK recovery cannot see *)
   mutable wraps_pruned : int;
       (** rekey entries left out of the fan-out because only members
-          sent their whole path by unicast that tick (JOIN_ACK,
+          sent their whole path by unicast that tick (an admitting or
           migration RESYNC) could use them *)
 }
 

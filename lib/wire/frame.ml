@@ -36,6 +36,12 @@ let encode ?(version = Msg.version) msg =
   Buffer.blit body 0 frame h n;
   frame
 
+type error = Version of int | Corrupt of string
+
+let error_message = function
+  | Version v -> Printf.sprintf "unsupported version %d" v
+  | Corrupt e -> e
+
 (* Streaming reassembly: bytes arrive in arbitrary chunks; frames are
    surfaced as soon as complete. The buffer starts small (most frames
    are control messages or small rekeys, and every connection end
@@ -49,7 +55,7 @@ type decoder = {
   mutable buf : bytes;
   mutable start : int;  (** first unconsumed byte *)
   mutable len : int;  (** valid bytes from [start] *)
-  mutable dead : string option;  (** sticky stream error *)
+  mutable dead : error option;  (** sticky stream error *)
 }
 
 let decoder ?(max_frame = max_frame_default) () =
@@ -76,9 +82,9 @@ let feed d src off len =
     d.len <- d.len + len
   end
 
-let fail d msg =
-  d.dead <- Some msg;
-  Error msg
+let fail d e =
+  d.dead <- Some e;
+  Error e
 
 (* The body length at [at]: [`Len (l, header)] once its last byte is
    in, [`More] before. A canonical uvarint no greater than [max_frame]
@@ -105,7 +111,7 @@ let body_length d =
 
 let next d =
   match d.dead with
-  | Some msg -> Error msg
+  | Some e -> Error e
   | None ->
       if d.len < fixed_size then Ok None
       else begin
@@ -113,13 +119,12 @@ let next d =
         let m = Bytes.get_uint16_be d.buf (at 0) in
         let version = Bytes.get_uint8 d.buf (at 2) in
         let tag = Bytes.get_uint8 d.buf (at 3) in
-        if m <> magic then fail d (Printf.sprintf "bad magic 0x%04X" m)
-        else if version <> Msg.version then
-          fail d (Printf.sprintf "unsupported version %d" version)
+        if m <> magic then fail d (Corrupt (Printf.sprintf "bad magic 0x%04X" m))
+        else if version <> Msg.version then fail d (Version version)
         else
           match body_length d with
           | `More -> Ok None
-          | `Bad e -> fail d e
+          | `Bad e -> fail d (Corrupt e)
           | `Len (body_len, header) ->
               if d.len < header + body_len then Ok None
               else begin
@@ -129,7 +134,7 @@ let next d =
                 if d.len = 0 then d.start <- 0;
                 match Msg.decode_body ~tag body with
                 | Ok msg -> Ok (Some msg)
-                | Error e -> fail d (Printf.sprintf "%s: %s" (Msg.tag_name tag) e)
+                | Error e -> fail d (Corrupt (Printf.sprintf "%s: %s" (Msg.tag_name tag) e))
               end
       end
 
@@ -149,7 +154,7 @@ let decode_datagram dgram =
       | Ok (Some (Msg.Sealed { epoch; seq; ct })) -> go ((epoch, seq, ct) :: acc)
       | Ok (Some m) -> Error (Msg.tag_name (Msg.tag m) ^ " in a datagram")
       | Ok None -> if d.len = 0 then Ok (List.rev acc) else Error "datagram ends mid-frame"
-      | Error e -> Error e
+      | Error e -> Error (error_message e)
     in
     go []
   end

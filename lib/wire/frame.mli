@@ -19,6 +19,9 @@
     spelled overlong, an undecodable body — kills the stream
     permanently ([Error] from then on): framing errors are not
     recoverable mid-stream, the connection must be dropped. The
+    version byte is the one version check of the protocol: a peer
+    learns that it speaks another version from the first frame it
+    sends, so nothing is negotiated. The
     declared-length check happens before any frame allocation, and a
     length whose bytes so far already exceed the bound fails at once,
     so a hostile peer cannot make the decoder allocate beyond
@@ -42,10 +45,20 @@ val feed : decoder -> bytes -> int -> int -> unit
 (** [feed d src off len] appends a received chunk.
     @raise Invalid_argument on an invalid slice. *)
 
-val next : decoder -> (Msg.t option, string) result
+type error =
+  | Version of int
+      (** a header carried this version byte, not {!Msg.version}: the
+          peer speaks another version (the server answers
+          [err_version]) *)
+  | Corrupt of string  (** anything else {!next} refuses *)
+
+val error_message : error -> string
+
+val next : decoder -> (Msg.t option, error) result
 (** Surface the next complete message: [Ok None] when more bytes are
-    needed, [Error] when the stream is corrupt (sticky). Never raises
-    on malformed input. *)
+    needed, [Error] when the stream is refused (sticky). A version byte
+    is checked before the body length. Never raises on malformed
+    input. *)
 
 val buffered : decoder -> int
 (** Bytes currently awaiting a complete frame. *)

@@ -9,7 +9,6 @@ type field =
   | Rest of string
   | Path of string
   | Uvarint_list of string * int
-  | Version_range of string * string
   | Seq_total of string * string
 
 type rule = { tag : int; name : string; fields : field list }
@@ -33,21 +32,16 @@ let rekey_fields =
     Rest "payload";
   ]
 
-let catchup_fields =
-  [ num "member"; num "rekey_no"; num "epoch"; Varint "root"; Path "path"; Rest "ticket" ]
-
 let rule tag fields = { tag; name = Msg.tag_name tag; fields }
 
 let rules =
   [
-    rule 1 [ Version_range ("lo", "hi") ];
-    rule 2 [ U8 "version" ];
     rule 3 [ Enum ("cls", [| 0; 1 |]); F64_unit "loss" ];
-    rule 4 catchup_fields;
     rule 5 rekey_fields;
     rule 6 [ num "rekey_no"; Uvarint_list ("seqs", 0xFFFF) ];
     rule 8 [ num "member"; num "epoch"; Rest "auth" ];
-    rule 9 catchup_fields;
+    rule 9
+      [ num "member"; num "rekey_no"; num "epoch"; Varint "root"; Path "path"; Rest "ticket" ];
     rule 10 [ num "member" ];
     rule 11 [ I64 "token" ];
     rule 12 [ I64 "token" ];

@@ -8,11 +8,10 @@
     by {!Msg.decode_body} and that the field list reproduces the
     encoder's byte layout, so the two cannot drift silently.
 
-    Semantic constraints that span fields — HELLO's [lo <= hi], a
-    REKEY's [seq < total] — are expressed as dedicated field kinds
-    ({!Version_range}, {!Seq_total}) rather than side conditions, so a
-    grammar-aware fuzzer knows exactly which invariant each mutation
-    breaks. *)
+    The one semantic constraint that spans fields, a REKEY's
+    [seq < total], is a dedicated field kind ({!Seq_total}) rather than
+    a side condition, so a grammar-aware fuzzer knows exactly which
+    invariant a mutation breaks. *)
 
 type field =
   | U8 of string  (** free octet *)
@@ -31,7 +30,6 @@ type field =
           last field *)
   | Path of string  (** uvarint count + (varint node, 16-byte key) items *)
   | Uvarint_list of string * int  (** uvarint count + bounded uvarint items *)
-  | Version_range of string * string  (** u8 [lo] <= u8 [hi] *)
   | Seq_total of string * string
       (** u16-ranged uvarints [seq] < [total], [total >= 1] *)
 
@@ -42,4 +40,4 @@ type rule = {
 }
 
 val rules : rule list
-(** Every message type, ascending tag. *)
+(** Every message type, ascending tag; none for the reserved tags. *)

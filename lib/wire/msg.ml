@@ -19,17 +19,7 @@ type rekey = {
 type path = (int * Key.t) list
 
 type t =
-  | Hello of { lo : int; hi : int }
-  | Hello_ack of { version : int }
   | Join of { cls : cls; loss : float }
-  | Join_ack of {
-      member : int;
-      rekey_no : int;
-      epoch : int;
-      root : int;
-      path : path;
-      ticket : bytes;
-    }
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
   | Resync_req of { member : int; epoch : int; auth : bytes }
@@ -59,10 +49,9 @@ let err_auth = 4
 let err_ticket = 6
 
 let tag = function
-  | Hello _ -> 1
-  | Hello_ack _ -> 2
+  (* 1, 2 and 4 are reserved (the retired HELLO, HELLO_ACK and
+     JOIN_ACK): never assign them. *)
   | Join _ -> 3
-  | Join_ack _ -> 4
   | Rekey _ -> 5
   | Nack _ -> 6
   (* 7 is reserved (the retired RETX): never assign it. *)
@@ -78,10 +67,7 @@ let tag = function
   | Rejoin_ack _ -> 17
 
 let tag_name = function
-  | 1 -> "HELLO"
-  | 2 -> "HELLO_ACK"
   | 3 -> "JOIN"
-  | 4 -> "JOIN_ACK"
   | 5 -> "REKEY"
   | 6 -> "NACK"
   | 8 -> "RESYNC_REQ"
@@ -151,14 +137,9 @@ let read_rekey_with r payload =
   { rekey_no; org; epoch; root; seq; total; packet = { Packet.seq; block; index_in_block; payload } }
 
 let encode_body buf = function
-  | Hello { lo; hi } ->
-      add_u8 buf lo;
-      add_u8 buf hi
-  | Hello_ack { version } -> add_u8 buf version
   | Join { cls; loss } ->
       add_u8 buf (match cls with `Short -> 0 | `Long -> 1);
       add_f64 buf loss
-  | Join_ack { member; rekey_no; epoch; root; path; ticket }
   | Resync { member; rekey_no; epoch; root; path; ticket } ->
       add_u31 buf member;
       add_u31 buf rekey_no;
@@ -194,27 +175,20 @@ let encode_body buf = function
 
 let read_body ~tag r =
   match tag with
-  | 1 ->
-      let lo = u8 r in
-      let hi = u8 r in
-      if lo > hi then corrupt "HELLO with empty version range [%d, %d]" lo hi;
-      Hello { lo; hi }
-  | 2 -> Hello_ack { version = u8 r }
   | 3 ->
       let cls = match u8 r with 0 -> `Short | 1 -> `Long | c -> corrupt "JOIN with unknown class %d" c in
       let loss = f64 r in
       if not (Float.is_finite loss) || loss < 0.0 || loss > 1.0 then
         corrupt "JOIN with loss rate outside [0, 1]";
       Join { cls; loss }
-  | 4 | 9 ->
+  | 9 ->
       let member = u31 r in
       let rekey_no = u31 r in
       let epoch = u31 r in
       let root = varint r in
       let path = read_path r in
       let ticket = rest r in
-      if tag = 4 then Join_ack { member; rekey_no; epoch; root; path; ticket }
-      else Resync { member; rekey_no; epoch; root; path; ticket }
+      Resync { member; rekey_no; epoch; root; path; ticket }
   | 5 -> Rekey (read_rekey_with r rest)
   | 6 ->
       let rekey_no = u31 r in

@@ -9,12 +9,13 @@
     frames of the original fan-out, or falls back to the
     [Resync_req]/[Resync] catch-up handshake (the wire form of
     {!Gkm_transport.Resync}) when it no longer holds the missed
-    interval. Joins are
-    batch-admitted: [Join] is answered by [Join_ack] only at the tick
-    that admits the member, carrying its full key path — the wire form
-    of the out-of-band registration unicast — and its first resumption
-    ticket. A client sends its first request in the same flight as
-    [Hello], without waiting for [Hello_ack].
+    interval. [Resync] is the one key-path unicast: it also admits a
+    joiner (at the tick that admits it, with the member's first
+    resumption ticket — the wire form of the out-of-band registration
+    unicast) and carries a migrated member's new path. A client's
+    first frame is its request itself ([Join], [Rejoin] or
+    [Resync_req]): every frame header carries the version byte, so
+    there is nothing to negotiate.
 
     Bodies follow one codec rule: ids, epochs (SEALED's epoch label
     included), counters and counts are canonical LEB128 varints (node
@@ -27,9 +28,9 @@
 val version : int
 (** The wire version (2): the epoch-sealed record layer (SEALED),
     resumption tickets (REJOIN/REJOIN_ACK) and varint bodies and
-    packet entries. Frames carrying any other
-    version byte are rejected, and a HELLO whose range excludes it is
-    refused with [err_version]. *)
+    packet entries. A frame carrying any other version byte is
+    refused ({!Frame.Version}); the server answers it with
+    [err_version] and closes. *)
 
 type cls = [ `Short | `Long ]
 (** Duration class reported at join (the two-partition placement
@@ -52,21 +53,10 @@ type path = (int * Gkm_crypto.Key.t) list
     wire. Raw key material: the TCP connection stands in for the
     secure registration unicast of the model. *)
 
+(* Tags 1, 2 and 4 are reserved (the retired HELLO, HELLO_ACK and
+   JOIN_ACK): a frame carrying one is refused as an unknown type. *)
 type t =
-  | Hello of { lo : int; hi : int }  (** client: supported version range *)
-  | Hello_ack of { version : int }  (** server: the chosen version *)
   | Join of { cls : cls; loss : float }
-  | Join_ack of {
-      member : int;
-      rekey_no : int;
-      epoch : int;
-      root : int;
-      path : path;
-      ticket : bytes;
-          (** the member's resumption ticket, issued at [epoch]. It
-              names the member and never goes stale; the client
-              presents it in every later [Rejoin]. *)
-    }
   | Rekey of rekey
   | Nack of { rekey_no : int; seqs : int list }
       (** missing packet seqs; an empty list means the whole rekey *)
@@ -82,9 +72,11 @@ type t =
       root : int;
       path : path;
       ticket : bytes;
-          (** as in [Join_ack] for a recovery resync; empty for a
+          (** the member's resumption ticket, issued at [epoch], on an
+              admission or a recovery resync; empty for a
               server-initiated migration, whose member keeps its
-              ticket *)
+              ticket. A ticket names the member and never goes stale;
+              the client presents it in every later [Rejoin]. *)
     }
   | Leave of { member : int }
   | Ping of { token : int64 }

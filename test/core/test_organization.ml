@@ -603,6 +603,57 @@ let audience_cases =
     [ "one"; "qt"; "tt"; "pt"; "loss:0.05"; "random:2"; "composed"; "composed:qt" ]
 
 (* ------------------------------------------------------------------ *)
+(* The individual key. A key server reads a member's individual key
+   back as the head of its [member_path], so the organization must
+   keep it there: under churn past the S-period, whose migrations QT
+   and TT end by moving members onto an L leaf, every member's path
+   head stays the key [register] returned for it. *)
+
+let path_head_oracle selector () =
+  let spec =
+    match Organization.spec_of_string ~s_period:3 selector with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let module O = (val Organization.create spec : Organization.S) in
+  let rng = Random.State.make [| Hashtbl.hash selector |] in
+  let keys = Hashtbl.create 64 and leaves = Hashtbl.create 64 in
+  let next = ref 0 and moves = ref 0 in
+  for tick = 1 to 40 do
+    Hashtbl.iter (fun m _ -> if Random.State.int rng 6 = 0 then O.enqueue_departure m) leaves;
+    for _ = 0 to Random.State.int rng 3 do
+      incr next;
+      Hashtbl.replace keys !next
+        (O.register ~member:!next
+           ~cls:(if Random.State.bool rng then Scheme.Short else Scheme.Long)
+           ~loss:(if Random.State.bool rng then 0.2 else 0.01))
+    done;
+    ignore (O.rekey ());
+    Hashtbl.filter_map_inplace (fun m k -> if O.is_member m then Some k else None) keys;
+    Hashtbl.filter_map_inplace (fun m l -> if O.is_member m then Some l else None) leaves;
+    Hashtbl.iter
+      (fun m key ->
+        match O.member_path m with
+        | (leaf, head) :: _ ->
+            if not (Key.equal head key) then
+              Alcotest.failf "%s rekey %d: member %d's path head is not its key" selector tick m;
+            (match Hashtbl.find_opt leaves m with
+            | Some l when l <> leaf -> incr moves
+            | _ -> ());
+            Hashtbl.replace leaves m leaf
+        | [] -> Alcotest.failf "%s rekey %d: member %d has an empty path" selector tick m)
+      keys
+  done;
+  if List.mem selector [ "qt"; "tt" ] then
+    Alcotest.(check bool) (selector ^ ": members migrated") true (!moves > 0)
+
+let path_head_cases =
+  List.map
+    (fun sel ->
+      Alcotest.test_case (sel ^ ": path head is the registered key") `Quick (path_head_oracle sel))
+    [ "one"; "qt"; "tt"; "pt"; "composed" ]
+
+(* ------------------------------------------------------------------ *)
 (* Server memory: a TT organization at N = 4096 after its initial
    admission and four churned rekeys (64 departures and 64 joins each).
    Most of its words are the AES schedules cached on tree nodes, each
@@ -667,6 +718,7 @@ let () =
       (* Alcotest truncates case names to fit the longest suite name; a
          suite name over 15 characters would shorten every other case's. *)
       ("fan-out", audience_cases);
+      ("path head", path_head_cases);
       ( "section 4 pin",
         [
           Alcotest.test_case "session results" `Quick test_section4_session_pinned;

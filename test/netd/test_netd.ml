@@ -85,7 +85,7 @@ let read_frame loop dec fd =
             Frame.feed dec buf 0 n
         | _ -> ());
         go ()
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Frame.error_message e)
   in
   go ()
 
@@ -122,7 +122,7 @@ let test_smoke () =
 
 (* The acceptance scenario: 200 churning clients over 20+ rekey
    intervals; one client is killed mid-interval and recovers through
-   its resumption ticket — REJOIN pipelined behind HELLO, no RESYNC
+   its resumption ticket — REJOIN as its first frame, no RESYNC
    round trip; every survivor ends on the server's exact DEK
    sequence. *)
 let test_churn_200 () =
@@ -323,10 +323,6 @@ let slow_eviction_scenario ~domains () =
      whole fan-out without the server's outbox ever backing up *)
   (try Unix.setsockopt_int fd SO_RCVBUF 4096 with Unix.Unix_error _ -> ());
   Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-  write_frame fd (Msg.Hello { lo = Msg.version; hi = Msg.version });
-  (match read_frame loop (Frame.decoder ()) fd with
-  | Msg.Hello_ack _ -> ()
-  | m -> Alcotest.failf "expected HELLO_ACK, got %s" (Msg.tag_name (Msg.tag m)));
   write_frame fd (Msg.Join { cls = `Long; loss = 0.0 });
   (* ...and from here on the peer never reads again. Keep the group
      busy so REKEY bytes pile up behind the dead kernel buffer. *)
@@ -393,7 +389,7 @@ let test_grace_eviction () =
   List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "peer%d" i) c) peers;
   Server.stop srv
 
-(* The admitting JOIN_ACK carries the member's first ticket: a fresh
+(* The admitting RESYNC carries the member's first ticket: a fresh
    member already holds one when its first DEK lands, so a crash right
    after admission comes back by 0-RTT REJOIN — no full rejoin, no
    RESYNC. *)
@@ -643,22 +639,67 @@ let test_capacity_floor () =
   List.iteri (fun i c -> check_trace ~server_tbl (Printf.sprintf "floor%d" i) c) clients;
   Server.stop srv
 
-(* The server speaks one wire version: a HELLO whose range excludes it,
-   older or newer, is refused with a readable version error. *)
-let hello_refused ~lo ~hi () =
+(* The server speaks one wire version, checked on every frame header:
+   a first frame whose header says another version, older or newer,
+   draws a readable version error, and then the close. *)
+let version_refused ~version () =
   let loop = Loop.create () in
   let srv = Server.create ~loop (cfg ()) in
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
-  write_frame fd (Msg.Hello { lo; hi });
+  let frame = Frame.encode ~version (Msg.Join { cls = `Long; loss = 0.0 }) in
+  ignore (Unix.write fd frame 0 (Bytes.length frame));
   (match read_frame loop (Frame.decoder ()) fd with
   | Msg.Error_msg { code; _ } -> Alcotest.(check int) "version error code" Msg.err_version code
   | m -> Alcotest.failf "expected ERROR, got %s" (Msg.tag_name (Msg.tag m)));
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Server.stop srv
+  Unix.set_nonblock fd;
+  let closed () =
+    match Unix.read fd (Bytes.create 16) 0 16 with
+    | 0 -> true
+    | _ -> Alcotest.fail "a frame after the version error"
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> false
+  in
+  run_until ~timeout:5.0 loop closed;
+  let s = Server.stats srv in
+  Alcotest.(check (pair int int)) "no join, one protocol error" (0, 1)
+    (s.Server.joins, s.Server.protocol_errors);
+  Unix.close fd;
+  Server.stop srv;
+  Loop.close loop
 
-let test_old_hello_refused = hello_refused ~lo:1 ~hi:(Msg.version - 1)
-let test_version_rejected = hello_refused ~lo:99 ~hi:200
+let test_version_1_refused = version_refused ~version:1
+let test_version_3_refused = version_refused ~version:3
+
+(* A connection's first frame is its request: a raw JOIN, with nothing
+   sent before it, is answered only at the next tick, by a RESYNC
+   carrying the member's whole key path and first ticket. The
+   admission counts as a join, not as a resync or a migration. *)
+let test_raw_join_admitted () =
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:3600.0 ()) in
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  write_frame fd (Msg.Join { cls = `Long; loss = 0.0 });
+  run_until loop (fun () -> (Server.stats srv).Server.joins = 1);
+  Unix.set_nonblock fd;
+  (match Unix.read fd (Bytes.create 16) 0 16 with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | _ -> Alcotest.fail "a reply before the admitting tick");
+  Unix.clear_nonblock fd;
+  Server.tick_now srv;
+  (match read_frame loop (Frame.decoder ()) fd with
+  | Msg.Resync { member; rekey_no; path; ticket; _ } ->
+      let module O = (val Server.Private.organization srv : Organization.S) in
+      Alcotest.(check int) "at the current rekey" (Server.rekey_no srv) rekey_no;
+      Alcotest.(check bool) "the member's whole path" true (path = O.member_path member);
+      Alcotest.(check bool) "its first ticket" true (Bytes.length ticket > 0)
+  | m -> Alcotest.failf "expected RESYNC, got %s" (Msg.tag_name (Msg.tag m)));
+  let s = Server.stats srv in
+  Alcotest.(check (list int)) "joins, resyncs, migrations, tickets" [ 1; 0; 0; 1 ]
+    [ s.Server.joins; s.Server.resyncs; s.Server.migrations; s.Server.tickets_issued ];
+  Unix.close fd;
+  Server.stop srv;
+  Loop.close loop
 
 (* The server answers one read's messages in one flight, in order,
    and a farewell ERROR queued in that flight still reaches the peer
@@ -671,17 +712,10 @@ let test_held_farewell () =
   let flight =
     Bytes.concat Bytes.empty
       (List.map Frame.encode
-         [
-           Msg.Hello { lo = Msg.version; hi = Msg.version };
-           Msg.Ping { token = 9L };
-           Msg.Nack { rekey_no = 1; seqs = [] };
-         ])
+         [ Msg.Ping { token = 9L }; Msg.Nack { rekey_no = 1; seqs = [] } ])
   in
   ignore (Unix.write fd flight 0 (Bytes.length flight));
   let dec = Frame.decoder () in
-  (match read_frame loop dec fd with
-  | Msg.Hello_ack _ -> ()
-  | m -> Alcotest.failf "expected HELLO_ACK, got %s" (Msg.tag_name (Msg.tag m)));
   (match read_frame loop dec fd with
   | Msg.Pong { token = 9L } -> ()
   | m -> Alcotest.failf "expected PONG, got %s" (Msg.tag_name (Msg.tag m)));
@@ -704,8 +738,8 @@ let test_unassigned_error_code () =
   let c = Client.connect ~loop (Client.config ~port) in
   let fd, _ = Unix.accept lfd in
   (match read_frame loop (Frame.decoder ()) fd with
-  | Msg.Hello _ -> write_frame fd (Msg.Error_msg { code = 5; detail = "unassigned" })
-  | m -> Alcotest.failf "expected HELLO, got %s" (Msg.tag_name (Msg.tag m)));
+  | Msg.Join _ -> write_frame fd (Msg.Error_msg { code = 5; detail = "unassigned" })
+  | m -> Alcotest.failf "expected JOIN, got %s" (Msg.tag_name (Msg.tag m)));
   run_until loop (fun () -> Client.phase c = Client.Closed);
   Alcotest.(check (option string)) "generic error" (Some "server error 5: unassigned")
     (Client.last_error c);
@@ -724,15 +758,11 @@ let test_plaintext_rekey_refused () =
   let c = Client.connect ~loop (Client.config ~port) in
   let fd, _ = Unix.accept lfd in
   let dec = Frame.decoder () in
-  (match read_frame loop dec fd with
-  | Msg.Hello _ ->
-      write_frame fd (Msg.Hello_ack { version = Msg.version })
-  | m -> Alcotest.failf "expected HELLO, got %s" (Msg.tag_name (Msg.tag m)));
   let key = Gkm_crypto.Key.fresh (Gkm_crypto.Prng.create 5) in
   (match read_frame loop dec fd with
   | Msg.Join _ ->
       write_frame fd
-        (Msg.Join_ack
+        (Msg.Resync
            {
              member = 1;
              rekey_no = 0;
@@ -807,7 +837,8 @@ let lockstep_run ?group ?capacity ~domains () =
   in
   let traces = Array.make n [] in
   (* The epoch label each member held at admission. Over UDP the group
-     datagram for a member's own admission tick can race its JOIN_ACK
+     datagram for a member's own admission tick can race its admitting
+     RESYNC
      — a record sealed under a generation the member never held, which
      the TCP path by construction never delivers to it. Records below
      the admission label are that race and are filtered from the
@@ -1221,7 +1252,7 @@ let test_small_rekey_unpadded () =
       two;
     (* Once the first two members have moved to L, a rekey carries the
        DEK under the L root alone: its wrap under the churner's leaf
-       goes by JOIN_ACK only. *)
+       goes by the admitting RESYNC only. *)
     let one =
       List.filter
         (fun (es, _, _) ->
@@ -1603,8 +1634,7 @@ let test_nack_duplicate_seqs () =
       let seen = ref [] in
       Client.on_sealed (List.hd herd) (fun ~epoch ~seq ~ct -> seen := (epoch, seq, ct) :: !seen);
       let r = Cohort.Private.Raw.connect ~loop ~port:(Server.port srv) in
-      if not (Cohort.Private.Raw.hello r ~timeout:10.0) then Alcotest.fail "no HELLO_ACK";
-      if Cohort.Private.Raw.join r ~timeout:10.0 = None then Alcotest.fail "no JOIN_ACK";
+      if Cohort.Private.Raw.join r ~timeout:10.0 = None then Alcotest.fail "no admission";
       (* the rekey that admitted the raw peer, sealed under the herd's
          generation and so held for retransmission; the raw peer itself
          got none of its fan-out *)
@@ -1778,7 +1808,7 @@ let test_conn_gathered_flush () =
       match Frame.next dec with
       | Ok (Some m) -> frames (m :: acc)
       | Ok None -> List.rev acc
-      | Error e -> Alcotest.fail e
+      | Error e -> Alcotest.fail (Frame.error_message e)
     in
     List.map
       (fun _ ->
@@ -1793,7 +1823,7 @@ let test_conn_gathered_flush () =
     Alcotest.(check int) "nothing left queued" 0 (Gkm_netd.Conn.out_bytes c)
   in
   let flight =
-    [ Msg.Hello_ack { version = Msg.version }; Msg.Pong { token = 1L }; Msg.Pong { token = 2L } ]
+    [ Msg.Pong { token = 0L }; Msg.Pong { token = 1L }; Msg.Pong { token = 2L } ]
   in
   send flight;
   Alcotest.(check bool) "a flight is one record, in order" true (records 1 = [ flight ]);
@@ -2254,22 +2284,15 @@ let export c =
   | Some b -> b
   | None -> Alcotest.fail "no resumption state"
 
-(* A hand-driven 0-RTT flight: HELLO + REJOIN presenting a ticket (as
-   [parse_resumption] returns it), in one write. Returns the opened
-   resume body; the peer is closed and its binding dropped first. *)
+(* A hand-driven 0-RTT flight: one REJOIN frame presenting a ticket (as
+   [parse_resumption] returns it), answered by exactly one frame, the
+   REJOIN_ACK. Returns the opened resume body; the peer is closed and
+   its binding dropped first. *)
 let raw_rejoin loop srv (member, epoch, issued_epoch, individual, ticket) =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
-  let flight =
-    Bytes.cat
-      (Frame.encode (Msg.Hello { lo = Msg.version; hi = Msg.version }))
-      (Frame.encode (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket }))
-  in
-  ignore (Unix.write fd flight 0 (Bytes.length flight));
+  write_frame fd (Msg.Rejoin { have_epoch = epoch; have_state = true; ticket });
   let dec = Frame.decoder () in
-  (match read_frame loop dec fd with
-  | Msg.Hello_ack _ -> ()
-  | m -> Alcotest.failf "expected HELLO_ACK, got %s" (Msg.tag_name (Msg.tag m)));
   let resume =
     match read_frame loop dec fd with
     | Msg.Rejoin_ack { member = m; ct } -> (
@@ -2280,6 +2303,11 @@ let raw_rejoin loop srv (member, epoch, issued_epoch, individual, ticket) =
         | Error e -> Alcotest.fail e)
     | m -> Alcotest.failf "expected REJOIN_ACK, got %s" (Msg.tag_name (Msg.tag m))
   in
+  Loop.step ~max_wait:0.005 loop;
+  Unix.set_nonblock fd;
+  (match Unix.read fd (Bytes.create 16) 0 16 with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) when Frame.buffered dec = 0 -> ()
+  | _ -> Alcotest.fail "a second frame after the REJOIN_ACK");
   Unix.close fd;
   await_unbound loop srv member;
   resume
@@ -2612,8 +2640,8 @@ let test_foreign_ticket_resync () =
 
 (* [netd.rekey] closes the tick: it carries the tick's duration, the
    tickets the tick issued, and the organization's entries against
-   those the fan-out carried — the joiner's own wraps go by JOIN_ACK
-   only, which [wraps_pruned] counts. Nothing is recorded with
+   those the fan-out carried — the joiner's own wraps go by its
+   admitting RESYNC only, which [wraps_pruned] counts. Nothing is recorded with
    observability off. *)
 let test_rekey_journal () =
   let loop = Loop.create () in
@@ -2979,8 +3007,8 @@ let () =
         ] );
       ( "config",
         [
-          Alcotest.test_case "older-version hello refused" `Quick test_old_hello_refused;
-          Alcotest.test_case "bad version rejected" `Quick test_version_rejected;
+          Alcotest.test_case "version-1 frame refused" `Quick test_version_1_refused;
+          Alcotest.test_case "version-3 frame refused" `Quick test_version_3_refused;
           Alcotest.test_case "plaintext REKEY refused by client" `Quick
             test_plaintext_rekey_refused;
           Alcotest.test_case "one flight of replies, farewell before the close" `Quick
@@ -2989,6 +3017,7 @@ let () =
             test_unassigned_error_code;
           Alcotest.test_case "capacity floor serves a composed rekey" `Quick
             test_capacity_floor;
+          Alcotest.test_case "raw JOIN admitted by RESYNC" `Quick test_raw_join_admitted;
         ] );
       ( "hostile",
         [

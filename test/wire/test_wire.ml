@@ -28,11 +28,9 @@ let sample_rekey () =
    field codec get exercised. *)
 let samples () =
   [
-    Msg.Hello { lo = 1; hi = 1 };
-    Msg.Hello_ack { version = 1 };
     Msg.Join { cls = `Short; loss = 0.2 };
     Msg.Join { cls = `Long; loss = 0.0 };
-    Msg.Join_ack
+    Msg.Resync
       {
         member = 12;
         rekey_no = 4;
@@ -86,9 +84,9 @@ let decode_one frame =
       match Frame.next d with
       | Ok None -> Ok m
       | Ok (Some _) -> Error "decoder produced a second message"
-      | Error e -> Error ("trailing state error: " ^ e))
+      | Error e -> Error ("trailing state error: " ^ Frame.error_message e))
   | Ok None -> Error "incomplete"
-  | Error e -> Error e
+  | Error e -> Error (Frame.error_message e)
 
 let test_roundtrip () =
   List.iter
@@ -104,21 +102,28 @@ let test_roundtrip () =
 let test_foreign_version_rejected () =
   (* There is one wire version: every message on a frame whose header
      claims another one — the retired version 1 or a future 3 — is
-     refused, whatever its tag. *)
+     refused, whatever its tag, as that version: the typed refusal the
+     server answers with err_version. *)
+  let refused what frame version =
+    let d = Frame.decoder () in
+    Frame.feed d frame 0 (Bytes.length frame);
+    match Frame.next d with
+    | Error (Frame.Version v) -> Alcotest.(check int) (what ^ ": the version refused") version v
+    | Error (Frame.Corrupt e) -> Alcotest.failf "%s refused as corrupt: %s" what e
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
   List.iter
     (fun m ->
       List.iter
         (fun version ->
-          (match decode_one (Frame.encode ~version m) with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.failf "%a accepted on a v%d frame" Msg.pp_kind m version);
+          refused
+            (Format.asprintf "%a on a v%d frame" Msg.pp_kind m version)
+            (Frame.encode ~version m) version;
           (* Same check via a patched version byte, so the guard is
              proven to live in the decoder, not in [encode]. *)
           let frame = Frame.encode m in
           Bytes.set frame 2 (Char.chr version);
-          match decode_one frame with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.failf "%a accepted with version byte %d" Msg.pp_kind m version)
+          refused (Format.asprintf "%a with version byte %d" Msg.pp_kind m version) frame version)
         [ Msg.version - 1; Msg.version + 1 ])
     (samples () @ samples_v2 ())
 
@@ -222,7 +227,7 @@ let test_split_reassembly () =
             got := m :: !got;
             drain ()
         | Ok None -> ()
-        | Error e -> Alcotest.failf "stream error at byte %d: %s" i e
+        | Error e -> Alcotest.failf "stream error at byte %d: %s" i (Frame.error_message e)
       in
       drain ())
     stream;
@@ -252,7 +257,7 @@ let prop_chunked_large_frames =
               got := m :: !got;
               drain ()
           | Ok None -> ()
-          | Error e -> QCheck.Test.fail_reportf "stream error: %s" e
+          | Error e -> QCheck.Test.fail_reportf "stream error: %s" (Frame.error_message e)
         in
         let pos = ref 0 in
         while !pos < Bytes.length stream do
@@ -318,8 +323,10 @@ let test_length_varint () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "one byte past 1 MiB accepted"
 
-(* Tags 7 (the retired RETX) and 15 (the retired TICKET) are reserved:
-   a frame carrying one, even with the body it had (RETX: a REKEY body;
+(* Tags 1, 2 and 4 (the retired HELLO, HELLO_ACK and JOIN_ACK), 7 (the
+   retired RETX) and 15 (the retired TICKET) are reserved: a frame
+   carrying one, even with the body it had (HELLO: a version range;
+   HELLO_ACK: a version; JOIN_ACK: RESYNC's body; RETX: a REKEY body;
    TICKET: member, issued epoch, blob — the layout RESYNC_REQ shares),
    is refused as an unknown type. *)
 let test_retired_tag_refused () =
@@ -333,6 +340,20 @@ let test_retired_tag_refused () =
     | Ok m -> Alcotest.failf "tag %d decoded as %a" tag Msg.pp_kind m);
     Alcotest.(check string) "no name of its own" (Printf.sprintf "type-%d" tag) (Msg.tag_name tag)
   in
+  (* HELLO's [2, 2] range and HELLO_ACK's version 2 are the bytes of
+     these two bodies. *)
+  refused 1 (Msg.Error_msg { code = 2; detail = "\002" });
+  refused 2 (Msg.Leave { member = 2 });
+  refused 4
+    (Msg.Resync
+       {
+         member = 12;
+         rekey_no = 4;
+         epoch = 9;
+         root = -1;
+         path = sample_path 2;
+         ticket = Bytes.make 61 '\x7e';
+       });
   refused 7 (Msg.Rekey (sample_rekey ()));
   refused 15 (Msg.Resync_req { member = 12; epoch = 41; auth = Bytes.make 61 '\x7e' })
 
@@ -531,10 +552,11 @@ let test_dgram_roundtrip () =
     ]
 
 (* The grammar must cover exactly the codec's tag space, with the same
-   names the decoder uses: tags 1 to 17 but the reserved 7 and 15. *)
+   names the decoder uses: tags 1 to 17 but the reserved 1, 2, 4, 7
+   and 15. *)
 let test_grammar_covers_tags () =
-  let reserved tg = tg = 7 || tg = 15 in
-  Alcotest.(check int) "rule count" 15 (List.length Grammar.rules);
+  let reserved tg = List.mem tg [ 1; 2; 4; 7; 15 ] in
+  Alcotest.(check int) "rule count" 12 (List.length Grammar.rules);
   for tg = 1 to 17 do
     match List.find_opt (fun (r : Grammar.rule) -> r.tag = tg) Grammar.rules with
     | None when reserved tg -> ()
@@ -611,7 +633,7 @@ let open_rekey ?(dek = dek) stream =
   Frame.feed d stream 0 (Bytes.length stream);
   let rec records acc =
     match Frame.next d with
-    | Error e -> Error e
+    | Error e -> Error (Frame.error_message e)
     | Ok None -> Ok (List.rev acc)
     | Ok (Some (Msg.Sealed { seq; ct; _ })) -> (
         match Record.Sink.open_ sink ~seq ct with
