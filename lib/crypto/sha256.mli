@@ -1,7 +1,9 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
     Implemented from the specification; validated against the FIPS
-    test vectors in the test suite. Used for key derivation, one-way
+    test vectors in the test suite. The compression function is a
+    portable C kernel, table-free and data-independent in its timing;
+    buffering and padding are OCaml. Used for key derivation, one-way
     function trees (OFT), and message authentication (via {!Hmac}). *)
 
 type ctx
@@ -9,8 +11,8 @@ type ctx
 
 val init : unit -> ctx
 (** [init ()] is a fresh hashing context. A context holds its chaining
-    words and a partial block only; the message schedule is scratch
-    kept once per domain. *)
+    words and a partial block only; the message schedule lives on the
+    kernel's stack for one compression. *)
 
 type midstate
 (** The chaining state of a context that has absorbed whole blocks

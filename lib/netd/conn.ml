@@ -125,10 +125,16 @@ let write_through loop t =
   if not t.closed then Loop.set_write_interest loop t.fd (r = `Eof || t.out_bytes > 0);
   r
 
-(* Drain the socket into the frame decoder, then surface every
+(* Read the socket into the frame decoder, then surface every
    complete message. Returns [`Eof] on orderly close or reset,
    [`Error] when the stream is corrupt (the connection must be
-   dropped), otherwise the decoded messages in arrival order. *)
+   dropped), otherwise the decoded messages in arrival order.
+
+   A read shorter than the scratch buffer ends the call: the socket
+   is most likely empty, and a second read only to meet EAGAIN is a
+   wasted syscall on every message. The loop is level-triggered, so
+   bytes that arrived since, and the end of stream, are reported on
+   its next step. *)
 let on_readable t =
   let scratch = Domain.DLS.get scratch_key in
   let eof = ref false and io_err = ref false in
@@ -140,7 +146,8 @@ let on_readable t =
         continue := false
     | n ->
         t.bytes_rx <- t.bytes_rx + n;
-        Frame.feed t.dec scratch 0 n
+        Frame.feed t.dec scratch 0 n;
+        continue := n = Bytes.length scratch
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | exception Unix.Unix_error ((ECONNRESET | ECONNREFUSED | EPIPE | ENOTCONN | EBADF), _, _)

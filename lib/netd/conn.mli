@@ -45,10 +45,13 @@ val on_readable :
   [ `Msgs of Gkm_wire.Msg.t list
   | `Eof of Gkm_wire.Msg.t list
   | `Error of Gkm_wire.Frame.error * Gkm_wire.Msg.t list ]
-(** Drain the socket and decode. Complete messages are returned in
-    arrival order even when the read also hit end-of-stream ([`Eof])
-    or the decoder refused the stream ([`Error], sticky — drop the
-    connection). *)
+(** Read the socket and decode. Reads stop at the first read shorter
+    than the 64 KiB scratch buffer, usually one syscall per message;
+    under the level-triggered {!Loop}, bytes left in the socket and
+    the end of stream are reported on a later step. Complete messages
+    are returned in arrival order even when the read also hit
+    end-of-stream ([`Eof]) or the decoder refused the stream
+    ([`Error], sticky — drop the connection). *)
 
 val write_through : Loop.t -> t -> [ `Ok | `Eof ]
 (** {!flush}, then arm write interest for the fd on [loop] exactly

@@ -125,13 +125,27 @@ let hash_in_pieces msg cuts =
        (0, 0) cuts);
   Sha256.finalize ctx
 
+(* Absorb [msg] as the tail of a buffer that holds [off] other bytes
+   before it, so the last slice ends on the buffer's last byte: whole
+   blocks are read where they lie, right up to the end. With [cut],
+   the first piece is [msg]'s first [cut] bytes, so the tail is read
+   after a partial block. *)
+let hash_at_end ?(cut = 0) msg off =
+  let n = Bytes.length msg in
+  let buf = Bytes.cat (Bytes.make off '\xa5') msg in
+  let ctx = Sha256.init () in
+  Sha256.update_sub ctx buf off cut;
+  Sha256.update_sub ctx buf (off + cut) (n - cut);
+  Sha256.finalize ctx
+
 (* Equivalence against the int32 implementation (Sha256_reference is a
    verbatim copy of it): digests and HMAC tags byte-identical for
    messages cut at random points, and keys on both sides of the 64-byte
    block size. One prepared key MACs the message, then each of its
    prefixes interleaved with the whole message again, and a midstate
    resumes twice: a tag or digest must not depend on what was hashed
-   before it. *)
+   before it. The message is also hashed as the end of a buffer, from
+   every start offset 0-63. *)
 let prop_sha256_hmac_match_reference =
   QCheck.Test.make ~name:"sha256/hmac byte-identical to reference" ~count:300
     QCheck.(
@@ -158,6 +172,11 @@ let prop_sha256_hmac_match_reference =
         Sha256.finalize ctx
       in
       Bytes.equal (hash_in_pieces msg cuts) expected
+      && List.for_all
+           (fun off ->
+             Bytes.equal (hash_at_end msg off) expected
+             && Bytes.equal (hash_at_end ~cut:(min n (off + 1)) msg off) expected)
+           (List.init 64 Fun.id)
       && Bytes.equal (Sha256.digest msg) expected
       && Bytes.equal (resumed ()) expected
       && Bytes.equal (resumed ()) expected
@@ -171,6 +190,26 @@ let prop_sha256_hmac_match_reference =
              Bytes.equal (tag prefix) (reference_hmac ~key prefix)
              && Bytes.equal (tag msg) (reference_hmac ~key msg))
            cuts)
+
+(* The message schedule is scratch on the kernel's stack: two
+   domains hashing at once, with one shared prepared key, each get the
+   reference digests and tags. *)
+let test_sha256_two_domains () =
+  let key = Bytes.of_string "a key shared by both domains" in
+  let prepared = Hmac.prepare key in
+  let msgs d = List.init 400 (fun i -> Bytes.make (i mod 200) (Char.chr ((d * 31) + (i mod 97)))) in
+  let work d () =
+    List.map (fun m -> (Sha256.digest m, Hmac.apply prepared [ (m, 0, Bytes.length m) ])) (msgs d)
+  in
+  let domains = List.map (fun d -> Domain.spawn (work d)) [ 1; 2 ] in
+  List.iter2
+    (fun d got ->
+      List.iter2
+        (fun m (digest, tag) ->
+          Alcotest.(check string) "digest" (Hex.encode (Sha256_reference.digest m)) (Hex.encode digest);
+          Alcotest.(check string) "tag" (Hex.encode (reference_hmac ~key m)) (Hex.encode tag))
+        (msgs d) got)
+    [ 1; 2 ] (List.map Domain.join domains)
 
 let test_sha256_midstate_boundary () =
   let ctx = Sha256.init () in
@@ -801,6 +840,7 @@ let () =
             Alcotest.test_case "update_sub bounds" `Quick test_sha256_update_sub_bounds;
             Alcotest.test_case "midstate on a block boundary" `Quick
               test_sha256_midstate_boundary;
+            Alcotest.test_case "two domains at once" `Quick test_sha256_two_domains;
           ] );
       ( "hmac",
         [

@@ -1387,6 +1387,35 @@ let test_udp_empty_datagram () =
   Mcast.close_sender sender;
   Server.stop srv
 
+(* A receive shim that holds every datagram it can must still hand the
+   held one on once the socket runs dry: a lone datagram is counted,
+   and the next rekey's generation installs with no NACK. *)
+let test_udp_reorder_hold_released () =
+  require_mcast ();
+  let group = Mcast.ephemeral_group ~seed:0xD1 in
+  let loop = Loop.create () in
+  let srv = Server.create ~loop (cfg ~tp:0.01 ~transport:(Server.udp group) ()) in
+  let port = Server.port srv in
+  let join seed fault =
+    Client.connect ~loop
+      { (Client.config ~port) with seed; mcast = Some group; mcast_fault = fault }
+  in
+  let member = join 31 (Netem.cfg ~reorder:1.0 ()) and churner = join 32 Netem.none in
+  run_until loop (fun () ->
+      Client.is_member member && Client.is_member churner
+      && Client.last_rekey member = Server.rekey_no srv);
+  let sender = match Mcast.create_sender group with Ok s -> s | Error e -> Alcotest.fail e in
+  Mcast.send sender Bytes.empty;
+  run_until loop (fun () -> Client.Private.mcast_decode_errors member = 1);
+  let target = Server.rekey_no srv + 1 in
+  Client.leave churner;
+  run_until loop (fun () -> Client.last_rekey member >= target);
+  Alcotest.(check int) "no NACK" 0 (Client.nacks_sent member);
+  Alcotest.(check int) "no resync" 0 (Client.resyncs member);
+  check_trace ~server_tbl:(server_trace_tbl srv) "member" member;
+  Mcast.close_sender sender;
+  Server.stop srv
+
 (* Injected datagram faults on each receiver: light Bernoulli loss,
    reordering and duplication on every peer's receive shim plus a
    hostile one on one client (heavier loss, reordering, duplication).
@@ -1840,6 +1869,70 @@ let test_conn_gathered_flush () =
   | _ -> Alcotest.fail "a third write");
   Gkm_netd.Conn.close c;
   Unix.close b
+
+(* [on_readable] stops at a read shorter than its 64 KiB scratch. A
+   conn on a loop, fed by a raw peer socket: each readiness runs one
+   [on_readable] and records what it returned. *)
+let conn_steps () =
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  let loop = Loop.create () in
+  let c = Gkm_netd.Conn.create a in
+  let got = ref [] in
+  Loop.add_fd loop a
+    ~readable:(fun () -> got := Gkm_netd.Conn.on_readable c :: !got)
+    ~writable:ignore;
+  let finish () =
+    Loop.remove_fd loop a;
+    Gkm_netd.Conn.close c;
+    Unix.close b;
+    Loop.close loop
+  in
+  (loop, b, got, finish)
+
+let sealed i len = Msg.Sealed { epoch = 1; seq = Int64.of_int i; ct = Bytes.make len 'c' }
+
+(* Two frames and a FIN written as one segment: the first readiness
+   yields both messages (one short read, no second read to meet the
+   end), and the level-triggered loop reports the end of stream on the
+   next step. *)
+let test_conn_short_read_eof () =
+  let loop, b, got, finish = conn_steps () in
+  let msgs = [ sealed 0 40; sealed 1 40 ] in
+  let seg = Bytes.concat Bytes.empty (List.map Frame.encode msgs) in
+  ignore (Unix.write b seg 0 (Bytes.length seg));
+  Unix.shutdown b SHUTDOWN_SEND;
+  Loop.step ~max_wait:1.0 loop;
+  (match !got with
+  | [ `Msgs ms ] -> Alcotest.(check bool) "both messages, in order" true (ms = msgs)
+  | _ -> Alcotest.fail "first readiness: expected both messages, no end of stream");
+  Loop.step ~max_wait:1.0 loop;
+  (match !got with
+  | [ `Eof []; _ ] -> ()
+  | _ -> Alcotest.fail "second readiness: expected the end of stream alone");
+  finish ()
+
+(* A burst larger than the scratch buffer: a full read reads on, a
+   short one ends the step, and every frame still arrives, in order. *)
+let test_conn_burst_over_scratch () =
+  let loop, b, got, finish = conn_steps () in
+  Unix.set_nonblock b;
+  let msgs = List.init 60 (fun i -> sealed i 4000) in
+  let burst = Bytes.concat Bytes.empty (List.map Frame.encode msgs) in
+  Alcotest.(check bool) "burst exceeds the scratch" true (Bytes.length burst > 2 * 65536);
+  let off = ref 0 and steps = ref 0 in
+  let received () =
+    List.concat_map (function `Msgs ms -> ms | _ -> Alcotest.fail "stream ended or corrupt") (List.rev !got)
+  in
+  while List.length (received ()) < List.length msgs && !steps < 1000 do
+    (match Unix.write b burst !off (Bytes.length burst - !off) with
+    | n -> off := !off + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ());
+    Loop.step ~max_wait:0.05 loop;
+    incr steps
+  done;
+  Alcotest.(check int) "every byte written" (Bytes.length burst) !off;
+  Alcotest.(check bool) "every frame, in order" true (received () = msgs);
+  finish ()
 
 (* A recycled descriptor number is a new registration: its handler
    runs, the old one never does — also when the reuse happens inside
@@ -2966,6 +3059,8 @@ let () =
             test_udp_drop_repaired_by_heartbeat;
           Alcotest.test_case "an empty datagram is counted, not a dry socket" `Quick
             test_udp_empty_datagram;
+          Alcotest.test_case "a held datagram is released when the socket is dry" `Quick
+            test_udp_reorder_hold_released;
         ] );
       ( "tickets",
         oracle_cases
@@ -3004,6 +3099,10 @@ let () =
           Alcotest.test_case "tcp fan-out to 64 makes no interest change" `Quick
             test_loop_fanout_no_interest;
           Alcotest.test_case "a queued flight leaves in one write" `Quick test_conn_gathered_flush;
+          Alcotest.test_case "two frames and a FIN: messages, then Eof" `Quick
+            test_conn_short_read_eof;
+          Alcotest.test_case "a burst over the scratch arrives whole" `Quick
+            test_conn_burst_over_scratch;
         ] );
       ( "config",
         [
